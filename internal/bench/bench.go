@@ -273,6 +273,13 @@ func (h *Harness) run(workload, key string, nd func() prefetch.Design, o runOpts
 	return r
 }
 
+// unavailable is what a table cell reads when its run carries no design
+// probes (Result.Probes): the configuration failed, or its result was
+// restored from a journal, which keeps every metric but no probes. The
+// experiments that read probes (Fig01, Fig12) print it rather than a ratio
+// of zero counts.
+const unavailable = "n/a"
+
 // cells expands one configuration into its sample cells: sample s runs with
 // seed Seed + s*7919, and the cell IDs are stable across processes so a
 // journaled sweep can resume. With a store open, each cell's identity tags
@@ -379,9 +386,9 @@ func poolSamples(cells []runner.CellResult) sim.Result {
 // (baseline, full, confluence) for every active workload through one
 // journaled runner sweep: an interrupted benchmark resumes the finished
 // cells from the journal instead of recomputing them. Journal-restored
-// results carry every metric but not live design state, which the
-// experiments never probe for these three designs (unlike e.g. Shotgun's,
-// which therefore always run live through h.run).
+// results carry every metric but no design probes, which the experiments
+// never read for these three designs (Fig01 and Fig12 probe Shotgun and the
+// snd-tag* variants, which therefore always run live through h.run).
 func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 	if ctx == nil {
 		ctx = h.ctx

@@ -4,6 +4,7 @@ import (
 	"context"
 	"dnc/internal/prefetch"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -166,8 +167,9 @@ func TestPrewarmJournalResume(t *testing.T) {
 	want := h1.Baseline("Web-Frontend")
 
 	// A fresh harness resumes every cell from the journal: the restored
-	// metrics match and no simulation re-runs (restored results lack live
-	// Designs, so a non-empty Designs slice would mean a re-run).
+	// metrics match and no simulation re-runs (restored results carry no
+	// design probes, so probes on the full design's result would mean a
+	// re-run).
 	h2 := New(cfg)
 	if err := h2.Prewarm(context.Background(), journal); err != nil {
 		t.Fatal(err)
@@ -176,7 +178,78 @@ func TestPrewarmJournalResume(t *testing.T) {
 	if got.M != want.M {
 		t.Fatal("journal-restored metrics differ from the original run")
 	}
-	if len(got.Designs) != 0 {
+	if h1.Full("Web-Frontend").Probes == nil {
+		t.Fatal("a live run of the full design carries no probes")
+	}
+	if h2.Full("Web-Frontend").Probes != nil {
 		t.Fatal("prewarm re-ran a journaled cell instead of resuming it")
+	}
+}
+
+// TestDesignProbesOnResumedResults pins Fig01 and Fig12 — the two experiments
+// that read a design's own counters rather than core metrics — against
+// results that carry none: journal-resumed, cache-restored and failed ones
+// used to print a 0% footprint-miss ratio and zero overprediction.
+func TestDesignProbesOnResumedResults(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "bench.jsonl")
+	cfg := Config{
+		Cores: 2, WarmCycles: 20_000, MeasureCycles: 20_000,
+		Workloads: []string{"Web-Frontend"}, Seed: 1,
+	}
+	live := New(cfg)
+	want01, want12 := live.Fig01().Headline, live.Fig12().Headline
+	if want01["fpmiss_avg"] == 0 || want12["overpred_tagless"] == 0 {
+		t.Fatalf("live probes read zero (%v, %v): the comparison below would be vacuous", want01, want12)
+	}
+
+	// A Prewarm-resumed harness holds probe-less results, but not of the
+	// configurations the two figures probe: those run live and read as above.
+	if err := New(cfg).Prewarm(context.Background(), journal); err != nil {
+		t.Fatal(err)
+	}
+	h := New(cfg)
+	if err := h.Prewarm(context.Background(), journal); err != nil {
+		t.Fatal(err)
+	}
+	if h.Full("Web-Frontend").Probes != nil {
+		t.Fatal("prewarm re-ran a journaled cell instead of resuming it")
+	}
+	if got := h.Fig01().Headline; !reflect.DeepEqual(got, want01) {
+		t.Errorf("Fig01 on a resumed harness = %v, want %v", got, want01)
+	}
+	if got := h.Fig12().Headline; !reflect.DeepEqual(got, want12) {
+		t.Errorf("Fig12 on a resumed harness = %v, want %v", got, want12)
+	}
+
+	unavailableRows := func(what string, h *Harness) {
+		t.Helper()
+		for _, e := range []Experiment{h.Fig01(), h.Fig12()} {
+			if len(e.Headline) != 0 {
+				t.Errorf("%s: %s has headline numbers %v", what, e.ID, e.Headline)
+			}
+			for _, row := range e.Table.Rows {
+				if row[1] != unavailable {
+					t.Errorf("%s: %s row %v, want %q", what, e.ID, row, unavailable)
+				}
+			}
+		}
+	}
+
+	// Those configurations restored the way a journal or result cache
+	// covering them would: every metric, no probes.
+	for ck, r := range h.cache {
+		r.Probes = nil
+		h.cache[ck] = r
+	}
+	unavailableRows("restored results", h)
+
+	// A configuration that cannot run.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dead := New(cfg)
+	dead.SetContext(ctx)
+	unavailableRows("failed runs", dead)
+	if dead.Err() == nil {
+		t.Fatal("cancelled harness recorded no failure")
 	}
 }

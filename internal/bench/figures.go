@@ -29,12 +29,11 @@ func (h *Harness) Fig01() Experiment {
 	var vals []float64
 	for _, w := range h.Workloads() {
 		r := h.Shotgun(w)
-		var miss, lookups uint64
-		for _, d := range r.Designs {
-			sb := d.(*prefetch.Shotgun).SplitBTB()
-			miss += sb.UFootprintMiss
-			lookups += sb.ULookups
+		if r.Probes == nil {
+			t.AddRow(w, unavailable)
+			continue
 		}
+		miss, lookups := r.Probes.UBTBFootprintMiss, r.Probes.UBTBLookups
 		ratio := 0.0
 		if lookups > 0 {
 			ratio = float64(miss) / float64(lookups)
@@ -43,7 +42,9 @@ func (h *Harness) Fig01() Experiment {
 		head["fpmiss_"+w] = ratio
 		vals = append(vals, ratio)
 	}
-	head["fpmiss_avg"] = mean(vals)
+	if len(vals) > 0 {
+		head["fpmiss_avg"] = mean(vals)
+	}
 	return Experiment{
 		ID:        "fig01",
 		Title:     "Footprint miss ratio in Shotgun's U-BTB",
@@ -383,13 +384,18 @@ func (h *Harness) Fig12() Experiment {
 				c.DisTagBits = pol.bits
 				return prefetch.NewProactive(c)
 			}, runOpts{})
-			var agg prefetch.ReplayStats
-			for _, d := range r.Designs {
-				s := d.(*prefetch.Proactive).Replay
-				agg.TableHits += s.TableHits
-				agg.NotBranch += s.NotBranch
+			if r.Probes == nil {
+				continue
 			}
-			vals = append(vals, agg.Overprediction())
+			replay := prefetch.ReplayStats{
+				TableHits: r.Probes.ReplayTableHits,
+				NotBranch: r.Probes.ReplayNotBranch,
+			}
+			vals = append(vals, replay.Overprediction())
+		}
+		if len(vals) == 0 {
+			t.AddRow(pol.name, unavailable)
+			continue
 		}
 		m := mean(vals)
 		t.AddRow(pol.name, stats.Pct(m))

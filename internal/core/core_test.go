@@ -28,7 +28,7 @@ func testWorkload() wl.Params {
 func newTestCore(t *testing.T, cf Config, design prefetch.Design) (*Core, *Uncore) {
 	t.Helper()
 	prog := wl.Generate(testWorkload())
-	uncore := NewUncore(llc.DefaultConfig())
+	uncore := NewUncore(llc.New(llc.DefaultConfig()))
 	uncore.Preload(prog.Image)
 	w := wl.NewWalker(prog, 1)
 	c := New(cf, w, prog.Image, design, uncore)
@@ -192,7 +192,7 @@ func TestVariableModeBFConstruction(t *testing.T) {
 	prog := wl.Generate(p)
 	lcfg := llc.DefaultConfig()
 	lcfg.DVEnabled = true
-	uncore := NewUncore(lcfg)
+	uncore := NewUncore(llc.New(lcfg))
 	uncore.Preload(prog.Image)
 	c := New(DefaultConfig(), wl.NewWalker(prog, 1), prog.Image, prefetch.NewBaseline(2048), uncore)
 	runCycles(c, 20000)
@@ -206,7 +206,7 @@ func TestVariableModeBFConstruction(t *testing.T) {
 }
 
 func TestUncoreAccessLatency(t *testing.T) {
-	uncore := NewUncore(llc.DefaultConfig())
+	uncore := NewUncore(llc.New(llc.DefaultConfig()))
 	// LLC miss path goes to memory.
 	ready, hit := uncore.Access(0, 12345, 100, true)
 	if hit {
@@ -227,7 +227,7 @@ func TestUncoreAccessLatency(t *testing.T) {
 
 func TestUncorePreload(t *testing.T) {
 	im := isa.NewImage(isa.Fixed, 0x1000, make([]byte, 4096))
-	uncore := NewUncore(llc.DefaultConfig())
+	uncore := NewUncore(llc.New(llc.DefaultConfig()))
 	uncore.Preload(im)
 	if uncore.LLC.InstBlocks() < 4096/isa.BlockBytes {
 		t.Fatalf("preload installed %d blocks", uncore.LLC.InstBlocks())

@@ -90,7 +90,7 @@ func TestEnvPredecodeVariableNeedsBF(t *testing.T) {
 	prog := wl.Generate(p)
 	lcfg := llc.DefaultConfig()
 	lcfg.DVEnabled = true
-	uncore := NewUncore(lcfg)
+	uncore := NewUncore(llc.New(lcfg))
 	uncore.Preload(prog.Image)
 	c := New(DefaultConfig(), wl.NewWalker(prog, 1), prog.Image,
 		prefetch.NewBaseline(2048), uncore)

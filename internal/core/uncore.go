@@ -16,13 +16,23 @@ type Uncore struct {
 	DRAM *memory.DRAM
 }
 
-// NewUncore assembles the default uncore of Table III: a 32 MB 16-bank LLC
-// on a 4x4 mesh with 60 ns / 85 GB/s memory behind it.
-func NewUncore(llcCfg llc.Config) *Uncore {
+// NewUncore assembles the uncore of Table III around the given LLC (32 MB in
+// 16 banks by default): a 4x4 mesh with 60 ns / 85 GB/s memory behind it. An
+// owner that is done with the uncore may Release it.
+func NewUncore(l *llc.LLC) *Uncore {
 	return &Uncore{
-		LLC:  llc.New(llcCfg),
+		LLC:  l,
 		Mesh: noc.New(noc.DefaultConfig()),
 		DRAM: memory.New(memory.DefaultConfig()),
+	}
+}
+
+// Release hands the LLC back for reuse by a later uncore and detaches it, so
+// a stray use after release faults instead of corrupting another run's cache.
+func (u *Uncore) Release() {
+	if u.LLC != nil {
+		u.LLC.Release()
+		u.LLC = nil
 	}
 }
 

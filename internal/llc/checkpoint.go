@@ -8,12 +8,14 @@ import (
 )
 
 // Snapshot serialises the LLC's full state: clock, stats, bank occupancy
-// windows, and every set's lines, BF-holder pin, and stored footprints.
+// windows, and every set's lines, BF-holder pin, and stored footprints. The
+// byte layout is that of one record per line and one (block, footprint) pair
+// per stored footprint, whatever the in-memory packing.
 func (c *LLC) Snapshot(e *checkpoint.Encoder) {
 	e.Begin("llc")
 	e.Int(c.banks)
 	e.Int(c.setsPer)
-	e.Int(c.cfg.Ways)
+	e.Int(c.ways)
 	e.U64(c.clock)
 	e.U64(c.queueSum)
 	e.Struct(&c.stats)
@@ -21,26 +23,29 @@ func (c *LLC) Snapshot(e *checkpoint.Encoder) {
 		e.U64(c.bankOcc[i].window)
 		e.U64(c.bankOcc[i].busy)
 	}
-	for i := range c.sets {
-		s := &c.sets[i]
-		for j := range s.lines {
-			l := &s.lines[j]
-			e.U64(uint64(l.block))
-			e.Bool(l.valid)
-			e.U64(l.lru)
-			e.Bool(l.isInst)
+	for si := range c.holder {
+		base := si * c.ways
+		for w, l := range c.lines[base : base+c.ways] {
+			e.U64(uint64(blockOf(l)))
+			e.Bool(l&validBit != 0)
+			e.U64(c.lru[base+w])
+			e.Bool(l&instBit != 0)
 		}
-		e.Int(s.bfWay)
-		e.Int(len(s.bfs))
-		for _, bf := range s.bfs {
-			e.U64(uint64(bf.block))
+		e.Int(int(c.holder[si]) - 1)
+		bfs := c.setBFs(si)
+		e.Int(len(bfs))
+		for _, bf := range bfs {
+			e.U64(uint64(blockOf(c.lines[base+int(bf.way)])))
 			e.U32(bf.bf.Pack())
 		}
 	}
 	e.End()
 }
 
-// Restore loads state written by Snapshot. Geometry must match.
+// Restore loads state written by Snapshot. Geometry must match, and the
+// state must be one this LLC can hold: a snapshot that pins a BF-holder or
+// stores footprints where DV is off, overfills a holder, or stores a
+// footprint for a block that is not resident in its set is corrupt.
 func (c *LLC) Restore(d *checkpoint.Decoder) error {
 	if err := d.Begin("llc"); err != nil {
 		return err
@@ -49,9 +54,9 @@ func (c *LLC) Restore(d *checkpoint.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if banks != c.banks || setsPer != c.setsPer || ways != c.cfg.Ways {
+	if banks != c.banks || setsPer != c.setsPer || ways != c.ways {
 		return fmt.Errorf("%w: LLC geometry %d banks x %d sets x %d ways in snapshot, machine has %dx%dx%d",
-			checkpoint.ErrCorrupt, banks, setsPer, ways, c.banks, c.setsPer, c.cfg.Ways)
+			checkpoint.ErrCorrupt, banks, setsPer, ways, c.banks, c.setsPer, c.ways)
 	}
 	c.clock = d.U64()
 	c.queueSum = d.U64()
@@ -62,92 +67,104 @@ func (c *LLC) Restore(d *checkpoint.Decoder) error {
 		c.bankOcc[i].window = d.U64()
 		c.bankOcc[i].busy = d.U64()
 	}
-	for i := range c.sets {
-		s := &c.sets[i]
-		for j := range s.lines {
-			l := &s.lines[j]
-			l.block = isa.BlockID(d.U64())
-			l.valid = d.Bool()
-			l.lru = d.U64()
-			l.isInst = d.Bool()
-			c.setTag(i, j, *l)
+	for si := range c.holder {
+		base := si * c.ways
+		for w := 0; w < ways; w++ {
+			block, valid, lru, isInst := d.U64(), d.Bool(), d.U64(), d.Bool()
+			if block >= maxBlocks {
+				return fmt.Errorf("%w: set %d way %d block %#x out of range",
+					checkpoint.ErrCorrupt, si, w, block)
+			}
+			c.lines[base+w] = 0
+			if valid {
+				c.lines[base+w] = packLine(isa.BlockID(block), isInst)
+			}
+			c.lru[base+w] = lru
 		}
-		s.bfWay = d.Int()
-		if d.Err() == nil && (s.bfWay < -1 || s.bfWay >= ways) {
+		held := d.Int()
+		if d.Err() == nil && (held < -1 || held >= ways || (held >= 0 && !c.cfg.DVEnabled)) {
 			return fmt.Errorf("%w: set %d BF-holder way %d out of range",
-				checkpoint.ErrCorrupt, i, s.bfWay)
+				checkpoint.ErrCorrupt, si, held)
 		}
+		c.holder[si] = uint8(held + 1)
 		n := d.Count(12)
-		s.bfs = s.bfs[:0]
-		for k := 0; k < n; k++ {
-			s.bfs = append(s.bfs, bfEntry{
-				block: isa.BlockID(d.U64()),
-				bf:    isa.UnpackBF(d.U32()),
-			})
+		if n > c.bfCap {
+			return fmt.Errorf("%w: set %d stores %d footprints, holder capacity is %d",
+				checkpoint.ErrCorrupt, si, n, c.bfCap)
 		}
+		for k := 0; k < n; k++ {
+			block, bf := isa.BlockID(d.U64()), isa.UnpackBF(d.U32())
+			w := c.find(si, block)
+			if d.Err() == nil && w < 0 {
+				return fmt.Errorf("%w: set %d stores a footprint for block %#x that is not resident",
+					checkpoint.ErrCorrupt, si, uint64(block))
+			}
+			c.bfs[si*c.bfCap+k] = bfEntry{way: uint8(w), bf: bf}
+		}
+		c.bfLen[si] = uint8(n)
 	}
 	return d.End()
 }
 
 // Audit checks the DV-LLC structural invariants:
 //
-//   - the packed tag mirror agrees with every line's block/valid pair (the
-//     fast way scan must never see different residency than the records);
-//   - a pinned BF-holder way index is within the set's ways;
+//   - a pinned BF-holder way index is within the set's ways, and the holder
+//     way itself holds no block;
 //   - a set never stores more footprints than BFsPerSet or Ways-1 (the
 //     holder way cannot hold a footprint for itself);
 //   - every stored footprint describes a block resident in its own set —
-//     eviction must drop the footprint with the block;
+//     eviction must drop the footprint with the block — and no block has two;
 //   - a set holding footprints (or pinning a holder) has at least one valid
 //     instruction line, since the last departing instruction block releases
 //     the holder.
 //
-// Each violation is returned as its own error.
+// With DV off there is no footprint state, and the sweep reads two bytes per
+// set. Each violation is returned as its own error.
 func (c *LLC) Audit() []error {
 	var errs []error
-	for i := range c.sets {
-		s := &c.sets[i]
-		for j := range s.lines {
-			want := uint64(0)
-			if s.lines[j].valid {
-				want = tagKey(s.lines[j].block)
-			}
-			if got := c.tags[i*c.cfg.Ways+j]; got != want {
-				errs = append(errs, fmt.Errorf("llc: set %d way %d tag mirror %#x disagrees with line (%#x)",
-					i, j, got, want))
-			}
-		}
-		if s.bfWay >= len(s.lines) || s.bfWay < -1 {
+	for si, h := range c.holder {
+		held, stored := int(h)-1, int(c.bfLen[si])
+		if held >= c.ways {
 			errs = append(errs, fmt.Errorf("llc: set %d BF-holder way %d out of range [0,%d)",
-				i, s.bfWay, len(s.lines)))
+				si, held, c.ways))
 			continue
 		}
-		if s.bfWay < 0 {
-			if len(s.bfs) != 0 {
+		if held < 0 {
+			if stored != 0 {
 				errs = append(errs, fmt.Errorf("llc: set %d stores %d footprints with no BF-holder way",
-					i, len(s.bfs)))
+					si, stored))
 			}
 			continue
 		}
-		if len(s.bfs) > c.cfg.BFsPerSet || len(s.bfs) > c.cfg.Ways-1 {
+		if !c.cfg.DVEnabled {
+			errs = append(errs, fmt.Errorf("llc: set %d pins BF-holder way %d with DV off", si, held))
+			continue
+		}
+		base := si * c.ways
+		if c.lines[base+held] != 0 {
+			errs = append(errs, fmt.Errorf("llc: set %d BF-holder way %d holds block %#x",
+				si, held, uint64(blockOf(c.lines[base+held]))))
+		}
+		if !c.hasInst(si) {
+			errs = append(errs, fmt.Errorf("llc: set %d pins a BF-holder with no resident instruction block", si))
+		}
+		if stored > c.bfCap {
 			errs = append(errs, fmt.Errorf("llc: set %d stores %d footprints, cap is min(%d, ways-1=%d)",
-				i, len(s.bfs), c.cfg.BFsPerSet, c.cfg.Ways-1))
+				si, stored, c.cfg.BFsPerSet, c.ways-1))
+			continue
 		}
-		hasInst := false
-		for j := range s.lines {
-			if s.lines[j].valid && s.lines[j].isInst {
-				hasInst = true
-				break
+		var seen [4]uint64 // bit per way; New caps ways at 255
+		for _, bf := range c.setBFs(si) {
+			w := int(bf.way)
+			switch {
+			case w >= c.ways || c.lines[base+w] == 0:
+				errs = append(errs, fmt.Errorf("llc: set %d stores a footprint for way %d, which holds no block",
+					si, w))
+			case seen[w/64]&(1<<(w%64)) != 0:
+				errs = append(errs, fmt.Errorf("llc: set %d stores two footprints for block %#x",
+					si, uint64(blockOf(c.lines[base+w]))))
 			}
-		}
-		if !hasInst {
-			errs = append(errs, fmt.Errorf("llc: set %d pins a BF-holder with no resident instruction block", i))
-		}
-		for _, bf := range s.bfs {
-			if l := s.find(bf.block); l == nil {
-				errs = append(errs, fmt.Errorf("llc: set %d stores a footprint for block %#x that is not resident",
-					i, uint64(bf.block)))
-			}
+			seen[w/64] |= 1 << (w % 64)
 		}
 	}
 	return errs

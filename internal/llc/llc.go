@@ -8,6 +8,7 @@ package llc
 
 import (
 	"fmt"
+	"sync"
 
 	"dnc/internal/isa"
 	"dnc/internal/obs"
@@ -46,23 +47,21 @@ func DefaultConfig() Config {
 	}
 }
 
-type line struct {
-	block  isa.BlockID
-	valid  bool
-	lru    uint64
-	isInst bool
-}
+// Bits of a packed line word. The block sits above them; blocks are byte
+// addresses shifted right by the block size, so their top bits are free.
+const (
+	validBit  = 1 << 0
+	instBit   = 1 << 1
+	tagShift  = 2
+	maxBlocks = 1 << (64 - tagShift)
+)
 
+// bfEntry is one stored footprint. It names its block by way rather than by
+// ID: a footprint only ever describes a block resident in its own set, and
+// eviction drops the footprint with the block.
 type bfEntry struct {
-	block isa.BlockID
-	bf    isa.BF
-}
-
-type set struct {
-	lines []line
-	// bfWay is the way pinned as BF-holder, or -1.
-	bfWay int
-	bfs   []bfEntry
+	way uint8
+	bf  isa.BF
 }
 
 // Stats are the LLC's accounting counters.
@@ -83,18 +82,27 @@ type bankWindow struct {
 
 // LLC is the shared last-level cache. Not safe for concurrent use.
 //
-// Residency tags are mirrored in a packed side array (one word per way, a
-// shifted block ID with an always-set valid bit; 0 marks an empty way), so
-// the per-access way scan reads w contiguous words instead of striding
-// across 32-byte line records. The mirror is derived state: every write to a
-// line's block/valid pair maintains it, and Restore rebuilds it.
+// The whole cache is a handful of flat, pointer-free arrays in which the
+// zero value means empty, so an LLC is cheap to allocate, free for the
+// garbage collector to hold, and emptied or copied with a few bulk moves (see
+// Acquire and Clone). A line is one packed word — block, instruction bit,
+// valid bit; 0 is an empty way — beside its recency stamp, so the per-access
+// way scan and the victim scan read contiguous words. Footprint slots exist
+// only when DV is enabled.
 type LLC struct {
-	cfg      Config
-	banks    int
-	setsPer  int // sets per bank
-	sets     []set
-	tags     []uint64 // tagKey per (set, way); 0 = invalid
-	hints    []uint8  // last way find hit per set — a guess, verified on use
+	cfg     Config
+	banks   int
+	setsPer int // sets per bank
+	ways    int
+	bfCap   int // footprints one BF-holder stores; 0 with DV off
+
+	lines  []uint64  // packed line per (set, way); 0 = invalid
+	lru    []uint64  // recency stamp per (set, way); 0 while invalid
+	hints  []uint8   // last way find hit per set — a guess, verified on use
+	holder []uint8   // per set: 1 + the way pinned as BF-holder, 0 = none
+	bfLen  []uint8   // per set: footprints stored
+	bfs    []bfEntry // bfCap slots per set, the first bfLen in use (nil with DV off)
+
 	bankOcc  []bankWindow
 	clock    uint64
 	stats    Stats
@@ -108,8 +116,9 @@ type LLC struct {
 // SetObs attaches a bank-queue-delay histogram (nil detaches).
 func (c *LLC) SetObs(queue *obs.Histogram) { c.queueHist = queue }
 
-// New returns an empty LLC.
-func New(cfg Config) *LLC {
+// Normalized fills the zero-valued fields with their defaults; it is the
+// form New stores and the pool is keyed by.
+func (cfg Config) Normalized() Config {
 	if cfg.SizeBytes == 0 {
 		cfg = DefaultConfig()
 	}
@@ -118,6 +127,15 @@ func New(cfg Config) *LLC {
 	}
 	if cfg.BFsPerSet == 0 {
 		cfg.BFsPerSet = 21
+	}
+	return cfg
+}
+
+// New returns an empty LLC built from scratch.
+func New(cfg Config) *LLC {
+	cfg = cfg.Normalized()
+	if cfg.Ways < 1 || cfg.Ways > 255 {
+		panic(fmt.Sprintf("llc: %d ways outside 1..255", cfg.Ways))
 	}
 	totalSets := cfg.SizeBytes / (isa.BlockBytes * cfg.Ways)
 	if cfg.Banks <= 0 || totalSets%cfg.Banks != 0 {
@@ -131,15 +149,98 @@ func New(cfg Config) *LLC {
 		cfg:     cfg,
 		banks:   cfg.Banks,
 		setsPer: setsPer,
-		sets:    make([]set, totalSets),
-		tags:    make([]uint64, totalSets*cfg.Ways),
+		ways:    cfg.Ways,
+		lines:   make([]uint64, totalSets*cfg.Ways),
+		lru:     make([]uint64, totalSets*cfg.Ways),
 		hints:   make([]uint8, totalSets),
+		holder:  make([]uint8, totalSets),
+		bfLen:   make([]uint8, totalSets),
 		bankOcc: make([]bankWindow, cfg.Banks),
 	}
-	for i := range c.sets {
-		c.sets[i] = set{lines: make([]line, cfg.Ways), bfWay: -1}
+	if cfg.DVEnabled {
+		// The holder way cannot hold a footprint for itself.
+		c.bfCap = max(0, min(cfg.BFsPerSet, cfg.Ways-1))
+		c.bfs = make([]bfEntry, totalSets*c.bfCap)
 	}
 	return c
+}
+
+// pools holds released LLCs for reuse, one sync.Pool per configuration, so a
+// process running many short simulations allocates (and page-faults) the
+// cache's arrays once per concurrent run instead of once per run. Keying by
+// the full normalized Config means an LLC is only ever handed to a run of its
+// own geometry and DV mode.
+var pools sync.Map // Config -> *sync.Pool
+
+// recycled returns a released LLC of the given normalized configuration, in
+// whatever state its last user left it, or nil when there is none.
+func recycled(cfg Config) *LLC {
+	if p, ok := pools.Load(cfg); ok {
+		c, _ := p.(*sync.Pool).Get().(*LLC)
+		return c
+	}
+	return nil
+}
+
+// Acquire returns an empty LLC, recycling a released one of the same
+// configuration when there is one. It is indistinguishable from New(cfg).
+func Acquire(cfg Config) *LLC {
+	cfg = cfg.Normalized()
+	c := recycled(cfg)
+	if c == nil {
+		return New(cfg)
+	}
+	c.reset()
+	return c
+}
+
+// Clone returns an LLC with c's configuration, cache contents, clock,
+// counters and bank windows (and no histogram attached), recycling a
+// released one when there is one. It is how a run starts from an
+// already-warmed LLC instead of warming its own; c is only read.
+func (c *LLC) Clone() *LLC {
+	d := recycled(c.cfg)
+	if d == nil {
+		d = New(c.cfg)
+	}
+	d.copyFrom(c)
+	return d
+}
+
+// reset returns a used LLC to the state New leaves it in. Footprint slots
+// past a set's bfLen are never read, so bfs stays as it is.
+func (c *LLC) reset() {
+	clear(c.lines)
+	clear(c.lru)
+	clear(c.hints)
+	clear(c.holder)
+	clear(c.bfLen)
+	clear(c.bankOcc)
+	c.clock, c.stats, c.queueSum, c.queueHist = 0, Stats{}, 0, nil
+}
+
+// copyFrom overwrites every piece of c's state with src's (same
+// configuration), whatever c held before.
+func (c *LLC) copyFrom(src *LLC) {
+	copy(c.lines, src.lines)
+	copy(c.lru, src.lru)
+	copy(c.hints, src.hints)
+	copy(c.holder, src.holder)
+	copy(c.bfLen, src.bfLen)
+	copy(c.bfs, src.bfs)
+	copy(c.bankOcc, src.bankOcc)
+	c.clock, c.stats, c.queueSum, c.queueHist = src.clock, src.stats, src.queueSum, nil
+}
+
+// Release hands the LLC back for reuse by a later Acquire or Clone. The
+// caller must not touch it afterwards. Whatever state it is in — a run may
+// have died mid-access — is overwritten on the way out of the pool.
+func (c *LLC) Release() {
+	p, ok := pools.Load(c.cfg)
+	if !ok {
+		p, _ = pools.LoadOrStore(c.cfg, new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(c)
 }
 
 // BankDelay accounts one access against the block's bank at the given cycle
@@ -186,52 +287,40 @@ func (c *LLC) setOf(b isa.BlockID) int {
 	return bank*c.setsPer + idx
 }
 
-// tagKey packs a block and an always-set valid bit into one comparable word.
-func tagKey(b isa.BlockID) uint64 { return uint64(b)<<1 | 1 }
+// packLine builds the line word of a resident block.
+func packLine(b isa.BlockID, isInst bool) uint64 {
+	l := uint64(b)<<tagShift | validBit
+	if isInst {
+		l |= instBit
+	}
+	return l
+}
 
-// find locates block b in set si via the packed tag mirror. The per-set MRU
+// blockOf is the block a (valid) line word holds.
+func blockOf(l uint64) isa.BlockID { return isa.BlockID(l >> tagShift) }
+
+// find returns the way of set si holding block b, or -1. The per-set MRU
 // hint short-circuits the way scan for re-probes of a recently found block
 // (loops hammer the same instruction blocks); the hint is only ever a guess,
-// verified against the tag mirror, so a stale one costs a scan but can never
+// verified against the line word, so a stale one costs a scan but can never
 // misidentify a line.
-func (c *LLC) find(si int, b isa.BlockID) *line {
-	base := si * c.cfg.Ways
-	key := tagKey(b)
-	if h := int(c.hints[si]); h < c.cfg.Ways && c.tags[base+h] == key {
-		return &c.sets[si].lines[h]
+func (c *LLC) find(si int, b isa.BlockID) int {
+	base := si * c.ways
+	key := packLine(b, false)
+	if h := int(c.hints[si]); h < c.ways && c.lines[base+h]&^instBit == key {
+		return h
 	}
-	for i, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == key {
+	for i, l := range c.lines[base : base+c.ways] {
+		if l&^instBit == key {
 			c.hints[si] = uint8(i)
-			return &c.sets[si].lines[i]
+			return i
 		}
 	}
-	return nil
-}
-
-// setTag maintains the tag mirror for a write to way w of set si; called by
-// everything that flips a line's block/valid pair.
-func (c *LLC) setTag(si, w int, l line) {
-	if l.valid {
-		c.tags[si*c.cfg.Ways+w] = tagKey(l.block)
-	} else {
-		c.tags[si*c.cfg.Ways+w] = 0
-	}
-}
-
-// find is the mirror-free reference scan, kept for Audit to cross-check the
-// packed tags against the authoritative line records.
-func (s *set) find(b isa.BlockID) *line {
-	for i := range s.lines {
-		if s.lines[i].valid && s.lines[i].block == b {
-			return &s.lines[i]
-		}
-	}
-	return nil
+	return -1
 }
 
 // Contains reports residency without updating recency.
-func (c *LLC) Contains(b isa.BlockID) bool { return c.find(c.setOf(b), b) != nil }
+func (c *LLC) Contains(b isa.BlockID) bool { return c.find(c.setOf(b), b) >= 0 }
 
 // Access performs a demand lookup, updating recency and hit statistics.
 func (c *LLC) Access(b isa.BlockID, isInst bool) bool {
@@ -240,12 +329,13 @@ func (c *LLC) Access(b isa.BlockID, isInst bool) bool {
 	} else {
 		c.stats.DataAccesses++
 	}
-	l := c.find(c.setOf(b), b)
-	if l == nil {
+	si := c.setOf(b)
+	w := c.find(si, b)
+	if w < 0 {
 		return false
 	}
 	c.clock++
-	l.lru = c.clock
+	c.lru[si*c.ways+w] = c.clock
 	if isInst {
 		c.stats.InstHits++
 	} else {
@@ -258,43 +348,46 @@ func (c *LLC) Access(b isa.BlockID, isInst bool) bool {
 // set converts the set's LRU way into a BF-holder.
 func (c *LLC) Insert(b isa.BlockID, isInst bool) {
 	si := c.setOf(b)
-	s := &c.sets[si]
-	if l := c.find(si, b); l != nil {
+	base := si * c.ways
+	if w := c.find(si, b); w >= 0 {
 		c.clock++
-		l.lru = c.clock
-		l.isInst = l.isInst || isInst
+		c.lru[base+w] = c.clock
+		if isInst {
+			c.lines[base+w] |= instBit
+		}
 		return
 	}
-	if c.cfg.DVEnabled && isInst && s.bfWay < 0 {
+	if c.cfg.DVEnabled && isInst && c.holder[si] == 0 {
 		c.transitionToBFHolder(si)
 	}
-	w := c.victimWay(s)
-	if s.lines[w].valid {
+	w := c.victimWay(si)
+	if old := c.lines[base+w]; old != 0 {
 		c.stats.Evictions++
-		evictedInst := s.lines[w].isInst
-		s.dropBF(s.lines[w].block)
-		s.lines[w] = line{}
-		c.setTag(si, w, s.lines[w])
-		if evictedInst {
-			c.maybeReleaseBFHolder(s)
+		c.dropBF(si, w)
+		c.lines[base+w] = 0
+		if old&instBit != 0 {
+			c.maybeReleaseBFHolder(si)
 		}
 	}
 	c.clock++
-	s.lines[w] = line{block: b, valid: true, lru: c.clock, isInst: isInst}
-	c.setTag(si, w, s.lines[w])
+	c.lines[base+w] = packLine(b, isInst)
+	c.lru[base+w] = c.clock
 }
 
 // victimWay picks the LRU way, skipping the pinned BF-holder.
-func (c *LLC) victimWay(s *set) int {
+func (c *LLC) victimWay(si int) int {
+	base := si * c.ways
+	lines, lru := c.lines[base:base+c.ways], c.lru[base:base+c.ways]
+	held := int(c.holder[si]) - 1
 	victim := -1
-	for i := range s.lines {
-		if i == s.bfWay {
+	for i, l := range lines {
+		if i == held {
 			continue
 		}
-		if !s.lines[i].valid {
+		if l == 0 {
 			return i
 		}
-		if victim < 0 || s.lines[i].lru < s.lines[victim].lru {
+		if victim < 0 || lru[i] < lru[victim] {
 			victim = i
 		}
 	}
@@ -304,38 +397,50 @@ func (c *LLC) victimWay(s *set) int {
 // transitionToBFHolder evicts the current LRU way (if utilized) and pins it
 // as the set's BF-holder.
 func (c *LLC) transitionToBFHolder(si int) {
-	s := &c.sets[si]
-	w := c.victimWay(s)
-	if s.lines[w].valid {
+	w := c.victimWay(si)
+	if i := si*c.ways + w; c.lines[i] != 0 {
 		c.stats.Evictions++
-		s.dropBF(s.lines[w].block)
-		s.lines[w] = line{}
-		c.setTag(si, w, s.lines[w])
+		c.lines[i], c.lru[i] = 0, 0
 	}
-	s.bfWay = w
+	c.holder[si] = uint8(w + 1)
 	c.stats.BFTransitions++
 }
 
 // maybeReleaseBFHolder reverts the BF-holder way to a block-holder when the
 // set no longer contains instruction blocks.
-func (c *LLC) maybeReleaseBFHolder(s *set) {
-	if s.bfWay < 0 {
+func (c *LLC) maybeReleaseBFHolder(si int) {
+	if c.holder[si] == 0 || c.hasInst(si) {
 		return
 	}
-	for i := range s.lines {
-		if s.lines[i].valid && s.lines[i].isInst {
-			return
-		}
-	}
-	s.bfWay = -1
-	s.bfs = s.bfs[:0]
+	c.holder[si] = 0
+	c.bfLen[si] = 0
 }
 
-func (s *set) dropBF(b isa.BlockID) {
-	for i := range s.bfs {
-		if s.bfs[i].block == b {
-			s.bfs[i] = s.bfs[len(s.bfs)-1]
-			s.bfs = s.bfs[:len(s.bfs)-1]
+// hasInst reports whether set si holds a resident instruction block.
+func (c *LLC) hasInst(si int) bool {
+	for _, l := range c.lines[si*c.ways : (si+1)*c.ways] {
+		if l&instBit != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// setBFs returns the footprints stored in set si.
+func (c *LLC) setBFs(si int) []bfEntry {
+	if c.holder[si] == 0 {
+		return nil
+	}
+	return c.bfs[si*c.bfCap:][:c.bfLen[si]]
+}
+
+// dropBF forgets the footprint of the block in way w of set si, if any.
+func (c *LLC) dropBF(si, w int) {
+	bfs := c.setBFs(si)
+	for i := range bfs {
+		if int(bfs[i].way) == w {
+			bfs[i] = bfs[len(bfs)-1]
+			c.bfLen[si]--
 			return
 		}
 	}
@@ -348,22 +453,27 @@ func (s *set) dropBF(b isa.BlockID) {
 func (c *LLC) StoreBF(b isa.BlockID, bf isa.BF) bool {
 	c.stats.BFStores++
 	si := c.setOf(b)
-	s := &c.sets[si]
-	if !c.cfg.DVEnabled || s.bfWay < 0 || c.find(si, b) == nil {
+	w := -1
+	if c.holder[si] != 0 {
+		w = c.find(si, b)
+	}
+	if w < 0 {
 		c.stats.BFStoreFails++
 		return false
 	}
-	for i := range s.bfs {
-		if s.bfs[i].block == b {
-			s.bfs[i].bf = bf
+	bfs := c.setBFs(si)
+	for i := range bfs {
+		if int(bfs[i].way) == w {
+			bfs[i].bf = bf
 			return true
 		}
 	}
-	if len(s.bfs) >= c.cfg.BFsPerSet || len(s.bfs) >= c.cfg.Ways-1 {
+	if len(bfs) >= c.bfCap {
 		c.stats.BFStoreFails++
 		return false
 	}
-	s.bfs = append(s.bfs, bfEntry{block: b, bf: bf})
+	c.bfs[si*c.bfCap+len(bfs)] = bfEntry{way: uint8(w), bf: bf}
+	c.bfLen[si]++
 	return true
 }
 
@@ -371,11 +481,15 @@ func (c *LLC) StoreBF(b isa.BlockID, bf isa.BF) bool {
 // block's data response on an L1i fill from the LLC.
 func (c *LLC) LoadBF(b isa.BlockID) (isa.BF, bool) {
 	c.stats.BFLoads++
-	s := &c.sets[c.setOf(b)]
-	for i := range s.bfs {
-		if s.bfs[i].block == b {
-			c.stats.BFLoadHits++
-			return s.bfs[i].bf, true
+	si := c.setOf(b)
+	if bfs := c.setBFs(si); len(bfs) > 0 {
+		if w := c.find(si, b); w >= 0 {
+			for i := range bfs {
+				if int(bfs[i].way) == w {
+					c.stats.BFLoadHits++
+					return bfs[i].bf, true
+				}
+			}
 		}
 	}
 	return isa.BF{}, false
@@ -384,11 +498,9 @@ func (c *LLC) LoadBF(b isa.BlockID) (isa.BF, bool) {
 // InstBlocks returns the number of resident instruction blocks (test hook).
 func (c *LLC) InstBlocks() int {
 	n := 0
-	for i := range c.sets {
-		for j := range c.sets[i].lines {
-			if c.sets[i].lines[j].valid && c.sets[i].lines[j].isInst {
-				n++
-			}
+	for _, l := range c.lines {
+		if l&instBit != 0 {
+			n++
 		}
 	}
 	return n
@@ -397,8 +509,8 @@ func (c *LLC) InstBlocks() int {
 // BFHolderSets returns how many sets currently pin a BF-holder way.
 func (c *LLC) BFHolderSets() int {
 	n := 0
-	for i := range c.sets {
-		if c.sets[i].bfWay >= 0 {
+	for _, h := range c.holder {
+		if h != 0 {
 			n++
 		}
 	}

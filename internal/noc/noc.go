@@ -57,6 +57,11 @@ type Mesh struct {
 	packets uint64
 	queued  uint64 // total cycles of over-subscription delay
 
+	// carried is what the link windows held when the statistics were last
+	// zeroed: traffic whose packets were counted in the previous window.
+	// Derived state for Audit, not checkpointed.
+	carried uint64
+
 	// lat, when set, observes each packet's injection-to-delivery latency
 	// (hops, serialization, and queueing included).
 	lat *obs.Histogram
@@ -173,7 +178,21 @@ func (m *Mesh) QueuedCycles() uint64 { return m.queued }
 
 // ResetStats zeroes the statistics, leaving link occupancy intact (used at
 // the warm-up/measurement boundary).
-func (m *Mesh) ResetStats() { m.flits, m.packets, m.queued = 0, 0, 0 }
+func (m *Mesh) ResetStats() {
+	m.flits, m.packets, m.queued = 0, 0, 0
+	m.carried = m.linkFlits()
+}
+
+// linkFlits sums the flits booked on every link's current window.
+func (m *Mesh) linkFlits() uint64 {
+	var n uint64
+	for i := range m.links {
+		for d := range m.links[i] {
+			n += m.links[i][d].flits
+		}
+	}
+	return n
+}
 
 // Reset clears link state and statistics.
 func (m *Mesh) Reset() {
@@ -182,7 +201,7 @@ func (m *Mesh) Reset() {
 			m.links[i][d] = linkWindow{}
 		}
 	}
-	m.flits, m.packets, m.queued = 0, 0, 0
+	m.flits, m.packets, m.queued, m.carried = 0, 0, 0, 0
 }
 
 func abs(v int) int {

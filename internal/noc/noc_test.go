@@ -1,6 +1,12 @@
 package noc
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"dnc/internal/checkpoint"
+)
 
 func TestHops(t *testing.T) {
 	m := New(DefaultConfig())
@@ -105,5 +111,60 @@ func TestStatsAndReset(t *testing.T) {
 	// After reset, zero-load latency is restored.
 	if got := m.Send(0, 1, 1, 0); got != 3 {
 		t.Errorf("post-reset latency %d, want 3", got)
+	}
+}
+
+// TestAuditAcrossStatsReset pins the drain invariant on both sides of a
+// statistics reset: flits booked before the reset are accounted for while no
+// packet has been injected since, and link traffic nothing injected — before
+// or after — is still a violation.
+func TestAuditAcrossStatsReset(t *testing.T) {
+	m := New(DefaultConfig())
+	m.Send(0, 15, 5, 0)
+	m.ResetStats()
+	if errs := m.Audit(); len(errs) != 0 {
+		t.Fatalf("warm-up flits on the links after ResetStats audited dirty: %v", errs)
+	}
+	m.Send(3, 12, 1, 70) // a new window's packet
+	if errs := m.Audit(); len(errs) != 0 {
+		t.Fatalf("healthy mesh audited dirty: %v", errs)
+	}
+
+	for name, m := range map[string]*Mesh{
+		"fresh": New(DefaultConfig()),
+		"reset": func() *Mesh { m := New(DefaultConfig()); m.Send(0, 15, 5, 0); m.ResetStats(); return m }(),
+	} {
+		m.links[5][dirEast].flits += 3 // traffic with no source
+		if errs := m.Audit(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "zero packets injected") {
+			t.Errorf("%s mesh: sourceless link flits audited as %v", name, errs)
+		}
+	}
+}
+
+// TestRestoreKeepsCarriedTraffic checks that a snapshot taken after a reset
+// and before the window's first packet restores into a mesh that audits
+// clean, with bytes unchanged by the round trip.
+func TestRestoreKeepsCarriedTraffic(t *testing.T) {
+	m := New(DefaultConfig())
+	m.Send(0, 15, 5, 0)
+	m.ResetStats()
+	e := checkpoint.NewEncoder()
+	m.Snapshot(e)
+
+	r := New(DefaultConfig())
+	d, err := checkpoint.Decode(e.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(d); err != nil {
+		t.Fatal(err)
+	}
+	if errs := r.Audit(); len(errs) != 0 {
+		t.Fatalf("restored packet-less mesh audited dirty: %v", errs)
+	}
+	e2 := checkpoint.NewEncoder()
+	r.Snapshot(e2)
+	if !bytes.Equal(e.Marshal(), e2.Marshal()) {
+		t.Error("snapshot bytes changed across restore")
 	}
 }

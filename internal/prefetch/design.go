@@ -91,6 +91,21 @@ type OccupancyReporter interface {
 	QueueOccupancy() int
 }
 
+// Probes are the event counters of a design's own that no core metric
+// carries, for the experiments that study one design's internals. A run's
+// result carries their sums over the cores in place of the design instances,
+// which die with the machine.
+type Probes struct {
+	UBTBLookups, UBTBFootprintMiss   uint64 // Shotgun's U-BTB (Figure 1)
+	ReplayTableHits, ReplayNotBranch uint64 // Dis replay outcomes (Figure 12)
+}
+
+// Prober is an optional capability of a Design: it has Probes to report.
+type Prober interface {
+	// AddProbes adds the design's counters to p.
+	AddProbes(p *Probes)
+}
+
 // Design is a frontend configuration: BTB organization plus prefetcher.
 type Design interface {
 	// Name identifies the design in reports.

@@ -197,6 +197,12 @@ func NewProactive(cfg ProactiveConfig) *Proactive {
 	return p
 }
 
+// AddProbes implements Prober.
+func (p *Proactive) AddProbes(pr *Probes) {
+	pr.ReplayTableHits += p.Replay.TableHits
+	pr.ReplayNotBranch += p.Replay.NotBranch
+}
+
 // Bind implements Design, additionally capturing the environment's trace
 // sink when it has one.
 func (p *Proactive) Bind(env Env) {

@@ -109,8 +109,14 @@ func NewShotgun(cfg ShotgunDesignConfig) *Shotgun {
 // Name implements Design.
 func (*Shotgun) Name() string { return "shotgun" }
 
-// SplitBTB exposes the underlying structure (Figure 1 harness).
+// SplitBTB exposes the underlying structure.
 func (d *Shotgun) SplitBTB() *btb.ShotgunBTB { return d.sb }
+
+// AddProbes implements Prober.
+func (d *Shotgun) AddProbes(p *Probes) {
+	p.UBTBLookups += d.sb.ULookups
+	p.UBTBFootprintMiss += d.sb.UFootprintMiss
+}
 
 // bypcFor routes a branch kind to its per-PC view.
 func (d *Shotgun) bypcFor(kind isa.Kind) *btb.Table[btb.Entry] {

@@ -150,7 +150,13 @@ func TestMetricsEndToEndWithLint(t *testing.T) {
 	st2 := e.submit(spec)
 	e.waitJob(st2.ID)
 
+	// A job turns done, persists its completion record, and only then ticks
+	// the completion counter: wait for the second job's tick.
 	m, body := fetchMetrics(t, e)
+	for deadline := time.Now().Add(5 * time.Second); m["dnc_jobs_completed_total"] < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		m, body = fetchMetrics(t, e)
+	}
 	if errs := telemetry.Lint(body); len(errs) != 0 {
 		t.Fatalf("exposition lint: %v", errs)
 	}

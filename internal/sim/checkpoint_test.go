@@ -12,12 +12,10 @@ import (
 	"dnc/internal/prefetch"
 )
 
-// fingerprint marshals everything of a Result that defines run equivalence.
-// The design instances are live objects (function values, pointers), so they
-// are excluded; their observable effect is already in the metric counters.
+// fingerprint marshals a Result — all of it defines run equivalence, the
+// designs' own probe counters included.
 func fingerprint(t *testing.T, r Result) string {
 	t.Helper()
-	r.Designs = nil
 	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatalf("marshalling result: %v", err)

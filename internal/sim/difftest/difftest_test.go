@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -249,5 +250,42 @@ func TestDeterministicRuns(t *testing.T) {
 				t.Fatalf("core %d: digest trail diverges at checkpoint %d", i, j)
 			}
 		}
+	}
+}
+
+// TestDigestTrailSurvivesLLCReuse runs cell A, then a cell B that shares
+// nothing with it (variable-length ISA on a DV-LLC, another design, another
+// seed), then A again: runs recycle the LLC between them, and A's lockstep
+// outcome — metrics and every core's digest trail — must not show it.
+// (internal/sim's reuse tests hold the first A against a never-used LLC.)
+func TestDigestTrailSurvivesLLCReuse(t *testing.T) {
+	catalog := prefetch.Catalog()
+	a := testOptions(catalog[0], 2)
+	b := testOptions(catalog[10], 3) // SN4L+Dis+BTB
+	b.Workload.Mode = isa.Variable
+	a.Measure, b.Measure = 32768, 16384 // several digestStride retires per core
+	run := func(o Options) (sim.Result, *Report) {
+		res, rep, err := Run(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Ok() {
+			t.Fatalf("diverged:\n%s", rep)
+		}
+		return res, rep
+	}
+	r1, p1 := run(a)
+	if rb, _ := run(b); rb.LLCStats.BFStores == 0 {
+		t.Fatal("B never touched the DV-LLC's footprint store")
+	}
+	r2, p2 := run(a)
+	if r1.M != r2.M || r1.LLCStats != r2.LLCStats {
+		t.Fatalf("A after B differs from A:\n%+v\n%+v", r1.M, r2.M)
+	}
+	if !reflect.DeepEqual(p1.DigestTrail, p2.DigestTrail) {
+		t.Fatal("A's digest trail changed after B ran on the recycled LLC")
+	}
+	if len(p1.DigestTrail) != a.Cores || len(p1.DigestTrail[0]) == 0 {
+		t.Fatalf("empty digest trail: %v", p1.DigestTrail)
 	}
 }

@@ -19,24 +19,7 @@ import (
 //	go test ./internal/sim -bench BenchmarkEngine -benchtime 3x -count 3
 func benchEngine(b *testing.B, designName string, cores int) {
 	b.Helper()
-	var entry prefetch.CatalogEntry
-	for _, e := range prefetch.Catalog() {
-		if e.Name == designName {
-			entry = e
-		}
-	}
-	if entry.New == nil {
-		b.Fatalf("catalog entry %q missing", designName)
-	}
-	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = entry.PrefetchBufferEntries
-	rc := RunConfig{
-		Workload:  workloads.Params("Web-Zeus", isa.Fixed),
-		NewDesign: entry.New,
-		Cores:     cores,
-		Core:      cc,
-		Seed:      1,
-	}
+	rc := engineConfig(b, designName, cores)
 	Program(rc.Workload) // generation cost is one-time; keep it out of the loop
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,6 +28,30 @@ func benchEngine(b *testing.B, designName string, cores int) {
 		if r.M.Retired == 0 {
 			b.Fatal("no instructions retired")
 		}
+	}
+}
+
+// engineConfig is the Web-Zeus run of one catalog design at the default
+// window lengths.
+func engineConfig(tb testing.TB, designName string, cores int) RunConfig {
+	tb.Helper()
+	var entry prefetch.CatalogEntry
+	for _, e := range prefetch.Catalog() {
+		if e.Name == designName {
+			entry = e
+		}
+	}
+	if entry.New == nil {
+		tb.Fatalf("catalog entry %q missing", designName)
+	}
+	cc := core.DefaultConfig()
+	cc.PrefetchBufferEntries = entry.PrefetchBufferEntries
+	return RunConfig{
+		Workload:  workloads.Params("Web-Zeus", isa.Fixed),
+		NewDesign: entry.New,
+		Cores:     cores,
+		Core:      cc,
+		Seed:      1,
 	}
 }
 
@@ -58,6 +65,29 @@ func BenchmarkEngineSN4LDisBTB(b *testing.B) { benchEngine(b, "SN4L+Dis+BTB", 4)
 func BenchmarkEngine16CoreBaseline(b *testing.B) { benchEngine(b, "baseline", 16) }
 
 func BenchmarkEngine16CoreSN4LDisBTB(b *testing.B) { benchEngine(b, "SN4L+Dis+BTB", 16) }
+
+// fixedCostConfig is a run too short to simulate anything to speak of: what
+// it costs is what every run costs before its first cycle and after its last
+// — machine assembly, the warmed LLC, the drain audit, the result.
+func fixedCostConfig(tb testing.TB) RunConfig {
+	rc := engineConfig(tb, "baseline", 2)
+	rc.WarmCycles, rc.MeasureCycles = 64, 64
+	return rc
+}
+
+// BenchmarkRunFixedCost gates the per-run fixed cost that short sweep cells
+// (2 cores, 20K+20K) are made of.
+func BenchmarkRunFixedCost(b *testing.B) {
+	rc := fixedCostConfig(b)
+	Run(rc) // program generation and the warmed LLC image are one-time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := Run(rc); r.M.Cycles == 0 {
+			b.Fatal("run did not advance")
+		}
+	}
+}
 
 // BenchmarkSchedModes is the engine comparison behind the EXPERIMENTS.md
 // wall-clock table: tick vs wheel vs wheel+parallel, per design, at

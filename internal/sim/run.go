@@ -294,9 +294,12 @@ func buildMachine(rc RunConfig, mk streamMaker) (*machine, error) {
 		return nil, errors.New("sim: intra-run parallelism requires a walker-driven run")
 	}
 	m := &machine{rc: rc, prog: Program(rc.Workload)}
-	m.uncore = core.NewUncore(rc.LLC)
-	if !rc.NoPreload {
-		m.uncore.Preload(m.prog.Image)
+	if rc.NoPreload {
+		m.uncore = core.NewUncore(llc.Acquire(rc.LLC))
+	} else {
+		// Long-warmed LLC state, as checkpointed full-system simulation would
+		// start from: copied from the program's image of it, not replayed.
+		m.uncore = core.NewUncore(warmLLC(rc.Workload, rc.LLC).Clone())
 	}
 	m.cores = make([]*core.Core, rc.Cores)
 	m.designs = make([]prefetch.Design, rc.Cores)
@@ -392,10 +395,14 @@ func (m *machine) engineName() string {
 	return m.eng.mode.String()
 }
 
+// close releases what the machine holds: stream resources, and the LLC,
+// which goes back to the pool for the next run. Nothing that outlives the
+// machine may reach it afterwards; a Result is plain data for that reason.
 func (m *machine) close() {
 	for _, c := range m.closers {
 		c()
 	}
+	m.uncore.Release()
 }
 
 // run executes the remaining windows (all of them on a fresh machine; the
@@ -696,7 +703,6 @@ func (m *machine) result() Result {
 		NoCQueued:   m.uncore.Mesh.QueuedCycles(),
 		DRAMQueued:  m.uncore.DRAM.QueuedCycles(),
 		StorageBits: m.designs[0].StorageBits(),
-		Designs:     m.designs,
 	}
 	for i, c := range m.cores {
 		res.PerCore[i] = c.M
@@ -704,6 +710,14 @@ func (m *machine) result() Result {
 	}
 	if m.obs != nil {
 		res.Obs = m.obs.fold(m)
+	}
+	for _, d := range m.designs {
+		if p, ok := d.(prefetch.Prober); ok {
+			if res.Probes == nil {
+				res.Probes = new(prefetch.Probes)
+			}
+			p.AddProbes(res.Probes)
+		}
 	}
 	return res
 }

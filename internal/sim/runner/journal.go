@@ -26,8 +26,8 @@ type journalEntry struct {
 	Result    *ResultJSON `json:"result,omitempty"`
 }
 
-// ResultJSON mirrors sim.Result minus the live Design instances (an
-// interface slice that cannot round-trip through JSON), so a journaled or
+// ResultJSON mirrors sim.Result minus the design probes (counters only the
+// two experiments that study a design's internals read), so a journaled or
 // cached cell restores every metric but not per-design probe state. It is
 // the canonical wire form of a result: the journal stores it per line, and
 // the dncserved result cache content-addresses its encoded bytes — the
@@ -68,7 +68,7 @@ func NewResultJSON(r sim.Result) *ResultJSON {
 	}
 }
 
-// Result reassembles the sim.Result (without live Designs).
+// Result reassembles the sim.Result (without design probes).
 func (jr *ResultJSON) Result() sim.Result {
 	return sim.Result{
 		Workload:    jr.Workload,

@@ -17,7 +17,7 @@ import (
 // results through ResultJSON, so a field missing here is silently missing
 // from every durable artifact.
 var resultJSONExcluded = map[string]string{
-	"Designs": "live prefetch.Design interfaces; probe state cannot round-trip through JSON",
+	"Probes": "design-internal counters only Fig01/Fig12 read; the wire form, its digests and bytes per cell predate them",
 }
 
 // TestResultJSONCoversEveryResultField walks sim.Result by reflection:

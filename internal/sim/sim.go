@@ -146,9 +146,12 @@ type Result struct {
 	NoCQueued   uint64
 	DRAMQueued  uint64
 	StorageBits int
-	// Designs exposes the per-core design instances for harness probes
-	// (e.g. Shotgun footprint miss ratios).
-	Designs []prefetch.Design
+	// Probes sums, over the cores, the counters of a design that exports
+	// any (prefetch.Prober: e.g. Shotgun's footprint misses); nil otherwise.
+	// It is what remains of the design instances, so a Result is plain data
+	// that reaches nothing of the machine that produced it. Not part of the
+	// portable form (runner.ResultJSON): a journaled result has none.
+	Probes *prefetch.Probes
 	// Obs holds the run's observability snapshot when RunConfig.Obs was set
 	// (nil otherwise). Trace events live only in memory; JSON encodings of
 	// the Result carry the histogram and counter snapshots.
@@ -174,6 +177,71 @@ func Program(p wl.Params) *wl.Program {
 	prog := wl.Generate(p)
 	progCache.Store(p, prog)
 	return prog
+}
+
+// warmCap bounds the warmed-LLC images a process keeps (8 MB each, 11 MB
+// with DV). It holds the whole named catalog — 7 workloads, two modes, DV on
+// and off — so a sweep over it builds each image once, while a process that
+// generates programs without end (the fuzzing harness) keeps the most
+// recently used ones and rebuilds the rest on demand.
+const warmCap = 32
+
+// warm caches the long-warmed LLC states runs start from. The state Preload
+// leaves in an empty LLC is a pure function of the program image and the LLC
+// configuration — the checkpoint a SimFlex run would load — so it is built
+// once per pair and copied into each run's LLC. An evicted image is rebuilt
+// identically if the pair comes back.
+var warm struct {
+	mu   sync.Mutex
+	tick uint64
+	m    map[warmKey]*warmEntry
+}
+
+type warmKey struct {
+	p   wl.Params
+	cfg llc.Config // normalized
+}
+
+type warmEntry struct {
+	used  uint64 // warm.tick at the last lookup; guarded by warm.mu
+	build sync.Once
+	llc   *llc.LLC // read-only once built
+}
+
+// warmLLC returns the preloaded LLC state of p's program under cfg, building
+// it on first use. The caller only reads (Clone) it, so an entry evicted
+// while a run still copies from it is simply collected afterwards.
+func warmLLC(p wl.Params, cfg llc.Config) *llc.LLC {
+	k := warmKey{p, cfg.Normalized()}
+	warm.mu.Lock()
+	e := warm.m[k]
+	if e == nil {
+		if len(warm.m) >= warmCap {
+			var oldest warmKey
+			least := ^uint64(0)
+			for ok, oe := range warm.m {
+				if oe.used < least {
+					oldest, least = ok, oe.used
+				}
+			}
+			delete(warm.m, oldest)
+		}
+		if warm.m == nil {
+			warm.m = make(map[warmKey]*warmEntry)
+		}
+		e = new(warmEntry)
+		warm.m[k] = e
+	}
+	warm.tick++
+	e.used = warm.tick
+	warm.mu.Unlock()
+
+	e.build.Do(func() {
+		u := core.Uncore{LLC: llc.New(k.cfg)}
+		u.Preload(Program(p).Image)
+		e.llc = u.LLC
+	})
+	return e.llc
 }
 
 // Run executes one simulation and returns its result. It panics on

@@ -136,8 +136,7 @@ func TestBTBDirectedDesignsRun(t *testing.T) {
 	if shot.M.Retired == 0 {
 		t.Fatal("shotgun run retired nothing")
 	}
-	sd := shot.Designs[0].(*prefetch.Shotgun)
-	if sd.SplitBTB().ULookups == 0 {
+	if shot.Probes == nil || shot.Probes.UBTBLookups == 0 {
 		t.Error("shotgun U-BTB never consulted")
 	}
 }

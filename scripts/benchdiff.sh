@@ -7,7 +7,10 @@
 #                (the 200K+200K windows under the no-prefetch baseline and
 #                the paper's headline design, at 4 cores and at the paper's
 #                full 16-core scale where the engine's per-cycle cost
-#                dominates), compared against BENCH_engine.json.
+#                dominates) and BenchmarkRunFixedCost (a 64+64-cycle run:
+#                what every run costs around its simulated cycles, which is
+#                most of a short sweep cell), compared against
+#                BENCH_engine.json.
 #   resultstore  internal/resultstore BenchmarkSeriesEncode + BenchmarkSeriesDecode
 #                (the store's time-series codec hot paths: delta-of-delta
 #                timestamps + Gorilla XOR values), compared against
@@ -40,22 +43,29 @@ MODE=${1:-check}
 
 fail=0
 
-# run_suite <label> <package> <bench-regex> <ref-file> <bench names...>
-# Runs one benchmark suite and either rewrites its reference (-update) or
-# compares each named benchmark's min ns/op against it.
+# run_suite <label> <package> <bench-regexes> <ref-file> <bench names...>
+# Runs one benchmark suite (one go test per space-separated regex; a regex
+# ending in @N runs at -benchtime N instead of BENCH_TIME) and either rewrites
+# its reference (-update) or compares each named benchmark's min ns/op
+# against it.
 run_suite() {
-	local label="$1" pkg="$2" regex="$3" ref="$4"
+	local label="$1" pkg="$2" regexes="$3" ref="$4"
 	shift 4
 	local benches="$*"
 
-	local out
-	out=$(go test "$pkg" -run '^$' -bench "$regex" \
-		-benchtime "$BENCHTIME" -count "$COUNT" 2>&1) || {
-		echo "$out"
-		echo "benchdiff: $label benchmark run failed" >&2
-		exit 1
-	}
-	echo "$out"
+	local out="" regex benchtime part
+	for regex in $regexes; do
+		benchtime="$BENCHTIME"
+		case "$regex" in *@*) benchtime="${regex##*@}" ;; esac
+		part=$(go test "$pkg" -run '^$' -bench "${regex%@*}" \
+			-benchtime "$benchtime" -count "$COUNT" 2>&1) || {
+			echo "$part"
+			echo "benchdiff: $label benchmark run failed" >&2
+			exit 1
+		}
+		echo "$part"
+		out+="$part"$'\n'
+	done
 
 	# Minimum ns/op and allocs/op per benchmark, from lines like:
 	#   BenchmarkEngineBaseline   3   142028384 ns/op   19336872 B/op   32945 allocs/op
@@ -110,9 +120,13 @@ run_suite() {
 	done
 }
 
-run_suite engine ./internal/sim/ BenchmarkEngine BENCH_engine.json \
+# BenchmarkRunFixedCost is a millisecond an op: 3 iterations would measure
+# noise, so it always runs 200.
+run_suite engine ./internal/sim/ 'BenchmarkEngine ^BenchmarkRunFixedCost$@200x' \
+	BENCH_engine.json \
 	BenchmarkEngineBaseline BenchmarkEngineSN4LDisBTB \
-	BenchmarkEngine16CoreBaseline BenchmarkEngine16CoreSN4LDisBTB
+	BenchmarkEngine16CoreBaseline BenchmarkEngine16CoreSN4LDisBTB \
+	BenchmarkRunFixedCost
 
 run_suite resultstore ./internal/resultstore/ \
 	'^(BenchmarkSeriesEncode|BenchmarkSeriesDecode)$' BENCH_resultstore.json \
