@@ -13,8 +13,8 @@
 // /v1/jobs/{id}/results (see README "Sweep as a service"). Identical cells
 // — same workload, design, geometry, and seed — are served from a
 // persistent content-addressed cache: runs are deterministic, so a cache
-// hit is bit-exact and free. Worker crashes recover through the runner's
-// journal and checkpoint machinery; SIGINT/SIGTERM triggers a graceful
+// hit is bit-exact and free. A crash recovers finished cells from that
+// cache and in-flight ones from their checkpoints; SIGINT/SIGTERM triggers a graceful
 // drain that stops admissions, checkpoints in-flight work, flushes
 // persistent state, and exits 0 with every accepted job either completed
 // or durably queued for the next start.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"sync"
 
+	"dnc/internal/jsonl"
 	"dnc/internal/sim/runner"
 )
 
@@ -28,10 +29,11 @@ type cacheEntry struct {
 }
 
 // resultCache is the persistent, content-addressed dedup store shared by
-// every job the server runs. It follows the journal's crash discipline:
-// append-only JSONL, one fsync per insert, a torn trailing line (process
-// killed mid-append) discarded on load, and appends always starting on a
-// fresh line. Entries are immutable — deterministic runs mean a digest can
+// every job the server runs, and the one durable record of an admitted
+// result (the column store is derived from it). Its crash discipline is
+// internal/jsonl's plus one fsync per insert: append-only JSONL, a torn
+// trailing line (process killed mid-append) discarded on load, and appends
+// always starting on a fresh line. Entries are immutable — deterministic runs mean a digest can
 // only ever map to one result, so the first insert wins and duplicates are
 // dropped.
 //
@@ -73,42 +75,20 @@ type cacheStats struct {
 // already over budget is evicted down and compacted immediately.
 func openResultCache(path string, maxBytes int64) (*resultCache, error) {
 	c := &resultCache{path: path, maxBytes: maxBytes, byDigest: make(map[string]*cacheEntry)}
-	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var e cacheEntry
-			if json.Unmarshal(line, &e) != nil || e.Digest == "" || e.Result == nil {
-				continue // torn or foreign line: the cell simply re-runs
-			}
-			if _, dup := c.byDigest[e.Digest]; !dup {
-				ec := e
-				ec.size = int64(len(line)) + 1
-				c.byDigest[e.Digest] = &ec
-				c.order = append(c.order, e.Digest)
-				c.liveBytes += ec.size
-			}
+	f, err := jsonl.OpenAppend(path, func(line []byte) {
+		var e cacheEntry
+		if json.Unmarshal(line, &e) != nil || e.Digest == "" || e.Result == nil {
+			return // torn or foreign line: the cell simply re-runs
 		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("service: reading result cache %s: %w", path, err)
+		if _, dup := c.byDigest[e.Digest]; !dup {
+			e.size = int64(len(line)) + 1
+			c.byDigest[e.Digest] = &e
+			c.order = append(c.order, e.Digest)
+			c.liveBytes += e.size
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("service: opening result cache %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("service: opening result cache %s for append: %w", path, err)
-	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], fi.Size()-1); err == nil && last[0] != '\n' {
-			f.Write([]byte("\n"))
-		}
+		return nil, fmt.Errorf("service: opening result cache: %w", err)
 	}
 	c.f = f
 	if c.maxBytes > 0 && c.liveBytes > c.maxBytes {

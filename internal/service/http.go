@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"time"
 
 	"dnc/internal/service/workerproto"
 	"dnc/internal/sim/runner"
@@ -24,10 +23,6 @@ const maxSpecBytes = 1 << 20
 // at most, so 16 MiB is generous without letting a hostile client stream
 // unbounded bytes into the decoder.
 const maxCompleteBytes = 16 << 20
-
-// resultsPollInterval paces the results streamer's wait for new outcomes
-// on a still-running job.
-const resultsPollInterval = 50 * time.Millisecond
 
 // handler assembles the API mux:
 //
@@ -149,7 +144,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	next := 0
 	for {
-		outs, state := j.outcomesFrom(next)
+		outs, state, changed := j.outcomesFrom(next)
 		for _, o := range outs {
 			line := resultLine{Outcome: o}
 			if o.ResultDigest != "" {
@@ -173,7 +168,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-s.ctx.Done():
 			return // draining: deliver what exists, end the stream
-		case <-time.After(resultsPollInterval):
+		case <-changed:
 		}
 	}
 }

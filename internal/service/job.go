@@ -14,7 +14,7 @@ import (
 // JobState is a job's lifecycle position. A job accepted before a drain or
 // crash restarts as queued: acceptance is durable (spec.json), completion
 // is durable (done.json), and everything between is recomputed — cheaply,
-// because finished cells hit the result cache or the job's runner journal.
+// because finished cells hit the result cache.
 type JobState string
 
 const (
@@ -33,8 +33,10 @@ const (
 	// OutcomeCached was served from the content-addressed result cache
 	// with zero simulation work.
 	OutcomeCached OutcomeStatus = "cached"
-	// OutcomeResumed was restored from this job's own runner journal
-	// (a previous attempt of this job completed it before a crash).
+	// OutcomeResumed is no longer produced: it marked a cell restored from
+	// the per-job runner journal, which the cache made redundant (a job
+	// re-run after a crash now reports such cells as cached). Terminal
+	// records written by earlier builds still carry it.
 	OutcomeResumed OutcomeStatus = "resumed"
 	// OutcomeDead was short-circuited by the dead-letter list: the cell
 	// has repeatedly failed non-transiently and is not retried.
@@ -68,8 +70,8 @@ type JobStatus struct {
 	Resumed   int `json:"resumed"`
 	Dead      int `json:"dead"`
 	Failed    int `json:"failed"`
-	// Error is set when State is failed (an infrastructure error: journal
-	// unwritable, job timeout). Per-cell errors live in the outcomes.
+	// Error is set when State is failed (an infrastructure error: job
+	// timeout, unwritable job directory). Per-cell errors live in the outcomes.
 	Error string `json:"error,omitempty"`
 	// DeadCells surfaces the dead-letter outcomes for quick triage.
 	DeadCells []Outcome `json:"dead_cells,omitempty"`
@@ -90,40 +92,56 @@ type job struct {
 	state    JobState
 	outcomes []Outcome
 	errMsg   string
+	// changed is closed, and forgotten, by the next new outcome or state
+	// change; outcomesFrom makes one on demand. It is how a results stream
+	// waits for news without polling.
+	changed chan struct{}
+}
+
+// wakeLocked releases every results stream waiting on the job.
+func (j *job) wakeLocked() {
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
 }
 
 func (j *job) setState(s JobState, errMsg string) {
 	j.mu.Lock()
 	j.state = s
 	j.errMsg = errMsg
+	j.wakeLocked()
 	j.mu.Unlock()
 }
 
 func (j *job) addOutcome(o Outcome) {
 	j.mu.Lock()
 	j.outcomes = append(j.outcomes, o)
+	j.wakeLocked()
 	j.mu.Unlock()
 }
 
 // resetOutcomes clears per-run state when a drained job returns to the
-// queue: the next run rebuilds outcomes from the cache and journal.
+// queue: the next run rebuilds outcomes from the cache.
 func (j *job) resetOutcomes() {
 	j.mu.Lock()
 	j.outcomes = nil
 	j.mu.Unlock()
 }
 
-// outcomesFrom snapshots outcomes[i:] and the current state; the results
-// streamer polls it to deliver lines as cells finish.
-func (j *job) outcomesFrom(i int) ([]Outcome, JobState) {
+// outcomesFrom snapshots outcomes[i:] and the current state, with a channel
+// that closes as soon as either has moved on from this snapshot.
+func (j *job) outcomesFrom(i int) ([]Outcome, JobState, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if i >= len(j.outcomes) {
-		return nil, j.state
+	if j.changed == nil {
+		j.changed = make(chan struct{})
 	}
-	out := make([]Outcome, len(j.outcomes)-i)
-	copy(out, j.outcomes[i:])
-	return out, j.state
+	var out []Outcome
+	if i < len(j.outcomes) {
+		out = append(out, j.outcomes[i:]...)
+	}
+	return out, j.state, j.changed
 }
 
 // status builds the API view.
@@ -168,7 +186,6 @@ func (j *job) status() JobStatus {
 //	                acceptance record a drain or crash must not lose
 //	done.json     — written atomically at terminal completion; absence
 //	                means the job re-queues on startup
-//	journal.jsonl — the runner journal for this job's simulated cells
 //	ckpt/         — per-cell mid-run snapshots
 
 // specRecord is the on-disk acceptance record.
@@ -178,10 +195,16 @@ type specRecord struct {
 	Spec Spec   `json:"spec"`
 }
 
-// doneRecord is the on-disk terminal record: the final status plus the
-// full outcome list (result bodies stay in the cache).
+// doneRecord is the on-disk terminal record: how the job ended plus the
+// full outcome list. Everything else a JobStatus shows is derived from
+// these and spec.json (result bodies stay in the cache). Earlier builds
+// wrote the whole JobStatus under "status"; the nesting is kept so their
+// records still load.
 type doneRecord struct {
-	Status   JobStatus `json:"status"`
+	Status struct {
+		State JobState `json:"state"`
+		Error string   `json:"error,omitempty"`
+	} `json:"status"`
 	Outcomes []Outcome `json:"outcomes"`
 }
 
@@ -209,9 +232,9 @@ func (j *job) persistSpec() error {
 func (j *job) persistDone() error {
 	j.mu.Lock()
 	rec := doneRecord{Outcomes: append([]Outcome(nil), j.outcomes...)}
+	rec.Status.State, rec.Status.Error = j.state, j.errMsg
 	j.mu.Unlock()
-	rec.Status = j.status()
-	b, err := json.MarshalIndent(rec, "", "  ")
+	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,6 +17,7 @@ import (
 	"time"
 
 	"dnc/internal/httpx"
+	"dnc/internal/jsonl"
 	"dnc/internal/resultstore"
 	"dnc/internal/service/workerproto"
 	"dnc/internal/sim"
@@ -81,7 +81,7 @@ type Config struct {
 	// sim.RunInjected with this wrapper. It exists for the chaos suite
 	// (fault injection into the committed stream); production leaves it
 	// nil. Wrapped runs cannot checkpoint, so crash recovery degrades to
-	// journal granularity.
+	// whole-cell granularity (the cache).
 	WrapStream sim.StreamWrapper
 	// RunCell, when set, replaces the cell executor outright (test seam;
 	// see runner.Options.Run). Takes precedence over WrapStream.
@@ -424,8 +424,8 @@ func (s *Server) DeadLetters() []DeadLetter {
 
 // Drain gracefully shuts the service down: stop accepting submissions,
 // close the queue, cancel in-flight sweeps (their completed cells are
-// already journaled and cached, their running cells hold mid-run
-// checkpoints), flush and close persistent state, and stop the HTTP server
+// already cached, their running cells hold mid-run checkpoints), seal the
+// column store's pending batch, close persistent state, and stop the HTTP server
 // — all bounded by ctx. Accepted jobs are never lost: unfinished ones
 // restart from their durable acceptance record on the next process.
 func (s *Server) Drain(ctx context.Context) error {
@@ -487,10 +487,11 @@ func (s *Server) workerLoop() {
 }
 
 // runJob executes one job: partition cells into cached / dead / to-run,
-// sweep the remainder through the runner (journal + checkpoints in the
-// job's directory), fold fresh results into the cache, dead-letter
-// poisoned cells, and persist the terminal record. A drain mid-job leaves
-// the job queued-on-disk for the next process.
+// sweep the remainder through the runner (checkpoints in the job's
+// directory, no journal: the cache already records every finished cell
+// under the same key and is consulted first), admit fresh results,
+// dead-letter poisoned cells, and persist the terminal record. A drain
+// mid-job leaves the job queued-on-disk for the next process.
 func (s *Server) runJob(j *job) {
 	j.setState(JobRunning, "")
 	j.resetOutcomes()
@@ -542,7 +543,6 @@ func (s *Server) runJob(j *job) {
 		Retries:         s.cfg.Retries,
 		Backoff:         s.cfg.Backoff,
 		BackoffMax:      s.cfg.BackoffMax,
-		JournalPath:     filepath.Join(j.dir, "journal.jsonl"),
 		CheckpointDir:   filepath.Join(j.dir, "ckpt"),
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		Progress:        s.progress,
@@ -553,15 +553,12 @@ func (s *Server) runJob(j *job) {
 				return
 			}
 			switch cr.Status {
-			case runner.StatusOK, runner.StatusResumed:
-				e := s.cache.insert(cell, runner.NewResultJSON(cr.Result))
-				s.appendStore(cell, e.Result)
-				status := OutcomeSimulated
-				if cr.Status == runner.StatusResumed {
-					status = OutcomeResumed
-				}
+			case runner.StatusOK:
+				// A remote cell was admitted by completeCell before its result
+				// reached the runner; admitting it again is a no-op.
+				e := s.admit(cell, runner.NewResultJSON(cr.Result))
 				j.addOutcome(Outcome{
-					Key: cr.ID, Digest: cell.Digest(), Status: status,
+					Key: cr.ID, Digest: cell.Digest(), Status: OutcomeSimulated,
 					ResultDigest: e.ResultDigest, Attempts: cr.Attempts,
 				})
 				if s.tel != nil {
@@ -603,7 +600,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	if err != nil {
-		// Infrastructure failure (bad journal, job timeout): terminal.
+		// Infrastructure failure (unwritable checkpoint dir, job timeout): terminal.
 		j.setState(JobFailed, err.Error())
 		s.log.Error("job failed", "job", j.id, "err", err.Error())
 	} else {
@@ -768,7 +765,7 @@ func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (w
 		return workerproto.CompleteResponse{}, http.StatusNotFound,
 			fmt.Errorf("service: cell %s is not outstanding", digest)
 	}
-	e := s.cache.insert(req.Spec, req.Result)
+	e := s.admit(req.Spec, req.Result)
 	if e.ResultDigest != ResultDigest(req.Result) {
 		// A racing upload won the first insert with a different result:
 		// refuse this one rather than lie about what was admitted.
@@ -782,12 +779,23 @@ func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (w
 		return workerproto.CompleteResponse{}, http.StatusConflict,
 			fmt.Errorf("service: upload for %s lost a race to a non-identical result (determinism violation)", digest)
 	}
-	s.appendStore(req.Spec, e.Result)
 	s.dispatch.countAdmitted()
 	s.rec.Verified(digest)
 	s.rec.ExecEnd(digest, req.WorkerID, "admitted")
 	s.dispatch.deliver(digest, remoteOutcome{r: req.Result.Result()})
 	return workerproto.CompleteResponse{Status: workerproto.StatusAdmitted}, http.StatusOK, nil
+}
+
+// admit is the one place a result becomes durable: a single fsynced line in
+// cache.jsonl, then a place in the column store's pending batch (derived
+// data, sealed later; see store.go). Both halves are first-insert-wins, so
+// admitting a cell twice — an upload and then the runner's report of it, a
+// lease that expired and finished late — changes nothing, and the returned
+// entry is whichever result won.
+func (s *Server) admit(spec cellSpec, r *runner.ResultJSON) *cacheEntry {
+	e := s.cache.insert(spec, r)
+	s.appendStore(spec, e.Result)
+	return e
 }
 
 // isTransient mirrors the runner's default classifier: only timeouts are
@@ -835,40 +843,16 @@ func sortDeadLetters(ds []DeadLetter) {
 }
 
 // loadDeadLetters restores the poison list (latest record per digest wins)
-// and opens the file for appending, with the same torn-tail tolerance as
-// the journal and cache.
+// and opens the file for appending.
 func (s *Server) loadDeadLetters(path string) error {
-	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var d DeadLetter
-			if json.Unmarshal(line, &d) != nil || d.Digest == "" {
-				continue
-			}
-			dc := d
-			s.dead[d.Digest] = &dc
+	f, err := jsonl.OpenAppend(path, func(line []byte) {
+		var d DeadLetter
+		if json.Unmarshal(line, &d) == nil && d.Digest != "" {
+			s.dead[d.Digest] = &d
 		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			return fmt.Errorf("service: reading dead letters %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("service: opening dead letters %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	})
 	if err != nil {
-		return fmt.Errorf("service: opening dead letters %s for append: %w", path, err)
-	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], fi.Size()-1); err == nil && last[0] != '\n' {
-			f.Write([]byte("\n"))
-		}
+		return fmt.Errorf("service: opening dead letters: %w", err)
 	}
 	s.deadF = f
 	return nil

@@ -5,8 +5,9 @@
 // content-addressed cache. Because simulations are deterministic, the cell
 // — one (workload, design, geometry, seed) point — is the unit of both
 // deduplication and recovery: identical cells are served from the cache
-// bit-exactly, and a crashed worker's cells resume through the runner's
-// journal and checkpoint machinery instead of restarting.
+// bit-exactly, and after a crash finished cells come back from the cache
+// and in-flight ones resume from the runner's checkpoints instead of
+// restarting.
 package service
 
 import (

@@ -5,11 +5,16 @@ package service
 // columnar store file (internal/resultstore) under the same first-insert-
 // wins key discipline, so aggregate questions ("mean IPC per design ×
 // workload") are answered by GET /v1/query scanning the file instead of
-// re-parsing the JSONL cache. The cache stays the source of truth: a store
-// append failure is logged, never fails admission, and a store lost or
-// torn by a crash is recovered on startup — the writer truncates the torn
-// tail (checksum-validated blocks only) and the missing cells are
-// backfilled from the cache via workerproto.ParseKey.
+// re-parsing the JSONL cache. The cache is the source of truth and the only
+// per-cell durable write; the store is an index derived from it. Appends
+// collect in the Writer's batch and reach the file as one fsynced segment
+// when the batch fills, when a query is about to read the file, and at
+// drain — so the file may trail admissions by up to one batch
+// (resultstore.DefaultSegmentCells - 1 cells), never the answers. A store
+// append failure is logged, never fails admission, and whatever a crash
+// cost the file — the unsealed batch, a torn tail (the writer truncates to
+// the last checksum-valid block), the file itself — is backfilled from the
+// cache on startup via workerproto.ParseKey.
 
 import (
 	"errors"
@@ -72,27 +77,24 @@ func (s *Server) openStore() error {
 	return nil
 }
 
-// appendStore mirrors one admitted result into the column store, fsynced
-// per cell like the cache. Failures are logged, not returned: the store is
-// derived data, rebuilt from the cache on the next startup.
+// appendStore adds one admitted result to the column store's pending batch
+// (the Writer seals a full batch itself); a cell the store already holds
+// costs a key lookup, not a conversion. Failures are logged, not returned:
+// the store is derived data, rebuilt from the cache on the next startup.
 func (s *Server) appendStore(spec cellSpec, r *runner.ResultJSON) {
 	s.storeMu.Lock()
 	defer s.storeMu.Unlock()
-	if s.store == nil {
+	if s.store == nil || s.store.Has(spec.Key()) {
 		return
 	}
 	if _, err := s.store.Append(storeCell(spec, r)); err != nil {
 		s.log.Warn("column store append failed", "key", spec.Key(), "err", err)
-		return
-	}
-	if err := s.store.Flush(); err != nil {
-		s.log.Warn("column store flush failed", "err", err)
 	}
 }
 
-// storeScan answers one aggregate query against the on-disk store. The
-// lock orders the read after any in-flight append's complete write+fsync,
-// so the snapshot read never sees a half-written block.
+// storeScan answers one aggregate query against the on-disk store, sealing
+// the pending batch first so every cell admitted so far is in the file it
+// reads. The lock keeps appends out between the seal and the read.
 func (s *Server) storeScan(q resultstore.Query) ([]resultstore.Group, int, error) {
 	s.storeMu.Lock()
 	defer s.storeMu.Unlock()
@@ -115,7 +117,8 @@ func (s *Server) storeScan(q resultstore.Query) ([]resultstore.Group, int, error
 	return groups, http.StatusOK, nil
 }
 
-// storeStats snapshots the store's cell count and on-disk size.
+// storeStats snapshots the store's cell count (pending batch included) and
+// on-disk size (sealed segments only, so it lags the count until a seal).
 func (s *Server) storeStats() (cells int, bytes int64) {
 	s.storeMu.Lock()
 	defer s.storeMu.Unlock()

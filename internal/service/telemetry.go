@@ -44,7 +44,7 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		"Jobs reaching a terminal state (done or failed).")
 
 	t.cellsAdmitted = reg.Counter("dnc_cells_admitted_total",
-		"Cells admitted with a fresh result (simulated locally, resumed, or uploaded by a worker).")
+		"Cells admitted with a fresh result (simulated locally or uploaded by a worker).")
 	t.cellsDeduped = reg.Counter("dnc_cells_deduped_total",
 		"Cells served from the content-addressed result cache without running.")
 	t.cellsFailed = reg.Counter("dnc_cells_failed_total",

@@ -1,13 +1,13 @@
 package runner
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 
 	"dnc/internal/core"
+	"dnc/internal/jsonl"
 	"dnc/internal/llc"
 	"dnc/internal/obs"
 	"dnc/internal/sim"
@@ -120,41 +120,14 @@ func openJournal(path string, syncEvery int) (*journal, error) {
 		syncEvery = 1
 	}
 	j := &journal{done: make(map[string]sim.Result), syncEvery: syncEvery}
-	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var e journalEntry
-			if json.Unmarshal(line, &e) != nil {
-				continue
-			}
-			if e.Status == StatusOK && e.Result != nil {
-				j.done[e.ID] = e.Result.Result()
-			}
+	f, err := jsonl.OpenAppend(path, func(line []byte) {
+		var e journalEntry
+		if json.Unmarshal(line, &e) == nil && e.Status == StatusOK && e.Result != nil {
+			j.done[e.ID] = e.Result.Result()
 		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("runner: reading journal %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("runner: opening journal %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("runner: opening journal %s for append: %w", path, err)
-	}
-	// A process killed mid-write leaves a partial line with no trailing
-	// newline; appending straight onto it would corrupt the next record
-	// too. Start appends on a fresh line.
-	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], fi.Size()-1); err == nil && last[0] != '\n' {
-			f.Write([]byte("\n"))
-		}
+		return nil, fmt.Errorf("runner: opening journal: %w", err)
 	}
 	j.f = f
 	return j, nil
