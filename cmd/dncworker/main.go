@@ -46,7 +46,7 @@ func main() {
 	name := flag.String("name", defaultName(), "worker label shown to operators")
 	capacity := flag.Int("capacity", 1, "cells executed concurrently")
 	leaseBatch := flag.Int("lease-batch", 0, "max cells per lease request (0 = server's cap)")
-	poll := flag.Duration("poll", 250*time.Millisecond, "idle re-poll cadence")
+	poll := flag.Duration("poll", 250*time.Millisecond, "pause after a failed lease request (idle workers park on the server; there is no polling cadence)")
 	cellTimeout := flag.Duration("cell-timeout", 10*time.Minute, "per-cell execution bound, reported transient (0 = none)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")

@@ -141,6 +141,12 @@ func (rc *RetryClient) PostJSONHeaders(ctx context.Context, url string, hdr map[
 				return lastStatus, nil
 			}
 		}
+		if ctx.Err() != nil {
+			// The caller gave up, not the server: neither a retry nor an
+			// exhausted budget (a worker abandons parked lease calls and
+			// revoked uploads this way as a matter of course).
+			return lastStatus, lastErr
+		}
 		if attempt >= rc.Retries {
 			if rc.OnGiveUp != nil {
 				rc.OnGiveUp(lastStatus)

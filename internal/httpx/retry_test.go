@@ -134,6 +134,38 @@ func TestRetryClientContextCancelDuringBackoff(t *testing.T) {
 	}
 }
 
+// TestRetryClientCancelledRequestIsNotARetry: a request its caller cancelled
+// in flight ends there, with the cancellation as its error, and reaches
+// neither observation seam — it says nothing about the server's health.
+func TestRetryClientCancelledRequestIsNotARetry(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+	}))
+	defer srv.Close()
+	defer close(release)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-entered
+		cancel()
+	}()
+	hooks := 0
+	rc := &RetryClient{
+		Retries:  3,
+		Sleep:    func(context.Context, time.Duration) error { t.Error("slept before a retry"); return nil },
+		OnRetry:  func(int) { hooks++ },
+		OnGiveUp: func(int) { hooks++ },
+	}
+	status, err := rc.PostJSON(ctx, srv.URL, map[string]string{}, nil)
+	if status != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("status=%d err=%v, want 0 and context.Canceled", status, err)
+	}
+	if hooks != 0 {
+		t.Fatalf("OnRetry/OnGiveUp fired %d times for a cancelled request, want 0", hooks)
+	}
+}
+
 // TestRetryClientExhaustionFiresGiveUp pins the observation seams on the
 // exhaustion path: every scheduled retry reports the status that caused it,
 // and OnGiveUp fires exactly once with the final status when the budget

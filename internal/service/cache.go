@@ -122,7 +122,8 @@ func (c *resultCache) get(digest string) (*cacheEntry, bool) {
 // appending and fsyncing one JSONL line so the entry survives kill -9. A
 // digest already present is left untouched (first insert wins). The
 // returned entry carries the result digest the caller reports upstream.
-func (c *resultCache) insert(cell cellSpec, r *runner.ResultJSON) *cacheEntry {
+// resultDigest is ResultDigest(r), which every caller has already computed.
+func (c *resultCache) insert(cell cellSpec, r *runner.ResultJSON, resultDigest string) *cacheEntry {
 	digest := cell.Digest()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -132,7 +133,7 @@ func (c *resultCache) insert(cell cellSpec, r *runner.ResultJSON) *cacheEntry {
 	e := &cacheEntry{
 		Digest:       digest,
 		Key:          cell.Key(),
-		ResultDigest: ResultDigest(r),
+		ResultDigest: resultDigest,
 		Result:       r,
 	}
 	line, err := json.Marshal(e)

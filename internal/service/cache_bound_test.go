@@ -29,7 +29,7 @@ func entrySize(t *testing.T) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := c.insert(boundCell(1), boundResult(1))
+	e := insertResult(c, boundCell(1), boundResult(1))
 	c.close()
 	return e.size
 }
@@ -44,7 +44,7 @@ func TestCacheEvictsOldestFirst(t *testing.T) {
 	defer c.close()
 
 	for seed := int64(1); seed <= 5; seed++ {
-		c.insert(boundCell(seed), boundResult(seed))
+		insertResult(c, boundCell(seed), boundResult(seed))
 	}
 	st := c.stats()
 	if st.entries != 3 {
@@ -74,11 +74,11 @@ func TestCacheSingleOversizedEntrySurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.close()
-	c.insert(boundCell(1), boundResult(1))
+	insertResult(c, boundCell(1), boundResult(1))
 	if st := c.stats(); st.entries != 1 {
 		t.Fatalf("entries = %d, want the newest entry kept despite the budget", st.entries)
 	}
-	c.insert(boundCell(2), boundResult(2))
+	insertResult(c, boundCell(2), boundResult(2))
 	st := c.stats()
 	if st.entries != 1 || st.evictions != 1 {
 		t.Fatalf("entries=%d evictions=%d, want 1/1 (previous newest evicted)", st.entries, st.evictions)
@@ -100,7 +100,7 @@ func TestCacheCompactionBoundsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 60; seed++ {
-		c.insert(boundCell(seed), boundResult(seed))
+		insertResult(c, boundCell(seed), boundResult(seed))
 	}
 	st := c.stats()
 	live := map[int64]bool{}
@@ -118,7 +118,7 @@ func TestCacheCompactionBoundsDisk(t *testing.T) {
 	}
 	// Between compactions the file holds at most budget + budget/2 dead
 	// plus one in-flight entry.
-	if bound := budget+budget/2+size; fi.Size() > bound {
+	if bound := budget + budget/2 + size; fi.Size() > bound {
 		t.Fatalf("file is %d bytes after churn, want ≤ %d (compaction not bounding disk)", fi.Size(), bound)
 	}
 
@@ -156,7 +156,7 @@ func TestCacheShrunkenBudgetTrimsOnLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 10; seed++ {
-		c.insert(boundCell(seed), boundResult(seed))
+		insertResult(c, boundCell(seed), boundResult(seed))
 	}
 	c.close()
 
@@ -187,7 +187,7 @@ func TestCacheUnboundedNeverEvicts(t *testing.T) {
 	}
 	defer c.close()
 	for seed := int64(1); seed <= 50; seed++ {
-		c.insert(boundCell(seed), boundResult(seed))
+		insertResult(c, boundCell(seed), boundResult(seed))
 	}
 	if st := c.stats(); st.entries != 50 || st.evictions != 0 {
 		t.Fatalf("unbounded cache: entries=%d evictions=%d, want 50/0", st.entries, st.evictions)

@@ -25,13 +25,18 @@ func fakeResult(retired uint64) *runner.ResultJSON {
 	}
 }
 
+// insertResult inserts r under the digest its admission path would compute.
+func insertResult(c *resultCache, cell cellSpec, r *runner.ResultJSON) *cacheEntry {
+	return c.insert(cell, r, ResultDigest(r))
+}
+
 func TestCachePersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
 	c, err := openResultCache(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := c.insert(cacheCell(1), fakeResult(500))
+	e := insertResult(c, cacheCell(1), fakeResult(500))
 	if e.ResultDigest == "" {
 		t.Fatal("insert produced no result digest")
 	}
@@ -69,8 +74,8 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 func TestCacheTornTailDiscarded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
 	c, _ := openResultCache(path, 0)
-	c.insert(cacheCell(1), fakeResult(100))
-	c.insert(cacheCell(2), fakeResult(200))
+	insertResult(c, cacheCell(1), fakeResult(100))
+	insertResult(c, cacheCell(2), fakeResult(200))
 	c.close()
 
 	raw, _ := os.ReadFile(path)
@@ -90,7 +95,7 @@ func TestCacheTornTailDiscarded(t *testing.T) {
 	if _, ok := c2.get(cacheCell(2).Digest()); ok {
 		t.Fatal("torn entry survived")
 	}
-	c2.insert(cacheCell(3), fakeResult(300))
+	insertResult(c2, cacheCell(3), fakeResult(300))
 	c2.close()
 
 	c3, err := openResultCache(path, 0)
@@ -111,8 +116,8 @@ func TestCacheFirstInsertWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
 	c, _ := openResultCache(path, 0)
 	defer c.close()
-	first := c.insert(cacheCell(1), fakeResult(100))
-	second := c.insert(cacheCell(1), fakeResult(999))
+	first := insertResult(c, cacheCell(1), fakeResult(100))
+	second := insertResult(c, cacheCell(1), fakeResult(999))
 	if second.ResultDigest != first.ResultDigest {
 		t.Fatal("second insert replaced an immutable entry")
 	}

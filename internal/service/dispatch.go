@@ -1,10 +1,12 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -127,6 +129,12 @@ type dispatcher struct {
 	byCell  map[string]*remoteCell  // every outstanding cell, pending or leased
 	pending []*remoteCell           // FIFO; reassigned cells go to the front
 
+	// parked is the lease calls waiting for work, longest-waiting first; a
+	// cell that becomes pending is handed to the head call at once, so
+	// parked and pending are never both non-empty, idle workers take turns,
+	// and one new cell wakes one call.
+	parked []*parkedLease
+
 	st dispatchStats
 
 	// rec and log are set by the owning Server after construction (nil rec =
@@ -177,7 +185,7 @@ func (d *dispatcher) register(name string, capacity int) workerproto.RegisterRes
 	return workerproto.RegisterResponse{
 		WorkerID:      w.id,
 		LeaseTTLMS:    d.ttl.Milliseconds(),
-		HeartbeatMS:   (d.ttl / 3).Milliseconds(),
+		HeartbeatMS:   d.heartbeatEvery().Milliseconds(),
 		LeaseBatchMax: d.batchMax,
 	}
 }
@@ -190,8 +198,34 @@ var errUnknownWorker = errors.New("service: unknown or expired worker")
 // liveness.
 func (d *dispatcher) touch(w *workerState) { w.expiry = d.now().Add(d.ttl) }
 
-// lease grants up to max pending cells to the worker.
-func (d *dispatcher) lease(workerID string, max int) ([]workerproto.Lease, error) {
+// heartbeatEvery is the cadence dictated to workers at registration, and so
+// also the longest a lease call may stay parked: three beats fit in a TTL.
+func (d *dispatcher) heartbeatEvery() time.Duration { return d.ttl / 3 }
+
+// parkedLease is one lease call that found nothing pending.
+type parkedLease struct {
+	w        *workerState
+	max      int
+	deadline time.Time
+	// done is closed when the call comes off dispatcher.parked with its
+	// answer in leases: cells handed to it, or none at its deadline.
+	done   chan struct{}
+	leases []workerproto.Lease
+}
+
+// lease grants up to max pending cells to the worker. With nothing pending
+// the call parks — an idle worker costs the server a blocked goroutine, not
+// a request per poll interval — until a cell becomes pending and it is this
+// call's turn, ctx ends (the server is draining or the client went away;
+// neither is granted anything), or one heartbeat period passes, which
+// returns an empty grant, or errUnknownWorker if the worker was reaped
+// meanwhile. The worker is renewed on entry and on return and by nothing in
+// between: a call whose client vanished silently must not keep its worker
+// alive past one more TTL.
+func (d *dispatcher) lease(ctx context.Context, workerID string, max int) ([]workerproto.Lease, error) {
+	if max <= 0 || max > d.batchMax {
+		max = d.batchMax
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.expireLocked()
@@ -199,13 +233,66 @@ func (d *dispatcher) lease(workerID string, max int) ([]workerproto.Lease, error
 	if !ok {
 		return nil, errUnknownWorker
 	}
-	d.touch(w)
-	if max <= 0 || max > d.batchMax {
-		max = d.batchMax
+	if ctx.Err() != nil {
+		return nil, nil
 	}
+	d.touch(w)
+	if len(d.pending) > 0 {
+		return d.grantLocked(w, max), nil
+	}
+	p := &parkedLease{w: w, max: max, deadline: d.now().Add(d.heartbeatEvery()), done: make(chan struct{})}
+	d.parked = append(d.parked, p)
+	d.mu.Unlock()
+	select {
+	case <-p.done:
+	case <-ctx.Done():
+	}
+	d.mu.Lock()
+	if i := slices.Index(d.parked, p); i >= 0 {
+		d.parked = slices.Delete(d.parked, i, i+1)
+	}
+	if ctx.Err() != nil {
+		// Cells handed over as the caller left go back to the head of the
+		// queue (and to the next parked call) instead of waiting out a TTL.
+		for i := len(p.leases) - 1; i >= 0; i-- {
+			if l, held := w.leases[p.leases[i].Digest]; held {
+				d.revokeLocked(l)
+			}
+		}
+		return nil, nil
+	}
+	if d.workers[workerID] != w {
+		return nil, errUnknownWorker
+	}
+	d.touch(w)
+	return p.leases, nil
+}
+
+// offerLocked hands pending cells to parked lease calls, longest-waiting
+// first. Every path that grows pending calls it.
+func (d *dispatcher) offerLocked() {
+	for len(d.pending) > 0 && len(d.parked) > 0 {
+		p := d.unparkLocked()
+		p.leases = d.grantLocked(p.w, p.max)
+	}
+}
+
+// unparkLocked takes the longest-waiting call off the list and releases it
+// with whatever answer the caller then gives it.
+func (d *dispatcher) unparkLocked() *parkedLease {
+	p := d.parked[0]
+	d.parked[0] = nil
+	d.parked = d.parked[1:]
+	close(p.done)
+	return p
+}
+
+// grantLocked moves up to max cells from the head of pending to the worker.
+func (d *dispatcher) grantLocked(w *workerState, max int) []workerproto.Lease {
 	var out []workerproto.Lease
 	for len(out) < max && len(d.pending) > 0 {
 		c := d.pending[0]
+		d.pending[0] = nil // the backing array must not pin a granted cell
 		d.pending = d.pending[1:]
 		c.leased = true
 		w.leases[c.digest] = &lease{cell: c, worker: w, grantedAt: d.now()}
@@ -220,7 +307,7 @@ func (d *dispatcher) lease(workerID string, max int) ([]workerproto.Lease, error
 	if len(out) > 0 {
 		d.log.Debug("leases granted", "worker", w.id, "cells", len(out))
 	}
-	return out, nil
+	return out
 }
 
 // heartbeat renews the worker and all its leases, revoking any lease past
@@ -247,9 +334,11 @@ func (d *dispatcher) heartbeat(workerID string, active []string) ([]string, erro
 	}
 	// Digests the worker claims but the server no longer leases to it
 	// (already revoked and reassigned) are re-reported so the worker can
-	// cancel the stale execution.
+	// cancel the stale execution. A cell that has left the table is not: a
+	// worker lists a cell until its upload is acknowledged, so a beat that
+	// crosses the acknowledgement claims a cell this very worker completed.
 	for _, digest := range active {
-		if _, held := w.leases[digest]; !held && !seen[digest] {
+		if _, held := w.leases[digest]; !held && !seen[digest] && d.byCell[digest] != nil {
 			seen[digest] = true
 			revoked = append(revoked, digest)
 		}
@@ -265,18 +354,26 @@ func (d *dispatcher) revokeLocked(l *lease) {
 		return // completed or abandoned in the meantime
 	}
 	l.cell.leased = false
-	d.pending = append([]*remoteCell{l.cell}, d.pending...)
+	d.pending = slices.Insert(d.pending, 0, l.cell)
 	d.st.Reassigned++
 	d.rec.ExecEnd(l.cell.digest, l.worker.id, "revoked")
 	d.log.Warn("lease revoked", "span", telemetry.SpanID(l.cell.digest), "worker", l.worker.id,
 		"held", d.now().Sub(l.grantedAt).String())
+	d.offerLocked()
 }
 
 // expireLocked reaps workers whose heartbeat window lapsed, reassigning
 // their leases; if the last live worker goes, waiting cells are released to
-// local execution.
+// local execution. Before that it answers, empty, the parked lease calls
+// whose heartbeat period is up: the expiry sweep, not a timer per call, is
+// what ends a park on its bound — under a fake clock too. (Calls park in
+// deadline order, and a worker's TTL outlasts its call's park, so a reaped
+// worker's call has always been answered first.)
 func (d *dispatcher) expireLocked() {
 	now := d.now()
+	for len(d.parked) > 0 && !now.Before(d.parked[0].deadline) {
+		d.unparkLocked()
+	}
 	for id, w := range d.workers {
 		if now.After(w.expiry) {
 			d.log.Warn("worker expired", "worker", id, "name", w.name, "leases", len(w.leases))
@@ -334,6 +431,7 @@ func (d *dispatcher) enqueue(spec workerproto.CellSpec, traceID string) (<-chan 
 		c = &remoteCell{digest: digest, spec: spec, traceID: traceID}
 		d.byCell[digest] = c
 		d.pending = append(d.pending, c)
+		d.offerLocked()
 	}
 	c.waiters = append(c.waiters, ch)
 	d.mu.Unlock()

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestDispatchLeaseExpiryReassignsToLiveWorker(t *testing.T) {
 	ch, cancel := d.enqueue(spec, "")
 	defer cancel()
 
-	leases, err := d.lease(a.WorkerID, 4)
+	leases, err := d.lease(context.Background(), a.WorkerID, 4)
 	if err != nil || len(leases) != 1 {
 		t.Fatalf("lease to a = %v, %v; want 1 lease", leases, err)
 	}
@@ -52,13 +53,13 @@ func TestDispatchLeaseExpiryReassignsToLiveWorker(t *testing.T) {
 	if st.WorkersExpired != 1 || st.WorkersLive != 1 || st.Reassigned != 1 {
 		t.Fatalf("stats after expiry = %+v; want 1 expired, 1 live, 1 reassigned", st)
 	}
-	leases, err = d.lease(b.WorkerID, 4)
+	leases, err = d.lease(context.Background(), b.WorkerID, 4)
 	if err != nil || len(leases) != 1 || leases[0].Digest != spec.Digest() {
 		t.Fatalf("reassigned lease to b = %v, %v; want the original cell", leases, err)
 	}
 
 	// The dead worker's ID is rejected until it re-registers.
-	if _, err := d.lease(a.WorkerID, 4); !errors.Is(err, errUnknownWorker) {
+	if _, err := d.lease(context.Background(), a.WorkerID, 4); !errors.Is(err, errUnknownWorker) {
 		t.Fatalf("lease with expired id = %v, want errUnknownWorker", err)
 	}
 	if _, err := d.heartbeat(a.WorkerID, nil); !errors.Is(err, errUnknownWorker) {
@@ -92,7 +93,7 @@ func TestDispatchFrozenWorkerBudget(t *testing.T) {
 	spec := testCell(2)
 	_, cancel := d.enqueue(spec, "")
 	defer cancel()
-	if leases, _ := d.lease(a.WorkerID, 1); len(leases) != 1 {
+	if leases, _ := d.lease(context.Background(), a.WorkerID, 1); len(leases) != 1 {
 		t.Fatal("worker a did not get the lease")
 	}
 
@@ -123,12 +124,21 @@ func TestDispatchFrozenWorkerBudget(t *testing.T) {
 
 	// The healthy worker picks the cell up; the frozen worker, still
 	// claiming it active, is told again that it is revoked (stale lease).
-	if leases, _ := d.lease(b.WorkerID, 1); len(leases) != 1 || leases[0].Digest != spec.Digest() {
+	if leases, _ := d.lease(context.Background(), b.WorkerID, 1); len(leases) != 1 || leases[0].Digest != spec.Digest() {
 		t.Fatal("healthy worker did not inherit the revoked cell")
 	}
 	revoked, err = d.heartbeat(a.WorkerID, []string{spec.Digest()})
 	if err != nil || len(revoked) != 1 {
 		t.Fatalf("stale-active beat: revoked=%v err=%v; want the digest re-reported", revoked, err)
+	}
+
+	// Once the cell is delivered it is nobody's: a worker still listing it —
+	// its own upload's acknowledgement is in flight — is not told it lost it.
+	d.deliver(spec.Digest(), remoteOutcome{})
+	for _, id := range []string{a.WorkerID, b.WorkerID} {
+		if revoked, err := d.heartbeat(id, []string{spec.Digest()}); err != nil || len(revoked) != 0 {
+			t.Fatalf("beat claiming a delivered cell: revoked=%v err=%v; want nothing", revoked, err)
+		}
 	}
 }
 
@@ -177,7 +187,7 @@ func TestDispatchEnqueueDedup(t *testing.T) {
 	defer cancel1()
 	defer cancel2()
 
-	leases, _ := d.lease(w.WorkerID, 4)
+	leases, _ := d.lease(context.Background(), w.WorkerID, 4)
 	if len(leases) != 1 {
 		t.Fatalf("%d leases for one deduplicated cell, want 1", len(leases))
 	}
@@ -207,7 +217,7 @@ func TestDispatchCancelDropsUnleasedCell(t *testing.T) {
 	_, cancelLeased := d.enqueue(leased, "")
 	_, cancelPending := d.enqueue(pending, "")
 
-	if leases, _ := d.lease(w.WorkerID, 1); len(leases) != 1 || leases[0].Digest != leased.Digest() {
+	if leases, _ := d.lease(context.Background(), w.WorkerID, 1); len(leases) != 1 || leases[0].Digest != leased.Digest() {
 		t.Fatal("expected the first-enqueued cell to be leased")
 	}
 	cancelPending()
@@ -218,7 +228,7 @@ func TestDispatchCancelDropsUnleasedCell(t *testing.T) {
 	if !d.outstanding(leased.Digest()) {
 		t.Fatal("leased cell dropped while a worker held it")
 	}
-	if leases, _ := d.lease(w.WorkerID, 4); len(leases) != 0 {
+	if leases := leaseAtBound(t, d, clk, w.WorkerID, 4); len(leases) != 0 {
 		t.Fatalf("cancelled cell leased anyway: %v", leases)
 	}
 }

@@ -1,13 +1,16 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"runtime"
 	"strconv"
+	"time"
 
 	"dnc/internal/service/workerproto"
 	"dnc/internal/sim/runner"
@@ -257,10 +260,7 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed register request: %w", err))
 		return
 	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.isDraining() {
 		w.Header().Set("Retry-After", "30")
 		writeError(w, http.StatusServiceUnavailable, ErrDraining)
 		return
@@ -268,26 +268,41 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.dispatch.register(req.Name, req.Capacity))
 }
 
+// handleWorkerLease answers with work as soon as there is any for this
+// worker: with nothing pending the call stays parked in dispatcher.lease
+// (long poll) and ends on new work, on drain, when the client goes away, or
+// after one heartbeat period with an empty grant.
 func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 	var req workerproto.LeaseRequest
 	if err := decodeBody(w, r, maxSpecBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed lease request: %w", err))
 		return
 	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.isDraining() {
 		// Finish what you hold; no new work is granted during a drain.
 		writeJSON(w, http.StatusOK, workerproto.LeaseResponse{Draining: true})
 		return
 	}
-	leases, err := s.dispatch.lease(r.PathValue("id"), req.Max)
+	// net/http watches the connection for the client going away only once
+	// the request body has been read to its end, and the decoder stops at the
+	// end of the JSON value.
+	io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	// Drain cancels s.ctx after setting draining, so a call parked across
+	// the start of a drain wakes and reports it like one arriving after.
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	stop := context.AfterFunc(s.ctx, cancel)
+	defer stop()
+	start := time.Now()
+	leases, err := s.dispatch.lease(ctx, r.PathValue("id"), req.Max)
+	if s.tel != nil {
+		s.tel.leaseWait.ObserveDuration(time.Since(start))
+	}
 	if errors.Is(err, errUnknownWorker) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, workerproto.LeaseResponse{Leases: leases})
+	writeJSON(w, http.StatusOK, workerproto.LeaseResponse{Leases: leases, Draining: s.ctx.Err() != nil})
 }
 
 func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {

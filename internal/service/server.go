@@ -469,6 +469,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
+// isDraining reports whether Drain has begun.
+func (s *Server) isDraining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
+}
+
 // workerLoop pulls jobs until the queue closes.
 func (s *Server) workerLoop() {
 	for {
@@ -555,8 +562,12 @@ func (s *Server) runJob(j *job) {
 			switch cr.Status {
 			case runner.StatusOK:
 				// A remote cell was admitted by completeCell before its result
-				// reached the runner; admitting it again is a no-op.
-				e := s.admit(cell, runner.NewResultJSON(cr.Result))
+				// reached the runner: its entry is there to be read.
+				e, ok := s.cache.get(cell.Digest())
+				if !ok {
+					r := runner.NewResultJSON(cr.Result)
+					e = s.admit(cell, r, ResultDigest(r))
+				}
 				j.addOutcome(Outcome{
 					Key: cr.ID, Digest: cell.Digest(), Status: OutcomeSimulated,
 					ResultDigest: e.ResultDigest, Attempts: cr.Attempts,
@@ -741,15 +752,16 @@ func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (w
 				req.Result.Workload, req.Result.Design, req.Spec.Workload, req.Spec.Design)
 	}
 	s.rec.Upload(digest)
+	resultDigest := ResultDigest(req.Result)
 	if e, ok := s.cache.get(digest); ok {
-		if e.ResultDigest != ResultDigest(req.Result) {
+		if e.ResultDigest != resultDigest {
 			s.dispatch.countRejected()
 			if s.tel != nil {
 				s.tel.determinismViolations.Inc()
 			}
 			s.rec.ExecEnd(digest, req.WorkerID, "rejected")
 			s.log.Error("determinism violation", "span", telemetry.SpanID(digest), "worker", req.WorkerID,
-				"cached", e.ResultDigest, "uploaded", ResultDigest(req.Result))
+				"cached", e.ResultDigest, "uploaded", resultDigest)
 			return workerproto.CompleteResponse{}, http.StatusConflict,
 				fmt.Errorf("service: upload for %s is not bit-identical to the cached result (determinism violation)", digest)
 		}
@@ -765,8 +777,8 @@ func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (w
 		return workerproto.CompleteResponse{}, http.StatusNotFound,
 			fmt.Errorf("service: cell %s is not outstanding", digest)
 	}
-	e := s.admit(req.Spec, req.Result)
-	if e.ResultDigest != ResultDigest(req.Result) {
+	e := s.admit(req.Spec, req.Result, resultDigest)
+	if e.ResultDigest != resultDigest {
 		// A racing upload won the first insert with a different result:
 		// refuse this one rather than lie about what was admitted.
 		s.dispatch.countRejected()
@@ -775,7 +787,7 @@ func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (w
 		}
 		s.rec.ExecEnd(digest, req.WorkerID, "rejected")
 		s.log.Error("determinism violation", "span", telemetry.SpanID(digest), "worker", req.WorkerID,
-			"cached", e.ResultDigest, "uploaded", ResultDigest(req.Result))
+			"cached", e.ResultDigest, "uploaded", resultDigest)
 		return workerproto.CompleteResponse{}, http.StatusConflict,
 			fmt.Errorf("service: upload for %s lost a race to a non-identical result (determinism violation)", digest)
 	}
@@ -791,9 +803,9 @@ func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (w
 // data, sealed later; see store.go). Both halves are first-insert-wins, so
 // admitting a cell twice — an upload and then the runner's report of it, a
 // lease that expired and finished late — changes nothing, and the returned
-// entry is whichever result won.
-func (s *Server) admit(spec cellSpec, r *runner.ResultJSON) *cacheEntry {
-	e := s.cache.insert(spec, r)
+// entry is whichever result won. resultDigest is ResultDigest(r).
+func (s *Server) admit(spec cellSpec, r *runner.ResultJSON, resultDigest string) *cacheEntry {
+	e := s.cache.insert(spec, r, resultDigest)
 	s.appendStore(spec, e.Result)
 	return e
 }

@@ -28,6 +28,7 @@ type serverTelemetry struct {
 	cellExec   *telemetry.Histogram
 	e2e        *telemetry.Histogram
 	uploadSize *telemetry.Histogram
+	leaseWait  *telemetry.Histogram
 }
 
 // newServerTelemetry builds the registry over a live server: scrape-time
@@ -118,6 +119,9 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	t.uploadSize = reg.Histogram("dnc_upload_size_bytes",
 		"Worker completion upload body sizes.",
 		telemetry.SizeBounds(), 1)
+	t.leaseWait = reg.Histogram("dnc_lease_wait_seconds",
+		"Time a worker lease call was held by the server before it answered (parked while nothing was pending).",
+		telemetry.DurationBounds(), telemetry.SecondsScale)
 
 	return t
 }

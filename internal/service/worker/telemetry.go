@@ -33,6 +33,7 @@ type Telemetry struct {
 	Retries        *telemetry.CounterVec
 	GiveUps        *telemetry.CounterVec
 	ExecSeconds    *telemetry.Histogram
+	SlotIdle       *telemetry.Histogram
 
 	inflight atomic.Int64
 
@@ -72,6 +73,9 @@ func NewTelemetry() *Telemetry {
 		"HTTP requests abandoned after exhausting the retry budget, by final status.")
 	t.ExecSeconds = reg.Histogram("dnc_worker_cell_execution_seconds",
 		"Cell execution wall time on this worker.",
+		telemetry.DurationBounds(), telemetry.SecondsScale)
+	t.SlotIdle = reg.Histogram("dnc_worker_slot_idle_seconds",
+		"Time an execution slot stood idle between one cell's run ending and its next cell's run starting.",
 		telemetry.DurationBounds(), telemetry.SecondsScale)
 	reg.GaugeFunc("dnc_worker_inflight_cells",
 		"Cells executing on this worker right now.",

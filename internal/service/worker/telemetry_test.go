@@ -93,6 +93,7 @@ func TestWorkerRegistryExposition(t *testing.T) {
 	tel.execStart()
 	defer tel.execEnd()
 	tel.ExecSeconds.Observe(0.25 * telemetry.SecondsScale)
+	tel.SlotIdle.Observe(0.002 * telemetry.SecondsScale)
 
 	var b strings.Builder
 	tel.Reg.WritePrometheus(&b)
@@ -105,5 +106,8 @@ func TestWorkerRegistryExposition(t *testing.T) {
 	}
 	if !strings.Contains(body, "dnc_worker_cell_execution_seconds_count 1") {
 		t.Fatalf("exec histogram missing observation:\n%s", body)
+	}
+	if !strings.Contains(body, "dnc_worker_slot_idle_seconds_count 1") {
+		t.Fatalf("slot-idle histogram missing observation:\n%s", body)
 	}
 }

@@ -6,6 +6,16 @@
 // cell's content address, and renews its leases by heartbeating at the
 // cadence the server dictates.
 //
+// A session is a pipeline with no timer on its busy path. A cell holds one
+// of Capacity execution slots while Options.Run runs and gives it back the
+// moment Run returns; the upload proceeds on the cell's own goroutine
+// behind a second token, of which there are also Capacity, taken before the
+// slot is given back — so a worker holds at most 2×Capacity leases and a
+// server that stops acknowledging uploads stops the slots too. The lease
+// loop sleeps on the free slots while every one is busy and inside the lease
+// request itself while the server has no work (the server parks the call),
+// so it is handed the next cell as soon as there is both a slot and a cell.
+//
 // The loop is built for an at-least-once world: a heartbeat answered with
 // revocations abandons those cells (the server has reassigned them), a 404
 // from any work-API call means the registration expired and the worker
@@ -44,8 +54,9 @@ type Options struct {
 	// LeaseBatch caps cells pulled per lease request on top of the server's
 	// own LeaseBatchMax (0 = the server's cap alone).
 	LeaseBatch int
-	// PollInterval is the idle re-poll cadence when the server has no work
-	// or a request fails (default 250ms).
+	// PollInterval is the pause after a failed lease request (default
+	// 250ms). It is not a polling cadence: an idle worker's lease call is
+	// parked by the server and a busy one waits on its own slots.
 	PollInterval time.Duration
 	// CellTimeout bounds one cell's execution; expiry is reported to the
 	// server as a transient failure (default: no bound — the server's lease
@@ -57,7 +68,7 @@ type Options struct {
 	// Run is the execution seam; nil runs the real simulator via
 	// CellSpec.RunConfig, exactly as the server's in-process pool does.
 	Run func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error)
-	// FreezeAfter is a chaos hook: after this many completed cells the
+	// FreezeAfter is a chaos hook: after this many result uploads the
 	// worker freezes — it keeps leasing nothing new, keeps heartbeating,
 	// holds its remaining leases, and never completes them — modeling a
 	// wedged process whose heartbeat thread survives. The server's
@@ -144,7 +155,7 @@ func Run(ctx context.Context, o Options) error {
 }
 
 // session is one registration's lifetime: a heartbeat loop, a lease loop,
-// and up to Capacity concurrent cell executions.
+// up to Capacity concurrent cell executions and as many uploads behind them.
 type session struct {
 	o   Options
 	reg workerproto.RegisterResponse
@@ -159,10 +170,17 @@ type session struct {
 	// upload's X-DNC-Attempt header.
 	attempts map[string]int
 
-	slots     chan struct{} // capacity tokens; held while a cell is in flight
-	inflight  sync.WaitGroup
-	completed atomic.Uint64
-	frozen    atomic.Bool
+	// free holds the execution slots no cell is running on, each stamped
+	// with when its last Run returned (zero: it has not run one). There are
+	// Capacity slots in all, so giving one back can never block.
+	free chan time.Time
+	// uploads holds Capacity upload tokens; a cell takes one after Run
+	// returns and before its slot goes back to free.
+	uploads chan struct{}
+
+	inflight sync.WaitGroup
+	uploaded atomic.Uint64 // result uploads begun: the FreezeAfter budget
+	frozen   atomic.Bool
 }
 
 func runSession(parent context.Context, o Options, reg workerproto.RegisterResponse) error {
@@ -173,7 +191,11 @@ func runSession(parent context.Context, o Options, reg workerproto.RegisterRespo
 		ctx: ctx, cancel: cancel,
 		active:   make(map[string]context.CancelCauseFunc),
 		attempts: make(map[string]int),
-		slots:    make(chan struct{}, o.Capacity),
+		free:     make(chan time.Time, o.Capacity),
+		uploads:  make(chan struct{}, o.Capacity),
+	}
+	for i := 0; i < o.Capacity; i++ {
+		s.free <- time.Time{}
 	}
 	hbDone := make(chan struct{})
 	go func() {
@@ -264,29 +286,53 @@ func (s *session) abandon(digest string) {
 	}
 }
 
-// leaseLoop pulls work whenever capacity is free. Returns nil on drain or
-// parent cancellation, errReregister on a 404.
+// leaseLoop pulls work whenever a slot is free. It sleeps in two places,
+// neither a timer: on the free slots while every one is running a cell, and
+// inside the lease request while the server has nothing to grant (the
+// server parks the call for up to one heartbeat period). Returns nil on
+// drain or parent cancellation, errReregister on a 404.
 func (s *session) leaseLoop() error {
+	max := cap(s.free)
+	if s.o.LeaseBatch > 0 && max > s.o.LeaseBatch {
+		max = s.o.LeaseBatch
+	}
+	slots := make([]time.Time, 0, max)
 	for {
+		// Slots the last request found no cell for go back first.
+		for _, idleSince := range slots {
+			s.free <- idleSince
+		}
+		slots = slots[:0]
 		if err := s.ctx.Err(); err != nil {
 			if cause := context.Cause(s.ctx); cause != nil && !errors.Is(cause, context.Canceled) {
 				return cause
 			}
 			return nil
 		}
-		free := cap(s.slots) - len(s.slots)
-		if s.frozen.Load() || free == 0 {
-			s.pause()
+		// Wait for one slot, then take whatever else is free right now.
+		select {
+		case idleSince := <-s.free:
+			slots = append(slots, idleSince)
+		case <-s.ctx.Done():
 			continue
 		}
-		max := free
-		if s.o.LeaseBatch > 0 && max > s.o.LeaseBatch {
-			max = s.o.LeaseBatch
+		if s.frozen.Load() {
+			<-s.ctx.Done() // a frozen session leases nothing more and never thaws
+			continue
+		}
+	more:
+		for len(slots) < max {
+			select {
+			case idleSince := <-s.free:
+				slots = append(slots, idleSince)
+			default:
+				break more
+			}
 		}
 		var resp workerproto.LeaseResponse
 		status, err := s.o.Client.PostJSON(s.ctx,
 			s.url("/v1/workers/"+s.reg.WorkerID+"/lease"),
-			workerproto.LeaseRequest{Max: max}, &resp)
+			workerproto.LeaseRequest{Max: len(slots)}, &resp)
 		if status == http.StatusNotFound {
 			return errReregister
 		}
@@ -295,32 +341,36 @@ func (s *session) leaseLoop() error {
 			continue
 		}
 		if resp.Draining {
-			s.o.Log.Info("server draining; finishing held cells", "worker", s.reg.WorkerID, "held", len(s.slots))
+			s.o.Log.Info("server draining; finishing held cells", "worker", s.reg.WorkerID,
+				"held", len(s.activeDigests()))
 			return nil
 		}
-		for _, l := range resp.Leases {
-			s.slots <- struct{}{} // cannot block: max ≤ free and only this loop acquires
-			s.startCell(l)
+		if len(resp.Leases) > len(slots) {
+			s.o.Log.Error("server granted more cells than requested; leaving the excess to expire",
+				"worker", s.reg.WorkerID, "granted", len(resp.Leases), "requested", len(slots))
+			resp.Leases = resp.Leases[:len(slots)]
 		}
-		if len(resp.Leases) == 0 {
-			s.pause()
+		for i, l := range resp.Leases {
+			s.startCell(l, slots[i])
 		}
+		slots = append(slots[:0], slots[len(resp.Leases):]...)
 	}
 }
 
-// pause sleeps one poll interval, reporting false if the session ended.
-func (s *session) pause() bool {
+// pause waits out PollInterval after a failed request, or until the session
+// ends.
+func (s *session) pause() {
 	select {
 	case <-s.ctx.Done():
-		return false
 	case <-time.After(s.o.PollInterval):
-		return true
 	}
 }
 
-// startCell launches one leased cell's execution on its own goroutine with
-// its own cancel (so a heartbeat revocation aborts just that cell).
-func (s *session) startCell(l workerproto.Lease) {
+// startCell launches one leased cell on its own goroutine, on the slot the
+// lease loop took for it, with its own cancel (so a heartbeat revocation
+// aborts just that cell). The cell stays in active — heartbeats report it,
+// a revocation can reach it — until its upload has been answered.
+func (s *session) startCell(l workerproto.Lease, idleSince time.Time) {
 	cctx, ccancel := context.WithCancelCause(s.ctx)
 	s.mu.Lock()
 	s.active[l.Digest] = ccancel
@@ -329,70 +379,92 @@ func (s *session) startCell(l workerproto.Lease) {
 	s.inflight.Add(1)
 	go func() {
 		defer s.inflight.Done()
-		s.runCell(cctx, l)
+		s.runCell(cctx, l, idleSince)
 		s.mu.Lock()
 		delete(s.active, l.Digest)
 		s.mu.Unlock()
 		ccancel(nil)
-		<-s.slots
 	}()
 }
 
-// runCell executes one lease and uploads the outcome. An execution
-// cancelled by revocation or session teardown uploads nothing — the server
-// has reassigned (or no longer wants) the cell.
-func (s *session) runCell(ctx context.Context, l workerproto.Lease) {
-	if !l.Spec.Valid() || l.Spec.Digest() != l.Digest {
-		s.complete(l, nil, fmt.Errorf("lease %.12s carries an invalid or mismatched spec", l.Digest), false)
+// runCell takes one lease through the pipeline: execute on its slot, take
+// an upload token, give the slot back, upload. The token comes first so that
+// cells whose uploads the server is not answering pile up on the slots, not
+// beside them: the worker holds at most 2×Capacity leases. A cell cancelled
+// at any stage — revoked, or the session is over — uploads nothing (or
+// abandons the upload in flight): the server has reassigned, or no longer
+// wants, the cell.
+func (s *session) runCell(ctx context.Context, l workerproto.Lease, idleSince time.Time) {
+	res, err := s.execute(ctx, l, idleSince)
+	ranUntil := time.Now()
+	if ctx.Err() == nil && err == nil && s.freezes(l) {
+		<-s.ctx.Done() // wedged on its slot, lease held, until the session ends
 		return
 	}
-	rctx := ctx
+	select {
+	case s.uploads <- struct{}{}:
+		defer func() { <-s.uploads }()
+	case <-ctx.Done():
+	}
+	s.free <- ranUntil
+	if ctx.Err() != nil {
+		s.o.Telemetry.CellsAbandoned.Inc()
+		return
+	}
+	s.complete(ctx, l, res, err)
+}
+
+// execute runs the lease's cell, or refuses a lease whose spec does not
+// match its content address.
+func (s *session) execute(ctx context.Context, l workerproto.Lease, idleSince time.Time) (*runner.ResultJSON, error) {
+	if !l.Spec.Valid() || l.Spec.Digest() != l.Digest {
+		return nil, fmt.Errorf("lease %.12s carries an invalid or mismatched spec", l.Digest)
+	}
 	if s.o.CellTimeout > 0 {
-		var rcancel context.CancelFunc
-		rctx, rcancel = context.WithTimeout(ctx, s.o.CellTimeout)
-		defer rcancel()
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.o.CellTimeout)
+		defer cancel()
 	}
 	s.o.Telemetry.execStart()
 	start := time.Now()
-	res, err := s.o.Run(rctx, l.Spec)
+	if !idleSince.IsZero() {
+		s.o.Telemetry.SlotIdle.ObserveDuration(start.Sub(idleSince))
+	}
+	res, err := s.o.Run(ctx, l.Spec)
 	s.o.Telemetry.ExecSeconds.ObserveDuration(time.Since(start))
 	s.o.Telemetry.execEnd()
-	if ctx.Err() != nil {
-		s.o.Telemetry.CellsAbandoned.Inc()
-		return // revoked or session over: abandon without an upload
+	return res, err
+}
+
+// freezes is the FreezeAfter chaos hook: it counts a result upload about to
+// begin and reports whether the budget is spent — result computed, upload
+// never sent, lease held until the server's watchdog acts.
+func (s *session) freezes(l workerproto.Lease) bool {
+	if s.o.FreezeAfter <= 0 || s.uploaded.Add(1) <= uint64(s.o.FreezeAfter) {
+		return false
 	}
-	if err != nil {
-		s.o.Telemetry.CellsFailed.Inc()
-		s.o.Telemetry.recordError(s.reg.WorkerID, l.Digest, l.Key, err.Error())
-		s.o.Log.Error("cell execution failed", "worker", s.reg.WorkerID,
-			"cell", l.Digest, "key", l.Key, "err", err.Error(),
-			"transient", errors.Is(err, context.DeadlineExceeded))
-		s.complete(l, nil, err, errors.Is(err, context.DeadlineExceeded))
-		return
+	if s.frozen.CompareAndSwap(false, true) {
+		s.o.Log.Warn("FROZEN (chaos hook): holding lease, heartbeats continue",
+			"worker", s.reg.WorkerID, "cell", l.Digest)
 	}
-	if s.o.FreezeAfter > 0 && s.completed.Load() >= uint64(s.o.FreezeAfter) {
-		// Chaos: wedge after the budgeted completions — result computed,
-		// upload never sent, lease held until the server's watchdog acts.
-		if s.frozen.CompareAndSwap(false, true) {
-			s.o.Log.Warn("FROZEN (chaos hook): holding lease, heartbeats continue",
-				"worker", s.reg.WorkerID, "cell", l.Digest)
-		}
-		<-s.ctx.Done()
-		return
-	}
-	s.complete(l, res, nil, false)
-	s.completed.Add(1)
+	return true
 }
 
 // complete uploads one outcome under the cell's content address. Retries
 // inside the client are safe — the server deduplicates bit-identical
 // results — and a rejected upload is logged and dropped: the lease will
-// expire and the cell re-run elsewhere.
-func (s *session) complete(l workerproto.Lease, res *runner.ResultJSON, execErr error, transient bool) {
+// expire and the cell re-run elsewhere. ctx is the cell's: a revocation or
+// the end of the session abandons an upload in flight, which to the server
+// is a lease that finished late or never.
+func (s *session) complete(ctx context.Context, l workerproto.Lease, res *runner.ResultJSON, execErr error) {
 	req := workerproto.CompleteRequest{WorkerID: s.reg.WorkerID, Spec: l.Spec, Result: res}
 	if execErr != nil {
 		req.Error = execErr.Error()
-		req.Transient = transient
+		req.Transient = errors.Is(execErr, context.DeadlineExceeded)
+		s.o.Telemetry.CellsFailed.Inc()
+		s.o.Telemetry.recordError(s.reg.WorkerID, l.Digest, l.Key, req.Error)
+		s.o.Log.Error("cell execution failed", "worker", s.reg.WorkerID,
+			"cell", l.Digest, "key", l.Key, "err", req.Error, "transient", req.Transient)
 	}
 	s.mu.Lock()
 	attempt := s.attempts[l.Digest]
@@ -408,7 +480,11 @@ func (s *session) complete(l workerproto.Lease, res *runner.ResultJSON, execErr 
 		hdr[telemetry.HeaderSpanID] = l.SpanID
 	}
 	var resp workerproto.CompleteResponse
-	status, err := s.o.Client.PostJSONHeaders(s.ctx, s.url("/v1/cells/"+l.Digest+"/complete"), hdr, req, &resp)
+	status, err := s.o.Client.PostJSONHeaders(ctx, s.url("/v1/cells/"+l.Digest+"/complete"), hdr, req, &resp)
+	if err != nil && ctx.Err() != nil {
+		s.o.Telemetry.CellsAbandoned.Inc()
+		return
+	}
 	if err != nil {
 		s.o.Telemetry.UploadRejected.Inc()
 		s.o.Telemetry.recordError(s.reg.WorkerID, l.Digest, l.Key,

@@ -216,8 +216,11 @@ func TestWorkerPlaneFrozenWorkerRecovery(t *testing.T) {
 	e.startWorker(worker.Options{Name: "healthy", Capacity: 1})
 	waitFor(t, "both workers live", func() bool { return e.srv.Stats().WorkersLive == 2 })
 
+	// Eight cells: the frozen worker wedges on its second, and a healthy
+	// worker that is handed its next cell the moment a run ends must not be
+	// able to finish the sweep while the frozen one is still on its first.
 	spec := smallSpec()
-	spec.Seeds = []int64{1, 2, 3, 4}
+	spec.Seeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	want := localDigests(t, spec)
 
 	js := e.submit(spec)

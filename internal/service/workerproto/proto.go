@@ -234,8 +234,9 @@ type Lease struct {
 	SpanID  string `json:"span_id,omitempty"`
 }
 
-// LeaseResponse returns the granted batch (possibly empty — the worker
-// polls again after a beat).
+// LeaseResponse returns the granted batch. The server holds a lease request
+// it has nothing to grant until it has (a long poll), so an empty batch means
+// one heartbeat period passed without work, and the worker asks again at once.
 type LeaseResponse struct {
 	Leases []Lease `json:"leases"`
 	// Draining tells the worker the server is shutting down: finish what

@@ -16,7 +16,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Floors, in percent. Measured headroom at introduction: prefetch 74.6,
-# oracle 82.0, service 86.8, httpx 100, telemetry 95.4, resultstore 86.1.
+# oracle 82.0, service 86.8, httpx 100, telemetry 95.4, resultstore 86.1,
+# worker 91.7.
 # Raise these as coverage grows; never lower them to make a red build green.
 PREFETCH_FLOOR=70
 ORACLE_FLOOR=78
@@ -24,6 +25,7 @@ SERVICE_FLOOR=70
 HTTPX_FLOOR=80
 TELEMETRY_FLOOR=80
 RESULTSTORE_FLOOR=80
+WORKER_FLOOR=70
 
 profile="${1:-cover.out}"
 
@@ -90,60 +92,47 @@ awk -v sf="$SERVICE_FLOOR" -v hf="$HTTPX_FLOOR" '
     exit status
   }' "$svc_profile"
 
+# own_floor PKG FLOOR SUFFIX gates one package on its own test suite alone:
+# profile to <profile>.SUFFIX.out, fail below FLOOR percent of statements.
+own_floor() {
+  local pkg="$1" floor="$2" out="${profile%.out}.$3.out"
+  go test -coverprofile="$out" -coverpkg="dnc/$pkg" "./$pkg/"
+  awk -v pkg="$pkg" -v floor="$floor" '
+    NR > 1 {
+      split($0, a, " ")
+      k = a[1] ":" a[2]
+      if (!(k in stmts)) stmts[k] = a[2]
+      if (a[3] > count[k]) count[k] = a[3]
+    }
+    END {
+      for (k in stmts) {
+        tot += stmts[k]
+        if (count[k] > 0) cov += stmts[k]
+      }
+      pct = 100 * cov / tot
+      verdict = (pct >= floor) ? "ok" : "BELOW FLOOR"
+      printf "coverage: %s %5.1f%% (floor %d%%) %s\n", pkg, pct, floor, verdict
+      exit (pct < floor) ? 1 : 0
+    }' "$out"
+}
+
 # The telemetry plane (metric registry, exposition linter, trace recorder,
 # Perfetto timelines) is pure library code: /metrics correctness and the
 # phase-conservation invariant live entirely in its unit suite, so it gets
 # its own profile and floor. The service integration tests drive it again
 # end to end, but the floor is on the library's own tests so a gutted unit
 # suite cannot hide behind integration coverage.
-tel_profile="${profile%.out}.telemetry.out"
-
-go test -coverprofile="$tel_profile" \
-  -coverpkg=dnc/internal/telemetry \
-  ./internal/telemetry/
-
-awk -v tf="$TELEMETRY_FLOOR" '
-  NR > 1 {
-    split($0, a, " ")
-    k = a[1] ":" a[2]
-    if (!(k in stmts)) stmts[k] = a[2]
-    if (a[3] > count[k]) count[k] = a[3]
-  }
-  END {
-    for (k in stmts) {
-      tot += stmts[k]
-      if (count[k] > 0) cov += stmts[k]
-    }
-    pct = 100 * cov / tot
-    verdict = (pct >= tf) ? "ok" : "BELOW FLOOR"
-    printf "coverage: internal/telemetry %5.1f%% (floor %d%%) %s\n", pct, tf, verdict
-    exit (pct < tf) ? 1 : 0
-  }' "$tel_profile"
+own_floor internal/telemetry "$TELEMETRY_FLOOR" telemetry
 
 # The column store is the durable result format: its decoder faces
 # arbitrary bytes (fuzzed, checksummed, version-pinned), so its floor rides
 # on the package's own fuzz-seeded unit/property/golden wall, not on the
 # service integration tests that drive it again end to end.
-store_profile="${profile%.out}.resultstore.out"
+own_floor internal/resultstore "$RESULTSTORE_FLOOR" resultstore
 
-go test -coverprofile="$store_profile" \
-  -coverpkg=dnc/internal/resultstore \
-  ./internal/resultstore/
-
-awk -v rf="$RESULTSTORE_FLOOR" '
-  NR > 1 {
-    split($0, a, " ")
-    k = a[1] ":" a[2]
-    if (!(k in stmts)) stmts[k] = a[2]
-    if (a[3] > count[k]) count[k] = a[3]
-  }
-  END {
-    for (k in stmts) {
-      tot += stmts[k]
-      if (count[k] > 0) cov += stmts[k]
-    }
-    pct = 100 * cov / tot
-    verdict = (pct >= rf) ? "ok" : "BELOW FLOOR"
-    printf "coverage: internal/resultstore %5.1f%% (floor %d%%) %s\n", pct, rf, verdict
-    exit (pct < rf) ? 1 : 0
-  }' "$store_profile"
+# The worker loop is the client half of the lease plane: its pipeline (slots,
+# upload tokens, parked lease calls, revocation and re-registration in
+# flight) is pinned by the package's own tests against a scripted control
+# plane, so the floor rides on those and not on the service suite that runs
+# real workers end to end.
+own_floor internal/service/worker "$WORKER_FLOOR" worker
