@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -85,6 +86,73 @@ func BenchmarkSegmentDecode(b *testing.B) {
 		}
 	}
 }
+
+// scanCells builds n service-shaped cells: the 48 scalar columns an
+// admitted result carries, 2 workloads × 4 designs, seeds varying.
+func scanCells(n int) []Cell {
+	rng := rand.New(rand.NewSource(37))
+	cells := make([]Cell, n)
+	for i := range cells {
+		c := Cell{
+			Workload: []string{"Web-Frontend", "Web-Search"}[i%2],
+			Design:   []string{"baseline", "NL", "SN4L", "SN4L+Dis+BTB"}[i/2%4],
+			Mode:     "fixed", Cores: 2, Warm: 20_000, Measure: 20_000, Seed: int64(i / 8),
+			Metrics: map[string]uint64{"m.Cycles": 20_000, "m.Retired": 30_000 + rng.Uint64()%4096},
+		}
+		for m := 0; m < 46; m++ {
+			c.Metrics[fmt.Sprintf("ctr.c%02d", m)] = rng.Uint64() % 100_000
+		}
+		cells[i] = c
+	}
+	return cells
+}
+
+// benchScanIndex is one /v1/query as dncserved answers it: an aggregation
+// over the Writer's resident index. Gated on allocs/op.
+func benchScanIndex(b *testing.B, n int) {
+	ix := newIndex()
+	cells := scanCells(n)
+	for i := range cells {
+		ix.add(&cells[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ix.scan(Query{Metric: MetricIPC}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchScanFile is the same question asked of the file (dncstore query,
+// the benchmark's resultstore.scan_ms): every 256-cell segment decoded into
+// an index of the two columns ipc reads, then aggregated.
+func benchScanFile(b *testing.B, n int) {
+	cells := scanCells(n)
+	data := appendHeader(nil)
+	for len(cells) > 0 {
+		k := min(len(cells), DefaultSegmentCells)
+		data = appendBlock(data, blockSegment, encodeSegment(cells[:k]))
+		cells = cells[k:]
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := NewReader(data)
+		if err == nil {
+			_, err = Scan(r, Query{Metric: MetricIPC})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkScanIndex320(b *testing.B) { benchScanIndex(b, 320) }
+func BenchmarkScanIndex10K(b *testing.B) { benchScanIndex(b, 10_000) }
+func BenchmarkScanFile320(b *testing.B)  { benchScanFile(b, 320) }
+func BenchmarkScanFile10K(b *testing.B)  { benchScanFile(b, 10_000) }
 
 // Per-shape appendix benchmarks (docs/RESULTSTORE_BENCH.md).
 func BenchmarkSeriesEncodeShapes(b *testing.B) {

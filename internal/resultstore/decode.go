@@ -102,17 +102,7 @@ type CellOptions struct {
 func (o *CellOptions) wantWorkload(w string) bool { return matchStr(o.Workloads, w) }
 func (o *CellOptions) wantDesign(d string) bool   { return matchStr(o.Designs, d) }
 
-func (o *CellOptions) wantSeed(s int64) bool {
-	if len(o.Seeds) == 0 {
-		return true
-	}
-	for _, v := range o.Seeds {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
+func (o *CellOptions) wantSeed(s int64) bool { return matchSeed(o.Seeds, s) }
 
 func matchStr(set []string, v string) bool {
 	if len(set) == 0 {
@@ -126,127 +116,193 @@ func matchStr(set []string, v string) bool {
 	return false
 }
 
-// decodeSegment decodes one segment payload into cells, honouring the
-// options' filters and section selection.
-func decodeSegment(payload []byte, opt CellOptions) ([]Cell, error) {
-	r := &byteReader{buf: payload}
+// segScalars is the scalar part of one decoded segment, column-major as it
+// lies in the file: the dictionary as byte ranges of the payload, tags as
+// validated indices into it, one entry per metric column. It is the one
+// place the segment layout is walked; decodeSegment turns it into cells and
+// index.addSegment appends it to a query index.
+type segScalars struct {
+	dict                   [][]byte
+	workload, design, mode []uint32
+	cores                  []int
+	warm, measure          []uint64
+	seed                   []int64
+	metrics                []segMetric
+	// hists and series are the two heavy sections, framing checked, not
+	// decoded.
+	hists, series []byte
+}
 
-	nd := r.count(1)
-	dict := make([]string, 0, nd)
-	for i := 0; i < nd; i++ {
+// segMetric is one metric column of a segment.
+type segMetric struct {
+	name   uint32   // dictionary index
+	bitmap []byte   // bit i set = cell i carries the metric
+	vals   []uint64 // one per cell, 0 where absent; nil if the column was not wanted
+}
+
+func (m *segMetric) has(i int) bool { return m.bitmap[i/8]&(1<<(i%8)) != 0 }
+
+// decodeScalars walks one segment payload. Push-down on the dictionary: if
+// it holds none of the wanted workloads or none of the wanted designs (nil =
+// any), no cell in the segment can match and decodeScalars returns nil
+// without reading a column. Every metric column is walked to stay aligned,
+// but values are kept only for the names want accepts (nil = all).
+func decodeScalars(payload []byte, workloads, designs []string, want func(name []byte) bool) (*segScalars, error) {
+	r := &byteReader{buf: payload}
+	s := &segScalars{dict: make([][]byte, r.count(1))}
+	for i := range s.dict {
 		n := r.uvarint()
 		if r.err == nil && n > uint64(r.remaining()) {
 			r.fail(fmt.Errorf("%w: dictionary string of %d bytes, %d remain", ErrTruncated, n, r.remaining()))
 		}
-		dict = append(dict, string(r.take(int(n))))
+		s.dict[i] = r.take(int(n))
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	str := func(idx uint64, what string) string {
-		if r.err != nil {
-			return ""
-		}
-		if idx >= uint64(len(dict)) {
-			r.fail(fmt.Errorf("%w: %s dictionary index %d of %d", ErrCorrupt, what, idx, len(dict)))
-			return ""
-		}
-		return dict[idx]
+	if !dictHasAny(s.dict, workloads) || !dictHasAny(s.dict, designs) {
+		return nil, nil
 	}
-
-	// Push-down on the dictionary: if no requested workload or design is in
-	// it, no cell in this segment can match.
-	if len(opt.Workloads) > 0 || len(opt.Designs) > 0 {
-		anyW, anyD := len(opt.Workloads) == 0, len(opt.Designs) == 0
-		for _, s := range dict {
-			anyW = anyW || matchStr(opt.Workloads, s)
-			anyD = anyD || matchStr(opt.Designs, s)
+	dictIndex := func(r *byteReader, what string) uint32 {
+		idx := r.uvarint()
+		if r.err == nil && idx >= uint64(len(s.dict)) {
+			r.fail(fmt.Errorf("%w: %s dictionary index %d of %d", ErrCorrupt, what, idx, len(s.dict)))
+			return 0
 		}
-		if !anyW || !anyD {
-			return nil, nil
-		}
+		return uint32(idx)
 	}
 
 	// Identity columns: id columns cost ≥7 bytes per cell.
 	nc := r.count(7)
-	cells := make([]Cell, nc)
-	for i := range cells {
-		cells[i].Workload = str(r.uvarint(), "workload")
+	tags := func(what string) []uint32 {
+		col := make([]uint32, nc)
+		for i := range col {
+			col[i] = dictIndex(r, what)
+		}
+		return col
 	}
-	for i := range cells {
-		cells[i].Design = str(r.uvarint(), "design")
+	s.workload, s.design, s.mode = tags("workload"), tags("design"), tags("mode")
+	s.cores = make([]int, nc)
+	for i := range s.cores {
+		s.cores[i] = int(r.uvarint())
 	}
-	for i := range cells {
-		cells[i].Mode = str(r.uvarint(), "mode")
+	s.warm, s.measure = make([]uint64, nc), make([]uint64, nc)
+	for i := range s.warm {
+		s.warm[i] = r.uvarint()
 	}
-	for i := range cells {
-		cells[i].Cores = int(r.uvarint())
+	for i := range s.measure {
+		s.measure[i] = r.uvarint()
 	}
-	for i := range cells {
-		cells[i].Warm = r.uvarint()
-	}
-	for i := range cells {
-		cells[i].Measure = r.uvarint()
-	}
-	for i := range cells {
-		cells[i].Seed = r.zvarint()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	keep := make([]bool, nc)
-	for i := range cells {
-		keep[i] = opt.wantWorkload(cells[i].Workload) &&
-			opt.wantDesign(cells[i].Design) && opt.wantSeed(cells[i].Seed)
+	s.seed = make([]int64, nc)
+	for i := range s.seed {
+		s.seed[i] = r.zvarint()
 	}
 
-	// Metric columns. Decoding must walk every column to stay aligned, but
-	// only kept cells get map entries.
 	mr := &byteReader{buf: r.section("metrics")}
 	if r.err != nil {
 		return nil, r.err
 	}
 	bitmapLen := (nc + 7) / 8
-	nm := mr.count(1 + bitmapLen)
-	for i := range cells {
-		if keep[i] {
-			cells[i].Metrics = make(map[string]uint64, nm)
+	s.metrics = make([]segMetric, mr.count(1+bitmapLen))
+	for k := range s.metrics {
+		m := &s.metrics[k]
+		m.name = dictIndex(mr, "metric")
+		m.bitmap = mr.take(bitmapLen)
+		if mr.err != nil {
+			return nil, mr.err
 		}
-	}
-	for m := 0; m < nm; m++ {
-		name := str(mr.uvarint(), "metric")
-		if r.err != nil {
-			return nil, r.err
+		if want == nil || want(s.dict[m.name]) {
+			m.vals = make([]uint64, nc)
 		}
-		bitmap := mr.take(bitmapLen)
 		var prev uint64
-		for i := 0; i < nc && mr.err == nil; i++ {
-			if bitmap == nil || bitmap[i/8]&(1<<(i%8)) == 0 {
+		for i := 0; i < nc; i++ {
+			if !m.has(i) {
 				continue
 			}
 			prev += uint64(mr.zvarint())
-			if keep[i] {
-				cells[i].Metrics[name] = prev
+			if m.vals != nil {
+				m.vals[i] = prev
 			}
 		}
 	}
 	if mr.err != nil {
 		return nil, mr.err
 	}
+	s.hists, s.series = r.section("hists"), r.section("series")
+	if r.err != nil {
+		return nil, r.err
+	}
+	return s, nil
+}
+
+// dictHasAny reports whether a segment dictionary holds one of names
+// (none named = any).
+func dictHasAny(dict [][]byte, names []string) bool {
+	for _, b := range dict {
+		for _, s := range names {
+			if string(b) == s {
+				return true
+			}
+		}
+	}
+	return len(names) == 0
+}
+
+// decodeSegment decodes one segment payload into cells, honouring the
+// options' filters and section selection.
+func decodeSegment(payload []byte, opt CellOptions) ([]Cell, error) {
+	s, err := decodeScalars(payload, opt.Workloads, opt.Designs, nil)
+	if s == nil {
+		return nil, err
+	}
+	dict := make([]string, len(s.dict))
+	for i, b := range s.dict {
+		dict[i] = string(b)
+	}
+	nc := len(s.seed)
+	cells := make([]Cell, nc)
+	keep := make([]bool, nc)
+	for i := range cells {
+		cells[i] = Cell{
+			Workload: dict[s.workload[i]], Design: dict[s.design[i]], Mode: dict[s.mode[i]],
+			Cores: s.cores[i], Warm: s.warm[i], Measure: s.measure[i], Seed: s.seed[i],
+		}
+		keep[i] = opt.wantWorkload(cells[i].Workload) &&
+			opt.wantDesign(cells[i].Design) && opt.wantSeed(cells[i].Seed)
+		if keep[i] {
+			cells[i].Metrics = make(map[string]uint64, len(s.metrics))
+		}
+	}
+	for k := range s.metrics {
+		m := &s.metrics[k]
+		for i := range cells {
+			if keep[i] && m.has(i) {
+				cells[i].Metrics[dict[m.name]] = m.vals[i]
+			}
+		}
+	}
+
+	// str resolves a name index read from one of the heavy sections.
+	str := func(r *byteReader, what string) string {
+		idx := r.uvarint()
+		if r.err == nil && idx >= uint64(len(dict)) {
+			r.fail(fmt.Errorf("%w: %s dictionary index %d of %d", ErrCorrupt, what, idx, len(dict)))
+		}
+		if r.err != nil {
+			return ""
+		}
+		return dict[idx]
+	}
 
 	// Histogram section: decoded only when requested, otherwise skipped as
 	// one byte range.
-	hsec := r.section("hists")
-	if r.err == nil && opt.WithHists {
-		hr := &byteReader{buf: hsec}
+	if opt.WithHists {
+		hr := &byteReader{buf: s.hists}
 		for i := 0; i < nc && hr.err == nil; i++ {
 			nh := hr.count(1)
 			for j := 0; j < nh && hr.err == nil; j++ {
 				var h Hist
-				h.Name = str(hr.uvarint(), "hist")
-				if r.err != nil {
-					return nil, r.err
-				}
+				h.Name = str(hr, "hist")
 				nb := hr.count(1)
 				h.Bounds = make([]uint64, nb)
 				prev := int64(0)
@@ -272,16 +328,12 @@ func decodeSegment(payload []byte, opt CellOptions) ([]Cell, error) {
 	}
 
 	// Series section.
-	ssec := r.section("series")
-	if r.err == nil && opt.WithSeries {
-		sr := &byteReader{buf: ssec}
+	if opt.WithSeries {
+		sr := &byteReader{buf: s.series}
 		for i := 0; i < nc && sr.err == nil; i++ {
 			ns := sr.count(1)
 			for j := 0; j < ns && sr.err == nil; j++ {
-				name := str(sr.uvarint(), "series")
-				if r.err != nil {
-					return nil, r.err
-				}
+				name := str(sr, "series")
 				blob := sr.section("series blob")
 				if sr.err != nil {
 					break
@@ -298,9 +350,6 @@ func decodeSegment(payload []byte, opt CellOptions) ([]Cell, error) {
 		if sr.err != nil {
 			return nil, sr.err
 		}
-	}
-	if r.err != nil {
-		return nil, r.err
 	}
 
 	out := cells[:0]
@@ -345,30 +394,41 @@ func nextBlock(data []byte, off int) (kind uint8, payload []byte, next int, err 
 	return data[off], body[5:], off + 5 + n + 4, nil
 }
 
-// decodeAll decodes every cell in a marshalled store (header + blocks)
-// matching the options. Strict: a torn tail or corrupt block is an error
-// here; the Writer's reopen path is where torn tails are forgiven.
-func decodeAll(data []byte, opt CellOptions) ([]Cell, error) {
+// eachSegment calls fn with the payload of every segment block of a
+// marshalled store (header + blocks), in file order. Strict: a torn tail or
+// corrupt block is an error here; the Writer's reopen path is where torn
+// tails are forgiven. Unknown block kinds are skipped: a v1 reader stays
+// forward-compatible with files that gained new auxiliary block kinds.
+func eachSegment(data []byte, fn func(payload []byte) error) error {
 	off, err := checkHeader(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var cells []Cell
 	for off < len(data) {
 		kind, payload, next, err := nextBlock(data, off)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if kind == blockSegment {
-			cs, err := decodeSegment(payload, opt)
-			if err != nil {
-				return nil, fmt.Errorf("block at offset %d: %w", off, err)
+			if err := fn(payload); err != nil {
+				return fmt.Errorf("block at offset %d: %w", off, err)
 			}
-			cells = append(cells, cs...)
 		}
-		// Unknown block kinds are skipped: a v1 reader stays forward-
-		// compatible with files that gained new auxiliary block kinds.
 		off = next
+	}
+	return nil
+}
+
+// decodeAll decodes every cell in a marshalled store matching the options.
+func decodeAll(data []byte, opt CellOptions) ([]Cell, error) {
+	var cells []Cell
+	err := eachSegment(data, func(payload []byte) error {
+		cs, err := decodeSegment(payload, opt)
+		cells = append(cells, cs...)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }

@@ -33,12 +33,17 @@ func FuzzBlockDecode(f *testing.F) {
 	fuzzSeedStores(f)
 	f.Add([]byte{})
 	f.Add([]byte("DNCR"))
+	f.Add(encodeSegment(goldenCells()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Cap the fuzzer's input so a giant random buffer can't make the
 		// decoder look slow for reasons unrelated to format handling.
 		if len(data) > 1<<20 {
 			return
 		}
+		indexAgreesWithCells(t, data)
+		// The same bytes as one segment's payload under a valid frame:
+		// mutations reach the column decoders instead of dying at the CRC.
+		indexAgreesWithCells(t, appendBlock(appendHeader(nil), blockSegment, data))
 		cells, err := decodeAll(data, CellOptions{WithHists: true, WithSeries: true})
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) &&
@@ -63,6 +68,41 @@ func FuzzBlockDecode(f *testing.F) {
 			t.Fatalf("decode ok but Verify failed: %v", err)
 		}
 	})
+}
+
+// indexAgreesWithCells is the differential half of FuzzBlockDecode: the
+// index decoder (what Writer.recover and Scan run) accepts exactly the
+// stores the scalar per-cell decoder accepts, and holds the same cells —
+// same keys in the same order, same answer (or refusal) for a query.
+func indexAgreesWithCells(t *testing.T, data []byte) {
+	cells, cellsErr := decodeAll(data, CellOptions{})
+	ix, ixErr := (&Reader{data: data}).buildIndex(nil)
+	if (cellsErr == nil) != (ixErr == nil) {
+		t.Fatalf("per-cell decode: %v, index decode: %v", cellsErr, ixErr)
+	}
+	if ixErr != nil {
+		if !errors.Is(ixErr, ErrTruncated) && !errors.Is(ixErr, ErrCorrupt) &&
+			!errors.Is(ixErr, ErrVersion) && !errors.Is(ixErr, ErrChecksum) {
+			t.Fatalf("untyped index decode error: %v", ixErr)
+		}
+		return
+	}
+	if ix.n != len(cells) {
+		t.Fatalf("index holds %d cells, per-cell decode %d", ix.n, len(cells))
+	}
+	for i := range cells {
+		if got, want := ix.key(i), cells[i].Key(); got != want {
+			t.Fatalf("cell %d: index key %q, decoded key %q", i, got, want)
+		}
+	}
+	for _, metric := range []string{MetricIPC, "m.Retired"} {
+		q := Query{Metric: metric}
+		want, wantErr := naiveScan(cells, q)
+		got, err := ix.scan(q)
+		sameAnswer(t, "index", q, got, err, want, wantErr)
+		got, err = Scan(&Reader{data: data}, q)
+		sameAnswer(t, "file scan", q, got, err, want, wantErr)
+	}
 }
 
 func FuzzSeriesDecode(f *testing.F) {

@@ -45,6 +45,18 @@ func (r *Reader) Cells(opt CellOptions) ([]Cell, error) {
 	return decodeAll(r.data, opt)
 }
 
+// buildIndex decodes the store's segments into an index: everything with q
+// nil, else what answering q reads. Strict like Cells: a torn tail or
+// corrupt block is an error.
+func (r *Reader) buildIndex(q *Query) (*index, error) {
+	ix := newIndex()
+	err := eachSegment(r.data, func(payload []byte) error { return ix.addSegment(payload, q) })
+	if err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
 // BlockSizes returns the framed on-disk size of every valid block, in file
 // order — `dncstore info`'s view of how the file is segmented.
 func (r *Reader) BlockSizes() []int { return blockSizes(r.data) }

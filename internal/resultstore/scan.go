@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // MetricIPC is the derived metric name Scan accepts alongside the stored
@@ -36,59 +35,78 @@ type Group struct {
 	Max  float64 `json:"max"`
 }
 
+// colCycles and colRetired are the stored columns MetricIPC derives from.
+const (
+	colCycles  = "m.Cycles"
+	colRetired = "m.Retired"
+)
+
+// reads reports whether answering q touches the stored column name.
+func (q *Query) reads(name []byte) bool {
+	if q.Metric == MetricIPC {
+		return string(name) == colCycles || string(name) == colRetired
+	}
+	return string(name) == q.Metric
+}
+
 // Scan answers an aggregate query: one Group per design × workload pair
 // with at least one matching cell, sorted by workload then design. This is
 // the "IPC CI for every design × workload" question answered from the file
-// alone — no simulator, no journal re-parse.
+// alone — no simulator, no journal re-parse. The file's segments are
+// decoded straight into an index holding just the columns the metric reads.
 func Scan(r *Reader, q Query) ([]Group, error) {
 	if q.Metric == "" {
 		return nil, fmt.Errorf("resultstore: query needs a metric")
 	}
-	cells, err := r.Cells(CellOptions{Workloads: q.Workloads, Designs: q.Designs, Seeds: q.Seeds})
+	ix, err := r.buildIndex(&q)
 	if err != nil {
 		return nil, err
 	}
-	type acc struct{ vals []float64 }
-	groups := map[string]*acc{}
-	for i := range cells {
-		v, ok := cellMetric(&cells[i], q.Metric)
-		if !ok {
-			return nil, fmt.Errorf("resultstore: cell %s has no metric %q", cells[i].Key(), q.Metric)
-		}
-		k := cells[i].Workload + "\x00" + cells[i].Design
-		a := groups[k]
-		if a == nil {
-			a = &acc{}
-			groups[k] = a
-		}
-		a.vals = append(a.vals, v)
+	return ix.scan(q)
+}
+
+// scan answers an aggregate query from the index: tag filters are resolved
+// to id sets once, only the metric's own columns are read, and each group's
+// values are reduced in append order — so the floats match, bit for bit, a
+// scan of a file holding the same cells in the same order.
+func (ix *index) scan(q Query) ([]Group, error) {
+	if q.Metric == "" {
+		return nil, fmt.Errorf("resultstore: query needs a metric")
 	}
-	out := make([]Group, 0, len(groups))
-	for k, a := range groups {
-		parts := strings.SplitN(k, "\x00", 2)
-		g := Group{Workload: parts[0], Design: parts[1], N: len(a.vals)}
-		g.Min, g.Max = a.vals[0], a.vals[0]
-		var sum float64
-		for _, v := range a.vals {
-			sum += v
-			if v < g.Min {
-				g.Min = v
-			}
-			if v > g.Max {
-				g.Max = v
-			}
+	wantW, wantD := ix.tagSet(q.Workloads), ix.tagSet(q.Designs)
+	ipc := q.Metric == MetricIPC
+	num, den := ix.cols[q.Metric], (*column)(nil)
+	if ipc {
+		num, den = ix.cols[colRetired], ix.cols[colCycles]
+	}
+
+	type acc struct {
+		workload, design uint32
+		vals             []float64
+	}
+	var accs []acc
+	groupOf := map[uint64]int{}
+	for i := 0; i < ix.n; i++ {
+		w, d := ix.workload[i], ix.design[i]
+		if (wantW != nil && !wantW[w]) || (wantD != nil && !wantD[d]) || !matchSeed(q.Seeds, ix.seed[i]) {
+			continue
 		}
-		g.Mean = sum / float64(g.N)
-		if g.N > 1 {
-			var ss float64
-			for _, v := range a.vals {
-				d := v - g.Mean
-				ss += d * d
-			}
-			// Sample stddev, normal approximation: ±1.96·s/√n.
-			g.CI95 = 1.96 * math.Sqrt(ss/float64(g.N-1)) / math.Sqrt(float64(g.N))
+		val, ok := metricValue(i, num, den, ipc)
+		if !ok {
+			return nil, fmt.Errorf("resultstore: cell %s has no metric %q", ix.key(i), q.Metric)
 		}
-		out = append(out, g)
+		k := uint64(w)<<32 | uint64(d)
+		g, seen := groupOf[k]
+		if !seen {
+			g = len(accs)
+			groupOf[k] = g
+			accs = append(accs, acc{workload: w, design: d})
+		}
+		accs[g].vals = append(accs[g].vals, val)
+	}
+	out := make([]Group, len(accs))
+	for g, a := range accs {
+		out[g] = reduce(ix.strs[a.workload], ix.strs[a.design], a.vals)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Workload != out[j].Workload {
@@ -99,19 +117,69 @@ func Scan(r *Reader, q Query) ([]Group, error) {
 	return out, nil
 }
 
-// cellMetric resolves a metric name against one cell.
-func cellMetric(c *Cell, name string) (float64, bool) {
-	if name == MetricIPC {
-		cycles, ok := c.Metrics["m.Cycles"]
-		if !ok || cycles == 0 {
-			return 0, ok
-		}
-		retired, ok := c.Metrics["m.Retired"]
-		if !ok {
-			return 0, false
-		}
-		return float64(retired) / float64(cycles), true
+// tagSet resolves a tag filter to a set over the index's ids; nil = any.
+// A name the index has never seen selects nothing.
+func (ix *index) tagSet(names []string) []bool {
+	if len(names) == 0 {
+		return nil
 	}
-	v, ok := c.Metrics[name]
-	return float64(v), ok
+	set := make([]bool, len(ix.strs))
+	for _, s := range names {
+		if id, ok := ix.ids[s]; ok {
+			set[id] = true
+		}
+	}
+	return set
+}
+
+// metricValue is cell i's value of the queried metric: num's counter, or
+// for ipc retired/cycles, where a present zero cycle count reads as 0
+// whatever retired.
+func metricValue(i int, num, den *column, ipc bool) (float64, bool) {
+	if !ipc {
+		v, ok := num.get(i)
+		return float64(v), ok
+	}
+	cycles, ok := den.get(i)
+	if !ok || cycles == 0 {
+		return 0, ok
+	}
+	retired, ok := num.get(i)
+	return float64(retired) / float64(cycles), ok
+}
+
+func matchSeed(set []int64, v int64) bool {
+	for _, s := range set {
+		if s == v {
+			return true
+		}
+	}
+	return len(set) == 0
+}
+
+// reduce folds one group's per-cell values, in the order given.
+func reduce(workload, design string, vals []float64) Group {
+	g := Group{Workload: workload, Design: design, N: len(vals)}
+	g.Min, g.Max = vals[0], vals[0]
+	var sum float64
+	for _, v := range vals {
+		sum += v
+		if v < g.Min {
+			g.Min = v
+		}
+		if v > g.Max {
+			g.Max = v
+		}
+	}
+	g.Mean = sum / float64(g.N)
+	if g.N > 1 {
+		var ss float64
+		for _, v := range vals {
+			d := v - g.Mean
+			ss += d * d
+		}
+		// Sample stddev, normal approximation: ±1.96·s/√n.
+		g.CI95 = 1.96 * math.Sqrt(ss/float64(g.N-1)) / math.Sqrt(float64(g.N))
+	}
+	return g
 }

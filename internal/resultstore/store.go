@@ -49,6 +49,16 @@
 // query tag lets the reader skip the whole segment without decoding a
 // single column ("predicate push-down").
 //
+// # Queries
+//
+// An aggregate query never materializes cells. Scan decodes a file's
+// segments straight into an index — column-major, dictionary-encoded tags,
+// one dense value column plus presence bitmap per scalar metric, only the
+// columns the metric reads — and aggregates over that; a Writer keeps such
+// an index over every cell it holds, sealed or pending, and answers
+// Writer.Scan from memory. The per-cell form (a map of metrics per cell)
+// exists only behind Reader.Cells: export, compaction, tests.
+//
 // Decoding is defensive in the checkpoint-package style: every read is
 // bounds-checked, every count and length is validated against the remaining
 // input before allocation, and malformed input yields a typed error

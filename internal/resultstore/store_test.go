@@ -389,3 +389,92 @@ func TestSeriesBlobEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterAnswersThroughWriteError: a write failure is sticky for the
+// file, not for the answers — every cell Append accepts is in Scan, Has and
+// Len whether or not it could be written, and each such Append says so.
+func TestWriterAnswersThroughWriteError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.dncr")
+	w, err := OpenWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.perSeg = 2
+	if ok, err := w.Append(testCell(0)); err != nil || !ok {
+		t.Fatalf("Append(0) = (%v, %v)", ok, err)
+	}
+	w.f.Close() // the descriptor dies under the writer
+	for i := 1; i < 4; i++ {
+		// Cell 1 fills the batch and hits the failing seal; 2 and 3 meet the
+		// sticky error.
+		if ok, err := w.Append(testCell(i)); err == nil || !ok {
+			t.Fatalf("Append(%d) on a dead file = (%v, %v), want accepted with the write error", i, ok, err)
+		}
+	}
+	if ok, err := w.Append(testCell(2)); err != nil || ok {
+		t.Fatalf("duplicate Append on a dead file = (%v, %v), want (false, nil)", ok, err)
+	}
+	groups, err := w.Scan(Query{Metric: "m.Retired"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, g := range groups {
+		n += g.N
+	}
+	c3 := testCell(3)
+	if n != 4 || w.Len() != 4 || !w.Has(c3.Key()) {
+		t.Fatalf("after the write error Scan counts %d cells, Len %d, Has(last) %v; want 4, 4, true", n, w.Len(), w.Has(c3.Key()))
+	}
+	if w.Size() != headerSize {
+		t.Fatalf("Size = %d after a failed seal, want the header's %d", w.Size(), headerSize)
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close after a write error returned nil")
+	}
+}
+
+// TestWriterSizeTracksFile: Size is the file's size without asking the file
+// system — across seals, a reopen and a truncated torn tail.
+func TestWriterSizeTracksFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.dncr")
+	onDisk := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	w, err := OpenWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.perSeg = 3
+	for i := 0; i < 8; i++ {
+		if _, err := w.Append(testCell(i)); err != nil {
+			t.Fatal(err)
+		}
+		if w.Size() != onDisk() {
+			t.Fatalf("after %d appends Size = %d, file is %d bytes", i+1, w.Size(), onDisk())
+		}
+	}
+	if w.IndexBytes() <= 0 {
+		t.Fatalf("IndexBytes = %d with 8 cells indexed", w.IndexBytes())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full := onDisk()
+	if err := os.Truncate(path, full-3); err != nil { // tear the last segment
+		t.Fatal(err)
+	}
+	w, err = OpenWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.Size() != onDisk() || w.Size() >= full-3 || w.Len() != 6 {
+		t.Fatalf("reopened over a torn tail: Size %d, file %d (was %d), %d cells; want the two whole segments", w.Size(), onDisk(), full, w.Len())
+	}
+}

@@ -22,11 +22,15 @@ const DefaultSegmentCells = 256
 //
 // The Writer also tracks every cell key already in the file, so an
 // at-least-once producer (the dncserved admission path, a resumed sweep)
-// can make appends idempotent with Has.
+// can make appends idempotent with Has — and keeps an index over every cell
+// it holds, sealed or pending, so Scan answers aggregate queries from
+// memory: no file read, and never a seal (a read does not write).
 type Writer struct {
 	f        *os.File
 	pending  []Cell
 	keys     map[string]bool
+	ix       *index
+	size     int64 // bytes of header plus sealed blocks
 	perSeg   int
 	writeErr error
 }
@@ -40,7 +44,7 @@ func OpenWriter(path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: opening %s: %w", path, err)
 	}
-	w := &Writer{f: f, keys: make(map[string]bool), perSeg: DefaultSegmentCells}
+	w := &Writer{f: f, keys: make(map[string]bool), ix: newIndex(), perSeg: DefaultSegmentCells}
 	if err := w.recover(path); err != nil {
 		f.Close()
 		return nil, err
@@ -52,13 +56,14 @@ func OpenWriter(path string) (*Writer, error) {
 	return w, nil
 }
 
-// recover validates the existing file, records its cell keys, and
-// truncates everything after the last valid block.
+// recover validates the existing file, indexes its cells and records their
+// keys, and truncates everything after the last valid block.
 func (w *Writer) recover(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("resultstore: reading %s: %w", path, err)
 	}
+	w.size = headerSize
 	if len(data) == 0 {
 		if _, err := w.f.Write(appendHeader(nil)); err != nil {
 			return fmt.Errorf("resultstore: writing header: %w", err)
@@ -88,16 +93,17 @@ func (w *Writer) recover(path string) error {
 			break // torn tail: keep everything before it
 		}
 		if kind == blockSegment {
-			cells, err := decodeSegment(payload, CellOptions{})
-			if err != nil {
+			first := w.ix.n
+			if err := w.ix.addSegment(payload, nil); err != nil {
 				break
 			}
-			for i := range cells {
-				w.keys[cells[i].Key()] = true
+			for i := first; i < w.ix.n; i++ {
+				w.keys[w.ix.key(i)] = true
 			}
 		}
 		valid, off = next, next
 	}
+	w.size = int64(valid)
 	if valid < len(data) {
 		if err := w.f.Truncate(int64(valid)); err != nil {
 			return fmt.Errorf("resultstore: truncating torn tail of %s: %w", path, err)
@@ -114,18 +120,37 @@ func (w *Writer) Has(key string) bool { return w.keys[key] }
 // Len reports how many cells the file plus the pending batch hold.
 func (w *Writer) Len() int { return len(w.keys) }
 
+// Size is the file's size in bytes: the header plus every sealed segment,
+// not the pending batch.
+func (w *Writer) Size() int64 { return w.size }
+
+// IndexCells and IndexBytes are how many cells the query index covers
+// (always Len, or Append has a bug) and the memory its columns hold.
+func (w *Writer) IndexCells() int { return w.ix.n }
+func (w *Writer) IndexBytes() int { return w.ix.bytes() }
+
+// Scan answers an aggregate query over every cell the Writer holds, the
+// pending batch included, from the in-memory index. It touches neither the
+// file nor the Writer's state, so callers may run Scans concurrently with
+// each other (not with Append, Flush or Close).
+func (w *Writer) Scan(q Query) ([]Group, error) { return w.ix.scan(q) }
+
 // Append adds one cell, flushing a full batch. Duplicate keys are dropped
 // (first insert wins, matching the service cache's admission rule); the
-// return reports whether the cell was accepted.
+// return reports whether the cell was accepted. The cell enters the key set
+// and the index before the file is touched, so after a write failure —
+// sticky, reported by this and every later Append — Scan and Has still
+// account for every accepted cell; only the file stops growing.
 func (w *Writer) Append(c Cell) (bool, error) {
-	if w.writeErr != nil {
-		return false, w.writeErr
-	}
 	key := c.Key()
 	if w.keys[key] {
 		return false, nil
 	}
 	w.keys[key] = true
+	w.ix.add(&c)
+	if w.writeErr != nil {
+		return true, w.writeErr
+	}
 	w.pending = append(w.pending, c)
 	if len(w.pending) >= w.perSeg {
 		return true, w.Flush()
@@ -152,6 +177,7 @@ func (w *Writer) Flush() error {
 		w.writeErr = err
 		return w.writeErr
 	}
+	w.size += int64(len(block))
 	w.pending = w.pending[:0]
 	return nil
 }

@@ -99,8 +99,8 @@ func queryCount(t *testing.T, e *testEnv) int {
 // again in degraded (in-process) mode and reads the contract off the data
 // dir: no runner journal, one cache line per distinct cell — a remote cell
 // is admitted by its upload and again by the runner's report of it, so two
-// lines would show a second write — and, with no query and no drain yet, a
-// store file that still holds none of the cells.
+// lines would show a second write — and a store file that holds none of the
+// cells until the drain seals them, a query in between notwithstanding.
 func TestOneDurableWritePerCell(t *testing.T) {
 	for _, remote := range []bool{true, false} {
 		name := "degraded"
@@ -152,19 +152,27 @@ func TestOneDurableWritePerCell(t *testing.T) {
 				t.Fatalf("store_cells = %d, want the 6 pending cells counted", stats.StoreCells)
 			}
 
-			// A query seals the batch: one segment for the whole job.
+			// A query answers from memory and leaves the file alone; the drain
+			// seals the batch: one segment for the whole job.
 			if n := queryCount(t, e); n != 6 {
 				t.Fatalf("/v1/query counts %d cells, want 6", n)
 			}
+			if got := storeKeys(t, e.dataDir); len(got) != 0 {
+				t.Fatalf("store.dncr holds %d cells after a query; a read sealed the batch", len(got))
+			}
+			if got := e.srv.Stats().StoreBytes; got != stats.StoreBytes {
+				t.Fatalf("store_bytes %d → %d across a query, want no change", stats.StoreBytes, got)
+			}
+			e.drain()
 			r, err := resultstore.OpenReader(filepath.Join(e.dataDir, storeFile))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := len(r.BlockSizes()); got != 1 {
-				t.Fatalf("store holds %d blocks after one seal, want 1", got)
+				t.Fatalf("store holds %d blocks after the drain's seal, want 1", got)
 			}
-			if got := e.srv.Stats().StoreBytes; got <= stats.StoreBytes {
-				t.Fatalf("store_bytes %d → %d across a seal, want growth", stats.StoreBytes, got)
+			if got := storeKeys(t, e.dataDir); len(got) != 6 || int64(r.Size()) <= stats.StoreBytes {
+				t.Fatalf("drained store holds %d cells in %d bytes (was %d), want 6 and growth", len(got), r.Size(), stats.StoreBytes)
 			}
 		})
 	}
@@ -204,36 +212,72 @@ func TestStoreRecoversFromEveryKillPoint(t *testing.T) {
 			t.Fatalf("job state %s, want done", st.State)
 		}
 	}
+	// restart drains the server — the seal a small job can reach — and boots
+	// the next process over the same data dir.
+	restart := func(e *testEnv) *testEnv {
+		e.drain()
+		return newTestEnv(t, func(c *Config) { c.DataDir = e.dataDir })
+	}
 	cases := []struct {
 		name string
-		// run drives the live server to the kill point; damage then edits the
-		// snapshot's store file.
-		run         func(e *testEnv)
+		// fake runs the cells through fakeRunCell (a case that needs a full
+		// batch of them).
+		fake bool
+		// run drives the live server to the kill point and returns the
+		// process to kill; damage then edits the snapshot's store file.
+		run         func(e *testEnv) *testEnv
 		damage      func(t *testing.T, storePath string)
 		cells       int // admitted, all in the cache
 		sealedAtCut int // of those, in the store file the kill leaves
 	}{
 		{
 			name:  "after the cache fsync, before any seal",
-			run:   func(e *testEnv) { job(e, 1, 2, 3) },
+			run:   func(e *testEnv) *testEnv { job(e, 1, 2, 3); return e },
 			cells: 3, sealedAtCut: 0,
 		},
 		{
-			name: "half a batch pending behind a sealed segment",
-			run: func(e *testEnv) {
+			name: "queried, still before any seal",
+			run: func(e *testEnv) *testEnv {
 				job(e, 1, 2, 3)
-				queryCount(t, e) // seals the first three
+				queryCount(t, e) // answers from memory; seals nothing
+				return e
+			},
+			cells: 3, sealedAtCut: 0,
+		},
+		{
+			name: "half a batch pending behind a sealed segment", // sealed at drain
+			run: func(e *testEnv) *testEnv {
+				job(e, 1, 2, 3)
+				e = restart(e) // seals the first three
 				job(e, 4, 5)
+				return e
 			},
 			cells: 5, sealedAtCut: 3,
 		},
 		{
+			name: "two cells pending behind a segment sealed by a full batch",
+			fake: true,
+			run: func(e *testEnv) *testEnv {
+				// A spec takes 64 seeds: four jobs fill the batch.
+				for next := int64(1); next <= resultstore.DefaultSegmentCells; next += 64 {
+					seeds := make([]int64, 64)
+					for i := range seeds {
+						seeds[i] = next + int64(i)
+					}
+					job(e, seeds...)
+				}
+				job(e, -1, -2)
+				return e
+			},
+			cells: resultstore.DefaultSegmentCells + 2, sealedAtCut: resultstore.DefaultSegmentCells,
+		},
+		{
 			name: "torn store tail",
-			run: func(e *testEnv) {
+			run: func(e *testEnv) *testEnv {
 				job(e, 1, 2, 3)
-				queryCount(t, e)
+				e = restart(e)
 				job(e, 4, 5)
-				queryCount(t, e) // second segment, torn below
+				return restart(e) // second segment, torn below
 			},
 			damage: func(t *testing.T, storePath string) {
 				r, err := resultstore.OpenReader(storePath)
@@ -253,8 +297,12 @@ func TestStoreRecoversFromEveryKillPoint(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newTestEnv(t)
-			tc.run(e)
+			fake := func(c *Config) {
+				if tc.fake {
+					c.RunCell = fakeRunCell
+				}
+			}
+			e := tc.run(newTestEnv(t, fake))
 			dir := copyDataDir(t, e.dataDir)
 			storePath := filepath.Join(dir, storeFile)
 			if tc.damage != nil {
@@ -273,7 +321,7 @@ func TestStoreRecoversFromEveryKillPoint(t *testing.T) {
 				}
 			}
 
-			e2 := newTestEnv(t, func(c *Config) { c.DataDir = dir })
+			e2 := newTestEnv(t, fake, func(c *Config) { c.DataDir = dir })
 			if got := storeKeys(t, dir); strings.Join(got, "\n") != strings.Join(want, "\n") {
 				t.Fatalf("after reboot store.dncr holds\n%s\nwant exactly the cache's keys\n%s",
 					strings.Join(got, "\n"), strings.Join(want, "\n"))

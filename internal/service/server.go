@@ -146,11 +146,15 @@ type Stats struct {
 	// CacheEvictions counts entries evicted under Config.CacheMaxBytes.
 	CacheBytes     int64  `json:"cache_bytes"`
 	CacheEvictions uint64 `json:"cache_evictions"`
-	// StoreCells/StoreBytes describe the columnar result store (the
-	// cache's queryable sidecar serving /v1/query; see store.go).
-	StoreCells  int   `json:"store_cells"`
-	StoreBytes  int64 `json:"store_bytes"`
-	DeadLetters int   `json:"dead_letters"`
+	// The Store fields describe the columnar result store (the cache's
+	// queryable sidecar serving /v1/query; see store.go): cells admitted,
+	// the file's size (sealed segments only), the in-memory query index, and
+	// appends that could not be written to the file.
+	StoreCells       int    `json:"store_cells"`
+	StoreBytes       int64  `json:"store_bytes"`
+	StoreIndexBytes  int    `json:"store_index_bytes"`
+	StoreWriteErrors uint64 `json:"store_write_errors"`
+	DeadLetters      int    `json:"dead_letters"`
 	dispatchStats
 	// Degraded is true when zero live remote workers are registered and
 	// cells execute on the in-process pool.
@@ -178,10 +182,11 @@ type Server struct {
 	httpSrv *http.Server
 
 	// storeMu guards the columnar result store (the cache's queryable
-	// sidecar; see store.go). Separate from mu: store appends fsync.
-	storeMu   sync.Mutex
-	store     *resultstore.Writer
-	storePath string
+	// sidecar; see store.go): admissions write, queries and stats read.
+	// Separate from mu: an append that fills the batch fsyncs.
+	storeMu        sync.RWMutex
+	store          *resultstore.Writer
+	storeWriteErrs uint64 // appends the store accepted but could not write
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -389,12 +394,15 @@ func (s *Server) Jobs() []JobStatus {
 func (s *Server) Stats() Stats {
 	cs := s.cache.stats()
 	ds := s.dispatch.stats()
-	storeCells, storeBytes := s.storeStats()
+	ss := s.storeStats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		StoreCells:     storeCells,
-		StoreBytes:     storeBytes,
+		StoreCells:       ss.cells,
+		StoreBytes:       ss.bytes,
+		StoreIndexBytes:  ss.indexBytes,
+		StoreWriteErrors: ss.writeErrs,
+
 		Draining:       s.draining,
 		Jobs:           len(s.jobs),
 		Queued:         s.queue.len(),

@@ -30,7 +30,7 @@ import (
 var testSeq atomic.Int64
 
 type testEnv struct {
-	t       *testing.T
+	t       testing.TB
 	id      string
 	dataDir string
 	srv     *Server
@@ -40,8 +40,9 @@ type testEnv struct {
 
 // newTestEnv builds and starts a server. Pre-test hooks run against the
 // Config before New; use them to install executor seams, shrink queues, or
-// re-point DataDir at a previous environment's state.
-func newTestEnv(t *testing.T, hooks ...func(*Config)) *testEnv {
+// re-point DataDir at a previous environment's state. A fuzz target builds
+// its server under test the same way (t is the *testing.F).
+func newTestEnv(t testing.TB, hooks ...func(*Config)) *testEnv {
 	t.Helper()
 	e := &testEnv{
 		t:       t,

@@ -44,8 +44,12 @@ func statTable() []statEntry {
 			func(s Stats) any { return s.CacheEvictions }},
 		{"store_cells", "Cells persisted in the columnar result store (serves /v1/query).",
 			func(s Stats) any { return s.StoreCells }},
-		{"store_bytes", "On-disk size of the columnar result store file.",
+		{"store_bytes", "On-disk size of the columnar result store file (sealed segments; lags store_cells by up to one batch).",
 			func(s Stats) any { return s.StoreBytes }},
+		{"store_index_bytes", "Memory held by the column index /v1/query answers from.",
+			func(s Stats) any { return s.StoreIndexBytes }},
+		{"store_write_errors", "Admitted cells the store file could not take (still answered by /v1/query; the file is rebuilt from the cache at the next start).",
+			func(s Stats) any { return s.StoreWriteErrors }},
 		{"dead_letters", "Cells on the poisoned-cell list.",
 			func(s Stats) any { return s.DeadLetters }},
 		{"workers_registered", "Worker registrations ever (this process).",

@@ -2,27 +2,30 @@ package service
 
 // The column store is the cache's queryable sidecar: every admitted result
 // — locally simulated or uploaded by a worker — is also appended to a
-// columnar store file (internal/resultstore) under the same first-insert-
-// wins key discipline, so aggregate questions ("mean IPC per design ×
-// workload") are answered by GET /v1/query scanning the file instead of
-// re-parsing the JSONL cache. The cache is the source of truth and the only
-// per-cell durable write; the store is an index derived from it. Appends
-// collect in the Writer's batch and reach the file as one fsynced segment
-// when the batch fills, when a query is about to read the file, and at
-// drain — so the file may trail admissions by up to one batch
-// (resultstore.DefaultSegmentCells - 1 cells), never the answers. A store
-// append failure is logged, never fails admission, and whatever a crash
-// cost the file — the unsealed batch, a torn tail (the writer truncates to
-// the last checksum-valid block), the file itself — is backfilled from the
-// cache on startup via workerproto.ParseKey.
+// columnar store (internal/resultstore) under the same first-insert-wins
+// key discipline, so aggregate questions ("mean IPC per design × workload")
+// are answered by GET /v1/query instead of re-parsing the JSONL cache. The
+// cache is the source of truth and the only per-cell durable write; the
+// store is derived from it, twice over. In memory the Writer keeps a column
+// index of every admitted cell, and that is what a query reads: under a read
+// lock, with no file I/O, so a query never writes and never holds up an
+// admission for longer than an aggregation over resident columns. On disk,
+// appends collect in the Writer's batch and reach store.dncr as one fsynced
+// segment when the batch fills and at drain — so the file may trail
+// admissions by up to one batch (resultstore.DefaultSegmentCells - 1
+// cells), never the answers. A store write failure is logged once and
+// counted, never fails admission and never drops a cell from the answers;
+// whatever it or a crash cost the file — the unsealed batch, a torn tail
+// (the writer truncates to the last checksum-valid block), the file itself
+// — is backfilled from the cache on startup via workerproto.ParseKey.
 
 import (
 	"errors"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"dnc/internal/resultstore"
 	"dnc/internal/service/workerproto"
@@ -52,7 +55,7 @@ func (s *Server) openStore() error {
 	if err != nil {
 		return err
 	}
-	s.store, s.storePath = w, path
+	s.store = w
 	backfilled := 0
 	for _, e := range s.cache.entries() {
 		spec, ok := workerproto.ParseKey(e.Key)
@@ -77,10 +80,12 @@ func (s *Server) openStore() error {
 	return nil
 }
 
-// appendStore adds one admitted result to the column store's pending batch
-// (the Writer seals a full batch itself); a cell the store already holds
-// costs a key lookup, not a conversion. Failures are logged, not returned:
-// the store is derived data, rebuilt from the cache on the next startup.
+// appendStore adds one admitted result to the column store: its index at
+// once, its pending batch for the file (the Writer seals a full batch
+// itself); a cell the store already holds costs a key lookup, not a
+// conversion. Failures are counted, and the first is logged, not returned:
+// the Writer's write error is sticky, so every later cell would repeat it,
+// and the file is derived data, rebuilt from the cache on the next startup.
 func (s *Server) appendStore(spec cellSpec, r *runner.ResultJSON) {
 	s.storeMu.Lock()
 	defer s.storeMu.Unlock()
@@ -88,27 +93,28 @@ func (s *Server) appendStore(spec cellSpec, r *runner.ResultJSON) {
 		return
 	}
 	if _, err := s.store.Append(storeCell(spec, r)); err != nil {
-		s.log.Warn("column store append failed", "key", spec.Key(), "err", err)
+		if s.storeWriteErrs == 0 {
+			s.log.Warn("column store write failed; queries keep answering from memory, the file is rebuilt from the cache at the next start",
+				"key", spec.Key(), "err", err)
+		}
+		s.storeWriteErrs++
 	}
 }
 
-// storeScan answers one aggregate query against the on-disk store, sealing
-// the pending batch first so every cell admitted so far is in the file it
-// reads. The lock keeps appends out between the seal and the read.
+// storeScan answers one aggregate query from the store's in-memory index,
+// which holds every cell admitted so far, sealed or pending. It takes the
+// read side of storeMu and touches no file. Every call is timed, refused
+// ones too.
 func (s *Server) storeScan(q resultstore.Query) ([]resultstore.Group, int, error) {
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
+	if s.tel != nil {
+		defer func(start time.Time) { s.tel.query.ObserveDuration(time.Since(start)) }(time.Now())
+	}
+	s.storeMu.RLock()
+	defer s.storeMu.RUnlock()
 	if s.store == nil {
 		return nil, http.StatusServiceUnavailable, errors.New("service: column store unavailable")
 	}
-	if err := s.store.Flush(); err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	r, err := resultstore.OpenReader(s.storePath)
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	groups, err := resultstore.Scan(r, q)
+	groups, err := s.store.Scan(q)
 	if err != nil {
 		// Unknown metric name or a matched cell lacking the metric: the
 		// query, not the store, is at fault.
@@ -117,18 +123,25 @@ func (s *Server) storeScan(q resultstore.Query) ([]resultstore.Group, int, error
 	return groups, http.StatusOK, nil
 }
 
-// storeStats snapshots the store's cell count (pending batch included) and
-// on-disk size (sealed segments only, so it lags the count until a seal).
-func (s *Server) storeStats() (cells int, bytes int64) {
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
-	if s.store == nil {
-		return 0, 0
+// storeStats is a snapshot of the column store, none of it from the file
+// system.
+type storeStats struct {
+	cells      int   // admitted, pending batch included
+	bytes      int64 // store.dncr: sealed segments only, so it lags cells until a seal
+	indexCells int   // what the in-memory query index covers: cells, or Append has a bug
+	indexBytes int
+	writeErrs  uint64
+}
+
+func (s *Server) storeStats() storeStats {
+	s.storeMu.RLock()
+	defer s.storeMu.RUnlock()
+	st := storeStats{writeErrs: s.storeWriteErrs}
+	if s.store != nil {
+		st.cells, st.bytes = s.store.Len(), s.store.Size()
+		st.indexCells, st.indexBytes = s.store.IndexCells(), s.store.IndexBytes()
 	}
-	if fi, err := os.Stat(s.storePath); err == nil {
-		bytes = fi.Size()
-	}
-	return s.store.Len(), bytes
+	return st
 }
 
 // closeStore seals the pending batch and closes the store (idempotent).

@@ -1,11 +1,21 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dnc/internal/resultstore"
 )
@@ -96,6 +106,11 @@ func TestStoreQueryAndRecovery(t *testing.T) {
 	if code := e.getJSON("/v1/query?metric=no.such.counter", nil); code != http.StatusBadRequest {
 		t.Fatalf("unknown metric = %d, want 400", code)
 	}
+	// Every aggregation is timed, the refused one too: three answered above
+	// plus the unknown metric (the bad seed never reached the store).
+	if m, _ := fetchMetrics(t, e); m["dnc_query_seconds_count"] != 4 {
+		t.Fatalf("dnc_query_seconds_count = %v, want 4", m["dnc_query_seconds_count"])
+	}
 
 	// Crash damage: drain, truncate the store mid-file (torn block), then
 	// append garbage (a corrupt tail after valid bytes).
@@ -160,4 +175,286 @@ func TestStoreQueryAndRecovery(t *testing.T) {
 	if got := e.srv.Stats().StoreCells; got != 12 {
 		t.Fatalf("rebuilt store holds %d cells, want 12", got)
 	}
+}
+
+// fillFake admits cells seeds first..first+n-1 of the small spec through
+// jobs of at most 64 seeds (the per-spec limit).
+func fillFake(e *testEnv, first, n int) {
+	e.t.Helper()
+	for n > 0 {
+		k := min(n, 64)
+		spec := smallSpec()
+		spec.Seeds = make([]int64, k)
+		for i := range spec.Seeds {
+			spec.Seeds[i] = int64(first + i)
+		}
+		if st := e.waitJob(e.submit(spec).ID); st.State != JobDone {
+			e.t.Fatalf("fill job state %s, want done", st.State)
+		}
+		first, n = first+k, n-k
+	}
+}
+
+// storeShape is store.dncr as it is on disk: size and framed blocks.
+func storeShape(t *testing.T, dir string) (size int, blocks []int) {
+	t.Helper()
+	r, err := resultstore.OpenReader(filepath.Join(dir, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Verify(); err != nil {
+		t.Fatalf("store.dncr fails verification: %v", err)
+	}
+	return r.Size(), r.BlockSizes()
+}
+
+// TestQueryNeverWrites: a query is a read. A thousand of them over a
+// pending batch leave store.dncr byte for byte where it was — no seal, no
+// few-cell segments — and the drain then ends the file with full segments
+// plus one tail.
+func TestQueryNeverWrites(t *testing.T) {
+	e := newTestEnv(t, func(c *Config) { c.RunCell = fakeRunCell })
+	const pending = 44
+	total := resultstore.DefaultSegmentCells + pending
+	fillFake(e, 1, total)
+
+	size, blocks := storeShape(t, e.dataDir)
+	if len(blocks) != 1 || len(storeKeys(t, e.dataDir)) != resultstore.DefaultSegmentCells {
+		t.Fatalf("before any query the file holds %d blocks, want the one full batch", len(blocks))
+	}
+	before, err := os.ReadFile(filepath.Join(e.dataDir, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if n := queryCount(t, e); n != total {
+			t.Fatalf("query %d counts %d cells, want %d (pending batch included)", i, n, total)
+		}
+	}
+	after, err := os.ReadFile(filepath.Join(e.dataDir, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("1000 queries changed store.dncr: %d → %d bytes", len(before), len(after))
+	}
+	if st := e.srv.Stats(); st.StoreBytes != int64(size) || st.StoreCells != total || st.StoreIndexBytes <= 0 {
+		t.Fatalf("stats = %d bytes, %d cells, %d index bytes; want the file's %d, %d and an index", st.StoreBytes, st.StoreCells, st.StoreIndexBytes, size, total)
+	}
+
+	e.drain()
+	if _, blocks = storeShape(t, e.dataDir); len(blocks) != 2 || blocks[0] != len(before)-8 {
+		t.Fatalf("drained file holds blocks %v, want the full segment (%d bytes) plus one tail", blocks, len(before)-8)
+	}
+	if got := len(storeKeys(t, e.dataDir)); got != total {
+		t.Fatalf("drained file holds %d cells, want %d", got, total)
+	}
+}
+
+// TestQueriesDuringFillAreMonotone queries from several goroutines while
+// jobs admit cells (run it with -race): every answer is a consistent
+// snapshot, so the cells one client sees counted never decrease, and at
+// quiesce every client counts exactly what was admitted.
+func TestQueriesDuringFillAreMonotone(t *testing.T) {
+	e := newTestEnv(t, func(c *Config) { c.RunCell = fakeRunCell })
+	const clients, total = 4, 300
+	count := func() (int, error) {
+		rec := httptest.NewRecorder()
+		e.srv.handleQuery(rec, httptest.NewRequest(http.MethodGet, "/v1/query?metric=m.Retired", nil))
+		var qr queryResponse
+		if rec.Code != http.StatusOK {
+			return 0, fmt.Errorf("query = %d: %s", rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+			return 0, err
+		}
+		n := 0
+		for _, g := range qr.Groups {
+			n += g.N
+		}
+		return n, nil
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n, err := count()
+				if err != nil || n < last || n > total {
+					t.Errorf("client %d: counted %d cells after %d (err %v)", c, n, last, err)
+					return
+				}
+				last = n
+			}
+		}()
+	}
+	fillFake(e, 1, total)
+	close(stop)
+	wg.Wait()
+	if n, err := count(); err != nil || n != total {
+		t.Fatalf("at quiesce /v1/query counts %d cells (err %v), want the %d admitted", n, err, total)
+	}
+}
+
+// TestLiveQueryEqualsDrainedFileScan: what a live server answers from its
+// index, pending batch unsealed, is float for float what a scan of the
+// drained file answers — the `dncstore query -json` of the same data dir.
+func TestLiveQueryEqualsDrainedFileScan(t *testing.T) {
+	e := newTestEnv(t)
+	spec := smallSpec()
+	spec.Workloads = []string{"Web-Frontend", "Web-Search"}
+	spec.Designs = []string{"baseline", "NL"}
+	spec.Seeds = []int64{1, 2, 3}
+	if st := e.waitJob(e.submit(spec).ID); st.State != JobDone {
+		t.Fatalf("job state %s, want done", st.State)
+	}
+	if got := storeKeys(t, e.dataDir); len(got) != 0 {
+		t.Fatalf("%d cells already sealed; the live answers below would not cover a pending batch", len(got))
+	}
+	queries := []struct {
+		url string
+		q   resultstore.Query
+	}{
+		{"metric=ipc", resultstore.Query{Metric: "ipc"}},
+		{"metric=m.Retired", resultstore.Query{Metric: "m.Retired"}},
+		{"metric=llc.InstHits&workload=Web-Search", resultstore.Query{Metric: "llc.InstHits", Workloads: []string{"Web-Search"}}},
+		{"metric=ipc&design=NL,baseline&seed=1,3", resultstore.Query{Metric: "ipc", Designs: []string{"NL", "baseline"}, Seeds: []int64{1, 3}}},
+		{"metric=noc.flits&workload=nope", resultstore.Query{Metric: "noc.flits", Workloads: []string{"nope"}}},
+	}
+	live := make([]json.RawMessage, len(queries))
+	for i, c := range queries {
+		var body struct {
+			Groups json.RawMessage `json:"groups"`
+		}
+		if code := e.getJSON("/v1/query?"+c.url, &body); code != http.StatusOK {
+			t.Fatalf("GET /v1/query?%s = %d", c.url, code)
+		}
+		live[i] = body.Groups
+	}
+	e.drain()
+	r, err := resultstore.OpenReader(filepath.Join(e.dataDir, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range queries {
+		groups, err := resultstore.Scan(r, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(groups)
+		var got bytes.Buffer // the server indents its bodies
+		if err := json.Compact(&got, live[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s:\nlive server %s\nfile scan   %s", c.url, got.Bytes(), want)
+		}
+		if i == 0 && len(groups) != 4 {
+			t.Fatalf("%d groups, want 4", len(groups))
+		}
+	}
+}
+
+// TestStoreWriteErrorKeepsAnswering closes the store file under the server's
+// writer and fills past a batch boundary, so a seal fails and the writer's
+// error turns sticky: every admitted cell must still be in /v1/query, the
+// failure counted per cell on healthz and /metrics but logged once, and the
+// next boot must rebuild the file from the cache.
+func TestStoreWriteErrorKeepsAnswering(t *testing.T) {
+	var logs bytes.Buffer
+	e := newTestEnv(t, func(c *Config) {
+		c.RunCell = fakeRunCell
+		c.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	})
+	e.srv.storeMu.Lock()
+	e.srv.store.Close() // the descriptor is gone; the writer does not know yet
+	e.srv.storeMu.Unlock()
+
+	const lost = 10
+	total := resultstore.DefaultSegmentCells + lost
+	fillFake(e, 1, total)
+	if n := queryCount(t, e); n != total {
+		t.Fatalf("/v1/query counts %d cells over a failed store file, want all %d", n, total)
+	}
+	// The append that filled the batch failed to seal it; each one after met
+	// the sticky error.
+	st := e.srv.Stats()
+	if st.StoreWriteErrors != lost+1 || st.StoreCells != total {
+		t.Fatalf("store_write_errors = %d, store_cells = %d; want %d and %d", st.StoreWriteErrors, st.StoreCells, lost+1, total)
+	}
+	if m, _ := fetchMetrics(t, e); m["dnc_store_write_errors_total"] != lost+1 || m["dnc_store_index_cells"] != float64(total) {
+		t.Fatalf("/metrics: write errors %v, index cells %v; want %d and %d",
+			m["dnc_store_write_errors_total"], m["dnc_store_index_cells"], lost+1, total)
+	}
+
+	e.drained.Store(true) // this drain reports the store's error
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := e.srv.Drain(ctx); err == nil {
+		t.Fatal("drain over a failed store file returned nil")
+	}
+	if n := strings.Count(logs.String(), "column store write failed"); n != 1 {
+		t.Fatalf("the write failure was logged %d times, want once", n)
+	}
+
+	e2 := newTestEnv(t, func(c *Config) { c.DataDir = e.dataDir; c.RunCell = fakeRunCell })
+	if n := queryCount(t, e2); n != total {
+		t.Fatalf("after reboot /v1/query counts %d cells, want %d", n, total)
+	}
+	e2.drain()
+	if got := len(storeKeys(t, e.dataDir)); got != total {
+		t.Fatalf("rebuilt store.dncr holds %d cells, want %d", got, total)
+	}
+}
+
+// FuzzQueryParams throws arbitrary metric, workload, design and seed
+// parameters at GET /v1/query on a server holding cells: the answer is a 200
+// or a 400, never a panic, and the store's lock is free afterwards.
+func FuzzQueryParams(f *testing.F) {
+	f.Add("ipc", "", "", "")
+	f.Add("m.Retired", "Web-Frontend", "baseline,NL", "1,2")
+	f.Add("no.such", "Web-Frontend", "", "3")
+	f.Add("", ",,", "\x00", "9223372036854775808")
+	f.Add("ipc", "Web-Search", "baseline", "banana")
+	f.Add("llc.InstHits", "w,w,w", "NL", "-1, 2 ,")
+	e := newTestEnv(f, func(c *Config) { c.RunCell = fakeRunCell })
+	spec := smallSpec()
+	spec.Designs = []string{"baseline", "NL"}
+	spec.Seeds = []int64{1, 2, 3}
+	e.waitJob(e.submit(spec).ID)
+	f.Fuzz(func(t *testing.T, metric, workload, design, seed string) {
+		v := url.Values{"metric": {metric}, "workload": {workload}, "design": {design}, "seed": {seed}}
+		rec := httptest.NewRecorder()
+		e.srv.handleQuery(rec, httptest.NewRequest(http.MethodGet, "/v1/query?"+v.Encode(), nil))
+		switch rec.Code {
+		case http.StatusOK:
+			var qr queryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil || qr.Groups == nil {
+				t.Fatalf("200 with body %q (%v)", rec.Body, err)
+			}
+			n := 0
+			for _, g := range qr.Groups {
+				n += g.N
+			}
+			if n > 6 {
+				t.Fatalf("groups count %d cells, 6 were admitted", n)
+			}
+		case http.StatusBadRequest:
+		default:
+			t.Fatalf("GET /v1/query?%s = %d: %s", v.Encode(), rec.Code, rec.Body)
+		}
+		if !e.srv.storeMu.TryLock() {
+			t.Fatal("the store lock is still held after the query returned")
+		}
+		e.srv.storeMu.Unlock()
+	})
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"dnc/internal/obs"
 	"dnc/internal/sim/runner"
 	"dnc/internal/telemetry"
 )
@@ -29,6 +30,7 @@ type serverTelemetry struct {
 	e2e        *telemetry.Histogram
 	uploadSize *telemetry.Histogram
 	leaseWait  *telemetry.Histogram
+	query      *telemetry.Histogram
 }
 
 // newServerTelemetry builds the registry over a live server: scrape-time
@@ -81,6 +83,13 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		"Uploads refused by admission verification.",
 		func() uint64 { return s.dispatch.stats().RemoteRejected })
 
+	reg.CounterFunc("dnc_store_write_errors_total",
+		"Admitted cells the column store file could not take. They stay in /v1/query answers; the file is rebuilt from the cache at the next start.",
+		func() uint64 { return s.storeStats().writeErrs })
+
+	reg.GaugeFunc("dnc_store_index_cells",
+		"Cells in the in-memory column index /v1/query answers from (every admitted cell, sealed or pending; counted by the index itself, so it differs from store_cells only if the two fell out of step).",
+		func() float64 { return float64(s.storeStats().indexCells) })
 	reg.GaugeFunc("dnc_queue_depth",
 		"Jobs accepted but not yet started.",
 		func() float64 { return float64(s.queue.len()) })
@@ -122,6 +131,12 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	t.leaseWait = reg.Histogram("dnc_lease_wait_seconds",
 		"Time a worker lease call was held by the server before it answered (parked while nothing was pending).",
 		telemetry.DurationBounds(), telemetry.SecondsScale)
+
+	t.query = reg.Histogram("dnc_query_seconds",
+		"Time to answer or refuse one /v1/query aggregation from the column index (lock wait included, HTTP encoding not).",
+		// A query is tens of microseconds, below DurationBounds' first
+		// bucket: 4 µs to ~2 s in powers of two.
+		obs.ExpBounds(4, 2, 20), telemetry.SecondsScale)
 
 	return t
 }

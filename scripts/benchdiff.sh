@@ -13,13 +13,18 @@
 #                BENCH_engine.json.
 #   resultstore  internal/resultstore BenchmarkSeriesEncode + BenchmarkSeriesDecode
 #                (the store's time-series codec hot paths: delta-of-delta
-#                timestamps + Gorilla XOR values), compared against
-#                BENCH_resultstore.json.
+#                timestamps + Gorilla XOR values) and BenchmarkScanIndex /
+#                BenchmarkScanFile at 320 and 10K cells (one /v1/query over
+#                the in-memory index; the same question asked of the file),
+#                compared against BENCH_resultstore.json.
 #
 # Each suite takes the minimum ns/op over -count repetitions (the minimum is
 # the least noisy wall-clock estimator on shared CI runners) and compares
 # each benchmark against its committed reference. A benchmark more than
-# BENCH_THRESHOLD_PCT percent slower than its reference fails the script.
+# BENCH_THRESHOLD_PCT percent slower than its reference fails the script, and
+# so does a BenchmarkScan* that allocates more than 10 percent over its
+# reference allocs/op — the half of the gate that does not depend on the
+# machine: a scan that went back to one map per cell fails it anywhere.
 #
 # Usage:
 #   scripts/benchdiff.sh            # compare against the committed references
@@ -37,6 +42,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 THRESHOLD=${BENCH_THRESHOLD_PCT:-25}
+# Allowed allocs/op growth of the BenchmarkScan* entries, in percent:
+# allocation counts repeat run to run, but map and slice growth differ a
+# little between Go releases.
+ALLOC_THRESHOLD=10
 COUNT=${BENCH_COUNT:-3}
 BENCHTIME=${BENCH_TIME:-3x}
 MODE=${1:-check}
@@ -103,7 +112,7 @@ run_suite() {
 
 	[ -f "$ref" ] || { echo "benchdiff: $ref missing (run scripts/benchdiff.sh -update)" >&2; exit 1; }
 
-	local b ns refv limit pct
+	local b ns refv limit pct al refa
 	for b in $benches; do
 		ns=$(min_ns "$b")
 		[ -n "$ns" ] || { echo "benchdiff: no result for $b" >&2; exit 1; }
@@ -117,6 +126,17 @@ run_suite() {
 		else
 			echo "benchdiff: ok   $b: $ns ns/op vs reference $refv (${pct}%, limit +${THRESHOLD}%)"
 		fi
+		case "$b" in BenchmarkScan*) ;; *) continue ;; esac
+		al=$(min_allocs "$b")
+		refa=$(sed -n 's/.*"'"$b"'": {.*"allocs_per_op": \([0-9]*\)}.*/\1/p' "$ref")
+		[ -n "$al" ] && [ -n "$refa" ] || { echo "benchdiff: no allocs/op for $b" >&2; exit 1; }
+		limit=$((refa + refa * ALLOC_THRESHOLD / 100))
+		if [ "$al" -gt "$limit" ]; then
+			echo "benchdiff: FAIL $b: $al allocs/op vs reference $refa (limit +${ALLOC_THRESHOLD}%)"
+			fail=1
+		else
+			echo "benchdiff: ok   $b: $al allocs/op vs reference $refa (limit +${ALLOC_THRESHOLD}%)"
+		fi
 	done
 }
 
@@ -128,8 +148,13 @@ run_suite engine ./internal/sim/ 'BenchmarkEngine ^BenchmarkRunFixedCost$@200x' 
 	BenchmarkEngine16CoreBaseline BenchmarkEngine16CoreSN4LDisBTB \
 	BenchmarkRunFixedCost
 
+# The scans run from 10 microseconds an op (the index, 320 cells) to 10
+# milliseconds (the file, 10K cells): iteration counts that give each run
+# tens of milliseconds to measure.
 run_suite resultstore ./internal/resultstore/ \
-	'^(BenchmarkSeriesEncode|BenchmarkSeriesDecode)$' BENCH_resultstore.json \
-	BenchmarkSeriesEncode BenchmarkSeriesDecode
+	'^(BenchmarkSeriesEncode|BenchmarkSeriesDecode)$ ^BenchmarkScanIndex(320|10K)$@5000x ^BenchmarkScanFile(320|10K)$@100x' \
+	BENCH_resultstore.json \
+	BenchmarkSeriesEncode BenchmarkSeriesDecode \
+	BenchmarkScanIndex320 BenchmarkScanIndex10K BenchmarkScanFile320 BenchmarkScanFile10K
 
 exit $fail
