@@ -222,10 +222,20 @@ func (w *Walker) Snapshot(e *checkpoint.Encoder) {
 	e.End()
 }
 
+// maxDrawsPerStep bounds the PRNG draws one Next call makes: a load or store
+// draws twice, a terminator at most a taken test, an indirect-callee pick and
+// a dispatch (three or four), and the library's rejection loops add a draw
+// once in thousands. Measured runs average under one draw per step.
+const maxDrawsPerStep = 8
+
 // Restore loads state written by Snapshot, re-seeding the PRNG and
 // replaying its draw count so the restored stream continues bit-exactly.
 // The walker must have been built over the same program with the same seed.
-func (w *Walker) Restore(d *checkpoint.Decoder) error {
+// maxSteps is the most Next calls the snapshotted run can have made: a draw
+// count beyond what that many steps draw is corrupt, not replayed — the
+// replay costs a generator step per draw, so an unchecked count read from a
+// damaged file would spin for as long as the count says.
+func (w *Walker) Restore(d *checkpoint.Decoder, maxSteps uint64) error {
 	if err := d.Begin("walker"); err != nil {
 		return err
 	}
@@ -235,6 +245,10 @@ func (w *Walker) Restore(d *checkpoint.Decoder) error {
 			checkpoint.ErrCorrupt, seed, w.seed)
 	}
 	draws := d.U64()
+	if d.Err() == nil && draws/maxDrawsPerStep > maxSteps {
+		return fmt.Errorf("%w: walker drew %d times, a run of at most %d steps cannot have",
+			checkpoint.ErrCorrupt, draws, maxSteps)
+	}
 	cur := int32(d.I64())
 	idx := d.Int()
 	if d.Err() == nil {
@@ -246,9 +260,19 @@ func (w *Walker) Restore(d *checkpoint.Decoder) error {
 		}
 	}
 	n := d.Count(8)
+	if d.Err() == nil && n > w.prog.Params.MaxCallDepth {
+		return fmt.Errorf("%w: walker call stack holds %d frames over depth %d",
+			checkpoint.ErrCorrupt, n, w.prog.Params.MaxCallDepth)
+	}
 	stack := w.stack[:0]
 	for i := 0; i < n; i++ {
-		stack = append(stack, int32(d.I64()))
+		// A frame is a block to return to, or -1 where the call site had no
+		// fallthrough (the return re-dispatches).
+		bb := d.I64()
+		if d.Err() == nil && (bb < -1 || bb >= int64(len(w.prog.Blocks))) {
+			return fmt.Errorf("%w: walker call-stack block index %d out of range", checkpoint.ErrCorrupt, bb)
+		}
+		stack = append(stack, int32(bb))
 	}
 	if err := d.End(); err != nil {
 		return err

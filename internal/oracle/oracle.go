@@ -261,16 +261,16 @@ func (m *Model) Snapshot(e *checkpoint.Encoder) {
 }
 
 // Restore loads state written by Snapshot into a model built over the same
-// program and seed.
-func (m *Model) Restore(d *checkpoint.Decoder) error {
+// program and seed. maxSteps bounds both replays (see Walker.Restore).
+func (m *Model) Restore(d *checkpoint.Decoder, maxSteps uint64) error {
 	if err := d.Begin("oracle"); err != nil {
 		return err
 	}
 	m.seed = d.I64()
-	if err := m.retire.Restore(d); err != nil {
+	if err := m.retire.Restore(d, maxSteps); err != nil {
 		return err
 	}
-	if err := m.fetch.Restore(d); err != nil {
+	if err := m.fetch.Restore(d, maxSteps); err != nil {
 		return err
 	}
 	m.fvalid = d.Bool()

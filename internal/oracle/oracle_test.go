@@ -156,7 +156,7 @@ func TestSnapshotRestoreResumesBothStreams(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	r := New(prog, 5)
-	if err := r.Restore(d); err != nil {
+	if err := r.Restore(d, 1<<20); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if r.Digest() != m.Digest() || r.C != m.C || r.Transitions != m.Transitions ||

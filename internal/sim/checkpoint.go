@@ -151,6 +151,14 @@ func (m *machine) encode() *checkpoint.Encoder {
 	return e
 }
 
+// StepBound returns the most committed instructions one core's stream can be
+// asked for in a run of rc: FetchWidth per cycle of both windows. A snapshot
+// whose walker claims a position beyond it is corrupt.
+func (rc RunConfig) StepBound() uint64 {
+	rc = applyDefaults(rc)
+	return (rc.WarmCycles + rc.MeasureCycles) * uint64(rc.Core.FetchWidth)
+}
+
 // restoreFrom loads a snapshot file into the freshly built machine,
 // verifying first that it was taken from an identical configuration.
 func (m *machine) restoreFrom(path string) error {
@@ -158,11 +166,19 @@ func (m *machine) restoreFrom(path string) error {
 	if err != nil {
 		return fmt.Errorf("sim: reading snapshot %s: %w", path, err)
 	}
-	if err := d.Begin("machine"); err != nil {
+	if err := m.load(d); err != nil {
 		return fmt.Errorf("sim: snapshot %s: %w", path, err)
 	}
+	return nil
+}
+
+// load restores a framing-checked snapshot into the freshly built machine.
+func (m *machine) load(d *checkpoint.Decoder) error {
+	if err := d.Begin("machine"); err != nil {
+		return err
+	}
 	if err := m.checkHeader(d); err != nil {
-		return fmt.Errorf("sim: snapshot %s: %w", path, err)
+		return err
 	}
 	m.phase = d.U8()
 	m.done = d.U64()
@@ -170,31 +186,31 @@ func (m *machine) restoreFrom(path string) error {
 	m.watch.lastSum = d.U64()
 	m.watch.lastAt = d.U64()
 	if err := d.Err(); err != nil {
-		return fmt.Errorf("sim: snapshot %s: %w", path, err)
+		return err
 	}
 	if m.phase > 1 {
-		return fmt.Errorf("sim: snapshot %s: %w: phase %d out of range",
-			path, checkpoint.ErrCorrupt, m.phase)
+		return fmt.Errorf("%w: phase %d out of range", checkpoint.ErrCorrupt, m.phase)
 	}
+	steps := m.rc.StepBound()
 	for i := range m.cores {
-		if err := m.walkers[i].Restore(d); err != nil {
-			return fmt.Errorf("sim: snapshot %s: walker %d: %w", path, i, err)
+		if err := m.walkers[i].Restore(d, steps); err != nil {
+			return fmt.Errorf("walker %d: %w", i, err)
 		}
 		if err := m.cores[i].Restore(d); err != nil {
-			return fmt.Errorf("sim: snapshot %s: core %d: %w", path, i, err)
+			return fmt.Errorf("core %d: %w", i, err)
 		}
 	}
 	if err := m.uncore.LLC.Restore(d); err != nil {
-		return fmt.Errorf("sim: snapshot %s: llc: %w", path, err)
+		return fmt.Errorf("llc: %w", err)
 	}
 	if err := m.uncore.Mesh.Restore(d); err != nil {
-		return fmt.Errorf("sim: snapshot %s: noc: %w", path, err)
+		return fmt.Errorf("noc: %w", err)
 	}
 	if err := m.uncore.DRAM.Restore(d); err != nil {
-		return fmt.Errorf("sim: snapshot %s: dram: %w", path, err)
+		return fmt.Errorf("dram: %w", err)
 	}
 	if err := d.End(); err != nil {
-		return fmt.Errorf("sim: snapshot %s: %w", path, err)
+		return err
 	}
 	// Resume the checkpoint cadence from the restore point, and rebuild the
 	// derived wake state (restored cores are all awake until their first

@@ -79,6 +79,9 @@ type Shim struct {
 	coreID int
 	strict bool
 	env    prefetch.Env // the raw core Env (for Cycle at divergence time)
+	// maxSteps bounds the oracle's replays when a snapshot is restored
+	// (sim.RunConfig.StepBound of the run the shim sits in).
+	maxSteps uint64
 
 	// issued records every block the inner design successfully prefetched
 	// through the Env (cache-direct and buffered alike).
@@ -329,7 +332,7 @@ func (s *Shim) Restore(d *checkpoint.Decoder) error {
 	if err := d.Begin("difftest-shim"); err != nil {
 		return err
 	}
-	if err := s.model.Restore(d); err != nil {
+	if err := s.model.Restore(d, s.maxSteps); err != nil {
 		return err
 	}
 	s.retired = d.U64()
@@ -478,7 +481,10 @@ func Run(ctx context.Context, o Options) (sim.Result, *Report, error) {
 		trace = 1 << 12
 	}
 
-	var shims []*Shim
+	var (
+		shims    []*Shim
+		maxSteps uint64
+	)
 	rc := sim.RunConfig{
 		Workload:           o.Workload,
 		Cores:              o.Cores,
@@ -496,10 +502,13 @@ func Run(ctx context.Context, o Options) (sim.Result, *Report, error) {
 		NewDesign: func() prefetch.Design {
 			i := len(shims)
 			s := NewShim(o.NewDesign(), oracle.New(prog, sim.WalkerSeed(o.Seed, i)), i, o.Strict)
+			s.maxSteps = maxSteps
 			shims = append(shims, s)
 			return s
 		},
 	}
+
+	maxSteps = rc.StepBound()
 
 	var (
 		res sim.Result
