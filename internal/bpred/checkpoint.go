@@ -1,116 +1,38 @@
 package bpred
 
-import (
-	"fmt"
+import "dnc/internal/checkpoint"
 
-	"dnc/internal/checkpoint"
-	"dnc/internal/isa"
-)
-
-// Snapshot serialises the counter table.
-func (b *Bimodal) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("bimodal")
-	e.Bytes(b.table)
-	e.End()
+// State walks the counter table. The table size must match.
+func (b *Bimodal) State(c *checkpoint.Codec) {
+	c.Begin("bimodal")
+	c.Blob("bimodal table", b.table)
+	c.End()
 }
 
-// Restore loads state written by Snapshot. The table size must match.
-func (b *Bimodal) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("bimodal"); err != nil {
-		return err
-	}
-	t := d.Bytes()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(t) != len(b.table) {
-		return fmt.Errorf("%w: bimodal table of %d entries in snapshot, machine has %d",
-			checkpoint.ErrCorrupt, len(t), len(b.table))
-	}
-	copy(b.table, t)
-	return d.End()
-}
-
-// Snapshot serialises the base predictor, every tagged table, and the
-// global history register.
-func (t *TAGE) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("tage")
-	t.base.Snapshot(e)
-	e.U64(t.hist)
-	e.Int(len(t.tables))
+// State walks the base predictor, the global history register and every
+// tagged table. Table geometry must match.
+func (t *TAGE) State(c *checkpoint.Codec) {
+	c.Begin("tage")
+	t.base.State(c)
+	c.U64(&t.hist)
+	c.Fixed("TAGE table count", len(t.tables))
 	for i := range t.tables {
 		tt := &t.tables[i]
-		e.Int(len(tt.entries))
+		c.Fixed("TAGE table size", len(tt.entries))
 		for j := range tt.entries {
 			en := &tt.entries[j]
-			e.U16(en.tag)
-			e.U8(uint8(en.ctr))
-			e.U8(en.useful)
+			c.U16(&en.tag)
+			checkpoint.Byte(c, &en.ctr)
+			c.U8(&en.useful)
 		}
 	}
-	e.End()
+	c.End()
 }
 
-// Restore loads state written by Snapshot. Table geometry must match.
-func (t *TAGE) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("tage"); err != nil {
-		return err
-	}
-	if err := t.base.Restore(d); err != nil {
-		return err
-	}
-	t.hist = d.U64()
-	n := d.Count(8)
-	if d.Err() == nil && n != len(t.tables) {
-		return fmt.Errorf("%w: %d TAGE tables in snapshot, machine has %d",
-			checkpoint.ErrCorrupt, n, len(t.tables))
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		tt := &t.tables[i]
-		m := d.Count(4)
-		if d.Err() == nil && m != len(tt.entries) {
-			return fmt.Errorf("%w: TAGE table %d has %d entries in snapshot, machine has %d",
-				checkpoint.ErrCorrupt, i, m, len(tt.entries))
-		}
-		for j := 0; j < m; j++ {
-			en := &tt.entries[j]
-			en.tag = d.U16()
-			en.ctr = int8(d.U8())
-			en.useful = d.U8()
-		}
-	}
-	return d.End()
-}
-
-// Snapshot serialises the stack contents.
-func (r *RAS) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("ras")
-	e.Int(r.depth)
-	e.Int(len(r.stack))
-	for _, a := range r.stack {
-		e.U64(uint64(a))
-	}
-	e.End()
-}
-
-// Restore loads state written by Snapshot.
-func (r *RAS) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("ras"); err != nil {
-		return err
-	}
-	depth := d.Int()
-	if d.Err() == nil && depth != r.depth {
-		return fmt.Errorf("%w: RAS depth %d in snapshot, machine has %d",
-			checkpoint.ErrCorrupt, depth, r.depth)
-	}
-	n := d.Count(8)
-	if d.Err() == nil && n > r.depth {
-		return fmt.Errorf("%w: RAS holds %d entries, exceeding its depth %d",
-			checkpoint.ErrCorrupt, n, r.depth)
-	}
-	r.stack = r.stack[:0]
-	for i := 0; i < n; i++ {
-		r.stack = append(r.stack, isa.Addr(d.U64()))
-	}
-	return d.End()
+// State walks the stack contents.
+func (r *RAS) State(c *checkpoint.Codec) {
+	c.Begin("ras")
+	c.Fixed("RAS depth", r.depth)
+	checkpoint.Words(c, "RAS", &r.stack, r.depth)
+	c.End()
 }

@@ -1,189 +1,91 @@
 package btb
 
 import (
-	"fmt"
-
 	"dnc/internal/checkpoint"
 	"dnc/internal/isa"
 )
 
-// Snapshot serialises the table's full state. The payload codec enc writes
-// one payload value; every BTB organization supplies its own.
-func (t *Table[V]) Snapshot(e *checkpoint.Encoder, enc func(*checkpoint.Encoder, V)) {
-	e.Begin("table")
-	e.Int(t.sets)
-	e.Int(t.ways)
-	e.U64(t.clock)
-	e.U64(t.lookups)
-	e.U64(t.hits)
+// State walks the table's full state. val walks one payload value; every
+// BTB organization supplies its own. Table geometry must match.
+func (t *Table[V]) State(c *checkpoint.Codec, val func(*checkpoint.Codec, *V)) {
+	c.Begin("table")
+	c.Fixed("BTB table sets", t.sets)
+	c.Fixed("BTB table ways", t.ways)
+	c.U64(&t.clock)
+	c.U64(&t.lookups)
+	c.U64(&t.hits)
 	for i := range t.lines {
 		l := &t.lines[i]
-		e.U64(uint64(l.key))
-		e.Bool(l.valid)
-		e.U64(l.lru)
-		enc(e, l.val)
-	}
-	e.End()
-}
-
-// Restore loads state written by Snapshot using the matching payload codec.
-// Table geometry must match.
-func (t *Table[V]) Restore(d *checkpoint.Decoder, dec func(*checkpoint.Decoder) V) error {
-	if err := d.Begin("table"); err != nil {
-		return err
-	}
-	sets, ways := d.Int(), d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if sets != t.sets || ways != t.ways {
-		return fmt.Errorf("%w: BTB table geometry %dx%d in snapshot, machine has %dx%d",
-			checkpoint.ErrCorrupt, sets, ways, t.sets, t.ways)
-	}
-	t.clock = d.U64()
-	t.lookups = d.U64()
-	t.hits = d.U64()
-	for i := range t.lines {
-		l := &t.lines[i]
-		l.key = isa.Addr(d.U64())
-		l.valid = d.Bool()
-		l.lru = d.U64()
-		l.val = dec(d)
-		if l.valid {
-			t.tags[i] = tagKey(l.key)
-		} else {
+		checkpoint.Word(c, &l.key)
+		c.Bool(&l.valid)
+		c.U64(&l.lru)
+		val(c, &l.val)
+		if c.Loading() {
 			t.tags[i] = 0
+			if l.valid {
+				t.tags[i] = tagKey(l.key)
+			}
 		}
 	}
-	return d.End()
+	c.End()
 }
 
-// Payload codecs for the BTB organizations.
+// Payload walkers for the BTB organizations.
 
-// EncodeEntry and DecodeEntry codec a conventional BTB payload.
-func EncodeEntry(e *checkpoint.Encoder, v Entry) {
-	e.U8(uint8(v.Kind))
-	e.U64(uint64(v.Target))
+// EntryState walks a conventional BTB payload.
+func EntryState(c *checkpoint.Codec, v *Entry) {
+	checkpoint.Byte(c, &v.Kind)
+	checkpoint.Word(c, &v.Target)
 }
 
-// DecodeEntry reverses EncodeEntry.
-func DecodeEntry(d *checkpoint.Decoder) Entry {
-	return Entry{Kind: isa.Kind(d.U8()), Target: isa.Addr(d.U64())}
+// BBEntryState walks a basic-block BTB payload.
+func BBEntryState(c *checkpoint.Codec, v *BBEntry) {
+	c.U16(&v.Size)
+	checkpoint.Byte(c, &v.Kind)
+	checkpoint.Word(c, &v.BranchPC)
+	checkpoint.Word(c, &v.Target)
 }
 
-// EncodeBBEntry and DecodeBBEntry codec a basic-block BTB payload.
-func EncodeBBEntry(e *checkpoint.Encoder, v BBEntry) {
-	e.U16(v.Size)
-	e.U8(uint8(v.Kind))
-	e.U64(uint64(v.BranchPC))
-	e.U64(uint64(v.Target))
-}
-
-// DecodeBBEntry reverses EncodeBBEntry.
-func DecodeBBEntry(d *checkpoint.Decoder) BBEntry {
-	return BBEntry{
-		Size:     d.U16(),
-		Kind:     isa.Kind(d.U8()),
-		BranchPC: isa.Addr(d.U64()),
-		Target:   isa.Addr(d.U64()),
+// BranchesState walks a pre-decoded branch list (the prefetch buffer
+// payload).
+func BranchesState(c *checkpoint.Codec, brs *[]isa.Branch) {
+	if c.Loading() {
+		// The list in place may be the program image's own (Predecode hands
+		// out its slices); load into a fresh one.
+		*brs = nil
 	}
+	checkpoint.Slice(c, "branch list", brs, 10, checkpoint.Unbounded, func(br *isa.Branch) {
+		c.U8(&br.Offset)
+		checkpoint.Byte(c, &br.Kind)
+		checkpoint.Word(c, &br.Target)
+	})
 }
 
-// EncodeBranches and DecodeBranches codec a pre-decoded branch list (the
-// prefetch buffer payload).
-func EncodeBranches(e *checkpoint.Encoder, brs []isa.Branch) {
-	e.Int(len(brs))
-	for _, br := range brs {
-		e.U8(br.Offset)
-		e.U8(uint8(br.Kind))
-		e.U64(uint64(br.Target))
-	}
+func ubbEntryState(c *checkpoint.Codec, v *UBBEntry) {
+	BBEntryState(c, &v.BB)
+	c.U8(&v.CallFP.Bits)
+	c.U8(&v.RetFP.Bits)
+	c.Bool(&v.HasFP)
 }
 
-// DecodeBranches reverses EncodeBranches.
-func DecodeBranches(d *checkpoint.Decoder) []isa.Branch {
-	n := d.Count(10)
-	if n == 0 {
-		return nil
-	}
-	brs := make([]isa.Branch, 0, n)
-	for i := 0; i < n; i++ {
-		brs = append(brs, isa.Branch{
-			Offset: d.U8(),
-			Kind:   isa.Kind(d.U8()),
-			Target: isa.Addr(d.U64()),
-		})
-	}
-	return brs
-}
+// State walks the conventional BTB.
+func (b *BTB) State(c *checkpoint.Codec) { b.Table.State(c, EntryState) }
 
-func encodeUBBEntry(e *checkpoint.Encoder, v UBBEntry) {
-	EncodeBBEntry(e, v.BB)
-	e.U8(v.CallFP.Bits)
-	e.U8(v.RetFP.Bits)
-	e.Bool(v.HasFP)
-}
+// State walks the basic-block BTB.
+func (b *BBBTB) State(c *checkpoint.Codec) { b.Table.State(c, BBEntryState) }
 
-func decodeUBBEntry(d *checkpoint.Decoder) UBBEntry {
-	return UBBEntry{
-		BB:     DecodeBBEntry(d),
-		CallFP: Footprint{Bits: d.U8()},
-		RetFP:  Footprint{Bits: d.U8()},
-		HasFP:  d.Bool(),
-	}
-}
+// State walks the prefetch buffer.
+func (p *PrefetchBuffer) State(c *checkpoint.Codec) { p.table.State(c, BranchesState) }
 
-// Snapshot serialises the conventional BTB.
-func (b *BTB) Snapshot(e *checkpoint.Encoder) { b.Table.Snapshot(e, EncodeEntry) }
-
-// Restore loads state written by Snapshot.
-func (b *BTB) Restore(d *checkpoint.Decoder) error { return b.Table.Restore(d, DecodeEntry) }
-
-// Snapshot serialises the basic-block BTB.
-func (b *BBBTB) Snapshot(e *checkpoint.Encoder) { b.Table.Snapshot(e, EncodeBBEntry) }
-
-// Restore loads state written by Snapshot.
-func (b *BBBTB) Restore(d *checkpoint.Decoder) error { return b.Table.Restore(d, DecodeBBEntry) }
-
-// Snapshot serialises the prefetch buffer.
-func (p *PrefetchBuffer) Snapshot(e *checkpoint.Encoder) { p.table.Snapshot(e, EncodeBranches) }
-
-// Restore loads state written by Snapshot.
-func (p *PrefetchBuffer) Restore(d *checkpoint.Decoder) error {
-	return p.table.Restore(d, DecodeBranches)
-}
-
-// Snapshot serialises all three Shotgun structures and their footprint
-// accounting.
-func (s *ShotgunBTB) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("shotgunbtb")
-	s.U.Snapshot(e, encodeUBBEntry)
-	s.C.Snapshot(e, EncodeBBEntry)
-	s.RIB.Snapshot(e, EncodeBBEntry)
-	e.U64(s.ULookups)
-	e.U64(s.UFootprintMiss)
-	e.U64(s.UEntryMiss)
-	e.U64(s.PrefilledNoFP)
-	e.End()
-}
-
-// Restore loads state written by Snapshot.
-func (s *ShotgunBTB) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("shotgunbtb"); err != nil {
-		return err
-	}
-	if err := s.U.Restore(d, decodeUBBEntry); err != nil {
-		return err
-	}
-	if err := s.C.Restore(d, DecodeBBEntry); err != nil {
-		return err
-	}
-	if err := s.RIB.Restore(d, DecodeBBEntry); err != nil {
-		return err
-	}
-	s.ULookups = d.U64()
-	s.UFootprintMiss = d.U64()
-	s.UEntryMiss = d.U64()
-	s.PrefilledNoFP = d.U64()
-	return d.End()
+// State walks all three Shotgun structures and their footprint accounting.
+func (s *ShotgunBTB) State(c *checkpoint.Codec) {
+	c.Begin("shotgunbtb")
+	s.U.State(c, ubbEntryState)
+	s.C.State(c, BBEntryState)
+	s.RIB.State(c, BBEntryState)
+	c.U64(&s.ULookups)
+	c.U64(&s.UFootprintMiss)
+	c.U64(&s.UEntryMiss)
+	c.U64(&s.PrefilledNoFP)
+	c.End()
 }

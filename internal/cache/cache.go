@@ -52,8 +52,8 @@ type Evicted struct {
 // words instead of striding across 32-byte Line records, and Insert's
 // victim selection is one more contiguous scan (invalid ways carry recency
 // 0, so the leftmost minimum is the first-invalid-else-LRU way). Both
-// mirrors are derived state, maintained by every line write and rebuilt by
-// Restore.
+// mirrors are derived state, maintained by every line write and rebuilt
+// when State loads.
 type Cache struct {
 	sets  int
 	ways  int
@@ -206,54 +206,28 @@ func (c *Cache) Reset() {
 	c.clock = 0
 }
 
-// Snapshot serialises the cache's full state (geometry, LRU clock, every
-// line) for checkpointing.
-func (c *Cache) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("cache")
-	e.Int(c.sets)
-	e.Int(c.ways)
-	e.U64(c.clock)
+// State walks the cache's full state (geometry, LRU clock, every line) for
+// checkpointing. The snapshot's geometry must match the receiver's:
+// snapshots restore into an identically configured machine, they do not
+// reconfigure it.
+func (c *Cache) State(cp *checkpoint.Codec) {
+	cp.Begin("cache")
+	cp.Fixed("cache sets", c.sets)
+	cp.Fixed("cache ways", c.ways)
+	cp.U64(&c.clock)
 	for i := range c.lines {
 		l := &c.lines[i]
-		e.U64(uint64(l.tag))
-		e.Bool(l.valid)
-		e.U64(l.lru)
-		e.U8(l.Flags)
-		e.U8(l.Aux)
-	}
-	e.End()
-}
-
-// Restore loads state written by Snapshot. The snapshot's geometry must
-// match the receiver's: snapshots restore into an identically configured
-// machine, they do not reconfigure it.
-func (c *Cache) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("cache"); err != nil {
-		return err
-	}
-	sets, ways := d.Int(), d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if sets != c.sets || ways != c.ways {
-		return fmt.Errorf("%w: cache geometry %dx%d in snapshot, machine has %dx%d",
-			checkpoint.ErrCorrupt, sets, ways, c.sets, c.ways)
-	}
-	c.clock = d.U64()
-	for i := range c.lines {
-		l := &c.lines[i]
-		l.tag = isa.BlockID(d.U64())
-		l.valid = d.Bool()
-		l.lru = d.U64()
-		l.Flags = d.U8()
-		l.Aux = d.U8()
-		if l.valid {
-			c.tags[i] = tagKey(l.tag)
-			c.lrus[i] = l.lru
-		} else {
-			c.tags[i] = 0
-			c.lrus[i] = 0
+		checkpoint.Word(cp, &l.tag)
+		cp.Bool(&l.valid)
+		cp.U64(&l.lru)
+		cp.U8(&l.Flags)
+		cp.U8(&l.Aux)
+		if cp.Loading() {
+			c.tags[i], c.lrus[i] = 0, 0
+			if l.valid {
+				c.tags[i], c.lrus[i] = tagKey(l.tag), l.lru
+			}
 		}
 	}
-	return d.End()
+	cp.End()
 }

@@ -61,8 +61,9 @@ type MSHRFile struct {
 	// headKey/headOK memoize head()'s answer while headValid, so the
 	// per-cycle EarliestReady/Ready peeks cost a branch instead of a hash
 	// probe. Invalidated by anything that can change the minimum live key:
-	// pop, freeing the head's block, Reset, Restore. push keeps it valid by
-	// folding the new key in (a push can only lower the minimum).
+	// pop, freeing the head's block, Reset (a loading State resets). push
+	// keeps it valid by folding the new key in (a push can only lower the
+	// minimum).
 	headKey   mshrKey
 	headOK    bool
 	headValid bool
@@ -162,7 +163,7 @@ func (f *MSHRFile) Len() int { return f.entries.Len() }
 func (f *MSHRFile) Full() bool { return f.entries.Len() >= f.cap }
 
 // Lookup returns the in-flight entry for b, if any. The pointer is
-// invalidated by the next Alloc, AllocDemand, Free, Reset, or Restore.
+// invalidated by the next Alloc, AllocDemand, Free, Reset, or loading State.
 func (f *MSHRFile) Lookup(b isa.BlockID) (*MSHR, bool) {
 	m := f.entries.Ptr(b)
 	return m, m != nil
@@ -282,63 +283,33 @@ func (f *MSHRFile) Reset() {
 	f.headValid = false
 }
 
-// Snapshot serialises the file's capacity and every in-flight entry, in
-// ascending block order so the encoding is byte-deterministic.
-func (f *MSHRFile) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("mshr")
-	e.Int(f.cap)
-	blocks := f.entries.AppendKeys(make([]isa.BlockID, 0, f.entries.Len()))
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	e.Int(len(blocks))
-	for _, b := range blocks {
-		m := f.entries.Ptr(b)
-		e.U64(uint64(m.Block))
-		e.U64(m.IssueCycle)
-		e.U64(m.ReadyCycle)
-		e.Bool(m.Prefetch)
-		e.Bool(m.Demanded)
-		e.Bool(m.Buffered)
-	}
-	e.End()
-}
-
-// Restore loads state written by Snapshot.
-func (f *MSHRFile) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("mshr"); err != nil {
-		return err
-	}
-	cap := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if cap != f.cap {
-		return fmt.Errorf("%w: MSHR capacity %d in snapshot, machine has %d",
-			checkpoint.ErrCorrupt, cap, f.cap)
-	}
-	n := d.Count(8*3 + 3)
-	f.entries.Clear()
-	f.heap = f.heap[:0]
-	f.headValid = false
-	for i := 0; i < n; i++ {
-		m := MSHR{
-			Block:      isa.BlockID(d.U64()),
-			IssueCycle: d.U64(),
-			ReadyCycle: d.U64(),
-			Prefetch:   d.Bool(),
-			Demanded:   d.Bool(),
-			Buffered:   d.Bool(),
-		}
-		if d.Err() != nil {
-			break
-		}
-		if f.entries.Contains(m.Block) {
-			return fmt.Errorf("%w: duplicate MSHR entry for block %#x",
-				checkpoint.ErrCorrupt, uint64(m.Block))
-		}
-		f.entries.Put(m.Block, m)
-		f.noteInsert(m.Block, m.ReadyCycle)
-	}
-	return d.End()
+// State walks the file's capacity and every in-flight entry, in ascending
+// block order so the encoding is byte-deterministic.
+func (f *MSHRFile) State(c *checkpoint.Codec) {
+	c.Begin("mshr")
+	c.Fixed("MSHR capacity", f.cap)
+	checkpoint.Map(c, "MSHR file", f.entries.AppendKeys(nil), 8*3+3, checkpoint.Unbounded, f.Reset,
+		func(b isa.BlockID) {
+			m := MSHR{Block: b}
+			if !c.Loading() {
+				m = *f.entries.Ptr(b)
+			}
+			c.U64(&m.IssueCycle)
+			c.U64(&m.ReadyCycle)
+			c.Bool(&m.Prefetch)
+			c.Bool(&m.Demanded)
+			c.Bool(&m.Buffered)
+			if !c.Loading() || c.Err() != nil {
+				return
+			}
+			if f.entries.Contains(b) {
+				c.Corrupt("duplicate MSHR entry for block %#x", uint64(b))
+				return
+			}
+			f.entries.Put(b, m)
+			f.noteInsert(b, m.ReadyCycle)
+		})
+	c.End()
 }
 
 // Audit checks the file's structural invariants at a tick boundary, where

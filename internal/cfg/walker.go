@@ -1,7 +1,6 @@
 package cfg
 
 import (
-	"fmt"
 	"math/rand"
 
 	"dnc/internal/checkpoint"
@@ -207,19 +206,17 @@ func (w *Walker) dataAddr() isa.Addr {
 // CallDepth returns the current simulated call-stack depth.
 func (w *Walker) CallDepth() int { return len(w.stack) }
 
-// Snapshot serialises the walker's position and randomness. The PRNG is
-// captured as (seed, draw count); see countingSource.
-func (w *Walker) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("walker")
-	e.I64(w.seed)
-	e.U64(w.src.draws)
-	e.I64(int64(w.cur))
-	e.Int(w.idx)
-	e.Int(len(w.stack))
-	for _, bb := range w.stack {
-		e.I64(int64(bb))
-	}
-	e.End()
+// State walks one committed instruction (a core's or the oracle's fetched
+// but undelivered step).
+func (s *Step) State(c *checkpoint.Codec) {
+	checkpoint.Word(c, &s.Inst.PC)
+	c.U8(&s.Inst.Size)
+	checkpoint.Byte(c, &s.Inst.Kind)
+	checkpoint.Word(c, &s.Inst.Target)
+	c.Bool(&s.Taken)
+	checkpoint.Word(c, &s.NextPC)
+	checkpoint.Word(c, &s.TargetPC)
+	checkpoint.Word(c, &s.DataAddr)
 }
 
 // maxDrawsPerStep bounds the PRNG draws one Next call makes: a load or store
@@ -228,61 +225,51 @@ func (w *Walker) Snapshot(e *checkpoint.Encoder) {
 // once in thousands. Measured runs average under one draw per step.
 const maxDrawsPerStep = 8
 
-// Restore loads state written by Snapshot, re-seeding the PRNG and
-// replaying its draw count so the restored stream continues bit-exactly.
-// The walker must have been built over the same program with the same seed.
-// maxSteps is the most Next calls the snapshotted run can have made: a draw
-// count beyond what that many steps draw is corrupt, not replayed — the
-// replay costs a generator step per draw, so an unchecked count read from a
-// damaged file would spin for as long as the count says.
-func (w *Walker) Restore(d *checkpoint.Decoder, maxSteps uint64) error {
-	if err := d.Begin("walker"); err != nil {
-		return err
-	}
-	seed := d.I64()
-	if d.Err() == nil && seed != w.seed {
-		return fmt.Errorf("%w: walker seed %d in snapshot, machine has %d",
-			checkpoint.ErrCorrupt, seed, w.seed)
-	}
-	draws := d.U64()
-	if d.Err() == nil && draws/maxDrawsPerStep > maxSteps {
-		return fmt.Errorf("%w: walker drew %d times, a run of at most %d steps cannot have",
-			checkpoint.ErrCorrupt, draws, maxSteps)
-	}
-	cur := int32(d.I64())
-	idx := d.Int()
-	if d.Err() == nil {
-		if cur < 0 || int(cur) >= len(w.prog.Blocks) {
-			return fmt.Errorf("%w: walker block index %d out of range", checkpoint.ErrCorrupt, cur)
-		}
-		if idx < 0 || idx >= len(w.prog.Blocks[cur].Insts) {
-			return fmt.Errorf("%w: walker instruction index %d out of range", checkpoint.ErrCorrupt, idx)
+// State walks the walker's position and randomness. The PRNG is captured as
+// (seed, draw count); see countingSource. Loading re-seeds it and replays
+// the draw count, so the restored stream continues bit-exactly; the walker
+// must have been built over the same program with the same seed. maxSteps is
+// the most Next calls the snapshotted run can have made: a draw count beyond
+// what that many steps draw is corrupt, not replayed — the replay costs a
+// generator step per draw, so an unchecked count read from a damaged file
+// would spin for as long as the count says.
+func (w *Walker) State(c *checkpoint.Codec, maxSteps uint64) {
+	blocks := int64(len(w.prog.Blocks))
+	c.Begin("walker")
+	checkpoint.Same(c, "walker seed", w.seed, c.I64)
+	draws, cur, idx := w.src.draws, int64(w.cur), w.idx
+	c.U64(&draws)
+	c.I64(&cur)
+	c.Int(&idx)
+	if c.Loading() && c.Err() == nil {
+		switch {
+		case draws/maxDrawsPerStep > maxSteps:
+			c.Corrupt("walker drew %d times, a run of at most %d steps cannot have", draws, maxSteps)
+		case cur < 0 || cur >= blocks:
+			c.Corrupt("walker block index %d out of range", cur)
+		case idx < 0 || idx >= len(w.prog.Blocks[cur].Insts):
+			c.Corrupt("walker instruction index %d out of range", idx)
 		}
 	}
-	n := d.Count(8)
-	if d.Err() == nil && n > w.prog.Params.MaxCallDepth {
-		return fmt.Errorf("%w: walker call stack holds %d frames over depth %d",
-			checkpoint.ErrCorrupt, n, w.prog.Params.MaxCallDepth)
-	}
-	stack := w.stack[:0]
-	for i := 0; i < n; i++ {
+	checkpoint.Slice(c, "walker call stack", &w.stack, 8, w.prog.Params.MaxCallDepth, func(bb *int32) {
 		// A frame is a block to return to, or -1 where the call site had no
 		// fallthrough (the return re-dispatches).
-		bb := d.I64()
-		if d.Err() == nil && (bb < -1 || bb >= int64(len(w.prog.Blocks))) {
-			return fmt.Errorf("%w: walker call-stack block index %d out of range", checkpoint.ErrCorrupt, bb)
+		v := int64(*bb)
+		c.I64(&v)
+		if v < -1 || v >= blocks {
+			c.Corrupt("walker call-stack block index %d out of range", v)
 		}
-		stack = append(stack, int32(bb))
+		*bb = int32(v)
+	})
+	c.End()
+	if !c.Loading() || c.Err() != nil {
+		return
 	}
-	if err := d.End(); err != nil {
-		return err
-	}
-	w.src.Seed(seed)
+	w.src.Seed(w.seed)
 	for i := uint64(0); i < draws; i++ {
 		w.src.src.Uint64()
 	}
 	w.src.draws = draws
-	w.cur, w.idx, w.stack = cur, idx, stack
+	w.cur, w.idx = int32(cur), idx
 	w.insts = w.prog.Blocks[cur].Insts
-	return nil
 }

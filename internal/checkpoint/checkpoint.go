@@ -11,11 +11,22 @@
 //
 // The payload is a sequence of nested sections. A section is a
 // length-prefixed, tagged byte range: String(tag) U32(len) <len bytes>.
-// Components write their state inside a section via Encoder.Begin/End and
-// read it back via Decoder.Begin/End; End on the decoder verifies the
+// Encoder and Decoder are this byte layer. End on the decoder verifies the
 // section was consumed exactly, so a component that reads too little or too
 // much fails loudly at the section boundary instead of silently shifting
 // every later field.
+//
+// Components do not use the byte layer directly. Everything stateful has one
+// method, State(*Codec), that names its fields in layout order; a Codec runs
+// that walk in the saving direction (over an Encoder) or the loading
+// direction (over a Decoder), so a component's snapshot and its restore are
+// one description and cannot drift apart. The Codec's helpers carry the
+// checks a load makes: Same and Fixed for values the machine's configuration
+// fixes (equal or corrupt), Len, Slice, Words, Set and Map for variable
+// containers (count checked against the remaining input and the container's
+// capacity before anything is allocated), Corrupt for a value the machine
+// cannot hold. Codec.Loading marks the few places where the directions
+// genuinely differ.
 //
 // Decoding is defensive: every read is bounds-checked and malformed input
 // yields a typed error (ErrTruncated, ErrCorrupt, ErrVersion, ErrChecksum),
@@ -36,7 +47,7 @@ import (
 const (
 	// Magic identifies a snapshot file ("DNCC" little-endian).
 	Magic uint32 = 0x43434E44
-	// Version is the current snapshot format version. Restore code refuses
+	// Version is the current snapshot format version. Decode refuses
 	// other versions: snapshots are short-lived artifacts (resume a killed
 	// run), not archival, so no cross-version migration is attempted.
 	Version uint16 = 1
@@ -56,15 +67,28 @@ var (
 	ErrChecksum = errors.New("checkpoint: checksum mismatch")
 )
 
-// Encoder builds a snapshot payload. Methods never fail; the buffer grows
-// as needed. The zero value is not usable — use NewEncoder.
+// Encoder builds a snapshot: the file header, then the payload as it is
+// appended. Methods never fail; the buffer grows as needed. The zero value
+// is not usable — use NewEncoder.
 type Encoder struct {
-	buf      []byte
-	sections []int // offsets of open sections' length placeholders
+	buf      []byte // magic, version, payload so far
+	sections []int  // offsets of open sections' length placeholders
 }
 
 // NewEncoder returns an empty encoder.
-func NewEncoder() *Encoder { return &Encoder{buf: make([]byte, 0, 1<<16)} }
+func NewEncoder() *Encoder {
+	e := &Encoder{buf: make([]byte, 0, 1<<16)}
+	e.Reset()
+	return e
+}
+
+// Reset empties the encoder for another snapshot, keeping its buffer: a
+// machine that snapshots on a cadence grows one buffer once.
+func (e *Encoder) Reset() {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf[:0], Magic)
+	e.buf = binary.LittleEndian.AppendUint16(e.buf, Version)
+	e.sections = e.sections[:0]
+}
 
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
@@ -135,17 +159,16 @@ func (e *Encoder) Struct(v any) {
 	e.Bytes(b.Bytes())
 }
 
-// Marshal frames the payload with magic, version, and CRC32 trailer.
+// Marshal returns the framed snapshot: header, payload, CRC32 trailer. The
+// bytes are the encoder's own buffer, not a copy — they are valid until the
+// encoder is next written to or Reset.
 func (e *Encoder) Marshal() []byte {
 	if len(e.sections) != 0 {
 		panic("checkpoint: Marshal with unclosed section")
 	}
-	out := make([]byte, 0, len(e.buf)+10)
-	out = binary.LittleEndian.AppendUint32(out, Magic)
-	out = binary.LittleEndian.AppendUint16(out, Version)
-	out = append(out, e.buf...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-	return out
+	framed := binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
+	e.buf = framed[:len(e.buf)] // keep the grown array; the trailer is not payload
+	return framed
 }
 
 // Decoder reads a snapshot payload. Errors are sticky: after the first
@@ -285,7 +308,7 @@ func (d *Decoder) String() string { return string(d.Bytes()) }
 
 // Count reads an element count written as Int and validates it against the
 // remaining input assuming each element occupies at least elemMin bytes.
-// Restore loops use it so a corrupt count cannot drive an unbounded
+// Codec.Len loads through it so a corrupt count cannot drive an unbounded
 // allocation or loop.
 func (d *Decoder) Count(elemMin int) int {
 	n := d.Int()

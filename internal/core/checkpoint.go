@@ -6,236 +6,119 @@ import (
 
 	"dnc/internal/blockmap"
 	"dnc/internal/cache"
-	wl "dnc/internal/cfg"
 	"dnc/internal/checkpoint"
 	"dnc/internal/isa"
 )
 
-// Snapshot serialises the core's full architectural and timing state: the
+// State walks the core's full architectural and timing state: the
 // predictors, both L1s, the MSHR file, the prefetch buffer, fetch state, the
-// ROB ring, the metric counters, and the attached design. Snapshots are
-// taken between Tick calls, so the per-cycle bookkeeping fields (delivered,
-// transitions, cycleCause) are ephemeral and excluded, as are the
-// observability hooks — diagnostics, not architectural state.
-func (c *Core) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("core")
-	c.tage.Snapshot(e)
-	c.ras.Snapshot(e)
-	c.l1i.Snapshot(e)
-	c.l1d.Snapshot(e)
-	c.mshr.Snapshot(e)
+// ROB ring, the metric counters, and the attached design; loading needs an
+// identically configured core (same design, geometry, and workload binding).
+// Snapshots are taken between Tick calls, so the per-cycle bookkeeping
+// fields (delivered, transitions, cycleCause) are ephemeral and excluded, as
+// are the observability hooks — diagnostics, not architectural state.
+func (c *Core) State(cp *checkpoint.Codec) {
+	cp.Begin("core")
+	c.tage.State(cp)
+	c.ras.State(cp)
+	c.l1i.State(cp)
+	c.l1d.State(cp)
+	c.mshr.State(cp)
 
-	e.Bool(c.pfb != nil)
-	if c.pfb != nil {
+	if checkpoint.Same(cp, "prefetch-buffer presence", c.pfb != nil, cp.Bool) {
+		if cp.Loading() {
+			c.pfb.Clear()
+			c.pfbOrder, c.pfbHead = c.pfbOrder[:0], 0
+		}
+		// FIFO order, oldest first: (block, fill latency) pairs.
 		live := c.pfbLive()
-		e.Int(len(live))
-		for _, b := range live {
-			lat, _ := c.pfb.Get(b)
-			e.U64(uint64(b))
-			e.U64(lat)
+		checkpoint.Slice(cp, "prefetch buffer", &live, 16, c.cf.PrefetchBufferEntries, func(b *isa.BlockID) {
+			checkpoint.Word(cp, b)
+			lat, _ := c.pfb.Get(*b)
+			cp.U64(&lat)
+			if cp.Loading() {
+				c.pfb.Put(*b, lat)
+			}
+		})
+		if cp.Loading() {
+			c.pfbOrder = live
 		}
 	}
 
-	snapshotBlockTab(e, &c.prefLat, func(lat uint64) { e.U64(lat) })
+	blockTabState(cp, "prefetch-latency table", &c.prefLat, cp.U64)
 
-	e.Bool(c.bfCache != nil)
-	if c.bfCache != nil {
-		snapshotBlockTab(e, c.bfCache, func(bf isa.BF) { e.U32(bf.Pack()) })
+	if checkpoint.Same(cp, "footprint-cache presence", c.bfCache != nil, cp.Bool) {
+		blockTabState(cp, "footprint cache", c.bfCache, func(bf *isa.BF) {
+			packed := bf.Pack()
+			cp.U32(&packed)
+			if cp.Loading() {
+				*bf = isa.UnpackBF(packed)
+			}
+		})
 	}
 
-	e.U64(c.cycle)
-	encodeStep(e, &c.step)
-	e.Bool(c.haveStep)
-	e.U64(uint64(c.last2[0]))
-	e.U64(uint64(c.last2[1]))
-	e.U64(uint64(c.curBlock))
-	e.Bool(c.haveCur)
-	e.Bool(c.gateDone)
-	e.Bool(c.waiting)
-	e.U64(uint64(c.waitBlk))
-	e.U64(c.stallUntil)
-	e.Bool(c.stallBTB)
+	cp.U64(&c.cycle)
+	c.step.State(cp)
+	cp.Bool(&c.haveStep)
+	checkpoint.Word(cp, &c.last2[0])
+	checkpoint.Word(cp, &c.last2[1])
+	checkpoint.Word(cp, &c.curBlock)
+	cp.Bool(&c.haveCur)
+	cp.Bool(&c.gateDone)
+	cp.Bool(&c.waiting)
+	checkpoint.Word(cp, &c.waitBlk)
+	cp.U64(&c.stallUntil)
+	cp.Bool(&c.stallBTB)
 
-	e.Int(len(c.rob))
-	e.Int(c.robHead)
-	e.Int(c.robCount)
+	cp.Fixed("ROB entries", len(c.rob))
+	cp.Int(&c.robHead)
+	cp.Int(&c.robCount)
+	if cp.Loading() {
+		if cp.Err() == nil && (c.robHead < 0 || c.robHead >= len(c.rob) || c.robCount < 0 || c.robCount > len(c.rob)) {
+			cp.Corrupt("ROB ring position head=%d count=%d out of range", c.robHead, c.robCount)
+		}
+		if cp.Err() != nil {
+			return
+		}
+		clear(c.rob)
+	}
 	for i := 0; i < c.robCount; i++ {
 		en := &c.rob[(c.robHead+i)%len(c.rob)]
-		e.U64(en.complete)
-		e.U64(uint64(en.inst.PC))
-		e.U8(en.inst.Size)
-		e.U8(uint8(en.inst.Kind))
-		e.U64(uint64(en.inst.Target))
-		e.Bool(en.taken)
-		e.U64(uint64(en.target))
+		cp.U64(&en.complete)
+		checkpoint.Word(cp, &en.inst.PC)
+		cp.U8(&en.inst.Size)
+		checkpoint.Byte(cp, &en.inst.Kind)
+		checkpoint.Word(cp, &en.inst.Target)
+		cp.Bool(&en.taken)
+		checkpoint.Word(cp, &en.target)
 	}
 
-	e.Bool(c.startup)
-	e.U64(c.totalRetired)
-	e.U64(c.totalDelivered)
-	e.Struct(&c.M)
-	c.design.Snapshot(e)
-	e.End()
+	cp.Bool(&c.startup)
+	cp.U64(&c.totalRetired)
+	cp.U64(&c.totalDelivered)
+	cp.Struct(&c.M)
+	c.design.State(cp)
+	cp.End()
+	if cp.Loading() {
+		// Fast-forward state is not checkpointed: the first full Tick after a
+		// restore recomputes it, and every skipped cycle it stood for is
+		// equivalent to a full stalled Tick, so resumed runs stay bit-exact.
+		c.idleWake = 0
+	}
 }
 
-// Restore loads state written by Snapshot into an identically configured
-// core (same design, geometry, and workload binding).
-func (c *Core) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("core"); err != nil {
-		return err
-	}
-	if err := c.tage.Restore(d); err != nil {
-		return err
-	}
-	if err := c.ras.Restore(d); err != nil {
-		return err
-	}
-	if err := c.l1i.Restore(d); err != nil {
-		return err
-	}
-	if err := c.l1d.Restore(d); err != nil {
-		return err
-	}
-	if err := c.mshr.Restore(d); err != nil {
-		return err
-	}
-
-	hasPFB := d.Bool()
-	if d.Err() == nil && hasPFB != (c.pfb != nil) {
-		return fmt.Errorf("%w: snapshot prefetch-buffer presence %v, machine has %v",
-			checkpoint.ErrCorrupt, hasPFB, c.pfb != nil)
-	}
-	if hasPFB {
-		n := d.Count(16)
-		if d.Err() == nil && n > c.cf.PrefetchBufferEntries {
-			return fmt.Errorf("%w: prefetch buffer holds %d blocks over capacity %d",
-				checkpoint.ErrCorrupt, n, c.cf.PrefetchBufferEntries)
-		}
-		c.pfb.Clear()
-		c.pfbOrder = c.pfbOrder[:0]
-		c.pfbHead = 0
-		for i := 0; i < n; i++ {
-			b := isa.BlockID(d.U64())
-			c.pfb.Put(b, d.U64())
-			c.pfbOrder = append(c.pfbOrder, b)
-		}
-	}
-
-	if err := restoreBlockTab(d, &c.prefLat, func() uint64 { return d.U64() }); err != nil {
-		return err
-	}
-
-	hasBF := d.Bool()
-	if d.Err() == nil && hasBF != (c.bfCache != nil) {
-		return fmt.Errorf("%w: snapshot footprint-cache presence %v, machine has %v",
-			checkpoint.ErrCorrupt, hasBF, c.bfCache != nil)
-	}
-	if hasBF {
-		if err := restoreBlockTab(d, c.bfCache, func() isa.BF { return isa.UnpackBF(d.U32()) }); err != nil {
-			return err
-		}
-	}
-
-	c.cycle = d.U64()
-	decodeStep(d, &c.step)
-	c.haveStep = d.Bool()
-	c.last2[0] = isa.Addr(d.U64())
-	c.last2[1] = isa.Addr(d.U64())
-	c.curBlock = isa.BlockID(d.U64())
-	c.haveCur = d.Bool()
-	c.gateDone = d.Bool()
-	c.waiting = d.Bool()
-	c.waitBlk = isa.BlockID(d.U64())
-	c.stallUntil = d.U64()
-	c.stallBTB = d.Bool()
-
-	robLen := d.Int()
-	if d.Err() == nil && robLen != len(c.rob) {
-		return fmt.Errorf("%w: ROB has %d entries in snapshot, machine has %d",
-			checkpoint.ErrCorrupt, robLen, len(c.rob))
-	}
-	head, count := d.Int(), d.Int()
-	if d.Err() == nil && (head < 0 || head >= robLen || count < 0 || count > robLen) {
-		return fmt.Errorf("%w: ROB ring position head=%d count=%d out of range",
-			checkpoint.ErrCorrupt, head, count)
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.robHead, c.robCount = head, count
-	for i := range c.rob {
-		c.rob[i] = robEntry{}
-	}
-	for i := 0; i < count; i++ {
-		en := &c.rob[(head+i)%robLen]
-		en.complete = d.U64()
-		en.inst.PC = isa.Addr(d.U64())
-		en.inst.Size = d.U8()
-		en.inst.Kind = isa.Kind(d.U8())
-		en.inst.Target = isa.Addr(d.U64())
-		en.taken = d.Bool()
-		en.target = isa.Addr(d.U64())
-	}
-
-	c.startup = d.Bool()
-	c.totalRetired = d.U64()
-	c.totalDelivered = d.U64()
-	if err := d.Struct(&c.M); err != nil {
-		return err
-	}
-	if err := c.design.Restore(d); err != nil {
-		return err
-	}
-	// Fast-forward state is not checkpointed: the first full Tick after a
-	// restore recomputes it, and every skipped cycle it stood for is
-	// equivalent to a full stalled Tick, so resumed runs stay bit-exact.
-	c.idleWake = 0
-	return d.End()
-}
-
-func encodeStep(e *checkpoint.Encoder, s *wl.Step) {
-	e.U64(uint64(s.Inst.PC))
-	e.U8(s.Inst.Size)
-	e.U8(uint8(s.Inst.Kind))
-	e.U64(uint64(s.Inst.Target))
-	e.Bool(s.Taken)
-	e.U64(uint64(s.NextPC))
-	e.U64(uint64(s.TargetPC))
-	e.U64(uint64(s.DataAddr))
-}
-
-func decodeStep(d *checkpoint.Decoder, s *wl.Step) {
-	s.Inst.PC = isa.Addr(d.U64())
-	s.Inst.Size = d.U8()
-	s.Inst.Kind = isa.Kind(d.U8())
-	s.Inst.Target = isa.Addr(d.U64())
-	s.Taken = d.Bool()
-	s.NextPC = isa.Addr(d.U64())
-	s.TargetPC = isa.Addr(d.U64())
-	s.DataAddr = isa.Addr(d.U64())
-}
-
-// snapshotBlockTab writes a block-keyed table in ascending key order (table
+// blockTabState walks a block-keyed table in ascending key order (table
 // iteration order is history-dependent; the encoding must not be).
-func snapshotBlockTab[V any](e *checkpoint.Encoder, m *blockmap.Map[V], enc func(V)) {
-	keys := m.AppendKeys(make([]isa.BlockID, 0, m.Len()))
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.Int(len(keys))
-	for _, b := range keys {
-		e.U64(uint64(b))
-		v, _ := m.Get(b)
-		enc(v)
-	}
-}
-
-func restoreBlockTab[V any](d *checkpoint.Decoder, m *blockmap.Map[V], dec func() V) error {
-	n := d.Count(9)
-	m.Clear()
-	for i := 0; i < n; i++ {
-		b := isa.BlockID(d.U64())
-		m.Put(b, dec())
-	}
-	return d.Err()
+func blockTabState[V any](c *checkpoint.Codec, what string, m *blockmap.Map[V], val func(*V)) {
+	checkpoint.Map(c, what, m.AppendKeys(nil), 9, checkpoint.Unbounded, m.Clear, func(b isa.BlockID) {
+		// Walk the value in its slot, made first if b is new (loading).
+		v := m.Ptr(b)
+		if v == nil {
+			var zero V
+			v = m.Put(b, zero)
+		}
+		val(v)
+	})
 }
 
 // Audit checks the core's structural invariants at a tick boundary. Each

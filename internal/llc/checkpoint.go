@@ -7,103 +7,87 @@ import (
 	"dnc/internal/isa"
 )
 
-// Snapshot serialises the LLC's full state: clock, stats, bank occupancy
-// windows, and every set's lines, BF-holder pin, and stored footprints. The
-// byte layout is that of one record per line and one (block, footprint) pair
-// per stored footprint, whatever the in-memory packing.
-func (c *LLC) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("llc")
-	e.Int(c.banks)
-	e.Int(c.setsPer)
-	e.Int(c.ways)
-	e.U64(c.clock)
-	e.U64(c.queueSum)
-	e.Struct(&c.stats)
+// State walks the LLC's full state: clock, stats, bank occupancy windows,
+// and every set's lines, BF-holder pin, and stored footprints. The byte
+// layout is that of one record per line and one (block, footprint) pair per
+// stored footprint, whatever the in-memory packing, so each record is
+// unpacked into locals, walked, and (loading) packed back. Geometry must
+// match, and the loaded state must be one this LLC can hold: a snapshot that
+// pins a BF-holder or stores footprints where DV is off, overfills a holder,
+// or stores a footprint for a block that is not resident in its set is
+// corrupt.
+func (c *LLC) State(cp *checkpoint.Codec) {
+	cp.Begin("llc")
+	cp.Fixed("LLC banks", c.banks)
+	cp.Fixed("LLC sets per bank", c.setsPer)
+	cp.Fixed("LLC ways", c.ways)
+	cp.U64(&c.clock)
+	cp.U64(&c.queueSum)
+	cp.Struct(&c.stats)
 	for i := range c.bankOcc {
-		e.U64(c.bankOcc[i].window)
-		e.U64(c.bankOcc[i].busy)
+		cp.U64(&c.bankOcc[i].window)
+		cp.U64(&c.bankOcc[i].busy)
 	}
 	for si := range c.holder {
-		base := si * c.ways
-		for w, l := range c.lines[base : base+c.ways] {
-			e.U64(uint64(blockOf(l)))
-			e.Bool(l&validBit != 0)
-			e.U64(c.lru[base+w])
-			e.Bool(l&instBit != 0)
+		if cp.Err() != nil {
+			return
 		}
-		e.Int(int(c.holder[si]) - 1)
-		bfs := c.setBFs(si)
-		e.Int(len(bfs))
-		for _, bf := range bfs {
-			e.U64(uint64(blockOf(c.lines[base+int(bf.way)])))
-			e.U32(bf.bf.Pack())
-		}
-	}
-	e.End()
-}
-
-// Restore loads state written by Snapshot. Geometry must match, and the
-// state must be one this LLC can hold: a snapshot that pins a BF-holder or
-// stores footprints where DV is off, overfills a holder, or stores a
-// footprint for a block that is not resident in its set is corrupt.
-func (c *LLC) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("llc"); err != nil {
-		return err
-	}
-	banks, setsPer, ways := d.Int(), d.Int(), d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if banks != c.banks || setsPer != c.setsPer || ways != c.ways {
-		return fmt.Errorf("%w: LLC geometry %d banks x %d sets x %d ways in snapshot, machine has %dx%dx%d",
-			checkpoint.ErrCorrupt, banks, setsPer, ways, c.banks, c.setsPer, c.ways)
-	}
-	c.clock = d.U64()
-	c.queueSum = d.U64()
-	if err := d.Struct(&c.stats); err != nil {
-		return err
-	}
-	for i := range c.bankOcc {
-		c.bankOcc[i].window = d.U64()
-		c.bankOcc[i].busy = d.U64()
-	}
-	for si := range c.holder {
 		base := si * c.ways
-		for w := 0; w < ways; w++ {
-			block, valid, lru, isInst := d.U64(), d.Bool(), d.U64(), d.Bool()
+		for w := base; w < base+c.ways; w++ {
+			l := c.lines[w]
+			block, valid, isInst := uint64(blockOf(l)), l&validBit != 0, l&instBit != 0
+			cp.U64(&block)
+			cp.Bool(&valid)
+			cp.U64(&c.lru[w])
+			cp.Bool(&isInst)
+			if !cp.Loading() {
+				continue
+			}
 			if block >= maxBlocks {
-				return fmt.Errorf("%w: set %d way %d block %#x out of range",
-					checkpoint.ErrCorrupt, si, w, block)
+				cp.Corrupt("set %d way %d block %#x out of range", si, w-base, block)
+				return
 			}
-			c.lines[base+w] = 0
+			c.lines[w] = 0
 			if valid {
-				c.lines[base+w] = packLine(isa.BlockID(block), isInst)
+				c.lines[w] = packLine(isa.BlockID(block), isInst)
 			}
-			c.lru[base+w] = lru
 		}
-		held := d.Int()
-		if d.Err() == nil && (held < -1 || held >= ways || (held >= 0 && !c.cfg.DVEnabled)) {
-			return fmt.Errorf("%w: set %d BF-holder way %d out of range",
-				checkpoint.ErrCorrupt, si, held)
+		held := int(c.holder[si]) - 1
+		cp.Int(&held)
+		bfs := c.setBFs(si)
+		n := cp.Len("BF-holder", len(bfs), 12, c.bfCap)
+		if cp.Loading() {
+			if cp.Err() == nil && (held < -1 || held >= c.ways || (held >= 0 && !c.cfg.DVEnabled)) {
+				cp.Corrupt("set %d BF-holder way %d out of range", si, held)
+			}
+			if cp.Err() != nil {
+				return
+			}
+			c.holder[si], c.bfLen[si] = uint8(held+1), uint8(n)
+			bfs = c.bfs[si*c.bfCap:][:n]
 		}
-		c.holder[si] = uint8(held + 1)
-		n := d.Count(12)
-		if n > c.bfCap {
-			return fmt.Errorf("%w: set %d stores %d footprints, holder capacity is %d",
-				checkpoint.ErrCorrupt, si, n, c.bfCap)
-		}
-		for k := 0; k < n; k++ {
-			block, bf := isa.BlockID(d.U64()), isa.UnpackBF(d.U32())
+		for k := range bfs {
+			var block isa.BlockID
+			var packed uint32
+			if !cp.Loading() {
+				block, packed = blockOf(c.lines[base+int(bfs[k].way)]), bfs[k].bf.Pack()
+			}
+			checkpoint.Word(cp, &block)
+			cp.U32(&packed)
+			if !cp.Loading() {
+				continue
+			}
 			w := c.find(si, block)
-			if d.Err() == nil && w < 0 {
-				return fmt.Errorf("%w: set %d stores a footprint for block %#x that is not resident",
-					checkpoint.ErrCorrupt, si, uint64(block))
+			if cp.Err() == nil && w < 0 {
+				cp.Corrupt("set %d stores a footprint for block %#x that is not resident", si, uint64(block))
 			}
-			c.bfs[si*c.bfCap+k] = bfEntry{way: uint8(w), bf: bf}
+			if cp.Err() != nil {
+				return
+			}
+			bfs[k] = bfEntry{way: uint8(w), bf: isa.UnpackBF(packed)}
 		}
-		c.bfLen[si] = uint8(n)
 	}
-	return d.End()
+	cp.End()
 }
 
 // Audit checks the DV-LLC structural invariants:

@@ -8,14 +8,11 @@ import (
 	"testing"
 
 	"dnc/internal/checkpoint"
+	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/isa"
 )
 
-func snapshot(c *LLC) []byte {
-	e := checkpoint.NewEncoder()
-	c.Snapshot(e)
-	return e.Marshal()
-}
+func snapshot(c *LLC) []byte { return checkpointtest.Save(c.State) }
 
 // churn drives a seeded mix of every mutating operation through the LLC,
 // over few enough blocks that sets fill, evict, pin and release holders.
@@ -215,13 +212,7 @@ func TestRestoreRoundTripAndRejections(t *testing.T) {
 	}
 	want := snapshot(src)
 
-	restore := func(into *LLC, data []byte) error {
-		d, err := checkpoint.Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return into.Restore(d)
-	}
+	restore := func(into *LLC, data []byte) error { return checkpointtest.Load(data, into.State) }
 	dst := New(small(true))
 	churn(dst, 8, 20_000)
 	if err := restore(dst, want); err != nil {

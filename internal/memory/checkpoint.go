@@ -2,24 +2,12 @@ package memory
 
 import "dnc/internal/checkpoint"
 
-// Snapshot serialises the bandwidth pipe state and statistics.
-func (d *DRAM) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("dram")
-	e.U64(d.busyUntil)
-	e.U64(d.deciDebt)
-	e.U64(d.accesses)
-	e.U64(d.queued)
-	e.End()
-}
-
-// Restore loads state written by Snapshot.
-func (d *DRAM) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("dram"); err != nil {
-		return err
-	}
-	d.busyUntil = dec.U64()
-	d.deciDebt = dec.U64()
-	d.accesses = dec.U64()
-	d.queued = dec.U64()
-	return dec.End()
+// State walks the bandwidth pipe state and statistics.
+func (d *DRAM) State(c *checkpoint.Codec) {
+	c.Begin("dram")
+	c.U64(&d.busyUntil)
+	c.U64(&d.deciDebt)
+	c.U64(&d.accesses)
+	c.U64(&d.queued)
+	c.End()
 }

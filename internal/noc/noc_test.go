@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"dnc/internal/checkpoint"
+	"dnc/internal/checkpoint/checkpointtest"
 )
 
 func TestHops(t *testing.T) {
@@ -148,23 +148,16 @@ func TestRestoreKeepsCarriedTraffic(t *testing.T) {
 	m := New(DefaultConfig())
 	m.Send(0, 15, 5, 0)
 	m.ResetStats()
-	e := checkpoint.NewEncoder()
-	m.Snapshot(e)
+	snap := checkpointtest.Save(m.State)
 
 	r := New(DefaultConfig())
-	d, err := checkpoint.Decode(e.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Restore(d); err != nil {
+	if err := checkpointtest.Load(snap, r.State); err != nil {
 		t.Fatal(err)
 	}
 	if errs := r.Audit(); len(errs) != 0 {
 		t.Fatalf("restored packet-less mesh audited dirty: %v", errs)
 	}
-	e2 := checkpoint.NewEncoder()
-	r.Snapshot(e2)
-	if !bytes.Equal(e.Marshal(), e2.Marshal()) {
+	if !bytes.Equal(snap, checkpointtest.Save(r.State)) {
 		t.Error("snapshot bytes changed across restore")
 	}
 }

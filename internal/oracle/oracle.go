@@ -26,8 +26,6 @@
 package oracle
 
 import (
-	"sort"
-
 	wl "dnc/internal/cfg"
 	"dnc/internal/checkpoint"
 	"dnc/internal/isa"
@@ -207,125 +205,39 @@ func (m *Model) NextTransition() Transition {
 	}
 }
 
-// Snapshot serialises the model for checkpointing, so a difftest-shimmed
-// run restores the oracle exactly where the interrupted run left it.
-// Everything is encoded in deterministic order (sorted sets), keeping
-// shimmed snapshots byte-deterministic like the rest of the simulator's.
-func (m *Model) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("oracle")
-	e.I64(m.seed)
-	m.retire.Snapshot(e)
-	m.fetch.Snapshot(e)
-	e.Bool(m.fvalid)
+// State walks the model for checkpointing, so a difftest-shimmed run
+// restores the oracle exactly where the interrupted run left it. The sets go
+// in sorted order, keeping shimmed snapshots byte-deterministic like the
+// rest of the simulator's. The model must have been built over the same
+// program and seed; maxSteps bounds both replays (see Walker.State).
+func (m *Model) State(c *checkpoint.Codec, maxSteps uint64) {
+	c.Begin("oracle")
+	c.I64(&m.seed)
+	m.retire.State(c, maxSteps)
+	m.fetch.State(c, maxSteps)
+	c.Bool(&m.fvalid)
 	if m.fvalid {
-		encodeStep(e, &m.fstep)
+		m.fstep.State(c)
 	}
-	e.U64(uint64(m.prev))
-	e.Bool(m.havePrev)
+	checkpoint.Word(c, &m.prev)
+	c.Bool(&m.havePrev)
 
-	e.U64(m.C.Retired)
-	e.U64(m.C.CondBranches)
-	e.U64(m.C.Jumps)
-	e.U64(m.C.Calls)
-	e.U64(m.C.Returns)
-	e.U64(m.C.Indirects)
-	e.U64(m.C.Loads)
-	e.U64(m.C.Stores)
-	e.U64(m.C.Taken)
-	e.U64(m.Transitions)
-	e.U64(m.FirstTouches)
-	e.U64(m.SeqFirst)
-	e.U64(m.DiscFirst)
-	e.U64(m.digest)
+	c.U64(&m.C.Retired)
+	c.U64(&m.C.CondBranches)
+	c.U64(&m.C.Jumps)
+	c.U64(&m.C.Calls)
+	c.U64(&m.C.Returns)
+	c.U64(&m.C.Indirects)
+	c.U64(&m.C.Loads)
+	c.U64(&m.C.Stores)
+	c.U64(&m.C.Taken)
+	c.U64(&m.Transitions)
+	c.U64(&m.FirstTouches)
+	c.U64(&m.SeqFirst)
+	c.U64(&m.DiscFirst)
+	c.U64(&m.digest)
 
-	touched := make([]isa.BlockID, 0, len(m.touched))
-	for b := range m.touched {
-		touched = append(touched, b)
-	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-	e.Int(len(touched))
-	for _, b := range touched {
-		e.U64(uint64(b))
-	}
-
-	sites := make([]isa.Addr, 0, len(m.branchSites))
-	for pc := range m.branchSites {
-		sites = append(sites, pc)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	e.Int(len(sites))
-	for _, pc := range sites {
-		e.U64(uint64(pc))
-	}
-	e.End()
-}
-
-// Restore loads state written by Snapshot into a model built over the same
-// program and seed. maxSteps bounds both replays (see Walker.Restore).
-func (m *Model) Restore(d *checkpoint.Decoder, maxSteps uint64) error {
-	if err := d.Begin("oracle"); err != nil {
-		return err
-	}
-	m.seed = d.I64()
-	if err := m.retire.Restore(d, maxSteps); err != nil {
-		return err
-	}
-	if err := m.fetch.Restore(d, maxSteps); err != nil {
-		return err
-	}
-	m.fvalid = d.Bool()
-	if m.fvalid {
-		decodeStep(d, &m.fstep)
-	}
-	m.prev = isa.BlockID(d.U64())
-	m.havePrev = d.Bool()
-
-	m.C.Retired = d.U64()
-	m.C.CondBranches = d.U64()
-	m.C.Jumps = d.U64()
-	m.C.Calls = d.U64()
-	m.C.Returns = d.U64()
-	m.C.Indirects = d.U64()
-	m.C.Loads = d.U64()
-	m.C.Stores = d.U64()
-	m.C.Taken = d.U64()
-	m.Transitions = d.U64()
-	m.FirstTouches = d.U64()
-	m.SeqFirst = d.U64()
-	m.DiscFirst = d.U64()
-	m.digest = d.U64()
-
-	n := d.Count(8)
-	m.touched = make(map[isa.BlockID]struct{}, n)
-	for i := 0; i < n; i++ {
-		m.touched[isa.BlockID(d.U64())] = struct{}{}
-	}
-	n = d.Count(8)
-	m.branchSites = make(map[isa.Addr]struct{}, n)
-	for i := 0; i < n; i++ {
-		m.branchSites[isa.Addr(d.U64())] = struct{}{}
-	}
-	return d.End()
-}
-
-func encodeStep(e *checkpoint.Encoder, s *wl.Step) {
-	e.U64(uint64(s.Inst.PC))
-	e.U8(s.Inst.Size)
-	e.U8(uint8(s.Inst.Kind))
-	e.U64(uint64(s.Inst.Target))
-	e.Bool(s.Taken)
-	e.U64(uint64(s.NextPC))
-	e.U64(uint64(s.TargetPC))
-	e.U64(uint64(s.DataAddr))
-}
-
-func decodeStep(d *checkpoint.Decoder, s *wl.Step) {
-	s.Inst.PC = isa.Addr(d.U64())
-	s.Inst.Size = d.U8()
-	s.Inst.Kind = isa.Kind(d.U8())
-	s.Inst.Target = isa.Addr(d.U64())
-	s.Taken = d.Bool()
-	s.NextPC = isa.Addr(d.U64())
-	s.TargetPC = isa.Addr(d.U64())
-	s.DataAddr = isa.Addr(d.U64())
+	checkpoint.Set(c, "touched blocks", m.touched, checkpoint.Unbounded)
+	checkpoint.Set(c, "branch sites", m.branchSites, checkpoint.Unbounded)
+	c.End()
 }

@@ -5,6 +5,7 @@ import (
 
 	wl "dnc/internal/cfg"
 	"dnc/internal/checkpoint"
+	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/isa"
 )
 
@@ -135,6 +136,10 @@ func TestCountersClassifyKinds(t *testing.T) {
 	}
 }
 
+func stateOf(m *Model) []byte {
+	return checkpointtest.Save(func(c *checkpoint.Codec) { m.State(c, 0) })
+}
+
 // TestSnapshotRestoreResumesBothStreams interrupts a model mid-run,
 // round-trips it through the checkpoint codec, and checks that the restored
 // model continues both reference streams exactly where the original would.
@@ -149,14 +154,8 @@ func TestSnapshotRestoreResumesBothStreams(t *testing.T) {
 		m.NextTransition()
 	}
 
-	e := checkpoint.NewEncoder()
-	m.Snapshot(e)
-	d, err := checkpoint.Decode(e.Marshal())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
 	r := New(prog, 5)
-	if err := r.Restore(d, 1<<20); err != nil {
+	if err := checkpointtest.Load(stateOf(m), func(c *checkpoint.Codec) { r.State(c, 1<<20) }); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if r.Digest() != m.Digest() || r.C != m.C || r.Transitions != m.Transitions ||
@@ -188,9 +187,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 			m.NextRetire(&s)
 			m.NextTransition()
 		}
-		e := checkpoint.NewEncoder()
-		m.Snapshot(e)
-		return e.Marshal()
+		return stateOf(m)
 	}
 	a, b := enc(), enc()
 	if string(a) != string(b) {

@@ -2,454 +2,181 @@ package prefetch
 
 import (
 	"fmt"
-	"sort"
 
 	"dnc/internal/btb"
 	"dnc/internal/checkpoint"
 	"dnc/internal/isa"
 )
 
-// This file implements Snapshot/Restore for every design and its internal
-// structures. Geometry (table sizes, queue capacities) is configuration,
-// re-established by the design constructor; snapshots carry only mutable
-// state plus enough geometry to verify the snapshot matches the machine.
-// Map-backed state is serialised in sorted key order so encoding is
-// byte-deterministic.
+// This file is every design's and internal structure's State: the one walk
+// that is both its snapshot and its restore. Geometry (table sizes, queue
+// capacities) is configuration, re-established by the design constructor;
+// snapshots carry only mutable state plus enough geometry to verify the
+// snapshot matches the machine. Map-backed state goes in sorted key order so
+// the encoding is byte-deterministic.
 
-func lenMismatch(what string, got, want int) error {
-	return fmt.Errorf("%w: %s has %d entries in snapshot, machine has %d",
-		checkpoint.ErrCorrupt, what, got, want)
+// State walks the BTB, the optional prefetch buffer, and the promotion
+// counter.
+func (b *ConvBTB) State(c *checkpoint.Codec) {
+	c.Begin("convbtb")
+	b.BTB.State(c)
+	if checkpoint.Same(c, "prefetch-buffer presence", b.PB != nil, c.Bool) {
+		b.PB.State(c)
+	}
+	c.U64(&b.PBPromotions)
+	c.End()
 }
 
-// sortedBlocks returns a map's BlockID keys in ascending order.
-func sortedBlocks[V any](m map[isa.BlockID]V) []isa.BlockID {
-	keys := make([]isa.BlockID, 0, len(m))
-	for b := range m {
-		keys = append(keys, b)
+// State walks the bit table.
+func (t *SeqTable) State(c *checkpoint.Codec) {
+	c.Begin("seqtable")
+	c.Fixed("SeqTable entries", t.n)
+	c.Fixed("SeqTable words", len(t.bits))
+	for i := range t.bits {
+		c.U64(&t.bits[i])
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	c.End()
 }
 
-// ConvBTB
-
-// Snapshot serialises the BTB, the optional prefetch buffer, and the
-// promotion counter.
-func (c *ConvBTB) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("convbtb")
-	c.BTB.Snapshot(e)
-	e.Bool(c.PB != nil)
-	if c.PB != nil {
-		c.PB.Snapshot(e)
-	}
-	e.U64(c.PBPromotions)
-	e.End()
-}
-
-// Restore loads state written by Snapshot.
-func (c *ConvBTB) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("convbtb"); err != nil {
-		return err
-	}
-	if err := c.BTB.Restore(d); err != nil {
-		return err
-	}
-	hasPB := d.Bool()
-	if d.Err() == nil && hasPB != (c.PB != nil) {
-		return fmt.Errorf("%w: snapshot prefetch-buffer presence %v, machine has %v",
-			checkpoint.ErrCorrupt, hasPB, c.PB != nil)
-	}
-	if hasPB && c.PB != nil {
-		if err := c.PB.Restore(d); err != nil {
-			return err
-		}
-	}
-	c.PBPromotions = d.U64()
-	return d.End()
-}
-
-// SeqTable
-
-// Snapshot serialises the bit table.
-func (t *SeqTable) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("seqtable")
-	e.Int(t.n)
-	e.Int(len(t.bits))
-	for _, w := range t.bits {
-		e.U64(w)
-	}
-	e.End()
-}
-
-// Restore loads state written by Snapshot.
-func (t *SeqTable) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("seqtable"); err != nil {
-		return err
-	}
-	n := d.Int()
-	if d.Err() == nil && n != t.n {
-		return lenMismatch("SeqTable", n, t.n)
-	}
-	words := d.Count(8)
-	if d.Err() == nil && words != len(t.bits) {
-		return lenMismatch("SeqTable words", words, len(t.bits))
-	}
-	for i := 0; i < words; i++ {
-		t.bits[i] = d.U64()
-	}
-	return d.End()
-}
-
-// DisTable
-
-// Snapshot serialises the discontinuity table.
-func (t *DisTable) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("distable")
-	e.Int(t.n)
-	e.U64(t.Conflicts)
+// State walks the discontinuity table.
+func (t *DisTable) State(c *checkpoint.Codec) {
+	c.Begin("distable")
+	c.Fixed("DisTable entries", t.n)
+	c.U64(&t.Conflicts)
 	for i := 0; i < t.n; i++ {
-		e.Bool(t.valid[i])
-		e.U16(t.tags[i])
-		e.U8(t.offsets[i])
+		c.Bool(&t.valid[i])
+		c.U16(&t.tags[i])
+		c.U8(&t.offsets[i])
 	}
-	e.End()
+	c.End()
 }
 
-// Restore loads state written by Snapshot.
-func (t *DisTable) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("distable"); err != nil {
-		return err
+func (r *RLU) state(c *checkpoint.Codec) {
+	c.Fixed("RLU entries", len(r.entries))
+	c.Int(&r.next)
+	if n := len(r.entries); c.Loading() && n > 0 && (r.next < 0 || r.next >= n) {
+		c.Corrupt("RLU cursor %d out of range", r.next)
 	}
-	n := d.Int()
-	if d.Err() == nil && n != t.n {
-		return lenMismatch("DisTable", n, t.n)
-	}
-	t.Conflicts = d.U64()
-	for i := 0; i < t.n && d.Err() == nil; i++ {
-		t.valid[i] = d.Bool()
-		t.tags[i] = d.U16()
-		t.offsets[i] = d.U8()
-	}
-	return d.End()
-}
-
-func (r *RLU) snapshot(e *checkpoint.Encoder) {
-	e.Int(len(r.entries))
-	e.Int(r.next)
 	for i := range r.entries {
-		e.U64(uint64(r.entries[i]))
-		e.Bool(r.valid[i])
+		checkpoint.Word(c, &r.entries[i])
+		c.Bool(&r.valid[i])
 	}
 }
 
-func (r *RLU) restore(d *checkpoint.Decoder) error {
-	n := d.Int()
-	if d.Err() == nil && n != len(r.entries) {
-		return lenMismatch("RLU", n, len(r.entries))
-	}
-	r.next = d.Int()
-	if d.Err() == nil && n > 0 && (r.next < 0 || r.next >= n) {
-		return fmt.Errorf("%w: RLU cursor %d out of range", checkpoint.ErrCorrupt, r.next)
+// state walks the queued items in FIFO order; a loaded queue starts at the
+// ring's first slot.
+func (q *boundedQueue) state(c *checkpoint.Codec) {
+	c.Fixed("queue capacity", q.cap)
+	c.U64(&q.Drops)
+	n := c.Len("queue", q.n, 17, q.cap)
+	if c.Loading() {
+		q.head, q.n = 0, n
 	}
 	for i := 0; i < n; i++ {
-		r.entries[i] = isa.BlockID(d.U64())
-		r.valid[i] = d.Bool()
-	}
-	return d.Err()
-}
-
-func (q *boundedQueue) snapshot(e *checkpoint.Encoder) {
-	e.Int(q.cap)
-	e.U64(q.Drops)
-	e.Int(q.len())
-	for i := 0; i < q.len(); i++ {
-		it := q.at(i)
-		e.U64(uint64(it.block))
-		e.Int(it.depth)
-		e.Bool(it.fromDis)
+		it := &q.ring[(q.head+i)%len(q.ring)]
+		checkpoint.Word(c, &it.block)
+		c.Int(&it.depth)
+		c.Bool(&it.fromDis)
 	}
 }
 
-func (q *boundedQueue) restore(d *checkpoint.Decoder) error {
-	c := d.Int()
-	if d.Err() == nil && c != q.cap {
-		return lenMismatch("queue capacity", c, q.cap)
-	}
-	q.Drops = d.U64()
-	n := d.Count(17)
-	if d.Err() == nil && n > q.cap {
-		return fmt.Errorf("%w: queue holds %d items over capacity %d",
-			checkpoint.ErrCorrupt, n, q.cap)
-	}
-	q.reset()
-	for i := 0; i < n; i++ {
-		q.push(qItem{
-			block:   isa.BlockID(d.U64()),
-			depth:   d.Int(),
-			fromDis: d.Bool(),
-		})
-	}
-	return d.Err()
+func (q *ftq) state(c *checkpoint.Codec) {
+	c.Fixed("FTQ capacity", q.cap)
+	checkpoint.Words(c, "FTQ", &q.blocks, q.cap)
 }
 
-func (q *ftq) snapshot(e *checkpoint.Encoder) {
-	e.Int(q.cap)
-	e.Int(len(q.blocks))
-	for _, b := range q.blocks {
-		e.U64(uint64(b))
+func (r *bbRecorder) state(c *checkpoint.Codec) {
+	checkpoint.Word(c, &r.start)
+	c.Bool(&r.have)
+}
+
+// indexState walks the tagged position index Confluence and PIF share.
+func indexState(c *checkpoint.Codec, what string, valid []bool, tags []uint16, pos []int32) {
+	c.Fixed(what, len(valid))
+	for i := range valid {
+		c.Bool(&valid[i])
+		c.U16(&tags[i])
+		checkpoint.Word32(c, &pos[i])
 	}
 }
 
-func (q *ftq) restore(d *checkpoint.Decoder) error {
-	c := d.Int()
-	if d.Err() == nil && c != q.cap {
-		return lenMismatch("FTQ capacity", c, q.cap)
-	}
-	n := d.Count(8)
-	if d.Err() == nil && n > q.cap {
-		return fmt.Errorf("%w: FTQ holds %d blocks over capacity %d",
-			checkpoint.ErrCorrupt, n, q.cap)
-	}
-	q.blocks = q.blocks[:0]
-	for i := 0; i < n; i++ {
-		q.blocks = append(q.blocks, isa.BlockID(d.U64()))
-	}
-	return d.Err()
+// State implements Design.
+func (d *Baseline) State(c *checkpoint.Codec) {
+	c.Begin("baseline")
+	d.btb.State(c)
+	c.End()
 }
 
-func (r *bbRecorder) snapshot(e *checkpoint.Encoder) {
-	e.U64(uint64(r.start))
-	e.Bool(r.have)
+// State implements Design.
+func (d *NXL) State(c *checkpoint.Codec) {
+	c.Begin("nxl")
+	d.btb.State(c)
+	c.End()
 }
 
-func (r *bbRecorder) restore(d *checkpoint.Decoder) error {
-	r.start = isa.Addr(d.U64())
-	r.have = d.Bool()
-	return d.Err()
+// State implements Design.
+func (d *SN4L) State(c *checkpoint.Codec) {
+	c.Begin("sn4l")
+	d.btb.State(c)
+	d.seq.State(c)
+	c.U64(&d.UsefulHits)
+	c.U64(&d.Issued)
+	c.End()
 }
 
-// Baseline
-
-// Snapshot implements Design.
-func (d *Baseline) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("baseline")
-	d.btb.Snapshot(e)
-	e.End()
+// State implements Design.
+func (d *Dis) State(c *checkpoint.Codec) {
+	c.Begin("dis")
+	d.btb.State(c)
+	d.tab.State(c)
+	checkpoint.Set(c, "Dis pending set", d.pending, checkpoint.Unbounded)
+	c.U64(&d.Recorded)
+	c.Struct(&d.Replay)
+	c.End()
 }
 
-// Restore implements Design.
-func (d *Baseline) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("baseline"); err != nil {
-		return err
-	}
-	if err := d.btb.Restore(dec); err != nil {
-		return err
-	}
-	return dec.End()
-}
-
-// NXL
-
-// Snapshot implements Design.
-func (d *NXL) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("nxl")
-	d.btb.Snapshot(e)
-	e.End()
-}
-
-// Restore implements Design.
-func (d *NXL) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("nxl"); err != nil {
-		return err
-	}
-	if err := d.btb.Restore(dec); err != nil {
-		return err
-	}
-	return dec.End()
-}
-
-// SN4L
-
-// Snapshot implements Design.
-func (d *SN4L) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("sn4l")
-	d.btb.Snapshot(e)
-	d.seq.Snapshot(e)
-	e.U64(d.UsefulHits)
-	e.U64(d.Issued)
-	e.End()
-}
-
-// Restore implements Design.
-func (d *SN4L) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("sn4l"); err != nil {
-		return err
-	}
-	if err := d.btb.Restore(dec); err != nil {
-		return err
-	}
-	if err := d.seq.Restore(dec); err != nil {
-		return err
-	}
-	d.UsefulHits = dec.U64()
-	d.Issued = dec.U64()
-	return dec.End()
-}
-
-// Dis
-
-// Snapshot implements Design.
-func (d *Dis) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("dis")
-	d.btb.Snapshot(e)
-	d.tab.Snapshot(e)
-	e.Int(len(d.pending))
-	for _, b := range sortedBlocks(d.pending) {
-		e.U64(uint64(b))
-	}
-	e.U64(d.Recorded)
-	e.Struct(&d.Replay)
-	e.End()
-}
-
-// Restore implements Design.
-func (d *Dis) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("dis"); err != nil {
-		return err
-	}
-	if err := d.btb.Restore(dec); err != nil {
-		return err
-	}
-	if err := d.tab.Restore(dec); err != nil {
-		return err
-	}
-	n := dec.Count(8)
-	clear(d.pending)
-	for i := 0; i < n; i++ {
-		d.pending[isa.BlockID(dec.U64())] = struct{}{}
-	}
-	d.Recorded = dec.U64()
-	if err := dec.Struct(&d.Replay); err != nil {
-		return err
-	}
-	return dec.End()
-}
-
-// Discontinuity
-
-// Snapshot implements Design.
-func (d *Discontinuity) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("discontinuity")
-	d.btb.Snapshot(e)
-	e.Int(len(d.valid))
+// State implements Design.
+func (d *Discontinuity) State(c *checkpoint.Codec) {
+	c.Begin("discontinuity")
+	d.btb.State(c)
+	c.Fixed("discontinuity table entries", len(d.valid))
 	for i := range d.valid {
-		e.Bool(d.valid[i])
-		e.U16(d.tags[i])
-		e.U64(uint64(d.targets[i]))
+		c.Bool(&d.valid[i])
+		c.U16(&d.tags[i])
+		checkpoint.Word(c, &d.targets[i])
 	}
-	e.U64(uint64(d.prevBlock))
-	e.Bool(d.havePrev)
-	e.U64(d.Recorded)
-	e.U64(d.Issued)
-	e.End()
+	checkpoint.Word(c, &d.prevBlock)
+	c.Bool(&d.havePrev)
+	c.U64(&d.Recorded)
+	c.U64(&d.Issued)
+	c.End()
 }
 
-// Restore implements Design.
-func (d *Discontinuity) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("discontinuity"); err != nil {
-		return err
-	}
-	if err := d.btb.Restore(dec); err != nil {
-		return err
-	}
-	n := dec.Int()
-	if dec.Err() == nil && n != len(d.valid) {
-		return lenMismatch("discontinuity table", n, len(d.valid))
-	}
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		d.valid[i] = dec.Bool()
-		d.tags[i] = dec.U16()
-		d.targets[i] = isa.BlockID(dec.U64())
-	}
-	d.prevBlock = isa.BlockID(dec.U64())
-	d.havePrev = dec.Bool()
-	d.Recorded = dec.U64()
-	d.Issued = dec.U64()
-	return dec.End()
-}
-
-// Proactive
-
-// Snapshot implements Design.
-func (p *Proactive) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("proactive")
-	p.btb.Snapshot(e)
-	p.seq.Snapshot(e)
-	p.dis.Snapshot(e)
-	p.rlu.snapshot(e)
-	p.seqQ.snapshot(e)
-	p.disQ.snapshot(e)
-	p.rluQ.snapshot(e)
-	e.Int(len(p.pendingDecode))
-	for _, b := range sortedBlocks(p.pendingDecode) {
-		e.U64(uint64(b))
-		e.Int(p.pendingDecode[b])
-	}
-	e.Int(len(p.disIssued))
-	for _, b := range sortedBlocks(p.disIssued) {
-		e.U64(uint64(b))
-	}
-	e.U64(p.Recorded)
-	e.Struct(&p.Replay)
-	e.U64(p.SeqIssued)
-	e.U64(p.DisIssued)
-	e.U64(p.PBFills)
-	e.U64(p.RLUFilters)
-	e.End()
-}
-
-// Restore implements Design.
-func (p *Proactive) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("proactive"); err != nil {
-		return err
-	}
-	if err := p.btb.Restore(dec); err != nil {
-		return err
-	}
-	if err := p.seq.Restore(dec); err != nil {
-		return err
-	}
-	if err := p.dis.Restore(dec); err != nil {
-		return err
-	}
-	if err := p.rlu.restore(dec); err != nil {
-		return err
-	}
-	for _, q := range []*boundedQueue{p.seqQ, p.disQ, p.rluQ} {
-		if err := q.restore(dec); err != nil {
-			return err
-		}
-	}
-	n := dec.Count(16)
-	clear(p.pendingDecode)
-	for i := 0; i < n; i++ {
-		b := isa.BlockID(dec.U64())
-		p.pendingDecode[b] = dec.Int()
-	}
-	n = dec.Count(8)
-	clear(p.disIssued)
-	for i := 0; i < n; i++ {
-		p.disIssued[isa.BlockID(dec.U64())] = struct{}{}
-	}
-	p.Recorded = dec.U64()
-	if err := dec.Struct(&p.Replay); err != nil {
-		return err
-	}
-	p.SeqIssued = dec.U64()
-	p.DisIssued = dec.U64()
-	p.PBFills = dec.U64()
-	p.RLUFilters = dec.U64()
-	return dec.End()
+// State implements Design.
+func (p *Proactive) State(c *checkpoint.Codec) {
+	c.Begin("proactive")
+	p.btb.State(c)
+	p.seq.State(c)
+	p.dis.State(c)
+	p.rlu.state(c)
+	p.seqQ.state(c)
+	p.disQ.state(c)
+	p.rluQ.state(c)
+	checkpoint.Map(c, "deferred-decode set", checkpoint.Keys(p.pendingDecode), 16, checkpoint.Unbounded,
+		func() { clear(p.pendingDecode) },
+		func(b isa.BlockID) {
+			depth := p.pendingDecode[b]
+			c.Int(&depth)
+			p.pendingDecode[b] = depth
+		})
+	checkpoint.Set(c, "Dis-issued set", p.disIssued, checkpoint.Unbounded)
+	c.U64(&p.Recorded)
+	c.Struct(&p.Replay)
+	c.U64(&p.SeqIssued)
+	c.U64(&p.DisIssued)
+	c.U64(&p.PBFills)
+	c.U64(&p.RLUFilters)
+	c.End()
 }
 
 // Audit checks the proactive engine's queue and deferred-set bounds: queue
@@ -477,334 +204,116 @@ func (p *Proactive) Audit() []error {
 	return errs
 }
 
-// Confluence
-
-// Snapshot implements Design.
-func (c *Confluence) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("confluence")
-	c.btb.Snapshot(e)
-	e.Int(len(c.hist))
-	for _, b := range c.hist {
-		e.U64(uint64(b))
+// State implements Design.
+func (d *Confluence) State(c *checkpoint.Codec) {
+	c.Begin("confluence")
+	d.btb.State(c)
+	c.Fixed("confluence history entries", len(d.hist))
+	for i := range d.hist {
+		checkpoint.Word(c, &d.hist[i])
 	}
-	e.Int(c.histPos)
-	e.Bool(c.full)
-	e.Int(len(c.idxValid))
-	for i := range c.idxValid {
-		e.Bool(c.idxValid[i])
-		e.U16(c.idxTag[i])
-		e.U32(uint32(c.idxPos[i]))
-	}
-	e.Int(c.streamPos)
-	e.Bool(c.streamLive)
-	e.U64(c.StreamStarts)
-	e.U64(c.StreamPrefetches)
-	e.End()
+	c.Int(&d.histPos)
+	c.Bool(&d.full)
+	indexState(c, "confluence index entries", d.idxValid, d.idxTag, d.idxPos)
+	c.Int(&d.streamPos)
+	c.Bool(&d.streamLive)
+	c.U64(&d.StreamStarts)
+	c.U64(&d.StreamPrefetches)
+	c.End()
 }
 
-// Restore implements Design.
-func (c *Confluence) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("confluence"); err != nil {
-		return err
+// State implements Design.
+func (p *PIF) State(c *checkpoint.Codec) {
+	c.Begin("pif")
+	p.btb.State(c)
+	checkpoint.Word(c, &p.curTrigger)
+	c.U16(&p.curBits)
+	c.Bool(&p.haveCur)
+	c.Fixed("PIF history entries", len(p.hist))
+	for i := range p.hist {
+		checkpoint.Word(c, &p.hist[i].trigger)
+		c.U16(&p.hist[i].bits)
 	}
-	if err := c.btb.Restore(d); err != nil {
-		return err
-	}
-	n := d.Count(8)
-	if d.Err() == nil && n != len(c.hist) {
-		return lenMismatch("confluence history", n, len(c.hist))
-	}
-	for i := 0; i < n; i++ {
-		c.hist[i] = isa.BlockID(d.U64())
-	}
-	c.histPos = d.Int()
-	c.full = d.Bool()
-	n = d.Int()
-	if d.Err() == nil && n != len(c.idxValid) {
-		return lenMismatch("confluence index", n, len(c.idxValid))
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		c.idxValid[i] = d.Bool()
-		c.idxTag[i] = d.U16()
-		c.idxPos[i] = int32(d.U32())
-	}
-	c.streamPos = d.Int()
-	c.streamLive = d.Bool()
-	c.StreamStarts = d.U64()
-	c.StreamPrefetches = d.U64()
-	return d.End()
+	c.Int(&p.histPos)
+	c.Bool(&p.full)
+	indexState(c, "PIF index entries", p.idxValid, p.idxTag, p.idxPos)
+	c.Int(&p.streamPos)
+	c.Bool(&p.streamLive)
+	c.U64(&p.RegionsLogged)
+	c.U64(&p.StreamStarts)
+	c.U64(&p.StreamPrefetches)
+	c.End()
 }
 
-// PIF
-
-// Snapshot implements Design.
-func (p *PIF) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("pif")
-	p.btb.Snapshot(e)
-	e.U64(uint64(p.curTrigger))
-	e.U16(p.curBits)
-	e.Bool(p.haveCur)
-	e.Int(len(p.hist))
-	for _, r := range p.hist {
-		e.U64(uint64(r.trigger))
-		e.U16(r.bits)
-	}
-	e.Int(p.histPos)
-	e.Bool(p.full)
-	e.Int(len(p.idxValid))
-	for i := range p.idxValid {
-		e.Bool(p.idxValid[i])
-		e.U16(p.idxTag[i])
-		e.U32(uint32(p.idxPos[i]))
-	}
-	e.Int(p.streamPos)
-	e.Bool(p.streamLive)
-	e.U64(p.RegionsLogged)
-	e.U64(p.StreamStarts)
-	e.U64(p.StreamPrefetches)
-	e.End()
-}
-
-// Restore implements Design.
-func (p *PIF) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("pif"); err != nil {
-		return err
-	}
-	if err := p.btb.Restore(d); err != nil {
-		return err
-	}
-	p.curTrigger = isa.BlockID(d.U64())
-	p.curBits = d.U16()
-	p.haveCur = d.Bool()
-	n := d.Count(10)
-	if d.Err() == nil && n != len(p.hist) {
-		return lenMismatch("PIF history", n, len(p.hist))
-	}
-	for i := 0; i < n; i++ {
-		p.hist[i] = pifRegion{trigger: isa.BlockID(d.U64()), bits: d.U16()}
-	}
-	p.histPos = d.Int()
-	p.full = d.Bool()
-	n = d.Int()
-	if d.Err() == nil && n != len(p.idxValid) {
-		return lenMismatch("PIF index", n, len(p.idxValid))
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p.idxValid[i] = d.Bool()
-		p.idxTag[i] = d.U16()
-		p.idxPos[i] = int32(d.U32())
-	}
-	p.streamPos = d.Int()
-	p.streamLive = d.Bool()
-	p.RegionsLogged = d.U64()
-	p.StreamStarts = d.U64()
-	p.StreamPrefetches = d.U64()
-	return d.End()
-}
-
-// RDIP
-
-// Snapshot implements Design.
-func (d *RDIP) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("rdip")
-	d.btb.Snapshot(e)
-	e.Int(len(d.entries))
+// State implements Design.
+func (d *RDIP) State(c *checkpoint.Codec) {
+	c.Begin("rdip")
+	d.btb.State(c)
+	c.Fixed("RDIP table entries", len(d.entries))
 	for i := range d.entries {
 		en := &d.entries[i]
-		e.Bool(en.valid)
-		e.U16(en.tag)
-		for _, b := range en.blocks {
-			e.U64(uint64(b))
-		}
-		e.U8(en.n)
-		e.U8(en.next)
-	}
-	e.Int(len(d.ras))
-	for _, a := range d.ras {
-		e.U64(uint64(a))
-	}
-	e.U64(d.sig)
-	e.U64(d.Recorded)
-	e.U64(d.Issued)
-	e.End()
-}
-
-// Restore implements Design.
-func (d *RDIP) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("rdip"); err != nil {
-		return err
-	}
-	if err := d.btb.Restore(dec); err != nil {
-		return err
-	}
-	n := dec.Int()
-	if dec.Err() == nil && n != len(d.entries) {
-		return lenMismatch("RDIP table", n, len(d.entries))
-	}
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		en := &d.entries[i]
-		en.valid = dec.Bool()
-		en.tag = dec.U16()
+		c.Bool(&en.valid)
+		c.U16(&en.tag)
 		for j := range en.blocks {
-			en.blocks[j] = isa.BlockID(dec.U64())
+			checkpoint.Word(c, &en.blocks[j])
 		}
-		en.n = dec.U8()
-		en.next = dec.U8()
+		c.U8(&en.n)
+		c.U8(&en.next)
 	}
-	n = dec.Count(8)
-	if dec.Err() == nil && n > cap(d.ras) {
-		return fmt.Errorf("%w: RDIP shadow RAS holds %d entries over capacity %d",
-			checkpoint.ErrCorrupt, n, cap(d.ras))
-	}
-	d.ras = d.ras[:0]
-	for i := 0; i < n; i++ {
-		d.ras = append(d.ras, isa.Addr(dec.U64()))
-	}
-	d.sig = dec.U64()
-	d.Recorded = dec.U64()
-	d.Issued = dec.U64()
-	return dec.End()
+	// The shadow RAS's capacity is its backing array's (see OnRetire).
+	checkpoint.Words(c, "RDIP shadow RAS", &d.ras, cap(d.ras))
+	c.U64(&d.sig)
+	c.U64(&d.Recorded)
+	c.U64(&d.Issued)
+	c.End()
 }
 
-// Boomerang
-
-// Snapshot implements Design.
-func (d *Boomerang) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("boomerang")
-	d.bb.Snapshot(e)
-	d.bypc.Snapshot(e, btb.EncodeEntry)
-	d.rec.snapshot(e)
-	d.q.snapshot(e)
-	e.U64(uint64(d.walkPC))
-	e.Bool(d.walkValid)
-	e.Bool(d.stalled)
-	e.U64(uint64(d.stalledOn))
-	e.Int(len(d.specRAS))
-	for _, a := range d.specRAS {
-		e.U64(uint64(a))
-	}
-	e.U64(d.ReactiveFills)
-	e.U64(d.Squashes)
-	e.U64(d.EnginePrefetches)
-	e.End()
+// State implements Design.
+func (d *Boomerang) State(c *checkpoint.Codec) {
+	c.Begin("boomerang")
+	d.bb.State(c)
+	d.bypc.State(c, btb.EntryState)
+	d.rec.state(c)
+	d.q.state(c)
+	checkpoint.Word(c, &d.walkPC)
+	c.Bool(&d.walkValid)
+	c.Bool(&d.stalled)
+	checkpoint.Word(c, &d.stalledOn)
+	checkpoint.Words(c, "speculative RAS", &d.specRAS, checkpoint.Unbounded)
+	c.U64(&d.ReactiveFills)
+	c.U64(&d.Squashes)
+	c.U64(&d.EnginePrefetches)
+	c.End()
 }
 
-// Restore implements Design.
-func (d *Boomerang) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("boomerang"); err != nil {
-		return err
-	}
-	if err := d.bb.Restore(dec); err != nil {
-		return err
-	}
-	if err := d.bypc.Restore(dec, btb.DecodeEntry); err != nil {
-		return err
-	}
-	if err := d.rec.restore(dec); err != nil {
-		return err
-	}
-	if err := d.q.restore(dec); err != nil {
-		return err
-	}
-	d.walkPC = isa.Addr(dec.U64())
-	d.walkValid = dec.Bool()
-	d.stalled = dec.Bool()
-	d.stalledOn = isa.BlockID(dec.U64())
-	n := dec.Count(8)
-	d.specRAS = d.specRAS[:0]
-	for i := 0; i < n; i++ {
-		d.specRAS = append(d.specRAS, isa.Addr(dec.U64()))
-	}
-	d.ReactiveFills = dec.U64()
-	d.Squashes = dec.U64()
-	d.EnginePrefetches = dec.U64()
-	return dec.End()
-}
-
-// Shotgun
-
-// Snapshot implements Design.
-func (d *Shotgun) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("shotgun")
-	d.sb.Snapshot(e)
-	d.bypcU.Snapshot(e, btb.EncodeEntry)
-	d.bypcC.Snapshot(e, btb.EncodeEntry)
-	d.bypcR.Snapshot(e, btb.EncodeEntry)
-	d.rec.snapshot(e)
-	d.q.snapshot(e)
-	e.U64(uint64(d.walkPC))
-	e.Bool(d.walkValid)
-	e.Bool(d.stalled)
-	e.U64(uint64(d.stalledOn))
-	e.Int(len(d.specRAS))
-	for _, r := range d.specRAS {
-		e.U64(uint64(r.ret))
-		e.U8(r.retFP.Bits)
-	}
-	e.U64(uint64(d.lastUStart))
-	e.Bool(d.region.open)
-	e.U64(uint64(d.region.owner))
-	e.U64(uint64(d.region.base))
-	e.U8(d.region.fp.Bits)
-	e.Bool(d.region.isRet)
-	e.Int(len(d.fpStack))
-	for _, a := range d.fpStack {
-		e.U64(uint64(a))
-	}
-	e.U64(d.ReactiveFills)
-	e.U64(d.Squashes)
-	e.U64(d.FootprintPrefetch)
-	e.U64(d.EnginePrefetches)
-	e.U64(d.ProactivePrefills)
-	e.End()
-}
-
-// Restore implements Design.
-func (d *Shotgun) Restore(dec *checkpoint.Decoder) error {
-	if err := dec.Begin("shotgun"); err != nil {
-		return err
-	}
-	if err := d.sb.Restore(dec); err != nil {
-		return err
-	}
-	for _, t := range []*btb.Table[btb.Entry]{d.bypcU, d.bypcC, d.bypcR} {
-		if err := t.Restore(dec, btb.DecodeEntry); err != nil {
-			return err
-		}
-	}
-	if err := d.rec.restore(dec); err != nil {
-		return err
-	}
-	if err := d.q.restore(dec); err != nil {
-		return err
-	}
-	d.walkPC = isa.Addr(dec.U64())
-	d.walkValid = dec.Bool()
-	d.stalled = dec.Bool()
-	d.stalledOn = isa.BlockID(dec.U64())
-	n := dec.Count(9)
-	d.specRAS = d.specRAS[:0]
-	for i := 0; i < n; i++ {
-		d.specRAS = append(d.specRAS, shotgunRASEntry{
-			ret:   isa.Addr(dec.U64()),
-			retFP: btb.Footprint{Bits: dec.U8()},
-		})
-	}
-	d.lastUStart = isa.Addr(dec.U64())
-	d.region.open = dec.Bool()
-	d.region.owner = isa.Addr(dec.U64())
-	d.region.base = isa.BlockID(dec.U64())
-	d.region.fp = btb.Footprint{Bits: dec.U8()}
-	d.region.isRet = dec.Bool()
-	n = dec.Count(8)
-	d.fpStack = d.fpStack[:0]
-	for i := 0; i < n; i++ {
-		d.fpStack = append(d.fpStack, isa.Addr(dec.U64()))
-	}
-	d.ReactiveFills = dec.U64()
-	d.Squashes = dec.U64()
-	d.FootprintPrefetch = dec.U64()
-	d.EnginePrefetches = dec.U64()
-	d.ProactivePrefills = dec.U64()
-	return dec.End()
+// State implements Design.
+func (d *Shotgun) State(c *checkpoint.Codec) {
+	c.Begin("shotgun")
+	d.sb.State(c)
+	d.bypcU.State(c, btb.EntryState)
+	d.bypcC.State(c, btb.EntryState)
+	d.bypcR.State(c, btb.EntryState)
+	d.rec.state(c)
+	d.q.state(c)
+	checkpoint.Word(c, &d.walkPC)
+	c.Bool(&d.walkValid)
+	c.Bool(&d.stalled)
+	checkpoint.Word(c, &d.stalledOn)
+	checkpoint.Slice(c, "speculative RAS", &d.specRAS, 9, checkpoint.Unbounded, func(r *shotgunRASEntry) {
+		checkpoint.Word(c, &r.ret)
+		c.U8(&r.retFP.Bits)
+	})
+	checkpoint.Word(c, &d.lastUStart)
+	c.Bool(&d.region.open)
+	checkpoint.Word(c, &d.region.owner)
+	checkpoint.Word(c, &d.region.base)
+	c.U8(&d.region.fp.Bits)
+	c.Bool(&d.region.isRet)
+	checkpoint.Words(c, "footprint owner stack", &d.fpStack, checkpoint.Unbounded)
+	c.U64(&d.ReactiveFills)
+	c.U64(&d.Squashes)
+	c.U64(&d.FootprintPrefetch)
+	c.U64(&d.EnginePrefetches)
+	c.U64(&d.ProactivePrefills)
+	c.End()
 }

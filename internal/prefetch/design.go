@@ -155,13 +155,10 @@ type Design interface {
 	// bits (Table II).
 	StorageBits() int
 
-	// Snapshot serialises the design's mutable state (BTB organization,
-	// prefetcher metadata, queues, walk state) for checkpointing.
-	Snapshot(e *checkpoint.Encoder)
-
-	// Restore loads state written by Snapshot into an identically
-	// configured design.
-	Restore(d *checkpoint.Decoder) error
+	// State walks the design's mutable state (BTB organization, prefetcher
+	// metadata, queues, walk state) for checkpointing: saved, or loaded into
+	// an identically configured design, by the one walk.
+	State(c *checkpoint.Codec)
 }
 
 // Base provides no-op defaults for Design hooks; concrete designs embed it.
@@ -203,18 +200,10 @@ func (*Base) Quiescent() bool { return true }
 // StorageBits implements Design.
 func (*Base) StorageBits() int { return 0 }
 
-// Snapshot implements Design for stateless designs: an empty tagged
-// section, so the snapshot layout stays aligned for designs that have
-// nothing to save. Stateful designs must override both methods.
-func (*Base) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("design-stateless")
-	e.End()
-}
-
-// Restore implements Design for stateless designs.
-func (*Base) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("design-stateless"); err != nil {
-		return err
-	}
-	return d.End()
+// State implements Design for stateless designs: an empty tagged section,
+// so the snapshot layout stays aligned for designs that have nothing to
+// save. Stateful designs must override it.
+func (*Base) State(c *checkpoint.Codec) {
+	c.Begin("design-stateless")
+	c.End()
 }

@@ -293,70 +293,65 @@ func insertionSortTail(ids []int, deadline []uint64) {
 	}
 }
 
-// Snapshot serializes the wheel (cursor plus pending deadlines) into a
-// checkpoint section. Restore rebuilds the slot structure, so the encoding
-// is independent of chain order.
-func (w *Wheel) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("sched.wheel")
-	e.U64(w.now)
-	e.Int(len(w.deadline))
-	e.Int(w.count)
-	for id := range w.deadline {
-		if w.member[id] {
-			e.Int(id)
-			e.U64(w.deadline[id])
+// State walks the wheel (cursor plus pending deadlines) as a checkpoint
+// section. Only the header is one walk: saving lists the members in ID
+// order, while loading re-links each listed entry against the restored
+// cursor (rebuilding the slot structure, so the encoding is independent of
+// chain order) and checks it on the way in.
+func (w *Wheel) State(c *checkpoint.Codec) {
+	c.Begin("sched.wheel")
+	ids, count := len(w.deadline), w.count
+	c.U64(&w.now)
+	c.Int(&ids)
+	c.Int(&count)
+	if !c.Loading() {
+		for id := range w.deadline {
+			if w.member[id] {
+				c.Int(&id)
+				c.U64(&w.deadline[id])
+			}
 		}
+		c.End()
+		return
 	}
-	e.End()
-}
-
-// Restore replaces the wheel's state with a snapshot written by Snapshot.
-func (w *Wheel) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("sched.wheel"); err != nil {
-		return err
+	switch {
+	case c.Err() != nil:
+		return
+	case ids != len(w.deadline):
+		c.Fail(fmt.Errorf("sched: snapshot has %d IDs, wheel has %d", ids, len(w.deadline)))
+		return
+	case count < 0 || count > ids:
+		c.Fail(fmt.Errorf("sched: snapshot count %d outside 0..%d", count, ids))
+		return
 	}
-	now := d.U64()
-	ids := d.Int()
-	count := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if ids != len(w.deadline) {
-		return fmt.Errorf("sched: snapshot has %d IDs, wheel has %d", ids, len(w.deadline))
-	}
-	if count < 0 || count > ids {
-		return fmt.Errorf("sched: snapshot count %d outside 0..%d", count, ids)
-	}
-	// Reset in place, then re-link each pending entry against the restored
-	// cursor.
 	for l := 0; l < levels; l++ {
 		for s := 0; s < slots; s++ {
 			w.head[l][s] = -1
 		}
 		w.occ[l] = 0
 	}
-	for id := range w.member {
-		w.member[id] = false
-	}
-	w.now = now
+	clear(w.member)
 	w.count = 0
 	w.memoValid = false
 	for i := 0; i < count; i++ {
-		id := d.Int()
-		deadline := d.U64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id < 0 || id >= ids {
-			return fmt.Errorf("sched: snapshot ID %d outside 0..%d", id, ids-1)
-		}
-		if w.member[id] {
-			return fmt.Errorf("sched: snapshot repeats ID %d", id)
-		}
-		if deadline < now || deadline-now >= horizon {
-			return fmt.Errorf("sched: snapshot deadline %d outside cursor %d horizon", deadline, now)
+		var id int
+		var deadline uint64
+		c.Int(&id)
+		c.U64(&deadline)
+		switch {
+		case c.Err() != nil:
+			return
+		case id < 0 || id >= ids:
+			c.Fail(fmt.Errorf("sched: snapshot ID %d outside 0..%d", id, ids-1))
+			return
+		case w.member[id]:
+			c.Fail(fmt.Errorf("sched: snapshot repeats ID %d", id))
+			return
+		case deadline < w.now || deadline-w.now >= horizon:
+			c.Fail(fmt.Errorf("sched: snapshot deadline %d outside cursor %d horizon", deadline, w.now))
+			return
 		}
 		w.Schedule(id, deadline)
 	}
-	return d.End()
+	c.End()
 }

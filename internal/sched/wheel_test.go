@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dnc/internal/checkpoint"
+	"dnc/internal/checkpoint/checkpointtest"
 )
 
 // refModel is the naive reference: a map of pending deadlines, advanced by
@@ -215,14 +216,8 @@ func TestWheelSnapshotRestore(t *testing.T) {
 			w.AdvanceTo(w.Now() + rng.Uint64()%5_000)
 		}
 	}
-	e := checkpoint.NewEncoder()
-	w.Snapshot(e)
-	d, err := checkpoint.Decode(e.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
 	w2 := NewWheel(12)
-	if err := w2.Restore(d); err != nil {
+	if err := checkpointtest.Load(checkpointtest.Save(w.State), w2.State); err != nil {
 		t.Fatal(err)
 	}
 	if w2.Now() != w.Now() || w2.Len() != w.Len() {
@@ -246,11 +241,7 @@ func TestWheelRestoreRejectsCorruptSnapshots(t *testing.T) {
 	mk := func(build func(e *checkpoint.Encoder)) error {
 		e := checkpoint.NewEncoder()
 		build(e)
-		d, err := checkpoint.Decode(e.Marshal())
-		if err != nil {
-			return err
-		}
-		return NewWheel(4).Restore(d)
+		return checkpointtest.Load(e.Marshal(), NewWheel(4).State)
 	}
 	cases := map[string]func(e *checkpoint.Encoder){
 		"wrong universe": func(e *checkpoint.Encoder) {

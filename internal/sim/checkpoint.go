@@ -43,9 +43,9 @@ func (e *AuditError) Error() string {
 func (e *AuditError) Unwrap() []error { return e.Violations }
 
 // componentState frames one component's snapshot for AuditError.State.
-func componentState(snap func(*checkpoint.Encoder)) []byte {
+func componentState(state func(*checkpoint.Codec)) []byte {
 	e := checkpoint.NewEncoder()
-	snap(e)
+	state(checkpoint.NewSaver(e))
 	return e.Marshal()
 }
 
@@ -62,7 +62,7 @@ func (m *machine) audit() []*AuditError {
 				Component:  fmt.Sprintf("core%d", i),
 				Cycle:      cycle,
 				Violations: errs,
-				State:      componentState(c.Snapshot),
+				State:      componentState(c.State),
 			})
 		}
 	}
@@ -71,7 +71,7 @@ func (m *machine) audit() []*AuditError {
 			Component:  "llc",
 			Cycle:      cycle,
 			Violations: errs,
-			State:      componentState(m.uncore.LLC.Snapshot),
+			State:      componentState(m.uncore.LLC.State),
 		})
 	}
 	if errs := m.uncore.Mesh.Audit(); len(errs) > 0 {
@@ -79,7 +79,7 @@ func (m *machine) audit() []*AuditError {
 			Component:  "noc",
 			Cycle:      cycle,
 			Violations: errs,
-			State:      componentState(m.uncore.Mesh.Snapshot),
+			State:      componentState(m.uncore.Mesh.State),
 		})
 	}
 	return out
@@ -119,36 +119,61 @@ func Audit(rc RunConfig, snapshotPath string) ([]*AuditError, error) {
 	return m.audit(), nil
 }
 
-// encode serialises the whole machine: a header identifying the
-// configuration (so a snapshot cannot silently restore into a different
-// experiment), the run position (window, cycles, watchdog counters), every
-// core with its walker and design, and the shared uncore.
-func (m *machine) encode() *checkpoint.Encoder {
-	e := checkpoint.NewEncoder()
-	e.Begin("machine")
-	e.String(m.rc.Workload.Name)
-	e.U8(uint8(m.rc.Workload.Mode))
-	e.Int(m.rc.Workload.FootprintBytes)
-	e.I64(m.rc.Workload.GenSeed)
-	e.String(m.designs[0].Name())
-	e.I64(m.rc.Seed)
-	e.Int(m.rc.Cores)
-	e.U64(m.rc.WarmCycles)
-	e.U64(m.rc.MeasureCycles)
-	e.U8(m.phase)
-	e.U64(m.done)
-	e.U64(m.watch.cycle)
-	e.U64(m.watch.lastSum)
-	e.U64(m.watch.lastAt)
-	for i := range m.cores {
-		m.walkers[i].Snapshot(e)
-		m.cores[i].Snapshot(e)
+// state walks the whole machine: a header identifying the configuration
+// (so a snapshot cannot silently restore into a different experiment —
+// snapshots restore into identically configured machines; they never
+// reconfigure one), the run position (window, cycles, watchdog counters),
+// every core with its walker and design, and the shared uncore. It returns
+// a load's first error under the name of the component it arose in; saving
+// cannot fail.
+func (m *machine) state(c *checkpoint.Codec) error {
+	c.Begin("machine")
+	w := &m.rc.Workload
+	checkpoint.Same(c, "workload", w.Name, c.String)
+	checkpoint.Same(c, "workload mode", uint8(w.Mode), c.U8)
+	checkpoint.Same(c, "workload footprint", w.FootprintBytes, c.Int)
+	checkpoint.Same(c, "workload generation seed", w.GenSeed, c.I64)
+	checkpoint.Same(c, "design", m.designs[0].Name(), c.String)
+	checkpoint.Same(c, "run seed", m.rc.Seed, c.I64)
+	checkpoint.Same(c, "core count", m.rc.Cores, c.Int)
+	checkpoint.Same(c, "warm-up window", m.rc.WarmCycles, c.U64)
+	checkpoint.Same(c, "measurement window", m.rc.MeasureCycles, c.U64)
+	c.U8(&m.phase)
+	c.U64(&m.done)
+	c.U64(&m.watch.cycle)
+	c.U64(&m.watch.lastSum)
+	c.U64(&m.watch.lastAt)
+	if c.Loading() && c.Err() == nil && m.phase > 1 {
+		c.Corrupt("phase %d out of range", m.phase)
 	}
-	m.uncore.LLC.Snapshot(e)
-	m.uncore.Mesh.Snapshot(e)
-	m.uncore.DRAM.Snapshot(e)
-	e.End()
-	return e
+	if err := c.Err(); err != nil {
+		return err
+	}
+	steps := m.rc.StepBound()
+	for i := range m.cores {
+		m.walkers[i].State(c, steps)
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("walker %d: %w", i, err)
+		}
+		m.cores[i].State(c)
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("core %d: %w", i, err)
+		}
+	}
+	m.uncore.LLC.State(c)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("llc: %w", err)
+	}
+	m.uncore.Mesh.State(c)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("noc: %w", err)
+	}
+	m.uncore.DRAM.State(c)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("dram: %w", err)
+	}
+	c.End()
+	return c.Err()
 }
 
 // StepBound returns the most committed instructions one core's stream can be
@@ -157,6 +182,18 @@ func (m *machine) encode() *checkpoint.Encoder {
 func (rc RunConfig) StepBound() uint64 {
 	rc = applyDefaults(rc)
 	return (rc.WarmCycles + rc.MeasureCycles) * uint64(rc.Core.FetchWidth)
+}
+
+// encode saves the whole machine into the machine's one encoder, which its
+// cadence snapshots reuse: the returned encoder (and the bytes Marshal hands
+// out) are valid until the next encode.
+func (m *machine) encode() *checkpoint.Encoder {
+	if m.enc == nil {
+		m.enc = checkpoint.NewEncoder()
+	}
+	m.enc.Reset()
+	_ = m.state(checkpoint.NewSaver(m.enc)) // saving cannot fail
+	return m.enc
 }
 
 // restoreFrom loads a snapshot file into the freshly built machine,
@@ -174,42 +211,7 @@ func (m *machine) restoreFrom(path string) error {
 
 // load restores a framing-checked snapshot into the freshly built machine.
 func (m *machine) load(d *checkpoint.Decoder) error {
-	if err := d.Begin("machine"); err != nil {
-		return err
-	}
-	if err := m.checkHeader(d); err != nil {
-		return err
-	}
-	m.phase = d.U8()
-	m.done = d.U64()
-	m.watch.cycle = d.U64()
-	m.watch.lastSum = d.U64()
-	m.watch.lastAt = d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if m.phase > 1 {
-		return fmt.Errorf("%w: phase %d out of range", checkpoint.ErrCorrupt, m.phase)
-	}
-	steps := m.rc.StepBound()
-	for i := range m.cores {
-		if err := m.walkers[i].Restore(d, steps); err != nil {
-			return fmt.Errorf("walker %d: %w", i, err)
-		}
-		if err := m.cores[i].Restore(d); err != nil {
-			return fmt.Errorf("core %d: %w", i, err)
-		}
-	}
-	if err := m.uncore.LLC.Restore(d); err != nil {
-		return fmt.Errorf("llc: %w", err)
-	}
-	if err := m.uncore.Mesh.Restore(d); err != nil {
-		return fmt.Errorf("noc: %w", err)
-	}
-	if err := m.uncore.DRAM.Restore(d); err != nil {
-		return fmt.Errorf("dram: %w", err)
-	}
-	if err := d.End(); err != nil {
+	if err := m.state(checkpoint.NewLoader(d)); err != nil {
 		return err
 	}
 	// Resume the checkpoint cadence from the restore point, and rebuild the
@@ -217,48 +219,5 @@ func (m *machine) load(d *checkpoint.Decoder) error {
 	// full Tick recomputes idleWake).
 	m.lastCkpt = m.watch.cycle
 	m.resetEngine()
-	return nil
-}
-
-// checkHeader verifies the snapshot's identity fields against the machine's
-// configuration. Snapshots restore into identically configured machines;
-// they never reconfigure one.
-func (m *machine) checkHeader(d *checkpoint.Decoder) error {
-	name := d.String()
-	mode := d.U8()
-	footprint := d.Int()
-	genSeed := d.I64()
-	design := d.String()
-	seed := d.I64()
-	cores := d.Int()
-	warm := d.U64()
-	measure := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	mismatch := func(field string, got, want any) error {
-		return fmt.Errorf("%w: snapshot %s is %v, machine expects %v",
-			checkpoint.ErrCorrupt, field, got, want)
-	}
-	switch {
-	case name != m.rc.Workload.Name:
-		return mismatch("workload", name, m.rc.Workload.Name)
-	case mode != uint8(m.rc.Workload.Mode):
-		return mismatch("workload mode", mode, uint8(m.rc.Workload.Mode))
-	case footprint != m.rc.Workload.FootprintBytes:
-		return mismatch("workload footprint", footprint, m.rc.Workload.FootprintBytes)
-	case genSeed != m.rc.Workload.GenSeed:
-		return mismatch("workload generation seed", genSeed, m.rc.Workload.GenSeed)
-	case design != m.designs[0].Name():
-		return mismatch("design", design, m.designs[0].Name())
-	case seed != m.rc.Seed:
-		return mismatch("run seed", seed, m.rc.Seed)
-	case cores != m.rc.Cores:
-		return mismatch("core count", cores, m.rc.Cores)
-	case warm != m.rc.WarmCycles:
-		return mismatch("warm-up window", warm, m.rc.WarmCycles)
-	case measure != m.rc.MeasureCycles:
-		return mismatch("measurement window", measure, m.rc.MeasureCycles)
-	}
 	return nil
 }

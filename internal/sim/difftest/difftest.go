@@ -79,7 +79,7 @@ type Shim struct {
 	coreID int
 	strict bool
 	env    prefetch.Env // the raw core Env (for Cycle at divergence time)
-	// maxSteps bounds the oracle's replays when a snapshot is restored
+	// maxSteps bounds the oracle's replays when a snapshot is loaded
 	// (sim.RunConfig.StepBound of the run the shim sits in).
 	maxSteps uint64
 
@@ -298,62 +298,22 @@ func (s *Shim) Audit() []error {
 	return nil
 }
 
-// Snapshot implements Design: the shim persists the oracle and its own
+// State implements Design: the shim persists the oracle and its own
 // lockstep position ahead of the inner design's state, so a resumed run is
 // differential-transparent — the restored oracle continues checking from
 // the interruption point.
-func (s *Shim) Snapshot(e *checkpoint.Encoder) {
-	e.Begin("difftest-shim")
-	s.model.Snapshot(e)
-	e.U64(s.retired)
-	e.U64(s.transitions)
-	e.Bool(s.havePending)
-	e.U64(uint64(s.pending))
-	e.U64(s.obsDigest)
-	e.Int(len(s.digestTrail))
-	for _, d := range s.digestTrail {
-		e.U64(d)
-	}
-	issued := make([]isa.BlockID, 0, len(s.issued))
-	for b := range s.issued {
-		issued = append(issued, b)
-	}
-	sort.Slice(issued, func(i, j int) bool { return issued[i] < issued[j] })
-	e.Int(len(issued))
-	for _, b := range issued {
-		e.U64(uint64(b))
-	}
-	e.End()
-	s.inner.Snapshot(e)
-}
-
-// Restore implements Design.
-func (s *Shim) Restore(d *checkpoint.Decoder) error {
-	if err := d.Begin("difftest-shim"); err != nil {
-		return err
-	}
-	if err := s.model.Restore(d, s.maxSteps); err != nil {
-		return err
-	}
-	s.retired = d.U64()
-	s.transitions = d.U64()
-	s.havePending = d.Bool()
-	s.pending = isa.BlockID(d.U64())
-	s.obsDigest = d.U64()
-	n := d.Count(8)
-	s.digestTrail = make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		s.digestTrail = append(s.digestTrail, d.U64())
-	}
-	n = d.Count(8)
-	s.issued = make(map[isa.BlockID]struct{}, n)
-	for i := 0; i < n; i++ {
-		s.issued[isa.BlockID(d.U64())] = struct{}{}
-	}
-	if err := d.End(); err != nil {
-		return err
-	}
-	return s.inner.Restore(d)
+func (s *Shim) State(c *checkpoint.Codec) {
+	c.Begin("difftest-shim")
+	s.model.State(c, s.maxSteps)
+	c.U64(&s.retired)
+	c.U64(&s.transitions)
+	c.Bool(&s.havePending)
+	checkpoint.Word(c, &s.pending)
+	c.U64(&s.obsDigest)
+	checkpoint.Words(c, "digest trail", &s.digestTrail, checkpoint.Unbounded)
+	checkpoint.Set(c, "issued prefetches", s.issued, checkpoint.Unbounded)
+	c.End()
+	s.inner.State(c)
 }
 
 // ---- differential runner ----

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"dnc/internal/core"
@@ -65,6 +66,31 @@ func BenchmarkEngineSN4LDisBTB(b *testing.B) { benchEngine(b, "SN4L+Dis+BTB", 4)
 func BenchmarkEngine16CoreBaseline(b *testing.B) { benchEngine(b, "baseline", 16) }
 
 func BenchmarkEngine16CoreSN4LDisBTB(b *testing.B) { benchEngine(b, "SN4L+Dis+BTB", 16) }
+
+// BenchmarkRunCheckpointed is what a locally run dncserved cell and
+// `dncbench -checkpoint-dir` pay: the engine benchmarks' runs with a cadence
+// snapshot (audit, encode, fsynced atomic write) every 65536 cycles — six
+// per run. B/op is mostly the snapshot buffer.
+func BenchmarkRunCheckpointed(b *testing.B) {
+	for _, c := range []struct {
+		design string
+		cores  int
+	}{{"baseline", 4}, {"SN4L+Dis+BTB", 16}} {
+		b.Run(fmt.Sprintf("%s/cores=%d", c.design, c.cores), func(b *testing.B) {
+			rc := engineConfig(b, c.design, c.cores)
+			rc.CheckpointEvery = 65536
+			rc.CheckpointPath = filepath.Join(b.TempDir(), "run.ckpt")
+			Run(rc) // program generation and the warmed LLC image are one-time
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if r := Run(rc); r.M.Retired == 0 {
+					b.Fatal("no instructions retired")
+				}
+			}
+		})
+	}
+}
 
 // fixedCostConfig is a run too short to simulate anything to speak of: what
 // it costs is what every run costs before its first cycle and after its last

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	wl "dnc/internal/cfg"
-	"dnc/internal/checkpoint"
+	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/llc"
@@ -283,11 +283,7 @@ func TestWarmedImagesAreBounded(t *testing.T) {
 		_, ok := warm.m[warmKey{p, cfgAt(i)}]
 		return ok
 	}
-	image := func(c *llc.LLC) string {
-		e := checkpoint.NewEncoder()
-		c.Snapshot(e)
-		return string(e.Marshal())
-	}
+	image := func(c *llc.LLC) string { return string(checkpointtest.Save(c.State)) }
 
 	first := image(warmLLC(p, cfgAt(0)))
 	for i := 1; i < warmCap+4; i++ {

@@ -266,6 +266,9 @@ type machine struct {
 	phase    uint8
 	done     uint64
 	lastCkpt uint64
+	// enc is the encoder every snapshot of this machine is built in (see
+	// encode); nil until the first.
+	enc *checkpoint.Encoder
 
 	// eng is the engine-loop state (wake schedule, sleep flags, parallel
 	// shards). It is derived state, never checkpointed: cores are synced to
