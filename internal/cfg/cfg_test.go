@@ -2,8 +2,12 @@ package cfg
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
+	"dnc/internal/checkpoint"
+	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/isa"
 )
 
@@ -54,10 +58,17 @@ func TestLayoutContiguousAndDecodable(t *testing.T) {
 		pc := prog.Params.CodeBase
 		for bi := range prog.Blocks {
 			blk := &prog.Blocks[bi]
-			if len(blk.Insts) == 0 {
-				t.Fatalf("%v: empty block %d", mode, bi)
+			insts := prog.Insts(int32(bi))
+			if len(insts) == 0 || len(insts) != blk.Len() {
+				t.Fatalf("%v: block %d materializes %d instructions, Len() = %d", mode, bi, len(insts), blk.Len())
 			}
-			for _, inst := range blk.Insts {
+			if blk.Entry() != pc {
+				t.Fatalf("%v: block %d enters at %#x, expected %#x", mode, bi, blk.Entry(), pc)
+			}
+			for j, inst := range insts {
+				if isTerm := blk.Term != TermFall && j == len(insts)-1; !isTerm && (inst.Target != 0 || inst.Kind.IsBranch()) {
+					t.Fatalf("%v: block %d: body instruction %d is %+v", mode, bi, j, inst)
+				}
 				if inst.PC != pc {
 					t.Fatalf("%v: block %d inst at %#x, expected %#x", mode, bi, inst.PC, pc)
 				}
@@ -103,23 +114,111 @@ func TestTerminatorInvariants(t *testing.T) {
 				if blk.Callee >= 0 && int(blk.Callee) >= len(prog.Funcs) {
 					t.Fatalf("block %d: callee %d out of range", bi, blk.Callee)
 				}
-				if blk.Callee < 0 && len(blk.Callees) == 0 {
-					t.Fatalf("block %d: indirect call without candidates", bi)
+				if indirect := blk.Callee < 0; indirect != (len(prog.Callees(bi)) > 0) {
+					t.Fatalf("block %d: callee %d with candidates %v", bi, blk.Callee, prog.Callees(bi))
 				}
+				for _, c := range prog.Callees(bi) {
+					if c < 0 || int(c) >= len(prog.Funcs) {
+						t.Fatalf("block %d: candidate callee %d out of range", bi, c)
+					}
+				}
+			}
+			if blk.Term != TermCall && len(prog.Callees(bi)) != 0 {
+				t.Fatalf("block %d: %v with call candidates %v", bi, blk.Term, prog.Callees(bi))
 			}
 			if bi < fn.Last && blk.Next != bi+1 {
 				t.Fatalf("block %d: next = %d, want %d", bi, blk.Next, bi+1)
 			}
-			term, ok := blk.Terminator()
+			term, ok := prog.Terminator(bi)
 			if blk.Term == TermFall {
 				if ok {
 					t.Fatalf("block %d: fallthrough with terminator %v", bi, term)
 				}
-			} else if !ok || !term.Kind.IsBranch() {
+				continue
+			}
+			if !ok || !term.Kind.IsBranch() {
 				t.Fatalf("block %d: terminator %v for %v", bi, term.Kind, blk.Term)
+			}
+			// The derived target is the address the successor was laid out at.
+			want := isa.Addr(0)
+			switch {
+			case blk.Term == TermCond || blk.Term == TermJump:
+				want = prog.Blocks[blk.TargetBB].Entry()
+			case blk.Term == TermCall && blk.Callee >= 0:
+				want = prog.Blocks[prog.Funcs[blk.Callee].First].Entry()
+			}
+			if term.Target != want || term.Kind.HasEncodedTarget() != (want != 0) {
+				t.Fatalf("block %d: %v terminator %+v, want target %#x", bi, blk.Term, term, want)
 			}
 		}
 	}
+}
+
+// TestProgramIsFlat pins the representation: a block is a small pointer-free
+// record, and nothing reachable from a Program holds an instruction record
+// per instruction.
+func TestProgramIsFlat(t *testing.T) {
+	if size := reflect.TypeOf(Block{}).Size(); size > 56 {
+		t.Errorf("Block is %d bytes, want at most 56", size)
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string, inBlock bool)
+	walk = func(ty reflect.Type, path string, inBlock bool) {
+		if ty == reflect.TypeOf([]isa.Inst(nil)) {
+			t.Errorf("%s is a []isa.Inst", path)
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		inBlock = inBlock || ty == reflect.TypeOf(Block{})
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name, inBlock)
+			}
+		case reflect.Map:
+			walk(ty.Key(), path+"[key]", inBlock)
+			fallthrough
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			if inBlock && ty.Kind() != reflect.Array {
+				t.Errorf("%s: a Block holds a %v", path, ty.Kind())
+			}
+			walk(ty.Elem(), path+"[]", inBlock)
+		case reflect.String, reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			if inBlock {
+				t.Errorf("%s: a Block holds a %v", path, ty.Kind())
+			}
+		}
+	}
+	walk(reflect.TypeOf(Program{}), "Program", false)
+}
+
+// TestGenerateRefusesOverlongBlocks: a block's length is stored in 16 bits;
+// parameters that allow a longer block are refused by name, not wrapped.
+func TestGenerateRefusesOverlongBlocks(t *testing.T) {
+	p := testParams(isa.Fixed)
+	p.FootprintBytes = 4 << 10
+	p.AvgBlockInsts = maxBlockInsts / 2 // the longest block just fits
+	prog := Generate(p)
+	total, longest := 0, 0
+	for i := range prog.Blocks {
+		total += prog.Blocks[i].Len()
+		longest = max(longest, prog.Blocks[i].Len())
+	}
+	if total != prog.NumInsts() || longest <= maxBlockInsts/2 {
+		t.Fatalf("blocks hold %d instructions (longest %d) of the program's %d", total, longest, prog.NumInsts())
+	}
+
+	p.AvgBlockInsts++
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || !strings.Contains(err.Error(), "AvgBlockInsts = 32768") {
+			t.Fatalf("Generate with AvgBlockInsts = %d: recovered %v, want an error naming it", p.AvgBlockInsts, err)
+		}
+	}()
+	Generate(p)
+	t.Fatal("generated a program whose blocks can outgrow the block record")
 }
 
 func TestWalkerStreamConsistency(t *testing.T) {
@@ -162,6 +261,52 @@ func TestWalkerDeterminism(t *testing.T) {
 		w2.Next(&s2)
 		if s1 != s2 {
 			t.Fatalf("step %d differs: %+v vs %+v", i, s1, s2)
+		}
+	}
+}
+
+// TestWalkerRestoreMidBlock: a snapshot holds (block, index); the address of
+// that instruction is rebuilt on load — in variable-length mode by summing
+// the sizes before it. A walker loaded at every index of a long block must
+// continue exactly as the one that kept walking.
+func TestWalkerRestoreMidBlock(t *testing.T) {
+	for _, mode := range []isa.Mode{isa.Fixed, isa.Variable} {
+		prog := Generate(testParams(mode))
+		const seed = 13
+		w := NewWalker(prog, seed)
+		var s Step
+		steps := 0
+		for w.idx != 0 || prog.Blocks[w.cur].Len() < 12 {
+			w.Next(&s)
+			if steps++; steps > 1_000_000 {
+				t.Fatalf("%v: no long block entered in %d steps", mode, steps)
+			}
+		}
+		blk, n := w.cur, prog.Blocks[w.cur].Len()
+		for idx := 0; idx < n; idx++ {
+			if w.cur != blk || w.idx != idx {
+				t.Fatalf("%v: walker at (%d, %d), expected (%d, %d)", mode, w.cur, w.idx, blk, idx)
+			}
+			snap := checkpointtest.Save(func(c *checkpoint.Codec) { w.State(c, 0) })
+			loaded := NewWalker(prog, seed)
+			if err := checkpointtest.Load(snap, func(c *checkpoint.Codec) { loaded.State(c, 1<<20) }); err != nil {
+				t.Fatalf("%v: loading at index %d: %v", mode, w.idx, err)
+			}
+			straight := NewWalker(prog, seed)
+			for i := 0; i < steps; i++ {
+				straight.Next(&s)
+			}
+			var got, want Step
+			for i := 0; i < 1000; i++ {
+				loaded.Next(&got)
+				straight.Next(&want)
+				if got != want {
+					t.Fatalf("%v: restored at index %d of %d: step %d is %+v, the straight walk's %+v",
+						mode, idx, n, i, got, want)
+				}
+			}
+			w.Next(&s)
+			steps++
 		}
 	}
 }

@@ -6,115 +6,78 @@ import (
 	"dnc/internal/isa"
 )
 
-// layout assigns instruction sizes and addresses to every block plan,
-// resolves branch targets, encodes the code image, and fills prog.Blocks.
-// Functions are laid out back to back; blocks inside a function are
-// contiguous, so intra-function fallthrough paths are sequential in memory —
-// the property that makes most L1i misses of server workloads sequential.
-func layout(prog *Program, plans []blockPlan, rng *rand.Rand) {
+// layout assigns instruction sizes and addresses to every block, makes the
+// function-local branch targets global, resolves target addresses and encodes
+// the code image. Functions are laid out back to back; blocks inside a
+// function are contiguous, so intra-function fallthrough paths are sequential
+// in memory — the property that makes most L1i misses of server workloads
+// sequential.
+func layout(prog *Program, rng *rand.Rand) {
 	p := prog.Params
 
-	// Pass A: choose sizes and assign PCs.
-	type placed struct {
-		kinds []isa.Kind // body kinds plus terminator kind, in order
-		sizes []uint8
-		pcs   []isa.Addr
+	// Pass A: choose sizes, assign entry addresses, link the blocks.
+	if p.Mode == isa.Variable {
+		prog.sizes = make([]uint8, len(prog.kinds))
 	}
-	placedBlocks := make([]placed, len(plans))
 	pc := p.CodeBase
-	for i := range plans {
-		bp := &plans[i]
-		kinds := make([]isa.Kind, 0, len(bp.bodyKinds)+1)
-		kinds = append(kinds, bp.bodyKinds...)
-		if k, ok := termInstKind(bp); ok {
-			kinds = append(kinds, k)
-		}
-		pl := placed{kinds: kinds}
-		for _, k := range kinds {
-			size := instSize(p.Mode, k, rng)
-			pl.sizes = append(pl.sizes, size)
-			pl.pcs = append(pl.pcs, pc)
-			pc += isa.Addr(size)
-		}
-		placedBlocks[i] = pl
-	}
-
-	// Map function-local target indices to global block indices.
-	globalTarget := make([]int32, len(plans))
-	callee := make([]int32, len(plans))
 	for fi := range prog.Funcs {
 		fn := &prog.Funcs[fi]
 		for bi := fn.First; bi <= fn.Last; bi++ {
-			bp := &plans[bi]
-			switch bp.term {
-			case TermCond, TermJump:
-				globalTarget[bi] = fn.First + bp.targetBB
-			case TermCall:
-				callee[bi] = bp.callee
-			}
-		}
-	}
-
-	// Pass B: build instructions with resolved targets and encode.
-	entryOf := func(bb int32) isa.Addr { return placedBlocks[bb].pcs[0] }
-	code := make([]byte, 0, int(pc-p.CodeBase))
-	prog.Blocks = make([]Block, len(plans))
-	for fi := range prog.Funcs {
-		fn := &prog.Funcs[fi]
-		for bi := fn.First; bi <= fn.Last; bi++ {
-			bp := &plans[bi]
-			pl := &placedBlocks[bi]
-			blk := &prog.Blocks[bi]
-			blk.Term = bp.term
-			blk.TakenProb = bp.takenProb
-			blk.StableBias = bp.stable
-			blk.Rare = bp.rare
-			blk.Func = int32(fi)
-			blk.Callee = bp.callee
-			blk.Callees = bp.callees
-			if bi < fn.Last {
-				blk.Next = bi + 1
+			b := &prog.Blocks[bi]
+			b.entry = pc
+			if prog.sizes == nil {
+				pc += isa.Addr(b.n) * isa.FixedSize
 			} else {
-				blk.Next = -1
-			}
-			blk.TargetBB = -1
-
-			blk.Insts = make([]isa.Inst, len(pl.kinds))
-			for j, k := range pl.kinds {
-				inst := isa.Inst{PC: pl.pcs[j], Size: pl.sizes[j], Kind: k}
-				isTerm := bp.term != TermFall && j == len(pl.kinds)-1
-				if isTerm {
-					switch bp.term {
-					case TermCond, TermJump:
-						blk.TargetBB = globalTarget[bi]
-						inst.Target = entryOf(globalTarget[bi])
-					case TermCall:
-						if bp.callee >= 0 {
-							inst.Target = entryOf(prog.Funcs[callee[bi]].First)
-						}
-					}
+				sizes := prog.blockSizes(b)
+				for j, k := range prog.blockKinds(b) {
+					sizes[j] = instSize(k, rng)
+					pc += isa.Addr(sizes[j])
 				}
-				blk.Insts[j] = inst
-				code = isa.AppendInst(code, p.Mode, inst)
 			}
+			b.Func = int32(fi)
+			b.Next = -1
+			if bi < fn.Last {
+				b.Next = bi + 1
+			}
+			if b.Term == TermCond || b.Term == TermJump {
+				b.TargetBB += fn.First
+			} else {
+				b.TargetBB = -1
+			}
+		}
+	}
+
+	// Pass B: resolve the terminators' target addresses and encode.
+	code := make([]byte, 0, int(pc-p.CodeBase))
+	for bi := range prog.Blocks {
+		b := &prog.Blocks[bi]
+		switch {
+		case b.TargetBB >= 0:
+			b.target = prog.Blocks[b.TargetBB].entry
+		case b.Term == TermCall && b.Callee >= 0:
+			b.target = prog.Blocks[prog.Funcs[b.Callee].First].entry
+		}
+		at := b.entry
+		for j := 0; j < int(b.n); j++ {
+			inst := prog.inst(b, j, at)
+			code = isa.AppendInst(code, p.Mode, inst)
+			at = inst.NextPC()
 		}
 	}
 	prog.Image = isa.NewImage(p.Mode, p.CodeBase, code)
 }
 
 // termInstKind maps a terminator to its instruction kind; TermFall has none.
-// Indirect call sites use KindIndirect (an indirect call: the target comes
-// from a register, and a return address is pushed).
-func termInstKind(bp *blockPlan) (isa.Kind, bool) {
-	switch bp.term {
+// An indirect call site (decided after the block is generated) uses
+// KindIndirect instead: the target comes from a register, and a return
+// address is pushed.
+func termInstKind(t TermKind) (isa.Kind, bool) {
+	switch t {
 	case TermCond:
 		return isa.KindCondBranch, true
 	case TermJump:
 		return isa.KindJump, true
 	case TermCall:
-		if bp.callee < 0 {
-			return isa.KindIndirect, true
-		}
 		return isa.KindCall, true
 	case TermRet:
 		return isa.KindReturn, true
@@ -123,11 +86,8 @@ func termInstKind(bp *blockPlan) (isa.Kind, bool) {
 	}
 }
 
-// instSize picks an encoding size for the kind in the given mode.
-func instSize(mode isa.Mode, k isa.Kind, rng *rand.Rand) uint8 {
-	if mode == isa.Fixed {
-		return isa.FixedSize
-	}
+// instSize picks a variable-length encoding size for the kind.
+func instSize(k isa.Kind, rng *rand.Rand) uint8 {
 	switch {
 	case k.HasEncodedTarget():
 		return uint8(isa.VarBranchMinSize + rng.Intn(isa.VarMaxSize-isa.VarBranchMinSize+1))

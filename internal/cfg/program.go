@@ -1,6 +1,8 @@
 package cfg
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"dnc/internal/isa"
@@ -36,40 +38,46 @@ func (t TermKind) String() string {
 	}
 }
 
-// Block is a basic block. Insts is filled during layout (PCs and sizes are
-// address-dependent); the terminator, when present, is the last instruction.
+// Block is a basic block: a pointer-free record of at most 56 bytes. Its
+// instructions are not stored per block; their kinds (and, in variable-length
+// mode, sizes) sit in the program-wide arrays at [first, first+n), addresses
+// are derived from entry, and only the terminator — the last instruction of
+// a block whose Term is not TermFall — carries a target. Program.Insts
+// materializes them.
 type Block struct {
-	Insts []isa.Inst
-	Term  TermKind
+	entry isa.Addr // address of the first instruction
+	// target is the terminator's encoded target: the taken/jump target
+	// block's entry, a direct call's callee entry, 0 otherwise.
+	target isa.Addr
 	// TakenProb is the probability a TermCond branch is taken.
 	TakenProb float64
-	// StableBias marks strongly biased conditional branches.
-	StableBias bool
+	first     uint32 // index of the first instruction in Program.kinds
+	callees   uint32 // offset of the candidate list in Program.callees
 	// TargetBB is the global index of the taken/jump target block.
 	TargetBB int32
 	// Callee is the function index of a direct call; -1 for indirect calls.
 	Callee int32
-	// Callees are the candidate functions of an indirect call site.
-	Callees []int32
 	// Next is the global index of the fallthrough successor; -1 for the
 	// final block of a function.
 	Next int32
-	// Rare marks rarely executed blocks (guarded error paths).
-	Rare bool
 	// Func is the index of the owning function.
 	Func int32
+	n    uint16 // instructions in the block, terminator included
+	Term TermKind
+	// StableBias marks strongly biased conditional branches.
+	StableBias bool
+	// Rare marks rarely executed blocks (guarded error paths).
+	Rare bool
 }
 
-// Entry returns the block's first-instruction address. Layout must have run.
-func (b *Block) Entry() isa.Addr { return b.Insts[0].PC }
+// maxBlockInsts is the longest block a Block record can describe.
+const maxBlockInsts = math.MaxUint16
 
-// Terminator returns the terminating instruction, if the block has one.
-func (b *Block) Terminator() (isa.Inst, bool) {
-	if b.Term == TermFall || len(b.Insts) == 0 {
-		return isa.Inst{}, false
-	}
-	return b.Insts[len(b.Insts)-1], true
-}
+// Entry returns the block's first-instruction address.
+func (b *Block) Entry() isa.Addr { return b.entry }
+
+// Len returns the number of instructions in the block.
+func (b *Block) Len() int { return int(b.n) }
 
 // Func is a generated function: a contiguous run of basic blocks.
 type Func struct {
@@ -77,56 +85,129 @@ type Func struct {
 	Hot         bool
 }
 
-// Program is a generated synthetic program.
+// Program is a generated synthetic program, immutable once built. Per
+// instruction it stores one kind byte (plus one size byte in variable-length
+// mode); everything else about an instruction is derived from its block.
 type Program struct {
 	Params Params
 	Funcs  []Func
 	Blocks []Block
 	Image  *isa.Image
 	hot    []int32 // indices of hot functions
+
+	kinds []isa.Kind // every instruction's kind, block after block
+	sizes []uint8    // every instruction's size; nil in fixed-length mode
+	// callees holds the candidate functions of the indirect call sites, each
+	// list prefixed by its length; offset 0 is the empty list every other
+	// block points at.
+	callees []int32
 }
 
-// blockPlan is the pre-layout shape of a block.
-type blockPlan struct {
-	bodyKinds []isa.Kind
-	term      TermKind
-	takenProb float64
-	stable    bool
-	targetBB  int32
-	callee    int32
-	callees   []int32
-	rare      bool
+// blockKinds returns the kinds of the block's instructions.
+func (p *Program) blockKinds(b *Block) []isa.Kind { return p.kinds[b.first : b.first+uint32(b.n)] }
+
+// blockSizes returns the sizes of the block's instructions, nil in
+// fixed-length mode (every instruction is isa.FixedSize bytes).
+func (p *Program) blockSizes(b *Block) []uint8 {
+	if p.sizes == nil {
+		return nil
+	}
+	return p.sizes[b.first : b.first+uint32(b.n)]
+}
+
+// calleesOf returns the candidate functions of the block's indirect call.
+func (p *Program) calleesOf(b *Block) []int32 {
+	at := b.callees + 1
+	return p.callees[at : at+uint32(p.callees[b.callees])]
+}
+
+// Callees returns the candidate functions of an indirect call site; empty
+// for every other block.
+func (p *Program) Callees(bb int32) []int32 { return p.calleesOf(&p.Blocks[bb]) }
+
+// inst derives instruction j of the block, which sits at address pc.
+func (p *Program) inst(b *Block, j int, pc isa.Addr) isa.Inst {
+	in := isa.Inst{PC: pc, Size: isa.FixedSize, Kind: p.kinds[int(b.first)+j]}
+	if p.sizes != nil {
+		in.Size = p.sizes[int(b.first)+j]
+	}
+	if j == int(b.n)-1 && b.Term != TermFall {
+		in.Target = b.target
+	}
+	return in
+}
+
+// Insts materializes the block's instructions. The walker never does — it
+// reads the flat arrays — so this allocates and is meant for tests, stats
+// and tools.
+func (p *Program) Insts(bb int32) []isa.Inst {
+	b := &p.Blocks[bb]
+	out := make([]isa.Inst, b.n)
+	pc := b.entry
+	for j := range out {
+		out[j] = p.inst(b, j, pc)
+		pc = out[j].NextPC()
+	}
+	return out
+}
+
+// Terminator returns the block's terminating instruction, if it has one.
+func (p *Program) Terminator(bb int32) (isa.Inst, bool) {
+	if p.Blocks[bb].Term == TermFall {
+		return isa.Inst{}, false
+	}
+	insts := p.Insts(bb)
+	return insts[len(insts)-1], true
 }
 
 // Generate builds a program from the parameters. Generation is deterministic
-// given Params (including GenSeed).
+// given Params (including GenSeed). It panics on parameters it cannot build a
+// program from, with an error naming them where the representation is the
+// limit: blocks longer than a Block's 16-bit length, more instructions than
+// its 32-bit index.
 func Generate(p Params) *Program {
 	p.setDefaults()
-	rng := rand.New(rand.NewSource(p.GenSeed))
-
-	prog := &Program{Params: p}
-	var plans []blockPlan
-	estBytes := 0
-	avgInstBytes := 4.0
+	// A block is 1..2*AvgBlockInsts-1 body instructions and a terminator.
+	if longest := 2 * int64(p.AvgBlockInsts); longest > maxBlockInsts {
+		panic(fmt.Errorf("cfg: workload %q: AvgBlockInsts = %d allows basic blocks of %d instructions, a block holds at most %d",
+			p.Name, p.AvgBlockInsts, longest, maxBlockInsts))
+	}
+	// Size the arrays once, for the footprint plus the one function the loop
+	// below overshoots by: the program is the largest resident object of a
+	// process, and regrowing it is what would set the peak. lost is what the
+	// loop's per-block byte estimate truncates away, per instruction.
+	blockInsts := float64(p.AvgBlockInsts) + p.CondFrac + p.JumpFrac + p.CallFrac
+	avgInstBytes, lost := 4.0, 0.0
 	if p.Mode == isa.Variable {
-		avgInstBytes = 5.3
+		avgInstBytes, lost = 5.3, 1/blockInsts
+	}
+	estInsts := int(float64(p.FootprintBytes)/(avgInstBytes-lost)) + p.FuncMaxBlocks*2*p.AvgBlockInsts
+	// Blocks index instructions with 32 bits; half the range leaves room for
+	// the estimate's error.
+	if int64(estInsts) > math.MaxUint32/2 {
+		panic(fmt.Errorf("cfg: workload %q: FootprintBytes = %d is about %d instructions, more than a program holds",
+			p.Name, p.FootprintBytes, estInsts))
+	}
+	rng := rand.New(rand.NewSource(p.GenSeed))
+	prog := &Program{
+		Params:  p,
+		Blocks:  make([]Block, 0, int(float64(estInsts)/blockInsts)+p.FuncMaxBlocks),
+		kinds:   make([]isa.Kind, 0, estInsts),
+		callees: []int32{0},
 	}
 
 	// Pass 1: structure. Generate functions until the estimated footprint is
-	// reached. Call targets are resolved in pass 2 once the function count
-	// is known.
-	for estBytes < p.FootprintBytes {
+	// reached. Branch targets stay function-local block indices until layout;
+	// call targets are resolved in pass 2 once the function count is known.
+	for estBytes := 0; estBytes < p.FootprintBytes; {
 		nBlocks := p.FuncMinBlocks + rng.Intn(p.FuncMaxBlocks-p.FuncMinBlocks+1)
-		first := int32(len(plans))
-		fnPlans := genFunctionPlan(p, rng, nBlocks)
-		plans = append(plans, fnPlans...)
-		prog.Funcs = append(prog.Funcs, Func{First: first, Last: int32(len(plans) - 1)})
-		for _, bp := range fnPlans {
-			n := len(bp.bodyKinds)
-			if bp.term != TermFall {
-				n++
-			}
-			estBytes += int(float64(n) * avgInstBytes)
+		first := len(prog.Blocks)
+		prog.Blocks = append(prog.Blocks, make([]Block, nBlocks)...)
+		fn := prog.Blocks[first:]
+		prog.kinds = genFunction(p, rng, fn, prog.kinds)
+		prog.Funcs = append(prog.Funcs, Func{First: int32(first), Last: int32(len(prog.Blocks) - 1)})
+		for i := range fn {
+			estBytes += int(float64(fn[i].n) * avgInstBytes)
 		}
 	}
 
@@ -142,24 +223,28 @@ func Generate(p Params) *Program {
 	}
 
 	// Pass 2: resolve call sites.
-	for i := range plans {
-		bp := &plans[i]
-		if bp.term != TermCall {
+	for i := range prog.Blocks {
+		b := &prog.Blocks[i]
+		if b.Term != TermCall {
 			continue
 		}
 		if rng.Float64() < p.IndirectCallFrac {
-			bp.callee = -1
+			b.Callee = -1
+			prog.kinds[b.first+uint32(b.n)-1] = isa.KindIndirect
 			n := 2 + rng.Intn(3)
+			b.callees = uint32(len(prog.callees))
+			prog.callees = append(prog.callees, int32(n))
 			for j := 0; j < n; j++ {
-				bp.callees = append(bp.callees, prog.pickCallee(rng))
+				prog.callees = append(prog.callees, prog.pickCallee(rng))
 			}
 		} else {
-			bp.callee = prog.pickCallee(rng)
+			b.Callee = prog.pickCallee(rng)
 		}
 	}
 
-	// Pass 3: layout — assign sizes/PCs, encode the image, build Blocks.
-	layout(prog, plans, rng)
+	// Pass 3: layout — assign sizes and addresses, resolve targets, encode
+	// the image.
+	layout(prog, rng)
 	return prog
 }
 
@@ -184,90 +269,103 @@ func (p *Program) pickCallee(rng *rand.Rand) int32 {
 	return int32(rng.Intn(len(p.Funcs)))
 }
 
-// genFunctionPlan generates the block plans of one function. Local block
-// indices are stored in targetBB and fixed up by the caller via the global
-// first index — targets here are relative to the function start.
-func genFunctionPlan(p Params, rng *rand.Rand, nBlocks int) []blockPlan {
-	plans := make([]blockPlan, nBlocks)
+// genFunction generates the blocks of one function into fn (zeroed, one
+// element per block) and appends their instruction kinds — body, then the
+// terminator's — to kinds. TargetBB holds function-local block indices, which
+// layout makes global; a call's kind is KindCall until pass 2 decides whether
+// the site is indirect.
+func genFunction(p Params, rng *rand.Rand, fn []Block, kinds []isa.Kind) []isa.Kind {
+	nBlocks := len(fn)
 
 	// Choose rare blocks: interior blocks, never adjacent, always with a
 	// guarding predecessor and a join successor.
 	for i := 2; i < nBlocks-1; i++ {
-		if plans[i-1].rare || plans[i-1].term == TermCond {
+		if fn[i-1].Rare || fn[i-1].Term == TermCond {
 			continue
 		}
 		if rng.Float64() < p.RareBlockFrac {
-			plans[i].rare = true
+			fn[i].Rare = true
 			// Guard: predecessor skips the rare block most of the time.
-			plans[i-1].term = TermCond
-			plans[i-1].targetBB = int32(i + 1)
-			plans[i-1].takenProb = 1 - p.RareExecProb
-			plans[i-1].stable = true
+			fn[i-1].Term = TermCond
+			fn[i-1].TargetBB = int32(i + 1)
+			fn[i-1].TakenProb = 1 - p.RareExecProb
+			fn[i-1].StableBias = true
 		}
 	}
 
 	for i := 0; i < nBlocks; i++ {
-		bp := &plans[i]
+		b := &fn[i]
+		b.first = uint32(len(kinds))
 		nBody := 1 + rng.Intn(2*p.AvgBlockInsts-1)
-		bp.bodyKinds = make([]isa.Kind, 0, nBody)
 		for j := 0; j < nBody; j++ {
 			r := rng.Float64()
 			switch {
 			case r < p.LoadFrac:
-				bp.bodyKinds = append(bp.bodyKinds, isa.KindLoad)
+				kinds = append(kinds, isa.KindLoad)
 			case r < p.LoadFrac+p.StoreFrac:
-				bp.bodyKinds = append(bp.bodyKinds, isa.KindStore)
+				kinds = append(kinds, isa.KindStore)
 			default:
-				bp.bodyKinds = append(bp.bodyKinds, isa.KindALU)
+				kinds = append(kinds, isa.KindALU)
 			}
 		}
 
-		if i == nBlocks-1 {
-			bp.term = TermRet
-			continue
-		}
-		if bp.term == TermCond && bp.targetBB != 0 {
-			continue // already set as a rare-block guard
-		}
-		r := rng.Float64()
 		switch {
-		case r < p.CondFrac:
-			bp.term = TermCond
-			backward := i > 0 && rng.Float64() < p.BackwardFrac
-			if backward {
-				bp.targetBB = int32(rng.Intn(i + 1))
-				// Loop back-edges in server code have small trip counts;
-				// a strongly taken nested back-edge would trap execution
-				// in a tiny footprint, which server workloads never do.
-				bp.takenProb = 0.3 + 0.3*rng.Float64()
-			} else {
-				bp.targetBB = int32(pickForwardTarget(rng, i, nBlocks, plans))
-				if rng.Float64() < p.StableBiasFrac {
-					bp.stable = true
-					if rng.Float64() < 0.5 {
-						bp.takenProb = p.TakenBias
-					} else {
-						bp.takenProb = 1 - p.TakenBias
-					}
-				} else {
-					bp.takenProb = p.WeakBias
-				}
-			}
-		case r < p.CondFrac+p.JumpFrac:
-			bp.term = TermJump
-			bp.targetBB = int32(pickForwardTarget(rng, i, nBlocks, plans))
-		case r < p.CondFrac+p.JumpFrac+p.CallFrac:
-			bp.term = TermCall
+		case i == nBlocks-1:
+			b.Term = TermRet
+		case b.Term == TermCond && b.TargetBB != 0:
+			// already set as a rare-block guard
 		default:
-			bp.term = TermFall
+			genTerminator(p, rng, fn, i)
 		}
+		if k, ok := termInstKind(b.Term); ok {
+			kinds = append(kinds, k)
+		}
+		b.n = uint16(len(kinds) - int(b.first))
 	}
-	return plans
+	return kinds
+}
+
+// genTerminator draws how block i of the function ends.
+func genTerminator(p Params, rng *rand.Rand, fn []Block, i int) {
+	b := &fn[i]
+	r := rng.Float64()
+	switch {
+	case r < p.CondFrac:
+		b.Term = TermCond
+		backward := i > 0 && rng.Float64() < p.BackwardFrac
+		if backward {
+			b.TargetBB = int32(rng.Intn(i + 1))
+			// Loop back-edges in server code have small trip counts;
+			// a strongly taken nested back-edge would trap execution
+			// in a tiny footprint, which server workloads never do.
+			b.TakenProb = 0.3 + 0.3*rng.Float64()
+		} else {
+			b.TargetBB = int32(pickForwardTarget(rng, i, fn))
+			if rng.Float64() < p.StableBiasFrac {
+				b.StableBias = true
+				if rng.Float64() < 0.5 {
+					b.TakenProb = p.TakenBias
+				} else {
+					b.TakenProb = 1 - p.TakenBias
+				}
+			} else {
+				b.TakenProb = p.WeakBias
+			}
+		}
+	case r < p.CondFrac+p.JumpFrac:
+		b.Term = TermJump
+		b.TargetBB = int32(pickForwardTarget(rng, i, fn))
+	case r < p.CondFrac+p.JumpFrac+p.CallFrac:
+		b.Term = TermCall
+	default:
+		b.Term = TermFall
+	}
 }
 
 // pickForwardTarget picks a forward target, skewed to nearby blocks and
 // avoiding rare blocks when possible.
-func pickForwardTarget(rng *rand.Rand, i, nBlocks int, plans []blockPlan) int {
+func pickForwardTarget(rng *rand.Rand, i int, fn []Block) int {
+	nBlocks := len(fn)
 	if i >= nBlocks-1 {
 		return nBlocks - 1
 	}
@@ -277,7 +375,7 @@ func pickForwardTarget(rng *rand.Rand, i, nBlocks int, plans []blockPlan) int {
 		if t > nBlocks-1 {
 			t = nBlocks - 1
 		}
-		if !plans[t].rare {
+		if !fn[t].Rare {
 			return t
 		}
 	}
@@ -298,10 +396,4 @@ func geometric(rng *rand.Rand, p float64) int {
 func (p *Program) FuncOfBlock(bb int32) *Func { return &p.Funcs[p.Blocks[bb].Func] }
 
 // NumInsts returns the total static instruction count.
-func (p *Program) NumInsts() int {
-	n := 0
-	for i := range p.Blocks {
-		n += len(p.Blocks[i].Insts)
-	}
-	return n
-}
+func (p *Program) NumInsts() int { return len(p.kinds) }

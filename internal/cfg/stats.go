@@ -37,12 +37,12 @@ func (p *Program) Stats() StaticStats {
 	var s StaticStats
 	s.Functions = len(p.Funcs)
 	s.BasicBlocks = len(p.Blocks)
+	s.Instructions = p.NumInsts()
 	s.CodeBytes = len(p.Image.Code)
 
 	var cond, jump, call, ret, fall, indirect, rare int
 	for i := range p.Blocks {
 		b := &p.Blocks[i]
-		s.Instructions += len(b.Insts)
 		switch b.Term {
 		case TermCond:
 			cond++

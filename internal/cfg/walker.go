@@ -38,10 +38,17 @@ type Walker struct {
 	seed  int64
 	src   *countingSource
 	rng   *rand.Rand
-	cur   int32      // current block index
-	idx   int        // next instruction within the block
-	insts []isa.Inst // Blocks[cur].Insts, cached to cut a pointer chase per step
+	cur   int32 // current block index
+	idx   int   // next instruction within the block
 	stack []int32
+
+	// Derived from (cur, idx), which is what a snapshot holds: the current
+	// block's slices of the program's flat arrays, and the address of
+	// instruction idx — a running address, since in variable-length mode it
+	// is the sum of the sizes before it.
+	kinds []isa.Kind
+	sizes []uint8 // nil in fixed-length mode
+	pc    isa.Addr
 
 	dataHotBase  isa.Addr
 	dataColdBase isa.Addr
@@ -91,33 +98,36 @@ func (w *Walker) dispatch() {
 	} else {
 		fi = int32(w.rng.Intn(len(p.Funcs)))
 	}
-	w.cur = p.Funcs[fi].First
-	w.idx = 0
-	w.insts = p.Blocks[w.cur].Insts
+	w.moveTo(p.Funcs[fi].First)
 }
 
 // Next advances one committed instruction, filling *s.
 func (w *Walker) Next(s *Step) {
 	p := w.prog
-	inst := w.insts[w.idx]
-	isTerm := w.idx == len(w.insts)-1
-	blk := &p.Blocks[w.cur]
-
-	*s = Step{Inst: inst}
-	if inst.Kind == isa.KindLoad || inst.Kind == isa.KindStore {
+	kind := w.kinds[w.idx]
+	size := uint8(isa.FixedSize)
+	if w.sizes != nil {
+		size = w.sizes[w.idx]
+	}
+	*s = Step{Inst: isa.Inst{PC: w.pc, Size: size, Kind: kind}}
+	if kind == isa.KindLoad || kind == isa.KindStore {
 		s.DataAddr = w.dataAddr()
 	}
 
-	if !isTerm || blk.Term == TermFall {
-		// Advance within the block, or fall through to the next block.
-		if !isTerm {
-			w.idx++
-		} else {
-			w.moveTo(blk.Next)
-		}
-		s.NextPC = w.pc()
+	if w.idx != len(w.kinds)-1 {
+		// Advance within the block.
+		w.idx++
+		w.pc += isa.Addr(size)
+		s.NextPC = w.pc
 		return
 	}
+	blk := &p.Blocks[w.cur]
+	if blk.Term == TermFall {
+		w.moveTo(blk.Next)
+		s.NextPC = w.pc
+		return
+	}
+	s.Inst.Target = blk.target
 
 	// Terminator outcomes.
 	switch blk.Term {
@@ -126,14 +136,14 @@ func (w *Walker) Next(s *Step) {
 		s.Taken = taken
 		if taken {
 			w.moveTo(blk.TargetBB)
-			s.TargetPC = w.pc()
+			s.TargetPC = w.pc
 		} else {
 			w.moveTo(blk.Next)
 		}
 	case TermJump:
 		s.Taken = true
 		w.moveTo(blk.TargetBB)
-		s.TargetPC = w.pc()
+		s.TargetPC = w.pc
 	case TermCall:
 		if len(w.stack) >= p.Params.MaxCallDepth {
 			// Elide the call (leaf inlining): continue at the return site.
@@ -147,7 +157,7 @@ func (w *Walker) Next(s *Step) {
 			callee = w.pickIndirectCallee(blk)
 		}
 		w.moveTo(p.Funcs[callee].First)
-		s.TargetPC = w.pc()
+		s.TargetPC = w.pc
 	case TermRet:
 		s.Taken = true
 		if n := len(w.stack); n > 0 {
@@ -161,22 +171,23 @@ func (w *Walker) Next(s *Step) {
 		} else {
 			w.dispatch()
 		}
-		s.TargetPC = w.pc()
+		s.TargetPC = w.pc
 	}
-	s.NextPC = w.pc()
+	s.NextPC = w.pc
 }
 
 // pickIndirectCallee selects among an indirect call site's candidates with a
 // stable skew: the first candidate dominates, modelling mostly-monomorphic
 // virtual dispatch.
 func (w *Walker) pickIndirectCallee(blk *Block) int32 {
-	if len(blk.Callees) == 0 {
+	callees := w.prog.calleesOf(blk)
+	if len(callees) == 0 {
 		return 0
 	}
 	if w.rng.Float64() < 0.7 {
-		return blk.Callees[0]
+		return callees[0]
 	}
-	return blk.Callees[w.rng.Intn(len(blk.Callees))]
+	return callees[w.rng.Intn(len(callees))]
 }
 
 // moveTo positions the walker at the start of a block. A negative index
@@ -186,13 +197,23 @@ func (w *Walker) moveTo(bb int32) {
 		w.dispatch()
 		return
 	}
-	w.cur = bb
-	w.idx = 0
-	w.insts = w.prog.Blocks[bb].Insts
+	w.seek(bb, 0)
 }
 
-// pc returns the address of the next instruction to execute.
-func (w *Walker) pc() isa.Addr { return w.insts[w.idx].PC }
+// seek positions the walker at instruction idx of a block and rebuilds what
+// is derived from that position.
+func (w *Walker) seek(bb int32, idx int) {
+	blk := &w.prog.Blocks[bb]
+	w.cur, w.idx = bb, idx
+	w.kinds, w.sizes = w.prog.blockKinds(blk), w.prog.blockSizes(blk)
+	w.pc = blk.entry + isa.Addr(idx)*isa.FixedSize
+	if w.sizes != nil {
+		w.pc = blk.entry
+		for _, size := range w.sizes[:idx] {
+			w.pc += isa.Addr(size)
+		}
+	}
+}
 
 // dataAddr synthesises a load/store effective address with a hot/cold skew.
 func (w *Walker) dataAddr() isa.Addr {
@@ -247,7 +268,7 @@ func (w *Walker) State(c *checkpoint.Codec, maxSteps uint64) {
 			c.Corrupt("walker drew %d times, a run of at most %d steps cannot have", draws, maxSteps)
 		case cur < 0 || cur >= blocks:
 			c.Corrupt("walker block index %d out of range", cur)
-		case idx < 0 || idx >= len(w.prog.Blocks[cur].Insts):
+		case idx < 0 || idx >= w.prog.Blocks[cur].Len():
 			c.Corrupt("walker instruction index %d out of range", idx)
 		}
 	}
@@ -270,6 +291,5 @@ func (w *Walker) State(c *checkpoint.Codec, maxSteps uint64) {
 		w.src.src.Uint64()
 	}
 	w.src.draws = draws
-	w.cur, w.idx = int32(cur), idx
-	w.insts = w.prog.Blocks[cur].Insts
+	w.seek(int32(cur), idx)
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	wl "dnc/internal/cfg"
@@ -266,7 +268,7 @@ func TestReuseKeepsConfigurationsApart(t *testing.T) {
 }
 
 // TestWarmedImagesAreBounded: a process that keeps meeting new (program, LLC
-// configuration) pairs — the fuzzing harness — keeps at most warmCap images,
+// configuration) pairs — the fuzzing harness — keeps at most warmCap entries,
 // the most recently used ones, and an evicted pair that comes back gets the
 // same image again. Configurations that normalize alike share one.
 func TestWarmedImagesAreBounded(t *testing.T) {
@@ -294,7 +296,7 @@ func TestWarmedImagesAreBounded(t *testing.T) {
 	n := len(warm.m)
 	warm.mu.Unlock()
 	if n > warmCap {
-		t.Errorf("%d warmed images cached, bound %d", n, warmCap)
+		t.Errorf("%d entries cached, bound %d", n, warmCap)
 	}
 	if cached(0) || !cached(1) || !cached(warmCap+3) {
 		t.Errorf("cached: oldest %v, kept in use %v, newest %v; want false, true, true",
@@ -305,6 +307,90 @@ func TestWarmedImagesAreBounded(t *testing.T) {
 	}
 	if warmLLC(p, llc.Config{}) != warmLLC(p, llc.DefaultConfig()) {
 		t.Error("the zero Config and the default it stands for have two images")
+	}
+}
+
+// TestProgramCacheIsSingleFlightAndBounded: goroutines that arrive together
+// for a workload nothing has generated yet — the first cells a fresh worker
+// receives — get one program, not one each; and a process that keeps meeting
+// new parameter sets (the fuzzing harness) keeps at most warmCap entries, the
+// most recently used ones.
+func TestProgramCacheIsSingleFlightAndBounded(t *testing.T) {
+	paramsAt := func(i int) wl.Params {
+		p := smallWorkload()
+		p.FootprintBytes = 16 << 10
+		p.GenSeed = int64(9000 + i) // a key nothing else in the package uses
+		return p
+	}
+	cached := func(i int) bool {
+		warm.mu.Lock()
+		defer warm.mu.Unlock()
+		_, ok := warm.m[warmKey{p: paramsAt(i)}]
+		return ok
+	}
+
+	got := make([]*wl.Program, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = Program(paramsAt(0))
+		}()
+	}
+	wg.Wait()
+	for g, prog := range got {
+		if prog == nil || prog != got[0] {
+			t.Fatalf("goroutine %d got program %p, goroutine 0 got %p", g, prog, got[0])
+		}
+	}
+
+	for i := 1; i < 3*warmCap; i++ {
+		Program(paramsAt(i))
+		Program(paramsAt(1)) // stays the most recently used but one
+	}
+	warm.mu.Lock()
+	n := len(warm.m)
+	warm.mu.Unlock()
+	if n > warmCap {
+		t.Errorf("%d entries cached, bound %d", n, warmCap)
+	}
+	if cached(0) || !cached(1) || !cached(3*warmCap-1) {
+		t.Errorf("cached: oldest %v, kept in use %v, newest %v; want false, true, true",
+			cached(0), cached(1), cached(3*warmCap-1))
+	}
+}
+
+// TestRefusedProgramFailsEveryRun: parameters Generate refuses reach it past
+// Validate (it does not look at block lengths). Every run of them, a retried
+// cell or cells that arrive together, fails with Generate's message; none
+// waits on another's failed build or finds a half-built entry.
+func TestRefusedProgramFailsEveryRun(t *testing.T) {
+	rc := checkedConfig()
+	rc.Workload.AvgBlockInsts = 40000
+	errs := make([]error, 6)
+	_, errs[0] = RunChecked(context.Background(), rc)
+	_, errs[1] = RunChecked(context.Background(), rc)
+	var wg sync.WaitGroup
+	for g := 2; g < len(errs); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[g] = RunChecked(context.Background(), rc)
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		var re *RunError
+		if !errors.As(err, &re) || !strings.Contains(err.Error(), "AvgBlockInsts = 40000") {
+			t.Errorf("run %d: error %v, want a RunError naming AvgBlockInsts = 40000", g, err)
+		}
+	}
+	warm.mu.Lock()
+	_, kept := warm.m[warmKey{p: rc.Workload}]
+	warm.mu.Unlock()
+	if kept {
+		t.Error("the failed build left its entry in the cache")
 	}
 }
 

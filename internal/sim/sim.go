@@ -158,90 +158,115 @@ type Result struct {
 	Obs *obs.RunObs
 }
 
-// progCache memoizes generated programs; generation is deterministic in the
-// parameters, and programs are immutable once built.
-var progCache sync.Map // key wl.Params -> *wl.Program
-
-// Program returns the (cached) generated program for the parameters. The
-// Params value itself is the cache key — every field participates, since
-// generation is deterministic in the full parameter set, so any two
-// distinct sets must get distinct cache entries. (An earlier key of just
-// Name|Mode|Footprint|GenSeed silently served the wrong program to ad-hoc
-// parameter sets — e.g. the fuzzing harness — that varied only a branch-mix
-// knob; a later fmt.Sprintf("%#v") key fixed that but cost a multi-KB
-// formatting pass per lookup.)
-func Program(p wl.Params) *wl.Program {
-	if v, ok := progCache.Load(p); ok {
-		return v.(*wl.Program)
-	}
-	prog := wl.Generate(p)
-	progCache.Store(p, prog)
-	return prog
-}
-
-// warmCap bounds the warmed-LLC images a process keeps (8 MB each, 11 MB
-// with DV). It holds the whole named catalog — 7 workloads, two modes, DV on
-// and off — so a sweep over it builds each image once, while a process that
+// warmCap bounds what a process keeps built: generated programs (2-24 MB
+// each) and warmed LLC images (8 MB each, 11 MB with DV), one count for both.
+// It holds the named catalog under an LLC configuration — 7 workloads, two
+// modes, a program and an image each — with room for an experiment's
+// overrides, so a sweep over it builds each once, while a process that
 // generates programs without end (the fuzzing harness) keeps the most
 // recently used ones and rebuilds the rest on demand.
 const warmCap = 32
 
-// warm caches the long-warmed LLC states runs start from. The state Preload
-// leaves in an empty LLC is a pure function of the program image and the LLC
-// configuration — the checkpoint a SimFlex run would load — so it is built
-// once per pair and copied into each run's LLC. An evicted image is rebuilt
-// identically if the pair comes back.
+// warm caches what is built once and shared by every run that needs it: the
+// generated programs and the long-warmed LLC states runs start from.
+// Generation is deterministic in the parameters and a program is immutable
+// once built; the state Preload leaves in an empty LLC is a pure function of
+// the program image and the LLC configuration — the checkpoint a SimFlex run
+// would load. Either is rebuilt identically if it is evicted and comes back.
 var warm struct {
 	mu   sync.Mutex
 	tick uint64
 	m    map[warmKey]*warmEntry
 }
 
+// warmKey names a program (cfg zero) or its image under a normalized LLC
+// configuration (never zero). The Params value itself is the key — every
+// field participates, since generation is deterministic in the full
+// parameter set, so any two distinct sets must get distinct entries (a key
+// of just Name|Mode|Footprint|GenSeed once served the wrong program to
+// parameter sets that varied only a branch-mix knob).
 type warmKey struct {
 	p   wl.Params
-	cfg llc.Config // normalized
+	cfg llc.Config
 }
 
 type warmEntry struct {
-	used  uint64 // warm.tick at the last lookup; guarded by warm.mu
+	used uint64 // warm.tick at the last lookup; guarded by warm.mu
+
+	// build runs once: callers that arrive together for something nothing
+	// has built yet (a fresh worker's first cells) wait for one build
+	// instead of each making their own. The rest is read-only after it.
 	build sync.Once
-	llc   *llc.LLC // read-only once built
+	built bool
+	prog  *wl.Program
+	llc   *llc.LLC
+}
+
+// warmed returns k's built entry, evicting the least recently used one to
+// make room. The caller only reads what it gets, so an entry evicted while a
+// run still uses it is simply collected afterwards.
+func warmed(k warmKey) *warmEntry {
+	for {
+		warm.mu.Lock()
+		e := warm.m[k]
+		if e == nil {
+			if len(warm.m) >= warmCap {
+				var oldest warmKey
+				least := ^uint64(0)
+				for ok, oe := range warm.m {
+					if oe.used < least {
+						oldest, least = ok, oe.used
+					}
+				}
+				delete(warm.m, oldest)
+			}
+			if warm.m == nil {
+				warm.m = make(map[warmKey]*warmEntry)
+			}
+			e = new(warmEntry)
+			warm.m[k] = e
+		}
+		warm.tick++
+		e.used = warm.tick
+		warm.mu.Unlock()
+
+		e.build.Do(func() {
+			// A build that panics (parameters Generate or llc.New refuse)
+			// leaves no entry behind: the panic is its caller's, and whoever
+			// waited on it or asks again builds afresh and gets their own.
+			defer func() {
+				if !e.built {
+					warm.mu.Lock()
+					if warm.m[k] == e {
+						delete(warm.m, k)
+					}
+					warm.mu.Unlock()
+				}
+			}()
+			if k.cfg == (llc.Config{}) {
+				e.prog = wl.Generate(k.p)
+			} else {
+				u := core.Uncore{LLC: llc.New(k.cfg)}
+				u.Preload(Program(k.p).Image)
+				e.llc = u.LLC
+			}
+			e.built = true
+		})
+		if e.built {
+			return e
+		}
+	}
+}
+
+// Program returns the (cached) generated program for the parameters.
+func Program(p wl.Params) *wl.Program {
+	return warmed(warmKey{p: p}).prog
 }
 
 // warmLLC returns the preloaded LLC state of p's program under cfg, building
-// it on first use. The caller only reads (Clone) it, so an entry evicted
-// while a run still copies from it is simply collected afterwards.
+// it on first use.
 func warmLLC(p wl.Params, cfg llc.Config) *llc.LLC {
-	k := warmKey{p, cfg.Normalized()}
-	warm.mu.Lock()
-	e := warm.m[k]
-	if e == nil {
-		if len(warm.m) >= warmCap {
-			var oldest warmKey
-			least := ^uint64(0)
-			for ok, oe := range warm.m {
-				if oe.used < least {
-					oldest, least = ok, oe.used
-				}
-			}
-			delete(warm.m, oldest)
-		}
-		if warm.m == nil {
-			warm.m = make(map[warmKey]*warmEntry)
-		}
-		e = new(warmEntry)
-		warm.m[k] = e
-	}
-	warm.tick++
-	e.used = warm.tick
-	warm.mu.Unlock()
-
-	e.build.Do(func() {
-		u := core.Uncore{LLC: llc.New(k.cfg)}
-		u.Preload(Program(p).Image)
-		e.llc = u.LLC
-	})
-	return e.llc
+	return warmed(warmKey{p, cfg.Normalized()}).llc
 }
 
 // Run executes one simulation and returns its result. It panics on

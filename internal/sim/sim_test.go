@@ -221,7 +221,7 @@ func TestProgramCacheKeysEveryParam(t *testing.T) {
 	// distinct entries are not just duplicate instances.
 	count := func(p *wl.Program) (cond int) {
 		for i := range p.Blocks {
-			if term, ok := p.Blocks[i].Terminator(); ok && term.Kind == isa.KindCondBranch {
+			if term, ok := p.Terminator(int32(i)); ok && term.Kind == isa.KindCondBranch {
 				cond++
 			}
 		}

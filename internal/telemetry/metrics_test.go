@@ -65,10 +65,10 @@ func TestGaugeAndCounterFunc(t *testing.T) {
 func TestHistogramExposition(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("dnc_wait_seconds", "Wait time.", []uint64{1000, 10000, 100000}, SecondsScale)
-	h.ObserveDuration(500 * time.Microsecond)  // ≤ 1000µs bucket
-	h.ObserveDuration(5 * time.Millisecond)    // ≤ 10000µs bucket
-	h.ObserveDuration(5 * time.Millisecond)    // ≤ 10000µs bucket
-	h.ObserveDuration(time.Second)             // overflow → +Inf only
+	h.ObserveDuration(500 * time.Microsecond) // ≤ 1000µs bucket
+	h.ObserveDuration(5 * time.Millisecond)   // ≤ 10000µs bucket
+	h.ObserveDuration(5 * time.Millisecond)   // ≤ 10000µs bucket
+	h.ObserveDuration(time.Second)            // overflow → +Inf only
 	var b strings.Builder
 	r.WritePrometheus(&b)
 	out := b.String()

@@ -9,8 +9,11 @@
 #                full 16-core scale where the engine's per-cycle cost
 #                dominates) and BenchmarkRunFixedCost (a 64+64-cycle run:
 #                what every run costs around its simulated cycles, which is
-#                most of a short sweep cell), compared against
-#                BENCH_engine.json.
+#                most of a short sweep cell), and internal/cfg
+#                BenchmarkGenerate{OLTPDBAFixed,WebZeusVariable} +
+#                BenchmarkWalkerNext (building the largest preset, the
+#                variable-length path, and one committed step), compared
+#                against BENCH_engine.json.
 #   resultstore  internal/resultstore BenchmarkSeriesEncode + BenchmarkSeriesDecode
 #                (the store's time-series codec hot paths: delta-of-delta
 #                timestamps + Gorilla XOR values) and BenchmarkScanIndex /
@@ -24,7 +27,10 @@
 # BENCH_THRESHOLD_PCT percent slower than its reference fails the script, and
 # so does a BenchmarkScan* that allocates more than 10 percent over its
 # reference allocs/op — the half of the gate that does not depend on the
-# machine: a scan that went back to one map per cell fails it anywhere.
+# machine: a scan that went back to one map per cell fails it anywhere. The
+# internal/cfg benchmarks are gated on that half only, allocs/op and B/op
+# (both repeat run to run: a program that went back to a slice per block
+# fails anywhere); their ns/op is printed and never fails the script.
 #
 # Usage:
 #   scripts/benchdiff.sh            # compare against the committed references
@@ -42,7 +48,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 THRESHOLD=${BENCH_THRESHOLD_PCT:-25}
-# Allowed allocs/op growth of the BenchmarkScan* entries, in percent:
+# Allowed allocs/op and B/op growth of the entries gated on them, in percent:
 # allocation counts repeat run to run, but map and slice growth differ a
 # little between Go releases.
 ALLOC_THRESHOLD=10
@@ -52,11 +58,11 @@ MODE=${1:-check}
 
 fail=0
 
-# run_suite <label> <package> <bench-regexes> <ref-file> <bench names...>
-# Runs one benchmark suite (one go test per space-separated regex; a regex
-# ending in @N runs at -benchtime N instead of BENCH_TIME) and either rewrites
-# its reference (-update) or compares each named benchmark's min ns/op
-# against it.
+# run_suite <label> <packages> <bench-regexes> <ref-file> <bench names...>
+# Runs one benchmark suite (one go test per space-separated regex, over the
+# space-separated packages; a regex ending in @N runs at -benchtime N instead
+# of BENCH_TIME) and either rewrites its reference (-update) or compares each
+# named benchmark's min ns/op against it.
 run_suite() {
 	local label="$1" pkg="$2" regexes="$3" ref="$4"
 	shift 4
@@ -66,7 +72,8 @@ run_suite() {
 	for regex in $regexes; do
 		benchtime="$BENCHTIME"
 		case "$regex" in *@*) benchtime="${regex##*@}" ;; esac
-		part=$(go test "$pkg" -run '^$' -bench "${regex%@*}" \
+		# shellcheck disable=SC2086 # $pkg is a list
+		part=$(go test $pkg -run '^$' -bench "${regex%@*}" \
 			-benchtime "$benchtime" -count "$COUNT" 2>&1) || {
 			echo "$part"
 			echo "benchdiff: $label benchmark run failed" >&2
@@ -88,20 +95,23 @@ run_suite() {
 			}
 			END { print min }'
 	}
-	min_ns() { min_unit "$1" "ns/op"; }
+	# Whole nanoseconds: a benchmark of tens of ns an op prints a fraction.
+	min_ns() { local v; v=$(min_unit "$1" "ns/op"); echo "${v%.*}"; }
 	min_allocs() { min_unit "$1" "allocs/op"; }
+	min_bytes() { min_unit "$1" "B/op"; }
 
 	if [ "$MODE" = "-update" ]; then
 		{
 			echo '{'
 			echo '  "note": "'"$label"' benchmark reference: min ns/op over '"$COUNT"'x -benchtime '"$BENCHTIME"' runs; update with scripts/benchdiff.sh -update",'
 			echo '  "benchmarks": {'
-			local sep='' b ns al
+			local sep='' b ns al by
 			for b in $benches; do
 				ns=$(min_ns "$b")
 				al=$(min_allocs "$b")
+				by=$(min_bytes "$b")
 				[ -n "$ns" ] || { echo "benchdiff: no result for $b" >&2; exit 1; }
-				printf '%s    "%s": {"ns_per_op": %s, "allocs_per_op": %s}' "$sep" "$b" "$ns" "$al"
+				printf '%s    "%s": {"ns_per_op": %s, "bytes_per_op": %s, "allocs_per_op": %s}' "$sep" "$b" "$ns" "$by" "$al"
 				sep=$',\n'
 			done
 			printf '\n  }\n}\n'
@@ -112,7 +122,23 @@ run_suite() {
 
 	[ -f "$ref" ] || { echo "benchdiff: $ref missing (run scripts/benchdiff.sh -update)" >&2; exit 1; }
 
-	local b ns refv limit pct al refa
+	# gate_count <bench> <unit> <json-key>: fails when the benchmark's minimum
+	# of the unit exceeds its reference by more than ALLOC_THRESHOLD percent.
+	gate_count() {
+		local b="$1" unit="$2" key="$3" got refc limit
+		got=$(min_unit "$b" "$unit")
+		refc=$(sed -n 's/.*"'"$b"'": {.*"'"$key"'": \([0-9]*\)[,}].*/\1/p' "$ref")
+		[ -n "$got" ] && [ -n "$refc" ] || { echo "benchdiff: no $unit for $b" >&2; exit 1; }
+		limit=$((refc + refc * ALLOC_THRESHOLD / 100))
+		if [ "$got" -gt "$limit" ]; then
+			echo "benchdiff: FAIL $b: $got $unit vs reference $refc (limit +${ALLOC_THRESHOLD}%)"
+			fail=1
+		else
+			echo "benchdiff: ok   $b: $got $unit vs reference $refc (limit +${ALLOC_THRESHOLD}%)"
+		fi
+	}
+
+	local b ns refv limit pct
 	for b in $benches; do
 		ns=$(min_ns "$b")
 		[ -n "$ns" ] || { echo "benchdiff: no result for $b" >&2; exit 1; }
@@ -120,33 +146,32 @@ run_suite() {
 		[ -n "$refv" ] || { echo "benchdiff: $b missing from $ref" >&2; exit 1; }
 		limit=$((refv + refv * THRESHOLD / 100))
 		pct=$(( (ns - refv) * 100 / refv ))
+		case "$b" in
+		BenchmarkGenerate*|BenchmarkWalkerNext)
+			echo "benchdiff: note $b: $ns ns/op vs reference $refv (${pct}%, advisory)"
+			gate_count "$b" "allocs/op" allocs_per_op
+			gate_count "$b" "B/op" bytes_per_op
+			continue ;;
+		esac
 		if [ "$ns" -gt "$limit" ]; then
 			echo "benchdiff: FAIL $b: $ns ns/op is ${pct}% over reference $refv (limit +${THRESHOLD}%)"
 			fail=1
 		else
 			echo "benchdiff: ok   $b: $ns ns/op vs reference $refv (${pct}%, limit +${THRESHOLD}%)"
 		fi
-		case "$b" in BenchmarkScan*) ;; *) continue ;; esac
-		al=$(min_allocs "$b")
-		refa=$(sed -n 's/.*"'"$b"'": {.*"allocs_per_op": \([0-9]*\)}.*/\1/p' "$ref")
-		[ -n "$al" ] && [ -n "$refa" ] || { echo "benchdiff: no allocs/op for $b" >&2; exit 1; }
-		limit=$((refa + refa * ALLOC_THRESHOLD / 100))
-		if [ "$al" -gt "$limit" ]; then
-			echo "benchdiff: FAIL $b: $al allocs/op vs reference $refa (limit +${ALLOC_THRESHOLD}%)"
-			fail=1
-		else
-			echo "benchdiff: ok   $b: $al allocs/op vs reference $refa (limit +${ALLOC_THRESHOLD}%)"
-		fi
+		case "$b" in BenchmarkScan*) gate_count "$b" "allocs/op" allocs_per_op ;; esac
 	done
 }
 
 # BenchmarkRunFixedCost is a millisecond an op: 3 iterations would measure
-# noise, so it always runs 200.
-run_suite engine ./internal/sim/ 'BenchmarkEngine ^BenchmarkRunFixedCost$@200x' \
+# noise, so it always runs 200; a walker step is tens of nanoseconds.
+run_suite engine './internal/sim/ ./internal/cfg/' \
+	'BenchmarkEngine ^BenchmarkRunFixedCost$@200x ^BenchmarkGenerate ^BenchmarkWalkerNext$@5000000x' \
 	BENCH_engine.json \
 	BenchmarkEngineBaseline BenchmarkEngineSN4LDisBTB \
 	BenchmarkEngine16CoreBaseline BenchmarkEngine16CoreSN4LDisBTB \
-	BenchmarkRunFixedCost
+	BenchmarkRunFixedCost \
+	BenchmarkGenerateOLTPDBAFixed BenchmarkGenerateWebZeusVariable BenchmarkWalkerNext
 
 # The scans run from 10 microseconds an op (the index, 320 cells) to 10
 # milliseconds (the file, 10K cells): iteration counts that give each run
