@@ -48,7 +48,7 @@ func main() {
 	httpAddr := flag.String("http", "", "serve live sweep progress, expvar-style counters, and pprof on this address (e.g. localhost:6060)")
 	storeOut := flag.String("store-out", "", "append every completed cell (with sampled metric time-series) to this columnar result store; inspect with dncstore")
 	schedFlag := flag.String("sched", "wheel", "simulation engine: wheel (event-driven) or tick (reference); bit-exact either way")
-	intraJobs := flag.Int("intra-jobs", 0, "shard each simulation's cores across this many goroutines (0 or 1 = serial; requires -sched=wheel)")
+	intraJobs := flag.Int("intra-jobs", 0, "shard each simulation's cores across this many goroutines (0 = idle CPUs, 1 = serial; N > 1 requires -sched=wheel)")
 	flag.Parse()
 
 	if *list {

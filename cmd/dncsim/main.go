@@ -66,7 +66,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
 	schedFlag := flag.String("sched", "wheel", "simulation engine: wheel (event-driven) or tick (reference); bit-exact either way")
-	intraJobs := flag.Int("intra-jobs", 0, "shard this run's cores across this many goroutines (0 or 1 = serial; requires -sched=wheel)")
+	intraJobs := flag.Int("intra-jobs", 0, "shard this run's cores across this many goroutines (0 = idle CPUs, 1 = serial; N > 1 requires -sched=wheel); bit-exact either way")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -195,6 +195,9 @@ func main() {
 		return r
 	}
 	r := runOne(rc)
+	// Provenance goes to stderr: the report on stdout is the same bytes on
+	// any engine and shard count.
+	fmt.Fprintf(os.Stderr, "dncsim: %s engine on %d shard(s)\n", r.Engine, r.Shards)
 	report(r)
 	reportObs(r)
 	if *traceOut != "" && r.Obs != nil {

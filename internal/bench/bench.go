@@ -73,7 +73,7 @@ type Config struct {
 	Sched sim.SchedMode
 	// IntraJobs shards the cores of each single simulation across this many
 	// goroutines (dncbench's -intra-jobs flag; see sim.RunConfig.IntraJobs).
-	// Useful when the sweep has fewer cells than the machine has CPUs.
+	// 0, the default, uses the CPUs the sweep's other cells leave idle.
 	IntraJobs int
 }
 

@@ -224,3 +224,33 @@ func TestMSHRAllocDemandBypassesCapacity(t *testing.T) {
 		t.Fatal("duplicate demand alloc accepted")
 	}
 }
+
+// TestMSHRSetReady: a re-keyed fill arrives at its new cycle, not its old
+// one, and the earliest-ready minimum and the audit follow it.
+func TestMSHRSetReady(t *testing.T) {
+	f := NewMSHRFile(4)
+	f.Alloc(1, 10, 30, true)
+	f.AllocDemand(2, 12, 40)
+	if er, _ := f.EarliestReady(); er != 30 {
+		t.Fatalf("EarliestReady = %d, want 30", er)
+	}
+	f.SetReady(1, 45)
+	f.SetReady(9, 50) // no entry: nothing happens
+	if er, _ := f.EarliestReady(); er != 40 {
+		t.Fatalf("after SetReady, EarliestReady = %d, want 40", er)
+	}
+	if got := f.Ready(39); len(got) != 0 {
+		t.Fatalf("Ready(39) = %+v, want nothing", got)
+	}
+	if got := f.Ready(40); len(got) != 1 || got[0].Block != 2 {
+		t.Fatalf("Ready(40) = %+v, want block 2", got)
+	}
+	f.Free(2)
+	if errs := f.Audit(41); len(errs) > 0 {
+		t.Fatalf("audit: %v", errs)
+	}
+	got := f.Ready(45)
+	if len(got) != 1 || got[0].Block != 1 || got[0].Latency() != 35 {
+		t.Fatalf("Ready(45) = %+v, want block 1 with latency 35", got)
+	}
+}

@@ -45,8 +45,9 @@ const demandSlack = 64
 //
 // The heap uses lazy deletion: Free leaves the key in place and EarliestReady
 // discards keys whose block no longer has a live entry with that ready time.
-// ReadyCycle is immutable after allocation, so a live entry's heap key is
-// always exact and the heap minimum over non-stale keys is the true minimum.
+// ReadyCycle changes after allocation only through SetReady, which pushes the
+// new key and so leaves the old one stale: a live entry's heap key is always
+// exact and the heap minimum over non-stale keys is the true minimum.
 type MSHRFile struct {
 	cap     int
 	entries blockmap.Map[MSHR]
@@ -88,7 +89,8 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	f := &MSHRFile{cap: capacity}
 	f.entries = *blockmap.New[MSHR](capacity + demandSlack)
 	f.scratch = make([]MSHR, 0, capacity+demandSlack)
-	f.heap = make([]mshrKey, 0, capacity+demandSlack)
+	// Room for a stale key beside every live one: what SetReady leaves behind.
+	f.heap = make([]mshrKey, 0, 2*(capacity+demandSlack))
 	return f
 }
 
@@ -202,6 +204,19 @@ func (f *MSHRFile) AllocDemand(b isa.BlockID, issue, ready uint64) *MSHR {
 	m := f.entries.Put(b, MSHR{Block: b, IssueCycle: issue, ReadyCycle: ready})
 	f.noteInsert(b, ready)
 	return m
+}
+
+// SetReady moves b's in-flight fill to arrive at ready instead, re-keying it
+// in the ready heap (a no-op when b has no entry). The sharded engine uses it
+// to replace a provisional ready cycle with the shared fabric's true reply.
+func (f *MSHRFile) SetReady(b isa.BlockID, ready uint64) {
+	m := f.entries.Ptr(b)
+	if m == nil || m.ReadyCycle == ready {
+		return
+	}
+	m.ReadyCycle = ready
+	f.headValid = false
+	f.push(mshrKey{ready: ready, block: b})
 }
 
 // HighWater returns the peak occupancy since the last ResetHighWater.

@@ -168,16 +168,12 @@ type Core struct {
 	trCause obs.StallCause
 	trStart uint64
 
-	// uncoreGate, when set, is a rendezvous the parallel engine installs: it
-	// is invoked once per full Tick, immediately before the core's first
-	// shared-fabric touch of that tick (Uncore.Access, LLC.LoadBF/StoreBF),
-	// and blocks until every lower-tile core has finished this cycle and
-	// every higher-tile core has finished the previous one — reproducing the
-	// serial tile-order interleaving exactly. Ticks that never touch the
-	// uncore never pay the rendezvous. gatedThisTick collapses repeated
-	// touches within one tick into one rendezvous.
-	uncoreGate    func(tile int, cycle uint64)
-	gatedThisTick bool
+	// post is the outbox of posted mode (the sharded engine, see posted.go),
+	// nil when requests go straight to the uncore; box backs it. skip is the
+	// tests' switch for breaking a patch on purpose (SkipPatches).
+	post *outbox
+	box  outbox
+	skip Patch
 
 	// totalRetired counts retirements monotonically across metric resets
 	// (the watchdog's progress counter; see Progress).
@@ -291,8 +287,7 @@ func (c *Core) IssuePrefetch(b isa.BlockID, buffered bool) bool {
 		// request still costs bandwidth.
 		return false
 	}
-	c.enterUncore()
-	ready, _ := c.uncore.Access(c.cf.Tile, b, c.cycle, true)
+	ready := c.access(b, true, sinkPrefetch)
 	c.M.ExtRequests++
 	c.M.LLCLatencySum += ready - c.cycle
 	c.M.LLCLatencyCnt++
@@ -303,6 +298,9 @@ func (c *Core) IssuePrefetch(b isa.BlockID, buffered bool) bool {
 	}
 	m.Buffered = buffered
 	c.M.PrefetchesIssued++
+	if c.post != nil && c.hooks.Tracer != nil {
+		c.post.reqs[len(c.post.reqs)-1].ev = c.hooks.Tracer.Total() + 1
+	}
 	c.emit(obs.EvPrefetchIssue, uint64(b), ready-c.cycle)
 	return true
 }
@@ -316,7 +314,6 @@ func (c *Core) Predecode(b isa.BlockID) []isa.Branch {
 	// footprint fetched with the block (or read from the DV-LLC).
 	bf, ok := c.bfCache.Get(b)
 	if !ok {
-		c.enterUncore()
 		bf, ok = c.uncore.LLC.LoadBF(b)
 		if !ok {
 			return nil
@@ -357,7 +354,6 @@ func (c *Core) Tick() {
 		return
 	}
 
-	c.gatedThisTick = false
 	c.processFills()
 	c.retire()
 
@@ -488,24 +484,6 @@ func (c *Core) SetFastForward(on bool) {
 	}
 }
 
-// SetUncoreGate installs (or removes, with nil) the parallel engine's
-// shared-fabric rendezvous. See the uncoreGate field for the contract. The
-// gate must be installed only while the machine is quiescent (between
-// windows or before the first Tick).
-func (c *Core) SetUncoreGate(gate func(tile int, cycle uint64)) {
-	c.uncoreGate = gate
-}
-
-// enterUncore is called before every shared-fabric touch inside Tick. Serial
-// engines pay one nil test; under the parallel engine the first touch of a
-// tick blocks until the tile-order rendezvous admits this core.
-func (c *Core) enterUncore() {
-	if c.uncoreGate != nil && !c.gatedThisTick {
-		c.gatedThisTick = true
-		c.uncoreGate(c.cf.Tile, c.cycle)
-	}
-}
-
 // processFills applies completed misses. Ready returns entry copies (the
 // table slots may be reused by prefetches the design issues from OnFill),
 // so each original is freed before its fill is applied.
@@ -538,7 +516,6 @@ func (c *Core) processFills() {
 			}
 		}
 		if c.bfCache != nil {
-			c.enterUncore()
 			if bf, ok := c.uncore.LLC.LoadBF(m.Block); ok {
 				c.bfCache.Put(m.Block, bf)
 			}
@@ -618,7 +595,6 @@ func (c *Core) recordBF(inst isa.Inst) {
 	bf, _ := c.bfCache.Get(b)
 	bf.Add(uint8(isa.ByteOffset(inst.PC)))
 	c.bfCache.Put(b, bf)
-	c.enterUncore()
 	c.uncore.LLC.StoreBF(b, bf)
 }
 
@@ -762,10 +738,12 @@ func (c *Core) demandAccess(b isa.BlockID) bool {
 			c.M.CMALTotal += lat
 			c.M.LateMisses++
 			c.M.UsefulPrefetches++
+			if c.post != nil {
+				c.post.late = append(c.post.late, lateMerge{block: b, issue: m.IssueCycle, lat: lat})
+			}
 		}
 	} else {
-		c.enterUncore()
-		ready, _ := c.uncore.Access(c.cf.Tile, b, c.cycle, true)
+		ready := c.access(b, true, sinkDemand)
 		c.M.ExtRequests++
 		c.M.LLCLatencySum += ready - c.cycle
 		c.M.LLCLatencyCnt++
@@ -806,8 +784,7 @@ func (c *Core) execLatency(s *wl.Step) uint64 {
 			return c.cf.L1DLatency
 		}
 		c.M.L1DMisses++
-		c.enterUncore()
-		ready, _ := c.uncore.Access(c.cf.Tile, db, c.cycle, false)
+		ready := c.access(db, false, sinkLoad)
 		c.l1d.Insert(db)
 		return c.cf.L1DLatency + (ready - c.cycle)
 	case isa.KindStore:
@@ -952,8 +929,7 @@ func (c *Core) wrongPath(pc isa.Addr) {
 		if c.mshr.Full() {
 			return
 		}
-		c.enterUncore()
-		ready, _ := c.uncore.Access(c.cf.Tile, b, c.cycle, true)
+		ready := c.access(b, true, sinkWrongPath)
 		c.M.ExtRequests++
 		c.mshr.AllocDemand(b, c.cycle, ready)
 	}

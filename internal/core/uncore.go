@@ -8,8 +8,9 @@ import (
 )
 
 // Uncore is the shared fabric of the CMP: the banked LLC, the mesh
-// interconnect, and main memory. Cores inject requests in tick order, so
-// contention (link serialization, bandwidth queueing) is deterministic.
+// interconnect, and main memory. Requests arrive in tick order — directly, or
+// replayed in that order from posted mode's outboxes — so contention (link
+// serialization, bandwidth queueing) is deterministic.
 type Uncore struct {
 	LLC  *llc.LLC
 	Mesh *noc.Mesh
@@ -53,6 +54,13 @@ func (u *Uncore) Access(src int, b isa.BlockID, cycle uint64, isInst bool) (uint
 	t = u.Mesh.Send(noc.Tile(bank), noc.Tile(src), u.Mesh.FlitsFor(isa.BlockBytes), t)
 	return t, hit
 }
+
+// MinRoundTrip returns the fewest cycles any Access takes from request to
+// reply: a one-cycle forward to a home bank on the requester's own tile (the
+// mesh's local case; a remote hop takes longer), the bank access, and the
+// forward back. Bank queueing, hops and memory only add to it. It is posted
+// mode's lookahead (see posted.go), 20 cycles at the Table III defaults.
+func (u *Uncore) MinRoundTrip() uint64 { return 1 + u.LLC.AccessCycles() + 1 }
 
 // Preload installs the instruction footprint of an image into the LLC
 // (long-warmed state, as checkpointed full-system simulation would have).

@@ -145,6 +145,15 @@ func (t *Tracer) Emit(ev Event) {
 	}
 }
 
+// SetDur rewrites the Dur of the event with sequence number seq (the value
+// Total had just before it was emitted) if the ring still holds it.
+func (t *Tracer) SetDur(seq, dur uint64) {
+	if t == nil || seq >= t.total || t.total-seq > uint64(len(t.buf)) {
+		return
+	}
+	t.buf[seq%uint64(cap(t.buf))].Dur = dur
+}
+
 // Total returns how many events were emitted over the tracer's lifetime,
 // including overwritten ones.
 func (t *Tracer) Total() uint64 {

@@ -120,6 +120,9 @@ type RunObs struct {
 	TraceTotal   uint64  `json:"trace_total,omitempty"`
 	TraceDropped uint64  `json:"trace_dropped,omitempty"`
 	Events       []Event `json:"-"`
+	// Shards is the most goroutines the run's cores were split across:
+	// engine provenance that depends on the host, so no encoding carries it.
+	Shards int `json:"-"`
 }
 
 // Hist returns the named histogram snapshot.

@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"dnc/internal/isa"
+	"dnc/internal/sim"
+	"dnc/internal/sim/runner"
 )
 
 func TestSpecNormalizeDefaults(t *testing.T) {
@@ -143,5 +148,45 @@ func TestCellRunConfigMatchesSpec(t *testing.T) {
 	}
 	if rc.NewDesign == nil || rc.NewDesign().Name() == "" {
 		t.Fatal("runConfig has no design constructor")
+	}
+}
+
+// TestResultDigestIndependentOfShards: a cell's wire form, and so its digest,
+// must not depend on how many goroutines simulated it. Under IntraJobs 0 the
+// shard count follows the simulating host's idle CPUs, so two workers with
+// different loads upload one cell; the admission path would answer the
+// second with 409 "determinism violation" if their bytes differed.
+func TestResultDigestIndependentOfShards(t *testing.T) {
+	spec := cellSpec{
+		Workload: "Web-Frontend", Design: "SN4L+Dis+BTB", Mode: isa.Fixed,
+		Cores: 16, Warm: 10_000, Measure: 10_000, Seed: 2,
+	}
+	var want []byte
+	var wantDigest string
+	for _, jobs := range []int{1, 2, 4} {
+		rc := spec.RunConfig()
+		rc.IntraJobs = jobs
+		res, err := sim.RunChecked(context.Background(), rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Shards != jobs {
+			t.Fatalf("IntraJobs %d ran on %d shards", jobs, res.Shards)
+		}
+		body := runner.NewResultJSON(res)
+		got, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want, wantDigest = got, ResultDigest(body)
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("IntraJobs %d: ResultJSON bytes differ from the serial run's", jobs)
+		}
+		if d := ResultDigest(body); d != wantDigest {
+			t.Errorf("IntraJobs %d: ResultDigest %s, serial %s", jobs, d, wantDigest)
+		}
 	}
 }

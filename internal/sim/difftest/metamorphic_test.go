@@ -117,7 +117,8 @@ func TestFastForwardDifferentialIdentity(t *testing.T) {
 
 // TestEngineDifferentialIdentity runs the oracle lockstep under every
 // engine — the tick reference, the event-driven wheel, and the sharded
-// wheel — and requires identical digest trails and timing-visible counts.
+// wheel with posted requests (forced, event tracer and all) — and requires
+// identical digest trails and timing-visible counts.
 // This is stronger than comparing plain results: the shims verify the
 // retired stream instruction by instruction while the engines reorder the
 // work, and the observability layer (always on in difftest) is exercised
@@ -146,6 +147,9 @@ func TestEngineDifferentialIdentity(t *testing.T) {
 				if !rep.Ok() {
 					t.Fatalf("%s seed %d (sched=%v jobs=%d) diverged from the oracle:\n%s",
 						name, seed, sched, jobs, rep)
+				}
+				if jobs > 1 && res.Shards != jobs {
+					t.Fatalf("%s seed %d: asked for %d shards, ran on %d", name, seed, jobs, res.Shards)
 				}
 				rep.Retired = res.M.Retired
 				return rep

@@ -19,8 +19,14 @@ import (
 //
 //	go test ./internal/sim -bench BenchmarkEngine -benchtime 3x -count 3
 func benchEngine(b *testing.B, designName string, cores int) {
+	benchEngineShards(b, designName, cores, 0)
+}
+
+// benchEngineShards is benchEngine at the given RunConfig.IntraJobs.
+func benchEngineShards(b *testing.B, designName string, cores, intraJobs int) {
 	b.Helper()
 	rc := engineConfig(b, designName, cores)
+	rc.IntraJobs = intraJobs
 	Program(rc.Workload) // generation cost is one-time; keep it out of the loop
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -60,12 +66,18 @@ func BenchmarkEngineBaseline(b *testing.B) { benchEngine(b, "baseline", 4) }
 
 func BenchmarkEngineSN4LDisBTB(b *testing.B) { benchEngine(b, "SN4L+Dis+BTB", 4) }
 
-// The 16-core entries cover the paper's full-scale configuration — the one
-// ROADMAP item 4 targets, where idle fast-forward stops paying (someone is
-// almost always busy) and the engine's per-cycle cost dominates.
+// The 16-core entries cover the paper's full-scale configuration, where
+// idle fast-forward stops paying (someone is almost always busy) and the
+// engine's per-cycle cost dominates. At the default IntraJobs they shard
+// across the idle CPUs; the Serial twin keeps the one-goroutine cost
+// tracked.
 func BenchmarkEngine16CoreBaseline(b *testing.B) { benchEngine(b, "baseline", 16) }
 
 func BenchmarkEngine16CoreSN4LDisBTB(b *testing.B) { benchEngine(b, "SN4L+Dis+BTB", 16) }
+
+func BenchmarkEngine16CoreSN4LDisBTBSerial(b *testing.B) {
+	benchEngineShards(b, "SN4L+Dis+BTB", 16, 1)
+}
 
 // BenchmarkRunCheckpointed is what a locally run dncserved cell and
 // `dncbench -checkpoint-dir` pay: the engine benchmarks' runs with a cadence
@@ -116,8 +128,9 @@ func BenchmarkRunFixedCost(b *testing.B) {
 }
 
 // BenchmarkSchedModes is the engine comparison behind the EXPERIMENTS.md
-// wall-clock table: tick vs wheel vs wheel+parallel, per design, at
-// 1/4/8/16 cores. Deliberately outside the BenchmarkEngine prefix so the
+// wall-clock tables — tick vs serial wheel vs the wheel on 2 and 4 shards,
+// per design, at 1/4/8/16 cores, seed 2 — and the crossover that sets
+// coresPerShard. Deliberately outside the BenchmarkEngine prefix so the
 // benchdiff gate and CI smoke don't run the full matrix; invoke it (or a
 // -bench filtered slice of it) directly:
 //
@@ -128,34 +141,20 @@ func BenchmarkSchedModes(b *testing.B) {
 		sched SchedMode
 		intra int
 	}{
-		{"tick", SchedTick, 0},
-		{"wheel", SchedWheel, 0},
+		{"tick", SchedTick, 1},
+		{"wheel", SchedWheel, 1},
+		{"wheel+par2", SchedWheel, 2},
 		{"wheel+par4", SchedWheel, 4},
 	}
 	for _, designName := range []string{"baseline", "SN4L+Dis+BTB"} {
-		var entry prefetch.CatalogEntry
-		for _, e := range prefetch.Catalog() {
-			if e.Name == designName {
-				entry = e
-			}
-		}
 		for _, cores := range []int{1, 4, 8, 16} {
 			for _, m := range modes {
 				if m.intra > 1 && cores < m.intra {
 					continue // clamping would just re-measure serial wheel
 				}
 				b.Run(fmt.Sprintf("%s/%s/cores=%d", designName, m.name, cores), func(b *testing.B) {
-					cc := core.DefaultConfig()
-					cc.PrefetchBufferEntries = entry.PrefetchBufferEntries
-					rc := RunConfig{
-						Workload:  workloads.Params("Web-Zeus", isa.Fixed),
-						NewDesign: entry.New,
-						Cores:     cores,
-						Core:      cc,
-						Seed:      1,
-						Sched:     m.sched,
-						IntraJobs: m.intra,
-					}
+					rc := engineConfig(b, designName, cores)
+					rc.Seed, rc.Sched, rc.IntraJobs = 2, m.sched, m.intra
 					Program(rc.Workload)
 					b.ReportAllocs()
 					b.ResetTimer()

@@ -5,17 +5,16 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dnc/internal/core"
-	"dnc/internal/isa"
-	"dnc/internal/prefetch"
-	"dnc/internal/workloads"
 )
 
 // engineVariants is the engine coverage matrix: the tick-everything
-// reference, the event-driven wheel, and the wheel with intra-run sharding.
-// Every variant must be bit-exact with every other.
+// reference, the event-driven wheel, and the wheel with intra-run sharding
+// forced (posted requests replayed every lookahead epoch). Every variant
+// must be bit-exact with every other.
 func engineVariants() []struct {
 	name string
 	set  func(*RunConfig)
@@ -79,9 +78,10 @@ func TestEngineMatrixBitExact(t *testing.T) {
 
 // TestEngineMatrixGOMAXPROCS pins the sharded engine's scheduling
 // independence: the same parallel run under GOMAXPROCS=1 (shards fully
-// serialized) and the test's native GOMAXPROCS produces identical results.
-// Together with the race-enabled CI job this is the determinism half of the
-// parallel-engine contract; the matrix test above is the correctness half.
+// serialized, so every join has to yield to make progress) and the test's
+// native GOMAXPROCS produces identical results. Together with the
+// race-enabled CI job this is the determinism half of the parallel-engine
+// contract; the matrix test above is the correctness half.
 func TestEngineMatrixGOMAXPROCS(t *testing.T) {
 	rc := checkedConfig()
 	rc.Cores = 8
@@ -107,40 +107,36 @@ func TestEngineMatrixGOMAXPROCS(t *testing.T) {
 }
 
 // TestWheelZeroAllocs extends the hot-structure contract to the wheel
-// engine: steady-state advancement — wake scheduling, sleeping, timing-wheel
-// churn included — performs zero heap allocations. The 16-core SN4L+Dis+BTB
-// configuration is the paper's full-scale machine, where the engine loop is
-// hottest.
+// engine, serial and sharded: steady-state advancement — wake scheduling,
+// sleeping, timing-wheel churn, posting, epoch handoffs and replay included
+// — performs zero heap allocations, because outboxes and shard workers are
+// reused from epoch to epoch. The 16-core SN4L+Dis+BTB configuration is the
+// paper's full-scale machine, where the engine loop is hottest.
 func TestWheelZeroAllocs(t *testing.T) {
-	var entry prefetch.CatalogEntry
-	for _, e := range prefetch.Catalog() {
-		if e.Name == "SN4L+Dis+BTB" {
-			entry = e
-		}
-	}
-	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = entry.PrefetchBufferEntries
-	rc := applyDefaults(RunConfig{
-		Workload:  workloads.Params("Web-Zeus", isa.Fixed),
-		NewDesign: entry.New,
-		Cores:     16,
-		Core:      cc,
-	})
-	m, err := buildMachine(rc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.close()
-	if err := m.runPhase(nil, 50_000); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := m.runPhase(nil, m.done+1_000); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state wheel advancement allocated %.2f times per 1000 machine cycles; want 0", allocs)
+	for _, jobs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", jobs), func(t *testing.T) {
+			rc := applyDefaults(engineConfig(t, "SN4L+Dis+BTB", 16))
+			rc.IntraJobs = jobs
+			m, err := buildMachine(rc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.close()
+			if err := m.runPhase(nil, 50_000); err != nil {
+				t.Fatal(err)
+			}
+			if m.eng.shards != jobs {
+				t.Fatalf("ran on %d shards, want %d", m.eng.shards, jobs)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := m.runPhase(nil, m.done+1_000); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state advancement allocated %.2f times per 1000 machine cycles; want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -182,7 +178,9 @@ func TestParallelRequiresWheel(t *testing.T) {
 	}
 }
 
-// TestEngineStamp checks Result.Engine provenance for each variant.
+// TestEngineStamp checks Result.Engine provenance for each variant: the
+// stamp names the loop only, and the shard count (which under IntraJobs 0
+// depends on the host) lives in Result.Shards, outside the fingerprint.
 func TestEngineStamp(t *testing.T) {
 	for _, v := range engineVariants() {
 		rc := checkedConfig()
@@ -194,11 +192,18 @@ func TestEngineStamp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
-		want := map[string]string{
-			"tick": "tick", "wheel": "wheel", "wheel+par": "wheel+par4",
+		want := map[string]struct {
+			engine string
+			shards int
+		}{
+			"tick": {"tick", 1}, "wheel": {"wheel", 1}, "wheel+par": {"wheel", 4},
 		}[v.name]
-		if res.Engine != want {
-			t.Errorf("%s: Result.Engine = %q, want %q", v.name, res.Engine, want)
+		if res.Engine != want.engine || res.Shards != want.shards {
+			t.Errorf("%s: Result.Engine = %q on %d shards, want %q on %d",
+				v.name, res.Engine, res.Shards, want.engine, want.shards)
+		}
+		if print := fingerprint(t, res); strings.Contains(print, "hards") {
+			t.Errorf("%s: the shard count leaked into the fingerprint: %s", v.name, print)
 		}
 	}
 }

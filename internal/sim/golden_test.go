@@ -13,6 +13,7 @@ import (
 
 	wl "dnc/internal/cfg"
 	"dnc/internal/core"
+	"dnc/internal/isa"
 	"dnc/internal/prefetch"
 )
 
@@ -55,11 +56,12 @@ func goldenConfig(e prefetch.CatalogEntry, w wl.Params, seed int64, ckpt string)
 
 // TestCatalogGolden pins absolute behaviour: every catalog design x
 // {fixed, variable} x 3 seeds must reproduce the committed digests of its
-// result, of its last snapshot's bytes and of the run resumed from it. The
-// relative checks (engine A == engine B, resumed == straight) pass when a
-// change shifts every side the same way; this does not. -short runs one
-// seed. `go test ./internal/sim -run TestCatalogGolden -update` rewrites the
-// file.
+// result, of its last snapshot's bytes and of the run resumed from it, and
+// every fixed-mode configuration must reproduce them again with the run
+// forced onto 2 and onto 4 shards. The relative checks (engine A == engine
+// B, resumed == straight) pass when a change shifts every side the same
+// way; this does not. -short runs one seed. `go test ./internal/sim -run
+// TestCatalogGolden -update` rewrites the file.
 func TestCatalogGolden(t *testing.T) {
 	t.Parallel() // the long pole of the package, beside the mutation sweep
 	want := map[string]goldenDigests{}
@@ -80,40 +82,55 @@ func TestCatalogGolden(t *testing.T) {
 	}
 	got := map[string]goldenDigests{}
 	dir := t.TempDir()
+	digests := func(key string, rc RunConfig) goldenDigests {
+		straight, err := RunChecked(context.Background(), rc)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		snap, err := os.ReadFile(rc.CheckpointPath)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		resume := rc
+		resume.ResumeFrom, resume.CheckpointEvery, resume.CheckpointPath = rc.CheckpointPath, 0, ""
+		resumed, err := RunChecked(context.Background(), resume)
+		if err != nil {
+			t.Fatalf("%s: resuming: %v", key, err)
+		}
+		return goldenDigests{
+			Result:   sha([]byte(fingerprint(t, straight))),
+			Snapshot: sha(snap),
+			Resumed:  sha([]byte(fingerprint(t, resumed))),
+		}
+	}
 	for _, e := range prefetch.Catalog() {
 		for _, w := range []wl.Params{smallWorkload(), variableWorkload()} {
 			for _, seed := range seeds {
 				key := fmt.Sprintf("%s/%s/seed%d", e.Name, w.Mode, seed)
 				rc := goldenConfig(e, w, seed, filepath.Join(dir, "golden.ckpt"))
-				straight, err := RunChecked(context.Background(), rc)
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				snap, err := os.ReadFile(rc.CheckpointPath)
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				resume := rc
-				resume.ResumeFrom, resume.CheckpointEvery, resume.CheckpointPath = rc.CheckpointPath, 0, ""
-				resumed, err := RunChecked(context.Background(), resume)
-				if err != nil {
-					t.Fatalf("%s: resuming: %v", key, err)
-				}
-				g := goldenDigests{
-					Result:   sha([]byte(fingerprint(t, straight))),
-					Snapshot: sha(snap),
-					Resumed:  sha([]byte(fingerprint(t, resumed))),
-				}
+				g := digests(key, rc)
 				got[key] = g
+				ref, ok := want[key]
 				if *updateGolden {
-					continue
+					ref, ok = g, true
 				}
-				w, ok := want[key]
 				switch {
 				case !ok:
 					t.Errorf("%s: no committed digests", key)
-				case g != w:
-					t.Errorf("%s: digests moved\n got %+v\nwant %+v", key, g, w)
+				case g != ref:
+					t.Errorf("%s: digests moved\n got %+v\nwant %+v", key, g, ref)
+				}
+				if w.Mode != isa.Fixed || !ok {
+					continue // variable-length runs are always serial
+				}
+				// The sharded engine, forced, must reproduce the serial
+				// engine's committed digests.
+				for _, jobs := range []int{2, 4} {
+					rc.IntraJobs = jobs
+					if g := digests(key, rc); g != ref {
+						t.Errorf("%s on %d shards: digests differ from the committed serial ones\n got %+v\nwant %+v",
+							key, jobs, g, ref)
+					}
 				}
 			}
 		}

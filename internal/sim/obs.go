@@ -54,12 +54,12 @@ type machineObs struct {
 	sampleEvery uint64
 	ckptSeq     uint64
 
-	// Shard state for the parallel engine: each core gets a private tracer
+	// Shard state for a run that may shard: each core gets a private tracer
 	// and latency histograms — the only obs state written from inside Tick —
-	// merged deterministically at fold. Nil under the serial engines, which
-	// share the registry instances directly. latBounds and traceCap are kept
-	// so attach can build the shards with the same shapes as the shared
-	// instances.
+	// merged deterministically at fold. Nil for a run that stays serial,
+	// whose cores share the registry instances directly. latBounds and
+	// traceCap are kept so attach can build the shards with the same shapes
+	// as the shared instances.
 	shardTracers               []*obs.Tracer
 	shardDemand, shardPrefetch []*obs.Histogram
 	latBounds                  []uint64
@@ -96,11 +96,11 @@ func newMachineObs(cfg obs.Config) *machineObs {
 }
 
 // attach fans the observability hooks out to every instrumented component.
-// Under the parallel engine each core gets private shard instances for the
+// When the run may shard, each core gets private shard instances for the
 // state it writes from inside Tick; the uncore-side histograms stay shared —
-// they are only touched inside gated (serially ordered) sections.
+// only the coordinator's serial replay touches them.
 func (o *machineObs) attach(m *machine) {
-	if m.parJobs() > 1 {
+	if m.eng.limit > 1 {
 		n := len(m.cores)
 		o.shardTracers = make([]*obs.Tracer, n)
 		o.shardDemand = make([]*obs.Histogram, n)

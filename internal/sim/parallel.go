@@ -1,321 +1,362 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
+
+	"dnc/internal/core"
 )
 
-// parEngine shards the cores of one run across IntraJobs goroutines while
-// reproducing the serial engines bit-exactly. The key invariant is the
-// serial contention order: at machine cycle T, core i's shared-fabric
-// (NoC/LLC/DRAM) requests happen after every lower tile's cycle-T requests
-// and after every higher tile's cycle-(T-1) requests. The engine enforces
-// exactly that order — and nothing more — with a per-core wavefront counter:
+// parEngine shards the cores of one run across goroutines while reproducing
+// the serial engines bit-exactly. Cores interact only through the shared
+// fabric (NoC/LLC/DRAM), so the engine puts every core in posted mode
+// (core/posted.go): a shared-fabric request goes into the core's outbox with
+// a provisional reply at issue + L, where L is Uncore.MinRoundTrip, the
+// fewest cycles any reply can take (20 at the Table III defaults).
 //
-//	done[i] = the first cycle core i has NOT finished
+// The coordinator runs the machine in epochs of at most L cycles. In an epoch
+// every shard runs each of its cores through the whole span on its own, with
+// no communication: a provisional reply posted inside the epoch cannot fall
+// due before it ends. At the join the coordinator replays every outbox
+// through Uncore.Access in the serial contention order — by cycle, then by
+// tile, then in posting order — and each reply patches the MSHR ready cycle,
+// ROB completion or counter its provisional value set, before any core
+// reaches a cycle where the value matters. Why the provisional values cannot
+// change anything before they are patched is argued in core/posted.go.
 //
-// A core's first shared-fabric touch of cycle T (core.enterUncore) blocks
-// until done[j] >= T+1 for every j < i and done[j] >= T for every j > i.
-// Ticks that never touch the uncore (L1 hits, pure stalls) proceed without
-// any rendezvous, which is where the parallelism comes from. A core that
-// goes to sleep (proven pure-stall window, see core.IdleWake) publishes its
-// wake cycle as its wavefront position: it provably makes no shared-fabric
-// touch before then, so peers never wait on it.
+// Since the cores of an epoch are independent, which goroutine runs a core
+// does not matter. Each shard runs its own contiguous range first and then
+// takes over, from the far end, cores of other shards not yet started, so an
+// epoch ends when the work does rather than when the slowest range does.
 //
-// Deadlock freedom: order unfinished (cycle, tile) pairs lexicographically.
-// The globally minimal unfinished pair's gate condition is satisfied by
-// construction (every lower tile has finished this cycle, every higher tile
-// the previous one — otherwise one of them would be the minimum), and each
-// shard executes its own cores in exactly that lexicographic order, so the
-// minimal pair is always the next task of some shard: progress is always
-// possible.
-//
-// Epochs: the coordinator dispatches spans of cycles bounded by the same
-// window/poll/sampling boundaries as the serial engines, and joins all
-// shards at each boundary. Between epochs the machine is fully synchronized
-// and the coordinator runs the boundary work (sampling, watchdog,
-// checkpoints) exactly as the serial engines do.
+// Epochs also end at every boundary where the serial engines observe the
+// machine (window end, poll, sampling), so between epochs the coordinator
+// runs the boundary work on exactly the state the serial engines would show.
 type parEngine struct {
-	m      *machine
-	shards [][]int // contiguous core-index ranges, one per goroutine
+	m         *machine
+	lookahead uint64
 
-	// done is the wavefront (see above): cache-line padded so the spin
-	// loads in gate don't false-share with neighbouring cores' stores.
-	done []paddedCounter
+	// order lists, per shard, the cores it tries to claim in an epoch: its
+	// own range, then the other ranges from their far ends. Shard 0 runs on
+	// the coordinator's goroutine, each later one on a worker's.
+	order   [][]int
+	claimed []paddedCounter // per core: the last epoch a shard claimed it in
+	workers []*shardWorker
+	exited  sync.WaitGroup
+	epochs  uint64 // epochs dispatched to the current workers
+	fail    atomic.Pointer[shardFailure]
 
-	// asleep/wake mirror engineState's wheel bookkeeping per core. During an
-	// epoch each entry is owned by the core's shard; between epochs by the
-	// coordinator (the epoch channels provide the happens-before edges).
+	// asleep/wake are each core's wake bookkeeping, the wheel's per-core
+	// counterpart: during an epoch an entry belongs to whoever claimed the
+	// core, between epochs to the coordinator (the epoch signals order the
+	// two).
 	asleep []bool
 	wake   []uint64
 
-	start []chan span
-	acks  chan int
-	fail  atomic.Pointer[shardFailure]
+	active []int // replay scratch: cores with something to settle
 }
 
-type span struct{ from, to uint64 }
-
+// paddedCounter keeps a counter on a cache line of its own.
 type paddedCounter struct {
 	v atomic.Uint64
 	_ [56]byte
 }
 
-// shardFailure is a panic recovered inside a shard goroutine, carried to the
-// coordinator with the shard's own stack.
+// shardWorker is one worker goroutine's mailbox. from and to are written
+// before start is posted; from == to asks the worker to exit.
+type shardWorker struct {
+	start    signal
+	from, to uint64
+	_        [64]byte // keep the coordinator's writes off the worker's line
+	done     signal
+}
+
+// signal hands epoch numbers from one goroutine to another: the poster
+// stores the number and rings the bell, the waiter polls, then yields, then
+// parks on the bell. Yielding keeps the handoff live under GOMAXPROCS=1;
+// parking keeps an idle waiter from burning its CPU.
+type signal struct {
+	n    atomic.Uint64
+	bell chan struct{}
+}
+
+// How long a waiter polls and then yields before it parks. An epoch's join
+// and replay take microseconds; a parked waiter takes tens to wake.
+const (
+	spinPolls  = 256
+	spinYields = 512
+)
+
+func newSignal() signal { return signal{bell: make(chan struct{}, 1)} }
+
+func (s *signal) post(n uint64) {
+	s.n.Store(n)
+	select {
+	case s.bell <- struct{}{}:
+	default: // a ring is already pending; the waiter re-reads n after it
+	}
+}
+
+func (s *signal) wait(n uint64) {
+	for i := 0; s.n.Load() < n; i++ {
+		switch {
+		case i < spinPolls:
+		case i < spinPolls+spinYields:
+			runtime.Gosched()
+		default:
+			<-s.bell
+		}
+	}
+}
+
+// shardWorkers counts the live worker goroutines of every sharded run in
+// the process (the coordinators not included).
+var shardWorkers atomic.Int64
+
+// shardFailure is a panic recovered inside a worker, carried to the
+// coordinator with the worker's own stack.
 type shardFailure struct {
 	shard int
 	val   any
 	stack []byte
 }
 
-func newParEngine(m *machine, jobs int) *parEngine {
+// minRoundTrip is where the engine takes its lookahead from: a variable so
+// that a test can claim a longer one than the fabric honours and watch
+// Replay refuse it.
+var minRoundTrip = (*core.Uncore).MinRoundTrip
+
+func newParEngine(m *machine) *parEngine {
 	n := len(m.cores)
-	p := &parEngine{
-		m:      m,
-		shards: splitShards(n, jobs),
-		done:   make([]paddedCounter, n),
-		asleep: make([]bool, n),
-		wake:   make([]uint64, n),
-		acks:   make(chan int, jobs),
+	return &parEngine{
+		m:         m,
+		lookahead: minRoundTrip(m.uncore),
+		claimed:   make([]paddedCounter, n),
+		asleep:    make([]bool, n),
+		wake:      make([]uint64, n),
+		active:    make([]int, 0, n),
 	}
-	for _, c := range m.cores {
-		c.SetUncoreGate(p.gate)
-	}
-	return p
 }
 
-// splitShards partitions 0..n-1 into jobs contiguous runs, sizes differing
-// by at most one. Contiguity keeps each shard's execution order a
-// subsequence of the serial tile order.
-func splitShards(n, jobs int) [][]int {
-	shards := make([][]int, jobs)
+// claimOrders splits 0..n-1 into jobs contiguous ranges, sizes differing by
+// at most one, and returns each shard's claim order: its own range forward,
+// then every other range backward, the nearest following shard's first.
+func claimOrders(n, jobs int) [][]int {
+	ranges := make([][]int, jobs)
 	base, rem := n/jobs, n%jobs
 	next := 0
-	for s := range shards {
+	for s := range ranges {
 		size := base
 		if s < rem {
 			size++
 		}
-		ids := make([]int, size)
-		for k := range ids {
-			ids[k] = next
+		for range size {
+			ranges[s] = append(ranges[s], next)
 			next++
 		}
-		shards[s] = ids
 	}
-	return shards
-}
-
-// reset puts every core back to awake (after a snapshot restore).
-func (p *parEngine) reset() {
-	for i := range p.asleep {
-		p.asleep[i] = false
-		p.wake[i] = 0
-	}
-}
-
-// gate blocks until every lower tile has finished the given cycle and every
-// higher tile has finished the previous one (the serial contention order).
-// Installed as every core's uncoreGate; called at most once per full Tick.
-func (p *parEngine) gate(tile int, cycle uint64) {
-	for i := range p.done {
-		if i == tile {
-			continue
-		}
-		need := cycle
-		if i < tile {
-			need = cycle + 1
-		}
-		for p.done[i].v.Load() < need {
-			// Gosched rather than a pure spin: with GOMAXPROCS=1 the peer
-			// shard can only advance if this goroutine yields.
-			runtime.Gosched()
+	orders := make([][]int, jobs)
+	for s := range orders {
+		orders[s] = append(orders[s], ranges[s]...)
+		for k := 1; k < jobs; k++ {
+			r := ranges[(s+k)%jobs]
+			for i := len(r) - 1; i >= 0; i-- {
+				orders[s] = append(orders[s], r[i])
+			}
 		}
 	}
+	return orders
 }
 
-// launch starts one goroutine per shard for the current phase.
-func (p *parEngine) launch() {
-	p.start = make([]chan span, len(p.shards))
-	for s := range p.shards {
-		p.start[s] = make(chan span)
-		go p.shardLoop(s)
+// resize re-splits the cores across jobs shards, replacing the workers.
+func (p *parEngine) resize(jobs int) {
+	if len(p.order) == jobs {
+		return
+	}
+	p.stop()
+	p.order = claimOrders(len(p.m.cores), jobs)
+	for s := 1; s < jobs; s++ {
+		w := &shardWorker{start: newSignal(), done: newSignal()}
+		p.workers = append(p.workers, w)
+		p.exited.Add(1)
+		go p.work(s, w)
 	}
 }
 
-// stop ends the phase: shard goroutines exit when their epoch channels
-// close. No acks are pending when stop runs (the coordinator joins every
-// epoch before moving on).
+// stop ends the workers and waits for them to exit. An epoch is in flight
+// only when the coordinator's own shard panicked; it is joined first.
 func (p *parEngine) stop() {
-	for _, ch := range p.start {
-		close(ch)
+	for _, w := range p.workers {
+		w.done.wait(p.epochs)
+		w.from, w.to = 0, 0
+		w.start.post(p.epochs + 1)
 	}
-	p.start = nil
+	p.exited.Wait()
+	p.workers, p.order, p.epochs = nil, nil, 0
+	for i := range p.claimed {
+		p.claimed[i].v.Store(0)
+	}
 }
 
-func (p *parEngine) shardLoop(s int) {
-	for sp := range p.start[s] {
-		p.runShardGuarded(s, sp)
-		p.acks <- s
+// reset marks every core awake (after a snapshot restore, or when the run
+// switches between the serial and the sharded loop).
+func (p *parEngine) reset() { clear(p.asleep) }
+
+func (p *parEngine) work(s int, w *shardWorker) {
+	shardWorkers.Add(1)
+	defer func() {
+		shardWorkers.Add(-1)
+		p.exited.Done()
+	}()
+	for n := uint64(1); ; n++ {
+		w.start.wait(n)
+		if w.from == w.to {
+			return
+		}
+		p.runGuarded(s, n, w.from, w.to)
+		w.done.post(n)
 	}
 }
 
-// runShardGuarded funnels a shard panic to the coordinator instead of
-// killing the process: the failure (with the shard's stack) is recorded,
-// and the shard's wavefront entries are poisoned to +inf so peers blocked
-// in gate on this shard's cores drain instead of spinning forever. The
-// epoch is still acked; the coordinator aborts the run on seeing the
-// failure.
-func (p *parEngine) runShardGuarded(s int, sp span) {
+// runGuarded funnels a worker's panic to the coordinator, with the worker's
+// stack, instead of killing the process; the epoch is still joined.
+func (p *parEngine) runGuarded(s int, epoch, from, to uint64) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.fail.CompareAndSwap(nil, &shardFailure{shard: s, val: r, stack: debug.Stack()})
-			for _, i := range p.shards[s] {
-				p.done[i].v.Store(^uint64(0))
-			}
 		}
 	}()
-	if p.fail.Load() != nil {
-		return // a peer already failed; don't run on a poisoned wavefront
-	}
-	p.runShard(s, sp.from, sp.to)
+	p.runShard(s, epoch, from, to)
 }
 
-// runShard executes the shard's cores through [from, to): the exact per-core
-// logic of stepWheel, with the wheel replaced by the per-core wake scan
-// (shards cannot share a wheel) and the wavefront published after each tick.
-func (p *parEngine) runShard(s int, from, to uint64) {
-	m := p.m
-	for cyc := from; cyc < to; cyc++ {
-		for _, i := range p.shards[s] {
-			if p.asleep[i] {
-				if p.wake[i] != cyc {
-					continue
-				}
-				c := m.cores[i]
-				if lag := cyc - c.Cycle(); lag > 0 {
-					c.FastForward(lag)
-				}
-				p.asleep[i] = false
-			}
-			c := m.cores[i]
-			c.Tick()
-			if w := c.IdleWake(); w > c.Cycle() {
-				p.asleep[i] = true
-				p.wake[i] = w
-				p.done[i].v.Store(w)
-			} else {
-				p.done[i].v.Store(cyc + 1)
-			}
+// runShard runs every core shard s claims in the given epoch through
+// [from, to).
+func (p *parEngine) runShard(s int, epoch, from, to uint64) {
+	for _, i := range p.order[s] {
+		if p.claimed[i].v.Swap(epoch) != epoch {
+			p.runCore(i, from, to)
 		}
 	}
 }
 
-// runPhasePar is the coordinator loop: dispatch bounded epochs to the shard
-// goroutines, join them, and run the boundary work serially — landing on
-// exactly the same boundaries, with exactly the same machine state, as the
-// serial engines.
-func (m *machine) runPhasePar(ctx context.Context, total uint64) error {
-	p := m.eng.par
-	p.launch()
-	defer p.stop()
-	for m.done < total {
-		var n uint64
-		awake := 0
-		for i := range p.asleep {
-			if !p.asleep[i] {
-				awake++
-			}
+// runCore settles core i's last epoch and runs it through [from, to). A core
+// whose next required full Tick (core.IdleWake) lies ahead jumps there in
+// one FastForward, or, if that is past the epoch, goes to sleep lagging the
+// clock; the lag is settled when it wakes or at the next sync point, as
+// under the wheel.
+func (p *parEngine) runCore(i int, from, to uint64) {
+	c := p.m.cores[i]
+	c.Settle()
+	cyc := from
+	if p.asleep[i] {
+		if p.wake[i] >= to {
+			return
 		}
-		if awake == 0 {
-			n = m.parSleepLen(total)
+		cyc = p.wake[i]
+		if lag := cyc - c.Cycle(); lag > 0 {
+			c.FastForward(lag)
 		}
-		if n > 0 {
-			m.watch.cycle += n
-			m.done += n
-		} else {
-			cur := m.watch.cycle
-			length := m.epochLen(total)
-			for i := range p.done {
-				if p.asleep[i] {
-					p.done[i].v.Store(p.wake[i])
-				} else {
-					p.done[i].v.Store(cur)
-				}
+		p.asleep[i] = false
+	}
+	for cyc < to {
+		c.Tick()
+		cyc++
+		if w := c.IdleWake(); w > cyc {
+			if w >= to {
+				p.asleep[i], p.wake[i] = true, w
+				return
 			}
-			for _, ch := range p.start {
-				ch <- span{cur, cur + length}
-			}
-			for range p.start {
-				<-p.acks
-			}
-			if f := p.fail.Load(); f != nil {
-				return fmt.Errorf("sim: shard %d panicked during cycles [%d,%d): %v\nshard stack:\n%s",
-					f.shard, cur, cur+length, f.val, f.stack)
-			}
-			m.watch.cycle += length
-			m.done += length
-		}
-		if m.obs != nil && m.watch.cycle%m.obs.sampleEvery == 0 {
-			m.obs.sample(m)
-		}
-		if m.watch.cycle%checkEvery == 0 {
-			m.syncCores()
-			if err := m.pollBoundary(ctx); err != nil {
-				return err
-			}
+			c.FastForward(w - cyc)
+			cyc = w
 		}
 	}
-	m.syncCores()
+}
+
+// epoch runs every core through [from, to), joins the shards, and replays
+// the posted requests; each core settles their replies when it next runs.
+func (p *parEngine) epoch(from, to uint64) error {
+	p.epochs++
+	for _, w := range p.workers {
+		w.from, w.to = from, to
+		w.start.post(p.epochs)
+	}
+	p.runShard(0, p.epochs, from, to)
+	for _, w := range p.workers {
+		w.done.wait(p.epochs)
+	}
+	if f := p.fail.Load(); f != nil {
+		return fmt.Errorf("sim: shard %d panicked during cycles [%d,%d): %v\nshard stack:\n%s",
+			f.shard, from, to, f.val, f.stack)
+	}
+	active := p.active[:0]
+	for i, c := range p.m.cores {
+		if c.Posted() {
+			active = append(active, i)
+		}
+	}
+	for cyc := from; len(active) > 0; cyc++ {
+		k := 0
+		for _, i := range active {
+			if p.m.cores[i].Replay(cyc) {
+				active[k] = i
+				k++
+			}
+		}
+		active = active[:k]
+	}
+	p.active = active
 	return nil
 }
 
-// epochLen bounds the next epoch: up to the nearest of the window end, the
-// next poll boundary, and the next sampling boundary — the points where the
-// serial engines observe machine state, so the coordinator must join there.
-func (m *machine) epochLen(total uint64) uint64 {
-	cur := m.watch.cycle
-	n := total - m.done
-	if r := checkEvery - cur%checkEvery; n > r {
-		n = r
-	}
-	if m.obs != nil {
-		if r := m.obs.sampleEvery - cur%m.obs.sampleEvery; n > r {
-			n = r
-		}
-	}
-	return n
-}
-
-// parSleepLen mirrors sleepLen with the wake times read from the per-core
-// table instead of the wheel.
-func (m *machine) parSleepLen(total uint64) uint64 {
-	p := m.eng.par
+// sleepLen returns how far the machine may jump because every core sleeps:
+// the distance to the earliest wake, zero when a core is awake or due now.
+func (p *parEngine) sleepLen(cur uint64) uint64 {
 	wake := ^uint64(0)
-	for i := range p.asleep {
-		if p.wake[i] < wake {
-			wake = p.wake[i]
+	for i, asleep := range p.asleep {
+		if !asleep {
+			return 0
 		}
+		wake = min(wake, p.wake[i])
 	}
-	cur := m.watch.cycle
 	if wake <= cur {
 		return 0
 	}
-	n := wake - cur
-	if r := total - m.done; n > r {
-		n = r
-	}
-	if r := checkEvery - cur%checkEvery; n > r {
-		n = r
-	}
-	if m.obs != nil {
-		if r := m.obs.sampleEvery - cur%m.obs.sampleEvery; n > r {
-			n = r
+	return wake - cur
+}
+
+// runPar is the coordinator loop of one segment: epochs of at most the
+// lookahead, each ending on the boundaries the serial engines observe, and
+// whole-machine jumps while every core sleeps.
+func (m *machine) runPar(end uint64) error {
+	p := m.eng.par
+	for m.done < end {
+		n := m.stepLimit(end)
+		if s := p.sleepLen(m.watch.cycle); s > 0 {
+			n = min(n, s)
+		} else {
+			n = min(n, p.lookahead)
+			if err := p.epoch(m.watch.cycle, m.watch.cycle+n); err != nil {
+				return err
+			}
+		}
+		m.watch.cycle += n
+		m.done += n
+		if m.obs != nil && m.watch.cycle%m.obs.sampleEvery == 0 {
+			p.settle()
+			m.obs.sample(m)
 		}
 	}
-	return n
+	p.settle()
+	return nil
+}
+
+// settle patches every core's replayed replies in, for the boundary work
+// between segments and at samples, which observe the machine.
+func (p *parEngine) settle() {
+	for _, c := range p.m.cores {
+		c.Settle()
+	}
 }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 
 	wl "dnc/internal/cfg"
 	"dnc/internal/checkpoint"
@@ -277,8 +280,8 @@ type machine struct {
 	eng engineState
 }
 
-// engineState carries the wheel engine's per-core wake bookkeeping and, when
-// IntraJobs > 1, the sharded-parallel executor.
+// engineState carries the wheel engine's per-core wake bookkeeping, the
+// sharded executor, and the run's share of the process's CPUs.
 type engineState struct {
 	mode SchedMode
 	// wheel holds one entry per sleeping core, keyed by the cycle of its
@@ -286,7 +289,11 @@ type engineState struct {
 	wheel  *sched.Wheel
 	asleep []bool
 	awake  int
-	par    *parEngine
+	par    *parEngine // built the first time the run shards
+	// limit is the most shards the run may use (shardCount with every CPU
+	// idle); shards is how many the current segment uses, peak the most any
+	// did, and held what the run counts in cpusHeld.
+	limit, shards, peak, held int
 }
 
 func buildMachine(rc RunConfig, mk streamMaker) (*machine, error) {
@@ -338,6 +345,7 @@ func buildMachine(rc RunConfig, mk streamMaker) (*machine, error) {
 		}
 	}
 	m.watch = newWatchdog(rc, m.cores, m.uncore)
+	m.eng.limit = shardCount(rc, mk != nil, math.MaxInt, 0)
 	if rc.Obs != nil {
 		m.obs = newMachineObs(*rc.Obs)
 		m.obs.attach(m)
@@ -346,17 +354,84 @@ func buildMachine(rc RunConfig, mk streamMaker) (*machine, error) {
 	return m, nil
 }
 
-// parJobs returns the effective shard count: IntraJobs clamped to the core
-// count, 1 (serial) when unset.
-func (m *machine) parJobs() int {
-	j := m.rc.IntraJobs
-	if j > len(m.cores) {
-		j = len(m.cores)
+// coresPerShard is the fewest cores an automatically sharded run gives each
+// shard. Below it a shard's epoch is too little work to pay for the join
+// and the serial replay; EXPERIMENTS.md's crossover table sets it. At 4,
+// the paper's 16-core CMP may use four CPUs, and every run of 4 cores or
+// fewer stays serial.
+const coresPerShard = 4
+
+// cpusHeld counts the CPUs this process's running simulations hold: one per
+// shard of a sharded run, one for a serial run.
+var cpusHeld atomic.Int64
+
+// shardCount decides how many shards a run of rc uses (replay: its cores are
+// driven by recorded traces) while other simulations of the process hold
+// others of its procs CPUs. The tick reference and trace replay are serial,
+// and so is the variable-length ISA, whose DV-LLC footprint reads and writes
+// (LoadBF/StoreBF) need the shared state of the moment. IntraJobs > 0 asks
+// for that many shards (1 = serial); 0 uses the idle CPUs, one shard per
+// coresPerShard cores at most, except in an event-traced run, which stays
+// serial so its trace is the serial engine's.
+func shardCount(rc RunConfig, replay bool, procs, others int) int {
+	switch {
+	case rc.Sched == SchedTick, replay, rc.Workload.Mode == isa.Variable:
+		return 1
+	case rc.IntraJobs > 0:
+		return min(rc.IntraJobs, rc.Cores)
+	case rc.Obs != nil && rc.Obs.TraceEvents > 0:
+		return 1
 	}
-	if j < 1 {
-		j = 1
+	return max(1, min(rc.Cores/coresPerShard, procs-others))
+}
+
+// claimShards decides the shard count of the next segment and books it in
+// cpusHeld. The compare-and-swap makes concurrent decisions take turns, so
+// each one sees what the others hold.
+func (m *machine) claimShards() int {
+	e := &m.eng
+	if e.limit == 1 && e.held == 1 {
+		return 1
 	}
-	return j
+	for {
+		cur := cpusHeld.Load()
+		n := shardCount(m.rc, m.walkers == nil, runtime.GOMAXPROCS(0), int(cur)-e.held)
+		if n == e.held || cpusHeld.CompareAndSwap(cur, cur+int64(n-e.held)) {
+			e.held = n
+			return n
+		}
+	}
+}
+
+// useShards puts the next segment on n shards. Moving between the serial
+// wheel and the sharded loop switches the cores' posted mode and wakes every
+// core (a core woken early ticks through a pure stall, which is bit-exact);
+// cores are synced to the clock at every segment boundary.
+func (m *machine) useShards(n int) {
+	e := &m.eng
+	if n == e.shards {
+		return
+	}
+	if n > 1 && e.par == nil {
+		e.par = newParEngine(m)
+	}
+	if (n > 1) != (e.shards > 1) {
+		var lookahead uint64 // 0: not posted
+		if n > 1 {
+			lookahead = e.par.lookahead
+		}
+		for _, c := range m.cores {
+			c.SetPosted(lookahead)
+		}
+		m.resetEngine()
+	}
+	if n > 1 {
+		e.par.resize(n)
+	} else if e.par != nil {
+		e.par.stop()
+	}
+	e.shards = n
+	e.peak = max(e.peak, n)
 }
 
 // initEngine builds the engine-loop state for the configured mode.
@@ -368,9 +443,6 @@ func (m *machine) initEngine() {
 	m.eng.wheel = sched.NewWheel(len(m.cores))
 	m.eng.asleep = make([]bool, len(m.cores))
 	m.eng.awake = len(m.cores)
-	if j := m.parJobs(); j > 1 {
-		m.eng.par = newParEngine(m, j)
-	}
 }
 
 // resetEngine rebuilds the derived wake state with every core awake (after a
@@ -381,27 +453,23 @@ func (m *machine) resetEngine() {
 		return
 	}
 	m.eng.wheel = sched.NewWheel(len(m.cores))
-	for i := range m.eng.asleep {
-		m.eng.asleep[i] = false
-	}
+	clear(m.eng.asleep)
 	m.eng.awake = len(m.cores)
 	if m.eng.par != nil {
 		m.eng.par.reset()
 	}
 }
 
-// engineName is the provenance stamp for Result.Engine.
-func (m *machine) engineName() string {
-	if m.eng.par != nil {
-		return fmt.Sprintf("wheel+par%d", len(m.eng.par.shards))
-	}
-	return m.eng.mode.String()
-}
-
-// close releases what the machine holds: stream resources, and the LLC,
-// which goes back to the pool for the next run. Nothing that outlives the
-// machine may reach it afterwards; a Result is plain data for that reason.
+// close releases what the machine holds: shard workers, its CPUs in
+// cpusHeld, stream resources, and the LLC, which goes back to the pool for
+// the next run. Nothing that outlives the machine may reach it afterwards; a
+// Result is plain data for that reason.
 func (m *machine) close() {
+	if m.eng.par != nil {
+		m.eng.par.stop()
+	}
+	cpusHeld.Add(-int64(m.eng.held))
+	m.eng.held = 0
 	for _, c := range m.closers {
 		c()
 	}
@@ -436,32 +504,51 @@ func (m *machine) run(ctx context.Context) error {
 }
 
 // runPhase advances the machine until the current window holds total
-// cycles, dispatching to the configured engine. All engines land exactly on
-// the same boundaries — window end, checkEvery poll (context, watchdog,
-// checkpoint cadence), observability sampling — and produce bit-identical
-// machine state at each of them, so the choice of engine is invisible to
-// everything downstream.
+// cycles, one segment per checkEvery poll interval, each on the engine the
+// configuration (and, for the shard count, the process's idle CPUs) selects
+// at its start. All engines land exactly on the same boundaries — window end,
+// checkEvery poll (context, watchdog, checkpoint cadence), observability
+// sampling — and produce bit-identical machine state at each of them, so the
+// choice of engine is invisible to everything downstream.
 func (m *machine) runPhase(ctx context.Context, total uint64) error {
-	var err error
-	switch {
-	case m.eng.par != nil:
-		err = m.runPhasePar(ctx, total)
-	case m.eng.mode == SchedTick:
-		err = m.runPhaseTick(ctx, total)
-	default:
-		err = m.runPhaseWheel(ctx, total)
-	}
-	if err == nil {
-		// Window boundaries rarely land on the checkEvery cadence, so report
-		// the final cycle explicitly: a progress observer sees the window
-		// complete instead of stalling checkEvery-1 cycles short. (A cadence
-		// coincidence means one repeated report; OnAdvance is idempotent by
-		// contract.)
-		if f := m.rc.OnAdvance; f != nil {
-			f(m.watch.cycle)
+	for m.done < total {
+		end := min(total, m.done+checkEvery-m.watch.cycle%checkEvery)
+		shards := m.claimShards()
+		if m.eng.mode == SchedTick {
+			m.runTick(end)
+		} else if m.useShards(shards); shards > 1 {
+			if err := m.runPar(end); err != nil {
+				return err
+			}
+		} else {
+			m.runWheel(end)
+		}
+		if m.watch.cycle%checkEvery == 0 {
+			m.syncCores()
+			if err := m.pollBoundary(ctx); err != nil {
+				return err
+			}
 		}
 	}
-	return err
+	m.syncCores()
+	// Window boundaries rarely land on the checkEvery cadence, so report the
+	// final cycle explicitly: a progress observer sees the window complete
+	// instead of stalling checkEvery-1 cycles short. (A cadence coincidence
+	// means one repeated report; OnAdvance is idempotent by contract.)
+	if f := m.rc.OnAdvance; f != nil {
+		f(m.watch.cycle)
+	}
+	return nil
+}
+
+// stepLimit bounds the next step of any engine: up to the segment's end and
+// the next sampling boundary, the points where the machine is observed.
+func (m *machine) stepLimit(end uint64) uint64 {
+	n := end - m.done
+	if m.obs != nil {
+		n = min(n, m.obs.sampleEvery-m.watch.cycle%m.obs.sampleEvery)
+	}
+	return n
 }
 
 // pollBoundary runs the checkEvery-cadence work shared by every engine:
@@ -490,12 +577,12 @@ func (m *machine) pollBoundary(ctx context.Context) error {
 	return nil
 }
 
-// runPhaseTick is the PR 5 reference engine: every core is visited every
-// cycle, and the whole machine jumps only when every core is provably idle
-// at once (see skipLen).
-func (m *machine) runPhaseTick(ctx context.Context, total uint64) error {
-	for m.done < total {
-		if n := m.skipLen(total); n > 0 {
+// runTick is the PR 5 reference engine, for one segment: every core is
+// visited every cycle, and the whole machine jumps only when every core is
+// provably idle at once (see skipLen).
+func (m *machine) runTick(end uint64) {
+	for m.done < end {
+		if n := m.skipLen(end); n > 0 {
 			for _, c := range m.cores {
 				c.FastForward(n)
 			}
@@ -511,29 +598,23 @@ func (m *machine) runPhaseTick(ctx context.Context, total uint64) error {
 		if m.obs != nil && m.watch.cycle%m.obs.sampleEvery == 0 {
 			m.obs.sample(m)
 		}
-		if m.watch.cycle%checkEvery == 0 {
-			if err := m.pollBoundary(ctx); err != nil {
-				return err
-			}
-		}
 	}
-	return nil
 }
 
-// runPhaseWheel is the event-driven engine. Each core that reports a proven
-// pure-stall window (core.IdleWake) goes to sleep on the timing wheel until
-// the cycle of its next required full Tick; a machine cycle touches only
-// awake cores, and an all-asleep machine jumps straight to the earliest
-// scheduled wake. Sleeping cores lag the global clock — their pure-stall
-// charge is applied in one FastForward at wake or at the next sync point
-// (poll boundary, window end), which is bit-exact because the charge is
-// additive and the coalesced stall span is cause-keyed, not call-keyed.
-func (m *machine) runPhaseWheel(ctx context.Context, total uint64) error {
-	e := &m.eng
-	for m.done < total {
+// runWheel is the event-driven engine, for one segment. Each core that
+// reports a proven pure-stall window (core.IdleWake) goes to sleep on the
+// timing wheel until the cycle of its next required full Tick; a machine
+// cycle touches only awake cores, and an all-asleep machine jumps straight
+// to the earliest scheduled wake. Sleeping cores lag the global clock —
+// their pure-stall charge is applied in one FastForward at wake or at the
+// next sync point (poll boundary, window end), which is bit-exact because
+// the charge is additive and the coalesced stall span is cause-keyed, not
+// call-keyed.
+func (m *machine) runWheel(end uint64) {
+	for m.done < end {
 		var n uint64
-		if e.awake == 0 {
-			n = m.sleepLen(total)
+		if m.eng.awake == 0 {
+			n = m.sleepLen(end)
 		}
 		if n > 0 {
 			// Every core sleeps strictly past this span: only the global
@@ -551,15 +632,7 @@ func (m *machine) runPhaseWheel(ctx context.Context, total uint64) error {
 			// tick engine would have seen at this cycle.
 			m.obs.sample(m)
 		}
-		if m.watch.cycle%checkEvery == 0 {
-			m.syncCores()
-			if err := m.pollBoundary(ctx); err != nil {
-				return err
-			}
-		}
 	}
-	m.syncCores()
-	return nil
 }
 
 // stepWheel executes one machine cycle under the wheel engine: wake every
@@ -592,10 +665,9 @@ func (m *machine) stepWheel() {
 }
 
 // sleepLen returns how far the machine may jump when every core is asleep:
-// the distance to the earliest scheduled wake, clamped to the same window,
-// poll, and sampling boundaries as skipLen. Zero means a wake is due on the
-// current cycle and the machine must step.
-func (m *machine) sleepLen(total uint64) uint64 {
+// the distance to the earliest scheduled wake, clamped like skipLen. Zero
+// means a wake is due on the current cycle and the machine must step.
+func (m *machine) sleepLen(end uint64) uint64 {
 	wake, ok := m.eng.wheel.Next()
 	if !ok {
 		panic("sim: every core asleep with an empty wake schedule")
@@ -604,19 +676,7 @@ func (m *machine) sleepLen(total uint64) uint64 {
 	if wake <= cur {
 		return 0
 	}
-	n := wake - cur
-	if r := total - m.done; n > r {
-		n = r
-	}
-	if r := checkEvery - cur%checkEvery; n > r {
-		n = r
-	}
-	if m.obs != nil {
-		if r := m.obs.sampleEvery - cur%m.obs.sampleEvery; n > r {
-			n = r
-		}
-	}
-	return n
+	return min(wake-cur, m.stepLimit(end))
 }
 
 // syncCores settles every sleeping core's lagged pure-stall span up to the
@@ -636,14 +696,14 @@ func (m *machine) syncCores() {
 // skipLen returns how many cycles the whole machine may fast-forward right
 // now: the distance to the earliest per-core wakeup when every core reports
 // a pure-stall window (core.IdleWake), zero otherwise. The jump is clamped
-// so the machine lands exactly on every boundary the cycle-by-cycle loop
-// would have observed — the window end, the checkEvery poll (context,
-// watchdog, checkpoint cadence), and the observability sampling cadence —
-// which keeps watchdog state, checkpoint bytes, and sampled gauge
-// histograms bit-identical to a run without fast-forward. (Gauges are
-// additionally frozen during a pure-stall window, so sampling inside the
-// window reads the same values it would have cycle by cycle.)
-func (m *machine) skipLen(total uint64) uint64 {
+// (stepLimit) so the machine lands exactly on every boundary the
+// cycle-by-cycle loop would have observed — the window end, the checkEvery
+// poll (context, watchdog, checkpoint cadence), and the observability
+// sampling cadence — which keeps watchdog state, checkpoint bytes, and
+// sampled gauge histograms bit-identical to a run without fast-forward.
+// (Gauges are additionally frozen during a pure-stall window, so sampling
+// inside the window reads the same values it would have cycle by cycle.)
+func (m *machine) skipLen(end uint64) uint64 {
 	cur := m.cores[0].Cycle()
 	wake := ^uint64(0)
 	for _, c := range m.cores {
@@ -651,23 +711,9 @@ func (m *machine) skipLen(total uint64) uint64 {
 		if w <= cur {
 			return 0
 		}
-		if w < wake {
-			wake = w
-		}
+		wake = min(wake, w)
 	}
-	n := wake - cur
-	if r := total - m.done; n > r {
-		n = r
-	}
-	if r := checkEvery - m.watch.cycle%checkEvery; n > r {
-		n = r
-	}
-	if m.obs != nil {
-		if r := m.obs.sampleEvery - m.watch.cycle%m.obs.sampleEvery; n > r {
-			n = r
-		}
-	}
-	return n
+	return min(wake-cur, m.stepLimit(end))
 }
 
 // dumpLivelock writes a post-mortem snapshot next to the configured
@@ -699,7 +745,8 @@ func (m *machine) result() Result {
 	res := Result{
 		Workload:    m.rc.Workload.Name,
 		Design:      m.designs[0].Name(),
-		Engine:      m.engineName(),
+		Engine:      m.eng.mode.String(),
+		Shards:      max(1, m.eng.peak),
 		PerCore:     make([]core.Metrics, m.rc.Cores),
 		LLCStats:    m.uncore.LLC.Stats(),
 		NoCFlits:    m.uncore.Mesh.Flits(),
@@ -713,6 +760,7 @@ func (m *machine) result() Result {
 	}
 	if m.obs != nil {
 		res.Obs = m.obs.fold(m)
+		res.Obs.Shards = res.Shards
 	}
 	for _, d := range m.designs {
 		if p, ok := d.(prefetch.Prober); ok {

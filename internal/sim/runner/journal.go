@@ -36,8 +36,9 @@ type journalEntry struct {
 type ResultJSON struct {
 	Workload string `json:"workload"`
 	Design   string `json:"design"`
-	// Engine stamps which engine produced the run ("tick", "wheel",
-	// "wheel+parN"); provenance only — all engines are bit-exact.
+	// Engine stamps which engine loop produced the run ("tick", "wheel");
+	// provenance only — all engines are bit-exact, and the shard count
+	// (sim.Result.Shards) is left out so that every host encodes a cell alike.
 	Engine      string         `json:"engine,omitempty"`
 	M           core.Metrics   `json:"m"`
 	PerCore     []core.Metrics `json:"per_core,omitempty"`

@@ -18,6 +18,7 @@ import (
 // from every durable artifact.
 var resultJSONExcluded = map[string]string{
 	"Probes": "design-internal counters only Fig01/Fig12 read; the wire form, its digests and bytes per cell predate them",
+	"Shards": "depends on the simulating host's idle CPUs; in the wire form two workers would upload different digests for one cell",
 }
 
 // TestResultJSONCoversEveryResultField walks sim.Result by reflection:

@@ -113,12 +113,17 @@ type RunConfig struct {
 	// value, default) or the tick-everything reference. Both produce
 	// bit-identical results; see SchedMode.
 	Sched SchedMode
-	// IntraJobs, when > 1, shards the cores of this one run across that many
-	// goroutines with a deterministic rendezvous before every shared-fabric
-	// (NoC/LLC/DRAM) touch, so results are bit-identical to the serial
-	// engines regardless of GOMAXPROCS. 0 or 1 runs serially. Requires the
-	// wheel engine (the tick reference stays strictly serial) and a
-	// walker-driven run. Values above the core count are clamped.
+	// IntraJobs shards the cores of this one run across goroutines that
+	// post their shared-fabric (NoC/LLC/DRAM) requests and meet every
+	// lookahead epoch to replay them in serial order (see parEngine), so
+	// results are bit-identical to the serial engines at any shard count and
+	// GOMAXPROCS. 0 = idle CPUs: re-decided at every poll boundary, the run
+	// takes the CPUs other simulations of the process leave free, at most
+	// one per coresPerShard cores; runs of 4 cores or fewer, event-traced
+	// runs and the cases below stay serial. 1 runs serially; N > 1 forces N
+	// shards (clamped to the core count), which requires the wheel engine
+	// (the tick reference stays strictly serial) and a walker-driven run.
+	// Variable-length ISA runs are always serial.
 	IntraJobs int
 	// OnAdvance, when non-nil, is called at every engine poll boundary (the
 	// checkEvery cadence and the end of each window) with the global cycle
@@ -132,10 +137,15 @@ type RunConfig struct {
 type Result struct {
 	Workload string
 	Design   string
-	// Engine names the engine that produced the run ("tick", "wheel", or
-	// "wheel+parN" for the sharded-parallel wheel). All engines are
-	// bit-exact, so this is provenance, not a cache key.
+	// Engine names the engine loop that produced the run, "tick" or "wheel",
+	// whatever the shard count. All engines are bit-exact, so this is
+	// provenance, not a cache key.
 	Engine string
+	// Shards is the most goroutines the run's cores were split across (1 =
+	// serial). Under IntraJobs 0 it depends on the host's idle CPUs, so it
+	// stays out of every encoding of the result: two hosts simulating one
+	// cell produce identical bytes.
+	Shards int `json:"-"`
 	// M aggregates all cores' measurement-window metrics.
 	M core.Metrics
 	// PerCore holds each core's metrics.

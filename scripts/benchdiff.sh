@@ -7,7 +7,9 @@
 #                (the 200K+200K windows under the no-prefetch baseline and
 #                the paper's headline design, at 4 cores and at the paper's
 #                full 16-core scale where the engine's per-cycle cost
-#                dominates) and BenchmarkRunFixedCost (a 64+64-cycle run:
+#                dominates; the 16-core runs shard across idle CPUs, and
+#                BenchmarkEngine16CoreSN4LDisBTBSerial is the one-goroutine
+#                twin) and BenchmarkRunFixedCost (a 64+64-cycle run:
 #                what every run costs around its simulated cycles, which is
 #                most of a short sweep cell), and internal/cfg
 #                BenchmarkGenerate{OLTPDBAFixed,WebZeusVariable} +
@@ -170,7 +172,7 @@ run_suite engine './internal/sim/ ./internal/cfg/' \
 	BENCH_engine.json \
 	BenchmarkEngineBaseline BenchmarkEngineSN4LDisBTB \
 	BenchmarkEngine16CoreBaseline BenchmarkEngine16CoreSN4LDisBTB \
-	BenchmarkRunFixedCost \
+	BenchmarkEngine16CoreSN4LDisBTBSerial BenchmarkRunFixedCost \
 	BenchmarkGenerateOLTPDBAFixed BenchmarkGenerateWebZeusVariable BenchmarkWalkerNext
 
 # The scans run from 10 microseconds an op (the index, 320 cells) to 10
