@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"dnc/internal/bench"
-	"dnc/internal/sim"
 	"dnc/internal/sim/runner"
 )
 
@@ -47,8 +46,7 @@ func main() {
 	progress := flag.Bool("progress", true, "print a periodic one-line sweep summary (cells done/failed/retried, rate, ETA) to stderr")
 	httpAddr := flag.String("http", "", "serve live sweep progress, expvar-style counters, and pprof on this address (e.g. localhost:6060)")
 	storeOut := flag.String("store-out", "", "append every completed cell (with sampled metric time-series) to this columnar result store; inspect with dncstore")
-	schedFlag := flag.String("sched", "wheel", "simulation engine: wheel (event-driven) or tick (reference); bit-exact either way")
-	intraJobs := flag.Int("intra-jobs", 0, "shard each simulation's cores across this many goroutines (0 = idle CPUs, 1 = serial; N > 1 requires -sched=wheel)")
+	intraJobs := flag.Int("intra-jobs", 0, "shard each simulation's cores across this many goroutines (0 = idle CPUs, 1 = serial); bit-exact either way")
 	flag.Parse()
 
 	if *list {
@@ -71,12 +69,6 @@ func main() {
 	if *workloadsFlag != "" {
 		cfg.Workloads = strings.Split(*workloadsFlag, ",")
 	}
-	sched, err := sim.ParseSchedMode(*schedFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dncbench: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.Sched = sched
 	cfg.IntraJobs = *intraJobs
 	cfg.Samples = *samples
 	cfg.Jobs = *jobs

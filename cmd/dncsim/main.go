@@ -65,8 +65,7 @@ func main() {
 	listW := flag.Bool("listworkloads", false, "list workload names and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
-	schedFlag := flag.String("sched", "wheel", "simulation engine: wheel (event-driven) or tick (reference); bit-exact either way")
-	intraJobs := flag.Int("intra-jobs", 0, "shard this run's cores across this many goroutines (0 = idle CPUs, 1 = serial; N > 1 requires -sched=wheel); bit-exact either way")
+	intraJobs := flag.Int("intra-jobs", 0, "shard this run's cores across this many goroutines (0 = idle CPUs, 1 = serial); bit-exact either way")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -138,11 +137,6 @@ func main() {
 		return
 	}
 
-	sched, err := sim.ParseSchedMode(*schedFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dncsim: %v\n", err)
-		os.Exit(2)
-	}
 	cc := core.DefaultConfig()
 	cc.PrefetchBufferEntries = d.PrefetchBufferEntries
 	rc := sim.RunConfig{
@@ -154,7 +148,6 @@ func main() {
 		Seed:          *seed,
 		Core:          cc,
 		ResumeFrom:    *resume,
-		Sched:         sched,
 		IntraJobs:     *intraJobs,
 	}
 	if *ckptPath != "" {

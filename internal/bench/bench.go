@@ -66,11 +66,6 @@ type Config struct {
 	// gauges ride along. This is dncbench's -store-out flag; seal the file
 	// with Harness.CloseStore when the experiments are done.
 	StorePath string
-	// Sched selects the engine for every simulation of the benchmark (the
-	// event-driven wheel by default; the tick reference for engine
-	// debugging). All engines are bit-exact, so this changes wall-clock
-	// only. This is dncbench's -sched flag.
-	Sched sim.SchedMode
 	// IntraJobs shards the cores of each single simulation across this many
 	// goroutines (dncbench's -intra-jobs flag; see sim.RunConfig.IntraJobs).
 	// 0, the default, uses the CPUs the sweep's other cells leave idle.
@@ -358,7 +353,6 @@ func (h *Harness) runConfig(workload string, nd func() prefetch.Design, o runOpt
 		MeasureCycles: h.cfg.MeasureCycles,
 		Seed:          h.cfg.Seed,
 		Core:          cc,
-		Sched:         h.cfg.Sched,
 		IntraJobs:     h.cfg.IntraJobs,
 	}
 	if o.llcCfg != nil {

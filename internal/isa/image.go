@@ -30,8 +30,10 @@ func NewImage(mode Mode, base Addr, code []byte) *Image {
 }
 
 // buildPredecodeIndex pre-decodes every block of a Fixed-mode image into the
-// shared branch index. The work is one decode pass over the image, paid once
-// at construction (programs are generated once and cached).
+// shared branch index, paid once at construction (programs are generated
+// once and cached). A pass over the opcode bytes alone counts the slots that
+// may hold a branch, so the table is allocated once, and the decode pass
+// then decodes only those slots.
 func (im *Image) buildPredecodeIndex() {
 	if im.Mode != Fixed || len(im.Code) == 0 {
 		return
@@ -39,11 +41,21 @@ func (im *Image) buildPredecodeIndex() {
 	first := BlockOf(im.Base)
 	last := BlockOf(im.End() - 1)
 	n := int(last - first + 1)
+	bound := 0
+	for pc := BlockBase(first); pc < im.End(); pc += FixedSize {
+		if im.branchOpAt(pc) {
+			bound++
+		}
+	}
 	im.pdStart = make([]int32, n+1)
+	im.pdBranches = make([]Branch, 0, bound)
 	for bi := 0; bi < n; bi++ {
 		im.pdStart[bi] = int32(len(im.pdBranches))
 		base := BlockBase(first + BlockID(bi))
 		for off := 0; off < BlockBytes; off += FixedSize {
+			if !im.branchOpAt(base + Addr(off)) {
+				continue
+			}
 			inst, ok := im.DecodeAt(base + Addr(off))
 			if !ok || !inst.Kind.IsBranch() {
 				continue
@@ -53,6 +65,17 @@ func (im *Image) buildPredecodeIndex() {
 		}
 	}
 	im.pdStart[n] = int32(len(im.pdBranches))
+}
+
+// branchOpAt reports whether the Fixed-mode slot at pc has a branch opcode
+// byte. Every slot that decodes to a branch has one; a slot truncated by the
+// image's end may have one and still not decode.
+func (im *Image) branchOpAt(pc Addr) bool {
+	if !im.Contains(pc) {
+		return false
+	}
+	op := im.Code[pc-im.Base]
+	return op&0xF0 == fixedMarker && Kind(op&0x0F).IsBranch()
 }
 
 // predecoded returns the indexed branches of block b, with ok=false when the

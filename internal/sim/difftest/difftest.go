@@ -356,7 +356,7 @@ type Options struct {
 	DisableFastForward bool
 	// Sched and IntraJobs pass through to the simulator, so the engine
 	// equivalence tests can run the oracle lockstep under every engine
-	// (tick reference, event-driven wheel, sharded wheel).
+	// (tick reference, serial loop, sharded loop).
 	Sched     sim.SchedMode
 	IntraJobs int
 }

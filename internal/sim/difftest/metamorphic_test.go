@@ -116,8 +116,8 @@ func TestFastForwardDifferentialIdentity(t *testing.T) {
 }
 
 // TestEngineDifferentialIdentity runs the oracle lockstep under every
-// engine — the tick reference, the event-driven wheel, and the sharded
-// wheel with posted requests (forced, event tracer and all) — and requires
+// engine — the tick reference, the serial loop with its sleep table, and the
+// sharded loop with posted requests (forced, event tracer and all) — and requires
 // identical digest trails and timing-visible counts.
 // This is stronger than comparing plain results: the shims verify the
 // retired stream instruction by instruction while the engines reorder the
@@ -159,7 +159,7 @@ func TestEngineDifferentialIdentity(t *testing.T) {
 				label string
 				sched sim.SchedMode
 				jobs  int
-			}{{"wheel", sim.SchedWheel, 0}, {"wheel+par", sim.SchedWheel, 2}} {
+			}{{"serial", sim.SchedWheel, 0}, {"sharded", sim.SchedWheel, 2}} {
 				got := run(v.sched, v.jobs)
 				if got.Retired != ref.Retired || got.Transitions != ref.Transitions {
 					t.Errorf("%s seed %d: %s engine changed timing-visible counts (retired %d vs %d, transitions %d vs %d)",

@@ -128,8 +128,8 @@ func BenchmarkRunFixedCost(b *testing.B) {
 }
 
 // BenchmarkSchedModes is the engine comparison behind the EXPERIMENTS.md
-// wall-clock tables — tick vs serial wheel vs the wheel on 2 and 4 shards,
-// per design, at 1/4/8/16 cores, seed 2 — and the crossover that sets
+// wall-clock tables — the tick reference vs the serial loop vs 2 and 4
+// shards, per design, at 1/4/8/16 cores, seed 2 — and the crossover that sets
 // coresPerShard. Deliberately outside the BenchmarkEngine prefix so the
 // benchdiff gate and CI smoke don't run the full matrix; invoke it (or a
 // -bench filtered slice of it) directly:
@@ -142,15 +142,15 @@ func BenchmarkSchedModes(b *testing.B) {
 		intra int
 	}{
 		{"tick", SchedTick, 1},
-		{"wheel", SchedWheel, 1},
-		{"wheel+par2", SchedWheel, 2},
-		{"wheel+par4", SchedWheel, 4},
+		{"serial", SchedWheel, 1},
+		{"shards2", SchedWheel, 2},
+		{"shards4", SchedWheel, 4},
 	}
 	for _, designName := range []string{"baseline", "SN4L+Dis+BTB"} {
 		for _, cores := range []int{1, 4, 8, 16} {
 			for _, m := range modes {
 				if m.intra > 1 && cores < m.intra {
-					continue // clamping would just re-measure serial wheel
+					continue // clamping would just re-measure the serial loop
 				}
 				b.Run(fmt.Sprintf("%s/%s/cores=%d", designName, m.name, cores), func(b *testing.B) {
 					rc := engineConfig(b, designName, cores)

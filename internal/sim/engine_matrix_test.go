@@ -5,16 +5,17 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"dnc/internal/core"
 )
 
-// engineVariants is the engine coverage matrix: the tick-everything
-// reference, the event-driven wheel, and the wheel with intra-run sharding
-// forced (posted requests replayed every lookahead epoch). Every variant
-// must be bit-exact with every other.
+// engineVariants is the engine coverage matrix: the tick reference (every
+// core ticks every cycle), the serial loop with its sleep table, and the
+// loop with intra-run sharding forced (posted requests replayed every
+// lookahead epoch). Every variant must be bit-exact with every other.
 func engineVariants() []struct {
 	name string
 	set  func(*RunConfig)
@@ -24,14 +25,14 @@ func engineVariants() []struct {
 		set  func(*RunConfig)
 	}{
 		{"tick", func(rc *RunConfig) { rc.Sched = SchedTick }},
-		{"wheel", func(rc *RunConfig) { rc.Sched = SchedWheel }},
-		{"wheel+par", func(rc *RunConfig) { rc.Sched = SchedWheel; rc.IntraJobs = 4 }},
+		{"serial", func(rc *RunConfig) { rc.IntraJobs = 1 }},
+		{"sharded", func(rc *RunConfig) { rc.IntraJobs = 4 }},
 	}
 }
 
 // TestEngineMatrixBitExact is the tentpole's equivalence wall: across design
-// shapes and seeds, the tick reference, the wheel engine, and the sharded
-// wheel engine produce identical results — every metric counter — and
+// shapes and seeds, the tick reference, the serial loop, and the sharded
+// loop produce identical results — every metric counter — and
 // byte-identical checkpoint files. Checkpoint bytes are the strongest
 // available observation: they serialize the entire machine, so any engine
 // divergence in any component state shows up.
@@ -106,13 +107,14 @@ func TestEngineMatrixGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestWheelZeroAllocs extends the hot-structure contract to the wheel
-// engine, serial and sharded: steady-state advancement — wake scheduling,
-// sleeping, timing-wheel churn, posting, epoch handoffs and replay included
-// — performs zero heap allocations, because outboxes and shard workers are
-// reused from epoch to epoch. The 16-core SN4L+Dis+BTB configuration is the
-// paper's full-scale machine, where the engine loop is hottest.
-func TestWheelZeroAllocs(t *testing.T) {
+// TestEngineZeroAllocs extends the hot-structure contract to the engine
+// loops, serial and sharded: steady-state advancement — sleeping and waking,
+// all-asleep jumps, posting, epoch handoffs and replay included — performs
+// zero heap allocations, because the sleep table, outboxes and shard workers
+// are reused from cycle to cycle and epoch to epoch. The 16-core
+// SN4L+Dis+BTB configuration is the paper's full-scale machine, where the
+// engine loop is hottest.
+func TestEngineZeroAllocs(t *testing.T) {
 	for _, jobs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", jobs), func(t *testing.T) {
 			rc := applyDefaults(engineConfig(t, "SN4L+Dis+BTB", 16))
@@ -140,26 +142,59 @@ func TestWheelZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWheelEngineSleeps guards against the wheel engine silently never
-// engaging (every IdleWake guard failing would make the equivalence matrix
-// vacuous): during a baseline run some core must actually be asleep on the
-// wheel at some cycle.
-func TestWheelEngineSleeps(t *testing.T) {
-	rc := applyDefaults(checkedConfig())
-	m, err := buildMachine(rc, nil)
+// sleepCases are the loops the anti-vacuity checks below cover: the serial
+// and the sharded loop must skip work, and SchedTick must not, so the
+// matrix's tick row is not the default path under another name.
+var sleepCases = []struct {
+	name   string
+	set    func(*RunConfig)
+	shards int
+	sleeps bool
+}{
+	{"serial", func(*RunConfig) {}, 1, true},
+	{"sharded", func(rc *RunConfig) { rc.IntraJobs = 2 }, 2, true},
+	{"tick", func(rc *RunConfig) { rc.Sched = SchedTick }, 1, false},
+}
+
+// traceSleeps runs 20K cycles of a 2-core baseline run one cycle per
+// segment, so the sleep table is seen at every cycle, and reports whether
+// some core ever slept and how many all-asleep machine jumps were taken (a
+// segment that starts with every core asleep, sleepLen > 0, is one jump).
+func traceSleeps(t *testing.T, set func(*RunConfig), shards int) (slept bool, jumps int) {
+	t.Helper()
+	rc := checkedConfig()
+	set(&rc)
+	m, err := buildMachine(applyDefaults(rc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.close()
-	slept := false
-	for i := 0; i < 20_000 && !slept; i++ {
-		m.stepWheel()
-		m.watch.cycle++
-		m.done++
-		slept = m.eng.awake < len(m.cores)
+	for m.done < 20_000 {
+		if m.eng.sleepLen(m.watch.cycle) > 0 {
+			jumps++
+		}
+		if err := m.runPhase(nil, m.done+1); err != nil {
+			t.Fatal(err)
+		}
+		slept = slept || slices.Contains(m.eng.asleep, true)
 	}
-	if !slept {
-		t.Fatal("no core ever slept on the wheel in 20K cycles of a 2-core baseline run")
+	if m.eng.shards != shards {
+		t.Fatalf("ran on %d shards, want %d", m.eng.shards, shards)
+	}
+	return slept, jumps
+}
+
+// TestWheelEngineSleeps is the anti-vacuity check of the engine matrix (a
+// matrix of loops that never skip work would compare one path with itself):
+// under the default wheel mode, serial and sharded, some core must actually
+// sleep during a 2-core baseline run, and under SchedTick none may.
+func TestWheelEngineSleeps(t *testing.T) {
+	for _, c := range sleepCases {
+		t.Run(c.name, func(t *testing.T) {
+			if slept, _ := traceSleeps(t, c.set, c.shards); slept != c.sleeps {
+				t.Errorf("a core slept: %v, want %v", slept, c.sleeps)
+			}
+		})
 	}
 }
 
@@ -196,7 +231,7 @@ func TestEngineStamp(t *testing.T) {
 			engine string
 			shards int
 		}{
-			"tick": {"tick", 1}, "wheel": {"wheel", 1}, "wheel+par": {"wheel", 4},
+			"tick": {"tick", 1}, "serial": {"wheel", 1}, "sharded": {"wheel", 4},
 		}[v.name]
 		if res.Engine != want.engine || res.Shards != want.shards {
 			t.Errorf("%s: Result.Engine = %q on %d shards, want %q on %d",

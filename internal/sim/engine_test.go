@@ -102,34 +102,14 @@ func TestFastForwardTransparent(t *testing.T) {
 // TestFastForwardSkipsCycles guards against the fast path silently never
 // engaging (every guard in computeIdleWake failing would make the
 // transparency test vacuous): a baseline run must take at least one
-// machine-level jump.
+// all-asleep machine jump, serial and sharded, and none under SchedTick.
 func TestFastForwardSkipsCycles(t *testing.T) {
-	rc := checkedConfig()
-	m, err := buildMachine(applyDefaults(rc), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.close()
-	jumps := 0
-	total := applyDefaults(rc).WarmCycles
-	for m.done < total {
-		if n := m.skipLen(total); n > 0 {
-			for _, c := range m.cores {
-				c.FastForward(n)
+	for _, c := range sleepCases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, jumps := traceSleeps(t, c.set, c.shards); (jumps > 0) != c.sleeps {
+				t.Errorf("%d all-asleep jumps in 20K cycles, want jumping %v", jumps, c.sleeps)
 			}
-			m.watch.cycle += n
-			m.done += n
-			jumps++
-		} else {
-			for _, c := range m.cores {
-				c.Tick()
-			}
-			m.watch.cycle++
-			m.done++
-		}
-	}
-	if jumps == 0 {
-		t.Fatal("no machine-level fast-forward jump in 20K cycles of a 2-core baseline run")
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // parEngine shards the cores of one run across goroutines while reproducing
-// the serial engines bit-exactly. Cores interact only through the shared
+// the serial loop bit-exactly. Cores interact only through the shared
 // fabric (NoC/LLC/DRAM), so the engine puts every core in posted mode
 // (core/posted.go): a shared-fabric request goes into the core's outbox with
 // a provisional reply at issue + L, where L is Uncore.MinRoundTrip, the
@@ -32,9 +32,10 @@ import (
 // takes over, from the far end, cores of other shards not yet started, so an
 // epoch ends when the work does rather than when the slowest range does.
 //
-// Epochs also end at every boundary where the serial engines observe the
+// Epochs also end at every boundary where the serial loop observes the
 // machine (window end, poll, sampling), so between epochs the coordinator
-// runs the boundary work on exactly the state the serial engines would show.
+// runs the boundary work on exactly the state the serial loop would show.
+// The sleep table is the serial loop's too (engineState).
 type parEngine struct {
 	m         *machine
 	lookahead uint64
@@ -48,13 +49,6 @@ type parEngine struct {
 	exited  sync.WaitGroup
 	epochs  uint64 // epochs dispatched to the current workers
 	fail    atomic.Pointer[shardFailure]
-
-	// asleep/wake are each core's wake bookkeeping, the wheel's per-core
-	// counterpart: during an epoch an entry belongs to whoever claimed the
-	// core, between epochs to the coordinator (the epoch signals order the
-	// two).
-	asleep []bool
-	wake   []uint64
 
 	active []int // replay scratch: cores with something to settle
 }
@@ -135,8 +129,6 @@ func newParEngine(m *machine) *parEngine {
 		m:         m,
 		lookahead: minRoundTrip(m.uncore),
 		claimed:   make([]paddedCounter, n),
-		asleep:    make([]bool, n),
-		wake:      make([]uint64, n),
 		active:    make([]int, 0, n),
 	}
 }
@@ -201,10 +193,6 @@ func (p *parEngine) stop() {
 	}
 }
 
-// reset marks every core awake (after a snapshot restore, or when the run
-// switches between the serial and the sharded loop).
-func (p *parEngine) reset() { clear(p.asleep) }
-
 func (p *parEngine) work(s int, w *shardWorker) {
 	shardWorkers.Add(1)
 	defer func() {
@@ -244,29 +232,29 @@ func (p *parEngine) runShard(s int, epoch, from, to uint64) {
 
 // runCore settles core i's last epoch and runs it through [from, to). A core
 // whose next required full Tick (core.IdleWake) lies ahead jumps there in
-// one FastForward, or, if that is past the epoch, goes to sleep lagging the
-// clock; the lag is settled when it wakes or at the next sync point, as
-// under the wheel.
+// one FastForward, or, if that is past the epoch, goes to sleep in the sleep
+// table lagging the clock; the lag is settled when it wakes or at the next
+// sync point, as in the serial loop.
 func (p *parEngine) runCore(i int, from, to uint64) {
-	c := p.m.cores[i]
+	c, e := p.m.cores[i], &p.m.eng
 	c.Settle()
 	cyc := from
-	if p.asleep[i] {
-		if p.wake[i] >= to {
+	if e.asleep[i] {
+		if e.wake[i] >= to {
 			return
 		}
-		cyc = p.wake[i]
+		cyc = e.wake[i]
 		if lag := cyc - c.Cycle(); lag > 0 {
 			c.FastForward(lag)
 		}
-		p.asleep[i] = false
+		e.asleep[i] = false
 	}
 	for cyc < to {
 		c.Tick()
 		cyc++
 		if w := c.IdleWake(); w > cyc {
 			if w >= to {
-				p.asleep[i], p.wake[i] = true, w
+				e.asleep[i], e.wake[i] = true, w
 				return
 			}
 			c.FastForward(w - cyc)
@@ -309,54 +297,4 @@ func (p *parEngine) epoch(from, to uint64) error {
 	}
 	p.active = active
 	return nil
-}
-
-// sleepLen returns how far the machine may jump because every core sleeps:
-// the distance to the earliest wake, zero when a core is awake or due now.
-func (p *parEngine) sleepLen(cur uint64) uint64 {
-	wake := ^uint64(0)
-	for i, asleep := range p.asleep {
-		if !asleep {
-			return 0
-		}
-		wake = min(wake, p.wake[i])
-	}
-	if wake <= cur {
-		return 0
-	}
-	return wake - cur
-}
-
-// runPar is the coordinator loop of one segment: epochs of at most the
-// lookahead, each ending on the boundaries the serial engines observe, and
-// whole-machine jumps while every core sleeps.
-func (m *machine) runPar(end uint64) error {
-	p := m.eng.par
-	for m.done < end {
-		n := m.stepLimit(end)
-		if s := p.sleepLen(m.watch.cycle); s > 0 {
-			n = min(n, s)
-		} else {
-			n = min(n, p.lookahead)
-			if err := p.epoch(m.watch.cycle, m.watch.cycle+n); err != nil {
-				return err
-			}
-		}
-		m.watch.cycle += n
-		m.done += n
-		if m.obs != nil && m.watch.cycle%m.obs.sampleEvery == 0 {
-			p.settle()
-			m.obs.sample(m)
-		}
-	}
-	p.settle()
-	return nil
-}
-
-// settle patches every core's replayed replies in, for the boundary work
-// between segments and at samples, which observe the machine.
-func (p *parEngine) settle() {
-	for _, c := range p.m.cores {
-		c.Settle()
-	}
 }

@@ -16,7 +16,6 @@ import (
 	"dnc/internal/llc"
 	"dnc/internal/noc"
 	"dnc/internal/prefetch"
-	"dnc/internal/sched"
 )
 
 // DefaultWatchdogCycles is the livelock threshold used when
@@ -110,7 +109,7 @@ func (rc RunConfig) Validate() error {
 		return fmt.Errorf("sim: IntraJobs = %d is negative", rc.IntraJobs)
 	}
 	if rc.IntraJobs > 1 && rc.Sched == SchedTick {
-		return errors.New("sim: IntraJobs > 1 requires the wheel engine (the tick reference is strictly serial)")
+		return errors.New("sim: IntraJobs > 1 cannot apply to the tick reference (it is strictly serial)")
 	}
 	if rc.Sched > SchedTick {
 		return fmt.Errorf("sim: unknown Sched mode %d", rc.Sched)
@@ -273,22 +272,25 @@ type machine struct {
 	// encode); nil until the first.
 	enc *checkpoint.Encoder
 
-	// eng is the engine-loop state (wake schedule, sleep flags, parallel
-	// shards). It is derived state, never checkpointed: cores are synced to
-	// the global clock at every snapshot, and a restored machine starts with
-	// every core awake, so checkpoint bytes are identical across engines.
+	// eng is the engine-loop state (sleep table, parallel shards). It is
+	// derived state, never checkpointed: cores are synced to the global clock
+	// at every snapshot, and a restored machine starts with every core awake,
+	// so checkpoint bytes are identical across engines.
 	eng engineState
 }
 
-// engineState carries the wheel engine's per-core wake bookkeeping, the
+// engineState carries the per-core sleep table both engine loops share, the
 // sharded executor, and the run's share of the process's CPUs.
 type engineState struct {
 	mode SchedMode
-	// wheel holds one entry per sleeping core, keyed by the cycle of its
-	// next required full Tick (core.IdleWake). Nil under SchedTick.
-	wheel  *sched.Wheel
+	// asleep and wake are the sleep table: a core that reports a pure-stall
+	// window (core.IdleWake) sleeps until wake, the cycle of its next
+	// required full Tick, lagging the global clock meanwhile. Under SchedTick
+	// no core sleeps. In a sharded epoch a core's entry belongs to whichever
+	// shard claimed it, between epochs to the coordinator (the epoch signals
+	// order the two).
 	asleep []bool
-	awake  int
+	wake   []uint64
 	par    *parEngine // built the first time the run shards
 	// limit is the most shards the run may use (shardCount with every CPU
 	// idle); shards is how many the current segment uses, peak the most any
@@ -345,12 +347,16 @@ func buildMachine(rc RunConfig, mk streamMaker) (*machine, error) {
 		}
 	}
 	m.watch = newWatchdog(rc, m.cores, m.uncore)
-	m.eng.limit = shardCount(rc, mk != nil, math.MaxInt, 0)
+	m.eng = engineState{
+		mode:   rc.Sched,
+		asleep: make([]bool, rc.Cores),
+		wake:   make([]uint64, rc.Cores),
+		limit:  shardCount(rc, mk != nil, math.MaxInt, 0),
+	}
 	if rc.Obs != nil {
 		m.obs = newMachineObs(*rc.Obs)
 		m.obs.attach(m)
 	}
-	m.initEngine()
 	return m, nil
 }
 
@@ -403,10 +409,10 @@ func (m *machine) claimShards() int {
 	}
 }
 
-// useShards puts the next segment on n shards. Moving between the serial
-// wheel and the sharded loop switches the cores' posted mode and wakes every
-// core (a core woken early ticks through a pure stall, which is bit-exact);
-// cores are synced to the clock at every segment boundary.
+// useShards puts the next segment on n shards. Moving between the serial and
+// the sharded loop switches the cores' posted mode and wakes every core (a
+// core woken early ticks through a pure stall, which is bit-exact); cores are
+// synced to the clock at every segment boundary.
 func (m *machine) useShards(n int) {
 	e := &m.eng
 	if n == e.shards {
@@ -434,31 +440,10 @@ func (m *machine) useShards(n int) {
 	e.peak = max(e.peak, n)
 }
 
-// initEngine builds the engine-loop state for the configured mode.
-func (m *machine) initEngine() {
-	m.eng.mode = m.rc.Sched
-	if m.eng.mode == SchedTick {
-		return
-	}
-	m.eng.wheel = sched.NewWheel(len(m.cores))
-	m.eng.asleep = make([]bool, len(m.cores))
-	m.eng.awake = len(m.cores)
-}
-
-// resetEngine rebuilds the derived wake state with every core awake (after a
-// snapshot restore: cores come back with idleWake unset, so the first full
-// Tick recomputes their schedules).
-func (m *machine) resetEngine() {
-	if m.eng.mode == SchedTick {
-		return
-	}
-	m.eng.wheel = sched.NewWheel(len(m.cores))
-	clear(m.eng.asleep)
-	m.eng.awake = len(m.cores)
-	if m.eng.par != nil {
-		m.eng.par.reset()
-	}
-}
+// resetEngine marks every core awake (after a snapshot restore, where cores
+// come back with idleWake unset and the first full Tick recomputes it, and
+// when the run switches between the serial and the sharded loop).
+func (m *machine) resetEngine() { clear(m.eng.asleep) }
 
 // close releases what the machine holds: shard workers, its CPUs in
 // cpusHeld, stream resources, and the LLC, which goes back to the pool for
@@ -504,24 +489,18 @@ func (m *machine) run(ctx context.Context) error {
 }
 
 // runPhase advances the machine until the current window holds total
-// cycles, one segment per checkEvery poll interval, each on the engine the
+// cycles, one segment per checkEvery poll interval, each on the loop the
 // configuration (and, for the shard count, the process's idle CPUs) selects
-// at its start. All engines land exactly on the same boundaries — window end,
+// at its start. Both loops land exactly on the same boundaries — window end,
 // checkEvery poll (context, watchdog, checkpoint cadence), observability
 // sampling — and produce bit-identical machine state at each of them, so the
-// choice of engine is invisible to everything downstream.
+// choice of loop is invisible to everything downstream.
 func (m *machine) runPhase(ctx context.Context, total uint64) error {
 	for m.done < total {
 		end := min(total, m.done+checkEvery-m.watch.cycle%checkEvery)
-		shards := m.claimShards()
-		if m.eng.mode == SchedTick {
-			m.runTick(end)
-		} else if m.useShards(shards); shards > 1 {
-			if err := m.runPar(end); err != nil {
-				return err
-			}
-		} else {
-			m.runWheel(end)
+		m.useShards(m.claimShards())
+		if err := m.runSegment(end); err != nil {
+			return err
 		}
 		if m.watch.cycle%checkEvery == 0 {
 			m.syncCores()
@@ -577,113 +556,102 @@ func (m *machine) pollBoundary(ctx context.Context) error {
 	return nil
 }
 
-// runTick is the PR 5 reference engine, for one segment: every core is
-// visited every cycle, and the whole machine jumps only when every core is
-// provably idle at once (see skipLen).
-func (m *machine) runTick(end uint64) {
+// runSegment advances the machine to end on the segment's loop. A core that
+// reports a proven pure-stall window (core.IdleWake) sleeps in the sleep
+// table until the cycle of its next required full Tick, and an all-asleep
+// machine jumps straight to the earliest wake. Otherwise the serial loop runs
+// one cycle (step) and the sharded loop one lookahead epoch
+// (parEngine.epoch). Sleeping cores lag the global clock: their pure-stall
+// charge is applied in one FastForward at wake or at the next sync point
+// (poll boundary, window end), which is bit-exact because the charge is
+// additive and the coalesced stall span is cause-keyed, not call-keyed.
+func (m *machine) runSegment(end uint64) error {
+	e := &m.eng
 	for m.done < end {
-		if n := m.skipLen(end); n > 0 {
-			for _, c := range m.cores {
-				c.FastForward(n)
+		n := m.stepLimit(end)
+		switch s := e.sleepLen(m.watch.cycle); {
+		case s > 0:
+			// Every core sleeps past this span: only the global clock moves.
+			n = min(n, s)
+		case e.shards > 1:
+			n = min(n, e.par.lookahead)
+			if err := e.par.epoch(m.watch.cycle, m.watch.cycle+n); err != nil {
+				return err
 			}
-			m.watch.cycle += n
-			m.done += n
-		} else {
-			for _, c := range m.cores {
-				c.Tick()
-			}
-			m.watch.cycle++
-			m.done++
+		default:
+			n = 1
+			m.step()
 		}
-		if m.obs != nil && m.watch.cycle%m.obs.sampleEvery == 0 {
-			m.obs.sample(m)
-		}
-	}
-}
-
-// runWheel is the event-driven engine, for one segment. Each core that
-// reports a proven pure-stall window (core.IdleWake) goes to sleep on the
-// timing wheel until the cycle of its next required full Tick; a machine
-// cycle touches only awake cores, and an all-asleep machine jumps straight
-// to the earliest scheduled wake. Sleeping cores lag the global clock —
-// their pure-stall charge is applied in one FastForward at wake or at the
-// next sync point (poll boundary, window end), which is bit-exact because
-// the charge is additive and the coalesced stall span is cause-keyed, not
-// call-keyed.
-func (m *machine) runWheel(end uint64) {
-	for m.done < end {
-		var n uint64
-		if m.eng.awake == 0 {
-			n = m.sleepLen(end)
-		}
-		if n > 0 {
-			// Every core sleeps strictly past this span: only the global
-			// clock moves; the lag is settled at wake or at a sync point.
-			m.watch.cycle += n
-			m.done += n
-		} else {
-			m.stepWheel()
-			m.watch.cycle++
-			m.done++
-		}
+		m.watch.cycle += n
+		m.done += n
 		if m.obs != nil && m.watch.cycle%m.obs.sampleEvery == 0 {
 			// Gauges and retirement are frozen during a pure-stall window, so
-			// sampling lagged sleeping cores reads exactly the values the
-			// tick engine would have seen at this cycle.
+			// sampling lagged sleeping cores reads exactly the values a
+			// cycle-by-cycle loop would have seen at this cycle.
+			m.settle()
 			m.obs.sample(m)
 		}
 	}
+	m.settle()
+	return nil
 }
 
-// stepWheel executes one machine cycle under the wheel engine: wake every
-// core scheduled for this cycle (settling its lagged pure-stall span in one
-// FastForward), full-tick the awake cores in tile order (the serial
-// contention order), and put any core whose next required tick lies in the
-// future to sleep.
-func (m *machine) stepWheel() {
+// step runs one cycle of the serial loop. Each core in tile order (the
+// serial contention order) is woken if its wake is due, its lagged
+// pure-stall span settled in one FastForward, and if awake is ticked; a core
+// whose next required full Tick then lies ahead goes to sleep, except under
+// SchedTick, where every core ticks every cycle.
+func (m *machine) step() {
 	e := &m.eng
 	now := m.watch.cycle
-	for _, id := range e.wheel.AdvanceTo(now) {
-		c := m.cores[id]
-		if lag := now - c.Cycle(); lag > 0 {
-			c.FastForward(lag)
-		}
-		e.asleep[id] = false
-		e.awake++
-	}
 	for i, c := range m.cores {
 		if e.asleep[i] {
-			continue
+			if e.wake[i] > now {
+				continue
+			}
+			if lag := now - c.Cycle(); lag > 0 {
+				c.FastForward(lag)
+			}
+			e.asleep[i] = false
 		}
 		c.Tick()
-		if w := c.IdleWake(); w > c.Cycle() {
-			e.asleep[i] = true
-			e.awake--
-			e.wheel.Schedule(i, w)
+		if w := c.IdleWake(); w > c.Cycle() && e.mode != SchedTick {
+			e.asleep[i], e.wake[i] = true, w
 		}
 	}
 }
 
-// sleepLen returns how far the machine may jump when every core is asleep:
-// the distance to the earliest scheduled wake, clamped like skipLen. Zero
-// means a wake is due on the current cycle and the machine must step.
-func (m *machine) sleepLen(end uint64) uint64 {
-	wake, ok := m.eng.wheel.Next()
-	if !ok {
-		panic("sim: every core asleep with an empty wake schedule")
+// sleepLen returns how far the machine may jump because every core sleeps:
+// the distance to the earliest wake, zero when a core is awake or due now.
+func (e *engineState) sleepLen(cur uint64) uint64 {
+	wake := ^uint64(0)
+	for i, asleep := range e.asleep {
+		if !asleep {
+			return 0
+		}
+		wake = min(wake, e.wake[i])
 	}
-	cur := m.watch.cycle
 	if wake <= cur {
 		return 0
 	}
-	return min(wake-cur, m.stepLimit(end))
+	return wake - cur
+}
+
+// settle patches the sharded loop's replayed replies into every core, for
+// the boundary work and the samples that observe the machine.
+func (m *machine) settle() {
+	if m.eng.shards > 1 {
+		for _, c := range m.cores {
+			c.Settle()
+		}
+	}
 }
 
 // syncCores settles every sleeping core's lagged pure-stall span up to the
 // global clock. Sync points (poll boundaries, window ends) are exactly where
 // the machine's state is observed — watchdog snapshots, checkpoints, metric
-// resets, results — so after a sync the wheel and tick engines are
-// bit-identical.
+// resets, results — so after a sync the machine is bit-identical to one
+// that ticked every core every cycle.
 func (m *machine) syncCores() {
 	target := m.watch.cycle
 	for _, c := range m.cores {
@@ -691,29 +659,6 @@ func (m *machine) syncCores() {
 			c.FastForward(lag)
 		}
 	}
-}
-
-// skipLen returns how many cycles the whole machine may fast-forward right
-// now: the distance to the earliest per-core wakeup when every core reports
-// a pure-stall window (core.IdleWake), zero otherwise. The jump is clamped
-// (stepLimit) so the machine lands exactly on every boundary the
-// cycle-by-cycle loop would have observed — the window end, the checkEvery
-// poll (context, watchdog, checkpoint cadence), and the observability
-// sampling cadence — which keeps watchdog state, checkpoint bytes, and
-// sampled gauge histograms bit-identical to a run without fast-forward.
-// (Gauges are additionally frozen during a pure-stall window, so sampling
-// inside the window reads the same values it would have cycle by cycle.)
-func (m *machine) skipLen(end uint64) uint64 {
-	cur := m.cores[0].Cycle()
-	wake := ^uint64(0)
-	for _, c := range m.cores {
-		w := c.IdleWake()
-		if w <= cur {
-			return 0
-		}
-		wake = min(wake, w)
-	}
-	return min(wake-cur, m.stepLimit(end))
 }
 
 // dumpLivelock writes a post-mortem snapshot next to the configured

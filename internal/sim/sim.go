@@ -9,7 +9,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -20,20 +19,21 @@ import (
 	"dnc/internal/prefetch"
 )
 
-// SchedMode selects the engine that advances the machine through a window.
+// SchedMode selects whether idle cores sleep while the machine advances.
 type SchedMode uint8
 
 const (
-	// SchedWheel (the default) is the event-driven engine: each core's
-	// idleWake is generalized into a per-core wake schedule on a hierarchical
-	// timing wheel (internal/sched), so a cycle only touches cores with work
-	// at that cycle and an all-asleep machine jumps straight to the earliest
-	// wake. Bit-exact with SchedTick by construction.
+	// SchedWheel (the default) lets a core that reports a pure-stall window
+	// (core.IdleWake) sleep in the per-core sleep table until its next
+	// required full Tick, so a cycle only touches cores with work at that
+	// cycle and an all-asleep machine jumps straight to the earliest wake.
+	// It keeps the name of the timing wheel it once used, since the Engine
+	// stamp is part of every encoded Result. Bit-exact with SchedTick by
+	// construction.
 	SchedWheel SchedMode = iota
-	// SchedTick is the PR 5 reference engine: every core is visited every
-	// cycle (with the whole-machine jump only when all cores are idle at
-	// once). It exists as the metamorphic reference for the equivalence
-	// tests and for engine debugging, mirroring DisableFastForward.
+	// SchedTick is the reference: the same serial loop with sleeping off, so
+	// every core Ticks every cycle. It exists as the metamorphic reference
+	// for the equivalence tests, mirroring DisableFastForward.
 	SchedTick
 )
 
@@ -43,18 +43,6 @@ func (s SchedMode) String() string {
 		return "tick"
 	}
 	return "wheel"
-}
-
-// ParseSchedMode maps an engine name ("wheel", "tick") to its mode; it is
-// the single parser behind every CLI -sched flag.
-func ParseSchedMode(s string) (SchedMode, error) {
-	switch s {
-	case "wheel", "":
-		return SchedWheel, nil
-	case "tick":
-		return SchedTick, nil
-	}
-	return 0, fmt.Errorf("sim: unknown engine %q (want wheel or tick)", s)
 }
 
 // RunConfig describes one simulation.
@@ -109,20 +97,20 @@ type RunConfig struct {
 	// and checkpoint bytes — so this exists only as the metamorphic reference
 	// for the equivalence tests and for engine debugging.
 	DisableFastForward bool
-	// Sched selects the engine loop: the event-driven wheel scheduler (zero
-	// value, default) or the tick-everything reference. Both produce
-	// bit-identical results; see SchedMode.
+	// Sched selects whether idle cores sleep: yes by default (zero value),
+	// no under the SchedTick reference. Both produce bit-identical results;
+	// see SchedMode.
 	Sched SchedMode
 	// IntraJobs shards the cores of this one run across goroutines that
 	// post their shared-fabric (NoC/LLC/DRAM) requests and meet every
 	// lookahead epoch to replay them in serial order (see parEngine), so
-	// results are bit-identical to the serial engines at any shard count and
+	// results are bit-identical to the serial loop at any shard count and
 	// GOMAXPROCS. 0 = idle CPUs: re-decided at every poll boundary, the run
 	// takes the CPUs other simulations of the process leave free, at most
 	// one per coresPerShard cores; runs of 4 cores or fewer, event-traced
 	// runs and the cases below stay serial. 1 runs serially; N > 1 forces N
-	// shards (clamped to the core count), which requires the wheel engine
-	// (the tick reference stays strictly serial) and a walker-driven run.
+	// shards (clamped to the core count), which SchedTick refuses (the
+	// reference stays strictly serial) and which needs a walker-driven run.
 	// Variable-length ISA runs are always serial.
 	IntraJobs int
 	// OnAdvance, when non-nil, is called at every engine poll boundary (the
@@ -137,7 +125,7 @@ type RunConfig struct {
 type Result struct {
 	Workload string
 	Design   string
-	// Engine names the engine loop that produced the run, "tick" or "wheel",
+	// Engine names the SchedMode that produced the run, "tick" or "wheel",
 	// whatever the shard count. All engines are bit-exact, so this is
 	// provenance, not a cache key.
 	Engine string
