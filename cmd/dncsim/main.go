@@ -31,17 +31,6 @@ import (
 	"dnc/internal/workloads"
 )
 
-// designs maps CLI names to catalog entries. The design set and its paper
-// configurations live in prefetch.Catalog(), shared with the differential
-// harness so -verify covers exactly what the CLI can run.
-var designs = func() map[string]prefetch.CatalogEntry {
-	m := make(map[string]prefetch.CatalogEntry)
-	for _, e := range prefetch.Catalog() {
-		m[e.Name] = e
-	}
-	return m
-}()
-
 func main() {
 	workload := flag.String("workload", "Web-Zeus", "workload name (see -listworkloads)")
 	design := flag.String("design", "SN4L+Dis+BTB", "frontend design (see -listdesigns)")
@@ -99,9 +88,9 @@ func main() {
 	}
 
 	if *listD {
-		names := make([]string, 0, len(designs))
-		for n := range designs {
-			names = append(names, n)
+		var names []string
+		for _, e := range prefetch.Catalog() {
+			names = append(names, e.Name)
 		}
 		sort.Strings(names)
 		for _, n := range names {
@@ -116,7 +105,10 @@ func main() {
 		return
 	}
 
-	d, ok := designs[*design]
+	// The design set and its paper configurations live in prefetch.Catalog(),
+	// shared with the differential harness so -verify covers exactly what
+	// the CLI can run.
+	d, ok := prefetch.FindDesign(*design)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "dncsim: unknown design %q (see -listdesigns)\n", *design)
 		os.Exit(2)
@@ -204,7 +196,8 @@ func main() {
 	}
 
 	if *baseline && *design != "baseline" {
-		rc.NewDesign = designs["baseline"].New
+		b, _ := prefetch.FindDesign("baseline")
+		rc.NewDesign = b.New
 		rc.Core.PrefetchBufferEntries = 0
 		// The snapshot (and any resume point) belongs to the main design's
 		// run; the baseline comparison always runs fresh. The comparison is

@@ -55,7 +55,7 @@ func (h *Harness) AblationRLU() Experiment {
 			return prefetch.NewProactive(c)
 		}
 		if n == 8 {
-			key, nd = "full", newFull
+			key, nd = "full", design("SN4L+Dis+BTB")
 		}
 		for _, w := range h.Workloads() {
 			r := h.run(w, key, nd, runOpts{})

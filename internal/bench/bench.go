@@ -391,9 +391,9 @@ func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 		key string
 		nd  func() prefetch.Design
 	}{
-		{"baseline", newBaseline},
-		{"full", newFull},
-		{"confluence", newConfluence},
+		{"baseline", design("baseline")},
+		{"full", design("SN4L+Dis+BTB")},
+		{"confluence", design("confluence")},
 	}
 	var (
 		cells  []runner.Cell
@@ -454,59 +454,34 @@ func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 	return nil
 }
 
-// Canonical design constructors.
-
-func newBaseline() prefetch.Design { return prefetch.NewBaseline(2048) }
-
-func newNXL(depth int) func() prefetch.Design {
-	return func() prefetch.Design { return prefetch.NewNXL(depth, 2048) }
-}
-
-func newSN4L() prefetch.Design { return prefetch.NewSN4L(16<<10, 2048) }
-
-func newDis() prefetch.Design { return prefetch.NewDis(4<<10, 4, 2048) }
-
-func newSN4LDis() prefetch.Design {
-	return prefetch.NewProactive(prefetch.DefaultProactiveConfig())
-}
-
-func newFull() prefetch.Design {
-	c := prefetch.DefaultProactiveConfig()
-	c.WithBTBPrefetch = true
-	return prefetch.NewProactive(c)
-}
-
-func newConfluence() prefetch.Design {
-	return prefetch.NewConfluence(prefetch.DefaultConfluenceConfig())
-}
-
-func newBoomerang() prefetch.Design {
-	return prefetch.NewBoomerang(prefetch.DefaultBoomerangConfig())
-}
-
-func newShotgun() prefetch.Design {
-	return prefetch.NewShotgun(prefetch.DefaultShotgunDesignConfig())
+// design returns a catalog design's constructor by name (prefetch.Catalog).
+func design(name string) func() prefetch.Design {
+	e, ok := prefetch.FindDesign(name)
+	if !ok {
+		panic("bench: no catalog design " + name)
+	}
+	return e.New
 }
 
 // Baseline returns the cached no-prefetch run of a workload.
 func (h *Harness) Baseline(workload string) sim.Result {
-	return h.run(workload, "baseline", newBaseline, runOpts{})
+	return h.run(workload, "baseline", design("baseline"), runOpts{})
 }
 
 // Full returns the cached SN4L+Dis+BTB run of a workload.
 func (h *Harness) Full(workload string) sim.Result {
-	return h.run(workload, "full", newFull, runOpts{})
+	return h.run(workload, "full", design("SN4L+Dis+BTB"), runOpts{})
 }
 
 // Shotgun returns the cached Shotgun run of a workload (with its 64-entry
 // L1i prefetch buffer).
 func (h *Harness) Shotgun(workload string) sim.Result {
-	return h.run(workload, "shotgun", newShotgun, runOpts{pfbEntries: 64})
+	return h.run(workload, "shotgun", design("shotgun"), runOpts{pfbEntries: 64})
 }
 
 // Confluence returns the cached Confluence run of a workload.
 func (h *Harness) Confluence(workload string) sim.Result {
-	return h.run(workload, "confluence", newConfluence, runOpts{})
+	return h.run(workload, "confluence", design("confluence"), runOpts{})
 }
 
 // mean averages a slice.

@@ -105,7 +105,7 @@ func (h *Harness) Fig03() Experiment {
 	var vals []float64
 	for _, w := range h.Workloads() {
 		base := h.Baseline(w)
-		nl := h.run(w, "NL", newNXL(1), runOpts{})
+		nl := h.run(w, "NL", design("NL"), runOpts{})
 		c := sim.SeqMissCoverage(nl, base)
 		t.AddRow(w, stats.Pct(c))
 		head["nlseqcov_"+w] = c
@@ -126,18 +126,15 @@ func (h *Harness) Fig03() Experiment {
 func (h *Harness) Fig04() Experiment {
 	t := &stats.Table{Header: []string{"prefetcher", "CMAL"}}
 	head := map[string]float64{}
-	for _, d := range []struct {
-		name  string
-		depth int
-	}{{"NL", 1}, {"N2L", 2}, {"N4L", 4}, {"N8L", 8}} {
+	for _, name := range []string{"NL", "N2L", "N4L", "N8L"} {
 		var vals []float64
 		for _, w := range h.Workloads() {
-			r := h.run(w, d.name, newNXL(d.depth), runOpts{})
+			r := h.run(w, name, design(name), runOpts{})
 			vals = append(vals, r.M.CMAL())
 		}
 		m := mean(vals)
-		t.AddRow(d.name, stats.Pct(m))
-		head["cmal_"+d.name] = m
+		t.AddRow(name, stats.Pct(m))
+		head["cmal_"+name] = m
 	}
 	return Experiment{
 		ID:        "fig04",
@@ -153,23 +150,20 @@ func (h *Harness) Fig04() Experiment {
 func (h *Harness) Fig05() Experiment {
 	t := &stats.Table{Header: []string{"prefetcher", "LLC latency (norm.)", "L1i ext. bandwidth (norm.)"}}
 	head := map[string]float64{}
-	for _, d := range []struct {
-		name  string
-		depth int
-	}{{"NL", 1}, {"N2L", 2}, {"N4L", 4}, {"N8L", 8}} {
+	for _, name := range []string{"NL", "N2L", "N4L", "N8L"} {
 		var lat, bw []float64
 		for _, w := range h.Workloads() {
 			base := h.Baseline(w)
-			r := h.run(w, d.name, newNXL(d.depth), runOpts{})
+			r := h.run(w, name, design(name), runOpts{})
 			if bl := base.M.AvgLLCLatency(); bl > 0 {
 				lat = append(lat, r.M.AvgLLCLatency()/bl)
 			}
 			bw = append(bw, sim.BandwidthRatio(r, base))
 		}
 		ml, mb := mean(lat), mean(bw)
-		t.AddRow(d.name, stats.F2(ml), stats.F2(mb))
-		head["llclat_"+d.name] = ml
-		head["bw_"+d.name] = mb
+		t.AddRow(name, stats.F2(ml), stats.F2(mb))
+		head["llclat_"+name] = ml
+		head["bw_"+name] = mb
 	}
 	return Experiment{
 		ID:        "fig05",
@@ -261,7 +255,7 @@ func (h *Harness) Fig09() Experiment {
 			lc := llc.DefaultConfig()
 			lc.DVEnabled = true
 			lc.BFsPerSet = k
-			r := h.run(w, fmt.Sprintf("dvllc-bf%d", k), newBaseline,
+			r := h.run(w, fmt.Sprintf("dvllc-bf%d", k), design("baseline"),
 				runOpts{mode: isa.Variable, llcCfg: &lc})
 			if r.LLCStats.BFStores > 0 {
 				vals = append(vals, float64(r.LLCStats.BFStoreFails)/float64(r.LLCStats.BFStores))
@@ -287,7 +281,7 @@ func (h *Harness) Table2() Experiment {
 	kb := func(d prefetch.Design) string {
 		return fmt.Sprintf("%.1f KB", float64(d.StorageBits())/8/1024)
 	}
-	full, shot, conf := newFull(), newShotgun(), newConfluence()
+	full, shot, conf := design("SN4L+Dis+BTB")(), design("shotgun")(), design("confluence")()
 	t.AddRow("SN4L+Dis+BTB", kb(full), "no", "no", "yes")
 	t.AddRow("Shotgun", kb(shot), "yes (split U/C/RIB)", "yes (64-entry)", "no")
 	t.AddRow("Confluence", kb(conf), "yes (AirBTB)", "no", "no")
@@ -419,10 +413,10 @@ func (h *Harness) Fig13() Experiment {
 		key  string
 		nd   func() prefetch.Design
 	}{
-		{"N4L", "N4L", newNXL(4)},
-		{"SN4L", "sn4l", newSN4L},
-		{"Dis", "dis", newDis},
-		{"SN4L+Dis+BTB", "full", newFull},
+		{"N4L", "N4L", design("N4L")},
+		{"SN4L", "sn4l", design("SN4L")},
+		{"Dis", "dis", design("Dis")},
+		{"SN4L+Dis+BTB", "full", design("SN4L+Dis+BTB")},
 	}
 	for _, d := range designs {
 		var vals []float64
@@ -465,10 +459,10 @@ func (h *Harness) Fig14() Experiment {
 	}{
 		{"SN4L+Dis+BTB (no RLU)", "full-rlu0", rluVariant(0), 0},
 		{"SN4L+Dis+BTB (RLU 4)", "full-rlu4", rluVariant(4), 0},
-		{"SN4L+Dis+BTB (RLU 8)", "full", newFull, 0},
+		{"SN4L+Dis+BTB (RLU 8)", "full", design("SN4L+Dis+BTB"), 0},
 		{"SN4L+Dis+BTB (RLU 16)", "full-rlu16", rluVariant(16), 0},
-		{"confluence", "confluence", newConfluence, 0},
-		{"shotgun", "shotgun", newShotgun, 64},
+		{"confluence", "confluence", design("confluence"), 0},
+		{"shotgun", "shotgun", design("shotgun"), 64},
 	}
 	for _, d := range rows {
 		var vals []float64
@@ -525,7 +519,7 @@ func (h *Harness) Fig16() Experiment {
 		fv := sim.Speedup(h.Full(w), base)
 		sv := sim.Speedup(h.Shotgun(w), base)
 		cv := sim.Speedup(h.Confluence(w), base)
-		bv := sim.Speedup(h.run(w, "boomerang", newBoomerang, runOpts{}), base)
+		bv := sim.Speedup(h.run(w, "boomerang", design("boomerang"), runOpts{}), base)
 		t.AddRow(w, stats.F2(fv), stats.F2(sv), stats.F2(cv), stats.F2(bv))
 		f, s, c, b = append(f, fv), append(s, sv), append(c, cv), append(b, bv)
 	}
@@ -554,12 +548,12 @@ func (h *Harness) Fig17() Experiment {
 		nd   func() prefetch.Design
 		o    runOpts
 	}{
-		{"N4L", "N4L", newNXL(4), runOpts{}},
-		{"SN4L", "sn4l", newSN4L, runOpts{}},
-		{"SN4L+Dis", "snd", newSN4LDis, runOpts{}},
-		{"SN4L+Dis+BTB", "full", newFull, runOpts{}},
-		{"Perfect L1i", "perfect", newBaseline, runOpts{perfectL1i: true}},
-		{"Perfect L1i + BTB inf", "perfect-btb", newBaseline, runOpts{perfectL1i: true, perfectBTB: true}},
+		{"N4L", "N4L", design("N4L"), runOpts{}},
+		{"SN4L", "sn4l", design("SN4L"), runOpts{}},
+		{"SN4L+Dis", "snd", design("SN4L+Dis"), runOpts{}},
+		{"SN4L+Dis+BTB", "full", design("SN4L+Dis+BTB"), runOpts{}},
+		{"Perfect L1i", "perfect", design("baseline"), runOpts{perfectL1i: true}},
+		{"Perfect L1i + BTB inf", "perfect-btb", design("baseline"), runOpts{perfectL1i: true, perfectBTB: true}},
 	}
 	for _, d := range rows {
 		var vals []float64
@@ -628,8 +622,8 @@ func (h *Harness) SecJ() Experiment {
 		conv := llc.DefaultConfig()
 		dv := llc.DefaultConfig()
 		dv.DVEnabled = true
-		rc := h.run(w, "vl-conv", newBaseline, runOpts{mode: isa.Variable, llcCfg: &conv})
-		rd := h.run(w, "vl-dv", newBaseline, runOpts{mode: isa.Variable, llcCfg: &dv})
+		rc := h.run(w, "vl-conv", design("baseline"), runOpts{mode: isa.Variable, llcCfg: &conv})
+		rd := h.run(w, "vl-dv", design("baseline"), runOpts{mode: isa.Variable, llcCfg: &dv})
 		ratio := func(hit, acc uint64) float64 {
 			if acc == 0 {
 				return 0

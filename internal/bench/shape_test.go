@@ -25,10 +25,10 @@ func TestPaperShapes(t *testing.T) {
 	var base, n4l, n8l, sn4l, snd, full, shot, conf []sim.Result
 	for _, w := range h.Workloads() {
 		base = append(base, h.Baseline(w))
-		n4l = append(n4l, h.run(w, "N4L", newNXL(4), runOpts{}))
-		n8l = append(n8l, h.run(w, "N8L", newNXL(8), runOpts{}))
-		sn4l = append(sn4l, h.run(w, "sn4l", newSN4L, runOpts{}))
-		snd = append(snd, h.run(w, "snd", newSN4LDis, runOpts{}))
+		n4l = append(n4l, h.run(w, "N4L", design("N4L"), runOpts{}))
+		n8l = append(n8l, h.run(w, "N8L", design("N8L"), runOpts{}))
+		sn4l = append(sn4l, h.run(w, "sn4l", design("SN4L"), runOpts{}))
+		snd = append(snd, h.run(w, "snd", design("SN4L+Dis"), runOpts{}))
 		full = append(full, h.Full(w))
 		shot = append(shot, h.Shotgun(w))
 		conf = append(conf, h.Confluence(w))

@@ -107,7 +107,8 @@ func TestFootprint(t *testing.T) {
 	f.Set(3)
 	f.Set(100) // out of window, dropped
 	f.Set(-5)  // out of window, dropped
-	blocks := f.Blocks(10)
+	var buf [FootprintBits]isa.BlockID
+	blocks := f.AppendBlocks(buf[:0], 10)
 	want := []isa.BlockID{8, 10, 13}
 	if len(blocks) != len(want) {
 		t.Fatalf("blocks = %v, want %v", blocks, want)
@@ -120,7 +121,7 @@ func TestFootprint(t *testing.T) {
 	// Negative deltas below base are clipped.
 	var g Footprint
 	g.Set(-2)
-	if len(g.Blocks(1)) != 0 {
+	if len(g.AppendBlocks(nil, 1)) != 0 {
 		t.Fatal("underflowing block not clipped")
 	}
 }

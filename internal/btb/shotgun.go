@@ -35,20 +35,24 @@ func (f *Footprint) Set(delta int) {
 // Empty reports whether no blocks are recorded.
 func (f Footprint) Empty() bool { return f.Bits == 0 }
 
-// Blocks expands the footprint into absolute block IDs around base.
-func (f Footprint) Blocks(base isa.BlockID) []isa.BlockID {
-	var out []isa.BlockID
-	for i := 0; i < FootprintBits; i++ {
-		if f.Bits&(1<<uint(i)) == 0 {
+// AppendBlocks appends the footprint's blocks around base to dst.
+func (f Footprint) AppendBlocks(dst []isa.BlockID, base isa.BlockID) []isa.BlockID {
+	return AppendRegion(dst, base, uint64(f.Bits), FootprintBefore)
+}
+
+// AppendRegion expands a spatial bit vector into dst, in ascending order:
+// bit i stands for block base-before+i, and blocks that would fall below
+// block zero are skipped. It is the one expansion behind Shotgun's
+// footprints and PIF's regions; callers pass a slice of an array they own,
+// so expanding allocates nothing.
+func AppendRegion(dst []isa.BlockID, base isa.BlockID, bits uint64, before int) []isa.BlockID {
+	for i := 0; bits>>i != 0; i++ {
+		if bits&(1<<i) == 0 || (i < before && isa.BlockID(before-i) > base) {
 			continue
 		}
-		delta := i - FootprintBefore
-		if delta < 0 && isa.BlockID(-delta) > base {
-			continue
-		}
-		out = append(out, isa.BlockID(int64(base)+int64(delta)))
+		dst = append(dst, base+isa.BlockID(i)-isa.BlockID(before))
 	}
-	return out
+	return dst
 }
 
 // UBBEntry is a U-BTB payload: a basic block ending in an unconditional

@@ -90,45 +90,3 @@ func bbFromPredecode(pc isa.Addr, branches []isa.Branch) btb.BBEntry {
 	}
 	return btb.BBEntry{Size: uint16(isa.BlockBytes - off), Kind: isa.KindALU}
 }
-
-// ftq is the fetch target queue shared by the BTB-directed engines: the
-// sequence of blocks the prefetch engine has delivered ahead of fetch.
-type ftq struct {
-	blocks []isa.BlockID
-	cap    int
-}
-
-func newFTQ(capacity int) *ftq {
-	return &ftq{cap: capacity, blocks: make([]isa.BlockID, 0, capacity)}
-}
-
-func (q *ftq) full() bool  { return len(q.blocks) >= q.cap }
-func (q *ftq) empty() bool { return len(q.blocks) == 0 }
-
-// push appends a block, deduplicating consecutive repeats.
-func (q *ftq) push(b isa.BlockID) {
-	if q.full() {
-		return
-	}
-	if n := len(q.blocks); n > 0 && q.blocks[n-1] == b {
-		return
-	}
-	q.blocks = append(q.blocks, b)
-}
-
-// head returns the front block.
-func (q *ftq) head() (isa.BlockID, bool) {
-	if q.empty() {
-		return 0, false
-	}
-	return q.blocks[0], true
-}
-
-func (q *ftq) pop() {
-	if !q.empty() {
-		copy(q.blocks, q.blocks[1:])
-		q.blocks = q.blocks[:len(q.blocks)-1]
-	}
-}
-
-func (q *ftq) reset() { q.blocks = q.blocks[:0] }

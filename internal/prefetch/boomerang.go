@@ -11,33 +11,15 @@ import (
 // queue (FTQ); blocks entering the FTQ are prefetched, and BTB misses are
 // repaired reactively by fetching and pre-decoding the missing block. While
 // a BTB miss is being repaired the engine cannot insert into the FTQ — the
-// dependence on BTB content the paper's Section III criticizes.
+// dependence on BTB content the paper's Section III criticizes. The walk is
+// the shared fdipWalk; Boomerang adds its basic-block BTB.
 type Boomerang struct {
-	Base
+	fdipWalk[isa.Addr]
 	bb *btb.BBBTB
 	// bypc mirrors BB entries keyed by branch PC for the core's per-branch
 	// target lookups; it is the same logical BTB viewed by tag.
 	bypc *btb.Table[btb.Entry]
-	rec  *bbRecorder
-	q    *ftq
-
-	walkPC    isa.Addr
-	walkValid bool
-	stalled   bool
-	stalledOn isa.BlockID
-	specRAS   []isa.Addr
-
-	// WalkBudget is how many basic blocks the engine advances per cycle.
-	WalkBudget int
-
-	// ReactiveFills, Squashes and EnginePrefetches count engine activity.
-	ReactiveFills    uint64
-	Squashes         uint64
-	EnginePrefetches uint64
 }
-
-// QueueOccupancy implements OccupancyReporter: the FTQ's current depth.
-func (d *Boomerang) QueueOccupancy() int { return len(d.q.blocks) }
 
 // BoomerangConfig sizes the design.
 type BoomerangConfig struct {
@@ -58,12 +40,10 @@ func NewBoomerang(cfg BoomerangConfig) *Boomerang {
 		cfg = DefaultBoomerangConfig()
 	}
 	d := &Boomerang{
-		bb:         btb.NewBBBTB(cfg.BTBEntries, cfg.BTBWays),
-		bypc:       btb.NewTable[btb.Entry](cfg.BTBEntries, cfg.BTBWays),
-		q:          newFTQ(cfg.FTQEntries),
-		WalkBudget: cfg.WalkBudget,
+		bb:   btb.NewBBBTB(cfg.BTBEntries, cfg.BTBWays),
+		bypc: btb.NewTable[btb.Entry](cfg.BTBEntries, cfg.BTBWays),
 	}
-	d.rec = newBBRecorder(0, d.insertBB)
+	d.fdipWalk = newFDIPWalk[isa.Addr](cfg.FTQEntries, cfg.WalkBudget, false, d.insertBB)
 	return d
 }
 
@@ -80,199 +60,80 @@ func (d *Boomerang) insertBB(start isa.Addr, e btb.BBEntry) {
 
 // BTBLookup implements Design (core-side per-branch view).
 func (d *Boomerang) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	if e, ok := d.bypc.Lookup(pc); ok {
-		return e.Target, true
-	}
-	return 0, false
+	return lookupBranch(d.bypc, pc)
 }
 
 // BTBCommit implements Design: commit-time training happens through
 // OnRetire's basic-block recorder; per-branch commits keep the by-PC view
 // warm for branches whose block boundaries were disturbed by redirects.
 func (d *Boomerang) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	if kind == isa.KindCondBranch && !taken {
-		if _, ok := d.bypc.Peek(pc); ok {
-			return
-		}
-	}
-	d.bypc.Insert(pc, btb.Entry{Kind: kind, Target: target})
-}
-
-// OnRetire implements Design.
-func (d *Boomerang) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
-	d.rec.retire(inst, taken, target)
-}
-
-// FTQGate implements Design: fetch may proceed into pc's block only when the
-// engine has delivered it at the FTQ head.
-func (d *Boomerang) FTQGate(pc isa.Addr) bool {
-	b := isa.BlockOf(pc)
-	if h, ok := d.q.head(); ok {
-		if h == b {
-			d.q.pop()
-			return true
-		}
-		// The engine walked a diverging path: squash and restart here.
-		d.Squashes++
-		d.restart(pc)
-		return false
-	}
-	if !d.walkValid && !d.stalled {
-		d.restart(pc)
-	}
-	return false
-}
-
-// OnRedirect implements Design.
-func (d *Boomerang) OnRedirect(pc isa.Addr) {
-	d.restart(pc)
-	d.rec.redirect(pc)
-}
-
-func (d *Boomerang) restart(pc isa.Addr) {
-	d.q.reset()
-	d.specRAS = d.specRAS[:0]
-	d.stalled = false
-	d.walkPC = pc
-	d.walkValid = true
+	commitBranch(d.bypc, pc, kind, target, taken)
 }
 
 // OnFill implements Design: a fill repairing a reactive BTB miss lets the
 // engine decode and resume.
-func (d *Boomerang) OnFill(b isa.BlockID, prefetch bool) {
-	if d.stalled && b == d.stalledOn {
-		d.resumeFromFill()
+func (d *Boomerang) OnFill(b isa.BlockID, _ bool) {
+	if d.arrived(b) {
+		d.repair(b)
 	}
 }
 
-func (d *Boomerang) resumeFromFill() {
-	d.stalled = false
-	brs := d.E().Predecode(d.stalledOn)
-	e := bbFromPredecode(d.walkPC, brs)
-	d.insertBB(d.walkPC, e)
+// repair decodes block b, which holds the walk point, and installs the
+// basic block starting there; the walk resumes from it next cycle.
+func (d *Boomerang) repair(b isa.BlockID) {
+	d.insertBB(d.walkPC, bbFromPredecode(d.walkPC, d.E().Predecode(b)))
 	d.ReactiveFills++
-}
-
-// Quiescent implements Quiescer: Tick is a no-op only when the engine is
-// not mid-repair (a stalled engine probes the L1i every cycle, which counts
-// cache lookups) and the walk either has no valid PC or a full FTQ.
-func (d *Boomerang) Quiescent() bool {
-	return !d.stalled && (!d.walkValid || d.q.full())
 }
 
 // Tick implements Design: advance the walk, filling the FTQ and prefetching
 // its blocks.
 func (d *Boomerang) Tick() {
-	env := d.E()
 	if d.stalled {
-		// Retry a reactive fill whose prefetch could not be issued.
-		if env.L1iContains(d.stalledOn) {
-			d.resumeFromFill()
-		} else if !env.InFlight(d.stalledOn) {
-			env.IssuePrefetch(d.stalledOn, false)
+		if d.retry() {
+			d.repair(d.stalledOn)
 		}
 		return
 	}
-	if !d.walkValid {
-		return
-	}
-	budget := d.WalkBudget
-	if budget == 0 {
-		budget = 2
-	}
-	for i := 0; i < budget; i++ {
-		if d.q.full() || d.stalled || !d.walkValid {
-			return
-		}
+	for n := d.budget; n > 0 && d.walking(); n-- {
 		d.walkOne()
 	}
 }
 
-// walkOne advances the engine by one basic block.
+// walkOne advances the walk by one basic block.
 func (d *Boomerang) walkOne() {
-	env := d.E()
 	start := d.walkPC
 	e, ok := d.bb.Lookup(start)
 	if !ok {
-		// BTB miss: reactive repair. The engine stops inserting into the
-		// FTQ until the block arrives and is pre-decoded.
-		b := isa.BlockOf(start)
-		if env.L1iContains(b) {
-			brs := env.Predecode(b)
-			bb := bbFromPredecode(start, brs)
-			d.insertBB(start, bb)
-			d.ReactiveFills++
-			return // decoded this cycle; walk resumes next cycle
-		}
-		d.stalled = true
-		d.stalledOn = b
-		if !env.InFlight(b) {
-			env.IssuePrefetch(b, false)
+		if d.miss() {
+			d.repair(isa.BlockOf(start))
 		}
 		return
 	}
-
-	d.enqueueSpan(start, e)
-
+	if d.take(start, e) {
+		return
+	}
 	switch e.Kind {
-	case isa.KindALU:
-		d.walkPC = e.Fallthrough(start)
-	case isa.KindCondBranch:
-		if env.PredictTaken(e.BranchPC) {
-			d.walkPC = e.Target
-		} else {
-			d.walkPC = e.Fallthrough(start)
-		}
 	case isa.KindJump:
 		d.walkPC = e.Target
 	case isa.KindCall:
 		d.pushRAS(e.Fallthrough(start))
 		d.walkPC = e.Target
 	case isa.KindReturn:
-		if n := len(d.specRAS); n > 0 {
-			d.walkPC = d.specRAS[n-1]
-			d.specRAS = d.specRAS[:n-1]
-		} else {
-			// Nothing to follow: wait for the next redirect.
-			d.walkValid = false
+		if ret, ok := d.popRAS(); ok {
+			d.walkPC = ret
 		}
 	case isa.KindIndirect:
-		if e.Target != 0 {
-			d.pushRAS(e.Fallthrough(start)) // indirect call site
-			d.walkPC = e.Target
-		} else {
+		if e.Target == 0 {
 			d.walkValid = false
+			return
 		}
-	}
-}
-
-func (d *Boomerang) pushRAS(ret isa.Addr) {
-	const depth = 16
-	if len(d.specRAS) == depth {
-		copy(d.specRAS, d.specRAS[1:])
-		d.specRAS = d.specRAS[:depth-1]
-	}
-	d.specRAS = append(d.specRAS, ret)
-}
-
-// enqueueSpan pushes every block the basic block touches into the FTQ and
-// prefetches the absent ones.
-func (d *Boomerang) enqueueSpan(start isa.Addr, e btb.BBEntry) {
-	env := d.E()
-	first := isa.BlockOf(start)
-	last := isa.BlockOf(start + isa.Addr(e.Size) - 1)
-	for b := first; b <= last; b++ {
-		d.q.push(b)
-		if !env.L1iContains(b) && !env.InFlight(b) {
-			if env.IssuePrefetch(b, false) {
-				d.EnginePrefetches++
-			}
-		}
+		d.pushRAS(e.Fallthrough(start)) // indirect call site
+		d.walkPC = e.Target
 	}
 }
 
 // StorageBits implements Design: the basic-block BTB extensions over a
 // conventional BTB (size + kind per entry) plus the FTQ.
 func (d *Boomerang) StorageBits() int {
-	return d.bb.Entries()*(7+3) + d.q.cap*46
+	return d.bb.Entries()*(7+3) + d.ftqBits()
 }

@@ -231,8 +231,8 @@ func TestShotgunFootprintPrefetchOnUHit(t *testing.T) {
 	if d.FootprintPrefetch == 0 {
 		t.Fatal("footprint prefetches not counted")
 	}
-	if d.SplitBTB().FootprintMissRatio() != 0 {
-		t.Fatalf("trained footprint counted as miss: %v", d.SplitBTB().FootprintMissRatio())
+	if d.sb.FootprintMissRatio() != 0 {
+		t.Fatalf("trained footprint counted as miss: %v", d.sb.FootprintMissRatio())
 	}
 }
 
@@ -246,7 +246,7 @@ func TestShotgunReactiveResolvesUncondAsFootprintMiss(t *testing.T) {
 	env.install(isa.BlockOf(base)) // block resident: reactive decode is immediate
 	d.restart(base)
 	d.Tick()
-	sb := d.SplitBTB()
+	sb := d.sb
 	if sb.UEntryMiss != 1 || sb.UFootprintMiss != 1 {
 		t.Fatalf("reactive uncond resolution not counted: %+v", sb)
 	}

@@ -90,34 +90,24 @@ func (r *bbRecorder) state(c *checkpoint.Codec) {
 	c.Bool(&r.have)
 }
 
-// indexState walks the tagged position index Confluence and PIF share.
-func indexState(c *checkpoint.Codec, what string, valid []bool, tags []uint16, pos []int32) {
-	c.Fixed(what, len(valid))
-	for i := range valid {
-		c.Bool(&valid[i])
-		c.U16(&tags[i])
-		checkpoint.Word32(c, &pos[i])
-	}
-}
-
 // State implements Design.
 func (d *Baseline) State(c *checkpoint.Codec) {
 	c.Begin("baseline")
-	d.btb.State(c)
+	d.ConvBTB.State(c)
 	c.End()
 }
 
 // State implements Design.
 func (d *NXL) State(c *checkpoint.Codec) {
 	c.Begin("nxl")
-	d.btb.State(c)
+	d.ConvBTB.State(c)
 	c.End()
 }
 
 // State implements Design.
 func (d *SN4L) State(c *checkpoint.Codec) {
 	c.Begin("sn4l")
-	d.btb.State(c)
+	d.ConvBTB.State(c)
 	d.seq.State(c)
 	c.U64(&d.UsefulHits)
 	c.U64(&d.Issued)
@@ -127,7 +117,7 @@ func (d *SN4L) State(c *checkpoint.Codec) {
 // State implements Design.
 func (d *Dis) State(c *checkpoint.Codec) {
 	c.Begin("dis")
-	d.btb.State(c)
+	d.ConvBTB.State(c)
 	d.tab.State(c)
 	checkpoint.Set(c, "Dis pending set", d.pending, checkpoint.Unbounded)
 	c.U64(&d.Recorded)
@@ -138,7 +128,7 @@ func (d *Dis) State(c *checkpoint.Codec) {
 // State implements Design.
 func (d *Discontinuity) State(c *checkpoint.Codec) {
 	c.Begin("discontinuity")
-	d.btb.State(c)
+	d.ConvBTB.State(c)
 	c.Fixed("discontinuity table entries", len(d.valid))
 	for i := range d.valid {
 		c.Bool(&d.valid[i])
@@ -155,7 +145,7 @@ func (d *Discontinuity) State(c *checkpoint.Codec) {
 // State implements Design.
 func (p *Proactive) State(c *checkpoint.Codec) {
 	c.Begin("proactive")
-	p.btb.State(c)
+	p.ConvBTB.State(c)
 	p.seq.State(c)
 	p.dis.State(c)
 	p.rlu.state(c)
@@ -207,16 +197,8 @@ func (p *Proactive) Audit() []error {
 // State implements Design.
 func (d *Confluence) State(c *checkpoint.Codec) {
 	c.Begin("confluence")
-	d.btb.State(c)
-	c.Fixed("confluence history entries", len(d.hist))
-	for i := range d.hist {
-		checkpoint.Word(c, &d.hist[i])
-	}
-	c.Int(&d.histPos)
-	c.Bool(&d.full)
-	indexState(c, "confluence index entries", d.idxValid, d.idxTag, d.idxPos)
-	c.Int(&d.streamPos)
-	c.Bool(&d.streamLive)
+	d.ConvBTB.State(c)
+	d.state(c, "confluence", func(r *missRecord) { checkpoint.Word(c, r) })
 	c.U64(&d.StreamStarts)
 	c.U64(&d.StreamPrefetches)
 	c.End()
@@ -225,20 +207,14 @@ func (d *Confluence) State(c *checkpoint.Codec) {
 // State implements Design.
 func (p *PIF) State(c *checkpoint.Codec) {
 	c.Begin("pif")
-	p.btb.State(c)
+	p.ConvBTB.State(c)
 	checkpoint.Word(c, &p.curTrigger)
 	c.U16(&p.curBits)
 	c.Bool(&p.haveCur)
-	c.Fixed("PIF history entries", len(p.hist))
-	for i := range p.hist {
-		checkpoint.Word(c, &p.hist[i].trigger)
-		c.U16(&p.hist[i].bits)
-	}
-	c.Int(&p.histPos)
-	c.Bool(&p.full)
-	indexState(c, "PIF index entries", p.idxValid, p.idxTag, p.idxPos)
-	c.Int(&p.streamPos)
-	c.Bool(&p.streamLive)
+	p.state(c, "PIF", func(r *pifRegion) {
+		checkpoint.Word(c, &r.trigger)
+		c.U16(&r.bits)
+	})
 	c.U64(&p.RegionsLogged)
 	c.U64(&p.StreamStarts)
 	c.U64(&p.StreamPrefetches)
@@ -248,7 +224,7 @@ func (p *PIF) State(c *checkpoint.Codec) {
 // State implements Design.
 func (d *RDIP) State(c *checkpoint.Codec) {
 	c.Begin("rdip")
-	d.btb.State(c)
+	d.ConvBTB.State(c)
 	c.Fixed("RDIP table entries", len(d.entries))
 	for i := range d.entries {
 		en := &d.entries[i]
@@ -273,12 +249,7 @@ func (d *Boomerang) State(c *checkpoint.Codec) {
 	c.Begin("boomerang")
 	d.bb.State(c)
 	d.bypc.State(c, btb.EntryState)
-	d.rec.state(c)
-	d.q.state(c)
-	checkpoint.Word(c, &d.walkPC)
-	c.Bool(&d.walkValid)
-	c.Bool(&d.stalled)
-	checkpoint.Word(c, &d.stalledOn)
+	d.state(c)
 	checkpoint.Words(c, "speculative RAS", &d.specRAS, checkpoint.Unbounded)
 	c.U64(&d.ReactiveFills)
 	c.U64(&d.Squashes)
@@ -293,12 +264,7 @@ func (d *Shotgun) State(c *checkpoint.Codec) {
 	d.bypcU.State(c, btb.EntryState)
 	d.bypcC.State(c, btb.EntryState)
 	d.bypcR.State(c, btb.EntryState)
-	d.rec.state(c)
-	d.q.state(c)
-	checkpoint.Word(c, &d.walkPC)
-	c.Bool(&d.walkValid)
-	c.Bool(&d.stalled)
-	checkpoint.Word(c, &d.stalledOn)
+	d.state(c)
 	checkpoint.Slice(c, "speculative RAS", &d.specRAS, 9, checkpoint.Unbounded, func(r *shotgunRASEntry) {
 		checkpoint.Word(c, &r.ret)
 		c.U8(&r.retFP.Bits)

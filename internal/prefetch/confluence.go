@@ -9,33 +9,10 @@ import "dnc/internal/isa"
 // history buffer plus index — is the 200+ KB the paper criticizes; it is
 // virtualized in the LLC, which we account for in StorageBits and in the
 // two-step lookup latency (index read, then history read) modelled as the
-// stream-head setup delay.
+// stream-head setup delay. Each history record is one missed block.
 type Confluence struct {
-	Base
-	btb *ConvBTB
-
-	// hist is the circular miss-history buffer.
-	hist    []isa.BlockID
-	histPos int
-	full    bool
-
-	// index maps a block to its most recent history position (direct-mapped
-	// with partial tags, as in SHIFT).
-	idxValid []bool
-	idxTag   []uint16
-	idxPos   []int32
-	idxMask  uint64
-
-	// Active replay stream.
-	streamPos  int
-	streamLive bool
-
-	// Lookahead is how far the stream runs ahead of demand.
-	Lookahead int
-
-	// StreamStarts and StreamPrefetches count replay activity.
-	StreamStarts     uint64
-	StreamPrefetches uint64
+	*ConvBTB
+	temporalStream[missRecord]
 }
 
 // ConfluenceConfig sizes the design.
@@ -61,109 +38,29 @@ func NewConfluence(cfg ConfluenceConfig) *Confluence {
 	if cfg.HistEntries == 0 {
 		cfg = DefaultConfluenceConfig()
 	}
-	if cfg.IndexEntries&(cfg.IndexEntries-1) != 0 {
-		panic("prefetch: Confluence index entries must be a power of two")
+	if cfg.Lookahead == 0 {
+		cfg.Lookahead = 6
 	}
 	return &Confluence{
-		btb:      NewConvBTB(cfg.BTBEntries, 8),
-		hist:     make([]isa.BlockID, cfg.HistEntries),
-		idxValid: make([]bool, cfg.IndexEntries),
-		idxTag:   make([]uint16, cfg.IndexEntries),
-		idxPos:   make([]int32, cfg.IndexEntries),
-		idxMask:  uint64(cfg.IndexEntries - 1),
-		Lookahead: func() int {
-			if cfg.Lookahead == 0 {
-				return 6
-			}
-			return cfg.Lookahead
-		}(),
+		ConvBTB:        NewConvBTB(cfg.BTBEntries, 8),
+		temporalStream: newTemporalStream[missRecord]("Confluence", cfg.HistEntries, cfg.IndexEntries, cfg.Lookahead),
 	}
 }
 
 // Name implements Design.
 func (*Confluence) Name() string { return "confluence" }
 
-// BTBLookup implements Design.
-func (c *Confluence) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	return c.btb.Lookup(pc, kind)
-}
-
-// BTBCommit implements Design.
-func (c *Confluence) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	c.btb.Commit(pc, kind, target, taken)
-}
-
-func (c *Confluence) idxOf(b isa.BlockID) uint64 { return uint64(b) & c.idxMask }
-
-func (c *Confluence) idxTagOf(b isa.BlockID) uint16 {
-	return uint16((uint64(b) >> 14) & 0x3FF)
-}
-
-// OnDemand implements Design: record every miss into the history, and steer
-// the replay stream.
-func (c *Confluence) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
-	if hit {
-		// Stream follow-up: demand consuming prefetched blocks advances the
-		// stream one step per access.
-		if c.streamLive {
-			c.advanceStream(1)
-		}
-		return
-	}
-
-	// Look up an earlier occurrence of this miss to (re)start the stream.
-	i := c.idxOf(b)
-	if c.idxValid[i] && c.idxTag[i] == c.idxTagOf(b) {
-		c.streamPos = int(c.idxPos[i])
-		c.streamLive = true
-		c.StreamStarts++
-		c.advanceStream(c.Lookahead)
-	}
-
-	// Record the miss into the history and update the index.
-	c.hist[c.histPos] = b
-	c.idxValid[i] = true
-	c.idxTag[i] = c.idxTagOf(b)
-	c.idxPos[i] = int32(c.histPos)
-	c.histPos++
-	if c.histPos == len(c.hist) {
-		c.histPos = 0
-		c.full = true
+// OnDemand implements Design: steer the replay stream, then record every
+// miss into the history.
+func (c *Confluence) OnDemand(b isa.BlockID, hit bool, last2 [2]isa.Addr) {
+	c.temporalStream.OnDemand(b, hit, last2)
+	if !hit {
+		c.record(b, missRecord(b))
 	}
 }
-
-// advanceStream prefetches the next n blocks along the recorded history.
-func (c *Confluence) advanceStream(n int) {
-	env := c.E()
-	for k := 0; k < n; k++ {
-		c.streamPos++
-		if c.streamPos >= len(c.hist) {
-			if !c.full {
-				c.streamLive = false
-				return
-			}
-			c.streamPos = 0
-		}
-		// Stop at the write head: history beyond it is stale.
-		if c.streamPos == c.histPos {
-			c.streamLive = false
-			return
-		}
-		b := c.hist[c.streamPos]
-		if env.L1iContains(b) || env.InFlight(b) {
-			continue
-		}
-		if env.IssuePrefetch(b, false) {
-			c.StreamPrefetches++
-		}
-	}
-}
-
-// OnRedirect implements Design: redirects kill the active stream.
-func (c *Confluence) OnRedirect(isa.Addr) { c.streamLive = false }
 
 // StorageBits implements Design: history (26-bit block addresses) plus index
 // (tag + position) — the 200+ KB metadata virtualized in the LLC.
 func (c *Confluence) StorageBits() int {
-	return len(c.hist)*26 + len(c.idxValid)*(10+15)
+	return len(c.hist)*26 + c.indexBits()
 }

@@ -5,10 +5,13 @@ import (
 	"dnc/internal/isa"
 )
 
-// ConvBTB is the conventional program-counter-indexed BTB front used by the
-// baseline, the sequential designs, the proposed design, and Confluence. It
-// optionally consults a BTB prefetch buffer on misses, promoting a hit
-// block's branches into the BTB (Section V.C).
+// ConvBTB is the conventional program-counter-indexed BTB front. Nine
+// designs embed it as their BTB organization, and its BTBLookup and
+// BTBCommit are theirs: the baseline, NXL (NL to N8L, NL-miss, NL-tagged),
+// SN4L, Dis, Proactive (SN4L+Dis and SN4L+Dis+BTB), the conventional
+// Discontinuity prefetcher, RDIP, PIF and Confluence. It optionally consults
+// a BTB prefetch buffer on misses, promoting a hit block's branches into the
+// BTB (Section V.C); only SN4L+Dis+BTB has one.
 type ConvBTB struct {
 	BTB *btb.BTB
 	// PB is the optional BTB prefetch buffer; nil disables prefill.
@@ -23,13 +26,10 @@ func NewConvBTB(entries, ways int) *ConvBTB {
 	return &ConvBTB{BTB: btb.New(entries, ways)}
 }
 
-// Lookup implements the BTBLookup contract over a conventional BTB.
-func (c *ConvBTB) Lookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	if e, ok := c.BTB.Lookup(pc); ok {
-		return e.Target, true
-	}
-	if c.PB == nil {
-		return 0, false
+// BTBLookup implements Design.
+func (c *ConvBTB) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
+	if target, ok := lookupBranch(c.BTB.Table, pc); ok || c.PB == nil {
+		return target, ok
 	}
 	// A prefetch-buffer hit moves the whole block's branches into the BTB.
 	brs, ok := c.PB.TakeBlock(isa.BlockOf(pc))
@@ -51,39 +51,42 @@ func (c *ConvBTB) Lookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
 	return target, found
 }
 
-// Commit trains the BTB with a resolved branch.
-func (c *ConvBTB) Commit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	if !taken && kind == isa.KindCondBranch {
-		// Not-taken conditionals still allocate so future taken outcomes
-		// have a target; matches common BTB allocate-on-decode policy.
-		if _, ok := c.BTB.Peek(pc); !ok {
-			c.BTB.Insert(pc, btb.Entry{Kind: kind, Target: target})
-		}
-		return
+// BTBCommit implements Design: it trains the BTB with a resolved branch.
+func (c *ConvBTB) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
+	commitBranch(c.BTB.Table, pc, kind, target, taken)
+}
+
+// lookupBranch returns a branch's target from a PC-indexed BTB table.
+func lookupBranch(t *btb.Table[btb.Entry], pc isa.Addr) (isa.Addr, bool) {
+	if e, ok := t.Lookup(pc); ok {
+		return e.Target, true
 	}
-	c.BTB.Insert(pc, btb.Entry{Kind: kind, Target: target})
+	return 0, false
+}
+
+// commitBranch trains a PC-indexed BTB table with a resolved branch. A
+// not-taken conditional still allocates, so a later taken outcome has a
+// target (the common allocate-on-decode policy), but it does not displace
+// the entry it already has.
+func commitBranch(t *btb.Table[btb.Entry], pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
+	if !taken && kind == isa.KindCondBranch {
+		if _, ok := t.Peek(pc); ok {
+			return
+		}
+	}
+	t.Insert(pc, btb.Entry{Kind: kind, Target: target})
 }
 
 // Baseline is the no-prefetch design: a conventional BTB and nothing else.
 type Baseline struct {
 	Base
-	btb *ConvBTB
+	*ConvBTB
 }
 
 // NewBaseline returns the baseline design with a BTB of the given entries.
 func NewBaseline(btbEntries int) *Baseline {
-	return &Baseline{btb: NewConvBTB(btbEntries, 4)}
+	return &Baseline{ConvBTB: NewConvBTB(btbEntries, 4)}
 }
 
 // Name implements Design.
 func (*Baseline) Name() string { return "baseline" }
-
-// BTBLookup implements Design.
-func (d *Baseline) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	return d.btb.Lookup(pc, kind)
-}
-
-// BTBCommit implements Design.
-func (d *Baseline) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	d.btb.Commit(pc, kind, target, taken)
-}

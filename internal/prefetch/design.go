@@ -1,12 +1,27 @@
-// Package prefetch implements every frontend design evaluated in the paper:
-// the baseline (no prefetching), the sequential family (NL, N2L, N4L, N8L),
-// the proposed SN4L, Dis, proactive SN4L+Dis and SN4L+Dis+BTB, a
-// conventional discontinuity prefetcher, the temporal Confluence/SHIFT
-// upper-bound configuration, and the BTB-directed Boomerang and Shotgun.
+// Package prefetch implements every frontend design evaluated in the paper,
+// the 17 entries of Catalog:
+//
+//   - baseline: no prefetching;
+//   - the sequential family NL, N2L, N4L and N8L, plus NL-miss and NL-tagged
+//     (NXL with a trigger policy);
+//   - the proposed SN4L, Dis, SN4L+Dis and SN4L+Dis+BTB (Proactive);
+//   - the conventional discontinuity prefetcher and RDIP;
+//   - the temporal prefetchers PIF and Confluence (the SHIFT upper-bound
+//     configuration);
+//   - the BTB-directed boomerang and shotgun.
 //
 // A Design bundles a prefetch engine with its BTB organization; the core
 // (internal/core) drives it through the hooks below and supplies the Env
-// capabilities (cache probes, prefetch issue, pre-decoding).
+// capabilities (cache probes, prefetch issue, pre-decoding). A mechanism
+// two designs share is written once, as a part the designs embed:
+//
+//   - ConvBTB (convbtb.go), the conventional BTB front and its BTBLookup and
+//     BTBCommit, for every design except boomerang and shotgun;
+//   - fdipWalk (fdip.go), the fetch-directed walk of boomerang and shotgun:
+//     FTQ, basic-block recorder, stall and retry, FTQ gate, span enqueue and
+//     speculative RAS;
+//   - temporalStream (temporal.go), the history, index and replay of PIF and
+//     Confluence.
 package prefetch
 
 import (
@@ -199,6 +214,30 @@ func (*Base) Quiescent() bool { return true }
 
 // StorageBits implements Design.
 func (*Base) StorageBits() int { return 0 }
+
+// pushBounded pushes v onto a stack of at most depth entries, dropping the
+// oldest entry when the stack is full. With pop it is every return stack
+// here: the speculative RAS of the fetch-directed walk, Shotgun's
+// footprint-owner stack and RDIP's shadow RAS.
+func pushBounded[T any](s []T, v T, depth int) []T {
+	if len(s) == depth {
+		copy(s, s[1:])
+		s = s[:depth-1]
+	}
+	return append(s, v)
+}
+
+// pop pops the top of a stack; it reports false on an empty one.
+func pop[T any](s *[]T) (T, bool) {
+	n := len(*s)
+	if n == 0 {
+		var none T
+		return none, false
+	}
+	v := (*s)[n-1]
+	*s = (*s)[:n-1]
+	return v, true
+}
 
 // State implements Design for stateless designs: an empty tagged section,
 // so the snapshot layout stays aligned for designs that have nothing to

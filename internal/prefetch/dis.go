@@ -99,7 +99,7 @@ func (t *DisTable) EntryBits(mode isa.Mode) int {
 // to prefetch its target. Like SN4L it prefetches directly into the cache.
 type Dis struct {
 	Base
-	btb *ConvBTB
+	*ConvBTB
 	tab *DisTable
 
 	// pending holds blocks whose replay waits for their fill to arrive.
@@ -113,7 +113,7 @@ type Dis struct {
 // NewDis returns a standalone Dis design (paper: 4K entries, 4-bit tags).
 func NewDis(entries int, tagBits uint, btbEntries int) *Dis {
 	return &Dis{
-		btb:     NewConvBTB(btbEntries, 4),
+		ConvBTB: NewConvBTB(btbEntries, 4),
 		tab:     NewDisTable(entries, tagBits),
 		pending: make(map[isa.BlockID]struct{}),
 	}
@@ -121,19 +121,6 @@ func NewDis(entries int, tagBits uint, btbEntries int) *Dis {
 
 // Name implements Design.
 func (*Dis) Name() string { return "Dis" }
-
-// Table exposes the DisTable.
-func (d *Dis) Table() *DisTable { return d.tab }
-
-// BTBLookup implements Design.
-func (d *Dis) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	return d.btb.Lookup(pc, kind)
-}
-
-// BTBCommit implements Design.
-func (d *Dis) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	d.btb.Commit(pc, kind, target, taken)
-}
 
 // RecordMiss implements the recording rule: on a cache miss, decode the last
 // two demanded instructions; if one is a branch, record its offset under the
@@ -224,7 +211,7 @@ func (d *Dis) OnFill(b isa.BlockID, prefetch bool) {
 
 func (d *Dis) tryPrefetchTarget(b isa.BlockID) {
 	env := d.E()
-	tb, ok := replayDis(env, d.tab, d.btb, b, &d.Replay)
+	tb, ok := replayDis(env, d.tab, d.ConvBTB, b, &d.Replay)
 	if !ok {
 		return
 	}

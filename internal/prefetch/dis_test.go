@@ -45,7 +45,7 @@ func TestDisRecordScansBothDelaySlotCandidates(t *testing.T) {
 			d := NewDis(1024, 4, 2048)
 			d.Bind(env)
 			d.OnDemand(isa.BlockOf(0x20000), false, tc.last2)
-			_, ok := d.Table().Lookup(isa.BlockOf(base))
+			_, ok := d.tab.Lookup(isa.BlockOf(base))
 			if ok != tc.want {
 				t.Fatalf("recorded = %v, want %v", ok, tc.want)
 			}
@@ -64,7 +64,7 @@ func TestDisReturnNeedsBTB(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.Table().Record(blk, 12)
+	d.tab.Record(blk, 12)
 	env.install(blk)
 
 	d.OnDemand(blk, true, [2]isa.Addr{})
@@ -104,7 +104,7 @@ func TestDisReplayStatsClassify(t *testing.T) {
 		t.Fatalf("after table miss: %+v", d.Replay)
 	}
 
-	d.Table().Record(blk, 0) // offset 0 decodes to an ALU op
+	d.tab.Record(blk, 0) // offset 0 decodes to an ALU op
 	d.OnDemand(blk, true, [2]isa.Addr{})
 	if d.Replay.NotBranch != 1 || d.Replay.TableHits != 1 {
 		t.Fatalf("after stale entry: %+v", d.Replay)
@@ -113,7 +113,7 @@ func TestDisReplayStatsClassify(t *testing.T) {
 		t.Fatalf("overprediction = %v, want 1", d.Replay.Overprediction())
 	}
 
-	d.Table().Record(blk, 12) // the real branch
+	d.tab.Record(blk, 12) // the real branch
 	d.OnDemand(blk, true, [2]isa.Addr{})
 	if d.Replay.Replayed != 1 {
 		t.Fatalf("after good entry: %+v", d.Replay)
@@ -135,7 +135,7 @@ func TestDisPendingReplayDedup(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.Table().Record(blk, 12)
+	d.tab.Record(blk, 12)
 	d.OnDemand(blk, false, [2]isa.Addr{})
 	d.OnDemand(blk, false, [2]isa.Addr{})
 	if len(d.pending) != 1 {

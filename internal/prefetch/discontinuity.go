@@ -10,7 +10,7 @@ import "dnc/internal/isa"
 // removes exactly this cost.
 type Discontinuity struct {
 	Base
-	btb *ConvBTB
+	*ConvBTB
 
 	valid   []bool
 	tags    []uint16
@@ -33,7 +33,7 @@ func NewDiscontinuity(entries int, tagBits uint, btbEntries int) *Discontinuity 
 		panic("prefetch: discontinuity entries must be a power of two")
 	}
 	return &Discontinuity{
-		btb:     NewConvBTB(btbEntries, 4),
+		ConvBTB: NewConvBTB(btbEntries, 4),
 		valid:   make([]bool, entries),
 		tags:    make([]uint16, entries),
 		targets: make([]isa.BlockID, entries),
@@ -44,16 +44,6 @@ func NewDiscontinuity(entries int, tagBits uint, btbEntries int) *Discontinuity 
 
 // Name implements Design.
 func (*Discontinuity) Name() string { return "discontinuity" }
-
-// BTBLookup implements Design.
-func (d *Discontinuity) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	return d.btb.Lookup(pc, kind)
-}
-
-// BTBCommit implements Design.
-func (d *Discontinuity) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	d.btb.Commit(pc, kind, target, taken)
-}
 
 func (d *Discontinuity) idx(b isa.BlockID) uint64 { return uint64(b) & d.mask }
 

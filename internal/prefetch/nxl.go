@@ -40,7 +40,7 @@ func (t Trigger) String() string {
 // accuracy for timeliness (Figures 4 and 5).
 type NXL struct {
 	Base
-	btb     *ConvBTB
+	*ConvBTB
 	depth   int
 	trigger Trigger
 }
@@ -56,7 +56,7 @@ func NewNXLTriggered(depth, btbEntries int, trigger Trigger) *NXL {
 	if depth < 1 {
 		panic("prefetch: NXL depth must be >= 1")
 	}
-	return &NXL{btb: NewConvBTB(btbEntries, 4), depth: depth, trigger: trigger}
+	return &NXL{ConvBTB: NewConvBTB(btbEntries, 4), depth: depth, trigger: trigger}
 }
 
 // Name implements Design.
@@ -69,16 +69,6 @@ func (d *NXL) Name() string {
 		return base + "-" + d.trigger.String()
 	}
 	return base
-}
-
-// BTBLookup implements Design.
-func (d *NXL) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	return d.btb.Lookup(pc, kind)
-}
-
-// BTBCommit implements Design.
-func (d *NXL) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	d.btb.Commit(pc, kind, target, taken)
 }
 
 // OnDemand implements Design: prefetch the next X blocks when the trigger

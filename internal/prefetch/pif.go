@@ -1,6 +1,9 @@
 package prefetch
 
-import "dnc/internal/isa"
+import (
+	"dnc/internal/btb"
+	"dnc/internal/isa"
+)
 
 // PIF is Proactive Instruction Fetch (Ferdman, Kaynak, Falsafi; MICRO 2011
 // — the paper's reference [15]): access-based temporal prefetching. The
@@ -15,38 +18,16 @@ import "dnc/internal/isa"
 // temporal family: the paper cites roughly 200 KB of per-core metadata,
 // which is exactly what StorageBits reports for the default configuration.
 type PIF struct {
-	Base
-	btb *ConvBTB
+	*ConvBTB
+	temporalStream[pifRegion]
 
 	// Region under construction from the retired stream.
 	curTrigger isa.BlockID
 	curBits    uint16
 	haveCur    bool
 
-	// History buffer of compacted regions.
-	hist    []pifRegion
-	histPos int
-	full    bool
-
-	// Index: trigger block -> history position (direct-mapped, partial
-	// tags).
-	idxValid []bool
-	idxTag   []uint16
-	idxPos   []int32
-	idxMask  uint64
-
-	// Active replay stream.
-	streamPos  int
-	streamLive bool
-
-	// Lookahead is how many regions the stream keeps in flight ahead of
-	// fetch.
-	Lookahead int
-
-	// Stats.
-	RegionsLogged    uint64
-	StreamStarts     uint64
-	StreamPrefetches uint64
+	// RegionsLogged counts regions appended to the history.
+	RegionsLogged uint64
 }
 
 // pifRegionSpan is the neighborhood a region covers: the trigger block plus
@@ -61,20 +42,8 @@ type pifRegion struct {
 	bits    uint16 // bit i = block trigger-pifRegionBefore+i accessed
 }
 
-// blocks expands a region into absolute block IDs.
-func (r pifRegion) blocks() []isa.BlockID {
-	var out []isa.BlockID
-	for i := 0; i < pifRegionBits; i++ {
-		if r.bits&(1<<uint(i)) == 0 {
-			continue
-		}
-		delta := i - pifRegionBefore
-		if delta < 0 && isa.BlockID(-delta) > r.trigger {
-			continue
-		}
-		out = append(out, isa.BlockID(int64(r.trigger)+int64(delta)))
-	}
-	return out
+func (r pifRegion) appendBlocks(dst []isa.BlockID) []isa.BlockID {
+	return btb.AppendRegion(dst, r.trigger, uint64(r.bits), pifRegionBefore)
 }
 
 // PIFConfig sizes the design.
@@ -100,43 +69,20 @@ func NewPIF(cfg PIFConfig) *PIF {
 	if cfg.HistRegions == 0 {
 		cfg = DefaultPIFConfig()
 	}
-	if cfg.IndexEntries&(cfg.IndexEntries-1) != 0 {
-		panic("prefetch: PIF index entries must be a power of two")
+	if cfg.Lookahead == 0 {
+		cfg.Lookahead = 4
 	}
 	return &PIF{
-		btb:      NewConvBTB(cfg.BTBEntries, 4),
-		hist:     make([]pifRegion, cfg.HistRegions),
-		idxValid: make([]bool, cfg.IndexEntries),
-		idxTag:   make([]uint16, cfg.IndexEntries),
-		idxPos:   make([]int32, cfg.IndexEntries),
-		idxMask:  uint64(cfg.IndexEntries - 1),
-		Lookahead: func() int {
-			if cfg.Lookahead == 0 {
-				return 4
-			}
-			return cfg.Lookahead
-		}(),
+		ConvBTB:        NewConvBTB(cfg.BTBEntries, 4),
+		temporalStream: newTemporalStream[pifRegion]("PIF", cfg.HistRegions, cfg.IndexEntries, cfg.Lookahead),
 	}
 }
 
 // Name implements Design.
 func (*PIF) Name() string { return "PIF" }
 
-// BTBLookup implements Design.
-func (p *PIF) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	return p.btb.Lookup(pc, kind)
-}
-
-// BTBCommit implements Design.
-func (p *PIF) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	p.btb.Commit(pc, kind, target, taken)
-}
-
-func (p *PIF) idxOf(b isa.BlockID) uint64    { return uint64(b) & p.idxMask }
-func (p *PIF) idxTagOf(b isa.BlockID) uint16 { return uint16((uint64(b) >> 14) & 0x3FF) }
-
 // OnRetire implements Design: compact the retire-order stream into spatial
-// regions.
+// regions, logging each closed region under its trigger block.
 func (p *PIF) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 	b := isa.BlockOf(inst.PC)
 	if p.haveCur {
@@ -145,78 +91,16 @@ func (p *PIF) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 			p.curBits |= 1 << uint(delta)
 			return
 		}
-		p.logRegion()
+		p.record(p.curTrigger, pifRegion{trigger: p.curTrigger, bits: p.curBits})
+		p.RegionsLogged++
 	}
 	p.curTrigger = b
 	p.curBits = 1 << pifRegionBefore
 	p.haveCur = true
 }
 
-// logRegion appends the open region to the history and indexes its trigger.
-func (p *PIF) logRegion() {
-	p.hist[p.histPos] = pifRegion{trigger: p.curTrigger, bits: p.curBits}
-	i := p.idxOf(p.curTrigger)
-	p.idxValid[i] = true
-	p.idxTag[i] = p.idxTagOf(p.curTrigger)
-	p.idxPos[i] = int32(p.histPos)
-	p.histPos++
-	if p.histPos == len(p.hist) {
-		p.histPos = 0
-		p.full = true
-	}
-	p.RegionsLogged++
-}
-
-// OnDemand implements Design: misses (re)position the replay stream; hits
-// on prefetched blocks advance it.
-func (p *PIF) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
-	if hit {
-		if p.streamLive {
-			p.advance(1)
-		}
-		return
-	}
-	i := p.idxOf(b)
-	if p.idxValid[i] && p.idxTag[i] == p.idxTagOf(b) {
-		p.streamPos = int(p.idxPos[i])
-		p.streamLive = true
-		p.StreamStarts++
-		p.advance(p.Lookahead)
-	}
-}
-
-// advance replays the next n regions of the stream.
-func (p *PIF) advance(n int) {
-	env := p.E()
-	for k := 0; k < n; k++ {
-		p.streamPos++
-		if p.streamPos >= len(p.hist) {
-			if !p.full {
-				p.streamLive = false
-				return
-			}
-			p.streamPos = 0
-		}
-		if p.streamPos == p.histPos {
-			p.streamLive = false
-			return
-		}
-		for _, blk := range p.hist[p.streamPos].blocks() {
-			if env.L1iContains(blk) || env.InFlight(blk) {
-				continue
-			}
-			if env.IssuePrefetch(blk, false) {
-				p.StreamPrefetches++
-			}
-		}
-	}
-}
-
-// OnRedirect implements Design.
-func (p *PIF) OnRedirect(isa.Addr) { p.streamLive = false }
-
 // StorageBits implements Design: the history (26-bit trigger + 16-bit
 // vector per region) plus the index — about 200 KB at the default sizes.
 func (p *PIF) StorageBits() int {
-	return len(p.hist)*(26+pifRegionBits) + len(p.idxValid)*(10+15)
+	return len(p.hist)*(26+pifRegionBits) + p.indexBits()
 }

@@ -46,18 +46,19 @@ func TestPIFRegionSpanMatrix(t *testing.T) {
 	}
 }
 
-// TestPIFRegionExpansionClampsAtZero pins blocks(): deltas that would
+// TestPIFRegionExpansionClampsAtZero pins appendBlocks: deltas that would
 // underflow block 0 are dropped, not wrapped.
 func TestPIFRegionExpansionClampsAtZero(t *testing.T) {
 	r := pifRegion{trigger: 2, bits: 0xFFFF}
-	for _, b := range r.blocks() {
+	blocks := r.appendBlocks(nil)
+	for _, b := range blocks {
 		if b > 2+11 {
 			t.Fatalf("block %d outside the region's forward span", b)
 		}
 	}
 	// trigger-3 and trigger-4 would be negative; the remaining 14 bits are
 	// 2-(2..0) and 2+(1..11).
-	if n := len(r.blocks()); n != 14 {
+	if n := len(blocks); n != 14 {
 		t.Fatalf("expanded %d blocks, want 14 (underflow not clamped)", n)
 	}
 }

@@ -162,7 +162,7 @@ func TestSN4LSelectivity(t *testing.T) {
 	d := NewSN4L(1024, 2048)
 	d.Bind(env)
 	// Mark block 102 useless.
-	d.Table().Reset(102)
+	d.seq.Reset(102)
 	d.OnDemand(100, false, [2]isa.Addr{})
 	got := issuedSet(env.issued)
 	if got[102] {
@@ -177,9 +177,9 @@ func TestSN4LMissSetsEntry(t *testing.T) {
 	env := newFakeEnv()
 	d := NewSN4L(1024, 2048)
 	d.Bind(env)
-	d.Table().Reset(100)
+	d.seq.Reset(100)
 	d.OnDemand(100, false, [2]isa.Addr{})
-	if !d.Table().Get(100) {
+	if !d.seq.Get(100) {
 		t.Fatal("miss did not set the block's SeqTable entry")
 	}
 }
@@ -191,7 +191,7 @@ func TestSN4LUsefulAndUselessVerdicts(t *testing.T) {
 
 	// Useless: prefetched block evicted untouched.
 	d.OnEvict(cache.Evicted{Block: 200, Flags: cache.FlagPrefetched})
-	if d.Table().Get(200) {
+	if d.seq.Get(200) {
 		t.Fatal("evicted-unused prefetch did not reset entry")
 	}
 
@@ -200,7 +200,7 @@ func TestSN4LUsefulAndUselessVerdicts(t *testing.T) {
 	l := env.install(200)
 	l.Flags |= cache.FlagPrefetched
 	d.OnDemand(200, true, [2]isa.Addr{})
-	if !d.Table().Get(200) {
+	if !d.seq.Get(200) {
 		t.Fatal("demanded prefetch did not set entry")
 	}
 	if l.Flags&cache.FlagPrefetched != 0 {
@@ -209,7 +209,7 @@ func TestSN4LUsefulAndUselessVerdicts(t *testing.T) {
 
 	// Eviction of a non-prefetched line leaves the entry alone.
 	d.OnEvict(cache.Evicted{Block: 200})
-	if !d.Table().Get(200) {
+	if !d.seq.Get(200) {
 		t.Fatal("eviction of demanded line reset entry")
 	}
 }
@@ -218,7 +218,7 @@ func TestSN4LLocalStatusOnFill(t *testing.T) {
 	env := newFakeEnv()
 	d := NewSN4L(1024, 2048)
 	d.Bind(env)
-	d.Table().Reset(101)
+	d.seq.Reset(101)
 	env.install(100)
 	d.OnFill(100, false)
 	if env.resident[100].Aux&1 != 0 {
@@ -304,7 +304,7 @@ func TestDisReplayPrefetchesTarget(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.Table().Record(blk, 12) // byte offset of slot 3
+	d.tab.Record(blk, 12) // byte offset of slot 3
 	env.install(blk)
 	d.OnDemand(blk, true, [2]isa.Addr{})
 	if !issuedSet(env.issued)[isa.BlockOf(target)] {
@@ -320,7 +320,7 @@ func TestDisReplayIgnoresStaleOffset(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.Table().Record(blk, 0) // offset 0 is an ALU op
+	d.tab.Record(blk, 0) // offset 0 is an ALU op
 	env.install(blk)
 	d.OnDemand(blk, true, [2]isa.Addr{})
 	if len(env.issued) != 0 {
@@ -339,7 +339,7 @@ func TestDisRecordsFromLastTwoInstructions(t *testing.T) {
 	// Miss on a far block; the branch is the second-to-last instruction
 	// (delay-slot style).
 	d.OnDemand(isa.BlockOf(0x20000), false, [2]isa.Addr{branchPC, base + 16})
-	off, ok := d.Table().Lookup(isa.BlockOf(base))
+	off, ok := d.tab.Lookup(isa.BlockOf(base))
 	if !ok || off != 12 {
 		t.Fatalf("recorded offset = %d, %v; want 12", off, ok)
 	}
@@ -354,7 +354,7 @@ func TestDisDeferredReplayOnFill(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.Table().Record(blk, 12)
+	d.tab.Record(blk, 12)
 	// Miss: replay must wait for the fill.
 	d.OnDemand(blk, false, [2]isa.Addr{})
 	if issuedSet(env.issued)[isa.BlockOf(target)] {
@@ -405,9 +405,11 @@ func TestBoundedQueue(t *testing.T) {
 	if !ok || it.block != 1 {
 		t.Fatalf("pop = %+v", it)
 	}
-	q.reset()
+	if it, ok := q.pop(); !ok || it.block != 2 {
+		t.Fatalf("second pop = %+v", it)
+	}
 	if _, ok := q.pop(); ok {
-		t.Fatal("pop after reset")
+		t.Fatal("pop from an empty queue")
 	}
 }
 
@@ -422,7 +424,7 @@ func TestProactiveChainsThroughDiscontinuity(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.DisTable().Record(blk, 12)
+	d.dis.Record(blk, 12)
 	env.install(blk)
 	d.OnFill(blk, false) // latch the local prefetch-status nibble
 
@@ -455,7 +457,7 @@ func TestProactiveSN1LBeyondDiscontinuity(t *testing.T) {
 	d.Bind(env)
 	blk := isa.BlockOf(base)
 	tb := isa.BlockOf(target)
-	d.DisTable().Record(blk, 12)
+	d.dis.Record(blk, 12)
 	env.install(blk)
 	d.OnFill(blk, false)
 
@@ -505,7 +507,7 @@ func TestProactiveBTBPrefetchFillsBuffer(t *testing.T) {
 	if _, hit := d.BTBLookup(base+12, isa.KindCondBranch); !hit {
 		t.Fatal("prefetch buffer promotion failed")
 	}
-	if d.ConvBTB().PBPromotions == 0 {
+	if d.PBPromotions == 0 {
 		t.Fatal("promotion not counted")
 	}
 }
@@ -513,11 +515,11 @@ func TestProactiveBTBPrefetchFillsBuffer(t *testing.T) {
 func TestConvBTBPromotionInsertsWholeBlock(t *testing.T) {
 	c := NewConvBTB(2048, 4)
 	c.PB = nil
-	if _, ok := c.Lookup(0x100, isa.KindJump); ok {
+	if _, ok := c.BTBLookup(0x100, isa.KindJump); ok {
 		t.Fatal("hit in empty BTB")
 	}
-	c.Commit(0x100, isa.KindJump, 0x900, true)
-	if target, ok := c.Lookup(0x100, isa.KindJump); !ok || target != 0x900 {
+	c.BTBCommit(0x100, isa.KindJump, 0x900, true)
+	if target, ok := c.BTBLookup(0x100, isa.KindJump); !ok || target != 0x900 {
 		t.Fatalf("lookup = %#x, %v", target, ok)
 	}
 }
@@ -610,6 +612,20 @@ func TestStorageBudgets(t *testing.T) {
 	conf := NewConfluence(DefaultConfluenceConfig())
 	if kb := float64(conf.StorageBits()) / 8 / 1024; kb < 100 {
 		t.Errorf("Confluence storage = %.1f KB, want > 100 KB (the paper's 200+ KB class)", kb)
+	}
+}
+
+// TestProactiveStorageCountsDefaultBuffer pins Table II's accounting of the
+// BTB prefetch buffer: a WithBTBPrefetch config that leaves the buffer size
+// zero builds the default 32-entry buffer, so it must count the same bits as
+// the paper configuration that sets it explicitly.
+func TestProactiveStorageCountsDefaultBuffer(t *testing.T) {
+	explicit := DefaultProactiveConfig()
+	explicit.WithBTBPrefetch = true
+	implicit := explicit
+	implicit.PBEntries, implicit.PBWays = 0, 0
+	if got, want := NewProactive(implicit).StorageBits(), NewProactive(explicit).StorageBits(); got != want {
+		t.Fatalf("default-sized BTB prefetch buffer: StorageBits = %d, want %d", got, want)
 	}
 }
 

@@ -69,9 +69,6 @@ func newBoundedQueue(capacity int) *boundedQueue {
 
 func (q *boundedQueue) len() int { return q.n }
 
-// at returns the i-th queued item in FIFO order (checkpoint traversal).
-func (q *boundedQueue) at(i int) qItem { return q.ring[(q.head+i)%len(q.ring)] }
-
 func (q *boundedQueue) push(it qItem) {
 	if q.n >= q.cap {
 		q.Drops++
@@ -90,8 +87,6 @@ func (q *boundedQueue) pop() (qItem, bool) {
 	q.n--
 	return it, true
 }
-
-func (q *boundedQueue) reset() { q.head, q.n = 0, 0 }
 
 // ProactiveConfig sizes the combined SN4L+Dis(+BTB) design.
 type ProactiveConfig struct {
@@ -133,8 +128,8 @@ func DefaultProactiveConfig() ProactiveConfig {
 // that terminates the chain at MaxDepth.
 type Proactive struct {
 	Base
+	*ConvBTB
 	cfg  ProactiveConfig
-	btb  *ConvBTB
 	seq  *SeqTable
 	dis  *DisTable
 	rlu  *RLU
@@ -175,9 +170,13 @@ func NewProactive(cfg ProactiveConfig) *Proactive {
 	if cfg.BTBEntries == 0 {
 		cfg.BTBEntries = 2 << 10
 	}
+	if cfg.WithBTBPrefetch && cfg.PBEntries == 0 {
+		// Written back into cfg, so StorageBits counts the buffer it builds.
+		cfg.PBEntries, cfg.PBWays = 32, 2
+	}
 	p := &Proactive{
 		cfg:           cfg,
-		btb:           NewConvBTB(cfg.BTBEntries, 4),
+		ConvBTB:       NewConvBTB(cfg.BTBEntries, 4),
 		seq:           NewSeqTable(cfg.SeqEntries),
 		dis:           NewDisTable(cfg.DisEntries, cfg.DisTagBits),
 		rlu:           NewRLU(cfg.RLUEntries),
@@ -188,11 +187,7 @@ func NewProactive(cfg ProactiveConfig) *Proactive {
 		disIssued:     make(map[isa.BlockID]struct{}),
 	}
 	if cfg.WithBTBPrefetch {
-		pbe, pbw := cfg.PBEntries, cfg.PBWays
-		if pbe == 0 {
-			pbe, pbw = 32, 2
-		}
-		p.btb.PB = btb.NewPrefetchBuffer(pbe, pbw)
+		p.PB = btb.NewPrefetchBuffer(cfg.PBEntries, cfg.PBWays)
 	}
 	return p
 }
@@ -222,25 +217,6 @@ func (p *Proactive) Name() string {
 		return "SN4L+Dis+BTB"
 	}
 	return "SN4L+Dis"
-}
-
-// SeqTable and DisTable expose internals for the benchmark harness.
-func (p *Proactive) SeqTable() *SeqTable { return p.seq }
-
-// DisTable returns the discontinuity table.
-func (p *Proactive) DisTable() *DisTable { return p.dis }
-
-// ConvBTB returns the BTB front (tests).
-func (p *Proactive) ConvBTB() *ConvBTB { return p.btb }
-
-// BTBLookup implements Design.
-func (p *Proactive) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	return p.btb.Lookup(pc, kind)
-}
-
-// BTBCommit implements Design.
-func (p *Proactive) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	p.btb.Commit(pc, kind, target, taken)
 }
 
 // OnDemand implements Design: SN4L metadata updates plus proactive
@@ -371,11 +347,11 @@ func (p *Proactive) decodeBlock(b isa.BlockID, depth int) {
 	env := p.E()
 	if p.cfg.WithBTBPrefetch {
 		if brs := env.Predecode(b); len(brs) > 0 {
-			p.btb.PB.Fill(b, brs)
+			p.PB.Fill(b, brs)
 			p.PBFills++
 		}
 	}
-	if tb, ok := replayDis(env, p.dis, p.btb, b, &p.Replay); ok {
+	if tb, ok := replayDis(env, p.dis, p.ConvBTB, b, &p.Replay); ok {
 		if p.sink != nil {
 			p.sink.TraceDiscontinuity(tb)
 		}

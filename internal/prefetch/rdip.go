@@ -13,7 +13,7 @@ import (
 // lookahead.
 type RDIP struct {
 	Base
-	btb *ConvBTB
+	*ConvBTB
 
 	entries []rdipEntry
 	mask    uint64
@@ -47,7 +47,7 @@ func NewRDIP(entries, btbEntries int) *RDIP {
 		panic("prefetch: RDIP entries must be a power of two")
 	}
 	return &RDIP{
-		btb:     NewConvBTB(btbEntries, 4),
+		ConvBTB: NewConvBTB(btbEntries, 4),
 		entries: make([]rdipEntry, entries),
 		mask:    uint64(entries - 1),
 		ras:     make([]isa.Addr, 0, 16),
@@ -56,16 +56,6 @@ func NewRDIP(entries, btbEntries int) *RDIP {
 
 // Name implements Design.
 func (*RDIP) Name() string { return "RDIP" }
-
-// BTBLookup implements Design.
-func (d *RDIP) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	return d.btb.Lookup(pc, kind)
-}
-
-// BTBCommit implements Design.
-func (d *RDIP) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	d.btb.Commit(pc, kind, target, taken)
-}
 
 // signature hashes the top four shadow-RAS entries.
 func (d *RDIP) signature() uint64 {
@@ -117,15 +107,9 @@ func (d *RDIP) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 		if !taken {
 			return
 		}
-		if len(d.ras) == cap(d.ras) {
-			copy(d.ras, d.ras[1:])
-			d.ras = d.ras[:len(d.ras)-1]
-		}
-		d.ras = append(d.ras, inst.NextPC())
+		d.ras = pushBounded(d.ras, inst.NextPC(), cap(d.ras))
 	case isa.KindReturn:
-		if n := len(d.ras); n > 0 {
-			d.ras = d.ras[:n-1]
-		}
+		pop(&d.ras)
 	default:
 		return
 	}

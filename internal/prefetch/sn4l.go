@@ -100,7 +100,7 @@ func refreshLocal(env Env, t *SeqTable, b isa.BlockID) {
 // into the L1i and needs no prefetch buffer.
 type SN4L struct {
 	Base
-	btb *ConvBTB
+	*ConvBTB
 	seq *SeqTable
 
 	// UsefulHits counts demand hits on prefetched lines; Issued counts
@@ -112,24 +112,11 @@ type SN4L struct {
 // NewSN4L returns a standalone SN4L design. seqEntries is the SeqTable size
 // (paper: 16K entries = 2KB); 0 means unlimited.
 func NewSN4L(seqEntries, btbEntries int) *SN4L {
-	return &SN4L{btb: NewConvBTB(btbEntries, 4), seq: NewSeqTable(seqEntries)}
+	return &SN4L{ConvBTB: NewConvBTB(btbEntries, 4), seq: NewSeqTable(seqEntries)}
 }
 
 // Name implements Design.
 func (*SN4L) Name() string { return "SN4L" }
-
-// Table exposes the SeqTable (shared with the proactive engine).
-func (d *SN4L) Table() *SeqTable { return d.seq }
-
-// BTBLookup implements Design.
-func (d *SN4L) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	return d.btb.Lookup(pc, kind)
-}
-
-// BTBCommit implements Design.
-func (d *SN4L) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	d.btb.Commit(pc, kind, target, taken)
-}
 
 // OnDemand implements Design: update metadata and prefetch useful
 // subsequents.

@@ -36,7 +36,7 @@ func TestSN4LTriggerMatrix(t *testing.T) {
 			d := NewSN4L(1024, 2048)
 			d.Bind(env)
 			for _, b := range tc.reset {
-				d.Table().Reset(b)
+				d.seq.Reset(b)
 			}
 			if tc.hit {
 				env.install(blk).Aux = tc.aux
@@ -83,11 +83,11 @@ func TestSN4LMissMarksSelfUseful(t *testing.T) {
 	env := newFakeEnv()
 	d := NewSN4L(1024, 2048)
 	d.Bind(env)
-	d.Table().Reset(200)
+	d.seq.Reset(200)
 	pred := env.install(199) // holds bit 0 for block 200
 	pred.Aux = 0
 	d.OnDemand(200, false, [2]isa.Addr{})
-	if !d.Table().Get(200) {
+	if !d.seq.Get(200) {
 		t.Fatal("miss did not re-arm the SeqTable entry")
 	}
 	if pred.Aux&1 == 0 {

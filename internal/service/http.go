@@ -81,10 +81,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
 	var spec Spec
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(w, r, maxSpecBytes, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed spec: %w", err))
 		return
 	}

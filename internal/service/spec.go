@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"dnc/internal/isa"
 	"dnc/internal/prefetch"
@@ -76,17 +77,10 @@ func (s Spec) normalized() Spec {
 	return s
 }
 
-// specTables delegates to the wire-protocol package, which owns the lookup
-// tables so server and remote workers validate cells identically.
-func specTables() (map[string]prefetch.CatalogEntry, map[string]bool) {
-	return workerproto.Tables()
-}
-
-// validate checks a normalized spec against the preset tables and limits.
-// maxCells bounds the expansion (a server configuration, not a constant, so
-// operators can size it to their fleet).
+// validate checks a normalized spec against the workload presets, the
+// design catalog and the limits. maxCells bounds the expansion (a server
+// configuration, not a constant, so operators can size it to their fleet).
 func (s Spec) validate(maxCells int) error {
-	designs, wls := specTables()
 	if len(s.Workloads) == 0 {
 		return fmt.Errorf("spec: no workloads (known: %v)", workloads.Names)
 	}
@@ -94,12 +88,12 @@ func (s Spec) validate(maxCells int) error {
 		return fmt.Errorf("spec: no designs")
 	}
 	for _, w := range s.Workloads {
-		if !wls[w] {
+		if !slices.Contains(workloads.Names, w) {
 			return fmt.Errorf("spec: unknown workload %q (known: %v)", w, workloads.Names)
 		}
 	}
 	for _, d := range s.Designs {
-		if _, ok := designs[d]; !ok {
+		if _, ok := prefetch.FindDesign(d); !ok {
 			return fmt.Errorf("spec: unknown design %q", d)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -189,4 +191,57 @@ func TestResultDigestIndependentOfShards(t *testing.T) {
 			t.Errorf("IntraJobs %d: ResultDigest %s, serial %s", jobs, d, wantDigest)
 		}
 	}
+}
+
+// FuzzSpecDecode throws arbitrary POST /v1/jobs bodies at the submit handler
+// of a drained server, so nothing is ever enqueued: a body that does not
+// decode, or decodes to a spec validate refuses, is answered 400, and only a
+// spec validate admits gets as far as the drain check's 503. Whatever it
+// admits expands into cells a worker accepts. The seeds are
+// TestSpecValidation's table plus torn and foreign JSON.
+func FuzzSpecDecode(f *testing.F) {
+	good := Spec{Workloads: []string{"Web-Frontend"}, Designs: []string{"baseline"}}
+	for _, mutate := range []func(*Spec){
+		func(s *Spec) {},
+		func(s *Spec) { s.Workloads = nil },
+		func(s *Spec) { s.Designs = []string{"nope"} },
+		func(s *Spec) { s.Designs = []string{"SN4L+Dis+BTB", "shotgun"}; s.Mode = "variable" },
+		func(s *Spec) { s.Mode = "thumb" },
+		func(s *Spec) { s.Cores = 17 },
+		func(s *Spec) { s.MeasureCycles = maxSpecCycles + 1 },
+		func(s *Spec) { s.Seeds = []int64{3, 3} },
+		func(s *Spec) { s.Seeds = []int64{-1, 1 << 62}; s.Priority = -5 },
+	} {
+		s := good
+		mutate(&s)
+		b, _ := json.Marshal(s)
+		f.Add(b)
+	}
+	for _, b := range []string{`{"bogus":1}`, `{"workloads":`, `null`, `[]`, `{"cores":"16"}`, `{"seeds":[1e99]}`} {
+		f.Add([]byte(b))
+	}
+	e := newTestEnv(f, func(c *Config) { c.RunCell = fakeRunCell })
+	e.drain()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		e.srv.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		var spec Spec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&spec)
+		if err == nil {
+			err = spec.normalized().validate(e.srv.cfg.MaxCellsPerJob)
+		}
+		switch {
+		case rec.Code == http.StatusServiceUnavailable && err == nil:
+			for _, c := range spec.normalized().cells() {
+				if !c.Valid() {
+					t.Fatalf("admitted spec %s expands to cell %s, which a worker refuses", body, c.Key())
+				}
+			}
+		case rec.Code == http.StatusBadRequest && (err != nil || len(body) > maxSpecBytes):
+		default:
+			t.Fatalf("POST /v1/jobs %q = %d (decode/validate: %v): %s", body, rec.Code, err, rec.Body)
+		}
+	})
 }

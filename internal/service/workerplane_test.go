@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -364,4 +367,62 @@ func TestCompleteAdmissionVerification(t *testing.T) {
 	if st.RemoteAdmitted != 1 || st.RemoteDuplicates != 1 || st.RemoteRejected != 4 {
 		t.Fatalf("admission counters = %+v, want 1 admitted / 1 duplicate / 4 rejected", st.dispatchStats)
 	}
+}
+
+// FuzzCellComplete throws arbitrary completion uploads at POST
+// /v1/cells/{digest}/complete on a server with two cells outstanding. A body
+// that does not decode is answered 400, nothing is answered 5xx, an upload is
+// accepted (200) only under the digest its spec hashes to, and the cache
+// never holds a cell under a digest its key does not hash to. The seeds are
+// TestCompleteAdmissionVerification's uploads plus torn and foreign JSON;
+// which picks the URL digest: an outstanding cell, a cell never enqueued,
+// or no digest at all.
+func FuzzCellComplete(f *testing.F) {
+	spec := workerproto.CellSpec{Workload: "Web-Frontend", Design: "baseline", Cores: 2, Warm: 600, Measure: 600, Seed: 1}
+	other, never := spec, spec
+	other.Seed, never.Seed = 99, 3
+	urls := []string{spec.Digest(), other.Digest(), never.Digest(), "not-a-digest"}
+	upload := func(which uint8, req workerproto.CompleteRequest) {
+		b, _ := json.Marshal(req)
+		f.Add(which, b)
+	}
+	good := &runner.ResultJSON{Workload: spec.Workload, Design: spec.Design}
+	upload(0, workerproto.CompleteRequest{WorkerID: "w", Spec: spec, Result: good})
+	upload(1, workerproto.CompleteRequest{WorkerID: "w", Spec: spec, Result: good})
+	upload(0, workerproto.CompleteRequest{WorkerID: "w", Spec: spec, Result: &runner.ResultJSON{Workload: "OLTP-DB-A", Design: spec.Design}})
+	upload(0, workerproto.CompleteRequest{WorkerID: "w", Spec: spec, Result: &runner.ResultJSON{Workload: spec.Workload, Design: spec.Design, NoCFlits: 7}})
+	upload(1, workerproto.CompleteRequest{WorkerID: "w", Spec: other, Error: "boom", Transient: true})
+	upload(2, workerproto.CompleteRequest{WorkerID: "w", Spec: never, Result: good})
+	upload(0, workerproto.CompleteRequest{Spec: spec})
+	for _, b := range []string{`{"spec":`, `{"bogus":1}`, `null`, `{"result":{"workload":7}}`} {
+		f.Add(uint8(3), []byte(b))
+	}
+	e := newTestEnv(f, func(c *Config) { c.LeaseTTL = time.Hour })
+	for _, s := range []workerproto.CellSpec{spec, other} {
+		_, cancel := e.srv.dispatch.enqueue(s, "")
+		f.Cleanup(cancel)
+	}
+	h := e.srv.handler()
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		digest := urls[int(which)%len(urls)]
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cells/"+digest+"/complete", bytes.NewReader(body)))
+		var req workerproto.CompleteRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		malformed := dec.Decode(&req) != nil
+		switch code := rec.Code; {
+		case code >= 500:
+			t.Fatalf("upload %q under %s = %d", body, digest, code)
+		case malformed && code != http.StatusBadRequest && len(body) <= maxCompleteBytes:
+			t.Fatalf("malformed upload %q = %d, want 400", body, code)
+		case code == http.StatusOK && req.Spec.Digest() != digest:
+			t.Fatalf("upload of cell %s accepted under %s", req.Spec.Digest(), digest)
+		}
+		if ent, ok := e.srv.cache.get(digest); ok {
+			if s, ok := workerproto.ParseKey(ent.Key); !ok || s.Digest() != digest {
+				t.Fatalf("cache holds key %q under digest %s", ent.Key, digest)
+			}
+		}
+	})
 }

@@ -24,9 +24,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dnc/internal/core"
 	"dnc/internal/isa"
@@ -135,35 +135,12 @@ func (c CellSpec) Digest() string {
 	return hex.EncodeToString(h[:])
 }
 
-var (
-	tablesOnce  sync.Once
-	catalogMap  map[string]prefetch.CatalogEntry
-	workloadSet map[string]bool
-)
-
-// Tables returns the design catalog and workload-preset lookup tables both
-// sides validate cells against (built once).
-func Tables() (map[string]prefetch.CatalogEntry, map[string]bool) {
-	tablesOnce.Do(func() {
-		catalogMap = make(map[string]prefetch.CatalogEntry)
-		for _, e := range prefetch.Catalog() {
-			catalogMap[e.Name] = e
-		}
-		workloadSet = make(map[string]bool)
-		for _, n := range workloads.Names {
-			workloadSet[n] = true
-		}
-	})
-	return catalogMap, workloadSet
-}
-
 // Valid reports whether the spec names a known workload and design — the
 // check a worker (or the server's admission path) runs before building
 // simulation state from an untrusted spec.
 func (c CellSpec) Valid() bool {
-	designs, wls := Tables()
-	_, okD := designs[c.Design]
-	return okD && wls[c.Workload] && c.Cores >= 1
+	_, okD := prefetch.FindDesign(c.Design)
+	return okD && slices.Contains(workloads.Names, c.Workload) && c.Cores >= 1
 }
 
 // RunConfig builds the cell's simulation configuration exactly as the bench
@@ -172,8 +149,7 @@ func (c CellSpec) Valid() bool {
 // server's in-process pool and remote workers call this, which is what
 // makes their results bit-identical.
 func (c CellSpec) RunConfig() sim.RunConfig {
-	designs, _ := Tables()
-	e := designs[c.Design] // validated before execution
+	e, _ := prefetch.FindDesign(c.Design) // validated before execution
 	cc := core.DefaultConfig()
 	cc.PrefetchBufferEntries = e.PrefetchBufferEntries
 	return sim.RunConfig{

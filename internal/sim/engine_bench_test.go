@@ -42,13 +42,8 @@ func benchEngineShards(b *testing.B, designName string, cores, intraJobs int) {
 // window lengths.
 func engineConfig(tb testing.TB, designName string, cores int) RunConfig {
 	tb.Helper()
-	var entry prefetch.CatalogEntry
-	for _, e := range prefetch.Catalog() {
-		if e.Name == designName {
-			entry = e
-		}
-	}
-	if entry.New == nil {
+	entry, ok := prefetch.FindDesign(designName)
+	if !ok {
 		tb.Fatalf("catalog entry %q missing", designName)
 	}
 	cc := core.DefaultConfig()

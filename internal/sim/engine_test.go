@@ -13,36 +13,42 @@ import (
 )
 
 // TestTickZeroAllocs is the hot-structure contract: once the machine reaches
-// steady state, advancing the default 4-core baseline configuration performs
-// zero heap allocations per tick. Fast-forward is disabled so the test
-// exercises the full fetch/retire/fill machinery, not the cheap stall path.
+// steady state, advancing the default 4-core configuration of every catalog
+// design performs zero heap allocations per tick. Fast-forward is disabled
+// so the test exercises the full fetch/retire/fill machinery, not the cheap
+// stall path.
 func TestTickZeroAllocs(t *testing.T) {
-	rc := applyDefaults(RunConfig{
-		Workload:  workloads.Params("Web-Zeus", isa.Fixed),
-		NewDesign: func() prefetch.Design { return prefetch.NewBaseline(2048) },
-	})
-	m, err := buildMachine(rc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.close()
-	for _, c := range m.cores {
-		c.SetFastForward(false)
-	}
-	for i := 0; i < 50_000; i++ {
-		for _, c := range m.cores {
-			c.Tick()
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 1_000; i++ {
-			for _, c := range m.cores {
-				c.Tick()
+	for _, e := range prefetch.Catalog() {
+		t.Run(e.Name, func(t *testing.T) {
+			rc := applyDefaults(RunConfig{
+				Workload:  workloads.Params("Web-Zeus", isa.Fixed),
+				NewDesign: e.New,
+			})
+			rc.Core.PrefetchBufferEntries = e.PrefetchBufferEntries
+			m, err := buildMachine(rc, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ticking allocated %.2f times per 4000 core-ticks; want 0", allocs)
+			defer m.close()
+			for _, c := range m.cores {
+				c.SetFastForward(false)
+			}
+			for i := 0; i < 50_000; i++ {
+				for _, c := range m.cores {
+					c.Tick()
+				}
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				for i := 0; i < 1_000; i++ {
+					for _, c := range m.cores {
+						c.Tick()
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state ticking allocated %.2f times per 4000 core-ticks; want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -33,27 +33,24 @@ var mutationDesigns = []string{"SN4L+Dis+BTB", "shotgun", "confluence", "boomera
 // does not depend on either.
 func mutationConfig(tb testing.TB, design string) RunConfig {
 	tb.Helper()
-	for _, e := range prefetch.Catalog() {
-		if e.Name != design {
-			continue
-		}
-		cc := core.DefaultConfig()
-		cc.PrefetchBufferEntries = e.PrefetchBufferEntries
-		lc := llc.DefaultConfig()
-		lc.SizeBytes, lc.DVEnabled = 256<<10, true
-		return RunConfig{
-			Workload:      variableWorkload(),
-			NewDesign:     e.New,
-			Cores:         2,
-			Core:          cc,
-			LLC:           lc,
-			WarmCycles:    10_000,
-			MeasureCycles: 10_000,
-			Seed:          3,
-		}
+	e, ok := prefetch.FindDesign(design)
+	if !ok {
+		tb.Fatalf("catalog entry %q missing", design)
 	}
-	tb.Fatalf("catalog entry %q missing", design)
-	return RunConfig{}
+	cc := core.DefaultConfig()
+	cc.PrefetchBufferEntries = e.PrefetchBufferEntries
+	lc := llc.DefaultConfig()
+	lc.SizeBytes, lc.DVEnabled = 256<<10, true
+	return RunConfig{
+		Workload:      variableWorkload(),
+		NewDesign:     e.New,
+		Cores:         2,
+		Core:          cc,
+		LLC:           lc,
+		WarmCycles:    10_000,
+		MeasureCycles: 10_000,
+		Seed:          3,
+	}
 }
 
 var mutationSeeds struct {

@@ -63,55 +63,33 @@ func Workload(name string) WorkloadParams {
 	return workloads.Params(name, isa.Fixed)
 }
 
-// designFactories maps public design names to constructors and the core
-// options the design requires.
-var designFactories = map[string]struct {
-	nd  func() Design
-	pfb int
-}{
-	"baseline": {func() Design { return prefetch.NewBaseline(2048) }, 0},
-	"NL":       {func() Design { return prefetch.NewNXL(1, 2048) }, 0},
-	"N2L":      {func() Design { return prefetch.NewNXL(2, 2048) }, 0},
-	"N4L":      {func() Design { return prefetch.NewNXL(4, 2048) }, 0},
-	"N8L":      {func() Design { return prefetch.NewNXL(8, 2048) }, 0},
-	"SN4L":     {func() Design { return prefetch.NewSN4L(16<<10, 2048) }, 0},
-	"Dis":      {func() Design { return prefetch.NewDis(4<<10, 4, 2048) }, 0},
-	"SN4L+Dis": {func() Design {
-		return prefetch.NewProactive(prefetch.DefaultProactiveConfig())
-	}, 0},
-	"SN4L+Dis+BTB": {func() Design {
-		c := prefetch.DefaultProactiveConfig()
-		c.WithBTBPrefetch = true
-		return prefetch.NewProactive(c)
-	}, 0},
-	"NL-miss":       {func() Design { return prefetch.NewNXLTriggered(1, 2048, prefetch.TriggerMiss) }, 0},
-	"NL-tagged":     {func() Design { return prefetch.NewNXLTriggered(1, 2048, prefetch.TriggerTagged) }, 0},
-	"RDIP":          {func() Design { return prefetch.NewRDIP(1024, 2048) }, 0},
-	"PIF":           {func() Design { return prefetch.NewPIF(prefetch.DefaultPIFConfig()) }, 0},
-	"discontinuity": {func() Design { return prefetch.NewDiscontinuity(8<<10, 8, 2048) }, 0},
-	"confluence":    {func() Design { return prefetch.NewConfluence(prefetch.DefaultConfluenceConfig()) }, 0},
-	"boomerang":     {func() Design { return prefetch.NewBoomerang(prefetch.DefaultBoomerangConfig()) }, 0},
-	"shotgun":       {func() Design { return prefetch.NewShotgun(prefetch.DefaultShotgunDesignConfig()) }, 64},
-}
-
-// Designs returns the available design names, sorted.
+// Designs returns the available design names (prefetch.Catalog), sorted.
 func Designs() []string {
-	out := make([]string, 0, len(designFactories))
-	for n := range designFactories {
-		out = append(out, n)
+	var out []string
+	for _, e := range prefetch.Catalog() {
+		out = append(out, e.Name)
 	}
 	sort.Strings(out)
 	return out
 }
 
+// catalogEntry returns the catalog entry of a named design.
+func catalogEntry(name string) (prefetch.CatalogEntry, error) {
+	e, ok := prefetch.FindDesign(name)
+	if !ok {
+		return e, fmt.Errorf("dncfront: unknown design %q (have %v)", name, Designs())
+	}
+	return e, nil
+}
+
 // NewDesign constructs a fresh instance of a named design. One instance
 // drives one core; construct one per simulated core.
 func NewDesign(name string) (Design, error) {
-	f, ok := designFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("dncfront: unknown design %q (have %v)", name, Designs())
+	e, err := catalogEntry(name)
+	if err != nil {
+		return nil, err
 	}
-	return f.nd(), nil
+	return e.New(), nil
 }
 
 // Options configure a simulation run.
@@ -142,17 +120,17 @@ func (o Options) fill() Options {
 }
 
 // Run simulates the workload under the named design.
-func Run(params WorkloadParams, design string, o Options) (Result, error) {
-	f, ok := designFactories[design]
-	if !ok {
-		return Result{}, fmt.Errorf("dncfront: unknown design %q (have %v)", design, Designs())
+func Run(params WorkloadParams, name string, o Options) (Result, error) {
+	e, err := catalogEntry(name)
+	if err != nil {
+		return Result{}, err
 	}
 	o = o.fill()
 	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = f.pfb
+	cc.PrefetchBufferEntries = e.PrefetchBufferEntries
 	return sim.Run(sim.RunConfig{
 		Workload:      params,
-		NewDesign:     f.nd,
+		NewDesign:     e.New,
 		Cores:         o.Cores,
 		WarmCycles:    o.WarmCycles,
 		MeasureCycles: o.MeasureCycles,

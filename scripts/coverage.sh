@@ -17,9 +17,11 @@ cd "$(dirname "$0")/.."
 
 # Floors, in percent. Measured headroom at introduction: prefetch 74.6,
 # oracle 82.0, service 86.8, httpx 100, telemetry 95.4, resultstore 86.1,
-# worker 91.7.
+# worker 91.7. The prefetch floor was raised to 90 once its designs shared
+# their BTB front, fetch-directed walk and temporal stream (measured 95.6
+# then), so a shared part cannot silently lose its tests.
 # Raise these as coverage grows; never lower them to make a red build green.
-PREFETCH_FLOOR=70
+PREFETCH_FLOOR=90
 ORACLE_FLOOR=78
 SERVICE_FLOOR=70
 HTTPX_FLOOR=80
