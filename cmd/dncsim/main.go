@@ -5,9 +5,6 @@
 // Usage:
 //
 //	dncsim -workload Web-Zeus -design SN4L+Dis+BTB [-cores 16] [-warm 200000] [-measure 200000] [-mode fixed|variable] [-baseline]
-//
-// With -trace FILE the cores replay a recorded trace of the workload
-// (cmd/tracegen) instead of walking it live.
 package main
 
 import (
@@ -40,7 +37,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "sample seed")
 	mode := flag.String("mode", "fixed", "ISA mode: fixed or variable")
 	baseline := flag.Bool("baseline", false, "also run the no-prefetch baseline and report derived metrics")
-	tracePath := flag.String("trace", "", "replay a recorded trace of the workload instead of walking it live")
 	timeout := flag.Duration("timeout", 0, "abort the simulation after this wall-clock budget (0 = none)")
 	ckptPath := flag.String("checkpoint-path", "", "snapshot the run into this file every -checkpoint-every cycles")
 	ckptEvery := flag.Uint64("checkpoint-every", 65536, "snapshot cadence in simulated cycles (with -checkpoint-path)")
@@ -162,15 +158,7 @@ func main() {
 			rctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		var (
-			r   sim.Result
-			err error
-		)
-		if *tracePath != "" {
-			r, err = sim.RunTraceChecked(rctx, rc, *tracePath)
-		} else {
-			r, err = sim.RunChecked(rctx, rc)
-		}
+		r, err := sim.RunChecked(rctx, rc)
 		if err != nil {
 			// Failures exit cleanly with a diagnostic: a livelocked design
 			// renders its stall snapshot, a recovered panic its stack.

@@ -23,7 +23,7 @@ type Step struct {
 }
 
 // Stream supplies a committed instruction stream to a simulated core: the
-// generator-backed Walker, or a trace replayer (internal/trace.Stream).
+// generator-backed Walker, or a fault-injecting wrapper around one.
 type Stream interface {
 	// Next fills *s with the next committed instruction.
 	Next(s *Step)

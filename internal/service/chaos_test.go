@@ -38,9 +38,10 @@ func (p *panicStream) Next(s *wl.Step) {
 }
 
 // TestDeadLetterCircuitBreaker injects a deterministic panic into every
-// simulated cell (via sim.RunInjected) and proves the circuit: two jobs
-// fail the cell, the third is served straight from the dead-letter list
-// with zero executor invocations, and the poison survives a restart.
+// simulated cell (RunCell runs it through sim.RunInjected) and proves the
+// circuit: two jobs fail the cell, the third is served straight from the
+// dead-letter list with zero executor invocations, and the poison survives
+// a restart.
 func TestDeadLetterCircuitBreaker(t *testing.T) {
 	var injections atomic.Int64
 	wrap := func(i int, s wl.Stream) wl.Stream {
@@ -50,11 +51,16 @@ func TestDeadLetterCircuitBreaker(t *testing.T) {
 		injections.Add(1)
 		return &panicStream{inner: s, n: 25}
 	}
+	run := func(ctx context.Context, _ runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
+		// Injected runs cannot checkpoint or resume.
+		cfg.CheckpointPath, cfg.CheckpointEvery, cfg.ResumeFrom = "", 0, ""
+		return sim.RunInjected(ctx, cfg, wrap)
+	}
 	e := newTestEnv(t, func(c *Config) {
 		c.Workers = 1
 		c.Retries = 0
 		c.DeadLetterAfter = 2
-		c.WrapStream = wrap
+		c.RunCell = run
 	})
 	spec := smallSpec()
 	cell := spec.normalized().cells()[0]
@@ -101,7 +107,7 @@ func TestDeadLetterCircuitBreaker(t *testing.T) {
 		c.DataDir = e.dataDir
 		c.Workers = 1
 		c.DeadLetterAfter = 2
-		c.WrapStream = wrap
+		c.RunCell = run
 	})
 	st = e2.waitJob(e2.submit(spec).ID)
 	if st.Dead != 1 {

@@ -89,8 +89,7 @@ type lease struct {
 	grantedAt time.Time // fixed at grant: the progress budget anchor
 }
 
-// dispatchStats is the worker-plane accounting surfaced on /v1/healthz and
-// /debug/sweep.
+// dispatchStats is the worker-plane accounting surfaced on /v1/healthz.
 type dispatchStats struct {
 	// WorkersRegistered counts registrations ever (this process).
 	WorkersRegistered uint64 `json:"workers_registered"`

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -44,9 +43,9 @@ const maxCompleteBytes = 16 << 20
 //	POST /v1/workers/{id}/heartbeat  — renew leases; learn revocations
 //	POST /v1/cells/{digest}/complete — upload a verified result or failure
 //
-// and the debug surface: the runner debug mux (progress, pprof) with
-// /debug/sweep and /debug/vars overridden to fold in the worker plane and
-// cache accounting.
+// and the debug surface: the runner debug mux (/debug/sweep progress,
+// /debug/vars progress + memstats, pprof). The service and worker-plane
+// stats are served once, on /v1/healthz.
 func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -63,8 +62,6 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
 	mux.HandleFunc("POST /v1/cells/{digest}/complete", s.handleCellComplete)
 	mux.Handle("/debug/", runner.DebugMux(s.progress))
-	mux.HandleFunc("GET /debug/sweep", s.handleDebugSweep)
-	mux.HandleFunc("GET /debug/vars", s.handleDebugVars)
 	return mux
 }
 
@@ -344,35 +341,4 @@ func (s *Server) handleCellComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, code, resp)
-}
-
-// ---- debug overrides ----
-
-// handleDebugSweep extends the runner's /debug/sweep with the worker-plane
-// view: the same progress snapshot plus lease-table accounting.
-func (s *Server) handleDebugSweep(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sweep":   s.progress.Snapshot(),
-		"workers": s.dispatch.stats(),
-	})
-}
-
-// handleDebugVars mirrors the runner's /debug/vars (progress + memstats)
-// and folds in the service stats — cache eviction and admission counters
-// included — so one endpoint answers "what is this process doing".
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sweep":   s.progress.Snapshot(),
-		"service": statsMap(s.Stats()),
-		"memstats": map[string]uint64{
-			"alloc":        ms.Alloc,
-			"total_alloc":  ms.TotalAlloc,
-			"sys":          ms.Sys,
-			"heap_objects": ms.HeapObjects,
-			"num_gc":       uint64(ms.NumGC),
-		},
-		"goroutines": runtime.NumGoroutine(),
-	})
 }

@@ -77,14 +77,8 @@ type Config struct {
 	// for the deterministic fault plane (fake-clock chaos tests);
 	// production leaves it nil.
 	Clock func() time.Time
-	// WrapStream, when set, routes every simulated cell through
-	// sim.RunInjected with this wrapper. It exists for the chaos suite
-	// (fault injection into the committed stream); production leaves it
-	// nil. Wrapped runs cannot checkpoint, so crash recovery degrades to
-	// whole-cell granularity (the cache).
-	WrapStream sim.StreamWrapper
-	// RunCell, when set, replaces the cell executor outright (test seam;
-	// see runner.Options.Run). Takes precedence over WrapStream.
+	// RunCell, when set, replaces the in-process cell executor (test seam;
+	// see runner.Options.Run).
 	RunCell func(ctx context.Context, c runner.Cell, cfg sim.RunConfig) (sim.Result, error)
 	// Logger receives structured operational logs (accepted jobs, worker
 	// registrations, lease reassignments, admission refusals). Nil discards
@@ -636,24 +630,12 @@ func (s *Server) runJob(j *job) {
 }
 
 // localExecutor picks the in-process run function: the RunCell test seam,
-// the chaos stream wrapper via sim.RunInjected, or the runner's default
-// behavior (sim.RunChecked / sim.RunTraceChecked).
+// else sim.RunChecked.
 func (s *Server) localExecutor() func(context.Context, runner.Cell, sim.RunConfig) (sim.Result, error) {
 	if s.cfg.RunCell != nil {
 		return s.cfg.RunCell
 	}
-	if s.cfg.WrapStream != nil {
-		wrap := s.cfg.WrapStream
-		return func(ctx context.Context, c runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
-			// Injected runs cannot checkpoint or resume.
-			cfg.CheckpointPath, cfg.CheckpointEvery, cfg.ResumeFrom = "", 0, ""
-			return sim.RunInjected(ctx, cfg, wrap)
-		}
-	}
-	return func(ctx context.Context, c runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
-		if c.TracePath != "" {
-			return sim.RunTraceChecked(ctx, c.Config, c.TracePath)
-		}
+	return func(ctx context.Context, _ runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
 		return sim.RunChecked(ctx, cfg)
 	}
 }

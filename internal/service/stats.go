@@ -1,9 +1,8 @@
 package service
 
 // The declared stat table: the single source of truth for every
-// operational counter name the service serves. /v1/healthz and the
-// "service" section of /debug/vars are both rendered from this table, and
-// a golden test checks that every name documented in docs/OPERATIONS.md is
+// operational counter name the service serves. /v1/healthz is rendered
+// from this table, and a golden test checks that every name documented in docs/OPERATIONS.md is
 // present here — so code, wire format, and runbook cannot drift apart.
 //
 // The wire keys are identical to the Stats struct's json tags (the table
@@ -12,7 +11,7 @@ package service
 
 // statEntry is one declared operational stat.
 type statEntry struct {
-	// Name is the wire key on /v1/healthz and /debug/vars.
+	// Name is the wire key on /v1/healthz.
 	Name string
 	// Help is the one-line meaning (reused for metric help strings where a
 	// metric mirrors the stat).
@@ -76,7 +75,7 @@ func statTable() []statEntry {
 }
 
 // statsMap renders a Stats snapshot through the table — the body served by
-// /v1/healthz and folded into /debug/vars.
+// /v1/healthz.
 func statsMap(s Stats) map[string]any {
 	out := make(map[string]any, len(statTable()))
 	for _, e := range statTable() {

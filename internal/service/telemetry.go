@@ -51,15 +51,15 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	t.cellsDeduped = reg.Counter("dnc_cells_deduped_total",
 		"Cells served from the content-addressed result cache without running.")
 	t.cellsFailed = reg.Counter("dnc_cells_failed_total",
-		"Cells reaching a terminal failure within a job.")
+		"Cells whose final attempt within a job failed (retries exhausted; drains excluded).")
 	t.cellsDead = reg.Counter("dnc_cells_dead_lettered_total",
-		"Cells short-circuited by the open dead-letter circuit.")
+		"Cells a job skipped without running because their dead-letter circuit was open.")
 	t.determinismViolations = reg.Counter("dnc_determinism_violations_total",
 		"Uploads refused because a duplicate result was not bit-identical. Any nonzero value is a paging condition.")
 
 	// Mirrored monotone counters: one source of truth, read at scrape time.
 	reg.CounterFunc("dnc_cells_simulated_total",
-		"Cells simulated to completion by this process (in-process pool).",
+		"Cells run to completion by this process's sweeps, in-process or by a remote worker.",
 		func() uint64 { return uint64(s.progress.Snapshot().OK) })
 	reg.CounterFunc("dnc_cells_reassigned_total",
 		"Leases revoked and returned to the queue (dead or frozen workers).",

@@ -259,18 +259,6 @@ func TestHealthzServesDeclaredStatTable(t *testing.T) {
 			t.Errorf("healthz missing declared key %q", k)
 		}
 	}
-
-	var dv struct {
-		Service map[string]any `json:"service"`
-	}
-	if code := e.getJSON("/debug/vars", &dv); code != http.StatusOK {
-		t.Fatalf("/debug/vars = %d", code)
-	}
-	for _, n := range statNames() {
-		if _, ok := dv.Service[n]; !ok {
-			t.Errorf("/debug/vars service section missing declared key %q", n)
-		}
-	}
 }
 
 // TestDocsOperationsNamesServed is the golden test tying the runbook to the

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,6 +127,9 @@ func TestWorkerPlaneRemoteExecution(t *testing.T) {
 	}
 	if stats.RemoteRejected != 0 {
 		t.Fatalf("RemoteRejected = %d, want 0", stats.RemoteRejected)
+	}
+	if m, _ := fetchMetrics(t, e); m["dnc_cells_simulated_total"] != 2 {
+		t.Fatalf("dnc_cells_simulated_total = %v, want 2 (remotely executed cells count)", m["dnc_cells_simulated_total"])
 	}
 
 	// The healthz satellite: worker counts and lease depth are on the
@@ -422,6 +427,121 @@ func FuzzCellComplete(f *testing.F) {
 		if ent, ok := e.srv.cache.get(digest); ok {
 			if s, ok := workerproto.ParseKey(ent.Key); !ok || s.Digest() != digest {
 				t.Fatalf("cache holds key %q under digest %s", ent.Key, digest)
+			}
+		}
+	})
+}
+
+// FuzzWorkerRequests throws arbitrary register, lease and heartbeat calls at
+// the worker-plane endpoints, the {id} path segment included, on a server
+// with one registered worker. A body that does not decode is answered 400, a
+// lease or heartbeat for an id that is not a live worker 404, anything else
+// 200. A granted batch holds at most the requested max (LeaseBatchMax when
+// max is out of range), and every granted spec is valid and hashes to its
+// lease digest. No call is held: the op byte's upper bits queue that many
+// cells first, and each request's context ends after a millisecond, which
+// ends a park. The seeds are the calls of TestLeaseEndpointParks and
+// TestWorkerPlaneRemoteExecution plus torn and foreign JSON.
+func FuzzWorkerRequests(f *testing.F) {
+	const known = "w000001" // the worker registered below
+	for _, s := range []struct {
+		op   uint8
+		id   string
+		body any
+	}{
+		{0, "", workerproto.RegisterRequest{Name: "t", Capacity: 1}},
+		{0, "", workerproto.RegisterRequest{Name: "w1", Capacity: 2}},
+		{1, known, workerproto.LeaseRequest{Max: 1}},
+		{1 | 3<<2, known, workerproto.LeaseRequest{Max: 2}},
+		{1 | 20<<2, known, workerproto.LeaseRequest{}},
+		{1 | 20<<2, known, workerproto.LeaseRequest{Max: 1000}},
+		{1 | 2<<2, known, workerproto.LeaseRequest{Max: -1}},
+		{1, "w999999", workerproto.LeaseRequest{Max: 1}},
+		{2, known, workerproto.HeartbeatRequest{}},
+		{2, known, workerproto.HeartbeatRequest{Active: []string{testCell(1).Digest(), "not-a-digest"}}},
+		{2, "w999999", workerproto.HeartbeatRequest{}},
+	} {
+		b, _ := json.Marshal(s.body)
+		f.Add(s.op, s.id, b)
+	}
+	for i, b := range []string{`{"max":`, `{"bogus":1}`, `null`, `{"max":"1"}`, `{"active":[1]}`, ``} {
+		f.Add(uint8(i), known, []byte(b))
+	}
+	e := newTestEnv(f, func(c *Config) { c.LeaseTTL = time.Hour; c.RunCell = fakeRunCell })
+	d := e.srv.dispatch
+	if reg := d.register("fuzz", 1); reg.WorkerID != known {
+		f.Fatalf("the first worker registered as %s, want %s", reg.WorkerID, known)
+	}
+	mux := e.srv.handler().(*http.ServeMux)
+	var seq int64
+	f.Fuzz(func(t *testing.T, op uint8, id string, body []byte) {
+		route, req := "/v1/workers/register", any(new(workerproto.RegisterRequest))
+		switch op % 3 {
+		case 1:
+			route, req = "/v1/workers/{id}/lease", new(workerproto.LeaseRequest)
+		case 2:
+			route, req = "/v1/workers/{id}/heartbeat", new(workerproto.HeartbeatRequest)
+		}
+		path := strings.Replace(route, "{id}", url.PathEscape(id), 1)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		defer cancel()
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx)
+		if _, pattern := mux.Handler(r); pattern != "POST "+route {
+			// Not one path segment ("", ".", ".." or "/"): the mux itself
+			// answers, with a redirect or a 404.
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, r)
+			if rec.Code != http.StatusMovedPermanently && rec.Code != http.StatusNotFound {
+				t.Fatalf("POST %s = %d, want a redirect or 404", path, rec.Code)
+			}
+			return
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		d.mu.Lock()
+		_, live := d.workers[id]
+		d.mu.Unlock()
+		want := http.StatusOK
+		switch {
+		case dec.Decode(req) != nil:
+			want = http.StatusBadRequest
+		case op%3 != 0 && !live:
+			want = http.StatusNotFound
+		}
+
+		for range int(op>>2) % 24 {
+			seq++
+			spec := testCell(seq)
+			d.enqueue(spec, "")
+			defer d.deliver(spec.Digest(), remoteOutcome{err: errors.New("fuzz iteration over")})
+		}
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		mux.ServeHTTP(rec, r)
+		if held := time.Since(start); held > time.Second {
+			t.Fatalf("POST %s held for %v", path, held)
+		}
+		if rec.Code != want {
+			t.Fatalf("POST %s %q = %d, want %d", path, body, rec.Code, want)
+		}
+		lr, isLease := req.(*workerproto.LeaseRequest)
+		if !isLease || rec.Code != http.StatusOK {
+			return
+		}
+		var resp workerproto.LeaseResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("lease answer %q: %v", rec.Body.Bytes(), err)
+		}
+		max := lr.Max
+		if max <= 0 || max > DefaultLeaseBatchMax {
+			max = DefaultLeaseBatchMax
+		}
+		if len(resp.Leases) > max {
+			t.Fatalf("lease with max %d granted %d cells, want at most %d", lr.Max, len(resp.Leases), max)
+		}
+		for _, l := range resp.Leases {
+			if !l.Spec.Valid() || l.Spec.Digest() != l.Digest {
+				t.Fatalf("granted spec %+v under digest %s", l.Spec, l.Digest)
 			}
 		}
 	})

@@ -7,12 +7,12 @@ import (
 	"dnc/internal/checkpoint"
 )
 
-// ErrTraceCheckpoint is returned when a trace-replay run requests
-// checkpointing or resume: the trace reader's file position is not part of
-// the snapshottable machine state, so only walker-driven runs (whose stream
-// position is a seed plus a draw count) can checkpoint.
-var ErrTraceCheckpoint = errors.New(
-	"sim: checkpointing is not supported for trace-replay runs")
+// ErrInjectedCheckpoint is returned when an injected run (RunInjected)
+// requests checkpointing or resume: a snapshot records each walker's seed and
+// draw count, not what the StreamWrapper does to the stream, so only
+// unwrapped runs can checkpoint.
+var ErrInjectedCheckpoint = errors.New(
+	"sim: checkpointing is not supported for injected runs")
 
 // AuditError reports the structural invariant violations found in one
 // component of the machine, with the component's own snapshot attached so a

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	wl "dnc/internal/cfg"
 	"dnc/internal/isa"
 	"dnc/internal/prefetch"
 )
@@ -233,27 +234,25 @@ func TestAuditCatchesInjectedMSHRLeak(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsTraceRuns pins the typed refusal: trace-replay runs
-// cannot checkpoint (the reader's file position is outside the snapshot).
-func TestCheckpointRejectsTraceRuns(t *testing.T) {
+// TestCheckpointRejectsInjectedRuns pins the typed refusal: injected runs
+// cannot checkpoint or resume (the StreamWrapper is outside the snapshot),
+// even when the wrapper leaves every stream unchanged.
+func TestCheckpointRejectsInjectedRuns(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "t.trace")
-	if err := WriteTrace(smallWorkload(), 7, 50_000, tracePath); err != nil {
-		t.Fatal(err)
-	}
+	identity := func(_ int, s wl.Stream) wl.Stream { return s }
 	rc := checkedConfig()
 	rc.CheckpointEvery = 4096
 	rc.CheckpointPath = filepath.Join(dir, "t.ckpt")
-	_, err := RunTraceChecked(context.Background(), rc, tracePath)
-	if !errors.Is(err, ErrTraceCheckpoint) {
-		t.Fatalf("want ErrTraceCheckpoint, got %v", err)
+	_, err := RunInjected(context.Background(), rc, identity)
+	if !errors.Is(err, ErrInjectedCheckpoint) {
+		t.Fatalf("want ErrInjectedCheckpoint, got %v", err)
 	}
 
 	rc = checkedConfig()
 	rc.ResumeFrom = filepath.Join(dir, "missing.ckpt")
-	_, err = RunTraceChecked(context.Background(), rc, tracePath)
-	if !errors.Is(err, ErrTraceCheckpoint) {
-		t.Fatalf("want ErrTraceCheckpoint for resume, got %v", err)
+	_, err = RunInjected(context.Background(), rc, identity)
+	if !errors.Is(err, ErrInjectedCheckpoint) {
+		t.Fatalf("want ErrInjectedCheckpoint for resume, got %v", err)
 	}
 }
 

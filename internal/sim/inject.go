@@ -14,11 +14,10 @@ type StreamWrapper func(i int, s wl.Stream) wl.Stream
 // RunInjected is RunChecked with each core's walker stream passed through
 // wrap. It exists for fault-injection testing: the differential harness
 // proves it catches divergences by corrupting one core's committed stream —
-// a stand-in for a walker, trace-decode, or replay bug — and asserting the
-// oracle reports the first divergent instruction. Injected runs cannot
-// checkpoint or resume (the mutation is not part of machine state).
+// a stand-in for a walker bug — and asserting the oracle reports the first
+// divergent instruction. Injected runs are serial and cannot checkpoint or
+// resume (the mutation is not part of machine state; see
+// ErrInjectedCheckpoint).
 func RunInjected(ctx context.Context, rc RunConfig, wrap StreamWrapper) (Result, error) {
-	return runChecked(ctx, rc, func(i int, prog *wl.Program) (wl.Stream, func(), error) {
-		return wrap(i, wl.NewWalker(prog, WalkerSeed(rc.Seed, i))), nil, nil
-	})
+	return runChecked(ctx, rc, wrap)
 }

@@ -36,7 +36,7 @@ func TestShardCount(t *testing.T) {
 	for _, c := range []struct {
 		name          string
 		rc            RunConfig
-		replay        bool
+		wrapped       bool
 		procs, others int
 		want          int
 	}{
@@ -52,7 +52,7 @@ func TestShardCount(t *testing.T) {
 		{"variable-length ISA", run(16, 0, variable), false, 8, 0, 1},
 		{"variable-length ISA, forced", run(16, 4, variable), false, 8, 0, 1},
 		{"tick reference", run(16, 0, tick), false, 8, 0, 1},
-		{"trace replay", run(16, 0), true, 8, 0, 1},
+		{"injected stream", run(16, 0), true, 8, 0, 1},
 		{"event tracer", run(16, 0, traced), false, 8, 0, 1},
 		{"histograms only", run(16, 0, hists), false, 8, 0, 4},
 		{"forced, whatever is held", run(16, 4), false, 2, 5, 4},
@@ -60,7 +60,7 @@ func TestShardCount(t *testing.T) {
 		{"forced beyond the cores", run(2, 8), false, 8, 0, 2},
 		{"forced serial", run(16, 1), false, 8, 0, 1},
 	} {
-		if got := shardCount(c.rc, c.replay, c.procs, c.others); got != c.want {
+		if got := shardCount(c.rc, c.wrapped, c.procs, c.others); got != c.want {
 			t.Errorf("%s: %d shards, want %d", c.name, got, c.want)
 		}
 	}

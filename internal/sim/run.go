@@ -31,7 +31,7 @@ const DefaultWatchdogCycles = 100_000
 const checkEvery = 1 << 10
 
 // applyDefaults fills the zero-valued fields of a RunConfig with the
-// paper's defaults (shared by Run, RunTrace, and the checked variants).
+// paper's defaults (shared by Run and the checked variants).
 func applyDefaults(rc RunConfig) RunConfig {
 	if rc.Cores == 0 {
 		rc.Cores = 4
@@ -187,14 +187,10 @@ func (e *LivelockError) Error() string {
 // Is matches ErrLivelock.
 func (e *LivelockError) Is(target error) bool { return target == ErrLivelock }
 
-// streamMaker builds core i's instruction stream; the default (nil) wires a
-// seeded workload walker. It may return a closer for underlying resources.
-type streamMaker func(i int, prog *wl.Program) (wl.Stream, func(), error)
-
 // WalkerSeed returns the walker seed of core i in a run with RunConfig.Seed
 // seed. It is the single definition of the per-core seeding convention, so
-// external replays of a core's committed stream (the differential oracle,
-// trace comparison tools) never drift from the simulator's own walkers.
+// external replays of a core's committed stream (the differential oracle)
+// never drift from the simulator's own walkers.
 func WalkerSeed(seed int64, i int) int64 { return seed*1000 + int64(i) + 1 }
 
 // RunChecked executes one simulation with full fault isolation: the
@@ -210,7 +206,9 @@ func RunChecked(ctx context.Context, rc RunConfig) (Result, error) {
 	return runChecked(ctx, rc, nil)
 }
 
-func runChecked(ctx context.Context, rc RunConfig, mk streamMaker) (res Result, err error) {
+// runChecked is RunChecked with each core's walker stream passed through
+// wrap (nil: the walker itself).
+func runChecked(ctx context.Context, rc RunConfig, wrap StreamWrapper) (res Result, err error) {
 	rc = applyDefaults(rc)
 	if verr := rc.Validate(); verr != nil {
 		return Result{}, &RunError{Config: rc, Err: verr}
@@ -226,7 +224,7 @@ func runChecked(ctx context.Context, rc RunConfig, mk streamMaker) (res Result, 
 		}
 	}()
 
-	m, merr := buildMachine(rc, mk)
+	m, merr := buildMachine(rc, wrap)
 	if merr != nil {
 		return Result{}, &RunError{Config: rc, Err: merr}
 	}
@@ -253,11 +251,13 @@ type machine struct {
 	uncore  *core.Uncore
 	cores   []*core.Core
 	designs []prefetch.Design
-	// walkers mirrors cores when the run is walker-driven; trace-driven
-	// runs leave it nil (and cannot checkpoint, see ErrTraceCheckpoint).
+	// walkers mirrors cores: core i's committed stream is walkers[i], passed
+	// through the run's StreamWrapper when wrapped is set. A wrapped stream
+	// is not machine state, so a wrapped run cannot checkpoint (see
+	// ErrInjectedCheckpoint) and stays serial.
 	walkers []*wl.Walker
+	wrapped bool
 	watch   *watchdog
-	closers []func()
 	// obs is the run's observability state, nil when disabled; the tick loop
 	// pays one pointer test per cycle for it.
 	obs *machineObs
@@ -298,14 +298,14 @@ type engineState struct {
 	limit, shards, peak, held int
 }
 
-func buildMachine(rc RunConfig, mk streamMaker) (*machine, error) {
-	if mk != nil && (rc.CheckpointEvery > 0 || rc.ResumeFrom != "") {
-		return nil, ErrTraceCheckpoint
+func buildMachine(rc RunConfig, wrap StreamWrapper) (*machine, error) {
+	if wrap != nil && (rc.CheckpointEvery > 0 || rc.ResumeFrom != "") {
+		return nil, ErrInjectedCheckpoint
 	}
-	if mk != nil && rc.IntraJobs > 1 {
-		return nil, errors.New("sim: intra-run parallelism requires a walker-driven run")
+	if wrap != nil && rc.IntraJobs > 1 {
+		return nil, errors.New("sim: intra-run parallelism cannot apply to an injected run")
 	}
-	m := &machine{rc: rc, prog: Program(rc.Workload)}
+	m := &machine{rc: rc, prog: Program(rc.Workload), wrapped: wrap != nil}
 	if rc.NoPreload {
 		m.uncore = core.NewUncore(llc.Acquire(rc.LLC))
 	} else {
@@ -315,27 +315,15 @@ func buildMachine(rc RunConfig, mk streamMaker) (*machine, error) {
 	}
 	m.cores = make([]*core.Core, rc.Cores)
 	m.designs = make([]prefetch.Design, rc.Cores)
-	if mk == nil {
-		m.walkers = make([]*wl.Walker, rc.Cores)
-	}
+	m.walkers = make([]*wl.Walker, rc.Cores)
 	for i := range m.cores {
 		cc := rc.Core
 		cc.Tile = i
-		var stream wl.Stream
-		if mk == nil {
-			w := wl.NewWalker(m.prog, WalkerSeed(rc.Seed, i))
-			m.walkers[i] = w
-			stream = w
-		} else {
-			s, closer, serr := mk(i, m.prog)
-			if serr != nil {
-				m.close()
-				return nil, serr
-			}
-			if closer != nil {
-				m.closers = append(m.closers, closer)
-			}
-			stream = s
+		w := wl.NewWalker(m.prog, WalkerSeed(rc.Seed, i))
+		m.walkers[i] = w
+		var stream wl.Stream = w
+		if wrap != nil {
+			stream = wrap(i, w)
 		}
 		d := rc.NewDesign()
 		m.designs[i] = d
@@ -351,7 +339,7 @@ func buildMachine(rc RunConfig, mk streamMaker) (*machine, error) {
 		mode:   rc.Sched,
 		asleep: make([]bool, rc.Cores),
 		wake:   make([]uint64, rc.Cores),
-		limit:  shardCount(rc, mk != nil, math.MaxInt, 0),
+		limit:  shardCount(rc, m.wrapped, math.MaxInt, 0),
 	}
 	if rc.Obs != nil {
 		m.obs = newMachineObs(*rc.Obs)
@@ -371,17 +359,17 @@ const coresPerShard = 4
 // shard of a sharded run, one for a serial run.
 var cpusHeld atomic.Int64
 
-// shardCount decides how many shards a run of rc uses (replay: its cores are
-// driven by recorded traces) while other simulations of the process hold
-// others of its procs CPUs. The tick reference and trace replay are serial,
+// shardCount decides how many shards a run of rc uses (wrapped: its streams
+// pass through a StreamWrapper) while other simulations of the process hold
+// others of its procs CPUs. The tick reference and injected runs are serial,
 // and so is the variable-length ISA, whose DV-LLC footprint reads and writes
 // (LoadBF/StoreBF) need the shared state of the moment. IntraJobs > 0 asks
 // for that many shards (1 = serial); 0 uses the idle CPUs, one shard per
 // coresPerShard cores at most, except in an event-traced run, which stays
 // serial so its trace is the serial engine's.
-func shardCount(rc RunConfig, replay bool, procs, others int) int {
+func shardCount(rc RunConfig, wrapped bool, procs, others int) int {
 	switch {
-	case rc.Sched == SchedTick, replay, rc.Workload.Mode == isa.Variable:
+	case rc.Sched == SchedTick, wrapped, rc.Workload.Mode == isa.Variable:
 		return 1
 	case rc.IntraJobs > 0:
 		return min(rc.IntraJobs, rc.Cores)
@@ -401,7 +389,7 @@ func (m *machine) claimShards() int {
 	}
 	for {
 		cur := cpusHeld.Load()
-		n := shardCount(m.rc, m.walkers == nil, runtime.GOMAXPROCS(0), int(cur)-e.held)
+		n := shardCount(m.rc, m.wrapped, runtime.GOMAXPROCS(0), int(cur)-e.held)
 		if n == e.held || cpusHeld.CompareAndSwap(cur, cur+int64(n-e.held)) {
 			e.held = n
 			return n
@@ -446,18 +434,15 @@ func (m *machine) useShards(n int) {
 func (m *machine) resetEngine() { clear(m.eng.asleep) }
 
 // close releases what the machine holds: shard workers, its CPUs in
-// cpusHeld, stream resources, and the LLC, which goes back to the pool for
-// the next run. Nothing that outlives the machine may reach it afterwards; a
-// Result is plain data for that reason.
+// cpusHeld, and the LLC, which goes back to the pool for the next run.
+// Nothing that outlives the machine may reach it afterwards; a Result is
+// plain data for that reason.
 func (m *machine) close() {
 	if m.eng.par != nil {
 		m.eng.par.stop()
 	}
 	cpusHeld.Add(-int64(m.eng.held))
 	m.eng.held = 0
-	for _, c := range m.closers {
-		c()
-	}
 	m.uncore.Release()
 }
 

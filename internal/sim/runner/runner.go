@@ -29,9 +29,6 @@ import (
 type Cell struct {
 	ID     string
 	Config sim.RunConfig
-	// TracePath, when non-empty, replays the recorded trace instead of
-	// walking the workload live.
-	TracePath string
 }
 
 // Status classifies a cell's outcome.
@@ -87,12 +84,11 @@ type Options struct {
 	// and once more when the sweep finishes. Larger values trade crash
 	// durability of the journal tail for fewer fsyncs on large sweeps.
 	SyncEvery int
-	// CheckpointDir, when non-empty, gives every walker-driven cell a
-	// mid-run snapshot file in this directory (created if missing). A cell
-	// interrupted before it could be journaled — crash, timeout, kill —
-	// resumes from its last snapshot on the next sweep instead of starting
-	// over; the snapshot is deleted when the cell completes. Trace-replay
-	// cells cannot checkpoint and run unchanged.
+	// CheckpointDir, when non-empty, gives every cell a mid-run snapshot
+	// file in this directory (created if missing). A cell interrupted before
+	// it could be journaled — crash, timeout, kill — resumes from its last
+	// snapshot on the next sweep instead of starting over; the snapshot is
+	// deleted when the cell completes.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot cadence in simulated cycles for cells
 	// running under CheckpointDir (0 = DefaultCheckpointEvery).
@@ -103,12 +99,12 @@ type Options struct {
 	// was oversubscribed.
 	Transient func(error) bool
 	// Run, when set, replaces the default per-attempt executor
-	// (sim.RunTraceChecked for trace cells, sim.RunChecked otherwise). The
-	// cfg argument is the cell's config with the runner's checkpoint/resume
-	// fields applied. It exists so embedders can interpose on execution —
-	// the dncserved service routes chaos runs through sim.RunInjected, and
-	// tests substitute deterministic fakes — while keeping the retry,
-	// backoff, journal, and checkpoint machinery identical to production.
+	// (sim.RunChecked). The cfg argument is the cell's config with the
+	// runner's checkpoint/resume fields applied. It exists so embedders can
+	// interpose on execution — the dncserved service dispatches cells to
+	// remote workers, and tests substitute deterministic fakes or chaos runs
+	// through sim.RunInjected — while keeping the retry, backoff, journal,
+	// and checkpoint machinery identical to production.
 	Run func(ctx context.Context, c Cell, cfg sim.RunConfig) (sim.Result, error)
 	// OnResult, when set, observes each finished cell (called serially).
 	OnResult func(CellResult)
@@ -341,15 +337,12 @@ func runCell(ctx context.Context, c Cell, o Options) CellResult {
 	}
 	run := o.Run
 	if run == nil {
-		run = func(ctx context.Context, c Cell, cfg sim.RunConfig) (sim.Result, error) {
-			if c.TracePath != "" {
-				return sim.RunTraceChecked(ctx, c.Config, c.TracePath)
-			}
+		run = func(ctx context.Context, _ Cell, cfg sim.RunConfig) (sim.Result, error) {
 			return sim.RunChecked(ctx, cfg)
 		}
 	}
 	ckpt := ""
-	if o.CheckpointDir != "" && c.TracePath == "" {
+	if o.CheckpointDir != "" {
 		ckpt = cellCheckpointPath(o.CheckpointDir, c.ID)
 		c.Config.CheckpointPath = ckpt
 		c.Config.CheckpointEvery = o.CheckpointEvery

@@ -73,8 +73,8 @@ type RunConfig struct {
 	// CheckpointPath at least every given number of cycles (aligned to the
 	// engine's poll cadence). The structural invariant auditor runs before
 	// every snapshot; a violation aborts the run instead of persisting a
-	// corrupt snapshot. Only walker-driven runs can checkpoint (see
-	// ErrTraceCheckpoint).
+	// corrupt snapshot. Injected runs cannot checkpoint (see
+	// ErrInjectedCheckpoint).
 	CheckpointEvery uint64
 	// CheckpointPath is the snapshot file. Writes are atomic (temp file +
 	// rename), so the file always holds the last complete snapshot. The

@@ -231,68 +231,3 @@ func TestProgramCacheKeysEveryParam(t *testing.T) {
 		t.Fatal("distinct branch mixes generated identical programs")
 	}
 }
-
-func TestTraceReplayMatchesWorkloadShape(t *testing.T) {
-	p := smallWorkload()
-	dir := t.TempDir()
-	path := dir + "/test.dnct"
-	if err := WriteTrace(p, 1, 2_000_000, path); err != nil {
-		t.Fatal(err)
-	}
-	rc := RunConfig{
-		Workload:      p,
-		NewDesign:     func() prefetch.Design { return prefetch.NewBaseline(2048) },
-		Cores:         2,
-		WarmCycles:    20_000,
-		MeasureCycles: 20_000,
-		Seed:          1,
-	}
-	replay, err := RunTrace(rc, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.M.Retired == 0 {
-		t.Fatal("replay retired nothing")
-	}
-	live := Run(rc)
-	// Replay of the same workload must land in the same statistical regime
-	// (identical program, different sample interleavings).
-	lm, rm := live.M.MPKI(live.M.DemandMisses), replay.M.MPKI(replay.M.DemandMisses)
-	if rm < lm*0.4 || rm > lm*2.5 {
-		t.Errorf("replay MPKI %.1f far from live %.1f", rm, lm)
-	}
-	li, ri := live.M.IPC(), replay.M.IPC()
-	if ri < li*0.5 || ri > li*2 {
-		t.Errorf("replay IPC %.3f far from live %.3f", ri, li)
-	}
-}
-
-func TestTraceReplayModeMismatch(t *testing.T) {
-	p := smallWorkload()
-	dir := t.TempDir()
-	path := dir + "/test.dnct"
-	if err := WriteTrace(p, 1, 1000, path); err != nil {
-		t.Fatal(err)
-	}
-	pv := p
-	pv.Mode = isa.Variable
-	_, err := RunTrace(RunConfig{
-		Workload:  pv,
-		NewDesign: func() prefetch.Design { return prefetch.NewBaseline(2048) },
-		Cores:     1, WarmCycles: 100, MeasureCycles: 100,
-	}, path)
-	if err == nil {
-		t.Fatal("mode mismatch accepted")
-	}
-}
-
-func TestTraceReplayMissingFile(t *testing.T) {
-	_, err := RunTrace(RunConfig{
-		Workload:  smallWorkload(),
-		NewDesign: func() prefetch.Design { return prefetch.NewBaseline(2048) },
-		Cores:     1, WarmCycles: 100, MeasureCycles: 100,
-	}, "/nonexistent/path.dnct")
-	if err == nil {
-		t.Fatal("missing trace accepted")
-	}
-}
