@@ -3,8 +3,7 @@
 // Usage:
 //
 //	dncbench [-scale quick|paper] [-workloads a,b,c] [-only fig16,fig17] [-ablations]
-//	         [-jobs N] [-timeout 10m] [-journal sweep.jsonl] [-checkpoint-dir ckpts]
-//	         [-store-out results.dncr]
+//	         [-jobs N] [-timeout 10m] [-journal sweep.jsonl] [-store-out results.dncr]
 //
 // Each experiment prints the paper's expected result alongside the
 // measured rows, mirroring EXPERIMENTS.md. Simulations fan out across a
@@ -12,9 +11,8 @@
 // at the end (non-zero exit) instead of aborting the whole run. With
 // -journal, the shared cross-experiment sweeps are recorded as they finish,
 // so an interrupted benchmark re-invoked with the same journal resumes
-// instead of recomputing. With -checkpoint-dir, individual simulations also
-// snapshot mid-run, so even the cell that was executing at the moment of
-// interruption resumes from its last snapshot rather than from cycle zero.
+// instead of recomputing; the cells that were executing at the moment of
+// interruption re-run from cycle zero.
 package main
 
 import (
@@ -41,11 +39,9 @@ func main() {
 	jobs := flag.Int("jobs", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "per-simulation wall-clock budget (0 = none)")
 	journal := flag.String("journal", "", "JSONL run journal: records finished runs and resumes an interrupted benchmark")
-	ckptDir := flag.String("checkpoint-dir", "", "snapshot simulations mid-run into this directory; a re-run resumes interrupted simulations from their last snapshot")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "snapshot cadence in simulated cycles under -checkpoint-dir (0 = default)")
 	progress := flag.Bool("progress", true, "print a periodic one-line sweep summary (cells done/failed/retried, rate, ETA) to stderr")
 	httpAddr := flag.String("http", "", "serve live sweep progress, expvar-style counters, and pprof on this address (e.g. localhost:6060)")
-	storeOut := flag.String("store-out", "", "append every completed cell (with sampled metric time-series) to this columnar result store; inspect with dncstore")
+	storeOut := flag.String("store-out", "", "append every completed cell (with occupancy histograms) to this columnar result store; inspect with dncstore")
 	intraJobs := flag.Int("intra-jobs", 0, "shard each simulation's cores across this many goroutines (0 = idle CPUs, 1 = serial); bit-exact either way")
 	flag.Parse()
 
@@ -73,8 +69,6 @@ func main() {
 	cfg.Samples = *samples
 	cfg.Jobs = *jobs
 	cfg.Timeout = *timeout
-	cfg.CheckpointDir = *ckptDir
-	cfg.CheckpointEvery = *ckptEvery
 	if *progress {
 		cfg.ProgressOut = os.Stderr
 	}

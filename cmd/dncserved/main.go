@@ -5,7 +5,7 @@
 //
 //	dncserved [-addr localhost:8080] [-data dncserved-data] [-workers 2]
 //	          [-cell-jobs N] [-queue-cap 64] [-retries 2] [-cell-timeout 10m]
-//	          [-job-timeout 0] [-checkpoint-every N] [-max-cells 4096]
+//	          [-job-timeout 0] [-max-cells 4096]
 //	          [-drain-timeout 30s] [-cache-max-bytes 0]
 //	          [-lease-ttl 15s] [-lease-max-age 10m] [-lease-batch 16]
 //
@@ -14,8 +14,8 @@
 // — same workload, design, geometry, and seed — are served from a
 // persistent content-addressed cache: runs are deterministic, so a cache
 // hit is bit-exact and free. A crash recovers finished cells from that
-// cache and in-flight ones from their checkpoints; SIGINT/SIGTERM triggers a graceful
-// drain that stops admissions, checkpoints in-flight work, flushes
+// cache; cells in flight re-run from cycle 0. SIGINT/SIGTERM triggers a
+// graceful drain that stops admissions, cancels in-flight cells, flushes
 // persistent state, and exits 0 with every accepted job either completed
 // or durably queued for the next start.
 //
@@ -54,7 +54,6 @@ func main() {
 	retries := flag.Int("retries", 2, "per-cell retries on transient failure (jittered exponential backoff)")
 	cellTimeout := flag.Duration("cell-timeout", 10*time.Minute, "per-attempt wall-clock budget per cell (0 = none)")
 	jobTimeout := flag.Duration("job-timeout", 0, "whole-job wall-clock budget (0 = none)")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "mid-cell snapshot cadence in simulated cycles (0 = default)")
 	maxCells := flag.Int("max-cells", 4096, "max cells one submitted spec may expand to")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGINT/SIGTERM")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "result-cache size bound; oldest entries evicted first (0 = unbounded)")
@@ -72,20 +71,19 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	srv, err := service.New(service.Config{
-		DataDir:         *data,
-		Workers:         *workers,
-		CellJobs:        *cellJobs,
-		QueueCap:        *queueCap,
-		Retries:         *retries,
-		CellTimeout:     *cellTimeout,
-		JobTimeout:      *jobTimeout,
-		CheckpointEvery: *ckptEvery,
-		MaxCellsPerJob:  *maxCells,
-		CacheMaxBytes:   *cacheMax,
-		LeaseTTL:        *leaseTTL,
-		LeaseMaxAge:     *leaseMaxAge,
-		LeaseBatchMax:   *leaseBatch,
-		Logger:          logger,
+		DataDir:        *data,
+		Workers:        *workers,
+		CellJobs:       *cellJobs,
+		QueueCap:       *queueCap,
+		Retries:        *retries,
+		CellTimeout:    *cellTimeout,
+		JobTimeout:     *jobTimeout,
+		MaxCellsPerJob: *maxCells,
+		CacheMaxBytes:  *cacheMax,
+		LeaseTTL:       *leaseTTL,
+		LeaseMaxAge:    *leaseMaxAge,
+		LeaseBatchMax:  *leaseBatch,
+		Logger:         logger,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dncserved: %v\n", err)
@@ -101,7 +99,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	<-ctx.Done()
 	stop() // restore default signal handling: a second ^C kills immediately
-	fmt.Fprintln(os.Stderr, "dncserved: draining (in-flight cells checkpoint; accepted jobs persist)")
+	fmt.Fprintln(os.Stderr, "dncserved: draining (in-flight cells re-run on restart; accepted jobs persist)")
 
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

@@ -7,14 +7,16 @@
 //	dncstore verify  store.dncr
 //	dncstore query   [-metric ipc] [-workloads a,b] [-designs x,y]
 //	                 [-seeds 1,2] [-json] store.dncr
-//	dncstore export  [-hists] [-series] store.dncr      (JSONL to stdout)
+//	dncstore export  [-hists] store.dncr               (JSONL to stdout)
 //	dncstore compact store.dncr compacted.dncr
 //
 // verify exits non-zero on the first bad block — the cheap integrity sweep
 // to run against a store file of unknown provenance. compact rewrites a
 // store whose cells arrived one fsync at a time (the dncserved admission
 // path produces one tiny segment per cell) into full-size segments, which
-// restores the format's compression.
+// restores the format's compression. Files from builds that stored sampled
+// time-series open and answer as before; their series are skipped, and
+// compact does not carry them over.
 package main
 
 import (
@@ -81,7 +83,7 @@ func runInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	cells, err := r.Cells(resultstore.CellOptions{WithHists: true, WithSeries: true})
+	cells, err := r.Cells(resultstore.CellOptions{WithHists: true})
 	if err != nil {
 		return err
 	}
@@ -99,17 +101,16 @@ func runInfo(args []string) error {
 	workloads := map[string]bool{}
 	designs := map[string]bool{}
 	seeds := map[int64]bool{}
-	hists, series := 0, 0
+	hists := 0
 	for i := range cells {
 		workloads[cells[i].Workload] = true
 		designs[cells[i].Design] = true
 		seeds[cells[i].Seed] = true
 		hists += len(cells[i].Hists)
-		series += len(cells[i].Series)
 	}
 	fmt.Printf("%s: format v%d, %d bytes\n", path, resultstore.Version, r.Size())
 	fmt.Printf("blocks:    %d (min %d, max %d, payload+framing %d bytes)\n", len(sizes), minB, maxB, sumB)
-	fmt.Printf("cells:     %d (%d histograms, %d series)\n", len(cells), hists, series)
+	fmt.Printf("cells:     %d (%d histograms)\n", len(cells), hists)
 	fmt.Printf("workloads: %s\n", joinSorted(workloads))
 	fmt.Printf("designs:   %s\n", joinSorted(designs))
 	fmt.Printf("seeds:     %s\n", joinSeeds(seeds))
@@ -153,12 +154,12 @@ func runVerify(args []string) error {
 		return fmt.Errorf("%d valid block(s), then: %w", blocks, err)
 	}
 	// Verify checks framing and checksums; a full decode additionally
-	// exercises every varint and bitstream in the payloads.
+	// exercises every varint in the payloads.
 	r, err := resultstore.NewReader(data)
 	if err != nil {
 		return err
 	}
-	cells, err := r.Cells(resultstore.CellOptions{WithHists: true, WithSeries: true})
+	cells, err := r.Cells(resultstore.CellOptions{WithHists: true})
 	if err != nil {
 		return fmt.Errorf("blocks ok but payload decode failed: %w", err)
 	}
@@ -227,7 +228,6 @@ func splitCSV(s string) []string {
 func runExport(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ContinueOnError)
 	withHists := fs.Bool("hists", false, "include histogram snapshots")
-	withSeries := fs.Bool("series", false, "include sampled time-series")
 	path, err := oneFile(fs, args)
 	if err != nil {
 		return err
@@ -236,7 +236,7 @@ func runExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	cells, err := r.Cells(resultstore.CellOptions{WithHists: *withHists, WithSeries: *withSeries})
+	cells, err := r.Cells(resultstore.CellOptions{WithHists: *withHists})
 	if err != nil {
 		return err
 	}
@@ -265,7 +265,7 @@ func runCompact(args []string) error {
 	if err != nil {
 		return err
 	}
-	cells, err := r.Cells(resultstore.CellOptions{WithHists: true, WithSeries: true})
+	cells, err := r.Cells(resultstore.CellOptions{WithHists: true})
 	if err != nil {
 		return err
 	}

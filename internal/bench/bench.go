@@ -45,14 +45,6 @@ type Config struct {
 	// failure is recorded on the harness (Err) and the affected rows read
 	// zero; the remaining experiments continue.
 	Timeout time.Duration
-	// CheckpointDir, when non-empty, snapshots every simulation mid-run into
-	// this directory so an interrupted benchmark resumes partially finished
-	// runs from their last snapshot instead of restarting them (see
-	// runner.Options.CheckpointDir).
-	CheckpointDir string
-	// CheckpointEvery is the snapshot cadence in simulated cycles under
-	// CheckpointDir (0 = runner.DefaultCheckpointEvery).
-	CheckpointEvery uint64
 	// ProgressOut, when non-nil, receives a throttled one-line sweep summary
 	// (cells done/failed/retried, rate, ETA) roughly every two seconds —
 	// dncbench points it at stderr so long runs are visibly alive.
@@ -62,8 +54,8 @@ type Config struct {
 	Progress *runner.Progress
 	// StorePath, when non-empty, appends every completed cell to this
 	// columnar result store (internal/resultstore) as it finishes, and
-	// turns on per-run series sampling so IPC-over-time and the occupancy
-	// gauges ride along. This is dncbench's -store-out flag; seal the file
+	// turns on per-run observation so the occupancy histograms ride along.
+	// This is dncbench's -store-out flag; seal the file
 	// with Harness.CloseStore when the experiments are done.
 	StorePath string
 	// IntraJobs shards the cores of each single simulation across this many
@@ -158,8 +150,8 @@ func (h *Harness) onResult() func(runner.CellResult) {
 	}
 }
 
-// storeResult appends one finished cell (scalars, histograms, sampled
-// series) to the column store. Journal-resumed cells pass through too —
+// storeResult appends one finished cell (scalars and histograms) to the
+// column store. Journal-resumed cells pass through too —
 // their restored ResultJSON carries everything the store needs — and the
 // writer's first-insert-wins key dedup drops re-observations.
 func (h *Harness) storeResult(cr runner.CellResult) {
@@ -247,12 +239,10 @@ func (h *Harness) run(workload, key string, nd func() prefetch.Design, o runOpts
 	h.mu.Unlock()
 
 	rep, err := runner.Sweep(h.ctx, h.cells(ck, workload, key, nd, o), runner.Options{
-		Jobs:            h.cfg.Jobs,
-		Timeout:         h.cfg.Timeout,
-		CheckpointDir:   h.cfg.CheckpointDir,
-		CheckpointEvery: h.cfg.CheckpointEvery,
-		Progress:        h.cfg.Progress,
-		OnResult:        h.onResult(),
+		Jobs:     h.cfg.Jobs,
+		Timeout:  h.cfg.Timeout,
+		Progress: h.cfg.Progress,
+		OnResult: h.onResult(),
 	})
 	if err == nil {
 		err = rep.FirstErr()
@@ -359,7 +349,7 @@ func (h *Harness) runConfig(workload string, nd func() prefetch.Design, o runOpt
 		rc.LLC = *o.llcCfg
 	}
 	if h.store != nil {
-		rc.Obs = &obs.Config{Series: true}
+		rc.Obs = &obs.Config{}
 	}
 	return rc
 }
@@ -409,13 +399,11 @@ func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 		}
 	}
 	rep, err := runner.Sweep(ctx, cells, runner.Options{
-		Jobs:            h.cfg.Jobs,
-		Timeout:         h.cfg.Timeout,
-		JournalPath:     journalPath,
-		CheckpointDir:   h.cfg.CheckpointDir,
-		CheckpointEvery: h.cfg.CheckpointEvery,
-		Progress:        h.cfg.Progress,
-		OnResult:        h.onResult(),
+		Jobs:        h.cfg.Jobs,
+		Timeout:     h.cfg.Timeout,
+		JournalPath: journalPath,
+		Progress:    h.cfg.Progress,
+		OnResult:    h.onResult(),
 	})
 	if err != nil {
 		h.fail(fmt.Errorf("bench prewarm: %w", err))

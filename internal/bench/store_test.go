@@ -20,8 +20,8 @@ import (
 // real multi-design × multi-workload × multi-seed sweep through the harness
 // with -store-out semantics, proving that
 //
-//  1. every journaled cell lands in the store with its counters,
-//     histograms, and sampled series reproduced exactly,
+//  1. every journaled cell lands in the store with its counters and
+//     histograms reproduced exactly,
 //  2. Scan's aggregates match values derived independently from the
 //     journal, bit for bit, and
 //  3. the store file costs at most 25% of the JSONL journal bytes for the
@@ -90,7 +90,7 @@ func TestStoreEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenReader: %v", err)
 	}
-	cells, err := r.Cells(resultstore.CellOptions{WithHists: true, WithSeries: true})
+	cells, err := r.Cells(resultstore.CellOptions{WithHists: true})
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
@@ -119,14 +119,11 @@ func TestStoreEndToEnd(t *testing.T) {
 			t.Fatalf("cell %s: store metrics differ from journal:\nstore   %v\njournal %v",
 				c.Key(), c.Metrics, want.Metrics)
 		}
+		if len(c.Hists) == 0 {
+			t.Fatalf("cell %s has no histograms; StorePath should enable obs capture", c.Key())
+		}
 		if !reflect.DeepEqual(c.Hists, want.Hists) {
 			t.Fatalf("cell %s: store histograms differ from journal", c.Key())
-		}
-		if len(c.Series) == 0 {
-			t.Fatalf("cell %s has no sampled series; StorePath should enable obs series capture", c.Key())
-		}
-		if !reflect.DeepEqual(c.Series, want.Series) {
-			t.Fatalf("cell %s: store series differ from journal", c.Key())
 		}
 		k := gkey{c.Workload, c.Design}
 		if _, seen := refVals[k]; !seen {
@@ -169,7 +166,11 @@ func TestStoreEndToEnd(t *testing.T) {
 			d := v - want.Mean
 			ss += d * d
 		}
-		want.CI95 = 1.96 * math.Sqrt(ss/float64(want.N-1)) / math.Sqrt(float64(want.N))
+		// Three seeds: Student t at two degrees of freedom.
+		if want.N != 3 {
+			t.Fatalf("group %s/%s has %d cells, want one per sample", k.workload, k.design, want.N)
+		}
+		want.CI95 = 4.303 * math.Sqrt(ss/float64(want.N-1)) / math.Sqrt(float64(want.N))
 		if groups[i] != want {
 			t.Fatalf("group %s/%s: store aggregate %+v != journal-derived %+v",
 				k.workload, k.design, groups[i], want)

@@ -7,61 +7,15 @@ import (
 )
 
 // The gated hot-path benchmarks (scripts/benchdiff.sh vs
-// BENCH_resultstore.json) are the flat ones: a fixed 4096-point mixed
-// workload through the series codec and a 64-cell segment through the
-// store codec. The per-shape sub-benchmarks feed the appendix tables in
-// docs/RESULTSTORE_BENCH.md and are not gated — shapes compress
-// differently by design, and the gate only needs to catch a lost fast
-// path, not re-litigate the format.
-
-func benchSeries(n int) ([]uint64, []float64) {
-	rng := rand.New(rand.NewSource(17))
-	cycles, values := make([]uint64, n), make([]float64, n)
-	for i := range cycles {
-		cycles[i] = uint64(i+1) * 256
-		switch {
-		case i%7 == 0: // occasional burst
-			values[i] = 50 + float64(rng.Intn(100))
-		default: // quantized gauge drift
-			values[i] = 1 + float64(rng.Intn(64))/64
-		}
-	}
-	return cycles, values
-}
-
-func BenchmarkSeriesEncode(b *testing.B) {
-	cycles, values := benchSeries(4096)
-	blob := encodeSeriesBlob(cycles, values)
-	b.SetBytes(int64(len(cycles) * 16))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		encodeSeriesBlob(cycles, values)
-	}
-	// After the loop: ResetTimer discards metrics reported before it.
-	b.ReportMetric(float64(len(blob))/float64(len(cycles)), "bytes/point")
-}
-
-func BenchmarkSeriesDecode(b *testing.B) {
-	cycles, values := benchSeries(4096)
-	blob := encodeSeriesBlob(cycles, values)
-	b.SetBytes(int64(len(cycles) * 16))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeSeriesBlob(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BENCH_resultstore.json) are the scans: one /v1/query over the in-memory
+// index and the same question asked of the file, at 320 and 10K cells. The
+// segment codec benchmarks are not gated.
 
 func benchCells() []Cell {
 	rng := rand.New(rand.NewSource(19))
 	cells := make([]Cell, 64)
 	for i := range cells {
 		cells[i] = testCell(i)
-		cy, va := benchSeries(256)
-		cells[i].Series = []Series{{Name: "series.ipc", Cycles: cy, Values: va}}
 		cells[i].Metrics["m.Retired"] = rng.Uint64() >> 30
 	}
 	return cells
@@ -81,7 +35,7 @@ func BenchmarkSegmentDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeSegment(payload, CellOptions{WithHists: true, WithSeries: true}); err != nil {
+		if _, err := decodeSegment(payload, CellOptions{WithHists: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,37 +107,3 @@ func BenchmarkScanIndex320(b *testing.B) { benchScanIndex(b, 320) }
 func BenchmarkScanIndex10K(b *testing.B) { benchScanIndex(b, 10_000) }
 func BenchmarkScanFile320(b *testing.B)  { benchScanFile(b, 320) }
 func BenchmarkScanFile10K(b *testing.B)  { benchScanFile(b, 10_000) }
-
-// Per-shape appendix benchmarks (docs/RESULTSTORE_BENCH.md).
-func BenchmarkSeriesEncodeShapes(b *testing.B) {
-	for _, g := range seriesGens {
-		b.Run(g.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(29))
-			cycles, values := g.gen(rng, 4096)
-			blob := encodeSeriesBlob(cycles, values)
-			b.SetBytes(int64(len(cycles) * 16))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				encodeSeriesBlob(cycles, values)
-			}
-			b.ReportMetric(float64(len(blob))/float64(len(cycles)), "bytes/point")
-		})
-	}
-}
-
-func BenchmarkSeriesDecodeShapes(b *testing.B) {
-	for _, g := range seriesGens {
-		b.Run(g.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(29))
-			cycles, values := g.gen(rng, 4096)
-			blob := encodeSeriesBlob(cycles, values)
-			b.SetBytes(int64(len(cycles) * 16))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := decodeSeriesBlob(blob); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

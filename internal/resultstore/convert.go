@@ -6,7 +6,7 @@ import (
 	"dnc/internal/sim/runner"
 )
 
-// SetResult fills the cell's measurement fields (Metrics, Hists, Series)
+// SetResult fills the cell's measurement fields (Metrics, Hists)
 // from a journaled result. The identity tags are the caller's: the result
 // wire form carries workload and design but not the sweep coordinates
 // (mode, cores, windows, seed), which live in the cell spec or bench plan.
@@ -34,7 +34,7 @@ func (c *Cell) SetResult(r *runner.ResultJSON) {
 	m["dram.queued"] = r.DRAMQueued
 	m["storage.bits"] = uint64(r.StorageBits)
 
-	c.Hists, c.Series = nil, nil
+	c.Hists = nil
 	if r.Obs != nil {
 		for _, cv := range r.Obs.Counters {
 			m["ctr."+cv.Name] = cv.Value
@@ -49,9 +49,6 @@ func (c *Cell) SetResult(r *runner.ResultJSON) {
 				Min:    h.Min,
 				Max:    h.Max,
 			})
-		}
-		for _, s := range r.Obs.Series {
-			c.Series = append(c.Series, Series{Name: s.Name, Cycles: s.Cycles, Values: s.Values})
 		}
 	}
 	c.Metrics = m

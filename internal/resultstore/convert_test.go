@@ -54,8 +54,8 @@ func TestSetResultCoversEveryCounter(t *testing.T) {
 	}
 }
 
-// TestSetResultObs: registry counters, histograms, and series all carry
-// over; a result without Obs stores scalars only.
+// TestSetResultObs: registry counters and histograms carry over; a result
+// without Obs stores scalars only.
 func TestSetResultObs(t *testing.T) {
 	r := &runner.ResultJSON{
 		Obs: &obs.RunObs{
@@ -63,9 +63,6 @@ func TestSetResultObs(t *testing.T) {
 			Hists: []obs.HistSnapshot{{
 				Name: "occ.rob", Bounds: []uint64{8, 16}, Counts: []uint64{1, 2, 3},
 				N: 6, Sum: 60, Min: 4, Max: 30,
-			}},
-			Series: []obs.SeriesSnapshot{{
-				Name: "series.ipc", Cycles: []uint64{256, 512}, Values: []float64{1.5, 1.25},
 			}},
 		},
 	}
@@ -79,19 +76,15 @@ func TestSetResultObs(t *testing.T) {
 	if !reflect.DeepEqual(c.Hists, wantH) {
 		t.Errorf("Hists = %+v, want %+v", c.Hists, wantH)
 	}
-	wantS := []Series{{Name: "series.ipc", Cycles: []uint64{256, 512}, Values: []float64{1.5, 1.25}}}
-	if !reflect.DeepEqual(c.Series, wantS) {
-		t.Errorf("Series = %+v, want %+v", c.Series, wantS)
-	}
 
 	// SetResult replaces prior state (a Cell can be reused for conversion).
 	c.SetResult(&runner.ResultJSON{})
-	if len(c.Hists) != 0 || len(c.Series) != 0 {
-		t.Error("SetResult did not clear previous hists/series")
+	if len(c.Hists) != 0 {
+		t.Error("SetResult did not clear previous hists")
 	}
 	// And the converted cell round-trips through the store.
 	c.Workload, c.Design, c.Mode, c.Cores = "w", "d", "fixed", 1
-	got, err := decodeSegment(encodeSegment([]Cell{c}), CellOptions{WithHists: true, WithSeries: true})
+	got, err := decodeSegment(encodeSegment([]Cell{c}), CellOptions{WithHists: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,15 @@ func (r *byteReader) uvarint() uint64 {
 
 func (r *byteReader) zvarint() int64 { return unzigzag(r.uvarint()) }
 
+// errVarint maps binary.Uvarint's failure modes onto the typed errors:
+// 0 bytes read means the input ran out, negative means a >64-bit varint.
+func errVarint(w int) error {
+	if w == 0 {
+		return ErrTruncated
+	}
+	return ErrCorrupt
+}
+
 func (r *byteReader) take(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -88,15 +97,14 @@ func (r *byteReader) section(what string) []byte {
 // (workload ∈ Workloads AND design ∈ Designs AND seed ∈ Seeds); a nil
 // slice means "any". Filtering happens before value decoding: a segment
 // whose dictionary holds none of the requested tags is skipped whole, and
-// the histogram/series sections are skipped as byte ranges unless asked
-// for.
+// the histogram section is skipped as a byte range unless asked for. The
+// series section is always skipped (see store.go).
 type CellOptions struct {
 	Workloads []string
 	Designs   []string
 	Seeds     []int64
-	// WithHists and WithSeries opt in to decoding the heavy sections.
-	WithHists  bool
-	WithSeries bool
+	// WithHists opts in to decoding the histogram section.
+	WithHists bool
 }
 
 func (o *CellOptions) wantWorkload(w string) bool { return matchStr(o.Workloads, w) }
@@ -128,9 +136,8 @@ type segScalars struct {
 	warm, measure          []uint64
 	seed                   []int64
 	metrics                []segMetric
-	// hists and series are the two heavy sections, framing checked, not
-	// decoded.
-	hists, series []byte
+	// hists is the histogram section, framing checked, not decoded.
+	hists []byte
 }
 
 // segMetric is one metric column of a segment.
@@ -228,7 +235,8 @@ func decodeScalars(payload []byte, workloads, designs []string, want func(name [
 	if mr.err != nil {
 		return nil, mr.err
 	}
-	s.hists, s.series = r.section("hists"), r.section("series")
+	s.hists = r.section("hists")
+	r.section("series") // framing checked; the content is never decoded
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -282,18 +290,6 @@ func decodeSegment(payload []byte, opt CellOptions) ([]Cell, error) {
 		}
 	}
 
-	// str resolves a name index read from one of the heavy sections.
-	str := func(r *byteReader, what string) string {
-		idx := r.uvarint()
-		if r.err == nil && idx >= uint64(len(dict)) {
-			r.fail(fmt.Errorf("%w: %s dictionary index %d of %d", ErrCorrupt, what, idx, len(dict)))
-		}
-		if r.err != nil {
-			return ""
-		}
-		return dict[idx]
-	}
-
 	// Histogram section: decoded only when requested, otherwise skipped as
 	// one byte range.
 	if opt.WithHists {
@@ -302,7 +298,11 @@ func decodeSegment(payload []byte, opt CellOptions) ([]Cell, error) {
 			nh := hr.count(1)
 			for j := 0; j < nh && hr.err == nil; j++ {
 				var h Hist
-				h.Name = str(hr, "hist")
+				if idx := hr.uvarint(); idx < uint64(len(dict)) {
+					h.Name = dict[idx]
+				} else if hr.err == nil {
+					hr.fail(fmt.Errorf("%w: hist dictionary index %d of %d", ErrCorrupt, idx, len(dict)))
+				}
 				nb := hr.count(1)
 				h.Bounds = make([]uint64, nb)
 				prev := int64(0)
@@ -324,31 +324,6 @@ func decodeSegment(payload []byte, opt CellOptions) ([]Cell, error) {
 		}
 		if hr.err != nil {
 			return nil, hr.err
-		}
-	}
-
-	// Series section.
-	if opt.WithSeries {
-		sr := &byteReader{buf: s.series}
-		for i := 0; i < nc && sr.err == nil; i++ {
-			ns := sr.count(1)
-			for j := 0; j < ns && sr.err == nil; j++ {
-				name := str(sr, "series")
-				blob := sr.section("series blob")
-				if sr.err != nil {
-					break
-				}
-				cyc, val, err := decodeSeriesBlob(blob)
-				if err != nil {
-					return nil, err
-				}
-				if keep[i] {
-					cells[i].Series = append(cells[i].Series, Series{Name: name, Cycles: cyc, Values: val})
-				}
-			}
-		}
-		if sr.err != nil {
-			return nil, sr.err
 		}
 	}
 

@@ -49,9 +49,6 @@ func encodeSegment(cells []Cell) []byte {
 		for _, h := range c.Hists {
 			seen[h.Name] = true
 		}
-		for _, s := range c.Series {
-			seen[s.Name] = true
-		}
 	}
 	dict := make([]string, 0, len(seen))
 	for s := range seen {
@@ -162,20 +159,11 @@ func encodeSegment(cells []Cell) []byte {
 	out = appendUvarint(out, uint64(len(hists)))
 	out = append(out, hists...)
 
-	// Series section: per cell, each series as a length-prefixed blob of the
-	// standalone codec, so a reader can skip any series without bit-level
-	// decoding.
-	var series []byte
-	for i := range cells {
-		series = appendUvarint(series, uint64(len(cells[i].Series)))
-		for _, s := range cells[i].Series {
-			blob := encodeSeriesBlob(s.Cycles, s.Values)
-			series = appendUvarint(series, idx[s.Name])
-			series = appendUvarint(series, uint64(len(blob)))
-			series = append(series, blob...)
-		}
+	// Series section: kept in the v1 layout with a zero count per cell, so
+	// every reader of the format frames it as before.
+	out = appendUvarint(out, uint64(len(cells)))
+	for range cells {
+		out = append(out, 0)
 	}
-	out = appendUvarint(out, uint64(len(series)))
-	out = append(out, series...)
 	return out
 }

@@ -2,17 +2,16 @@ package resultstore
 
 import (
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// The fuzz wall: arbitrary bytes through the block and series decoders
-// must yield typed errors or valid cells — never a panic, never an
-// unbounded allocation (every count is validated against remaining input
-// before any make). Both targets are seeded with the golden corpus so the
-// fuzzer starts from structurally valid inputs and mutates inward.
+// The fuzz wall: arbitrary bytes through the block decoder must yield
+// typed errors or valid cells — never a panic, never an unbounded
+// allocation (every count is validated against remaining input before any
+// make). The target is seeded with the golden corpus so the fuzzer starts
+// from structurally valid inputs and mutates inward.
 
 func fuzzSeedStores(f *testing.F) {
 	f.Helper()
@@ -44,7 +43,7 @@ func FuzzBlockDecode(f *testing.F) {
 		// The same bytes as one segment's payload under a valid frame:
 		// mutations reach the column decoders instead of dying at the CRC.
 		indexAgreesWithCells(t, appendBlock(appendHeader(nil), blockSegment, data))
-		cells, err := decodeAll(data, CellOptions{WithHists: true, WithSeries: true})
+		cells, err := decodeAll(data, CellOptions{WithHists: true})
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) &&
 				!errors.Is(err, ErrVersion) && !errors.Is(err, ErrChecksum) {
@@ -103,42 +102,4 @@ func indexAgreesWithCells(t *testing.T, data []byte) {
 		got, err = Scan(&Reader{data: data}, q)
 		sameAnswer(t, "file scan", q, got, err, want, wantErr)
 	}
-}
-
-func FuzzSeriesDecode(f *testing.F) {
-	f.Add(encodeSeriesBlob(nil, nil))
-	f.Add(encodeSeriesBlob([]uint64{256}, []float64{1.5}))
-	f.Add(encodeSeriesBlob(
-		[]uint64{256, 512, 768, 1024, 1280},
-		[]float64{1.5, 1.5, 1.25, 1.75, math.Inf(1)}))
-	f.Add(encodeSeriesBlob([]uint64{100, 50, ^uint64(0), 0}, []float64{0, -0.0, 1e308, math.NaN()}))
-	f.Add([]byte{})
-	f.Add([]byte{0x05})
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		if len(blob) > 1<<20 {
-			return
-		}
-		cycles, values, err := decodeSeriesBlob(blob)
-		if err != nil {
-			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped series decode error: %v", err)
-			}
-			return
-		}
-		if len(cycles) != len(values) {
-			t.Fatalf("decoded %d cycles but %d values", len(cycles), len(values))
-		}
-		// Decoded series must survive a round trip: re-encode, decode, and
-		// get the identical points back (the blob itself need not be
-		// canonical — a fuzzer can pad windows — but the data must be).
-		cyc2, val2, err := decodeSeriesBlob(encodeSeriesBlob(cycles, values))
-		if err != nil {
-			t.Fatalf("re-encode of decoded series failed: %v", err)
-		}
-		for i := range cycles {
-			if cyc2[i] != cycles[i] || math.Float64bits(val2[i]) != math.Float64bits(values[i]) {
-				t.Fatalf("re-encode round trip diverged at point %d", i)
-			}
-		}
-	})
 }

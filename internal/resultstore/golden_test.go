@@ -12,8 +12,10 @@ import (
 var update = flag.Bool("update", false, "rewrite golden store fixtures")
 
 // goldenCells is the fixed fixture sweep: 2 designs × 2 workloads × 2
-// seeds with hand-written metrics, one histogram, and two series each.
-// Everything is a literal — goldens must not depend on the simulator.
+// seeds with hand-written metrics and one histogram each. Everything is a
+// literal — goldens must not depend on the simulator. v1_basic.dncr holds
+// these cells plus two sampled time-series each, written by a build that
+// still stored series; v1_noseries.dncr holds them as written now.
 func goldenCells() []Cell {
 	var cells []Cell
 	for wi, w := range []string{"flat-loops", "mixed-branchy"} {
@@ -40,18 +42,6 @@ func goldenCells() []Cell {
 						Counts: []uint64{100 + i, 220, 85, 30, 9, 2},
 						N:      446 + i, Sum: 6_240 + i*11, Min: 9, Max: 52,
 					}},
-					Series: []Series{
-						{
-							Name:   "series.ipc",
-							Cycles: []uint64{50_176, 50_432, 50_688, 50_944},
-							Values: []float64{1.25, 1.25, 1.1875 + float64(i)/64, 1.3125},
-						},
-						{
-							Name:   "series.occ.rob",
-							Cycles: []uint64{50_176, 50_432, 50_688, 50_944},
-							Values: []float64{96.5, 96.5, 98, 64 + float64(i)},
-						},
-					},
 				})
 			}
 		}
@@ -89,20 +79,14 @@ func writeOrCompare(t *testing.T, name string, got []byte) {
 // TestGoldenByteStability: encoding the fixture cells must reproduce the
 // committed v1 bytes exactly — same input, identical bytes, forever.
 func TestGoldenByteStability(t *testing.T) {
-	writeOrCompare(t, "v1_basic.dncr", Marshal(goldenCells()))
-}
-
-// TestGoldenSeriesBlobStability pins the standalone series codec bytes.
-func TestGoldenSeriesBlobStability(t *testing.T) {
-	cycles := []uint64{256, 512, 768, 1024, 1280, 1536}
-	values := []float64{1.5, 1.5, 1.25, 1.25, 1.75, 0.5}
-	writeOrCompare(t, "v1_series.blob", encodeSeriesBlob(cycles, values))
+	writeOrCompare(t, "v1_noseries.dncr", Marshal(goldenCells()))
 }
 
 // TestGoldenV1Decode: the committed v1 fixture must decode to the exact
-// fixture cells on every future build — v1 stays readable forever. This
-// test must never be "fixed" by regenerating the fixture: a failure means
-// a decoder change broke compatibility with stores already on disk.
+// fixture cells on every future build — v1 stays readable forever; its
+// series section is checked for framing and skipped. This test must never
+// be "fixed" by regenerating the fixture: a failure means a decoder change
+// broke compatibility with stores already on disk.
 func TestGoldenV1Decode(t *testing.T) {
 	data, err := os.ReadFile(goldenPath("v1_basic.dncr"))
 	if err != nil {
@@ -115,7 +99,7 @@ func TestGoldenV1Decode(t *testing.T) {
 	if _, err := r.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Cells(CellOptions{WithHists: true, WithSeries: true})
+	got, err := r.Cells(CellOptions{WithHists: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +112,59 @@ func TestGoldenV1Decode(t *testing.T) {
 	}
 	if len(groups) != 2 || groups[0].N != 2 || groups[0].Design != "confluence" {
 		t.Fatalf("v1 scan = %+v", groups)
+	}
+}
+
+// TestGoldenFixturesAgree: the store written with series (v1_basic.dncr)
+// and the one written without (v1_noseries.dncr) are the same sweep to
+// every reader — equal cells, and equal answers to every query over their
+// metrics, filtered or not.
+func TestGoldenFixturesAgree(t *testing.T) {
+	open := func(name string) *Reader {
+		data, err := os.ReadFile(goldenPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	old, cur := open("v1_basic.dncr"), open("v1_noseries.dncr")
+	if old.Size() <= cur.Size() {
+		t.Fatalf("v1_basic.dncr (%d bytes) holds no more than v1_noseries.dncr (%d): the series are gone from the fixture",
+			old.Size(), cur.Size())
+	}
+	for _, opt := range []CellOptions{{}, {WithHists: true}} {
+		a, err := old.Cells(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := cur.Cells(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cellsEqual(t, a, b)
+	}
+	metrics := []string{MetricIPC, "no.such"}
+	for name := range goldenCells()[0].Metrics {
+		metrics = append(metrics, name)
+	}
+	var queries []Query
+	for _, m := range metrics {
+		for _, w := range [][]string{nil, {"flat-loops"}, {"w-none"}} {
+			for _, d := range [][]string{nil, {"confluence"}} {
+				for _, sd := range [][]int64{nil, {1}} {
+					queries = append(queries, Query{Metric: m, Workloads: w, Designs: d, Seeds: sd})
+				}
+			}
+		}
+	}
+	for _, q := range queries {
+		want, wantErr := Scan(old, q)
+		got, err := Scan(cur, q)
+		sameAnswer(t, "v1_noseries.dncr vs v1_basic.dncr", q, got, err, want, wantErr)
 	}
 }
 
@@ -154,10 +191,7 @@ func TestGoldenRegressionCorpus(t *testing.T) {
 			}
 			// Must not panic; errors must be typed (checked by the same
 			// predicate the fuzzer uses).
-			if _, err := decodeAll(data, CellOptions{WithHists: true, WithSeries: true}); err != nil {
-				assertTypedError(t, err)
-			}
-			if _, _, err := decodeSeriesBlob(data); err != nil {
+			if _, err := decodeAll(data, CellOptions{WithHists: true}); err != nil {
 				assertTypedError(t, err)
 			}
 		})

@@ -3,9 +3,9 @@ package resultstore
 // index is the memory-resident, column-major form of a store's scalar
 // data: what an aggregate query reads. Identity tags are dictionary-encoded
 // into dense ids, every scalar metric is one dense value column plus a
-// presence bitmap, and histograms and series are left out (no query reads
-// them). Cells keep their append order, so an aggregation over an index
-// adds the same floats in the same order as one over the file's cells.
+// presence bitmap, and histograms are left out (no query reads them).
+// Cells keep their append order, so an aggregation over an index adds the
+// same floats in the same order as one over the file's cells.
 //
 // A Writer keeps an index over everything it holds, sealed or pending, and
 // answers Writer.Scan from it; Scan over a Reader decodes the file's

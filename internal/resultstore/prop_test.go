@@ -2,145 +2,13 @@ package resultstore
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"dnc/internal/stats"
 )
-
-// Series generators mirroring the mebo benchmark shapes: the codec must be
-// bit-exact on all of them, and the compression claims in
-// docs/RESULTSTORE_BENCH.md are measured on them.
-
-func genSteady(rng *rand.Rand, n int) ([]uint64, []float64) {
-	cycles, values := make([]uint64, n), make([]float64, n)
-	// Quantized like a real occupancy gauge: a mean over cores only takes
-	// values k/64, so consecutive XORs share long trailing-zero runs.
-	base := 1 + float64(rng.Intn(256))/64
-	for i := range cycles {
-		cycles[i] = uint64(i+1) * 256
-		values[i] = base + float64(rng.Intn(8))/64
-	}
-	return cycles, values
-}
-
-func genSeasonal(rng *rand.Rand, n int) ([]uint64, []float64) {
-	cycles, values := make([]uint64, n), make([]float64, n)
-	amp := 1 + rng.Float64()*10
-	for i := range cycles {
-		cycles[i] = uint64(i+1) * 256
-		values[i] = amp * (1 + math.Sin(float64(i)/8))
-	}
-	return cycles, values
-}
-
-func genBursty(rng *rand.Rand, n int) ([]uint64, []float64) {
-	cycles, values := make([]uint64, n), make([]float64, n)
-	for i := range cycles {
-		cycles[i] = uint64(i+1) * 256
-		values[i] = 0.5
-		if rng.Intn(10) == 0 {
-			values[i] = 50 + rng.Float64()*100
-		}
-	}
-	return cycles, values
-}
-
-func genAlternating(rng *rand.Rand, n int) ([]uint64, []float64) {
-	cycles, values := make([]uint64, n), make([]float64, n)
-	lo, hi := float64(rng.Intn(64))/64, 10+float64(rng.Intn(64))/64
-	for i := range cycles {
-		cycles[i] = uint64(i+1) * 256
-		if i%2 == 0 {
-			values[i] = lo
-		} else {
-			values[i] = hi
-		}
-	}
-	return cycles, values
-}
-
-// genAdversarial stresses the codec outside the gauge-shaped envelope:
-// random cycle gaps (including zero and huge) and full-range float bit
-// patterns, NaN included.
-func genAdversarial(rng *rand.Rand, n int) ([]uint64, []float64) {
-	cycles, values := make([]uint64, n), make([]float64, n)
-	var c uint64
-	for i := range cycles {
-		c += rng.Uint64() >> uint(rng.Intn(64))
-		cycles[i] = c
-		values[i] = math.Float64frombits(rng.Uint64())
-	}
-	return cycles, values
-}
-
-var seriesGens = []struct {
-	name string
-	gen  func(*rand.Rand, int) ([]uint64, []float64)
-}{
-	{"steady", genSteady},
-	{"seasonal", genSeasonal},
-	{"bursty", genBursty},
-	{"alternating", genAlternating},
-	{"adversarial", genAdversarial},
-}
-
-// TestPropSeriesRoundTrip: every generated series decodes bit-exactly
-// (NaNs compared by bit pattern).
-func TestPropSeriesRoundTrip(t *testing.T) {
-	for _, g := range seriesGens {
-		t.Run(g.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			for trial := 0; trial < 50; trial++ {
-				n := rng.Intn(400)
-				cycles, values := g.gen(rng, n)
-				blob := encodeSeriesBlob(cycles, values)
-				gotC, gotV, err := decodeSeriesBlob(blob)
-				if err != nil {
-					t.Fatalf("trial %d (n=%d): %v", trial, n, err)
-				}
-				if n == 0 {
-					if gotC != nil || gotV != nil {
-						t.Fatalf("trial %d: empty series decoded non-empty", trial)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(gotC, cycles) {
-					t.Fatalf("trial %d: cycles differ", trial)
-				}
-				for i := range values {
-					if math.Float64bits(gotV[i]) != math.Float64bits(values[i]) {
-						t.Fatalf("trial %d point %d: %x != %x",
-							trial, i, math.Float64bits(gotV[i]), math.Float64bits(values[i]))
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestPropSeriesCompression: gauge-shaped series must actually compress —
-// the whole point of delta-of-delta + XOR. Steady and alternating shapes
-// sit far below the raw 16 bytes/point; a regression here means the codec
-// quietly degraded to storing raw values.
-func TestPropSeriesCompression(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	limits := map[string]float64{"steady": 0.25, "alternating": 0.50, "bursty": 0.75}
-	for _, gen := range seriesGens {
-		limit, ok := limits[gen.name]
-		if !ok {
-			continue
-		}
-		cycles, values := gen.gen(rng, 1000)
-		blob := encodeSeriesBlob(cycles, values)
-		raw := len(cycles) * 16
-		if ratio := float64(len(blob)) / float64(raw); ratio > limit {
-			t.Errorf("%s: %d points encode to %d bytes (%.0f%% of raw %d); want ≤%.0f%%",
-				gen.name, len(cycles), len(blob), ratio*100, raw, limit*100)
-		}
-	}
-}
 
 // randCell builds a random cell over a small tag universe with a random
 // subset of metric columns.
@@ -171,11 +39,6 @@ func randCell(rng *rand.Rand) Cell {
 		h.Counts = append(h.Counts, uint64(rng.Intn(1000)))
 		c.Hists = append(c.Hists, h)
 	}
-	if rng.Intn(2) == 0 {
-		g := seriesGens[rng.Intn(len(seriesGens))]
-		cy, va := g.gen(rng, rng.Intn(64))
-		c.Series = append(c.Series, Series{Name: "series." + g.name, Cycles: cy, Values: va})
-	}
 	return c
 }
 
@@ -190,7 +53,7 @@ func TestPropSegmentRoundTrip(t *testing.T) {
 		}
 		// Duplicate keys are legal at the segment layer (the Writer dedups);
 		// keep them to exercise repeated tags.
-		got, err := decodeSegment(encodeSegment(cells), CellOptions{WithHists: true, WithSeries: true})
+		got, err := decodeSegment(encodeSegment(cells), CellOptions{WithHists: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -202,42 +65,11 @@ func TestPropSegmentRoundTrip(t *testing.T) {
 			if len(want.Metrics) == 0 {
 				want.Metrics = map[string]uint64{}
 			}
-			if !cellDeepEqual(got[i], want) {
+			if !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("trial %d cell %d:\ngot  %+v\nwant %+v", trial, i, got[i], want)
 			}
 		}
 	}
-}
-
-// cellDeepEqual compares cells with NaN-tolerant series values.
-func cellDeepEqual(a, b Cell) bool {
-	sa, sb := a.Series, b.Series
-	a.Series, b.Series = nil, nil
-	if !reflect.DeepEqual(a, b) {
-		return false
-	}
-	if len(sa) != len(sb) {
-		return false
-	}
-	for i := range sa {
-		// nil and empty are the same series (a zero-point blob decodes to
-		// nil slices).
-		if sa[i].Name != sb[i].Name || len(sa[i].Cycles) != len(sb[i].Cycles) ||
-			len(sa[i].Values) != len(sb[i].Values) {
-			return false
-		}
-		for j := range sa[i].Cycles {
-			if sa[i].Cycles[j] != sb[i].Cycles[j] {
-				return false
-			}
-		}
-		for j := range sa[i].Values {
-			if math.Float64bits(sa[i].Values[j]) != math.Float64bits(sb[i].Values[j]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestPropDictionaryPermutationInvariance: the dictionary is sorted, so
@@ -266,7 +98,7 @@ func TestPropDictionaryPermutationInvariance(t *testing.T) {
 
 		// Canonical re-encode: decode → encode reproduces the exact bytes.
 		payload := encodeSegment(cells)
-		decoded, err := decodeSegment(payload, CellOptions{WithHists: true, WithSeries: true})
+		decoded, err := decodeSegment(payload, CellOptions{WithHists: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,8 +280,8 @@ func cellMetric(c *Cell, name string) (float64, bool) {
 }
 
 // naiveScan is the reference model: straight loops over the decoded cells,
-// same float path as Scan, failing on the first matching cell that lacks
-// the metric.
+// each group's values reduced by stats.Summarize, failing on the first
+// matching cell that lacks the metric.
 func naiveScan(cells []Cell, q Query) ([]Group, error) {
 	type key struct{ w, d string }
 	vals := map[key][]float64{}
@@ -478,28 +310,8 @@ func naiveScan(cells []Cell, q Query) ([]Group, error) {
 	}
 	var out []Group
 	for _, k := range order {
-		vs := vals[k]
-		g := Group{Workload: k.w, Design: k.d, N: len(vs), Min: vs[0], Max: vs[0]}
-		var sum float64
-		for _, v := range vs {
-			sum += v
-			if v < g.Min {
-				g.Min = v
-			}
-			if v > g.Max {
-				g.Max = v
-			}
-		}
-		g.Mean = sum / float64(g.N)
-		if g.N > 1 {
-			var ss float64
-			for _, v := range vs {
-				d := v - g.Mean
-				ss += d * d
-			}
-			g.CI95 = 1.96 * math.Sqrt(ss/float64(g.N-1)) / math.Sqrt(float64(g.N))
-		}
-		out = append(out, g)
+		s := stats.Summarize(vals[k])
+		out = append(out, Group{Workload: k.w, Design: k.d, N: s.N, Mean: s.Mean, CI95: s.CI95, Min: s.Min, Max: s.Max})
 	}
 	sortGroups(out)
 	if out == nil {

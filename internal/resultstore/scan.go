@@ -2,8 +2,9 @@ package resultstore
 
 import (
 	"fmt"
-	"math"
 	"sort"
+
+	"dnc/internal/stats"
 )
 
 // MetricIPC is the derived metric name Scan accepts alongside the stored
@@ -28,8 +29,8 @@ type Group struct {
 	Design   string  `json:"design"`
 	N        int     `json:"n"`
 	Mean     float64 `json:"mean"`
-	// CI95 is the half-width of the normal-approximation 95% confidence
-	// interval of the mean (0 for a single sample).
+	// CI95 is the half-width of the Student-t 95% confidence interval of
+	// the mean, as stats.Summarize computes it (0 for a single sample).
 	CI95 float64 `json:"ci95"`
 	Min  float64 `json:"min"`
 	Max  float64 `json:"max"`
@@ -159,27 +160,6 @@ func matchSeed(set []int64, v int64) bool {
 
 // reduce folds one group's per-cell values, in the order given.
 func reduce(workload, design string, vals []float64) Group {
-	g := Group{Workload: workload, Design: design, N: len(vals)}
-	g.Min, g.Max = vals[0], vals[0]
-	var sum float64
-	for _, v := range vals {
-		sum += v
-		if v < g.Min {
-			g.Min = v
-		}
-		if v > g.Max {
-			g.Max = v
-		}
-	}
-	g.Mean = sum / float64(g.N)
-	if g.N > 1 {
-		var ss float64
-		for _, v := range vals {
-			d := v - g.Mean
-			ss += d * d
-		}
-		// Sample stddev, normal approximation: ±1.96·s/√n.
-		g.CI95 = 1.96 * math.Sqrt(ss/float64(g.N-1)) / math.Sqrt(float64(g.N))
-	}
-	return g
+	s := stats.Summarize(vals)
+	return Group{Workload: workload, Design: design, N: s.N, Mean: s.Mean, CI95: s.CI95, Min: s.Min, Max: s.Max}
 }

@@ -1,11 +1,10 @@
 // Package resultstore implements the columnar, checksummed binary store for
-// sweep results and sampled metric time-series (ROADMAP item 2).
+// sweep results.
 //
 // A store file is the durable, queryable form of a sweep: one row ("cell")
 // per simulated design × workload × seed point, holding the cell's identity
-// tags, its scalar metric counters, its histograms, and — when the run was
-// captured with obs.Config.Series — its sampled gauge time-series. The
-// point of the format is that cross-sweep aggregate questions ("mean IPC and
+// tags, its scalar metric counters and its histograms. The point of the
+// format is that cross-sweep aggregate questions ("mean IPC and
 // CI for every design × workload") are answered by scanning the file, never
 // by re-simulation.
 //
@@ -36,10 +35,12 @@
 //	hists section    u32 byte length, then per cell, row-wise:
 //	  count, then per histogram: name index, bounds (first absolute,
 //	  then zigzag deltas), counts, n/sum/min/max — all varint-packed
-//	series section   u32 byte length, then per cell:
-//	  count, then per series: name index | u32 blob length | blob,
-//	  where the blob is the standalone series codec (see series.go):
-//	  delta-of-delta timestamps + Gorilla XOR values
+//	series section   u32 byte length, then per cell a count (always 0
+//	  when written now). Files written before the time-series were
+//	  removed hold per series a name index | u32 blob length | blob; a
+//	  reader checks the section's length against the payload and skips
+//	  its content, so those files open and answer every query, with
+//	  their series no longer decoded.
 //
 // The dictionary is sorted and metric names are sorted, so the encoding is
 // canonical: the same cells in the same order produce identical bytes
@@ -62,8 +63,8 @@
 // Decoding is defensive in the checkpoint-package style: every read is
 // bounds-checked, every count and length is validated against the remaining
 // input before allocation, and malformed input yields a typed error
-// (ErrTruncated, ErrCorrupt, ErrVersion, ErrChecksum) — never a panic. Two
-// fuzz targets (FuzzBlockDecode, FuzzSeriesDecode) keep it that way.
+// (ErrTruncated, ErrCorrupt, ErrVersion, ErrChecksum) — never a panic. The
+// FuzzBlockDecode fuzz target keeps it that way.
 package resultstore
 
 import (
@@ -121,8 +122,6 @@ type Cell struct {
 	Metrics map[string]uint64
 	// Hists holds the run's histogram snapshots, in the cell's own order.
 	Hists []Hist
-	// Series holds the sampled gauge time-series, in the cell's own order.
-	Series []Series
 }
 
 // Hist is a stored histogram: the obs.HistSnapshot shape, owned by this
@@ -135,14 +134,6 @@ type Hist struct {
 	Sum    uint64
 	Min    uint64
 	Max    uint64
-}
-
-// Series is a stored time-series: parallel (cycle, value) points on the
-// sampling cadence.
-type Series struct {
-	Name   string
-	Cycles []uint64
-	Values []float64
 }
 
 // Key is the cell's canonical identity, byte-identical to the dncserved

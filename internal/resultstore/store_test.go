@@ -10,8 +10,6 @@ import (
 	"testing"
 )
 
-func mathBits(v float64) uint64 { return math.Float64bits(v) }
-
 // testCell builds a fully populated cell, varied by index so deltas are
 // non-trivial.
 func testCell(i int) Cell {
@@ -37,11 +35,6 @@ func testCell(i int) Cell {
 			Counts: []uint64{10, 20, uint64(30 + i), 5, 1},
 			N:      uint64(66 + i), Sum: uint64(900 + i), Min: 9, Max: 31,
 		}},
-		Series: []Series{{
-			Name:   "series.ipc",
-			Cycles: []uint64{256, 512, 768, 1024},
-			Values: []float64{1.5, 1.5, 1.25 + float64(i)*0.01, 1.75},
-		}},
 	}
 	return c
 }
@@ -63,7 +56,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	for i := range cells {
 		cells[i] = testCell(i)
 	}
-	got, err := decodeSegment(encodeSegment(cells), CellOptions{WithHists: true, WithSeries: true})
+	got, err := decodeSegment(encodeSegment(cells), CellOptions{WithHists: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +70,8 @@ func TestSegmentSectionSkipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range got {
-		if got[i].Hists != nil || got[i].Series != nil {
-			t.Fatalf("cell %d decoded heavy sections without opting in", i)
+		if got[i].Hists != nil {
+			t.Fatalf("cell %d decoded the histogram section without opting in", i)
 		}
 		if len(got[i].Metrics) != len(cells[i].Metrics) {
 			t.Fatalf("cell %d metrics lost when skipping sections", i)
@@ -130,7 +123,7 @@ func TestMarshalReaderRoundTrip(t *testing.T) {
 	if n, err := r.Verify(); err != nil || n != 1 {
 		t.Fatalf("Verify = (%d, %v), want (1, nil)", n, err)
 	}
-	got, err := r.Cells(CellOptions{WithHists: true, WithSeries: true})
+	got, err := r.Cells(CellOptions{WithHists: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +174,7 @@ func TestWriterAppendReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Cells(CellOptions{WithHists: true, WithSeries: true})
+	got, err := r.Cells(CellOptions{WithHists: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +237,7 @@ func TestWriterTornTailRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Cells(CellOptions{WithHists: true, WithSeries: true})
+		got, err := r.Cells(CellOptions{WithHists: true})
 		if err != nil {
 			t.Fatalf("cut %d: read after recovery: %v", cut, err)
 		}
@@ -294,6 +287,49 @@ func TestCorruptBlockDetected(t *testing.T) {
 		}
 		if _, err := r.Verify(); err == nil {
 			t.Fatalf("Verify missed bit flip at %d", at)
+		}
+	}
+}
+
+// TestScanCIStudentT: at three seeds the interval is Student t with two
+// degrees of freedom (4.303), not the normal 1.96 — 2.2× wider. IPCs 1, 2
+// and 3 have mean 2 and sample standard deviation exactly 1, on both the
+// in-memory index and the file.
+func TestScanCIStudentT(t *testing.T) {
+	var cells []Cell
+	for seed, ret := range []uint64{1000, 2000, 3000} {
+		cells = append(cells, Cell{
+			Workload: "w", Design: "d", Mode: "fixed", Cores: 1,
+			Warm: 10, Measure: 1000, Seed: int64(seed),
+			Metrics: map[string]uint64{"m.Cycles": 1000, "m.Retired": ret},
+		})
+	}
+	want := Group{Workload: "w", Design: "d", N: 3, Mean: 2, Min: 1, Max: 3,
+		CI95: 4.303 * 1 / math.Sqrt(3)}
+	r, err := NewReader(Marshal(cells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWriter(filepath.Join(t.TempDir(), "s.dncr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, c := range cells {
+		if _, err := w.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, scan := range map[string]func(Query) ([]Group, error){
+		"file":   func(q Query) ([]Group, error) { return Scan(r, q) },
+		"writer": w.Scan,
+	} {
+		groups, err := scan(Query{Metric: MetricIPC})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) != 1 || groups[0] != want {
+			t.Fatalf("%s scan = %+v, want %+v", name, groups, want)
 		}
 	}
 }
@@ -358,35 +394,6 @@ func TestCellKeyMatchesServiceKey(t *testing.T) {
 	want := "v1|w=mixed-branchy|d=baseline|m=fixed|c=16|warm=100000|meas=80000|seed=1"
 	if got := c.Key(); got != want {
 		t.Fatalf("Key = %q, want %q", got, want)
-	}
-}
-
-func TestSeriesBlobEdgeCases(t *testing.T) {
-	// Empty series.
-	cyc, val, err := decodeSeriesBlob(encodeSeriesBlob(nil, nil))
-	if err != nil || cyc != nil || val != nil {
-		t.Fatalf("empty round trip = (%v, %v, %v)", cyc, val, err)
-	}
-	// Single point.
-	cyc, val, err = decodeSeriesBlob(encodeSeriesBlob([]uint64{42}, []float64{3.25}))
-	if err != nil || len(cyc) != 1 || cyc[0] != 42 || val[0] != 3.25 {
-		t.Fatalf("single-point round trip = (%v, %v, %v)", cyc, val, err)
-	}
-	// Non-monotonic cycles and special floats still round-trip bit-exactly
-	// (wraparound deltas, raw XOR bits).
-	cycles := []uint64{100, 50, ^uint64(0), 0, 7}
-	values := []float64{0, -0.0, 1e308, -1e-308, 42}
-	cyc, val, err = decodeSeriesBlob(encodeSeriesBlob(cycles, values))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cyc, cycles) {
-		t.Fatalf("cycles: got %v, want %v", cyc, cycles)
-	}
-	for i := range values {
-		if mathBits(val[i]) != mathBits(values[i]) {
-			t.Fatalf("value %d: got %x, want %x", i, mathBits(val[i]), mathBits(values[i]))
-		}
 	}
 }
 

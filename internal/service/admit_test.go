@@ -16,6 +16,7 @@ import (
 
 	"dnc/internal/resultstore"
 	"dnc/internal/service/worker"
+	"dnc/internal/sim/runner"
 )
 
 // ---- one durable write per admitted cell ----
@@ -175,6 +176,46 @@ func TestOneDurableWritePerCell(t *testing.T) {
 				t.Fatalf("drained store holds %d cells in %d bytes (was %d), want 6 and growth", len(got), r.Size(), stats.StoreBytes)
 			}
 		})
+	}
+}
+
+// TestLocalCellWritesNoSnapshot runs a cell in process (no workers) for
+// longer than runner.DefaultCheckpointEvery cycles and watches the data
+// dir while it runs and after: a cell in flight is re-run from cycle 0
+// after a crash, so nothing may write a mid-cell snapshot — no *.ckpt file
+// and no jobs/<id>/ckpt directory.
+func TestLocalCellWritesNoSnapshot(t *testing.T) {
+	e := newTestEnv(t)
+	spec := smallSpec()
+	spec.WarmCycles, spec.MeasureCycles = 40_000, 40_000
+	if spec.WarmCycles+spec.MeasureCycles <= runner.DefaultCheckpointEvery {
+		t.Fatal("the cell ends before the old snapshot cadence; the test tests nothing")
+	}
+	seen := map[string]bool{}
+	scan := func() {
+		filepath.WalkDir(e.dataDir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && (d.Name() == "ckpt" || strings.HasSuffix(d.Name(), ".ckpt")) {
+				rel, _ := filepath.Rel(e.dataDir, path)
+				seen[filepath.ToSlash(rel)] = true
+			}
+			return nil
+		})
+	}
+	id := e.submit(spec).ID
+	for deadline := time.Now().Add(2 * time.Minute); time.Now().Before(deadline); {
+		if _, err := os.Stat(filepath.Join(e.dataDir, "jobs", id, "done.json")); err == nil {
+			break
+		}
+		scan()
+		time.Sleep(time.Millisecond)
+	}
+	st := e.waitJob(id)
+	if st.State != JobDone || st.Simulated != 1 {
+		t.Fatalf("job = %s with %d simulated, want done with 1", st.State, st.Simulated)
+	}
+	scan()
+	if len(seen) != 0 {
+		t.Fatalf("a local cell wrote snapshot state under the data dir: %v", seen)
 	}
 }
 

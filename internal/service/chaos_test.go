@@ -52,8 +52,6 @@ func TestDeadLetterCircuitBreaker(t *testing.T) {
 		return &panicStream{inner: s, n: 25}
 	}
 	run := func(ctx context.Context, _ runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
-		// Injected runs cannot checkpoint or resume.
-		cfg.CheckpointPath, cfg.CheckpointEvery, cfg.ResumeFrom = "", 0, ""
 		return sim.RunInjected(ctx, cfg, wrap)
 	}
 	e := newTestEnv(t, func(c *Config) {

@@ -186,7 +186,9 @@ func (j *job) status() JobStatus {
 //	                acceptance record a drain or crash must not lose
 //	done.json     — written atomically at terminal completion; absence
 //	                means the job re-queues on startup
-//	ckpt/         — per-cell mid-run snapshots
+//
+// Older builds also kept a ckpt/ directory of mid-cell snapshots here;
+// nothing reads it now, and it may be deleted.
 
 // specRecord is the on-disk acceptance record.
 type specRecord struct {

@@ -48,9 +48,6 @@ type Config struct {
 	// JobTimeout bounds one job's whole sweep (0 = none). An expired job
 	// is terminal-failed, not retried.
 	JobTimeout time.Duration
-	// CheckpointEvery is the mid-cell snapshot cadence in simulated cycles
-	// (0 = runner.DefaultCheckpointEvery).
-	CheckpointEvery uint64
 	// MaxCellsPerJob bounds a single spec's expansion (default 4096).
 	MaxCellsPerJob int
 	// DeadLetterAfter is how many non-transient failures a cell
@@ -426,10 +423,11 @@ func (s *Server) DeadLetters() []DeadLetter {
 
 // Drain gracefully shuts the service down: stop accepting submissions,
 // close the queue, cancel in-flight sweeps (their completed cells are
-// already cached, their running cells hold mid-run checkpoints), seal the
-// column store's pending batch, close persistent state, and stop the HTTP server
-// — all bounded by ctx. Accepted jobs are never lost: unfinished ones
-// restart from their durable acceptance record on the next process.
+// already cached; their running cells re-run from cycle 0 on the next
+// start), seal the column store's pending batch, close persistent state,
+// and stop the HTTP server — all bounded by ctx. Accepted jobs are never
+// lost: unfinished ones restart from their durable acceptance record on
+// the next process.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -496,9 +494,9 @@ func (s *Server) workerLoop() {
 }
 
 // runJob executes one job: partition cells into cached / dead / to-run,
-// sweep the remainder through the runner (checkpoints in the job's
-// directory, no journal: the cache already records every finished cell
-// under the same key and is consulted first), admit fresh results,
+// sweep the remainder through the runner (no journal: the cache already
+// records every finished cell under the same key and is consulted first),
+// admit fresh results,
 // dead-letter poisoned cells, and persist the terminal record. A drain
 // mid-job leaves the job queued-on-disk for the next process.
 func (s *Server) runJob(j *job) {
@@ -547,15 +545,13 @@ func (s *Server) runJob(j *job) {
 	}
 
 	_, err := runner.Sweep(jobCtx, toRun, runner.Options{
-		Jobs:            s.cfg.CellJobs,
-		Timeout:         s.cfg.CellTimeout,
-		Retries:         s.cfg.Retries,
-		Backoff:         s.cfg.Backoff,
-		BackoffMax:      s.cfg.BackoffMax,
-		CheckpointDir:   filepath.Join(j.dir, "ckpt"),
-		CheckpointEvery: s.cfg.CheckpointEvery,
-		Progress:        s.progress,
-		Run:             s.cellExecutor(j.id, byID),
+		Jobs:       s.cfg.CellJobs,
+		Timeout:    s.cfg.CellTimeout,
+		Retries:    s.cfg.Retries,
+		Backoff:    s.cfg.Backoff,
+		BackoffMax: s.cfg.BackoffMax,
+		Progress:   s.progress,
+		Run:        s.cellExecutor(j.id, byID),
 		OnResult: func(cr runner.CellResult) {
 			cell, ok := byID[cr.ID]
 			if !ok {
@@ -606,14 +602,14 @@ func (s *Server) runJob(j *job) {
 	})
 
 	if s.ctx.Err() != nil {
-		// Drained mid-job: completed cells are cached, in-flight ones hold
-		// checkpoints; the durable acceptance record re-queues the job. Not
+		// Drained mid-job: completed cells are cached, in-flight ones re-run
+		// later; the durable acceptance record re-queues the job. Not
 		// terminal, so the job timeline stays open for the next process.
 		j.setState(JobQueued, "")
 		return
 	}
 	if err != nil {
-		// Infrastructure failure (unwritable checkpoint dir, job timeout): terminal.
+		// Infrastructure failure (job timeout): terminal.
 		j.setState(JobFailed, err.Error())
 		s.log.Error("job failed", "job", j.id, "err", err.Error())
 	} else {

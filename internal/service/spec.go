@@ -6,8 +6,7 @@
 // — one (workload, design, geometry, seed) point — is the unit of both
 // deduplication and recovery: identical cells are served from the cache
 // bit-exactly, and after a crash finished cells come back from the cache
-// and in-flight ones resume from the runner's checkpoints instead of
-// restarting.
+// while in-flight ones re-run from cycle 0.
 package service
 
 import (

@@ -74,10 +74,10 @@ func BenchmarkEngine16CoreSN4LDisBTBSerial(b *testing.B) {
 	benchEngineShards(b, "SN4L+Dis+BTB", 16, 1)
 }
 
-// BenchmarkRunCheckpointed is what a locally run dncserved cell and
-// `dncbench -checkpoint-dir` pay: the engine benchmarks' runs with a cadence
-// snapshot (audit, encode, fsynced atomic write) every 65536 cycles — six
-// per run. B/op is mostly the snapshot buffer.
+// BenchmarkRunCheckpointed is what `dncsim -checkpoint-path` pays at its
+// default cadence: the engine benchmarks' runs with a snapshot (audit,
+// encode, fsynced atomic write) every 65536 cycles — six per run. B/op is
+// mostly the snapshot buffer.
 func BenchmarkRunCheckpointed(b *testing.B) {
 	for _, c := range []struct {
 		design string

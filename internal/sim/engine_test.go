@@ -118,36 +118,3 @@ func TestFastForwardSkipsCycles(t *testing.T) {
 		})
 	}
 }
-
-// TestRunSamplesParallel checks the parallel sampler: results arrive in seed
-// order and match a sequential reference run for run.
-func TestRunSamplesParallel(t *testing.T) {
-	rc := checkedConfig()
-	rc.WarmCycles = 5_000
-	rc.MeasureCycles = 5_000
-	got, err := RunSamples(rc, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("got %d results", len(got))
-	}
-	for i := range got {
-		rc.Seed = int64(i + 1)
-		want := Run(rc)
-		if fingerprint(t, got[i]) != fingerprint(t, want) {
-			t.Errorf("sample %d differs from its sequential run", i)
-		}
-	}
-}
-
-// TestRunSamplesSurfacesFailures checks that a failing configuration comes
-// back as an error (not a panic) and does not poison the other samples.
-func TestRunSamplesSurfacesFailures(t *testing.T) {
-	rc := checkedConfig()
-	rc.NewDesign = nil // fails validation
-	_, err := RunSamples(rc, 2)
-	if err == nil {
-		t.Fatal("expected an error from an invalid config")
-	}
-}

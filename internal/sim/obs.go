@@ -21,17 +21,6 @@ const (
 	HistFTQOcc      = "occ.ftq"           // sampled design queue/FTQ occupancy
 )
 
-// Time-series names registered when obs.Config.Series is set. Each point is
-// one (cycle, value) sample on the SampleEvery cadence; occupancy series
-// record the machine mean at the sample instant, the IPC series records
-// retired-per-cycle over the interval since the previous sample.
-const (
-	SeriesIPC     = "series.ipc"      // machine IPC over the last sample interval
-	SeriesROBOcc  = "series.occ.rob"  // mean ROB occupancy across cores
-	SeriesMSHROcc = "series.occ.mshr" // mean MSHR occupancy across cores
-	SeriesFTQOcc  = "series.occ.ftq"  // mean design queue/FTQ occupancy
-)
-
 // machineObs owns a run's observability state: the registry of histograms,
 // the shared event tracer, and the gauge-sampling cadence. One instance per
 // machine; nil when RunConfig.Obs is nil, which keeps the tick loop at a
@@ -44,12 +33,6 @@ type machineObs struct {
 	nocLat, llcQueue       *obs.Histogram
 	mshrOcc, robOcc        *obs.Histogram
 	ftqOcc                 *obs.Histogram
-
-	// Series capture (nil when obs.Config.Series is off; Observe on a nil
-	// series is one pointer test). IPC is a rate, so the last sample point
-	// is remembered to difference against.
-	ipcS, robS, mshrS, ftqS *obs.Series
-	lastCycle, lastRetired  uint64
 
 	sampleEvery uint64
 	ckptSeq     uint64
@@ -86,12 +69,6 @@ func newMachineObs(cfg obs.Config) *machineObs {
 	o.mshrOcc = o.reg.Histogram(HistMSHROcc, obs.LinearBounds(2, 16))
 	o.robOcc = o.reg.Histogram(HistROBOcc, obs.LinearBounds(8, 16))
 	o.ftqOcc = o.reg.Histogram(HistFTQOcc, obs.LinearBounds(2, 16))
-	if cfg.Series {
-		o.ipcS = o.reg.Series(SeriesIPC)
-		o.robS = o.reg.Series(SeriesROBOcc)
-		o.mshrS = o.reg.Series(SeriesMSHROcc)
-		o.ftqS = o.reg.Series(SeriesFTQOcc)
-	}
 	return o
 }
 
@@ -129,47 +106,15 @@ func (o *machineObs) attach(m *machine) {
 }
 
 // sample records the occupancy gauges of every core (called on the
-// sampleEvery cadence from the tick loop) and, when series capture is on,
-// appends one point to each time-series.
+// sampleEvery cadence from the tick loop).
 func (o *machineObs) sample(m *machine) {
-	var robSum, mshrSum, ftqSum uint64
-	ftqN := 0
 	for i, c := range m.cores {
-		rob := uint64(c.ROBOccupancy())
-		mshr := uint64(c.MSHRs().Len())
-		o.robOcc.Observe(rob)
-		o.mshrOcc.Observe(mshr)
-		robSum += rob
-		mshrSum += mshr
+		o.robOcc.Observe(uint64(c.ROBOccupancy()))
+		o.mshrOcc.Observe(uint64(c.MSHRs().Len()))
 		if r, ok := m.designs[i].(prefetch.OccupancyReporter); ok {
-			q := uint64(r.QueueOccupancy())
-			o.ftqOcc.Observe(q)
-			ftqSum += q
-			ftqN++
+			o.ftqOcc.Observe(uint64(r.QueueOccupancy()))
 		}
 	}
-	if o.ipcS == nil {
-		return
-	}
-	cycle := m.watch.cycle
-	var retired uint64
-	for _, c := range m.cores {
-		retired += c.M.Retired
-	}
-	var ipc float64
-	if dc := cycle - o.lastCycle; dc > 0 {
-		ipc = float64(retired-o.lastRetired) / float64(dc)
-	}
-	o.lastCycle, o.lastRetired = cycle, retired
-	n := float64(len(m.cores))
-	o.ipcS.Observe(cycle, ipc)
-	o.robS.Observe(cycle, float64(robSum)/n)
-	o.mshrS.Observe(cycle, float64(mshrSum)/n)
-	var ftq float64
-	if ftqN > 0 {
-		ftq = float64(ftqSum) / float64(ftqN)
-	}
-	o.ftqS.Observe(cycle, ftq)
 }
 
 // resetWindow clears everything at the warm-up/measurement boundary so the
@@ -185,13 +130,6 @@ func (o *machineObs) resetWindow(m *machine) {
 	}
 	for _, c := range m.cores {
 		c.MSHRs().ResetHighWater()
-	}
-	// Rebase the IPC differencer on the boundary: core metrics were just
-	// reset, so the next sample's delta must start from (here, zero).
-	o.lastCycle = m.watch.cycle
-	o.lastRetired = 0
-	for _, c := range m.cores {
-		o.lastRetired += c.M.Retired
 	}
 }
 
@@ -224,7 +162,6 @@ func (o *machineObs) fold(m *machine) *obs.RunObs {
 	ro := &obs.RunObs{
 		Hists:        hists,
 		Counters:     counters,
-		Series:       o.reg.SeriesSnapshots(),
 		TraceTotal:   o.tracer.Total(),
 		TraceDropped: o.tracer.Dropped(),
 		Events:       o.tracer.Events(),

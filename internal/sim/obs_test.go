@@ -127,81 +127,32 @@ func TestObsTraceExport(t *testing.T) {
 	}
 }
 
-// TestObsSeriesCapture: with Series on, the run folds the four gauge
-// time-series, sampled on the cadence with monotonically increasing cycles
-// and a plausible IPC.
-func TestObsSeriesCapture(t *testing.T) {
-	r := obsRun(t, obs.Config{Series: true, SampleEvery: 64})
-	if r.Obs == nil {
-		t.Fatal("Result.Obs nil")
-	}
-	byName := map[string]obs.SeriesSnapshot{}
-	for _, s := range r.Obs.Series {
-		byName[s.Name] = s
-	}
-	for _, name := range []string{SeriesIPC, SeriesROBOcc, SeriesMSHROcc, SeriesFTQOcc} {
-		s, ok := byName[name]
-		if !ok {
-			t.Errorf("series %s missing from snapshot", name)
-			continue
-		}
-		if len(s.Cycles) == 0 || len(s.Cycles) != len(s.Values) {
-			t.Errorf("series %s: %d cycles, %d values", name, len(s.Cycles), len(s.Values))
-			continue
-		}
-		for i := 1; i < len(s.Cycles); i++ {
-			if s.Cycles[i] <= s.Cycles[i-1] {
-				t.Errorf("series %s: cycles not increasing at %d: %d -> %d",
-					name, i, s.Cycles[i-1], s.Cycles[i])
-				break
-			}
-		}
-	}
-	ipc := byName[SeriesIPC]
-	var sum float64
-	for _, v := range ipc.Values {
-		if v < 0 {
-			t.Fatalf("negative IPC sample %v", v)
-		}
-		sum += v
-	}
-	if sum == 0 {
-		t.Error("IPC series is identically zero on a retiring workload")
-	}
-	// Measurement-window samples only: the first point lands after the
-	// warm-up boundary.
-	if len(ipc.Cycles) > 0 && ipc.Cycles[0] <= 30_000 {
-		t.Errorf("first IPC sample at cycle %d is inside warm-up", ipc.Cycles[0])
-	}
-}
-
-// TestObsSeriesOffByDefault: runs without Series must not grow a Series
-// field (the journal wire form stays unchanged).
-func TestObsSeriesOffByDefault(t *testing.T) {
-	r := obsRun(t, obs.Config{})
-	if r.Obs.Series != nil {
-		t.Fatalf("Series captured without Config.Series: %d series", len(r.Obs.Series))
-	}
-}
-
-// TestObsSeriesFastForwardInvariant: fast-forward clamps its jumps to the
-// sampling cadence and gauges freeze during pure stalls, so the captured
-// series must be bit-identical with and without fast-forward.
-func TestObsSeriesFastForwardInvariant(t *testing.T) {
+// TestObsFastForwardInvariant: fast-forward clamps its jumps to the
+// sampling cadence and gauges freeze during pure stalls, so the sampled
+// occupancy histograms — and every other histogram and counter — must be
+// bit-identical with and without fast-forward.
+func TestObsFastForwardInvariant(t *testing.T) {
 	nd := func() prefetch.Design {
 		return prefetch.NewProactive(prefetch.DefaultProactiveConfig())
 	}
 	rc := RunConfig{
 		Workload: smallWorkload(), NewDesign: nd, Cores: 2,
 		WarmCycles: 20_000, MeasureCycles: 20_000, Seed: 1,
-		Obs: &obs.Config{Series: true, SampleEvery: 64},
+		Obs: &obs.Config{SampleEvery: 64},
 	}
 	fast := Run(rc)
 	rc.DisableFastForward = true
 	slow := Run(rc)
-	if !reflect.DeepEqual(fast.Obs.Series, slow.Obs.Series) {
-		t.Fatalf("series differ under fast-forward:\nfast: %+v\nslow: %+v",
-			fast.Obs.Series, slow.Obs.Series)
+	if h, ok := fast.Obs.Hist(HistROBOcc); !ok || h.N == 0 {
+		t.Fatalf("no ROB occupancy samples: %+v", h)
+	}
+	if !reflect.DeepEqual(fast.Obs.Hists, slow.Obs.Hists) {
+		t.Fatalf("histograms differ under fast-forward:\nfast: %+v\nslow: %+v",
+			fast.Obs.Hists, slow.Obs.Hists)
+	}
+	if !reflect.DeepEqual(fast.Obs.Counters, slow.Obs.Counters) {
+		t.Fatalf("counters differ under fast-forward:\nfast: %+v\nslow: %+v",
+			fast.Obs.Counters, slow.Obs.Counters)
 	}
 }
 

@@ -88,9 +88,7 @@ func TestResultJSONRoundTripExhaustive(t *testing.T) {
 		Obs: &obs.RunObs{
 			Hists: []obs.HistSnapshot{{Name: "h", Bounds: []uint64{1, 2}, Counts: []uint64{3, 4, 5},
 				N: 12, Sum: 30, Min: 1, Max: 9}},
-			Counters: []stats.CounterValue{{Name: "c", Value: 6}},
-			Series: []obs.SeriesSnapshot{{Name: "s", Cycles: []uint64{256, 512},
-				Values: []float64{1.5, 0.25}}},
+			Counters:     []stats.CounterValue{{Name: "c", Value: 6}},
 			TraceTotal:   7,
 			TraceDropped: 8,
 		},

@@ -11,15 +11,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
 
-	"dnc/internal/checkpoint"
 	"dnc/internal/sim"
 )
 
@@ -84,15 +80,6 @@ type Options struct {
 	// and once more when the sweep finishes. Larger values trade crash
 	// durability of the journal tail for fewer fsyncs on large sweeps.
 	SyncEvery int
-	// CheckpointDir, when non-empty, gives every cell a mid-run snapshot
-	// file in this directory (created if missing). A cell interrupted before
-	// it could be journaled — crash, timeout, kill — resumes from its last
-	// snapshot on the next sweep instead of starting over; the snapshot is
-	// deleted when the cell completes.
-	CheckpointDir string
-	// CheckpointEvery is the snapshot cadence in simulated cycles for cells
-	// running under CheckpointDir (0 = DefaultCheckpointEvery).
-	CheckpointEvery uint64
 	// Transient reports whether an error is worth retrying. Defaults to
 	// timeouts only: in a deterministic simulator a panic or livelock
 	// reproduces on every attempt, but a timeout may just mean the machine
@@ -100,11 +87,11 @@ type Options struct {
 	Transient func(error) bool
 	// Run, when set, replaces the default per-attempt executor
 	// (sim.RunChecked). The cfg argument is the cell's config with the
-	// runner's checkpoint/resume fields applied. It exists so embedders can
-	// interpose on execution — the dncserved service dispatches cells to
-	// remote workers, and tests substitute deterministic fakes or chaos runs
-	// through sim.RunInjected — while keeping the retry, backoff, journal,
-	// and checkpoint machinery identical to production.
+	// runner's progress hook applied. It exists so embedders can interpose
+	// on execution — the dncserved service dispatches cells to remote
+	// workers, and tests substitute deterministic fakes or chaos runs
+	// through sim.RunInjected — while keeping the retry, backoff and
+	// journal machinery identical to production.
 	Run func(ctx context.Context, c Cell, cfg sim.RunConfig) (sim.Result, error)
 	// OnResult, when set, observes each finished cell (called serially).
 	OnResult func(CellResult)
@@ -190,42 +177,12 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 	return half + time.Duration(backoffRand()*float64(d-half))
 }
 
-// DefaultCheckpointEvery is the snapshot cadence used for cells running
-// under Options.CheckpointDir when Options.CheckpointEvery is zero. At the
-// paper's 200K+200K cycle windows this persists roughly six snapshots per
-// cell — frequent enough that an interrupted sweep loses little work,
-// coarse enough that snapshot I/O stays invisible next to simulation time.
+// DefaultCheckpointEvery is a snapshot cadence in simulated cycles, 1<<16.
+// Nothing in this package uses it: a sweep cell that dies restarts from
+// cycle 0, and the journal recovers every finished cell. It stays exported
+// because benchmark/layers.go compiles against it as the cadence of its
+// checkpoint-on probe.
 const DefaultCheckpointEvery = 1 << 16
-
-// cellCheckpointPath maps a cell ID to its snapshot file: a sanitized,
-// length-bounded prefix for readability plus an FNV-1a hash of the full ID
-// for uniqueness (IDs routinely exceed filename limits and contain
-// separators).
-func cellCheckpointPath(dir, id string) string {
-	sane := make([]byte, 0, 48)
-	for i := 0; i < len(id) && len(sane) < 48; i++ {
-		switch c := id[i]; {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.':
-			sane = append(sane, c)
-		default:
-			sane = append(sane, '_')
-		}
-	}
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return filepath.Join(dir, fmt.Sprintf("%s-%016x.ckpt", sane, h.Sum64()))
-}
-
-// snapshotUnusable reports a resume failure caused by the snapshot itself
-// (truncated, corrupt, wrong version or checksum, config mismatch) rather
-// than by the run: the snapshot is discarded and the cell restarts fresh.
-func snapshotUnusable(err error) bool {
-	return errors.Is(err, checkpoint.ErrTruncated) ||
-		errors.Is(err, checkpoint.ErrCorrupt) ||
-		errors.Is(err, checkpoint.ErrVersion) ||
-		errors.Is(err, checkpoint.ErrChecksum)
-}
 
 // Sweep executes the cells through a bounded worker pool and returns a
 // report with one entry per cell. A failing cell never aborts the sweep:
@@ -254,12 +211,6 @@ func Sweep(ctx context.Context, cells []Cell, o Options) (*Report, error) {
 		var err error
 		if jr, err = openJournal(o.JournalPath, o.SyncEvery); err != nil {
 			return nil, err
-		}
-	}
-	if o.CheckpointDir != "" {
-		if err := os.MkdirAll(o.CheckpointDir, 0o755); err != nil {
-			jr.close()
-			return nil, fmt.Errorf("runner: creating checkpoint dir: %w", err)
 		}
 	}
 
@@ -327,9 +278,7 @@ func Sweep(ctx context.Context, cells []Cell, o Options) (*Report, error) {
 }
 
 // runCell executes one cell with per-attempt timeouts and transient-error
-// retries. Cells under Options.CheckpointDir snapshot mid-run and resume
-// from a surviving snapshot — whether left by a crashed earlier sweep or by
-// this cell's own timed-out previous attempt.
+// retries. Every attempt starts from cycle 0.
 func runCell(ctx context.Context, c Cell, o Options) CellResult {
 	transient := o.Transient
 	if transient == nil {
@@ -339,15 +288,6 @@ func runCell(ctx context.Context, c Cell, o Options) CellResult {
 	if run == nil {
 		run = func(ctx context.Context, _ Cell, cfg sim.RunConfig) (sim.Result, error) {
 			return sim.RunChecked(ctx, cfg)
-		}
-	}
-	ckpt := ""
-	if o.CheckpointDir != "" {
-		ckpt = cellCheckpointPath(o.CheckpointDir, c.ID)
-		c.Config.CheckpointPath = ckpt
-		c.Config.CheckpointEvery = o.CheckpointEvery
-		if c.Config.CheckpointEvery == 0 {
-			c.Config.CheckpointEvery = DefaultCheckpointEvery
 		}
 	}
 	start := time.Now()
@@ -371,11 +311,6 @@ func runCell(ctx context.Context, c Cell, o Options) CellResult {
 				}
 			}
 		}
-		if ckpt != "" {
-			if _, serr := os.Stat(ckpt); serr == nil {
-				cfg.ResumeFrom = ckpt
-			}
-		}
 		rctx := ctx
 		var cancel context.CancelFunc
 		if o.Timeout > 0 {
@@ -388,19 +323,7 @@ func runCell(ctx context.Context, c Cell, o Options) CellResult {
 		if err == nil {
 			out.Status = StatusOK
 			out.Result = r
-			if ckpt != "" {
-				os.Remove(ckpt)
-				os.Remove(ckpt + ".livelock")
-			}
 			break
-		}
-		if cfg.ResumeFrom != "" && snapshotUnusable(err) {
-			// The snapshot, not the run, is bad (truncated by a crash,
-			// stale configuration). Discard it and redo the attempt from
-			// scratch; this can fire at most once per attempt number.
-			os.Remove(ckpt)
-			attempt--
-			continue
 		}
 		out.Err = err
 		if attempt > o.Retries || !transient(err) {

@@ -7,9 +7,6 @@
 package sim
 
 import (
-	"context"
-	"errors"
-	"runtime"
 	"sync"
 
 	wl "dnc/internal/cfg"
@@ -276,36 +273,6 @@ func Run(rc RunConfig) Result {
 		panic(err)
 	}
 	return r
-}
-
-// RunSamples executes n independently seeded runs of the same configuration
-// concurrently, bounded by GOMAXPROCS workers, and returns the results in
-// seed order (seed i+1 at index i). Runs are independent machines, so
-// parallel execution is bit-exact with sequential; any failed run surfaces
-// as a *RunError in the joined error (successful samples still fill their
-// slots). Sampled runs must not set CheckpointPath — concurrent samples
-// would race on the one snapshot file (use per-sample configs and
-// RunChecked directly for that). This is deliberately an in-package worker
-// pool rather than the sweep engine's (internal/sim/runner): runner imports
-// sim, so sim cannot use it without an import cycle.
-func RunSamples(rc RunConfig, n int) ([]Result, error) {
-	out := make([]Result, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c := rc
-			c.Seed = int64(i + 1)
-			out[i], errs[i] = RunChecked(context.Background(), c)
-		}(i)
-	}
-	wg.Wait()
-	return out, errors.Join(errs...)
 }
 
 // ---- derived cross-run metrics ----

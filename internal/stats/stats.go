@@ -164,7 +164,10 @@ func Summarize(samples []float64) Summary {
 }
 
 // tCritical95 returns the two-sided 95% Student-t critical value for the
-// given degrees of freedom, using a small table with asymptotic fallback.
+// given degrees of freedom: exact up to df 20, then in steps that each
+// return the value at the step's lowest df, so an interval is never
+// narrower than the exact one up to df 119. From df 120 on it returns the
+// normal value 1.96 (t at df 120 is 1.980).
 func tCritical95(df int) float64 {
 	table := []float64{
 		0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
@@ -179,9 +182,11 @@ func tCritical95(df int) float64 {
 	}
 	switch {
 	case df < 30:
-		return 2.05
+		return 2.080 // df 21
 	case df < 60:
-		return 2.01
+		return 2.042 // df 30
+	case df < 120:
+		return 2.000 // df 60
 	default:
 		return 1.96
 	}

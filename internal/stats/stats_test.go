@@ -115,14 +115,16 @@ func TestTCritical(t *testing.T) {
 	if tCritical95(0) != 0 {
 		t.Error("df=0 must be 0")
 	}
-	if v := tCritical95(25); v != 2.05 {
-		t.Errorf("df=25 = %v", v)
-	}
-	if v := tCritical95(40); v != 2.01 {
-		t.Errorf("df=40 = %v", v)
-	}
-	if v := tCritical95(120); v != 1.96 {
-		t.Errorf("df=120 = %v", v)
+	// Past the table each step returns its lowest df's value: never
+	// narrower than the exact interval.
+	for _, c := range []struct {
+		df   int
+		want float64
+	}{{21, 2.080}, {25, 2.080}, {29, 2.080}, {30, 2.042}, {40, 2.042}, {59, 2.042},
+		{60, 2.000}, {119, 2.000}, {120, 1.96}} {
+		if v := tCritical95(c.df); v != c.want {
+			t.Errorf("df=%d = %v, want %v", c.df, v, c.want)
+		}
 	}
 }
 

@@ -16,12 +16,10 @@
 #                BenchmarkWalkerNext (building the largest preset, the
 #                variable-length path, and one committed step), compared
 #                against BENCH_engine.json.
-#   resultstore  internal/resultstore BenchmarkSeriesEncode + BenchmarkSeriesDecode
-#                (the store's time-series codec hot paths: delta-of-delta
-#                timestamps + Gorilla XOR values) and BenchmarkScanIndex /
-#                BenchmarkScanFile at 320 and 10K cells (one /v1/query over
-#                the in-memory index; the same question asked of the file),
-#                compared against BENCH_resultstore.json.
+#   resultstore  internal/resultstore BenchmarkScanIndex / BenchmarkScanFile
+#                at 320 and 10K cells (one /v1/query over the in-memory
+#                index; the same question asked of the file), compared
+#                against BENCH_resultstore.json.
 #
 # Each suite takes the minimum ns/op over -count repetitions (the minimum is
 # the least noisy wall-clock estimator on shared CI runners) and compares
@@ -179,9 +177,8 @@ run_suite engine './internal/sim/ ./internal/cfg/' \
 # milliseconds (the file, 10K cells): iteration counts that give each run
 # tens of milliseconds to measure.
 run_suite resultstore ./internal/resultstore/ \
-	'^(BenchmarkSeriesEncode|BenchmarkSeriesDecode)$ ^BenchmarkScanIndex(320|10K)$@5000x ^BenchmarkScanFile(320|10K)$@100x' \
+	'^BenchmarkScanIndex(320|10K)$@5000x ^BenchmarkScanFile(320|10K)$@100x' \
 	BENCH_resultstore.json \
-	BenchmarkSeriesEncode BenchmarkSeriesDecode \
 	BenchmarkScanIndex320 BenchmarkScanIndex10K BenchmarkScanFile320 BenchmarkScanFile10K
 
 exit $fail
