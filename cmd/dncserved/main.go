@@ -23,10 +23,11 @@
 // are evicted first and the file compacts in place (an evicted cell simply
 // re-runs on its next request — determinism makes eviction invisible).
 //
-// Remote dncworker processes may register at any time and take over cell
-// execution (see cmd/dncworker and docs/OPERATIONS.md); with none
-// registered the server runs cells in-process exactly as before. The
-// -lease-* flags tune the worker plane: -lease-ttl is the heartbeat window
+// Every cell is leased to a lease client. Remote dncworker processes may
+// register at any time and take over cell execution (see cmd/dncworker and
+// docs/OPERATIONS.md); while none is live the server's in-process lease
+// client, the client of last resort, runs the cells. The -lease-* flags
+// tune the worker plane: -lease-ttl is the heartbeat window
 // after which a silent worker forfeits its leases, -lease-max-age the
 // per-cell progress budget that revokes leases from frozen-but-heartbeating
 // workers, and -lease-batch the most cells one lease request may claim.

@@ -1,8 +1,8 @@
 // Command dncworker is the remote execution plane for dncserved: a worker
 // process that registers with a control plane, pulls leased simulation
 // cells in batches, executes them with the exact RunConfig construction the
-// server's in-process pool uses, and uploads results under each cell's
-// content address.
+// server's own in-process lease client uses, and uploads results under each
+// cell's content address.
 //
 // Usage:
 //

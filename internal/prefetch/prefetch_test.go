@@ -239,12 +239,12 @@ func TestRefreshLocalPropagates(t *testing.T) {
 		t.Fatal("setup wrong")
 	}
 	tab.Set(102)
-	refreshLocal(env, tab, 102)
+	tab.refreshLocal(env, 102)
 	if l.Aux&0b0010 == 0 {
 		t.Fatal("refreshLocal did not set the predecessor's bit")
 	}
 	tab.Reset(102)
-	refreshLocal(env, tab, 102)
+	tab.refreshLocal(env, 102)
 	if l.Aux&0b0010 != 0 {
 		t.Fatal("refreshLocal did not clear the predecessor's bit")
 	}

@@ -223,16 +223,8 @@ func (p *Proactive) Name() string {
 // triggering at depth zero.
 func (p *Proactive) OnDemand(b isa.BlockID, hit bool, last2 [2]isa.Addr) {
 	env := p.E()
-	if hit {
-		line := env.L1iLine(b)
-		if line.Flags&cache.FlagPrefetched != 0 {
-			line.Flags &^= cache.FlagPrefetched
-			p.seq.Set(b)
-			refreshLocal(env, p.seq, b)
-		}
-	} else {
-		p.seq.Set(b)
-		refreshLocal(env, p.seq, b)
+	p.seq.onDemand(env, b, hit, nil)
+	if !hit {
 		recordMiss(env, p.dis, last2, &p.Recorded)
 	}
 	// The demanded block was, by definition, just looked up.
@@ -247,8 +239,7 @@ const auxDisBit = 0x80
 
 // OnFill implements Design: latch local status and run deferred decodes.
 func (p *Proactive) OnFill(b isa.BlockID, prefetch bool) {
-	if line := p.E().L1iLine(b); line != nil {
-		line.Aux = p.seq.Nibble(b)
+	if line := p.seq.onFill(p.E(), b); line != nil {
 		if _, ok := p.disIssued[b]; ok {
 			delete(p.disIssued, b)
 			if prefetch {
@@ -265,9 +256,8 @@ func (p *Proactive) OnFill(b isa.BlockID, prefetch bool) {
 // OnEvict implements Design: an unused sequential prefetch resets its
 // SeqTable entry; unused discontinuity prefetches do not touch it.
 func (p *Proactive) OnEvict(ev cache.Evicted) {
-	if ev.Flags&cache.FlagPrefetched != 0 && ev.Aux&auxDisBit == 0 {
-		p.seq.Reset(ev.Block)
-		refreshLocal(p.E(), p.seq, ev.Block)
+	if ev.Aux&auxDisBit == 0 {
+		p.seq.onEvict(p.E(), ev)
 	}
 }
 

@@ -71,12 +71,50 @@ func (t *SeqTable) Nibble(b isa.BlockID) uint8 {
 	return n
 }
 
+// onDemand is the training rule SN4L and the proactive design share: a miss
+// marks b useful, and so does a demand hit consuming a prefetch (clearing
+// its flag, and counting it in useful when that is non-nil). It returns b's
+// line, nil on a miss.
+func (t *SeqTable) onDemand(env Env, b isa.BlockID, hit bool, useful *uint64) (line *cache.Line) {
+	if hit {
+		line = env.L1iLine(b)
+		if line.Flags&cache.FlagPrefetched == 0 {
+			return line
+		}
+		line.Flags &^= cache.FlagPrefetched
+		if useful != nil {
+			*useful++
+		}
+	}
+	t.Set(b)
+	t.refreshLocal(env, b)
+	return line
+}
+
+// onFill latches b's local prefetch status beside its line, if resident.
+func (t *SeqTable) onFill(env Env, b isa.BlockID) *cache.Line {
+	line := env.L1iLine(b)
+	if line != nil {
+		line.Aux = t.Nibble(b)
+	}
+	return line
+}
+
+// onEvict marks a block not useful when its prefetched line is evicted
+// without a demand hit.
+func (t *SeqTable) onEvict(env Env, ev cache.Evicted) {
+	if ev.Flags&cache.FlagPrefetched != 0 {
+		t.Reset(ev.Block)
+		t.refreshLocal(env, ev.Block)
+	}
+}
+
 // refreshLocal propagates a SeqTable update for block b into the cached
 // local-status nibbles of the up to four resident predecessor lines. The
 // write port that updates entry b snoops the local copies; without this a
 // stale 0 bit in a long-resident line would suppress a now-useful prefetch
 // for that line's whole residency.
-func refreshLocal(env Env, t *SeqTable, b isa.BlockID) {
+func (t *SeqTable) refreshLocal(env Env, b isa.BlockID) {
 	v := t.Get(b)
 	for i := 1; i <= 4; i++ {
 		if isa.BlockID(i) > b {
@@ -122,21 +160,11 @@ func (*SN4L) Name() string { return "SN4L" }
 // subsequents.
 func (d *SN4L) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 	env := d.E()
+	line := d.seq.onDemand(env, b, hit, &d.UsefulHits)
 	var nib uint8
-	if hit {
-		line := env.L1iLine(b)
-		// Demand to a prefetched block: mark useful, clear the flag.
-		if line.Flags&cache.FlagPrefetched != 0 {
-			line.Flags &^= cache.FlagPrefetched
-			d.seq.Set(b)
-			refreshLocal(env, d.seq, b)
-			d.UsefulHits++
-		}
+	if line != nil {
 		nib = line.Aux
 	} else {
-		// A missed block is always worth prefetching next time.
-		d.seq.Set(b)
-		refreshLocal(env, d.seq, b)
 		// The block is not resident, so the local status is unavailable;
 		// read the SeqTable directly.
 		nib = d.seq.Nibble(b)
@@ -156,20 +184,11 @@ func (d *SN4L) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 }
 
 // OnFill implements Design: latch the local prefetch status beside the line.
-func (d *SN4L) OnFill(b isa.BlockID, prefetch bool) {
-	if line := d.E().L1iLine(b); line != nil {
-		line.Aux = d.seq.Nibble(b)
-	}
-}
+func (d *SN4L) OnFill(b isa.BlockID, prefetch bool) { d.seq.onFill(d.E(), b) }
 
 // OnEvict implements Design: a prefetched line evicted without a demand hit
 // was a useless prefetch.
-func (d *SN4L) OnEvict(ev cache.Evicted) {
-	if ev.Flags&cache.FlagPrefetched != 0 {
-		d.seq.Reset(ev.Block)
-		refreshLocal(d.E(), d.seq, ev.Block)
-	}
-}
+func (d *SN4L) OnEvict(ev cache.Evicted) { d.seq.onEvict(d.E(), ev) }
 
 // StorageBits implements Design: 1 bit per SeqTable entry.
 func (d *SN4L) StorageBits() int { return d.seq.Entries() }

@@ -96,15 +96,15 @@ func queryCount(t *testing.T, e *testEnv) int {
 	return n
 }
 
-// TestOneDurableWritePerCell runs a cold job through remote workers and
-// again in degraded (in-process) mode and reads the contract off the data
-// dir: no runner journal, one cache line per distinct cell — a remote cell
+// TestOneDurableWritePerCell runs a cold job through a remote worker and
+// again through the in-process lease client alone and reads the contract off
+// the data dir: no runner journal, one cache line per distinct cell — a cell
 // is admitted by its upload and again by the runner's report of it, so two
 // lines would show a second write — and a store file that holds none of the
 // cells until the drain seals them, a query in between notwithstanding.
 func TestOneDurableWritePerCell(t *testing.T) {
 	for _, remote := range []bool{true, false} {
-		name := "degraded"
+		name := "in-process"
 		if remote {
 			name = "remote"
 		}
@@ -121,8 +121,8 @@ func TestOneDurableWritePerCell(t *testing.T) {
 			if st.State != JobDone || st.Simulated != 6 {
 				t.Fatalf("job = %s with %d simulated, want done with 6", st.State, st.Simulated)
 			}
-			if got := e.srv.Stats().RemoteAdmitted; remote != (got == 6) {
-				t.Fatalf("remote_admitted = %d with remote=%v", got, remote)
+			if got := e.srv.Stats().RemoteAdmitted; got != 6 {
+				t.Fatalf("remote_admitted = %d with remote=%v, want every cell admitted from its upload", got, remote)
 			}
 			waitFor(t, "the terminal record", func() bool {
 				_, err := os.Stat(filepath.Join(e.dataDir, "jobs", st.ID, "done.json"))

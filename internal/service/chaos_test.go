@@ -15,6 +15,7 @@ import (
 	"time"
 
 	wl "dnc/internal/cfg"
+	"dnc/internal/service/workerproto"
 	"dnc/internal/sim"
 	"dnc/internal/sim/runner"
 )
@@ -51,8 +52,12 @@ func TestDeadLetterCircuitBreaker(t *testing.T) {
 		injections.Add(1)
 		return &panicStream{inner: s, n: 25}
 	}
-	run := func(ctx context.Context, _ runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
-		return sim.RunInjected(ctx, cfg, wrap)
+	run := func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
+		res, err := sim.RunInjected(ctx, spec.RunConfig(), wrap)
+		if err != nil {
+			return nil, err
+		}
+		return runner.NewResultJSON(res), nil
 	}
 	e := newTestEnv(t, func(c *Config) {
 		c.Workers = 1

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -15,21 +14,20 @@ import (
 	"dnc/internal/telemetry"
 )
 
-// The distributed worker plane. The dispatcher is the server side of the
-// work API: a lease table that hands pending cells to registered remote
-// workers in batches, renews leases on heartbeats, and reassigns the cells
-// of workers that die (missed heartbeats) or freeze (heartbeats continue,
-// progress doesn't — each lease carries a progress budget, the same idea as
-// the simulator's livelock watchdog). Execution is at-least-once; the
-// admission path in Server.completeCell verifies every upload's content
-// address and the first-insert-wins cache makes duplicates provably
-// harmless, so reassignment never risks double-admitting a cell.
+// The execution plane. The dispatcher is the server side of the work API:
+// a lease table that hands pending cells to registered workers in batches,
+// renews leases on heartbeats, and reassigns the cells of workers that die
+// (missed heartbeats) or freeze (heartbeats continue, progress doesn't —
+// each lease carries a progress budget, the same idea as the simulator's
+// livelock watchdog). Execution is at-least-once; the admission path in
+// Server.completeCell verifies every upload's content address and the
+// first-insert-wins cache makes duplicates provably harmless, so
+// reassignment never risks double-admitting a cell.
 //
-// When no live workers are registered the dispatcher reports itself
-// inactive and cells run on the PR 6 in-process pool instead — an existing
-// single-process deployment behaves exactly as before. If every worker
-// disappears while cells are waiting, the waiters are released with
-// errNoWorkers and fall back to local execution rather than stalling.
+// Besides the remote workers, the table holds the server's in-process
+// client, the lease client of last resort: granted nothing while a remote
+// worker is live and everything pending once none is. It never expires, has
+// no progress budget, and the worker counters leave it out.
 
 // Lease-plane defaults (overridable via Config).
 const (
@@ -48,18 +46,14 @@ const (
 	leaseExpirySweep = 100 * time.Millisecond
 )
 
-// errNoWorkers releases a waiting cell back to local execution when the
-// last live worker disappears.
-var errNoWorkers = errors.New("service: no live remote workers")
-
-// remoteOutcome is what a waiter receives: a result admitted from a worker
-// upload, or the remote execution's error.
+// remoteOutcome is what a waiter receives: a result admitted from an
+// upload, or the execution's reported error.
 type remoteOutcome struct {
 	r   sim.Result
 	err error
 }
 
-// remoteCell is one cell on the remote plane: pending (awaiting a lease) or
+// remoteCell is one cell on the lease plane: pending (awaiting a lease) or
 // leased (awaiting completion). Several concurrent jobs can contain the
 // same cell; each gets its own waiter channel and one execution feeds all.
 type remoteCell struct {
@@ -73,13 +67,15 @@ type remoteCell struct {
 	traceID string
 }
 
+// inProcessID is the in-process client's worker ID (refused over HTTP).
+const inProcessID = "in-process"
+
 // workerState is one live registered worker.
 type workerState struct {
-	id       string
-	name     string
-	capacity int
-	expiry   time.Time // lastBeat + TTL; any API call renews it
-	leases   map[string]*lease
+	id     string
+	name   string
+	expiry time.Time // lastBeat + TTL; any API call renews it
+	leases map[string]*lease
 }
 
 // lease is one cell granted to one worker.
@@ -93,22 +89,23 @@ type lease struct {
 type dispatchStats struct {
 	// WorkersRegistered counts registrations ever (this process).
 	WorkersRegistered uint64 `json:"workers_registered"`
-	// WorkersLive is the current live (heartbeating) worker count; zero
-	// means degraded mode — cells execute in-process.
+	// WorkersLive is the current live (heartbeating) remote worker count;
+	// while it is zero the in-process client runs the cells.
 	WorkersLive int `json:"workers_live"`
 	// WorkersExpired counts workers that missed their heartbeat window.
 	WorkersExpired uint64 `json:"workers_expired"`
-	// LeaseDepth is cells currently leased to workers.
+	// LeaseDepth is cells currently leased (in-process ones included).
 	LeaseDepth int `json:"lease_depth"`
 	// RemotePending is cells queued for the next lease request.
 	RemotePending int `json:"remote_pending"`
 	// Reassigned counts leases revoked and returned to the queue (dead or
 	// frozen workers).
 	Reassigned uint64 `json:"reassigned"`
-	// RemoteAdmitted counts fresh results admitted from worker uploads;
+	// RemoteAdmitted counts fresh results admitted from uploads;
 	// RemoteDuplicates counts bit-identical redeliveries acknowledged
 	// idempotently; RemoteRejected counts uploads refused by admission
-	// verification (digest mismatch, unknown cell, result mismatch).
+	// verification (digest mismatch, unknown cell, result mismatch). All
+	// three count in-process uploads too.
 	RemoteAdmitted   uint64 `json:"remote_admitted"`
 	RemoteDuplicates uint64 `json:"remote_duplicates"`
 	RemoteRejected   uint64 `json:"remote_rejected"`
@@ -124,9 +121,14 @@ type dispatcher struct {
 	batchMax int
 
 	seq     int
-	workers map[string]*workerState // live only
+	workers map[string]*workerState // live remote workers only
 	byCell  map[string]*remoteCell  // every outstanding cell, pending or leased
 	pending []*remoteCell           // FIFO; reassigned cells go to the front
+
+	// local is the in-process client, and localCall its parked lease call
+	// (which has no deadline, so it waits apart from parked).
+	local     *workerState
+	localCall *parkedLease
 
 	// parked is the lease calls waiting for work, longest-waiting first; a
 	// cell that becomes pending is handed to the head call at once, so
@@ -162,25 +164,31 @@ func newDispatcher(now func() time.Time, ttl, maxAge time.Duration, batchMax int
 		batchMax: batchMax,
 		workers:  make(map[string]*workerState),
 		byCell:   make(map[string]*remoteCell),
+		local:    &workerState{id: inProcessID, name: inProcessID, leases: make(map[string]*lease)},
 		log:      slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 }
 
-// register admits a worker and issues its identity and timing contract.
+// register admits a remote worker and issues its identity and timing
+// contract.
 func (d *dispatcher) register(name string, capacity int) workerproto.RegisterResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.seq++
 	d.st.WorkersRegistered++
 	w := &workerState{
-		id:       fmt.Sprintf("w%06d", d.seq),
-		name:     name,
-		capacity: capacity,
-		expiry:   d.now().Add(d.ttl),
-		leases:   make(map[string]*lease),
+		id:     fmt.Sprintf("w%06d", d.seq),
+		name:   name,
+		expiry: d.now().Add(d.ttl),
+		leases: make(map[string]*lease),
 	}
 	d.workers[w.id] = w
 	d.log.Info("worker registered", "worker", w.id, "name", name, "capacity", capacity)
+	return d.contract(w)
+}
+
+// contract is the identity and timing a registration is issued.
+func (d *dispatcher) contract(w *workerState) workerproto.RegisterResponse {
 	return workerproto.RegisterResponse{
 		WorkerID:      w.id,
 		LeaseTTLMS:    d.ttl.Milliseconds(),
@@ -189,9 +197,19 @@ func (d *dispatcher) register(name string, capacity int) workerproto.RegisterRes
 	}
 }
 
-// errUnknownWorker maps to 404: the worker's registration expired (or never
-// existed) and it must register again before leasing.
-var errUnknownWorker = errors.New("service: unknown or expired worker")
+// workerLocked resolves a worker ID to its live registration, or nil.
+func (d *dispatcher) workerLocked(id string) *workerState {
+	if id == inProcessID {
+		return d.local
+	}
+	return d.workers[id]
+}
+
+// grantsLocked reports whether w may be granted cells: the in-process
+// client only while no remote worker is live.
+func (d *dispatcher) grantsLocked(w *workerState) bool {
+	return w != d.local || len(d.workers) == 0
+}
 
 // touch renews a worker's heartbeat expiry; every work-API call counts as
 // liveness.
@@ -217,10 +235,10 @@ type parkedLease struct {
 // a request per poll interval — until a cell becomes pending and it is this
 // call's turn, ctx ends (the server is draining or the client went away;
 // neither is granted anything), or one heartbeat period passes, which
-// returns an empty grant, or errUnknownWorker if the worker was reaped
+// returns an empty grant, or ErrUnknownWorker if the worker was reaped
 // meanwhile. The worker is renewed on entry and on return and by nothing in
 // between: a call whose client vanished silently must not keep its worker
-// alive past one more TTL.
+// alive past one more TTL. The in-process client's call has no deadline.
 func (d *dispatcher) lease(ctx context.Context, workerID string, max int) ([]workerproto.Lease, error) {
 	if max <= 0 || max > d.batchMax {
 		max = d.batchMax
@@ -228,19 +246,24 @@ func (d *dispatcher) lease(ctx context.Context, workerID string, max int) ([]wor
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.expireLocked()
-	w, ok := d.workers[workerID]
-	if !ok {
-		return nil, errUnknownWorker
+	w := d.workerLocked(workerID)
+	if w == nil {
+		return nil, workerproto.ErrUnknownWorker
 	}
 	if ctx.Err() != nil {
 		return nil, nil
 	}
 	d.touch(w)
-	if len(d.pending) > 0 {
+	if len(d.pending) > 0 && d.grantsLocked(w) {
 		return d.grantLocked(w, max), nil
 	}
-	p := &parkedLease{w: w, max: max, deadline: d.now().Add(d.heartbeatEvery()), done: make(chan struct{})}
-	d.parked = append(d.parked, p)
+	p := &parkedLease{w: w, max: max, done: make(chan struct{})}
+	if w == d.local {
+		d.localCall = p
+	} else {
+		p.deadline = d.now().Add(d.heartbeatEvery())
+		d.parked = append(d.parked, p)
+	}
 	d.mu.Unlock()
 	select {
 	case <-p.done:
@@ -249,6 +272,9 @@ func (d *dispatcher) lease(ctx context.Context, workerID string, max int) ([]wor
 	d.mu.Lock()
 	if i := slices.Index(d.parked, p); i >= 0 {
 		d.parked = slices.Delete(d.parked, i, i+1)
+	}
+	if d.localCall == p {
+		d.localCall = nil
 	}
 	if ctx.Err() != nil {
 		// Cells handed over as the caller left go back to the head of the
@@ -260,18 +286,24 @@ func (d *dispatcher) lease(ctx context.Context, workerID string, max int) ([]wor
 		}
 		return nil, nil
 	}
-	if d.workers[workerID] != w {
-		return nil, errUnknownWorker
+	if d.workerLocked(workerID) != w {
+		return nil, workerproto.ErrUnknownWorker
 	}
 	d.touch(w)
 	return p.leases, nil
 }
 
 // offerLocked hands pending cells to parked lease calls, longest-waiting
-// first. Every path that grows pending calls it.
+// first, then to the in-process call if it may take them. Every path that
+// grows pending, or empties the remote plane, calls it.
 func (d *dispatcher) offerLocked() {
 	for len(d.pending) > 0 && len(d.parked) > 0 {
 		p := d.unparkLocked()
+		p.leases = d.grantLocked(p.w, p.max)
+	}
+	if p := d.localCall; p != nil && len(d.pending) > 0 && d.grantsLocked(p.w) {
+		d.localCall = nil
+		close(p.done)
 		p.leases = d.grantLocked(p.w, p.max)
 	}
 }
@@ -309,23 +341,23 @@ func (d *dispatcher) grantLocked(w *workerState, max int) []workerproto.Lease {
 	return out
 }
 
-// heartbeat renews the worker and all its leases, revoking any lease past
-// the progress budget (the frozen-worker watchdog: beats arrive, results
-// don't). Revoked digests are reported so the worker abandons them.
+// heartbeat renews the worker and all its leases, revoking any remote lease
+// past the progress budget (the frozen-worker watchdog: beats arrive,
+// results don't). Revoked digests are reported so the worker abandons them.
 func (d *dispatcher) heartbeat(workerID string, active []string) ([]string, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.expireLocked()
-	w, ok := d.workers[workerID]
-	if !ok {
-		return nil, errUnknownWorker
+	w := d.workerLocked(workerID)
+	if w == nil {
+		return nil, workerproto.ErrUnknownWorker
 	}
 	d.touch(w)
 	now := d.now()
 	seen := make(map[string]bool)
 	var revoked []string
 	for digest, l := range w.leases {
-		if now.Sub(l.grantedAt) > d.maxAge {
+		if w != d.local && now.Sub(l.grantedAt) > d.maxAge {
 			d.revokeLocked(l)
 			seen[digest] = true
 			revoked = append(revoked, digest)
@@ -362,12 +394,12 @@ func (d *dispatcher) revokeLocked(l *lease) {
 }
 
 // expireLocked reaps workers whose heartbeat window lapsed, reassigning
-// their leases; if the last live worker goes, waiting cells are released to
-// local execution. Before that it answers, empty, the parked lease calls
-// whose heartbeat period is up: the expiry sweep, not a timer per call, is
-// what ends a park on its bound — under a fake clock too. (Calls park in
-// deadline order, and a worker's TTL outlasts its call's park, so a reaped
-// worker's call has always been answered first.)
+// their leases — to the in-process client, with every other pending cell,
+// once the last remote worker is gone. Before that it answers, empty, the
+// parked lease calls whose heartbeat period is up: the expiry sweep, not a
+// timer per call, is what ends a park on its bound — under a fake clock too.
+// (Calls park in deadline order, and a worker's TTL outlasts its call's
+// park, so a reaped worker's call has always been answered first.)
 func (d *dispatcher) expireLocked() {
 	now := d.now()
 	for len(d.parked) > 0 && !now.Before(d.parked[0].deadline) {
@@ -383,9 +415,7 @@ func (d *dispatcher) expireLocked() {
 			d.st.WorkersExpired++
 		}
 	}
-	if len(d.workers) == 0 {
-		d.releaseAllLocked(errNoWorkers)
-	}
+	d.offerLocked()
 }
 
 // expire is the background sweep entry point.
@@ -395,29 +425,7 @@ func (d *dispatcher) expire() {
 	d.expireLocked()
 }
 
-// releaseAllLocked hands every outstanding cell back to its waiters with
-// err (used when the worker plane empties: waiters fall back to the
-// in-process pool).
-func (d *dispatcher) releaseAllLocked(err error) {
-	for digest, c := range d.byCell {
-		for _, ch := range c.waiters {
-			ch <- remoteOutcome{err: err}
-		}
-		delete(d.byCell, digest)
-	}
-	d.pending = nil
-}
-
-// active reports whether at least one live worker is registered (after
-// reaping); inactive means degraded mode — run cells in-process.
-func (d *dispatcher) active() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.expireLocked()
-	return len(d.workers) > 0
-}
-
-// enqueue places a cell on the remote plane and returns the channel its
+// enqueue places a cell on the lease plane and returns the channel its
 // outcome arrives on plus a cancel function (the waiter's job was cancelled
 // or timed out; the cell is dropped once its last waiter leaves and it is
 // not currently leased).
@@ -463,9 +471,9 @@ func (d *dispatcher) enqueue(spec workerproto.CellSpec, traceID string) (<-chan 
 	return ch, cancel
 }
 
-// deliver resolves an outstanding cell — a verified result admitted from a
-// worker upload (err nil) or a reported remote failure — waking every
-// waiter. It reports whether the cell was outstanding.
+// deliver resolves an outstanding cell — a verified result admitted from an
+// upload (err nil) or a reported execution failure — waking every waiter.
+// It reports whether the cell was outstanding.
 func (d *dispatcher) deliver(digest string, out remoteOutcome) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -486,13 +494,14 @@ func (d *dispatcher) deliver(digest string, out remoteOutcome) bool {
 	for _, w := range d.workers {
 		delete(w.leases, digest)
 	}
+	delete(d.local.leases, digest)
 	for _, ch := range c.waiters {
 		ch <- out
 	}
 	return true
 }
 
-// outstanding reports whether the cell is known to the remote plane
+// outstanding reports whether the cell is known to the lease plane
 // (pending or leased) — the admission gate for fresh uploads.
 func (d *dispatcher) outstanding(digest string) bool {
 	d.mu.Lock()
@@ -508,28 +517,24 @@ func (d *dispatcher) stats() dispatchStats {
 	st := d.st
 	st.WorkersLive = len(d.workers)
 	st.RemotePending = len(d.pending)
+	st.LeaseDepth = len(d.local.leases)
 	for _, w := range d.workers {
 		st.LeaseDepth += len(w.leases)
 	}
 	return st
 }
 
-// countAdmitted / countDuplicate / countRejected fold admission outcomes
-// into the stats (called by the complete handler).
-func (d *dispatcher) countAdmitted() {
+// countUpload folds one admission verdict (admitted, duplicate, rejected)
+// into the stats.
+func (d *dispatcher) countUpload(verdict string) {
 	d.mu.Lock()
-	d.st.RemoteAdmitted++
-	d.mu.Unlock()
-}
-
-func (d *dispatcher) countDuplicate() {
-	d.mu.Lock()
-	d.st.RemoteDuplicates++
-	d.mu.Unlock()
-}
-
-func (d *dispatcher) countRejected() {
-	d.mu.Lock()
-	d.st.RemoteRejected++
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	switch verdict {
+	case workerproto.StatusAdmitted:
+		d.st.RemoteAdmitted++
+	case workerproto.StatusDuplicate:
+		d.st.RemoteDuplicates++
+	default:
+		d.st.RemoteRejected++
+	}
 }

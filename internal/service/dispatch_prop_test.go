@@ -19,13 +19,16 @@ import (
 // back from workers that die or freeze. Its invariants are what at-least-
 // once execution stands on: a cell is in exactly one of pending and leased,
 // none is ever lost, cells leave pending from the head, and a reassigned
-// cell goes back to the head. The test drives the real dispatcher and a
+// cell goes back to the head. The in-process client is the lease client of
+// last resort: it is granted nothing while a remote worker is live, and
+// everything pending once none is. The test drives the real dispatcher and a
 // reference model through the same seeded random sequence of registrations,
-// enqueues, lease calls (immediate and parked), heartbeats, deliveries,
-// waiter cancellations and clock advances, and compares them after every
-// step. Time is a fake clock and the only concurrency is parked lease
-// calls, whose answers the model predicts — which call, how many cells, in
-// what turn — so a failure replays from its seed.
+// enqueues, lease calls (immediate and parked, remote and in-process),
+// heartbeats, deliveries, waiter cancellations and clock advances, and
+// compares them after every step. Time is a fake clock and the only
+// concurrency is parked lease calls, whose answers the model predicts —
+// which call, how many cells, in what turn — so a failure replays from its
+// seed.
 
 // leaseModel is the reference: what the lease table should hold.
 type leaseModel struct {
@@ -33,8 +36,9 @@ type leaseModel struct {
 	ttl     time.Duration
 	maxAge  time.Duration
 	batch   int
-	workers map[string]*modelWorker
-	parked  []*modelWorker // workers with a lease call parked, longest-waiting first
+	workers map[string]*modelWorker // live remote workers
+	local   *modelWorker            // the in-process client; never expires
+	parked  []*modelWorker          // remote workers with a lease call parked, longest-waiting first
 	// pending is the queue as groups: cells revoked in one step go to the
 	// head together, in an order the dispatcher's map iteration picks, so
 	// within a group order is not pinned; across groups it is.
@@ -166,8 +170,14 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 	m := &leaseModel{
 		now: clk.Now(), ttl: 9 * time.Second, maxAge: 12 * time.Second, batch: 3,
 		workers: map[string]*modelWorker{}, cells: map[string]*modelCell{},
+		local: &modelWorker{id: inProcessID, leases: map[string]time.Time{}},
 	}
 	d := newDispatcher(clk.Now, m.ttl, m.maxAge, m.batch)
+	lw := m.local
+	// The in-process call parks with no deadline: this context ends it when
+	// the test is over.
+	localCtx, endLocal := context.WithCancel(context.Background())
+	defer endLocal()
 	var gone []*modelWaiter // waiters of cells no longer outstanding: each holds exactly one outcome
 	var everyWorker []string
 	enqueued, resolved := 0, 0
@@ -205,9 +215,23 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			m.pending = append([][]string{sortedKeys(left)}, m.pending...)
 		}
 	}
+	// grantLocal records the cells the in-process client was granted.
+	grantLocal := func(leases []workerproto.Lease, err error, want int) {
+		t.Helper()
+		if err != nil || len(leases) != want {
+			t.Fatalf("in-process lease answered %d cells (%v), want %d of the %d pending", len(leases), err, want, m.pendingLen())
+		}
+		var granted []string
+		for _, l := range leases {
+			granted = append(granted, l.Digest)
+			lw.leases[l.Digest] = m.now
+		}
+		m.take(t, granted)
+	}
 	// offer is the model's hand-off: while cells are pending and calls are
 	// parked, the longest-parked call is answered with as many as it asked
-	// for, from the head.
+	// for, from the head; what is left goes to the in-process call if no
+	// remote worker is live.
 	offer := func() {
 		t.Helper()
 		for m.pendingLen() > 0 && len(m.parked) > 0 {
@@ -224,8 +248,21 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			m.take(t, granted)
 			w.expiry = m.now.Add(m.ttl) // a return renews
 		}
+		if lw.call != nil && m.pendingLen() > 0 && len(m.workers) == 0 {
+			want := min(lw.callMax, m.pendingLen())
+			leases, err := lw.call.wait(t, "the last remote worker was gone and cells were pending")
+			lw.call = nil
+			grantLocal(leases, err, want)
+		}
 		// Everyone else is still parked, in the model's order.
 		waitParked(t, d, len(m.parked))
+		if lw.call != nil {
+			yieldUntil(t, "the in-process call parked", func() bool {
+				d.mu.Lock()
+				defer d.mu.Unlock()
+				return d.localCall != nil
+			})
+		}
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		for i, w := range m.parked {
@@ -292,12 +329,16 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 		if len(d.workers) != len(m.workers) {
 			fail("%d live workers, the model %d", len(d.workers), len(m.workers))
 		}
+		byID := map[string]*modelWorker{inProcessID: lw}
 		for id, mw := range m.workers {
-			w, ok := d.workers[id]
-			if !ok {
+			byID[id] = mw
+		}
+		for id, mw := range byID {
+			w := d.workerLocked(id)
+			if w == nil {
 				fail("worker %s is gone", id)
 			}
-			if !w.expiry.Equal(mw.expiry) {
+			if mw != lw && !w.expiry.Equal(mw.expiry) {
 				fail("worker %s expires %v, the model %v", id, w.expiry.Sub(m.now), mw.expiry.Sub(m.now))
 			}
 			if fmt.Sprint(sortedKeys(w.leases)) != fmt.Sprint(sortedKeys(mw.leases)) {
@@ -334,7 +375,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 	for step := 0; step < ops; step++ {
 		op := ""
 		switch r := rng.Intn(100); {
-		case r < 8 || len(m.workers) == 0:
+		case r < 8 || len(everyWorker) == 0:
 			op = "register"
 			id := d.register("w", 1+rng.Intn(3)).WorkerID
 			m.workers[id] = &modelWorker{id: id, expiry: m.now.Add(m.ttl), leases: map[string]time.Time{}}
@@ -354,9 +395,28 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			}
 			c.waiters = append(c.waiters, &modelWaiter{ch, cancel})
 
+		case r < 55 && rng.Intn(4) == 0:
+			// The in-process client's lease call: answered at once if
+			// something is pending and no remote worker is live, parked
+			// otherwise.
+			max := rng.Intn(5) - 1
+			switch {
+			case lw.call != nil:
+				continue
+			case m.pendingLen() > 0 && len(m.workers) == 0:
+				op = "lease (in-process)"
+				leases, err := d.lease(localCtx, inProcessID, max)
+				grantLocal(leases, err, min(m.clampMax(max), m.pendingLen()))
+			default:
+				op = "lease (in-process, parks)"
+				lw.call = startLease(localCtx, d, inProcessID, max)
+				lw.callMax = m.clampMax(max)
+			}
+
 		case r < 55:
-			// A lease call from any worker ever registered: answered at once
-			// if something is pending or the worker is gone, parked otherwise.
+			// A lease call from any remote worker ever registered: answered
+			// at once if something is pending or the worker is gone, parked
+			// otherwise.
 			id := pick(everyWorker)
 			max := rng.Intn(5) - 1
 			w, live := m.workers[id]
@@ -365,8 +425,8 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 				continue // a worker has one lease loop
 			case !live:
 				op = "lease (reaped worker)"
-				if _, err := d.lease(context.Background(), id, max); !errors.Is(err, errUnknownWorker) {
-					t.Fatalf("seed %d step %d: lease of reaped %s = %v, want errUnknownWorker", seed, step, id, err)
+				if _, err := d.lease(context.Background(), id, max); !errors.Is(err, workerproto.ErrUnknownWorker) {
+					t.Fatalf("seed %d step %d: lease of reaped %s = %v, want workerproto.ErrUnknownWorker", seed, step, id, err)
 				}
 			case m.pendingLen() > 0:
 				op = "lease"
@@ -401,6 +461,9 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			op = "heartbeat"
 			id := pick(everyWorker)
 			w, live := m.workers[id]
+			if rng.Intn(4) == 0 {
+				op, id, w, live = "heartbeat (in-process)", inProcessID, lw, true
+			}
 			var active []string
 			stale := ""
 			if live {
@@ -416,15 +479,15 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			}
 			revoked, err := d.heartbeat(id, active)
 			if !live {
-				if !errors.Is(err, errUnknownWorker) {
-					t.Fatalf("seed %d step %d: heartbeat of reaped %s = %v, want errUnknownWorker", seed, step, id, err)
+				if !errors.Is(err, workerproto.ErrUnknownWorker) {
+					t.Fatalf("seed %d step %d: heartbeat of reaped %s = %v, want workerproto.ErrUnknownWorker", seed, step, id, err)
 				}
 				break
 			}
 			want := map[string]bool{}
 			var head []string
 			for _, digest := range sortedKeys(w.leases) {
-				if m.now.Sub(w.leases[digest]) > m.maxAge {
+				if w != lw && m.now.Sub(w.leases[digest]) > m.maxAge {
 					want[digest] = true
 					m.revoke(w, digest, &head)
 				}
@@ -449,7 +512,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			if outstanding {
 				delete(m.cells, digest)
 				m.dropPending(digest)
-				for _, w := range m.workers {
+				for _, w := range modelWorkers(m) {
 					delete(w.leases, digest)
 				}
 				resolve(c, nil)
@@ -469,7 +532,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			c.waiters[i].cancel()
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 			leased := false
-			for _, w := range m.workers {
+			for _, w := range modelWorkers(m) {
 				if !w.leases[digest].IsZero() {
 					leased = true
 				}
@@ -491,8 +554,8 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			for len(m.parked) > 0 && !m.now.Before(m.parked[0].deadline) {
 				w, leases, err := answered("its bound passed")
 				if m.now.After(w.expiry) {
-					if !errors.Is(err, errUnknownWorker) {
-						t.Fatalf("seed %d step %d: parked call of a reaped worker = %v, want errUnknownWorker", seed, step, err)
+					if !errors.Is(err, workerproto.ErrUnknownWorker) {
+						t.Fatalf("seed %d step %d: parked call of a reaped worker = %v, want workerproto.ErrUnknownWorker", seed, step, err)
 					}
 					continue
 				}
@@ -512,15 +575,9 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 				}
 				delete(m.workers, id)
 			}
+			// Once the plane has emptied, offer hands what is pending,
+			// revoked cells first, to the in-process call.
 			requeue(head)
-			if len(m.workers) == 0 {
-				// The plane emptied: every cell goes back to its waiters.
-				for _, digest := range sortedKeys(m.cells) {
-					resolve(m.cells[digest], errNoWorkers)
-				}
-				m.cells = map[string]*modelCell{}
-				m.pending = nil
-			}
 		}
 		offer()
 		check(step, op)
@@ -550,4 +607,20 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 	for _, w := range m.parked {
 		w.call.wait(t, "the end of the test")
 	}
+	endLocal()
+	if lw.call != nil {
+		if leases, err := lw.call.wait(t, "its context ended"); err != nil || len(leases) != 0 {
+			t.Fatalf("seed %d: in-process call at the end answered %v, %v", seed, leases, err)
+		}
+	}
+}
+
+// modelWorkers lists the model's live workers, the in-process client
+// included.
+func modelWorkers(m *leaseModel) []*modelWorker {
+	out := []*modelWorker{m.local}
+	for _, id := range sortedKeys(m.workers) {
+		out = append(out, m.workers[id])
+	}
+	return out
 }

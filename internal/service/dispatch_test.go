@@ -59,11 +59,11 @@ func TestDispatchLeaseExpiryReassignsToLiveWorker(t *testing.T) {
 	}
 
 	// The dead worker's ID is rejected until it re-registers.
-	if _, err := d.lease(context.Background(), a.WorkerID, 4); !errors.Is(err, errUnknownWorker) {
-		t.Fatalf("lease with expired id = %v, want errUnknownWorker", err)
+	if _, err := d.lease(context.Background(), a.WorkerID, 4); !errors.Is(err, workerproto.ErrUnknownWorker) {
+		t.Fatalf("lease with expired id = %v, want workerproto.ErrUnknownWorker", err)
 	}
-	if _, err := d.heartbeat(a.WorkerID, nil); !errors.Is(err, errUnknownWorker) {
-		t.Fatalf("heartbeat with expired id = %v, want errUnknownWorker", err)
+	if _, err := d.heartbeat(a.WorkerID, nil); !errors.Is(err, workerproto.ErrUnknownWorker) {
+		t.Fatalf("heartbeat with expired id = %v, want workerproto.ErrUnknownWorker", err)
 	}
 
 	// Delivery after reassignment wakes the waiter exactly once.
@@ -142,35 +142,69 @@ func TestDispatchFrozenWorkerBudget(t *testing.T) {
 	}
 }
 
-// TestDispatchZeroWorkersReleasesWaiters: when the last live worker
-// disappears, cells waiting on the remote plane are handed back with
-// errNoWorkers so the server's executor falls back to in-process runs
-// instead of stalling forever.
-func TestDispatchZeroWorkersReleasesWaiters(t *testing.T) {
+// TestDispatchInProcessClientOfLastResort: while a remote worker is live,
+// the in-process client's parked lease call is granted nothing, pending
+// cells included; when that worker expires, the call is handed the cell
+// revoked from it and the pending one, revoked first.
+func TestDispatchInProcessClientOfLastResort(t *testing.T) {
 	clk := faultplane.NewClock(time.Unix(1000, 0))
 	d := testDispatcher(clk, 10*time.Second, time.Hour)
+	remote := d.register("only", 1)
 
-	d.register("only", 1)
-	if !d.active() {
-		t.Fatal("dispatcher inactive with a live worker")
-	}
-	ch, cancel := d.enqueue(testCell(3), "")
+	leased, pending := testCell(3), testCell(4)
+	chLeased, cancel := d.enqueue(leased, "")
 	defer cancel()
+	if l, _ := d.lease(context.Background(), remote.WorkerID, 1); len(l) != 1 || l[0].Digest != leased.Digest() {
+		t.Fatalf("remote lease = %v, want the first cell", l)
+	}
+	_, cancel2 := d.enqueue(pending, "")
+	defer cancel2()
 
-	clk.Advance(11 * time.Second)
-	if d.active() {
-		t.Fatal("dispatcher active after the only worker expired")
-	}
+	c := startLease(context.Background(), d, inProcessID, 4)
+	yieldUntil(t, "the in-process call parked", func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.localCall != nil
+	})
+	clk.Advance(5 * time.Second)
+	d.expire()
 	select {
-	case out := <-ch:
-		if !errors.Is(out.err, errNoWorkers) {
-			t.Fatalf("waiter got %v, want errNoWorkers", out.err)
-		}
-	default:
-		t.Fatal("waiter not released when the worker plane emptied")
+	case <-c.done:
+		t.Fatalf("in-process call answered %v while a remote worker was live", c.leases)
+	case <-time.After(20 * time.Millisecond):
 	}
-	if st := d.stats(); st.RemotePending != 0 || st.LeaseDepth != 0 {
-		t.Fatalf("plane not empty after release: %+v", st)
+	if st := d.stats(); st.WorkersLive != 1 || st.RemotePending != 1 || st.LeaseDepth != 1 {
+		t.Fatalf("with a live remote worker: %+v; want 1 live, 1 pending, 1 leased", st)
+	}
+
+	clk.Advance(6 * time.Second) // the remote worker is now 11 s silent
+	d.expire()
+	leases, err := c.wait(t, "the last remote worker expired")
+	if err != nil || len(leases) != 2 || leases[0].Digest != leased.Digest() || leases[1].Digest != pending.Digest() {
+		t.Fatalf("in-process call answered %v, %v; want the revoked cell, then the pending one", leases, err)
+	}
+	st := d.stats()
+	if st.WorkersLive != 0 || st.WorkersExpired != 1 || st.WorkersRegistered != 1 || st.Reassigned != 1 ||
+		st.LeaseDepth != 2 || st.RemotePending != 0 {
+		t.Fatalf("after the expiry: %+v; want the remote worker counted expired and both cells leased in-process", st)
+	}
+	// The waiter is still waiting: the cell now runs in-process, and its
+	// upload resolves it as it would a remote one.
+	select {
+	case out := <-chLeased:
+		t.Fatalf("waiter answered %+v before the in-process upload", out)
+	default:
+	}
+	if !d.deliver(leased.Digest(), remoteOutcome{}) {
+		t.Fatal("the reassigned cell was not outstanding")
+	}
+	if out := <-chLeased; out.err != nil {
+		t.Fatalf("waiter got %v", out.err)
+	}
+	// The in-process client never expires and has no progress budget.
+	clk.Advance(2 * time.Hour)
+	if revoked, err := d.heartbeat(inProcessID, nil); err != nil || len(revoked) != 0 {
+		t.Fatalf("in-process heartbeat after 2 h = %v, %v; want its lease kept", revoked, err)
 	}
 }
 

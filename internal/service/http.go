@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,8 +43,9 @@ const maxCompleteBytes = 16 << 20
 //	POST /v1/cells/{digest}/complete — upload a verified result or failure
 //
 // and the debug surface: the runner debug mux (/debug/sweep progress,
-// /debug/vars progress + memstats, pprof). The service and worker-plane
-// stats are served once, on /v1/healthz.
+// /debug/vars progress + memstats, pprof). The service and lease-plane
+// stats are rendered once, from the stat table, on /v1/healthz; /metrics
+// mirrors them from the same sources.
 func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -177,9 +177,9 @@ func (s *Server) handleDeadLetters(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz reports ok while serving and draining (with a 503) during
 // shutdown, so load balancers stop routing before the listener closes. The
-// stats body carries the worker-plane accounting (registered/live/expired
-// workers, lease depth) so degraded mode — zero live remote workers, cells
-// running in-process — is visible at a glance.
+// stats body carries the lease-plane accounting (registered/live/expired
+// remote workers, lease depth), so a server whose cells all run in-process
+// — workers_live 0 — is visible at a glance.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	code := http.StatusOK
@@ -263,6 +263,16 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.dispatch.register(req.Name, req.Capacity))
 }
 
+// remoteWorkerID is a work-API call's {id} path segment. The in-process
+// client's ID is not reachable over HTTP: it maps to "", which no worker
+// holds, so the call answers 404.
+func remoteWorkerID(r *http.Request) string {
+	if id := r.PathValue("id"); id != inProcessID {
+		return id
+	}
+	return ""
+}
+
 // handleWorkerLease answers with work as soon as there is any for this
 // worker: with nothing pending the call stays parked in dispatcher.lease
 // (long poll) and ends on new work, on drain, when the client goes away, or
@@ -273,31 +283,20 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed lease request: %w", err))
 		return
 	}
-	if s.isDraining() {
-		// Finish what you hold; no new work is granted during a drain.
-		writeJSON(w, http.StatusOK, workerproto.LeaseResponse{Draining: true})
-		return
-	}
 	// net/http watches the connection for the client going away only once
 	// the request body has been read to its end, and the decoder stops at the
 	// end of the JSON value.
 	io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	// Drain cancels s.ctx after setting draining, so a call parked across
-	// the start of a drain wakes and reports it like one arriving after.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.ctx, cancel)
-	defer stop()
 	start := time.Now()
-	leases, err := s.dispatch.lease(ctx, r.PathValue("id"), req.Max)
+	resp, err := s.lease(r.Context(), remoteWorkerID(r), req.Max)
 	if s.tel != nil {
 		s.tel.leaseWait.ObserveDuration(time.Since(start))
 	}
-	if errors.Is(err, errUnknownWorker) {
+	if errors.Is(err, workerproto.ErrUnknownWorker) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, workerproto.LeaseResponse{Leases: leases, Draining: s.ctx.Err() != nil})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -306,8 +305,8 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed heartbeat: %w", err))
 		return
 	}
-	revoked, err := s.dispatch.heartbeat(r.PathValue("id"), req.Active)
-	if errors.Is(err, errUnknownWorker) {
+	revoked, err := s.dispatch.heartbeat(remoteWorkerID(r), req.Active)
+	if errors.Is(err, workerproto.ErrUnknownWorker) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
@@ -319,7 +318,7 @@ func (s *Server) handleCellComplete(w http.ResponseWriter, r *http.Request) {
 	if err := decodeBody(w, r, maxCompleteBytes, &req); err != nil {
 		// A torn upload (connection cut mid-body) surfaces here as a decode
 		// error; nothing was admitted and the worker's retry re-sends.
-		s.dispatch.countRejected()
+		s.dispatch.countUpload("rejected")
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed completion: %w", err))
 		return
 	}

@@ -180,7 +180,8 @@ func TestLeaseParksAndWakes(t *testing.T) {
 		}
 		// The return renewed the worker: a full TTL from the bound it is live.
 		clk.Advance(9 * time.Second)
-		if !d.active() {
+		d.expire()
+		if st := d.stats(); st.WorkersLive != 1 || st.WorkersExpired != 0 {
 			t.Fatal("worker expired a TTL after its lease call returned: the return did not renew it")
 		}
 	})
@@ -248,8 +249,8 @@ func TestLeaseParksAndWakes(t *testing.T) {
 		waitParked(t, d, 1)
 		clk.Advance(10 * time.Second) // past the TTL: the sweep reaps it, and must wake it
 		d.expire()
-		if _, err := c.wait(t, "its worker was reaped"); !errors.Is(err, errUnknownWorker) {
-			t.Fatalf("lease of a reaped worker = %v, want errUnknownWorker", err)
+		if _, err := c.wait(t, "its worker was reaped"); !errors.Is(err, workerproto.ErrUnknownWorker) {
+			t.Fatalf("lease of a reaped worker = %v, want workerproto.ErrUnknownWorker", err)
 		}
 	})
 }

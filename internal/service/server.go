@@ -19,6 +19,7 @@ import (
 	"dnc/internal/httpx"
 	"dnc/internal/jsonl"
 	"dnc/internal/resultstore"
+	"dnc/internal/service/worker"
 	"dnc/internal/service/workerproto"
 	"dnc/internal/sim"
 	"dnc/internal/sim/runner"
@@ -34,7 +35,8 @@ type Config struct {
 	// Workers is the number of jobs executed concurrently (default 2).
 	Workers int
 	// CellJobs bounds concurrently simulating cells within one job
-	// (default GOMAXPROCS).
+	// (default GOMAXPROCS); the in-process lease client runs Workers ×
+	// CellJobs.
 	CellJobs int
 	// QueueCap bounds queued (accepted, unstarted) jobs; a full queue
 	// answers 429 + Retry-After (default 64).
@@ -74,9 +76,9 @@ type Config struct {
 	// for the deterministic fault plane (fake-clock chaos tests);
 	// production leaves it nil.
 	Clock func() time.Time
-	// RunCell, when set, replaces the in-process cell executor (test seam;
-	// see runner.Options.Run).
-	RunCell func(ctx context.Context, c runner.Cell, cfg sim.RunConfig) (sim.Result, error)
+	// RunCell, when set, replaces the simulator in the in-process lease
+	// client (test seam; see worker.Options.Run).
+	RunCell func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error)
 	// Logger receives structured operational logs (accepted jobs, worker
 	// registrations, lease reassignments, admission refusals). Nil discards
 	// — library embedders and tests stay quiet by default; dncserved passes
@@ -121,10 +123,9 @@ type DeadLetter struct {
 }
 
 // Stats is a point-in-time operational snapshot, also served by /v1/healthz.
-// The embedded dispatchStats is the worker-plane accounting (registered /
-// live / expired workers, lease depth, reassignment and admission counters)
-// so load balancers and operators can see degraded mode — zero live remote
-// workers — at a glance.
+// The embedded dispatchStats is the lease-plane accounting (registered /
+// live / expired remote workers, lease depth, reassignment and admission
+// counters); workers_live 0 means the in-process client runs the cells.
 type Stats struct {
 	Draining     bool   `json:"draining"`
 	Jobs         int    `json:"jobs"`
@@ -147,14 +148,12 @@ type Stats struct {
 	StoreWriteErrors uint64 `json:"store_write_errors"`
 	DeadLetters      int    `json:"dead_letters"`
 	dispatchStats
-	// Degraded is true when zero live remote workers are registered and
-	// cells execute on the in-process pool.
-	Degraded bool `json:"degraded"`
 }
 
 // Server is the sweep-as-a-service daemon: HTTP API in front, bounded
-// priority queue in the middle, runner.Sweep workers behind, all state
-// funneled through the persistent result cache.
+// priority queue in the middle, runner.Sweep workers behind leasing every
+// cell to a lease client, all state funneled through the persistent result
+// cache.
 type Server struct {
 	cfg      Config
 	cache    *resultCache
@@ -265,8 +264,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start binds addr and serves the API; workers start pulling jobs. It
-// returns once listening (serving continues in the background).
+// Start binds addr and serves the API; workers start pulling jobs and the
+// in-process lease client starts. It returns once listening (serving
+// continues in the background).
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -281,6 +281,29 @@ func (s *Server) Start(addr string) error {
 			s.workerLoop()
 		}()
 	}
+	run := s.cfg.RunCell
+	if run == nil {
+		// The simulator, reporting progress (/debug/sweep's running_cycles)
+		// under the cell's runner ID.
+		run = func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
+			cfg, id := spec.RunConfig(), spec.Key()
+			cfg.OnAdvance = func(cycle uint64) { s.progress.Advance(id, cycle) }
+			res, err := sim.RunChecked(ctx, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return runner.NewResultJSON(res), nil
+		}
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		// It returns once a drain begins: inProcessAPI never fails a
+		// registration, so there is no error to report.
+		_ = worker.RunOn(s.ctx, inProcessAPI{s}, worker.Options{
+			Name: inProcessID, Capacity: s.cfg.Workers * s.cfg.CellJobs, CellTimeout: s.cfg.CellTimeout, Run: run,
+		})
+	}()
 	// Lease-expiry sweep: the real clock only decides how often we look;
 	// what has expired is judged by the injectable dispatcher clock, so
 	// fake-clock chaos tests stay deterministic.
@@ -405,7 +428,6 @@ func (s *Server) Stats() Stats {
 		CacheEvictions: cs.evictions,
 		DeadLetters:    len(s.dead),
 		dispatchStats:  ds,
-		Degraded:       ds.WorkersLive == 0,
 	}
 }
 
@@ -422,12 +444,12 @@ func (s *Server) DeadLetters() []DeadLetter {
 }
 
 // Drain gracefully shuts the service down: stop accepting submissions,
-// close the queue, cancel in-flight sweeps (their completed cells are
-// already cached; their running cells re-run from cycle 0 on the next
-// start), seal the column store's pending batch, close persistent state,
-// and stop the HTTP server — all bounded by ctx. Accepted jobs are never
-// lost: unfinished ones restart from their durable acceptance record on
-// the next process.
+// close the queue, cancel in-flight sweeps and the in-process lease client
+// (completed cells are already cached; running ones re-run from cycle 0 on
+// the next start), seal the column store's pending batch, close persistent
+// state, and stop the HTTP server — all bounded by ctx. Accepted jobs are
+// never lost: unfinished ones restart from their durable acceptance record
+// on the next process.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -537,6 +559,10 @@ func (s *Server) runJob(j *job) {
 		s.rec.CellEnqueued(j.id, digest, c.Key())
 	}
 
+	traceID := "" // leases carry no trace identity with telemetry off
+	if s.rec != nil {
+		traceID = telemetry.TraceID(j.id)
+	}
 	jobCtx := s.ctx
 	var cancel context.CancelFunc
 	if s.cfg.JobTimeout > 0 {
@@ -551,7 +577,18 @@ func (s *Server) runJob(j *job) {
 		Backoff:    s.cfg.Backoff,
 		BackoffMax: s.cfg.BackoffMax,
 		Progress:   s.progress,
-		Run:        s.cellExecutor(j.id, byID),
+		// Every attempt is a lease: enqueue the cell, then wait for a lease
+		// client's verified upload (or reported failure) to resolve it.
+		Run: func(ctx context.Context, c runner.Cell, _ sim.RunConfig) (sim.Result, error) {
+			ch, cancel := s.dispatch.enqueue(byID[c.ID], traceID)
+			defer cancel()
+			select {
+			case out := <-ch:
+				return out.r, out.err
+			case <-ctx.Done():
+				return sim.Result{}, ctx.Err()
+			}
+		},
 		OnResult: func(cr runner.CellResult) {
 			cell, ok := byID[cr.ID]
 			if !ok {
@@ -559,8 +596,9 @@ func (s *Server) runJob(j *job) {
 			}
 			switch cr.Status {
 			case runner.StatusOK:
-				// A remote cell was admitted by completeCell before its result
-				// reached the runner: its entry is there to be read.
+				// completeCell admitted the cell before its result reached the
+				// runner: its entry is there to be read, unless the size bound
+				// has already evicted it.
 				e, ok := s.cache.get(cell.Digest())
 				if !ok {
 					r := runner.NewResultJSON(cr.Result)
@@ -625,72 +663,54 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// localExecutor picks the in-process run function: the RunCell test seam,
-// else sim.RunChecked.
-func (s *Server) localExecutor() func(context.Context, runner.Cell, sim.RunConfig) (sim.Result, error) {
-	if s.cfg.RunCell != nil {
-		return s.cfg.RunCell
-	}
-	return func(ctx context.Context, _ runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
-		return sim.RunChecked(ctx, cfg)
-	}
+// inProcessAPI is the in-process lease client's transport: direct calls, no
+// HTTP.
+type inProcessAPI struct{ s *Server }
+
+func (a inProcessAPI) Register(context.Context, workerproto.RegisterRequest) (workerproto.RegisterResponse, error) {
+	return a.s.dispatch.contract(a.s.dispatch.local), nil
 }
 
-// cellExecutor is the per-attempt executor runJob hands to runner.Sweep.
-// Each attempt decides where the cell runs: with live remote workers
-// registered it is enqueued on the lease plane and the attempt blocks until
-// a verified upload (or remote failure) resolves it; with zero workers —
-// degraded mode — it runs on the in-process pool exactly as before the
-// worker plane existed. If the last worker dies while the cell waits, the
-// dispatcher releases it with errNoWorkers and the attempt falls back to
-// local execution instead of stalling; the runner's per-attempt timeout and
-// retry machinery apply identically to both paths.
-func (s *Server) cellExecutor(jobID string, byID map[string]cellSpec) func(context.Context, runner.Cell, sim.RunConfig) (sim.Result, error) {
-	local := s.localExecutor()
-	traceID := ""
-	if s.rec != nil {
-		traceID = telemetry.TraceID(jobID)
-	}
-	// runLocal wraps an in-process attempt in its lifecycle span: the
-	// execution end doubles as the "upload" boundary (the result arrives the
-	// moment the run returns), keeping local and remote phase structure
-	// identical.
-	runLocal := func(ctx context.Context, digest string, c runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
-		s.rec.ExecStart(digest, "")
-		r, err := local(ctx, c, cfg)
-		if err != nil {
-			s.rec.ExecEnd(digest, "", "failed")
-			return r, err
-		}
-		s.rec.Upload(digest)
-		s.rec.ExecEnd(digest, "", "admitted")
-		return r, nil
-	}
-	return func(ctx context.Context, c runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
-		spec, ok := byID[c.ID]
-		if !ok {
-			return local(ctx, c, cfg)
-		}
-		digest := spec.Digest()
-		if !s.dispatch.active() {
-			return runLocal(ctx, digest, c, cfg)
-		}
-		ch, cancel := s.dispatch.enqueue(spec, traceID)
-		defer cancel()
-		select {
-		case out := <-ch:
-			if errors.Is(out.err, errNoWorkers) {
-				return runLocal(ctx, digest, c, cfg)
-			}
-			return out.r, out.err
-		case <-ctx.Done():
-			return sim.Result{}, ctx.Err()
-		}
-	}
+func (a inProcessAPI) Lease(ctx context.Context, workerID string, req workerproto.LeaseRequest) (workerproto.LeaseResponse, error) {
+	return a.s.lease(ctx, workerID, req.Max)
 }
 
-// completeCell is the admission path for worker uploads (and reported
-// remote failures). Verification before anything touches the cache:
+func (a inProcessAPI) Heartbeat(_ context.Context, workerID string, req workerproto.HeartbeatRequest) (workerproto.HeartbeatResponse, error) {
+	revoked, err := a.s.dispatch.heartbeat(workerID, req.Active)
+	return workerproto.HeartbeatResponse{Revoked: revoked}, err
+}
+
+// Complete fails the cell if admission refuses the upload: no other client
+// would ever be handed it.
+func (a inProcessAPI) Complete(_ context.Context, l workerproto.Lease, _ int, req workerproto.CompleteRequest) (workerproto.CompleteResponse, error) {
+	resp, _, err := a.s.completeCell(l.Digest, req)
+	if err != nil {
+		a.s.dispatch.deliver(l.Digest, remoteOutcome{err: err})
+	}
+	return resp, err
+}
+
+// lease is both transports' lease call. Drain cancels s.ctx after setting
+// draining, so a call parked across the start of a drain wakes and reports
+// it like one arriving after.
+func (s *Server) lease(ctx context.Context, workerID string, max int) (workerproto.LeaseResponse, error) {
+	if s.isDraining() {
+		return workerproto.LeaseResponse{Draining: true}, nil
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	stop := context.AfterFunc(s.ctx, cancel)
+	defer stop()
+	leases, err := s.dispatch.lease(ctx, workerID, max)
+	if err != nil {
+		return workerproto.LeaseResponse{}, err
+	}
+	return workerproto.LeaseResponse{Leases: leases, Draining: s.ctx.Err() != nil}, nil
+}
+
+// completeCell is the admission path for every cell: lease clients' uploads
+// (and reported failures), remote or in-process. Verification before
+// anything touches the cache:
 //
 //  1. the uploaded spec's content address must equal the URL digest — a
 //     torn or corrupted body can never be admitted under a wrong address;
@@ -702,72 +722,53 @@ func (s *Server) cellExecutor(jobID string, byID map[string]cellSpec) func(conte
 //  4. a fresh result is admitted only for a cell the lease plane knows
 //     (outstanding), keeping the cache closed to arbitrary stuffing.
 func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (workerproto.CompleteResponse, int, error) {
+	reject := func(code int, reason string, err error) (workerproto.CompleteResponse, int, error) {
+		s.dispatch.countUpload("rejected")
+		s.log.Warn("upload rejected", "digest", digest, "worker", req.WorkerID, "reason", reason)
+		return workerproto.CompleteResponse{}, code, err
+	}
 	if req.Spec.Digest() != digest {
-		s.dispatch.countRejected()
-		s.log.Warn("upload rejected", "digest", digest, "worker", req.WorkerID, "reason", "spec digest mismatch")
-		return workerproto.CompleteResponse{}, http.StatusBadRequest,
-			fmt.Errorf("service: upload spec digest %s does not match cell %s", req.Spec.Digest(), digest)
+		return reject(http.StatusBadRequest, "spec digest mismatch",
+			fmt.Errorf("service: upload spec digest %s does not match cell %s", req.Spec.Digest(), digest))
 	}
 	if req.Result == nil {
 		if req.Error == "" {
-			s.dispatch.countRejected()
-			s.log.Warn("upload rejected", "digest", digest, "worker", req.WorkerID, "reason", "neither result nor error")
-			return workerproto.CompleteResponse{}, http.StatusBadRequest,
-				errors.New("service: upload carries neither result nor error")
+			return reject(http.StatusBadRequest, "neither result nor error",
+				errors.New("service: upload carries neither result nor error"))
 		}
-		rerr := fmt.Errorf("service: remote execution: %s", req.Error)
+		rerr := fmt.Errorf("service: execution on %s: %s", req.WorkerID, req.Error)
 		if req.Transient {
 			// Map the worker's transient classification onto the sentinel the
 			// runner's retry classifier understands.
-			rerr = fmt.Errorf("service: remote execution: %s: %w", req.Error, context.DeadlineExceeded)
+			rerr = fmt.Errorf("service: execution on %s: %s: %w", req.WorkerID, req.Error, context.DeadlineExceeded)
 		}
 		if !s.dispatch.deliver(digest, remoteOutcome{err: rerr}) {
 			return workerproto.CompleteResponse{}, http.StatusNotFound,
 				fmt.Errorf("service: cell %s is not outstanding", digest)
 		}
 		s.rec.ExecEnd(digest, req.WorkerID, "failed")
-		s.log.Warn("remote cell failed", "span", telemetry.SpanID(digest), "worker", req.WorkerID,
+		s.log.Warn("cell execution failed", "span", telemetry.SpanID(digest), "worker", req.WorkerID,
 			"transient", req.Transient, "err", req.Error)
 		return workerproto.CompleteResponse{Status: workerproto.StatusFailureRecorded}, http.StatusOK, nil
 	}
 	if req.Result.Workload != req.Spec.Workload || req.Result.Design != req.Spec.Design {
-		s.dispatch.countRejected()
-		s.log.Warn("upload rejected", "digest", digest, "worker", req.WorkerID, "reason", "result identity mismatch")
-		return workerproto.CompleteResponse{}, http.StatusBadRequest,
+		return reject(http.StatusBadRequest, "result identity mismatch",
 			fmt.Errorf("service: result identity (%s, %s) does not match spec (%s, %s)",
-				req.Result.Workload, req.Result.Design, req.Spec.Workload, req.Spec.Design)
+				req.Result.Workload, req.Result.Design, req.Spec.Workload, req.Spec.Design))
 	}
 	s.rec.Upload(digest)
 	resultDigest := ResultDigest(req.Result)
-	if e, ok := s.cache.get(digest); ok {
-		if e.ResultDigest != resultDigest {
-			s.dispatch.countRejected()
-			if s.tel != nil {
-				s.tel.determinismViolations.Inc()
-			}
-			s.rec.ExecEnd(digest, req.WorkerID, "rejected")
-			s.log.Error("determinism violation", "span", telemetry.SpanID(digest), "worker", req.WorkerID,
-				"cached", e.ResultDigest, "uploaded", resultDigest)
-			return workerproto.CompleteResponse{}, http.StatusConflict,
-				fmt.Errorf("service: upload for %s is not bit-identical to the cached result (determinism violation)", digest)
+	e, cached := s.cache.get(digest)
+	if !cached {
+		if !s.dispatch.outstanding(digest) {
+			return reject(http.StatusNotFound, "cell not outstanding", fmt.Errorf("service: cell %s is not outstanding", digest))
 		}
-		s.dispatch.countDuplicate()
-		s.rec.Verified(digest)
-		s.rec.ExecEnd(digest, req.WorkerID, "duplicate")
-		s.dispatch.deliver(digest, remoteOutcome{r: e.Result.Result()})
-		return workerproto.CompleteResponse{Status: workerproto.StatusDuplicate}, http.StatusOK, nil
+		e = s.admit(req.Spec, req.Result, resultDigest)
 	}
-	if !s.dispatch.outstanding(digest) {
-		s.dispatch.countRejected()
-		s.log.Warn("upload rejected", "digest", digest, "worker", req.WorkerID, "reason", "cell not outstanding")
-		return workerproto.CompleteResponse{}, http.StatusNotFound,
-			fmt.Errorf("service: cell %s is not outstanding", digest)
-	}
-	e := s.admit(req.Spec, req.Result, resultDigest)
 	if e.ResultDigest != resultDigest {
-		// A racing upload won the first insert with a different result:
-		// refuse this one rather than lie about what was admitted.
-		s.dispatch.countRejected()
+		// The cached result, or a racing upload's that won the first insert,
+		// differs: refuse this one rather than lie about what was admitted.
+		s.dispatch.countUpload("rejected")
 		if s.tel != nil {
 			s.tel.determinismViolations.Inc()
 		}
@@ -775,13 +776,17 @@ func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (w
 		s.log.Error("determinism violation", "span", telemetry.SpanID(digest), "worker", req.WorkerID,
 			"cached", e.ResultDigest, "uploaded", resultDigest)
 		return workerproto.CompleteResponse{}, http.StatusConflict,
-			fmt.Errorf("service: upload for %s lost a race to a non-identical result (determinism violation)", digest)
+			fmt.Errorf("service: upload for %s is not bit-identical to the admitted result (determinism violation)", digest)
 	}
-	s.dispatch.countAdmitted()
+	status := workerproto.StatusAdmitted
+	if cached {
+		status = workerproto.StatusDuplicate
+	}
+	s.dispatch.countUpload(status)
 	s.rec.Verified(digest)
-	s.rec.ExecEnd(digest, req.WorkerID, "admitted")
-	s.dispatch.deliver(digest, remoteOutcome{r: req.Result.Result()})
-	return workerproto.CompleteResponse{Status: workerproto.StatusAdmitted}, http.StatusOK, nil
+	s.rec.ExecEnd(digest, req.WorkerID, status)
+	s.dispatch.deliver(digest, remoteOutcome{r: e.Result.Result()})
+	return workerproto.CompleteResponse{Status: status}, http.StatusOK, nil
 }
 
 // admit is the one place a result becomes durable: a single fsynced line in

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dnc/internal/service/workerproto"
 	"dnc/internal/sim"
 	"dnc/internal/sim/runner"
 )
@@ -101,11 +102,11 @@ func smallSpec() Spec {
 // fakeRunCell is an executor seam returning an instant deterministic result
 // derived from the cell identity, for tests that exercise queueing and
 // persistence rather than simulation.
-func fakeRunCell(ctx context.Context, c runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
-	r := sim.Result{Workload: cfg.Workload.Name}
-	r.M.Cycles = cfg.MeasureCycles
-	r.M.Retired = uint64(cfg.Seed) * 1000
-	return r, nil
+func fakeRunCell(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
+	r := sim.Result{Workload: spec.Workload, Design: spec.Design}
+	r.M.Cycles = spec.Measure
+	r.M.Retired = uint64(spec.Seed) * 1000
+	return runner.NewResultJSON(r), nil
 }
 
 func (e *testEnv) postJSON(body string) *http.Response {
@@ -354,13 +355,13 @@ func TestBackpressure(t *testing.T) {
 	e := newTestEnv(t, func(c *Config) {
 		c.Workers = 1
 		c.QueueCap = 1
-		c.RunCell = func(ctx context.Context, cell runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
+		c.RunCell = func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
-				return sim.Result{}, ctx.Err()
+				return nil, ctx.Err()
 			}
-			return fakeRunCell(ctx, cell, cfg)
+			return fakeRunCell(ctx, spec)
 		}
 	})
 	running := e.submit(smallSpec()) // worker picks this up and blocks
@@ -399,9 +400,9 @@ func TestBackpressure(t *testing.T) {
 func TestGracefulDrainLosesNoAcceptedJob(t *testing.T) {
 	e := newTestEnv(t, func(c *Config) {
 		c.Workers = 1
-		c.RunCell = func(ctx context.Context, cell runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
+		c.RunCell = func(ctx context.Context, _ workerproto.CellSpec) (*runner.ResultJSON, error) {
 			<-ctx.Done() // hold the cell until drain cancels it
-			return sim.Result{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	})
 	inFlight := e.submit(smallSpec())
@@ -441,14 +442,14 @@ func TestJobPriorityOrder(t *testing.T) {
 	done := make(chan string, 8)
 	e := newTestEnv(t, func(c *Config) {
 		c.Workers = 1
-		c.RunCell = func(ctx context.Context, cell runner.Cell, cfg sim.RunConfig) (sim.Result, error) {
+		c.RunCell = func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
-				return sim.Result{}, ctx.Err()
+				return nil, ctx.Err()
 			}
-			done <- cell.ID
-			return fakeRunCell(ctx, cell, cfg)
+			done <- spec.Key()
+			return fakeRunCell(ctx, spec)
 		}
 	})
 	blocker := e.submit(smallSpec()) // occupies the worker

@@ -53,24 +53,22 @@ func statTable() []statEntry {
 			func(s Stats) any { return s.DeadLetters }},
 		{"workers_registered", "Worker registrations ever (this process).",
 			func(s Stats) any { return s.WorkersRegistered }},
-		{"workers_live", "Live (heartbeating) remote workers right now.",
+		{"workers_live", "Live (heartbeating) remote workers right now; at 0 the in-process lease client runs the cells.",
 			func(s Stats) any { return s.WorkersLive }},
 		{"workers_expired", "Workers reaped for missing their heartbeat window.",
 			func(s Stats) any { return s.WorkersExpired }},
-		{"lease_depth", "Cells currently leased to remote workers.",
+		{"lease_depth", "Cells currently leased, to remote workers or the in-process client.",
 			func(s Stats) any { return s.LeaseDepth }},
-		{"remote_pending", "Cells queued for the next lease request.",
+		{"remote_pending", "Cells queued for the next lease request (of a remote worker or the in-process client).",
 			func(s Stats) any { return s.RemotePending }},
 		{"reassigned", "Leases revoked and returned to the queue (dead or frozen workers).",
 			func(s Stats) any { return s.Reassigned }},
-		{"remote_admitted", "Fresh results admitted from worker uploads.",
+		{"remote_admitted", "Fresh results admitted from uploads, the in-process client's included.",
 			func(s Stats) any { return s.RemoteAdmitted }},
-		{"remote_duplicates", "Bit-identical duplicate uploads acknowledged idempotently.",
+		{"remote_duplicates", "Bit-identical duplicate uploads acknowledged idempotently (in-process client included).",
 			func(s Stats) any { return s.RemoteDuplicates }},
-		{"remote_rejected", "Uploads refused by admission verification.",
+		{"remote_rejected", "Uploads refused by admission verification (in-process client included).",
 			func(s Stats) any { return s.RemoteRejected }},
-		{"degraded", "True when zero live workers are registered (cells run in-process).",
-			func(s Stats) any { return s.Degraded }},
 	}
 }
 

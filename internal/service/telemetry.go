@@ -47,7 +47,7 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		"Jobs reaching a terminal state (done or failed).")
 
 	t.cellsAdmitted = reg.Counter("dnc_cells_admitted_total",
-		"Cells admitted with a fresh result (simulated locally or uploaded by a worker).")
+		"Cells admitted with a fresh result (run by a remote worker or the in-process lease client).")
 	t.cellsDeduped = reg.Counter("dnc_cells_deduped_total",
 		"Cells served from the content-addressed result cache without running.")
 	t.cellsFailed = reg.Counter("dnc_cells_failed_total",
@@ -59,7 +59,7 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 
 	// Mirrored monotone counters: one source of truth, read at scrape time.
 	reg.CounterFunc("dnc_cells_simulated_total",
-		"Cells run to completion by this process's sweeps, in-process or by a remote worker.",
+		"Cells run to completion by this process's sweeps, by a remote worker or the in-process lease client.",
 		func() uint64 { return uint64(s.progress.Snapshot().OK) })
 	reg.CounterFunc("dnc_cells_reassigned_total",
 		"Leases revoked and returned to the queue (dead or frozen workers).",
@@ -74,13 +74,13 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		"Workers reaped for missing their heartbeat window.",
 		func() uint64 { return s.dispatch.stats().WorkersExpired })
 	reg.CounterFunc("dnc_remote_admitted_total",
-		"Fresh results admitted from worker uploads.",
+		"Fresh results admitted from uploads (the in-process lease client's included).",
 		func() uint64 { return s.dispatch.stats().RemoteAdmitted })
 	reg.CounterFunc("dnc_remote_duplicates_total",
-		"Bit-identical duplicate uploads acknowledged idempotently.",
+		"Bit-identical duplicate uploads acknowledged idempotently (in-process lease client included).",
 		func() uint64 { return s.dispatch.stats().RemoteDuplicates })
 	reg.CounterFunc("dnc_remote_rejected_total",
-		"Uploads refused by admission verification.",
+		"Uploads refused by admission verification (in-process lease client included).",
 		func() uint64 { return s.dispatch.stats().RemoteRejected })
 
 	reg.CounterFunc("dnc_store_write_errors_total",
@@ -104,13 +104,13 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		"Live (heartbeating) remote workers.",
 		func() float64 { return float64(s.dispatch.stats().WorkersLive) })
 	reg.GaugeFunc("dnc_lease_depth",
-		"Cells currently leased to remote workers.",
+		"Cells currently leased, to remote workers or the in-process lease client.",
 		func() float64 { return float64(s.dispatch.stats().LeaseDepth) })
 	reg.GaugeFunc("dnc_remote_pending",
-		"Cells queued for the next worker lease request.",
+		"Cells queued for the next lease request (of a remote worker or the in-process lease client).",
 		func() float64 { return float64(s.dispatch.stats().RemotePending) })
 	reg.GaugeFunc("dnc_inflight_cells",
-		"Cells executing right now (local pool and remote leases).",
+		"Runner attempts in progress: cells executing on a lease client, plus cells still pending a lease or sleeping between retries.",
 		func() float64 {
 			snap := s.progress.Snapshot()
 			return float64(len(snap.Running))
@@ -126,10 +126,10 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		"Per-cell end-to-end latency from enqueue to terminal outcome. Phase durations sum exactly to this.",
 		telemetry.DurationBounds(), telemetry.SecondsScale)
 	t.uploadSize = reg.Histogram("dnc_upload_size_bytes",
-		"Worker completion upload body sizes.",
+		"Remote worker completion upload body sizes (HTTP uploads only).",
 		telemetry.SizeBounds(), 1)
 	t.leaseWait = reg.Histogram("dnc_lease_wait_seconds",
-		"Time a worker lease call was held by the server before it answered (parked while nothing was pending).",
+		"Time a remote worker's HTTP lease call was held by the server before it answered (parked while nothing was pending).",
 		telemetry.DurationBounds(), telemetry.SecondsScale)
 
 	t.query = reg.Histogram("dnc_query_seconds",

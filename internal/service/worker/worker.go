@@ -1,10 +1,10 @@
-// Package worker is the remote execution plane's client side: the loop a
-// dncworker process runs against a dncserved control plane. It registers
-// for an identity, pulls leased cells in batches, executes them through the
-// same RunConfig construction the server's in-process pool uses (which is
-// what makes remote results bit-identical), uploads completions under the
-// cell's content address, and renews its leases by heartbeating at the
-// cadence the server dictates.
+// Package worker is the execution plane's lease client: the loop a dncworker
+// process runs against a dncserved control plane over HTTP, and dncserved
+// runs in-process over direct calls. It registers for an identity, pulls
+// leased cells in batches, executes them through CellSpec.RunConfig (which
+// is what makes every client's results bit-identical), uploads completions
+// under the cell's content address, and renews its leases by heartbeating
+// at the cadence the server dictates.
 //
 // A session is a pipeline with no timer on its busy path. A cell holds one
 // of Capacity execution slots while Options.Run runs and gives it back the
@@ -17,9 +17,10 @@
 // so it is handed the next cell as soon as there is both a slot and a cell.
 //
 // The loop is built for an at-least-once world: a heartbeat answered with
-// revocations abandons those cells (the server has reassigned them), a 404
-// from any work-API call means the registration expired and the worker
-// re-registers from scratch, and every upload is safe to retry blindly
+// revocations abandons those cells (the server has reassigned them),
+// workerproto.ErrUnknownWorker from a lease or heartbeat means the
+// registration expired and the worker re-registers from scratch, and every
+// upload is safe to retry blindly
 // because the server acknowledges bit-identical duplicates idempotently.
 package worker
 
@@ -66,7 +67,7 @@ type Options struct {
 	// errors and 429/502/503).
 	Client *httpx.RetryClient
 	// Run is the execution seam; nil runs the real simulator via
-	// CellSpec.RunConfig, exactly as the server's in-process pool does.
+	// CellSpec.RunConfig.
 	Run func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error)
 	// FreezeAfter is a chaos hook: after this many result uploads the
 	// worker freezes — it keeps leasing nothing new, keeps heartbeating,
@@ -90,9 +91,6 @@ func (o Options) withDefaults() Options {
 	if o.PollInterval <= 0 {
 		o.PollInterval = 250 * time.Millisecond
 	}
-	if o.Client == nil {
-		o.Client = &httpx.RetryClient{Retries: 3}
-	}
 	if o.Run == nil {
 		o.Run = defaultRun
 	}
@@ -103,15 +101,13 @@ func (o Options) withDefaults() Options {
 		// A zero Telemetry has no registry and all-nil (no-op) counters:
 		// metrics disabled without a branch at every observation site.
 		o.Telemetry = &Telemetry{}
-	} else {
-		o.Telemetry.InstrumentClient(o.Client)
 	}
 	return o
 }
 
 // defaultRun executes the cell for real. The RunConfig comes from the
 // shared wire-protocol package, so this is byte-for-byte the configuration
-// the server's own pool would build.
+// every other lease client builds.
 func defaultRun(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
 	res, err := sim.RunChecked(ctx, spec.RunConfig())
 	if err != nil {
@@ -120,9 +116,9 @@ func defaultRun(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJ
 	return runner.NewResultJSON(res), nil
 }
 
-// errReregister flows through a session's context cause when a work-API
-// call returns 404: the registration expired (server restart, missed
-// heartbeats) and the worker must register again.
+// errReregister flows through a session's context cause when a lease or
+// heartbeat answers workerproto.ErrUnknownWorker: the registration expired
+// (server restart, missed heartbeats) and the worker must register again.
 var errReregister = errors.New("worker: registration expired")
 
 // errRevoked cancels one cell's execution when a heartbeat reports its
@@ -130,23 +126,33 @@ var errReregister = errors.New("worker: registration expired")
 // already reassigned it).
 var errRevoked = errors.New("worker: lease revoked")
 
-// Run registers with the control plane and works until ctx is cancelled or
-// the server reports it is draining. Expired registrations re-register
-// transparently; only unrecoverable errors (or ctx's error) are returned.
+// Run registers with the control plane at o.Server and works until ctx is
+// cancelled or the server reports it is draining. Expired registrations
+// re-register transparently; only unrecoverable errors (or ctx's error) are
+// returned.
 func Run(ctx context.Context, o Options) error {
+	if o.Client == nil {
+		o.Client = &httpx.RetryClient{Retries: 3}
+	}
+	if o.Telemetry != nil {
+		o.Telemetry.InstrumentClient(o.Client)
+	}
+	return RunOn(ctx, httpAPI{server: strings.TrimRight(o.Server, "/"), client: o.Client}, o)
+}
+
+// RunOn is Run over any transport: the same session loop, with the work-API
+// calls made through api. o.Server and o.Client are not used.
+func RunOn(ctx context.Context, api WorkAPI, o Options) error {
 	o = o.withDefaults()
-	o.Server = strings.TrimRight(o.Server, "/")
 	for ctx.Err() == nil {
-		var reg workerproto.RegisterResponse
-		_, err := o.Client.PostJSON(ctx, o.Server+"/v1/workers/register",
-			workerproto.RegisterRequest{Name: o.Name, Capacity: o.Capacity}, &reg)
+		reg, err := api.Register(ctx, workerproto.RegisterRequest{Name: o.Name, Capacity: o.Capacity})
 		if err != nil {
-			return fmt.Errorf("worker: registering with %s: %w", o.Server, err)
+			return fmt.Errorf("worker: %w", err)
 		}
 		o.Telemetry.Registrations.Inc()
 		o.Log.Info("registered", "worker", reg.WorkerID, "ttl_ms", reg.LeaseTTLMS,
 			"heartbeat_ms", reg.HeartbeatMS, "batch_max", reg.LeaseBatchMax)
-		if err := runSession(ctx, o, reg); !errors.Is(err, errReregister) {
+		if err := runSession(ctx, api, o, reg); !errors.Is(err, errReregister) {
 			return err
 		}
 		o.Log.Warn("registration expired; registering again", "worker", reg.WorkerID)
@@ -154,10 +160,67 @@ func Run(ctx context.Context, o Options) error {
 	return ctx.Err()
 }
 
+// WorkAPI is the control plane as a session sees it: workerproto's four
+// work-API calls. Lease may hold the call while there is no work; it and
+// Heartbeat answer workerproto.ErrUnknownWorker when the registration is
+// gone.
+type WorkAPI interface {
+	Register(ctx context.Context, req workerproto.RegisterRequest) (workerproto.RegisterResponse, error)
+	Lease(ctx context.Context, workerID string, req workerproto.LeaseRequest) (workerproto.LeaseResponse, error)
+	Heartbeat(ctx context.Context, workerID string, req workerproto.HeartbeatRequest) (workerproto.HeartbeatResponse, error)
+	// Complete uploads an outcome of l, the session's attempt-th lease of it.
+	Complete(ctx context.Context, l workerproto.Lease, attempt int, req workerproto.CompleteRequest) (workerproto.CompleteResponse, error)
+}
+
+// httpAPI is the work API over HTTP/JSON (Run's transport).
+type httpAPI struct {
+	server string
+	client *httpx.RetryClient
+}
+
+func (h httpAPI) Register(ctx context.Context, req workerproto.RegisterRequest) (resp workerproto.RegisterResponse, err error) {
+	if _, err = h.client.PostJSON(ctx, h.server+"/v1/workers/register", req, &resp); err != nil {
+		err = fmt.Errorf("registering with %s: %w", h.server, err)
+	}
+	return resp, err
+}
+
+func (h httpAPI) Lease(ctx context.Context, workerID string, req workerproto.LeaseRequest) (resp workerproto.LeaseResponse, err error) {
+	return resp, h.workerCall(ctx, workerID, "/lease", req, &resp)
+}
+
+func (h httpAPI) Heartbeat(ctx context.Context, workerID string, req workerproto.HeartbeatRequest) (resp workerproto.HeartbeatResponse, err error) {
+	return resp, h.workerCall(ctx, workerID, "/heartbeat", req, &resp)
+}
+
+func (h httpAPI) workerCall(ctx context.Context, workerID, path string, req, resp any) error {
+	status, err := h.client.PostJSON(ctx, h.server+"/v1/workers/"+workerID+path, req, resp)
+	if status == http.StatusNotFound {
+		return workerproto.ErrUnknownWorker
+	}
+	return err
+}
+
+// Complete echoes the lease's trace identity plus the worker's own as
+// X-DNC-* headers, which stitch the upload into the job's timeline.
+func (h httpAPI) Complete(ctx context.Context, l workerproto.Lease, attempt int, req workerproto.CompleteRequest) (resp workerproto.CompleteResponse, err error) {
+	hdr := map[string]string{telemetry.HeaderWorkerID: req.WorkerID, telemetry.HeaderAttempt: strconv.Itoa(attempt)}
+	if l.TraceID != "" {
+		hdr[telemetry.HeaderTraceID] = l.TraceID
+		hdr[telemetry.HeaderSpanID] = l.SpanID
+	}
+	status, err := h.client.PostJSONHeaders(ctx, h.server+"/v1/cells/"+l.Digest+"/complete", hdr, req, &resp)
+	if err != nil {
+		err = fmt.Errorf("status %d: %w", status, err)
+	}
+	return resp, err
+}
+
 // session is one registration's lifetime: a heartbeat loop, a lease loop,
 // up to Capacity concurrent cell executions and as many uploads behind them.
 type session struct {
 	o   Options
+	api WorkAPI
 	reg workerproto.RegisterResponse
 
 	ctx    context.Context
@@ -183,11 +246,11 @@ type session struct {
 	frozen   atomic.Bool
 }
 
-func runSession(parent context.Context, o Options, reg workerproto.RegisterResponse) error {
+func runSession(parent context.Context, api WorkAPI, o Options, reg workerproto.RegisterResponse) error {
 	ctx, cancel := context.WithCancelCause(parent)
 	defer cancel(nil)
 	s := &session{
-		o: o, reg: reg,
+		o: o, api: api, reg: reg,
 		ctx: ctx, cancel: cancel,
 		active:   make(map[string]context.CancelCauseFunc),
 		attempts: make(map[string]int),
@@ -225,8 +288,6 @@ func runSession(parent context.Context, o Options, reg workerproto.RegisterRespo
 	return err
 }
 
-func (s *session) url(path string) string { return s.o.Server + path }
-
 // activeDigests snapshots the cells currently held, for heartbeat
 // cross-checking.
 func (s *session) activeDigests() []string {
@@ -240,9 +301,9 @@ func (s *session) activeDigests() []string {
 }
 
 // heartbeatLoop beats at the server-dictated cadence, reporting held cells
-// and abandoning any the server has revoked. A 404 ends the session toward
-// re-registration; a transport failure is simply skipped — the TTL leaves
-// roughly three beats of slack.
+// and abandoning any the server has revoked. ErrUnknownWorker ends the
+// session toward re-registration; a transport failure is simply skipped —
+// the TTL leaves roughly three beats of slack.
 func (s *session) heartbeatLoop() {
 	t := time.NewTicker(time.Duration(s.reg.HeartbeatMS) * time.Millisecond)
 	defer t.Stop()
@@ -252,11 +313,9 @@ func (s *session) heartbeatLoop() {
 			return
 		case <-t.C:
 		}
-		var resp workerproto.HeartbeatResponse
-		status, err := s.o.Client.PostJSON(s.ctx,
-			s.url("/v1/workers/"+s.reg.WorkerID+"/heartbeat"),
-			workerproto.HeartbeatRequest{Active: s.activeDigests()}, &resp)
-		if status == http.StatusNotFound {
+		resp, err := s.api.Heartbeat(s.ctx, s.reg.WorkerID,
+			workerproto.HeartbeatRequest{Active: s.activeDigests()})
+		if errors.Is(err, workerproto.ErrUnknownWorker) {
 			s.cancel(errReregister)
 			return
 		}
@@ -290,7 +349,7 @@ func (s *session) abandon(digest string) {
 // neither a timer: on the free slots while every one is running a cell, and
 // inside the lease request while the server has nothing to grant (the
 // server parks the call for up to one heartbeat period). Returns nil on
-// drain or parent cancellation, errReregister on a 404.
+// drain or parent cancellation, errReregister on ErrUnknownWorker.
 func (s *session) leaseLoop() error {
 	max := cap(s.free)
 	if s.o.LeaseBatch > 0 && max > s.o.LeaseBatch {
@@ -329,11 +388,8 @@ func (s *session) leaseLoop() error {
 				break more
 			}
 		}
-		var resp workerproto.LeaseResponse
-		status, err := s.o.Client.PostJSON(s.ctx,
-			s.url("/v1/workers/"+s.reg.WorkerID+"/lease"),
-			workerproto.LeaseRequest{Max: len(slots)}, &resp)
-		if status == http.StatusNotFound {
+		resp, err := s.api.Lease(s.ctx, s.reg.WorkerID, workerproto.LeaseRequest{Max: len(slots)})
+		if errors.Is(err, workerproto.ErrUnknownWorker) {
 			return errReregister
 		}
 		if err != nil {
@@ -469,28 +525,16 @@ func (s *session) complete(ctx context.Context, l workerproto.Lease, res *runner
 	s.mu.Lock()
 	attempt := s.attempts[l.Digest]
 	s.mu.Unlock()
-	// Echo the lease's trace identity plus our own: the server stitches this
-	// upload into the job timeline by these headers.
-	hdr := map[string]string{
-		telemetry.HeaderWorkerID: s.reg.WorkerID,
-		telemetry.HeaderAttempt:  strconv.Itoa(attempt),
-	}
-	if l.TraceID != "" {
-		hdr[telemetry.HeaderTraceID] = l.TraceID
-		hdr[telemetry.HeaderSpanID] = l.SpanID
-	}
-	var resp workerproto.CompleteResponse
-	status, err := s.o.Client.PostJSONHeaders(ctx, s.url("/v1/cells/"+l.Digest+"/complete"), hdr, req, &resp)
+	resp, err := s.api.Complete(ctx, l, attempt, req)
 	if err != nil && ctx.Err() != nil {
 		s.o.Telemetry.CellsAbandoned.Inc()
 		return
 	}
 	if err != nil {
 		s.o.Telemetry.UploadRejected.Inc()
-		s.o.Telemetry.recordError(s.reg.WorkerID, l.Digest, l.Key,
-			fmt.Sprintf("upload failed (status %d): %v", status, err))
+		s.o.Telemetry.recordError(s.reg.WorkerID, l.Digest, l.Key, "upload failed: "+err.Error())
 		s.o.Log.Error("upload failed", "worker", s.reg.WorkerID, "cell", l.Digest,
-			"key", l.Key, "status", status, "err", err.Error())
+			"key", l.Key, "err", err.Error())
 		return
 	}
 	if res != nil {

@@ -630,3 +630,149 @@ func TestDefaultRunIsTheSimulator(t *testing.T) {
 		t.Fatalf("Run after cancel = %v, want context.Canceled", err)
 	}
 }
+
+// ---- the session over the work API, without HTTP ----
+
+// directAPI is a WorkAPI a test drives by hand: leases come from a channel,
+// a worker ID listed in unknown answers ErrUnknownWorker, and a digest in
+// revoke comes back revoked from every heartbeat that claims it.
+type directAPI struct {
+	leases chan workerproto.Lease
+
+	mu        sync.Mutex
+	regs      int
+	unknown   map[string]bool
+	revoke    map[string]bool
+	completes map[string]string // digest → uploading worker ID
+}
+
+func (a *directAPI) Register(context.Context, workerproto.RegisterRequest) (workerproto.RegisterResponse, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.regs++
+	return workerproto.RegisterResponse{WorkerID: fmt.Sprintf("d%d", a.regs), LeaseTTLMS: 30, HeartbeatMS: 5, LeaseBatchMax: 4}, nil
+}
+
+func (a *directAPI) registrations() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.regs
+}
+
+func (a *directAPI) gone(id string) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.unknown[id]
+}
+
+func (a *directAPI) Lease(ctx context.Context, id string, _ workerproto.LeaseRequest) (workerproto.LeaseResponse, error) {
+	if a.gone(id) {
+		return workerproto.LeaseResponse{}, workerproto.ErrUnknownWorker
+	}
+	select {
+	case l := <-a.leases:
+		return workerproto.LeaseResponse{Leases: []workerproto.Lease{l}}, nil
+	case <-time.After(5 * time.Millisecond):
+		return workerproto.LeaseResponse{}, nil
+	case <-ctx.Done():
+		return workerproto.LeaseResponse{}, ctx.Err()
+	}
+}
+
+func (a *directAPI) Heartbeat(_ context.Context, id string, req workerproto.HeartbeatRequest) (workerproto.HeartbeatResponse, error) {
+	if a.gone(id) {
+		return workerproto.HeartbeatResponse{}, workerproto.ErrUnknownWorker
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var resp workerproto.HeartbeatResponse
+	for _, d := range req.Active {
+		if a.revoke[d] {
+			resp.Revoked = append(resp.Revoked, d)
+		}
+	}
+	return resp, nil
+}
+
+func (a *directAPI) Complete(_ context.Context, l workerproto.Lease, _ int, req workerproto.CompleteRequest) (workerproto.CompleteResponse, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.completes[l.Digest] = req.WorkerID
+	return workerproto.CompleteResponse{Status: workerproto.StatusAdmitted}, nil
+}
+
+// TestSessionOverWorkAPI runs RunOn over a WorkAPI with no HTTP behind it: a
+// heartbeat revocation abandons the running cell without an upload, and
+// ErrUnknownWorker sends the worker back to Register, whose new session
+// completes the next cell.
+func TestSessionOverWorkAPI(t *testing.T) {
+	api := &directAPI{
+		leases:  make(chan workerproto.Lease),
+		unknown: map[string]bool{}, revoke: map[string]bool{}, completes: map[string]string{},
+	}
+	lease := func(seed int64) workerproto.Lease {
+		c := workerproto.CellSpec{Workload: "Web-Frontend", Design: "baseline", Cores: 2, Warm: 600, Measure: 600, Seed: seed}
+		return workerproto.Lease{Digest: c.Digest(), Key: c.Key(), Spec: c}
+	}
+	victim, next := lease(1), lease(2)
+	started, ended := make(chan struct{}), make(chan error, 1)
+	run := func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
+		if spec.Digest() != victim.Digest {
+			return &runner.ResultJSON{Workload: spec.Workload, Design: spec.Design}, nil
+		}
+		close(started)
+		<-ctx.Done()
+		ended <- context.Cause(ctx)
+		return nil, ctx.Err()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- RunOn(ctx, api, Options{Capacity: 1, PollInterval: time.Hour, Run: run}) }()
+
+	api.leases <- victim
+	<-started
+	api.mu.Lock()
+	api.revoke[victim.Digest] = true
+	api.mu.Unlock()
+	select {
+	case cause := <-ended:
+		if !errors.Is(cause, errRevoked) {
+			t.Fatalf("revoked cell ended with %v, want errRevoked", cause)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a revoked cell kept running")
+	}
+
+	api.mu.Lock()
+	api.unknown["d1"] = true
+	api.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for api.registrations() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("ErrUnknownWorker did not send the worker back to Register")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	api.leases <- next
+	for {
+		api.mu.Lock()
+		by := api.completes[next.Digest]
+		_, uploaded := api.completes[victim.Digest]
+		api.mu.Unlock()
+		if uploaded {
+			t.Fatal("the revoked cell was uploaded")
+		}
+		if by == "d2" {
+			break
+		}
+		if by != "" || time.Now().After(deadline) {
+			t.Fatalf("next cell uploaded by %q, want the new session d2", by)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunOn returned %v, want context.Canceled", err)
+	}
+}

@@ -107,9 +107,6 @@ func TestWorkerPlaneRemoteExecution(t *testing.T) {
 	waitFor(t, "worker registration", func() bool {
 		return e.srv.Stats().WorkersLive == 1
 	})
-	if e.srv.Stats().Degraded {
-		t.Fatal("Degraded true with a live worker")
-	}
 
 	spec := smallSpec()
 	spec.Seeds = []int64{1, 2}
@@ -146,19 +143,120 @@ func TestWorkerPlaneRemoteExecution(t *testing.T) {
 	}
 }
 
-// TestWorkerPlaneDegradedFallback: zero registered workers is not an error
-// but the single-process mode every pre-worker-plane deployment runs in.
-func TestWorkerPlaneDegradedFallback(t *testing.T) {
-	e := newTestEnv(t, func(c *Config) { c.RunCell = fakeRunCell })
-	if st := e.srv.Stats(); !st.Degraded {
-		t.Fatal("Degraded false with zero workers")
+// TestWorkerlessJobIsLeasedInProcess: with no remote worker registered,
+// every cell is a lease of the in-process client, admitted by completeCell
+// like an upload — its attempts carry the client's worker ID, the phases are
+// conserved, and remote_admitted counts every simulated cell — while the
+// worker counters stay at zero.
+func TestWorkerlessJobIsLeasedInProcess(t *testing.T) {
+	e := newTestEnv(t)
+	spec := smallSpec()
+	spec.Designs = []string{"baseline", "NL"}
+	spec.Seeds = []int64{1, 2}
+	st := e.submit(spec)
+	fin := e.waitJob(st.ID)
+	if fin.State != JobDone || fin.Simulated != 4 {
+		t.Fatalf("job = %s with %d simulated, want done with 4", fin.State, fin.Simulated)
 	}
-	js := e.submit(smallSpec())
-	if fin := e.waitJob(js.ID); fin.State != JobDone {
-		t.Fatalf("job state %s, want done", fin.State)
+	checkOutcomes(t, e, st.ID, localDigests(t, spec))
+	stats := e.srv.Stats()
+	if stats.RemoteAdmitted != uint64(fin.Simulated) || stats.RemoteRejected != 0 {
+		t.Fatalf("remote_admitted = %d, rejected = %d; want the %d simulated cells admitted from uploads",
+			stats.RemoteAdmitted, stats.RemoteRejected, fin.Simulated)
 	}
-	if st := e.srv.Stats(); st.RemoteAdmitted != 0 {
-		t.Fatalf("RemoteAdmitted = %d in degraded mode, want 0", st.RemoteAdmitted)
+	if stats.WorkersRegistered != 0 || stats.WorkersLive != 0 {
+		t.Fatalf("worker counters = %d registered / %d live, want the in-process client left out",
+			stats.WorkersRegistered, stats.WorkersLive)
+	}
+	snap := checkTraceConservation(t, e, st.ID, 4)
+	for _, c := range snap.Cells {
+		if len(c.Attempts) != 1 || c.Attempts[0].Worker != inProcessID || c.Attempts[0].Outcome != "admitted" {
+			t.Fatalf("cell %s attempts %+v, want one admitted attempt on %q", c.SpanID, c.Attempts, inProcessID)
+		}
+	}
+	attempts := 0
+	for _, ev := range fetchPerfetto(t, e, st.ID) {
+		if args, _ := ev["args"].(map[string]any); args != nil && args["worker"] != nil {
+			if args["worker"] != inProcessID {
+				t.Fatalf("trace attempt on worker %v, want %q", args["worker"], inProcessID)
+			}
+			attempts++
+		}
+	}
+	if attempts != 4 {
+		t.Fatalf("trace holds %d attempt spans, want 4", attempts)
+	}
+}
+
+// TestRefusedInProcessUploadFailsTheCell: the in-process client holds its
+// leases for good, so an upload admission refuses fails the cell instead of
+// leaving the job waiting on it.
+func TestRefusedInProcessUploadFailsTheCell(t *testing.T) {
+	e := newTestEnv(t, func(c *Config) {
+		c.Retries = 0
+		c.RunCell = func(context.Context, workerproto.CellSpec) (*runner.ResultJSON, error) {
+			return &runner.ResultJSON{Workload: "not-the-spec's"}, nil
+		}
+	})
+	fin := e.waitJob(e.submit(smallSpec()).ID)
+	if fin.State != JobDone || fin.Failed != 1 || fin.Simulated != 0 {
+		t.Fatalf("job = %s with %d failed / %d simulated, want done with the cell failed", fin.State, fin.Failed, fin.Simulated)
+	}
+	if st := e.srv.Stats(); st.RemoteRejected != 1 || st.RemoteAdmitted != 0 || st.LeaseDepth != 0 {
+		t.Fatalf("rejected/admitted/leased = %d/%d/%d, want 1/0/0", st.RemoteRejected, st.RemoteAdmitted, st.LeaseDepth)
+	}
+}
+
+// TestWorkerPlaneLastWorkerDiesMidJob: the only remote worker leases every
+// cell of a job and stops without uploading any. After its TTL the server
+// reaps it and the cells finish on the in-process client, bit-identical and
+// each admitted once.
+func TestWorkerPlaneLastWorkerDiesMidJob(t *testing.T) {
+	e := newTestEnv(t, func(c *Config) {
+		c.LeaseTTL = 600 * time.Millisecond
+		c.CellJobs = 4
+	})
+	var held atomic.Int64
+	stop := e.startWorker(worker.Options{Name: "doomed", Capacity: 4,
+		Run: func(ctx context.Context, _ workerproto.CellSpec) (*runner.ResultJSON, error) {
+			held.Add(1)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}})
+	waitFor(t, "worker registration", func() bool { return e.srv.Stats().WorkersLive == 1 })
+
+	spec := smallSpec()
+	spec.Seeds = []int64{1, 2, 3}
+	want := localDigests(t, spec)
+	st := e.submit(spec)
+	waitFor(t, "the worker running every cell", func() bool { return held.Load() == 3 })
+	if got := e.srv.Stats().LeaseDepth; got != 3 {
+		t.Fatalf("lease_depth = %d with the remote worker holding every cell, want 3", got)
+	}
+	stop()
+
+	if fin := e.waitJob(st.ID); fin.State != JobDone || fin.Simulated != 3 {
+		t.Fatalf("job = %s with %d simulated, want done with 3", fin.State, fin.Simulated)
+	}
+	checkOutcomes(t, e, st.ID, want)
+	stats := e.srv.Stats()
+	if stats.WorkersExpired != 1 || stats.Reassigned != 3 {
+		t.Fatalf("expired = %d, reassigned = %d; want the worker reaped and its 3 cells reassigned",
+			stats.WorkersExpired, stats.Reassigned)
+	}
+	if stats.RemoteAdmitted != 3 || stats.RemoteDuplicates != 0 || stats.RemoteRejected != 0 {
+		t.Fatalf("admitted/duplicates/rejected = %d/%d/%d, want 3/0/0",
+			stats.RemoteAdmitted, stats.RemoteDuplicates, stats.RemoteRejected)
+	}
+	if keys := cacheKeys(t, e.dataDir); len(keys) != 3 {
+		t.Fatalf("cache.jsonl holds %d lines, want one per cell", len(keys))
+	}
+	snap := checkTraceConservation(t, e, st.ID, 3)
+	for _, c := range snap.Cells {
+		if len(c.Attempts) != 2 || c.Attempts[0].Worker == inProcessID || c.Attempts[0].Outcome != "revoked" ||
+			c.Attempts[1].Worker != inProcessID || c.Attempts[1].Outcome != "admitted" {
+			t.Fatalf("cell %s attempts %+v, want revoked on the remote worker, then admitted in-process", c.SpanID, c.Attempts)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ package workerproto
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -145,9 +146,9 @@ func (c CellSpec) Valid() bool {
 
 // RunConfig builds the cell's simulation configuration exactly as the bench
 // harness does: preset workload parameters, catalog design constructor,
-// default core config with the design's prefetch-buffer size. Both the
-// server's in-process pool and remote workers call this, which is what
-// makes their results bit-identical.
+// default core config with the design's prefetch-buffer size. Every lease
+// client — the server's in-process one and remote workers — calls this,
+// which is what makes their results bit-identical.
 func (c CellSpec) RunConfig() sim.RunConfig {
 	e, _ := prefetch.FindDesign(c.Design) // validated before execution
 	cc := core.DefaultConfig()
@@ -164,6 +165,10 @@ func (c CellSpec) RunConfig() sim.RunConfig {
 }
 
 // ---- work-API messages ----
+
+// ErrUnknownWorker answers a lease or heartbeat whose worker registration
+// expired or never existed: register again. Over HTTP it is a 404.
+var ErrUnknownWorker = errors.New("unknown or expired worker")
 
 // RegisterRequest announces a worker to the control plane.
 type RegisterRequest struct {

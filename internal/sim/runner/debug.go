@@ -73,11 +73,12 @@ func (p *Progress) begin(id string) {
 	p.mu.Unlock()
 }
 
-// advance records how far a running cell's simulation has progressed. The
+// Advance records how far a running cell's simulation has progressed. The
 // engine reports through RunConfig.OnAdvance at its poll cadence (every
 // ~1K simulated cycles), so the per-call cost of the mutex is immaterial.
-// Unknown IDs (a poll racing the cell's own completion) are ignored.
-func (p *Progress) advance(id string, cycle uint64) {
+// Unknown IDs (a poll racing the cell's own completion) are ignored. An
+// executor that runs a cell elsewhere feeds it under the cell's ID.
+func (p *Progress) Advance(id string, cycle uint64) {
 	if p == nil {
 		return
 	}

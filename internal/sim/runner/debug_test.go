@@ -50,11 +50,11 @@ func TestProgressTally(t *testing.T) {
 
 func TestProgressRunningCycles(t *testing.T) {
 	p := NewProgress()
-	p.advance("ghost", 99) // before begin: ignored, not resurrected
+	p.Advance("ghost", 99) // before begin: ignored, not resurrected
 	p.begin("a")
 	p.begin("b")
-	p.advance("a", 1024)
-	p.advance("a", 2048) // monotone updates overwrite
+	p.Advance("a", 1024)
+	p.Advance("a", 2048) // monotone updates overwrite
 	s := p.Snapshot()
 	if got := s.RunningCycles["a"]; got != 2048 {
 		t.Errorf("RunningCycles[a] = %d, want 2048", got)
@@ -66,7 +66,7 @@ func TestProgressRunningCycles(t *testing.T) {
 		t.Error("advance before begin created a running entry")
 	}
 	p.observe(CellResult{ID: "a", Status: StatusOK})
-	p.advance("a", 4096) // after completion: ignored
+	p.Advance("a", 4096) // after completion: ignored
 	if s := p.Snapshot(); len(s.RunningCycles) != 1 || s.RunningCycles["b"] != 0 {
 		t.Errorf("RunningCycles after a finished = %v, want only b", s.RunningCycles)
 	}

@@ -305,7 +305,7 @@ func runCell(ctx context.Context, c Cell, o Options) CellResult {
 			// callback the cell's own config installed.
 			id, prev := c.ID, cfg.OnAdvance
 			cfg.OnAdvance = func(cycle uint64) {
-				p.advance(id, cycle)
+				p.Advance(id, cycle)
 				if prev != nil {
 					prev(cycle)
 				}

@@ -53,18 +53,18 @@ type cellTrace struct {
 	key      string
 	enqueued int64
 	exec     int64 // first attempt start
-	upload   int64 // winning upload arrival (local: execution end)
+	upload   int64 // winning upload arrival
 	verified int64
 	done     int64
 	outcome  string // "", then admitted|cached|dead|failed
 	attempts []AttemptSpan
 }
 
-// AttemptSpan is one execution attempt (a lease on a worker, or a local
-// fallback run). End < 0 while the attempt is still open.
+// AttemptSpan is one execution attempt: a lease on one worker, remote or
+// the server's in-process client. End < 0 while the attempt is still open.
 type AttemptSpan struct {
 	N       int    `json:"n"`
-	Worker  string `json:"worker"` // "" for local execution
+	Worker  string `json:"worker"`
 	Start   int64  `json:"start_us"`
 	End     int64  `json:"end_us"`
 	Outcome string `json:"outcome"` // admitted|revoked|rejected|failed|open
@@ -269,8 +269,8 @@ func (r *Recorder) finishInstant(jobID, digest, key, outcome string) {
 	}
 }
 
-// ExecStart opens an execution attempt for every job waiting on the
-// digest. Worker "" means local fallback execution.
+// ExecStart opens an execution attempt on a worker for every job waiting on
+// the digest.
 func (r *Recorder) ExecStart(digest, worker string) {
 	if r == nil {
 		return
@@ -309,8 +309,8 @@ func (r *Recorder) ExecEnd(digest, worker, outcome string) {
 	}
 }
 
-// Upload records the winning result arrival (remote upload or local
-// execution finish) — the execute→verify phase boundary.
+// Upload records the winning result arrival — the execute→verify phase
+// boundary.
 func (r *Recorder) Upload(digest string) {
 	if r == nil {
 		return
@@ -360,7 +360,8 @@ func (r *Recorder) CellDone(jobID, digest, outcome string) {
 	}
 	c.done = r.ts()
 	c.outcome = outcome
-	// Close any attempt left open (local execution ends here).
+	// Close any attempt left open: a reported failure or a job timeout can
+	// end the cell before the attempt's ExecEnd lands.
 	for i := len(c.attempts) - 1; i >= 0; i-- {
 		if c.attempts[i].End < 0 {
 			c.attempts[i].End = c.done
@@ -483,15 +484,11 @@ func (r *Recorder) WriteJobPerfetto(w io.Writer, jobID string) (bool, error) {
 			if end < a.Start {
 				end = a.Start
 			}
-			worker := a.Worker
-			if worker == "" {
-				worker = "local"
-			}
 			spans = append(spans, obs.Span{
 				Track: track, Lane: "attempts",
 				Name: fmt.Sprintf("attempt %d: %s", a.N, a.Outcome),
 				Ts:   uint64(a.Start), Dur: uint64(end - a.Start),
-				Args: map[string]any{"worker": worker},
+				Args: map[string]any{"worker": a.Worker},
 			})
 		}
 	}

@@ -134,7 +134,7 @@ func TestRecorderLocalExecution(t *testing.T) {
 	r := NewRecorder(clk.now)
 	r.JobSubmitted("j", 1)
 	r.CellEnqueued("j", "d", "k")
-	r.ExecStart("d", "") // local fallback
+	r.ExecStart("d", "in-process") // no ExecEnd: CellDone closes the attempt
 	r.Upload("d")
 	r.Verified("d")
 	r.CellDone("j", "d", "admitted")
@@ -143,7 +143,7 @@ func TestRecorderLocalExecution(t *testing.T) {
 	if c.PhaseSum() != c.E2E() {
 		t.Fatalf("local conservation: %d != %d", c.PhaseSum(), c.E2E())
 	}
-	if len(c.Attempts) != 1 || c.Attempts[0].Worker != "" || c.Attempts[0].Outcome != "admitted" {
+	if len(c.Attempts) != 1 || c.Attempts[0].Worker != "in-process" || c.Attempts[0].Outcome != "admitted" {
 		t.Fatalf("local attempt %+v", c.Attempts)
 	}
 	if c.Attempts[0].End < 0 {
