@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -26,7 +27,9 @@ import (
 	"time"
 
 	"dnc/internal/bench"
+	"dnc/internal/httpx"
 	"dnc/internal/sim/runner"
+	"dnc/internal/telemetry"
 )
 
 func main() {
@@ -40,7 +43,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-simulation wall-clock budget (0 = none)")
 	journal := flag.String("journal", "", "JSONL run journal: records finished runs and resumes an interrupted benchmark")
 	progress := flag.Bool("progress", true, "print a periodic one-line sweep summary (cells done/failed/retried, rate, ETA) to stderr")
-	httpAddr := flag.String("http", "", "serve live sweep progress, expvar-style counters, and pprof on this address (e.g. localhost:6060)")
+	httpAddr := flag.String("http", "", "serve the sweep's progress as Prometheus /metrics, plus pprof under /debug/pprof/, on this address (e.g. localhost:6060)")
 	storeOut := flag.String("store-out", "", "append every completed cell (with occupancy histograms) to this columnar result store; inspect with dncstore")
 	intraJobs := flag.Int("intra-jobs", 0, "shard each simulation's cores across this many goroutines (0 = idle CPUs, 1 = serial); bit-exact either way")
 	flag.Parse()
@@ -77,13 +80,18 @@ func main() {
 		if cfg.Progress == nil {
 			cfg.Progress = runner.NewProgress()
 		}
-		srv, err := runner.StartDebug(*httpAddr, cfg.Progress)
+		reg := telemetry.NewRegistry()
+		cfg.Progress.Register(reg)
+		mux := http.NewServeMux()
+		mux.Handle("GET /metrics", reg.Handler())
+		httpx.HandlePprof(mux)
+		srv, addr, err := httpx.Serve(*httpAddr, mux)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dncbench: %v\n", err)
+			fmt.Fprintf(os.Stderr, "dncbench: -http: %v\n", err)
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "dncbench: debug endpoint on http://%s/debug/sweep\n", srv.Addr)
+		fmt.Fprintf(os.Stderr, "dncbench: sweep metrics on http://%s/metrics\n", addr)
 	}
 	h := bench.New(cfg)
 

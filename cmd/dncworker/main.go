@@ -31,13 +31,13 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"dnc/internal/httpx"
 	"dnc/internal/service/worker"
 )
 
@@ -64,15 +64,15 @@ func main() {
 
 	tel := worker.NewTelemetry()
 	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dncworker: metrics listen %s: %v\n", *metricsAddr, err)
-			os.Exit(1)
-		}
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", tel.Reg.Handler())
-		go http.Serve(ln, mux)
-		logger.Info("metrics serving", "addr", ln.Addr().String())
+		srv, addr, err := httpx.Serve(*metricsAddr, mux)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dncworker: -metrics-addr: %v\n", err)
+			os.Exit(1)
+		}
+		defer srv.Close()
+		logger.Info("metrics serving", "addr", addr)
 	}
 
 	err := worker.Run(ctx, worker.Options{

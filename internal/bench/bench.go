@@ -49,8 +49,9 @@ type Config struct {
 	// (cells done/failed/retried, rate, ETA) roughly every two seconds —
 	// dncbench points it at stderr so long runs are visibly alive.
 	ProgressOut io.Writer
-	// Progress, when set, tracks every sweep the harness runs (live source
-	// for runner.StartDebug). New allocates one when ProgressOut is set.
+	// Progress, when set, tracks every sweep the harness runs (the source
+	// of dncbench -http's /metrics). New allocates one when ProgressOut is
+	// set.
 	Progress *runner.Progress
 	// StorePath, when non-empty, appends every completed cell to this
 	// columnar result store (internal/resultstore) as it finishes, and

@@ -1,15 +1,18 @@
-// Package httpx is the hardened http.Server configuration shared by the
-// sweep debug endpoint (runner.StartDebug) and the dncserved job service.
-// Both serve long-running processes whose exit path is a graceful drain, so
-// the server must never let a stalled or hostile client pin a connection
-// open indefinitely: headers that never finish arriving and idle keep-alive
-// connections both get bounded, and shutdown itself is bounded by a context
-// with a hard close as the fallback.
+// Package httpx is the hardened http.Server configuration shared by every
+// listener the commands open: the dncserved job service, dncworker's
+// -metrics-addr and dncbench's -http. All three serve long-running
+// processes whose exit path is a graceful drain, so the server must never
+// let a stalled or hostile client pin a connection open indefinitely:
+// headers that never finish arriving and idle keep-alive connections both
+// get bounded, and shutdown itself is bounded by a context with a hard
+// close as the fallback.
 package httpx
 
 import (
 	"context"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -34,6 +37,32 @@ func NewServer(h http.Handler) *http.Server {
 		ReadHeaderTimeout: ReadHeaderTimeout,
 		IdleTimeout:       IdleTimeout,
 	}
+}
+
+// Serve binds addr (e.g. "localhost:6060", or ":0" for any port) and
+// serves h on a NewServer in the background. It returns the serving server
+// and the bound address; stop it with Shutdown or Close. The only error is
+// the listen's.
+func Serve(addr string, h http.Handler) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	srv := NewServer(h)
+	go srv.Serve(ln)
+	return srv, ln.Addr().String(), nil
+}
+
+// HandlePprof mounts the net/http/pprof handlers under /debug/pprof/ on
+// mux — a private mux, so servers can be built and discarded without
+// touching http.DefaultServeMux. Heap and goroutine profiles with ?debug=1
+// carry the memory statistics and goroutine count.
+func HandlePprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // Shutdown drains srv gracefully — no new connections, in-flight requests

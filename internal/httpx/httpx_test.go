@@ -5,20 +5,54 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
 
+// TestNewServerAppliesTimeouts checks the hardened timeouts on NewServer
+// and on the server Serve starts, which every command's listener uses.
 func TestNewServerAppliesTimeouts(t *testing.T) {
-	srv := NewServer(http.NewServeMux())
-	if srv.ReadHeaderTimeout != ReadHeaderTimeout {
-		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, ReadHeaderTimeout)
+	served, _, err := Serve("127.0.0.1:0", http.NewServeMux())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if srv.IdleTimeout != IdleTimeout {
-		t.Fatalf("IdleTimeout = %v, want %v", srv.IdleTimeout, IdleTimeout)
+	defer served.Close()
+	for name, srv := range map[string]*http.Server{"NewServer": NewServer(http.NewServeMux()), "Serve": served} {
+		if srv.ReadHeaderTimeout != ReadHeaderTimeout {
+			t.Fatalf("%s: ReadHeaderTimeout = %v, want %v", name, srv.ReadHeaderTimeout, ReadHeaderTimeout)
+		}
+		if srv.IdleTimeout != IdleTimeout {
+			t.Fatalf("%s: IdleTimeout = %v, want %v", name, srv.IdleTimeout, IdleTimeout)
+		}
+		if srv.WriteTimeout != 0 {
+			t.Fatalf("%s: WriteTimeout = %v, want 0 (streaming responses)", name, srv.WriteTimeout)
+		}
 	}
-	if srv.WriteTimeout != 0 {
-		t.Fatalf("WriteTimeout = %v, want 0 (streaming responses)", srv.WriteTimeout)
+}
+
+// TestServeMountsPprof: Serve answers on the address it returns, and
+// HandlePprof's index lists the goroutine profile. An unusable address is
+// the listen's error, before anything is served.
+func TestServeMountsPprof(t *testing.T) {
+	mux := http.NewServeMux()
+	HandlePprof(mux)
+	srv, addr, err := Serve("127.0.0.1:0", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + addr + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+		t.Fatalf("GET /debug/pprof/ = %s, body without the goroutine profile", resp.Status)
+	}
+	if _, _, err := Serve("256.0.0.1:-1", mux); err == nil {
+		t.Fatal("no error for an unusable address")
 	}
 }
 

@@ -85,30 +85,30 @@ type lease struct {
 	grantedAt time.Time // fixed at grant: the progress budget anchor
 }
 
-// dispatchStats is the worker-plane accounting surfaced on /v1/healthz.
+// dispatchStats is the worker-plane accounting, each field a /metrics series.
 type dispatchStats struct {
 	// WorkersRegistered counts registrations ever (this process).
-	WorkersRegistered uint64 `json:"workers_registered"`
+	WorkersRegistered uint64
 	// WorkersLive is the current live (heartbeating) remote worker count;
 	// while it is zero the in-process client runs the cells.
-	WorkersLive int `json:"workers_live"`
+	WorkersLive int
 	// WorkersExpired counts workers that missed their heartbeat window.
-	WorkersExpired uint64 `json:"workers_expired"`
+	WorkersExpired uint64
 	// LeaseDepth is cells currently leased (in-process ones included).
-	LeaseDepth int `json:"lease_depth"`
+	LeaseDepth int
 	// RemotePending is cells queued for the next lease request.
-	RemotePending int `json:"remote_pending"`
+	RemotePending int
 	// Reassigned counts leases revoked and returned to the queue (dead or
 	// frozen workers).
-	Reassigned uint64 `json:"reassigned"`
+	Reassigned uint64
 	// RemoteAdmitted counts fresh results admitted from uploads;
 	// RemoteDuplicates counts bit-identical redeliveries acknowledged
 	// idempotently; RemoteRejected counts uploads refused by admission
 	// verification (digest mismatch, unknown cell, result mismatch). All
 	// three count in-process uploads too.
-	RemoteAdmitted   uint64 `json:"remote_admitted"`
-	RemoteDuplicates uint64 `json:"remote_duplicates"`
-	RemoteRejected   uint64 `json:"remote_rejected"`
+	RemoteAdmitted   uint64
+	RemoteDuplicates uint64
+	RemoteRejected   uint64
 }
 
 // dispatcher owns the lease table. All methods are safe for concurrent use.

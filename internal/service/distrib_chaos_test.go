@@ -173,24 +173,12 @@ func TestDistributedChaosSweep(t *testing.T) {
 	fetchPerfetto(t, e, js.ID)
 
 	// /metrics after the dust settles: lints clean, conserves cells, and
-	// agrees with the dispatch stats it mirrors.
-	m, body := fetchMetrics(t, e)
+	// serves every Server.Stats field from the same source.
+	m, body := checkMetricsMatchStats(t, e)
 	if errs := telemetry.Lint(body); len(errs) != 0 {
 		t.Fatalf("exposition lint after chaos: %v", errs)
 	}
 	if got := m["dnc_cells_admitted_total"] + m["dnc_cells_deduped_total"] + m["dnc_cells_dead_lettered_total"]; got != float64(len(want)) {
 		t.Fatalf("admitted+deduped+dead = %v, want %d (a cell was lost or double-counted)", got, len(want))
-	}
-	st = e.srv.Stats() // fresh snapshot: scrape-time funcs read the same sources
-	for metric, val := range map[string]uint64{
-		"dnc_cells_reassigned_total":  st.Reassigned,
-		"dnc_workers_expired_total":   st.WorkersExpired,
-		"dnc_remote_admitted_total":   st.RemoteAdmitted,
-		"dnc_remote_duplicates_total": st.RemoteDuplicates,
-		"dnc_remote_rejected_total":   st.RemoteRejected,
-	} {
-		if m[metric] != float64(val) {
-			t.Fatalf("%s = %v but /v1/healthz-side stats say %d", metric, m[metric], val)
-		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"dnc/internal/httpx"
 	"dnc/internal/service/workerproto"
 	"dnc/internal/sim/runner"
 	"dnc/internal/telemetry"
@@ -33,7 +34,8 @@ const maxCompleteBytes = 16 << 20
 //	GET  /v1/jobs/{id}/results — stream outcomes + result bodies as JSONL
 //	GET  /v1/query             — aggregate metrics from the columnar result store
 //	GET  /v1/deadletters       — the poisoned-cell list
-//	GET  /v1/healthz           — liveness + operational stats (503 on drain)
+//	GET  /v1/healthz           — liveness: {"status":"ok"}, or 503 draining
+//	GET  /metrics              — every operational number (Prometheus text)
 //
 // plus the worker-plane work API (see internal/service/workerproto):
 //
@@ -42,10 +44,8 @@ const maxCompleteBytes = 16 << 20
 //	POST /v1/workers/{id}/heartbeat  — renew leases; learn revocations
 //	POST /v1/cells/{digest}/complete — upload a verified result or failure
 //
-// and the debug surface: the runner debug mux (/debug/sweep progress,
-// /debug/vars progress + memstats, pprof). The service and lease-plane
-// stats are rendered once, from the stat table, on /v1/healthz; /metrics
-// mirrors them from the same sources.
+// and pprof under /debug/pprof/. The service, lease-plane and sweep stats
+// are served once, on /metrics.
 func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -61,7 +61,7 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("POST /v1/workers/{id}/lease", s.handleWorkerLease)
 	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
 	mux.HandleFunc("POST /v1/cells/{digest}/complete", s.handleCellComplete)
-	mux.Handle("/debug/", runner.DebugMux(s.progress))
+	httpx.HandlePprof(mux)
 	return mux
 }
 
@@ -175,27 +175,19 @@ func (s *Server) handleDeadLetters(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.DeadLetters())
 }
 
-// handleHealthz reports ok while serving and draining (with a 503) during
-// shutdown, so load balancers stop routing before the listener closes. The
-// stats body carries the lease-plane accounting (registered/live/expired
-// remote workers, lease depth), so a server whose cells all run in-process
-// — workers_live 0 — is visible at a glance.
+// handleHealthz is liveness only: ok while serving, draining (with a 503)
+// during shutdown, so load balancers stop routing before the listener
+// closes. Every operational number is on /metrics.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
-	code := http.StatusOK
-	status := "ok"
-	if st.Draining {
-		code = http.StatusServiceUnavailable
-		status = "draining"
+	if s.isDraining() {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		return
 	}
-	body := statsMap(st)
-	body["status"] = status
-	writeJSON(w, code, body)
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMetrics serves the Prometheus text exposition (404 when telemetry
-// is disabled). Mirrored counters are read from the same sources as
-// /v1/healthz at scrape time, so the two surfaces cannot disagree.
+// is disabled), each series read at scrape time from its source.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.tel == nil {
 		writeError(w, http.StatusNotFound, errors.New("telemetry disabled"))

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -122,31 +121,32 @@ type DeadLetter struct {
 	Failures int    `json:"failures"`
 }
 
-// Stats is a point-in-time operational snapshot, also served by /v1/healthz.
-// The embedded dispatchStats is the lease-plane accounting (registered /
-// live / expired remote workers, lease depth, reassignment and admission
-// counters); workers_live 0 means the in-process client runs the cells.
+// Stats is a point-in-time operational snapshot. /metrics serves every
+// field but Draining as a dnc_* series read from the same source. The
+// embedded dispatchStats is the lease-plane accounting (registered / live /
+// expired remote workers, lease depth, reassignment and admission
+// counters); WorkersLive 0 means the in-process client runs the cells.
 type Stats struct {
-	Draining     bool   `json:"draining"`
-	Jobs         int    `json:"jobs"`
-	Queued       int    `json:"queued"`
-	Running      int    `json:"running"`
-	Simulated    uint64 `json:"simulated"`
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheEntries int    `json:"cache_entries"`
+	Draining     bool
+	Jobs         int
+	Queued       int
+	Running      int
+	Simulated    uint64
+	CacheHits    uint64
+	CacheEntries int
 	// CacheBytes is the live (post-eviction) cache payload size;
 	// CacheEvictions counts entries evicted under Config.CacheMaxBytes.
-	CacheBytes     int64  `json:"cache_bytes"`
-	CacheEvictions uint64 `json:"cache_evictions"`
+	CacheBytes     int64
+	CacheEvictions uint64
 	// The Store fields describe the columnar result store (the cache's
 	// queryable sidecar serving /v1/query; see store.go): cells admitted,
 	// the file's size (sealed segments only), the in-memory query index, and
 	// appends that could not be written to the file.
-	StoreCells       int    `json:"store_cells"`
-	StoreBytes       int64  `json:"store_bytes"`
-	StoreIndexBytes  int    `json:"store_index_bytes"`
-	StoreWriteErrors uint64 `json:"store_write_errors"`
-	DeadLetters      int    `json:"dead_letters"`
+	StoreCells       int
+	StoreBytes       int64
+	StoreIndexBytes  int
+	StoreWriteErrors uint64
+	DeadLetters      int
 	dispatchStats
 }
 
@@ -168,7 +168,7 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	ln      net.Listener
+	addr    string // bound listen address, set by Start
 	httpSrv *http.Server
 
 	// storeMu guards the columnar result store (the cache's queryable
@@ -268,12 +268,11 @@ func New(cfg Config) (*Server, error) {
 // in-process lease client starts. It returns once listening (serving
 // continues in the background).
 func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+	srv, bound, err := httpx.Serve(addr, s.handler())
 	if err != nil {
-		return fmt.Errorf("service: listen %s: %w", addr, err)
+		return fmt.Errorf("service: %w", err)
 	}
-	s.ln = ln
-	s.httpSrv = httpx.NewServer(s.handler())
+	s.httpSrv, s.addr = srv, bound
 	for w := 0; w < s.cfg.Workers; w++ {
 		s.wg.Add(1)
 		go func() {
@@ -283,7 +282,7 @@ func (s *Server) Start(addr string) error {
 	}
 	run := s.cfg.RunCell
 	if run == nil {
-		// The simulator, reporting progress (/debug/sweep's running_cycles)
+		// The simulator, reporting progress (dnc_sweep_inflight_cycles)
 		// under the cell's runner ID.
 		run = func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
 			cfg, id := spec.RunConfig(), spec.Key()
@@ -321,17 +320,11 @@ func (s *Server) Start(addr string) error {
 			}
 		}
 	}()
-	go s.httpSrv.Serve(ln)
 	return nil
 }
 
-// Addr is the bound listen address (useful with ":0").
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
+// Addr is the bound listen address (useful with ":0"); empty before Start.
+func (s *Server) Addr() string { return s.addr }
 
 // Submit validates and admits a sweep, durably recording acceptance before
 // acknowledging it. Returns ErrDraining during shutdown and ErrQueueFull
@@ -421,7 +414,7 @@ func (s *Server) Stats() Stats {
 		Jobs:           len(s.jobs),
 		Queued:         s.queue.len(),
 		Running:        s.running,
-		Simulated:      uint64(s.progress.Snapshot().OK),
+		Simulated:      uint64(s.progress.OK()),
 		CacheHits:      cs.hits,
 		CacheEntries:   cs.entries,
 		CacheBytes:     cs.liveBytes,

@@ -247,19 +247,21 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("service result digest %s != fresh run digest %s", got, want)
 	}
 
-	// The service stays healthy and the debug mux is mounted.
-	var health struct {
-		Status string `json:"status"`
-		Stats
+	// The service stays healthy, /metrics counts the four cells, and pprof
+	// is mounted.
+	if m, _ := fetchMetrics(t, e); m["dnc_cells_simulated_total"] != 4 {
+		t.Fatalf("dnc_cells_simulated_total = %v, want 4", m["dnc_cells_simulated_total"])
 	}
-	if code := e.getJSON("/v1/healthz", &health); code != http.StatusOK {
+	if code := e.getJSON("/v1/healthz", nil); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}
-	if health.Status != "ok" || health.Simulated != 4 {
-		t.Fatalf("healthz = %+v, want ok with 4 simulated", health)
+	resp, err := http.Get(e.base + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := e.getJSON("/debug/sweep", nil); code != http.StatusOK {
-		t.Fatalf("debug mux not mounted: /debug/sweep = %d", code)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pprof not mounted: /debug/pprof/ = %d", resp.StatusCode)
 	}
 }
 

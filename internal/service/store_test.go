@@ -366,7 +366,7 @@ func TestLiveQueryEqualsDrainedFileScan(t *testing.T) {
 // TestStoreWriteErrorKeepsAnswering closes the store file under the server's
 // writer and fills past a batch boundary, so a seal fails and the writer's
 // error turns sticky: every admitted cell must still be in /v1/query, the
-// failure counted per cell on healthz and /metrics but logged once, and the
+// failure counted per cell in Stats and /metrics but logged once, and the
 // next boot must rebuild the file from the cache.
 func TestStoreWriteErrorKeepsAnswering(t *testing.T) {
 	var logs bytes.Buffer

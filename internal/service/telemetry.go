@@ -6,11 +6,12 @@ import (
 	"dnc/internal/telemetry"
 )
 
-// serverTelemetry is dncserved's metric surface: the /metrics registry and
-// the handles the hot paths increment. Counters the service already
-// maintains (cache, lease table, progress) are mirrored with scrape-time
-// CounterFuncs — no double bookkeeping on the hot path — while event
-// counters with no existing source are real atomics. A nil *serverTelemetry
+// serverTelemetry is dncserved's metric surface — its one stats surface —
+// holding the /metrics registry and the handles the hot paths increment.
+// Every Server.Stats field is a series here, read at scrape time from the
+// source Stats reads (cache, store, lease table, progress, job table): no
+// double bookkeeping on the hot path. Event counters with no existing
+// source are real atomics. A nil *serverTelemetry
 // (Config.DisableTelemetry) no-ops everywhere: every telemetry type is
 // nil-safe, so the enabled/disabled difference is one pointer test.
 type serverTelemetry struct {
@@ -34,9 +35,8 @@ type serverTelemetry struct {
 }
 
 // newServerTelemetry builds the registry over a live server: scrape-time
-// closures read the same sources /v1/healthz serves, so /metrics and
-// healthz can never disagree about a mirrored counter (the chaos suite
-// asserts this agreement).
+// closures read the same sources as Server.Stats, so the two can never
+// disagree (the telemetry and chaos suites assert it field by field).
 func newServerTelemetry(s *Server) *serverTelemetry {
 	reg := telemetry.NewRegistry()
 	t := &serverTelemetry{reg: reg}
@@ -57,10 +57,11 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	t.determinismViolations = reg.Counter("dnc_determinism_violations_total",
 		"Uploads refused because a duplicate result was not bit-identical. Any nonzero value is a paging condition.")
 
-	// Mirrored monotone counters: one source of truth, read at scrape time.
-	reg.CounterFunc("dnc_cells_simulated_total",
-		"Cells run to completion by this process's sweeps, by a remote worker or the in-process lease client.",
-		func() uint64 { return uint64(s.progress.Snapshot().OK) })
+	// dnc_cells_simulated_total, dnc_inflight_cells and the dnc_sweep_*
+	// tally of the runner sweeps behind the jobs.
+	s.progress.Register(reg)
+
+	// Monotone counters with an existing source, read at scrape time.
 	reg.CounterFunc("dnc_cells_reassigned_total",
 		"Leases revoked and returned to the queue (dead or frozen workers).",
 		func() uint64 { return s.dispatch.stats().Reassigned })
@@ -70,6 +71,9 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	reg.CounterFunc("dnc_cache_evictions_total",
 		"Result-cache entries evicted under the size bound.",
 		func() uint64 { return s.cache.stats().evictions })
+	reg.CounterFunc("dnc_workers_registered_total",
+		"Worker registrations ever (this process).",
+		func() uint64 { return s.dispatch.stats().WorkersRegistered })
 	reg.CounterFunc("dnc_workers_expired_total",
 		"Workers reaped for missing their heartbeat window.",
 		func() uint64 { return s.dispatch.stats().WorkersExpired })
@@ -87,19 +91,45 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		"Admitted cells the column store file could not take. They stay in /v1/query answers; the file is rebuilt from the cache at the next start.",
 		func() uint64 { return s.storeStats().writeErrs })
 
+	reg.GaugeFunc("dnc_store_cells",
+		"Cells persisted in the columnar result store (serves /v1/query), the pending batch included.",
+		func() float64 { return float64(s.storeStats().cells) })
+	reg.GaugeFunc("dnc_store_bytes",
+		"On-disk size of the columnar result store file (sealed segments; lags dnc_store_cells by up to one batch).",
+		func() float64 { return float64(s.storeStats().bytes) })
+	reg.GaugeFunc("dnc_store_index_bytes",
+		"Memory held by the column index /v1/query answers from.",
+		func() float64 { return float64(s.storeStats().indexBytes) })
 	reg.GaugeFunc("dnc_store_index_cells",
-		"Cells in the in-memory column index /v1/query answers from (every admitted cell, sealed or pending; counted by the index itself, so it differs from store_cells only if the two fell out of step).",
+		"Cells in the in-memory column index /v1/query answers from (every admitted cell, sealed or pending; counted by the index itself, so it differs from dnc_store_cells only if the two fell out of step).",
 		func() float64 { return float64(s.storeStats().indexCells) })
+	reg.GaugeFunc("dnc_cache_entries",
+		"Live result-cache entries.",
+		func() float64 { return float64(s.cache.stats().entries) })
+	reg.GaugeFunc("dnc_cache_bytes",
+		"Live (post-eviction) result-cache payload bytes.",
+		func() float64 { return float64(s.cache.stats().liveBytes) })
+
+	// Levels of the job table, read under the server lock.
+	locked := func(fn func() int) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(fn())
+		}
+	}
+	reg.GaugeFunc("dnc_jobs_known",
+		"Jobs known to this process (all states).",
+		locked(func() int { return len(s.jobs) }))
 	reg.GaugeFunc("dnc_queue_depth",
 		"Jobs accepted but not yet started.",
 		func() float64 { return float64(s.queue.len()) })
 	reg.GaugeFunc("dnc_jobs_running",
 		"Jobs currently sweeping.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.running)
-		})
+		locked(func() int { return s.running }))
+	reg.GaugeFunc("dnc_dead_letters",
+		"Cells on the poisoned-cell list.",
+		locked(func() int { return len(s.dead) }))
 	reg.GaugeFunc("dnc_workers_live",
 		"Live (heartbeating) remote workers.",
 		func() float64 { return float64(s.dispatch.stats().WorkersLive) })
@@ -109,12 +139,6 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	reg.GaugeFunc("dnc_remote_pending",
 		"Cells queued for the next lease request (of a remote worker or the in-process lease client).",
 		func() float64 { return float64(s.dispatch.stats().RemotePending) })
-	reg.GaugeFunc("dnc_inflight_cells",
-		"Runner attempts in progress: cells executing on a lease client, plus cells still pending a lease or sleeping between retries.",
-		func() float64 {
-			snap := s.progress.Snapshot()
-			return float64(len(snap.Running))
-		})
 
 	t.queueWait = reg.Histogram("dnc_queue_wait_seconds",
 		"Per-cell wait from enqueue to first execution attempt.",

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"strconv"
@@ -17,7 +18,7 @@ import (
 	"dnc/internal/telemetry"
 )
 
-// ---- telemetry plane: /metrics, /v1/jobs/{id}/trace, stat table ----
+// ---- telemetry plane: /metrics, /v1/jobs/{id}/trace, liveness ----
 
 // fetchMetrics scrapes /metrics and parses the exposition into sample name
 // (labels included, verbatim) → value.
@@ -54,6 +55,70 @@ func fetchMetrics(t *testing.T, e *testEnv) (map[string]float64, []byte) {
 		out[line[:sp]] = v
 	}
 	return out, body
+}
+
+// statRow ties one operational number to its /metrics series: the key
+// /v1/healthz served before it became liveness-only, the series that
+// serves it now, and its value in a Server.Stats snapshot.
+type statRow struct {
+	key, series string
+	val         float64
+}
+
+// statsSeries lists every Server.Stats field but Draining (which healthz
+// still answers) with its series. docs/OPERATIONS.md carries the same
+// key → series table for operators moving their checks.
+func statsSeries(st Stats) []statRow {
+	return []statRow{
+		{"jobs", "dnc_jobs_known", float64(st.Jobs)},
+		{"queued", "dnc_queue_depth", float64(st.Queued)},
+		{"running", "dnc_jobs_running", float64(st.Running)},
+		{"simulated", "dnc_cells_simulated_total", float64(st.Simulated)},
+		{"cache_hits", "dnc_cache_hits_total", float64(st.CacheHits)},
+		{"cache_entries", "dnc_cache_entries", float64(st.CacheEntries)},
+		{"cache_bytes", "dnc_cache_bytes", float64(st.CacheBytes)},
+		{"cache_evictions", "dnc_cache_evictions_total", float64(st.CacheEvictions)},
+		{"store_cells", "dnc_store_cells", float64(st.StoreCells)},
+		{"store_bytes", "dnc_store_bytes", float64(st.StoreBytes)},
+		{"store_index_bytes", "dnc_store_index_bytes", float64(st.StoreIndexBytes)},
+		{"store_write_errors", "dnc_store_write_errors_total", float64(st.StoreWriteErrors)},
+		{"dead_letters", "dnc_dead_letters", float64(st.DeadLetters)},
+		{"workers_registered", "dnc_workers_registered_total", float64(st.WorkersRegistered)},
+		{"workers_live", "dnc_workers_live", float64(st.WorkersLive)},
+		{"workers_expired", "dnc_workers_expired_total", float64(st.WorkersExpired)},
+		{"lease_depth", "dnc_lease_depth", float64(st.LeaseDepth)},
+		{"remote_pending", "dnc_remote_pending", float64(st.RemotePending)},
+		{"reassigned", "dnc_cells_reassigned_total", float64(st.Reassigned)},
+		{"remote_admitted", "dnc_remote_admitted_total", float64(st.RemoteAdmitted)},
+		{"remote_duplicates", "dnc_remote_duplicates_total", float64(st.RemoteDuplicates)},
+		{"remote_rejected", "dnc_remote_rejected_total", float64(st.RemoteRejected)},
+	}
+}
+
+// checkMetricsMatchStats scrapes /metrics between two Server.Stats reads
+// until a scrape is bracketed by equal snapshots (nothing moved while it
+// ran), then requires every statsSeries row to equal its series. It
+// returns that scrape.
+func checkMetricsMatchStats(t *testing.T, e *testEnv) (map[string]float64, []byte) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		before := e.srv.Stats()
+		m, body := fetchMetrics(t, e)
+		if e.srv.Stats() != before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		for _, r := range statsSeries(before) {
+			got, ok := m[r.series]
+			if !ok {
+				t.Errorf("/metrics does not serve %s (Stats %s)", r.series, r.key)
+			} else if got != r.val {
+				t.Errorf("%s = %v but Server.Stats %s = %v", r.series, got, r.key, r.val)
+			}
+		}
+		return m, body
+	}
 }
 
 // checkTraceConservation asserts the telemetry acceptance property on one
@@ -172,26 +237,13 @@ func TestMetricsEndToEndWithLint(t *testing.T) {
 			m["dnc_jobs_submitted_total"], m["dnc_jobs_completed_total"])
 	}
 
-	// /metrics and /v1/healthz must agree on every mirrored counter — they
-	// read the same sources.
-	var hz map[string]any
-	if code := e.getJSON("/v1/healthz", &hz); code != http.StatusOK {
-		t.Fatalf("healthz = %d", code)
-	}
-	for metric, stat := range map[string]string{
-		"dnc_cache_hits_total":       "cache_hits",
-		"dnc_cache_evictions_total":  "cache_evictions",
-		"dnc_cells_reassigned_total": "reassigned",
-		"dnc_workers_expired_total":  "workers_expired",
-		"dnc_remote_admitted_total":  "remote_admitted",
-	} {
-		want, ok := hz[stat].(float64)
-		if !ok {
-			t.Fatalf("healthz missing stat %q", stat)
-		}
-		if m[metric] != want {
-			t.Fatalf("%s = %v but healthz %s = %v", metric, m[metric], stat, want)
-		}
+	// /metrics serves every Server.Stats field from the same source. The
+	// jobs have finished, so nothing moves but the second job's worker
+	// leaving runJob (dnc_jobs_running 1 → 0).
+	m, _ = checkMetricsMatchStats(t, e)
+	if m["dnc_jobs_known"] != 2 || m["dnc_cache_entries"] != 3 || m["dnc_cells_simulated_total"] != 3 {
+		t.Fatalf("jobs/cache/simulated series = %v/%v/%v, want 2/3/3",
+			m["dnc_jobs_known"], m["dnc_cache_entries"], m["dnc_cells_simulated_total"])
 	}
 
 	// Histograms observed real cells: e2e count matches fresh admissions.
@@ -235,68 +287,67 @@ func TestTraceEndpointDisabledAndUnknown(t *testing.T) {
 	}
 }
 
-// TestHealthzServesDeclaredStatTable pins satellite guarantee #1: the wire
-// body of /v1/healthz is rendered from the declared stat table — exactly
-// those keys (plus status), nothing ad hoc.
+// TestHealthzServesDeclaredStatTable: the table /v1/healthz declares is now
+// status alone. It is liveness and drain only — exactly {"status":"ok"}
+// with 200 while serving, {"status":"draining"} with 503 once a drain
+// begins. Every number is on /metrics.
 func TestHealthzServesDeclaredStatTable(t *testing.T) {
 	e := newTestEnv(t, func(c *Config) { c.RunCell = fakeRunCell })
+	e.waitJob(e.submit(smallSpec()).ID)
 	var hz map[string]any
 	if code := e.getJSON("/v1/healthz", &hz); code != http.StatusOK {
-		t.Fatalf("healthz = %d", code)
+		t.Fatalf("healthz = %d, want 200", code)
 	}
-	want := make(map[string]bool)
-	for _, n := range statNames() {
-		want[n] = true
+	if len(hz) != 1 || hz["status"] != "ok" {
+		t.Fatalf("healthz body = %v, want only status ok", hz)
 	}
-	want["status"] = true
-	for k := range hz {
-		if !want[k] {
-			t.Errorf("healthz serves undeclared key %q", k)
-		}
+
+	// A drain closes the listener too, so ask the handler directly.
+	e.drain()
+	rec := httptest.NewRecorder()
+	e.srv.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	hz = nil
+	if err := json.Unmarshal(rec.Body.Bytes(), &hz); err != nil {
+		t.Fatalf("draining healthz body %q: %v", rec.Body.String(), err)
 	}
-	for k := range want {
-		if _, ok := hz[k]; !ok {
-			t.Errorf("healthz missing declared key %q", k)
-		}
+	if rec.Code != http.StatusServiceUnavailable || len(hz) != 1 || hz["status"] != "draining" {
+		t.Fatalf("draining healthz = %d %v, want 503 with only status draining", rec.Code, hz)
 	}
 }
 
 // TestDocsOperationsNamesServed is the golden test tying the runbook to the
-// code: every stat or metric name documented in docs/OPERATIONS.md (a
-// backticked lowercase_underscore token) must actually be served — by the
-// stat table, the server metric registry, or the worker metric registry.
+// code, both ways: every series the server and worker registries serve is
+// documented in docs/OPERATIONS.md, every documented dnc_* name (a
+// backticked token) is served, and the runbook's migration table maps each
+// former healthz key to the series statsSeries pairs it with.
 func TestDocsOperationsNamesServed(t *testing.T) {
-	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	b, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
 		t.Fatalf("reading OPERATIONS.md: %v", err)
 	}
-	served := make(map[string]bool)
-	for _, n := range statNames() {
-		served[n] = true
-	}
+	doc := string(b)
 	srv, err := New(Config{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer srv.cache.close()
-	for _, n := range srv.tel.reg.Names() {
+	served := make(map[string]bool)
+	for _, n := range append(srv.tel.reg.Names(), worker.NewTelemetry().Reg.Names()...) {
 		served[n] = true
-	}
-	for _, n := range worker.NewTelemetry().Reg.Names() {
-		served[n] = true
-	}
-
-	re := regexp.MustCompile("`([a-z][a-z0-9]*(?:_[a-z0-9]+)+)`")
-	found := 0
-	for _, match := range re.FindAllStringSubmatch(string(doc), -1) {
-		name := match[1]
-		found++
-		if !served[name] {
-			t.Errorf("OPERATIONS.md documents %q but nothing serves it", name)
+		if !strings.Contains(doc, "`"+n+"`") {
+			t.Errorf("%s is served but OPERATIONS.md does not document it", n)
 		}
 	}
-	if found < len(statNames()) {
-		t.Errorf("OPERATIONS.md documents only %d names; the stat table alone has %d — runbook incomplete", found, len(statNames()))
+	re := regexp.MustCompile("`(dnc_[a-z0-9_]+)`")
+	for _, match := range re.FindAllStringSubmatch(doc, -1) {
+		if !served[match[1]] {
+			t.Errorf("OPERATIONS.md documents %q but nothing serves it", match[1])
+		}
+	}
+	for _, r := range statsSeries(Stats{}) {
+		if row := "| `" + r.key + "` | `" + r.series + "` |"; !strings.Contains(doc, row) {
+			t.Errorf("OPERATIONS.md migration table lacks the row %q", row)
+		}
 	}
 }
 

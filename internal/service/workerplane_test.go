@@ -129,17 +129,9 @@ func TestWorkerPlaneRemoteExecution(t *testing.T) {
 		t.Fatalf("dnc_cells_simulated_total = %v, want 2 (remotely executed cells count)", m["dnc_cells_simulated_total"])
 	}
 
-	// The healthz satellite: worker counts and lease depth are on the
-	// health endpoint for operators.
-	var hz struct {
-		Status string `json:"status"`
-		Stats
-	}
-	if code := e.getJSON("/v1/healthz", &hz); code != http.StatusOK {
-		t.Fatalf("healthz = %d", code)
-	}
-	if hz.WorkersRegistered != 1 || hz.WorkersLive != 1 {
-		t.Fatalf("healthz worker counts = %d registered / %d live, want 1/1", hz.WorkersRegistered, hz.WorkersLive)
+	// Worker counts are on /metrics for operators.
+	if m, _ := fetchMetrics(t, e); m["dnc_workers_registered_total"] != 1 || m["dnc_workers_live"] != 1 {
+		t.Fatalf("worker series = %v registered / %v live, want 1/1", m["dnc_workers_registered_total"], m["dnc_workers_live"])
 	}
 }
 

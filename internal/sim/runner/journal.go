@@ -97,19 +97,7 @@ type journal struct {
 	// appends (1 = after each) and once more at close.
 	syncEvery int
 	pending   int
-	// appends counts records written this sweep; with pending it gives the
-	// journal's durability lag for the debug endpoint.
-	appends int
-	errs    []error
-}
-
-// stats returns total appends this sweep and records not yet fsynced. Safe
-// on a nil journal.
-func (j *journal) stats() (appends, pending int) {
-	if j == nil {
-		return 0, 0
-	}
-	return j.appends, j.pending
+	errs      []error
 }
 
 // openJournal loads completed cells from an existing journal (if any) and
@@ -169,7 +157,6 @@ func (j *journal) append(res CellResult) {
 		j.errs = append(j.errs, fmt.Errorf("runner: journal write for cell %s: %w", res.ID, err))
 		return
 	}
-	j.appends++
 	j.pending++
 	if j.pending >= j.syncEvery {
 		j.sync()

@@ -96,8 +96,8 @@ type Options struct {
 	// OnResult, when set, observes each finished cell (called serially).
 	OnResult func(CellResult)
 	// Progress, when set, is updated live as cells start and finish — the
-	// data source for periodic console summaries and the debug HTTP
-	// endpoint (see NewProgress, StartDebug).
+	// data source for periodic console summaries and the /metrics series
+	// (see NewProgress, Progress.Register).
 	Progress *Progress
 }
 
@@ -230,7 +230,6 @@ func Sweep(ctx context.Context, cells []Cell, o Options) (*Report, error) {
 			jr.append(res)
 		}
 		o.Progress.observe(res)
-		o.Progress.journalLag(jr.stats())
 		if o.OnResult != nil {
 			o.OnResult(res)
 		}
@@ -301,7 +300,7 @@ func runCell(ctx context.Context, c Cell, o Options) CellResult {
 		cfg := c.Config
 		if p := o.Progress; p != nil {
 			// Feed the engine's poll-boundary cycle reports into the live
-			// progress tracker (/debug/sweep, the -http vars), chaining any
+			// progress tracker (dnc_sweep_inflight_cycles), chaining any
 			// callback the cell's own config installed.
 			id, prev := c.ID, cfg.OnAdvance
 			cfg.OnAdvance = func(cycle uint64) {

@@ -117,8 +117,8 @@ func TestSweepIsolatesPanicAndLivelock(t *testing.T) {
 }
 
 // TestSweepReportsAdvance pins the live-progress wiring: the engine's
-// OnAdvance poll reports flow into Progress.RunningCycles while the cell
-// runs, a callback the cell's own config installed still fires (chained
+// OnAdvance poll reports flow into the tracker's in-flight cycles while the
+// cell runs, a callback the cell's own config installed still fires (chained
 // after the tracker update, so it observes its own cycle in the snapshot),
 // and the final report covers the full warm+measure span even though the
 // window end is not a checkEvery multiple.
@@ -133,7 +133,7 @@ func TestSweepReportsAdvance(t *testing.T) {
 			t.Errorf("OnAdvance went backwards: %d after %d", cycle, last.Load())
 		}
 		last.Store(cycle)
-		if p.Snapshot().RunningCycles["adv"] != cycle {
+		if inflightCycles(p) != cycle {
 			tracked.Store(false)
 		}
 	}
@@ -146,10 +146,10 @@ func TestSweepReportsAdvance(t *testing.T) {
 		t.Errorf("final OnAdvance cycle = %d, want the full span %d", last.Load(), total)
 	}
 	if !tracked.Load() {
-		t.Error("Progress.RunningCycles lagged the chained OnAdvance callback")
+		t.Error("the tracker's in-flight cycles lagged the chained OnAdvance callback")
 	}
-	if s := p.Snapshot(); len(s.RunningCycles) != 0 {
-		t.Errorf("RunningCycles after the sweep = %v, want empty", s.RunningCycles)
+	if got := inflightCycles(p); got != 0 {
+		t.Errorf("in-flight cycles after the sweep = %d, want 0", got)
 	}
 }
 

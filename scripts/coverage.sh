@@ -62,8 +62,8 @@ awk -v pf="$PREFETCH_FLOOR" -v of="$ORACLE_FLOOR" '
 # The service layer gets its own profile: its suite is the integration and
 # chaos harness (subprocess kills, fault injection), so it runs apart from
 # the simulator-coverage matrix above. internal/httpx rides along — it is
-# the shared hardened-HTTP helper under both the service API and the debug
-# server.
+# the shared hardened-HTTP helper under every listener: the service API,
+# dncworker -metrics-addr and dncbench -http.
 svc_profile="${profile%.out}.service.out"
 
 go test -coverprofile="$svc_profile" \
