@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dncserved [-addr localhost:8080] [-data dncserved-data] [-workers 2]
-//	          [-cell-jobs N] [-queue-cap 64] [-retries 2] [-cell-timeout 10m]
+//	          [-cell-jobs N] [-queue-cap 64] [-retries 2]
 //	          [-job-timeout 0] [-max-cells 4096]
 //	          [-drain-timeout 30s] [-cache-max-bytes 0]
 //	          [-lease-ttl 15s] [-lease-max-age 10m] [-lease-batch 16]
@@ -28,9 +28,14 @@
 // docs/OPERATIONS.md); while none is live the server's in-process lease
 // client, the client of last resort, runs the cells. The -lease-* flags
 // tune the worker plane: -lease-ttl is the heartbeat window
-// after which a silent worker forfeits its leases, -lease-max-age the
-// per-cell progress budget that revokes leases from frozen-but-heartbeating
-// workers, and -lease-batch the most cells one lease request may claim.
+// after which a silent worker forfeits its leases (its cells are reassigned
+// at no cost), -lease-max-age the one execution budget per attempt (a lease
+// held this long is revoked, even from a frozen-but-heartbeating worker, and
+// the in-process client stops a run at this age), and -lease-batch the most
+// cells one lease request may claim. A lease revoked from a worker still
+// running it, or a failure the worker reports as transient, spends one of
+// the cell's 1+retries attempts; the cell goes straight back to the head of
+// the lease queue.
 package main
 
 import (
@@ -52,14 +57,13 @@ func main() {
 	workers := flag.Int("workers", 2, "jobs executed concurrently")
 	cellJobs := flag.Int("cell-jobs", 0, "concurrently simulating cells per job (0 = GOMAXPROCS)")
 	queueCap := flag.Int("queue-cap", 64, "max queued jobs before submissions get 429 + Retry-After")
-	retries := flag.Int("retries", 2, "per-cell retries on transient failure (jittered exponential backoff)")
-	cellTimeout := flag.Duration("cell-timeout", 10*time.Minute, "per-attempt wall-clock budget per cell (0 = none)")
+	retries := flag.Int("retries", 2, "attempts a cell gets beyond its first after a transient failure or a lease past -lease-max-age")
 	jobTimeout := flag.Duration("job-timeout", 0, "whole-job wall-clock budget (0 = none)")
 	maxCells := flag.Int("max-cells", 4096, "max cells one submitted spec may expand to")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGINT/SIGTERM")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "result-cache size bound; oldest entries evicted first (0 = unbounded)")
 	leaseTTL := flag.Duration("lease-ttl", service.DefaultLeaseTTL, "worker heartbeat window; silent workers forfeit their leases")
-	leaseMaxAge := flag.Duration("lease-max-age", service.DefaultLeaseMaxAge, "per-lease progress budget; frozen workers' cells reassign after this")
+	leaseMaxAge := flag.Duration("lease-max-age", service.DefaultLeaseMaxAge, "execution budget per attempt; a lease held this long is revoked and retried")
 	leaseBatch := flag.Int("lease-batch", service.DefaultLeaseBatchMax, "max cells per worker lease request")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	flag.Parse()
@@ -70,6 +74,9 @@ func main() {
 		os.Exit(2)
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	if *retries == 0 {
+		*retries = -1 // service.Config reads 0 as its default of 2
+	}
 
 	srv, err := service.New(service.Config{
 		DataDir:        *data,
@@ -77,7 +84,6 @@ func main() {
 		CellJobs:       *cellJobs,
 		QueueCap:       *queueCap,
 		Retries:        *retries,
-		CellTimeout:    *cellTimeout,
 		JobTimeout:     *jobTimeout,
 		MaxCellsPerJob: *maxCells,
 		CacheMaxBytes:  *cacheMax,

@@ -226,12 +226,24 @@ type runOpts struct {
 	llcCfg     *llc.Config
 }
 
+// key renders the options for the run cache and cell IDs, the LLC config by
+// value: %+v would print its address, unequal for equal configs.
+func (o runOpts) key() string {
+	cfg := o.llcCfg
+	o.llcCfg = nil
+	k := fmt.Sprintf("%+v", o)
+	if cfg != nil {
+		k += fmt.Sprintf("|llc%+v", *cfg)
+	}
+	return k
+}
+
 // run executes (or returns the cached) simulation of one workload/design.
 // The samples of one configuration fan out across the runner pool; any
 // failure is recorded on the harness and a zero Result returned, so the
 // experiment's remaining rows still render.
 func (h *Harness) run(workload, key string, nd func() prefetch.Design, o runOpts) sim.Result {
-	ck := fmt.Sprintf("%s|%s|%+v", workload, key, o)
+	ck := fmt.Sprintf("%s|%s|%s", workload, key, o.key())
 	h.mu.Lock()
 	if r, ok := h.cache[ck]; ok {
 		h.mu.Unlock()
@@ -392,7 +404,7 @@ func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 	)
 	for _, w := range h.cfg.Workloads {
 		for _, sp := range specs {
-			ck := fmt.Sprintf("%s|%s|%+v", w, sp.key, runOpts{})
+			ck := fmt.Sprintf("%s|%s|%s", w, sp.key, runOpts{}.key())
 			for _, c := range h.cells(ck, w, sp.key, sp.nd, runOpts{}) {
 				cells = append(cells, c)
 				groups = append(groups, ck)

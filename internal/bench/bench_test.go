@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"dnc/internal/prefetch"
+	"dnc/internal/sim/runner"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -60,21 +61,42 @@ func TestByIDUnknown(t *testing.T) {
 	}
 }
 
+// TestIDsCoverAll: every listed ID resolves to the experiment carrying it,
+// and All runs the same experiments in the same (paper) order.
 func TestIDsCoverAll(t *testing.T) {
 	h := tiny()
-	for _, id := range IDs() {
-		if _, ok := map[string]bool{
-			"fig01": true, "table1": true, "fig02": true, "fig03": true,
-			"fig04": true, "fig05": true, "fig06": true, "fig07": true,
-			"fig08": true, "fig09": true, "table2": true, "fig11": true,
-			"fig12": true, "fig13": true, "fig14": true, "fig15": true,
-			"fig16": true, "fig17": true, "fig18": true, "secj": true,
-		}[id]; !ok {
-			t.Errorf("unexpected experiment id %s", id)
+	ids, all := IDs(), h.All()
+	if len(all) != len(ids) {
+		t.Fatalf("All() ran %d experiments, IDs() lists %d", len(all), len(ids))
+	}
+	for i, id := range ids {
+		if all[i].ID != id {
+			t.Errorf("All()[%d] is %q, IDs()[%d] is %q", i, all[i].ID, i, id)
+		}
+		if e, ok := h.ByID(id); !ok || e.ID != id {
+			t.Errorf("ByID(%q) = %q, %v", id, e.ID, ok)
 		}
 	}
-	// Every ID must resolve (without running the heavy ones).
-	_ = h
+}
+
+// TestRunCachingLLCOverride: runs with an LLC override hit the cache like
+// any other — the key renders the config by value, not its address — so a
+// second SecJ on one harness simulates nothing.
+func TestRunCachingLLCOverride(t *testing.T) {
+	h := tiny()
+	h.cfg.Progress = runner.NewProgress()
+	first := h.SecJ()
+	done := h.cfg.Progress.Snapshot().Done
+	if done == 0 {
+		t.Fatal("SecJ simulated nothing")
+	}
+	again := h.SecJ()
+	if got := h.cfg.Progress.Snapshot().Done; got != done {
+		t.Fatalf("second SecJ ran %d more cells, want 0", got-done)
+	}
+	if !reflect.DeepEqual(first.Headline, again.Headline) {
+		t.Fatalf("cached SecJ headline %v, first %v", again.Headline, first.Headline)
+	}
 }
 
 func TestTraceMetricsBands(t *testing.T) {

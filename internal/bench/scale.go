@@ -24,68 +24,57 @@ func scaleEntries(entries, num, den int) int {
 	return p
 }
 
+// experiments is every experiment in paper order, by ID.
+var experiments = []struct {
+	id  string
+	run func(*Harness) Experiment
+}{
+	{"fig01", (*Harness).Fig01},
+	{"table1", (*Harness).Table1},
+	{"fig02", (*Harness).Fig02},
+	{"fig03", (*Harness).Fig03},
+	{"fig04", (*Harness).Fig04},
+	{"fig05", (*Harness).Fig05},
+	{"fig06", (*Harness).Fig06},
+	{"fig07", (*Harness).Fig07},
+	{"fig08", (*Harness).Fig08},
+	{"fig09", (*Harness).Fig09},
+	{"table2", (*Harness).Table2},
+	{"fig11", (*Harness).Fig11},
+	{"fig12", (*Harness).Fig12},
+	{"fig13", (*Harness).Fig13},
+	{"fig14", (*Harness).Fig14},
+	{"fig15", (*Harness).Fig15},
+	{"fig16", (*Harness).Fig16},
+	{"fig17", (*Harness).Fig17},
+	{"fig18", (*Harness).Fig18},
+	{"secj", (*Harness).SecJ},
+}
+
 // All runs every experiment in paper order.
 func (h *Harness) All() []Experiment {
-	return []Experiment{
-		h.Fig01(),
-		h.Table1(),
-		h.Fig02(),
-		h.Fig03(),
-		h.Fig04(),
-		h.Fig05(),
-		h.Fig06(),
-		h.Fig07(),
-		h.Fig08(),
-		h.Fig09(),
-		h.Table2(),
-		h.Fig11(),
-		h.Fig12(),
-		h.Fig13(),
-		h.Fig14(),
-		h.Fig15(),
-		h.Fig16(),
-		h.Fig17(),
-		h.Fig18(),
-		h.SecJ(),
+	out := make([]Experiment, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.run(h)
 	}
+	return out
 }
 
 // ByID returns the experiment with the given ID, running it on demand.
 func (h *Harness) ByID(id string) (Experiment, bool) {
-	m := map[string]func() Experiment{
-		"fig01":  h.Fig01,
-		"table1": h.Table1,
-		"fig02":  h.Fig02,
-		"fig03":  h.Fig03,
-		"fig04":  h.Fig04,
-		"fig05":  h.Fig05,
-		"fig06":  h.Fig06,
-		"fig07":  h.Fig07,
-		"fig08":  h.Fig08,
-		"fig09":  h.Fig09,
-		"table2": h.Table2,
-		"fig11":  h.Fig11,
-		"fig12":  h.Fig12,
-		"fig13":  h.Fig13,
-		"fig14":  h.Fig14,
-		"fig15":  h.Fig15,
-		"fig16":  h.Fig16,
-		"fig17":  h.Fig17,
-		"fig18":  h.Fig18,
-		"secj":   h.SecJ,
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(h), true
+		}
 	}
-	f, ok := m[id]
-	if !ok {
-		return Experiment{}, false
-	}
-	return f(), true
+	return Experiment{}, false
 }
 
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{
-		"fig01", "table1", "fig02", "fig03", "fig04", "fig05", "fig06",
-		"fig07", "fig08", "fig09", "table2", "fig11", "fig12", "fig13",
-		"fig14", "fig15", "fig16", "fig17", "fig18", "secj",
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.id
 	}
+	return out
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"dnc/internal/service/workerproto"
-	"dnc/internal/sim"
 	"dnc/internal/telemetry"
 )
 
@@ -24,10 +24,13 @@ import (
 // first-insert-wins cache makes duplicates provably harmless, so
 // reassignment never risks double-admitting a cell.
 //
+// It is also the one place that counts a cell's attempts: see spendLocked.
+//
 // Besides the remote workers, the table holds the server's in-process
 // client, the lease client of last resort: granted nothing while a remote
-// worker is live and everything pending once none is. It never expires, has
-// no progress budget, and the worker counters leave it out.
+// worker is live and everything pending once none is. It never expires, the
+// worker counters leave it out, and it has no progress budget here: it stops
+// its own runs at LeaseMaxAge, reported as transient failures.
 
 // Lease-plane defaults (overridable via Config).
 const (
@@ -46,21 +49,28 @@ const (
 	leaseExpirySweep = 100 * time.Millisecond
 )
 
-// remoteOutcome is what a waiter receives: a result admitted from an
-// upload, or the execution's reported error.
+// errLeaseBudget ends an attempt the progress budget revoked.
+var errLeaseBudget = errors.New("service: lease revoked: no result within the progress budget")
+
+// remoteOutcome is what a waiter receives when its cell leaves the table:
+// the digest of the result admitted from an upload, or the error that ended
+// the last attempt. attempts counts the cell's attempts, that one included.
 type remoteOutcome struct {
-	r   sim.Result
-	err error
+	resultDigest string
+	err          error
+	transient    bool
+	attempts     int
 }
 
 // remoteCell is one cell on the lease plane: pending (awaiting a lease) or
 // leased (awaiting completion). Several concurrent jobs can contain the
 // same cell; each gets its own waiter channel and one execution feeds all.
 type remoteCell struct {
-	digest  string
-	spec    workerproto.CellSpec
-	waiters []chan remoteOutcome
-	leased  bool // held by a worker right now (not in pending)
+	digest   string
+	spec     workerproto.CellSpec
+	waiters  []chan remoteOutcome
+	leased   bool // held by a worker right now (not in pending)
+	attempts int  // attempts spent: grants that ended without a result
 	// traceID is the submitting job's trace (first submitter wins when dedup
 	// funnels several jobs onto one cell); it rides on every lease so worker
 	// attempts stitch into the server timeline.
@@ -101,6 +111,8 @@ type dispatchStats struct {
 	// Reassigned counts leases revoked and returned to the queue (dead or
 	// frozen workers).
 	Reassigned uint64
+	// Retried counts cells spendLocked sent back to the queue.
+	Retried uint64
 	// RemoteAdmitted counts fresh results admitted from uploads;
 	// RemoteDuplicates counts bit-identical redeliveries acknowledged
 	// idempotently; RemoteRejected counts uploads refused by admission
@@ -119,6 +131,7 @@ type dispatcher struct {
 	ttl      time.Duration
 	maxAge   time.Duration
 	batchMax int
+	retries  int // attempts a cell may spend beyond its first
 
 	seq     int
 	workers map[string]*workerState // live remote workers only
@@ -139,12 +152,12 @@ type dispatcher struct {
 	st dispatchStats
 
 	// rec and log are set by the owning Server after construction (nil rec =
-	// telemetry disabled; both are never reassigned once the server starts).
+	// telemetry disabled) and never reassigned once the server starts.
 	rec *telemetry.Recorder
 	log *slog.Logger
 }
 
-func newDispatcher(now func() time.Time, ttl, maxAge time.Duration, batchMax int) *dispatcher {
+func newDispatcher(now func() time.Time, ttl, maxAge time.Duration, batchMax, retries int) *dispatcher {
 	if now == nil {
 		now = time.Now
 	}
@@ -162,6 +175,7 @@ func newDispatcher(now func() time.Time, ttl, maxAge time.Duration, batchMax int
 		ttl:      ttl,
 		maxAge:   maxAge,
 		batchMax: batchMax,
+		retries:  retries,
 		workers:  make(map[string]*workerState),
 		byCell:   make(map[string]*remoteCell),
 		local:    &workerState{id: inProcessID, name: inProcessID, leases: make(map[string]*lease)},
@@ -281,7 +295,7 @@ func (d *dispatcher) lease(ctx context.Context, workerID string, max int) ([]wor
 		// queue (and to the next parked call) instead of waiting out a TTL.
 		for i := len(p.leases) - 1; i >= 0; i-- {
 			if l, held := w.leases[p.leases[i].Digest]; held {
-				d.revokeLocked(l)
+				d.revokeLocked(l, false)
 			}
 		}
 		return nil, nil
@@ -358,7 +372,7 @@ func (d *dispatcher) heartbeat(workerID string, active []string) ([]string, erro
 	var revoked []string
 	for digest, l := range w.leases {
 		if w != d.local && now.Sub(l.grantedAt) > d.maxAge {
-			d.revokeLocked(l)
+			d.revokeLocked(l, slices.Contains(active, digest))
 			seen[digest] = true
 			revoked = append(revoked, digest)
 		}
@@ -377,19 +391,44 @@ func (d *dispatcher) heartbeat(workerID string, active []string) ([]string, erro
 	return revoked, nil
 }
 
-// revokeLocked returns a leased cell to the front of the pending queue (it
-// has already waited its turn once).
-func (d *dispatcher) revokeLocked(l *lease) {
-	delete(l.worker.leases, l.cell.digest)
-	if _, live := d.byCell[l.cell.digest]; !live {
-		return // completed or abandoned in the meantime
+// revokeLocked takes a lease back from its worker. A progress-budget
+// revocation of a cell its worker still lists as active spends an attempt;
+// a reaped worker's lease, one its lease call left without, or one the
+// worker never got or already dropped (a lost lease answer, a refused
+// upload) spends none.
+func (d *dispatcher) revokeLocked(l *lease, budget bool) {
+	c := l.cell
+	delete(l.worker.leases, c.digest)
+	d.rec.ExecEnd(c.digest, l.worker.id, "revoked")
+	d.log.Warn("lease revoked", "span", telemetry.SpanID(c.digest), "worker", l.worker.id,
+		"held", d.now().Sub(l.grantedAt).String(), "budget", budget)
+	if budget && !d.spendLocked(c, remoteOutcome{err: errLeaseBudget, transient: true}) {
+		return
 	}
-	l.cell.leased = false
-	d.pending = slices.Insert(d.pending, 0, l.cell)
 	d.st.Reassigned++
-	d.rec.ExecEnd(l.cell.digest, l.worker.id, "revoked")
-	d.log.Warn("lease revoked", "span", telemetry.SpanID(l.cell.digest), "worker", l.worker.id,
-		"held", d.now().Sub(l.grantedAt).String())
+	d.requeueLocked(c)
+}
+
+// spendLocked counts an attempt that ended without a result (a reported
+// failure or a progress-budget revocation; a TTL reap is not one) and
+// reports whether the cell may run again: out is transient and retries are
+// left. If not, every waiter is resolved with out.
+func (d *dispatcher) spendLocked(c *remoteCell, out remoteOutcome) bool {
+	c.attempts++
+	if out.transient && c.attempts <= d.retries {
+		d.st.Retried++
+		return true
+	}
+	out.attempts = c.attempts
+	d.resolveLocked(c, out)
+	return false
+}
+
+// requeueLocked returns a cell that lost its lease to the head of pending
+// (it has already waited its turn once).
+func (d *dispatcher) requeueLocked(c *remoteCell) {
+	c.leased = false
+	d.pending = slices.Insert(d.pending, 0, c)
 	d.offerLocked()
 }
 
@@ -409,7 +448,7 @@ func (d *dispatcher) expireLocked() {
 		if now.After(w.expiry) {
 			d.log.Warn("worker expired", "worker", id, "name", w.name, "leases", len(w.leases))
 			for _, l := range w.leases {
-				d.revokeLocked(l)
+				d.revokeLocked(l, false)
 			}
 			delete(d.workers, id)
 			d.st.WorkersExpired++
@@ -428,8 +467,9 @@ func (d *dispatcher) expire() {
 // enqueue places a cell on the lease plane and returns the channel its
 // outcome arrives on plus a cancel function (the waiter's job was cancelled
 // or timed out; the cell is dropped once its last waiter leaves and it is
-// not currently leased).
-func (d *dispatcher) enqueue(spec workerproto.CellSpec, traceID string) (<-chan remoteOutcome, func()) {
+// not currently leased), which reports the attempts the cell has spent (0
+// once it has left the table).
+func (d *dispatcher) enqueue(spec workerproto.CellSpec, traceID string) (<-chan remoteOutcome, func() int) {
 	digest := spec.Digest()
 	ch := make(chan remoteOutcome, 1)
 	d.mu.Lock()
@@ -440,40 +480,35 @@ func (d *dispatcher) enqueue(spec workerproto.CellSpec, traceID string) (<-chan 
 		d.pending = append(d.pending, c)
 		d.offerLocked()
 	}
+	if len(c.waiters) == 0 {
+		c.attempts = 0 // a leased cell every earlier job left: theirs were spent
+	}
 	c.waiters = append(c.waiters, ch)
 	d.mu.Unlock()
 
-	cancel := func() {
+	cancel := func() int {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		c, ok := d.byCell[digest]
 		if !ok {
-			return
+			return 0
 		}
-		for i, w := range c.waiters {
-			if w == ch {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-				break
-			}
+		if i := slices.Index(c.waiters, ch); i >= 0 {
+			c.waiters = slices.Delete(c.waiters, i, i+1)
 		}
 		if len(c.waiters) == 0 && !c.leased {
 			// Nobody wants it and no worker is running it: drop it from the
 			// queue so it cannot be leased pointlessly.
-			delete(d.byCell, digest)
-			for i, p := range d.pending {
-				if p == c {
-					d.pending = append(d.pending[:i], d.pending[i+1:]...)
-					break
-				}
-			}
+			d.dropLocked(c)
 		}
+		return c.attempts
 	}
 	return ch, cancel
 }
 
-// deliver resolves an outstanding cell — a verified result admitted from an
-// upload (err nil) or a reported execution failure — waking every waiter.
-// It reports whether the cell was outstanding.
+// deliver resolves an outstanding cell with the result admitted from an
+// upload, waking every waiter; the grant that produced it is the cell's
+// last attempt. It reports whether the cell was outstanding.
 func (d *dispatcher) deliver(digest string, out remoteOutcome) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -481,24 +516,52 @@ func (d *dispatcher) deliver(digest string, out remoteOutcome) bool {
 	if !ok {
 		return false
 	}
-	delete(d.byCell, digest)
-	for i, p := range d.pending {
-		if p == c {
-			d.pending = append(d.pending[:i], d.pending[i+1:]...)
-			break
-		}
+	out.attempts = c.attempts + 1
+	d.resolveLocked(c, out)
+	return true
+}
+
+// fail ends the worker's grant of the cell with a reported execution
+// failure (spendLocked). It reports false, and changes nothing, when the
+// worker holds no lease on the cell: that grant already ended.
+func (d *dispatcher) fail(digest, workerID string, err error, transient bool) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	w := d.workerLocked(workerID)
+	if w == nil {
+		return false
 	}
-	// Clear any live lease for the cell (the completing worker's own lease,
-	// or a reassigned one some other worker still holds — its eventual
-	// upload will be acknowledged as a duplicate).
+	l, held := w.leases[digest]
+	if !held {
+		return false
+	}
+	delete(w.leases, digest)
+	if d.spendLocked(l.cell, remoteOutcome{err: err, transient: transient}) {
+		d.requeueLocked(l.cell)
+	}
+	return true
+}
+
+// resolveLocked takes a cell off the table, clearing any live lease on it
+// (a reassigned one some other worker still holds included — its eventual
+// upload is acknowledged as a duplicate), and hands out to every waiter.
+func (d *dispatcher) resolveLocked(c *remoteCell, out remoteOutcome) {
+	d.dropLocked(c)
 	for _, w := range d.workers {
-		delete(w.leases, digest)
+		delete(w.leases, c.digest)
 	}
-	delete(d.local.leases, digest)
+	delete(d.local.leases, c.digest)
 	for _, ch := range c.waiters {
 		ch <- out
 	}
-	return true
+}
+
+// dropLocked takes a cell off the table and out of pending.
+func (d *dispatcher) dropLocked(c *remoteCell) {
+	delete(d.byCell, c.digest)
+	if i := slices.Index(d.pending, c); i >= 0 {
+		d.pending = slices.Delete(d.pending, i, i+1)
+	}
 }
 
 // outstanding reports whether the cell is known to the lease plane

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -21,11 +22,17 @@ import (
 // none is ever lost, cells leave pending from the head, and a reassigned
 // cell goes back to the head. The in-process client is the lease client of
 // last resort: it is granted nothing while a remote worker is live, and
-// everything pending once none is. The test drives the real dispatcher and a
-// reference model through the same seeded random sequence of registrations,
-// enqueues, lease calls (immediate and parked, remote and in-process),
-// heartbeats, deliveries, waiter cancellations and clock advances, and
-// compares them after every step. Time is a fake clock and the only
+// everything pending once none is. The table also keeps each cell's
+// attempts: a reported failure, or a progress-budget revocation of a cell
+// its worker still lists as active, spends one, a reaped worker's lease
+// none, a new job joining a cell every earlier job left starts it afresh,
+// and a cell out of retries (or failed non-transiently) resolves its
+// waiters with the failure. The test drives
+// the real dispatcher and a reference model through the same seeded random
+// sequence of registrations, enqueues, lease calls (immediate and parked,
+// remote and in-process), heartbeats, deliveries, reported failures
+// (transient, non-transient and stale), waiter cancellations and clock
+// advances, and compares them after every step. Time is a fake clock and the only
 // concurrency is parked lease calls, whose answers the model predicts —
 // which call, how many cells, in what turn — so a failure replays from its
 // seed.
@@ -36,6 +43,7 @@ type leaseModel struct {
 	ttl     time.Duration
 	maxAge  time.Duration
 	batch   int
+	retries int
 	workers map[string]*modelWorker // live remote workers
 	local   *modelWorker            // the in-process client; never expires
 	parked  []*modelWorker          // remote workers with a lease call parked, longest-waiting first
@@ -57,13 +65,14 @@ type modelWorker struct {
 }
 
 type modelCell struct {
-	spec    workerproto.CellSpec
-	waiters []*modelWaiter
+	spec     workerproto.CellSpec
+	waiters  []*modelWaiter
+	attempts int // spent: reported failures and budget revocations
 }
 
 type modelWaiter struct {
 	ch     <-chan remoteOutcome
-	cancel func()
+	cancel func() int
 }
 
 func (m *leaseModel) clampMax(max int) int {
@@ -141,6 +150,28 @@ func (m *leaseModel) revoke(w *modelWorker, digest string, head *[]string) {
 	}
 }
 
+// spend counts one attempt of an outstanding cell that ended without a
+// result and reports whether it runs again; if not, the cell leaves the
+// table and the outcome its waiters must hold is returned.
+func (m *leaseModel) spend(digest string, err error, transient bool) (bool, remoteOutcome) {
+	c := m.cells[digest]
+	c.attempts++
+	if transient && c.attempts <= m.retries {
+		return true, remoteOutcome{}
+	}
+	m.leave(digest)
+	return false, remoteOutcome{err: err, transient: transient, attempts: c.attempts}
+}
+
+// leave takes a resolved cell off the model's table.
+func (m *leaseModel) leave(digest string) {
+	delete(m.cells, digest)
+	m.dropPending(digest)
+	for _, w := range modelWorkers(m) {
+		delete(w.leases, digest)
+	}
+}
+
 func short(ds []string) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
@@ -169,10 +200,12 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 	clk := faultplane.NewClock(time.Unix(1000, 0))
 	m := &leaseModel{
 		now: clk.Now(), ttl: 9 * time.Second, maxAge: 12 * time.Second, batch: 3,
+		retries: int(seed % 3),
 		workers: map[string]*modelWorker{}, cells: map[string]*modelCell{},
 		local: &modelWorker{id: inProcessID, leases: map[string]time.Time{}},
 	}
-	d := newDispatcher(clk.Now, m.ttl, m.maxAge, m.batch)
+	d := newDispatcher(clk.Now, m.ttl, m.maxAge, m.batch, m.retries)
+	errTimeout, errPoison := errors.New("timed out"), errors.New("panicked")
 	lw := m.local
 	// The in-process call parks with no deadline: this context ends it when
 	// the test is over.
@@ -273,14 +306,23 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 	}
 
 	// resolve checks that every waiter of a cell that left the table holds
-	// exactly one outcome, of the expected kind.
-	resolve := func(c *modelCell, wantErr error) {
+	// exactly one outcome, the expected one: its error (nil for a result),
+	// transience and attempts, at most Retries+1. Only a failure reported
+	// as non-transient may be dead-lettered.
+	resolve := func(c *modelCell, want remoteOutcome) {
 		t.Helper()
+		if want.attempts < 1 || want.attempts > m.retries+1 {
+			t.Fatalf("the model resolves a cell after %d attempts, want 1..%d", want.attempts, m.retries+1)
+		}
 		for _, w := range c.waiters {
 			select {
 			case out := <-w.ch:
-				if !errors.Is(out.err, wantErr) {
-					t.Fatalf("waiter got %v, want %v", out.err, wantErr)
+				if !errors.Is(out.err, want.err) || out.transient != want.transient || out.attempts != want.attempts {
+					t.Fatalf("waiter got %v (transient %v, %d attempts), want %v (transient %v, %d attempts)",
+						out.err, out.transient, out.attempts, want.err, want.transient, want.attempts)
+				}
+				if deadLetter := out.err != nil && !out.transient; deadLetter && !errors.Is(out.err, errPoison) {
+					t.Fatalf("%v would be dead-lettered; only a reported non-transient failure may be", out.err)
 				}
 			default:
 				t.Fatal("a waiter of a resolved cell was not woken")
@@ -369,6 +411,25 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 		if enqueued != resolved+len(m.cells) {
 			fail("%d cells entered the table, %d left it and %d are outstanding", enqueued, resolved, len(m.cells))
 		}
+		// Attempts: the model's count, never past Retries while outstanding.
+		// No waiter holds an outcome it has not been checked for: a cell
+		// still outstanding has told nobody, and a resolved one told each
+		// waiter once.
+		for digest, mc := range m.cells {
+			if got := d.byCell[digest].attempts; got != mc.attempts || got > m.retries {
+				fail("cell %.8s spent %d attempts, the model %d (retries %d)", digest, got, mc.attempts, m.retries)
+			}
+			for _, w := range mc.waiters {
+				if len(w.ch) != 0 {
+					fail("a waiter of outstanding cell %.8s holds an outcome", digest)
+				}
+			}
+		}
+		for _, w := range gone {
+			if len(w.ch) != 0 {
+				fail("a waiter was answered twice")
+			}
+		}
 	}
 
 	pick := func(ids []string) string { return ids[rng.Intn(len(ids))] }
@@ -392,6 +453,9 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 				m.cells[digest] = c
 				m.pending = append(m.pending, []string{digest})
 				enqueued++
+			}
+			if len(c.waiters) == 0 {
+				c.attempts = 0 // a new job's attempts start afresh
 			}
 			c.waiters = append(c.waiters, &modelWaiter{ch, cancel})
 
@@ -467,7 +531,13 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			var active []string
 			stale := ""
 			if live {
-				active = sortedKeys(w.leases)
+				for _, digest := range sortedKeys(w.leases) {
+					// A worker may not list a lease it holds: it never got
+					// the lease answer, or dropped a refused upload.
+					if rng.Intn(4) != 0 {
+						active = append(active, digest)
+					}
+				}
 				if len(m.cells) > 0 && rng.Intn(3) == 0 {
 					// Claim a cell this worker may not hold (any more).
 					if stale = pick(sortedKeys(m.cells)); !w.leases[stale].IsZero() {
@@ -489,7 +559,14 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			for _, digest := range sortedKeys(w.leases) {
 				if w != lw && m.now.Sub(w.leases[digest]) > m.maxAge {
 					want[digest] = true
-					m.revoke(w, digest, &head)
+					c := m.cells[digest]
+					if !slices.Contains(active, digest) {
+						m.revoke(w, digest, &head) // not running it: no attempt spent
+					} else if again, out := m.spend(digest, errLeaseBudget, true); again {
+						m.revoke(w, digest, &head)
+					} else {
+						resolve(c, out)
+					}
 				}
 			}
 			if stale != "" {
@@ -502,7 +579,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 				t.Fatalf("seed %d step %d: heartbeat revoked %v (%v), want %v", seed, step, short(revoked), err, short(sortedKeys(want)))
 			}
 
-		case r < 82:
+		case r < 76:
 			op = "deliver"
 			digest := testCell(int64(rng.Intn(24))).Digest()
 			c, outstanding := m.cells[digest]
@@ -510,12 +587,60 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 				t.Fatalf("seed %d step %d: deliver(%.8s) = %v, outstanding = %v", seed, step, digest, got, outstanding)
 			}
 			if outstanding {
-				delete(m.cells, digest)
-				m.dropPending(digest)
-				for _, w := range modelWorkers(m) {
-					delete(w.leases, digest)
+				m.leave(digest)
+				resolve(c, remoteOutcome{attempts: c.attempts + 1})
+			}
+
+		case r < 82:
+			// A reported failure. Usually from the worker holding the cell's
+			// lease, which ends that grant; otherwise stale (the reporter holds
+			// no lease on it), which changes nothing.
+			type held struct {
+				w      *modelWorker
+				digest string
+			}
+			var leases []held
+			for _, w := range modelWorkers(m) {
+				for _, digest := range sortedKeys(w.leases) {
+					leases = append(leases, held{w, digest})
 				}
-				resolve(c, nil)
+			}
+			transient := rng.Intn(2) == 0
+			err := errPoison
+			if transient {
+				err = errTimeout
+			}
+			if len(leases) == 0 || rng.Intn(4) == 0 {
+				op = "report a failure (stale)"
+				id := inProcessID
+				if len(everyWorker) > 0 && rng.Intn(3) != 0 {
+					id = pick(everyWorker)
+				}
+				digest := testCell(int64(rng.Intn(24))).Digest()
+				w := m.workers[id]
+				if id == inProcessID {
+					w = lw
+				}
+				if w != nil && !w.leases[digest].IsZero() {
+					continue
+				}
+				if d.fail(digest, id, err, transient) {
+					t.Fatalf("seed %d step %d: a stale failure report of %.8s by %s was taken", seed, step, digest, id)
+				}
+				break
+			}
+			op = "report a failure"
+			l := leases[rng.Intn(len(leases))]
+			c := m.cells[l.digest]
+			if !d.fail(l.digest, l.w.id, err, transient) {
+				t.Fatalf("seed %d step %d: %s's failure report of its lease %.8s was refused", seed, step, l.w.id, l.digest)
+			}
+			if again, out := m.spend(l.digest, err, transient); again {
+				var head []string
+				m.revoke(l.w, l.digest, &head)
+				requeue(head)
+			} else {
+				resolve(c, out)
 			}
 
 		case r < 88:
@@ -571,6 +696,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 					continue
 				}
 				for _, digest := range sortedKeys(w.leases) {
+					// A reap spends no attempt: check() compares the count.
 					m.revoke(w, digest, &head)
 				}
 				delete(m.workers, id)
@@ -589,7 +715,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 		if !d.deliver(digest, remoteOutcome{}) {
 			t.Fatalf("seed %d: outstanding cell %.8s was not deliverable at the end", seed, digest)
 		}
-		resolve(m.cells[digest], nil)
+		resolve(m.cells[digest], remoteOutcome{attempts: m.cells[digest].attempts + 1})
 	}
 	for _, w := range gone {
 		select {

@@ -13,9 +13,10 @@ import (
 // Dispatcher unit tests drive the lease table through a fake clock
 // (faultplane.Clock), so TTL expiry and the frozen-worker budget are exact
 // instants rather than sleeps: the tests are deterministic and instant.
+// Each cell gets one retry, so a lease the budget revokes is reassigned.
 
 func testDispatcher(clk *faultplane.Clock, ttl, maxAge time.Duration) *dispatcher {
-	return newDispatcher(clk.Now, ttl, maxAge, 4)
+	return newDispatcher(clk.Now, ttl, maxAge, 4, 1)
 }
 
 func testCell(seed int64) workerproto.CellSpec {

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dnc/internal/httpx"
@@ -20,7 +21,6 @@ import (
 	"dnc/internal/resultstore"
 	"dnc/internal/service/worker"
 	"dnc/internal/service/workerproto"
-	"dnc/internal/sim"
 	"dnc/internal/sim/runner"
 	"dnc/internal/telemetry"
 )
@@ -40,12 +40,11 @@ type Config struct {
 	// QueueCap bounds queued (accepted, unstarted) jobs; a full queue
 	// answers 429 + Retry-After (default 64).
 	QueueCap int
-	// Retries, Backoff, BackoffMax, CellTimeout configure the per-cell
-	// retry loop (see runner.Options).
-	Retries     int
-	Backoff     time.Duration
-	BackoffMax  time.Duration
-	CellTimeout time.Duration
+	// Retries is how many more attempts a cell gets after a transient
+	// failure: a timeout reported by its lease client, or a lease revoked by
+	// the LeaseMaxAge progress budget from a worker still running the cell.
+	// It goes straight back to the lease queue (default 2; negative: none).
+	Retries int
 	// JobTimeout bounds one job's whole sweep (0 = none). An expired job
 	// is terminal-failed, not retried.
 	JobTimeout time.Duration
@@ -63,10 +62,10 @@ type Config struct {
 	// long forfeits its leases, which reassign to the queue
 	// (default DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// LeaseMaxAge is the per-lease progress budget: a cell leased this
-	// long without completing is revoked even from a worker that is still
-	// heartbeating — the frozen-worker watchdog (default
-	// DefaultLeaseMaxAge).
+	// LeaseMaxAge is the one execution budget per attempt: a cell leased
+	// this long without completing is revoked even from a worker that is
+	// still heartbeating — the frozen-worker watchdog — and the in-process
+	// lease client stops a run at this age (default DefaultLeaseMaxAge).
 	LeaseMaxAge time.Duration
 	// LeaseBatchMax caps cells per worker lease request
 	// (default DefaultLeaseBatchMax).
@@ -105,6 +104,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeadLetterAfter == 0 {
 		c.DeadLetterAfter = 2
+	}
+	if c.Retries == 0 {
+		c.Retries = 2
 	}
 	return c
 }
@@ -151,15 +153,14 @@ type Stats struct {
 }
 
 // Server is the sweep-as-a-service daemon: HTTP API in front, bounded
-// priority queue in the middle, runner.Sweep workers behind leasing every
-// cell to a lease client, all state funneled through the persistent result
-// cache.
+// priority queue in the middle, job workers behind leasing every cell to a
+// lease client, all state funneled through the persistent result cache.
 type Server struct {
 	cfg      Config
 	cache    *resultCache
 	queue    *jobQueue
 	dispatch *dispatcher
-	progress *runner.Progress
+	admitted atomic.Uint64 // cells of jobs satisfied by a fresh result
 	log      *slog.Logger
 	tel      *serverTelemetry    // nil when telemetry is disabled
 	rec      *telemetry.Recorder // nil when telemetry is disabled
@@ -210,8 +211,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		cache:    cache,
 		queue:    newJobQueue(cfg.QueueCap),
-		dispatch: newDispatcher(cfg.Clock, cfg.LeaseTTL, cfg.LeaseMaxAge, cfg.LeaseBatchMax),
-		progress: runner.NewProgress(),
+		dispatch: newDispatcher(cfg.Clock, cfg.LeaseTTL, cfg.LeaseMaxAge, cfg.LeaseBatchMax, cfg.Retries),
 		jobs:     make(map[string]*job),
 		dead:     make(map[string]*DeadLetter),
 	}
@@ -228,7 +228,6 @@ func New(cfg Config) (*Server, error) {
 		s.rec = telemetry.NewRecorder(cfg.Clock)
 		s.tel = newServerTelemetry(s)
 		s.rec.OnCellDone(s.tel.observeCell)
-		s.progress.SetObserver(s.tel.observeRun)
 	}
 	s.dispatch.rec = s.rec
 	s.dispatch.log = s.log
@@ -280,27 +279,15 @@ func (s *Server) Start(addr string) error {
 			s.workerLoop()
 		}()
 	}
-	run := s.cfg.RunCell
-	if run == nil {
-		// The simulator, reporting progress (dnc_sweep_inflight_cycles)
-		// under the cell's runner ID.
-		run = func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
-			cfg, id := spec.RunConfig(), spec.Key()
-			cfg.OnAdvance = func(cycle uint64) { s.progress.Advance(id, cycle) }
-			res, err := sim.RunChecked(ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return runner.NewResultJSON(res), nil
-		}
-	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		// It returns once a drain begins: inProcessAPI never fails a
-		// registration, so there is no error to report.
+		// registration, so there is no error to report. Its runs are bounded
+		// by the progress budget every remote lease has.
 		_ = worker.RunOn(s.ctx, inProcessAPI{s}, worker.Options{
-			Name: inProcessID, Capacity: s.cfg.Workers * s.cfg.CellJobs, CellTimeout: s.cfg.CellTimeout, Run: run,
+			Name: inProcessID, Capacity: s.cfg.Workers * s.cfg.CellJobs,
+			CellTimeout: s.dispatch.maxAge, Run: s.cfg.RunCell,
 		})
 	}()
 	// Lease-expiry sweep: the real clock only decides how often we look;
@@ -414,7 +401,7 @@ func (s *Server) Stats() Stats {
 		Jobs:           len(s.jobs),
 		Queued:         s.queue.len(),
 		Running:        s.running,
-		Simulated:      uint64(s.progress.OK()),
+		Simulated:      s.admitted.Load(),
 		CacheHits:      cs.hits,
 		CacheEntries:   cs.entries,
 		CacheBytes:     cs.liveBytes,
@@ -509,10 +496,9 @@ func (s *Server) workerLoop() {
 }
 
 // runJob executes one job: partition cells into cached / dead / to-run,
-// sweep the remainder through the runner (no journal: the cache already
-// records every finished cell under the same key and is consulted first),
-// admit fresh results,
-// dead-letter poisoned cells, and persist the terminal record. A drain
+// lease the remainder (at most CellJobs at a time), record each outcome as
+// it resolves, and persist the terminal record. Admission happens in
+// completeCell; the dispatcher decides every cell's attempts. A drain
 // mid-job leaves the job queued-on-disk for the next process.
 func (s *Server) runJob(j *job) {
 	j.setState(JobRunning, "")
@@ -520,8 +506,7 @@ func (s *Server) runJob(j *job) {
 	s.rec.JobStarted(j.id)
 	s.log.Info("job started", "job", j.id, "trace", telemetry.TraceID(j.id), "cells", len(j.cells))
 
-	byID := make(map[string]cellSpec, len(j.cells))
-	var toRun []runner.Cell
+	var toRun []cellSpec
 	for _, c := range j.cells {
 		digest := c.Digest()
 		if dl := s.deadFor(digest); dl != nil {
@@ -546,9 +531,7 @@ func (s *Server) runJob(j *job) {
 			}
 			continue
 		}
-		cell := runner.Cell{ID: c.Key(), Config: c.RunConfig()}
-		byID[cell.ID] = c
-		toRun = append(toRun, cell)
+		toRun = append(toRun, c)
 		s.rec.CellEnqueued(j.id, digest, c.Key())
 	}
 
@@ -563,74 +546,22 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 
-	_, err := runner.Sweep(jobCtx, toRun, runner.Options{
-		Jobs:       s.cfg.CellJobs,
-		Timeout:    s.cfg.CellTimeout,
-		Retries:    s.cfg.Retries,
-		Backoff:    s.cfg.Backoff,
-		BackoffMax: s.cfg.BackoffMax,
-		Progress:   s.progress,
-		// Every attempt is a lease: enqueue the cell, then wait for a lease
-		// client's verified upload (or reported failure) to resolve it.
-		Run: func(ctx context.Context, c runner.Cell, _ sim.RunConfig) (sim.Result, error) {
-			ch, cancel := s.dispatch.enqueue(byID[c.ID], traceID)
-			defer cancel()
-			select {
-			case out := <-ch:
-				return out.r, out.err
-			case <-ctx.Done():
-				return sim.Result{}, ctx.Err()
+	next := make(chan cellSpec)
+	var wg sync.WaitGroup
+	for range min(s.cfg.CellJobs, len(toRun)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range next {
+				s.runCell(jobCtx, j, c, traceID)
 			}
-		},
-		OnResult: func(cr runner.CellResult) {
-			cell, ok := byID[cr.ID]
-			if !ok {
-				return
-			}
-			switch cr.Status {
-			case runner.StatusOK:
-				// completeCell admitted the cell before its result reached the
-				// runner: its entry is there to be read, unless the size bound
-				// has already evicted it.
-				e, ok := s.cache.get(cell.Digest())
-				if !ok {
-					r := runner.NewResultJSON(cr.Result)
-					e = s.admit(cell, r, ResultDigest(r))
-				}
-				j.addOutcome(Outcome{
-					Key: cr.ID, Digest: cell.Digest(), Status: OutcomeSimulated,
-					ResultDigest: e.ResultDigest, Attempts: cr.Attempts,
-				})
-				if s.tel != nil {
-					s.tel.cellsAdmitted.Inc()
-				}
-				s.rec.CellDone(j.id, cell.Digest(), "admitted")
-			default:
-				if cr.Err != nil && (errors.Is(cr.Err, context.Canceled) || s.ctx.Err() != nil) {
-					// Drain, not cell fault: the job re-queues; no outcome,
-					// no dead letter — and no CellDone, the cell runs again.
-					return
-				}
-				o := Outcome{
-					Key: cr.ID, Digest: cell.Digest(), Status: OutcomeFailed,
-					Attempts: cr.Attempts,
-				}
-				if cr.Err != nil {
-					o.Error = cr.Err.Error()
-					if !isTransient(cr.Err) {
-						s.recordFailure(cell, cr.Err)
-					}
-				}
-				j.addOutcome(o)
-				if s.tel != nil {
-					s.tel.cellsFailed.Inc()
-				}
-				s.rec.CellDone(j.id, cell.Digest(), "failed")
-				s.log.Warn("cell failed", "job", j.id, "span", telemetry.SpanID(cell.Digest()),
-					"key", cr.ID, "attempts", cr.Attempts, "err", o.Error)
-			}
-		},
-	})
+		}()
+	}
+	for _, c := range toRun {
+		next <- c
+	}
+	close(next)
+	wg.Wait()
 
 	if s.ctx.Err() != nil {
 		// Drained mid-job: completed cells are cached, in-flight ones re-run
@@ -639,7 +570,7 @@ func (s *Server) runJob(j *job) {
 		j.setState(JobQueued, "")
 		return
 	}
-	if err != nil {
+	if err := jobCtx.Err(); err != nil {
 		// Infrastructure failure (job timeout): terminal.
 		j.setState(JobFailed, err.Error())
 		s.log.Error("job failed", "job", j.id, "err", err.Error())
@@ -654,6 +585,54 @@ func (s *Server) runJob(j *job) {
 	if s.tel != nil {
 		s.tel.jobsCompleted.Inc()
 	}
+}
+
+// runCell leases one cell and records how it ended: admitted, or failed
+// with its last attempt's error (dead-lettered when that is not
+// transient). A job that times out first fails the cell with the context
+// error and no dead letter; a drain records nothing, and the cell runs
+// again in the next process.
+func (s *Server) runCell(ctx context.Context, j *job, c cellSpec, traceID string) {
+	digest := c.Digest()
+	start := time.Now()
+	out := remoteOutcome{err: ctx.Err(), transient: true, attempts: 1}
+	if out.err == nil {
+		ch, leave := s.dispatch.enqueue(c, traceID)
+		select {
+		case out = <-ch:
+			leave()
+		case <-ctx.Done():
+			out = remoteOutcome{err: ctx.Err(), transient: true, attempts: leave() + 1}
+		}
+	}
+	if out.err != nil && s.ctx.Err() != nil {
+		return
+	}
+	if s.tel != nil {
+		s.tel.cellExec.ObserveDuration(time.Since(start))
+	}
+	if out.err == nil {
+		s.admitted.Add(1)
+		j.addOutcome(Outcome{
+			Key: c.Key(), Digest: digest, Status: OutcomeSimulated,
+			ResultDigest: out.resultDigest, Attempts: out.attempts,
+		})
+		s.rec.CellDone(j.id, digest, "admitted")
+		return
+	}
+	if !out.transient {
+		s.recordFailure(c, out.err)
+	}
+	j.addOutcome(Outcome{
+		Key: c.Key(), Digest: digest, Status: OutcomeFailed,
+		Attempts: out.attempts, Error: out.err.Error(),
+	})
+	if s.tel != nil {
+		s.tel.cellsFailed.Inc()
+	}
+	s.rec.CellDone(j.id, digest, "failed")
+	s.log.Warn("cell failed", "job", j.id, "span", telemetry.SpanID(digest),
+		"key", c.Key(), "attempts", out.attempts, "err", out.err.Error())
 }
 
 // inProcessAPI is the in-process lease client's transport: direct calls, no
@@ -678,7 +657,7 @@ func (a inProcessAPI) Heartbeat(_ context.Context, workerID string, req workerpr
 func (a inProcessAPI) Complete(_ context.Context, l workerproto.Lease, _ int, req workerproto.CompleteRequest) (workerproto.CompleteResponse, error) {
 	resp, _, err := a.s.completeCell(l.Digest, req)
 	if err != nil {
-		a.s.dispatch.deliver(l.Digest, remoteOutcome{err: err})
+		a.s.dispatch.fail(l.Digest, inProcessID, err, false)
 	}
 	return resp, err
 }
@@ -730,14 +709,9 @@ func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (w
 				errors.New("service: upload carries neither result nor error"))
 		}
 		rerr := fmt.Errorf("service: execution on %s: %s", req.WorkerID, req.Error)
-		if req.Transient {
-			// Map the worker's transient classification onto the sentinel the
-			// runner's retry classifier understands.
-			rerr = fmt.Errorf("service: execution on %s: %s: %w", req.WorkerID, req.Error, context.DeadlineExceeded)
-		}
-		if !s.dispatch.deliver(digest, remoteOutcome{err: rerr}) {
+		if !s.dispatch.fail(digest, req.WorkerID, rerr, req.Transient) {
 			return workerproto.CompleteResponse{}, http.StatusNotFound,
-				fmt.Errorf("service: cell %s is not outstanding", digest)
+				fmt.Errorf("service: cell %s is not leased to %s", digest, req.WorkerID)
 		}
 		s.rec.ExecEnd(digest, req.WorkerID, "failed")
 		s.log.Warn("cell execution failed", "span", telemetry.SpanID(digest), "worker", req.WorkerID,
@@ -778,26 +752,20 @@ func (s *Server) completeCell(digest string, req workerproto.CompleteRequest) (w
 	s.dispatch.countUpload(status)
 	s.rec.Verified(digest)
 	s.rec.ExecEnd(digest, req.WorkerID, status)
-	s.dispatch.deliver(digest, remoteOutcome{r: e.Result.Result()})
+	s.dispatch.deliver(digest, remoteOutcome{resultDigest: e.ResultDigest})
 	return workerproto.CompleteResponse{Status: status}, http.StatusOK, nil
 }
 
 // admit is the one place a result becomes durable: a single fsynced line in
 // cache.jsonl, then a place in the column store's pending batch (derived
 // data, sealed later; see store.go). Both halves are first-insert-wins, so
-// admitting a cell twice — an upload and then the runner's report of it, a
-// lease that expired and finished late — changes nothing, and the returned
-// entry is whichever result won. resultDigest is ResultDigest(r).
+// admitting a cell twice — two uploads racing, a lease that expired and
+// finished late — changes nothing, and the returned entry is whichever
+// result won. resultDigest is ResultDigest(r).
 func (s *Server) admit(spec cellSpec, r *runner.ResultJSON, resultDigest string) *cacheEntry {
 	e := s.cache.insert(spec, r, resultDigest)
 	s.appendStore(spec, e.Result)
 	return e
-}
-
-// isTransient mirrors the runner's default classifier: only timeouts are
-// worth retrying — and therefore only non-timeouts are poison.
-func isTransient(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded)
 }
 
 // deadFor returns the dead letter for a cell digest when its circuit is

@@ -249,8 +249,8 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	// The service stays healthy, /metrics counts the four cells, and pprof
 	// is mounted.
-	if m, _ := fetchMetrics(t, e); m["dnc_cells_simulated_total"] != 4 {
-		t.Fatalf("dnc_cells_simulated_total = %v, want 4", m["dnc_cells_simulated_total"])
+	if m, _ := fetchMetrics(t, e); m["dnc_cells_admitted_total"] != 4 {
+		t.Fatalf("dnc_cells_admitted_total = %v, want 4", m["dnc_cells_admitted_total"])
 	}
 	if code := e.getJSON("/v1/healthz", nil); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)

@@ -2,14 +2,13 @@ package service
 
 import (
 	"dnc/internal/obs"
-	"dnc/internal/sim/runner"
 	"dnc/internal/telemetry"
 )
 
 // serverTelemetry is dncserved's metric surface — its one stats surface —
 // holding the /metrics registry and the handles the hot paths increment.
 // Every Server.Stats field is a series here, read at scrape time from the
-// source Stats reads (cache, store, lease table, progress, job table): no
+// source Stats reads (cache, store, lease table, job table): no
 // double bookkeeping on the hot path. Event counters with no existing
 // source are real atomics. A nil *serverTelemetry
 // (Config.DisableTelemetry) no-ops everywhere: every telemetry type is
@@ -20,7 +19,6 @@ type serverTelemetry struct {
 	jobsSubmitted *telemetry.Counter
 	jobsCompleted *telemetry.Counter
 
-	cellsAdmitted         *telemetry.Counter
 	cellsDeduped          *telemetry.Counter
 	cellsFailed           *telemetry.Counter
 	cellsDead             *telemetry.Counter
@@ -46,8 +44,6 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	t.jobsCompleted = reg.Counter("dnc_jobs_completed_total",
 		"Jobs reaching a terminal state (done or failed).")
 
-	t.cellsAdmitted = reg.Counter("dnc_cells_admitted_total",
-		"Cells admitted with a fresh result (run by a remote worker or the in-process lease client).")
 	t.cellsDeduped = reg.Counter("dnc_cells_deduped_total",
 		"Cells served from the content-addressed result cache without running.")
 	t.cellsFailed = reg.Counter("dnc_cells_failed_total",
@@ -57,14 +53,16 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	t.determinismViolations = reg.Counter("dnc_determinism_violations_total",
 		"Uploads refused because a duplicate result was not bit-identical. Any nonzero value is a paging condition.")
 
-	// dnc_cells_simulated_total, dnc_inflight_cells and the dnc_sweep_*
-	// tally of the runner sweeps behind the jobs.
-	s.progress.Register(reg)
-
 	// Monotone counters with an existing source, read at scrape time.
+	reg.CounterFunc("dnc_cells_admitted_total",
+		"Cells of jobs satisfied by a fresh result (run by a remote worker or the in-process lease client).",
+		s.admitted.Load)
 	reg.CounterFunc("dnc_cells_reassigned_total",
 		"Leases revoked and returned to the queue (dead or frozen workers).",
 		func() uint64 { return s.dispatch.stats().Reassigned })
+	reg.CounterFunc("dnc_cell_retries_total",
+		"Cells sent back to the lease queue after an attempt ended without a result (a transient failure or a progress-budget revocation, retries left).",
+		func() uint64 { return s.dispatch.stats().Retried })
 	reg.CounterFunc("dnc_cache_hits_total",
 		"Result-cache hits (cells served without running).",
 		func() uint64 { return s.cache.stats().hits })
@@ -144,7 +142,7 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		"Per-cell wait from enqueue to first execution attempt.",
 		telemetry.DurationBounds(), telemetry.SecondsScale)
 	t.cellExec = reg.Histogram("dnc_cell_execution_seconds",
-		"Per-cell wall time in the runner (includes retries and remote round-trips).",
+		"Per-cell wall time from enqueue to outcome (includes retries and remote round-trips).",
 		telemetry.DurationBounds(), telemetry.SecondsScale)
 	t.e2e = reg.Histogram("dnc_e2e_latency_seconds",
 		"Per-cell end-to-end latency from enqueue to terminal outcome. Phase durations sum exactly to this.",
@@ -176,13 +174,4 @@ func (t *serverTelemetry) observeCell(c telemetry.CellSnapshot) {
 	if w := c.Phase("queue-wait"); w > 0 || c.Outcome == "admitted" {
 		t.queueWait.Observe(uint64(w))
 	}
-}
-
-// observeRun is the runner-progress → histogram bridge (installed via
-// runner.Progress.SetObserver): per-cell wall time as the runner saw it.
-func (t *serverTelemetry) observeRun(cr runner.CellResult) {
-	if t == nil {
-		return
-	}
-	t.cellExec.ObserveDuration(cr.Elapsed)
 }

@@ -9,12 +9,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"dnc/internal/service/worker"
+	"dnc/internal/sim/runner"
 	"dnc/internal/telemetry"
 )
 
@@ -66,14 +68,15 @@ type statRow struct {
 }
 
 // statsSeries lists every Server.Stats field but Draining (which healthz
-// still answers) with its series. docs/OPERATIONS.md carries the same
+// still answers) and Retried (never a healthz key; TestWorkerPlaneTransientRetries
+// reads its series) with its series. docs/OPERATIONS.md carries the same
 // key → series table for operators moving their checks.
 func statsSeries(st Stats) []statRow {
 	return []statRow{
 		{"jobs", "dnc_jobs_known", float64(st.Jobs)},
 		{"queued", "dnc_queue_depth", float64(st.Queued)},
 		{"running", "dnc_jobs_running", float64(st.Running)},
-		{"simulated", "dnc_cells_simulated_total", float64(st.Simulated)},
+		{"simulated", "dnc_cells_admitted_total", float64(st.Simulated)},
 		{"cache_hits", "dnc_cache_hits_total", float64(st.CacheHits)},
 		{"cache_entries", "dnc_cache_entries", float64(st.CacheEntries)},
 		{"cache_bytes", "dnc_cache_bytes", float64(st.CacheBytes)},
@@ -241,9 +244,9 @@ func TestMetricsEndToEndWithLint(t *testing.T) {
 	// jobs have finished, so nothing moves but the second job's worker
 	// leaving runJob (dnc_jobs_running 1 → 0).
 	m, _ = checkMetricsMatchStats(t, e)
-	if m["dnc_jobs_known"] != 2 || m["dnc_cache_entries"] != 3 || m["dnc_cells_simulated_total"] != 3 {
+	if m["dnc_jobs_known"] != 2 || m["dnc_cache_entries"] != 3 || m["dnc_cells_admitted_total"] != 3 {
 		t.Fatalf("jobs/cache/simulated series = %v/%v/%v, want 2/3/3",
-			m["dnc_jobs_known"], m["dnc_cache_entries"], m["dnc_cells_simulated_total"])
+			m["dnc_jobs_known"], m["dnc_cache_entries"], m["dnc_cells_admitted_total"])
 	}
 
 	// Histograms observed real cells: e2e count matches fresh admissions.
@@ -316,10 +319,11 @@ func TestHealthzServesDeclaredStatTable(t *testing.T) {
 }
 
 // TestDocsOperationsNamesServed is the golden test tying the runbook to the
-// code, both ways: every series the server and worker registries serve is
-// documented in docs/OPERATIONS.md, every documented dnc_* name (a
-// backticked token) is served, and the runbook's migration table maps each
-// former healthz key to the series statsSeries pairs it with.
+// code, both ways: every series the server, worker and dncbench -http
+// (runner.Progress) registries serve is documented in docs/OPERATIONS.md,
+// every documented dnc_* name (a backticked token) is served, and the
+// runbook's migration table maps each former healthz key to the series
+// statsSeries pairs it with.
 func TestDocsOperationsNamesServed(t *testing.T) {
 	b, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
@@ -331,8 +335,10 @@ func TestDocsOperationsNamesServed(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer srv.cache.close()
+	bench := telemetry.NewRegistry()
+	runner.NewProgress().Register(bench)
 	served := make(map[string]bool)
-	for _, n := range append(srv.tel.reg.Names(), worker.NewTelemetry().Reg.Names()...) {
+	for _, n := range slices.Concat(srv.tel.reg.Names(), worker.NewTelemetry().Reg.Names(), bench.Names()) {
 		served[n] = true
 		if !strings.Contains(doc, "`"+n+"`") {
 			t.Errorf("%s is served but OPERATIONS.md does not document it", n)

@@ -125,8 +125,8 @@ func TestWorkerPlaneRemoteExecution(t *testing.T) {
 	if stats.RemoteRejected != 0 {
 		t.Fatalf("RemoteRejected = %d, want 0", stats.RemoteRejected)
 	}
-	if m, _ := fetchMetrics(t, e); m["dnc_cells_simulated_total"] != 2 {
-		t.Fatalf("dnc_cells_simulated_total = %v, want 2 (remotely executed cells count)", m["dnc_cells_simulated_total"])
+	if m, _ := fetchMetrics(t, e); m["dnc_cells_admitted_total"] != 2 {
+		t.Fatalf("dnc_cells_admitted_total = %v, want 2 (remotely executed cells count)", m["dnc_cells_admitted_total"])
 	}
 
 	// Worker counts are on /metrics for operators.
@@ -336,6 +336,74 @@ func TestWorkerPlaneFrozenWorkerRecovery(t *testing.T) {
 	}
 }
 
+// TestWorkerPlaneTransientRetries: a remote worker reports a transient
+// failure (its run timed out) for every attempt of a cell but the last the
+// server's Retries allow. The dispatcher sends the cell straight back to the
+// lease queue each time, the last attempt is admitted bit-identical, and the
+// outcome counts every attempt. One more transient failure than that fails
+// the cell for its job without dead-lettering it.
+func TestWorkerPlaneTransientRetries(t *testing.T) {
+	const retries = 2
+	for _, tc := range []struct {
+		name     string
+		failures int
+	}{
+		{"admitted on the last attempt", retries},
+		{"out of attempts", retries + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEnv(t, func(c *Config) {
+				c.LeaseTTL = 2 * time.Second
+				c.Retries = retries
+			})
+			var runs atomic.Int64
+			e.startWorker(worker.Options{Name: "slow", Capacity: 1,
+				Run: func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
+					if runs.Add(1) <= int64(tc.failures) {
+						return nil, fmt.Errorf("host overloaded: %w", context.DeadlineExceeded)
+					}
+					res, err := sim.RunChecked(ctx, spec.RunConfig())
+					if err != nil {
+						return nil, err
+					}
+					return runner.NewResultJSON(res), nil
+				}})
+			waitFor(t, "worker registration", func() bool { return e.srv.Stats().WorkersLive == 1 })
+
+			spec := smallSpec()
+			st := e.submit(spec)
+			fin := e.waitJob(st.ID)
+			lines := e.streamResults(st.ID)
+			if fin.State != JobDone || len(lines) != 1 {
+				t.Fatalf("job = %s with %d outcomes, want done with 1", fin.State, len(lines))
+			}
+			if m, _ := fetchMetrics(t, e); m["dnc_cell_retries_total"] != retries {
+				t.Fatalf("dnc_cell_retries_total = %v, want %d", m["dnc_cell_retries_total"], retries)
+			}
+			if got := runs.Load(); got != retries+1 {
+				t.Fatalf("the worker ran the cell %d times, want %d", got, retries+1)
+			}
+			o := lines[0].Outcome
+			if o.Attempts != retries+1 {
+				t.Fatalf("outcome attempts = %d, want Retries+1 = %d", o.Attempts, retries+1)
+			}
+			if tc.failures == retries {
+				if o.Status != OutcomeSimulated {
+					t.Fatalf("outcome = %+v, want simulated", o)
+				}
+				checkOutcomes(t, e, st.ID, localDigests(t, spec))
+				return
+			}
+			if o.Status != OutcomeFailed || !strings.Contains(o.Error, "host overloaded") {
+				t.Fatalf("outcome = %+v, want failed with the worker's error", o)
+			}
+			if dls := e.srv.DeadLetters(); len(dls) != 0 {
+				t.Fatalf("dead letters = %+v, want none: transient failures are not poison", dls)
+			}
+		})
+	}
+}
+
 // TestWorkerPlaneFaultChaos drives a two-worker sweep through a seeded
 // fault plane — dropped, duplicated, delayed, and torn requests on every
 // API call — and requires the distributed answer to be bit-identical to
@@ -495,7 +563,7 @@ func FuzzCellComplete(f *testing.F) {
 	e := newTestEnv(f, func(c *Config) { c.LeaseTTL = time.Hour })
 	for _, s := range []workerproto.CellSpec{spec, other} {
 		_, cancel := e.srv.dispatch.enqueue(s, "")
-		f.Cleanup(cancel)
+		f.Cleanup(func() { cancel() })
 	}
 	h := e.srv.handler()
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {

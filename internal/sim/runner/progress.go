@@ -28,11 +28,6 @@ type Progress struct {
 	// kept as they move so a scrape reads it without walking the map.
 	running map[string]uint64
 	cycles  uint64
-
-	// observer, when set, sees every finished cell — the bridge that feeds
-	// per-cell wall time and attempt counts into a metrics layer without
-	// Progress itself depending on one.
-	observer func(CellResult)
 }
 
 // NewProgress returns an empty tracker; the clock starts now.
@@ -61,12 +56,11 @@ func (p *Progress) begin(id string) {
 	p.mu.Unlock()
 }
 
-// Advance records how far a running cell's simulation has progressed. The
+// advance records how far a running cell's simulation has progressed. The
 // engine reports through RunConfig.OnAdvance at its poll cadence (every
 // ~1K simulated cycles), so the per-call cost of the mutex is immaterial.
-// Unknown IDs (a poll racing the cell's own completion) are ignored. An
-// executor that runs a cell elsewhere feeds it under the cell's ID.
-func (p *Progress) Advance(id string, cycle uint64) {
+// Unknown IDs (a poll racing the cell's own completion) are ignored.
+func (p *Progress) advance(id string, cycle uint64) {
 	if p == nil {
 		return
 	}
@@ -75,18 +69,6 @@ func (p *Progress) Advance(id string, cycle uint64) {
 		p.cycles += cycle - prev
 		p.running[id] = cycle
 	}
-	p.mu.Unlock()
-}
-
-// SetObserver registers a callback invoked with every finished cell (after
-// the tally update, outside the lock). Set it before the sweep starts; a
-// nil Progress ignores it.
-func (p *Progress) SetObserver(fn func(CellResult)) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.observer = fn
 	p.mu.Unlock()
 }
 
@@ -110,28 +92,12 @@ func (p *Progress) observe(res CellResult) {
 	if res.Attempts > 1 {
 		p.retried += res.Attempts - 1
 	}
-	fn := p.observer
 	p.mu.Unlock()
-	if fn != nil {
-		fn(res)
-	}
-}
-
-// OK returns how many cells ran to completion. Safe on a nil tracker.
-func (p *Progress) OK() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ok
 }
 
 // Register exports the tracker on reg as scrape-time series, each read
-// under the lock. The service-level names dnc_cells_simulated_total and
-// dnc_inflight_cells are kept; the sweep tally lives under dnc_sweep_* so it
-// never collides with dncserved's own per-job dnc_cells_failed_total. A nil
-// tracker or registry registers nothing.
+// under the lock (dncbench -http serves them). A nil tracker or registry
+// registers nothing.
 func (p *Progress) Register(reg *telemetry.Registry) {
 	if p == nil {
 		return
@@ -144,10 +110,10 @@ func (p *Progress) Register(reg *telemetry.Registry) {
 		}
 	}
 	reg.CounterFunc("dnc_cells_simulated_total",
-		"Cells this process's sweeps ran to completion (under dncserved: leased to a remote worker or the in-process client).",
+		"Cells this process's sweeps ran to completion.",
 		count(&p.ok))
 	reg.GaugeFunc("dnc_inflight_cells",
-		"Cells a sweep has begun and not finished: executing, sleeping between retries, or (under dncserved) pending a lease.",
+		"Cells a sweep has begun and not finished: executing or sleeping between retries.",
 		func() float64 {
 			p.mu.Lock()
 			defer p.mu.Unlock()

@@ -17,13 +17,10 @@ func TestProgressNilSafe(t *testing.T) {
 	var p *Progress
 	p.addTotal(5)
 	p.begin("x")
-	p.Advance("x", 10)
+	p.advance("x", 10)
 	p.observe(CellResult{ID: "x", Status: StatusOK})
 	if s := p.Snapshot(); s.Total != 0 || s.Done != 0 {
 		t.Errorf("nil Snapshot = %+v, want zero", s)
-	}
-	if p.OK() != 0 {
-		t.Errorf("nil OK = %d, want 0", p.OK())
 	}
 	reg := telemetry.NewRegistry()
 	p.Register(reg)
@@ -46,9 +43,6 @@ func TestProgressTally(t *testing.T) {
 	if s.Total != 4 || s.Done != 2 || s.OK != 1 || s.Failed != 1 || s.Retried != 2 {
 		t.Errorf("snapshot = %+v", s)
 	}
-	if p.OK() != 1 {
-		t.Errorf("OK() = %d, want 1", p.OK())
-	}
 	str := s.String()
 	for _, want := range []string{"2/4 cells", "1 failed", "2 retried"} {
 		if !strings.Contains(str, want) {
@@ -66,12 +60,12 @@ func inflightCycles(p *Progress) uint64 {
 
 func TestProgressInflightCycles(t *testing.T) {
 	p := NewProgress()
-	p.Advance("ghost", 99) // before begin: ignored, not resurrected
+	p.advance("ghost", 99) // before begin: ignored, not resurrected
 	p.begin("a")
 	p.begin("b")
-	p.Advance("a", 1024)
-	p.Advance("a", 2048) // monotone updates overwrite
-	p.Advance("b", 512)
+	p.advance("a", 1024)
+	p.advance("a", 2048) // monotone updates overwrite
+	p.advance("b", 512)
 	if got := inflightCycles(p); got != 2048+512 {
 		t.Errorf("in-flight cycles = %d, want %d", got, 2048+512)
 	}
@@ -80,11 +74,11 @@ func TestProgressInflightCycles(t *testing.T) {
 		t.Errorf("in-flight cycles after b restarted = %d, want 2048", got)
 	}
 	p.observe(CellResult{ID: "a", Status: StatusOK})
-	p.Advance("a", 4096) // after completion: ignored
+	p.advance("a", 4096) // after completion: ignored
 	if got := inflightCycles(p); got != 0 {
 		t.Errorf("in-flight cycles after a finished = %d, want 0 (b not yet polled)", got)
 	}
-	p.Advance("b", 100)
+	p.advance("b", 100)
 	p.observe(CellResult{ID: "b", Status: StatusOK})
 	if got := inflightCycles(p); got != 0 {
 		t.Errorf("in-flight cycles with nothing running = %d, want 0", got)
@@ -147,8 +141,8 @@ func TestProgressMetrics(t *testing.T) {
 	p.begin("a")
 	p.begin("b")
 	p.begin("c")
-	p.Advance("a", 3000)
-	p.Advance("b", 1000)
+	p.advance("a", 3000)
+	p.advance("b", 1000)
 	p.observe(CellResult{ID: "c", Status: StatusOK, Attempts: 2})
 	p.observe(CellResult{ID: "d", Status: StatusResumed})
 	p.observe(CellResult{ID: "e", Status: StatusFailed, Attempts: 4})

@@ -87,11 +87,10 @@ type Options struct {
 	Transient func(error) bool
 	// Run, when set, replaces the default per-attempt executor
 	// (sim.RunChecked). The cfg argument is the cell's config with the
-	// runner's progress hook applied. It exists so embedders can interpose
-	// on execution — the dncserved service dispatches cells to remote
-	// workers, and tests substitute deterministic fakes or chaos runs
-	// through sim.RunInjected — while keeping the retry, backoff and
-	// journal machinery identical to production.
+	// runner's progress hook applied. It exists so tests can substitute
+	// deterministic fakes or chaos runs through sim.RunInjected while
+	// keeping the retry, backoff and journal machinery identical to
+	// production.
 	Run func(ctx context.Context, c Cell, cfg sim.RunConfig) (sim.Result, error)
 	// OnResult, when set, observes each finished cell (called serially).
 	OnResult func(CellResult)
@@ -304,7 +303,7 @@ func runCell(ctx context.Context, c Cell, o Options) CellResult {
 			// callback the cell's own config installed.
 			id, prev := c.ID, cfg.OnAdvance
 			cfg.OnAdvance = func(cycle uint64) {
-				p.Advance(id, cycle)
+				p.advance(id, cycle)
 				if prev != nil {
 					prev(cycle)
 				}
