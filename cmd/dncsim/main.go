@@ -171,6 +171,8 @@ func main() {
 	// Provenance goes to stderr: the report on stdout is the same bytes on
 	// any engine and shard count.
 	fmt.Fprintf(os.Stderr, "dncsim: %s engine on %d shard(s)\n", r.Engine, r.Shards)
+	fmt.Fprintf(os.Stderr, "dncsim: LLC holds %d of %d lines at measure start, %d at its end; %d evictions in the window\n",
+		r.LLCOccupancy[0], rc.LLC.Normalized().SizeBytes/isa.BlockBytes, r.LLCOccupancy[1], r.LLCStats.Evictions)
 	report(r)
 	reportObs(r)
 	if *traceOut != "" && r.Obs != nil {

@@ -62,12 +62,9 @@ func (u *Uncore) Access(src int, b isa.BlockID, cycle uint64, isInst bool) (uint
 // mode's lookahead (see posted.go), 20 cycles at the Table III defaults.
 func (u *Uncore) MinRoundTrip() uint64 { return 1 + u.LLC.AccessCycles() + 1 }
 
-// Preload installs the instruction footprint of an image into the LLC
-// (long-warmed state, as checkpointed full-system simulation would have).
+// Preload installs the instruction footprint of an image into the empty LLC
+// (long-warmed state, as checkpointed full-system simulation would have). It
+// copies nothing: each LLC set computes its share on first touch (llc.Warm).
 func (u *Uncore) Preload(im *isa.Image) {
-	first := isa.BlockOf(im.Base)
-	last := isa.BlockOf(im.End() - 1)
-	for b := first; b <= last; b++ {
-		u.LLC.Insert(b, true)
-	}
+	u.LLC.Warm(isa.BlockOf(im.Base), isa.BlockOf(im.End()-1))
 }

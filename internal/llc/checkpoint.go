@@ -15,8 +15,16 @@ import (
 // match, and the loaded state must be one this LLC can hold: a snapshot that
 // pins a BF-holder or stores footprints where DV is off, overfills a holder,
 // or stores a footprint for a block that is not resident in its set is
-// corrupt.
+// corrupt. Saving writes every untouched set first; loading overwrites
+// every set and recounts the occupancy.
 func (c *LLC) State(cp *checkpoint.Codec) {
+	if cp.Loading() {
+		// Whatever this LLC held or had yet to fill, the snapshot replaces.
+		c.allTouched, c.warmN = true, 0
+		clear(c.hints)
+	} else {
+		c.touchAll()
+	}
 	cp.Begin("llc")
 	cp.Fixed("LLC banks", c.banks)
 	cp.Fixed("LLC sets per bank", c.setsPer)
@@ -87,6 +95,14 @@ func (c *LLC) State(cp *checkpoint.Codec) {
 			bfs[k] = bfEntry{way: uint8(w), bf: isa.UnpackBF(packed)}
 		}
 	}
+	if cp.Loading() {
+		c.occupied = 0
+		for _, l := range c.lines {
+			if l != 0 {
+				c.occupied++
+			}
+		}
+	}
 	cp.End()
 }
 
@@ -102,12 +118,24 @@ func (c *LLC) State(cp *checkpoint.Codec) {
 //     instruction line, since the last departing instruction block releases
 //     the holder.
 //
-// With DV off there is no footprint state, and the sweep reads two bytes per
-// set. Each violation is returned as its own error.
+// The sweep visits the sets touched since the LLC was emptied (all of them
+// after a snapshot), the only ones anything has written: a set nothing has
+// touched is empty in memory, and what Warm preloads into it is what Insert
+// would leave, which keeps the invariants. With DV off there is no footprint
+// state, and the sweep reads two bytes per set. Each violation is returned
+// as its own error.
 func (c *LLC) Audit() []error {
 	var errs []error
-	for si, h := range c.holder {
-		held, stored := int(h)-1, int(c.bfLen[si])
+	n := len(c.touched)
+	if c.allTouched {
+		n = len(c.holder)
+	}
+	for i := 0; i < n; i++ {
+		si := i
+		if !c.allTouched {
+			si = int(c.touched[i])
+		}
+		held, stored := int(c.holder[si])-1, int(c.bfLen[si])
 		if held >= c.ways {
 			errs = append(errs, fmt.Errorf("llc: set %d BF-holder way %d out of range [0,%d)",
 				si, held, c.ways))

@@ -80,15 +80,23 @@ type bankWindow struct {
 	busy   uint64
 }
 
+// untouched marks, in a set's hint byte, a set nothing has touched since the
+// LLC was emptied: whatever Warm preloaded into it is not written yet (see
+// fill). No way index reaches it, since New caps ways at 255.
+const untouched = 0xFF
+
 // LLC is the shared last-level cache. Not safe for concurrent use.
 //
 // The whole cache is a handful of flat, pointer-free arrays in which the
-// zero value means empty, so an LLC is cheap to allocate, free for the
-// garbage collector to hold, and emptied or copied with a few bulk moves (see
-// Acquire and Clone). A line is one packed word — block, instruction bit,
-// valid bit; 0 is an empty way — beside its recency stamp, so the per-access
-// way scan and the victim scan read contiguous words. Footprint slots exist
-// only when DV is enabled.
+// zero value means empty, so an LLC is cheap to allocate and free for the
+// garbage collector to hold. A line is one packed word — block, instruction
+// bit, valid bit; 0 is an empty way — beside its recency stamp, so the
+// per-access way scan and the victim scan read contiguous words. Footprint
+// slots exist only when DV is enabled.
+//
+// A set is written on its first touch (its hint byte reads untouched until
+// then): Warm's preload is computed there, set by set, rather than copied
+// in whole, and the sets a run touched are all that Acquire has to empty.
 type LLC struct {
 	cfg     Config
 	banks   int
@@ -98,7 +106,7 @@ type LLC struct {
 
 	lines  []uint64  // packed line per (set, way); 0 = invalid
 	lru    []uint64  // recency stamp per (set, way); 0 while invalid
-	hints  []uint8   // last way find hit per set — a guess, verified on use
+	hints  []uint8   // last way find hit per set — a guess, verified on use — or untouched
 	holder []uint8   // per set: 1 + the way pinned as BF-holder, 0 = none
 	bfLen  []uint8   // per set: footprints stored
 	bfs    []bfEntry // bfCap slots per set, the first bfLen in use (nil with DV off)
@@ -107,6 +115,16 @@ type LLC struct {
 	clock    uint64
 	stats    Stats
 	queueSum uint64
+	occupied int // valid lines, untouched sets' preloaded ones included
+
+	// warmFirst and warmN are the image Warm preloaded: blocks warmFirst up
+	// to warmFirst+warmN-1 (warmN 0: none).
+	warmFirst, warmN uint64
+	// touched lists the sets touched since the LLC was last emptied, unless
+	// allTouched says that every set may have been (a snapshot walked them
+	// all).
+	touched    []int32
+	allTouched bool
 
 	// queueHist, when set, observes every access's bank queueing delay
 	// (zeros included, so the histogram shows the delayed fraction).
@@ -116,17 +134,27 @@ type LLC struct {
 // SetObs attaches a bank-queue-delay histogram (nil detaches).
 func (c *LLC) SetObs(queue *obs.Histogram) { c.queueHist = queue }
 
-// Normalized fills the zero-valued fields with their defaults; it is the
-// form New stores and the pool is keyed by.
+// Normalized fills each zero-valued field with its default, leaving the
+// others as given; it is the form New stores and the pool is keyed by.
 func (cfg Config) Normalized() Config {
+	def := DefaultConfig()
 	if cfg.SizeBytes == 0 {
-		cfg = DefaultConfig()
+		cfg.SizeBytes = def.SizeBytes
+	}
+	if cfg.Ways == 0 {
+		cfg.Ways = def.Ways
+	}
+	if cfg.Banks == 0 {
+		cfg.Banks = def.Banks
 	}
 	if cfg.AccessCycles == 0 {
-		cfg.AccessCycles = 18
+		cfg.AccessCycles = def.AccessCycles
+	}
+	if cfg.BankServiceCycles == 0 {
+		cfg.BankServiceCycles = def.BankServiceCycles
 	}
 	if cfg.BFsPerSet == 0 {
-		cfg.BFsPerSet = 21
+		cfg.BFsPerSet = def.BFsPerSet
 	}
 	return cfg
 }
@@ -136,6 +164,9 @@ func New(cfg Config) *LLC {
 	cfg = cfg.Normalized()
 	if cfg.Ways < 1 || cfg.Ways > 255 {
 		panic(fmt.Sprintf("llc: %d ways outside 1..255", cfg.Ways))
+	}
+	if cfg.DVEnabled && cfg.Ways < 2 {
+		panic("llc: DV needs a way for the BF-holder and one for blocks")
 	}
 	totalSets := cfg.SizeBytes / (isa.BlockBytes * cfg.Ways)
 	if cfg.Banks <= 0 || totalSets%cfg.Banks != 0 {
@@ -157,6 +188,7 @@ func New(cfg Config) *LLC {
 		bfLen:   make([]uint8, totalSets),
 		bankOcc: make([]bankWindow, cfg.Banks),
 	}
+	markUntouched(c.hints)
 	if cfg.DVEnabled {
 		// The holder way cannot hold a footprint for itself.
 		c.bfCap = max(0, min(cfg.BFsPerSet, cfg.Ways-1))
@@ -194,47 +226,143 @@ func Acquire(cfg Config) *LLC {
 	return c
 }
 
-// Clone returns an LLC with c's configuration, cache contents, clock,
-// counters and bank windows (and no histogram attached), recycling a
-// released one when there is one. It is how a run starts from an
-// already-warmed LLC instead of warming its own; c is only read.
-func (c *LLC) Clone() *LLC {
-	d := recycled(c.cfg)
-	if d == nil {
-		d = New(c.cfg)
+func markUntouched(hints []uint8) {
+	for i := range hints {
+		hints[i] = untouched
 	}
-	d.copyFrom(c)
-	return d
 }
 
-// reset returns a used LLC to the state New leaves it in. Footprint slots
-// past a set's bfLen are never read, so bfs stays as it is.
+// reset returns a used LLC to the state New leaves it in, emptying only the
+// sets it touched. Footprint slots past a set's bfLen are never read, so bfs
+// stays as it is.
 func (c *LLC) reset() {
-	clear(c.lines)
-	clear(c.lru)
-	clear(c.hints)
-	clear(c.holder)
-	clear(c.bfLen)
+	if c.allTouched {
+		clear(c.lines)
+		clear(c.lru)
+		clear(c.holder)
+		clear(c.bfLen)
+		markUntouched(c.hints)
+	} else {
+		for _, si := range c.touched {
+			base := int(si) * c.ways
+			clear(c.lines[base : base+c.ways])
+			clear(c.lru[base : base+c.ways])
+			c.hints[si], c.holder[si], c.bfLen[si] = untouched, 0, 0
+		}
+	}
+	c.touched, c.allTouched = c.touched[:0], false
 	clear(c.bankOcc)
-	c.clock, c.stats, c.queueSum, c.queueHist = 0, Stats{}, 0, nil
+	c.clock, c.stats, c.queueSum, c.queueHist, c.occupied = 0, Stats{}, 0, nil, 0
+	c.warmFirst, c.warmN = 0, 0
 }
 
-// copyFrom overwrites every piece of c's state with src's (same
-// configuration), whatever c held before.
-func (c *LLC) copyFrom(src *LLC) {
-	copy(c.lines, src.lines)
-	copy(c.lru, src.lru)
-	copy(c.hints, src.hints)
-	copy(c.holder, src.holder)
-	copy(c.bfLen, src.bfLen)
-	copy(c.bfs, src.bfs)
-	copy(c.bankOcc, src.bankOcc)
-	c.clock, c.stats, c.queueSum, c.queueHist = src.clock, src.stats, src.queueSum, nil
+// Warm preloads the instruction blocks first..last into this empty LLC: the
+// long-warmed state a checkpointed full-system simulation starts from, and
+// exactly what Inserting each of them in ascending order would leave. No set
+// is written here. The clock, counters and occupancy the inserts would leave
+// are computed in closed form, and each set is written on its first touch
+// (fill), so the preload costs neither memory nor time in the sets a run
+// never reaches.
+func (c *LLC) Warm(first, last isa.BlockID) {
+	if c.warmN != 0 || c.allTouched || len(c.touched) != 0 {
+		panic("llc: Warm on an LLC that is not empty")
+	}
+	if last < first {
+		return
+	}
+	// Blocks a set count apart share a set, so every set receives either q
+	// or q+1 of the image's n blocks.
+	n, sets := uint64(last-first)+1, uint64(len(c.hints))
+	q, rem := n/sets, n%sets
+	for _, g := range [2]struct{ blocks, sets uint64 }{{q + 1, rem}, {q, sets - rem}} {
+		evictions, transitions, valid := c.preloaded(g.blocks)
+		c.stats.Evictions += g.sets * evictions
+		c.stats.BFTransitions += g.sets * transitions
+		c.occupied += int(g.sets * valid)
+	}
+	c.clock, c.warmFirst, c.warmN = n, uint64(first), n
 }
 
-// Release hands the LLC back for reuse by a later Acquire or Clone. The
-// caller must not touch it afterwards. Whatever state it is in — a run may
-// have died mid-access — is overwritten on the way out of the pool.
+// preloaded returns what inserting n distinct instruction blocks into one
+// empty set counts and leaves: its evictions, its BF-holder transitions and
+// the valid lines that remain.
+func (c *LLC) preloaded(n uint64) (evictions, transitions, valid uint64) {
+	ways := uint64(c.ways)
+	switch {
+	case n == 0:
+		return 0, 0, 0
+	case !c.cfg.DVEnabled:
+		return n - min(n, ways), 0, min(n, ways)
+	case ways == 2:
+		// The set's one block way holds its only instruction block, so each
+		// block after the first evicts it, releasing the holder, which the
+		// next block pins again (in the empty holder way: no eviction).
+		return n - 1, max(1, n-1), 1
+	default:
+		// The first block pins the holder in the empty set; the other ways
+		// fill, then rotate, and the holder stays pinned throughout.
+		return n - min(n, ways-1), 1, min(n, ways-1)
+	}
+}
+
+// touch writes set si if nothing has touched it yet.
+func (c *LLC) touch(si int) {
+	if c.hints[si] == untouched {
+		c.fill(si)
+	}
+}
+
+// fill writes set si on its first touch and records it for reset. The
+// preload's share of the set is computed, not replayed: its image blocks
+// (those congruent to r modulo the set count, in ascending order) take the
+// block ways in turn, each evicting the least recently stamped, so the last
+// of them remain, block j in block way j mod the block ways, stamped with the
+// clock the whole preload stood at when it went in. With DV on, the first
+// block pins way 0 as the BF-holder, and that pin stays unless the set has
+// one block way: there the second block evicts the first, the set's only
+// instruction block, and the holder goes with it (see preloaded).
+func (c *LLC) fill(si int) {
+	c.hints[si] = 0
+	if !c.allTouched {
+		c.touched = append(c.touched, int32(si))
+	}
+	sets := uint64(len(c.hints))
+	r := uint64(si%c.setsPer)*uint64(c.banks) + uint64(si/c.setsPer)
+	off := (r + sets - c.warmFirst%sets) % sets // the set's first block is warmFirst+off
+	if off >= c.warmN {
+		return
+	}
+	n := (c.warmN-off-1)/sets + 1
+	ways, at := uint64(c.ways), uint64(0)
+	if c.cfg.DVEnabled {
+		ways, at = ways-1, 1
+		if ways > 1 || n == 1 {
+			c.holder[si] = 1
+		}
+	}
+	base := uint64(si * c.ways)
+	for j := n - min(n, ways); j < n; j++ {
+		o, w := off+j*sets, base+at+j%ways
+		c.lines[w], c.lru[w] = packLine(isa.BlockID(c.warmFirst+o), true), o+1
+	}
+}
+
+// touchAll writes every set still untouched, for the walks over the whole
+// cache.
+func (c *LLC) touchAll() {
+	c.allTouched = true
+	for si := range c.hints {
+		c.touch(si)
+	}
+}
+
+// Occupancy returns the number of valid lines, those Warm preloaded into sets
+// not yet touched included.
+func (c *LLC) Occupancy() int { return c.occupied }
+
+// Release hands the LLC back for reuse by a later Acquire. The caller must
+// not touch it afterwards. Whatever state it is in — a run may have died
+// mid-access — is overwritten on the way out of the pool.
 func (c *LLC) Release() {
 	p, ok := pools.Load(c.cfg)
 	if !ok {
@@ -247,9 +375,6 @@ func (c *LLC) Release() {
 // and returns the queueing delay caused by bank over-subscription within the
 // current 64-cycle window.
 func (c *LLC) BankDelay(b isa.BlockID, cycle uint64) uint64 {
-	if c.cfg.BankServiceCycles == 0 {
-		return 0
-	}
 	bw := &c.bankOcc[c.BankOf(b)]
 	if w := cycle >> 6; w != bw.window {
 		bw.window = w
@@ -299,16 +424,21 @@ func packLine(b isa.BlockID, isInst bool) uint64 {
 // blockOf is the block a (valid) line word holds.
 func blockOf(l uint64) isa.BlockID { return isa.BlockID(l >> tagShift) }
 
-// find returns the way of set si holding block b, or -1. The per-set MRU
-// hint short-circuits the way scan for re-probes of a recently found block
-// (loops hammer the same instruction blocks); the hint is only ever a guess,
-// verified against the line word, so a stale one costs a scan but can never
-// misidentify a line.
+// find returns the way of set si holding block b, or -1, writing the set
+// first if nothing has touched it yet. The per-set MRU hint short-circuits
+// the way scan for re-probes of a recently found block (loops hammer the
+// same instruction blocks); the hint is only ever a guess, verified against
+// the line word, so a stale one costs a scan but can never misidentify a
+// line.
 func (c *LLC) find(si int, b isa.BlockID) int {
 	base := si * c.ways
 	key := packLine(b, false)
-	if h := int(c.hints[si]); h < c.ways && c.lines[base+h]&^instBit == key {
-		return h
+	h := c.hints[si]
+	if int(h) < c.ways && c.lines[base+int(h)]&^instBit == key {
+		return int(h)
+	}
+	if h == untouched {
+		c.fill(si)
 	}
 	for i, l := range c.lines[base : base+c.ways] {
 		if l&^instBit == key {
@@ -368,6 +498,8 @@ func (c *LLC) Insert(b isa.BlockID, isInst bool) {
 		if old&instBit != 0 {
 			c.maybeReleaseBFHolder(si)
 		}
+	} else {
+		c.occupied++
 	}
 	c.clock++
 	c.lines[base+w] = packLine(b, isInst)
@@ -400,6 +532,7 @@ func (c *LLC) transitionToBFHolder(si int) {
 	w := c.victimWay(si)
 	if i := si*c.ways + w; c.lines[i] != 0 {
 		c.stats.Evictions++
+		c.occupied--
 		c.lines[i], c.lru[i] = 0, 0
 	}
 	c.holder[si] = uint8(w + 1)
@@ -453,6 +586,7 @@ func (c *LLC) dropBF(si, w int) {
 func (c *LLC) StoreBF(b isa.BlockID, bf isa.BF) bool {
 	c.stats.BFStores++
 	si := c.setOf(b)
+	c.touch(si)
 	w := -1
 	if c.holder[si] != 0 {
 		w = c.find(si, b)
@@ -481,6 +615,8 @@ func (c *LLC) StoreBF(b isa.BlockID, bf isa.BF) bool {
 // block's data response on an L1i fill from the LLC.
 func (c *LLC) LoadBF(b isa.BlockID) (isa.BF, bool) {
 	c.stats.BFLoads++
+	// A set nothing has touched reads as pinning no holder, and what Warm
+	// preloaded into it stores no footprint either: the load misses alike.
 	si := c.setOf(b)
 	if bfs := c.setBFs(si); len(bfs) > 0 {
 		if w := c.find(si, b); w >= 0 {
@@ -497,6 +633,7 @@ func (c *LLC) LoadBF(b isa.BlockID) (isa.BF, bool) {
 
 // InstBlocks returns the number of resident instruction blocks (test hook).
 func (c *LLC) InstBlocks() int {
+	c.touchAll()
 	n := 0
 	for _, l := range c.lines {
 		if l&instBit != 0 {
@@ -508,6 +645,7 @@ func (c *LLC) InstBlocks() int {
 
 // BFHolderSets returns how many sets currently pin a BF-holder way.
 func (c *LLC) BFHolderSets() int {
+	c.touchAll()
 	n := 0
 	for _, h := range c.holder {
 		if h != 0 {

@@ -228,12 +228,15 @@ func TestBankDelay(t *testing.T) {
 	if c.BankDelay(0, 100+128) != 0 {
 		t.Fatal("new window still congested")
 	}
-	// Disabled service modelling never delays.
+	// A zero BankServiceCycles takes its default like every other zero
+	// field, so the LLC left without one queues exactly as this one does.
 	z := tiny(false, 0)
-	for i := 0; i < 100; i++ {
-		if z.BankDelay(0, 5) != 0 {
-			t.Fatal("disabled bank model delayed")
-		}
+	for i := 0; i < 9; i++ {
+		d = z.BankDelay(0, 100)
+	}
+	if z.Config().BankServiceCycles != 8 || d != 8 || z.QueuedCycles() != 8 {
+		t.Fatalf("zero BankServiceCycles: service %d, ninth access delayed %d, queued %d; want 8 each",
+			z.Config().BankServiceCycles, d, z.QueuedCycles())
 	}
 }
 

@@ -87,7 +87,7 @@ func BenchmarkRunCheckpointed(b *testing.B) {
 			rc := engineConfig(b, c.design, c.cores)
 			rc.CheckpointEvery = 65536
 			rc.CheckpointPath = filepath.Join(b.TempDir(), "run.ckpt")
-			Run(rc) // program generation and the warmed LLC image are one-time
+			Run(rc) // program generation is one-time
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -101,7 +101,8 @@ func BenchmarkRunCheckpointed(b *testing.B) {
 
 // fixedCostConfig is a run too short to simulate anything to speak of: what
 // it costs is what every run costs before its first cycle and after its last
-// — machine assembly, the warmed LLC, the drain audit, the result.
+// — machine assembly, the LLC's reset and preload, the drain audit, the
+// result.
 func fixedCostConfig(tb testing.TB) RunConfig {
 	rc := engineConfig(tb, "baseline", 2)
 	rc.WarmCycles, rc.MeasureCycles = 64, 64
@@ -112,7 +113,7 @@ func fixedCostConfig(tb testing.TB) RunConfig {
 // (2 cores, 20K+20K) are made of.
 func BenchmarkRunFixedCost(b *testing.B) {
 	rc := fixedCostConfig(b)
-	Run(rc) // program generation and the warmed LLC image are one-time
+	Run(rc) // program generation is one-time
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

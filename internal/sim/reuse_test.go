@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	wl "dnc/internal/cfg"
-	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/llc"
@@ -19,9 +18,10 @@ import (
 )
 
 // The tests in this file hold RunChecked — which starts every run from a
-// recycled LLC overwritten with the program's warmed image — against a
-// reference that does neither: a machine whose LLC comes from llc.New and is
-// warmed by replaying Preload, as every run's was before LLCs were reused.
+// recycled LLC that computes the program's preload set by set on first
+// touch — against a reference that does neither: a machine whose LLC comes
+// from llc.New and is warmed by inserting every image block up front, as
+// every run's was before LLCs were reused.
 
 // outcome is everything of a run that must not depend on LLC reuse.
 type outcome struct {
@@ -42,7 +42,15 @@ func outcomeOf(t *testing.T, rc RunConfig, r Result) outcome {
 	return o
 }
 
-// referenceRun runs rc on a never-used LLC.
+// eagerPreload is the reference llc.Warm is held to: every block of the image
+// Inserted, in ascending order, into the empty LLC.
+func eagerPreload(l *llc.LLC, im *isa.Image) {
+	for b := isa.BlockOf(im.Base); b <= isa.BlockOf(im.End()-1); b++ {
+		l.Insert(b, true)
+	}
+}
+
+// referenceRun runs rc on a never-used, eagerly preloaded LLC.
 func referenceRun(t *testing.T, rc RunConfig) outcome {
 	t.Helper()
 	rc = applyDefaults(rc)
@@ -54,7 +62,7 @@ func referenceRun(t *testing.T, rc RunConfig) outcome {
 	m.uncore.Release()
 	m.uncore.LLC = llc.New(rc.LLC)
 	if !rc.NoPreload {
-		m.uncore.Preload(m.prog.Image)
+		eagerPreload(m.uncore.LLC, m.prog.Image)
 	}
 	if rc.ResumeFrom != "" {
 		if err := m.restoreFrom(rc.ResumeFrom); err != nil {
@@ -228,7 +236,7 @@ func TestResumeOntoRecycledLLC(t *testing.T) {
 // TestReuseKeepsConfigurationsApart: runs with a non-default LLC (size,
 // footprint capacity, DV on a fixed-length workload) or without the preload
 // interleave with default ones; none may start from another's backing or
-// warmed image.
+// preload.
 func TestReuseKeepsConfigurationsApart(t *testing.T) {
 	def := cellA(t)
 	smaller := cellA(t)
@@ -267,46 +275,35 @@ func TestReuseKeepsConfigurationsApart(t *testing.T) {
 	}
 }
 
-// TestWarmedImagesAreBounded: a process that keeps meeting new (program, LLC
-// configuration) pairs — the fuzzing harness — keeps at most warmCap entries,
-// the most recently used ones, and an evicted pair that comes back gets the
-// same image again. Configurations that normalize alike share one.
-func TestWarmedImagesAreBounded(t *testing.T) {
-	p := smallWorkload()
-	cfgAt := func(i int) llc.Config {
-		cfg := llc.DefaultConfig()
-		cfg.SizeBytes = 1 << 20
-		cfg.AccessCycles = uint64(100 + i) // a key nothing else in the package uses
-		return cfg
-	}
-	cached := func(i int) bool {
+// TestWarmCacheHoldsProgramsOnly: runs of one program under many LLC
+// configurations, preloaded or not, add the program to the warm cache and
+// nothing else — the LLC state each run starts from is computed in its own
+// LLC, not built once per (program, configuration) and kept.
+func TestWarmCacheHoldsProgramsOnly(t *testing.T) {
+	rc := checkedConfig()
+	rc.Workload.GenSeed = 9500 // a program nothing else in the package uses
+	rc.WarmCycles, rc.MeasureCycles = 1000, 1000
+	size := func() int {
 		warm.mu.Lock()
 		defer warm.mu.Unlock()
-		_, ok := warm.m[warmKey{p, cfgAt(i)}]
-		return ok
+		return len(warm.m)
 	}
-	image := func(c *llc.LLC) string { return string(checkpointtest.Save(c.State)) }
-
-	first := image(warmLLC(p, cfgAt(0)))
-	for i := 1; i < warmCap+4; i++ {
-		warmLLC(p, cfgAt(i))
-		warmLLC(p, cfgAt(1)) // stays the most recently used but one
+	before := size()
+	for i := 0; i < 6; i++ {
+		rc.LLC = llc.DefaultConfig()
+		rc.LLC.SizeBytes = 1 << 20
+		rc.LLC.AccessCycles = uint64(100 + i) // a configuration nothing else uses
+		rc.NoPreload = i%2 == 1
+		Run(rc)
+	}
+	if n := size() - before; n > 1 {
+		t.Errorf("six runs of one program under six LLC configurations added %d cache entries, want 1", n)
 	}
 	warm.mu.Lock()
-	n := len(warm.m)
+	_, ok := warm.m[rc.Workload]
 	warm.mu.Unlock()
-	if n > warmCap {
-		t.Errorf("%d entries cached, bound %d", n, warmCap)
-	}
-	if cached(0) || !cached(1) || !cached(warmCap+3) {
-		t.Errorf("cached: oldest %v, kept in use %v, newest %v; want false, true, true",
-			cached(0), cached(1), cached(warmCap+3))
-	}
-	if image(warmLLC(p, cfgAt(0))) != first {
-		t.Error("a rebuilt image differs from the one evicted")
-	}
-	if warmLLC(p, llc.Config{}) != warmLLC(p, llc.DefaultConfig()) {
-		t.Error("the zero Config and the default it stands for have two images")
+	if !ok {
+		t.Error("the program the runs used is not cached")
 	}
 }
 
@@ -325,7 +322,7 @@ func TestProgramCacheIsSingleFlightAndBounded(t *testing.T) {
 	cached := func(i int) bool {
 		warm.mu.Lock()
 		defer warm.mu.Unlock()
-		_, ok := warm.m[warmKey{p: paramsAt(i)}]
+		_, ok := warm.m[paramsAt(i)]
 		return ok
 	}
 
@@ -387,7 +384,7 @@ func TestRefusedProgramFailsEveryRun(t *testing.T) {
 		}
 	}
 	warm.mu.Lock()
-	_, kept := warm.m[warmKey{p: rc.Workload}]
+	_, kept := warm.m[rc.Workload]
 	warm.mu.Unlock()
 	if kept {
 		t.Error("the failed build left its entry in the cache")
@@ -412,7 +409,7 @@ func TestHeldResultsDoNotRetainLLC(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	Run(rc) // the program and its warmed LLC image stay, and are not the results'
+	Run(rc) // the program stays, and is not the results'
 	before := heap()
 	const n = 8
 	held := make([]Result, n)

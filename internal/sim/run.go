@@ -45,15 +45,13 @@ func applyDefaults(rc RunConfig) RunConfig {
 	if rc.Core.FetchWidth == 0 {
 		rc.Core = core.DefaultConfig()
 	}
-	if rc.LLC.SizeBytes == 0 {
-		rc.LLC = llc.DefaultConfig()
+	if rc.LLC == (llc.Config{}) {
 		// Variable-length workloads need the DV-LLC for branch footprints;
-		// an explicitly supplied LLC configuration is taken as-is (the
+		// any explicitly supplied LLC configuration keeps its DVEnabled (the
 		// Section VII.J experiment compares DV on against DV off).
-		if rc.Workload.Mode == isa.Variable {
-			rc.LLC.DVEnabled = true
-		}
+		rc.LLC.DVEnabled = rc.Workload.Mode == isa.Variable
 	}
+	rc.LLC = rc.LLC.Normalized()
 	if rc.WatchdogCycles == 0 {
 		rc.WatchdogCycles = DefaultWatchdogCycles
 	}
@@ -268,6 +266,10 @@ type machine struct {
 	phase    uint8
 	done     uint64
 	lastCkpt uint64
+	// measuredFrom is the LLC's occupancy when the measurement window
+	// opened (Result.LLCOccupancy); not checkpointed, so 0 after a resume
+	// inside that window.
+	measuredFrom int
 	// enc is the encoder every snapshot of this machine is built in (see
 	// encode); nil until the first.
 	enc *checkpoint.Encoder
@@ -306,12 +308,9 @@ func buildMachine(rc RunConfig, wrap StreamWrapper) (*machine, error) {
 		return nil, errors.New("sim: intra-run parallelism cannot apply to an injected run")
 	}
 	m := &machine{rc: rc, prog: Program(rc.Workload), wrapped: wrap != nil}
-	if rc.NoPreload {
-		m.uncore = core.NewUncore(llc.Acquire(rc.LLC))
-	} else {
-		// Long-warmed LLC state, as checkpointed full-system simulation would
-		// start from: copied from the program's image of it, not replayed.
-		m.uncore = core.NewUncore(warmLLC(rc.Workload, rc.LLC).Clone())
+	m.uncore = core.NewUncore(llc.Acquire(rc.LLC))
+	if !rc.NoPreload {
+		m.uncore.Preload(m.prog.Image)
 	}
 	m.cores = make([]*core.Core, rc.Cores)
 	m.designs = make([]prefetch.Design, rc.Cores)
@@ -457,6 +456,7 @@ func (m *machine) run(ctx context.Context) error {
 			c.ResetMetrics()
 		}
 		m.uncore.LLC.ResetStats()
+		m.measuredFrom = m.uncore.LLC.Occupancy()
 		m.uncore.Mesh.ResetStats()
 		m.uncore.DRAM.ResetStats()
 		if m.obs != nil {
@@ -673,16 +673,17 @@ func (m *machine) checkpoint() error {
 
 func (m *machine) result() Result {
 	res := Result{
-		Workload:    m.rc.Workload.Name,
-		Design:      m.designs[0].Name(),
-		Engine:      m.eng.mode.String(),
-		Shards:      max(1, m.eng.peak),
-		PerCore:     make([]core.Metrics, m.rc.Cores),
-		LLCStats:    m.uncore.LLC.Stats(),
-		NoCFlits:    m.uncore.Mesh.Flits(),
-		NoCQueued:   m.uncore.Mesh.QueuedCycles(),
-		DRAMQueued:  m.uncore.DRAM.QueuedCycles(),
-		StorageBits: m.designs[0].StorageBits(),
+		Workload:     m.rc.Workload.Name,
+		Design:       m.designs[0].Name(),
+		Engine:       m.eng.mode.String(),
+		Shards:       max(1, m.eng.peak),
+		PerCore:      make([]core.Metrics, m.rc.Cores),
+		LLCStats:     m.uncore.LLC.Stats(),
+		LLCOccupancy: [2]int{m.measuredFrom, m.uncore.LLC.Occupancy()},
+		NoCFlits:     m.uncore.Mesh.Flits(),
+		NoCQueued:    m.uncore.Mesh.QueuedCycles(),
+		DRAMQueued:   m.uncore.DRAM.QueuedCycles(),
+		StorageBits:  m.designs[0].StorageBits(),
 	}
 	for i, c := range m.cores {
 		res.PerCore[i] = c.M

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dnc/internal/isa"
+	"dnc/internal/llc"
 	"dnc/internal/prefetch"
 )
 
@@ -72,6 +73,59 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	bad.Workload.CondFrac, bad.Workload.JumpFrac, bad.Workload.CallFrac = 0.5, 0.4, 0.3
 	if bad.Validate() == nil {
 		t.Error("branch fractions summing past 1 accepted")
+	}
+}
+
+// TestPartialLLCConfigKeepsItsFields: an LLC configuration that sets only
+// some fields keeps them, and each zero field takes its default; it is not
+// swapped for the defaults whole. The all-zero configuration still means the
+// defaults with DV on in variable mode only.
+func TestPartialLLCConfigKeepsItsFields(t *testing.T) {
+	rc := checkedConfig()
+	rc.Workload = variableWorkload()
+	rc.LLC = llc.Config{DVEnabled: true, BFsPerSet: 2}
+	want := llc.DefaultConfig()
+	want.DVEnabled, want.BFsPerSet = true, 2
+	if got := applyDefaults(rc).LLC; got != want {
+		t.Fatalf("partial config became %+v, want %+v", got, want)
+	}
+	partial := Run(rc)
+	if s := partial.LLCStats; s.BFStores == s.BFStoreFails {
+		t.Errorf("the partial config stored no footprint (%+v): it ran with DV off", s)
+	}
+	rc.LLC = want
+	if fingerprint(t, partial) != fingerprint(t, Run(rc)) {
+		t.Error("the partial config runs differently from its filled-in form")
+	}
+
+	for _, mode := range []isa.Mode{isa.Fixed, isa.Variable} {
+		rc.LLC, rc.Workload.Mode = llc.Config{}, mode
+		want := llc.DefaultConfig()
+		want.DVEnabled = mode == isa.Variable
+		if got := applyDefaults(rc).LLC; got != want {
+			t.Errorf("zero config in %v mode became %+v, want %+v", mode, got, want)
+		}
+	}
+}
+
+// TestLLCOccupancyIsCounted: the occupancy a run reports at the ends of its
+// measurement window is the LLC's valid lines there, the preloaded image's
+// included, and no encoding of the result carries it.
+func TestLLCOccupancyIsCounted(t *testing.T) {
+	rc := checkedConfig()
+	r := Run(rc)
+	image := int(isa.BlockOf(Program(rc.Workload).Image.End()-1)-isa.BlockOf(Program(rc.Workload).Image.Base)) + 1
+	from, to := r.LLCOccupancy[0], r.LLCOccupancy[1]
+	if from <= image || to < from || to-from > int(r.LLCStats.DataAccesses+r.LLCStats.InstAccesses) {
+		t.Errorf("occupancy %d -> %d over a %d-block image and %d LLC accesses",
+			from, to, image, r.LLCStats.DataAccesses+r.LLCStats.InstAccesses)
+	}
+	if r.LLCStats.Evictions == 0 && to-from != int(r.LLCStats.DataAccesses+r.LLCStats.InstAccesses-r.LLCStats.DataHits-r.LLCStats.InstHits) {
+		t.Errorf("no evictions, so every miss fills an empty way: occupancy grew %d over %d misses",
+			to-from, r.LLCStats.DataAccesses+r.LLCStats.InstAccesses-r.LLCStats.DataHits-r.LLCStats.InstHits)
+	}
+	if strings.Contains(fingerprint(t, r), "Occupancy") {
+		t.Error("the result's JSON carries the occupancy")
 	}
 }
 

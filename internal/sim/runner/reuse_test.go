@@ -12,11 +12,11 @@ import (
 )
 
 // TestSweepReusesLLCsAcrossWorkers: concurrent workers draw recycled LLCs
-// from one pool and copy one warmed image per program, with cells of two LLC
-// configurations (DV off, DV on) interleaved. Every cell must equal the same
-// cell run alone, in order, on one goroutine. CI runs this under -race
-// -count=10: the shared state is the pool, the program cache and the
-// read-only images.
+// from one pool and preload each program's image into them set by set, with
+// cells of two LLC configurations (DV off, DV on) interleaved. Every cell
+// must equal the same cell run alone, in order, on one goroutine. CI runs
+// this under -race -count=10: the shared state is the pool and the program
+// cache.
 func TestSweepReusesLLCsAcrossWorkers(t *testing.T) {
 	var cells []Cell
 	for w := 0; w < 2; w++ {

@@ -57,7 +57,10 @@ type RunConfig struct {
 	Seed int64
 	// Core overrides the per-core configuration (zero value = defaults).
 	Core core.Config
-	// LLC overrides the LLC configuration (zero value = defaults).
+	// LLC overrides the LLC configuration: each zero field takes its default,
+	// and the all-zero value means the defaults with DV on for
+	// variable-length workloads (a configuration that sets any field keeps
+	// its DVEnabled).
 	LLC llc.Config
 	// NoPreload skips installing the code image in the LLC before warm-up.
 	NoPreload bool
@@ -136,11 +139,16 @@ type Result struct {
 	// PerCore holds each core's metrics.
 	PerCore []core.Metrics
 	// LLC, mesh and memory statistics for the measurement window.
-	LLCStats    llc.Stats
-	NoCFlits    uint64
-	NoCQueued   uint64
-	DRAMQueued  uint64
-	StorageBits int
+	LLCStats llc.Stats
+	// LLCOccupancy is the LLC's valid lines when the measurement window
+	// opened and when it closed (the first 0 on a run resumed inside the
+	// window: snapshots do not carry it). A diagnostic like Shards, it stays
+	// out of every encoding of the result, so no digest depends on it.
+	LLCOccupancy [2]int `json:"-"`
+	NoCFlits     uint64
+	NoCQueued    uint64
+	DRAMQueued   uint64
+	StorageBits  int
 	// Probes sums, over the cores, the counters of a design that exports
 	// any (prefetch.Prober: e.g. Shotgun's footprint misses); nil otherwise.
 	// It is what remains of the design instances, so a Result is plain data
@@ -153,115 +161,89 @@ type Result struct {
 	Obs *obs.RunObs
 }
 
-// warmCap bounds what a process keeps built: generated programs (2-24 MB
-// each) and warmed LLC images (8 MB each, 11 MB with DV), one count for both.
-// It holds the named catalog under an LLC configuration — 7 workloads, two
-// modes, a program and an image each — with room for an experiment's
-// overrides, so a sweep over it builds each once, while a process that
-// generates programs without end (the fuzzing harness) keeps the most
-// recently used ones and rebuilds the rest on demand.
+// warmCap bounds how many generated programs (2-24 MB each) a process keeps
+// built. It holds the named catalog — 7 workloads, two modes — with room for
+// an experiment's overrides, so a sweep over it generates each once, while a
+// process that generates programs without end (the fuzzing harness) keeps
+// the most recently used ones and regenerates the rest on demand. The LLC
+// state a run starts from is no entry here: it is computed from the
+// program's image inside each run's own LLC (llc.Warm).
 const warmCap = 32
 
-// warm caches what is built once and shared by every run that needs it: the
-// generated programs and the long-warmed LLC states runs start from.
+// warm caches the generated programs every run of their parameters shares.
 // Generation is deterministic in the parameters and a program is immutable
-// once built; the state Preload leaves in an empty LLC is a pure function of
-// the program image and the LLC configuration — the checkpoint a SimFlex run
-// would load. Either is rebuilt identically if it is evicted and comes back.
+// once built, so an evicted one that comes back is regenerated identically.
+// The Params value itself is the key — every field participates, since
+// generation is deterministic in the full parameter set, so any two distinct
+// sets must get distinct entries (a key of just Name|Mode|Footprint|GenSeed
+// once served the wrong program to parameter sets that varied only a
+// branch-mix knob).
 var warm struct {
 	mu   sync.Mutex
 	tick uint64
-	m    map[warmKey]*warmEntry
-}
-
-// warmKey names a program (cfg zero) or its image under a normalized LLC
-// configuration (never zero). The Params value itself is the key — every
-// field participates, since generation is deterministic in the full
-// parameter set, so any two distinct sets must get distinct entries (a key
-// of just Name|Mode|Footprint|GenSeed once served the wrong program to
-// parameter sets that varied only a branch-mix knob).
-type warmKey struct {
-	p   wl.Params
-	cfg llc.Config
+	m    map[wl.Params]*warmEntry
 }
 
 type warmEntry struct {
 	used uint64 // warm.tick at the last lookup; guarded by warm.mu
 
-	// build runs once: callers that arrive together for something nothing
+	// build runs once: callers that arrive together for a program nothing
 	// has built yet (a fresh worker's first cells) wait for one build
-	// instead of each making their own. The rest is read-only after it.
+	// instead of each making their own. prog is read-only after it.
 	build sync.Once
 	built bool
 	prog  *wl.Program
-	llc   *llc.LLC
 }
 
-// warmed returns k's built entry, evicting the least recently used one to
-// make room. The caller only reads what it gets, so an entry evicted while a
-// run still uses it is simply collected afterwards.
-func warmed(k warmKey) *warmEntry {
+// Program returns the (cached) generated program for the parameters,
+// evicting the least recently used one to make room. The caller only reads
+// what it gets, so a program evicted while a run still uses it is simply
+// collected afterwards.
+func Program(p wl.Params) *wl.Program {
 	for {
 		warm.mu.Lock()
-		e := warm.m[k]
+		e := warm.m[p]
 		if e == nil {
 			if len(warm.m) >= warmCap {
-				var oldest warmKey
+				var oldest wl.Params
 				least := ^uint64(0)
-				for ok, oe := range warm.m {
+				for op, oe := range warm.m {
 					if oe.used < least {
-						oldest, least = ok, oe.used
+						oldest, least = op, oe.used
 					}
 				}
 				delete(warm.m, oldest)
 			}
 			if warm.m == nil {
-				warm.m = make(map[warmKey]*warmEntry)
+				warm.m = make(map[wl.Params]*warmEntry)
 			}
 			e = new(warmEntry)
-			warm.m[k] = e
+			warm.m[p] = e
 		}
 		warm.tick++
 		e.used = warm.tick
 		warm.mu.Unlock()
 
 		e.build.Do(func() {
-			// A build that panics (parameters Generate or llc.New refuse)
-			// leaves no entry behind: the panic is its caller's, and whoever
-			// waited on it or asks again builds afresh and gets their own.
+			// A build that panics (parameters Generate refuses) leaves no
+			// entry behind: the panic is its caller's, and whoever waited on
+			// it or asks again builds afresh and gets their own.
 			defer func() {
 				if !e.built {
 					warm.mu.Lock()
-					if warm.m[k] == e {
-						delete(warm.m, k)
+					if warm.m[p] == e {
+						delete(warm.m, p)
 					}
 					warm.mu.Unlock()
 				}
 			}()
-			if k.cfg == (llc.Config{}) {
-				e.prog = wl.Generate(k.p)
-			} else {
-				u := core.Uncore{LLC: llc.New(k.cfg)}
-				u.Preload(Program(k.p).Image)
-				e.llc = u.LLC
-			}
+			e.prog = wl.Generate(p)
 			e.built = true
 		})
 		if e.built {
-			return e
+			return e.prog
 		}
 	}
-}
-
-// Program returns the (cached) generated program for the parameters.
-func Program(p wl.Params) *wl.Program {
-	return warmed(warmKey{p: p}).prog
-}
-
-// warmLLC returns the preloaded LLC state of p's program under cfg, building
-// it on first use.
-func warmLLC(p wl.Params, cfg llc.Config) *llc.LLC {
-	return warmed(warmKey{p, cfg.Normalized()}).llc
 }
 
 // Run executes one simulation and returns its result. It panics on

@@ -11,7 +11,10 @@
 #                BenchmarkEngine16CoreSN4LDisBTBSerial is the one-goroutine
 #                twin) and BenchmarkRunFixedCost (a 64+64-cycle run:
 #                what every run costs around its simulated cycles, which is
-#                most of a short sweep cell), and internal/cfg
+#                most of a short sweep cell: machine assembly, the LLC's
+#                preload and the reset and drain audit of the sets the run
+#                touched; ~0.2 ms since the preload stopped copying an 8 MB
+#                image into every run, ~1.1 ms before), and internal/cfg
 #                BenchmarkGenerate{OLTPDBAFixed,WebZeusVariable} +
 #                BenchmarkWalkerNext (building the largest preset, the
 #                variable-length path, and one committed step), compared
@@ -163,8 +166,8 @@ run_suite() {
 	done
 }
 
-# BenchmarkRunFixedCost is a millisecond an op: 3 iterations would measure
-# noise, so it always runs 200; a walker step is tens of nanoseconds.
+# BenchmarkRunFixedCost is a fifth of a millisecond an op: 3 iterations would
+# measure noise, so it always runs 200; a walker step is tens of nanoseconds.
 run_suite engine './internal/sim/ ./internal/cfg/' \
 	'BenchmarkEngine ^BenchmarkRunFixedCost$@200x ^BenchmarkGenerate ^BenchmarkWalkerNext$@5000000x' \
 	BENCH_engine.json \
