@@ -42,7 +42,7 @@ func main() {
 	jobs := flag.Int("jobs", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "per-simulation wall-clock budget (0 = none)")
 	journal := flag.String("journal", "", "JSONL run journal: records finished runs and resumes an interrupted benchmark")
-	progress := flag.Bool("progress", true, "print a periodic one-line sweep summary (cells done/failed/retried, rate, ETA) to stderr")
+	progress := flag.Bool("progress", true, "print a periodic one-line sweep summary (cells done/failed/resumed, rate, ETA) to stderr")
 	httpAddr := flag.String("http", "", "serve the sweep's progress as Prometheus /metrics, plus pprof under /debug/pprof/, on this address (e.g. localhost:6060)")
 	storeOut := flag.String("store-out", "", "append every completed cell (with occupancy histograms) to this columnar result store; inspect with dncstore")
 	intraJobs := flag.Int("intra-jobs", 0, "shard each simulation's cores across this many goroutines (0 = idle CPUs, 1 = serial); bit-exact either way")

@@ -7,11 +7,13 @@
 // Usage:
 //
 //	dncworker -server http://host:8080 [-name $(hostname)] [-capacity 1]
-//	          [-lease-batch 0] [-poll 250ms] [-cell-timeout 10m]
+//	          [-lease-batch 0] [-poll 250ms]
 //
 // Run any number of these against one dncserved; the server spreads leases
 // across them and reassigns the cells of any worker that dies (missed
-// heartbeats) or wedges (heartbeats without progress). Killing a dncworker
+// heartbeats) or wedges (heartbeats without progress). A cell's execution
+// budget is the server's -lease-max-age: the worker has no timer of its
+// own, and abandons a run the moment a heartbeat reports it revoked. Killing a dncworker
 // at any moment — including mid-cell — loses nothing: its leases expire and
 // the cells re-run elsewhere, and because simulation is deterministic a
 // late duplicate upload is bit-identical and acknowledged idempotently.
@@ -47,7 +49,6 @@ func main() {
 	capacity := flag.Int("capacity", 1, "cells executed concurrently")
 	leaseBatch := flag.Int("lease-batch", 0, "max cells per lease request (0 = server's cap)")
 	poll := flag.Duration("poll", 250*time.Millisecond, "pause after a failed lease request (idle workers park on the server; there is no polling cadence)")
-	cellTimeout := flag.Duration("cell-timeout", 10*time.Minute, "per-cell execution bound, reported transient (0 = none)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on this address (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	flag.Parse()
@@ -81,7 +82,6 @@ func main() {
 		Capacity:     *capacity,
 		LeaseBatch:   *leaseBatch,
 		PollInterval: *poll,
-		CellTimeout:  *cellTimeout,
 		Log:          logger,
 		Telemetry:    tel,
 	})

@@ -46,7 +46,7 @@ type Config struct {
 	// zero; the remaining experiments continue.
 	Timeout time.Duration
 	// ProgressOut, when non-nil, receives a throttled one-line sweep summary
-	// (cells done/failed/retried, rate, ETA) roughly every two seconds —
+	// (cells done/failed/resumed, rate, ETA) roughly every two seconds —
 	// dncbench points it at stderr so long runs are visibly alive.
 	ProgressOut io.Writer
 	// Progress, when set, tracks every sweep the harness runs (the source

@@ -613,9 +613,13 @@ func (h *Harness) Fig18() Experiment {
 }
 
 // SecJ regenerates Section VII.J: the DV-LLC's effect on LLC hit ratios in
-// variable-length mode.
+// variable-length mode. Beside each run's hit ratios it shows how full the
+// LLC was when the measurement window opened (valid lines, and their share
+// of the LLC's lines) and how many lines the window evicted: DV on vs off
+// can differ only once a set is full.
 func (h *Harness) SecJ() Experiment {
-	t := &stats.Table{Header: []string{"workload", "inst hit (conv)", "inst hit (DV)", "data hit (conv)", "data hit (DV)"}}
+	t := &stats.Table{Header: []string{"workload", "inst hit (conv)", "inst hit (DV)", "data hit (conv)", "data hit (DV)",
+		"fill (conv)", "evictions (conv)", "fill (DV)", "evictions (DV)"}}
 	head := map[string]float64{}
 	var dDrop []float64
 	for _, w := range h.Workloads() {
@@ -635,7 +639,12 @@ func (h *Harness) SecJ() Experiment {
 		cd := ratio(rc.LLCStats.DataHits, rc.LLCStats.DataAccesses)
 		dd := ratio(rd.LLCStats.DataHits, rd.LLCStats.DataAccesses)
 		pct3 := func(v float64) string { return fmt.Sprintf("%.3f%%", v*100) }
-		t.AddRow(w, pct3(ci), pct3(di), pct3(cd), pct3(dd))
+		fill := func(r sim.Result, cfg llc.Config) string {
+			lines := cfg.Normalized().SizeBytes / isa.BlockBytes
+			return fmt.Sprintf("%d (%.1f%%)", r.LLCOccupancy[0], 100*float64(r.LLCOccupancy[0])/float64(lines))
+		}
+		t.AddRow(w, pct3(ci), pct3(di), pct3(cd), pct3(dd),
+			fill(rc, conv), fmt.Sprint(rc.LLCStats.Evictions), fill(rd, dv), fmt.Sprint(rd.LLCStats.Evictions))
 		dDrop = append(dDrop, cd-dd)
 	}
 	head["dvllc_datahit_drop"] = mean(dDrop)

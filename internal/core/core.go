@@ -49,7 +49,9 @@ type Config struct {
 
 	RASDepth int
 	// WrongPathBlocks is how many sequential wrong-path blocks fetch
-	// touches during a redirect shadow.
+	// touches during a redirect shadow. Normalized treats zero as unset (the
+	// default, 2) like every other count here; a negative value turns
+	// wrong-path fetch off.
 	WrongPathBlocks int
 
 	// PerfectL1i makes every instruction fetch hit (Figure 17 reference).
@@ -85,6 +87,41 @@ func DefaultConfig() Config {
 		RASDepth:             32,
 		WrongPathBlocks:      2,
 		TAGE:                 bpred.DefaultTAGEConfig(),
+	}
+}
+
+// Normalized fills each zero field of c from DefaultConfig, so a partial
+// configuration keeps what it sets: Config{PerfectL1i: true} is the default
+// core with a perfect L1i. Tile, PerfectL1i, PerfectBTB and
+// PrefetchBufferEntries are kept as given, since zero is a valid setting of
+// each; a TAGE with no BaseEntries takes the default predictor whole, as
+// bpred.NewTAGE does.
+func (c Config) Normalized() Config {
+	d := DefaultConfig()
+	orDefault(&c.FetchWidth, d.FetchWidth)
+	orDefault(&c.RetireWidth, d.RetireWidth)
+	orDefault(&c.ROBEntries, d.ROBEntries)
+	orDefault(&c.PipelineDepth, d.PipelineDepth)
+	orDefault(&c.L1ISizeBytes, d.L1ISizeBytes)
+	orDefault(&c.L1IWays, d.L1IWays)
+	orDefault(&c.L1DSizeBytes, d.L1DSizeBytes)
+	orDefault(&c.L1DWays, d.L1DWays)
+	orDefault(&c.L1IMSHRs, d.L1IMSHRs)
+	orDefault(&c.L1DLatency, d.L1DLatency)
+	orDefault(&c.MispredictPenalty, d.MispredictPenalty)
+	orDefault(&c.BTBMissPenaltyTaken, d.BTBMissPenaltyTaken)
+	orDefault(&c.BTBMissPenaltyDecode, d.BTBMissPenaltyDecode)
+	orDefault(&c.RASDepth, d.RASDepth)
+	orDefault(&c.WrongPathBlocks, d.WrongPathBlocks)
+	if c.TAGE.BaseEntries == 0 {
+		c.TAGE = d.TAGE
+	}
+	return c
+}
+
+func orDefault[T int | uint64](v *T, def T) {
+	if *v == 0 {
+		*v = def
 	}
 }
 

@@ -28,9 +28,9 @@ import (
 //
 // Besides the remote workers, the table holds the server's in-process
 // client, the lease client of last resort: granted nothing while a remote
-// worker is live and everything pending once none is. It never expires, the
-// worker counters leave it out, and it has no progress budget here: it stops
-// its own runs at LeaseMaxAge, reported as transient failures.
+// worker is live and everything pending once none is. It never expires and
+// the worker counters leave it out, but its leases carry the same progress
+// budget as a remote worker's: LeaseMaxAge is the one clock on an attempt.
 
 // Lease-plane defaults (overridable via Config).
 const (
@@ -355,9 +355,10 @@ func (d *dispatcher) grantLocked(w *workerState, max int) []workerproto.Lease {
 	return out
 }
 
-// heartbeat renews the worker and all its leases, revoking any remote lease
-// past the progress budget (the frozen-worker watchdog: beats arrive,
-// results don't). Revoked digests are reported so the worker abandons them.
+// heartbeat renews the worker and all its leases, revoking any lease past
+// the progress budget (the frozen-worker watchdog: beats arrive, results
+// don't), the in-process client's included. Revoked digests are reported so
+// the worker abandons them.
 func (d *dispatcher) heartbeat(workerID string, active []string) ([]string, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -371,7 +372,7 @@ func (d *dispatcher) heartbeat(workerID string, active []string) ([]string, erro
 	seen := make(map[string]bool)
 	var revoked []string
 	for digest, l := range w.leases {
-		if w != d.local && now.Sub(l.grantedAt) > d.maxAge {
+		if now.Sub(l.grantedAt) > d.maxAge {
 			d.revokeLocked(l, slices.Contains(active, digest))
 			seen[digest] = true
 			revoked = append(revoked, digest)

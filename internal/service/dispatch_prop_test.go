@@ -22,9 +22,10 @@ import (
 // none is ever lost, cells leave pending from the head, and a reassigned
 // cell goes back to the head. The in-process client is the lease client of
 // last resort: it is granted nothing while a remote worker is live, and
-// everything pending once none is. The table also keeps each cell's
-// attempts: a reported failure, or a progress-budget revocation of a cell
-// its worker still lists as active, spends one, a reaped worker's lease
+// everything pending once none is; it never expires, but the progress budget
+// revokes its leases as it does a remote worker's. The table also keeps each
+// cell's attempts: a reported failure, or a progress-budget revocation of a
+// cell its worker still lists as active, spends one, a reaped worker's lease
 // none, a new job joining a cell every earlier job left starts it afresh,
 // and a cell out of retries (or failed non-transiently) resolves its
 // waiters with the failure. The test drives
@@ -227,8 +228,9 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 	}
 	// requeue is the model's revocation: the cells go back one at a time, in
 	// an order the dispatcher's map iteration picks, and each goes straight
-	// to the longest-parked call if there is one; the rest form the new head
-	// of pending.
+	// to the longest-parked call if there is one, else to the in-process
+	// call if it may take cells (it takes the first, one cell, for nothing
+	// else is pending then); the rest form the new head of pending.
 	requeue := func(revoked []string) {
 		t.Helper()
 		left := map[string]bool{}
@@ -243,6 +245,15 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			delete(left, leases[0].Digest)
 			w.leases[leases[0].Digest] = m.now
 			w.expiry = m.now.Add(m.ttl)
+		}
+		if len(left) > 0 && lw.call != nil && len(m.workers) == 0 {
+			leases, err := lw.call.wait(t, "a revoked cell was the in-process client's to take")
+			lw.call = nil
+			if err != nil || len(leases) != 1 || !left[leases[0].Digest] {
+				t.Fatalf("in-process call answered %v (%v), want one of the revoked cells %v", leases, err, short(sortedKeys(left)))
+			}
+			delete(left, leases[0].Digest)
+			lw.leases[leases[0].Digest] = m.now
 		}
 		if len(left) > 0 {
 			m.pending = append([][]string{sortedKeys(left)}, m.pending...)
@@ -557,7 +568,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			want := map[string]bool{}
 			var head []string
 			for _, digest := range sortedKeys(w.leases) {
-				if w != lw && m.now.Sub(w.leases[digest]) > m.maxAge {
+				if m.now.Sub(w.leases[digest]) > m.maxAge {
 					want[digest] = true
 					c := m.cells[digest]
 					if !slices.Contains(active, digest) {
@@ -689,7 +700,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 				}
 				w.expiry = m.now.Add(m.ttl)
 			}
-			var head []string
+			var head, reaped []string
 			for _, id := range sortedKeys(m.workers) {
 				w := m.workers[id]
 				if !m.now.After(w.expiry) {
@@ -699,11 +710,15 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 					// A reap spends no attempt: check() compares the count.
 					m.revoke(w, digest, &head)
 				}
+				reaped = append(reaped, id)
+			}
+			// The reaped workers count as live until every lease is back in
+			// the queue; once the plane has emptied, offer hands what is
+			// pending, revoked cells first, to the in-process call.
+			requeue(head)
+			for _, id := range reaped {
 				delete(m.workers, id)
 			}
-			// Once the plane has emptied, offer hands what is pending,
-			// revoked cells first, to the in-process call.
-			requeue(head)
 		}
 		offer()
 		check(step, op)

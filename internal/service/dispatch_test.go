@@ -202,10 +202,59 @@ func TestDispatchInProcessClientOfLastResort(t *testing.T) {
 	if out := <-chLeased; out.err != nil {
 		t.Fatalf("waiter got %v", out.err)
 	}
-	// The in-process client never expires and has no progress budget.
+	// The in-process client never expires, but its leases have the same
+	// progress budget as a remote worker's: after 2 h the cell it still
+	// holds, and does not list, is revoked.
 	clk.Advance(2 * time.Hour)
-	if revoked, err := d.heartbeat(inProcessID, nil); err != nil || len(revoked) != 0 {
-		t.Fatalf("in-process heartbeat after 2 h = %v, %v; want its lease kept", revoked, err)
+	if revoked, err := d.heartbeat(inProcessID, nil); err != nil || len(revoked) != 1 || revoked[0] != pending.Digest() {
+		t.Fatalf("in-process heartbeat after 2 h = %v, %v; want its lease revoked", revoked, err)
+	}
+}
+
+// TestDispatchInProcessBudget: LeaseMaxAge bounds the in-process client's
+// leases exactly as it bounds a remote worker's. A lease it holds past the
+// budget and still lists as active is revoked at its heartbeat, spends one
+// attempt and goes back to the queue, where the in-process call takes it
+// again; one it does not list is reassigned without spending an attempt.
+func TestDispatchInProcessBudget(t *testing.T) {
+	clk := faultplane.NewClock(time.Unix(1000, 0))
+	maxAge := 30 * time.Second
+	d := testDispatcher(clk, 10*time.Second, maxAge)
+
+	listed, unlisted := testCell(7), testCell(8)
+	_, cancelListed := d.enqueue(listed, "")
+	_, cancelUnlisted := d.enqueue(unlisted, "")
+	if l, err := d.lease(context.Background(), inProcessID, 4); err != nil || len(l) != 2 {
+		t.Fatalf("in-process lease = %v, %v; want both cells", l, err)
+	}
+
+	clk.Advance(maxAge)
+	if revoked, err := d.heartbeat(inProcessID, []string{listed.Digest()}); err != nil || len(revoked) != 0 {
+		t.Fatalf("heartbeat at the budget = %v, %v; want nothing revoked", revoked, err)
+	}
+	clk.Advance(time.Second)
+	c := startLease(context.Background(), d, inProcessID, 4)
+	yieldUntil(t, "the in-process call parked", func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.localCall != nil
+	})
+	revoked, err := d.heartbeat(inProcessID, []string{listed.Digest()})
+	if err != nil || len(revoked) != 2 {
+		t.Fatalf("heartbeat past the budget = %v, %v; want both cells revoked", revoked, err)
+	}
+	leases, err := c.wait(t, "a revoked cell was pending")
+	if err != nil || len(leases) != 1 {
+		t.Fatalf("parked in-process call answered %v, %v; want one revoked cell", leases, err)
+	}
+	if st := d.stats(); st.Reassigned != 2 || st.Retried != 1 || st.LeaseDepth != 1 || st.RemotePending != 1 {
+		t.Fatalf("after the revocation: %+v; want 2 reassigned, 1 retried, 1 leased, 1 pending", st)
+	}
+	if got := cancelListed(); got != 1 {
+		t.Fatalf("the listed cell spent %d attempts, want 1", got)
+	}
+	if got := cancelUnlisted(); got != 0 {
+		t.Fatalf("the unlisted cell spent %d attempts, want 0", got)
 	}
 }
 

@@ -41,8 +41,9 @@ type Config struct {
 	// answers 429 + Retry-After (default 64).
 	QueueCap int
 	// Retries is how many more attempts a cell gets after a transient
-	// failure: a timeout reported by its lease client, or a lease revoked by
-	// the LeaseMaxAge progress budget from a worker still running the cell.
+	// failure: a lease revoked by the LeaseMaxAge progress budget from a
+	// client still running the cell, or a deadline error its lease client
+	// reports.
 	// It goes straight back to the lease queue (default 2; negative: none).
 	Retries int
 	// JobTimeout bounds one job's whole sweep (0 = none). An expired job
@@ -284,10 +285,9 @@ func (s *Server) Start(addr string) error {
 		defer s.wg.Done()
 		// It returns once a drain begins: inProcessAPI never fails a
 		// registration, so there is no error to report. Its runs are bounded
-		// by the progress budget every remote lease has.
+		// by the progress budget every lease has: a heartbeat revokes them.
 		_ = worker.RunOn(s.ctx, inProcessAPI{s}, worker.Options{
-			Name: inProcessID, Capacity: s.cfg.Workers * s.cfg.CellJobs,
-			CellTimeout: s.dispatch.maxAge, Run: s.cfg.RunCell,
+			Name: inProcessID, Capacity: s.cfg.Workers * s.cfg.CellJobs, Run: s.cfg.RunCell,
 		})
 	}()
 	// Lease-expiry sweep: the real clock only decides how often we look;

@@ -458,3 +458,65 @@ func FuzzQueryParams(f *testing.F) {
 		e.srv.storeMu.Unlock()
 	})
 }
+
+// TestEvictedCellsStayInTheStore: the column store is not the cache's
+// mirror once the cache evicts. Cells admitted past a small CacheMaxBytes
+// leave the cache but stay in the append-only store, so /v1/query counts
+// every admitted cell, across a restart too. Only a store rebuilt from the
+// cache (the file deleted) loses the evicted cells.
+func TestEvictedCellsStayInTheStore(t *testing.T) {
+	probe, err := openResultCache(filepath.Join(t.TempDir(), "probe.jsonl"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := fakeRunCell(context.Background(), boundCell(10))
+	size := insertResult(probe, boundCell(10), r).size
+	probe.close()
+
+	dataDir := filepath.Join(t.TempDir(), "data")
+	start := func() *testEnv {
+		return newTestEnv(t, func(c *Config) {
+			c.DataDir = dataDir
+			c.RunCell = fakeRunCell
+			c.Workers, c.CellJobs = 1, 1
+			c.CacheMaxBytes = 4*size + size/2 // room for four cells
+		})
+	}
+	counted := func(e *testEnv, label string) int {
+		t.Helper()
+		var qr queryResponse
+		if code := e.getJSON("/v1/query?metric=ipc", &qr); code != http.StatusOK || len(qr.Groups) != 1 {
+			t.Fatalf("[%s] GET /v1/query = %d with %d groups, want 200 with 1", label, code, len(qr.Groups))
+		}
+		return qr.Groups[0].N
+	}
+
+	const admitted = 12
+	e := start()
+	fillFake(e, 10, admitted) // seeds 10..21: every entry the probe's size
+	if st := e.srv.Stats(); st.CacheEntries != 4 || st.CacheEvictions != admitted-4 || st.StoreCells != admitted {
+		t.Fatalf("after the fill: %d cached, %d evicted, %d in the store; want 4, %d, %d",
+			st.CacheEntries, st.CacheEvictions, st.StoreCells, admitted-4, admitted)
+	}
+	if n := counted(e, "live"); n != admitted {
+		t.Fatalf("[live] /v1/query counts %d cells, want every admitted cell (%d)", n, admitted)
+	}
+	e.drain()
+
+	e = start()
+	if n := counted(e, "restarted"); n != admitted {
+		t.Fatalf("[restarted] /v1/query counts %d cells, want %d: the store keeps evicted cells", n, admitted)
+	}
+	if got := e.srv.Stats().CacheEntries; got != 4 {
+		t.Fatalf("[restarted] cache holds %d entries, want 4", got)
+	}
+	e.drain()
+
+	if err := os.Remove(filepath.Join(dataDir, storeFile)); err != nil {
+		t.Fatal(err)
+	}
+	e = start()
+	if n := counted(e, "rebuilt"); n != 4 {
+		t.Fatalf("[rebuilt] /v1/query counts %d cells, want the 4 the cache kept", n)
+	}
+}

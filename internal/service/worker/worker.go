@@ -59,10 +59,6 @@ type Options struct {
 	// 250ms). It is not a polling cadence: an idle worker's lease call is
 	// parked by the server and a busy one waits on its own slots.
 	PollInterval time.Duration
-	// CellTimeout bounds one cell's execution; expiry is reported to the
-	// server as a transient failure (default: no bound — the server's lease
-	// watchdog is the backstop).
-	CellTimeout time.Duration
 	// Client is the retrying HTTP client (default: 3 retries on transport
 	// errors and 429/502/503).
 	Client *httpx.RetryClient
@@ -226,8 +222,11 @@ type session struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 
-	mu     sync.Mutex
-	active map[string]context.CancelCauseFunc // digest → cell cancel
+	mu sync.Mutex
+	// active maps each held digest to its newest run's cancel. A revoked
+	// cell can be leased to this session again while its old run is still
+	// unwinding; the old run's cleanup then leaves the new entry alone.
+	active map[string]*context.CancelCauseFunc
 	// attempts counts how many times this session has been leased each
 	// digest (a reassignment returning to the same worker); it rides on the
 	// upload's X-DNC-Attempt header.
@@ -252,7 +251,7 @@ func runSession(parent context.Context, api WorkAPI, o Options, reg workerproto.
 	s := &session{
 		o: o, api: api, reg: reg,
 		ctx: ctx, cancel: cancel,
-		active:   make(map[string]context.CancelCauseFunc),
+		active:   make(map[string]*context.CancelCauseFunc),
 		attempts: make(map[string]int),
 		free:     make(chan time.Time, o.Capacity),
 		uploads:  make(chan struct{}, o.Capacity),
@@ -341,7 +340,7 @@ func (s *session) abandon(digest string) {
 		s.o.Telemetry.LeasesRevoked.Inc()
 		s.o.Log.Warn("lease revoked; abandoning", "worker", s.reg.WorkerID,
 			"cell", digest, "span", telemetry.SpanID(digest))
-		cancel(errRevoked)
+		(*cancel)(errRevoked)
 	}
 }
 
@@ -429,7 +428,7 @@ func (s *session) pause() {
 func (s *session) startCell(l workerproto.Lease, idleSince time.Time) {
 	cctx, ccancel := context.WithCancelCause(s.ctx)
 	s.mu.Lock()
-	s.active[l.Digest] = ccancel
+	s.active[l.Digest] = &ccancel
 	s.attempts[l.Digest]++
 	s.mu.Unlock()
 	s.inflight.Add(1)
@@ -437,7 +436,9 @@ func (s *session) startCell(l workerproto.Lease, idleSince time.Time) {
 		defer s.inflight.Done()
 		s.runCell(cctx, l, idleSince)
 		s.mu.Lock()
-		delete(s.active, l.Digest)
+		if s.active[l.Digest] == &ccancel {
+			delete(s.active, l.Digest)
+		}
 		s.mu.Unlock()
 		ccancel(nil)
 	}()
@@ -475,11 +476,6 @@ func (s *session) runCell(ctx context.Context, l workerproto.Lease, idleSince ti
 func (s *session) execute(ctx context.Context, l workerproto.Lease, idleSince time.Time) (*runner.ResultJSON, error) {
 	if !l.Spec.Valid() || l.Spec.Digest() != l.Digest {
 		return nil, fmt.Errorf("lease %.12s carries an invalid or mismatched spec", l.Digest)
-	}
-	if s.o.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.o.CellTimeout)
-		defer cancel()
 	}
 	s.o.Telemetry.execStart()
 	start := time.Now()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -491,9 +492,10 @@ func TestDrainFinishesHeldCells(t *testing.T) {
 }
 
 // TestFailedRunsAreReported: an execution error is uploaded as a failure
-// (a timeout as a transient one), a lease whose spec does not match its
-// address is refused without running, and a failed lease request costs one
-// PollInterval, not the session.
+// (a deadline error as a transient one), a lease whose spec does not match
+// its address is refused without running, a run that outlasts its lease is
+// stopped by the heartbeat revoking it and uploads nothing, and a failed
+// lease request costs one PollInterval, not the session.
 func TestFailedRunsAreReported(t *testing.T) {
 	p := newPlane(t)
 	var mu sync.Mutex
@@ -523,8 +525,11 @@ func TestFailedRunsAreReported(t *testing.T) {
 	front := httptest.NewServer(mux)
 	defer front.Close()
 
-	cells := p.add(3)
-	boom, slow, forged := cells[0], cells[1], cells[2]
+	cells := p.add(4)
+	boom, late, forged, slow := cells[0], cells[1], cells[2], cells[3]
+	// The server's progress budget: the slow cell's lease is revoked at the
+	// first heartbeat that lists it.
+	p.revoke[slow.Digest()] = true
 	// The third lease carries a spec that is not the one its digest names.
 	p.onLease = func(l *workerproto.Lease) {
 		if l.Spec == forged {
@@ -537,12 +542,14 @@ func TestFailedRunsAreReported(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- Run(ctx, Options{
-			Server: front.URL, Capacity: 1, PollInterval: time.Millisecond, CellTimeout: 20 * time.Millisecond,
+			Server: front.URL, Capacity: 1, PollInterval: time.Millisecond,
 			Client: &httpx.RetryClient{}, Telemetry: tel,
 			Run: func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
 				switch spec {
 				case boom:
 					return nil, errors.New("boom")
+				case late:
+					return nil, fmt.Errorf("host overloaded: %w", context.DeadlineExceeded)
 				case slow:
 					<-ctx.Done()
 					return nil, ctx.Err()
@@ -557,11 +564,11 @@ func TestFailedRunsAreReported(t *testing.T) {
 		mu.Lock()
 		n := len(got)
 		mu.Unlock()
-		if n == 3 {
+		if n == 3 && tel.CellsAbandoned.Value() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of 3 failures were reported", n)
+			t.Fatalf("only %d of 3 failures were reported, %d revoked cells abandoned", n, tel.CellsAbandoned.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -572,8 +579,14 @@ func TestFailedRunsAreReported(t *testing.T) {
 	if r := got[boom.Digest()]; r.Result != nil || r.Error != "boom" || r.Transient {
 		t.Errorf("failed run reported as %+v", r)
 	}
-	if r := got[slow.Digest()]; r.Result != nil || r.Error == "" || !r.Transient {
-		t.Errorf("timed-out run reported as %+v, want a transient failure", r)
+	if r := got[late.Digest()]; r.Result != nil || r.Error == "" || !r.Transient {
+		t.Errorf("run ended on a deadline reported as %+v, want a transient failure", r)
+	}
+	if r, uploaded := got[slow.Digest()]; uploaded {
+		t.Errorf("revoked run uploaded %+v, want nothing", r)
+	}
+	if got := tel.LeasesRevoked.Value(); got != 1 {
+		t.Errorf("dnc_worker_leases_revoked_total = %d, want 1", got)
 	}
 	if r := got[forged.Digest()]; r.Result != nil || r.Error == "" {
 		t.Errorf("mismatched lease reported as %+v, want a refusal", r)
@@ -774,5 +787,63 @@ func TestSessionOverWorkAPI(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunOn returned %v, want context.Canceled", err)
+	}
+}
+
+// TestRevokedCellLeasedAgain: a revoked cell handed back to the same session
+// while its old run is still unwinding stays reachable. The old run's end
+// must not drop the new run from the heartbeat's active list, or the next
+// revocation could never reach it.
+func TestRevokedCellLeasedAgain(t *testing.T) {
+	api := &directAPI{
+		leases:  make(chan workerproto.Lease),
+		unknown: map[string]bool{}, revoke: map[string]bool{}, completes: map[string]string{},
+	}
+	c := workerproto.CellSpec{Workload: "Web-Frontend", Design: "baseline", Cores: 2, Warm: 600, Measure: 600, Seed: 1}
+	l := workerproto.Lease{Digest: c.Digest(), Key: c.Key(), Spec: c}
+	setRevoked := func(on bool) {
+		api.mu.Lock()
+		api.revoke[l.Digest] = on
+		api.mu.Unlock()
+	}
+	started, release, ended := make(chan int, 2), make(chan struct{}), make(chan error, 1)
+	var runs atomic.Int64
+	run := func(ctx context.Context, _ workerproto.CellSpec) (*runner.ResultJSON, error) {
+		n := int(runs.Add(1))
+		started <- n
+		<-ctx.Done()
+		if n == 1 {
+			<-release // the first run unwinds slowly
+		} else {
+			ended <- context.Cause(ctx)
+		}
+		return nil, ctx.Err()
+	}
+	tel := NewTelemetry()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go RunOn(ctx, api, Options{Capacity: 2, PollInterval: time.Hour, Run: run, Telemetry: tel})
+
+	api.leases <- l
+	<-started
+	setRevoked(true)
+	for tel.LeasesRevoked.Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	setRevoked(false)
+	api.leases <- l
+	<-started
+	close(release)
+	for tel.CellsAbandoned.Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	setRevoked(true)
+	select {
+	case cause := <-ended:
+		if !errors.Is(cause, errRevoked) {
+			t.Fatalf("second run ended with %v, want errRevoked", cause)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second run of a re-leased cell could not be revoked")
 	}
 }

@@ -199,6 +199,37 @@ func TestRefusedInProcessUploadFailsTheCell(t *testing.T) {
 	}
 }
 
+// TestInProcessRunsHaveTheLeaseBudget: with no remote worker, a cell whose
+// run never ends is revoked by the in-process client's own heartbeat once
+// it is held past LeaseMaxAge, like a frozen remote worker's; each
+// revocation spends an attempt, and out of retries the cell fails for its
+// job with the budget error, not dead-lettered.
+func TestInProcessRunsHaveTheLeaseBudget(t *testing.T) {
+	var runs atomic.Int64
+	e := newTestEnv(t, func(c *Config) {
+		c.LeaseTTL, c.LeaseMaxAge, c.Retries = 300*time.Millisecond, 200*time.Millisecond, 1
+		c.RunCell = func(ctx context.Context, _ workerproto.CellSpec) (*runner.ResultJSON, error) {
+			runs.Add(1)
+			<-ctx.Done() // only a revocation (or the drain) ends it
+			return nil, ctx.Err()
+		}
+	})
+	fin := e.waitJob(e.submit(smallSpec()).ID)
+	lines := e.streamResults(fin.ID)
+	if len(lines) != 1 {
+		t.Fatalf("job = %s with %d outcomes, want 1", fin.State, len(lines))
+	}
+	if o := lines[0].Outcome; o.Status != OutcomeFailed || o.Attempts != 2 || !strings.Contains(o.Error, errLeaseBudget.Error()) {
+		t.Fatalf("outcome = %+v, want failed after 2 attempts with the budget error", o)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("the in-process client ran the cell %d times, want 2", got)
+	}
+	if dls := e.srv.DeadLetters(); len(dls) != 0 {
+		t.Fatalf("a budget revocation was dead-lettered: %+v", dls)
+	}
+}
+
 // TestWorkerPlaneLastWorkerDiesMidJob: the only remote worker leases every
 // cell of a job and stops without uploading any. After its TTL the server
 // reaps it and the cells finish on the in-process client, bit-identical and

@@ -249,8 +249,10 @@ type CompleteRequest struct {
 	Result   *runner.ResultJSON `json:"result,omitempty"`
 	// Error carries a failed execution's message (Result nil).
 	Error string `json:"error,omitempty"`
-	// Transient marks the failure worth retrying (the worker's per-cell
-	// deadline expired, as opposed to a deterministic panic).
+	// Transient marks the failure worth retrying (the run ended on a
+	// deadline, as opposed to a deterministic panic). A worker sets no
+	// deadline of its own: the server's progress budget revokes a lease
+	// that runs too long, and a revoked cell uploads nothing.
 	Transient bool `json:"transient,omitempty"`
 }
 

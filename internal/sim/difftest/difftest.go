@@ -110,7 +110,7 @@ type Shim struct {
 // NewShim wraps inner with a lockstep checker replaying the same committed
 // stream through model. coreID labels divergences; strict additionally
 // checks the phantom-residency invariant, which requires the run to disable
-// wrong-path fetch pollution (core.Config.WrongPathBlocks = 0).
+// wrong-path fetch pollution (a negative core.Config.WrongPathBlocks).
 func NewShim(inner prefetch.Design, model *oracle.Model, coreID int, strict bool) *Shim {
 	return &Shim{
 		inner:     inner,
@@ -335,7 +335,7 @@ type Options struct {
 	// defaults.
 	Core *core.Config
 	// Strict enables the phantom-residency check (first-touch hits must be
-	// backed by an issued prefetch) and forces WrongPathBlocks to 0, since
+	// backed by an issued prefetch) and turns wrong-path fetch off, since
 	// wrong-path fills legitimately create first-touch hits.
 	Strict bool
 	// TraceEvents sizes the event-trace ring used for divergence windows
@@ -432,7 +432,7 @@ func Run(ctx context.Context, o Options) (sim.Result, *Report, error) {
 	if o.Strict {
 		// Wrong-path fills install blocks without design involvement,
 		// which would trip the phantom-residency check.
-		cc.WrongPathBlocks = 0
+		cc.WrongPathBlocks = -1
 	}
 	cc.PrefetchBufferEntries = o.PrefetchBufferEntries
 

@@ -42,9 +42,7 @@ func applyDefaults(rc RunConfig) RunConfig {
 	if rc.MeasureCycles == 0 {
 		rc.MeasureCycles = 200_000
 	}
-	if rc.Core.FetchWidth == 0 {
-		rc.Core = core.DefaultConfig()
-	}
+	rc.Core = rc.Core.Normalized()
 	if rc.LLC == (llc.Config{}) {
 		// Variable-length workloads need the DV-LLC for branch footprints;
 		// any explicitly supplied LLC configuration keeps its DVEnabled (the

@@ -20,7 +20,6 @@ import (
 type journalEntry struct {
 	ID        string      `json:"id"`
 	Status    Status      `json:"status"`
-	Attempts  int         `json:"attempts"`
 	ElapsedMS int64       `json:"elapsed_ms"`
 	Error     string      `json:"error,omitempty"`
 	Result    *ResultJSON `json:"result,omitempty"`
@@ -93,22 +92,15 @@ func (jr *ResultJSON) Result() sim.Result {
 type journal struct {
 	f    *os.File
 	done map[string]sim.Result // cells journaled "ok" by a previous sweep
-	// syncEvery batches fsyncs: the file is synced after every syncEvery
-	// appends (1 = after each) and once more at close.
-	syncEvery int
-	pending   int
-	errs      []error
+	errs []error
 }
 
 // openJournal loads completed cells from an existing journal (if any) and
 // opens it for appending. A corrupt trailing line — e.g. from a process
 // killed mid-write — is skipped rather than fatal: the cell it described
 // simply re-runs.
-func openJournal(path string, syncEvery int) (*journal, error) {
-	if syncEvery <= 0 {
-		syncEvery = 1
-	}
-	j := &journal{done: make(map[string]sim.Result), syncEvery: syncEvery}
+func openJournal(path string) (*journal, error) {
+	j := &journal{done: make(map[string]sim.Result)}
 	f, err := jsonl.OpenAppend(path, func(line []byte) {
 		var e journalEntry
 		if json.Unmarshal(line, &e) == nil && e.Status == StatusOK && e.Result != nil {
@@ -132,14 +124,13 @@ func (j *journal) completed(id string) (sim.Result, bool) {
 	return r, ok
 }
 
-// append writes one finished cell as a single JSONL line and syncs it on
-// the configured cadence, so a kill -9 loses at most the in-flight cells
-// plus the unsynced tail, never a synced record. Caller must serialize.
+// append writes one finished cell as a single JSONL line and syncs it, so a
+// kill -9 loses at most the in-flight cells, never a journaled one. Caller
+// must serialize.
 func (j *journal) append(res CellResult) {
 	e := journalEntry{
 		ID:        res.ID,
 		Status:    res.Status,
-		Attempts:  res.Attempts,
 		ElapsedMS: res.Elapsed.Milliseconds(),
 	}
 	if res.Err != nil {
@@ -157,18 +148,9 @@ func (j *journal) append(res CellResult) {
 		j.errs = append(j.errs, fmt.Errorf("runner: journal write for cell %s: %w", res.ID, err))
 		return
 	}
-	j.pending++
-	if j.pending >= j.syncEvery {
-		j.sync()
-	}
-}
-
-// sync flushes pending appends to stable storage.
-func (j *journal) sync() {
 	if err := j.f.Sync(); err != nil {
-		j.errs = append(j.errs, fmt.Errorf("runner: journal sync: %w", err))
+		j.errs = append(j.errs, fmt.Errorf("runner: journal sync for cell %s: %w", res.ID, err))
 	}
-	j.pending = 0
 }
 
 // Err returns every write/sync failure the journal accumulated. Safe on a
@@ -180,13 +162,10 @@ func (j *journal) Err() error {
 	return errors.Join(j.errs...)
 }
 
-// close flushes the unsynced tail and closes the file, recording failures.
+// close closes the file, recording failures.
 func (j *journal) close() {
 	if j == nil || j.f == nil {
 		return
-	}
-	if j.pending > 0 {
-		j.sync()
 	}
 	if err := j.f.Close(); err != nil {
 		j.errs = append(j.errs, fmt.Errorf("runner: journal close: %w", err))

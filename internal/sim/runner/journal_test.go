@@ -3,46 +3,17 @@ package runner
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-// TestSweepJournalSyncEvery checks that batched fsync still journals every
-// cell and that a follow-up sweep resumes them all.
-func TestSweepJournalSyncEvery(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	cells := make([]Cell, 4)
-	for i := range cells {
-		cells[i] = Cell{ID: fmt.Sprintf("c%d", i), Config: testConfig(i, newBaseline)}
-	}
-	rep, err := Sweep(context.Background(), cells, Options{
-		Jobs:        2,
-		JournalPath: journal,
-		SyncEvery:   64, // larger than the sweep: only the final sync runs
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK != len(cells) {
-		t.Fatalf("ok = %d, want %d", rep.OK, len(cells))
-	}
-	rep2, err := Sweep(context.Background(), cells, Options{JournalPath: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Resumed != len(cells) {
-		t.Fatalf("batched-sync journal lost cells: resumed %d of %d", rep2.Resumed, len(cells))
-	}
-}
 
 // TestJournalSurfacesWriteErrors: a journal that can no longer be written
 // (file closed underneath, disk gone) must report the failure through Err
 // instead of silently losing the record — Sweep folds this into its return.
 func TestJournalSurfacesWriteErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := openJournal(path, 1)
+	j, err := openJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,6 @@ type Progress struct {
 	ok      int
 	failed  int
 	resumed int
-	// retried counts extra attempts beyond each cell's first.
-	retried int
 	// running maps each in-flight cell to the last simulated cycle its
 	// engine reported through RunConfig.OnAdvance; cycles is their sum,
 	// kept as they move so a scrape reads it without walking the map.
@@ -89,9 +87,6 @@ func (p *Progress) observe(res CellResult) {
 	default:
 		p.failed++
 	}
-	if res.Attempts > 1 {
-		p.retried += res.Attempts - 1
-	}
 	p.mu.Unlock()
 }
 
@@ -113,7 +108,7 @@ func (p *Progress) Register(reg *telemetry.Registry) {
 		"Cells this process's sweeps ran to completion.",
 		count(&p.ok))
 	reg.GaugeFunc("dnc_inflight_cells",
-		"Cells a sweep has begun and not finished: executing or sleeping between retries.",
+		"Cells a sweep has begun and not finished.",
 		func() float64 {
 			p.mu.Lock()
 			defer p.mu.Unlock()
@@ -131,17 +126,15 @@ func (p *Progress) Register(reg *telemetry.Registry) {
 	reg.CounterFunc("dnc_sweep_cells_done_total",
 		"Cells whose sweep outcome is final: completed, failed or resumed.", count(&p.done))
 	reg.CounterFunc("dnc_sweep_cells_failed_total",
-		"Cells whose every sweep attempt failed (drains and cancellations included).", count(&p.failed))
+		"Cells whose sweep run failed (drains and cancellations included).", count(&p.failed))
 	reg.CounterFunc("dnc_sweep_cells_resumed_total",
 		"Cells a sweep restored from its journal instead of running.", count(&p.resumed))
-	reg.CounterFunc("dnc_sweep_retries_total",
-		"Sweep attempts beyond each cell's first.", count(&p.retried))
 }
 
 // ProgressSnapshot is a point-in-time view of a sweep.
 type ProgressSnapshot struct {
-	Total, Done, OK, Failed, Resumed, Retried int
-	Elapsed                                   time.Duration
+	Total, Done, OK, Failed, Resumed int
+	Elapsed                          time.Duration
 	// CellsPerSec is the completion rate so far; ETA extrapolates it over
 	// the remaining cells (zero when the rate is unknown).
 	CellsPerSec float64
@@ -156,7 +149,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	p.mu.Lock()
 	s := ProgressSnapshot{
 		Total: p.total, Done: p.done, OK: p.ok, Failed: p.failed,
-		Resumed: p.resumed, Retried: p.retried,
+		Resumed: p.resumed,
 		Elapsed: time.Since(p.start),
 	}
 	p.mu.Unlock()
@@ -178,9 +171,6 @@ func (s ProgressSnapshot) String() string {
 	}
 	if s.Resumed > 0 {
 		fmt.Fprintf(&b, ", %d resumed", s.Resumed)
-	}
-	if s.Retried > 0 {
-		fmt.Fprintf(&b, ", %d retried", s.Retried)
 	}
 	if s.CellsPerSec > 0 {
 		fmt.Fprintf(&b, ", %.1f cells/s", s.CellsPerSec)

@@ -35,16 +35,16 @@ func TestProgressTally(t *testing.T) {
 	p.addTotal(4)
 	p.begin("a")
 	p.begin("b")
-	p.observe(CellResult{ID: "a", Status: StatusOK, Attempts: 1})
-	p.observe(CellResult{ID: "b", Status: StatusFailed, Attempts: 3})
+	p.observe(CellResult{ID: "a", Status: StatusOK})
+	p.observe(CellResult{ID: "b", Status: StatusFailed})
 	p.begin("c")
 
 	s := p.Snapshot()
-	if s.Total != 4 || s.Done != 2 || s.OK != 1 || s.Failed != 1 || s.Retried != 2 {
+	if s.Total != 4 || s.Done != 2 || s.OK != 1 || s.Failed != 1 {
 		t.Errorf("snapshot = %+v", s)
 	}
 	str := s.String()
-	for _, want := range []string{"2/4 cells", "1 failed", "2 retried"} {
+	for _, want := range []string{"2/4 cells", "1 failed"} {
 		if !strings.Contains(str, want) {
 			t.Errorf("String() = %q, missing %q", str, want)
 		}
@@ -143,9 +143,9 @@ func TestProgressMetrics(t *testing.T) {
 	p.begin("c")
 	p.advance("a", 3000)
 	p.advance("b", 1000)
-	p.observe(CellResult{ID: "c", Status: StatusOK, Attempts: 2})
+	p.observe(CellResult{ID: "c", Status: StatusOK})
 	p.observe(CellResult{ID: "d", Status: StatusResumed})
-	p.observe(CellResult{ID: "e", Status: StatusFailed, Attempts: 4})
+	p.observe(CellResult{ID: "e", Status: StatusFailed})
 	want := map[string]float64{
 		"dnc_cells_simulated_total":      1,
 		"dnc_inflight_cells":             2,
@@ -154,7 +154,6 @@ func TestProgressMetrics(t *testing.T) {
 		"dnc_sweep_cells_done_total":     3,
 		"dnc_sweep_cells_failed_total":   1,
 		"dnc_sweep_cells_resumed_total":  1,
-		"dnc_sweep_retries_total":        4,
 	}
 	got := scrapeProgress(t, reg)
 	if len(got) != len(want) || len(reg.Names()) != len(want) {
@@ -221,7 +220,6 @@ func TestProgressMetrics(t *testing.T) {
 		"dnc_sweep_cells_done_total":     n,
 		"dnc_sweep_cells_failed_total":   0,
 		"dnc_sweep_cells_resumed_total":  0,
-		"dnc_sweep_retries_total":        0,
 	} {
 		if got[name] != v {
 			t.Errorf("after the sweep %s = %v, want %v", name, got[name], v)

@@ -1,17 +1,16 @@
 // Package runner is the fault-tolerant parallel sweep engine. It fans
 // simulation cells (workload × design × seed points) across a bounded pool
 // of workers, isolates each cell's failures through sim.RunChecked (panics,
-// livelocks, timeouts become recorded data, not process aborts), retries
-// transiently failed cells with exponential backoff, and journals every
-// finished cell to a JSONL file so an interrupted sweep resumes where it
-// stopped instead of starting over.
+// livelocks, timeouts become recorded data, not process aborts), runs each
+// cell exactly once (a deterministic simulator's panic or livelock recurs on
+// every attempt), and journals every finished cell to a JSONL file so an
+// interrupted sweep resumes where it stopped instead of starting over.
 package runner
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -33,8 +32,8 @@ type Status string
 const (
 	// StatusOK is a successfully completed run.
 	StatusOK Status = "ok"
-	// StatusFailed is a run whose final attempt errored (panic, livelock,
-	// timeout, validation, cancellation).
+	// StatusFailed is a run that errored (panic, livelock, timeout,
+	// validation, cancellation).
 	StatusFailed Status = "failed"
 	// StatusResumed is a cell skipped because a journal from a previous
 	// sweep already records it as completed; its Result is restored from
@@ -44,53 +43,28 @@ const (
 
 // CellResult is the outcome of one cell.
 type CellResult struct {
-	ID       string
-	Status   Status
-	Result   sim.Result // valid when Status is ok or resumed
-	Err      error      // non-nil when Status is failed
-	Attempts int
-	Elapsed  time.Duration
+	ID      string
+	Status  Status
+	Result  sim.Result // valid when Status is ok or resumed
+	Err     error      // non-nil when Status is failed
+	Elapsed time.Duration
 }
 
 // Options tunes a sweep.
 type Options struct {
 	// Jobs bounds concurrently executing cells (0 = GOMAXPROCS).
 	Jobs int
-	// Timeout is the per-attempt wall-clock budget (0 = none).
+	// Timeout is the per-cell wall-clock budget (0 = none).
 	Timeout time.Duration
-	// Retries is how many times a transiently failed cell is re-attempted
-	// after its first failure.
-	Retries int
-	// Backoff is the base retry delay (0 = DefaultBackoff). The actual
-	// delay grows exponentially per attempt up to BackoffMax and carries
-	// equal jitter — half the exponential value fixed, half uniformly
-	// random — so cells that failed together (an oversubscribed machine
-	// timing out a whole worker pool at once) retry spread out instead of
-	// stampeding back simultaneously.
-	Backoff time.Duration
-	// BackoffMax caps the exponential growth of the retry delay
-	// (0 = DefaultBackoffMax).
-	BackoffMax time.Duration
-	// JournalPath appends every finished cell to this JSONL file and, when
-	// the file already holds completed cells from an earlier sweep, skips
-	// re-executing them ("" = no journal).
+	// JournalPath appends every finished cell to this JSONL file, synced
+	// after each append, and, when the file already holds completed cells
+	// from an earlier sweep, skips re-executing them ("" = no journal).
 	JournalPath string
-	// SyncEvery batches journal fsyncs: the file is synced to stable
-	// storage after every SyncEvery appended cells (0 or 1 = after each)
-	// and once more when the sweep finishes. Larger values trade crash
-	// durability of the journal tail for fewer fsyncs on large sweeps.
-	SyncEvery int
-	// Transient reports whether an error is worth retrying. Defaults to
-	// timeouts only: in a deterministic simulator a panic or livelock
-	// reproduces on every attempt, but a timeout may just mean the machine
-	// was oversubscribed.
-	Transient func(error) bool
-	// Run, when set, replaces the default per-attempt executor
-	// (sim.RunChecked). The cfg argument is the cell's config with the
-	// runner's progress hook applied. It exists so tests can substitute
-	// deterministic fakes or chaos runs through sim.RunInjected while
-	// keeping the retry, backoff and journal machinery identical to
-	// production.
+	// Run, when set, replaces the default executor (sim.RunChecked). The
+	// cfg argument is the cell's config with the runner's progress hook
+	// applied. It exists so tests can substitute deterministic fakes or
+	// chaos runs through sim.RunInjected while keeping the pool and journal
+	// machinery identical to production.
 	Run func(ctx context.Context, c Cell, cfg sim.RunConfig) (sim.Result, error)
 	// OnResult, when set, observes each finished cell (called serially).
 	OnResult func(CellResult)
@@ -105,18 +79,8 @@ type Options struct {
 type Report struct {
 	Cells []CellResult
 	// OK counts freshly completed cells, Resumed journal-restored ones,
-	// Failed cells whose every attempt errored.
+	// Failed cells whose run errored.
 	OK, Resumed, Failed int
-}
-
-// ByID returns the result for a cell ID.
-func (r *Report) ByID(id string) (CellResult, bool) {
-	for _, c := range r.Cells {
-		if c.ID == id {
-			return c, true
-		}
-	}
-	return CellResult{}, false
 }
 
 // FirstErr returns the first failed cell's error, or nil.
@@ -127,53 +91,6 @@ func (r *Report) FirstErr() error {
 		}
 	}
 	return nil
-}
-
-func defaultTransient(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded)
-}
-
-// Default retry-backoff parameters (see Options.Backoff).
-const (
-	DefaultBackoff    = 100 * time.Millisecond
-	DefaultBackoffMax = 30 * time.Second
-)
-
-// Test seams for the backoff path: production uses a real timer and the
-// global math/rand source; the schedule-pinning test substitutes a fake
-// clock and a deterministic jitter sequence.
-var (
-	backoffRand = rand.Float64
-	sleepRetry  = func(ctx context.Context, d time.Duration) {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-		}
-	}
-)
-
-// backoffDelay returns the delay before retry number attempt (1-based): the
-// base doubles per attempt up to max, and the result carries equal jitter —
-// delay/2 guaranteed plus up to delay/2 uniformly random — bounding both
-// sides (never less than half the exponential value, never more than it).
-func backoffDelay(base, max time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = DefaultBackoff
-	}
-	if max <= 0 {
-		max = DefaultBackoffMax
-	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d <<= 1
-	}
-	if d > max {
-		d = max
-	}
-	half := d / 2
-	return half + time.Duration(backoffRand()*float64(d-half))
 }
 
 // DefaultCheckpointEvery is a snapshot cadence in simulated cycles, 1<<16.
@@ -208,7 +125,7 @@ func Sweep(ctx context.Context, cells []Cell, o Options) (*Report, error) {
 	var jr *journal
 	if o.JournalPath != "" {
 		var err error
-		if jr, err = openJournal(o.JournalPath, o.SyncEvery); err != nil {
+		if jr, err = openJournal(o.JournalPath); err != nil {
 			return nil, err
 		}
 	}
@@ -275,12 +192,10 @@ func Sweep(ctx context.Context, cells []Cell, o Options) (*Report, error) {
 	return rep, errors.Join(ctx.Err(), jr.Err())
 }
 
-// runCell executes one cell with per-attempt timeouts and transient-error
-// retries. Every attempt starts from cycle 0.
+// runCell executes one cell once, under Options.Timeout.
 func runCell(ctx context.Context, c Cell, o Options) CellResult {
-	transient := o.Transient
-	if transient == nil {
-		transient = defaultTransient
+	if err := ctx.Err(); err != nil {
+		return CellResult{ID: c.ID, Status: StatusFailed, Err: err}
 	}
 	run := o.Run
 	if run == nil {
@@ -288,47 +203,29 @@ func runCell(ctx context.Context, c Cell, o Options) CellResult {
 			return sim.RunChecked(ctx, cfg)
 		}
 	}
-	start := time.Now()
-	out := CellResult{ID: c.ID, Status: StatusFailed}
-	for attempt := 1; ; attempt++ {
-		out.Attempts = attempt
-		if err := ctx.Err(); err != nil {
-			out.Err = err
-			break
-		}
-		cfg := c.Config
-		if p := o.Progress; p != nil {
-			// Feed the engine's poll-boundary cycle reports into the live
-			// progress tracker (dnc_sweep_inflight_cycles), chaining any
-			// callback the cell's own config installed.
-			id, prev := c.ID, cfg.OnAdvance
-			cfg.OnAdvance = func(cycle uint64) {
-				p.advance(id, cycle)
-				if prev != nil {
-					prev(cycle)
-				}
+	cfg := c.Config
+	if p := o.Progress; p != nil {
+		// Feed the engine's poll-boundary cycle reports into the live
+		// progress tracker (dnc_sweep_inflight_cycles), chaining any
+		// callback the cell's own config installed.
+		id, prev := c.ID, cfg.OnAdvance
+		cfg.OnAdvance = func(cycle uint64) {
+			p.advance(id, cycle)
+			if prev != nil {
+				prev(cycle)
 			}
 		}
-		rctx := ctx
-		var cancel context.CancelFunc
-		if o.Timeout > 0 {
-			rctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		}
-		r, err := run(rctx, c, cfg)
-		if cancel != nil {
-			cancel()
-		}
-		if err == nil {
-			out.Status = StatusOK
-			out.Result = r
-			break
-		}
-		out.Err = err
-		if attempt > o.Retries || !transient(err) {
-			break
-		}
-		sleepRetry(ctx, backoffDelay(o.Backoff, o.BackoffMax, attempt))
 	}
-	out.Elapsed = time.Since(start)
+	if o.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
+		defer cancel()
+	}
+	start := time.Now()
+	r, err := run(ctx, c, cfg)
+	out := CellResult{ID: c.ID, Status: StatusFailed, Err: err, Elapsed: time.Since(start)}
+	if err == nil {
+		out.Status, out.Result = StatusOK, r
+	}
 	return out
 }
