@@ -133,6 +133,7 @@ func main() {
 			printExperiment(e, 0)
 		}
 	}
+	h.Finish()
 	if *storeOut != "" {
 		n, err := h.CloseStore()
 		if err != nil {

@@ -173,6 +173,10 @@ func main() {
 	fmt.Fprintf(os.Stderr, "dncsim: %s engine on %d shard(s)\n", r.Engine, r.Shards)
 	fmt.Fprintf(os.Stderr, "dncsim: LLC holds %d of %d lines at measure start, %d at its end; %d evictions in the window\n",
 		r.LLCOccupancy[0], rc.LLC.Normalized().SizeBytes/isa.BlockBytes, r.LLCOccupancy[1], r.LLCStats.Evictions)
+	if coreCycles := uint64(len(r.PerCore)) * (*warm + *measure); coreCycles > 0 {
+		fmt.Fprintf(os.Stderr, "dncsim: ticked %d of %d core-cycles (%.1f%%), fast-forwarded the rest\n",
+			r.TickedCycles, coreCycles, 100*float64(r.TickedCycles)/float64(coreCycles))
+	}
 	report(r)
 	reportObs(r)
 	if *traceOut != "" && r.Obs != nil {

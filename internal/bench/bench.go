@@ -151,6 +151,19 @@ func (h *Harness) onResult() func(runner.CellResult) {
 	}
 }
 
+// Finish prints the final progress summary when ProgressOut is set and a
+// cell was observed. onResult refreshes the line at most once per
+// progressInterval, so without this a short or fully journal-resumed sweep
+// would end on a stale count.
+func (h *Harness) Finish() {
+	if h.cfg.ProgressOut == nil {
+		return
+	}
+	if s := h.cfg.Progress.Snapshot(); s.Done > 0 {
+		fmt.Fprintf(h.cfg.ProgressOut, "bench: %s\n", s)
+	}
+}
+
 // storeResult appends one finished cell (scalars and histograms) to the
 // column store. Journal-resumed cells pass through too —
 // their restored ResultJSON carries everything the store needs — and the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"dnc/internal/prefetch"
 	"dnc/internal/sim/runner"
@@ -205,6 +206,31 @@ func TestPrewarmJournalResume(t *testing.T) {
 	}
 	if h2.Full("Web-Frontend").Probes != nil {
 		t.Fatal("prewarm re-ran a journaled cell instead of resuming it")
+	}
+}
+
+// TestProgressEndsOnFinalCount: over a fully resumed journal the throttled
+// progress line prints once, for the first cell, and Finish brings it to the
+// final count.
+func TestProgressEndsOnFinalCount(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "bench.jsonl")
+	cfg := Config{
+		Cores: 2, WarmCycles: 10_000, MeasureCycles: 10_000,
+		Workloads: []string{"Web-Frontend", "OLTP-DB-A"}, Seed: 1,
+	}
+	if err := New(cfg).Prewarm(context.Background(), journal); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	cfg.ProgressOut = &out
+	h := New(cfg)
+	if err := h.Prewarm(context.Background(), journal); err != nil {
+		t.Fatal(err)
+	}
+	h.Finish()
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "bench: 6/6 cells, 6 resumed") {
+		t.Fatalf("progress ends on %q, want the 6/6 cells, 6 resumed summary\n%s", last, out.String())
 	}
 }
 

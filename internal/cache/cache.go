@@ -146,6 +146,43 @@ func (c *Cache) Access(b isa.BlockID) *Line {
 	return &c.lines[i]
 }
 
+// AccessOrInsert is Access followed, on a miss, by Insert, in one scan of
+// the set: it reports a hit, promoting the line to MRU, or fills b over the
+// victim Insert would pick and drops the victim. Clock, recency and hint end
+// exactly as the two calls leave them.
+func (c *Cache) AccessOrInsert(b isa.BlockID) (hit bool) {
+	si := c.setOf(b)
+	s := si * c.ways
+	key := tagKey(b)
+	i := -1
+	if h := int(c.hints[si]); h < c.ways && c.tags[s+h] == key {
+		i = s + h
+	} else {
+		vi := s
+		for w, t := range c.tags[s : s+c.ways] {
+			if t == key {
+				c.hints[si] = uint8(w)
+				i = s + w
+				break
+			}
+			if c.lrus[s+w] < c.lrus[vi] {
+				vi = s + w
+			}
+		}
+		if i < 0 {
+			c.clock++
+			c.lines[vi] = Line{tag: b, valid: true, lru: c.clock}
+			c.tags[vi] = key
+			c.lrus[vi] = c.clock
+			return false
+		}
+	}
+	c.clock++
+	c.lines[i].lru = c.clock
+	c.lrus[i] = c.clock
+	return true
+}
+
 // Insert fills block b, evicting the LRU way if the set is full. It returns
 // the filled line and, when a valid line was displaced, its victim state
 // (evicted reports whether ev is meaningful). The victim is returned by

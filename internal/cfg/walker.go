@@ -217,7 +217,7 @@ func (w *Walker) seek(bb int32, idx int) {
 
 // dataAddr synthesises a load/store effective address with a hot/cold skew.
 func (w *Walker) dataAddr() isa.Addr {
-	p := w.prog.Params
+	p := &w.prog.Params
 	if w.rng.Float64() < p.DataHotProb {
 		return w.dataHotBase + isa.Addr(w.rng.Intn(p.DataHotBytes))&^7
 	}

@@ -173,6 +173,18 @@ type Core struct {
 	// metamorphic reference configuration).
 	qz   prefetch.Quiescer
 	noFF bool
+	// ret is the design's retirement hook, nil when it has none. headWakes
+	// says that a completing ROB head ends every pure-stall window, as it
+	// must when retiring calls ret or writes a branch footprint through to
+	// the shared DV-LLC (recordBF); otherwise only a backend stall wakes on
+	// it, and the windows retire in place (see retire).
+	ret       prefetch.Retirer
+	headWakes bool
+	// ticked counts the cycles Tick advanced, as opposed to FastForward:
+	// how much per-cycle work the engine actually did; windowRetired counts
+	// the instructions retired inside pure-stall windows. Both are host-side
+	// bookkeeping, outside Metrics and the checkpoint.
+	ticked, windowRetired uint64
 
 	// Fetch state.
 	step     wl.Step
@@ -251,6 +263,8 @@ func New(cf Config, stream wl.Stream, image *isa.Image, design prefetch.Design, 
 		c.bfCache = blockmap.New[isa.BF](1024)
 	}
 	c.qz, _ = design.(prefetch.Quiescer)
+	c.ret, _ = design.(prefetch.Retirer)
+	c.headWakes = c.ret != nil || c.bfCache != nil
 	design.Bind(c)
 	return c
 }
@@ -378,10 +392,12 @@ func (c *Core) PredictTaken(pc isa.Addr) bool { return c.tage.Predict(pc) }
 // Tick advances the core one cycle. Cores are ticked in tile order by the
 // runner, making shared-fabric contention deterministic.
 func (c *Core) Tick() {
+	c.ticked++
 	if c.cycle < c.idleWake {
 		// Pure-stall fast path: computeIdleWake proved that every cycle up
-		// to idleWake charges ffCause and mutates nothing else, so the full
-		// fetch/retire/design machinery is skipped bit-exactly.
+		// to idleWake retires in place, charges ffCause and mutates nothing
+		// else, so the fetch and design machinery is skipped bit-exactly.
+		c.retireInWindow(1)
 		c.M.chargeStall(c.ffCause)
 		if c.hooks.Tracer != nil {
 			c.traceStall(c.ffCause)
@@ -392,7 +408,7 @@ func (c *Core) Tick() {
 	}
 
 	c.processFills()
-	c.retire()
+	c.retire(1)
 
 	c.delivered = 0
 	c.transitions = 0
@@ -431,27 +447,36 @@ func (c *Core) Tick() {
 // stall when Tick would only charge one stall cause and advance the clock;
 // that holds exactly when, at the start of the cycle:
 //
-//   - nothing delivered last cycle and the charged cause was one of
-//     icache-wait, redirect bubble (mispredict or BTB), or backend (ROB
-//     full). The empty-FTQ cause is excluded: FTQGate is re-consulted every
-//     stalled cycle and may mutate design state;
+//   - fetch stopped last cycle on one of icache-wait, redirect bubble
+//     (mispredict or BTB), or backend (ROB full), recorded in cycleCause,
+//     whether or not it delivered first: the fetchOne that stopped checked
+//     the ROB, the bubble and the waited block in the order the next cycle
+//     will, and nothing fetch reads changed after it. The empty-FTQ cause is
+//     excluded: FTQGate is re-consulted every stalled cycle and may mutate
+//     design state. A full-width cycle, or one that stopped at its second
+//     block transition, records no cause and is not skipped;
 //   - the design's Tick is quiescent (Quiescer): it would mutate no state
 //     and probe nothing (probes count cache lookups);
-//   - no MSHR fill is due, no ROB head completes (retirement mutates
-//     metrics and calls design hooks), and no redirect bubble expires
-//     before the cycle. All fetch-side stall checks then re-derive the
-//     identical cause from identical state — the stalled fetchOne path
-//     reads (robCount, stallUntil, l1i residency) and mutates nothing, and
-//     never draws from the instruction stream (a pending step is always
-//     held while stalled).
+//   - no MSHR fill is due and no redirect bubble expires before the cycle.
+//     All fetch-side stall checks then re-derive the identical cause from
+//     identical state — the stalled fetchOne path reads (robCount,
+//     stallUntil, l1i residency) and mutates nothing, and never draws from
+//     the instruction stream (a pending step is always held while stalled);
+//   - no ROB head completes before the cycle, if the cause is backend (a
+//     retirement frees the slot fetch waits for) or headWakes is set (a
+//     retirement calls the design's OnRetire or writes the DV-LLC, which
+//     must happen in a full Tick). Otherwise retirement is the window's one
+//     other effect: it touches only the ROB and the retirement counters,
+//     and can only empty a ROB that was not full, so the cause stands, and
+//     the skipped cycles retire in place (retire over the window's span).
 //
-// The wakeup is the earliest of those three event times; idleWake is left
-// at zero (no fast path) when any obligation fails. The window is bounded
-// by component latencies (redirect bubbles and LLC/DRAM round trips), so
-// the livelock watchdog's cadence is unaffected.
+// The wakeup is the earliest of those event times; idleWake is left at zero
+// (no fast path) when any obligation fails. The window is bounded by
+// component latencies (redirect bubbles and LLC/DRAM round trips), so the
+// livelock watchdog's cadence is unaffected.
 func (c *Core) computeIdleWake() {
 	c.idleWake = 0
-	if c.noFF || c.delivered != 0 {
+	if c.noFF {
 		return
 	}
 	cause := c.cycleCause
@@ -474,7 +499,7 @@ func (c *Core) computeIdleWake() {
 		}
 	}
 	wake := ^uint64(0)
-	if c.robCount > 0 {
+	if c.robCount > 0 && (cause == obs.StallBackend || c.headWakes) {
 		wake = c.rob[c.robHead].complete
 	}
 	if er, ok := c.mshr.EarliestReady(); ok && er < wake {
@@ -490,6 +515,15 @@ func (c *Core) computeIdleWake() {
 	c.ffCause = cause
 }
 
+// TickedCycles returns how many cycles the core advanced through Tick rather
+// than FastForward since it was built (a restored core counts from its
+// restore).
+func (c *Core) TickedCycles() uint64 { return c.ticked }
+
+// WindowRetired returns how many instructions the core retired inside
+// pure-stall windows, where no full Tick ran, since it was built.
+func (c *Core) WindowRetired() uint64 { return c.windowRetired }
+
 // IdleWake returns the cycle of the core's next required full Tick, or 0
 // when the next Tick cannot be skipped. While nonzero, every Tick before
 // the returned cycle is a pure stall charging a fixed cause, which lets the
@@ -497,9 +531,10 @@ func (c *Core) computeIdleWake() {
 func (c *Core) IdleWake() uint64 { return c.idleWake }
 
 // FastForward advances the core n cycles through a pure-stall window in one
-// step, bit-exact with n individual Ticks. The caller must ensure
-// Cycle()+n <= IdleWake().
+// step, bit-exact with n individual Ticks: it retires what they would have
+// and charges their stall. The caller must ensure Cycle()+n <= IdleWake().
 func (c *Core) FastForward(n uint64) {
+	c.retireInWindow(n)
 	c.M.chargeStallN(c.ffCause, n)
 	if c.hooks.Tracer != nil {
 		// Open (or extend) the coalesced stall span exactly as the first
@@ -607,22 +642,48 @@ func (c *Core) pfbTake(b isa.BlockID) (uint64, bool) {
 	return lat, true
 }
 
-// retire commits finished ROB entries.
-func (c *Core) retire() {
-	for n := 0; n < c.cf.RetireWidth && c.robCount > 0; n++ {
+// retire commits what the Ticks of the span cycles from c.cycle on would:
+// finished ROB entries, in order, at most RetireWidth per cycle. A full Tick
+// retires over a span of one cycle, FastForward over its whole window, which
+// computeIdleWake ends before any retirement that must run in a full Tick.
+func (c *Core) retire(span uint64) {
+	t, end := c.cycle, c.cycle+span
+	budget := c.cf.RetireWidth
+	for c.robCount > 0 {
 		e := &c.rob[c.robHead]
-		if e.complete > c.cycle {
-			return
+		if e.complete > t {
+			// Nothing retires until the head completes.
+			if e.complete >= end {
+				return
+			}
+			t, budget = e.complete, c.cf.RetireWidth
+		} else if budget == 0 {
+			if t++; t >= end {
+				return
+			}
+			budget = c.cf.RetireWidth
 		}
+		budget--
 		c.M.Retired++
 		c.totalRetired++
-		c.design.OnRetire(e.inst, e.taken, e.target)
+		if c.ret != nil {
+			c.ret.OnRetire(e.inst, e.taken, e.target)
+		}
 		if c.bfCache != nil && e.inst.Kind.IsBranch() {
 			c.recordBF(e.inst)
 		}
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		if c.robHead++; c.robHead == len(c.rob) {
+			c.robHead = 0
+		}
 		c.robCount--
 	}
+}
+
+// retireInWindow is retire over a span of a pure-stall window.
+func (c *Core) retireInWindow(span uint64) {
+	before := c.totalRetired
+	c.retire(span)
+	c.windowRetired += c.totalRetired - before
 }
 
 // recordBF folds a committed branch into its block's branch footprint and
@@ -636,6 +697,15 @@ func (c *Core) recordBF(inst isa.Inst) {
 }
 
 func (c *Core) robFull() bool { return c.robCount == len(c.rob) }
+
+// robTail returns the ROB slot the next delivery fills.
+func (c *Core) robTail() int {
+	t := c.robHead + c.robCount
+	if t >= len(c.rob) {
+		t -= len(c.rob)
+	}
+	return t
+}
 
 // fetchOne tries to deliver one instruction; it returns false when fetch
 // must stop for this cycle.
@@ -795,8 +865,10 @@ func (c *Core) demandAccess(b isa.BlockID) bool {
 func (c *Core) deliver() {
 	inst := c.step.Inst
 	complete := c.cycle + c.cf.PipelineDepth + c.execLatency(&c.step)
-	tail := (c.robHead + c.robCount) % len(c.rob)
-	c.rob[tail] = robEntry{complete: complete, inst: inst, taken: c.step.Taken, target: c.step.TargetPC}
+	// Field by field: a composite literal is built on the stack and copied
+	// in wide moves that stall on its narrow stores.
+	e := &c.rob[c.robTail()]
+	e.complete, e.inst, e.taken, e.target = complete, inst, c.step.Taken, c.step.TargetPC
 	c.robCount++
 	c.totalDelivered++
 	c.delivered++
@@ -817,12 +889,11 @@ func (c *Core) execLatency(s *wl.Step) uint64 {
 	case isa.KindLoad:
 		c.M.LoadCount++
 		db := isa.BlockOf(s.DataAddr)
-		if c.l1d.Access(db) != nil {
+		if c.l1d.AccessOrInsert(db) {
 			return c.cf.L1DLatency
 		}
 		c.M.L1DMisses++
 		ready := c.access(db, false, sinkLoad)
-		c.l1d.Insert(db)
 		return c.cf.L1DLatency + (ready - c.cycle)
 	case isa.KindStore:
 		c.M.StoreCount++

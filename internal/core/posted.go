@@ -27,6 +27,16 @@ import (
 // same as a skipped one. What a provisional reply adds to a counter
 // (LLCLatencySum, a late prefetch's CMAL total, a prefetch-issue event's
 // latency) is corrected by the difference.
+//
+// A skipped window retires in place (FastForward), which is one more "is it
+// due" read, of ROB completions. The engine settles a core before it
+// fast-forwards it: runCore settles first, and the sync points run after the
+// join has settled every core. So a window reads only the provisional
+// completions of loads posted in its own epoch, and those, like their true
+// values, lie past the epoch's end (a load completes no earlier than its
+// issue + lookahead, and an epoch spans at most lookahead cycles). Retirement
+// stops at such a load under either value, and retires exactly what the
+// serial engine does.
 
 // Patch names one kind of correction a reply makes.
 type Patch uint8
@@ -118,7 +128,7 @@ func (c *Core) access(b isa.BlockID, isInst bool, s sink) uint64 {
 	}
 	r := request{cycle: c.cycle, block: b, sink: s, isInst: isInst}
 	if s == sinkLoad {
-		r.slot = int32((c.robHead + c.robCount) % len(c.rob))
+		r.slot = int32(c.robTail())
 	}
 	p.reqs = append(p.reqs, r)
 	return c.cycle + p.lookahead
@@ -138,6 +148,13 @@ func (c *Core) Replay(cycle uint64) bool {
 	for ; p.next < len(p.reqs); p.next++ {
 		r := &p.reqs[p.next]
 		if r.cycle != cycle {
+			if r.cycle < cycle {
+				// Posted at a cycle the replay has passed: the core issued
+				// it outside a Tick (a design hook inside a skipped window).
+				// Waiting for its cycle would never end.
+				panic(fmt.Sprintf("core: tile %d posted a request for cycle %d, which the replay at cycle %d has passed",
+					c.cf.Tile, r.cycle, cycle))
+			}
 			return true
 		}
 		r.ready, _ = c.uncore.Access(c.cf.Tile, r.block, r.cycle, r.isInst)

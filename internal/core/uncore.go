@@ -15,17 +15,21 @@ type Uncore struct {
 	LLC  *llc.LLC
 	Mesh *noc.Mesh
 	DRAM *memory.DRAM
+	// blockFlits is the flit count of a block's data response.
+	blockFlits int
 }
 
 // NewUncore assembles the uncore of Table III around the given LLC (32 MB in
 // 16 banks by default): a 4x4 mesh with 60 ns / 85 GB/s memory behind it. An
 // owner that is done with the uncore may Release it.
 func NewUncore(l *llc.LLC) *Uncore {
-	return &Uncore{
+	u := &Uncore{
 		LLC:  l,
 		Mesh: noc.New(noc.DefaultConfig()),
 		DRAM: memory.New(memory.DefaultConfig()),
 	}
+	u.blockFlits = u.Mesh.FlitsFor(isa.BlockBytes)
+	return u
 }
 
 // Release hands the LLC back for reuse by a later uncore and detaches it, so
@@ -51,7 +55,7 @@ func (u *Uncore) Access(src int, b isa.BlockID, cycle uint64, isInst bool) (uint
 		t = u.DRAM.Access(t, isa.BlockBytes)
 		u.LLC.Insert(b, isInst)
 	}
-	t = u.Mesh.Send(noc.Tile(bank), noc.Tile(src), u.Mesh.FlitsFor(isa.BlockBytes), t)
+	t = u.Mesh.Send(noc.Tile(bank), noc.Tile(src), u.blockFlits, t)
 	return t, hit
 }
 

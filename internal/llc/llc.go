@@ -8,6 +8,7 @@ package llc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"dnc/internal/isa"
@@ -103,6 +104,11 @@ type LLC struct {
 	setsPer int // sets per bank
 	ways    int
 	bfCap   int // footprints one BF-holder stores; 0 with DV off
+	// Both counts are powers of two, so a block's bank is its low bits
+	// (bankMask) and its set within the bank the bits above them
+	// (bankShift); setShift is log2 setsPer.
+	bankMask            uint64
+	bankShift, setShift uint
 
 	lines  []uint64  // packed line per (set, way); 0 = invalid
 	lru    []uint64  // recency stamp per (set, way); 0 while invalid
@@ -169,7 +175,10 @@ func New(cfg Config) *LLC {
 		panic("llc: DV needs a way for the BF-holder and one for blocks")
 	}
 	totalSets := cfg.SizeBytes / (isa.BlockBytes * cfg.Ways)
-	if cfg.Banks <= 0 || totalSets%cfg.Banks != 0 {
+	if cfg.Banks <= 0 || cfg.Banks&(cfg.Banks-1) != 0 {
+		panic(fmt.Sprintf("llc: %d banks is not a power of two", cfg.Banks))
+	}
+	if totalSets%cfg.Banks != 0 {
 		panic(fmt.Sprintf("llc: %d sets not divisible into %d banks", totalSets, cfg.Banks))
 	}
 	setsPer := totalSets / cfg.Banks
@@ -177,16 +186,19 @@ func New(cfg Config) *LLC {
 		panic(fmt.Sprintf("llc: sets per bank %d not a power of two", setsPer))
 	}
 	c := &LLC{
-		cfg:     cfg,
-		banks:   cfg.Banks,
-		setsPer: setsPer,
-		ways:    cfg.Ways,
-		lines:   make([]uint64, totalSets*cfg.Ways),
-		lru:     make([]uint64, totalSets*cfg.Ways),
-		hints:   make([]uint8, totalSets),
-		holder:  make([]uint8, totalSets),
-		bfLen:   make([]uint8, totalSets),
-		bankOcc: make([]bankWindow, cfg.Banks),
+		cfg:       cfg,
+		banks:     cfg.Banks,
+		setsPer:   setsPer,
+		ways:      cfg.Ways,
+		bankMask:  uint64(cfg.Banks - 1),
+		bankShift: uint(bits.TrailingZeros(uint(cfg.Banks))),
+		setShift:  uint(bits.TrailingZeros(uint(setsPer))),
+		lines:     make([]uint64, totalSets*cfg.Ways),
+		lru:       make([]uint64, totalSets*cfg.Ways),
+		hints:     make([]uint8, totalSets),
+		holder:    make([]uint8, totalSets),
+		bfLen:     make([]uint8, totalSets),
+		bankOcc:   make([]bankWindow, cfg.Banks),
 	}
 	markUntouched(c.hints)
 	if cfg.DVEnabled {
@@ -327,7 +339,7 @@ func (c *LLC) fill(si int) {
 		c.touched = append(c.touched, int32(si))
 	}
 	sets := uint64(len(c.hints))
-	r := uint64(si%c.setsPer)*uint64(c.banks) + uint64(si/c.setsPer)
+	r := uint64(si&(c.setsPer-1))<<c.bankShift | uint64(si>>c.setShift)
 	off := (r + sets - c.warmFirst%sets) % sets // the set's first block is warmFirst+off
 	if off >= c.warmN {
 		return
@@ -404,12 +416,10 @@ func (c *LLC) Stats() Stats { return c.stats }
 func (c *LLC) ResetStats() { c.stats = Stats{} }
 
 // BankOf returns the bank (home tile) of a block.
-func (c *LLC) BankOf(b isa.BlockID) int { return int(uint64(b) % uint64(c.banks)) }
+func (c *LLC) BankOf(b isa.BlockID) int { return int(uint64(b) & c.bankMask) }
 
 func (c *LLC) setOf(b isa.BlockID) int {
-	bank := c.BankOf(b)
-	idx := int(uint64(b)/uint64(c.banks)) & (c.setsPer - 1)
-	return bank*c.setsPer + idx
+	return int((uint64(b)&c.bankMask)<<c.setShift | uint64(b)>>c.bankShift&uint64(c.setsPer-1))
 }
 
 // packLine builds the line word of a resident block.

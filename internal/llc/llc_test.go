@@ -256,3 +256,29 @@ func TestInsertResidentPromotes(t *testing.T) {
 		t.Fatalf("InstBlocks = %d, want 1", c.InstBlocks())
 	}
 }
+
+// TestBankIndexByMask pins the mask-and-shift index against the
+// modulo-and-divide definition it replaces (bank = block mod banks, set
+// within the bank = block / banks mod sets per bank), and checks that New
+// refuses a bank count that is not a power of two.
+func TestBankIndexByMask(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), {SizeBytes: 4 * 16 * 8 * isa.BlockBytes, Ways: 8, Banks: 4}, {SizeBytes: 2 * 4 * 4 * isa.BlockBytes, Ways: 4, Banks: 2}} {
+		c := New(cfg)
+		banks, setsPer := uint64(c.banks), uint64(c.setsPer)
+		for b := isa.BlockID(0); b < 1<<16; b += 7 {
+			bank := uint64(b) % banks
+			if got := c.BankOf(b); got != int(bank) {
+				t.Fatalf("%d banks: BankOf(%d) = %d, want %d", banks, b, got, bank)
+			}
+			if got, want := c.setOf(b), int(bank*setsPer+uint64(b)/banks%setsPer); got != want {
+				t.Fatalf("%d banks: setOf(%d) = %d, want %d", banks, b, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted 3 banks")
+		}
+	}()
+	New(Config{SizeBytes: 3 * 4 * 4 * isa.BlockBytes, Ways: 4, Banks: 3})
+}

@@ -16,10 +16,8 @@ func (m *Mesh) State(c *checkpoint.Codec) {
 	c.U64(&m.packets)
 	c.U64(&m.queued)
 	for i := range m.links {
-		for d := range m.links[i] {
-			c.U64(&m.links[i][d].window)
-			c.U64(&m.links[i][d].flits)
-		}
+		c.U64(&m.links[i].window)
+		c.U64(&m.links[i].flits)
 	}
 	c.End()
 	if c.Loading() {
@@ -47,16 +45,10 @@ func (m *Mesh) State(c *checkpoint.Codec) {
 // Each violation is returned as its own error.
 func (m *Mesh) Audit() []error {
 	var errs []error
-	if got, want := len(m.links), m.cfg.Width*m.cfg.Height; got != want {
-		errs = append(errs, fmt.Errorf("noc: %d link rows for a %dx%d mesh, want %d",
+	if got, want := len(m.links), m.cfg.Width*m.cfg.Height*numDirs; got != want {
+		errs = append(errs, fmt.Errorf("noc: %d links for a %dx%d mesh, want %d",
 			got, m.cfg.Width, m.cfg.Height, want))
 		return errs
-	}
-	for i := range m.links {
-		if len(m.links[i]) != numDirs {
-			errs = append(errs, fmt.Errorf("noc: tile %d has %d link directions, want %d",
-				i, len(m.links[i]), numDirs))
-		}
 	}
 	if m.packets == 0 && m.flits != 0 {
 		errs = append(errs, fmt.Errorf("noc: %d flits traversed with zero packets injected", m.flits))

@@ -8,6 +8,7 @@ package noc
 
 import (
 	"fmt"
+	"sync"
 
 	"dnc/internal/obs"
 )
@@ -49,8 +50,10 @@ const windowShift = 6
 // simulator serializes traffic injection.
 type Mesh struct {
 	cfg Config
-	// links is indexed by [from][direction].
-	links [][]linkWindow
+	// links is indexed by from*numDirs + direction.
+	links []linkWindow
+	// routes is the mesh geometry's shared XY route table.
+	routes *routeTable
 
 	// Stats.
 	flits   uint64
@@ -88,11 +91,66 @@ func New(cfg Config) *Mesh {
 		cfg.FlitBytes = 16
 	}
 	n := cfg.Width * cfg.Height
-	links := make([][]linkWindow, n)
-	for i := range links {
-		links[i] = make([]linkWindow, numDirs)
+	return &Mesh{cfg: cfg, links: make([]linkWindow, n*numDirs), routes: routesFor(cfg.Width, cfg.Height)}
+}
+
+// routeTable holds the XY route of every (src, dst) tile pair: the links
+// route src*tiles+dst traverses, in order, are links[start[r]:start[r+1]],
+// each a Mesh.links index. It depends on the geometry alone and is never
+// written after it is built, so every mesh of a geometry shares one.
+type routeTable struct {
+	tiles int
+	start []int32
+	links []int32
+}
+
+// routeTables caches a routeTable per geometry ([2]int{width, height}), so a
+// run builds no table of its own.
+var routeTables sync.Map
+
+func routesFor(width, height int) *routeTable {
+	key := [2]int{width, height}
+	if r, ok := routeTables.Load(key); ok {
+		return r.(*routeTable)
 	}
-	return &Mesh{cfg: cfg, links: links}
+	r, _ := routeTables.LoadOrStore(key, buildRoutes(width, height))
+	return r.(*routeTable)
+}
+
+// buildRoutes walks dimension-order routing, X first, for every pair.
+func buildRoutes(width, height int) *routeTable {
+	n := width * height
+	r := &routeTable{tiles: n, start: make([]int32, 0, n*n+1)}
+	for src := range n {
+		for dst := range n {
+			r.start = append(r.start, int32(len(r.links)))
+			x, y := src%width, src/width
+			dx, dy := dst%width, dst/width
+			for x != dx || y != dy {
+				tile := y*width + x
+				var dir int
+				switch {
+				case x < dx:
+					dir, x = dirEast, x+1
+				case x > dx:
+					dir, x = dirWest, x-1
+				case y < dy:
+					dir, y = dirSouth, y+1
+				default:
+					dir, y = dirNorth, y-1
+				}
+				r.links = append(r.links, int32(tile*numDirs+dir))
+			}
+		}
+	}
+	r.start = append(r.start, int32(len(r.links)))
+	return r
+}
+
+// route returns the link indices of the XY route from src to dst.
+func (r *routeTable) route(src, dst Tile) []int32 {
+	i := int(src)*r.tiles + int(dst)
+	return r.links[r.start[i]:r.start[i+1]]
 }
 
 // Tiles returns the number of tiles.
@@ -127,23 +185,9 @@ func (m *Mesh) Send(src, dst Tile, flits int, cycle uint64) uint64 {
 		m.lat.Observe(1)
 		return cycle + 1
 	}
-	x, y := m.xy(src)
-	dx, dy := m.xy(dst)
 	t := cycle
-	for x != dx || y != dy {
-		tile := Tile(y*m.cfg.Width + x)
-		var dir int
-		switch {
-		case x < dx:
-			dir, x = dirEast, x+1
-		case x > dx:
-			dir, x = dirWest, x-1
-		case y < dy:
-			dir, y = dirSouth, y+1
-		default:
-			dir, y = dirNorth, y-1
-		}
-		lw := &m.links[tile][dir]
+	for _, li := range m.routes.route(src, dst) {
+		lw := &m.links[li]
 		if w := t >> windowShift; w != lw.window {
 			lw.window = w
 			lw.flits = 0
@@ -187,20 +231,14 @@ func (m *Mesh) ResetStats() {
 func (m *Mesh) linkFlits() uint64 {
 	var n uint64
 	for i := range m.links {
-		for d := range m.links[i] {
-			n += m.links[i][d].flits
-		}
+		n += m.links[i].flits
 	}
 	return n
 }
 
 // Reset clears link state and statistics.
 func (m *Mesh) Reset() {
-	for i := range m.links {
-		for d := range m.links[i] {
-			m.links[i][d] = linkWindow{}
-		}
-	}
+	clear(m.links)
 	m.flits, m.packets, m.queued, m.carried = 0, 0, 0, 0
 }
 

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestAuditAcrossStatsReset(t *testing.T) {
 		"fresh": New(DefaultConfig()),
 		"reset": func() *Mesh { m := New(DefaultConfig()); m.Send(0, 15, 5, 0); m.ResetStats(); return m }(),
 	} {
-		m.links[5][dirEast].flits += 3 // traffic with no source
+		m.links[5*numDirs+dirEast].flits += 3 // traffic with no source
 		if errs := m.Audit(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "zero packets injected") {
 			t.Errorf("%s mesh: sourceless link flits audited as %v", name, errs)
 		}
@@ -159,5 +160,46 @@ func TestRestoreKeepsCarriedTraffic(t *testing.T) {
 	}
 	if !bytes.Equal(snap, checkpointtest.Save(r.State)) {
 		t.Error("snapshot bytes changed across restore")
+	}
+}
+
+// TestRouteTableIsXY checks every precomputed route against a hop-by-hop
+// walk of dimension-order routing (X first), on the paper's mesh and on a
+// non-square one, and that meshes of one geometry share one table.
+func TestRouteTableIsXY(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), {Width: 3, Height: 5}} {
+		m := New(cfg)
+		w, n := cfg.Width, cfg.Width*cfg.Height
+		for src := range n {
+			for dst := range n {
+				var want []int32
+				x, y, dx, dy := src%w, src/w, dst%w, dst/w
+				for x != dx || y != dy {
+					from := y*w + x
+					dir := dirNorth
+					switch {
+					case x < dx:
+						dir, x = dirEast, x+1
+					case x > dx:
+						dir, x = dirWest, x-1
+					case y < dy:
+						dir, y = dirSouth, y+1
+					default:
+						y--
+					}
+					want = append(want, int32(from*numDirs+dir))
+				}
+				got := m.routes.route(Tile(src), Tile(dst))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%dx%d route %d->%d = %v, want %v", cfg.Width, cfg.Height, src, dst, got, want)
+				}
+				if len(got) != m.Hops(Tile(src), Tile(dst)) {
+					t.Fatalf("%dx%d route %d->%d has %d links, Hops says %d", cfg.Width, cfg.Height, src, dst, len(got), m.Hops(Tile(src), Tile(dst)))
+				}
+			}
+		}
+		if New(cfg).routes != m.routes {
+			t.Errorf("%dx%d: two meshes built two route tables", cfg.Width, cfg.Height)
+		}
 	}
 }

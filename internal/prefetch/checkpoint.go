@@ -27,26 +27,53 @@ func (b *ConvBTB) State(c *checkpoint.Codec) {
 	c.End()
 }
 
-// State walks the bit table.
+// State walks the bit table, word by word; an unallocated page walks as
+// the all-set words it reads as, and a load allocates only the pages whose
+// words are not all set.
 func (t *SeqTable) State(c *checkpoint.Codec) {
 	c.Begin("seqtable")
 	c.Fixed("SeqTable entries", t.n)
-	c.Fixed("SeqTable words", len(t.bits))
-	for i := range t.bits {
-		c.U64(&t.bits[i])
+	c.Fixed("SeqTable words", t.words)
+	spare := newSeqPage()
+	for pi, p := range t.pages {
+		if p == nil {
+			p = spare
+		}
+		learnt := false
+		for i := range min(seqPage, t.words-pi*seqPage) {
+			c.U64(&p[i])
+			learnt = learnt || p[i] != ^uint64(0)
+		}
+		if p == spare && learnt {
+			t.pages[pi], spare = spare, newSeqPage()
+		}
 	}
 	c.End()
 }
 
-// State walks the discontinuity table.
+// State walks the discontinuity table, entry by entry; an unallocated page
+// walks as the invalid entries it reads as, and a load allocates only the
+// pages that hold a nonzero entry.
 func (t *DisTable) State(c *checkpoint.Codec) {
 	c.Begin("distable")
 	c.Fixed("DisTable entries", t.n)
 	c.U64(&t.Conflicts)
-	for i := 0; i < t.n; i++ {
-		c.Bool(&t.valid[i])
-		c.U16(&t.tags[i])
-		c.U8(&t.offsets[i])
+	spare := new([disPage]disEntry)
+	for pi, p := range t.pages {
+		if p == nil {
+			p = spare
+		}
+		used := false
+		for i := range min(disPage, t.n-pi*disPage) {
+			e := &p[i]
+			c.Bool(&e.valid)
+			c.U16(&e.tag)
+			c.U8(&e.offset)
+			used = used || *e != disEntry{}
+		}
+		if p == spare && used {
+			t.pages[pi], spare = spare, new([disPage]disEntry)
+		}
 	}
 	c.End()
 }

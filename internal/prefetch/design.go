@@ -93,9 +93,27 @@ type TraceSink interface {
 // Base returns true (its Tick is the empty function), so a design that
 // overrides Tick with real work MUST also override Quiescent — the
 // inherited default would let the engine skip its ticks.
+//
+// Quiescence covers Tick only. A skipped window still retires what its
+// cycles would have (Retirer says when that forces a wake), and fills,
+// redirects and demand transitions always end a window, so the other hooks
+// never fire inside one.
 type Quiescer interface {
 	// Quiescent reports that Tick would currently be a no-op.
 	Quiescent() bool
+}
+
+// Retirer is an optional capability of a Design: it observes every
+// committed instruction, in order, exactly once (for footprint and metadata
+// construction from the retired stream). A design without it never sees the
+// retired stream, which lets the engine retire inside a pure-stall window
+// without waking the core: a stalled core's ROB head completing is then no
+// event. A Retirer keeps that wake, so each of its OnRetire calls happens in
+// a full Tick at the retiring cycle.
+type Retirer interface {
+	// OnRetire observes one committed instruction; taken and target are its
+	// resolved control flow.
+	OnRetire(inst isa.Inst, taken bool, target isa.Addr)
 }
 
 // OccupancyReporter is an optional capability of a Design: engines with a
@@ -149,10 +167,6 @@ type Design interface {
 	// OnEvict observes an L1i eviction.
 	OnEvict(ev cache.Evicted)
 
-	// OnRetire observes committed instructions (for footprint/metadata
-	// construction from the retired stream).
-	OnRetire(inst isa.Inst, taken bool, target isa.Addr)
-
 	// FTQGate reports whether fetch may proceed into the block holding pc.
 	// Designs without a fetch-directing engine always return true;
 	// BTB-directed designs return false while their fetch target queue has
@@ -195,9 +209,6 @@ func (*Base) OnFill(isa.BlockID, bool) {}
 
 // OnEvict implements Design.
 func (*Base) OnEvict(cache.Evicted) {}
-
-// OnRetire implements Design.
-func (*Base) OnRetire(isa.Inst, bool, isa.Addr) {}
 
 // FTQGate implements Design.
 func (*Base) FTQGate(isa.Addr) bool { return true }

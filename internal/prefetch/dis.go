@@ -12,15 +12,28 @@ import (
 // (Section V.B). Storing the branch offset instead of the 46+ bit target is
 // what makes the table small: the target is recovered by pre-decoding.
 type DisTable struct {
-	valid   []bool
-	tags    []uint16
-	offsets []uint8
+	// pages holds the entries, disPage to a page, each allocated by the
+	// first Record into it; a nil page reads as invalid entries, so an
+	// unlimited table costs memory only where it records.
+	pages   []*[disPage]disEntry
 	mask    uint64
 	tagBits uint
 	n       int
 
 	// Conflicts counts lookups that matched the index but failed the tag.
 	Conflicts uint64
+}
+
+// disPage is the entries of one DisTable page: the paper's whole table.
+const (
+	disPageBits = 12
+	disPage     = 1 << disPageBits
+)
+
+type disEntry struct {
+	tag    uint16
+	offset uint8
+	valid  bool
 }
 
 // NewDisTable returns a table with the given entries (power of two; 0 means
@@ -37,9 +50,7 @@ func NewDisTable(entries int, tagBits uint) *DisTable {
 		panic("prefetch: DisTable entries must be a power of two")
 	}
 	return &DisTable{
-		valid:   make([]bool, entries),
-		tags:    make([]uint16, entries),
-		offsets: make([]uint8, entries),
+		pages:   make([]*[disPage]disEntry, (entries+disPage-1)/disPage),
 		mask:    uint64(entries - 1),
 		tagBits: tagBits,
 		n:       entries,
@@ -62,9 +73,12 @@ func (t *DisTable) tagOf(b isa.BlockID) uint16 {
 // Record stores the byte offset of the discontinuity branch in block b.
 func (t *DisTable) Record(b isa.BlockID, offset uint8) {
 	i := t.idx(b)
-	t.valid[i] = true
-	t.tags[i] = t.tagOf(b)
-	t.offsets[i] = offset
+	p := t.pages[i>>disPageBits]
+	if p == nil {
+		p = new([disPage]disEntry)
+		t.pages[i>>disPageBits] = p
+	}
+	p[i&(disPage-1)] = disEntry{tag: t.tagOf(b), offset: offset, valid: true}
 }
 
 // Lookup returns the recorded branch offset for block b. With partial tags a
@@ -72,14 +86,16 @@ func (t *DisTable) Record(b isa.BlockID, offset uint8) {
 // overprediction of Figure 12); the tag check filters most aliases.
 func (t *DisTable) Lookup(b isa.BlockID) (uint8, bool) {
 	i := t.idx(b)
-	if !t.valid[i] {
+	p := t.pages[i>>disPageBits]
+	if p == nil || !p[i&(disPage-1)].valid {
 		return 0, false
 	}
-	if t.tags[i] != t.tagOf(b) {
+	e := &p[i&(disPage-1)]
+	if e.tag != t.tagOf(b) {
 		t.Conflicts++
 		return 0, false
 	}
-	return t.offsets[i], true
+	return e.offset, true
 }
 
 // EntryBits returns the storage per entry: the tag plus the offset (4-bit

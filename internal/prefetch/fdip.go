@@ -55,7 +55,7 @@ func newFDIPWalk[R any](ftqEntries, budget int, buffered bool, train func(isa.Ad
 // QueueOccupancy implements OccupancyReporter: the FTQ's current depth.
 func (w *fdipWalk[R]) QueueOccupancy() int { return len(w.q.blocks) }
 
-// OnRetire implements Design: committed instructions train the BTB through
+// OnRetire implements Retirer: committed instructions train the BTB through
 // the basic-block recorder.
 func (w *fdipWalk[R]) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 	w.rec.retire(inst, taken, target)

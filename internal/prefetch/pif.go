@@ -81,7 +81,7 @@ func NewPIF(cfg PIFConfig) *PIF {
 // Name implements Design.
 func (*PIF) Name() string { return "PIF" }
 
-// OnRetire implements Design: compact the retire-order stream into spatial
+// OnRetire implements Retirer: compact the retire-order stream into spatial
 // regions, logging each closed region under its trigger block.
 func (p *PIF) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 	b := isa.BlockOf(inst.PC)

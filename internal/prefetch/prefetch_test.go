@@ -757,3 +757,15 @@ func TestPIFStorageBudget(t *testing.T) {
 		t.Fatalf("PIF storage = %.0f KB, want the paper's ~200 KB class", kb)
 	}
 }
+
+// TestRetirers pins which catalog designs observe the retired stream: a
+// design that drops OnRetire by accident would stop keeping its core awake
+// for retirements and silently lose its training.
+func TestRetirers(t *testing.T) {
+	want := map[string]bool{"boomerang": true, "shotgun": true, "PIF": true, "RDIP": true}
+	for _, e := range Catalog() {
+		if _, ok := e.New().(Retirer); ok != want[e.Name] {
+			t.Errorf("%s is a Retirer: %v, want %v", e.Name, ok, want[e.Name])
+		}
+	}
+}

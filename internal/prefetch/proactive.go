@@ -39,7 +39,9 @@ func (r *RLU) Insert(b isa.BlockID) {
 	}
 	r.entries[r.next] = b
 	r.valid[r.next] = true
-	r.next = (r.next + 1) % len(r.entries)
+	if r.next++; r.next == len(r.entries) {
+		r.next = 0
+	}
 }
 
 // qItem is a block queued for SN4L or Dis triggering, with its chain depth.
@@ -74,7 +76,11 @@ func (q *boundedQueue) push(it qItem) {
 		q.Drops++
 		return
 	}
-	q.ring[(q.head+q.n)%len(q.ring)] = it
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = it
 	q.n++
 }
 
@@ -83,7 +89,9 @@ func (q *boundedQueue) pop() (qItem, bool) {
 		return qItem{}, false
 	}
 	it := q.ring[q.head]
-	q.head = (q.head + 1) % len(q.ring)
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
 	q.n--
 	return it, true
 }

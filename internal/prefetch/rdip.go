@@ -99,7 +99,7 @@ func (d *RDIP) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 	d.Recorded++
 }
 
-// OnRetire implements Design: calls and returns switch the signature and
+// OnRetire implements Retirer: calls and returns switch the signature and
 // trigger the new context's miss set.
 func (d *RDIP) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 	switch inst.Kind {

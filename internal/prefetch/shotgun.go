@@ -120,7 +120,7 @@ func (d *Shotgun) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken b
 	commitBranch(d.bypcFor(kind), pc, kind, target, taken)
 }
 
-// OnRetire implements Design: delimit basic blocks, train the split BTB,
+// OnRetire implements Retirer: delimit basic blocks, train the split BTB,
 // and record footprints from the retired stream.
 func (d *Shotgun) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 	// Footprint recording: every committed instruction adds its block to

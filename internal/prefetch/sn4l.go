@@ -11,10 +11,21 @@ import (
 // entries A+1..A+4 (Section V.A). All entries start set, so every block is
 // prefetched the first time.
 type SeqTable struct {
-	bits []uint64
-	mask uint64
-	n    int
+	// pages holds the bits, seqPage words to a page, each allocated by the
+	// first Reset into it; a nil page reads as all set, so an unlimited
+	// table costs memory only where it learns. words is the table's length
+	// in words, one past those the entries need.
+	pages []*[seqPage]uint64
+	words int
+	mask  uint64
+	n     int
 }
+
+// seqPage is the words of one SeqTable page (32K entries).
+const (
+	seqPageBits = 9
+	seqPage     = 1 << seqPageBits
+)
 
 // NewSeqTable returns a table with the given entry count (power of two).
 // Pass 0 entries for an unlimited table (one dedicated entry per block, the
@@ -28,11 +39,18 @@ func NewSeqTable(entries int) *SeqTable {
 	if entries&(entries-1) != 0 {
 		panic("prefetch: SeqTable entries must be a power of two")
 	}
-	t := &SeqTable{bits: make([]uint64, entries/64+1), mask: uint64(entries - 1), n: entries}
-	for i := range t.bits {
-		t.bits[i] = ^uint64(0)
+	words := entries/64 + 1
+	return &SeqTable{pages: make([]*[seqPage]uint64, (words+seqPage-1)/seqPage), words: words,
+		mask: uint64(entries - 1), n: entries}
+}
+
+// newSeqPage returns a page with every entry set.
+func newSeqPage() *[seqPage]uint64 {
+	p := new([seqPage]uint64)
+	for i := range p {
+		p[i] = ^uint64(0)
 	}
-	return t
+	return p
 }
 
 // Entries returns the table capacity.
@@ -43,19 +61,27 @@ func (t *SeqTable) idx(b isa.BlockID) uint64 { return uint64(b) & t.mask }
 // Get returns the prefetch status of block b.
 func (t *SeqTable) Get(b isa.BlockID) bool {
 	i := t.idx(b)
-	return t.bits[i/64]&(1<<(i%64)) != 0
+	p := t.pages[i>>(6+seqPageBits)]
+	return p == nil || p[i>>6&(seqPage-1)]&(1<<(i&63)) != 0
 }
 
 // Set marks block b useful to prefetch.
 func (t *SeqTable) Set(b isa.BlockID) {
 	i := t.idx(b)
-	t.bits[i/64] |= 1 << (i % 64)
+	if p := t.pages[i>>(6+seqPageBits)]; p != nil {
+		p[i>>6&(seqPage-1)] |= 1 << (i & 63)
+	}
 }
 
 // Reset marks block b not useful.
 func (t *SeqTable) Reset(b isa.BlockID) {
 	i := t.idx(b)
-	t.bits[i/64] &^= 1 << (i % 64)
+	p := t.pages[i>>(6+seqPageBits)]
+	if p == nil {
+		p = newSeqPage()
+		t.pages[i>>(6+seqPageBits)] = p
+	}
+	p[i>>6&(seqPage-1)] &^= 1 << (i & 63)
 }
 
 // Nibble returns the packed status of b+1..b+4 (bit i-1 for block b+i) —

@@ -1,9 +1,13 @@
 package prefetch
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"dnc/internal/cache"
+	"dnc/internal/checkpoint"
+	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/isa"
 )
 
@@ -120,5 +124,74 @@ func TestSN4LUnlimitedTable(t *testing.T) {
 	}
 	if !tab.Get(7 + 1<<20) {
 		t.Fatal("distant block aliased in the unlimited table")
+	}
+}
+
+// TestUnlimitedTablesAreSparse: an unlimited DisTable and SeqTable allocate
+// under 1 MB up front and keep their size and storage accounting.
+func TestUnlimitedTablesAreSparse(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dis := NewDisTable(0, 4)
+	seq := NewSeqTable(0)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("unlimited tables allocated %d bytes up front, want under 1 MB", got)
+	}
+	if dis.Entries() != 1<<26 || dis.EntryBits(isa.Fixed) != 16+4 || seq.Entries() != 1<<26 || seq.words != 1<<20+1 {
+		t.Fatalf("unlimited sizes: DisTable %d entries of %d bits, SeqTable %d entries in %d words",
+			dis.Entries(), dis.EntryBits(isa.Fixed), seq.Entries(), seq.words)
+	}
+}
+
+// TestTablePagesOnFirstTouch: a multi-page DisTable and SeqTable allocate a
+// page only where they learn, snapshot every entry as the flat tables did,
+// and restore into fresh tables holding only the pages that differ from
+// the untouched state.
+func TestTablePagesOnFirstTouch(t *testing.T) {
+	dis, seq := NewDisTable(4*disPage, 4), NewSeqTable(4*64*seqPage)
+	farDis, farSeq := isa.BlockID(4*disPage-3), isa.BlockID(4*64*seqPage-3)
+	dis.Record(5, 12)
+	dis.Record(farDis, 40)
+	seq.Reset(9)
+	seq.Reset(farSeq)
+	seq.Set(farSeq)
+	pages := func() (d, s int) {
+		for _, p := range dis.pages {
+			if p != nil {
+				d++
+			}
+		}
+		for _, p := range seq.pages {
+			if p != nil {
+				s++
+			}
+		}
+		return d, s
+	}
+	if d, s := pages(); d != 2 || s != 2 {
+		t.Fatalf("%d DisTable and %d SeqTable pages allocated, want 2 each", d, s)
+	}
+	dis2, seq2 := NewDisTable(4*disPage, 4), NewSeqTable(4*64*seqPage)
+	for _, tab := range []struct{ from, to func(*checkpoint.Codec) }{
+		{dis.State, dis2.State}, {seq.State, seq2.State},
+	} {
+		snap := checkpointtest.Save(tab.from)
+		if err := checkpointtest.Load(snap, tab.to); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(checkpointtest.Save(tab.to), snap) {
+			t.Fatal("a restored table snapshots different bytes")
+		}
+	}
+	dis, seq = dis2, seq2
+	if d, s := pages(); d != 2 || s != 1 {
+		t.Fatalf("restored tables hold %d DisTable and %d SeqTable pages, want 2 and 1 (the far SeqTable page is all set again)", d, s)
+	}
+	if off, ok := dis.Lookup(farDis); !ok || off != 40 {
+		t.Fatalf("restored DisTable lost block %d: %d, %v", farDis, off, ok)
+	}
+	if seq.Get(9) || !seq.Get(farSeq) || !seq.Get(10) {
+		t.Fatal("restored SeqTable lost its bits")
 	}
 }

@@ -33,7 +33,9 @@ import (
 // sequence of registrations, enqueues, lease calls (immediate and parked,
 // remote and in-process), heartbeats, deliveries, reported failures
 // (transient, non-transient and stale), waiter cancellations and clock
-// advances, and compares them after every step. Time is a fake clock and the only
+// advances, one of which reaps every remote worker and ages the in-process
+// client's leases past the budget while its call is parked, and compares
+// them after every step. Time is a fake clock and the only
 // concurrency is parked lease calls, whose answers the model predicts —
 // which call, how many cells, in what turn — so a failure replays from its
 // seed.
@@ -191,12 +193,20 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 func TestLeaseTableProperty(t *testing.T) {
+	handBacks := 0
 	for seed := int64(0); seed < 30; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runLeaseTableProperty(t, seed, 400) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { handBacks += runLeaseTableProperty(t, seed, 400) })
+	}
+	if handBacks == 0 && !t.Failed() {
+		t.Fatal("no seed revoked an in-process lease past its budget while the in-process call was parked and no remote worker was live")
 	}
 }
 
-func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
+// runLeaseTableProperty drives one seed's schedule and returns how many
+// budget revocations of in-process leases went straight back to the parked
+// in-process call (the model's branch for a revoked cell with no remote
+// worker live).
+func runLeaseTableProperty(t *testing.T, seed int64, ops int) (handBacks int) {
 	rng := rand.New(rand.NewSource(seed))
 	clk := faultplane.NewClock(time.Unix(1000, 0))
 	m := &leaseModel{
@@ -230,8 +240,9 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 	// an order the dispatcher's map iteration picks, and each goes straight
 	// to the longest-parked call if there is one, else to the in-process
 	// call if it may take cells (it takes the first, one cell, for nothing
-	// else is pending then); the rest form the new head of pending.
-	requeue := func(revoked []string) {
+	// else is pending then); the rest form the new head of pending. It
+	// reports whether the in-process call took one.
+	requeue := func(revoked []string) (toLocal bool) {
 		t.Helper()
 		left := map[string]bool{}
 		for _, digest := range revoked {
@@ -254,10 +265,12 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			}
 			delete(left, leases[0].Digest)
 			lw.leases[leases[0].Digest] = m.now
+			toLocal = true
 		}
 		if len(left) > 0 {
 			m.pending = append([][]string{sortedKeys(left)}, m.pending...)
 		}
+		return toLocal
 	}
 	// grantLocal records the cells the in-process client was granted.
 	grantLocal := func(leases []workerproto.Lease, err error, want int) {
@@ -444,6 +457,110 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 	}
 
 	pick := func(ids []string) string { return ids[rng.Intn(len(ids))] }
+
+	// heartbeat sends worker id's heartbeat (w is its model, live whether it
+	// is), listing most of its leases as active and perhaps a stale cell, and
+	// applies the model's budget revocations.
+	heartbeat := func(step int, id string, w *modelWorker, live bool) {
+		t.Helper()
+		var active []string
+		stale := ""
+		if live {
+			for _, digest := range sortedKeys(w.leases) {
+				// A worker may not list a lease it holds: it never got
+				// the lease answer, or dropped a refused upload.
+				if rng.Intn(4) != 0 {
+					active = append(active, digest)
+				}
+			}
+			if len(m.cells) > 0 && rng.Intn(3) == 0 {
+				// Claim a cell this worker may not hold (any more).
+				if stale = pick(sortedKeys(m.cells)); !w.leases[stale].IsZero() {
+					stale = ""
+				} else {
+					active = append(active, stale)
+				}
+			}
+		}
+		revoked, err := d.heartbeat(id, active)
+		if !live {
+			if !errors.Is(err, workerproto.ErrUnknownWorker) {
+				t.Fatalf("seed %d step %d: heartbeat of reaped %s = %v, want workerproto.ErrUnknownWorker", seed, step, id, err)
+			}
+			return
+		}
+		want := map[string]bool{}
+		var head []string
+		for _, digest := range sortedKeys(w.leases) {
+			if m.now.Sub(w.leases[digest]) > m.maxAge {
+				want[digest] = true
+				c := m.cells[digest]
+				if !slices.Contains(active, digest) {
+					m.revoke(w, digest, &head) // not running it: no attempt spent
+				} else if again, out := m.spend(digest, errLeaseBudget, true); again {
+					m.revoke(w, digest, &head)
+				} else {
+					resolve(c, out)
+				}
+			}
+		}
+		if stale != "" {
+			want[stale] = true
+		}
+		w.expiry = m.now.Add(m.ttl)
+		if requeue(head) && w == lw && len(m.workers) == 0 {
+			handBacks++
+		}
+		sort.Strings(revoked)
+		if err != nil || fmt.Sprint(revoked) != fmt.Sprint(sortedKeys(want)) {
+			t.Fatalf("seed %d step %d: heartbeat revoked %v (%v), want %v", seed, step, short(revoked), err, short(sortedKeys(want)))
+		}
+	}
+
+	// advance moves the fake clock dt on and runs the server's sweep: calls
+	// at their bound are answered, and workers past their expiry are reaped,
+	// their leases revoked.
+	advance := func(step int, dt time.Duration) {
+		t.Helper()
+		clk.Advance(dt)
+		m.now = m.now.Add(dt)
+		d.expire()
+		// The sweep first answers the calls whose heartbeat period is up,
+		// empty, whatever it goes on to revoke.
+		for len(m.parked) > 0 && !m.now.Before(m.parked[0].deadline) {
+			w, leases, err := answered("its bound passed")
+			if m.now.After(w.expiry) {
+				if !errors.Is(err, workerproto.ErrUnknownWorker) {
+					t.Fatalf("seed %d step %d: parked call of a reaped worker = %v, want workerproto.ErrUnknownWorker", seed, step, err)
+				}
+				continue
+			}
+			if err != nil || len(leases) != 0 {
+				t.Fatalf("seed %d step %d: call at its bound answered %v, %v; want an empty grant", seed, step, leases, err)
+			}
+			w.expiry = m.now.Add(m.ttl)
+		}
+		var head, reaped []string
+		for _, id := range sortedKeys(m.workers) {
+			w := m.workers[id]
+			if !m.now.After(w.expiry) {
+				continue
+			}
+			for _, digest := range sortedKeys(w.leases) {
+				// A reap spends no attempt: check() compares the count.
+				m.revoke(w, digest, &head)
+			}
+			reaped = append(reaped, id)
+		}
+		// The reaped workers count as live until every lease is back in
+		// the queue; once the plane has emptied, offer hands what is
+		// pending, revoked cells first, to the in-process call.
+		requeue(head)
+		for _, id := range reaped {
+			delete(m.workers, id)
+		}
+	}
+
 	for step := 0; step < ops; step++ {
 		op := ""
 		switch r := rng.Intn(100); {
@@ -539,56 +656,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			if rng.Intn(4) == 0 {
 				op, id, w, live = "heartbeat (in-process)", inProcessID, lw, true
 			}
-			var active []string
-			stale := ""
-			if live {
-				for _, digest := range sortedKeys(w.leases) {
-					// A worker may not list a lease it holds: it never got
-					// the lease answer, or dropped a refused upload.
-					if rng.Intn(4) != 0 {
-						active = append(active, digest)
-					}
-				}
-				if len(m.cells) > 0 && rng.Intn(3) == 0 {
-					// Claim a cell this worker may not hold (any more).
-					if stale = pick(sortedKeys(m.cells)); !w.leases[stale].IsZero() {
-						stale = ""
-					} else {
-						active = append(active, stale)
-					}
-				}
-			}
-			revoked, err := d.heartbeat(id, active)
-			if !live {
-				if !errors.Is(err, workerproto.ErrUnknownWorker) {
-					t.Fatalf("seed %d step %d: heartbeat of reaped %s = %v, want workerproto.ErrUnknownWorker", seed, step, id, err)
-				}
-				break
-			}
-			want := map[string]bool{}
-			var head []string
-			for _, digest := range sortedKeys(w.leases) {
-				if m.now.Sub(w.leases[digest]) > m.maxAge {
-					want[digest] = true
-					c := m.cells[digest]
-					if !slices.Contains(active, digest) {
-						m.revoke(w, digest, &head) // not running it: no attempt spent
-					} else if again, out := m.spend(digest, errLeaseBudget, true); again {
-						m.revoke(w, digest, &head)
-					} else {
-						resolve(c, out)
-					}
-				}
-			}
-			if stale != "" {
-				want[stale] = true
-			}
-			w.expiry = m.now.Add(m.ttl)
-			requeue(head)
-			sort.Strings(revoked)
-			if err != nil || fmt.Sprint(revoked) != fmt.Sprint(sortedKeys(want)) {
-				t.Fatalf("seed %d step %d: heartbeat revoked %v (%v), want %v", seed, step, short(revoked), err, short(sortedKeys(want)))
-			}
+			heartbeat(step, id, w, live)
 
 		case r < 76:
 			op = "deliver"
@@ -679,46 +747,33 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 				resolved++
 			}
 
+		case r < 90 && rng.Intn(3) == 0:
+			// Reap every remote worker, park the in-process call, and age its
+			// leases past the budget: its next heartbeat revokes them with no
+			// remote worker live, and each goes straight back to its call.
+			op = "reap all, age the in-process leases"
+			advance(step, m.ttl+time.Second)
+			offer()
+			for lw.call == nil {
+				if m.pendingLen() == 0 {
+					lw.call = startLease(localCtx, d, inProcessID, -1)
+					lw.callMax = m.batch
+					yieldUntil(t, "the in-process call parked", func() bool {
+						d.mu.Lock()
+						defer d.mu.Unlock()
+						return d.localCall != nil
+					})
+					break
+				}
+				leases, err := d.lease(localCtx, inProcessID, -1)
+				grantLocal(leases, err, min(m.batch, m.pendingLen()))
+			}
+			advance(step, m.maxAge+time.Second)
+			heartbeat(step, inProcessID, lw, true)
+
 		default:
 			op = "advance and sweep"
-			dt := time.Duration(rng.Intn(5)) * time.Second
-			clk.Advance(dt)
-			m.now = m.now.Add(dt)
-			d.expire()
-			// The sweep first answers the calls whose heartbeat period is up,
-			// empty, whatever it goes on to revoke.
-			for len(m.parked) > 0 && !m.now.Before(m.parked[0].deadline) {
-				w, leases, err := answered("its bound passed")
-				if m.now.After(w.expiry) {
-					if !errors.Is(err, workerproto.ErrUnknownWorker) {
-						t.Fatalf("seed %d step %d: parked call of a reaped worker = %v, want workerproto.ErrUnknownWorker", seed, step, err)
-					}
-					continue
-				}
-				if err != nil || len(leases) != 0 {
-					t.Fatalf("seed %d step %d: call at its bound answered %v, %v; want an empty grant", seed, step, leases, err)
-				}
-				w.expiry = m.now.Add(m.ttl)
-			}
-			var head, reaped []string
-			for _, id := range sortedKeys(m.workers) {
-				w := m.workers[id]
-				if !m.now.After(w.expiry) {
-					continue
-				}
-				for _, digest := range sortedKeys(w.leases) {
-					// A reap spends no attempt: check() compares the count.
-					m.revoke(w, digest, &head)
-				}
-				reaped = append(reaped, id)
-			}
-			// The reaped workers count as live until every lease is back in
-			// the queue; once the plane has emptied, offer hands what is
-			// pending, revoked cells first, to the in-process call.
-			requeue(head)
-			for _, id := range reaped {
-				delete(m.workers, id)
-			}
+			advance(step, time.Duration(rng.Intn(5))*time.Second)
 		}
 		offer()
 		check(step, op)
@@ -754,6 +809,7 @@ func runLeaseTableProperty(t *testing.T, seed int64, ops int) {
 			t.Fatalf("seed %d: in-process call at the end answered %v, %v", seed, leases, err)
 		}
 	}
+	return handBacks
 }
 
 // modelWorkers lists the model's live workers, the in-process client

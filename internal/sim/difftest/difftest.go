@@ -74,11 +74,14 @@ func (d Divergence) String() string {
 // Name reports the inner design's name so checkpoints, results and reports
 // are indistinguishable from an unshimmed run.
 type Shim struct {
-	inner  prefetch.Design
-	model  *oracle.Model
-	coreID int
-	strict bool
-	env    prefetch.Env // the raw core Env (for Cycle at divergence time)
+	inner prefetch.Design
+	// retirer is inner as a prefetch.Retirer, nil when it is none. The shim
+	// itself is always one, since it checks every retirement.
+	retirer prefetch.Retirer
+	model   *oracle.Model
+	coreID  int
+	strict  bool
+	env     prefetch.Env // the raw core Env (for Cycle at divergence time)
 	// maxSteps bounds the oracle's replays when a snapshot is loaded
 	// (sim.RunConfig.StepBound of the run the shim sits in).
 	maxSteps uint64
@@ -112,8 +115,10 @@ type Shim struct {
 // checks the phantom-residency invariant, which requires the run to disable
 // wrong-path fetch pollution (a negative core.Config.WrongPathBlocks).
 func NewShim(inner prefetch.Design, model *oracle.Model, coreID int, strict bool) *Shim {
+	retirer, _ := inner.(prefetch.Retirer)
 	return &Shim{
 		inner:     inner,
+		retirer:   retirer,
 		model:     model,
 		coreID:    coreID,
 		strict:    strict,
@@ -230,8 +235,11 @@ func (s *Shim) OnFill(b isa.BlockID, prefetch bool) { s.inner.OnFill(b, prefetch
 // OnEvict implements Design.
 func (s *Shim) OnEvict(ev cache.Evicted) { s.inner.OnEvict(ev) }
 
-// OnRetire implements Design: check the committed instruction against the
-// oracle's retired stream, then forward.
+// OnRetire implements prefetch.Retirer: check the committed instruction
+// against the oracle's retired stream, then forward it to an inner design
+// that is a Retirer too. Being a Retirer makes a shimmed core keep the
+// ROB-head wake whatever the inner design, so the shim sees every retirement
+// in a full Tick.
 func (s *Shim) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 	var want wl.Step
 	s.model.NextRetire(&want)
@@ -254,7 +262,9 @@ func (s *Shim) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 	if s.retired%digestStride == 0 {
 		s.digestTrail = append(s.digestTrail, s.obsDigest)
 	}
-	s.inner.OnRetire(inst, taken, target)
+	if s.retirer != nil {
+		s.retirer.OnRetire(inst, taken, target)
+	}
 }
 
 func b2u(v bool) uint64 {
@@ -277,8 +287,9 @@ func (s *Shim) Tick() { s.inner.Tick() }
 // (prefetch.Quiescer). Without this forwarding, shimmed runs would never
 // fast-forward and the metamorphic fast-forward-vs-reference tests would be
 // vacuous. The shim itself adds no per-cycle state: its checks fire only on
-// design hooks (OnDemand/OnRetire/...), all of which are frozen during a
-// pure-stall window, so the shim is quiescent whenever the inner design is.
+// design hooks (OnDemand/OnRetire/...), none of which fires inside a
+// pure-stall window (the shim is a Retirer, so its core wakes to retire), so
+// the shim is quiescent whenever the inner design is.
 func (s *Shim) Quiescent() bool {
 	if q, ok := s.inner.(prefetch.Quiescer); ok {
 		return q.Quiescent()

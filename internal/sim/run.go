@@ -568,10 +568,11 @@ func (m *machine) runSegment(end uint64) error {
 		m.watch.cycle += n
 		m.done += n
 		if m.obs != nil && m.watch.cycle%m.obs.sampleEvery == 0 {
-			// Gauges and retirement are frozen during a pure-stall window, so
-			// sampling lagged sleeping cores reads exactly the values a
-			// cycle-by-cycle loop would have seen at this cycle.
+			// A pure-stall window retires in place, so a lagged sleeping core's
+			// ROB is behind the clock: bring every core to it, and the sample
+			// reads exactly what a cycle-by-cycle loop would have seen.
 			m.settle()
+			m.syncCores()
 			m.obs.sample(m)
 		}
 	}
@@ -686,6 +687,7 @@ func (m *machine) result() Result {
 	for i, c := range m.cores {
 		res.PerCore[i] = c.M
 		res.M.Add(&c.M)
+		res.TickedCycles += c.TickedCycles()
 	}
 	if m.obs != nil {
 		res.Obs = m.obs.fold(m)

@@ -20,6 +20,7 @@ var resultJSONExcluded = map[string]string{
 	"Probes":       "design-internal counters only Fig01/Fig12 read; the wire form, its digests and bytes per cell predate them",
 	"Shards":       "depends on the simulating host's idle CPUs; in the wire form two workers would upload different digests for one cell",
 	"LLCOccupancy": "a diagnostic dncsim prints; the wire form, its digests and bytes per cell predate it, and a run resumed inside its window cannot know the start",
+	"TickedCycles": "the engine's own work, not simulated state: it differs between engines and between a straight and a resumed run of one cell",
 }
 
 // TestResultJSONCoversEveryResultField walks sim.Result by reflection:

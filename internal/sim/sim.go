@@ -145,6 +145,12 @@ type Result struct {
 	// window: snapshots do not carry it). A diagnostic like Shards, it stays
 	// out of every encoding of the result, so no digest depends on it.
 	LLCOccupancy [2]int `json:"-"`
+	// TickedCycles is how many core-cycles, over both windows and all
+	// cores, the engine advanced through Tick, one cycle a call, rather than
+	// in a FastForward jump: the engine's own work, cores x cycles at most (a
+	// resumed run counts from its restore). Host-side like Shards, it stays
+	// out of every encoding of the result.
+	TickedCycles uint64 `json:"-"`
 	NoCFlits     uint64
 	NoCQueued    uint64
 	DRAMQueued   uint64

@@ -41,7 +41,9 @@ type Metrics = core.Metrics
 type Result = sim.Result
 
 // Design is a pluggable frontend configuration (BTB organization plus
-// prefetcher).
+// prefetcher). A design that wants the retired instruction stream also
+// defines OnRetire(isa.Inst, bool, isa.Addr), the optional
+// prefetch.Retirer; the core calls it for every retirement, in order.
 type Design = prefetch.Design
 
 // ISA modes for WorkloadParams.Mode.
