@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation. Each benchmark runs the corresponding experiment through
-// internal/bench and reports its headline numbers as custom metrics, so the
-// output of
+// evaluation. Each sub-benchmark of BenchmarkExperiments runs one experiment
+// through internal/bench and reports its headline numbers as custom
+// metrics, so the output of
 //
 //	go test -bench=. -benchmem
 //
@@ -39,116 +39,29 @@ func sharedHarness() *bench.Harness {
 	return harness
 }
 
-// runExperiment executes the experiment once per benchmark iteration (the
-// harness cache makes repeats free) and reports its headline metrics.
-func runExperiment(b *testing.B, f func(*bench.Harness) bench.Experiment) {
-	b.Helper()
-	h := sharedHarness()
-	var e bench.Experiment
-	for i := 0; i < b.N; i++ {
-		e = f(h)
+// BenchmarkExperiments runs every experiment, ablations included, as the
+// sub-benchmark named by its ID (BenchmarkExperiments/fig16, ...): once per
+// iteration (the harness cache makes repeats free), reporting its headline
+// metrics.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range append(bench.IDs(), bench.AblationIDs()...) {
+		b.Run(id, func(b *testing.B) {
+			h := sharedHarness()
+			var e bench.Experiment
+			for i := 0; i < b.N; i++ {
+				e, _ = h.ByID(id)
+			}
+			keys := make([]string, 0, len(e.Headline))
+			for k := range e.Headline {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				// Benchmark metric units must not contain whitespace.
+				unit := strings.ReplaceAll(k, " ", "-")
+				b.ReportMetric(e.Headline[k], unit)
+			}
+			b.Log("\n" + e.Title + "\n" + e.PaperNote + "\n" + e.Table.String())
+		})
 	}
-	keys := make([]string, 0, len(e.Headline))
-	for k := range e.Headline {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		// Benchmark metric units must not contain whitespace.
-		unit := strings.ReplaceAll(k, " ", "-")
-		b.ReportMetric(e.Headline[k], unit)
-	}
-	b.Log("\n" + e.Title + "\n" + e.PaperNote + "\n" + e.Table.String())
-}
-
-func BenchmarkFig01FootprintMissRatio(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig01)
-}
-
-func BenchmarkTable1EmptyFTQStalls(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Table1)
-}
-
-func BenchmarkFig02SequentialMissFraction(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig02)
-}
-
-func BenchmarkFig03NLSeqCoverage(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig03)
-}
-
-func BenchmarkFig04CMALSequentialDepth(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig04)
-}
-
-func BenchmarkFig05UselessPrefetchSideEffects(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig05)
-}
-
-func BenchmarkFig06NextBlockPredictability(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig06)
-}
-
-func BenchmarkFig07DiscontinuityPredictability(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig07)
-}
-
-func BenchmarkFig08BranchesPerBlock(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig08)
-}
-
-func BenchmarkFig09BFsPerSet(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig09)
-}
-
-func BenchmarkTable2StorageComparison(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Table2)
-}
-
-func BenchmarkFig11TableSizeSweep(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig11)
-}
-
-func BenchmarkFig12TaggingPolicy(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig12)
-}
-
-func BenchmarkFig13CMALProposed(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig13)
-}
-
-func BenchmarkFig14CacheLookups(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig14)
-}
-
-func BenchmarkFig15FSCR(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig15)
-}
-
-func BenchmarkFig16Speedup(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig16)
-}
-
-func BenchmarkFig17Breakdown(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig17)
-}
-
-func BenchmarkFig18BTBSizeSweep(b *testing.B) {
-	runExperiment(b, (*bench.Harness).Fig18)
-}
-
-func BenchmarkSecJDVLLC(b *testing.B) {
-	runExperiment(b, (*bench.Harness).SecJ)
-}
-
-func BenchmarkAblationChainDepth(b *testing.B) {
-	runExperiment(b, (*bench.Harness).AblationDepth)
-}
-
-func BenchmarkAblationRLUSize(b *testing.B) {
-	runExperiment(b, (*bench.Harness).AblationRLU)
-}
-
-func BenchmarkAblationQueueDepth(b *testing.B) {
-	runExperiment(b, (*bench.Harness).AblationQueueDepth)
 }

@@ -40,7 +40,7 @@ func TestCIPatternsMatchTests(t *testing.T) {
 				w = strings.Trim(w, `'"`)
 				flag, value, hasValue := strings.Cut(w, "=")
 				switch {
-				case strings.HasPrefix(w, "./"):
+				case w == "." || strings.HasPrefix(w, "./"):
 					root, recursive := strings.CutSuffix(w, "...")
 					root = filepath.Clean(root)
 					var files []string

@@ -49,7 +49,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range bench.IDs() {
+		for _, id := range append(bench.IDs(), bench.AblationIDs()...) {
 			fmt.Println(id)
 		}
 		return
@@ -118,6 +118,9 @@ func main() {
 	if *only != "" {
 		ids = strings.Split(*only, ",")
 	}
+	if *ablations {
+		ids = append(ids, bench.AblationIDs()...)
+	}
 
 	for _, id := range ids {
 		start := time.Now()
@@ -127,11 +130,6 @@ func main() {
 			os.Exit(2)
 		}
 		printExperiment(e, time.Since(start))
-	}
-	if *ablations {
-		for _, e := range h.Ablations() {
-			printExperiment(e, 0)
-		}
 	}
 	h.Finish()
 	if *storeOut != "" {
@@ -159,8 +157,5 @@ func printExperiment(e bench.Experiment, d time.Duration) {
 		fmt.Printf("   (%s)\n", e.PaperNote)
 	}
 	fmt.Println(e.Table.String())
-	if d > 0 {
-		fmt.Printf("   [%.1fs]\n", d.Seconds())
-	}
-	fmt.Println()
+	fmt.Printf("   [%.1fs]\n\n", d.Seconds())
 }

@@ -1,11 +1,11 @@
-// Package bench implements the paper's evaluation: one function per table
-// and figure, each regenerating the corresponding rows/series from
-// simulation. The benchmark harness (bench_test.go) and the dncbench
-// command both drive this package.
+// Package bench implements the paper's evaluation: one row of a table per
+// table and figure (figures.go), each regenerating the corresponding
+// rows/series from simulation. The benchmark harness (bench_test.go) and the
+// dncbench command both drive this package.
 //
-// Runs are cached inside a Harness keyed by (workload, design, options), so
-// experiments that share configurations (the baseline above all) pay for
-// them once.
+// Each simulated configuration is one spec value (spec.go), and runs are
+// cached inside a Harness keyed by (workload, spec), so experiments that
+// share configurations (the baseline above all) pay for them once.
 package bench
 
 import (
@@ -17,10 +17,8 @@ import (
 	"time"
 
 	"dnc/internal/core"
-	"dnc/internal/isa"
 	"dnc/internal/llc"
 	"dnc/internal/obs"
-	"dnc/internal/prefetch"
 	"dnc/internal/resultstore"
 	"dnc/internal/sim"
 	"dnc/internal/sim/runner"
@@ -86,7 +84,7 @@ type Harness struct {
 	cfg   Config
 	ctx   context.Context
 	mu    sync.Mutex
-	cache map[string]sim.Result
+	cache map[runKey]sim.Result
 	errs  []error
 	// lastPrint throttles the ProgressOut summary line (guarded by mu).
 	lastPrint time.Time
@@ -110,7 +108,7 @@ func New(cfg Config) *Harness {
 	if cfg.ProgressOut != nil && cfg.Progress == nil {
 		cfg.Progress = runner.NewProgress()
 	}
-	h := &Harness{cfg: cfg, ctx: context.Background(), cache: make(map[string]sim.Result)}
+	h := &Harness{cfg: cfg, ctx: context.Background(), cache: make(map[runKey]sim.Result)}
 	if cfg.StorePath != "" {
 		w, err := resultstore.OpenWriter(cfg.StorePath)
 		if err != nil {
@@ -230,41 +228,31 @@ func (h *Harness) fail(err error) {
 	h.mu.Unlock()
 }
 
-// runOpts adjusts a run beyond the design choice.
-type runOpts struct {
-	pfbEntries int
-	perfectL1i bool
-	perfectBTB bool
-	mode       isa.Mode
-	llcCfg     *llc.Config
+// runKey is one configuration's run of one workload: the run cache's key.
+// Its string, "workload|design tag|mode", opens every cell ID of the run.
+type runKey struct {
+	workload string
+	s        spec
 }
 
-// key renders the options for the run cache and cell IDs, the LLC config by
-// value: %+v would print its address, unequal for equal configs.
-func (o runOpts) key() string {
-	cfg := o.llcCfg
-	o.llcCfg = nil
-	k := fmt.Sprintf("%+v", o)
-	if cfg != nil {
-		k += fmt.Sprintf("|llc%+v", *cfg)
-	}
-	return k
+func (k runKey) String() string {
+	return k.workload + "|" + k.s.name() + "|" + modeName(k.s.mode)
 }
 
-// run executes (or returns the cached) simulation of one workload/design.
-// The samples of one configuration fan out across the runner pool; any
-// failure is recorded on the harness and a zero Result returned, so the
-// experiment's remaining rows still render.
-func (h *Harness) run(workload, key string, nd func() prefetch.Design, o runOpts) sim.Result {
-	ck := fmt.Sprintf("%s|%s|%s", workload, key, o.key())
+// run executes (or returns the cached) simulation of one workload under one
+// configuration. The samples of one configuration fan out across the runner
+// pool; any failure is recorded on the harness and a zero Result returned,
+// so the experiment's remaining rows still render.
+func (h *Harness) run(workload string, s spec) sim.Result {
+	k := runKey{workload, s}
 	h.mu.Lock()
-	if r, ok := h.cache[ck]; ok {
+	if r, ok := h.cache[k]; ok {
 		h.mu.Unlock()
 		return r
 	}
 	h.mu.Unlock()
 
-	rep, err := runner.Sweep(h.ctx, h.cells(ck, workload, key, nd, o), runner.Options{
+	rep, err := runner.Sweep(h.ctx, h.cells(k), runner.Options{
 		Jobs:     h.cfg.Jobs,
 		Timeout:  h.cfg.Timeout,
 		Progress: h.cfg.Progress,
@@ -274,49 +262,38 @@ func (h *Harness) run(workload, key string, nd func() prefetch.Design, o runOpts
 		err = rep.FirstErr()
 	}
 	if err != nil {
-		h.fail(fmt.Errorf("bench %s: %w", ck, err))
+		h.fail(fmt.Errorf("bench %s: %w", k, err))
 		return sim.Result{}
 	}
 	r := poolSamples(rep.Cells)
 	h.mu.Lock()
-	h.cache[ck] = r
+	h.cache[k] = r
 	h.mu.Unlock()
 	return r
 }
-
-// unavailable is what a table cell reads when its run carries no design
-// probes (Result.Probes): the configuration failed, or its result was
-// restored from a journal, which keeps every metric but no probes. The
-// experiments that read probes (Fig01, Fig12) print it rather than a ratio
-// of zero counts.
-const unavailable = "n/a"
 
 // cells expands one configuration into its sample cells: sample s runs with
 // seed Seed + s*7919, and the cell IDs are stable across processes so a
 // journaled sweep can resume. With a store open, each cell's identity tags
 // are recorded so storeResult can label it when it finishes.
-func (h *Harness) cells(ck, workload, key string, nd func() prefetch.Design, o runOpts) []runner.Cell {
-	samples := h.cfg.Samples
-	if samples < 1 {
-		samples = 1
-	}
-	cells := make([]runner.Cell, samples)
-	for s := 0; s < samples; s++ {
-		rc := h.runConfig(workload, nd, o)
+func (h *Harness) cells(k runKey) []runner.Cell {
+	cells := make([]runner.Cell, max(h.cfg.Samples, 1))
+	for s := range cells {
+		rc := h.runConfig(k)
 		if s > 0 {
 			rc.Seed = h.cfg.Seed + int64(s)*7919
 		}
 		cells[s] = runner.Cell{
-			ID: fmt.Sprintf("%s|c%d|w%d|m%d|s%d|x%d", ck,
+			ID: fmt.Sprintf("%s|c%d|w%d|m%d|s%d|x%d", k,
 				h.cfg.Cores, h.cfg.WarmCycles, h.cfg.MeasureCycles, h.cfg.Seed, s),
 			Config: rc,
 		}
 		if h.store != nil {
 			h.mu.Lock()
 			h.storeTags[cells[s].ID] = resultstore.Cell{
-				Workload: workload,
-				Design:   storeDesign(key, o),
-				Mode:     modeName(o.mode),
+				Workload: k.workload,
+				Design:   k.s.name(),
+				Mode:     modeName(k.s.mode),
 				Cores:    h.cfg.Cores,
 				Warm:     h.cfg.WarmCycles,
 				Measure:  h.cfg.MeasureCycles,
@@ -328,51 +305,27 @@ func (h *Harness) cells(ck, workload, key string, nd func() prefetch.Design, o r
 	return cells
 }
 
-// storeDesign is the design tag a cell carries in the column store: the
-// short design key alone for a plain run, or the key plus the option tweaks
-// for variants (perfect L1i, LLC overrides, ...). The llc config is
-// dereferenced so the tag is a stable value, not a pointer address.
-func storeDesign(key string, o runOpts) string {
-	if o == (runOpts{mode: o.mode}) { // mode rides in its own tag
-		return key
-	}
-	v := struct {
-		pfbEntries int
-		perfectL1i bool
-		perfectBTB bool
-		llcCfg     llc.Config
-	}{o.pfbEntries, o.perfectL1i, o.perfectBTB, llc.Config{}}
-	if o.llcCfg != nil {
-		v.llcCfg = *o.llcCfg
-	}
-	return fmt.Sprintf("%s#%+v", key, v)
-}
-
-// modeName renders the isa dispatch mode as the store's tag vocabulary.
-func modeName(m isa.Mode) string {
-	if m == isa.Variable {
-		return "variable"
-	}
-	return "fixed"
-}
-
-func (h *Harness) runConfig(workload string, nd func() prefetch.Design, o runOpts) sim.RunConfig {
+// runConfig is one sample cell's simulation of k: the spec's design, core
+// and LLC knobs on the harness's core count, windows and seed.
+func (h *Harness) runConfig(k runKey) sim.RunConfig {
+	nd, pfb := k.s.build()
 	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = o.pfbEntries
-	cc.PerfectL1i = o.perfectL1i
-	cc.PerfectBTB = o.perfectBTB
+	cc.PrefetchBufferEntries = pfb
+	cc.PerfectL1i = k.s.get(perfectL1i) == 1
+	cc.PerfectBTB = k.s.get(perfectBTB) == 1
+	lc := llc.DefaultConfig()
+	lc.DVEnabled = k.s.get(dvLLC) == 1
+	lc.BFsPerSet = k.s.get(bfsPerSet)
 	rc := sim.RunConfig{
-		Workload:      workloads.Params(workload, o.mode),
+		Workload:      workloads.Params(k.workload, k.s.mode),
 		NewDesign:     nd,
 		Cores:         h.cfg.Cores,
 		WarmCycles:    h.cfg.WarmCycles,
 		MeasureCycles: h.cfg.MeasureCycles,
 		Seed:          h.cfg.Seed,
 		Core:          cc,
+		LLC:           lc,
 		IntraJobs:     h.cfg.IntraJobs,
-	}
-	if o.llcCfg != nil {
-		rc.LLC = *o.llcCfg
 	}
 	if h.store != nil {
 		rc.Obs = &obs.Config{}
@@ -398,29 +351,21 @@ func poolSamples(cells []runner.CellResult) sim.Result {
 // cells from the journal instead of recomputing them. Journal-restored
 // results carry every metric but no design probes, which the experiments
 // never read for these three designs (Fig01 and Fig12 probe Shotgun and the
-// snd-tag* variants, which therefore always run live through h.run).
+// SN4L+Dis tag variants, which therefore always run live through h.run).
 func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 	if ctx == nil {
 		ctx = h.ctx
 	}
-	specs := []struct {
-		key string
-		nd  func() prefetch.Design
-	}{
-		{"baseline", design("baseline")},
-		{"full", design("SN4L+Dis+BTB")},
-		{"confluence", design("confluence")},
-	}
 	var (
 		cells  []runner.Cell
-		groups []string // cache key of each cell, parallel to cells
+		groups []runKey // configuration of each cell, parallel to cells
 	)
 	for _, w := range h.cfg.Workloads {
-		for _, sp := range specs {
-			ck := fmt.Sprintf("%s|%s|%s", w, sp.key, runOpts{}.key())
-			for _, c := range h.cells(ck, w, sp.key, sp.nd, runOpts{}) {
+		for _, s := range []spec{baseline, full, confluence} {
+			k := runKey{w, s}
+			for _, c := range h.cells(k) {
 				cells = append(cells, c)
-				groups = append(groups, ck)
+				groups = append(groups, k)
 			}
 		}
 	}
@@ -438,8 +383,8 @@ func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 	// Cache every configuration whose samples all completed; failed ones
 	// are recorded and will re-run (and re-fail deterministically, fast)
 	// if an experiment asks for them.
-	byKey := make(map[string][]runner.CellResult)
-	var order []string
+	byKey := make(map[runKey][]runner.CellResult)
+	var order []runKey
 	for i, cr := range rep.Cells {
 		if _, seen := byKey[groups[i]]; !seen {
 			order = append(order, groups[i])
@@ -447,8 +392,8 @@ func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 		byKey[groups[i]] = append(byKey[groups[i]], cr)
 	}
 	h.mu.Lock()
-	for _, ck := range order {
-		g := byKey[ck]
+	for _, k := range order {
+		g := byKey[k]
 		complete := true
 		for _, cr := range g {
 			if cr.Status == runner.StatusFailed {
@@ -457,7 +402,7 @@ func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 			}
 		}
 		if complete {
-			h.cache[ck] = poolSamples(g)
+			h.cache[k] = poolSamples(g)
 		}
 	}
 	h.mu.Unlock()
@@ -466,46 +411,4 @@ func (h *Harness) Prewarm(ctx context.Context, journalPath string) error {
 		return err
 	}
 	return nil
-}
-
-// design returns a catalog design's constructor by name (prefetch.Catalog).
-func design(name string) func() prefetch.Design {
-	e, ok := prefetch.FindDesign(name)
-	if !ok {
-		panic("bench: no catalog design " + name)
-	}
-	return e.New
-}
-
-// Baseline returns the cached no-prefetch run of a workload.
-func (h *Harness) Baseline(workload string) sim.Result {
-	return h.run(workload, "baseline", design("baseline"), runOpts{})
-}
-
-// Full returns the cached SN4L+Dis+BTB run of a workload.
-func (h *Harness) Full(workload string) sim.Result {
-	return h.run(workload, "full", design("SN4L+Dis+BTB"), runOpts{})
-}
-
-// Shotgun returns the cached Shotgun run of a workload (with its 64-entry
-// L1i prefetch buffer).
-func (h *Harness) Shotgun(workload string) sim.Result {
-	return h.run(workload, "shotgun", design("shotgun"), runOpts{pfbEntries: 64})
-}
-
-// Confluence returns the cached Confluence run of a workload.
-func (h *Harness) Confluence(workload string) sim.Result {
-	return h.run(workload, "confluence", design("confluence"), runOpts{})
-}
-
-// mean averages a slice.
-func mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vs {
-		s += v
-	}
-	return s / float64(len(vs))
 }

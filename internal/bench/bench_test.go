@@ -3,7 +3,9 @@ package bench
 import (
 	"bytes"
 	"context"
+	"dnc/internal/isa"
 	"dnc/internal/prefetch"
+	"dnc/internal/sim"
 	"dnc/internal/sim/runner"
 	"path/filepath"
 	"reflect"
@@ -24,8 +26,8 @@ func tiny() *Harness {
 
 func TestRunCaching(t *testing.T) {
 	h := tiny()
-	a := h.Baseline("Web-Frontend")
-	b := h.Baseline("Web-Frontend")
+	a := h.run("Web-Frontend", baseline)
+	b := h.run("Web-Frontend", baseline)
 	if a.M != b.M {
 		t.Fatal("cache returned different results")
 	}
@@ -86,12 +88,12 @@ func TestIDsCoverAll(t *testing.T) {
 func TestRunCachingLLCOverride(t *testing.T) {
 	h := tiny()
 	h.cfg.Progress = runner.NewProgress()
-	first := h.SecJ()
+	first, _ := h.ByID("secj")
 	done := h.cfg.Progress.Snapshot().Done
 	if done == 0 {
 		t.Fatal("SecJ simulated nothing")
 	}
-	again := h.SecJ()
+	again, _ := h.ByID("secj")
 	if got := h.cfg.Progress.Snapshot().Done; got != done {
 		t.Fatalf("second SecJ ran %d more cells, want 0", got-done)
 	}
@@ -143,8 +145,8 @@ func TestSamplesPooling(t *testing.T) {
 		Cores: 1, WarmCycles: 10_000, MeasureCycles: 10_000,
 		Workloads: []string{"Web-Frontend"}, Seed: 1, Samples: 3,
 	})
-	a := one.Baseline("Web-Frontend")
-	b := three.Baseline("Web-Frontend")
+	a := one.run("Web-Frontend", baseline)
+	b := three.run("Web-Frontend", baseline)
 	if b.M.Cycles != 3*a.M.Cycles {
 		t.Fatalf("pooled cycles %d, want 3x %d", b.M.Cycles, a.M.Cycles)
 	}
@@ -155,7 +157,7 @@ func TestSamplesPooling(t *testing.T) {
 
 func TestHarnessRecordsFailures(t *testing.T) {
 	h := tiny()
-	r := h.run("Web-Frontend", "boom", func() prefetch.Design { panic("injected") }, runOpts{})
+	r := h.run("Web-Frontend", spec{design: "boom"}) // no catalog design: building it panics
 	if r.M.Cycles != 0 {
 		t.Error("failed configuration returned a non-zero result")
 	}
@@ -166,7 +168,7 @@ func TestHarnessRecordsFailures(t *testing.T) {
 		t.Fatal("failed configuration was cached")
 	}
 	// A healthy run afterwards still works and Err persists.
-	if h.Baseline("Web-Frontend").M.Cycles == 0 {
+	if h.run("Web-Frontend", baseline).M.Cycles == 0 {
 		t.Fatal("healthy run after failure returned zero result")
 	}
 	if h.Err() == nil {
@@ -187,7 +189,7 @@ func TestPrewarmJournalResume(t *testing.T) {
 	if len(h1.cache) != 3 {
 		t.Fatalf("prewarm cached %d configurations, want 3", len(h1.cache))
 	}
-	want := h1.Baseline("Web-Frontend")
+	want := h1.run("Web-Frontend", baseline)
 
 	// A fresh harness resumes every cell from the journal: the restored
 	// metrics match and no simulation re-runs (restored results carry no
@@ -197,14 +199,14 @@ func TestPrewarmJournalResume(t *testing.T) {
 	if err := h2.Prewarm(context.Background(), journal); err != nil {
 		t.Fatal(err)
 	}
-	got := h2.Baseline("Web-Frontend")
+	got := h2.run("Web-Frontend", baseline)
 	if got.M != want.M {
 		t.Fatal("journal-restored metrics differ from the original run")
 	}
-	if h1.Full("Web-Frontend").Probes == nil {
+	if h1.run("Web-Frontend", full).Probes == nil {
 		t.Fatal("a live run of the full design carries no probes")
 	}
-	if h2.Full("Web-Frontend").Probes != nil {
+	if h2.run("Web-Frontend", full).Probes != nil {
 		t.Fatal("prewarm re-ran a journaled cell instead of resuming it")
 	}
 }
@@ -244,8 +246,12 @@ func TestDesignProbesOnResumedResults(t *testing.T) {
 		Cores: 2, WarmCycles: 20_000, MeasureCycles: 20_000,
 		Workloads: []string{"Web-Frontend"}, Seed: 1,
 	}
+	experiment := func(h *Harness, id string) Experiment {
+		e, _ := h.ByID(id)
+		return e
+	}
 	live := New(cfg)
-	want01, want12 := live.Fig01().Headline, live.Fig12().Headline
+	want01, want12 := experiment(live, "fig01").Headline, experiment(live, "fig12").Headline
 	if want01["fpmiss_avg"] == 0 || want12["overpred_tagless"] == 0 {
 		t.Fatalf("live probes read zero (%v, %v): the comparison below would be vacuous", want01, want12)
 	}
@@ -259,19 +265,19 @@ func TestDesignProbesOnResumedResults(t *testing.T) {
 	if err := h.Prewarm(context.Background(), journal); err != nil {
 		t.Fatal(err)
 	}
-	if h.Full("Web-Frontend").Probes != nil {
+	if h.run("Web-Frontend", full).Probes != nil {
 		t.Fatal("prewarm re-ran a journaled cell instead of resuming it")
 	}
-	if got := h.Fig01().Headline; !reflect.DeepEqual(got, want01) {
+	if got := experiment(h, "fig01").Headline; !reflect.DeepEqual(got, want01) {
 		t.Errorf("Fig01 on a resumed harness = %v, want %v", got, want01)
 	}
-	if got := h.Fig12().Headline; !reflect.DeepEqual(got, want12) {
+	if got := experiment(h, "fig12").Headline; !reflect.DeepEqual(got, want12) {
 		t.Errorf("Fig12 on a resumed harness = %v, want %v", got, want12)
 	}
 
 	unavailableRows := func(what string, h *Harness) {
 		t.Helper()
-		for _, e := range []Experiment{h.Fig01(), h.Fig12()} {
+		for _, e := range []Experiment{experiment(h, "fig01"), experiment(h, "fig12")} {
 			if len(e.Headline) != 0 {
 				t.Errorf("%s: %s has headline numbers %v", what, e.ID, e.Headline)
 			}
@@ -300,4 +306,145 @@ func TestDesignProbesOnResumedResults(t *testing.T) {
 	if dead.Err() == nil {
 		t.Fatal("cancelled harness recorded no failure")
 	}
+}
+
+// TestEachConfigurationSimulatesOnce: over every experiment, ablations
+// included, no two simulated runs share an equal configuration, so the
+// harness simulates one cell per distinct configuration of a workload: 40
+// for the paper's experiments and 46 with the ablations. (When each figure
+// keyed its runs by hand it simulated 45 and 53: SN4L, SN4L+Dis (twice),
+// SN4L+Dis+BTB and Shotgun also ran under figure-private keys, and so did
+// SN4L+Dis+BTB twice more in the ablations.)
+func TestEachConfigurationSimulatesOnce(t *testing.T) {
+	h := tiny()
+	h.cfg.Progress = runner.NewProgress()
+	h.All()
+	if got := h.cfg.Progress.Snapshot().Done; got != 40 {
+		t.Errorf("the paper's experiments simulated %d cells, want 40", got)
+	}
+	for _, id := range AblationIDs() {
+		h.ByID(id)
+	}
+	if got := h.cfg.Progress.Snapshot().Done; got != 46 {
+		t.Errorf("with the ablations the experiments simulated %d cells, want 46", got)
+	}
+
+	// A configuration is its RunConfig with the design constructor replaced
+	// by a fresh instance, compared by value: two catalog designs built twice
+	// compare equal, so equality here is what the simulator sees.
+	equal := func(a, b any) bool {
+		return sameValue(reflect.ValueOf(a), reflect.ValueOf(b), map[[2]uintptr]bool{})
+	}
+	for _, e := range prefetch.Catalog() {
+		if !equal(e.New(), e.New()) {
+			t.Fatalf("two fresh %s instances differ: the comparison below would miss duplicates", e.Name)
+		}
+	}
+	type config struct {
+		rc     sim.RunConfig
+		design prefetch.Design
+	}
+	var keys []runKey
+	var configs []config
+	for k := range h.cache {
+		rc := h.runConfig(k)
+		c := config{design: rc.NewDesign()}
+		rc.NewDesign = nil
+		c.rc = rc
+		keys, configs = append(keys, k), append(configs, c)
+	}
+	for i := range configs {
+		for j := i + 1; j < len(configs); j++ {
+			if equal(configs[i], configs[j]) {
+				t.Errorf("%s and %s are one configuration, simulated twice", keys[i], keys[j])
+			}
+		}
+	}
+}
+
+// sameValue is reflect.DeepEqual, except that any two non-nil funcs of one
+// type are equal: a design's callbacks are its own methods, bound to each
+// instance, so DeepEqual would tell two identical designs apart.
+func sameValue(a, b reflect.Value, seen map[[2]uintptr]bool) bool {
+	if a.IsValid() != b.IsValid() || a.IsValid() && a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Invalid:
+		return true
+	case reflect.Func:
+		return a.IsNil() == b.IsNil()
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		if a.Kind() == reflect.Pointer {
+			k := [2]uintptr{a.Pointer(), b.Pointer()}
+			if seen[k] {
+				return true
+			}
+			seen[k] = true
+		}
+		return sameValue(a.Elem(), b.Elem(), seen)
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameValue(a.Field(i), b.Field(i), seen) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameValue(a.Index(i), b.Index(i), seen) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for it := a.MapRange(); it.Next(); {
+			if bv := b.MapIndex(it.Key()); !bv.IsValid() || !sameValue(it.Value(), bv, seen) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
+}
+
+// TestSpecNames: a knob at its catalog value is no variant, and a variant's
+// name (its store design tag) lists the moved knobs.
+func TestSpecNames(t *testing.T) {
+	for _, c := range []struct {
+		s    spec
+		want string
+	}{
+		{full, "SN4L+Dis+BTB"},
+		{full.with(rluEntries, 8), "SN4L+Dis+BTB"},
+		{full.with(rluEntries, 0), "SN4L+Dis+BTB{rlu=0}"},
+		{spec{design: "SN4L"}.with(seqEntries, 16<<10), "SN4L"},
+		{shotgun.with(btbPercent, 100), "shotgun"},
+		{shotgun.with(btbPercent, 25), "shotgun{btb-pct=25}"},
+		{baseline.with(perfectL1i, 1).with(perfectBTB, 1), "baseline{perfect-l1i=1,perfect-btb=1}"},
+		{spec{design: "baseline", mode: isa.Variable}.with(dvLLC, 1), "baseline"},
+		{spec{design: "baseline", mode: isa.Variable}.with(dvLLC, 0), "baseline{dv=0}"},
+	} {
+		if got := c.s.name(); got != c.want {
+			t.Errorf("name = %q, want %q", got, c.want)
+		}
+	}
+	if full.with(rluEntries, 0).with(rluEntries, 8) != full {
+		t.Error("moving a knob back to its catalog value leaves a variant")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a knob the design lacks was accepted")
+		}
+	}()
+	spec{design: "N4L"}.with(seqEntries, 1)
 }

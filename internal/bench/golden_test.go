@@ -22,7 +22,8 @@ var update = flag.Bool("update", false, "rewrite testdata/experiments_golden.txt
 func TestExperimentsGolden(t *testing.T) {
 	h := tiny()
 	var b strings.Builder
-	for _, e := range append(h.All(), h.Ablations()...) {
+	for _, id := range append(IDs(), AblationIDs()...) {
+		e, _ := h.ByID(id)
 		fmt.Fprintf(&b, "== %s: %s\n   (%s)\n%s", e.ID, e.Title, e.PaperNote, e.Table.String())
 		keys := make([]string, 0, len(e.Headline))
 		for k := range e.Headline {

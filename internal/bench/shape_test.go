@@ -22,16 +22,16 @@ func TestPaperShapes(t *testing.T) {
 		Seed:          1,
 	})
 
-	var base, n4l, n8l, sn4l, snd, full, shot, conf []sim.Result
+	var base, n4l, n8l, sn4l, snd, dnc, shot, conf []sim.Result
 	for _, w := range h.Workloads() {
-		base = append(base, h.Baseline(w))
-		n4l = append(n4l, h.run(w, "N4L", design("N4L"), runOpts{}))
-		n8l = append(n8l, h.run(w, "N8L", design("N8L"), runOpts{}))
-		sn4l = append(sn4l, h.run(w, "sn4l", design("SN4L"), runOpts{}))
-		snd = append(snd, h.run(w, "snd", design("SN4L+Dis"), runOpts{}))
-		full = append(full, h.Full(w))
-		shot = append(shot, h.Shotgun(w))
-		conf = append(conf, h.Confluence(w))
+		base = append(base, h.run(w, baseline))
+		n4l = append(n4l, h.run(w, spec{design: "N4L"}))
+		n8l = append(n8l, h.run(w, spec{design: "N8L"}))
+		sn4l = append(sn4l, h.run(w, spec{design: "SN4L"}))
+		snd = append(snd, h.run(w, spec{design: "SN4L+Dis"}))
+		dnc = append(dnc, h.run(w, full))
+		shot = append(shot, h.run(w, shotgun))
+		conf = append(conf, h.run(w, confluence))
 	}
 	avgSpeedup := func(rs []sim.Result) float64 {
 		var s float64
@@ -56,7 +56,7 @@ func TestPaperShapes(t *testing.T) {
 	}
 
 	spN4L, spN8L := avgSpeedup(n4l), avgSpeedup(n8l)
-	spSN4L, spSND, spFull := avgSpeedup(sn4l), avgSpeedup(snd), avgSpeedup(full)
+	spSN4L, spSND, spFull := avgSpeedup(sn4l), avgSpeedup(snd), avgSpeedup(dnc)
 	spShot, spConf := avgSpeedup(shot), avgSpeedup(conf)
 
 	t.Logf("speedups: N4L=%.3f N8L=%.3f SN4L=%.3f SN4L+Dis=%.3f full=%.3f shotgun=%.3f confluence=%.3f",
@@ -87,9 +87,9 @@ func TestPaperShapes(t *testing.T) {
 	if spFull <= spConf {
 		t.Errorf("full %.3f does not beat confluence %.3f", spFull, spConf)
 	}
-	if avgFSCR(full) <= avgFSCR(shot) || avgFSCR(full) <= avgFSCR(conf) {
+	if avgFSCR(dnc) <= avgFSCR(shot) || avgFSCR(dnc) <= avgFSCR(conf) {
 		t.Errorf("full FSCR %.3f not above shotgun %.3f / confluence %.3f",
-			avgFSCR(full), avgFSCR(shot), avgFSCR(conf))
+			avgFSCR(dnc), avgFSCR(shot), avgFSCR(conf))
 	}
 	// Selectivity: SN4L needs far less bandwidth than N4L for comparable
 	// coverage (the Figure 5/6 motivation).

@@ -107,7 +107,7 @@ func TestStoreEndToEnd(t *testing.T) {
 	for i := range cells {
 		c := &cells[i]
 		x := int((c.Seed - cfg.Seed) / 7919)
-		id := fmt.Sprintf("%s|%s|%+v|c%d|w%d|m%d|s%d|x%d", c.Workload, c.Design, runOpts{},
+		id := fmt.Sprintf("%s|%s|%s|c%d|w%d|m%d|s%d|x%d", c.Workload, c.Design, c.Mode,
 			cfg.Cores, cfg.WarmCycles, cfg.MeasureCycles, cfg.Seed, x)
 		res := journal[id]
 		if res == nil {

@@ -211,13 +211,43 @@ type doneRecord struct {
 }
 
 // writeFileAtomic writes via temp file + rename so the destination is
-// always absent or complete, never torn.
+// always absent or complete, never torn, and durably: the temp file is
+// fsynced before the rename and the directory after it, so a power loss
+// once it returns keeps the new file.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (j *job) persistSpec() error {
@@ -226,6 +256,10 @@ func (j *job) persistSpec() error {
 		return err
 	}
 	if err := os.MkdirAll(j.dir, 0o755); err != nil {
+		return err
+	}
+	// The job directory's own entry must survive too.
+	if err := syncDir(filepath.Dir(j.dir)); err != nil {
 		return err
 	}
 	return writeFileAtomic(filepath.Join(j.dir, "spec.json"), b)

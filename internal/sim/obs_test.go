@@ -128,9 +128,12 @@ func TestObsTraceExport(t *testing.T) {
 }
 
 // TestObsFastForwardInvariant: fast-forward clamps its jumps to the
-// sampling cadence and gauges freeze during pure stalls, so the sampled
-// occupancy histograms — and every other histogram and counter — must be
-// bit-identical with and without fast-forward.
+// sampling cadence, and before each sample the engine brings every lagged
+// sleeping core to the clock (syncCores), so the sampled occupancy
+// histograms — and every other histogram and counter — must be
+// bit-identical with and without fast-forward. Gauges do not freeze during
+// a pure stall (its window retires in place, draining the ROB); the sync is
+// what makes a sleeping core's sample read what a cycle-by-cycle loop sees.
 func TestObsFastForwardInvariant(t *testing.T) {
 	nd := func() prefetch.Design {
 		return prefetch.NewProactive(prefetch.DefaultProactiveConfig())
