@@ -19,7 +19,6 @@ import (
 	"syscall"
 
 	wl "dnc/internal/cfg"
-	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/obs"
 	"dnc/internal/prefetch"
@@ -125,8 +124,6 @@ func main() {
 		return
 	}
 
-	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = d.PrefetchBufferEntries
 	rc := sim.RunConfig{
 		Workload:      workloads.Params(*workload, m),
 		NewDesign:     d.New,
@@ -134,7 +131,6 @@ func main() {
 		WarmCycles:    *warm,
 		MeasureCycles: *measure,
 		Seed:          *seed,
-		Core:          cc,
 		ResumeFrom:    *resume,
 		IntraJobs:     *intraJobs,
 	}
@@ -192,7 +188,6 @@ func main() {
 	if *baseline && *design != "baseline" {
 		b, _ := prefetch.FindDesign("baseline")
 		rc.NewDesign = b.New
-		rc.Core.PrefetchBufferEntries = 0
 		// The snapshot (and any resume point) belongs to the main design's
 		// run; the baseline comparison always runs fresh. The comparison is
 		// also uninstrumented: derived metrics need no histograms.
@@ -223,14 +218,13 @@ func runVerify(entries []prefetch.CatalogEntry, p wl.Params, cores int, warm, me
 	for _, e := range entries {
 		for s := int64(1); s <= int64(seeds); s++ {
 			_, rep, err := difftest.Run(ctx, difftest.Options{
-				Workload:              p,
-				Seed:                  s,
-				NewDesign:             e.New,
-				PrefetchBufferEntries: e.PrefetchBufferEntries,
-				Cores:                 cores,
-				Warm:                  warm,
-				Measure:               measure,
-				Strict:                true,
+				Workload:  p,
+				Seed:      s,
+				NewDesign: e.New,
+				Cores:     cores,
+				Warm:      warm,
+				Measure:   measure,
+				Strict:    true,
 			})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dncsim: verify %s seed %d: %v\n", e.Name, s, err)

@@ -308,24 +308,19 @@ func (h *Harness) cells(k runKey) []runner.Cell {
 // runConfig is one sample cell's simulation of k: the spec's design, core
 // and LLC knobs on the harness's core count, windows and seed.
 func (h *Harness) runConfig(k runKey) sim.RunConfig {
-	nd, pfb := k.s.build()
-	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = pfb
-	cc.PerfectL1i = k.s.get(perfectL1i) == 1
-	cc.PerfectBTB = k.s.get(perfectBTB) == 1
-	lc := llc.DefaultConfig()
-	lc.DVEnabled = k.s.get(dvLLC) == 1
-	lc.BFsPerSet = k.s.get(bfsPerSet)
 	rc := sim.RunConfig{
 		Workload:      workloads.Params(k.workload, k.s.mode),
-		NewDesign:     nd,
+		NewDesign:     k.s.build(),
 		Cores:         h.cfg.Cores,
 		WarmCycles:    h.cfg.WarmCycles,
 		MeasureCycles: h.cfg.MeasureCycles,
 		Seed:          h.cfg.Seed,
-		Core:          cc,
-		LLC:           lc,
+		Core:          core.Config{PerfectL1i: k.s.get(perfectL1i) == 1, PerfectBTB: k.s.get(perfectBTB) == 1},
+		LLC:           llc.Config{BFsPerSet: k.s.get(bfsPerSet)},
 		IntraJobs:     h.cfg.IntraJobs,
+	}
+	if k.s.get(dvLLC) == 0 {
+		rc.LLC.DV = llc.DVOff
 	}
 	if h.store != nil {
 		rc.Obs = &obs.Config{}

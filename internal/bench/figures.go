@@ -127,11 +127,10 @@ var experiments = []struct {
 		body: func(_ *Harness, t *stats.Table, head map[string]float64) {
 			// Storage is computed from the implemented configurations.
 			kb := func(s spec, key string) string {
-				nd, _ := s.build()
-				head["kb_"+key] = float64(nd().StorageBits()) / 8 / 1024
+				head["kb_"+key] = float64(s.build()().StorageBits()) / 8 / 1024
 				return fmt.Sprintf("%.1f KB", head["kb_"+key])
 			}
-			_, pfb := shotgun.build()
+			pfb := shotgun.build()().(prefetch.Bufferer).BufferEntries()
 			t.AddRow("SN4L+Dis+BTB", kb(full, "full"), "no", "no", "yes")
 			t.AddRow("Shotgun", kb(shotgun, "shotgun"), "yes (split U/C/RIB)", fmt.Sprintf("yes (%d-entry)", pfb), "no")
 			t.AddRow("Confluence", kb(confluence, "confluence"), "yes (AirBTB)", "no", "no")

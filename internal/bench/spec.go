@@ -44,7 +44,7 @@ const (
 	btbPercent             // BTB budget, percent of the catalog design's
 	perfectL1i             // 1: every L1i access hits
 	perfectBTB             // 1: every BTB lookup hits
-	dvLLC                  // 1: DV-LLC branch-footprint virtualization on
+	dvLLC                  // 0: DV-LLC off; 1: the LLC's default, on exactly for variable-length code
 	bfsPerSet              // DV-LLC branch footprints per BF-holder way
 	numKnobs
 
@@ -79,10 +79,7 @@ func (s spec) catalog(k knob) (int, bool) {
 	case btbPercent:
 		return 100, proactive || s.design == "shotgun"
 	case dvLLC:
-		if s.mode == isa.Variable {
-			return 1, true // sim's default LLC for variable-length code
-		}
-		return 0, true
+		return 1, true
 	case bfsPerSet:
 		return llc.DefaultConfig().BFsPerSet, true
 	}
@@ -135,30 +132,29 @@ func (s spec) name() string {
 }
 
 // build returns s's design constructor (the catalog's own when no design
-// knob is moved) and the L1i prefetch-buffer entries the design expects. A
-// name outside the catalog builds a constructor that panics, so the runs of
-// that spec fail and the harness records them.
-func (s spec) build() (func() prefetch.Design, int) {
+// knob is moved). A name outside the catalog builds a constructor that
+// panics, so the runs of that spec fail and the harness records them.
+func (s spec) build() func() prefetch.Design {
 	e, ok := prefetch.FindDesign(s.design)
 	switch {
 	case !ok:
-		return func() prefetch.Design { panic("bench: no catalog design " + s.design) }, 0
+		return func() prefetch.Design { panic("bench: no catalog design " + s.design) }
 	case s.moved&designKnobs == 0:
-		return e.New, e.PrefetchBufferEntries
+		return e.New
 	case s.design == "SN4L":
 		seq := s.get(seqEntries)
-		return func() prefetch.Design { return prefetch.NewSN4L(seq, 2048) }, e.PrefetchBufferEntries
+		return func() prefetch.Design { return prefetch.NewSN4L(seq, 2048) }
 	case s.design == "shotgun":
 		c := prefetch.DefaultShotgunDesignConfig()
 		c.BTB = btb.ScaledShotgunConfig(s.get(btbPercent), 100)
-		return func() prefetch.Design { return prefetch.NewShotgun(c) }, e.PrefetchBufferEntries
+		return func() prefetch.Design { return prefetch.NewShotgun(c) }
 	}
 	c := prefetch.DefaultProactiveConfig()
 	c.WithBTBPrefetch = s.design == "SN4L+Dis+BTB"
 	c.SeqEntries, c.DisEntries, c.DisTagBits = s.get(seqEntries), s.get(disEntries), uint(s.get(disTagBits))
 	c.RLUEntries, c.MaxDepth, c.QueueDepth = s.get(rluEntries), s.get(chainDepth), s.get(queueDepth)
 	c.BTBEntries = scaleEntries(c.BTBEntries, s.get(btbPercent), 100)
-	return func() prefetch.Design { return prefetch.NewProactive(c) }, e.PrefetchBufferEntries
+	return func() prefetch.Design { return prefetch.NewProactive(c) }
 }
 
 // modeName renders the isa dispatch mode as the store's tag vocabulary.

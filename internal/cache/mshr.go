@@ -22,8 +22,8 @@ type MSHR struct {
 	// Demanded records whether a demand access merged into this miss while
 	// it was in flight; used for partial-coverage accounting.
 	Demanded bool
-	// Buffered routes the fill into the design's prefetch buffer instead of
-	// the L1i (Shotgun's 64-entry instruction prefetch buffer).
+	// Buffered routes the fill into the core's prefetch buffer instead of
+	// the L1i: every prefetch of a core with one (Shotgun's 64 entries).
 	Buffered bool
 }
 

@@ -32,7 +32,7 @@ func (c *Core) State(cp *checkpoint.Codec) {
 		}
 		// FIFO order, oldest first: (block, fill latency) pairs.
 		live := c.pfbLive()
-		checkpoint.Slice(cp, "prefetch buffer", &live, 16, c.cf.PrefetchBufferEntries, func(b *isa.BlockID) {
+		checkpoint.Slice(cp, "prefetch buffer", &live, 16, c.pfbCap, func(b *isa.BlockID) {
 			checkpoint.Word(cp, b)
 			lat, _ := c.pfb.Get(*b)
 			cp.U64(&lat)
@@ -158,9 +158,9 @@ func (c *Core) Audit() []error {
 			errs = append(errs, fmt.Errorf("core %d: prefetch buffer map holds %d blocks but FIFO order lists %d",
 				c.cf.Tile, c.pfb.Len(), len(c.pfbLive())))
 		}
-		if len(c.pfbLive()) > c.cf.PrefetchBufferEntries {
+		if len(c.pfbLive()) > c.pfbCap {
 			errs = append(errs, fmt.Errorf("core %d: prefetch buffer holds %d blocks over capacity %d",
-				c.cf.Tile, len(c.pfbLive()), c.cf.PrefetchBufferEntries))
+				c.cf.Tile, len(c.pfbLive()), c.pfbCap))
 		}
 		for _, b := range c.pfbLive() {
 			if !c.pfb.Contains(b) {

@@ -60,11 +60,6 @@ type Config struct {
 	// reference point).
 	PerfectBTB bool
 
-	// PrefetchBufferEntries, when nonzero, adds a fully associative L1i
-	// prefetch buffer; buffered prefetch fills land there and promote to
-	// the L1i on demand (Shotgun's 64-entry buffer).
-	PrefetchBufferEntries int
-
 	TAGE bpred.TAGEConfig
 }
 
@@ -92,10 +87,9 @@ func DefaultConfig() Config {
 
 // Normalized fills each zero field of c from DefaultConfig, so a partial
 // configuration keeps what it sets: Config{PerfectL1i: true} is the default
-// core with a perfect L1i. Tile, PerfectL1i, PerfectBTB and
-// PrefetchBufferEntries are kept as given, since zero is a valid setting of
-// each; a TAGE with no BaseEntries takes the default predictor whole, as
-// bpred.NewTAGE does.
+// core with a perfect L1i. Tile, PerfectL1i and PerfectBTB are kept as
+// given, since zero is a valid setting of each; a TAGE with no BaseEntries
+// takes the default predictor whole, as bpred.NewTAGE does.
 func (c Config) Normalized() Config {
 	d := DefaultConfig()
 	orDefault(&c.FetchWidth, d.FetchWidth)
@@ -145,14 +139,15 @@ type Core struct {
 	l1d    *cache.Cache
 	mshr   *cache.MSHRFile
 
-	// Prefetch buffer (optional): block -> fill latency, with
-	// pfbOrder[pfbHead:] tracking FIFO age oldest-first. Eviction advances
-	// the head; the slice compacts in place once the dead prefix reaches
-	// capacity, so inserts are amortized O(1) and never allocate after the
-	// one-time 2x-capacity reservation.
+	// Prefetch buffer of pfbCap blocks, when the design has one
+	// (prefetch.Bufferer): block -> fill latency, with pfbOrder[pfbHead:]
+	// tracking FIFO age oldest-first. Eviction advances the head; the slice
+	// compacts in place once the dead prefix reaches capacity, so inserts
+	// are amortized O(1) and never allocate after the 2x-capacity reservation.
 	pfb      *blockmap.Map[uint64]
 	pfbOrder []isa.BlockID
 	pfbHead  int
+	pfbCap   int
 
 	// prefLat remembers the fill latency of prefetched L1i lines (CMAL).
 	prefLat blockmap.Map[uint64]
@@ -255,9 +250,10 @@ func New(cf Config, stream wl.Stream, image *isa.Image, design prefetch.Design, 
 	// prefLat is bounded by resident L1i lines still holding their
 	// prefetched flag; presizing to the line count makes it allocation-free.
 	c.prefLat = *blockmap.New[uint64](cf.L1ISizeBytes / isa.BlockBytes)
-	if cf.PrefetchBufferEntries > 0 {
-		c.pfb = blockmap.New[uint64](cf.PrefetchBufferEntries)
-		c.pfbOrder = make([]isa.BlockID, 0, 2*cf.PrefetchBufferEntries)
+	if b, ok := design.(prefetch.Bufferer); ok && b.BufferEntries() > 0 {
+		c.pfbCap = b.BufferEntries()
+		c.pfb = blockmap.New[uint64](c.pfbCap)
+		c.pfbOrder = make([]isa.BlockID, 0, 2*c.pfbCap)
 	}
 	if image.Mode == isa.Variable {
 		c.bfCache = blockmap.New[isa.BF](1024)
@@ -314,7 +310,7 @@ func (c *Core) InFlight(b isa.BlockID) bool {
 }
 
 // IssuePrefetch implements prefetch.Env.
-func (c *Core) IssuePrefetch(b isa.BlockID, buffered bool) bool {
+func (c *Core) IssuePrefetch(b isa.BlockID) bool {
 	if c.cf.PerfectL1i {
 		return false
 	}
@@ -347,7 +343,7 @@ func (c *Core) IssuePrefetch(b isa.BlockID, buffered bool) bool {
 		c.emit(obs.EvPrefetchDrop, uint64(b), 0)
 		return false
 	}
-	m.Buffered = buffered
+	m.Buffered = c.pfb != nil
 	c.M.PrefetchesIssued++
 	if c.post != nil && c.hooks.Tracer != nil {
 		c.post.reqs[len(c.post.reqs)-1].ev = c.hooks.Tracer.Total() + 1
@@ -607,13 +603,13 @@ func (c *Core) pfbInsert(b isa.BlockID, lat uint64) {
 	if c.pfb.Contains(b) {
 		return
 	}
-	if len(c.pfbOrder)-c.pfbHead >= c.cf.PrefetchBufferEntries {
+	if len(c.pfbOrder)-c.pfbHead >= c.pfbCap {
 		old := c.pfbOrder[c.pfbHead]
 		c.pfbHead++
 		c.pfb.Delete(old)
 		c.M.UselessEvicts++
 	}
-	if c.pfbHead >= c.cf.PrefetchBufferEntries {
+	if c.pfbHead >= c.pfbCap {
 		// Compact the dead prefix so the backing array stays at 2x capacity.
 		n := copy(c.pfbOrder, c.pfbOrder[c.pfbHead:])
 		c.pfbOrder = c.pfbOrder[:n]

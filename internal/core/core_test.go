@@ -138,17 +138,36 @@ func TestPrefetchFillsAndCMAL(t *testing.T) {
 	}
 }
 
+// TestPrefetchBufferPromotion: a core gets a prefetch buffer of the
+// declared size exactly when its design declares one (prefetch.Bufferer),
+// and the catalog Shotgun's prefetches fill it.
 func TestPrefetchBufferPromotion(t *testing.T) {
-	cf := DefaultConfig()
-	cf.PrefetchBufferEntries = 64
-	// Shotgun issues buffered prefetches.
-	c, _ := newTestCore(t, cf, prefetch.NewShotgun(prefetch.DefaultShotgunDesignConfig()))
-	runCycles(c, 30000)
-	if c.M.Retired == 0 {
-		t.Fatal("no progress with prefetch buffer")
-	}
-	if c.M.PrefetchFills == 0 {
-		t.Fatal("no buffered fills")
+	shotgun, _ := prefetch.FindDesign("shotgun")
+	bare := prefetch.DefaultShotgunDesignConfig()
+	bare.BufferEntries = 0
+	for _, tc := range []struct {
+		name string
+		d    prefetch.Design
+		want int
+	}{
+		{"baseline", prefetch.NewBaseline(2048), 0},
+		{"shotgun, no buffer", prefetch.NewShotgun(bare), 0},
+		{"catalog shotgun", shotgun.New(), 64},
+	} {
+		c, _ := newTestCore(t, DefaultConfig(), tc.d)
+		if c.pfbCap != tc.want || (c.pfb != nil) != (tc.want > 0) {
+			t.Fatalf("%s: buffer of %d entries (present %v), want %d", tc.name, c.pfbCap, c.pfb != nil, tc.want)
+		}
+		if tc.want == 0 {
+			continue
+		}
+		runCycles(c, 30000)
+		if c.M.Retired == 0 {
+			t.Fatal("no progress with prefetch buffer")
+		}
+		if c.M.PrefetchFills == 0 || c.pfb.Len() == 0 {
+			t.Fatalf("no buffered fills (%d fills, %d blocks buffered)", c.M.PrefetchFills, c.pfb.Len())
+		}
 	}
 }
 
@@ -191,7 +210,7 @@ func TestVariableModeBFConstruction(t *testing.T) {
 	p.Mode = isa.Variable
 	prog := wl.Generate(p)
 	lcfg := llc.DefaultConfig()
-	lcfg.DVEnabled = true
+	lcfg.DV = llc.DVOn
 	uncore := NewUncore(llc.New(lcfg))
 	uncore.Preload(prog.Image)
 	c := New(DefaultConfig(), wl.NewWalker(prog, 1), prog.Image, prefetch.NewBaseline(2048), uncore)

@@ -37,17 +37,17 @@ func TestEnvIssuePrefetchRules(t *testing.T) {
 	prog := wl.Generate(testWorkload())
 	b := isa.BlockOf(prog.Image.Base)
 
-	if !c.IssuePrefetch(b, false) {
+	if !c.IssuePrefetch(b) {
 		t.Fatal("first issue refused")
 	}
-	if c.IssuePrefetch(b, false) {
+	if c.IssuePrefetch(b) {
 		t.Fatal("duplicate in-flight issue accepted")
 	}
 	if !c.InFlight(b) {
 		t.Fatal("issued block not in flight")
 	}
 	// Out-of-image blocks are refused.
-	if c.IssuePrefetch(isa.BlockOf(prog.Image.End())+1000, false) {
+	if c.IssuePrefetch(isa.BlockOf(prog.Image.End()) + 1000) {
 		t.Fatal("out-of-image prefetch accepted")
 	}
 	if c.M.PrefetchesIssued != 1 {
@@ -59,7 +59,7 @@ func TestEnvIssuePrefetchPerfectL1i(t *testing.T) {
 	cf := DefaultConfig()
 	cf.PerfectL1i = true
 	c, _ := envCore(t, cf)
-	if c.IssuePrefetch(1, false) {
+	if c.IssuePrefetch(1) {
 		t.Fatal("perfect L1i accepted a prefetch")
 	}
 }
@@ -89,7 +89,7 @@ func TestEnvPredecodeVariableNeedsBF(t *testing.T) {
 	p.Mode = isa.Variable
 	prog := wl.Generate(p)
 	lcfg := llc.DefaultConfig()
-	lcfg.DVEnabled = true
+	lcfg.DV = llc.DVOn
 	uncore := NewUncore(llc.New(lcfg))
 	uncore.Preload(prog.Image)
 	c := New(DefaultConfig(), wl.NewWalker(prog, 1), prog.Image,

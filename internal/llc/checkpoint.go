@@ -65,7 +65,7 @@ func (c *LLC) State(cp *checkpoint.Codec) {
 		bfs := c.setBFs(si)
 		n := cp.Len("BF-holder", len(bfs), 12, c.bfCap)
 		if cp.Loading() {
-			if cp.Err() == nil && (held < -1 || held >= c.ways || (held >= 0 && !c.cfg.DVEnabled)) {
+			if cp.Err() == nil && (held < -1 || held >= c.ways || (held >= 0 && c.cfg.DV != DVOn)) {
 				cp.Corrupt("set %d BF-holder way %d out of range", si, held)
 			}
 			if cp.Err() != nil {
@@ -148,7 +148,7 @@ func (c *LLC) Audit() []error {
 			}
 			continue
 		}
-		if !c.cfg.DVEnabled {
+		if c.cfg.DV != DVOn {
 			errs = append(errs, fmt.Errorf("llc: set %d pins BF-holder way %d with DV off", si, held))
 			continue
 		}

@@ -27,8 +27,8 @@ type Config struct {
 	// prefetch traffic raising the observed LLC latency (Figure 5) flows
 	// through this and the NoC contention model.
 	BankServiceCycles uint64
-	// DVEnabled turns on DV-LLC branch-footprint virtualization.
-	DVEnabled bool
+	// DV selects DV-LLC branch-footprint virtualization.
+	DV DV
 	// BFsPerSet caps how many footprints one BF-holder way stores. A 64-byte
 	// way holds 21 three-byte BFs direct-mapped by way (the paper), or 10
 	// with tags when associativity exceeds 21. Figure 9 sweeps small values.
@@ -43,10 +43,21 @@ func DefaultConfig() Config {
 		Banks:             16,
 		AccessCycles:      18,
 		BankServiceCycles: 8,
-		DVEnabled:         false,
 		BFsPerSet:         21,
 	}
 }
+
+// DV is a Config's DV-LLC setting. DVDefault, the zero value, is on exactly
+// for variable-length code, whose BTB prefetcher needs the footprints; sim
+// resolves it from the workload, and an LLC built with it unresolved has DV
+// off. DVOn and DVOff force it whatever the ISA.
+type DV uint8
+
+const (
+	DVDefault DV = iota
+	DVOn
+	DVOff
+)
 
 // Bits of a packed line word. The block sits above them; blocks are byte
 // addresses shifted right by the block size, so their top bits are free.
@@ -171,7 +182,7 @@ func New(cfg Config) *LLC {
 	if cfg.Ways < 1 || cfg.Ways > 255 {
 		panic(fmt.Sprintf("llc: %d ways outside 1..255", cfg.Ways))
 	}
-	if cfg.DVEnabled && cfg.Ways < 2 {
+	if cfg.DV == DVOn && cfg.Ways < 2 {
 		panic("llc: DV needs a way for the BF-holder and one for blocks")
 	}
 	totalSets := cfg.SizeBytes / (isa.BlockBytes * cfg.Ways)
@@ -201,7 +212,7 @@ func New(cfg Config) *LLC {
 		bankOcc:   make([]bankWindow, cfg.Banks),
 	}
 	markUntouched(c.hints)
-	if cfg.DVEnabled {
+	if cfg.DV == DVOn {
 		// The holder way cannot hold a footprint for itself.
 		c.bfCap = max(0, min(cfg.BFsPerSet, cfg.Ways-1))
 		c.bfs = make([]bfEntry, totalSets*c.bfCap)
@@ -303,7 +314,7 @@ func (c *LLC) preloaded(n uint64) (evictions, transitions, valid uint64) {
 	switch {
 	case n == 0:
 		return 0, 0, 0
-	case !c.cfg.DVEnabled:
+	case c.cfg.DV != DVOn:
 		return n - min(n, ways), 0, min(n, ways)
 	case ways == 2:
 		// The set's one block way holds its only instruction block, so each
@@ -346,7 +357,7 @@ func (c *LLC) fill(si int) {
 	}
 	n := (c.warmN-off-1)/sets + 1
 	ways, at := uint64(c.ways), uint64(0)
-	if c.cfg.DVEnabled {
+	if c.cfg.DV == DVOn {
 		ways, at = ways-1, 1
 		if ways > 1 || n == 1 {
 			c.holder[si] = 1
@@ -497,7 +508,7 @@ func (c *LLC) Insert(b isa.BlockID, isInst bool) {
 		}
 		return
 	}
-	if c.cfg.DVEnabled && isInst && c.holder[si] == 0 {
+	if c.cfg.DV == DVOn && isInst && c.holder[si] == 0 {
 		c.transitionToBFHolder(si)
 	}
 	w := c.victimWay(si)

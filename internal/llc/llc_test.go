@@ -13,9 +13,17 @@ func tiny(dv bool, bfsPerSet int) *LLC {
 		Ways:         4,
 		Banks:        2,
 		AccessCycles: 18,
-		DVEnabled:    dv,
+		DV:           dvIf(dv),
 		BFsPerSet:    bfsPerSet,
 	})
+}
+
+// dvIf is DVOn for true and DVOff for false.
+func dvIf(on bool) DV {
+	if on {
+		return DVOn
+	}
+	return DVOff
 }
 
 // blockInSet returns the i-th distinct block mapping to (bank, set).

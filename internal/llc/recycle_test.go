@@ -42,7 +42,7 @@ func churn(c *LLC, seed int64, n int) {
 func small(dv bool) Config {
 	return Config{
 		SizeBytes: 4 * 16 * 8 * isa.BlockBytes, Ways: 8, Banks: 4,
-		AccessCycles: 18, BankServiceCycles: 8, DVEnabled: dv, BFsPerSet: 3,
+		AccessCycles: 18, BankServiceCycles: 8, DV: dvIf(dv), BFsPerSet: 3,
 	}
 }
 
@@ -112,7 +112,7 @@ func TestPoolKeepsConfigurationsApart(t *testing.T) {
 	base := small(true)
 	variants := []Config{base, base, base, base}
 	variants[1].SizeBytes *= 2
-	variants[2].DVEnabled = false
+	variants[2].DV = DVOff
 	variants[3].BFsPerSet = 1
 
 	released := New(base)

@@ -117,7 +117,7 @@ func drive(t *testing.T, what string, lazy, ref *LLC, first, last isa.BlockID, s
 
 func overflowing(dv bool) Config {
 	cfg := DefaultConfig()
-	cfg.SizeBytes, cfg.DVEnabled = 1<<20, dv
+	cfg.SizeBytes, cfg.DV = 1<<20, dvIf(dv)
 	return cfg
 }
 

@@ -43,7 +43,7 @@ func NewBoomerang(cfg BoomerangConfig) *Boomerang {
 		bb:   btb.NewBBBTB(cfg.BTBEntries, cfg.BTBWays),
 		bypc: btb.NewTable[btb.Entry](cfg.BTBEntries, cfg.BTBWays),
 	}
-	d.fdipWalk = newFDIPWalk[isa.Addr](cfg.FTQEntries, cfg.WalkBudget, false, d.insertBB)
+	d.fdipWalk = newFDIPWalk[isa.Addr](cfg.FTQEntries, cfg.WalkBudget, d.insertBB)
 	return d
 }
 

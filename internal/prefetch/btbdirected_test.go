@@ -203,9 +203,7 @@ func TestShotgunFootprintPrefetchOnUHit(t *testing.T) {
 	base := isa.Addr(0x10000)
 	target := isa.Addr(0x20000)
 	env.image = buildLinearImage(base, 1, 3, target)
-	cfg := DefaultShotgunDesignConfig()
-	cfg.Buffered = false
-	d := NewShotgun(cfg)
+	d := NewShotgun(DefaultShotgunDesignConfig())
 	d.Bind(env)
 
 	// Train a U-BTB entry with a call footprint via the retired stream.
@@ -252,15 +250,31 @@ func TestShotgunReactiveResolvesUncondAsFootprintMiss(t *testing.T) {
 	}
 }
 
+// TestShotgunBufferedPrefetches: the paper's Shotgun declares a 64-entry L1i
+// prefetch buffer (Bufferer), a configuration with none declares 0, and the
+// storage budget counts the buffer's tags.
 func TestShotgunBufferedPrefetches(t *testing.T) {
+	var d Design = NewShotgun(DefaultShotgunDesignConfig())
+	if b, ok := d.(Bufferer); !ok || b.BufferEntries() != 64 {
+		t.Fatalf("the paper's Shotgun declares no 64-entry buffer")
+	}
+	cfg := DefaultShotgunDesignConfig()
+	cfg.BufferEntries = 0
+	bare := NewShotgun(cfg)
+	if n := bare.BufferEntries(); n != 0 {
+		t.Fatalf("BufferEntries = %d with no buffer configured", n)
+	}
+	if got, want := d.StorageBits()-bare.StorageBits(), 64*48; got != want {
+		t.Fatalf("the 64-entry buffer adds %d bits of storage, want %d", got, want)
+	}
+
 	env := newFakeEnv()
 	base := isa.Addr(0x10000)
 	env.image = buildLinearImage(base, 2, 3, 0x20000)
-	d := NewShotgun(DefaultShotgunDesignConfig()) // Buffered: true
 	d.Bind(env)
-	d.restart(base)
-	d.Tick() // reactive stall -> buffered fetch
-	if len(env.buffered) == 0 {
-		t.Fatalf("shotgun did not use buffered prefetches: issued=%v", env.issued)
+	d.(*Shotgun).restart(base)
+	d.Tick() // reactive stall -> fetch through the Env
+	if len(env.issued) == 0 {
+		t.Fatal("shotgun issued no prefetch on a reactive stall")
 	}
 }

@@ -3,15 +3,10 @@ package prefetch
 import "slices"
 
 // CatalogEntry names one evaluated frontend configuration: a design
-// constructor plus the per-core options it needs (today only the prefetch
-// buffer size Shotgun requires).
+// constructor, which declares what else its core needs (Bufferer).
 type CatalogEntry struct {
 	Name string
 	New  func() Design
-	// PrefetchBufferEntries is the L1i prefetch-buffer size the design
-	// expects (core.Config.PrefetchBufferEntries); 0 for designs that
-	// prefetch directly into the cache.
-	PrefetchBufferEntries int
 }
 
 // catalog is every evaluated design at its paper configuration, in report
@@ -39,7 +34,7 @@ var catalog = []CatalogEntry{
 	{Name: "PIF", New: func() Design { return NewPIF(DefaultPIFConfig()) }},
 	{Name: "confluence", New: func() Design { return NewConfluence(DefaultConfluenceConfig()) }},
 	{Name: "boomerang", New: func() Design { return NewBoomerang(DefaultBoomerangConfig()) }},
-	{Name: "shotgun", New: func() Design { return NewShotgun(DefaultShotgunDesignConfig()) }, PrefetchBufferEntries: 64},
+	{Name: "shotgun", New: func() Design { return NewShotgun(DefaultShotgunDesignConfig()) }},
 }
 
 // Catalog returns every evaluated design at its paper configuration, in a

@@ -51,9 +51,9 @@ type Env interface {
 	// IssuePrefetch sends a prefetch for b to the memory hierarchy. It
 	// reports false if the block is resident, already in flight, or no MSHR
 	// is available. The issued fill arrives into the L1i (the proposed
-	// design prefetches directly into the cache) unless buffered is true,
-	// in which case it lands in the design's prefetch buffer (Shotgun).
-	IssuePrefetch(b isa.BlockID, buffered bool) bool
+	// design prefetches directly into the cache), or into the core's L1i
+	// prefetch buffer when the design has one (see Bufferer).
+	IssuePrefetch(b isa.BlockID) bool
 
 	// Predecode returns the branches of a block, decoding its raw bytes.
 	// For fixed-length ISAs the whole block decodes in parallel; for
@@ -114,6 +114,14 @@ type Retirer interface {
 	// OnRetire observes one committed instruction; taken and target are its
 	// resolved control flow.
 	OnRetire(inst isa.Inst, taken bool, target isa.Addr)
+}
+
+// Bufferer is an optional capability of a Design: an L1i prefetch buffer of
+// BufferEntries blocks (Shotgun's 64), read once when the core is built. The
+// core then adds a fully associative buffer that every prefetch fills and a
+// demand hit promotes from; with none, or 0 entries, prefetches fill the L1i.
+type Bufferer interface {
+	BufferEntries() int
 }
 
 // OccupancyReporter is an optional capability of a Design: engines with a

@@ -234,7 +234,7 @@ func (d *Dis) tryPrefetchTarget(b isa.BlockID) {
 	if env.L1iContains(tb) || env.InFlight(tb) {
 		return
 	}
-	env.IssuePrefetch(tb, false)
+	env.IssuePrefetch(tb)
 }
 
 // StorageBits implements Design.

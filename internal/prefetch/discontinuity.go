@@ -71,7 +71,7 @@ func (d *Discontinuity) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 	if d.valid[i] && d.tags[i] == d.tagOf(b) {
 		t := d.targets[i]
 		if !env.L1iContains(t) && !env.InFlight(t) {
-			if env.IssuePrefetch(t, false) {
+			if env.IssuePrefetch(t) {
 				d.Issued++
 			}
 		}

@@ -29,8 +29,6 @@ type fdipWalk[R any] struct {
 
 	// budget is how many basic blocks the walk advances per cycle.
 	budget int
-	// buffered lands the walk's prefetches in the L1i prefetch buffer.
-	buffered bool
 
 	// ReactiveFills, Squashes and EnginePrefetches count walk activity.
 	ReactiveFills    uint64
@@ -40,15 +38,14 @@ type fdipWalk[R any] struct {
 
 // newFDIPWalk returns a walk whose recorder hands committed basic blocks to
 // train (the design's BTB organization).
-func newFDIPWalk[R any](ftqEntries, budget int, buffered bool, train func(isa.Addr, btb.BBEntry)) fdipWalk[R] {
+func newFDIPWalk[R any](ftqEntries, budget int, train func(isa.Addr, btb.BBEntry)) fdipWalk[R] {
 	if budget == 0 {
 		budget = 2
 	}
 	return fdipWalk[R]{
-		rec:      newBBRecorder(0, train),
-		q:        newFTQ(ftqEntries),
-		budget:   budget,
-		buffered: buffered,
+		rec:    newBBRecorder(0, train),
+		q:      newFTQ(ftqEntries),
+		budget: budget,
 	}
 }
 
@@ -119,7 +116,7 @@ func (w *fdipWalk[R]) miss() bool {
 	w.stalled = true
 	w.stalledOn = b
 	if !env.InFlight(b) {
-		env.IssuePrefetch(b, w.buffered)
+		env.IssuePrefetch(b)
 	}
 	return false
 }
@@ -135,7 +132,7 @@ func (w *fdipWalk[R]) retry() bool {
 		return true
 	}
 	if !env.InFlight(w.stalledOn) {
-		env.IssuePrefetch(w.stalledOn, w.buffered)
+		env.IssuePrefetch(w.stalledOn)
 	}
 	return false
 }
@@ -177,7 +174,7 @@ func (w *fdipWalk[R]) enqueueSpan(start isa.Addr, e btb.BBEntry) {
 	size := max(isa.Addr(e.Size), 1)
 	for b, last := isa.BlockOf(start), isa.BlockOf(start+size-1); b <= last; b++ {
 		w.q.push(b)
-		if !env.L1iContains(b) && !env.InFlight(b) && env.IssuePrefetch(b, w.buffered) {
+		if !env.L1iContains(b) && !env.InFlight(b) && env.IssuePrefetch(b) {
 			w.EnginePrefetches++
 		}
 	}

@@ -92,6 +92,6 @@ func (d *NXL) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 		if d.E().L1iContains(nb) || d.E().InFlight(nb) {
 			continue
 		}
-		d.E().IssuePrefetch(nb, false)
+		d.E().IssuePrefetch(nb)
 	}
 }

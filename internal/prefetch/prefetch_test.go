@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 
 	"dnc/internal/cache"
@@ -13,7 +14,6 @@ type fakeEnv struct {
 	resident map[isa.BlockID]*cache.Line
 	inflight map[isa.BlockID]bool
 	issued   []isa.BlockID
-	buffered []isa.BlockID
 	image    *isa.Image
 	predict  map[isa.Addr]bool
 
@@ -40,7 +40,7 @@ func (e *fakeEnv) L1iLine(b isa.BlockID) *cache.Line { return e.resident[b] }
 
 func (e *fakeEnv) InFlight(b isa.BlockID) bool { return e.inflight[b] }
 
-func (e *fakeEnv) IssuePrefetch(b isa.BlockID, buffered bool) bool {
+func (e *fakeEnv) IssuePrefetch(b isa.BlockID) bool {
 	if _, ok := e.resident[b]; ok {
 		return false
 	}
@@ -48,11 +48,7 @@ func (e *fakeEnv) IssuePrefetch(b isa.BlockID, buffered bool) bool {
 		return false
 	}
 	e.inflight[b] = true
-	if buffered {
-		e.buffered = append(e.buffered, b)
-	} else {
-		e.issued = append(e.issued, b)
-	}
+	e.issued = append(e.issued, b)
 	return true
 }
 
@@ -466,7 +462,7 @@ func TestProactiveSN1LBeyondDiscontinuity(t *testing.T) {
 		env.cycle++
 		d.Tick()
 		// Deliver fills promptly so chains keep walking.
-		for _, b := range append(append([]isa.BlockID{}, env.issued...), env.buffered...) {
+		for _, b := range slices.Clone(env.issued) {
 			if env.inflight[b] {
 				env.fill(d, b, true)
 			}

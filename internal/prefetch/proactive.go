@@ -372,7 +372,7 @@ func (p *Proactive) stepRLU() {
 	p.rlu.Insert(it.block)
 	env := p.E()
 	if !env.L1iContains(it.block) && !env.InFlight(it.block) {
-		if env.IssuePrefetch(it.block, false) {
+		if env.IssuePrefetch(it.block) {
 			if it.fromDis {
 				p.DisIssued++
 				if len(p.disIssued) < 4096 {

@@ -129,7 +129,7 @@ func (d *RDIP) prefetchSet(sig uint64) {
 		if env.L1iContains(b) || env.InFlight(b) {
 			continue
 		}
-		if env.IssuePrefetch(b, false) {
+		if env.IssuePrefetch(b) {
 			d.Issued++
 		}
 	}

@@ -40,7 +40,8 @@ type Shotgun struct {
 		fp    btb.Footprint
 		isRet bool
 	}
-	fpStack []isa.Addr // call-site owners awaiting their return footprint
+	fpStack    []isa.Addr // call-site owners awaiting their return footprint
+	bufEntries int        // the L1i prefetch buffer's size (Bufferer)
 
 	// FootprintPrefetch and ProactivePrefills count footprint prefetches
 	// and pre-decoded branches installed.
@@ -58,19 +59,19 @@ type ShotgunDesignConfig struct {
 	BTB        btb.ShotgunConfig
 	FTQEntries int
 	WalkBudget int
-	// Buffered selects whether prefetches land in the L1i prefetch buffer
-	// (the paper's Shotgun uses a 64-entry buffer) or directly in the L1i.
-	Buffered bool
+	// BufferEntries sizes the L1i prefetch buffer the prefetches land in
+	// (the paper's Shotgun has 64 entries); 0 prefetches into the L1i.
+	BufferEntries int
 }
 
 // DefaultShotgunDesignConfig matches the paper: 1.5K U-BTB, 128 C-BTB,
 // 512 RIB, 32-entry FTQ, 64-entry L1i prefetch buffer.
 func DefaultShotgunDesignConfig() ShotgunDesignConfig {
 	return ShotgunDesignConfig{
-		BTB:        btb.DefaultShotgunConfig(),
-		FTQEntries: 32,
-		WalkBudget: 2,
-		Buffered:   true,
+		BTB:           btb.DefaultShotgunConfig(),
+		FTQEntries:    32,
+		WalkBudget:    2,
+		BufferEntries: 64,
 	}
 }
 
@@ -80,17 +81,21 @@ func NewShotgun(cfg ShotgunDesignConfig) *Shotgun {
 		cfg = DefaultShotgunDesignConfig()
 	}
 	d := &Shotgun{
-		sb:    btb.NewShotgun(cfg.BTB),
-		bypcU: btb.NewTable[btb.Entry](cfg.BTB.UEntries, cfg.BTB.UWays),
-		bypcC: btb.NewTable[btb.Entry](cfg.BTB.CEntries, cfg.BTB.CWays),
-		bypcR: btb.NewTable[btb.Entry](cfg.BTB.REntries, cfg.BTB.RWays),
+		sb:         btb.NewShotgun(cfg.BTB),
+		bypcU:      btb.NewTable[btb.Entry](cfg.BTB.UEntries, cfg.BTB.UWays),
+		bypcC:      btb.NewTable[btb.Entry](cfg.BTB.CEntries, cfg.BTB.CWays),
+		bypcR:      btb.NewTable[btb.Entry](cfg.BTB.REntries, cfg.BTB.RWays),
+		bufEntries: cfg.BufferEntries,
 	}
-	d.fdipWalk = newFDIPWalk[shotgunRASEntry](cfg.FTQEntries, cfg.WalkBudget, cfg.Buffered, d.commitBB)
+	d.fdipWalk = newFDIPWalk[shotgunRASEntry](cfg.FTQEntries, cfg.WalkBudget, d.commitBB)
 	return d
 }
 
 // Name implements Design.
 func (*Shotgun) Name() string { return "shotgun" }
+
+// BufferEntries implements Bufferer.
+func (d *Shotgun) BufferEntries() int { return d.bufEntries }
 
 // AddProbes implements Prober.
 func (d *Shotgun) AddProbes(p *Probes) {
@@ -337,7 +342,7 @@ func (d *Shotgun) prefetchFootprint(fp btb.Footprint, base isa.BlockID) {
 		if env.L1iContains(blk) || env.InFlight(blk) {
 			continue
 		}
-		if env.IssuePrefetch(blk, d.buffered) {
+		if env.IssuePrefetch(blk) {
 			d.FootprintPrefetch++
 		}
 	}
@@ -351,7 +356,7 @@ func (d *Shotgun) StorageBits() int {
 	rExtra := d.sb.RIB.Entries() * 7
 	// Buffer metadata (tags and control); the data arrays are accounted as
 	// cache storage, as the paper's 6 KB figure does.
-	pfBuffer := 64 * 48 // 64-entry L1i prefetch buffer tags
-	btbPB := 32 * 56    // 32-entry BTB prefetch buffer tags+targets
+	pfBuffer := d.bufEntries * 48 // L1i prefetch buffer tags
+	btbPB := 32 * 56              // 32-entry BTB prefetch buffer tags+targets
 	return uExtra + cExtra + rExtra + d.ftqBits() + pfBuffer + btbPB
 }

@@ -203,7 +203,7 @@ func (d *SN4L) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 		if env.L1iContains(nb) || env.InFlight(nb) {
 			continue
 		}
-		if env.IssuePrefetch(nb, false) {
+		if env.IssuePrefetch(nb) {
 			d.Issued++
 		}
 	}

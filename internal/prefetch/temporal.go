@@ -124,7 +124,7 @@ func (s *temporalStream[R]) advance(n int) {
 			if env.L1iContains(b) || env.InFlight(b) {
 				continue
 			}
-			if env.IssuePrefetch(b, false) {
+			if env.IssuePrefetch(b) {
 				s.StreamPrefetches++
 			}
 		}

@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dnc/internal/core"
 	"dnc/internal/isa"
+	"dnc/internal/prefetch"
 	"dnc/internal/sim"
 	"dnc/internal/sim/runner"
 )
@@ -143,13 +146,16 @@ func TestCellRunConfigMatchesSpec(t *testing.T) {
 		rc.WarmCycles != 1111 || rc.MeasureCycles != 2222 || rc.Seed != 7 {
 		t.Fatalf("runConfig = %+v, want spec fields carried over", rc)
 	}
-	// Shotgun needs its prefetch buffer, exactly as the bench harness
-	// configures it from the catalog entry.
-	if rc.Core.PrefetchBufferEntries != 64 {
-		t.Fatalf("shotgun PrefetchBufferEntries = %d, want 64", rc.Core.PrefetchBufferEntries)
-	}
 	if rc.NewDesign == nil || rc.NewDesign().Name() == "" {
 		t.Fatal("runConfig has no design constructor")
+	}
+	// The catalog name is the whole machine: the default core, and a design
+	// that declares its own prefetch buffer (Shotgun's 64 entries).
+	if !reflect.DeepEqual(rc.Core, core.Config{}) {
+		t.Fatalf("runConfig sets the core: %+v", rc.Core)
+	}
+	if b, ok := rc.NewDesign().(prefetch.Bufferer); !ok || b.BufferEntries() != 64 {
+		t.Fatal("the cell's shotgun declares no 64-entry prefetch buffer")
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/prefetch"
 	"dnc/internal/sim"
@@ -145,14 +144,12 @@ func (c CellSpec) Valid() bool {
 }
 
 // RunConfig builds the cell's simulation configuration exactly as the bench
-// harness does: preset workload parameters, catalog design constructor,
-// default core config with the design's prefetch-buffer size. Every lease
+// harness does: preset workload parameters and the catalog design
+// constructor, on the default core and LLC. Every lease
 // client — the server's in-process one and remote workers — calls this,
 // which is what makes their results bit-identical.
 func (c CellSpec) RunConfig() sim.RunConfig {
 	e, _ := prefetch.FindDesign(c.Design) // validated before execution
-	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = e.PrefetchBufferEntries
 	return sim.RunConfig{
 		Workload:      workloads.Params(c.Workload, c.Mode),
 		NewDesign:     e.New,
@@ -160,7 +157,6 @@ func (c CellSpec) RunConfig() sim.RunConfig {
 		WarmCycles:    c.Warm,
 		MeasureCycles: c.Measure,
 		Seed:          c.Seed,
-		Core:          cc,
 	}
 }
 

@@ -105,8 +105,7 @@ func TestRunConfigDeterministic(t *testing.T) {
 	c := CellSpec{Workload: "Web-Frontend", Design: "SN4L+Dis+BTB", Cores: 4, Warm: 100, Measure: 200, Seed: 9}
 	a, b := c.RunConfig(), c.RunConfig()
 	if a.Cores != b.Cores || a.WarmCycles != b.WarmCycles || a.MeasureCycles != b.MeasureCycles ||
-		a.Seed != b.Seed || a.Workload.Name != b.Workload.Name ||
-		a.Core.PrefetchBufferEntries != b.Core.PrefetchBufferEntries {
+		a.Seed != b.Seed || a.Workload.Name != b.Workload.Name || a.LLC != b.LLC {
 		t.Fatalf("RunConfig not stable: %+v vs %+v", a, b)
 	}
 	if a.Cores != 4 || a.WarmCycles != 100 || a.MeasureCycles != 200 || a.Seed != 9 {

@@ -161,8 +161,8 @@ type shimEnv struct {
 	s *Shim
 }
 
-func (e *shimEnv) IssuePrefetch(b isa.BlockID, buffered bool) bool {
-	ok := e.Env.IssuePrefetch(b, buffered)
+func (e *shimEnv) IssuePrefetch(b isa.BlockID) bool {
+	ok := e.Env.IssuePrefetch(b)
 	if ok {
 		e.s.issued[b] = struct{}{}
 	}
@@ -297,6 +297,15 @@ func (s *Shim) Quiescent() bool {
 	return false
 }
 
+// BufferEntries forwards the inner design's prefetch.Bufferer, so a shimmed
+// Shotgun's core gets its buffer.
+func (s *Shim) BufferEntries() int {
+	if b, ok := s.inner.(prefetch.Bufferer); ok {
+		return b.BufferEntries()
+	}
+	return 0
+}
+
 // StorageBits implements Design.
 func (s *Shim) StorageBits() int { return s.inner.StorageBits() }
 
@@ -336,12 +345,9 @@ type Options struct {
 	Workload wl.Params
 	Seed     int64
 	// NewDesign constructs the design under test (one instance per core).
-	NewDesign func() prefetch.Design
-	// PrefetchBufferEntries is the design's prefetch-buffer requirement
-	// (prefetch.CatalogEntry.PrefetchBufferEntries).
-	PrefetchBufferEntries int
-	Cores                 int
-	Warm, Measure         uint64
+	NewDesign     func() prefetch.Design
+	Cores         int
+	Warm, Measure uint64
 	// Core optionally overrides the core configuration; nil selects the
 	// defaults.
 	Core *core.Config
@@ -436,7 +442,7 @@ func (r *Report) String() string {
 func Run(ctx context.Context, o Options) (sim.Result, *Report, error) {
 	prog := sim.Program(o.Workload)
 
-	cc := core.DefaultConfig()
+	var cc core.Config
 	if o.Core != nil {
 		cc = *o.Core
 	}
@@ -445,7 +451,6 @@ func Run(ctx context.Context, o Options) (sim.Result, *Report, error) {
 		// which would trip the phantom-residency check.
 		cc.WrongPathBlocks = -1
 	}
-	cc.PrefetchBufferEntries = o.PrefetchBufferEntries
 
 	trace := o.TraceEvents
 	if trace == 0 {

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	wl "dnc/internal/cfg"
+	"dnc/internal/core"
 	"dnc/internal/isa"
+	"dnc/internal/llc"
 	"dnc/internal/oracle"
 	"dnc/internal/prefetch"
 	"dnc/internal/sim"
@@ -26,10 +28,9 @@ func testWorkload() wl.Params {
 
 func testOptions(entry prefetch.CatalogEntry, seed int64) Options {
 	return Options{
-		Workload:              testWorkload(),
-		Seed:                  seed,
-		NewDesign:             entry.New,
-		PrefetchBufferEntries: entry.PrefetchBufferEntries,
+		Workload:  testWorkload(),
+		Seed:      seed,
+		NewDesign: entry.New,
 		// Warm is shorter than the pipeline depth so nothing retires before
 		// the measure window: the machine's Retired then equals the count
 		// the shims checked, making coverage provable below.
@@ -287,5 +288,40 @@ func TestDigestTrailSurvivesLLCReuse(t *testing.T) {
 	}
 	if len(p1.DigestTrail) != a.Cores || len(p1.DigestTrail[0]) == 0 {
 		t.Fatalf("empty digest trail: %v", p1.DigestTrail)
+	}
+}
+
+// TestShimKeepsThePrefetchBuffer: the core reads a design's prefetch buffer
+// (prefetch.Bufferer) once, when it is built, so a shim that did not forward
+// it would run Shotgun without its buffer. A shimmed catalog Shotgun's core
+// has the buffer, and prefetches the shim saw issued sit in it: the core
+// reports them present (the buffer is probed with the L1i) while the L1i
+// itself does not hold them.
+func TestShimKeepsThePrefetchBuffer(t *testing.T) {
+	entry, _ := prefetch.FindDesign("shotgun")
+	prog := sim.Program(testWorkload())
+	u := core.NewUncore(llc.New(llc.DefaultConfig()))
+	defer u.Release()
+	u.Preload(prog.Image)
+	seed := sim.WalkerSeed(1, 0)
+	s := NewShim(entry.New(), oracle.New(prog, seed), 0, false)
+	if s.BufferEntries() != 64 {
+		t.Fatalf("the shim reports %d buffer entries, want Shotgun's 64", s.BufferEntries())
+	}
+	c := core.New(core.DefaultConfig(), wl.NewWalker(prog, seed), prog.Image, s, u)
+	for range 30_000 {
+		c.Tick()
+	}
+	buffered := 0
+	for b := range s.issued {
+		if c.L1iContains(b) && !c.L1I().Contains(b) {
+			buffered++
+		}
+	}
+	if len(s.issued) == 0 || buffered == 0 {
+		t.Fatalf("%d prefetches issued, %d of them in the prefetch buffer", len(s.issued), buffered)
+	}
+	if !s.Ok() {
+		t.Fatalf("diverged: %v", s.Divergences())
 	}
 }

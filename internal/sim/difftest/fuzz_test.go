@@ -44,14 +44,13 @@ func checkOnce(p wl.Params, designIdx int, seed int64, measure uint64) (*Report,
 	cat := prefetch.Catalog()
 	entry := cat[designIdx%len(cat)]
 	_, rep, err := Run(context.Background(), Options{
-		Workload:              p,
-		Seed:                  seed,
-		NewDesign:             entry.New,
-		PrefetchBufferEntries: entry.PrefetchBufferEntries,
-		Cores:                 1,
-		Warm:                  8,
-		Measure:               measure,
-		Strict:                true,
+		Workload:  p,
+		Seed:      seed,
+		NewDesign: entry.New,
+		Cores:     1,
+		Warm:      8,
+		Measure:   measure,
+		Strict:    true,
 	})
 	return rep, err
 }
@@ -100,15 +99,14 @@ func shrink(t *testing.T, p wl.Params, designIdx int, seed int64, measure uint64
 		cat := prefetch.Catalog()
 		entry := cat[designIdx%len(cat)]
 		_, rep, err := Run(context.Background(), Options{
-			Workload:              q,
-			Seed:                  seed,
-			NewDesign:             entry.New,
-			PrefetchBufferEntries: entry.PrefetchBufferEntries,
-			Cores:                 1,
-			Warm:                  8,
-			Measure:               m,
-			Strict:                true,
-			Wrap:                  wrap,
+			Workload:  q,
+			Seed:      seed,
+			NewDesign: entry.New,
+			Cores:     1,
+			Warm:      8,
+			Measure:   m,
+			Strict:    true,
+			Wrap:      wrap,
 		})
 		return err == nil && !rep.Ok()
 	}

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/prefetch"
 	"dnc/internal/workloads"
@@ -46,13 +45,10 @@ func engineConfig(tb testing.TB, designName string, cores int) RunConfig {
 	if !ok {
 		tb.Fatalf("catalog entry %q missing", designName)
 	}
-	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = entry.PrefetchBufferEntries
 	return RunConfig{
 		Workload:  workloads.Params("Web-Zeus", isa.Fixed),
 		NewDesign: entry.New,
 		Cores:     cores,
-		Core:      cc,
 		Seed:      1,
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"dnc/internal/core"
 )
 
 // engineVariants is the engine coverage matrix: the tick reference (every
@@ -44,10 +42,6 @@ func TestEngineMatrixBitExact(t *testing.T) {
 				for _, v := range engineVariants() {
 					rc := checkpointConfig(t, nd)
 					rc.Seed = seed
-					if name == "shotgun" {
-						rc.Core = core.DefaultConfig()
-						rc.Core.PrefetchBufferEntries = 64
-					}
 					v.set(&rc)
 					res, err := RunChecked(context.Background(), rc)
 					if err != nil {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/prefetch"
 	"dnc/internal/workloads"
@@ -24,7 +23,6 @@ func TestTickZeroAllocs(t *testing.T) {
 				Workload:  workloads.Params("Web-Zeus", isa.Fixed),
 				NewDesign: e.New,
 			})
-			rc.Core.PrefetchBufferEntries = e.PrefetchBufferEntries
 			m, err := buildMachine(rc, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -77,10 +75,6 @@ func TestFastForwardTransparent(t *testing.T) {
 					rc := checkpointConfig(t, nd)
 					rc.Seed = seed
 					rc.DisableFastForward = disable
-					if name == "shotgun" {
-						rc.Core = core.DefaultConfig()
-						rc.Core.PrefetchBufferEntries = 64
-					}
 					res, err := RunChecked(context.Background(), rc)
 					if err != nil {
 						t.Fatal(err)

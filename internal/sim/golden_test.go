@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	wl "dnc/internal/cfg"
-	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/prefetch"
 )
@@ -39,13 +38,10 @@ func sha(b []byte) string {
 // goldenConfig is one cell of the pinned matrix: a catalog design on the
 // small test workload, 4 cores, 20K+20K, a snapshot every 8192 cycles.
 func goldenConfig(e prefetch.CatalogEntry, w wl.Params, seed int64, ckpt string) RunConfig {
-	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = e.PrefetchBufferEntries
 	return RunConfig{
 		Workload:        w,
 		NewDesign:       e.New,
 		Cores:           4,
-		Core:            cc,
 		WarmCycles:      20_000,
 		MeasureCycles:   20_000,
 		Seed:            seed,

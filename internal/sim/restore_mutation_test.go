@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"dnc/internal/checkpoint"
-	"dnc/internal/core"
 	"dnc/internal/llc"
 	"dnc/internal/prefetch"
 )
@@ -37,16 +36,11 @@ func mutationConfig(tb testing.TB, design string) RunConfig {
 	if !ok {
 		tb.Fatalf("catalog entry %q missing", design)
 	}
-	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = e.PrefetchBufferEntries
-	lc := llc.DefaultConfig()
-	lc.SizeBytes, lc.DVEnabled = 256<<10, true
 	return RunConfig{
 		Workload:      variableWorkload(),
 		NewDesign:     e.New,
 		Cores:         2,
-		Core:          cc,
-		LLC:           lc,
+		LLC:           llc.Config{SizeBytes: 256 << 10},
 		WarmCycles:    10_000,
 		MeasureCycles: 10_000,
 		Seed:          3,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/prefetch"
 	"dnc/internal/workloads"
@@ -129,6 +128,13 @@ func (l *retireLog) Bind(env prefetch.Env) {
 
 func (l *retireLog) Quiescent() bool { return l.Design.(prefetch.Quiescer).Quiescent() }
 
+func (l *retireLog) BufferEntries() int {
+	if b, ok := l.Design.(prefetch.Bufferer); ok {
+		return b.BufferEntries()
+	}
+	return 0
+}
+
 func (l *retireLog) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 	l.calls++
 	for _, v := range [...]uint64{l.env.Cycle(), uint64(inst.PC), uint64(target)} {
@@ -161,8 +167,6 @@ func TestRetirerSeesEveryRetirement(t *testing.T) {
 					logs = append(logs, l)
 					return l
 				})
-				rc.Core = core.DefaultConfig()
-				rc.Core.PrefetchBufferEntries = e.PrefetchBufferEntries
 				rc.OnAdvance = func(cycle uint64) {
 					if cycle == rc.WarmCycles {
 						for _, l := range logs {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	wl "dnc/internal/cfg"
-	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/llc"
 	"dnc/internal/prefetch"
@@ -61,9 +60,7 @@ func referenceRun(t *testing.T, rc RunConfig) outcome {
 	defer m.close()
 	m.uncore.Release()
 	m.uncore.LLC = llc.New(rc.LLC)
-	if !rc.NoPreload {
-		eagerPreload(m.uncore.LLC, m.prog.Image)
-	}
+	eagerPreload(m.uncore.LLC, m.prog.Image)
 	if rc.ResumeFrom != "" {
 		if err := m.restoreFrom(rc.ResumeFrom); err != nil {
 			t.Fatal(err)
@@ -234,9 +231,8 @@ func TestResumeOntoRecycledLLC(t *testing.T) {
 }
 
 // TestReuseKeepsConfigurationsApart: runs with a non-default LLC (size,
-// footprint capacity, DV on a fixed-length workload) or without the preload
-// interleave with default ones; none may start from another's backing or
-// preload.
+// footprint capacity, DV on a fixed-length workload) interleave with default
+// ones; none may start from another's backing or preload.
 func TestReuseKeepsConfigurationsApart(t *testing.T) {
 	def := cellA(t)
 	smaller := cellA(t)
@@ -244,30 +240,24 @@ func TestReuseKeepsConfigurationsApart(t *testing.T) {
 	smaller.LLC.SizeBytes = 1 << 20 // the 1 MB footprint no longer fits beside the data
 	fewBFs := cellB(t)
 	fewBFs.LLC = llc.DefaultConfig()
-	fewBFs.LLC.DVEnabled, fewBFs.LLC.BFsPerSet = true, 2
+	fewBFs.LLC.DV, fewBFs.LLC.BFsPerSet = llc.DVOn, 2
 	dvFixed := cellA(t)
 	dvFixed.LLC = llc.DefaultConfig()
-	dvFixed.LLC.DVEnabled = true
-	cold := cellA(t)
-	cold.NoPreload = true
-	coldSmaller := smaller
-	coldSmaller.NoPreload = true
-	coldSmaller.CheckpointPath = filepath.Join(t.TempDir(), "cs.ckpt")
+	dvFixed.LLC.DV = llc.DVOn
 
 	cells := []struct {
 		name string
 		rc   RunConfig
 	}{
-		{"default", def}, {"no preload", cold}, {"default after no preload", def},
-		{"1 MB LLC", smaller}, {"1 MB LLC, no preload", coldSmaller}, {"1 MB LLC again", smaller},
+		{"default", def}, {"1 MB LLC", smaller}, {"default after 1 MB LLC", def},
 		{"2 footprints per set", fewBFs}, {"DV on a fixed-length run", dvFixed},
-		{"default after the others", def},
+		{"1 MB LLC again", smaller}, {"default after the others", def},
 	}
 	want := make([]outcome, len(cells))
 	for i, c := range cells {
 		want[i] = referenceRun(t, c.rc)
 	}
-	if want[0] == want[1] || want[0] == want[3] || want[0] == want[7] {
+	if want[0] == want[1] || want[0] == want[4] {
 		t.Fatal("the variants do not change the run: the comparison below would prove nothing")
 	}
 	for i, c := range cells {
@@ -276,7 +266,7 @@ func TestReuseKeepsConfigurationsApart(t *testing.T) {
 }
 
 // TestWarmCacheHoldsProgramsOnly: runs of one program under many LLC
-// configurations, preloaded or not, add the program to the warm cache and
+// configurations add the program to the warm cache and
 // nothing else — the LLC state each run starts from is computed in its own
 // LLC, not built once per (program, configuration) and kept.
 func TestWarmCacheHoldsProgramsOnly(t *testing.T) {
@@ -293,7 +283,6 @@ func TestWarmCacheHoldsProgramsOnly(t *testing.T) {
 		rc.LLC = llc.DefaultConfig()
 		rc.LLC.SizeBytes = 1 << 20
 		rc.LLC.AccessCycles = uint64(100 + i) // a configuration nothing else uses
-		rc.NoPreload = i%2 == 1
 		Run(rc)
 	}
 	if n := size() - before; n > 1 {
@@ -399,8 +388,6 @@ func TestRefusedProgramFailsEveryRun(t *testing.T) {
 func TestHeldResultsDoNotRetainLLC(t *testing.T) {
 	rc := checkedConfig()
 	rc.NewDesign = func() prefetch.Design { return prefetch.NewShotgun(prefetch.DefaultShotgunDesignConfig()) }
-	rc.Core = core.DefaultConfig()
-	rc.Core.PrefetchBufferEntries = 64
 
 	heap := func() uint64 {
 		runtime.GC()

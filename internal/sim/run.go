@@ -43,11 +43,12 @@ func applyDefaults(rc RunConfig) RunConfig {
 		rc.MeasureCycles = 200_000
 	}
 	rc.Core = rc.Core.Normalized()
-	if rc.LLC == (llc.Config{}) {
-		// Variable-length workloads need the DV-LLC for branch footprints;
-		// any explicitly supplied LLC configuration keeps its DVEnabled (the
-		// Section VII.J experiment compares DV on against DV off).
-		rc.LLC.DVEnabled = rc.Workload.Mode == isa.Variable
+	if rc.LLC.DV == llc.DVDefault {
+		// Variable-length workloads need the DV-LLC for branch footprints.
+		rc.LLC.DV = llc.DVOff
+		if rc.Workload.Mode == isa.Variable {
+			rc.LLC.DV = llc.DVOn
+		}
 	}
 	rc.LLC = rc.LLC.Normalized()
 	if rc.WatchdogCycles == 0 {
@@ -307,9 +308,7 @@ func buildMachine(rc RunConfig, wrap StreamWrapper) (*machine, error) {
 	}
 	m := &machine{rc: rc, prog: Program(rc.Workload), wrapped: wrap != nil}
 	m.uncore = core.NewUncore(llc.Acquire(rc.LLC))
-	if !rc.NoPreload {
-		m.uncore.Preload(m.prog.Image)
-	}
+	m.uncore.Preload(m.prog.Image)
 	m.cores = make([]*core.Core, rc.Cores)
 	m.designs = make([]prefetch.Design, rc.Cores)
 	m.walkers = make([]*wl.Walker, rc.Cores)

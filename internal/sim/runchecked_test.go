@@ -112,14 +112,14 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 
 // TestPartialLLCConfigKeepsItsFields: an LLC configuration that sets only
 // some fields keeps them, and each zero field takes its default; it is not
-// swapped for the defaults whole. The all-zero configuration still means the
-// defaults with DV on in variable mode only.
+// swapped for the defaults whole. The default DV setting, in a partial
+// configuration as in the all-zero one, means DV on in variable mode only.
 func TestPartialLLCConfigKeepsItsFields(t *testing.T) {
 	rc := checkedConfig()
 	rc.Workload = variableWorkload()
-	rc.LLC = llc.Config{DVEnabled: true, BFsPerSet: 2}
+	rc.LLC = llc.Config{BFsPerSet: 2}
 	want := llc.DefaultConfig()
-	want.DVEnabled, want.BFsPerSet = true, 2
+	want.DV, want.BFsPerSet = llc.DVOn, 2
 	if got := applyDefaults(rc).LLC; got != want {
 		t.Fatalf("partial config became %+v, want %+v", got, want)
 	}
@@ -135,9 +135,32 @@ func TestPartialLLCConfigKeepsItsFields(t *testing.T) {
 	for _, mode := range []isa.Mode{isa.Fixed, isa.Variable} {
 		rc.LLC, rc.Workload.Mode = llc.Config{}, mode
 		want := llc.DefaultConfig()
-		want.DVEnabled = mode == isa.Variable
+		want.DV = llc.DVOff
+		if mode == isa.Variable {
+			want.DV = llc.DVOn
+		}
 		if got := applyDefaults(rc).LLC; got != want {
 			t.Errorf("zero config in %v mode became %+v, want %+v", mode, got, want)
+		}
+	}
+}
+
+// TestZeroLLCIsTheDefaultLLC: the zero LLC configuration and
+// llc.DefaultConfig() simulate the same machine in both ISA modes, the
+// DV-LLC on exactly for variable-length code whichever a caller passes.
+func TestZeroLLCIsTheDefaultLLC(t *testing.T) {
+	for _, mode := range []isa.Mode{isa.Fixed, isa.Variable} {
+		rc := checkedConfig()
+		rc.Workload.Mode = mode
+		zero := Run(rc)
+		rc.LLC = llc.DefaultConfig()
+		def := Run(rc)
+		if fingerprint(t, def) != fingerprint(t, zero) {
+			t.Errorf("%v mode: RunConfig{LLC: llc.DefaultConfig()} runs differently from RunConfig{}", mode)
+		}
+		if s := def.LLCStats; (s.BFStores > s.BFStoreFails) != (mode == isa.Variable) {
+			t.Errorf("%v mode: the default LLC stored %d of %d footprints; want some exactly in variable mode",
+				mode, s.BFStores-s.BFStoreFails, s.BFStores)
 		}
 	}
 }

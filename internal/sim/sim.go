@@ -57,13 +57,10 @@ type RunConfig struct {
 	Seed int64
 	// Core overrides the per-core configuration (zero value = defaults).
 	Core core.Config
-	// LLC overrides the LLC configuration: each zero field takes its default,
-	// and the all-zero value means the defaults with DV on for
-	// variable-length workloads (a configuration that sets any field keeps
-	// its DVEnabled).
+	// LLC overrides the LLC configuration: each zero field takes its
+	// default, so the zero value is llc.DefaultConfig(), whose DV setting
+	// is resolved from the workload (on exactly for variable-length code).
 	LLC llc.Config
-	// NoPreload skips installing the code image in the LLC before warm-up.
-	NoPreload bool
 	// WatchdogCycles is the livelock threshold: the run aborts (through
 	// RunChecked; Run panics) when no core retires an instruction for this
 	// many consecutive cycles. 0 selects DefaultWatchdogCycles; negative

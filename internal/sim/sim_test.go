@@ -127,11 +127,6 @@ func TestBTBDirectedDesignsRun(t *testing.T) {
 		WarmCycles:    30_000,
 		MeasureCycles: 30_000,
 		Seed:          1,
-		Core: func() (c core.Config) {
-			c = core.DefaultConfig()
-			c.PrefetchBufferEntries = 64
-			return
-		}(),
 	})
 	if shot.M.Retired == 0 {
 		t.Fatal("shotgun run retired nothing")

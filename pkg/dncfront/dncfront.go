@@ -43,7 +43,9 @@ type Result = sim.Result
 // Design is a pluggable frontend configuration (BTB organization plus
 // prefetcher). A design that wants the retired instruction stream also
 // defines OnRetire(isa.Inst, bool, isa.Addr), the optional
-// prefetch.Retirer; the core calls it for every retirement, in order.
+// prefetch.Retirer; the core calls it for every retirement, in order. A
+// design with an L1i prefetch buffer declares its size with
+// BufferEntries() int, the optional prefetch.Bufferer (Shotgun's 64).
 type Design = prefetch.Design
 
 // ISA modes for WorkloadParams.Mode.
@@ -128,8 +130,6 @@ func Run(params WorkloadParams, name string, o Options) (Result, error) {
 		return Result{}, err
 	}
 	o = o.fill()
-	cc := core.DefaultConfig()
-	cc.PrefetchBufferEntries = e.PrefetchBufferEntries
 	return sim.Run(sim.RunConfig{
 		Workload:      params,
 		NewDesign:     e.New,
@@ -137,7 +137,6 @@ func Run(params WorkloadParams, name string, o Options) (Result, error) {
 		WarmCycles:    o.WarmCycles,
 		MeasureCycles: o.MeasureCycles,
 		Seed:          o.Seed,
-		Core:          cc,
 	}), nil
 }
 
