@@ -22,8 +22,11 @@ type MSHR struct {
 	// Demanded records whether a demand access merged into this miss while
 	// it was in flight; used for partial-coverage accounting.
 	Demanded bool
-	// Buffered routes the fill into the core's prefetch buffer instead of
-	// the L1i: every prefetch of a core with one (Shotgun's 64 entries).
+	// Buffered is set on every prefetch of a core with a prefetch buffer,
+	// whose fill then goes to the buffer instead of the L1i; the core routes
+	// by its own buffer, so the bit is kept only for the snapshot layout.
+	// Delete it, and its walk in MSHRFile.State, at the next
+	// checkpoint.Version bump.
 	Buffered bool
 }
 

@@ -566,7 +566,7 @@ func (c *Core) processFills() {
 			c.hooks.DemandLat.Observe(m.Latency())
 			c.emit(obs.EvDemandFill, uint64(m.Block), m.Latency())
 		}
-		if isPrefetch && m.Buffered && c.pfb != nil {
+		if isPrefetch && c.pfb != nil {
 			c.pfbInsert(m.Block, m.Latency())
 		} else {
 			line, ev, evicted := c.l1i.Insert(m.Block)

@@ -143,15 +143,12 @@ func TestPrefetchFillsAndCMAL(t *testing.T) {
 // and the catalog Shotgun's prefetches fill it.
 func TestPrefetchBufferPromotion(t *testing.T) {
 	shotgun, _ := prefetch.FindDesign("shotgun")
-	bare := prefetch.DefaultShotgunDesignConfig()
-	bare.BufferEntries = 0
 	for _, tc := range []struct {
 		name string
 		d    prefetch.Design
 		want int
 	}{
 		{"baseline", prefetch.NewBaseline(2048), 0},
-		{"shotgun, no buffer", prefetch.NewShotgun(bare), 0},
 		{"catalog shotgun", shotgun.New(), 64},
 	} {
 		c, _ := newTestCore(t, DefaultConfig(), tc.d)

@@ -251,20 +251,20 @@ func TestShotgunReactiveResolvesUncondAsFootprintMiss(t *testing.T) {
 }
 
 // TestShotgunBufferedPrefetches: the paper's Shotgun declares a 64-entry L1i
-// prefetch buffer (Bufferer), a configuration with none declares 0, and the
-// storage budget counts the buffer's tags.
+// prefetch buffer (Bufferer), a design without one declares nothing, and the
+// storage budget counts the buffer's tags on top of the tables and FTQ.
 func TestShotgunBufferedPrefetches(t *testing.T) {
 	var d Design = NewShotgun(DefaultShotgunDesignConfig())
 	if b, ok := d.(Bufferer); !ok || b.BufferEntries() != 64 {
 		t.Fatalf("the paper's Shotgun declares no 64-entry buffer")
 	}
-	cfg := DefaultShotgunDesignConfig()
-	cfg.BufferEntries = 0
-	bare := NewShotgun(cfg)
-	if n := bare.BufferEntries(); n != 0 {
-		t.Fatalf("BufferEntries = %d with no buffer configured", n)
+	if _, ok := Design(NewBoomerang(DefaultBoomerangConfig())).(Bufferer); ok {
+		t.Fatalf("Boomerang, which prefetches into the L1i, declares a buffer")
 	}
-	if got, want := d.StorageBits()-bare.StorageBits(), 64*48; got != want {
+	sg := d.(*Shotgun)
+	unbuffered := sg.sb.U.Entries()*(2*btb.FootprintBits+7+3) + sg.sb.C.Entries()*7 +
+		sg.sb.RIB.Entries()*7 + sg.ftqBits() + 32*56
+	if got, want := d.StorageBits()-unbuffered, 64*48; got != want {
 		t.Fatalf("the 64-entry buffer adds %d bits of storage, want %d", got, want)
 	}
 

@@ -40,8 +40,7 @@ type Shotgun struct {
 		fp    btb.Footprint
 		isRet bool
 	}
-	fpStack    []isa.Addr // call-site owners awaiting their return footprint
-	bufEntries int        // the L1i prefetch buffer's size (Bufferer)
+	fpStack []isa.Addr // call-site owners awaiting their return footprint
 
 	// FootprintPrefetch and ProactivePrefills count footprint prefetches
 	// and pre-decoded branches installed.
@@ -59,19 +58,19 @@ type ShotgunDesignConfig struct {
 	BTB        btb.ShotgunConfig
 	FTQEntries int
 	WalkBudget int
-	// BufferEntries sizes the L1i prefetch buffer the prefetches land in
-	// (the paper's Shotgun has 64 entries); 0 prefetches into the L1i.
-	BufferEntries int
 }
+
+// shotgunBufferEntries sizes the L1i prefetch buffer Shotgun's prefetches
+// land in (the paper's 64 entries), declared to the core through Bufferer.
+const shotgunBufferEntries = 64
 
 // DefaultShotgunDesignConfig matches the paper: 1.5K U-BTB, 128 C-BTB,
 // 512 RIB, 32-entry FTQ, 64-entry L1i prefetch buffer.
 func DefaultShotgunDesignConfig() ShotgunDesignConfig {
 	return ShotgunDesignConfig{
-		BTB:           btb.DefaultShotgunConfig(),
-		FTQEntries:    32,
-		WalkBudget:    2,
-		BufferEntries: 64,
+		BTB:        btb.DefaultShotgunConfig(),
+		FTQEntries: 32,
+		WalkBudget: 2,
 	}
 }
 
@@ -81,11 +80,10 @@ func NewShotgun(cfg ShotgunDesignConfig) *Shotgun {
 		cfg = DefaultShotgunDesignConfig()
 	}
 	d := &Shotgun{
-		sb:         btb.NewShotgun(cfg.BTB),
-		bypcU:      btb.NewTable[btb.Entry](cfg.BTB.UEntries, cfg.BTB.UWays),
-		bypcC:      btb.NewTable[btb.Entry](cfg.BTB.CEntries, cfg.BTB.CWays),
-		bypcR:      btb.NewTable[btb.Entry](cfg.BTB.REntries, cfg.BTB.RWays),
-		bufEntries: cfg.BufferEntries,
+		sb:    btb.NewShotgun(cfg.BTB),
+		bypcU: btb.NewTable[btb.Entry](cfg.BTB.UEntries, cfg.BTB.UWays),
+		bypcC: btb.NewTable[btb.Entry](cfg.BTB.CEntries, cfg.BTB.CWays),
+		bypcR: btb.NewTable[btb.Entry](cfg.BTB.REntries, cfg.BTB.RWays),
 	}
 	d.fdipWalk = newFDIPWalk[shotgunRASEntry](cfg.FTQEntries, cfg.WalkBudget, d.commitBB)
 	return d
@@ -95,7 +93,7 @@ func NewShotgun(cfg ShotgunDesignConfig) *Shotgun {
 func (*Shotgun) Name() string { return "shotgun" }
 
 // BufferEntries implements Bufferer.
-func (d *Shotgun) BufferEntries() int { return d.bufEntries }
+func (*Shotgun) BufferEntries() int { return shotgunBufferEntries }
 
 // AddProbes implements Prober.
 func (d *Shotgun) AddProbes(p *Probes) {
@@ -356,7 +354,7 @@ func (d *Shotgun) StorageBits() int {
 	rExtra := d.sb.RIB.Entries() * 7
 	// Buffer metadata (tags and control); the data arrays are accounted as
 	// cache storage, as the paper's 6 KB figure does.
-	pfBuffer := d.bufEntries * 48 // L1i prefetch buffer tags
-	btbPB := 32 * 56              // 32-entry BTB prefetch buffer tags+targets
+	pfBuffer := shotgunBufferEntries * 48 // L1i prefetch buffer tags
+	btbPB := 32 * 56                      // 32-entry BTB prefetch buffer tags+targets
 	return uExtra + cExtra + rExtra + d.ftqBits() + pfBuffer + btbPB
 }
