@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dnc/internal/btb"
 	"dnc/internal/isa"
 	"dnc/internal/llc"
 	"dnc/internal/prefetch"
@@ -145,8 +144,7 @@ func (s spec) build() func() prefetch.Design {
 		seq := s.get(seqEntries)
 		return func() prefetch.Design { return prefetch.NewSN4L(seq, 2048) }
 	case s.design == "shotgun":
-		c := prefetch.DefaultShotgunDesignConfig()
-		c.BTB = btb.ScaledShotgunConfig(s.get(btbPercent), 100)
+		c := prefetch.ShotgunDesignConfig{BTBPercent: s.get(btbPercent)}
 		return func() prefetch.Design { return prefetch.NewShotgun(c) }
 	}
 	c := prefetch.DefaultProactiveConfig()

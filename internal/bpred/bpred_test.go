@@ -61,7 +61,7 @@ func accuracy(p Predictor, branches []isa.Addr, bias []float64, n int, seed int6
 }
 
 func TestTAGEAccuracyOnBiasedBranches(t *testing.T) {
-	p := NewTAGE(DefaultTAGEConfig())
+	p := NewTAGE()
 	branches := make([]isa.Addr, 200)
 	bias := make([]float64, 200)
 	rng := rand.New(rand.NewSource(1))
@@ -86,7 +86,7 @@ func TestTAGEAccuracyOnBiasedBranches(t *testing.T) {
 func TestTAGELearnsHistoryCorrelation(t *testing.T) {
 	// A branch alternating T,N,T,N is fully predictable from one bit of
 	// history; bimodal cannot do better than ~50%, TAGE should approach 100%.
-	tage := NewTAGE(DefaultTAGEConfig())
+	tage := NewTAGE()
 	pc := isa.Addr(0x2000)
 	correct := 0
 	n := 20000
@@ -105,7 +105,7 @@ func TestTAGELearnsHistoryCorrelation(t *testing.T) {
 
 func TestTAGEBeatsNoise(t *testing.T) {
 	// Purely random branches: accuracy should hover around 0.5, never crash.
-	p := NewTAGE(DefaultTAGEConfig())
+	p := NewTAGE()
 	branches := []isa.Addr{0x100, 0x200}
 	bias := []float64{0.5, 0.5}
 	acc := accuracy(p, branches, bias, 20000, 3)
@@ -163,7 +163,7 @@ func TestRASOverflowDropsOldest(t *testing.T) {
 func TestTAGEUncondHistory(t *testing.T) {
 	// Folding unconditional targets into history must not corrupt
 	// prediction of a perfectly alternating branch.
-	p := NewTAGE(DefaultTAGEConfig())
+	p := NewTAGE()
 	pc := isa.Addr(0x3000)
 	correct, n := 0, 10000
 	for i := 0; i < n; i++ {
@@ -177,13 +177,4 @@ func TestTAGEUncondHistory(t *testing.T) {
 	if acc := float64(correct) / float64(n); acc < 0.9 {
 		t.Errorf("accuracy with uncond history = %.3f", acc)
 	}
-}
-
-func TestTAGEPanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTAGE(TAGEConfig{BaseEntries: 64, TableEntries: 100, HistLens: []uint{8}})
 }

@@ -25,35 +25,22 @@ type tageEntry struct {
 	useful uint8
 }
 
-// TAGEConfig sizes the predictor.
-type TAGEConfig struct {
-	BaseEntries  int
-	TableEntries int
-	HistLens     []uint
-}
+// The predictor's geometry: a modest TAGE, 4K bimodal + 4 x 1K tagged.
+const (
+	tageBaseEntries  = 4096
+	tageTableEntries = 1024 // a power of two: indices are masked
+)
 
-// DefaultTAGEConfig returns a modest TAGE: 4K bimodal + 4 x 1K tagged.
-func DefaultTAGEConfig() TAGEConfig {
-	return TAGEConfig{
-		BaseEntries:  4096,
-		TableEntries: 1024,
-		HistLens:     []uint{8, 16, 32, 64},
-	}
-}
+// tageHistLens are the tagged tables' history lengths, shortest first.
+var tageHistLens = [...]uint{8, 16, 32, 64}
 
 // NewTAGE builds the predictor.
-func NewTAGE(cfg TAGEConfig) *TAGE {
-	if cfg.BaseEntries == 0 {
-		cfg = DefaultTAGEConfig()
-	}
-	t := &TAGE{base: NewBimodal(cfg.BaseEntries)}
-	for _, hl := range cfg.HistLens {
-		if cfg.TableEntries&(cfg.TableEntries-1) != 0 {
-			panic("bpred: table entries must be a power of two")
-		}
+func NewTAGE() *TAGE {
+	t := &TAGE{base: NewBimodal(tageBaseEntries)}
+	for _, hl := range tageHistLens {
 		t.tables = append(t.tables, tageTable{
-			entries: make([]tageEntry, cfg.TableEntries),
-			mask:    uint64(cfg.TableEntries - 1),
+			entries: make([]tageEntry, tageTableEntries),
+			mask:    tageTableEntries - 1,
 			histLen: hl,
 		})
 	}

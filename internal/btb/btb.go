@@ -50,6 +50,9 @@ func NewTable[V any](entries, ways int) *Table[V] {
 // Entries returns the capacity.
 func (t *Table[V]) Entries() int { return t.sets * t.ways }
 
+// Ways returns the associativity.
+func (t *Table[V]) Ways() int { return t.ways }
+
 func (t *Table[V]) setOf(key isa.Addr) int {
 	return int((uint64(key) >> 2) & uint64(t.sets-1))
 }

@@ -127,7 +127,7 @@ func TestFootprint(t *testing.T) {
 }
 
 func TestShotgunFootprintMissAccounting(t *testing.T) {
-	s := NewShotgun(DefaultShotgunConfig())
+	s := NewShotgun(0)
 	start := isa.Addr(0x1000)
 	bb := BBEntry{Size: 16, Kind: isa.KindCall, BranchPC: 0x100C, Target: 0x2000}
 
@@ -171,7 +171,7 @@ func TestShotgunFootprintMissAccounting(t *testing.T) {
 }
 
 func TestPrefillDoesNotDowngrade(t *testing.T) {
-	s := NewShotgun(DefaultShotgunConfig())
+	s := NewShotgun(0)
 	start := isa.Addr(0x100)
 	bb := BBEntry{Size: 8, Kind: isa.KindJump, BranchPC: 0x104, Target: 0x900}
 	var fp Footprint
@@ -185,7 +185,7 @@ func TestPrefillDoesNotDowngrade(t *testing.T) {
 }
 
 func TestUpdateFootprints(t *testing.T) {
-	s := NewShotgun(DefaultShotgunConfig())
+	s := NewShotgun(0)
 	start := isa.Addr(0x200)
 	bb := BBEntry{Size: 8, Kind: isa.KindCall, BranchPC: 0x204, Target: 0x3000}
 	s.PrefillU(start, bb)
@@ -203,17 +203,17 @@ func TestUpdateFootprints(t *testing.T) {
 }
 
 func TestScaledShotgunConfig(t *testing.T) {
-	half := ScaledShotgunConfig(1, 2)
-	if half.UEntries >= DefaultShotgunConfig().UEntries {
-		t.Fatalf("half config U entries = %d", half.UEntries)
+	half, full := NewShotgun(50), NewShotgun(0)
+	if full.U.Entries() != 1536 || full.C.Entries() != 128 || full.RIB.Entries() != 512 {
+		t.Fatalf("percent 0 built %d/%d/%d entries, want the paper's 1536/128/512",
+			full.U.Entries(), full.C.Entries(), full.RIB.Entries())
 	}
-	if half.UEntries%half.UWays != 0 {
-		t.Fatal("scaled U geometry illegal")
+	if half.U.Entries() >= full.U.Entries() {
+		t.Fatalf("half config U entries = %d", half.U.Entries())
 	}
 	// Table construction must not panic.
-	NewShotgun(half)
-	NewShotgun(ScaledShotgunConfig(1, 8))
-	NewShotgun(ScaledShotgunConfig(2, 1))
+	NewShotgun(12)
+	NewShotgun(200)
 }
 
 func TestTablePeekDoesNotTouchStats(t *testing.T) {

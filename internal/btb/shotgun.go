@@ -89,55 +89,36 @@ type ShotgunBTB struct {
 	PrefilledNoFP  uint64
 }
 
-// ShotgunConfig sizes the three tables (paper: 1.5K U-BTB, 128 C-BTB,
-// 512 RIB).
-type ShotgunConfig struct {
-	UEntries, UWays int
-	CEntries, CWays int
-	REntries, RWays int
-}
+// The paper's three tables: 1.5K U-BTB, 128 C-BTB, 512 RIB.
+const (
+	shotgunUEntries, shotgunUWays = 1536, 6
+	shotgunCEntries, shotgunCWays = 128, 4
+	shotgunREntries, shotgunRWays = 512, 4
+)
 
-// DefaultShotgunConfig matches the paper's evaluation.
-func DefaultShotgunConfig() ShotgunConfig {
-	return ShotgunConfig{
-		UEntries: 1536, UWays: 6,
-		CEntries: 128, CWays: 4,
-		REntries: 512, RWays: 4,
+// NewShotgun builds the split BTB with every table scaled to percent of the
+// paper's size (0 = 100; the Figure 18 BTB size sweep). A scaled table
+// rounds up to its ways times a power of two sets, so its geometry stays
+// legal.
+func NewShotgun(percent int) *ShotgunBTB {
+	if percent == 0 {
+		percent = 100
 	}
-}
-
-// ScaledShotgunConfig scales every table by num/den (for the Figure 18 BTB
-// size sweep), keeping geometries legal.
-func ScaledShotgunConfig(num, den int) ShotgunConfig {
 	scale := func(entries, ways int) int {
-		v := entries * num / den
+		v := entries * percent / 100
 		if v < ways {
 			v = ways
 		}
-		// Round up to ways * power-of-two sets.
 		sets := 1
 		for sets*ways < v {
 			sets <<= 1
 		}
 		return sets * ways
 	}
-	d := DefaultShotgunConfig()
-	return ShotgunConfig{
-		UEntries: scale(d.UEntries, d.UWays), UWays: d.UWays,
-		CEntries: scale(d.CEntries, d.CWays), CWays: d.CWays,
-		REntries: scale(d.REntries, d.RWays), RWays: d.RWays,
-	}
-}
-
-// NewShotgun builds the split BTB.
-func NewShotgun(cfg ShotgunConfig) *ShotgunBTB {
-	if cfg.UEntries == 0 {
-		cfg = DefaultShotgunConfig()
-	}
 	return &ShotgunBTB{
-		U:   NewTable[UBBEntry](cfg.UEntries, cfg.UWays),
-		C:   NewTable[BBEntry](cfg.CEntries, cfg.CWays),
-		RIB: NewTable[BBEntry](cfg.REntries, cfg.RWays),
+		U:   NewTable[UBBEntry](scale(shotgunUEntries, shotgunUWays), shotgunUWays),
+		C:   NewTable[BBEntry](scale(shotgunCEntries, shotgunCWays), shotgunCWays),
+		RIB: NewTable[BBEntry](scale(shotgunREntries, shotgunRWays), shotgunRWays),
 	}
 }
 

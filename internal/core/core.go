@@ -21,102 +21,57 @@ import (
 	"dnc/internal/prefetch"
 )
 
-// Config parameterizes one core (Table III defaults).
-type Config struct {
-	Tile        int
-	FetchWidth  int
-	RetireWidth int
-	ROBEntries  int
-	// PipelineDepth is the fetch-to-execute fill depth used by the
+// FetchWidth is the most instructions fetch delivers in a cycle: the core is
+// 3-wide (Table III).
+const FetchWidth = 3
+
+// The rest of Table III's core. Every run simulates this one core.
+const (
+	retireWidth = 3
+	robEntries  = 128
+	// pipelineDepth is the fetch-to-execute fill depth used by the
 	// completion-time model (3 frontend + 12 backend stages are abstracted
 	// into this plus the per-instruction execution latency).
-	PipelineDepth uint64
+	pipelineDepth = 15
 
-	L1ISizeBytes, L1IWays int
-	L1DSizeBytes, L1DWays int
-	L1IMSHRs              int
-	L1DLatency            uint64
+	l1iSizeBytes = 32 << 10
+	l1iWays      = 8
+	l1dSizeBytes = 32 << 10
+	l1dWays      = 8
+	l1iMSHRs     = 32
+	l1dLatency   = 4
 
-	// MispredictPenalty is the redirect cost of branches resolved in the
+	// mispredictPenalty is the redirect cost of branches resolved in the
 	// backend (paper: at least six cycles).
-	MispredictPenalty uint64
-	// BTBMissPenaltyTaken is charged when a taken conditional branch was
+	mispredictPenalty = 8
+	// btbMissPenaltyTaken is charged when a taken conditional branch was
 	// unknown to the BTB (resolved at execute).
-	BTBMissPenaltyTaken uint64
-	// BTBMissPenaltyDecode is charged when an unconditional branch or
+	btbMissPenaltyTaken = 8
+	// btbMissPenaltyDecode is charged when an unconditional branch or
 	// return is discovered at decode (shallower redirect).
-	BTBMissPenaltyDecode uint64
+	btbMissPenaltyDecode = 6
 
-	RASDepth int
-	// WrongPathBlocks is how many sequential wrong-path blocks fetch
-	// touches during a redirect shadow. Normalized treats zero as unset (the
-	// default, 2) like every other count here; a negative value turns
-	// wrong-path fetch off.
-	WrongPathBlocks int
+	rasDepth = 32
+	// wrongPathBlocks is how many sequential wrong-path blocks fetch
+	// touches during a redirect shadow.
+	wrongPathBlocks = 2
+)
+
+// Config holds what varies between the cores of the evaluation; the zero
+// value is the paper's core.
+type Config struct {
+	// Tile is the core's mesh tile (the simulator numbers its cores).
+	Tile int
 
 	// PerfectL1i makes every instruction fetch hit (Figure 17 reference).
 	PerfectL1i bool
 	// PerfectBTB suppresses all BTB-miss penalties (the BTB-infinity
 	// reference point).
 	PerfectBTB bool
-
-	TAGE bpred.TAGEConfig
-}
-
-// DefaultConfig matches the paper's per-core parameters.
-func DefaultConfig() Config {
-	return Config{
-		FetchWidth:           3,
-		RetireWidth:          3,
-		ROBEntries:           128,
-		PipelineDepth:        15,
-		L1ISizeBytes:         32 << 10,
-		L1IWays:              8,
-		L1DSizeBytes:         32 << 10,
-		L1DWays:              8,
-		L1IMSHRs:             32,
-		L1DLatency:           4,
-		MispredictPenalty:    8,
-		BTBMissPenaltyTaken:  8,
-		BTBMissPenaltyDecode: 6,
-		RASDepth:             32,
-		WrongPathBlocks:      2,
-		TAGE:                 bpred.DefaultTAGEConfig(),
-	}
-}
-
-// Normalized fills each zero field of c from DefaultConfig, so a partial
-// configuration keeps what it sets: Config{PerfectL1i: true} is the default
-// core with a perfect L1i. Tile, PerfectL1i and PerfectBTB are kept as
-// given, since zero is a valid setting of each; a TAGE with no BaseEntries
-// takes the default predictor whole, as bpred.NewTAGE does.
-func (c Config) Normalized() Config {
-	d := DefaultConfig()
-	orDefault(&c.FetchWidth, d.FetchWidth)
-	orDefault(&c.RetireWidth, d.RetireWidth)
-	orDefault(&c.ROBEntries, d.ROBEntries)
-	orDefault(&c.PipelineDepth, d.PipelineDepth)
-	orDefault(&c.L1ISizeBytes, d.L1ISizeBytes)
-	orDefault(&c.L1IWays, d.L1IWays)
-	orDefault(&c.L1DSizeBytes, d.L1DSizeBytes)
-	orDefault(&c.L1DWays, d.L1DWays)
-	orDefault(&c.L1IMSHRs, d.L1IMSHRs)
-	orDefault(&c.L1DLatency, d.L1DLatency)
-	orDefault(&c.MispredictPenalty, d.MispredictPenalty)
-	orDefault(&c.BTBMissPenaltyTaken, d.BTBMissPenaltyTaken)
-	orDefault(&c.BTBMissPenaltyDecode, d.BTBMissPenaltyDecode)
-	orDefault(&c.RASDepth, d.RASDepth)
-	orDefault(&c.WrongPathBlocks, d.WrongPathBlocks)
-	if c.TAGE.BaseEntries == 0 {
-		c.TAGE = d.TAGE
-	}
-	return c
-}
-
-func orDefault[T int | uint64](v *T, def T) {
-	if *v == 0 {
-		*v = def
-	}
+	// NoWrongPath turns wrong-path fetch off. Differential testing's strict
+	// mode sets it: wrong-path fills install blocks no prefetch asked for,
+	// which its phantom-residency check would report.
+	NoWrongPath bool
 }
 
 type robEntry struct {
@@ -239,17 +194,17 @@ func New(cf Config, stream wl.Stream, image *isa.Image, design prefetch.Design, 
 		stream:  stream,
 		image:   image,
 		uncore:  uncore,
-		tage:    bpred.NewTAGE(cf.TAGE),
-		ras:     bpred.NewRAS(cf.RASDepth),
-		l1i:     cache.New(cf.L1ISizeBytes, cf.L1IWays),
-		l1d:     cache.New(cf.L1DSizeBytes, cf.L1DWays),
-		mshr:    cache.NewMSHRFile(cf.L1IMSHRs),
-		rob:     make([]robEntry, cf.ROBEntries),
+		tage:    bpred.NewTAGE(),
+		ras:     bpred.NewRAS(rasDepth),
+		l1i:     cache.New(l1iSizeBytes, l1iWays),
+		l1d:     cache.New(l1dSizeBytes, l1dWays),
+		mshr:    cache.NewMSHRFile(l1iMSHRs),
+		rob:     make([]robEntry, robEntries),
 		startup: true,
 	}
 	// prefLat is bounded by resident L1i lines still holding their
 	// prefetched flag; presizing to the line count makes it allocation-free.
-	c.prefLat = *blockmap.New[uint64](cf.L1ISizeBytes / isa.BlockBytes)
+	c.prefLat = *blockmap.New[uint64](l1iSizeBytes / isa.BlockBytes)
 	if b, ok := design.(prefetch.Bufferer); ok && b.BufferEntries() > 0 {
 		c.pfbCap = b.BufferEntries()
 		c.pfb = blockmap.New[uint64](c.pfbCap)
@@ -409,7 +364,7 @@ func (c *Core) Tick() {
 	c.delivered = 0
 	c.transitions = 0
 	c.cycleCause = obs.StallNone
-	for i := 0; i < c.cf.FetchWidth; i++ {
+	for i := 0; i < FetchWidth; i++ {
 		if !c.fetchOne() {
 			break
 		}
@@ -639,12 +594,12 @@ func (c *Core) pfbTake(b isa.BlockID) (uint64, bool) {
 }
 
 // retire commits what the Ticks of the span cycles from c.cycle on would:
-// finished ROB entries, in order, at most RetireWidth per cycle. A full Tick
+// finished ROB entries, in order, at most retireWidth per cycle. A full Tick
 // retires over a span of one cycle, FastForward over its whole window, which
 // computeIdleWake ends before any retirement that must run in a full Tick.
 func (c *Core) retire(span uint64) {
 	t, end := c.cycle, c.cycle+span
-	budget := c.cf.RetireWidth
+	budget := retireWidth
 	for c.robCount > 0 {
 		e := &c.rob[c.robHead]
 		if e.complete > t {
@@ -652,12 +607,12 @@ func (c *Core) retire(span uint64) {
 			if e.complete >= end {
 				return
 			}
-			t, budget = e.complete, c.cf.RetireWidth
+			t, budget = e.complete, retireWidth
 		} else if budget == 0 {
 			if t++; t >= end {
 				return
 			}
-			budget = c.cf.RetireWidth
+			budget = retireWidth
 		}
 		budget--
 		c.M.Retired++
@@ -860,7 +815,7 @@ func (c *Core) demandAccess(b isa.BlockID) bool {
 // control flow (penalties, predictor/BTB training, RAS).
 func (c *Core) deliver() {
 	inst := c.step.Inst
-	complete := c.cycle + c.cf.PipelineDepth + c.execLatency(&c.step)
+	complete := c.cycle + pipelineDepth + c.execLatency(&c.step)
 	// Field by field: a composite literal is built on the stack and copied
 	// in wide moves that stall on its narrow stores.
 	e := &c.rob[c.robTail()]
@@ -886,11 +841,11 @@ func (c *Core) execLatency(s *wl.Step) uint64 {
 		c.M.LoadCount++
 		db := isa.BlockOf(s.DataAddr)
 		if c.l1d.AccessOrInsert(db) {
-			return c.cf.L1DLatency
+			return l1dLatency
 		}
 		c.M.L1DMisses++
 		ready := c.access(db, false, sinkLoad)
-		return c.cf.L1DLatency + (ready - c.cycle)
+		return l1dLatency + (ready - c.cycle)
 	case isa.KindStore:
 		c.M.StoreCount++
 		c.l1d.Insert(isa.BlockOf(s.DataAddr))
@@ -923,12 +878,12 @@ func (c *Core) resolveBranch(s *wl.Step) {
 			if !actualTaken && btbHit {
 				wrong = target
 			}
-			c.redirect(c.cf.MispredictPenalty, false, wrong)
+			c.redirect(mispredictPenalty, false, wrong)
 		} else if actualTaken && (!btbHit || target != s.TargetPC) {
 			// Predicted taken but the frontend had no target: sequential
 			// fetch continues until the branch resolves.
 			c.M.BTBMissEvents++
-			c.redirect(c.cf.BTBMissPenaltyTaken, true, inst.NextPC())
+			c.redirect(btbMissPenaltyTaken, true, inst.NextPC())
 		}
 		c.design.BTBCommit(pc, inst.Kind, inst.Target, actualTaken)
 
@@ -944,7 +899,7 @@ func (c *Core) resolveBranch(s *wl.Step) {
 		}
 		if !btbHit || target != s.TargetPC {
 			c.M.BTBMissEvents++
-			c.redirect(c.cf.BTBMissPenaltyDecode, true, inst.NextPC())
+			c.redirect(btbMissPenaltyDecode, true, inst.NextPC())
 		}
 		if inst.Kind == isa.KindCall {
 			c.ras.Push(inst.NextPC())
@@ -962,10 +917,10 @@ func (c *Core) resolveBranch(s *wl.Step) {
 		case !btbHit:
 			// The frontend did not know this was a branch at all.
 			c.M.BTBMissEvents++
-			c.redirect(c.cf.BTBMissPenaltyDecode, true, inst.NextPC())
+			c.redirect(btbMissPenaltyDecode, true, inst.NextPC())
 		case !ok || rasTarget != s.TargetPC:
 			c.M.Mispredicts++
-			c.redirect(c.cf.MispredictPenalty, false, inst.NextPC())
+			c.redirect(mispredictPenalty, false, inst.NextPC())
 		}
 		c.design.BTBCommit(pc, inst.Kind, s.TargetPC, true)
 
@@ -981,10 +936,10 @@ func (c *Core) resolveBranch(s *wl.Step) {
 		switch {
 		case !btbHit:
 			c.M.BTBMissEvents++
-			c.redirect(c.cf.BTBMissPenaltyDecode, true, inst.NextPC())
+			c.redirect(btbMissPenaltyDecode, true, inst.NextPC())
 		case target != s.TargetPC:
 			c.M.Mispredicts++
-			c.redirect(c.cf.MispredictPenalty, false, target)
+			c.redirect(mispredictPenalty, false, target)
 		}
 		// Indirect call: the walker pushes a return frame.
 		c.ras.Push(inst.NextPC())
@@ -1009,11 +964,11 @@ func (c *Core) redirect(penalty uint64, btbInduced bool, wrongPC isa.Addr) {
 // redirect shadow: sequential blocks from the bogus continuation are looked
 // up and, on a miss, fetched — polluting the cache and consuming bandwidth.
 func (c *Core) wrongPath(pc isa.Addr) {
-	if c.cf.PerfectL1i || pc == 0 {
+	if c.cf.PerfectL1i || c.cf.NoWrongPath || pc == 0 {
 		return
 	}
 	b0 := isa.BlockOf(pc)
-	for i := 0; i < c.cf.WrongPathBlocks; i++ {
+	for i := 0; i < wrongPathBlocks; i++ {
 		b := b0 + isa.BlockID(i)
 		if !c.image.ContainsBlock(b) {
 			return

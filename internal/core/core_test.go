@@ -42,7 +42,7 @@ func runCycles(c *Core, n int) {
 }
 
 func TestCoreMakesProgress(t *testing.T) {
-	c, _ := newTestCore(t, DefaultConfig(), prefetch.NewBaseline(2048))
+	c, _ := newTestCore(t, Config{}, prefetch.NewBaseline(2048))
 	runCycles(c, 20000)
 	if c.M.Retired == 0 {
 		t.Fatal("nothing retired")
@@ -51,13 +51,13 @@ func TestCoreMakesProgress(t *testing.T) {
 		t.Fatalf("cycles = %d", c.M.Cycles)
 	}
 	ipc := c.M.IPC()
-	if ipc <= 0.05 || ipc > float64(c.cf.FetchWidth) {
+	if ipc <= 0.05 || ipc > FetchWidth {
 		t.Fatalf("IPC = %.3f out of range", ipc)
 	}
 }
 
 func TestStallAttributionCoversIdleCycles(t *testing.T) {
-	c, _ := newTestCore(t, DefaultConfig(), prefetch.NewBaseline(2048))
+	c, _ := newTestCore(t, Config{}, prefetch.NewBaseline(2048))
 	runCycles(c, 20000)
 	m := &c.M
 	// Every cycle either delivered something or was attributed to a cause.
@@ -74,7 +74,7 @@ func TestStallAttributionCoversIdleCycles(t *testing.T) {
 }
 
 func TestMissClassificationPartitions(t *testing.T) {
-	c, _ := newTestCore(t, DefaultConfig(), prefetch.NewBaseline(2048))
+	c, _ := newTestCore(t, Config{}, prefetch.NewBaseline(2048))
 	runCycles(c, 20000)
 	if c.M.SeqMisses+c.M.DiscMisses != c.M.DemandMisses {
 		t.Fatalf("%d + %d != %d", c.M.SeqMisses, c.M.DiscMisses, c.M.DemandMisses)
@@ -85,7 +85,7 @@ func TestMissClassificationPartitions(t *testing.T) {
 }
 
 func TestPerfectL1iNeverMisses(t *testing.T) {
-	cf := DefaultConfig()
+	var cf Config
 	cf.PerfectL1i = true
 	c, _ := newTestCore(t, cf, prefetch.NewBaseline(2048))
 	runCycles(c, 10000)
@@ -96,7 +96,7 @@ func TestPerfectL1iNeverMisses(t *testing.T) {
 }
 
 func TestPerfectBTBNoBTBStalls(t *testing.T) {
-	cf := DefaultConfig()
+	var cf Config
 	cf.PerfectBTB = true
 	c, _ := newTestCore(t, cf, prefetch.NewBaseline(2048))
 	runCycles(c, 10000)
@@ -107,9 +107,9 @@ func TestPerfectBTBNoBTBStalls(t *testing.T) {
 }
 
 func TestPerfectFrontendFasterThanBaseline(t *testing.T) {
-	base, _ := newTestCore(t, DefaultConfig(), prefetch.NewBaseline(2048))
+	base, _ := newTestCore(t, Config{}, prefetch.NewBaseline(2048))
 	runCycles(base, 30000)
-	cf := DefaultConfig()
+	var cf Config
 	cf.PerfectL1i = true
 	cf.PerfectBTB = true
 	perfect, _ := newTestCore(t, cf, prefetch.NewBaseline(2048))
@@ -118,10 +118,13 @@ func TestPerfectFrontendFasterThanBaseline(t *testing.T) {
 		t.Fatalf("perfect frontend IPC %.3f <= baseline %.3f",
 			perfect.M.IPC(), base.M.IPC())
 	}
+	if perfect.M.IPC() > FetchWidth {
+		t.Fatalf("perfect frontend IPC %.3f exceeds the %d-wide fetch", perfect.M.IPC(), FetchWidth)
+	}
 }
 
 func TestPrefetchFillsAndCMAL(t *testing.T) {
-	c, _ := newTestCore(t, DefaultConfig(), prefetch.NewNXL(4, 2048))
+	c, _ := newTestCore(t, Config{}, prefetch.NewNXL(4, 2048))
 	runCycles(c, 30000)
 	if c.M.PrefetchesIssued == 0 || c.M.PrefetchFills == 0 {
 		t.Fatal("no prefetch activity")
@@ -151,7 +154,7 @@ func TestPrefetchBufferPromotion(t *testing.T) {
 		{"baseline", prefetch.NewBaseline(2048), 0},
 		{"catalog shotgun", shotgun.New(), 64},
 	} {
-		c, _ := newTestCore(t, DefaultConfig(), tc.d)
+		c, _ := newTestCore(t, Config{}, tc.d)
 		if c.pfbCap != tc.want || (c.pfb != nil) != (tc.want > 0) {
 			t.Fatalf("%s: buffer of %d entries (present %v), want %d", tc.name, c.pfbCap, c.pfb != nil, tc.want)
 		}
@@ -169,8 +172,8 @@ func TestPrefetchBufferPromotion(t *testing.T) {
 }
 
 func TestDeterministicCore(t *testing.T) {
-	a, _ := newTestCore(t, DefaultConfig(), prefetch.NewBaseline(2048))
-	b, _ := newTestCore(t, DefaultConfig(), prefetch.NewBaseline(2048))
+	a, _ := newTestCore(t, Config{}, prefetch.NewBaseline(2048))
+	b, _ := newTestCore(t, Config{}, prefetch.NewBaseline(2048))
 	runCycles(a, 10000)
 	runCycles(b, 10000)
 	if a.M != b.M {
@@ -179,7 +182,7 @@ func TestDeterministicCore(t *testing.T) {
 }
 
 func TestResetMetricsKeepsState(t *testing.T) {
-	c, _ := newTestCore(t, DefaultConfig(), prefetch.NewBaseline(2048))
+	c, _ := newTestCore(t, Config{}, prefetch.NewBaseline(2048))
 	runCycles(c, 5000)
 	c.ResetMetrics()
 	if c.M.Cycles != 0 || c.M.Retired != 0 {
@@ -192,7 +195,7 @@ func TestResetMetricsKeepsState(t *testing.T) {
 }
 
 func TestWrongPathFetchesHappen(t *testing.T) {
-	c, _ := newTestCore(t, DefaultConfig(), prefetch.NewBaseline(2048))
+	c, _ := newTestCore(t, Config{}, prefetch.NewBaseline(2048))
 	runCycles(c, 20000)
 	if c.M.Mispredicts == 0 {
 		t.Fatal("no mispredicts in a branchy workload")
@@ -210,7 +213,7 @@ func TestVariableModeBFConstruction(t *testing.T) {
 	lcfg.DV = llc.DVOn
 	uncore := NewUncore(llc.New(lcfg))
 	uncore.Preload(prog.Image)
-	c := New(DefaultConfig(), wl.NewWalker(prog, 1), prog.Image, prefetch.NewBaseline(2048), uncore)
+	c := New(Config{}, wl.NewWalker(prog, 1), prog.Image, prefetch.NewBaseline(2048), uncore)
 	runCycles(c, 20000)
 	st := uncore.LLC.Stats()
 	if st.BFStores == 0 {

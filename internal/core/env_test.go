@@ -17,7 +17,7 @@ func envCore(t *testing.T, cf Config) (*Core, *Uncore) {
 }
 
 func TestEnvLookupCounting(t *testing.T) {
-	c, _ := envCore(t, DefaultConfig())
+	c, _ := envCore(t, Config{})
 	before := c.M.CacheLookups
 	c.L1iContains(12345)
 	c.L1iContains(12345)
@@ -33,7 +33,7 @@ func TestEnvLookupCounting(t *testing.T) {
 }
 
 func TestEnvIssuePrefetchRules(t *testing.T) {
-	c, _ := envCore(t, DefaultConfig())
+	c, _ := envCore(t, Config{})
 	prog := wl.Generate(testWorkload())
 	b := isa.BlockOf(prog.Image.Base)
 
@@ -56,7 +56,7 @@ func TestEnvIssuePrefetchRules(t *testing.T) {
 }
 
 func TestEnvIssuePrefetchPerfectL1i(t *testing.T) {
-	cf := DefaultConfig()
+	var cf Config
 	cf.PerfectL1i = true
 	c, _ := envCore(t, cf)
 	if c.IssuePrefetch(1) {
@@ -65,7 +65,7 @@ func TestEnvIssuePrefetchPerfectL1i(t *testing.T) {
 }
 
 func TestEnvPredecodeFixed(t *testing.T) {
-	c, _ := envCore(t, DefaultConfig())
+	c, _ := envCore(t, Config{})
 	prog := wl.Generate(testWorkload())
 	// Find a block with at least one branch.
 	first := isa.BlockOf(prog.Image.Base)
@@ -92,7 +92,7 @@ func TestEnvPredecodeVariableNeedsBF(t *testing.T) {
 	lcfg.DV = llc.DVOn
 	uncore := NewUncore(llc.New(lcfg))
 	uncore.Preload(prog.Image)
-	c := New(DefaultConfig(), wl.NewWalker(prog, 1), prog.Image,
+	c := New(Config{}, wl.NewWalker(prog, 1), prog.Image,
 		prefetch.NewBaseline(2048), uncore)
 
 	b := isa.BlockOf(prog.Image.Base)
@@ -115,7 +115,7 @@ func TestEnvPredecodeVariableNeedsBF(t *testing.T) {
 }
 
 func TestEnvPredictTakenIsReadOnly(t *testing.T) {
-	c, _ := envCore(t, DefaultConfig())
+	c, _ := envCore(t, Config{})
 	pc := isa.Addr(0x1234)
 	before := c.PredictTaken(pc)
 	for i := 0; i < 100; i++ {

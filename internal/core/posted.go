@@ -104,8 +104,8 @@ func (c *Core) SetPosted(lookahead uint64) {
 		return
 	}
 	if c.box.reqs == nil {
-		c.box.reqs = make([]request, 0, c.cf.L1IMSHRs+c.cf.ROBEntries)
-		c.box.late = make([]lateMerge, 0, c.cf.L1IMSHRs)
+		c.box.reqs = make([]request, 0, l1iMSHRs+robEntries)
+		c.box.late = make([]lateMerge, 0, l1iMSHRs)
 	}
 	c.box.lookahead = lookahead
 	c.post = &c.box

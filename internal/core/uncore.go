@@ -25,8 +25,8 @@ type Uncore struct {
 func NewUncore(l *llc.LLC) *Uncore {
 	u := &Uncore{
 		LLC:  l,
-		Mesh: noc.New(noc.DefaultConfig()),
-		DRAM: memory.New(memory.DefaultConfig()),
+		Mesh: noc.New(),
+		DRAM: memory.New(),
 	}
 	u.blockFlits = u.Mesh.FlitsFor(isa.BlockBytes)
 	return u

@@ -4,23 +4,17 @@
 // as queueing delay.
 package memory
 
-// Config describes the memory model.
-type Config struct {
-	// LatencyCycles is the unloaded access latency (60 ns at 2 GHz = 120).
-	LatencyCycles uint64
-	// BytesPerCycle is the peak bandwidth (85 GB/s at 2 GHz = 42.5 B/cycle,
-	// expressed in tenths to stay integral).
-	DeciBytesPerCycle uint64
-}
-
-// DefaultConfig matches the paper's Table III.
-func DefaultConfig() Config {
-	return Config{LatencyCycles: 120, DeciBytesPerCycle: 425}
-}
+// The memory of Table III.
+const (
+	// latencyCycles is the unloaded access latency (60 ns at 2 GHz = 120).
+	latencyCycles = 120
+	// deciBytesPerCycle is the peak bandwidth (85 GB/s at 2 GHz = 42.5
+	// B/cycle, expressed in tenths to stay integral).
+	deciBytesPerCycle = 425
+)
 
 // DRAM is the shared memory model. Not safe for concurrent use.
 type DRAM struct {
-	cfg       Config
 	busyUntil uint64
 	deciDebt  uint64 // fractional service time carry, in deci-cycles
 
@@ -29,15 +23,7 @@ type DRAM struct {
 }
 
 // New returns an idle memory model.
-func New(cfg Config) *DRAM {
-	if cfg.LatencyCycles == 0 {
-		cfg.LatencyCycles = 120
-	}
-	if cfg.DeciBytesPerCycle == 0 {
-		cfg.DeciBytesPerCycle = 425
-	}
-	return &DRAM{cfg: cfg}
-}
+func New() *DRAM { return &DRAM{} }
 
 // Access issues a transfer of the given bytes at cycle and returns the
 // completion cycle: queue wait + fixed latency + serialization.
@@ -51,13 +37,13 @@ func (d *DRAM) Access(cycle uint64, bytes int) uint64 {
 	// Service cycles = bytes / (DeciBytesPerCycle/10) = bytes*10 / deci-rate,
 	// with the remainder carried into the next access.
 	deci := uint64(bytes)*10 + d.deciDebt
-	service := deci / d.cfg.DeciBytesPerCycle
-	d.deciDebt = deci % d.cfg.DeciBytesPerCycle
+	service := deci / deciBytesPerCycle
+	d.deciDebt = deci % deciBytesPerCycle
 	if service == 0 {
 		service = 1
 	}
 	d.busyUntil = start + service
-	return start + service + d.cfg.LatencyCycles
+	return start + service + latencyCycles
 }
 
 // Accesses returns the number of transfers served.
@@ -71,4 +57,4 @@ func (d *DRAM) QueuedCycles() uint64 { return d.queued }
 func (d *DRAM) ResetStats() { d.accesses, d.queued = 0, 0 }
 
 // Reset clears state and statistics.
-func (d *DRAM) Reset() { *d = DRAM{cfg: d.cfg} }
+func (d *DRAM) Reset() { *d = DRAM{} }

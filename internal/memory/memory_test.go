@@ -3,7 +3,7 @@ package memory
 import "testing"
 
 func TestUnloadedLatency(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	got := d.Access(0, 64)
 	// 64 B at 42.5 B/cycle rounds to 1 cycle of service + 120 latency.
 	if got != 121 {
@@ -12,7 +12,7 @@ func TestUnloadedLatency(t *testing.T) {
 }
 
 func TestBandwidthQueueing(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	// Saturate: many 64-byte transfers at cycle 0. Total service time is
 	// bounded below by bytes/bandwidth.
 	n := 1000
@@ -33,7 +33,7 @@ func TestBandwidthQueueing(t *testing.T) {
 }
 
 func TestNoQueueingWhenIdle(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	d.Access(0, 64)
 	d.Access(1000, 64)
 	if d.QueuedCycles() != 0 {
@@ -42,7 +42,7 @@ func TestNoQueueingWhenIdle(t *testing.T) {
 }
 
 func TestFractionalServiceAccumulates(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	// 64 B = 1.5 cycles of service; over many back-to-back accesses the
 	// average service must approach 1.5 cycles, not 1.
 	n := 10000
@@ -58,7 +58,7 @@ func TestFractionalServiceAccumulates(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	d.Access(0, 64)
 	d.Reset()
 	if d.Accesses() != 0 || d.QueuedCycles() != 0 {

@@ -10,8 +10,8 @@ import (
 // traffic counters. Mesh dimensions must match.
 func (m *Mesh) State(c *checkpoint.Codec) {
 	c.Begin("noc")
-	c.Fixed("mesh width", m.cfg.Width)
-	c.Fixed("mesh height", m.cfg.Height)
+	c.Fixed("mesh width", Width)
+	c.Fixed("mesh height", Height)
 	c.U64(&m.flits)
 	c.U64(&m.packets)
 	c.U64(&m.queued)
@@ -45,9 +45,9 @@ func (m *Mesh) State(c *checkpoint.Codec) {
 // Each violation is returned as its own error.
 func (m *Mesh) Audit() []error {
 	var errs []error
-	if got, want := len(m.links), m.cfg.Width*m.cfg.Height*numDirs; got != want {
+	if got, want := len(m.links), Tiles*numDirs; got != want {
 		errs = append(errs, fmt.Errorf("noc: %d links for a %dx%d mesh, want %d",
-			got, m.cfg.Width, m.cfg.Height, want))
+			got, Width, Height, want))
 		return errs
 	}
 	if m.packets == 0 && m.flits != 0 {

@@ -6,31 +6,24 @@
 // paper) — emerge from this contention model.
 package noc
 
-import (
-	"fmt"
-	"sync"
-
-	"dnc/internal/obs"
-)
+import "dnc/internal/obs"
 
 // Tile identifies a mesh node (core + LLC slice).
 type Tile int
 
-// Config describes the mesh.
-type Config struct {
-	Width, Height int
-	// HopCycles is the zero-load latency per hop (router pipeline + link).
-	HopCycles uint64
-	// FlitBytes is the link width; a 64-byte data response is
-	// 1 + 64/FlitBytes flits.
-	FlitBytes int
-}
-
-// DefaultConfig is the paper's 4x4 mesh with a 2-stage speculative router
-// pipeline and 1-cycle link traversal.
-func DefaultConfig() Config {
-	return Config{Width: 4, Height: 4, HopCycles: 3, FlitBytes: 16}
-}
+// The paper's 4x4 mesh, with a 2-stage speculative router pipeline and
+// 1-cycle link traversal.
+const (
+	// Width and Height are the mesh's tiles per row and per column, Tiles
+	// its tiles in all.
+	Width, Height = 4, 4
+	Tiles         = Width * Height
+	// hopCycles is the zero-load latency per hop (router pipeline + link).
+	hopCycles = 3
+	// flitBytes is the link width; a 64-byte data response is
+	// 1 + 64/flitBytes flits.
+	flitBytes = 16
+)
 
 // linkWindow tracks a directed link's utilization over a fixed cycle
 // window. Requests and responses are injected out of time order (a response
@@ -49,11 +42,8 @@ const windowShift = 6
 // Mesh is the interconnect state. It is not safe for concurrent use; the
 // simulator serializes traffic injection.
 type Mesh struct {
-	cfg Config
 	// links is indexed by from*numDirs + direction.
 	links []linkWindow
-	// routes is the mesh geometry's shared XY route table.
-	routes *routeTable
 
 	// Stats.
 	flits   uint64
@@ -80,54 +70,32 @@ const (
 )
 
 // New returns an idle mesh.
-func New(cfg Config) *Mesh {
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		panic(fmt.Sprintf("noc: bad mesh %dx%d", cfg.Width, cfg.Height))
-	}
-	if cfg.HopCycles == 0 {
-		cfg.HopCycles = 3
-	}
-	if cfg.FlitBytes == 0 {
-		cfg.FlitBytes = 16
-	}
-	n := cfg.Width * cfg.Height
-	return &Mesh{cfg: cfg, links: make([]linkWindow, n*numDirs), routes: routesFor(cfg.Width, cfg.Height)}
+func New() *Mesh {
+	return &Mesh{links: make([]linkWindow, Tiles*numDirs)}
 }
 
 // routeTable holds the XY route of every (src, dst) tile pair: the links
-// route src*tiles+dst traverses, in order, are links[start[r]:start[r+1]],
-// each a Mesh.links index. It depends on the geometry alone and is never
-// written after it is built, so every mesh of a geometry shares one.
+// route src*Tiles+dst traverses, in order, are links[start[r]:start[r+1]],
+// each a Mesh.links index.
 type routeTable struct {
-	tiles int
 	start []int32
 	links []int32
 }
 
-// routeTables caches a routeTable per geometry ([2]int{width, height}), so a
-// run builds no table of its own.
-var routeTables sync.Map
-
-func routesFor(width, height int) *routeTable {
-	key := [2]int{width, height}
-	if r, ok := routeTables.Load(key); ok {
-		return r.(*routeTable)
-	}
-	r, _ := routeTables.LoadOrStore(key, buildRoutes(width, height))
-	return r.(*routeTable)
-}
+// routes is the mesh's route table. It depends on the geometry alone and is
+// never written after it is built, so every mesh shares it.
+var routes = buildRoutes()
 
 // buildRoutes walks dimension-order routing, X first, for every pair.
-func buildRoutes(width, height int) *routeTable {
-	n := width * height
-	r := &routeTable{tiles: n, start: make([]int32, 0, n*n+1)}
-	for src := range n {
-		for dst := range n {
+func buildRoutes() *routeTable {
+	r := &routeTable{start: make([]int32, 0, Tiles*Tiles+1)}
+	for src := range Tiles {
+		for dst := range Tiles {
 			r.start = append(r.start, int32(len(r.links)))
-			x, y := src%width, src/width
-			dx, dy := dst%width, dst/width
+			x, y := src%Width, src/Width
+			dx, dy := dst%Width, dst/Width
 			for x != dx || y != dy {
-				tile := y*width + x
+				tile := y*Width + x
 				var dir int
 				switch {
 				case x < dx:
@@ -149,21 +117,18 @@ func buildRoutes(width, height int) *routeTable {
 
 // route returns the link indices of the XY route from src to dst.
 func (r *routeTable) route(src, dst Tile) []int32 {
-	i := int(src)*r.tiles + int(dst)
+	i := int(src)*Tiles + int(dst)
 	return r.links[r.start[i]:r.start[i+1]]
 }
-
-// Tiles returns the number of tiles.
-func (m *Mesh) Tiles() int { return m.cfg.Width * m.cfg.Height }
 
 // FlitsFor returns the flit count of a packet with the given payload bytes
 // (one header flit plus payload flits).
 func (m *Mesh) FlitsFor(payloadBytes int) int {
-	return 1 + (payloadBytes+m.cfg.FlitBytes-1)/m.cfg.FlitBytes
+	return 1 + (payloadBytes+flitBytes-1)/flitBytes
 }
 
 func (m *Mesh) xy(t Tile) (int, int) {
-	return int(t) % m.cfg.Width, int(t) / m.cfg.Width
+	return int(t) % Width, int(t) / Width
 }
 
 // Hops returns the XY-route hop count between two tiles.
@@ -186,7 +151,7 @@ func (m *Mesh) Send(src, dst Tile, flits int, cycle uint64) uint64 {
 		return cycle + 1
 	}
 	t := cycle
-	for _, li := range m.routes.route(src, dst) {
+	for _, li := range routes.route(src, dst) {
 		lw := &m.links[li]
 		if w := t >> windowShift; w != lw.window {
 			lw.window = w
@@ -199,7 +164,7 @@ func (m *Mesh) Send(src, dst Tile, flits int, cycle uint64) uint64 {
 			delay = lw.flits - cap
 			m.queued += delay
 		}
-		t += m.cfg.HopCycles + delay
+		t += hopCycles + delay
 	}
 	// Tail flits of the packet arrive behind the head.
 	t += uint64(flits) - 1

@@ -10,7 +10,7 @@ import (
 )
 
 func TestHops(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New()
 	cases := []struct {
 		src, dst Tile
 		want     int
@@ -30,7 +30,7 @@ func TestHops(t *testing.T) {
 }
 
 func TestZeroLoadLatency(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New()
 	// 1-flit control packet over 3 hops: 3 hops * 3 cycles + 0 tail.
 	got := m.Send(0, 3, 1, 100)
 	if got != 100+9 {
@@ -45,7 +45,7 @@ func TestZeroLoadLatency(t *testing.T) {
 }
 
 func TestLocalDelivery(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New()
 	if got := m.Send(2, 2, 5, 10); got != 11 {
 		t.Errorf("local delivery at %d, want 11", got)
 	}
@@ -55,7 +55,7 @@ func TestLocalDelivery(t *testing.T) {
 }
 
 func TestContention(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New()
 	// Light load within a window incurs no delay.
 	a := m.Send(0, 1, 5, 0)
 	b := m.Send(0, 1, 5, 0)
@@ -81,7 +81,7 @@ func TestContention(t *testing.T) {
 }
 
 func TestDisjointPathsDoNotInterfere(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New()
 	a := m.Send(0, 1, 5, 0)
 	b := m.Send(4, 5, 5, 0) // different row, disjoint links
 	if a != b {
@@ -90,7 +90,7 @@ func TestDisjointPathsDoNotInterfere(t *testing.T) {
 }
 
 func TestFlitsFor(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New()
 	if m.FlitsFor(0) != 1 {
 		t.Errorf("control packet flits = %d, want 1", m.FlitsFor(0))
 	}
@@ -100,7 +100,7 @@ func TestFlitsFor(t *testing.T) {
 }
 
 func TestStatsAndReset(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New()
 	m.Send(0, 15, 5, 0)
 	if m.Packets() != 1 || m.Flits() != 30 { // 6 hops * 5 flits
 		t.Errorf("packets=%d flits=%d", m.Packets(), m.Flits())
@@ -120,7 +120,7 @@ func TestStatsAndReset(t *testing.T) {
 // packet has been injected since, and link traffic nothing injected — before
 // or after — is still a violation.
 func TestAuditAcrossStatsReset(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New()
 	m.Send(0, 15, 5, 0)
 	m.ResetStats()
 	if errs := m.Audit(); len(errs) != 0 {
@@ -132,8 +132,8 @@ func TestAuditAcrossStatsReset(t *testing.T) {
 	}
 
 	for name, m := range map[string]*Mesh{
-		"fresh": New(DefaultConfig()),
-		"reset": func() *Mesh { m := New(DefaultConfig()); m.Send(0, 15, 5, 0); m.ResetStats(); return m }(),
+		"fresh": New(),
+		"reset": func() *Mesh { m := New(); m.Send(0, 15, 5, 0); m.ResetStats(); return m }(),
 	} {
 		m.links[5*numDirs+dirEast].flits += 3 // traffic with no source
 		if errs := m.Audit(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "zero packets injected") {
@@ -146,12 +146,12 @@ func TestAuditAcrossStatsReset(t *testing.T) {
 // and before the window's first packet restores into a mesh that audits
 // clean, with bytes unchanged by the round trip.
 func TestRestoreKeepsCarriedTraffic(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New()
 	m.Send(0, 15, 5, 0)
 	m.ResetStats()
 	snap := checkpointtest.Save(m.State)
 
-	r := New(DefaultConfig())
+	r := New()
 	if err := checkpointtest.Load(snap, r.State); err != nil {
 		t.Fatal(err)
 	}
@@ -164,42 +164,35 @@ func TestRestoreKeepsCarriedTraffic(t *testing.T) {
 }
 
 // TestRouteTableIsXY checks every precomputed route against a hop-by-hop
-// walk of dimension-order routing (X first), on the paper's mesh and on a
-// non-square one, and that meshes of one geometry share one table.
+// walk of dimension-order routing (X first).
 func TestRouteTableIsXY(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(), {Width: 3, Height: 5}} {
-		m := New(cfg)
-		w, n := cfg.Width, cfg.Width*cfg.Height
-		for src := range n {
-			for dst := range n {
-				var want []int32
-				x, y, dx, dy := src%w, src/w, dst%w, dst/w
-				for x != dx || y != dy {
-					from := y*w + x
-					dir := dirNorth
-					switch {
-					case x < dx:
-						dir, x = dirEast, x+1
-					case x > dx:
-						dir, x = dirWest, x-1
-					case y < dy:
-						dir, y = dirSouth, y+1
-					default:
-						y--
-					}
-					want = append(want, int32(from*numDirs+dir))
+	m := New()
+	for src := range Tiles {
+		for dst := range Tiles {
+			var want []int32
+			x, y, dx, dy := src%Width, src/Width, dst%Width, dst/Width
+			for x != dx || y != dy {
+				from := y*Width + x
+				dir := dirNorth
+				switch {
+				case x < dx:
+					dir, x = dirEast, x+1
+				case x > dx:
+					dir, x = dirWest, x-1
+				case y < dy:
+					dir, y = dirSouth, y+1
+				default:
+					y--
 				}
-				got := m.routes.route(Tile(src), Tile(dst))
-				if !slices.Equal(got, want) {
-					t.Fatalf("%dx%d route %d->%d = %v, want %v", cfg.Width, cfg.Height, src, dst, got, want)
-				}
-				if len(got) != m.Hops(Tile(src), Tile(dst)) {
-					t.Fatalf("%dx%d route %d->%d has %d links, Hops says %d", cfg.Width, cfg.Height, src, dst, len(got), m.Hops(Tile(src), Tile(dst)))
-				}
+				want = append(want, int32(from*numDirs+dir))
 			}
-		}
-		if New(cfg).routes != m.routes {
-			t.Errorf("%dx%d: two meshes built two route tables", cfg.Width, cfg.Height)
+			got := routes.route(Tile(src), Tile(dst))
+			if !slices.Equal(got, want) {
+				t.Fatalf("route %d->%d = %v, want %v", src, dst, got, want)
+			}
+			if len(got) != m.Hops(Tile(src), Tile(dst)) {
+				t.Fatalf("route %d->%d has %d links, Hops says %d", src, dst, len(got), m.Hops(Tile(src), Tile(dst)))
+			}
 		}
 	}
 }

@@ -4,18 +4,15 @@ import "dnc/internal/stats"
 
 // Config enables the observability layer for one simulation run.
 type Config struct {
-	// SampleEvery is the occupancy-gauge sampling cadence in cycles
-	// (0 = DefaultSampleEvery).
-	SampleEvery uint64
 	// TraceEvents bounds the event tracer's ring buffer; 0 disables
 	// tracing while keeping histograms and gauges on.
 	TraceEvents int
 }
 
-// DefaultSampleEvery is the gauge sampling cadence when Config.SampleEvery
-// is zero: fine enough to resolve per-window occupancy shifts, coarse enough
-// to stay invisible next to the cycle loop.
-const DefaultSampleEvery = 256
+// SampleEvery is the occupancy-gauge sampling cadence in cycles: fine
+// enough to resolve per-window occupancy shifts, coarse enough to stay
+// invisible next to the cycle loop.
+const SampleEvery = 256
 
 // Registry is a named collection of histograms plus ad-hoc counters,
 // snapshotted in registration order at the end of a run. It is not safe for

@@ -21,27 +21,30 @@ type Boomerang struct {
 	bypc *btb.Table[btb.Entry]
 }
 
-// BoomerangConfig sizes the design.
+// BoomerangConfig sizes the design. Each zero field takes the paper's
+// value, so BoomerangConfig{} is the catalog's Boomerang.
 type BoomerangConfig struct {
-	BTBEntries, BTBWays int
-	FTQEntries          int
-	WalkBudget          int
+	// BTBEntries is the basic-block BTB's size (paper: 2K), the BTB reach
+	// ROADMAP item 15(c) sweeps.
+	BTBEntries int
+	// FTQEntries is the FTQ's depth (paper: 32), item 15(c)'s other axis.
+	FTQEntries int
+	// WalkBudget is how many basic blocks the walk advances per cycle
+	// (paper: 2), which ROADMAP item 26(b) sweeps.
+	WalkBudget int
 }
 
-// DefaultBoomerangConfig matches the paper's modelling: a 2K-entry
-// basic-block BTB and a 32-entry FTQ.
-func DefaultBoomerangConfig() BoomerangConfig {
-	return BoomerangConfig{BTBEntries: 2048, BTBWays: 4, FTQEntries: 32, WalkBudget: 2}
-}
+// boomerangBTBWays is the basic-block BTB's associativity.
+const boomerangBTBWays = 4
 
 // NewBoomerang builds the design.
 func NewBoomerang(cfg BoomerangConfig) *Boomerang {
 	if cfg.BTBEntries == 0 {
-		cfg = DefaultBoomerangConfig()
+		cfg.BTBEntries = 2048
 	}
 	d := &Boomerang{
-		bb:   btb.NewBBBTB(cfg.BTBEntries, cfg.BTBWays),
-		bypc: btb.NewTable[btb.Entry](cfg.BTBEntries, cfg.BTBWays),
+		bb:   btb.NewBBBTB(cfg.BTBEntries, boomerangBTBWays),
+		bypc: btb.NewTable[btb.Entry](cfg.BTBEntries, boomerangBTBWays),
 	}
 	d.fdipWalk = newFDIPWalk[isa.Addr](cfg.FTQEntries, cfg.WalkBudget, d.insertBB)
 	return d

@@ -122,7 +122,7 @@ func TestBoomerangWalkAndGate(t *testing.T) {
 	base := isa.Addr(0x10000)
 	target := isa.Addr(0x20000)
 	env.image = buildLinearImage(base, 2, 3, target) // 2 blocks; jump in block 2
-	d := NewBoomerang(DefaultBoomerangConfig())
+	d := NewBoomerang(BoomerangConfig{})
 	d.Bind(env)
 
 	// Fetch asks for the first block: FTQ is empty, the engine restarts
@@ -168,7 +168,7 @@ func TestBoomerangDivergenceSquashes(t *testing.T) {
 	env := newFakeEnv()
 	base := isa.Addr(0x10000)
 	env.image = buildLinearImage(base, 2, 3, 0x20000)
-	d := NewBoomerang(DefaultBoomerangConfig())
+	d := NewBoomerang(BoomerangConfig{})
 	d.Bind(env)
 	d.q.push(isa.BlockOf(base))
 	// Fetch goes somewhere else entirely: squash and restart there.
@@ -186,7 +186,7 @@ func TestBoomerangDivergenceSquashes(t *testing.T) {
 
 func TestBoomerangCommitTrainsBBBTB(t *testing.T) {
 	env := newFakeEnv()
-	d := NewBoomerang(DefaultBoomerangConfig())
+	d := NewBoomerang(BoomerangConfig{})
 	d.Bind(env)
 	d.OnRetire(isa.Inst{PC: 0x100, Size: 4, Kind: isa.KindALU}, false, 0)
 	d.OnRetire(isa.Inst{PC: 0x104, Size: 4, Kind: isa.KindJump, Target: 0x300}, true, 0x300)
@@ -203,7 +203,7 @@ func TestShotgunFootprintPrefetchOnUHit(t *testing.T) {
 	base := isa.Addr(0x10000)
 	target := isa.Addr(0x20000)
 	env.image = buildLinearImage(base, 1, 3, target)
-	d := NewShotgun(DefaultShotgunDesignConfig())
+	d := NewShotgun(ShotgunDesignConfig{})
 	d.Bind(env)
 
 	// Train a U-BTB entry with a call footprint via the retired stream.
@@ -238,7 +238,7 @@ func TestShotgunReactiveResolvesUncondAsFootprintMiss(t *testing.T) {
 	env := newFakeEnv()
 	base := isa.Addr(0x10000)
 	env.image = buildLinearImage(base, 1, 3, 0x20000)
-	d := NewShotgun(DefaultShotgunDesignConfig())
+	d := NewShotgun(ShotgunDesignConfig{})
 	d.Bind(env)
 
 	env.install(isa.BlockOf(base)) // block resident: reactive decode is immediate
@@ -254,11 +254,11 @@ func TestShotgunReactiveResolvesUncondAsFootprintMiss(t *testing.T) {
 // prefetch buffer (Bufferer), a design without one declares nothing, and the
 // storage budget counts the buffer's tags on top of the tables and FTQ.
 func TestShotgunBufferedPrefetches(t *testing.T) {
-	var d Design = NewShotgun(DefaultShotgunDesignConfig())
+	var d Design = NewShotgun(ShotgunDesignConfig{})
 	if b, ok := d.(Bufferer); !ok || b.BufferEntries() != 64 {
 		t.Fatalf("the paper's Shotgun declares no 64-entry buffer")
 	}
-	if _, ok := Design(NewBoomerang(DefaultBoomerangConfig())).(Bufferer); ok {
+	if _, ok := Design(NewBoomerang(BoomerangConfig{})).(Bufferer); ok {
 		t.Fatalf("Boomerang, which prefetches into the L1i, declares a buffer")
 	}
 	sg := d.(*Shotgun)

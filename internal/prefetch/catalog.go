@@ -31,10 +31,10 @@ var catalog = []CatalogEntry{
 	}},
 	{Name: "discontinuity", New: func() Design { return NewDiscontinuity(8<<10, 8, 2048) }},
 	{Name: "RDIP", New: func() Design { return NewRDIP(1024, 2048) }},
-	{Name: "PIF", New: func() Design { return NewPIF(DefaultPIFConfig()) }},
-	{Name: "confluence", New: func() Design { return NewConfluence(DefaultConfluenceConfig()) }},
-	{Name: "boomerang", New: func() Design { return NewBoomerang(DefaultBoomerangConfig()) }},
-	{Name: "shotgun", New: func() Design { return NewShotgun(DefaultShotgunDesignConfig()) }},
+	{Name: "PIF", New: func() Design { return NewPIF() }},
+	{Name: "confluence", New: func() Design { return NewConfluence() }},
+	{Name: "boomerang", New: func() Design { return NewBoomerang(BoomerangConfig{}) }},
+	{Name: "shotgun", New: func() Design { return NewShotgun(ShotgunDesignConfig{}) }},
 }
 
 // Catalog returns every evaluated design at its paper configuration, in a

@@ -15,35 +15,15 @@ type Confluence struct {
 	temporalStream[missRecord]
 }
 
-// ConfluenceConfig sizes the design.
-type ConfluenceConfig struct {
-	HistEntries  int // history buffer entries (paper SHIFT: 32K)
-	IndexEntries int // index entries (power of two)
-	BTBEntries   int // 16K for the upper-bound Confluence
-	Lookahead    int
-}
+// NewConfluence builds the design as the paper models it: SHIFT's 32K-entry
+// history with a 16K-entry index, a lookahead of six blocks, and the
+// 16K-entry upper-bound BTB.
+func NewConfluence() *Confluence { return newConfluence(32<<10, 16<<10, 16<<10, 6) }
 
-// DefaultConfluenceConfig matches the paper's modelling.
-func DefaultConfluenceConfig() ConfluenceConfig {
-	return ConfluenceConfig{
-		HistEntries:  32 << 10,
-		IndexEntries: 16 << 10,
-		BTBEntries:   16 << 10,
-		Lookahead:    6,
-	}
-}
-
-// NewConfluence builds the design.
-func NewConfluence(cfg ConfluenceConfig) *Confluence {
-	if cfg.HistEntries == 0 {
-		cfg = DefaultConfluenceConfig()
-	}
-	if cfg.Lookahead == 0 {
-		cfg.Lookahead = 6
-	}
+func newConfluence(histEntries, indexEntries, btbEntries, lookahead int) *Confluence {
 	return &Confluence{
-		ConvBTB:        NewConvBTB(cfg.BTBEntries, 8),
-		temporalStream: newTemporalStream[missRecord]("Confluence", cfg.HistEntries, cfg.IndexEntries, cfg.Lookahead),
+		ConvBTB:        NewConvBTB(btbEntries, 8),
+		temporalStream: newTemporalStream[missRecord]("Confluence", histEntries, indexEntries, lookahead),
 	}
 }
 

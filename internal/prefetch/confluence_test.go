@@ -7,12 +7,7 @@ import (
 )
 
 func smallConfluence(hist, lookahead int) *Confluence {
-	return NewConfluence(ConfluenceConfig{
-		HistEntries:  hist,
-		IndexEntries: 64,
-		BTBEntries:   64,
-		Lookahead:    lookahead,
-	})
+	return newConfluence(hist, 64, 64, lookahead)
 }
 
 func confMiss(c *Confluence, b isa.BlockID) { c.OnDemand(b, false, [2]isa.Addr{}) }

@@ -98,16 +98,10 @@ func (t *DisTable) Lookup(b isa.BlockID) (uint8, bool) {
 	return e.offset, true
 }
 
-// EntryBits returns the storage per entry: the tag plus the offset (4-bit
-// instruction offset for fixed-length ISAs, 6-bit byte offset for
-// variable-length, Section V.D).
-func (t *DisTable) EntryBits(mode isa.Mode) int {
-	off := 4
-	if mode == isa.Variable {
-		off = 6
-	}
-	return int(t.tagBits) + off
-}
+// EntryBits returns the storage per entry: the tag plus a 4-bit instruction
+// offset. That is the fixed-length encoding Table II counts; Section V.D's
+// variable-length byte offset would take 6 bits.
+func (t *DisTable) EntryBits() int { return int(t.tagBits) + 4 }
 
 // Dis is the standalone discontinuity prefetcher design: it records the
 // branch responsible for each discontinuity miss and, on every fetch or
@@ -238,4 +232,4 @@ func (d *Dis) tryPrefetchTarget(b isa.BlockID) {
 }
 
 // StorageBits implements Design.
-func (d *Dis) StorageBits() int { return d.tab.Entries() * d.tab.EntryBits(isa.Fixed) }
+func (d *Dis) StorageBits() int { return d.tab.Entries() * d.tab.EntryBits() }

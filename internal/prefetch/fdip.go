@@ -37,8 +37,12 @@ type fdipWalk[R any] struct {
 }
 
 // newFDIPWalk returns a walk whose recorder hands committed basic blocks to
-// train (the design's BTB organization).
+// train (the design's BTB organization). A zero FTQ depth or budget takes
+// the paper's: a 32-entry FTQ, walked two basic blocks a cycle.
 func newFDIPWalk[R any](ftqEntries, budget int, train func(isa.Addr, btb.BBEntry)) fdipWalk[R] {
+	if ftqEntries == 0 {
+		ftqEntries = 32
+	}
 	if budget == 0 {
 		budget = 2
 	}

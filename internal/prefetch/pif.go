@@ -46,35 +46,15 @@ func (r pifRegion) appendBlocks(dst []isa.BlockID) []isa.BlockID {
 	return btb.AppendRegion(dst, r.trigger, uint64(r.bits), pifRegionBefore)
 }
 
-// PIFConfig sizes the design.
-type PIFConfig struct {
-	HistRegions  int
-	IndexEntries int
-	BTBEntries   int
-	Lookahead    int
-}
+// NewPIF builds the design at the ~200 KB metadata budget the paper cites:
+// a 32K-region history, a 16K-entry index, a 2K-entry BTB and a lookahead
+// of four regions.
+func NewPIF() *PIF { return newPIF(32<<10, 16<<10, 2<<10, 4) }
 
-// DefaultPIFConfig matches the ~200 KB metadata budget the paper cites.
-func DefaultPIFConfig() PIFConfig {
-	return PIFConfig{
-		HistRegions:  32 << 10,
-		IndexEntries: 16 << 10,
-		BTBEntries:   2 << 10,
-		Lookahead:    4,
-	}
-}
-
-// NewPIF builds the design.
-func NewPIF(cfg PIFConfig) *PIF {
-	if cfg.HistRegions == 0 {
-		cfg = DefaultPIFConfig()
-	}
-	if cfg.Lookahead == 0 {
-		cfg.Lookahead = 4
-	}
+func newPIF(histRegions, indexEntries, btbEntries, lookahead int) *PIF {
 	return &PIF{
-		ConvBTB:        NewConvBTB(cfg.BTBEntries, 4),
-		temporalStream: newTemporalStream[pifRegion]("PIF", cfg.HistRegions, cfg.IndexEntries, cfg.Lookahead),
+		ConvBTB:        NewConvBTB(btbEntries, 4),
+		temporalStream: newTemporalStream[pifRegion]("PIF", histRegions, indexEntries, lookahead),
 	}
 }
 

@@ -11,7 +11,7 @@ func pifRetire(p *PIF, b isa.BlockID) {
 }
 
 func smallPIF(lookahead int) *PIF {
-	return NewPIF(PIFConfig{HistRegions: 64, IndexEntries: 64, BTBEntries: 64, Lookahead: lookahead})
+	return newPIF(64, 64, 64, lookahead)
 }
 
 // TestPIFRegionSpanMatrix pins the spatial-compaction rule: retires within

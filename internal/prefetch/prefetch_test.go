@@ -546,7 +546,7 @@ func TestDiscontinuityDesign(t *testing.T) {
 
 func TestConfluenceStreamReplay(t *testing.T) {
 	env := newFakeEnv()
-	d := NewConfluence(DefaultConfluenceConfig())
+	d := NewConfluence()
 	d.Bind(env)
 
 	// First pass: record a miss sequence.
@@ -570,9 +570,7 @@ func TestConfluenceStreamReplay(t *testing.T) {
 
 func TestConfluenceRedirectKillsStream(t *testing.T) {
 	env := newFakeEnv()
-	d := NewConfluence(ConfluenceConfig{
-		HistEntries: 1024, IndexEntries: 1024, BTBEntries: 1024, Lookahead: 2,
-	})
+	d := newConfluence(1024, 1024, 1024, 2)
 	d.Bind(env)
 	seq := []isa.BlockID{10, 20, 30, 40, 50, 60}
 	for _, b := range seq {
@@ -600,28 +598,41 @@ func TestStorageBudgets(t *testing.T) {
 		t.Errorf("SN4L+Dis+BTB storage = %.1f KB, want ~7.6 KB", kb)
 	}
 
-	shot := NewShotgun(DefaultShotgunDesignConfig())
+	shot := NewShotgun(ShotgunDesignConfig{})
 	if kb := float64(shot.StorageBits()) / 8 / 1024; kb < 4 || kb > 12 {
 		t.Errorf("Shotgun storage = %.1f KB, want ~6 KB", kb)
 	}
 
-	conf := NewConfluence(DefaultConfluenceConfig())
+	conf := NewConfluence()
 	if kb := float64(conf.StorageBits()) / 8 / 1024; kb < 100 {
 		t.Errorf("Confluence storage = %.1f KB, want > 100 KB (the paper's 200+ KB class)", kb)
 	}
-}
 
-// TestProactiveStorageCountsDefaultBuffer pins Table II's accounting of the
-// BTB prefetch buffer: a WithBTBPrefetch config that leaves the buffer size
-// zero builds the default 32-entry buffer, so it must count the same bits as
-// the paper configuration that sets it explicitly.
-func TestProactiveStorageCountsDefaultBuffer(t *testing.T) {
-	explicit := DefaultProactiveConfig()
-	explicit.WithBTBPrefetch = true
-	implicit := explicit
-	implicit.PBEntries, implicit.PBWays = 0, 0
-	if got, want := NewProactive(implicit).StorageBits(), NewProactive(explicit).StorageBits(); got != want {
-		t.Fatalf("default-sized BTB prefetch buffer: StorageBits = %d, want %d", got, want)
+	// A config's zero fields take the catalog's values one at a time: the
+	// zero configs are the catalog designs, and a partial config keeps
+	// what it sets.
+	catalog := func(name string) Design {
+		e, _ := FindDesign(name)
+		return e.New()
+	}
+	shallow := NewBoomerang(BoomerangConfig{FTQEntries: 8})
+	for _, c := range []struct {
+		name      string
+		got, want int
+		smaller   bool // got must be below want, not equal to it
+	}{
+		{"BoomerangConfig{} storage", NewBoomerang(BoomerangConfig{}).StorageBits(), catalog("boomerang").StorageBits(), false},
+		{"ShotgunDesignConfig{} storage", NewShotgun(ShotgunDesignConfig{}).StorageBits(), catalog("shotgun").StorageBits(), false},
+		{"ShotgunDesignConfig{BTBPercent: 25} storage", NewShotgun(ShotgunDesignConfig{BTBPercent: 25}).StorageBits(), catalog("shotgun").StorageBits(), true},
+		{"BoomerangConfig{FTQEntries: 8} BTB entries", shallow.bb.Entries(), catalog("boomerang").(*Boomerang).bb.Entries(), false},
+		{"BoomerangConfig{FTQEntries: 8} FTQ entries", shallow.q.cap, 8, false},
+	} {
+		switch {
+		case c.smaller && c.got >= c.want:
+			t.Errorf("%s = %d, want below %d", c.name, c.got, c.want)
+		case !c.smaller && c.got != c.want:
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -708,7 +719,7 @@ func TestRDIPSignatureDependsOnStack(t *testing.T) {
 
 func TestPIFRegionCompaction(t *testing.T) {
 	env := newFakeEnv()
-	p := NewPIF(PIFConfig{HistRegions: 64, IndexEntries: 64, BTBEntries: 64, Lookahead: 2})
+	p := newPIF(64, 64, 64, 2)
 	p.Bind(env)
 	// Retire instructions within one spatial region: no region logged yet.
 	for _, b := range []isa.BlockID{100, 101, 102, 100} {
@@ -726,7 +737,7 @@ func TestPIFRegionCompaction(t *testing.T) {
 
 func TestPIFStreamReplay(t *testing.T) {
 	env := newFakeEnv()
-	p := NewPIF(PIFConfig{HistRegions: 64, IndexEntries: 64, BTBEntries: 64, Lookahead: 4})
+	p := newPIF(64, 64, 64, 4)
 	p.Bind(env)
 	// Record a stream of three regions: 100*, 500*, 900*.
 	for _, b := range []isa.BlockID{100, 101, 500, 501, 502, 900, 1300} {
@@ -747,7 +758,7 @@ func TestPIFStreamReplay(t *testing.T) {
 }
 
 func TestPIFStorageBudget(t *testing.T) {
-	p := NewPIF(DefaultPIFConfig())
+	p := NewPIF()
 	kb := float64(p.StorageBits()) / 8 / 1024
 	if kb < 150 || kb > 300 {
 		t.Fatalf("PIF storage = %.0f KB, want the paper's ~200 KB class", kb)

@@ -108,11 +108,10 @@ type ProactiveConfig struct {
 	// WithBTBPrefetch enables the Confluence-like BTB prefetch buffer fed
 	// by the shared pre-decoder (the "+BTB" in SN4L+Dis+BTB).
 	WithBTBPrefetch bool
-	// PBEntries/PBWays size the BTB prefetch buffer (paper: 32, 2-way).
-	PBEntries, PBWays int
-	// Mode affects DisTable entry storage accounting.
-	Mode isa.Mode
 }
+
+// The BTB prefetch buffer of SN4L+Dis+BTB: 32 entries, 2-way.
+const pbEntries, pbWays = 32, 2
 
 // DefaultProactiveConfig returns the paper's SN4L+Dis+BTB configuration.
 func DefaultProactiveConfig() ProactiveConfig {
@@ -124,8 +123,6 @@ func DefaultProactiveConfig() ProactiveConfig {
 		QueueDepth: 16,
 		RLUEntries: 8,
 		MaxDepth:   4,
-		PBEntries:  32,
-		PBWays:     2,
 	}
 }
 
@@ -178,10 +175,6 @@ func NewProactive(cfg ProactiveConfig) *Proactive {
 	if cfg.BTBEntries == 0 {
 		cfg.BTBEntries = 2 << 10
 	}
-	if cfg.WithBTBPrefetch && cfg.PBEntries == 0 {
-		// Written back into cfg, so StorageBits counts the buffer it builds.
-		cfg.PBEntries, cfg.PBWays = 32, 2
-	}
 	p := &Proactive{
 		cfg:           cfg,
 		ConvBTB:       NewConvBTB(cfg.BTBEntries, 4),
@@ -195,7 +188,7 @@ func NewProactive(cfg ProactiveConfig) *Proactive {
 		disIssued:     make(map[isa.BlockID]struct{}),
 	}
 	if cfg.WithBTBPrefetch {
-		p.PB = btb.NewPrefetchBuffer(cfg.PBEntries, cfg.PBWays)
+		p.PB = btb.NewPrefetchBuffer(pbEntries, pbWays)
 	}
 	return p
 }
@@ -399,13 +392,14 @@ func (p *Proactive) stepRLU() {
 
 // StorageBits implements Design: SeqTable + DisTable + prefetch buffer +
 // queues and RLU (Section VI.D: 7.6 KB total for the paper configuration).
+// Like Table II, it counts the DisTable's fixed-length offsets.
 func (p *Proactive) StorageBits() int {
 	bits := p.seq.Entries() // 1 bit per SeqTable entry
-	bits += p.dis.Entries() * p.dis.EntryBits(p.cfg.Mode)
+	bits += p.dis.Entries() * p.dis.EntryBits()
 	if p.cfg.WithBTBPrefetch {
 		// 32 block entries, each holding up to 4 branches of (6-bit offset
 		// + 46-bit target + 2-bit kind) plus a block tag: ~1 KB.
-		bits += p.cfg.PBEntries * (4*(6+46+2) + 40)
+		bits += pbEntries * (4*(6+46+2) + 40)
 	}
 	// SeqQueue, DisQueue, RLUQueue (block address + 3-bit depth) and RLU.
 	bits += 3 * p.cfg.QueueDepth * (46 + 3)

@@ -53,10 +53,17 @@ type shotgunRASEntry struct {
 	retFP btb.Footprint
 }
 
-// ShotgunDesignConfig wraps the BTB sizing plus engine parameters.
+// ShotgunDesignConfig sizes the design. Each zero field takes the paper's
+// value, so ShotgunDesignConfig{} is the catalog's Shotgun.
 type ShotgunDesignConfig struct {
-	BTB        btb.ShotgunConfig
+	// BTBPercent scales the U-BTB, C-BTB and RIB to this percent of the
+	// paper's 1.5K, 128 and 512 entries (0 = 100): Figure 18's BTB size axis.
+	BTBPercent int
+	// FTQEntries is the FTQ's depth (paper: 32), which ROADMAP item 15(c)
+	// sweeps.
 	FTQEntries int
+	// WalkBudget is how many basic blocks the walk advances per cycle
+	// (paper: 2), which ROADMAP item 26(b) sweeps.
 	WalkBudget int
 }
 
@@ -64,26 +71,14 @@ type ShotgunDesignConfig struct {
 // land in (the paper's 64 entries), declared to the core through Bufferer.
 const shotgunBufferEntries = 64
 
-// DefaultShotgunDesignConfig matches the paper: 1.5K U-BTB, 128 C-BTB,
-// 512 RIB, 32-entry FTQ, 64-entry L1i prefetch buffer.
-func DefaultShotgunDesignConfig() ShotgunDesignConfig {
-	return ShotgunDesignConfig{
-		BTB:        btb.DefaultShotgunConfig(),
-		FTQEntries: 32,
-		WalkBudget: 2,
-	}
-}
-
 // NewShotgun builds the design.
 func NewShotgun(cfg ShotgunDesignConfig) *Shotgun {
-	if cfg.FTQEntries == 0 {
-		cfg = DefaultShotgunDesignConfig()
-	}
+	sb := btb.NewShotgun(cfg.BTBPercent)
 	d := &Shotgun{
-		sb:    btb.NewShotgun(cfg.BTB),
-		bypcU: btb.NewTable[btb.Entry](cfg.BTB.UEntries, cfg.BTB.UWays),
-		bypcC: btb.NewTable[btb.Entry](cfg.BTB.CEntries, cfg.BTB.CWays),
-		bypcR: btb.NewTable[btb.Entry](cfg.BTB.REntries, cfg.BTB.RWays),
+		sb:    sb,
+		bypcU: btb.NewTable[btb.Entry](sb.U.Entries(), sb.U.Ways()),
+		bypcC: btb.NewTable[btb.Entry](sb.C.Entries(), sb.C.Ways()),
+		bypcR: btb.NewTable[btb.Entry](sb.RIB.Entries(), sb.RIB.Ways()),
 	}
 	d.fdipWalk = newFDIPWalk[shotgunRASEntry](cfg.FTQEntries, cfg.WalkBudget, d.commitBB)
 	return d

@@ -138,9 +138,9 @@ func TestUnlimitedTablesAreSparse(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("unlimited tables allocated %d bytes up front, want under 1 MB", got)
 	}
-	if dis.Entries() != 1<<26 || dis.EntryBits(isa.Fixed) != 16+4 || seq.Entries() != 1<<26 || seq.words != 1<<20+1 {
+	if dis.Entries() != 1<<26 || dis.EntryBits() != 16+4 || seq.Entries() != 1<<26 || seq.words != 1<<20+1 {
 		t.Fatalf("unlimited sizes: DisTable %d entries of %d bits, SeqTable %d entries in %d words",
-			dis.Entries(), dis.EntryBits(isa.Fixed), seq.Entries(), seq.words)
+			dis.Entries(), dis.EntryBits(), seq.Entries(), seq.words)
 	}
 }
 

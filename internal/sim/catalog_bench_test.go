@@ -1,0 +1,42 @@
+package sim
+
+import (
+	"testing"
+
+	"dnc/internal/prefetch"
+)
+
+// BenchmarkCatalog is the per-design host-cost ledger: every catalog design
+// on one fixed serial cell (Web-Zeus, 4 cores, 200K+200K cycles, seed 1).
+// Besides ns/op and allocs/op, each sub-benchmark reports ns per simulated
+// core-cycle, ns per instruction retired in the measurement window, and
+// tick-share: the share of core-cycles the engine advanced through a full
+// Tick rather than a fast-forward jump (Result.TickedCycles). Tick-share is
+// deterministic, and so is allocs/op at -cpu 1 (with more Ps, whether a run
+// reuses a pooled LLC varies), so a change to the engine's window logic or
+// its allocations moves them exactly; ns is host time and drifts with the
+// host.
+//
+//	go test ./internal/sim -run '^$' -bench BenchmarkCatalog -benchtime 3x -cpu 1
+func BenchmarkCatalog(b *testing.B) {
+	for _, e := range prefetch.Catalog() {
+		b.Run(e.Name, func(b *testing.B) {
+			rc := engineConfig(b, e.Name, 4)
+			rc.WarmCycles, rc.MeasureCycles, rc.IntraJobs = 200_000, 200_000, 1
+			Program(rc.Workload) // generation cost is one-time; keep it out of the loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			var r Result
+			for i := 0; i < b.N; i++ {
+				if r = Run(rc); r.M.Retired == 0 {
+					b.Fatal("no instructions retired")
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			coreCycles := float64(uint64(rc.Cores) * (rc.WarmCycles + rc.MeasureCycles))
+			b.ReportMetric(ns/coreCycles, "ns/core-cycle")
+			b.ReportMetric(ns/float64(r.M.Retired), "ns/retired-inst")
+			b.ReportMetric(float64(r.TickedCycles)/coreCycles, "tick-share")
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dnc/internal/checkpoint"
+	"dnc/internal/core"
 )
 
 // ErrInjectedCheckpoint is returned when an injected run (RunInjected)
@@ -181,7 +182,7 @@ func (m *machine) state(c *checkpoint.Codec) error {
 // whose walker claims a position beyond it is corrupt.
 func (rc RunConfig) StepBound() uint64 {
 	rc = applyDefaults(rc)
-	return (rc.WarmCycles + rc.MeasureCycles) * uint64(rc.Core.FetchWidth)
+	return (rc.WarmCycles + rc.MeasureCycles) * core.FetchWidth
 }
 
 // encode saves the whole machine into the machine's one encoder, which its

@@ -48,7 +48,7 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 		"proactive": func() prefetch.Design {
 			return prefetch.NewProactive(prefetch.DefaultProactiveConfig())
 		},
-		"boomerang": func() prefetch.Design { return prefetch.NewBoomerang(prefetch.DefaultBoomerangConfig()) },
+		"boomerang": func() prefetch.Design { return prefetch.NewBoomerang(prefetch.BoomerangConfig{}) },
 	}
 	for name, nd := range designs {
 		t.Run(name, func(t *testing.T) {
@@ -271,7 +271,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		"workload": func(c *RunConfig) { c.Workload.GenSeed++ },
 		"window":   func(c *RunConfig) { c.MeasureCycles += 1024 },
 		"design": func(c *RunConfig) {
-			c.NewDesign = func() prefetch.Design { return prefetch.NewBoomerang(prefetch.DefaultBoomerangConfig()) }
+			c.NewDesign = func() prefetch.Design { return prefetch.NewBoomerang(prefetch.BoomerangConfig{}) }
 		},
 	}
 	for name, mutate := range mutations {

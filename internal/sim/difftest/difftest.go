@@ -113,7 +113,7 @@ type Shim struct {
 // NewShim wraps inner with a lockstep checker replaying the same committed
 // stream through model. coreID labels divergences; strict additionally
 // checks the phantom-residency invariant, which requires the run to disable
-// wrong-path fetch pollution (a negative core.Config.WrongPathBlocks).
+// wrong-path fetch pollution (core.Config.NoWrongPath).
 func NewShim(inner prefetch.Design, model *oracle.Model, coreID int, strict bool) *Shim {
 	retirer, _ := inner.(prefetch.Retirer)
 	return &Shim{
@@ -348,9 +348,8 @@ type Options struct {
 	NewDesign     func() prefetch.Design
 	Cores         int
 	Warm, Measure uint64
-	// Core optionally overrides the core configuration; nil selects the
-	// defaults.
-	Core *core.Config
+	// Core is the core configuration (zero value = the paper's core).
+	Core core.Config
 	// Strict enables the phantom-residency check (first-touch hits must be
 	// backed by an issued prefetch) and turns wrong-path fetch off, since
 	// wrong-path fills legitimately create first-touch hits.
@@ -442,14 +441,11 @@ func (r *Report) String() string {
 func Run(ctx context.Context, o Options) (sim.Result, *Report, error) {
 	prog := sim.Program(o.Workload)
 
-	var cc core.Config
-	if o.Core != nil {
-		cc = *o.Core
-	}
+	cc := o.Core
 	if o.Strict {
 		// Wrong-path fills install blocks without design involvement,
 		// which would trip the phantom-residency check.
-		cc.WrongPathBlocks = -1
+		cc.NoWrongPath = true
 	}
 
 	trace := o.TraceEvents

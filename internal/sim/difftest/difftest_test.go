@@ -308,7 +308,7 @@ func TestShimKeepsThePrefetchBuffer(t *testing.T) {
 	if s.BufferEntries() != 64 {
 		t.Fatalf("the shim reports %d buffer entries, want Shotgun's 64", s.BufferEntries())
 	}
-	c := core.New(core.DefaultConfig(), wl.NewWalker(prog, seed), prog.Image, s, u)
+	c := core.New(core.Config{}, wl.NewWalker(prog, seed), prog.Image, s, u)
 	for range 30_000 {
 		c.Tick()
 	}

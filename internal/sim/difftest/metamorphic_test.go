@@ -193,9 +193,7 @@ func TestPerfectL1iUpperBounds(t *testing.T) {
 	perfect := testOptions(prefetch.Catalog()[0], 1)
 	perfect.Measure = 8192
 	perfect.Strict = false
-	cc := core.DefaultConfig()
-	cc.PerfectL1i = true
-	perfect.Core = &cc
+	perfect.Core = core.Config{PerfectL1i: true}
 	pres, prep, err := Run(context.Background(), perfect)
 	if err != nil {
 		t.Fatal(err)

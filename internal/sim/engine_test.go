@@ -58,8 +58,8 @@ func ffDesigns() map[string]func() prefetch.Design {
 	return map[string]func() prefetch.Design{
 		"baseline":  func() prefetch.Design { return prefetch.NewBaseline(2048) },
 		"proactive": func() prefetch.Design { return prefetch.NewProactive(prefetch.DefaultProactiveConfig()) },
-		"boomerang": func() prefetch.Design { return prefetch.NewBoomerang(prefetch.DefaultBoomerangConfig()) },
-		"shotgun":   func() prefetch.Design { return prefetch.NewShotgun(prefetch.DefaultShotgunDesignConfig()) },
+		"boomerang": func() prefetch.Design { return prefetch.NewBoomerang(prefetch.BoomerangConfig{}) },
+		"shotgun":   func() prefetch.Design { return prefetch.NewShotgun(prefetch.ShotgunDesignConfig{}) },
 	}
 }
 

@@ -34,8 +34,7 @@ type machineObs struct {
 	mshrOcc, robOcc        *obs.Histogram
 	ftqOcc                 *obs.Histogram
 
-	sampleEvery uint64
-	ckptSeq     uint64
+	ckptSeq uint64
 
 	// Shard state for a run that may shard: each core gets a private tracer
 	// and latency histograms — the only obs state written from inside Tick —
@@ -50,10 +49,7 @@ type machineObs struct {
 }
 
 func newMachineObs(cfg obs.Config) *machineObs {
-	o := &machineObs{reg: obs.NewRegistry(), sampleEvery: cfg.SampleEvery}
-	if o.sampleEvery == 0 {
-		o.sampleEvery = obs.DefaultSampleEvery
-	}
+	o := &machineObs{reg: obs.NewRegistry()}
 	o.tracer = obs.NewTracer(cfg.TraceEvents)
 
 	o.traceCap = cfg.TraceEvents
@@ -106,7 +102,7 @@ func (o *machineObs) attach(m *machine) {
 }
 
 // sample records the occupancy gauges of every core (called on the
-// sampleEvery cadence from the tick loop).
+// obs.SampleEvery cadence from the tick loop).
 func (o *machineObs) sample(m *machine) {
 	for i, c := range m.cores {
 		o.robOcc.Observe(uint64(c.ROBOccupancy()))

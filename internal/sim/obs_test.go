@@ -141,7 +141,7 @@ func TestObsFastForwardInvariant(t *testing.T) {
 	rc := RunConfig{
 		Workload: smallWorkload(), NewDesign: nd, Cores: 2,
 		WarmCycles: 20_000, MeasureCycles: 20_000, Seed: 1,
-		Obs: &obs.Config{SampleEvery: 64},
+		Obs: &obs.Config{},
 	}
 	fast := Run(rc)
 	rc.DisableFastForward = true
@@ -171,7 +171,7 @@ func TestObsDoesNotPerturbTiming(t *testing.T) {
 		WarmCycles: 20_000, MeasureCycles: 20_000, Seed: 1,
 	}
 	plain := Run(rc)
-	rc.Obs = &obs.Config{TraceEvents: 1 << 10, SampleEvery: 64}
+	rc.Obs = &obs.Config{TraceEvents: 1 << 10}
 	observed := Run(rc)
 	if plain.M.Retired != observed.M.Retired ||
 		plain.M.Cycles != observed.M.Cycles ||

@@ -387,7 +387,7 @@ func TestRefusedProgramFailsEveryRun(t *testing.T) {
 // alias another run's cache.
 func TestHeldResultsDoNotRetainLLC(t *testing.T) {
 	rc := checkedConfig()
-	rc.NewDesign = func() prefetch.Design { return prefetch.NewShotgun(prefetch.DefaultShotgunDesignConfig()) }
+	rc.NewDesign = func() prefetch.Design { return prefetch.NewShotgun(prefetch.ShotgunDesignConfig{}) }
 
 	heap := func() uint64 {
 		runtime.GC()

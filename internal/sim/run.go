@@ -15,6 +15,7 @@ import (
 	"dnc/internal/isa"
 	"dnc/internal/llc"
 	"dnc/internal/noc"
+	"dnc/internal/obs"
 	"dnc/internal/prefetch"
 )
 
@@ -42,7 +43,6 @@ func applyDefaults(rc RunConfig) RunConfig {
 	if rc.MeasureCycles == 0 {
 		rc.MeasureCycles = 200_000
 	}
-	rc.Core = rc.Core.Normalized()
 	if rc.LLC.DV == llc.DVDefault {
 		// Variable-length workloads need the DV-LLC for branch footprints.
 		rc.LLC.DV = llc.DVOff
@@ -66,10 +66,9 @@ func (rc RunConfig) Validate() error {
 	if rc.NewDesign == nil {
 		return errors.New("sim: RunConfig.NewDesign is nil")
 	}
-	mesh := noc.DefaultConfig()
-	if tiles := mesh.Width * mesh.Height; rc.Cores < 1 || rc.Cores > tiles {
+	if rc.Cores < 1 || rc.Cores > noc.Tiles {
 		return fmt.Errorf("sim: Cores = %d outside the %dx%d mesh (1..%d)",
-			rc.Cores, mesh.Width, mesh.Height, tiles)
+			rc.Cores, noc.Width, noc.Height, noc.Tiles)
 	}
 	if rc.Workload.FootprintBytes <= 0 {
 		return fmt.Errorf("sim: workload %q has non-positive footprint %d",
@@ -507,7 +506,7 @@ func (m *machine) runPhase(ctx context.Context, total uint64) error {
 func (m *machine) stepLimit(end uint64) uint64 {
 	n := end - m.done
 	if m.obs != nil {
-		n = min(n, m.obs.sampleEvery-m.watch.cycle%m.obs.sampleEvery)
+		n = min(n, obs.SampleEvery-m.watch.cycle%obs.SampleEvery)
 	}
 	return n
 }
@@ -566,7 +565,7 @@ func (m *machine) runSegment(end uint64) error {
 		}
 		m.watch.cycle += n
 		m.done += n
-		if m.obs != nil && m.watch.cycle%m.obs.sampleEvery == 0 {
+		if m.obs != nil && m.watch.cycle%obs.SampleEvery == 0 {
 			// A pure-stall window retires in place, so a lagged sleeping core's
 			// ROB is behind the clock: bring every core to it, and the sample
 			// reads exactly what a cycle-by-cycle loop would have seen.

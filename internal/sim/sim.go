@@ -55,7 +55,8 @@ type RunConfig struct {
 	// Seed offsets every core's walker seed; different seeds model
 	// independent measurement samples.
 	Seed int64
-	// Core overrides the per-core configuration (zero value = defaults).
+	// Core is what varies between cores (zero value = the paper's core);
+	// the simulator sets each core's Tile.
 	Core core.Config
 	// LLC overrides the LLC configuration: each zero field takes its
 	// default, so the zero value is llc.DefaultConfig(), whose DV setting

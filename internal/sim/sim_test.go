@@ -107,7 +107,7 @@ func TestSN4LDisBTBImprovesOverNL(t *testing.T) {
 func TestBTBDirectedDesignsRun(t *testing.T) {
 	base := quickRun(t, func() prefetch.Design { return prefetch.NewBaseline(2048) })
 	boom := quickRun(t, func() prefetch.Design {
-		return prefetch.NewBoomerang(prefetch.DefaultBoomerangConfig())
+		return prefetch.NewBoomerang(prefetch.BoomerangConfig{})
 	})
 	if boom.M.Retired == 0 {
 		t.Fatal("boomerang run retired nothing")
@@ -119,10 +119,9 @@ func TestBTBDirectedDesignsRun(t *testing.T) {
 		t.Errorf("boomerang speedup %.3f collapsed", Speedup(boom, base))
 	}
 
-	shotCfg := prefetch.DefaultShotgunDesignConfig()
 	shot := Run(RunConfig{
 		Workload:      smallWorkload(),
-		NewDesign:     func() prefetch.Design { return prefetch.NewShotgun(shotCfg) },
+		NewDesign:     func() prefetch.Design { return prefetch.NewShotgun(prefetch.ShotgunDesignConfig{}) },
 		Cores:         2,
 		WarmCycles:    30_000,
 		MeasureCycles: 30_000,
@@ -139,7 +138,7 @@ func TestBTBDirectedDesignsRun(t *testing.T) {
 func TestConfluenceRuns(t *testing.T) {
 	base := quickRun(t, func() prefetch.Design { return prefetch.NewBaseline(2048) })
 	conf := quickRun(t, func() prefetch.Design {
-		return prefetch.NewConfluence(prefetch.DefaultConfluenceConfig())
+		return prefetch.NewConfluence()
 	})
 	if conf.M.PrefetchesIssued == 0 {
 		t.Fatal("confluence issued no prefetches")
@@ -158,11 +157,7 @@ func TestPerfectL1i(t *testing.T) {
 		WarmCycles:    30_000,
 		MeasureCycles: 30_000,
 		Seed:          1,
-		Core: func() (c core.Config) {
-			c = core.DefaultConfig()
-			c.PerfectL1i = true
-			return
-		}(),
+		Core:          core.Config{PerfectL1i: true},
 	})
 	if perfect.M.DemandMisses != 0 {
 		t.Fatalf("perfect L1i recorded %d misses", perfect.M.DemandMisses)
