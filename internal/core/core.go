@@ -132,8 +132,9 @@ type Core struct {
 	headWakes bool
 	// ticked counts the cycles Tick advanced, as opposed to FastForward:
 	// how much per-cycle work the engine actually did; windowRetired counts
-	// the instructions retired inside pure-stall windows. Both are host-side
-	// bookkeeping, outside Metrics and the checkpoint.
+	// the instructions of the measurement window retired inside pure-stall
+	// windows. Both are host-side bookkeeping, outside Metrics and the
+	// checkpoint.
 	ticked, windowRetired uint64
 
 	// Fetch state.
@@ -234,6 +235,7 @@ func (c *Core) MSHRs() *cache.MSHRFile { return c.mshr }
 // the stall-run tracer so exported spans never straddle the window boundary.
 func (c *Core) ResetMetrics() {
 	c.M = Metrics{}
+	c.windowRetired = 0
 	c.trCause = obs.StallNone
 	c.trStart = c.cycle
 }
@@ -471,8 +473,10 @@ func (c *Core) computeIdleWake() {
 // restore).
 func (c *Core) TickedCycles() uint64 { return c.ticked }
 
-// WindowRetired returns how many instructions the core retired inside
-// pure-stall windows, where no full Tick ran, since it was built.
+// WindowRetired returns how many of the measurement window's retirements
+// (M.Retired) happened inside pure-stall windows, where no full Tick ran.
+// Before the window opens it counts the warm-up's; a restored core counts
+// from its restore.
 func (c *Core) WindowRetired() uint64 { return c.windowRetired }
 
 // IdleWake returns the cycle of the core's next required full Tick, or 0

@@ -11,11 +11,13 @@ import (
 // Besides ns/op and allocs/op, each sub-benchmark reports ns per simulated
 // core-cycle, ns per instruction retired in the measurement window, and
 // tick-share: the share of core-cycles the engine advanced through a full
-// Tick rather than a fast-forward jump (Result.TickedCycles). Tick-share is
-// deterministic, and so is allocs/op at -cpu 1 (with more Ps, whether a run
-// reuses a pooled LLC varies), so a change to the engine's window logic or
-// its allocations moves them exactly; ns is host time and drifts with the
-// host.
+// Tick rather than a fast-forward jump (Result.TickedCycles), and
+// window-retired-share: the share of the measurement window's retirements
+// that happened inside such a jump (Result.WindowRetired). Both shares and
+// allocs/op are deterministic (every run after the first reuses the LLC the
+// one before released, at any -cpu), so a change to the engine's window
+// logic or its allocations moves them exactly; ns is host time and drifts
+// with the host.
 //
 //	go test ./internal/sim -run '^$' -bench BenchmarkCatalog -benchtime 3x -cpu 1
 func BenchmarkCatalog(b *testing.B) {
@@ -37,6 +39,7 @@ func BenchmarkCatalog(b *testing.B) {
 			b.ReportMetric(ns/coreCycles, "ns/core-cycle")
 			b.ReportMetric(ns/float64(r.M.Retired), "ns/retired-inst")
 			b.ReportMetric(float64(r.TickedCycles)/coreCycles, "tick-share")
+			b.ReportMetric(float64(r.WindowRetired)/float64(r.M.Retired), "window-retired-share")
 		})
 	}
 }

@@ -21,27 +21,14 @@ func retireConfig(nd func() prefetch.Design) RunConfig {
 	}
 }
 
-// runMachine runs rc to completion and returns its result with its cores'
-// in-window retirements, summed.
-func runMachine(t *testing.T, rc RunConfig) (Result, uint64) {
+// runMachine runs rc to completion.
+func runMachine(t *testing.T, rc RunConfig) Result {
 	t.Helper()
-	rc = applyDefaults(rc)
-	if err := rc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := buildMachine(rc, nil)
+	r, err := RunChecked(context.Background(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.close()
-	if err := m.run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var inWindow uint64
-	for _, c := range m.cores {
-		inWindow += c.WindowRetired()
-	}
-	return m.result(), inWindow
+	return r
 }
 
 // TestRetireInWindow: a 4-core baseline run (no Retirer) retires
@@ -50,9 +37,9 @@ func runMachine(t *testing.T, rc RunConfig) (Result, uint64) {
 // and SchedTick); DisableFastForward never retires inside a window.
 func TestRetireInWindow(t *testing.T) {
 	base := retireConfig(func() prefetch.Design { return prefetch.NewBaseline(2048) })
-	ref, refIn := runMachine(t, func() RunConfig { rc := base; rc.DisableFastForward = true; return rc }())
-	if refIn != 0 {
-		t.Fatalf("DisableFastForward retired %d instructions inside windows", refIn)
+	ref := runMachine(t, func() RunConfig { rc := base; rc.DisableFastForward = true; return rc }())
+	if ref.WindowRetired != 0 {
+		t.Fatalf("DisableFastForward retired %d instructions inside windows", ref.WindowRetired)
 	}
 	ref.Engine = "" // provenance differs by construction
 	want := fingerprint(t, ref)
@@ -67,10 +54,11 @@ func TestRetireInWindow(t *testing.T) {
 	} {
 		rc := base
 		v.set(&rc)
-		got, in := runMachine(t, rc)
+		got := runMachine(t, rc)
 		got.Engine = ""
-		if (in > 0) != v.inWindow {
-			t.Errorf("%s: %d instructions retired inside windows, want some: %v", v.name, in, v.inWindow)
+		if in := got.WindowRetired; (in > 0) != v.inWindow || in > got.M.Retired {
+			t.Errorf("%s: %d of %d instructions retired inside windows, want some: %v",
+				v.name, in, got.M.Retired, v.inWindow)
 		}
 		if fingerprint(t, got) != want {
 			t.Errorf("%s: result differs from the DisableFastForward reference", v.name)

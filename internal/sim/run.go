@@ -429,7 +429,7 @@ func (m *machine) useShards(n int) {
 func (m *machine) resetEngine() { clear(m.eng.asleep) }
 
 // close releases what the machine holds: shard workers, its CPUs in
-// cpusHeld, and the LLC, which goes back to the pool for the next run.
+// cpusHeld, and the LLC, which goes back to the free list for the next run.
 // Nothing that outlives the machine may reach it afterwards; a Result is
 // plain data for that reason.
 func (m *machine) close() {
@@ -686,6 +686,7 @@ func (m *machine) result() Result {
 		res.PerCore[i] = c.M
 		res.M.Add(&c.M)
 		res.TickedCycles += c.TickedCycles()
+		res.WindowRetired += c.WindowRetired()
 	}
 	if m.obs != nil {
 		res.Obs = m.obs.fold(m)

@@ -149,10 +149,17 @@ type Result struct {
 	// resumed run counts from its restore). Host-side like Shards, it stays
 	// out of every encoding of the result.
 	TickedCycles uint64 `json:"-"`
-	NoCFlits     uint64
-	NoCQueued    uint64
-	DRAMQueued   uint64
-	StorageBits  int
+	// WindowRetired is how many of M.Retired, summed over the cores,
+	// retired inside pure-stall windows the engine fast-forwarded rather
+	// than in a Tick (core.Core.WindowRetired; a resumed run counts from its
+	// restore). The references that tick every cycle retire none there, so
+	// like TickedCycles it is the engine's own work and stays out of every
+	// encoding of the result.
+	WindowRetired uint64 `json:"-"`
+	NoCFlits      uint64
+	NoCQueued     uint64
+	DRAMQueued    uint64
+	StorageBits   int
 	// Probes sums, over the cores, the counters of a design that exports
 	// any (prefetch.Prober: e.g. Shotgun's footprint misses); nil otherwise.
 	// It is what remains of the design instances, so a Result is plain data
