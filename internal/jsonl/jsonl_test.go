@@ -1,9 +1,13 @@
 package jsonl
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -17,10 +21,10 @@ func collect(t *testing.T, path string) ([]string, *os.File) {
 	return lines, f
 }
 
-// TestOpenAppendTornTail is the discipline the journal, the result cache and
-// the dead-letter ledger share: a missing file is an empty one, a torn last
-// line is handed over like any other (the caller fails to decode it) and
-// never glued to the next append, and blank lines are not records.
+// TestOpenAppendTornTail is the discipline the journal, the result cache, the
+// dead-letter ledger and the job log share: a missing file is an empty one,
+// a torn last line is handed over like any other (the caller fails to decode
+// it) and never glued to the next append, and blank lines are not records.
 func TestOpenAppendTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.jsonl")
 	lines, f := collect(t, path)
@@ -51,7 +55,7 @@ func TestOpenAppendTornTail(t *testing.T) {
 	}
 }
 
-// TestOpenAppendLongLine holds the line limit where the three files need it:
+// TestOpenAppendLongLine holds the line limit where the result files need it:
 // a 16-core result with its observability snapshot is well past bufio's 64 KB
 // default.
 func TestOpenAppendLongLine(t *testing.T) {
@@ -70,5 +74,60 @@ func TestOpenAppendLongLine(t *testing.T) {
 func TestOpenAppendUnreadable(t *testing.T) {
 	if _, err := OpenAppend(t.TempDir(), func([]byte) {}); err == nil {
 		t.Fatal("opening a directory as a log succeeded")
+	}
+}
+
+// TestAppend writes records from several goroutines at once: every line
+// decodes on its own, n is each line's length, and a record that cannot be
+// encoded or written is an error that leaves no line behind.
+func TestAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	_, f := collect(t, path)
+	const writers, each = 4, 50
+	var wg sync.WaitGroup
+	var total atomic.Int64
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				n, err := Append(f, map[string]any{"w": w, "i": i, "pad": strings.Repeat("p", 100*w)})
+				if err != nil {
+					t.Errorf("Append: %v", err)
+					return
+				}
+				total.Add(int64(n))
+			}
+		}()
+	}
+	wg.Wait()
+	if n, err := Append(f, make(chan int)); err == nil || n != 0 {
+		t.Fatalf("appending an unencodable value = %d, %v; want 0 and an error", n, err)
+	}
+	f.Close()
+	if fi, err := os.Stat(path); err != nil || fi.Size() != total.Load() {
+		t.Fatalf("file holds %v bytes (%v), the appends reported %d", fi.Size(), err, total.Load())
+	}
+	lines, f := collect(t, path)
+	f.Close()
+	seen := map[string]bool{}
+	for _, l := range lines {
+		var rec struct{ W, I int }
+		if err := json.Unmarshal([]byte(l), &rec); err != nil {
+			t.Fatalf("line %q does not decode: %v", l, err)
+		}
+		seen[fmt.Sprint(rec.W, rec.I)] = true
+	}
+	if len(lines) != writers*each || len(seen) != writers*each {
+		t.Fatalf("%d lines, %d distinct records; want %d of each", len(lines), len(seen), writers*each)
+	}
+
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if _, err := Append(ro, 1); err == nil {
+		t.Fatal("appending to a read-only file succeeded")
 	}
 }

@@ -23,8 +23,8 @@ import (
 //
 // The contract these tests pin: cache.jsonl is the only per-cell durable
 // record of a result; store.dncr is an index derived from it, sealed in
-// batches and rebuilt from the cache after any loss; a job directory holds
-// its two records and nothing else.
+// batches and rebuilt from the cache after any loss; a job is two lines of
+// jobs.jsonl and nothing else.
 
 // dataFiles lists every file under the data dir, relative and sorted.
 func dataFiles(t *testing.T, dir string) []string {
@@ -124,18 +124,15 @@ func TestOneDurableWritePerCell(t *testing.T) {
 			if got := e.srv.Stats().RemoteAdmitted; got != 6 {
 				t.Fatalf("remote_admitted = %d with remote=%v, want every cell admitted from its upload", got, remote)
 			}
-			waitFor(t, "the terminal record", func() bool {
-				_, err := os.Stat(filepath.Join(e.dataDir, "jobs", st.ID, "done.json"))
-				return err == nil
-			})
-
-			want := []string{
-				"cache.jsonl", "deadletters.jsonl",
-				"jobs/" + st.ID + "/done.json", "jobs/" + st.ID + "/spec.json",
-				storeFile,
-			}
+			want := []string{"cache.jsonl", "deadletters.jsonl", jobsFile, storeFile}
 			if got := dataFiles(t, e.dataDir); strings.Join(got, " ") != strings.Join(want, " ") {
 				t.Fatalf("data dir holds %v, want %v", got, want)
+			}
+			if _, err := os.Stat(filepath.Join(e.dataDir, "jobs")); !os.IsNotExist(err) {
+				t.Fatalf("the data dir has a jobs/ directory (stat: %v)", err)
+			}
+			if recs := jobLines(t, e.dataDir, st.ID); len(recs) != 2 || recs[0].Spec == nil || recs[1].State != JobDone {
+				t.Fatalf("jobs.jsonl holds %+v for the job, want its acceptance and its terminal line", recs)
 			}
 			keys := cacheKeys(t, e.dataDir)
 			distinct := map[string]bool{}
@@ -183,7 +180,8 @@ func TestOneDurableWritePerCell(t *testing.T) {
 // longer than runner.DefaultCheckpointEvery cycles and watches the data
 // dir while it runs and after: a cell in flight is re-run from cycle 0
 // after a crash, so nothing may write a mid-cell snapshot — no *.ckpt file
-// and no jobs/<id>/ckpt directory.
+// and no ckpt directory. Nor does any record go through a temporary file or
+// a per-job directory: no *.tmp file and no jobs/ directory either.
 func TestLocalCellWritesNoSnapshot(t *testing.T) {
 	e := newTestEnv(t)
 	spec := smallSpec()
@@ -194,7 +192,8 @@ func TestLocalCellWritesNoSnapshot(t *testing.T) {
 	seen := map[string]bool{}
 	scan := func() {
 		filepath.WalkDir(e.dataDir, func(path string, d fs.DirEntry, err error) error {
-			if err == nil && (d.Name() == "ckpt" || strings.HasSuffix(d.Name(), ".ckpt")) {
+			if err == nil && (d.Name() == "ckpt" || d.Name() == "jobs" ||
+				strings.HasSuffix(d.Name(), ".ckpt") || strings.HasSuffix(d.Name(), ".tmp")) {
 				rel, _ := filepath.Rel(e.dataDir, path)
 				seen[filepath.ToSlash(rel)] = true
 			}
@@ -203,7 +202,7 @@ func TestLocalCellWritesNoSnapshot(t *testing.T) {
 	}
 	id := e.submit(spec).ID
 	for deadline := time.Now().Add(2 * time.Minute); time.Now().Before(deadline); {
-		if _, err := os.Stat(filepath.Join(e.dataDir, "jobs", id, "done.json")); err == nil {
+		if st, _ := e.srv.Job(id); st.State == JobDone || st.State == JobFailed {
 			break
 		}
 		scan()
@@ -215,14 +214,16 @@ func TestLocalCellWritesNoSnapshot(t *testing.T) {
 	}
 	scan()
 	if len(seen) != 0 {
-		t.Fatalf("a local cell wrote snapshot state under the data dir: %v", seen)
+		t.Fatalf("a local cell wrote snapshot, temporary or per-job state under the data dir: %v", seen)
 	}
 }
 
 // copyDataDir snapshots a live server's data dir file by file: what a
 // SIGKILL at this instant would leave to the next process (every cache line
-// is fsynced before its cell is acknowledged; the store's pending batch is
-// in memory and lost).
+// is fsynced before its cell is acknowledged, and every job log line before
+// the state it records is published; the store's pending batch is in memory
+// and lost). A line half-written at the copy is a torn tail, which the next
+// process skips.
 func copyDataDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := filepath.Join(t.TempDir(), "data")
@@ -412,33 +413,66 @@ func TestQueryAtStreamCloseCountsEveryCell(t *testing.T) {
 
 // ---- job records ----
 
-// TestDoneRecordHoldsEachFactOnce pins what done.json stores — how the job
-// ended and its outcomes, nothing the spec or the outcomes already say — and
-// that the API view rebuilt from it after a restart equals the live one.
+// jobLines returns the job log's lines about one job, in file order.
+func jobLines(t *testing.T, dir, id string) []jobRecord {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, jobsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []jobRecord
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		var rec jobRecord
+		if json.Unmarshal(line, &rec) == nil && rec.ID == id {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// TestDoneRecordHoldsEachFactOnce pins what the job log stores — the
+// acceptance line the spec, the terminal line how the job ended and its
+// outcomes, each naming the job once and holding nothing the spec or the
+// outcomes already say — and that the API view rebuilt from it after a
+// restart equals the live one.
 func TestDoneRecordHoldsEachFactOnce(t *testing.T) {
 	e := newTestEnv(t, func(c *Config) { c.RunCell = fakeRunCell })
 	spec := smallSpec()
 	spec.Seeds = []int64{1, 2}
 	live := e.waitJob(e.submit(spec).ID)
-	donePath := filepath.Join(e.dataDir, "jobs", live.ID, "done.json")
-	waitFor(t, "the terminal record", func() bool { _, err := os.Stat(donePath); return err == nil })
-	raw, err := os.ReadFile(donePath)
+	raw, err := os.ReadFile(filepath.Join(e.dataDir, jobsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec struct {
-		Status   map[string]any `json:"status"`
-		Outcomes []Outcome      `json:"outcomes"`
+	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("jobs.jsonl holds %d lines, want 2:\n%s", len(lines), raw)
 	}
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
+	wantKeys := [][]string{{"id", "spec"}, {"id", "outcomes", "state"}}
+	for i, line := range lines {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for k := range rec {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if strings.Join(keys, " ") != strings.Join(wantKeys[i], " ") {
+			t.Fatalf("line %d = %s\nwant the fields %v", i, line, wantKeys[i])
+		}
+		if n := bytes.Count(line, []byte(live.ID)); n != 1 {
+			t.Fatalf("line %d names the job %d times, want once: %s", i, n, line)
+		}
 	}
-	if len(rec.Status) != 1 || rec.Status["state"] != "done" || len(rec.Outcomes) != 2 {
-		t.Fatalf("done.json = %s\nwant status {state: done} and 2 outcomes", raw)
+	var done jobRecord
+	if err := json.Unmarshal(lines[1], &done); err != nil || done.State != JobDone || len(done.Outcomes) != 2 {
+		t.Fatalf("terminal line = %s (%v)\nwant state done and 2 outcomes", lines[1], err)
 	}
-	for _, o := range rec.Outcomes {
-		if n := bytes.Count(raw, []byte(o.ResultDigest)); n != 1 {
-			t.Fatalf("result digest %s appears %d times in done.json, want once", o.ResultDigest, n)
+	for _, o := range done.Outcomes {
+		if n := bytes.Count(lines[1], []byte(o.ResultDigest)); n != 1 {
+			t.Fatalf("result digest %s appears %d times in the terminal line, want once", o.ResultDigest, n)
 		}
 	}
 
@@ -455,32 +489,60 @@ func TestDoneRecordHoldsEachFactOnce(t *testing.T) {
 	}
 }
 
-// TestLoadsDoneRecordFromEarlierBuild boots over a job directory written by
-// the build before this record shrank (testdata/job_pr13: the whole
-// JobStatus under "status", indented, one cell restored from the runner
-// journal that build still kept) and requires the same API view that build
-// served.
+// TestLoadsDoneRecordFromEarlierBuild boots over a jobs/ directory written
+// by earlier builds: a finished job from the build before the done record
+// shrank (testdata/job_pr13: the whole JobStatus under "status", indented,
+// one cell restored from the runner journal that build still kept), which
+// must show the API view that build served, and a job accepted but not
+// finished (spec.json alone), which must run once, its completion landing
+// in jobs.jsonl. The directory is read-only: its files stay byte-identical
+// through two boots, and new IDs continue its seq.
 func TestLoadsDoneRecordFromEarlierBuild(t *testing.T) {
 	const id = "j000001-8d2a3cd76ede"
 	dir := filepath.Join(t.TempDir(), "data")
+	legacy := map[string][]byte{}
 	for _, name := range []string{"spec.json", "done.json"} {
 		b, err := os.ReadFile(filepath.Join("testdata", "job_pr13", id, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Join(dir, "jobs", id), 0o755); err != nil {
+		legacy[id+"/"+name] = b
+	}
+	pendingSpec := smallSpec()
+	pendingSpec.Seeds = []int64{7}
+	pendingID := jobID(2, pendingSpec.normalized())
+	b, err := json.MarshalIndent(map[string]any{"id": pendingID, "seq": 2, "spec": pendingSpec.normalized()}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy[pendingID+"/spec.json"] = b
+	for rel, b := range legacy {
+		path := filepath.Join(dir, "jobs", rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "jobs", id, name), b, 0o644); err != nil {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var old struct {
 		Status JobStatus `json:"status"`
 	}
-	raw, _ := os.ReadFile(filepath.Join(dir, "jobs", id, "done.json"))
-	if err := json.Unmarshal(raw, &old); err != nil {
+	if err := json.Unmarshal(legacy[id+"/done.json"], &old); err != nil {
 		t.Fatal(err)
+	}
+	legacyUnchanged := func() {
+		t.Helper()
+		var got []string
+		for _, rel := range dataFiles(t, filepath.Join(dir, "jobs")) {
+			got = append(got, rel)
+			if b, err := os.ReadFile(filepath.Join(dir, "jobs", rel)); err != nil || !bytes.Equal(b, legacy[rel]) {
+				t.Fatalf("legacy file %s changed (%v)", rel, err)
+			}
+		}
+		if len(got) != len(legacy) {
+			t.Fatalf("jobs/ holds %v, want only the %d legacy files", got, len(legacy))
+		}
 	}
 
 	e := newTestEnv(t, func(c *Config) { c.DataDir = dir; c.RunCell = fakeRunCell })
@@ -492,13 +554,33 @@ func TestLoadsDoneRecordFromEarlierBuild(t *testing.T) {
 		t.Fatalf("recovered status = %+v, want done with 3 simulated, 1 resumed, 4 digests", st)
 	}
 	a, _ := json.Marshal(old.Status)
-	b, _ := json.Marshal(st)
+	b, _ = json.Marshal(st)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("status differs from what the earlier build recorded:\nrecorded  %s\nrecovered %s", a, b)
 	}
-	if e.srv.Stats().Queued+e.srv.Stats().Running != 0 {
-		t.Fatal("a terminal job from an earlier build was re-queued")
+	if st := e.waitJob(pendingID); st.State != JobDone || st.Simulated != 1 {
+		t.Fatalf("legacy pending job = %s with %d simulated, want done with 1", st.State, st.Simulated)
 	}
+	if recs := jobLines(t, dir, pendingID); len(recs) != 1 || recs[0].State != JobDone {
+		t.Fatalf("jobs.jsonl holds %+v for the legacy pending job, want its terminal line alone", recs)
+	}
+	e.drain()
+	legacyUnchanged()
+
+	e2 := newTestEnv(t, func(c *Config) { c.DataDir = dir; c.RunCell = fakeRunCell })
+	if stats := e2.srv.Stats(); stats.Queued+stats.Running != 0 || stats.Jobs != 2 {
+		t.Fatalf("second boot knows %d jobs with %d queued and %d running, want 2 finished", stats.Jobs, stats.Queued, stats.Running)
+	}
+	for _, want := range []string{id, pendingID} {
+		if st, ok := e2.srv.Job(want); !ok || st.State != JobDone {
+			t.Fatalf("second boot: job %s = %+v, want done", want, st)
+		}
+	}
+	if next := e2.submit(smallSpec()).ID; seqFromID(next) != 3 {
+		t.Fatalf("a new job after the legacy seq 2 got ID %s, want seq 3", next)
+	}
+	e2.drain()
+	legacyUnchanged()
 }
 
 // ---- results stream wake-up ----

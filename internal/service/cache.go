@@ -31,9 +31,9 @@ type cacheEntry struct {
 // resultCache is the persistent, content-addressed dedup store shared by
 // every job the server runs, and the one durable record of an admitted
 // result (the column store is derived from it). Its crash discipline is
-// internal/jsonl's plus one fsync per insert: append-only JSONL, a torn
-// trailing line (process killed mid-append) discarded on load, and appends
-// always starting on a fresh line. Entries are immutable — deterministic runs mean a digest can
+// internal/jsonl's: one fsynced JSONL line per insert, a torn trailing line
+// (process killed mid-append) discarded on load, and appends always
+// starting on a fresh line. Entries are immutable — deterministic runs mean a digest can
 // only ever map to one result, so the first insert wins and duplicates are
 // dropped.
 //
@@ -136,17 +136,13 @@ func (c *resultCache) insert(cell cellSpec, r *runner.ResultJSON, resultDigest s
 		ResultDigest: resultDigest,
 		Result:       r,
 	}
-	line, err := json.Marshal(e)
+	// An entry that could not be written is still served this process; the
+	// cell re-runs after a restart.
+	n, err := jsonl.Append(c.f, e)
 	if err != nil {
-		c.errs = append(c.errs, fmt.Errorf("service: encoding cache entry %s: %w", cell.Key(), err))
-		return e // still usable in memory this process
+		c.errs = append(c.errs, fmt.Errorf("service: cache append %s: %w", cell.Key(), err))
 	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
-		c.errs = append(c.errs, fmt.Errorf("service: cache write %s: %w", cell.Key(), err))
-	} else if err := c.f.Sync(); err != nil {
-		c.errs = append(c.errs, fmt.Errorf("service: cache sync: %w", err))
-	}
-	e.size = int64(len(line)) + 1
+	e.size = int64(n)
 	c.byDigest[digest] = e
 	c.order = append(c.order, digest)
 	c.liveBytes += e.size

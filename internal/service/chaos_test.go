@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -121,6 +122,33 @@ func TestDeadLetterCircuitBreaker(t *testing.T) {
 	}
 }
 
+// TestDeadLetterWriteErrorsReachDrain records a failure into a dead-letter
+// file that refuses writes: the failure still counts in memory, and Drain
+// reports the lost record.
+func TestDeadLetterWriteErrorsReachDrain(t *testing.T) {
+	e := newTestEnv(t, func(c *Config) { c.RunCell = fakeRunCell })
+	ro, err := os.Open(filepath.Join(e.dataDir, "deadletters.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.srv.mu.Lock()
+	e.srv.deadF.Close()
+	e.srv.deadF = ro
+	e.srv.mu.Unlock()
+
+	cell := smallSpec().normalized().cells()[0]
+	e.srv.recordFailure(cell, errors.New("poisoned"))
+	if dls := e.srv.DeadLetters(); len(dls) != 1 || dls[0].Failures != 1 {
+		t.Fatalf("dead letters = %+v, want the failure counted", dls)
+	}
+	e.drained.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := e.srv.Drain(ctx); err == nil || !strings.Contains(err.Error(), "dead letter") {
+		t.Fatalf("Drain = %v, want the failed dead-letter write", err)
+	}
+}
+
 // ---- process-kill chaos: SIGKILL mid-sweep, restart, bit-identical ----
 
 const (
@@ -232,6 +260,16 @@ func TestChaosKillResume(t *testing.T) {
 	if err := child.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatalf("SIGKILL: %v", err)
 	}
+	// What a kill in the middle of writing the job's terminal line leaves:
+	// the next process must skip it and re-run the job.
+	logF, err := os.OpenFile(filepath.Join(dataDir, jobsFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := logF.WriteString(`{"id":"` + accepted.ID + `","state":"done","outcomes":[{"key":`); err != nil {
+		t.Fatal(err)
+	}
+	logF.Close()
 
 	// Restart over the same data dir (in-process this time) and let
 	// recovery finish the job.
@@ -251,8 +289,13 @@ func TestChaosKillResume(t *testing.T) {
 			st.Cached, st.Resumed)
 	}
 	t.Logf("recovery: %d cached, %d simulated", st.Cached, st.Simulated)
-	if _, err := os.Stat(filepath.Join(dataDir, "jobs", accepted.ID, "journal.jsonl")); !os.IsNotExist(err) {
-		t.Fatalf("the job directory holds a runner journal (stat: %v); the cache is the only result log", err)
+	// No runner journal, no job directory: the cache is the only result log
+	// and the job log the only job record.
+	if got, want := dataFiles(t, dataDir), []string{"cache.jsonl", "deadletters.jsonl", jobsFile, storeFile}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("data dir holds %v, want %v", got, want)
+	}
+	if recs := jobLines(t, dataDir, accepted.ID); len(recs) != 2 || recs[0].Spec == nil || recs[1].State != JobDone {
+		t.Fatalf("jobs.jsonl holds %+v for the job, want its acceptance and one terminal line", recs)
 	}
 
 	// Byte-identical proof for every cell, against fresh standalone runs.

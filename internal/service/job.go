@@ -9,11 +9,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"dnc/internal/jsonl"
 )
 
 // JobState is a job's lifecycle position. A job accepted before a drain or
-// crash restarts as queued: acceptance is durable (spec.json), completion
-// is durable (done.json), and everything between is recomputed — cheaply,
+// crash restarts as queued: acceptance and completion are each a durable
+// line of the job log, and everything between is recomputed — cheaply,
 // because finished cells hit the result cache.
 type JobState string
 
@@ -71,7 +73,7 @@ type JobStatus struct {
 	Dead      int `json:"dead"`
 	Failed    int `json:"failed"`
 	// Error is set when State is failed (an infrastructure error: job
-	// timeout, unwritable job directory). Per-cell errors live in the outcomes.
+	// timeout, unwritable job log). Per-cell errors live in the outcomes.
 	Error string `json:"error,omitempty"`
 	// DeadCells surfaces the dead-letter outcomes for quick triage.
 	DeadCells []Outcome `json:"dead_cells,omitempty"`
@@ -85,7 +87,6 @@ type job struct {
 	id    string
 	seq   int
 	spec  Spec // normalized
-	dir   string
 	cells []cellSpec
 
 	mu       sync.Mutex
@@ -180,161 +181,121 @@ func (j *job) status() JobStatus {
 
 // ---- persistence ----
 //
-// A job directory under <data>/jobs/<id>/ holds:
-//
-//	spec.json     — written atomically at acceptance; its existence IS the
-//	                acceptance record a drain or crash must not lose
-//	done.json     — written atomically at terminal completion; absence
-//	                means the job re-queues on startup
-//
-// Older builds also kept a ckpt/ directory of mid-cell snapshots here;
-// nothing reads it now, and it may be deleted.
+// <data>/jobs.jsonl is the job log, in internal/jsonl's discipline. A job's
+// acceptance line is what a drain or crash must not lose; a job without a
+// terminal line re-queues on startup; a submission the queue refused after
+// its acceptance line gets a retire line, so it never comes back. Earlier
+// builds kept <data>/jobs/<id>/spec.json and done.json: still read, never
+// written, and a log line about an ID replaces what its directory says.
 
-// specRecord is the on-disk acceptance record.
-type specRecord struct {
-	ID   string `json:"id"`
-	Seq  int    `json:"seq"`
-	Spec Spec   `json:"spec"`
+const (
+	jobsFile = "jobs.jsonl" // the job log, under the data dir
+	// jobRetired marks the retire line of a refused submission; no job is
+	// ever in this state.
+	jobRetired JobState = "retired"
+)
+
+// jobRecord is one line of the job log. It names the job by ID alone (the
+// ID holds its seq): an acceptance line adds the spec, a terminal line the
+// state, error and outcomes (result bodies stay in the cache).
+type jobRecord struct {
+	ID       string    `json:"id"`
+	Spec     *Spec     `json:"spec,omitempty"`
+	State    JobState  `json:"state,omitempty"`
+	Error    string    `json:"error,omitempty"`
+	Outcomes []Outcome `json:"outcomes,omitempty"`
 }
 
-// doneRecord is the on-disk terminal record: how the job ended plus the
-// full outcome list. Everything else a JobStatus shows is derived from
-// these and spec.json (result bodies stay in the cache). Earlier builds
-// wrote the whole JobStatus under "status"; the nesting is kept so their
-// records still load.
-type doneRecord struct {
-	Status struct {
-		State JobState `json:"state"`
-		Error string   `json:"error,omitempty"`
-	} `json:"status"`
-	Outcomes []Outcome `json:"outcomes"`
-}
-
-// writeFileAtomic writes via temp file + rename so the destination is
-// always absent or complete, never torn, and durably: the temp file is
-// fsynced before the rename and the directory after it, so a power loss
-// once it returns keeps the new file.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory, making the entries created or renamed in it
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func (j *job) persistSpec() error {
-	b, err := json.MarshalIndent(specRecord{ID: j.id, Seq: j.seq, Spec: j.spec}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(j.dir, 0o755); err != nil {
-		return err
-	}
-	// The job directory's own entry must survive too.
-	if err := syncDir(filepath.Dir(j.dir)); err != nil {
-		return err
-	}
-	return writeFileAtomic(filepath.Join(j.dir, "spec.json"), b)
-}
-
-func (j *job) persistDone() error {
+// terminalRecord is the line that ends j as state.
+func (j *job) terminalRecord(state JobState, errMsg string) jobRecord {
 	j.mu.Lock()
-	rec := doneRecord{Outcomes: append([]Outcome(nil), j.outcomes...)}
-	rec.Status.State, rec.Status.Error = j.state, j.errMsg
-	j.mu.Unlock()
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(filepath.Join(j.dir, "done.json"), b)
+	defer j.mu.Unlock()
+	return jobRecord{ID: j.id, State: state, Error: errMsg, Outcomes: append([]Outcome(nil), j.outcomes...)}
 }
 
-// dropAcceptance removes the job directory; used when admission fails
-// after the spec was persisted (queue full), so a rejected client's job
-// does not resurrect on restart.
-func (j *job) dropAcceptance() {
-	os.RemoveAll(j.dir)
+// newJob is an accepted job, queued.
+func newJob(id string, seq int, spec Spec) *job {
+	spec = spec.normalized()
+	return &job{id: id, seq: seq, spec: spec, cells: spec.cells(), state: JobQueued}
 }
 
-// loadJobs scans the jobs directory and rebuilds state: jobs with a
-// done.json are terminal (kept for status/results queries); the rest are
-// the crash-recovery set, returned in submission order for re-queueing.
-func loadJobs(jobsDir string) (terminal, pending []*job, maxSeq int, err error) {
-	ents, err := os.ReadDir(jobsDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, 0, nil
+// loadJobs rebuilds every job from an earlier build's jobs/ directory and
+// the job log over it, and opens the log for appending. Jobs with a
+// terminal record are kept for status and results queries; the rest are the
+// crash-recovery set. Both come back in submission order. maxSeq covers
+// every ID either source names, retired ones too.
+func loadJobs(dataDir string) (terminal, pending []*job, maxSeq int, logF *os.File, err error) {
+	byID := make(map[string]*job)
+	apply := func(rec jobRecord) {
+		if rec.ID == "" {
+			return // foreign line
 		}
-		return nil, nil, 0, err
-	}
-	for _, de := range ents {
-		if !de.IsDir() {
-			continue
-		}
-		dir := filepath.Join(jobsDir, de.Name())
-		sb, err := os.ReadFile(filepath.Join(dir, "spec.json"))
-		if err != nil {
-			continue // half-created acceptance: ignore (client was never acked)
-		}
-		var rec specRecord
-		if err := json.Unmarshal(sb, &rec); err != nil || rec.ID == "" {
-			continue
-		}
-		if rec.Seq == 0 {
-			rec.Seq = seqFromID(rec.ID)
-		}
-		j := &job{
-			id: rec.ID, seq: rec.Seq, spec: rec.Spec.normalized(),
-			dir: dir, cells: rec.Spec.normalized().cells(), state: JobQueued,
-		}
-		if j.seq > maxSeq {
-			maxSeq = j.seq
-		}
-		if db, err := os.ReadFile(filepath.Join(dir, "done.json")); err == nil {
-			var done doneRecord
-			if json.Unmarshal(db, &done) == nil {
-				j.state = done.Status.State
-				j.outcomes = done.Outcomes
-				j.errMsg = done.Status.Error
-				terminal = append(terminal, j)
-				continue
+		seq := seqFromID(rec.ID)
+		maxSeq = max(maxSeq, seq)
+		switch {
+		case rec.Spec != nil:
+			byID[rec.ID] = newJob(rec.ID, seq, *rec.Spec)
+		case rec.State == jobRetired:
+			delete(byID, rec.ID)
+		case rec.State == JobDone || rec.State == JobFailed:
+			if j := byID[rec.ID]; j != nil {
+				j.state, j.errMsg, j.outcomes = rec.State, rec.Error, rec.Outcomes
 			}
-			// Torn done.json (crash mid-rename is impossible, but a partial
-			// .tmp is): treat as unfinished and re-run.
 		}
-		pending = append(pending, j)
+	}
+	if err := readLegacyJobs(filepath.Join(dataDir, "jobs"), apply); err != nil {
+		return nil, nil, 0, nil, err
+	}
+	logF, err = jsonl.OpenAppend(filepath.Join(dataDir, jobsFile), func(line []byte) {
+		var rec jobRecord
+		if json.Unmarshal(line, &rec) == nil {
+			apply(rec)
+		}
+	})
+	if err != nil {
+		return nil, nil, 0, nil, err
+	}
+	for _, j := range byID {
+		if j.state == JobQueued {
+			pending = append(pending, j)
+		} else {
+			terminal = append(terminal, j)
+		}
 	}
 	sort.Slice(pending, func(i, k int) bool { return pending[i].seq < pending[k].seq })
 	sort.Slice(terminal, func(i, k int) bool { return terminal[i].seq < terminal[k].seq })
-	return terminal, pending, maxSeq, nil
+	return terminal, pending, maxSeq, logF, nil
+}
+
+// readLegacyJobs hands apply the log lines each job directory of an earlier
+// build stands for: spec.json ({id, seq, spec}) is the acceptance line, and
+// done.json, which nests the state and error under "status" (the build
+// before it wrote the whole JobStatus there), the terminal one.
+func readLegacyJobs(jobsDir string, apply func(jobRecord)) error {
+	ents, err := os.ReadDir(jobsDir)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, de := range ents {
+		dir := filepath.Join(jobsDir, de.Name())
+		var acc jobRecord
+		if b, err := os.ReadFile(filepath.Join(dir, "spec.json")); err != nil || json.Unmarshal(b, &acc) != nil || acc.Spec == nil {
+			continue // half-created acceptance: the client was never acked
+		}
+		apply(acc)
+		var done struct {
+			Status   jobRecord `json:"status"`
+			Outcomes []Outcome `json:"outcomes"`
+		}
+		// A done.json that does not decode leaves the job to re-run.
+		if b, err := os.ReadFile(filepath.Join(dir, "done.json")); err == nil && json.Unmarshal(b, &done) == nil {
+			apply(jobRecord{ID: acc.ID, State: done.Status.State, Error: done.Status.Error, Outcomes: done.Outcomes})
+		}
+	}
+	return nil
 }
 
 // jobID builds the durable identifier: ordinal plus a spec-digest prefix,
@@ -343,8 +304,8 @@ func jobID(seq int, spec Spec) string {
 	return fmt.Sprintf("j%06d-%s", seq, spec.digest()[:12])
 }
 
-// seqFromID recovers the ordinal ("j000017-ab12..." → 17); used only as a
-// fallback when a spec.json predates the Seq field.
+// seqFromID recovers the ordinal ("j000017-ab12..." → 17): a job record
+// names its job by ID alone.
 func seqFromID(id string) int {
 	if !strings.HasPrefix(id, "j") {
 		return 0

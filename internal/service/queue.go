@@ -49,6 +49,15 @@ func (q *jobQueue) push(j *job) error {
 	return nil
 }
 
+// requeue puts back a job an earlier process accepted: the capacity bounds
+// new admissions, not a crash backlog (the queue plus the running jobs).
+func (q *jobQueue) requeue(j *job) {
+	q.mu.Lock()
+	heap.Push(&q.items, j)
+	q.cond.Signal()
+	q.mu.Unlock()
+}
+
 // pop blocks until a job is available (highest priority first) or the
 // queue closes, in which case ok is false.
 func (q *jobQueue) pop() (j *job, ok bool) {

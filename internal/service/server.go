@@ -28,8 +28,8 @@ import (
 // Config tunes the job server. The zero value plus a DataDir is a working
 // production configuration.
 type Config struct {
-	// DataDir roots all persistent state: jobs/, cache.jsonl,
-	// deadletters.jsonl. Required.
+	// DataDir roots all persistent state: jobs.jsonl, cache.jsonl,
+	// deadletters.jsonl, store.dncr. Required.
 	DataDir string
 	// Workers is the number of jobs executed concurrently (default 2).
 	Workers int
@@ -188,6 +188,8 @@ type Server struct {
 	draining bool
 	dead     map[string]*DeadLetter
 	deadF    *os.File
+	deadErrs []error  // dead-letter appends that failed, reported by Drain
+	jobsF    *os.File // the job log; appends need no lock (see jsonl.Append)
 }
 
 // New builds a server over DataDir, recovering persisted state: the result
@@ -199,8 +201,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("service: Config.DataDir is required")
 	}
-	jobsDir := filepath.Join(cfg.DataDir, "jobs")
-	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
+	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: creating data dir: %w", err)
 	}
 	cache, err := openResultCache(filepath.Join(cfg.DataDir, "cache.jsonl"), cfg.CacheMaxBytes)
@@ -242,24 +243,19 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("service: opening column store: %w", err)
 	}
 
-	terminal, pending, maxSeq, err := loadJobs(jobsDir)
+	terminal, pending, maxSeq, jobsF, err := loadJobs(cfg.DataDir)
 	if err != nil {
 		s.closeStore()
 		cache.close()
 		return nil, fmt.Errorf("service: recovering jobs: %w", err)
 	}
-	s.seq = maxSeq
+	s.jobsF, s.seq = jobsF, maxSeq
 	for _, j := range append(terminal, pending...) {
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 	}
 	for _, j := range pending {
-		if err := s.queue.push(j); err != nil {
-			// More recovered jobs than queue capacity: keep them visible
-			// as queued; they re-queue on the next restart. (Capacity
-			// should exceed any realistic crash backlog.)
-			break
-		}
+		s.queue.requeue(j)
 	}
 	return s, nil
 }
@@ -330,21 +326,17 @@ func (s *Server) Submit(spec Spec) (JobStatus, error) {
 	seq := s.seq
 	s.mu.Unlock()
 
-	j := &job{
-		id:    jobID(seq, norm),
-		seq:   seq,
-		spec:  norm,
-		cells: norm.cells(),
-		state: JobQueued,
-	}
-	j.dir = filepath.Join(s.cfg.DataDir, "jobs", j.id)
+	j := newJob(jobID(seq, norm), seq, norm)
 	// Persist acceptance first: a crash after this point recovers the job;
-	// a queue rejection rolls it back before the client ever saw the ID.
-	if err := j.persistSpec(); err != nil {
+	// a queue refusal retires it before the client ever saw the ID.
+	if _, err := jsonl.Append(s.jobsF, jobRecord{ID: j.id, Spec: &j.spec}); err != nil {
 		return JobStatus{}, fmt.Errorf("service: persisting job: %w", err)
 	}
 	if err := s.queue.push(j); err != nil {
-		j.dropAcceptance()
+		if _, rerr := jsonl.Append(s.jobsF, jobRecord{ID: j.id, State: jobRetired}); rerr != nil {
+			// The refused job comes back, queued, after a restart.
+			s.log.Error("retiring a refused job", "job", j.id, "err", rerr.Error())
+		}
 		return JobStatus{}, err
 	}
 	s.mu.Lock()
@@ -461,6 +453,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		errs = append(errs, fmt.Errorf("service: closing column store: %w", err))
 	}
 	s.mu.Lock()
+	errs = append(errs, s.deadErrs...)
 	if s.deadF != nil {
 		if err := s.deadF.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("service: closing dead-letter file: %w", err))
@@ -468,6 +461,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.deadF = nil
 	}
 	s.mu.Unlock()
+	if err := s.jobsF.Close(); err != nil {
+		errs = append(errs, fmt.Errorf("service: closing job log: %w", err))
+	}
 	return errors.Join(errs...)
 }
 
@@ -570,16 +566,20 @@ func (s *Server) runJob(j *job) {
 		j.setState(JobQueued, "")
 		return
 	}
+	// The terminal line is durable before the state is published: a client
+	// that saw done never sees failed, nor a restart that re-runs the job.
+	state, errMsg := JobDone, ""
 	if err := jobCtx.Err(); err != nil {
-		// Infrastructure failure (job timeout): terminal.
-		j.setState(JobFailed, err.Error())
-		s.log.Error("job failed", "job", j.id, "err", err.Error())
-	} else {
-		j.setState(JobDone, "")
-		s.log.Info("job done", "job", j.id)
+		state, errMsg = JobFailed, err.Error() // infrastructure failure (job timeout)
 	}
-	if perr := j.persistDone(); perr != nil {
-		j.setState(JobFailed, fmt.Sprintf("persisting completion: %v", perr))
+	if _, err := jsonl.Append(s.jobsF, j.terminalRecord(state, errMsg)); err != nil {
+		state, errMsg = JobFailed, fmt.Sprintf("persisting completion: %v", err)
+	}
+	j.setState(state, errMsg)
+	if state == JobDone {
+		s.log.Info("job done", "job", j.id)
+	} else {
+		s.log.Error("job failed", "job", j.id, "err", errMsg)
 	}
 	s.rec.JobDone(j.id)
 	if s.tel != nil {
@@ -793,11 +793,8 @@ func (s *Server) recordFailure(cell cellSpec, err error) {
 	}
 	d.Failures++
 	d.Error = err.Error()
-	if s.deadF != nil {
-		if line, merr := json.Marshal(d); merr == nil {
-			s.deadF.Write(append(line, '\n'))
-			s.deadF.Sync()
-		}
+	if _, werr := jsonl.Append(s.deadF, d); werr != nil {
+		s.deadErrs = append(s.deadErrs, fmt.Errorf("service: dead letter %s: %w", d.Key, werr))
 	}
 }
 

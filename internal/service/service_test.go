@@ -350,20 +350,16 @@ func TestMalformedSubmissionsRejected(t *testing.T) {
 }
 
 // TestBackpressure fills the bounded queue and asserts overload is answered
-// with 429 + Retry-After and a rolled-back acceptance — then proves the
-// rejected client can get in once the backlog clears.
+// with 429 + Retry-After and a retired acceptance: a restart over the data
+// dir brings back the two accepted jobs and finishes them, never the
+// refused one, and the refused client then gets in.
 func TestBackpressure(t *testing.T) {
-	release := make(chan struct{})
 	e := newTestEnv(t, func(c *Config) {
 		c.Workers = 1
 		c.QueueCap = 1
-		c.RunCell = func(ctx context.Context, spec workerproto.CellSpec) (*runner.ResultJSON, error) {
-			select {
-			case <-release:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			return fakeRunCell(ctx, spec)
+		c.RunCell = func(ctx context.Context, _ workerproto.CellSpec) (*runner.ResultJSON, error) {
+			<-ctx.Done() // hold the cell until the drain cancels it
+			return nil, ctx.Err()
 		}
 	})
 	running := e.submit(smallSpec()) // worker picks this up and blocks
@@ -379,19 +375,27 @@ func TestBackpressure(t *testing.T) {
 	if err != nil || ra < 1 {
 		t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
 	}
-	// The rejected job's acceptance was rolled back: only two job dirs exist.
 	if jobs := e.srv.Jobs(); len(jobs) != 2 {
 		t.Fatalf("rejected submission left %d jobs, want 2", len(jobs))
 	}
 
-	close(release)
+	e.drain()
+	e2 := newTestEnv(t, func(c *Config) {
+		c.DataDir = e.dataDir
+		c.Workers = 1
+		c.QueueCap = 1
+		c.RunCell = fakeRunCell
+	})
+	if jobs := e2.srv.Jobs(); len(jobs) != 2 {
+		t.Fatalf("after a restart %d jobs are known, want the 2 accepted ones", len(jobs))
+	}
 	for _, id := range []string{running.ID, queued.ID} {
-		if st := e.waitJob(id); st.State != JobDone {
-			t.Fatalf("job %s = %s after release", id, st.State)
+		if st := e2.waitJob(id); st.State != JobDone {
+			t.Fatalf("job %s = %s after the restart", id, st.State)
 		}
 	}
 	// Backlog cleared: the retry now succeeds.
-	if st := e.waitJob(e.submit(smallSpec()).ID); st.State != JobDone {
+	if st := e2.waitJob(e2.submit(smallSpec()).ID); st.State != JobDone {
 		t.Fatalf("post-backlog submit = %s, want done", st.State)
 	}
 }

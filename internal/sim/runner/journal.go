@@ -139,17 +139,8 @@ func (j *journal) append(res CellResult) {
 	if res.Status == StatusOK {
 		e.Result = NewResultJSON(res.Result)
 	}
-	line, err := json.Marshal(e)
-	if err != nil {
+	if _, err := jsonl.Append(j.f, e); err != nil {
 		j.errs = append(j.errs, fmt.Errorf("runner: journalling cell %s: %w", res.ID, err))
-		return
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		j.errs = append(j.errs, fmt.Errorf("runner: journal write for cell %s: %w", res.ID, err))
-		return
-	}
-	if err := j.f.Sync(); err != nil {
-		j.errs = append(j.errs, fmt.Errorf("runner: journal sync for cell %s: %w", res.ID, err))
 	}
 }
 
