@@ -325,7 +325,10 @@ func overprediction(r, _ sim.Result) float64 {
 	if r.Probes == nil {
 		return math.NaN()
 	}
-	return prefetch.ReplayStats{TableHits: r.Probes.ReplayTableHits, NotBranch: r.Probes.ReplayNotBranch}.Overprediction()
+	if r.Probes.ReplayTableHits == 0 {
+		return 0
+	}
+	return float64(r.Probes.ReplayNotBranch) / float64(r.Probes.ReplayTableHits)
 }
 
 // mean averages the values that are not NaN, which a metric reads for a

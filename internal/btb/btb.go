@@ -20,9 +20,6 @@ type Table[V any] struct {
 	lines []tline[V]
 	tags  []uint64 // tagKey per line; 0 = invalid
 	clock uint64
-
-	lookups uint64
-	hits    uint64
 }
 
 // tagKey packs a key and an always-set valid bit into one comparable word.
@@ -68,20 +65,18 @@ func (t *Table[V]) find(key isa.Addr) *tline[V] {
 	return nil
 }
 
-// Lookup returns the payload for key, updating recency and hit statistics.
+// Lookup returns the payload for key, updating recency.
 func (t *Table[V]) Lookup(key isa.Addr) (V, bool) {
-	t.lookups++
 	if l := t.find(key); l != nil {
 		t.clock++
 		l.lru = t.clock
-		t.hits++
 		return l.val, true
 	}
 	var zero V
 	return zero, false
 }
 
-// Peek returns the payload without touching recency or statistics.
+// Peek returns the payload without touching recency.
 func (t *Table[V]) Peek(key isa.Addr) (V, bool) {
 	if l := t.find(key); l != nil {
 		return l.val, true
@@ -146,15 +141,6 @@ func (t *Table[V]) Invalidate(key isa.Addr) bool {
 	}
 	return false
 }
-
-// Lookups and Hits expose access statistics.
-func (t *Table[V]) Lookups() uint64 { return t.lookups }
-
-// Hits returns the number of successful Lookup calls.
-func (t *Table[V]) Hits() uint64 { return t.hits }
-
-// ResetStats clears the access statistics only.
-func (t *Table[V]) ResetStats() { t.lookups, t.hits = 0, 0 }
 
 // Entry is a conventional BTB payload: the branch kind and its last-seen
 // target. The tag is the branch PC.

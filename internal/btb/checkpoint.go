@@ -12,8 +12,6 @@ func (t *Table[V]) State(c *checkpoint.Codec, val func(*checkpoint.Codec, *V)) {
 	c.Fixed("BTB table sets", t.sets)
 	c.Fixed("BTB table ways", t.ways)
 	c.U64(&t.clock)
-	c.U64(&t.lookups)
-	c.U64(&t.hits)
 	for i := range t.lines {
 		l := &t.lines[i]
 		checkpoint.Word(c, &l.key)
@@ -85,7 +83,5 @@ func (s *ShotgunBTB) State(c *checkpoint.Codec) {
 	s.RIB.State(c, BBEntryState)
 	c.U64(&s.ULookups)
 	c.U64(&s.UFootprintMiss)
-	c.U64(&s.UEntryMiss)
-	c.U64(&s.PrefilledNoFP)
 	c.End()
 }

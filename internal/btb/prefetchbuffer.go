@@ -46,9 +46,3 @@ func (p *PrefetchBuffer) Contains(b isa.BlockID) bool {
 	_, ok := p.table.Peek(isa.BlockBase(b))
 	return ok
 }
-
-// Lookups and Hits expose access statistics.
-func (p *PrefetchBuffer) Lookups() uint64 { return p.table.Lookups() }
-
-// Hits returns successful TakeBlock calls.
-func (p *PrefetchBuffer) Hits() uint64 { return p.table.Hits() }

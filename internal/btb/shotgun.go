@@ -85,8 +85,6 @@ type ShotgunBTB struct {
 	// constructed footprints.
 	ULookups       uint64
 	UFootprintMiss uint64
-	UEntryMiss     uint64
-	PrefilledNoFP  uint64
 }
 
 // The paper's three tables: 1.5K U-BTB, 128 C-BTB, 512 RIB.
@@ -146,7 +144,6 @@ func (s *ShotgunBTB) LookupU(start isa.Addr) (UBBEntry, bool) {
 // therefore also a footprint miss (Figure 1).
 func (s *ShotgunBTB) NoteResolvedUncond() {
 	s.ULookups++
-	s.UEntryMiss++
 	s.UFootprintMiss++
 }
 
@@ -185,14 +182,5 @@ func (s *ShotgunBTB) PrefillU(start isa.Addr, bb BBEntry) {
 	if _, ok := s.U.Peek(start); ok {
 		return // never downgrade a constructed entry
 	}
-	s.PrefilledNoFP++
 	s.U.Insert(start, UBBEntry{BB: bb})
-}
-
-// FootprintMissRatio returns the Figure 1 metric.
-func (s *ShotgunBTB) FootprintMissRatio() float64 {
-	if s.ULookups == 0 {
-		return 0
-	}
-	return float64(s.UFootprintMiss) / float64(s.ULookups)
 }

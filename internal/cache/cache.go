@@ -27,7 +27,6 @@ const (
 type Line struct {
 	tag   isa.BlockID
 	valid bool
-	lru   uint64
 	// Flags holds Flag* bits.
 	Flags uint8
 	// Aux is free per-line metadata; SN4L stores its 4-bit local prefetch
@@ -49,11 +48,12 @@ type Evicted struct {
 //
 // Residency tags and recency clocks live in packed side arrays (one word
 // per way each) separate from the Line metadata: a find scans contiguous
-// words instead of striding across 32-byte Line records, and Insert's
+// words instead of striding across 16-byte Line records, and Insert's
 // victim selection is one more contiguous scan (invalid ways carry recency
-// 0, so the leftmost minimum is the first-invalid-else-LRU way). Both
-// mirrors are derived state, maintained by every line write and rebuilt
-// when State loads.
+// 0, so the leftmost minimum is the first-invalid-else-LRU way). The tag
+// array mirrors each line's tag and valid bit, maintained by every line
+// write and rebuilt when State loads; the recency array is the lines' only
+// LRU state.
 type Cache struct {
 	sets  int
 	ways  int
@@ -141,7 +141,6 @@ func (c *Cache) Access(b isa.BlockID) *Line {
 		return nil
 	}
 	c.clock++
-	c.lines[i].lru = c.clock
 	c.lrus[i] = c.clock
 	return &c.lines[i]
 }
@@ -171,14 +170,13 @@ func (c *Cache) AccessOrInsert(b isa.BlockID) (hit bool) {
 		}
 		if i < 0 {
 			c.clock++
-			c.lines[vi] = Line{tag: b, valid: true, lru: c.clock}
+			c.lines[vi] = Line{tag: b, valid: true}
 			c.tags[vi] = key
 			c.lrus[vi] = c.clock
 			return false
 		}
 	}
 	c.clock++
-	c.lines[i].lru = c.clock
 	c.lrus[i] = c.clock
 	return true
 }
@@ -195,12 +193,10 @@ func (c *Cache) Insert(b isa.BlockID) (l *Line, ev Evicted, evicted bool) {
 		if t == key {
 			// Refill of a resident block: treat as a touch.
 			c.clock++
-			l := &c.lines[s+i]
-			l.lru = c.clock
 			c.lrus[s+i] = c.clock
-			return l, Evicted{}, false
+			return &c.lines[s+i], Evicted{}, false
 		}
-		// Victim pre-selection rides the same scan: the recency mirror is 0
+		// Victim pre-selection rides the same scan: the recency array is 0
 		// for invalid ways, so the leftmost minimum is exactly the
 		// first-invalid-else-LRU way the two-pass scan used to pick.
 		if c.lrus[i+s] < c.lrus[vi] {
@@ -212,7 +208,7 @@ func (c *Cache) Insert(b isa.BlockID) (l *Line, ev Evicted, evicted bool) {
 		ev, evicted = Evicted{Block: victim.tag, Flags: victim.Flags, Aux: victim.Aux}, true
 	}
 	c.clock++
-	*victim = Line{tag: b, valid: true, lru: c.clock}
+	*victim = Line{tag: b, valid: true}
 	c.tags[vi] = key
 	c.lrus[vi] = c.clock
 	return victim, ev, evicted
@@ -253,16 +249,16 @@ func (c *Cache) State(cp *checkpoint.Codec) {
 	cp.Fixed("cache ways", c.ways)
 	cp.U64(&c.clock)
 	for i := range c.lines {
-		l := &c.lines[i]
+		l, lru := &c.lines[i], c.lrus[i]
 		checkpoint.Word(cp, &l.tag)
 		cp.Bool(&l.valid)
-		cp.U64(&l.lru)
+		cp.U64(&lru)
 		cp.U8(&l.Flags)
 		cp.U8(&l.Aux)
 		if cp.Loading() {
 			c.tags[i], c.lrus[i] = 0, 0
 			if l.valid {
-				c.tags[i], c.lrus[i] = tagKey(l.tag), l.lru
+				c.tags[i], c.lrus[i] = tagKey(l.tag), lru
 			}
 		}
 	}

@@ -22,12 +22,6 @@ type MSHR struct {
 	// Demanded records whether a demand access merged into this miss while
 	// it was in flight; used for partial-coverage accounting.
 	Demanded bool
-	// Buffered is set on every prefetch of a core with a prefetch buffer,
-	// whose fill then goes to the buffer instead of the L1i; the core routes
-	// by its own buffer, so the bit is kept only for the snapshot layout.
-	// Delete it, and its walk in MSHRFile.State, at the next
-	// checkpoint.Version bump.
-	Buffered bool
 }
 
 // Latency returns the full fetch latency of the request.
@@ -306,7 +300,7 @@ func (f *MSHRFile) Reset() {
 func (f *MSHRFile) State(c *checkpoint.Codec) {
 	c.Begin("mshr")
 	c.Fixed("MSHR capacity", f.cap)
-	checkpoint.Map(c, "MSHR file", f.entries.AppendKeys(nil), 8*3+3, checkpoint.Unbounded, f.Reset,
+	checkpoint.Map(c, "MSHR file", f.entries.AppendKeys(nil), 8*3+2, checkpoint.Unbounded, f.Reset,
 		func(b isa.BlockID) {
 			m := MSHR{Block: b}
 			if !c.Loading() {
@@ -316,7 +310,6 @@ func (f *MSHRFile) State(c *checkpoint.Codec) {
 			c.U64(&m.ReadyCycle)
 			c.Bool(&m.Prefetch)
 			c.Bool(&m.Demanded)
-			c.Bool(&m.Buffered)
 			if !c.Loading() || c.Err() != nil {
 				return
 			}

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -27,8 +28,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("DNCC"))
-	f.Add([]byte("DNCC\x01\x00"))
-	f.Add([]byte("DNCC\x01\x00\x00\x00\x00\x00"))
+	header := binary.LittleEndian.AppendUint16([]byte("DNCC"), Version)
+	f.Add(header)
+	f.Add(append(header, 0, 0, 0, 0))
 	f.Add([]byte("DNCC\xff\x00\x00\x00\x00\x00"))
 	f.Add(valid[:len(valid)-5])
 	corrupt := append([]byte(nil), valid...)

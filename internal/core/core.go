@@ -295,12 +295,10 @@ func (c *Core) IssuePrefetch(b isa.BlockID) bool {
 	c.M.ExtRequests++
 	c.M.LLCLatencySum += ready - c.cycle
 	c.M.LLCLatencyCnt++
-	m := c.mshr.Alloc(b, c.cycle, ready, true)
-	if m == nil {
+	if c.mshr.Alloc(b, c.cycle, ready, true) == nil {
 		c.emit(obs.EvPrefetchDrop, uint64(b), 0)
 		return false
 	}
-	m.Buffered = c.pfb != nil
 	c.M.PrefetchesIssued++
 	if c.post != nil && c.hooks.Tracer != nil {
 		c.post.reqs[len(c.post.reqs)-1].ev = c.hooks.Tracer.Total() + 1

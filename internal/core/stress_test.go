@@ -21,17 +21,23 @@ func TestZeroWrongPathBlocks(t *testing.T) {
 	}
 }
 
+// TestStarvedProactiveQueues: 1-entry queues keep the core live, and they
+// overflow, so the same run issues fewer prefetches than with the paper's
+// 16-entry queues.
 func TestStarvedProactiveQueues(t *testing.T) {
-	cfg := prefetch.DefaultProactiveConfig()
-	cfg.QueueDepth = 1
-	cfg.WithBTBPrefetch = true
-	c, _ := newTestCore(t, Config{}, prefetch.NewProactive(cfg))
-	runCycles(c, 20000)
-	if c.M.Retired == 0 {
-		t.Fatal("1-entry proactive queues deadlocked")
+	issued := func(depth int) uint64 {
+		cfg := prefetch.DefaultProactiveConfig()
+		cfg.QueueDepth = depth
+		cfg.WithBTBPrefetch = true
+		c, _ := newTestCore(t, Config{}, prefetch.NewProactive(cfg))
+		runCycles(c, 20000)
+		if c.M.Retired == 0 {
+			t.Fatalf("%d-entry proactive queues deadlocked", depth)
+		}
+		return c.M.PrefetchesIssued
 	}
-	d := c.Design().(*prefetch.Proactive)
-	if s, di, r := d.QueueDrops(); s+di+r == 0 {
-		t.Fatal("1-entry queues never overflowed in a miss-heavy run")
+	if starved, full := issued(1), issued(16); starved >= full {
+		t.Fatalf("1-entry queues issued %d prefetches, 16-entry ones %d: the starved queues never overflowed",
+			starved, full)
 	}
 }

@@ -28,10 +28,6 @@ type RetryClient struct {
 	// Retries is how many times a failed request is retried (total attempts
 	// = Retries + 1). Zero means no retries.
 	Retries int
-	// Backoff is the base delay before the first retry, doubling per
-	// attempt up to BackoffMax. Zero takes 100ms / 5s defaults.
-	Backoff    time.Duration
-	BackoffMax time.Duration
 	// Rand and Sleep are test seams: Rand returns [0,1) for the jitter
 	// (default math/rand), Sleep waits or returns early with ctx's error
 	// (default a timer).
@@ -45,6 +41,14 @@ type RetryClient struct {
 	OnRetry  func(status int)
 	OnGiveUp func(status int)
 }
+
+// The retry schedule: the step before the first retry is backoff, and it
+// doubles per attempt up to backoffMax; equal jitter waits between half the
+// step and the whole step.
+const (
+	backoff    = 100 * time.Millisecond
+	backoffMax = 5 * time.Second
+)
 
 // retryableStatus reports whether a response status code is worth retrying.
 func retryableStatus(code int) bool {
@@ -95,14 +99,6 @@ func (rc *RetryClient) PostJSONHeaders(ctx context.Context, url string, hdr map[
 				return ctx.Err()
 			}
 		}
-	}
-	base := rc.Backoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	max := rc.BackoffMax
-	if max <= 0 {
-		max = 5 * time.Second
 	}
 
 	var lastErr error
@@ -159,9 +155,9 @@ func (rc *RetryClient) PostJSONHeaders(ctx context.Context, url string, hdr map[
 		// Equal jitter: half the exponential step fixed, half uniform
 		// random, so a fleet of workers retrying after one server restart
 		// does not stampede in lockstep.
-		d := base << uint(attempt)
-		if d > max || d <= 0 {
-			d = max
+		d := backoff << uint(attempt)
+		if d > backoffMax || d <= 0 {
+			d = backoffMax
 		}
 		d = d/2 + time.Duration(rnd()*float64(d/2))
 		if err := sleep(ctx, d); err != nil {

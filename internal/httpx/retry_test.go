@@ -77,20 +77,20 @@ func TestRetryClientRetriesTransportErrors(t *testing.T) {
 }
 
 // TestRetryClientEqualJitterBackoff pins the jitter seam at its extremes:
-// the delay before retry k must lie in [step/2, step] of the doubling
-// schedule, capped at BackoffMax — the equal-jitter contract.
+// the delay before retry k must lie in [step/2, step] of the schedule that
+// doubles from 100 ms and is capped at 5 s — the equal-jitter contract.
 func TestRetryClientEqualJitterBackoff(t *testing.T) {
 	h, _ := flakyHandler(100, http.StatusServiceUnavailable)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
+	steps := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
+		800 * time.Millisecond, 1600 * time.Millisecond, 3200 * time.Millisecond, 5 * time.Second}
 	run := func(rnd float64) []time.Duration {
 		var slept []time.Duration
 		rc := &RetryClient{
-			Retries:    3,
-			Backoff:    100 * time.Millisecond,
-			BackoffMax: 250 * time.Millisecond,
-			Rand:       func() float64 { return rnd },
+			Retries: len(steps),
+			Rand:    func() float64 { return rnd },
 			Sleep: func(_ context.Context, d time.Duration) error {
 				slept = append(slept, d)
 				return nil
@@ -101,17 +101,18 @@ func TestRetryClientEqualJitterBackoff(t *testing.T) {
 	}
 
 	min := run(0) // pure fixed half: step/2 each time
-	wantMin := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 125 * time.Millisecond}
+	if len(min) != len(steps) {
+		t.Fatalf("slept %d times, want %d", len(min), len(steps))
+	}
 	for i, d := range min {
-		if d != wantMin[i] {
-			t.Fatalf("rnd=0 sleep %d = %v, want %v", i, d, wantMin[i])
+		if d != steps[i]/2 {
+			t.Fatalf("rnd=0 sleep %d = %v, want %v", i, d, steps[i]/2)
 		}
 	}
 	max := run(0.999999)
-	steps := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 250 * time.Millisecond}
 	for i, d := range max {
-		if d < wantMin[i] || d > steps[i] {
-			t.Fatalf("rnd≈1 sleep %d = %v outside [%v, %v]", i, d, wantMin[i], steps[i])
+		if d < steps[i]/2 || d > steps[i] {
+			t.Fatalf("rnd≈1 sleep %d = %v outside [%v, %v]", i, d, steps[i]/2, steps[i])
 		}
 	}
 }

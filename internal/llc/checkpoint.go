@@ -30,7 +30,6 @@ func (c *LLC) State(cp *checkpoint.Codec) {
 	cp.Fixed("LLC sets per bank", c.setsPer)
 	cp.Fixed("LLC ways", c.ways)
 	cp.U64(&c.clock)
-	cp.U64(&c.queueSum)
 	cp.Struct(&c.stats)
 	for i := range c.bankOcc {
 		cp.U64(&c.bankOcc[i].window)

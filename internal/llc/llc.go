@@ -131,7 +131,6 @@ type LLC struct {
 	bankOcc  []bankWindow
 	clock    uint64
 	stats    Stats
-	queueSum uint64
 	occupied int // valid lines, untouched sets' preloaded ones included
 
 	// warmFirst and warmN are the image Warm preloaded: blocks warmFirst up
@@ -297,7 +296,7 @@ func (c *LLC) reset() {
 	}
 	c.touched, c.allTouched = c.touched[:0], false
 	clear(c.bankOcc)
-	c.clock, c.stats, c.queueSum, c.queueHist, c.occupied = 0, Stats{}, 0, nil, 0
+	c.clock, c.stats, c.queueHist, c.occupied = 0, Stats{}, nil, 0
 	c.warmFirst, c.warmN = 0, 0
 }
 
@@ -430,14 +429,10 @@ func (c *LLC) BankDelay(b isa.BlockID, cycle uint64) uint64 {
 	var d uint64
 	if bw.busy > 64 {
 		d = bw.busy - 64
-		c.queueSum += d
 	}
 	c.queueHist.Observe(d)
 	return d
 }
-
-// QueuedCycles returns cumulative bank queueing delay.
-func (c *LLC) QueuedCycles() uint64 { return c.queueSum }
 
 // Config returns the configuration.
 func (c *LLC) Config() Config { return c.cfg }

@@ -85,7 +85,6 @@ func (d *Boomerang) OnFill(b isa.BlockID, _ bool) {
 // basic block starting there; the walk resumes from it next cycle.
 func (d *Boomerang) repair(b isa.BlockID) {
 	d.insertBB(d.walkPC, bbFromPredecode(d.walkPC, d.E().Predecode(b)))
-	d.ReactiveFills++
 }
 
 // Tick implements Design: advance the walk, filling the FTQ and prefetching

@@ -159,8 +159,8 @@ func TestBoomerangWalkAndGate(t *testing.T) {
 	if !d.FTQGate(base + isa.BlockBytes) {
 		t.Fatal("gate failed for the second block")
 	}
-	if d.ReactiveFills == 0 {
-		t.Fatal("no reactive fills recorded")
+	if _, ok := d.bb.Peek(base); !ok {
+		t.Fatal("the reactive fill did not install the walk point's basic block")
 	}
 }
 
@@ -176,8 +176,8 @@ func TestBoomerangDivergenceSquashes(t *testing.T) {
 	if d.FTQGate(other) {
 		t.Fatal("diverging gate passed")
 	}
-	if d.Squashes != 1 {
-		t.Fatalf("squashes = %d", d.Squashes)
+	if !d.q.empty() {
+		t.Fatalf("divergence left the FTQ holding %v", d.q.blocks)
 	}
 	if d.walkPC != other || !d.walkValid {
 		t.Fatalf("engine did not restart at the divergence: %#x", d.walkPC)
@@ -226,11 +226,10 @@ func TestShotgunFootprintPrefetchOnUHit(t *testing.T) {
 	if !got[isa.BlockOf(target)] || !got[isa.BlockOf(target)+1] {
 		t.Fatalf("footprint not prefetched: %v", env.issued)
 	}
-	if d.FootprintPrefetch == 0 {
-		t.Fatal("footprint prefetches not counted")
-	}
-	if d.sb.FootprintMissRatio() != 0 {
-		t.Fatalf("trained footprint counted as miss: %v", d.sb.FootprintMissRatio())
+	var p Probes
+	d.AddProbes(&p)
+	if p.UBTBLookups == 0 || p.UBTBFootprintMiss != 0 {
+		t.Fatalf("trained footprint hit probed as %+v, want lookups and no footprint miss", p)
 	}
 }
 
@@ -244,9 +243,18 @@ func TestShotgunReactiveResolvesUncondAsFootprintMiss(t *testing.T) {
 	env.install(isa.BlockOf(base)) // block resident: reactive decode is immediate
 	d.restart(base)
 	d.Tick()
-	sb := d.sb
-	if sb.UEntryMiss != 1 || sb.UFootprintMiss != 1 {
-		t.Fatalf("reactive uncond resolution not counted: %+v", sb)
+	var p Probes
+	d.AddProbes(&p)
+	if p != (Probes{UBTBLookups: 1, UBTBFootprintMiss: 1}) {
+		t.Fatalf("reactive uncond resolution probed as %+v, want one lookup and one footprint miss", p)
+	}
+	// The walk prefilled the resolved block into the U-BTB, without
+	// footprints, and followed its jump.
+	if e, ok := d.sb.U.Peek(base); !ok || e.HasFP || e.BB.Kind != isa.KindJump {
+		t.Fatalf("U-BTB after the resolution: %+v, %v; want a prefilled jump without footprints", e, ok)
+	}
+	if d.walkPC != 0x20000 {
+		t.Fatalf("walk point %#x after the resolution, want the jump target 0x20000", d.walkPC)
 	}
 }
 

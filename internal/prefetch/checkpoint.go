@@ -15,15 +15,13 @@ import (
 // snapshot matches the machine. Map-backed state goes in sorted key order so
 // the encoding is byte-deterministic.
 
-// State walks the BTB, the optional prefetch buffer, and the promotion
-// counter.
+// State walks the BTB and the optional prefetch buffer.
 func (b *ConvBTB) State(c *checkpoint.Codec) {
 	c.Begin("convbtb")
 	b.BTB.State(c)
 	if checkpoint.Same(c, "prefetch-buffer presence", b.PB != nil, c.Bool) {
 		b.PB.State(c)
 	}
-	c.U64(&b.PBPromotions)
 	c.End()
 }
 
@@ -57,7 +55,6 @@ func (t *SeqTable) State(c *checkpoint.Codec) {
 func (t *DisTable) State(c *checkpoint.Codec) {
 	c.Begin("distable")
 	c.Fixed("DisTable entries", t.n)
-	c.U64(&t.Conflicts)
 	spare := new([disPage]disEntry)
 	for pi, p := range t.pages {
 		if p == nil {
@@ -94,7 +91,6 @@ func (r *RLU) state(c *checkpoint.Codec) {
 // ring's first slot.
 func (q *boundedQueue) state(c *checkpoint.Codec) {
 	c.Fixed("queue capacity", q.cap)
-	c.U64(&q.Drops)
 	n := c.Len("queue", q.n, 17, q.cap)
 	if c.Loading() {
 		q.head, q.n = 0, n
@@ -136,8 +132,6 @@ func (d *SN4L) State(c *checkpoint.Codec) {
 	c.Begin("sn4l")
 	d.ConvBTB.State(c)
 	d.seq.State(c)
-	c.U64(&d.UsefulHits)
-	c.U64(&d.Issued)
 	c.End()
 }
 
@@ -146,9 +140,6 @@ func (d *Dis) State(c *checkpoint.Codec) {
 	c.Begin("dis")
 	d.ConvBTB.State(c)
 	d.tab.State(c)
-	checkpoint.Set(c, "Dis pending set", d.pending, checkpoint.Unbounded)
-	c.U64(&d.Recorded)
-	c.Struct(&d.Replay)
 	c.End()
 }
 
@@ -164,8 +155,6 @@ func (d *Discontinuity) State(c *checkpoint.Codec) {
 	}
 	checkpoint.Word(c, &d.prevBlock)
 	c.Bool(&d.havePrev)
-	c.U64(&d.Recorded)
-	c.U64(&d.Issued)
 	c.End()
 }
 
@@ -187,12 +176,7 @@ func (p *Proactive) State(c *checkpoint.Codec) {
 			p.pendingDecode[b] = depth
 		})
 	checkpoint.Set(c, "Dis-issued set", p.disIssued, checkpoint.Unbounded)
-	c.U64(&p.Recorded)
-	c.Struct(&p.Replay)
-	c.U64(&p.SeqIssued)
-	c.U64(&p.DisIssued)
-	c.U64(&p.PBFills)
-	c.U64(&p.RLUFilters)
+	c.Struct(&p.replay)
 	c.End()
 }
 
@@ -226,8 +210,6 @@ func (d *Confluence) State(c *checkpoint.Codec) {
 	c.Begin("confluence")
 	d.ConvBTB.State(c)
 	d.state(c, "confluence", func(r *missRecord) { checkpoint.Word(c, r) })
-	c.U64(&d.StreamStarts)
-	c.U64(&d.StreamPrefetches)
 	c.End()
 }
 
@@ -242,9 +224,6 @@ func (p *PIF) State(c *checkpoint.Codec) {
 		checkpoint.Word(c, &r.trigger)
 		c.U16(&r.bits)
 	})
-	c.U64(&p.RegionsLogged)
-	c.U64(&p.StreamStarts)
-	c.U64(&p.StreamPrefetches)
 	c.End()
 }
 
@@ -266,8 +245,6 @@ func (d *RDIP) State(c *checkpoint.Codec) {
 	// The shadow RAS's capacity is its backing array's (see OnRetire).
 	checkpoint.Words(c, "RDIP shadow RAS", &d.ras, cap(d.ras))
 	c.U64(&d.sig)
-	c.U64(&d.Recorded)
-	c.U64(&d.Issued)
 	c.End()
 }
 
@@ -278,9 +255,6 @@ func (d *Boomerang) State(c *checkpoint.Codec) {
 	d.bypc.State(c, btb.EntryState)
 	d.state(c)
 	checkpoint.Words(c, "speculative RAS", &d.specRAS, checkpoint.Unbounded)
-	c.U64(&d.ReactiveFills)
-	c.U64(&d.Squashes)
-	c.U64(&d.EnginePrefetches)
 	c.End()
 }
 
@@ -303,10 +277,5 @@ func (d *Shotgun) State(c *checkpoint.Codec) {
 	c.U8(&d.region.fp.Bits)
 	c.Bool(&d.region.isRet)
 	checkpoint.Words(c, "footprint owner stack", &d.fpStack, checkpoint.Unbounded)
-	c.U64(&d.ReactiveFills)
-	c.U64(&d.Squashes)
-	c.U64(&d.FootprintPrefetch)
-	c.U64(&d.EnginePrefetches)
-	c.U64(&d.ProactivePrefills)
 	c.End()
 }

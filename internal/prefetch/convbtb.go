@@ -16,9 +16,6 @@ type ConvBTB struct {
 	BTB *btb.BTB
 	// PB is the optional BTB prefetch buffer; nil disables prefill.
 	PB *btb.PrefetchBuffer
-
-	// PBPromotions counts misses saved by the prefetch buffer.
-	PBPromotions uint64
 }
 
 // NewConvBTB returns a conventional BTB of the given capacity.
@@ -36,7 +33,6 @@ func (c *ConvBTB) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
 	if !ok {
 		return 0, false
 	}
-	c.PBPromotions++
 	var target isa.Addr
 	found := false
 	base := isa.BlockBase(isa.BlockOf(pc))

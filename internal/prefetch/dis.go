@@ -19,9 +19,6 @@ type DisTable struct {
 	mask    uint64
 	tagBits uint
 	n       int
-
-	// Conflicts counts lookups that matched the index but failed the tag.
-	Conflicts uint64
 }
 
 // disPage is the entries of one DisTable page: the paper's whole table.
@@ -92,7 +89,6 @@ func (t *DisTable) Lookup(b isa.BlockID) (uint8, bool) {
 	}
 	e := &p[i&(disPage-1)]
 	if e.tag != t.tagOf(b) {
-		t.Conflicts++
 		return 0, false
 	}
 	return e.offset, true
@@ -111,13 +107,6 @@ type Dis struct {
 	Base
 	*ConvBTB
 	tab *DisTable
-
-	// pending holds blocks whose replay waits for their fill to arrive.
-	pending map[isa.BlockID]struct{}
-
-	// Recorded counts table writes; Replay aggregates replay outcomes.
-	Recorded uint64
-	Replay   ReplayStats
 }
 
 // NewDis returns a standalone Dis design (paper: 4K entries, 4-bit tags).
@@ -125,7 +114,6 @@ func NewDis(entries int, tagBits uint, btbEntries int) *Dis {
 	return &Dis{
 		ConvBTB: NewConvBTB(btbEntries, 4),
 		tab:     NewDisTable(entries, tagBits),
-		pending: make(map[isa.BlockID]struct{}),
 	}
 }
 
@@ -135,7 +123,7 @@ func (*Dis) Name() string { return "Dis" }
 // RecordMiss implements the recording rule: on a cache miss, decode the last
 // two demanded instructions; if one is a branch, record its offset under the
 // block containing it. (Two instructions because of the SPARC delay slot.)
-func recordMiss(env Env, tab *DisTable, last2 [2]isa.Addr, recorded *uint64) {
+func recordMiss(env Env, tab *DisTable, last2 [2]isa.Addr) {
 	for _, pc := range last2 {
 		if pc == 0 {
 			continue
@@ -144,45 +132,37 @@ func recordMiss(env Env, tab *DisTable, last2 [2]isa.Addr, recorded *uint64) {
 		off := uint8(isa.ByteOffset(pc))
 		if br, ok := env.DecodeBranchAt(blk, off); ok {
 			tab.Record(blk, br.Offset)
-			*recorded++
 			return
 		}
 	}
 }
 
-// ReplayStats counts the outcomes of Dis replay attempts; the NotBranch
-// fraction of table hits quantifies the overprediction of tagless and
-// partially tagged tables (Figure 12).
-type ReplayStats struct {
-	Attempts  uint64 // replay invocations
+// replayStats counts the Dis replay outcomes the Figure 12 study reads
+// (Probes): the NotBranch fraction of table hits is the overprediction of
+// tagless and partially tagged tables.
+type replayStats struct {
 	TableHits uint64 // DisTable lookups that returned an offset
 	NotBranch uint64 // stored offset decoded to a non-branch (alias/stale)
-	NoTarget  uint64 // return/indirect whose target the BTB did not know
-	Replayed  uint64 // successful target extractions
-}
-
-// Overprediction returns the fraction of table hits that replayed garbage.
-func (s ReplayStats) Overprediction() float64 {
-	if s.TableHits == 0 {
-		return 0
-	}
-	return float64(s.NotBranch) / float64(s.TableHits)
 }
 
 // replayDis looks up the block's recorded discontinuity and extracts the
 // branch target through the pre-decoder. It returns the target block when a
-// prefetchable discontinuity was found.
-func replayDis(env Env, tab *DisTable, btb *ConvBTB, b isa.BlockID, st *ReplayStats) (isa.BlockID, bool) {
-	st.Attempts++
+// prefetchable discontinuity was found, and counts the outcome in st unless
+// st is nil.
+func replayDis(env Env, tab *DisTable, btb *ConvBTB, b isa.BlockID, st *replayStats) (isa.BlockID, bool) {
 	off, ok := tab.Lookup(b)
 	if !ok {
 		return 0, false
 	}
-	st.TableHits++
+	if st != nil {
+		st.TableHits++
+	}
 	br, ok := env.DecodeBranchAt(b, off)
 	if !ok {
 		// Stale or aliased entry: the decoded bytes are not a branch.
-		st.NotBranch++
+		if st != nil {
+			st.NotBranch++
+		}
 		return 0, false
 	}
 	target := br.Target
@@ -191,37 +171,29 @@ func replayDis(env Env, tab *DisTable, btb *ConvBTB, b isa.BlockID, st *ReplaySt
 		pc := isa.BlockBase(b) + isa.Addr(br.Offset)
 		t, hit := btb.BTB.Peek(pc)
 		if !hit {
-			st.NoTarget++
 			return 0, false
 		}
 		target = t.Target
 	}
-	st.Replayed++
 	return isa.BlockOf(target), true
 }
 
-// OnDemand implements Design.
+// OnDemand implements Design: a miss records its discontinuity, and its
+// replay waits for the block's bytes (OnFill); a hit replays at once.
 func (d *Dis) OnDemand(b isa.BlockID, hit bool, last2 [2]isa.Addr) {
 	if !hit {
-		recordMiss(d.E(), d.tab, last2, &d.Recorded)
-		// Replay must wait for the block's bytes.
-		d.pending[b] = struct{}{}
+		recordMiss(d.E(), d.tab, last2)
 		return
 	}
 	d.tryPrefetchTarget(b)
 }
 
 // OnFill implements Design.
-func (d *Dis) OnFill(b isa.BlockID, prefetch bool) {
-	if _, ok := d.pending[b]; ok {
-		delete(d.pending, b)
-	}
-	d.tryPrefetchTarget(b)
-}
+func (d *Dis) OnFill(b isa.BlockID, prefetch bool) { d.tryPrefetchTarget(b) }
 
 func (d *Dis) tryPrefetchTarget(b isa.BlockID) {
 	env := d.E()
-	tb, ok := replayDis(env, d.tab, d.ConvBTB, b, &d.Replay)
+	tb, ok := replayDis(env, d.tab, d.ConvBTB, b, nil)
 	if !ok {
 		return
 	}

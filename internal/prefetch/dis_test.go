@@ -55,7 +55,7 @@ func TestDisRecordScansBothDelaySlotCandidates(t *testing.T) {
 
 // TestDisReturnNeedsBTB pins the replay path for transfers without an
 // encoded target: a recorded return replays only once the BTB knows the
-// target, and the miss is counted in ReplayStats.NoTarget until then.
+// target.
 func TestDisReturnNeedsBTB(t *testing.T) {
 	env := newFakeEnv()
 	base := isa.Addr(0x10000)
@@ -71,9 +71,6 @@ func TestDisReturnNeedsBTB(t *testing.T) {
 	if len(env.issued) != 0 {
 		t.Fatalf("replayed a return with no BTB target: %v", env.issued)
 	}
-	if d.Replay.NoTarget != 1 {
-		t.Fatalf("NoTarget = %d, want 1", d.Replay.NoTarget)
-	}
 
 	// Once the BTB learns the return's target, replay issues it.
 	target := isa.Addr(0x30000)
@@ -82,50 +79,52 @@ func TestDisReturnNeedsBTB(t *testing.T) {
 	if !issuedSet(env.issued)[isa.BlockOf(target)] {
 		t.Fatalf("return target not prefetched after BTB training: %v", env.issued)
 	}
-	if d.Replay.Replayed != 1 {
-		t.Fatalf("Replayed = %d, want 1", d.Replay.Replayed)
-	}
 }
 
-// TestDisReplayStatsClassify pins the stat taxonomy over a table of replay
-// outcomes: no table entry, aliased entry decoding to a non-branch, and a
-// successful replay.
+// TestDisReplayStatsClassify pins the replay outcomes SN4L+Dis reports in its
+// Probes (the Figure 12 overprediction is ReplayNotBranch/ReplayTableHits)
+// over a table of replays of one block: no table entry, an aliased entry
+// decoding to a non-branch, and a successful replay.
 func TestDisReplayStatsClassify(t *testing.T) {
 	env := newFakeEnv()
 	base := isa.Addr(0x10000)
-	env.image = buildBranchImage(base, 0x20000)
-	d := NewDis(1024, 4, 2048)
-	d.Bind(env)
+	target := isa.Addr(0x20000)
+	env.image = buildBranchImage(base, target)
+	p := NewProactive(DefaultProactiveConfig())
+	p.Bind(env)
 	blk := isa.BlockOf(base)
-
 	env.install(blk)
-	d.OnDemand(blk, true, [2]isa.Addr{}) // no entry: attempt only
-	if d.Replay != (ReplayStats{Attempts: 1}) {
-		t.Fatalf("after table miss: %+v", d.Replay)
+	replay := func() (pr Probes) {
+		p.OnDemand(blk, true, [2]isa.Addr{})
+		for i := 0; i < 32 && !p.Quiescent(); i++ {
+			p.Tick()
+		}
+		p.AddProbes(&pr)
+		return pr
 	}
 
-	d.tab.Record(blk, 0) // offset 0 decodes to an ALU op
-	d.OnDemand(blk, true, [2]isa.Addr{})
-	if d.Replay.NotBranch != 1 || d.Replay.TableHits != 1 {
-		t.Fatalf("after stale entry: %+v", d.Replay)
+	if pr := replay(); pr != (Probes{}) {
+		t.Fatalf("after table miss: %+v", pr)
 	}
-	if d.Replay.Overprediction() != 1 {
-		t.Fatalf("overprediction = %v, want 1", d.Replay.Overprediction())
+	p.dis.Record(blk, 0) // offset 0 decodes to an ALU op
+	if pr := replay(); pr != (Probes{ReplayTableHits: 1, ReplayNotBranch: 1}) {
+		t.Fatalf("after stale entry: %+v, want one table hit, not a branch", pr)
 	}
-
-	d.tab.Record(blk, 12) // the real branch
-	d.OnDemand(blk, true, [2]isa.Addr{})
-	if d.Replay.Replayed != 1 {
-		t.Fatalf("after good entry: %+v", d.Replay)
+	if len(env.issued) != 0 {
+		t.Fatalf("a stale entry replayed into prefetches: %v", env.issued)
 	}
-	if d.Replay.Overprediction() != 0.5 {
-		t.Fatalf("overprediction = %v, want 0.5", d.Replay.Overprediction())
+	p.dis.Record(blk, 12) // the real branch
+	if pr := replay(); pr != (Probes{ReplayTableHits: 2, ReplayNotBranch: 1}) {
+		t.Fatalf("after good entry: %+v, want two table hits, one not a branch", pr)
+	}
+	if !issuedSet(env.issued)[isa.BlockOf(target)] {
+		t.Fatalf("good entry did not prefetch its target: %v", env.issued)
 	}
 }
 
-// TestDisPendingReplayDedup pins the deferred-replay queue: repeated misses
-// on the same block collapse to one pending entry, the fill drains it, and
-// later unrelated fills do not replay it again.
+// TestDisPendingReplayDedup pins the deferred replay: a miss leaves the
+// replay to the block's fill, so repeated misses on the same block probe and
+// issue nothing, and the fill replays once.
 func TestDisPendingReplayDedup(t *testing.T) {
 	env := newFakeEnv()
 	base := isa.Addr(0x10000)
@@ -138,14 +137,11 @@ func TestDisPendingReplayDedup(t *testing.T) {
 	d.tab.Record(blk, 12)
 	d.OnDemand(blk, false, [2]isa.Addr{})
 	d.OnDemand(blk, false, [2]isa.Addr{})
-	if len(d.pending) != 1 {
-		t.Fatalf("pending = %d entries, want 1", len(d.pending))
+	if env.lookups != 0 || len(env.issued) != 0 {
+		t.Fatalf("misses replayed before the fill: %d lookups, issued %v", env.lookups, env.issued)
 	}
 	env.fill(d, blk, false)
-	if len(d.pending) != 0 {
-		t.Fatal("fill did not drain the pending entry")
-	}
-	if !issuedSet(env.issued)[isa.BlockOf(target)] {
-		t.Fatalf("deferred replay missing: %v", env.issued)
+	if env.lookups != 1 || len(env.issued) != 1 || env.issued[0] != isa.BlockOf(target) {
+		t.Fatalf("fill replayed with %d lookups, issued %v; want one replay of the target", env.lookups, env.issued)
 	}
 }

@@ -20,10 +20,6 @@ type Discontinuity struct {
 
 	prevBlock isa.BlockID
 	havePrev  bool
-
-	// Recorded and Issued count table activity.
-	Recorded uint64
-	Issued   uint64
 }
 
 // NewDiscontinuity returns the conventional design. tagBits=0 models the
@@ -63,7 +59,6 @@ func (d *Discontinuity) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 		d.valid[i] = true
 		d.tags[i] = d.tagOf(d.prevBlock)
 		d.targets[i] = b
-		d.Recorded++
 	}
 	d.prevBlock, d.havePrev = b, true
 
@@ -71,9 +66,7 @@ func (d *Discontinuity) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 	if d.valid[i] && d.tags[i] == d.tagOf(b) {
 		t := d.targets[i]
 		if !env.L1iContains(t) && !env.InFlight(t) {
-			if env.IssuePrefetch(t) {
-				d.Issued++
-			}
+			env.IssuePrefetch(t)
 		}
 	}
 }

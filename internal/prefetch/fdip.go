@@ -29,11 +29,6 @@ type fdipWalk[R any] struct {
 
 	// budget is how many basic blocks the walk advances per cycle.
 	budget int
-
-	// ReactiveFills, Squashes and EnginePrefetches count walk activity.
-	ReactiveFills    uint64
-	Squashes         uint64
-	EnginePrefetches uint64
 }
 
 // newFDIPWalk returns a walk whose recorder hands committed basic blocks to
@@ -71,7 +66,6 @@ func (w *fdipWalk[R]) FTQGate(pc isa.Addr) bool {
 			return true
 		}
 		// The walk took a diverging path: squash and restart here.
-		w.Squashes++
 		w.restart(pc)
 		return false
 	}
@@ -178,8 +172,8 @@ func (w *fdipWalk[R]) enqueueSpan(start isa.Addr, e btb.BBEntry) {
 	size := max(isa.Addr(e.Size), 1)
 	for b, last := isa.BlockOf(start), isa.BlockOf(start+size-1); b <= last; b++ {
 		w.q.push(b)
-		if !env.L1iContains(b) && !env.InFlight(b) && env.IssuePrefetch(b) {
-			w.EnginePrefetches++
+		if !env.L1iContains(b) && !env.InFlight(b) {
+			env.IssuePrefetch(b)
 		}
 	}
 }

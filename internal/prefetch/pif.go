@@ -25,9 +25,6 @@ type PIF struct {
 	curTrigger isa.BlockID
 	curBits    uint16
 	haveCur    bool
-
-	// RegionsLogged counts regions appended to the history.
-	RegionsLogged uint64
 }
 
 // pifRegionSpan is the neighborhood a region covers: the trigger block plus
@@ -72,7 +69,6 @@ func (p *PIF) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 			return
 		}
 		p.record(p.curTrigger, pifRegion{trigger: p.curTrigger, bits: p.curBits})
-		p.RegionsLogged++
 	}
 	p.curTrigger = b
 	p.curBits = 1 << pifRegionBefore

@@ -35,12 +35,12 @@ func TestPIFRegionSpanMatrix(t *testing.T) {
 			p.Bind(newFakeEnv())
 			pifRetire(p, 100)
 			pifRetire(p, tc.next)
-			wantLogged := uint64(1)
+			wantLogged := 1
 			if tc.folded {
 				wantLogged = 0
 			}
-			if p.RegionsLogged != wantLogged {
-				t.Fatalf("RegionsLogged = %d, want %d", p.RegionsLogged, wantLogged)
+			if p.histPos != wantLogged {
+				t.Fatalf("history holds %d regions, want %d", p.histPos, wantLogged)
 			}
 		})
 	}
@@ -167,7 +167,7 @@ func TestPIFIndexTagFiltersAliases(t *testing.T) {
 	}
 	alias := isa.BlockID(5 + (1 << 14)) // same index slot (low 6 bits), different tag
 	p.OnDemand(alias, false, [2]isa.Addr{})
-	if p.StreamStarts != 0 {
+	if p.streamLive || len(env.issued) != 0 {
 		t.Fatal("aliased trigger started a stream across the tag boundary")
 	}
 }

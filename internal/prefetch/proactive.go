@@ -61,8 +61,6 @@ type boundedQueue struct {
 	head int
 	n    int
 	cap  int
-	// Drops counts items lost to overflow.
-	Drops uint64
 }
 
 func newBoundedQueue(capacity int) *boundedQueue {
@@ -73,7 +71,6 @@ func (q *boundedQueue) len() int { return q.n }
 
 func (q *boundedQueue) push(it qItem) {
 	if q.n >= q.cap {
-		q.Drops++
 		return
 	}
 	i := q.head + q.n
@@ -154,13 +151,8 @@ type Proactive struct {
 	// discontinuity prefetch says nothing about sequential usefulness).
 	disIssued map[isa.BlockID]struct{}
 
-	// Statistics.
-	Recorded   uint64
-	Replay     ReplayStats
-	SeqIssued  uint64
-	DisIssued  uint64
-	PBFills    uint64
-	RLUFilters uint64
+	// replay counts the Dis replay outcomes its Probes report.
+	replay replayStats
 }
 
 // NewProactive builds the combined design. With WithBTBPrefetch it is the
@@ -195,8 +187,8 @@ func NewProactive(cfg ProactiveConfig) *Proactive {
 
 // AddProbes implements Prober.
 func (p *Proactive) AddProbes(pr *Probes) {
-	pr.ReplayTableHits += p.Replay.TableHits
-	pr.ReplayNotBranch += p.Replay.NotBranch
+	pr.ReplayTableHits += p.replay.TableHits
+	pr.ReplayNotBranch += p.replay.NotBranch
 }
 
 // Bind implements Design, additionally capturing the environment's trace
@@ -224,9 +216,9 @@ func (p *Proactive) Name() string {
 // triggering at depth zero.
 func (p *Proactive) OnDemand(b isa.BlockID, hit bool, last2 [2]isa.Addr) {
 	env := p.E()
-	p.seq.onDemand(env, b, hit, nil)
+	p.seq.onDemand(env, b, hit)
 	if !hit {
-		recordMiss(env, p.dis, last2, &p.Recorded)
+		recordMiss(env, p.dis, last2)
 	}
 	// The demanded block was, by definition, just looked up.
 	p.rlu.Insert(b)
@@ -267,11 +259,6 @@ func (p *Proactive) OnEvict(ev cache.Evicted) {
 // candidates were derived from observed accesses and stay valid across
 // redirects (prefetching is not architectural state).
 func (p *Proactive) OnRedirect(isa.Addr) {}
-
-// QueueDrops reports items lost to queue overflow (harness probe).
-func (p *Proactive) QueueDrops() (seq, dis, rlu uint64) {
-	return p.seqQ.Drops, p.disQ.Drops, p.rluQ.Drops
-}
 
 // Quiescent implements Quiescer: with all three queues empty every step of
 // Tick is a failed pop, mutating nothing and probing nothing.
@@ -337,12 +324,9 @@ func (p *Proactive) stepDis() {
 func (p *Proactive) decodeBlock(b isa.BlockID, depth int) {
 	env := p.E()
 	if p.cfg.WithBTBPrefetch {
-		if brs := env.Predecode(b); len(brs) > 0 {
-			p.PB.Fill(b, brs)
-			p.PBFills++
-		}
+		p.PB.Fill(b, env.Predecode(b))
 	}
-	if tb, ok := replayDis(env, p.dis, p.ConvBTB, b, &p.Replay); ok {
+	if tb, ok := replayDis(env, p.dis, p.ConvBTB, b, &p.replay); ok {
 		if p.sink != nil {
 			p.sink.TraceDiscontinuity(tb)
 		}
@@ -359,21 +343,13 @@ func (p *Proactive) stepRLU() {
 		return
 	}
 	if p.rlu.Contains(it.block) {
-		p.RLUFilters++
 		return
 	}
 	p.rlu.Insert(it.block)
 	env := p.E()
 	if !env.L1iContains(it.block) && !env.InFlight(it.block) {
-		if env.IssuePrefetch(it.block) {
-			if it.fromDis {
-				p.DisIssued++
-				if len(p.disIssued) < 4096 {
-					p.disIssued[it.block] = struct{}{}
-				}
-			} else {
-				p.SeqIssued++
-			}
+		if env.IssuePrefetch(it.block) && it.fromDis && len(p.disIssued) < 4096 {
+			p.disIssued[it.block] = struct{}{}
 		}
 	}
 	nd := it.depth + 1

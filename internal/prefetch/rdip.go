@@ -22,10 +22,6 @@ type RDIP struct {
 	ras []isa.Addr
 
 	sig uint64
-
-	// Recorded and Issued count miss-table activity.
-	Recorded uint64
-	Issued   uint64
 }
 
 // rdipBlocksPerSig bounds the miss set stored per signature (RDIP's miss
@@ -96,7 +92,6 @@ func (d *RDIP) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 		e.blocks[e.next] = b
 		e.next = (e.next + 1) % rdipBlocksPerSig
 	}
-	d.Recorded++
 }
 
 // OnRetire implements Retirer: calls and returns switch the signature and
@@ -129,9 +124,7 @@ func (d *RDIP) prefetchSet(sig uint64) {
 		if env.L1iContains(b) || env.InFlight(b) {
 			continue
 		}
-		if env.IssuePrefetch(b) {
-			d.Issued++
-		}
+		env.IssuePrefetch(b)
 	}
 }
 

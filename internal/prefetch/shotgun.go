@@ -41,11 +41,6 @@ type Shotgun struct {
 		isRet bool
 	}
 	fpStack []isa.Addr // call-site owners awaiting their return footprint
-
-	// FootprintPrefetch and ProactivePrefills count footprint prefetches
-	// and pre-decoded branches installed.
-	FootprintPrefetch uint64
-	ProactivePrefills uint64
 }
 
 type shotgunRASEntry struct {
@@ -232,7 +227,6 @@ func (d *Shotgun) repair(b isa.BlockID) {
 		d.sb.NoteResolvedUncond()
 	}
 	d.prefillBB(d.walkPC, e)
-	d.ReactiveFills++
 	d.consume(d.walkPC, e, nil)
 }
 
@@ -254,7 +248,6 @@ func (d *Shotgun) proactivePrefill(b isa.BlockID) {
 		}
 		d.prefillBB(start, e)
 		start = base + isa.Addr(br.Offset) + isa.FixedSize
-		d.ProactivePrefills++
 	}
 }
 
@@ -335,9 +328,7 @@ func (d *Shotgun) prefetchFootprint(fp btb.Footprint, base isa.BlockID) {
 		if env.L1iContains(blk) || env.InFlight(blk) {
 			continue
 		}
-		if env.IssuePrefetch(blk) {
-			d.FootprintPrefetch++
-		}
+		env.IssuePrefetch(blk)
 	}
 }
 

@@ -99,18 +99,14 @@ func (t *SeqTable) Nibble(b isa.BlockID) uint8 {
 
 // onDemand is the training rule SN4L and the proactive design share: a miss
 // marks b useful, and so does a demand hit consuming a prefetch (clearing
-// its flag, and counting it in useful when that is non-nil). It returns b's
-// line, nil on a miss.
-func (t *SeqTable) onDemand(env Env, b isa.BlockID, hit bool, useful *uint64) (line *cache.Line) {
+// its flag). It returns b's line, nil on a miss.
+func (t *SeqTable) onDemand(env Env, b isa.BlockID, hit bool) (line *cache.Line) {
 	if hit {
 		line = env.L1iLine(b)
 		if line.Flags&cache.FlagPrefetched == 0 {
 			return line
 		}
 		line.Flags &^= cache.FlagPrefetched
-		if useful != nil {
-			*useful++
-		}
 	}
 	t.Set(b)
 	t.refreshLocal(env, b)
@@ -166,11 +162,6 @@ type SN4L struct {
 	Base
 	*ConvBTB
 	seq *SeqTable
-
-	// UsefulHits counts demand hits on prefetched lines; Issued counts
-	// prefetches sent.
-	UsefulHits uint64
-	Issued     uint64
 }
 
 // NewSN4L returns a standalone SN4L design. seqEntries is the SeqTable size
@@ -186,7 +177,7 @@ func (*SN4L) Name() string { return "SN4L" }
 // subsequents.
 func (d *SN4L) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 	env := d.E()
-	line := d.seq.onDemand(env, b, hit, &d.UsefulHits)
+	line := d.seq.onDemand(env, b, hit)
 	var nib uint8
 	if line != nil {
 		nib = line.Aux
@@ -203,9 +194,7 @@ func (d *SN4L) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 		if env.L1iContains(nb) || env.InFlight(nb) {
 			continue
 		}
-		if env.IssuePrefetch(nb) {
-			d.Issued++
-		}
+		env.IssuePrefetch(nb)
 	}
 }
 

@@ -75,8 +75,8 @@ func TestSN4LDedupAgainstCacheState(t *testing.T) {
 	if !got[101] || !got[104] {
 		t.Fatalf("free candidates not issued: %v", env.issued)
 	}
-	if d.Issued != 2 {
-		t.Fatalf("Issued = %d, want 2", d.Issued)
+	if len(env.issued) != 2 {
+		t.Fatalf("issued %v, want exactly [101 104]", env.issued)
 	}
 }
 
@@ -99,18 +99,25 @@ func TestSN4LMissMarksSelfUseful(t *testing.T) {
 	}
 }
 
-// TestSN4LUsefulHitCounter pins the UsefulHits statistic: only demand hits
-// on still-tagged prefetched lines count, and each line counts once.
+// TestSN4LUsefulHitCounter pins the useful-hit rule: only demand hits on
+// still-tagged prefetched lines count as useful, re-arming the block's
+// SeqTable entry, and each line counts once (the hit consumes its tag).
 func TestSN4LUsefulHitCounter(t *testing.T) {
 	env := newFakeEnv()
 	d := NewSN4L(1024, 2048)
 	d.Bind(env)
 	l := env.install(300)
 	l.Flags |= cache.FlagPrefetched
+	d.seq.Reset(300)
 	d.OnDemand(300, true, [2]isa.Addr{})
+	if l.Flags&cache.FlagPrefetched != 0 || !d.seq.Get(300) {
+		t.Fatalf("useful hit: flags %#x, entry set %v; want the tag consumed and the entry re-armed",
+			l.Flags, d.seq.Get(300))
+	}
+	d.seq.Reset(300)
 	d.OnDemand(300, true, [2]isa.Addr{}) // flag already consumed
-	if d.UsefulHits != 1 {
-		t.Fatalf("UsefulHits = %d, want 1", d.UsefulHits)
+	if d.seq.Get(300) {
+		t.Fatal("a hit on a consumed line counted as useful again")
 	}
 }
 

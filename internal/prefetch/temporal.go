@@ -34,10 +34,6 @@ type temporalStream[R streamRecord] struct {
 
 	// blocks is the replay's expansion buffer, sized for the widest record.
 	blocks [pifRegionBits]isa.BlockID
-
-	// StreamStarts and StreamPrefetches count replay activity.
-	StreamStarts     uint64
-	StreamPrefetches uint64
 }
 
 // streamRecord is one history record of a temporalStream.
@@ -98,7 +94,6 @@ func (s *temporalStream[R]) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 	if i, tag := s.slot(b); s.idxValid[i] && s.idxTag[i] == tag {
 		s.streamPos = int(s.idxPos[i])
 		s.streamLive = true
-		s.StreamStarts++
 		s.advance(s.lookahead)
 	}
 }
@@ -124,9 +119,7 @@ func (s *temporalStream[R]) advance(n int) {
 			if env.L1iContains(b) || env.InFlight(b) {
 				continue
 			}
-			if env.IssuePrefetch(b) {
-				s.StreamPrefetches++
-			}
+			env.IssuePrefetch(b)
 		}
 	}
 }

@@ -221,8 +221,9 @@ var retryAfterRand = rand.Float64
 
 // retryAfterSeconds converts the queue backlog into an equal-jittered
 // Retry-After: half the backlog-scaled estimate guaranteed, half uniformly
-// random, never below one second — the same shape as the runner's retry
-// backoff, for the same reason (no synchronized stampedes).
+// random, never below one second — the same equal jitter as
+// httpx.RetryClient's retry delays, for the same reason (no synchronized
+// stampedes).
 func retryAfterSeconds(backlog int, rnd func() float64) int {
 	base := 1 + backlog
 	half := float64(base) / 2

@@ -459,7 +459,7 @@ func TestWorkerPlaneFaultChaos(t *testing.T) {
 		e.startWorker(worker.Options{
 			Name:     fmt.Sprintf("chaotic-%d", i),
 			Capacity: 2,
-			Client:   &httpx.RetryClient{C: &http.Client{Transport: tr}, Retries: 6, Backoff: 5 * time.Millisecond},
+			Client:   &httpx.RetryClient{C: &http.Client{Transport: tr}, Retries: 6, Sleep: shortRetryWait},
 		})
 	}
 	waitFor(t, "workers live", func() bool { return e.srv.Stats().WorkersLive >= 1 })
@@ -480,6 +480,20 @@ func TestWorkerPlaneFaultChaos(t *testing.T) {
 	}
 	t.Logf("chaos run: admitted=%d dup=%d rejected=%d reassigned=%d",
 		st.RemoteAdmitted, st.RemoteDuplicates, st.RemoteRejected, st.Reassigned)
+}
+
+// shortRetryWait is a RetryClient Sleep that waits a fixed 5 ms, whatever
+// delay the client's backoff asks for, so retries through a lossy transport
+// stay quick.
+func shortRetryWait(ctx context.Context, _ time.Duration) error {
+	t := time.NewTimer(5 * time.Millisecond)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // TestCompleteAdmissionVerification exercises the upload admission gate
