@@ -218,13 +218,9 @@ func runVerify(entries []prefetch.CatalogEntry, p wl.Params, cores int, warm, me
 	for _, e := range entries {
 		for s := int64(1); s <= int64(seeds); s++ {
 			_, rep, err := difftest.Run(ctx, difftest.Options{
-				Workload:  p,
-				Seed:      s,
-				NewDesign: e.New,
-				Cores:     cores,
-				Warm:      warm,
-				Measure:   measure,
-				Strict:    true,
+				RunConfig: sim.RunConfig{Workload: p, Seed: s, NewDesign: e.New,
+					Cores: cores, WarmCycles: warm, MeasureCycles: measure},
+				Strict: true,
 			})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dncsim: verify %s seed %d: %v\n", e.Name, s, err)

@@ -49,17 +49,17 @@ func NextBlockPredictability(workload string) float64 {
 		if c.Access(b) != nil {
 			continue
 		}
-		_, ev, evicted := c.Insert(b)
+		_, victim, _, evicted := c.Insert(b)
 		if evicted {
-			if pat, ok := cur[ev.Block]; ok {
-				if old, ok2 := last[ev.Block]; ok2 {
+			if pat, ok := cur[victim]; ok {
+				if old, ok2 := last[victim]; ok2 {
 					comparisons++
 					if old == *pat {
 						matches++
 					}
 				}
-				last[ev.Block] = *pat
-				delete(cur, ev.Block)
+				last[victim] = *pat
+				delete(cur, victim)
 			}
 		}
 		z := uint8(0)
@@ -90,9 +90,7 @@ func DiscontinuityPredictability(workload string) float64 {
 		w.Next(&s)
 		b := isa.BlockOf(s.Inst.PC)
 		if !haveLast || b != prevBlock {
-			miss := c.Access(b) == nil
-			if miss {
-				c.Insert(b)
+			if !c.AccessOrInsert(b) {
 				if haveLast && b != prevBlock+1 && prevWasBranch {
 					// Discontinuity miss caused by the previous branch.
 					brBlock := isa.BlockOf(prevPC)

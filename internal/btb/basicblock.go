@@ -1,6 +1,9 @@
 package btb
 
-import "dnc/internal/isa"
+import (
+	"dnc/internal/cache"
+	"dnc/internal/isa"
+)
 
 // Boomerang uses a basic-block-oriented BTB: entries are tagged by the
 // basic block's start address and describe where the block ends and how it
@@ -26,12 +29,8 @@ type BBEntry struct {
 // Fallthrough returns the address immediately after the basic block.
 func (e BBEntry) Fallthrough(start isa.Addr) isa.Addr { return start + isa.Addr(e.Size) }
 
-// BBBTB is the basic-block-oriented BTB.
-type BBBTB struct {
-	*Table[BBEntry]
-}
+// BBBTB is the basic-block-oriented BTB, keyed by basic-block start.
+type BBBTB = cache.Table[isa.Addr, BBEntry]
 
 // NewBBBTB returns a basic-block BTB with the given entries and ways.
-func NewBBBTB(entries, ways int) *BBBTB {
-	return &BBBTB{Table: NewTable[BBEntry](entries, ways)}
-}
+func NewBBBTB(entries, ways int) *BBBTB { return cache.NewTable[BBEntry](entries, ways) }

@@ -3,15 +3,16 @@ package btb
 import (
 	"testing"
 
+	"dnc/internal/cache"
 	"dnc/internal/isa"
 )
 
 func TestTableLookupInsert(t *testing.T) {
-	tb := NewTable[int](8, 2)
+	tb := cache.NewTable[int](8, 2)
 	if _, ok := tb.Lookup(0x100); ok {
 		t.Fatal("hit in empty table")
 	}
-	tb.Insert(0x100, 42)
+	tb.Put(0x100, 42)
 	v, ok := tb.Lookup(0x100)
 	if !ok || v != 42 {
 		t.Fatalf("lookup = %d, %v", v, ok)
@@ -19,24 +20,24 @@ func TestTableLookupInsert(t *testing.T) {
 }
 
 func TestTableLRUWithinSet(t *testing.T) {
-	tb := NewTable[int](4, 2) // 2 sets, 2 ways; keys shifted by 2 in setOf
+	tb := cache.NewTable[int](4, 2) // 2 sets, 2 ways; keys shifted by 2 in setOf
 	// Keys mapping to set 0: (key>>2) even.
 	k := func(i int) isa.Addr { return isa.Addr(i << 3) } // (i<<3)>>2 = i<<1, always even
-	tb.Insert(k(1), 1)
-	tb.Insert(k(2), 2)
+	tb.Put(k(1), 1)
+	tb.Put(k(2), 2)
 	tb.Lookup(k(1)) // protect 1
-	evicted, was := tb.Insert(k(3), 3)
+	evicted, was := tb.Put(k(3), 3)
 	if !was || evicted != k(2) {
 		t.Fatalf("evicted %#x, want %#x", evicted, k(2))
 	}
 }
 
 func TestTableUpdate(t *testing.T) {
-	tb := NewTable[int](4, 2)
+	tb := cache.NewTable[int](4, 2)
 	if tb.Update(0x10, 9) {
 		t.Fatal("update of absent key succeeded")
 	}
-	tb.Insert(0x10, 1)
+	tb.Put(0x10, 1)
 	if !tb.Update(0x10, 9) {
 		t.Fatal("update failed")
 	}
@@ -46,8 +47,8 @@ func TestTableUpdate(t *testing.T) {
 }
 
 func TestTableInvalidate(t *testing.T) {
-	tb := NewTable[int](4, 2)
-	tb.Insert(0x10, 1)
+	tb := cache.NewTable[int](4, 2)
+	tb.Put(0x10, 1)
 	if !tb.Invalidate(0x10) || tb.Invalidate(0x10) {
 		t.Fatal("invalidate misbehaved")
 	}
@@ -58,7 +59,7 @@ func TestConventionalBTB(t *testing.T) {
 	if b.Entries() != 2048 {
 		t.Fatalf("entries = %d", b.Entries())
 	}
-	b.Insert(0x1234, Entry{Kind: isa.KindJump, Target: 0x9000})
+	b.Put(0x1234, Entry{Kind: isa.KindJump, Target: 0x9000})
 	e, ok := b.Lookup(0x1234)
 	if !ok || e.Target != 0x9000 || e.Kind != isa.KindJump {
 		t.Fatalf("entry = %+v, %v", e, ok)
@@ -216,19 +217,19 @@ func TestTablePeekLeavesRecency(t *testing.T) {
 	k := func(i int) isa.Addr { return isa.Addr(i << 3) } // all in set 0
 	for _, tc := range []struct {
 		name    string
-		touch   func(*Table[int], isa.Addr) (int, bool)
+		touch   func(*cache.Table[isa.Addr, int], isa.Addr) (int, bool)
 		evicted isa.Addr
 	}{
-		{"peek", (*Table[int]).Peek, k(1)},
-		{"lookup", (*Table[int]).Lookup, k(2)},
+		{"peek", (*cache.Table[isa.Addr, int]).Peek, k(1)},
+		{"lookup", (*cache.Table[isa.Addr, int]).Lookup, k(2)},
 	} {
-		tb := NewTable[int](4, 2) // 2 sets, 2 ways
-		tb.Insert(k(1), 1)
-		tb.Insert(k(2), 2)
+		tb := cache.NewTable[int](4, 2) // 2 sets, 2 ways
+		tb.Put(k(1), 1)
+		tb.Put(k(2), 2)
 		if v, ok := tc.touch(tb, k(1)); !ok || v != 1 {
 			t.Fatalf("%s of a resident key = %d, %v", tc.name, v, ok)
 		}
-		if got, was := tb.Insert(k(3), 3); !was || got != tc.evicted {
+		if got, was := tb.Put(k(3), 3); !was || got != tc.evicted {
 			t.Fatalf("after a %s of %#x the full set evicted %#x, want %#x", tc.name, k(1), got, tc.evicted)
 		}
 	}
@@ -242,7 +243,7 @@ func TestTableBadGeometryPanics(t *testing.T) {
 					t.Errorf("geometry %v accepted", g)
 				}
 			}()
-			NewTable[int](g.e, g.w)
+			cache.NewTable[int](g.e, g.w)
 		}()
 	}
 }
@@ -250,7 +251,7 @@ func TestTableBadGeometryPanics(t *testing.T) {
 func TestBBBTBRoundTrip(t *testing.T) {
 	b := NewBBBTB(64, 2)
 	e := BBEntry{Size: 20, Kind: isa.KindCall, BranchPC: 0x110, Target: 0x900}
-	b.Insert(0x100, e)
+	b.Put(0x100, e)
 	got, ok := b.Lookup(0x100)
 	if !ok || got != e {
 		t.Fatalf("lookup = %+v, %v", got, ok)

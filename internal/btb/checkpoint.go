@@ -5,29 +5,6 @@ import (
 	"dnc/internal/isa"
 )
 
-// State walks the table's full state. val walks one payload value; every
-// BTB organization supplies its own. Table geometry must match.
-func (t *Table[V]) State(c *checkpoint.Codec, val func(*checkpoint.Codec, *V)) {
-	c.Begin("table")
-	c.Fixed("BTB table sets", t.sets)
-	c.Fixed("BTB table ways", t.ways)
-	c.U64(&t.clock)
-	for i := range t.lines {
-		l := &t.lines[i]
-		checkpoint.Word(c, &l.key)
-		c.Bool(&l.valid)
-		c.U64(&l.lru)
-		val(c, &l.val)
-		if c.Loading() {
-			t.tags[i] = 0
-			if l.valid {
-				t.tags[i] = tagKey(l.key)
-			}
-		}
-	}
-	c.End()
-}
-
 // Payload walkers for the BTB organizations.
 
 // EntryState walks a conventional BTB payload.
@@ -65,12 +42,6 @@ func ubbEntryState(c *checkpoint.Codec, v *UBBEntry) {
 	c.U8(&v.RetFP.Bits)
 	c.Bool(&v.HasFP)
 }
-
-// State walks the conventional BTB.
-func (b *BTB) State(c *checkpoint.Codec) { b.Table.State(c, EntryState) }
-
-// State walks the basic-block BTB.
-func (b *BBBTB) State(c *checkpoint.Codec) { b.Table.State(c, BBEntryState) }
 
 // State walks the prefetch buffer.
 func (p *PrefetchBuffer) State(c *checkpoint.Codec) { p.table.State(c, BranchesState) }

@@ -1,6 +1,9 @@
 package btb
 
-import "dnc/internal/isa"
+import (
+	"dnc/internal/cache"
+	"dnc/internal/isa"
+)
 
 // Shotgun (Kumar et al., ASPLOS 2018) splits a basic-block-oriented BTB
 // into three structures: most of the storage goes to basic blocks ending in
@@ -76,9 +79,9 @@ type UBBInfo = BBEntry
 // ShotgunBTB bundles the three structures. All are keyed by basic-block
 // start address.
 type ShotgunBTB struct {
-	U   *Table[UBBEntry]
-	C   *Table[BBEntry]
-	RIB *Table[BBEntry]
+	U   *cache.Table[isa.Addr, UBBEntry]
+	C   *BBBTB
+	RIB *BBBTB
 
 	// Footprint accounting for Figure 1: a footprint miss is a U-BTB
 	// lookup that either misses entirely or hits an entry without
@@ -114,9 +117,9 @@ func NewShotgun(percent int) *ShotgunBTB {
 		return sets * ways
 	}
 	return &ShotgunBTB{
-		U:   NewTable[UBBEntry](scale(shotgunUEntries, shotgunUWays), shotgunUWays),
-		C:   NewTable[BBEntry](scale(shotgunCEntries, shotgunCWays), shotgunCWays),
-		RIB: NewTable[BBEntry](scale(shotgunREntries, shotgunRWays), shotgunRWays),
+		U:   cache.NewTable[UBBEntry](scale(shotgunUEntries, shotgunUWays), shotgunUWays),
+		C:   NewBBBTB(scale(shotgunCEntries, shotgunCWays), shotgunCWays),
+		RIB: NewBBBTB(scale(shotgunREntries, shotgunRWays), shotgunRWays),
 	}
 }
 
@@ -157,7 +160,7 @@ func (s *ShotgunBTB) CommitU(start isa.Addr, e UBBEntry) {
 		e.HasFP = e.HasFP || old.HasFP
 	}
 	e.HasFP = e.HasFP || !e.CallFP.Empty() || !e.RetFP.Empty()
-	s.U.Insert(start, e)
+	s.U.Put(start, e)
 }
 
 // UpdateFootprints merges footprints into an existing entry without
@@ -182,5 +185,5 @@ func (s *ShotgunBTB) PrefillU(start isa.Addr, bb BBEntry) {
 	if _, ok := s.U.Peek(start); ok {
 		return // never downgrade a constructed entry
 	}
-	s.U.Insert(start, UBBEntry{BB: bb})
+	s.U.Put(start, UBBEntry{BB: bb})
 }

@@ -1,6 +1,7 @@
-// Package cache implements the set-associative caches of the memory
-// hierarchy: a generic LRU cache with per-line metadata hooks (prefetch
-// flags, SN4L's 4-bit local prefetch status) and a miss-status holding
+// Package cache implements the set-associative structures of the frontend
+// and the memory hierarchy: one generic LRU table that is the L1 caches
+// (with per-line metadata hooks — prefetch flags, SN4L's 4-bit local
+// prefetch status) and every BTB organization, and a miss-status holding
 // register (MSHR) file that merges demand requests into in-flight prefetches
 // — the mechanism behind partially covered miss latency (the paper's CMAL
 // and FSCR metrics).
@@ -13,6 +14,37 @@ import (
 	"dnc/internal/isa"
 )
 
+// Table is a set-associative LRU table keyed by K, generic over the
+// payload type V. It is the L1i and L1d (Cache) and the building block of
+// every BTB organization.
+//
+// A line is three packed words and a payload: its tag (key<<1|1, 0 = empty
+// way) — the only copy of the line's key and valid bit —, its recency clock
+// (0 = empty; the clock starts at 1) and its V. A lookup scans contiguous
+// tags instead of striding across payload-sized records, and a fill picks
+// its victim in the same scan: empty ways carry recency 0, so the leftmost
+// minimum is the first-empty-else-LRU way.
+type Table[K ~uint64, V any] struct {
+	sets  int
+	ways  int
+	shift uint   // index rule: set = key>>shift & (sets-1)
+	tag   string // checkpoint section tag
+	tags  []uint64
+	lrus  []uint64
+	vals  []V
+	hints []uint8 // last way a lookup hit per set — a guess, checked against tags
+	clock uint64
+}
+
+// Line is the payload of an L1 cache line.
+type Line struct {
+	// Flags holds Flag* bits.
+	Flags uint8
+	// Aux is free per-line metadata; SN4L stores its 4-bit local prefetch
+	// status here.
+	Aux uint8
+}
+
 // Line flag bits.
 const (
 	// FlagPrefetched marks a line brought in by a prefetcher and not yet
@@ -23,244 +55,254 @@ const (
 	FlagInstruction
 )
 
-// Line is the client-visible state of one resident cache line.
-type Line struct {
-	tag   isa.BlockID
-	valid bool
-	// Flags holds Flag* bits.
-	Flags uint8
-	// Aux is free per-line metadata; SN4L stores its 4-bit local prefetch
-	// status here.
-	Aux uint8
-}
+// Cache is an L1 cache: a table of 64-byte blocks indexed by block number.
+type Cache = Table[isa.BlockID, Line]
 
-// Block returns the block resident in the line.
-func (l *Line) Block() isa.BlockID { return l.tag }
-
-// Evicted describes a victim line returned by Insert.
+// Evicted describes an L1 victim line, as designs are told of it.
 type Evicted struct {
 	Block isa.BlockID
 	Flags uint8
 	Aux   uint8
 }
 
-// Cache is a set-associative LRU cache operating on 64-byte block IDs.
-//
-// Residency tags and recency clocks live in packed side arrays (one word
-// per way each) separate from the Line metadata: a find scans contiguous
-// words instead of striding across 16-byte Line records, and Insert's
-// victim selection is one more contiguous scan (invalid ways carry recency
-// 0, so the leftmost minimum is the first-invalid-else-LRU way). The tag
-// array mirrors each line's tag and valid bit, maintained by every line
-// write and rebuilt when State loads; the recency array is the lines' only
-// LRU state.
-type Cache struct {
-	sets  int
-	ways  int
-	lines []Line
-	tags  []uint64 // tagKey(block) per line; 0 = invalid
-	lrus  []uint64 // recency clock per line; 0 = invalid (clock starts at 1)
-	hints []uint8  // last way find/Access hit per set — a guess, verified on use
-	clock uint64
-}
-
-// tagKey packs a block and an always-set valid bit into one comparable word,
-// so find is a single equality test per way and an invalid slot (0) can
-// never match a probe.
-func tagKey(b isa.BlockID) uint64 { return uint64(b)<<1 | 1 }
-
-// New returns a cache of the given total size and associativity. Size must
-// be a multiple of ways*64 and the resulting set count a power of two.
+// New returns an L1 cache of the given total size and associativity. Size
+// must be a multiple of ways*64 and the resulting set count a power of two.
 func New(sizeBytes, ways int) *Cache {
 	if sizeBytes <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache: bad geometry size=%d ways=%d", sizeBytes, ways))
 	}
-	blocks := sizeBytes / isa.BlockBytes
-	sets := blocks / ways
+	sets := sizeBytes / isa.BlockBytes / ways
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two (size=%d ways=%d)",
 			sets, sizeBytes, ways))
 	}
-	return &Cache{sets: sets, ways: ways, lines: make([]Line, sets*ways),
-		tags: make([]uint64, sets*ways), lrus: make([]uint64, sets*ways),
+	return newTable[isa.BlockID, Line](sets, ways, 0, "cache")
+}
+
+// NewTable returns a PC-keyed table with the given total entries and
+// associativity, indexed by key>>2 (instruction granularity).
+func NewTable[V any](entries, ways int) *Table[isa.Addr, V] {
+	if entries <= 0 || ways <= 0 || entries%ways != 0 {
+		panic("cache: bad table geometry")
+	}
+	sets := entries / ways
+	if sets&(sets-1) != 0 {
+		panic("cache: table set count must be a power of two")
+	}
+	return newTable[isa.Addr, V](sets, ways, 2, "table")
+}
+
+func newTable[K ~uint64, V any](sets, ways int, shift uint, tag string) *Table[K, V] {
+	n := sets * ways
+	return &Table[K, V]{sets: sets, ways: ways, shift: shift, tag: tag,
+		tags: make([]uint64, n), lrus: make([]uint64, n), vals: make([]V, n),
 		hints: make([]uint8, sets)}
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+// tagOf packs a key and an always-set valid bit into one comparable word,
+// so a probe is a single equality test per way and an empty way (0) never
+// matches.
+func tagOf[K ~uint64](key K) uint64 { return uint64(key)<<1 | 1 }
+
+// Entries returns the capacity.
+func (t *Table[K, V]) Entries() int { return t.sets * t.ways }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
+func (t *Table[K, V]) Ways() int { return t.ways }
 
-// SizeBytes returns the capacity in bytes.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * isa.BlockBytes }
+func (t *Table[K, V]) setOf(key K) int { return int(uint64(key) >> t.shift & uint64(t.sets-1)) }
 
-func (c *Cache) setOf(b isa.BlockID) int { return int(uint64(b) & uint64(c.sets-1)) }
-
-// findIdx returns the line index holding b, or -1. The per-set MRU hint
-// short-circuits the way scan for re-probes of a recently found block; a
-// hint is only a guess, verified against the tag mirror, so a stale one
-// costs a scan but can never misidentify a line.
-func (c *Cache) findIdx(b isa.BlockID) int {
-	si := c.setOf(b)
-	s := si * c.ways
-	key := tagKey(b)
-	if h := int(c.hints[si]); h < c.ways && c.tags[s+h] == key {
+// find returns the line index holding key, or -1. The per-set MRU hint
+// short-circuits the way scan for re-probes of a recently found key; a
+// stale hint costs a scan but can never misidentify a line.
+func (t *Table[K, V]) find(key K) int {
+	si := t.setOf(key)
+	s := si * t.ways
+	k := tagOf(key)
+	if h := int(t.hints[si]); h < t.ways && t.tags[s+h] == k {
 		return s + h
 	}
-	for i, t := range c.tags[s : s+c.ways] {
-		if t == key {
-			c.hints[si] = uint8(i)
+	for i, tg := range t.tags[s : s+t.ways] {
+		if tg == k {
+			t.hints[si] = uint8(i)
 			return s + i
 		}
 	}
 	return -1
 }
 
-// find returns the line holding b, or nil.
-func (c *Cache) find(b isa.BlockID) *Line {
-	if i := c.findIdx(b); i >= 0 {
-		return &c.lines[i]
+// touch makes line i the most recently used.
+func (t *Table[K, V]) touch(i int) {
+	t.clock++
+	t.lrus[i] = t.clock
+}
+
+// Contains reports residency without touching recency (a "peek", as used
+// by prefetchers probing the cache).
+func (t *Table[K, V]) Contains(key K) bool { return t.find(key) >= 0 }
+
+// Line returns the resident payload for key, or nil. It does not touch
+// recency.
+func (t *Table[K, V]) Line(key K) *V {
+	if i := t.find(key); i >= 0 {
+		return &t.vals[i]
 	}
 	return nil
 }
 
-// Contains reports residency without touching LRU state (a "peek", as used
-// by prefetchers probing the cache).
-func (c *Cache) Contains(b isa.BlockID) bool { return c.find(b) != nil }
+// Peek returns the payload for key without touching recency.
+func (t *Table[K, V]) Peek(key K) (V, bool) {
+	if i := t.find(key); i >= 0 {
+		return t.vals[i], true
+	}
+	var zero V
+	return zero, false
+}
 
-// Line returns the resident line for b for metadata access, or nil. It does
-// not touch LRU state.
-func (c *Cache) Line(b isa.BlockID) *Line { return c.find(b) }
-
-// Access performs a demand lookup: on hit it promotes the line to MRU and
-// returns it; on miss it returns nil.
-func (c *Cache) Access(b isa.BlockID) *Line {
-	i := c.findIdx(b)
+// Access performs a demand lookup: on a hit it promotes the line to MRU
+// and returns its payload; on a miss it returns nil.
+func (t *Table[K, V]) Access(key K) *V {
+	i := t.find(key)
 	if i < 0 {
 		return nil
 	}
-	c.clock++
-	c.lrus[i] = c.clock
-	return &c.lines[i]
+	t.touch(i)
+	return &t.vals[i]
 }
 
-// AccessOrInsert is Access followed, on a miss, by Insert, in one scan of
-// the set: it reports a hit, promoting the line to MRU, or fills b over the
-// victim Insert would pick and drops the victim. Clock, recency and hint end
-// exactly as the two calls leave them.
-func (c *Cache) AccessOrInsert(b isa.BlockID) (hit bool) {
-	si := c.setOf(b)
-	s := si * c.ways
-	key := tagKey(b)
-	i := -1
-	if h := int(c.hints[si]); h < c.ways && c.tags[s+h] == key {
-		i = s + h
-	} else {
-		vi := s
-		for w, t := range c.tags[s : s+c.ways] {
-			if t == key {
-				c.hints[si] = uint8(w)
-				i = s + w
-				break
-			}
-			if c.lrus[s+w] < c.lrus[vi] {
-				vi = s + w
-			}
-		}
-		if i < 0 {
-			c.clock++
-			c.lines[vi] = Line{tag: b, valid: true}
-			c.tags[vi] = key
-			c.lrus[vi] = c.clock
-			return false
-		}
+// Lookup returns the payload for key, updating recency.
+func (t *Table[K, V]) Lookup(key K) (V, bool) {
+	if v := t.Access(key); v != nil {
+		return *v, true
 	}
-	c.clock++
-	c.lrus[i] = c.clock
-	return true
+	var zero V
+	return zero, false
 }
 
-// Insert fills block b, evicting the LRU way if the set is full. It returns
-// the filled line and, when a valid line was displaced, its victim state
-// (evicted reports whether ev is meaningful). The victim is returned by
-// value so the per-fill fast path never allocates.
-func (c *Cache) Insert(b isa.BlockID) (l *Line, ev Evicted, evicted bool) {
-	s := c.setOf(b) * c.ways
-	key := tagKey(b)
-	vi := s
-	for i, t := range c.tags[s : s+c.ways] {
-		if t == key {
-			// Refill of a resident block: treat as a touch.
-			c.clock++
-			c.lrus[s+i] = c.clock
-			return &c.lines[s+i], Evicted{}, false
-		}
-		// Victim pre-selection rides the same scan: the recency array is 0
-		// for invalid ways, so the leftmost minimum is exactly the
-		// first-invalid-else-LRU way the two-pass scan used to pick.
-		if c.lrus[i+s] < c.lrus[vi] {
-			vi = i + s
-		}
-	}
-	victim := &c.lines[vi]
-	if victim.valid {
-		ev, evicted = Evicted{Block: victim.tag, Flags: victim.Flags, Aux: victim.Aux}, true
-	}
-	c.clock++
-	*victim = Line{tag: b, valid: true}
-	c.tags[vi] = key
-	c.lrus[vi] = c.clock
-	return victim, ev, evicted
-}
-
-// Invalidate removes block b if resident, returning whether it was.
-func (c *Cache) Invalidate(b isa.BlockID) bool {
-	s := c.setOf(b) * c.ways
-	key := tagKey(b)
-	for i, t := range c.tags[s : s+c.ways] {
-		if t == key {
-			c.lines[s+i] = Line{}
-			c.tags[s+i] = 0
-			c.lrus[s+i] = 0
-			return true
-		}
+// Update overwrites the payload of a resident key without changing
+// recency; it reports whether the key was present.
+func (t *Table[K, V]) Update(key K, val V) bool {
+	if i := t.find(key); i >= 0 {
+		t.vals[i] = val
+		return true
 	}
 	return false
 }
 
-// Reset invalidates every line.
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
+// slot returns the line holding key and true, or the way Insert fills and
+// false: the leftmost minimum of the set's recency array, i.e. the first
+// empty way, else the LRU way. One scan finds both.
+func (t *Table[K, V]) slot(key K) (int, bool) {
+	si := t.setOf(key)
+	s := si * t.ways
+	k := tagOf(key)
+	if h := int(t.hints[si]); h < t.ways && t.tags[s+h] == k {
+		return s + h, true
 	}
-	clear(c.tags)
-	clear(c.lrus)
-	c.clock = 0
+	vi := s
+	for i, tg := range t.tags[s : s+t.ways] {
+		if tg == k {
+			t.hints[si] = uint8(i)
+			return s + i, true
+		}
+		if t.lrus[s+i] < t.lrus[vi] {
+			vi = s + i
+		}
+	}
+	return vi, false
 }
 
-// State walks the cache's full state (geometry, LRU clock, every line) for
-// checkpointing. The snapshot's geometry must match the receiver's:
-// snapshots restore into an identically configured machine, they do not
-// reconfigure it.
-func (c *Cache) State(cp *checkpoint.Codec) {
-	cp.Begin("cache")
-	cp.Fixed("cache sets", c.sets)
-	cp.Fixed("cache ways", c.ways)
-	cp.U64(&c.clock)
-	for i := range c.lines {
-		l, lru := &c.lines[i], c.lrus[i]
-		checkpoint.Word(cp, &l.tag)
-		cp.Bool(&l.valid)
-		cp.U64(&lru)
-		cp.U8(&l.Flags)
-		cp.U8(&l.Aux)
-		if cp.Loading() {
-			c.tags[i], c.lrus[i] = 0, 0
-			if l.valid {
-				c.tags[i], c.lrus[i] = tagKey(l.tag), lru
+// Insert fills key, evicting the set's victim if the set is full. Filling
+// a resident key is a touch that keeps its payload; a new line starts with
+// the zero payload. It returns the key's payload and, when a valid line was
+// displaced, the victim's key and payload (evicted reports whether they are
+// meaningful). The victim is returned by value so a fill never allocates.
+func (t *Table[K, V]) Insert(key K) (v *V, victim K, old V, evicted bool) {
+	i, hit := t.slot(key)
+	if !hit {
+		if tg := t.tags[i]; tg != 0 {
+			victim, old, evicted = K(tg>>1), t.vals[i], true
+		}
+		t.fill(i, key)
+	}
+	t.touch(i)
+	return &t.vals[i], victim, old, evicted
+}
+
+// fill installs key with the zero payload in line i.
+func (t *Table[K, V]) fill(i int, key K) {
+	var zero V
+	t.tags[i], t.vals[i] = tagOf(key), zero
+}
+
+// Put fills key with val: an Insert that overwrites the payload, resident
+// or not. It returns the displaced key when a valid line was evicted.
+func (t *Table[K, V]) Put(key K, val V) (victim K, evicted bool) {
+	v, victim, _, evicted := t.Insert(key)
+	*v = val
+	return victim, evicted
+}
+
+// AccessOrInsert is Access followed, on a miss, by Insert, dropping the
+// victim: it reports a hit, promoting the line to MRU, or fills key with
+// the zero payload. Clock, recency and payloads end exactly as the two
+// calls leave them.
+func (t *Table[K, V]) AccessOrInsert(key K) (hit bool) {
+	i, hit := t.slot(key)
+	if !hit {
+		t.fill(i, key)
+	}
+	t.touch(i)
+	return hit
+}
+
+// Invalidate removes key if resident, returning whether it was.
+func (t *Table[K, V]) Invalidate(key K) bool {
+	i := t.find(key)
+	if i < 0 {
+		return false
+	}
+	var zero V
+	t.tags[i], t.lrus[i], t.vals[i] = 0, 0, zero
+	return true
+}
+
+// Reset empties every line.
+func (t *Table[K, V]) Reset() {
+	clear(t.tags)
+	clear(t.lrus)
+	clear(t.vals)
+	t.clock = 0
+}
+
+// State walks the table's full state (geometry, clock, then per line its
+// key, valid bit, recency and payload) for checkpointing; val walks one
+// payload. The snapshot's geometry must match the receiver's: snapshots
+// restore into an identically configured machine, they do not reconfigure
+// it.
+func (t *Table[K, V]) State(c *checkpoint.Codec, val func(*checkpoint.Codec, *V)) {
+	c.Begin(t.tag)
+	c.Fixed("table sets", t.sets)
+	c.Fixed("table ways", t.ways)
+	c.U64(&t.clock)
+	for i := range t.tags {
+		key, valid, lru := K(t.tags[i]>>1), t.tags[i] != 0, t.lrus[i]
+		checkpoint.Word(c, &key)
+		c.Bool(&valid)
+		c.U64(&lru)
+		val(c, &t.vals[i])
+		if c.Loading() {
+			t.tags[i], t.lrus[i] = 0, 0
+			if valid {
+				t.tags[i], t.lrus[i] = tagOf(key), lru
 			}
 		}
 	}
-	cp.End()
+	c.End()
+}
+
+// LineState walks an L1 line's payload.
+func LineState(c *checkpoint.Codec, l *Line) {
+	c.U8(&l.Flags)
+	c.U8(&l.Aux)
 }

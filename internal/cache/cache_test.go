@@ -7,10 +7,22 @@ import (
 	"dnc/internal/isa"
 )
 
+// TestGeometry: 32 KB 8-way is 64 sets indexed by block number. Blocks 64
+// apart share a set, so the ninth evicts the first; blocks 0..511 fill
+// every way of every set without an eviction.
 func TestGeometry(t *testing.T) {
 	c := New(32<<10, 8)
-	if c.Sets() != 64 || c.Ways() != 8 || c.SizeBytes() != 32<<10 {
-		t.Fatalf("geometry: sets=%d ways=%d size=%d", c.Sets(), c.Ways(), c.SizeBytes())
+	for b := isa.BlockID(0); b < 512; b++ {
+		if _, _, _, evicted := c.Insert(b); evicted {
+			t.Fatalf("block %d evicted a line from a cache of 512", b)
+		}
+	}
+	c.Reset()
+	for i := isa.BlockID(0); i < 8; i++ {
+		c.Insert(5 + 64*i)
+	}
+	if _, victim, _, evicted := c.Insert(5 + 64*8); !evicted || victim != 5 {
+		t.Fatalf("ninth block of set 5 evicted %d (%v), want block 5", victim, evicted)
 	}
 }
 
@@ -35,9 +47,9 @@ func TestHitMissEvict(t *testing.T) {
 	}
 	// Set 0 is full; inserting block 4 must evict LRU (block 0 was accessed
 	// before block 2, so 0 is LRU... after Access(0) then Access(2), LRU is 0).
-	_, ev, evicted := c.Insert(4)
-	if !evicted || ev.Block != 0 {
-		t.Fatalf("evicted %+v (%v), want block 0", ev, evicted)
+	_, victim, _, evicted := c.Insert(4)
+	if !evicted || victim != 0 {
+		t.Fatalf("evicted %d (%v), want block 0", victim, evicted)
 	}
 	if c.Contains(0) {
 		t.Fatal("block 0 still resident after eviction")
@@ -53,33 +65,34 @@ func TestLRUOrder(t *testing.T) {
 		c.Insert(b)
 	}
 	c.Access(0) // 0 becomes MRU; LRU is now 1
-	_, ev, evicted := c.Insert(10)
-	if !evicted || ev.Block != 1 {
-		t.Fatalf("evicted %+v (%v), want block 1", ev, evicted)
+	_, victim, _, evicted := c.Insert(10)
+	if !evicted || victim != 1 {
+		t.Fatalf("evicted %d (%v), want block 1", victim, evicted)
 	}
 }
 
 func TestInsertResidentIsTouch(t *testing.T) {
 	c := New(1*64*2, 2)
-	c.Insert(0)
+	l, _, _, _ := c.Insert(0)
+	l.Flags, l.Aux = FlagPrefetched, 0xA
 	c.Insert(1)
-	l, ev, evicted := c.Insert(0) // refill of resident block
+	l, victim, _, evicted := c.Insert(0) // refill of resident block
 	if evicted {
-		t.Fatalf("refill evicted %+v", ev)
+		t.Fatalf("refill evicted %d", victim)
 	}
-	if l.Block() != 0 {
-		t.Fatalf("line holds %d", l.Block())
+	if l != c.Line(0) || l.Flags != FlagPrefetched || l.Aux != 0xA {
+		t.Fatalf("refill returned %+v, want block 0's line with its metadata kept", *l)
 	}
 	// 0 is MRU now, so inserting 2 evicts 1.
-	_, ev, evicted = c.Insert(2)
-	if !evicted || ev.Block != 1 {
-		t.Fatalf("evicted %+v (%v), want block 1", ev, evicted)
+	_, victim, _, evicted = c.Insert(2)
+	if !evicted || victim != 1 {
+		t.Fatalf("evicted %d (%v), want block 1", victim, evicted)
 	}
 }
 
 func TestLineMetadata(t *testing.T) {
 	c := New(64*4, 4)
-	l, _, _ := c.Insert(7)
+	l, _, _, _ := c.Insert(7)
 	l.Flags |= FlagPrefetched
 	l.Aux = 0xB
 	got := c.Line(7)
@@ -87,18 +100,17 @@ func TestLineMetadata(t *testing.T) {
 		t.Fatalf("metadata lost: %+v", got)
 	}
 	// Eviction carries metadata out.
-	c.Insert(7 + 0) // touch; fill the set so 7 becomes LRU
-	for b := isa.BlockID(100); b < 103; b++ {
-		c.Insert(b * isa.BlockID(c.Sets())) // same set 0? ensure same set
-	}
-	// Instead, test metadata via direct eviction on a 1-way cache.
 	c1 := New(64, 1)
-	l1, _, _ := c1.Insert(5)
+	l1, _, _, _ := c1.Insert(5)
 	l1.Flags = FlagPrefetched
 	l1.Aux = 3
-	_, ev, evicted := c1.Insert(6)
-	if !evicted || ev.Block != 5 || ev.Flags != FlagPrefetched || ev.Aux != 3 {
-		t.Fatalf("evicted metadata wrong: %+v (%v)", ev, evicted)
+	_, victim, old, evicted := c1.Insert(6)
+	if !evicted || victim != 5 || old.Flags != FlagPrefetched || old.Aux != 3 {
+		t.Fatalf("evicted metadata wrong: %d %+v (%v)", victim, old, evicted)
+	}
+	// The new line starts clean.
+	if l := c1.Line(6); l == nil || *l != (Line{}) {
+		t.Fatalf("filled line = %+v, want a clean line", l)
 	}
 }
 
@@ -118,9 +130,10 @@ func TestContainsDoesNotTouchLRU(t *testing.T) {
 	c.Insert(0)
 	c.Insert(1) // LRU: 0
 	c.Contains(0)
-	_, ev, evicted := c.Insert(2)
-	if !evicted || ev.Block != 0 {
-		t.Fatalf("Contains disturbed LRU: evicted %+v (%v), want 0", ev, evicted)
+	c.Line(0)
+	_, victim, _, evicted := c.Insert(2)
+	if !evicted || victim != 0 {
+		t.Fatalf("Contains disturbed LRU: evicted %d (%v), want 0", victim, evicted)
 	}
 }
 
@@ -187,7 +200,7 @@ func TestMSHRFile(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	c := New(64*4, 4)
-	l, _, _ := c.Insert(9)
+	l, _, _, _ := c.Insert(9)
 	l.Flags = FlagInstruction
 	c.Reset()
 	if c.Contains(9) {
@@ -198,11 +211,22 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestLineBlock: the line Insert returns is the block's own — Line,
+// Access and a refill all hand back the same line, and a write through it
+// reaches the victim report.
 func TestLineBlock(t *testing.T) {
 	c := New(64*2, 2)
-	l, _, _ := c.Insert(77)
-	if l.Block() != 77 {
-		t.Fatalf("Block() = %d", l.Block())
+	l, _, _, _ := c.Insert(77)
+	if c.Line(77) != l || c.Access(77) != l {
+		t.Fatal("Line and Access do not return the inserted line")
+	}
+	if r, _, _, _ := c.Insert(77); r != l {
+		t.Fatal("refill returned another line")
+	}
+	l.Aux = 7
+	c.Insert(78)
+	if _, victim, old, evicted := c.Insert(79); !evicted || victim != 77 || old.Aux != 7 {
+		t.Fatalf("victim %d %+v (%v), want block 77 with Aux 7", victim, old, evicted)
 	}
 }
 

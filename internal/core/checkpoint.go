@@ -21,8 +21,8 @@ func (c *Core) State(cp *checkpoint.Codec) {
 	cp.Begin("core")
 	c.tage.State(cp)
 	c.ras.State(cp)
-	c.l1i.State(cp)
-	c.l1d.State(cp)
+	c.l1i.State(cp, cache.LineState)
+	c.l1d.State(cp, cache.LineState)
 	c.mshr.State(cp)
 
 	if checkpoint.Same(cp, "prefetch-buffer presence", c.pfb != nil, cp.Bool) {

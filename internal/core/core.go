@@ -186,8 +186,8 @@ type Core struct {
 	M Metrics
 }
 
-// New wires a core to its instruction stream (a workload walker or a trace
-// replayer), design, and uncore.
+// New wires a core to its instruction stream (a workload walker), design,
+// and uncore.
 func New(cf Config, stream wl.Stream, image *isa.Image, design prefetch.Design, uncore *Uncore) *Core {
 	c := &Core{
 		cf:      cf,
@@ -348,13 +348,7 @@ func (c *Core) Tick() {
 		// Pure-stall fast path: computeIdleWake proved that every cycle up
 		// to idleWake retires in place, charges ffCause and mutates nothing
 		// else, so the fetch and design machinery is skipped bit-exactly.
-		c.retireInWindow(1)
-		c.M.chargeStall(c.ffCause)
-		if c.hooks.Tracer != nil {
-			c.traceStall(c.ffCause)
-		}
-		c.cycle++
-		c.M.Cycles++
+		c.FastForward(1)
 		return
 	}
 
@@ -374,7 +368,7 @@ func (c *Core) Tick() {
 		if cause == obs.StallNone && c.startup {
 			cause = obs.StallStartup
 		}
-		c.M.chargeStall(cause)
+		c.M.chargeStallN(cause, 1)
 		if c.hooks.Tracer != nil {
 			c.traceStall(cause)
 		}
@@ -526,14 +520,7 @@ func (c *Core) processFills() {
 		if isPrefetch && c.pfb != nil {
 			c.pfbInsert(m.Block, m.Latency())
 		} else {
-			line, ev, evicted := c.l1i.Insert(m.Block)
-			if evicted {
-				if ev.Flags&cache.FlagPrefetched != 0 {
-					c.M.UselessEvicts++
-				}
-				c.prefLat.Delete(ev.Block)
-				c.design.OnEvict(ev)
-			}
+			line := c.fillL1i(m.Block)
 			if isPrefetch {
 				line.Flags |= cache.FlagPrefetched
 				c.prefLat.Put(m.Block, m.Latency())
@@ -550,6 +537,21 @@ func (c *Core) processFills() {
 			c.waiting = false
 		}
 	}
+}
+
+// fillL1i installs b in the L1i and returns its line; a displaced line is
+// counted useless if it was an undemanded prefetch, and reported to the
+// design.
+func (c *Core) fillL1i(b isa.BlockID) *cache.Line {
+	line, victim, old, evicted := c.l1i.Insert(b)
+	if evicted {
+		if old.Flags&cache.FlagPrefetched != 0 {
+			c.M.UselessEvicts++
+		}
+		c.prefLat.Delete(victim)
+		c.design.OnEvict(cache.Evicted{Block: victim, Flags: old.Flags, Aux: old.Aux})
+	}
+	return line
 }
 
 // pfbLive returns the buffer's FIFO order, oldest first.
@@ -748,16 +750,7 @@ func (c *Core) demandAccess(b isa.BlockID) bool {
 	line := c.l1i.Access(b)
 	if line == nil && c.pfb != nil {
 		if lat, ok := c.pfbTake(b); ok {
-			var ev cache.Evicted
-			var evicted bool
-			line, ev, evicted = c.l1i.Insert(b)
-			if evicted {
-				if ev.Flags&cache.FlagPrefetched != 0 {
-					c.M.UselessEvicts++
-				}
-				c.prefLat.Delete(ev.Block)
-				c.design.OnEvict(ev)
-			}
+			line = c.fillL1i(b)
 			c.M.CMALCovered += lat
 			c.M.CMALTotal += lat
 			c.M.UsefulPrefetches++

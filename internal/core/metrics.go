@@ -82,28 +82,9 @@ func (m *Metrics) FrontendStalls() uint64 {
 	return m.StallICache + m.StallFTQ + m.StallBTB
 }
 
-// chargeStall accounts one zero-delivery cycle to its cause. StallNone
-// charges nothing (a defensive no-op; the fetch engine attributes every
-// idle cycle, and the conservation audit catches any hole).
-func (m *Metrics) chargeStall(cause obs.StallCause) {
-	switch cause {
-	case obs.StallICache:
-		m.StallICache++
-	case obs.StallFTQ:
-		m.StallFTQ++
-	case obs.StallBTB:
-		m.StallBTB++
-	case obs.StallMispred:
-		m.StallMispred++
-	case obs.StallBackend:
-		m.StallBackend++
-	case obs.StallStartup:
-		m.StallStartup++
-	}
-}
-
-// chargeStallN accounts n consecutive zero-delivery cycles to one cause
-// (the fast-forward bulk form of chargeStall).
+// chargeStallN accounts n consecutive zero-delivery cycles to one cause.
+// StallNone charges nothing (a defensive no-op; the fetch engine attributes
+// every idle cycle, and the conservation audit catches any hole).
 func (m *Metrics) chargeStallN(cause obs.StallCause, n uint64) {
 	switch cause {
 	case obs.StallICache:

@@ -44,43 +44,17 @@ type traceEvent struct {
 // rendered as one microsecond. Events must be in emission order (as returned
 // by Tracer.Events).
 func WritePerfetto(w io.Writer, events []Event, meta TraceMeta) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[\n")
-	first := true
-	put := func(ev traceEvent) error {
-		line, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.Write(line)
-		return nil
-	}
+	tw := newTraceWriter(w)
 
 	machinePid := meta.Cores
 	for c := 0; c < meta.Cores; c++ {
-		if err := put(metaEvent(c, 0, "process_name", fmt.Sprintf("core %d", c))); err != nil {
-			return err
-		}
-		if err := put(metaEvent(c, trackFetch, "thread_name", "fetch")); err != nil {
-			return err
-		}
-		if err := put(metaEvent(c, trackL1iFills, "thread_name", "l1i fills")); err != nil {
-			return err
-		}
-		if err := put(metaEvent(c, trackPrefetch, "thread_name", "prefetch")); err != nil {
-			return err
-		}
+		tw.put(metaEvent(c, 0, "process_name", fmt.Sprintf("core %d", c)))
+		tw.put(metaEvent(c, trackFetch, "thread_name", "fetch"))
+		tw.put(metaEvent(c, trackL1iFills, "thread_name", "l1i fills"))
+		tw.put(metaEvent(c, trackPrefetch, "thread_name", "prefetch"))
 	}
-	if err := put(metaEvent(machinePid, 0, "process_name", "machine")); err != nil {
-		return err
-	}
-	if err := put(metaEvent(machinePid, 1, "thread_name", "checkpoints")); err != nil {
-		return err
-	}
+	tw.put(metaEvent(machinePid, 0, "process_name", "machine"))
+	tw.put(metaEvent(machinePid, 1, "thread_name", "checkpoints"))
 
 	for _, ev := range events {
 		pid := int(ev.Core)
@@ -108,14 +82,51 @@ func WritePerfetto(w io.Writer, events []Event, meta TraceMeta) error {
 		default:
 			continue
 		}
-		if err := put(te); err != nil {
-			return err
-		}
+		tw.put(te)
 	}
+	return tw.close(fmt.Sprintf("\"clock\":\"1 simulated cycle = 1us\",\"design\":%q,\"workload\":%q",
+		meta.Design, meta.Workload))
+}
 
-	fmt.Fprintf(bw, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"1 simulated cycle = 1us\",\"design\":%q,\"workload\":%q}}\n",
-		meta.Design, meta.Workload)
-	return bw.Flush()
+// traceWriter streams one trace_event JSON document: the header, the
+// records put, comma-separated, one per line, and a footer. The first
+// error is sticky: later puts write nothing and close returns it.
+type traceWriter struct {
+	bw    *bufio.Writer
+	first bool
+	err   error
+}
+
+func newTraceWriter(w io.Writer) *traceWriter {
+	tw := &traceWriter{bw: bufio.NewWriter(w), first: true}
+	tw.bw.WriteString("{\"traceEvents\":[\n")
+	return tw
+}
+
+func (tw *traceWriter) put(ev traceEvent) {
+	if tw.err != nil {
+		return
+	}
+	line, err := json.Marshal(ev)
+	if err != nil {
+		tw.err = err
+		return
+	}
+	if !tw.first {
+		tw.bw.WriteString(",\n")
+	}
+	tw.first = false
+	tw.bw.Write(line)
+}
+
+// close ends the document with otherData, the members of the footer's
+// otherData object, already JSON-encoded, and flushes.
+func (tw *traceWriter) close(otherData string) error {
+	if tw.err != nil {
+		return tw.err
+	}
+	fmt.Fprintf(tw.bw, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{%s}}\n", otherData)
+	return tw.bw.Flush()
 }
 
 func metaEvent(pid, tid int, kind, name string) traceEvent {

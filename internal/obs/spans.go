@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -32,21 +30,7 @@ type SpanTraceMeta struct {
 // lanes get pid/tid numbers in order of first appearance, so the output is
 // byte-deterministic for a fixed span order.
 func WriteSpanTrace(w io.Writer, spans []Span, meta SpanTraceMeta) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[\n")
-	first := true
-	put := func(ev traceEvent) error {
-		line, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.Write(line)
-		return nil
-	}
+	tw := newTraceWriter(w)
 
 	type laneKey struct{ track, lane string }
 	pids := map[string]int{}
@@ -57,9 +41,7 @@ func WriteSpanTrace(w io.Writer, spans []Span, meta SpanTraceMeta) error {
 		if !ok {
 			pid = len(pids)
 			pids[s.Track] = pid
-			if err := put(metaEvent(pid, 0, "process_name", s.Track)); err != nil {
-				return err
-			}
+			tw.put(metaEvent(pid, 0, "process_name", s.Track))
 		}
 		lk := laneKey{s.Track, s.Lane}
 		tid, ok := tids[lk]
@@ -67,9 +49,7 @@ func WriteSpanTrace(w io.Writer, spans []Span, meta SpanTraceMeta) error {
 			nextTid[s.Track]++
 			tid = nextTid[s.Track]
 			tids[lk] = tid
-			if err := put(metaEvent(pid, tid, "thread_name", s.Lane)); err != nil {
-				return err
-			}
+			tw.put(metaEvent(pid, tid, "thread_name", s.Lane))
 		}
 		ev := traceEvent{Name: s.Name, Ph: "X", Ts: s.Ts, Dur: s.Dur,
 			Pid: pid, Tid: tid, Args: s.Args}
@@ -78,12 +58,7 @@ func WriteSpanTrace(w io.Writer, spans []Span, meta SpanTraceMeta) error {
 			ev.Ph, ev.S = "i", "t"
 			ev.Dur = 0
 		}
-		if err := put(ev); err != nil {
-			return err
-		}
+		tw.put(ev)
 	}
-
-	fmt.Fprintf(bw, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":%q,\"name\":%q}}\n",
-		meta.Clock, meta.Name)
-	return bw.Flush()
+	return tw.close(fmt.Sprintf("\"clock\":%q,\"name\":%q", meta.Clock, meta.Name))
 }

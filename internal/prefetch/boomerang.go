@@ -18,7 +18,7 @@ type Boomerang struct {
 	bb *btb.BBBTB
 	// bypc mirrors BB entries keyed by branch PC for the core's per-branch
 	// target lookups; it is the same logical BTB viewed by tag.
-	bypc *btb.Table[btb.Entry]
+	bypc *btb.BTB
 }
 
 // BoomerangConfig sizes the design. Each zero field takes the paper's
@@ -44,7 +44,7 @@ func NewBoomerang(cfg BoomerangConfig) *Boomerang {
 	}
 	d := &Boomerang{
 		bb:   btb.NewBBBTB(cfg.BTBEntries, boomerangBTBWays),
-		bypc: btb.NewTable[btb.Entry](cfg.BTBEntries, boomerangBTBWays),
+		bypc: btb.New(cfg.BTBEntries, boomerangBTBWays),
 	}
 	d.fdipWalk = newFDIPWalk[isa.Addr](cfg.FTQEntries, cfg.WalkBudget, d.insertBB)
 	return d
@@ -55,9 +55,9 @@ func (*Boomerang) Name() string { return "boomerang" }
 
 // insertBB installs a basic block into both views of the BTB.
 func (d *Boomerang) insertBB(start isa.Addr, e btb.BBEntry) {
-	d.bb.Insert(start, e)
+	d.bb.Put(start, e)
 	if e.Kind.IsBranch() {
-		d.bypc.Insert(e.BranchPC, btb.Entry{Kind: e.Kind, Target: e.Target})
+		d.bypc.Put(e.BranchPC, btb.Entry{Kind: e.Kind, Target: e.Target})
 	}
 }
 

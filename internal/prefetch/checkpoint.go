@@ -18,7 +18,7 @@ import (
 // State walks the BTB and the optional prefetch buffer.
 func (b *ConvBTB) State(c *checkpoint.Codec) {
 	c.Begin("convbtb")
-	b.BTB.State(c)
+	b.BTB.State(c, btb.EntryState)
 	if checkpoint.Same(c, "prefetch-buffer presence", b.PB != nil, c.Bool) {
 		b.PB.State(c)
 	}
@@ -251,7 +251,7 @@ func (d *RDIP) State(c *checkpoint.Codec) {
 // State implements Design.
 func (d *Boomerang) State(c *checkpoint.Codec) {
 	c.Begin("boomerang")
-	d.bb.State(c)
+	d.bb.State(c, btb.BBEntryState)
 	d.bypc.State(c, btb.EntryState)
 	d.state(c)
 	checkpoint.Words(c, "speculative RAS", &d.specRAS, checkpoint.Unbounded)

@@ -25,7 +25,7 @@ func NewConvBTB(entries, ways int) *ConvBTB {
 
 // BTBLookup implements Design.
 func (c *ConvBTB) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
-	if target, ok := lookupBranch(c.BTB.Table, pc); ok || c.PB == nil {
+	if target, ok := lookupBranch(c.BTB, pc); ok || c.PB == nil {
 		return target, ok
 	}
 	// A prefetch-buffer hit moves the whole block's branches into the BTB.
@@ -38,7 +38,7 @@ func (c *ConvBTB) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
 	base := isa.BlockBase(isa.BlockOf(pc))
 	for _, br := range brs {
 		brPC := base + isa.Addr(br.Offset)
-		c.BTB.Insert(brPC, btb.Entry{Kind: br.Kind, Target: br.Target})
+		c.BTB.Put(brPC, btb.Entry{Kind: br.Kind, Target: br.Target})
 		if brPC == pc {
 			target = br.Target
 			found = true
@@ -49,11 +49,11 @@ func (c *ConvBTB) BTBLookup(pc isa.Addr, kind isa.Kind) (isa.Addr, bool) {
 
 // BTBCommit implements Design: it trains the BTB with a resolved branch.
 func (c *ConvBTB) BTBCommit(pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
-	commitBranch(c.BTB.Table, pc, kind, target, taken)
+	commitBranch(c.BTB, pc, kind, target, taken)
 }
 
 // lookupBranch returns a branch's target from a PC-indexed BTB table.
-func lookupBranch(t *btb.Table[btb.Entry], pc isa.Addr) (isa.Addr, bool) {
+func lookupBranch(t *btb.BTB, pc isa.Addr) (isa.Addr, bool) {
 	if e, ok := t.Lookup(pc); ok {
 		return e.Target, true
 	}
@@ -64,13 +64,13 @@ func lookupBranch(t *btb.Table[btb.Entry], pc isa.Addr) (isa.Addr, bool) {
 // not-taken conditional still allocates, so a later taken outcome has a
 // target (the common allocate-on-decode policy), but it does not displace
 // the entry it already has.
-func commitBranch(t *btb.Table[btb.Entry], pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
+func commitBranch(t *btb.BTB, pc isa.Addr, kind isa.Kind, target isa.Addr, taken bool) {
 	if !taken && kind == isa.KindCondBranch {
 		if _, ok := t.Peek(pc); ok {
 			return
 		}
 	}
-	t.Insert(pc, btb.Entry{Kind: kind, Target: target})
+	t.Put(pc, btb.Entry{Kind: kind, Target: target})
 }
 
 // Baseline is the no-prefetch design: a conventional BTB and nothing else.

@@ -22,9 +22,9 @@ type Shotgun struct {
 	sb *btb.ShotgunBTB
 	// bypc mirrors entries keyed by branch PC for the core's per-branch
 	// lookups, split per structure to model their distinct capacities.
-	bypcU *btb.Table[btb.Entry]
-	bypcC *btb.Table[btb.Entry]
-	bypcR *btb.Table[btb.Entry]
+	bypcU *btb.BTB
+	bypcC *btb.BTB
+	bypcR *btb.BTB
 
 	// lastUStart is the start address of the most recently committed basic
 	// block ending in an unconditional branch; footprint regions are
@@ -71,9 +71,9 @@ func NewShotgun(cfg ShotgunDesignConfig) *Shotgun {
 	sb := btb.NewShotgun(cfg.BTBPercent)
 	d := &Shotgun{
 		sb:    sb,
-		bypcU: btb.NewTable[btb.Entry](sb.U.Entries(), sb.U.Ways()),
-		bypcC: btb.NewTable[btb.Entry](sb.C.Entries(), sb.C.Ways()),
-		bypcR: btb.NewTable[btb.Entry](sb.RIB.Entries(), sb.RIB.Ways()),
+		bypcU: btb.New(sb.U.Entries(), sb.U.Ways()),
+		bypcC: btb.New(sb.C.Entries(), sb.C.Ways()),
+		bypcR: btb.New(sb.RIB.Entries(), sb.RIB.Ways()),
 	}
 	d.fdipWalk = newFDIPWalk[shotgunRASEntry](cfg.FTQEntries, cfg.WalkBudget, d.commitBB)
 	return d
@@ -92,7 +92,7 @@ func (d *Shotgun) AddProbes(p *Probes) {
 }
 
 // bypcFor routes a branch kind to its per-PC view.
-func (d *Shotgun) bypcFor(kind isa.Kind) *btb.Table[btb.Entry] {
+func (d *Shotgun) bypcFor(kind isa.Kind) *btb.BTB {
 	switch kind {
 	case isa.KindCondBranch:
 		return d.bypcC
@@ -173,12 +173,12 @@ func (d *Shotgun) prefillBB(start isa.Addr, e btb.BBEntry) {
 func (d *Shotgun) installBB(start isa.Addr, e btb.BBEntry) {
 	switch e.Kind {
 	case isa.KindCondBranch:
-		d.sb.C.Insert(start, e)
+		d.sb.C.Put(start, e)
 	case isa.KindReturn:
-		d.sb.RIB.Insert(start, e)
+		d.sb.RIB.Put(start, e)
 	}
 	if e.Kind.IsBranch() {
-		d.bypcFor(e.Kind).Insert(e.BranchPC, btb.Entry{Kind: e.Kind, Target: e.Target})
+		d.bypcFor(e.Kind).Put(e.BranchPC, btb.Entry{Kind: e.Kind, Target: e.Target})
 	}
 }
 

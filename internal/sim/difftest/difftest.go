@@ -26,7 +26,6 @@ import (
 	"dnc/internal/cache"
 	wl "dnc/internal/cfg"
 	"dnc/internal/checkpoint"
-	"dnc/internal/core"
 	"dnc/internal/isa"
 	"dnc/internal/obs"
 	"dnc/internal/oracle"
@@ -340,16 +339,15 @@ func (s *Shim) State(c *checkpoint.Codec) {
 
 // Options configures one differential run.
 type Options struct {
-	// Workload and Seed identify the committed streams (per-core walker
-	// seeds derive from Seed exactly as in a plain run).
-	Workload wl.Params
-	Seed     int64
-	// NewDesign constructs the design under test (one instance per core).
-	NewDesign     func() prefetch.Design
-	Cores         int
-	Warm, Measure uint64
-	// Core is the core configuration (zero value = the paper's core).
-	Core core.Config
+	// RunConfig is the run under test: its Workload and Seed identify the
+	// committed streams (per-core walker seeds derive from Seed exactly as
+	// in a plain run), NewDesign constructs the design under test (one
+	// instance per core), and the checkpoint, fast-forward and engine
+	// fields pass through, so tests can prove each is
+	// differential-transparent. Run works on a copy: it wraps NewDesign in
+	// a Shim per core, sets Obs, and under Strict turns wrong-path fetch
+	// off.
+	sim.RunConfig
 	// Strict enables the phantom-residency check (first-touch hits must be
 	// backed by an issued prefetch) and turns wrong-path fetch off, since
 	// wrong-path fills legitimately create first-touch hits.
@@ -361,20 +359,6 @@ type Options struct {
 	// mutator (fault injection; see sim.RunInjected). Injected runs cannot
 	// checkpoint.
 	Wrap sim.StreamWrapper
-	// CheckpointEvery/CheckpointPath/ResumeFrom pass through to the
-	// simulator, letting tests prove checkpoint/resume is
-	// differential-transparent.
-	CheckpointEvery uint64
-	CheckpointPath  string
-	ResumeFrom      string
-	// DisableFastForward passes through to the simulator: the reference
-	// configuration for the metamorphic fast-forward equivalence tests.
-	DisableFastForward bool
-	// Sched and IntraJobs pass through to the simulator, so the engine
-	// equivalence tests can run the oracle lockstep under every engine
-	// (tick reference, serial loop, sharded loop).
-	Sched     sim.SchedMode
-	IntraJobs int
 }
 
 // Report is the outcome of one differential run.
@@ -441,43 +425,29 @@ func (r *Report) String() string {
 func Run(ctx context.Context, o Options) (sim.Result, *Report, error) {
 	prog := sim.Program(o.Workload)
 
-	cc := o.Core
+	rc := o.RunConfig
 	if o.Strict {
 		// Wrong-path fills install blocks without design involvement,
 		// which would trip the phantom-residency check.
-		cc.NoWrongPath = true
+		rc.Core.NoWrongPath = true
 	}
 
 	trace := o.TraceEvents
 	if trace == 0 {
 		trace = 1 << 12
 	}
+	rc.Obs = &obs.Config{TraceEvents: trace}
 
 	var (
 		shims    []*Shim
 		maxSteps uint64
 	)
-	rc := sim.RunConfig{
-		Workload:           o.Workload,
-		Cores:              o.Cores,
-		WarmCycles:         o.Warm,
-		MeasureCycles:      o.Measure,
-		Seed:               o.Seed,
-		Core:               cc,
-		Obs:                &obs.Config{TraceEvents: trace},
-		CheckpointEvery:    o.CheckpointEvery,
-		CheckpointPath:     o.CheckpointPath,
-		ResumeFrom:         o.ResumeFrom,
-		DisableFastForward: o.DisableFastForward,
-		Sched:              o.Sched,
-		IntraJobs:          o.IntraJobs,
-		NewDesign: func() prefetch.Design {
-			i := len(shims)
-			s := NewShim(o.NewDesign(), oracle.New(prog, sim.WalkerSeed(o.Seed, i)), i, o.Strict)
-			s.maxSteps = maxSteps
-			shims = append(shims, s)
-			return s
-		},
+	rc.NewDesign = func() prefetch.Design {
+		i := len(shims)
+		s := NewShim(o.NewDesign(), oracle.New(prog, sim.WalkerSeed(o.Seed, i)), i, o.Strict)
+		s.maxSteps = maxSteps
+		shims = append(shims, s)
+		return s
 	}
 
 	maxSteps = rc.StepBound()

@@ -28,16 +28,18 @@ func testWorkload() wl.Params {
 
 func testOptions(entry prefetch.CatalogEntry, seed int64) Options {
 	return Options{
-		Workload:  testWorkload(),
-		Seed:      seed,
-		NewDesign: entry.New,
-		// Warm is shorter than the pipeline depth so nothing retires before
-		// the measure window: the machine's Retired then equals the count
-		// the shims checked, making coverage provable below.
-		Cores:   2,
-		Warm:    8,
-		Measure: 4096,
-		Strict:  true,
+		RunConfig: sim.RunConfig{
+			Workload:  testWorkload(),
+			Seed:      seed,
+			NewDesign: entry.New,
+			// Warm is shorter than the pipeline depth so nothing retires
+			// before the measure window: the machine's Retired then equals
+			// the count the shims checked, making coverage provable below.
+			Cores:         2,
+			WarmCycles:    8,
+			MeasureCycles: 4096,
+		},
+		Strict: true,
 	}
 }
 
@@ -56,7 +58,7 @@ func TestAllDesignsMatchOracle(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
 				o := testOptions(entry, seed)
-				o.Measure = measure
+				o.MeasureCycles = measure
 				res, rep, err := Run(context.Background(), o)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -142,7 +144,7 @@ func injectOn(n uint64, fn func(*wl.Step)) sim.StreamWrapper {
 func TestInjectedTakenFlipCaught(t *testing.T) {
 	o := testOptions(prefetch.Catalog()[0], 1)
 	o.Strict = false // keep default core config; the bug is architectural
-	o.Measure = 4096
+	o.MeasureCycles = 4096
 	o.Wrap = injectOn(600, func(s *wl.Step) { s.Taken = !s.Taken })
 	_, rep, err := Run(context.Background(), o)
 	if err != nil {
@@ -180,7 +182,7 @@ func TestInjectedTakenFlipCaught(t *testing.T) {
 func TestInjectedPCShiftCaught(t *testing.T) {
 	o := testOptions(prefetch.Catalog()[1], 2) // NL: exercises a prefetching design
 	o.Strict = false
-	o.Measure = 4096
+	o.MeasureCycles = 4096
 	o.Wrap = injectOn(500, func(s *wl.Step) { s.Inst.PC += 64 })
 	_, rep, err := Run(context.Background(), o)
 	if err != nil {
@@ -264,7 +266,7 @@ func TestDigestTrailSurvivesLLCReuse(t *testing.T) {
 	a := testOptions(catalog[0], 2)
 	b := testOptions(catalog[10], 3) // SN4L+Dis+BTB
 	b.Workload.Mode = isa.Variable
-	a.Measure, b.Measure = 32768, 16384 // several digestStride retires per core
+	a.MeasureCycles, b.MeasureCycles = 32768, 16384 // several digestStride retires per core
 	run := func(o Options) (sim.Result, *Report) {
 		res, rep, err := Run(context.Background(), o)
 		if err != nil {

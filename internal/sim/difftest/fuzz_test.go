@@ -44,13 +44,9 @@ func checkOnce(p wl.Params, designIdx int, seed int64, measure uint64) (*Report,
 	cat := prefetch.Catalog()
 	entry := cat[designIdx%len(cat)]
 	_, rep, err := Run(context.Background(), Options{
-		Workload:  p,
-		Seed:      seed,
-		NewDesign: entry.New,
-		Cores:     1,
-		Warm:      8,
-		Measure:   measure,
-		Strict:    true,
+		RunConfig: sim.RunConfig{Workload: p, Seed: seed, NewDesign: entry.New,
+			Cores: 1, WarmCycles: 8, MeasureCycles: measure},
+		Strict: true,
 	})
 	return rep, err
 }
@@ -99,14 +95,10 @@ func shrink(t *testing.T, p wl.Params, designIdx int, seed int64, measure uint64
 		cat := prefetch.Catalog()
 		entry := cat[designIdx%len(cat)]
 		_, rep, err := Run(context.Background(), Options{
-			Workload:  q,
-			Seed:      seed,
-			NewDesign: entry.New,
-			Cores:     1,
-			Warm:      8,
-			Measure:   m,
-			Strict:    true,
-			Wrap:      wrap,
+			RunConfig: sim.RunConfig{Workload: q, Seed: seed, NewDesign: entry.New,
+				Cores: 1, WarmCycles: 8, MeasureCycles: m},
+			Strict: true,
+			Wrap:   wrap,
 		})
 		return err == nil && !rep.Ok()
 	}
@@ -153,8 +145,9 @@ func TestShrinkMinimizesInjectedFault(t *testing.T) {
 	// The shrunk case must still reproduce.
 	cat := prefetch.Catalog()
 	_, rep, err := Run(context.Background(), Options{
-		Workload: small, Seed: 1, NewDesign: cat[0].New, Cores: 1,
-		Warm: 8, Measure: measure, Strict: true, Wrap: wrap,
+		RunConfig: sim.RunConfig{Workload: small, Seed: 1, NewDesign: cat[0].New,
+			Cores: 1, WarmCycles: 8, MeasureCycles: measure},
+		Strict: true, Wrap: wrap,
 	})
 	if err != nil {
 		t.Fatal(err)

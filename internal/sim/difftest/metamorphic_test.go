@@ -24,7 +24,7 @@ func TestCrossDesignStreamIdentity(t *testing.T) {
 	var ref *Report
 	for _, entry := range prefetch.Catalog() {
 		o := testOptions(entry, 1)
-		o.Measure = 6144
+		o.MeasureCycles = 6144
 		_, rep, err := Run(context.Background(), o)
 		if err != nil {
 			t.Fatalf("%s: %v", entry.Name, err)
@@ -191,7 +191,7 @@ func TestPerfectL1iUpperBounds(t *testing.T) {
 		t.Skip("ordering property needs a longer window than the race budget allows")
 	}
 	perfect := testOptions(prefetch.Catalog()[0], 1)
-	perfect.Measure = 8192
+	perfect.MeasureCycles = 8192
 	perfect.Strict = false
 	perfect.Core = core.Config{PerfectL1i: true}
 	pres, prep, err := Run(context.Background(), perfect)
@@ -207,7 +207,7 @@ func TestPerfectL1iUpperBounds(t *testing.T) {
 	}
 	for _, entry := range prefetch.Catalog() {
 		o := testOptions(entry, 1)
-		o.Measure = 8192
+		o.MeasureCycles = 8192
 		o.Strict = false // same core config as the perfect run, minus PerfectL1i
 		res, rep, err := Run(context.Background(), o)
 		if err != nil {
@@ -238,8 +238,8 @@ func TestCheckpointResumeDifferentialTransparent(t *testing.T) {
 	// Checkpoints land on the 1024-cycle poll cadence: with warm 2048 and
 	// measure 18000, snapshots at cycles 8192 and 16384 are both strictly
 	// inside the measurement window.
-	o.Warm = 2048
-	o.Measure = 18000
+	o.WarmCycles = 2048
+	o.MeasureCycles = 18000
 	o.CheckpointEvery = 8192
 	o.CheckpointPath = filepath.Join(t.TempDir(), "difftest.ckpt")
 
