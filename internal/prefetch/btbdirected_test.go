@@ -91,28 +91,29 @@ func TestBBFromPredecode(t *testing.T) {
 }
 
 func TestFTQ(t *testing.T) {
-	q := newFTQ(3)
-	q.push(10)
-	q.push(10) // consecutive duplicate collapses
-	q.push(11)
-	if h, _ := q.head(); h != 10 {
+	w := newFDIPWalk[isa.Addr](3, 0, nil)
+	q := &w.q
+	w.enqueue(10)
+	w.enqueue(10) // consecutive duplicate collapses
+	w.enqueue(11)
+	if h, _ := q.front(); h != 10 {
 		t.Fatalf("head = %d", h)
 	}
 	q.pop()
-	if h, _ := q.head(); h != 11 {
+	if h, _ := q.front(); h != 11 {
 		t.Fatalf("head after pop = %d", h)
 	}
-	q.push(12)
-	q.push(13)
-	q.push(14) // over capacity, dropped
+	w.enqueue(12)
+	w.enqueue(13)
+	w.enqueue(14) // over capacity, dropped
 	if !q.full() {
 		t.Fatal("queue should be full")
 	}
 	q.reset()
-	if !q.empty() {
+	if q.len() != 0 {
 		t.Fatal("reset failed")
 	}
-	if _, ok := q.head(); ok {
+	if _, ok := q.front(); ok {
 		t.Fatal("head on empty queue")
 	}
 }
@@ -176,8 +177,8 @@ func TestBoomerangDivergenceSquashes(t *testing.T) {
 	if d.FTQGate(other) {
 		t.Fatal("diverging gate passed")
 	}
-	if !d.q.empty() {
-		t.Fatalf("divergence left the FTQ holding %v", d.q.blocks)
+	if d.q.len() != 0 {
+		t.Fatalf("divergence left the FTQ holding %d blocks", d.q.len())
 	}
 	if d.walkPC != other || !d.walkValid {
 		t.Fatalf("engine did not restart at the divergence: %#x", d.walkPC)

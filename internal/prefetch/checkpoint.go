@@ -13,7 +13,9 @@ import (
 // capacities) is configuration, re-established by the design constructor;
 // snapshots carry only mutable state plus enough geometry to verify the
 // snapshot matches the machine. Map-backed state goes in sorted key order so
-// the encoding is byte-deterministic.
+// the encoding is byte-deterministic. The three storage shapes (pages,
+// direct, ring) walk their elements in tables.go; each caller here names
+// its table and walks the payloads.
 
 // State walks the BTB and the optional prefetch buffer.
 func (b *ConvBTB) State(c *checkpoint.Codec) {
@@ -25,53 +27,19 @@ func (b *ConvBTB) State(c *checkpoint.Codec) {
 	c.End()
 }
 
-// State walks the bit table, word by word; an unallocated page walks as
-// the all-set words it reads as, and a load allocates only the pages whose
-// words are not all set.
-func (t *SeqTable) State(c *checkpoint.Codec) {
+// State walks the bit table, word by word.
+func (t *seqTable) State(c *checkpoint.Codec) {
 	c.Begin("seqtable")
-	c.Fixed("SeqTable entries", t.n)
-	c.Fixed("SeqTable words", t.words)
-	spare := newSeqPage()
-	for pi, p := range t.pages {
-		if p == nil {
-			p = spare
-		}
-		learnt := false
-		for i := range min(seqPage, t.words-pi*seqPage) {
-			c.U64(&p[i])
-			learnt = learnt || p[i] != ^uint64(0)
-		}
-		if p == spare && learnt {
-			t.pages[pi], spare = spare, newSeqPage()
-		}
-	}
+	c.Fixed("SeqTable entries", t.Entries())
+	c.Fixed("SeqTable words", t.words.n)
+	t.words.state(c.U64)
 	c.End()
 }
 
-// State walks the discontinuity table, entry by entry; an unallocated page
-// walks as the invalid entries it reads as, and a load allocates only the
-// pages that hold a nonzero entry.
-func (t *DisTable) State(c *checkpoint.Codec) {
+// stateDisTable walks the discontinuity table, entry by entry.
+func stateDisTable(c *checkpoint.Codec, t *disTable) {
 	c.Begin("distable")
-	c.Fixed("DisTable entries", t.n)
-	spare := new([disPage]disEntry)
-	for pi, p := range t.pages {
-		if p == nil {
-			p = spare
-		}
-		used := false
-		for i := range min(disPage, t.n-pi*disPage) {
-			e := &p[i]
-			c.Bool(&e.valid)
-			c.U16(&e.tag)
-			c.U8(&e.offset)
-			used = used || *e != disEntry{}
-		}
-		if p == spare && used {
-			t.pages[pi], spare = spare, new([disPage]disEntry)
-		}
-	}
+	t.state(c, "DisTable entries", c.U8)
 	c.End()
 }
 
@@ -87,25 +55,13 @@ func (r *RLU) state(c *checkpoint.Codec) {
 	}
 }
 
-// state walks the queued items in FIFO order; a loaded queue starts at the
-// ring's first slot.
-func (q *boundedQueue) state(c *checkpoint.Codec) {
-	c.Fixed("queue capacity", q.cap)
-	n := c.Len("queue", q.n, 17, q.cap)
-	if c.Loading() {
-		q.head, q.n = 0, n
-	}
-	for i := 0; i < n; i++ {
-		it := &q.ring[(q.head+i)%len(q.ring)]
+// stateQueue walks a Proactive queue.
+func stateQueue(c *checkpoint.Codec, q *ring[qItem]) {
+	q.state(c, "queue", 17, func(it *qItem) {
 		checkpoint.Word(c, &it.block)
 		c.Int(&it.depth)
 		c.Bool(&it.fromDis)
-	}
-}
-
-func (q *ftq) state(c *checkpoint.Codec) {
-	c.Fixed("FTQ capacity", q.cap)
-	checkpoint.Words(c, "FTQ", &q.blocks, q.cap)
+	})
 }
 
 func (r *bbRecorder) state(c *checkpoint.Codec) {
@@ -139,7 +95,7 @@ func (d *SN4L) State(c *checkpoint.Codec) {
 func (d *Dis) State(c *checkpoint.Codec) {
 	c.Begin("dis")
 	d.ConvBTB.State(c)
-	d.tab.State(c)
+	stateDisTable(c, d.tab)
 	c.End()
 }
 
@@ -147,12 +103,7 @@ func (d *Dis) State(c *checkpoint.Codec) {
 func (d *Discontinuity) State(c *checkpoint.Codec) {
 	c.Begin("discontinuity")
 	d.ConvBTB.State(c)
-	c.Fixed("discontinuity table entries", len(d.valid))
-	for i := range d.valid {
-		c.Bool(&d.valid[i])
-		c.U16(&d.tags[i])
-		checkpoint.Word(c, &d.targets[i])
-	}
+	d.tab.state(c, "discontinuity table entries", func(t *isa.BlockID) { checkpoint.Word(c, t) })
 	checkpoint.Word(c, &d.prevBlock)
 	c.Bool(&d.havePrev)
 	c.End()
@@ -163,11 +114,11 @@ func (p *Proactive) State(c *checkpoint.Codec) {
 	c.Begin("proactive")
 	p.ConvBTB.State(c)
 	p.seq.State(c)
-	p.dis.State(c)
+	stateDisTable(c, p.dis)
 	p.rlu.state(c)
-	p.seqQ.state(c)
-	p.disQ.state(c)
-	p.rluQ.state(c)
+	stateQueue(c, &p.seqQ)
+	stateQueue(c, &p.disQ)
+	stateQueue(c, &p.rluQ)
 	checkpoint.Map(c, "deferred-decode set", checkpoint.Keys(p.pendingDecode), 16, checkpoint.Unbounded,
 		func() { clear(p.pendingDecode) },
 		func(b isa.BlockID) {
@@ -187,11 +138,11 @@ func (p *Proactive) Audit() []error {
 	var errs []error
 	for _, q := range []struct {
 		name string
-		q    *boundedQueue
-	}{{"SeqQueue", p.seqQ}, {"DisQueue", p.disQ}, {"RLUQueue", p.rluQ}} {
-		if q.q.len() > q.q.cap {
+		q    *ring[qItem]
+	}{{"SeqQueue", &p.seqQ}, {"DisQueue", &p.disQ}, {"RLUQueue", &p.rluQ}} {
+		if q.q.len() > q.q.cap() {
 			errs = append(errs, fmt.Errorf("proactive: %s holds %d items over capacity %d",
-				q.name, q.q.len(), q.q.cap))
+				q.name, q.q.len(), q.q.cap()))
 		}
 	}
 	if len(p.pendingDecode) > 64 {
@@ -231,17 +182,13 @@ func (p *PIF) State(c *checkpoint.Codec) {
 func (d *RDIP) State(c *checkpoint.Codec) {
 	c.Begin("rdip")
 	d.ConvBTB.State(c)
-	c.Fixed("RDIP table entries", len(d.entries))
-	for i := range d.entries {
-		en := &d.entries[i]
-		c.Bool(&en.valid)
-		c.U16(&en.tag)
-		for j := range en.blocks {
-			checkpoint.Word(c, &en.blocks[j])
+	d.tab.state(c, "RDIP table entries", func(s *rdipSet) {
+		for j := range s.blocks {
+			checkpoint.Word(c, &s.blocks[j])
 		}
-		c.U8(&en.n)
-		c.U8(&en.next)
-	}
+		c.U8(&s.n)
+		c.U8(&s.next)
+	})
 	// The shadow RAS's capacity is its backing array's (see OnRetire).
 	checkpoint.Words(c, "RDIP shadow RAS", &d.ras, cap(d.ras))
 	c.U64(&d.sig)

@@ -22,6 +22,17 @@
 //     speculative RAS;
 //   - temporalStream (temporal.go), the history, index and replay of PIF and
 //     Confluence.
+//
+// Their tables and queues are built from three storage shapes, each written
+// once with its snapshot walk (tables.go):
+//
+//   - pages, a fixed-length array in lazily allocated pages that read as a
+//     blank value until written: the SeqTable's bits, and every direct;
+//   - direct, a direct-mapped, partially tagged table: the DisTable, the
+//     conventional discontinuity table, RDIP's signature table and the
+//     temporal-stream index;
+//   - ring, a bounded FIFO: Proactive's SeqQueue, DisQueue and RLUQueue,
+//     and the FTQ.
 package prefetch
 
 import (

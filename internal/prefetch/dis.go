@@ -6,98 +6,30 @@ import (
 	"dnc/internal/isa"
 )
 
-// DisTable is the Dis prefetcher's discontinuity table: direct-mapped,
+// disTable is the Dis prefetcher's discontinuity table: direct-mapped,
 // partially tagged, one entry per block recording the offset of the branch
 // instruction that last caused a discontinuity miss out of that block
 // (Section V.B). Storing the branch offset instead of the 46+ bit target is
 // what makes the table small: the target is recovered by pre-decoding.
-type DisTable struct {
-	// pages holds the entries, disPage to a page, each allocated by the
-	// first Record into it; a nil page reads as invalid entries, so an
-	// unlimited table costs memory only where it records.
-	pages   []*[disPage]disEntry
-	mask    uint64
-	tagBits uint
-	n       int
-}
+type disTable = direct[uint8]
 
-// disPage is the entries of one DisTable page: the paper's whole table.
-const (
-	disPageBits = 12
-	disPage     = 1 << disPageBits
-)
-
-type disEntry struct {
-	tag    uint16
-	offset uint8
-	valid  bool
-}
-
-// NewDisTable returns a table with the given entries (power of two; 0 means
+// newDisTable returns a table with the given entries (power of two; 0 means
 // unlimited) and partial-tag width in bits (0 = tagless, 16+ treated as a
-// full tag for the Figure 12 study).
-func NewDisTable(entries int, tagBits uint) *DisTable {
+// full tag for the Figure 12 study), the tag taken above the index bits.
+func newDisTable(entries int, tagBits uint) *disTable {
 	if entries == 0 {
 		entries = 1 << 26
 		if tagBits != 0 {
 			tagBits = 16
 		}
 	}
-	if entries&(entries-1) != 0 {
-		panic("prefetch: DisTable entries must be a power of two")
-	}
-	return &DisTable{
-		pages:   make([]*[disPage]disEntry, (entries+disPage-1)/disPage),
-		mask:    uint64(entries - 1),
-		tagBits: tagBits,
-		n:       entries,
-	}
+	return newDirect[uint8]("DisTable", entries, uint(bits.TrailingZeros(uint(entries))), tagBits)
 }
 
-// Entries returns the capacity.
-func (t *DisTable) Entries() int { return t.n }
-
-func (t *DisTable) idx(b isa.BlockID) uint64 { return uint64(b) & t.mask }
-
-func (t *DisTable) tagOf(b isa.BlockID) uint16 {
-	if t.tagBits == 0 {
-		return 0
-	}
-	shift := uint(bits.TrailingZeros64(t.mask + 1))
-	return uint16((uint64(b) >> shift) & ((1 << t.tagBits) - 1))
-}
-
-// Record stores the byte offset of the discontinuity branch in block b.
-func (t *DisTable) Record(b isa.BlockID, offset uint8) {
-	i := t.idx(b)
-	p := t.pages[i>>disPageBits]
-	if p == nil {
-		p = new([disPage]disEntry)
-		t.pages[i>>disPageBits] = p
-	}
-	p[i&(disPage-1)] = disEntry{tag: t.tagOf(b), offset: offset, valid: true}
-}
-
-// Lookup returns the recorded branch offset for block b. With partial tags a
-// conflicting entry may alias (tagless tables do so freely — the
-// overprediction of Figure 12); the tag check filters most aliases.
-func (t *DisTable) Lookup(b isa.BlockID) (uint8, bool) {
-	i := t.idx(b)
-	p := t.pages[i>>disPageBits]
-	if p == nil || !p[i&(disPage-1)].valid {
-		return 0, false
-	}
-	e := &p[i&(disPage-1)]
-	if e.tag != t.tagOf(b) {
-		return 0, false
-	}
-	return e.offset, true
-}
-
-// EntryBits returns the storage per entry: the tag plus a 4-bit instruction
-// offset. That is the fixed-length encoding Table II counts; Section V.D's
-// variable-length byte offset would take 6 bits.
-func (t *DisTable) EntryBits() int { return int(t.tagBits) + 4 }
+// disTableBits returns the table's storage: per entry the tag plus a 4-bit
+// instruction offset. That is the fixed-length encoding Table II counts;
+// Section V.D's variable-length byte offset would take 6 bits.
+func disTableBits(t *disTable) int { return t.entries() * (int(t.bits) + 4) }
 
 // Dis is the standalone discontinuity prefetcher design: it records the
 // branch responsible for each discontinuity miss and, on every fetch or
@@ -106,14 +38,14 @@ func (t *DisTable) EntryBits() int { return int(t.tagBits) + 4 }
 type Dis struct {
 	Base
 	*ConvBTB
-	tab *DisTable
+	tab *disTable
 }
 
 // NewDis returns a standalone Dis design (paper: 4K entries, 4-bit tags).
 func NewDis(entries int, tagBits uint, btbEntries int) *Dis {
 	return &Dis{
 		ConvBTB: NewConvBTB(btbEntries, 4),
-		tab:     NewDisTable(entries, tagBits),
+		tab:     newDisTable(entries, tagBits),
 	}
 }
 
@@ -123,7 +55,7 @@ func (*Dis) Name() string { return "Dis" }
 // RecordMiss implements the recording rule: on a cache miss, decode the last
 // two demanded instructions; if one is a branch, record its offset under the
 // block containing it. (Two instructions because of the SPARC delay slot.)
-func recordMiss(env Env, tab *DisTable, last2 [2]isa.Addr) {
+func recordMiss(env Env, tab *disTable, last2 [2]isa.Addr) {
 	for _, pc := range last2 {
 		if pc == 0 {
 			continue
@@ -131,7 +63,7 @@ func recordMiss(env Env, tab *DisTable, last2 [2]isa.Addr) {
 		blk := isa.BlockOf(pc)
 		off := uint8(isa.ByteOffset(pc))
 		if br, ok := env.DecodeBranchAt(blk, off); ok {
-			tab.Record(blk, br.Offset)
+			*tab.write(uint64(blk)) = br.Offset
 			return
 		}
 	}
@@ -149,15 +81,15 @@ type replayStats struct {
 // branch target through the pre-decoder. It returns the target block when a
 // prefetchable discontinuity was found, and counts the outcome in st unless
 // st is nil.
-func replayDis(env Env, tab *DisTable, btb *ConvBTB, b isa.BlockID, st *replayStats) (isa.BlockID, bool) {
-	off, ok := tab.Lookup(b)
-	if !ok {
+func replayDis(env Env, tab *disTable, btb *ConvBTB, b isa.BlockID, st *replayStats) (isa.BlockID, bool) {
+	off := tab.lookup(uint64(b))
+	if off == nil {
 		return 0, false
 	}
 	if st != nil {
 		st.TableHits++
 	}
-	br, ok := env.DecodeBranchAt(b, off)
+	br, ok := env.DecodeBranchAt(b, *off)
 	if !ok {
 		// Stale or aliased entry: the decoded bytes are not a branch.
 		if st != nil {
@@ -204,4 +136,4 @@ func (d *Dis) tryPrefetchTarget(b isa.BlockID) {
 }
 
 // StorageBits implements Design.
-func (d *Dis) StorageBits() int { return d.tab.Entries() * d.tab.EntryBits() }
+func (d *Dis) StorageBits() int { return disTableBits(d.tab) }

@@ -45,7 +45,7 @@ func TestDisRecordScansBothDelaySlotCandidates(t *testing.T) {
 			d := NewDis(1024, 4, 2048)
 			d.Bind(env)
 			d.OnDemand(isa.BlockOf(0x20000), false, tc.last2)
-			_, ok := d.tab.Lookup(isa.BlockOf(base))
+			_, ok := disLookup(d.tab, isa.BlockOf(base))
 			if ok != tc.want {
 				t.Fatalf("recorded = %v, want %v", ok, tc.want)
 			}
@@ -64,7 +64,7 @@ func TestDisReturnNeedsBTB(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.tab.Record(blk, 12)
+	disRecord(d.tab, blk, 12)
 	env.install(blk)
 
 	d.OnDemand(blk, true, [2]isa.Addr{})
@@ -106,14 +106,14 @@ func TestDisReplayStatsClassify(t *testing.T) {
 	if pr := replay(); pr != (Probes{}) {
 		t.Fatalf("after table miss: %+v", pr)
 	}
-	p.dis.Record(blk, 0) // offset 0 decodes to an ALU op
+	disRecord(p.dis, blk, 0) // offset 0 decodes to an ALU op
 	if pr := replay(); pr != (Probes{ReplayTableHits: 1, ReplayNotBranch: 1}) {
 		t.Fatalf("after stale entry: %+v, want one table hit, not a branch", pr)
 	}
 	if len(env.issued) != 0 {
 		t.Fatalf("a stale entry replayed into prefetches: %v", env.issued)
 	}
-	p.dis.Record(blk, 12) // the real branch
+	disRecord(p.dis, blk, 12) // the real branch
 	if pr := replay(); pr != (Probes{ReplayTableHits: 2, ReplayNotBranch: 1}) {
 		t.Fatalf("after good entry: %+v, want two table hits, one not a branch", pr)
 	}
@@ -134,7 +134,7 @@ func TestDisPendingReplayDedup(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.tab.Record(blk, 12)
+	disRecord(d.tab, blk, 12)
 	d.OnDemand(blk, false, [2]isa.Addr{})
 	d.OnDemand(blk, false, [2]isa.Addr{})
 	if env.lookups != 0 || len(env.issued) != 0 {

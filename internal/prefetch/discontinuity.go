@@ -12,67 +12,46 @@ type Discontinuity struct {
 	Base
 	*ConvBTB
 
-	valid   []bool
-	tags    []uint16
-	targets []isa.BlockID
-	mask    uint64
-	tagBits uint
+	tab *direct[isa.BlockID]
 
 	prevBlock isa.BlockID
 	havePrev  bool
 }
 
+// discontinuityTagShift is where the table's tag starts in the block
+// number. At the catalog's 8K entries the index is bits 0-12, so bit 12 is
+// in both the index and the tag; log2(entries) would tag above the index
+// (ROADMAP item 7(i)).
+const discontinuityTagShift = 12
+
 // NewDiscontinuity returns the conventional design. tagBits=0 models the
 // tagless table of prior work.
 func NewDiscontinuity(entries int, tagBits uint, btbEntries int) *Discontinuity {
-	if entries&(entries-1) != 0 {
-		panic("prefetch: discontinuity entries must be a power of two")
-	}
 	return &Discontinuity{
 		ConvBTB: NewConvBTB(btbEntries, 4),
-		valid:   make([]bool, entries),
-		tags:    make([]uint16, entries),
-		targets: make([]isa.BlockID, entries),
-		mask:    uint64(entries - 1),
-		tagBits: tagBits,
+		tab:     newDirect[isa.BlockID]("discontinuity", entries, discontinuityTagShift, tagBits),
 	}
 }
 
 // Name implements Design.
 func (*Discontinuity) Name() string { return "discontinuity" }
 
-func (d *Discontinuity) idx(b isa.BlockID) uint64 { return uint64(b) & d.mask }
-
-func (d *Discontinuity) tagOf(b isa.BlockID) uint16 {
-	if d.tagBits == 0 {
-		return 0
-	}
-	return uint16((uint64(b) >> 12) & ((1 << d.tagBits) - 1))
-}
-
 // OnDemand implements Design: record discontinuity misses, replay on every
 // access.
 func (d *Discontinuity) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 	env := d.E()
 	if !hit && d.havePrev && b != d.prevBlock+1 {
-		i := d.idx(d.prevBlock)
-		d.valid[i] = true
-		d.tags[i] = d.tagOf(d.prevBlock)
-		d.targets[i] = b
+		*d.tab.write(uint64(d.prevBlock)) = b
 	}
 	d.prevBlock, d.havePrev = b, true
 
-	i := d.idx(b)
-	if d.valid[i] && d.tags[i] == d.tagOf(b) {
-		t := d.targets[i]
-		if !env.L1iContains(t) && !env.InFlight(t) {
-			env.IssuePrefetch(t)
-		}
+	if t := d.tab.lookup(uint64(b)); t != nil && !env.L1iContains(*t) && !env.InFlight(*t) {
+		env.IssuePrefetch(*t)
 	}
 }
 
 // StorageBits implements Design: each entry stores a full block address
 // (~46 bits) plus the tag.
 func (d *Discontinuity) StorageBits() int {
-	return len(d.valid) * (46 + int(d.tagBits))
+	return d.tab.entries() * (46 + int(d.tab.bits))
 }

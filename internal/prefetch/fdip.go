@@ -19,7 +19,7 @@ import (
 type fdipWalk[R any] struct {
 	Base
 	rec *bbRecorder
-	q   *ftq
+	q   ring[isa.BlockID] // the fetch target queue
 
 	walkPC    isa.Addr
 	walkValid bool
@@ -43,13 +43,13 @@ func newFDIPWalk[R any](ftqEntries, budget int, train func(isa.Addr, btb.BBEntry
 	}
 	return fdipWalk[R]{
 		rec:    newBBRecorder(0, train),
-		q:      newFTQ(ftqEntries),
+		q:      newRing[isa.BlockID](ftqEntries),
 		budget: budget,
 	}
 }
 
 // QueueOccupancy implements OccupancyReporter: the FTQ's current depth.
-func (w *fdipWalk[R]) QueueOccupancy() int { return len(w.q.blocks) }
+func (w *fdipWalk[R]) QueueOccupancy() int { return w.q.len() }
 
 // OnRetire implements Retirer: committed instructions train the BTB through
 // the basic-block recorder.
@@ -60,7 +60,7 @@ func (w *fdipWalk[R]) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 // FTQGate implements Design: fetch may proceed into pc's block only when the
 // walk has delivered it at the FTQ head.
 func (w *fdipWalk[R]) FTQGate(pc isa.Addr) bool {
-	if h, ok := w.q.head(); ok {
+	if h, ok := w.q.front(); ok {
 		if h == isa.BlockOf(pc) {
 			w.q.pop()
 			return true
@@ -171,10 +171,18 @@ func (w *fdipWalk[R]) enqueueSpan(start isa.Addr, e btb.BBEntry) {
 	env := w.E()
 	size := max(isa.Addr(e.Size), 1)
 	for b, last := isa.BlockOf(start), isa.BlockOf(start+size-1); b <= last; b++ {
-		w.q.push(b)
+		w.enqueue(b)
 		if !env.L1iContains(b) && !env.InFlight(b) {
 			env.IssuePrefetch(b)
 		}
+	}
+}
+
+// enqueue pushes b onto the FTQ unless it repeats the tail block (a basic
+// block that starts in the block the last one ended in).
+func (w *fdipWalk[R]) enqueue(b isa.BlockID) {
+	if tail, ok := w.q.back(); !ok || tail != b {
+		w.q.push(b)
 	}
 }
 
@@ -192,57 +200,15 @@ func (w *fdipWalk[R]) popRAS() (R, bool) {
 }
 
 // ftqBits is the FTQ's storage: a 46-bit block address per entry.
-func (w *fdipWalk[R]) ftqBits() int { return w.q.cap * 46 }
+func (w *fdipWalk[R]) ftqBits() int { return w.q.cap() * 46 }
 
 // state walks the recorder, the FTQ and the walk point; the design walks its
 // speculative RAS next.
 func (w *fdipWalk[R]) state(c *checkpoint.Codec) {
 	w.rec.state(c)
-	w.q.state(c)
+	w.q.state(c, "FTQ", 8, func(b *isa.BlockID) { checkpoint.Word(c, b) })
 	checkpoint.Word(c, &w.walkPC)
 	c.Bool(&w.walkValid)
 	c.Bool(&w.stalled)
 	checkpoint.Word(c, &w.stalledOn)
 }
-
-// ftq is the fetch target queue: the sequence of blocks the walk has
-// delivered ahead of fetch.
-type ftq struct {
-	blocks []isa.BlockID
-	cap    int
-}
-
-func newFTQ(capacity int) *ftq {
-	return &ftq{cap: capacity, blocks: make([]isa.BlockID, 0, capacity)}
-}
-
-func (q *ftq) full() bool  { return len(q.blocks) >= q.cap }
-func (q *ftq) empty() bool { return len(q.blocks) == 0 }
-
-// push appends a block, deduplicating consecutive repeats.
-func (q *ftq) push(b isa.BlockID) {
-	if q.full() {
-		return
-	}
-	if n := len(q.blocks); n > 0 && q.blocks[n-1] == b {
-		return
-	}
-	q.blocks = append(q.blocks, b)
-}
-
-// head returns the front block.
-func (q *ftq) head() (isa.BlockID, bool) {
-	if q.empty() {
-		return 0, false
-	}
-	return q.blocks[0], true
-}
-
-func (q *ftq) pop() {
-	if !q.empty() {
-		copy(q.blocks, q.blocks[1:])
-		q.blocks = q.blocks[:len(q.blocks)-1]
-	}
-}
-
-func (q *ftq) reset() { q.blocks = q.blocks[:0] }

@@ -120,7 +120,7 @@ func TestNXLNames(t *testing.T) {
 }
 
 func TestSeqTableDefaultsToPrefetch(t *testing.T) {
-	tab := NewSeqTable(1024)
+	tab := newSeqTable(1024)
 	if !tab.Get(5) {
 		t.Fatal("entries must initialize set")
 	}
@@ -135,7 +135,7 @@ func TestSeqTableDefaultsToPrefetch(t *testing.T) {
 }
 
 func TestSeqTableAliasing(t *testing.T) {
-	tab := NewSeqTable(1024)
+	tab := newSeqTable(1024)
 	tab.Reset(7)
 	if tab.Get(7 + 1024) {
 		t.Fatal("aliased entry should share the bit")
@@ -143,7 +143,7 @@ func TestSeqTableAliasing(t *testing.T) {
 }
 
 func TestSeqTableNibble(t *testing.T) {
-	tab := NewSeqTable(1024)
+	tab := newSeqTable(1024)
 	tab.Reset(11)
 	tab.Reset(13)
 	// For block 10, subsequents 11..14 -> bits 0..3.
@@ -227,7 +227,7 @@ func TestSN4LLocalStatusOnFill(t *testing.T) {
 
 func TestRefreshLocalPropagates(t *testing.T) {
 	env := newFakeEnv()
-	tab := NewSeqTable(1024)
+	tab := newSeqTable(1024)
 	l := env.install(100) // holds nibble for 101..104
 	tab.Reset(102)
 	l.Aux = tab.Nibble(100)
@@ -246,29 +246,40 @@ func TestRefreshLocalPropagates(t *testing.T) {
 	}
 }
 
+// disRecord and disLookup are the DisTable's record and lookup in the
+// tests' terms.
+func disRecord(t *disTable, b isa.BlockID, off uint8) { *t.write(uint64(b)) = off }
+
+func disLookup(t *disTable, b isa.BlockID) (uint8, bool) {
+	if off := t.lookup(uint64(b)); off != nil {
+		return *off, true
+	}
+	return 0, false
+}
+
 func TestDisTableRecordLookup(t *testing.T) {
-	tab := NewDisTable(1024, 4)
-	if _, ok := tab.Lookup(55); ok {
+	tab := newDisTable(1024, 4)
+	if _, ok := disLookup(tab, 55); ok {
 		t.Fatal("hit in empty table")
 	}
-	tab.Record(55, 12)
-	off, ok := tab.Lookup(55)
+	disRecord(tab, 55, 12)
+	off, ok := disLookup(tab, 55)
 	if !ok || off != 12 {
 		t.Fatalf("lookup = %d, %v", off, ok)
 	}
 }
 
 func TestDisTablePartialTagFiltersAliases(t *testing.T) {
-	tagged := NewDisTable(1024, 4)
-	tagged.Record(55, 12)
+	tagged := newDisTable(1024, 4)
+	disRecord(tagged, 55, 12)
 	alias := isa.BlockID(55 + 1024) // same index, different tag
-	if _, ok := tagged.Lookup(alias); ok {
+	if _, ok := disLookup(tagged, alias); ok {
 		t.Fatal("partial tag failed to filter an alias")
 	}
 
-	tagless := NewDisTable(1024, 0)
-	tagless.Record(55, 12)
-	if _, ok := tagless.Lookup(alias); !ok {
+	tagless := newDisTable(1024, 0)
+	disRecord(tagless, 55, 12)
+	if _, ok := disLookup(tagless, alias); !ok {
 		t.Fatal("tagless table must alias (the Figure 12 overprediction)")
 	}
 }
@@ -297,7 +308,7 @@ func TestDisReplayPrefetchesTarget(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.tab.Record(blk, 12) // byte offset of slot 3
+	disRecord(d.tab, blk, 12) // byte offset of slot 3
 	env.install(blk)
 	d.OnDemand(blk, true, [2]isa.Addr{})
 	if !issuedSet(env.issued)[isa.BlockOf(target)] {
@@ -313,7 +324,7 @@ func TestDisReplayIgnoresStaleOffset(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.tab.Record(blk, 0) // offset 0 is an ALU op
+	disRecord(d.tab, blk, 0) // offset 0 is an ALU op
 	env.install(blk)
 	d.OnDemand(blk, true, [2]isa.Addr{})
 	if len(env.issued) != 0 {
@@ -332,7 +343,7 @@ func TestDisRecordsFromLastTwoInstructions(t *testing.T) {
 	// Miss on a far block; the branch is the second-to-last instruction
 	// (delay-slot style).
 	d.OnDemand(isa.BlockOf(0x20000), false, [2]isa.Addr{branchPC, base + 16})
-	off, ok := d.tab.Lookup(isa.BlockOf(base))
+	off, ok := disLookup(d.tab, isa.BlockOf(base))
 	if !ok || off != 12 {
 		t.Fatalf("recorded offset = %d, %v; want 12", off, ok)
 	}
@@ -347,7 +358,7 @@ func TestDisDeferredReplayOnFill(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.tab.Record(blk, 12)
+	disRecord(d.tab, blk, 12)
 	// Miss: replay must wait for the fill.
 	d.OnDemand(blk, false, [2]isa.Addr{})
 	if issuedSet(env.issued)[isa.BlockOf(target)] {
@@ -387,7 +398,7 @@ func TestRLU(t *testing.T) {
 }
 
 func TestBoundedQueue(t *testing.T) {
-	q := newBoundedQueue(2)
+	q := newRing[qItem](2)
 	q.push(qItem{block: 1})
 	q.push(qItem{block: 2})
 	q.push(qItem{block: 3}) // over capacity: dropped
@@ -417,7 +428,7 @@ func TestProactiveChainsThroughDiscontinuity(t *testing.T) {
 	d.Bind(env)
 
 	blk := isa.BlockOf(base)
-	d.dis.Record(blk, 12)
+	disRecord(d.dis, blk, 12)
 	env.install(blk)
 	d.OnFill(blk, false) // latch the local prefetch-status nibble
 
@@ -450,7 +461,7 @@ func TestProactiveSN1LBeyondDiscontinuity(t *testing.T) {
 	d.Bind(env)
 	blk := isa.BlockOf(base)
 	tb := isa.BlockOf(target)
-	d.dis.Record(blk, 12)
+	disRecord(d.dis, blk, 12)
 	env.install(blk)
 	d.OnFill(blk, false)
 
@@ -525,12 +536,12 @@ func TestDiscontinuityDesign(t *testing.T) {
 	// Record: access block 10, then a discontinuity miss at 50.
 	d.OnDemand(10, true, [2]isa.Addr{})
 	d.OnDemand(50, false, [2]isa.Addr{})
-	if i := d.idx(10); !d.valid[i] || d.targets[i] != 50 {
-		t.Fatalf("discontinuity 10 -> 50 not recorded: valid %v, target %d", d.valid[i], d.targets[i])
+	if tgt := d.tab.lookup(10); tgt == nil || *tgt != 50 {
+		t.Fatalf("discontinuity 10 -> 50 not recorded: %v", tgt)
 	}
 	// Sequential misses must not record.
 	d.OnDemand(51, false, [2]isa.Addr{})
-	if d.valid[d.idx(50)] {
+	if d.tab.lookup(50) != nil {
 		t.Fatalf("sequential miss recorded a discontinuity")
 	}
 	// Replay: next access to block 10 prefetches 50.
@@ -619,7 +630,7 @@ func TestStorageBudgets(t *testing.T) {
 		{"ShotgunDesignConfig{} storage", NewShotgun(ShotgunDesignConfig{}).StorageBits(), catalog("shotgun").StorageBits(), false},
 		{"ShotgunDesignConfig{BTBPercent: 25} storage", NewShotgun(ShotgunDesignConfig{BTBPercent: 25}).StorageBits(), catalog("shotgun").StorageBits(), true},
 		{"BoomerangConfig{FTQEntries: 8} BTB entries", shallow.bb.Entries(), catalog("boomerang").(*Boomerang).bb.Entries(), false},
-		{"BoomerangConfig{FTQEntries: 8} FTQ entries", shallow.q.cap, 8, false},
+		{"BoomerangConfig{FTQEntries: 8} FTQ entries", shallow.q.cap(), 8, false},
 	} {
 		switch {
 		case c.smaller && c.got >= c.want:
@@ -679,8 +690,8 @@ func TestRDIPRecordsAndReplays(t *testing.T) {
 	d.OnRetire(call, true, 0x9000)
 	d.OnDemand(500, false, [2]isa.Addr{})
 	d.OnDemand(501, false, [2]isa.Addr{})
-	if e := d.entry(d.sig); e.n != 2 {
-		t.Fatalf("miss set %v, want [500 501]", e.blocks[:e.n])
+	if e := d.tab.lookup(d.sig); e == nil || e.n != 2 {
+		t.Fatalf("miss set %+v, want [500 501]", e)
 	}
 	// Leave and re-enter the same context: the miss set replays.
 	d.OnRetire(ret, true, 0x1004)

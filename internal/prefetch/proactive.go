@@ -53,46 +53,6 @@ type qItem struct {
 	fromDis bool
 }
 
-// boundedQueue is a fixed-capacity FIFO ring; pushes beyond capacity are
-// dropped. The ring makes pop O(1) — these queues drain on every design tick,
-// so a shift-down FIFO would memmove on the hottest prefetch path.
-type boundedQueue struct {
-	ring []qItem
-	head int
-	n    int
-	cap  int
-}
-
-func newBoundedQueue(capacity int) *boundedQueue {
-	return &boundedQueue{cap: capacity, ring: make([]qItem, capacity)}
-}
-
-func (q *boundedQueue) len() int { return q.n }
-
-func (q *boundedQueue) push(it qItem) {
-	if q.n >= q.cap {
-		return
-	}
-	i := q.head + q.n
-	if i >= len(q.ring) {
-		i -= len(q.ring)
-	}
-	q.ring[i] = it
-	q.n++
-}
-
-func (q *boundedQueue) pop() (qItem, bool) {
-	if q.n == 0 {
-		return qItem{}, false
-	}
-	it := q.ring[q.head]
-	if q.head++; q.head == len(q.ring) {
-		q.head = 0
-	}
-	q.n--
-	return it, true
-}
-
 // ProactiveConfig sizes the combined SN4L+Dis(+BTB) design.
 type ProactiveConfig struct {
 	SeqEntries int  // SeqTable entries (paper: 16K); 0 = unlimited
@@ -132,12 +92,12 @@ type Proactive struct {
 	Base
 	*ConvBTB
 	cfg  ProactiveConfig
-	seq  *SeqTable
-	dis  *DisTable
+	seq  *seqTable
+	dis  *disTable
 	rlu  *RLU
-	seqQ *boundedQueue
-	disQ *boundedQueue
-	rluQ *boundedQueue
+	seqQ ring[qItem]
+	disQ ring[qItem]
+	rluQ ring[qItem]
 
 	// sink is the core's event tracer, when it offers one (see TraceSink).
 	sink TraceSink
@@ -170,12 +130,12 @@ func NewProactive(cfg ProactiveConfig) *Proactive {
 	p := &Proactive{
 		cfg:           cfg,
 		ConvBTB:       NewConvBTB(cfg.BTBEntries, 4),
-		seq:           NewSeqTable(cfg.SeqEntries),
-		dis:           NewDisTable(cfg.DisEntries, cfg.DisTagBits),
+		seq:           newSeqTable(cfg.SeqEntries),
+		dis:           newDisTable(cfg.DisEntries, cfg.DisTagBits),
 		rlu:           NewRLU(cfg.RLUEntries),
-		seqQ:          newBoundedQueue(cfg.QueueDepth),
-		disQ:          newBoundedQueue(cfg.QueueDepth),
-		rluQ:          newBoundedQueue(cfg.QueueDepth),
+		seqQ:          newRing[qItem](cfg.QueueDepth),
+		disQ:          newRing[qItem](cfg.QueueDepth),
+		rluQ:          newRing[qItem](cfg.QueueDepth),
 		pendingDecode: make(map[isa.BlockID]int),
 		disIssued:     make(map[isa.BlockID]struct{}),
 	}
@@ -371,7 +331,7 @@ func (p *Proactive) stepRLU() {
 // Like Table II, it counts the DisTable's fixed-length offsets.
 func (p *Proactive) StorageBits() int {
 	bits := p.seq.Entries() // 1 bit per SeqTable entry
-	bits += p.dis.Entries() * p.dis.EntryBits()
+	bits += disTableBits(p.dis)
 	if p.cfg.WithBTBPrefetch {
 		// 32 block entries, each holding up to 4 branches of (6-bit offset
 		// + 46-bit target + 2-bit kind) plus a block tag: ~1 KB.

@@ -15,8 +15,7 @@ type RDIP struct {
 	Base
 	*ConvBTB
 
-	entries []rdipEntry
-	mask    uint64
+	tab *direct[rdipSet]
 
 	// shadow return-address stack for signature computation.
 	ras []isa.Addr
@@ -28,9 +27,9 @@ type RDIP struct {
 // table stores a handful of cache-block addresses per entry).
 const rdipBlocksPerSig = 8
 
-type rdipEntry struct {
-	valid  bool
-	tag    uint16
+// rdipSet is a signature's recorded miss set; its table is tagged with the
+// signature's top 16 bits.
+type rdipSet struct {
 	blocks [rdipBlocksPerSig]isa.BlockID
 	n      uint8
 	next   uint8 // FIFO replacement cursor within the miss set
@@ -39,13 +38,9 @@ type rdipEntry struct {
 // NewRDIP returns an RDIP design with the given signature-table entries
 // (power of two).
 func NewRDIP(entries, btbEntries int) *RDIP {
-	if entries&(entries-1) != 0 {
-		panic("prefetch: RDIP entries must be a power of two")
-	}
 	return &RDIP{
 		ConvBTB: NewConvBTB(btbEntries, 4),
-		entries: make([]rdipEntry, entries),
-		mask:    uint64(entries - 1),
+		tab:     newDirect[rdipSet]("RDIP", entries, 48, 16),
 		ras:     make([]isa.Addr, 0, 16),
 	}
 }
@@ -64,22 +59,12 @@ func (d *RDIP) signature() uint64 {
 	return h
 }
 
-func (d *RDIP) entry(sig uint64) *rdipEntry {
-	return &d.entries[sig&d.mask]
-}
-
-func tagOfSig(sig uint64) uint16 { return uint16(sig >> 48) }
-
 // OnDemand implements Design: record misses under the current signature.
 func (d *RDIP) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 	if hit {
 		return
 	}
-	e := d.entry(d.sig)
-	tag := tagOfSig(d.sig)
-	if !e.valid || e.tag != tag {
-		*e = rdipEntry{valid: true, tag: tag}
-	}
+	e := d.tab.write(d.sig)
 	for i := 0; i < int(e.n); i++ {
 		if e.blocks[i] == b {
 			return
@@ -114,8 +99,8 @@ func (d *RDIP) OnRetire(inst isa.Inst, taken bool, target isa.Addr) {
 
 // prefetchSet issues the signature's recorded miss set.
 func (d *RDIP) prefetchSet(sig uint64) {
-	e := d.entry(sig)
-	if !e.valid || e.tag != tagOfSig(sig) {
+	e := d.tab.lookup(sig)
+	if e == nil {
 		return
 	}
 	env := d.E()
@@ -130,5 +115,5 @@ func (d *RDIP) prefetchSet(sig uint64) {
 
 // StorageBits implements Design: tag + up to 8 block addresses per entry.
 func (d *RDIP) StorageBits() int {
-	return len(d.entries) * (16 + rdipBlocksPerSig*46)
+	return d.tab.entries() * (16 + rdipBlocksPerSig*46)
 }

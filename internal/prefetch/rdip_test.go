@@ -24,8 +24,8 @@ func TestRDIPMissSetDedup(t *testing.T) {
 	d.OnDemand(500, false, [2]isa.Addr{})
 	d.OnDemand(500, false, [2]isa.Addr{})
 	d.OnDemand(501, false, [2]isa.Addr{})
-	if e := d.entry(d.sig); e.n != 2 || e.blocks[0] != 500 || e.blocks[1] != 501 {
-		t.Fatalf("miss set %v, want [500 501] (dedup failed)", e.blocks[:e.n])
+	if e := d.tab.lookup(d.sig); e == nil || e.n != 2 || e.blocks[0] != 500 || e.blocks[1] != 501 {
+		t.Fatalf("miss set %+v, want [500 501] (dedup failed)", e)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestSN4LUsefulHitCounter(t *testing.T) {
 // TestSN4LUnlimitedTable pins the unlimited (0-entry) reference
 // configuration of Figure 11: entries never alias.
 func TestSN4LUnlimitedTable(t *testing.T) {
-	tab := NewSeqTable(0)
+	tab := newSeqTable(0)
 	tab.Reset(7)
 	if tab.Get(7) {
 		t.Fatal("reset lost")
@@ -139,15 +139,15 @@ func TestSN4LUnlimitedTable(t *testing.T) {
 func TestUnlimitedTablesAreSparse(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	dis := NewDisTable(0, 4)
-	seq := NewSeqTable(0)
+	dis := newDisTable(0, 4)
+	seq := newSeqTable(0)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("unlimited tables allocated %d bytes up front, want under 1 MB", got)
 	}
-	if dis.Entries() != 1<<26 || dis.EntryBits() != 16+4 || seq.Entries() != 1<<26 || seq.words != 1<<20+1 {
-		t.Fatalf("unlimited sizes: DisTable %d entries of %d bits, SeqTable %d entries in %d words",
-			dis.Entries(), dis.EntryBits(), seq.Entries(), seq.words)
+	if dis.entries() != 1<<26 || disTableBits(dis) != (16+4)<<26 || seq.Entries() != 1<<26 || seq.words.n != 1<<20+1 {
+		t.Fatalf("unlimited sizes: DisTable %d entries in %d bits, SeqTable %d entries in %d words",
+			dis.entries(), disTableBits(dis), seq.Entries(), seq.words.n)
 	}
 }
 
@@ -156,32 +156,21 @@ func TestUnlimitedTablesAreSparse(t *testing.T) {
 // and restore into fresh tables holding only the pages that differ from
 // the untouched state.
 func TestTablePagesOnFirstTouch(t *testing.T) {
-	dis, seq := NewDisTable(4*disPage, 4), NewSeqTable(4*64*seqPage)
-	farDis, farSeq := isa.BlockID(4*disPage-3), isa.BlockID(4*64*seqPage-3)
-	dis.Record(5, 12)
-	dis.Record(farDis, 40)
+	dis, seq := newDisTable(4*pageLen, 4), newSeqTable(4*64*pageLen)
+	farDis, farSeq := isa.BlockID(4*pageLen-3), isa.BlockID(4*64*pageLen-3)
+	disRecord(dis, 5, 12)
+	disRecord(dis, farDis, 40)
 	seq.Reset(9)
 	seq.Reset(farSeq)
 	seq.Set(farSeq)
-	pages := func() (d, s int) {
-		for _, p := range dis.pages {
-			if p != nil {
-				d++
-			}
-		}
-		for _, p := range seq.pages {
-			if p != nil {
-				s++
-			}
-		}
-		return d, s
-	}
+	pages := func() (d, s int) { return allocated(&dis.slots), allocated(&seq.words) }
 	if d, s := pages(); d != 2 || s != 2 {
 		t.Fatalf("%d DisTable and %d SeqTable pages allocated, want 2 each", d, s)
 	}
-	dis2, seq2 := NewDisTable(4*disPage, 4), NewSeqTable(4*64*seqPage)
+	dis2, seq2 := newDisTable(4*pageLen, 4), newSeqTable(4*64*pageLen)
 	for _, tab := range []struct{ from, to func(*checkpoint.Codec) }{
-		{dis.State, dis2.State}, {seq.State, seq2.State},
+		{func(c *checkpoint.Codec) { stateDisTable(c, dis) }, func(c *checkpoint.Codec) { stateDisTable(c, dis2) }},
+		{seq.State, seq2.State},
 	} {
 		snap := checkpointtest.Save(tab.from)
 		if err := checkpointtest.Load(snap, tab.to); err != nil {
@@ -195,7 +184,7 @@ func TestTablePagesOnFirstTouch(t *testing.T) {
 	if d, s := pages(); d != 2 || s != 1 {
 		t.Fatalf("restored tables hold %d DisTable and %d SeqTable pages, want 2 and 1 (the far SeqTable page is all set again)", d, s)
 	}
-	if off, ok := dis.Lookup(farDis); !ok || off != 40 {
+	if off, ok := disLookup(dis, farDis); !ok || off != 40 {
 		t.Fatalf("restored DisTable lost block %d: %d, %v", farDis, off, ok)
 	}
 	if seq.Get(9) || !seq.Get(farSeq) || !seq.Get(10) {

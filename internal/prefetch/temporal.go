@@ -19,11 +19,8 @@ type temporalStream[R streamRecord] struct {
 	histPos int
 	full    bool
 
-	// The index maps a trigger block to its latest history position.
-	idxValid []bool
-	idxTag   []uint16
-	idxPos   []int32
-	idxMask  uint64
+	// idx maps a trigger block to its latest history position.
+	idx *direct[int32]
 
 	// Active replay stream.
 	streamPos  int
@@ -50,31 +47,17 @@ func (r missRecord) appendBlocks(dst []isa.BlockID) []isa.BlockID {
 }
 
 func newTemporalStream[R streamRecord](name string, histEntries, indexEntries, lookahead int) temporalStream[R] {
-	if indexEntries&(indexEntries-1) != 0 {
-		panic("prefetch: " + name + " index entries must be a power of two")
-	}
 	return temporalStream[R]{
 		hist:      make([]R, histEntries),
-		idxValid:  make([]bool, indexEntries),
-		idxTag:    make([]uint16, indexEntries),
-		idxPos:    make([]int32, indexEntries),
-		idxMask:   uint64(indexEntries - 1),
+		idx:       newDirect[int32](name+" index", indexEntries, 14, 10),
 		lookahead: lookahead,
 	}
-}
-
-// slot returns b's index entry and partial tag.
-func (s *temporalStream[R]) slot(b isa.BlockID) (uint64, uint16) {
-	return uint64(b) & s.idxMask, uint16((uint64(b) >> 14) & 0x3FF)
 }
 
 // record appends r to the history and indexes it under its trigger block.
 func (s *temporalStream[R]) record(trigger isa.BlockID, r R) {
 	s.hist[s.histPos] = r
-	i, tag := s.slot(trigger)
-	s.idxValid[i] = true
-	s.idxTag[i] = tag
-	s.idxPos[i] = int32(s.histPos)
+	*s.idx.write(uint64(trigger)) = int32(s.histPos)
 	s.histPos++
 	if s.histPos == len(s.hist) {
 		s.histPos = 0
@@ -91,8 +74,8 @@ func (s *temporalStream[R]) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 		}
 		return
 	}
-	if i, tag := s.slot(b); s.idxValid[i] && s.idxTag[i] == tag {
-		s.streamPos = int(s.idxPos[i])
+	if pos := s.idx.lookup(uint64(b)); pos != nil {
+		s.streamPos = int(*pos)
 		s.streamLive = true
 		s.advance(s.lookahead)
 	}
@@ -129,7 +112,7 @@ func (s *temporalStream[R]) OnRedirect(isa.Addr) { s.streamLive = false }
 
 // indexBits is the index's storage: a 10-bit tag and a 15-bit position per
 // entry.
-func (s *temporalStream[R]) indexBits() int { return len(s.idxValid) * (10 + 15) }
+func (s *temporalStream[R]) indexBits() int { return s.idx.entries() * (10 + 15) }
 
 // state walks the history (each record through walk), the index and the
 // replay position; name prefixes the geometry checks' messages.
@@ -140,12 +123,7 @@ func (s *temporalStream[R]) state(c *checkpoint.Codec, name string, walk func(*R
 	}
 	c.Int(&s.histPos)
 	c.Bool(&s.full)
-	c.Fixed(name+" index entries", len(s.idxValid))
-	for i := range s.idxValid {
-		c.Bool(&s.idxValid[i])
-		c.U16(&s.idxTag[i])
-		checkpoint.Word32(c, &s.idxPos[i])
-	}
+	s.idx.state(c, name+" index entries", func(pos *int32) { checkpoint.Word32(c, pos) })
 	c.Int(&s.streamPos)
 	c.Bool(&s.streamLive)
 }
