@@ -1,6 +1,6 @@
 // Package blockmap provides a small open-addressed hash table keyed by
 // isa.BlockID, used for the simulator's hot per-core structures (MSHR file,
-// prefetch buffer index, prefetch-latency and branch-footprint caches).
+// prefetch buffer index and branch-footprint cache).
 //
 // The engine's steady state must not allocate: Go's built-in map allocates
 // on insert and forces a heap-allocated iterator for every range, which

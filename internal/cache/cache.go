@@ -43,6 +43,9 @@ type Line struct {
 	// Aux is free per-line metadata; SN4L stores its 4-bit local prefetch
 	// status here.
 	Aux uint8
+	// Lat is a prefetched line's fill latency, read by the first demand hit
+	// (the covered part of CMAL); 0 on every other line.
+	Lat uint64
 }
 
 // Line flag bits.
@@ -305,4 +308,5 @@ func (t *Table[K, V]) State(c *checkpoint.Codec, val func(*checkpoint.Codec, *V)
 func LineState(c *checkpoint.Codec, l *Line) {
 	c.U8(&l.Flags)
 	c.U8(&l.Aux)
+	c.U64(&l.Lat)
 }

@@ -226,7 +226,7 @@ func newL1Case() *tableCase[isa.BlockID, Line] {
 	return &tableCase[isa.BlockID, Line]{tb: tb,
 		ref: newRef[isa.BlockID, Line](4, 2, func(b isa.BlockID) int { return int(b & 3) }),
 		key: func(b byte) isa.BlockID { return isa.BlockID(b % 24) },
-		val: func(b byte) Line { return Line{Flags: b & 3, Aux: b >> 2 & 15} }}
+		val: func(b byte) Line { return Line{Flags: b & 3, Aux: b >> 2 & 15, Lat: uint64(b) * 41} }}
 }
 
 func newPCCase() *tableCase[isa.Addr, uint16] {

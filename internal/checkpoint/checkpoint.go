@@ -50,7 +50,7 @@ const (
 	// Version is the current snapshot format version. Decode refuses
 	// other versions: snapshots are short-lived artifacts (resume a killed
 	// run), not archival, so no cross-version migration is attempted.
-	Version uint16 = 2
+	Version uint16 = 3
 )
 
 // Typed decode errors. All decoder failures wrap one of these.

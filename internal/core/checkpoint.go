@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dnc/internal/blockmap"
 	"dnc/internal/cache"
@@ -44,8 +43,6 @@ func (c *Core) State(cp *checkpoint.Codec) {
 			c.pfbOrder = live
 		}
 	}
-
-	blockTabState(cp, "prefetch-latency table", &c.prefLat, cp.U64)
 
 	if checkpoint.Same(cp, "footprint-cache presence", c.bfCache != nil, cp.Bool) {
 		blockTabState(cp, "footprint cache", c.bfCache, func(bf *isa.BF) {
@@ -132,8 +129,6 @@ func blockTabState[V any](c *checkpoint.Codec, what string, m *blockmap.Map[V], 
 //     cause (BusyCycles + StallCycles == Cycles);
 //   - the prefetch buffer's FIFO order and map agree, occupancy is within
 //     capacity, and no buffered block is simultaneously resident in the L1i;
-//   - every remembered prefetch-fill latency belongs to a resident,
-//     still-flagged L1i line;
 //   - MSHR invariants (occupancy, no leaked entries), plus exclusivity: an
 //     in-flight miss must not already be resident in the L1i.
 func (c *Core) Audit() []error {
@@ -171,20 +166,6 @@ func (c *Core) Audit() []error {
 				errs = append(errs, fmt.Errorf("core %d: block %#x resident in both prefetch buffer and L1i",
 					c.cf.Tile, uint64(b)))
 			}
-		}
-	}
-
-	prefBlocks := c.prefLat.AppendKeys(make([]isa.BlockID, 0, c.prefLat.Len()))
-	sort.Slice(prefBlocks, func(i, j int) bool { return prefBlocks[i] < prefBlocks[j] })
-	for _, b := range prefBlocks {
-		line := c.l1i.Line(b)
-		switch {
-		case line == nil:
-			errs = append(errs, fmt.Errorf("core %d: prefetch latency remembered for block %#x not resident in L1i",
-				c.cf.Tile, uint64(b)))
-		case line.Flags&cache.FlagPrefetched == 0:
-			errs = append(errs, fmt.Errorf("core %d: prefetch latency remembered for block %#x whose prefetched flag was consumed",
-				c.cf.Tile, uint64(b)))
 		}
 	}
 

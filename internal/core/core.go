@@ -104,9 +104,6 @@ type Core struct {
 	pfbHead  int
 	pfbCap   int
 
-	// prefLat remembers the fill latency of prefetched L1i lines (CMAL).
-	prefLat blockmap.Map[uint64]
-
 	// Branch-footprint construction and caching (variable-length ISA).
 	bfCache *blockmap.Map[isa.BF]
 
@@ -203,9 +200,6 @@ func New(cf Config, stream wl.Stream, image *isa.Image, design prefetch.Design, 
 		rob:     make([]robEntry, robEntries),
 		startup: true,
 	}
-	// prefLat is bounded by resident L1i lines still holding their
-	// prefetched flag; presizing to the line count makes it allocation-free.
-	c.prefLat = *blockmap.New[uint64](l1iSizeBytes / isa.BlockBytes)
 	if b, ok := design.(prefetch.Bufferer); ok && b.BufferEntries() > 0 {
 		c.pfbCap = b.BufferEntries()
 		c.pfb = blockmap.New[uint64](c.pfbCap)
@@ -523,7 +517,7 @@ func (c *Core) processFills() {
 			line := c.fillL1i(m.Block)
 			if isPrefetch {
 				line.Flags |= cache.FlagPrefetched
-				c.prefLat.Put(m.Block, m.Latency())
+				line.Lat = m.Latency()
 				c.M.PrefetchFills++
 			}
 		}
@@ -548,7 +542,6 @@ func (c *Core) fillL1i(b isa.BlockID) *cache.Line {
 		if old.Flags&cache.FlagPrefetched != 0 {
 			c.M.UselessEvicts++
 		}
-		c.prefLat.Delete(victim)
 		c.design.OnEvict(cache.Evicted{Block: victim, Flags: old.Flags, Aux: old.Aux})
 	}
 	return line
@@ -759,11 +752,10 @@ func (c *Core) demandAccess(b isa.BlockID) bool {
 
 	if line != nil {
 		if line.Flags&cache.FlagPrefetched != 0 {
-			lat, _ := c.prefLat.Get(b)
-			c.prefLat.Delete(b)
-			c.M.CMALCovered += lat
-			c.M.CMALTotal += lat
+			c.M.CMALCovered += line.Lat
+			c.M.CMALTotal += line.Lat
 			c.M.UsefulPrefetches++
+			line.Lat = 0
 		}
 		c.design.OnDemand(b, true, c.last2)
 		// The design may have consumed the flag (SN4L); clear it for

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"dnc/internal/cache"
 	wl "dnc/internal/cfg"
+	"dnc/internal/checkpoint"
 	"dnc/internal/isa"
 	"dnc/internal/llc"
 	"dnc/internal/prefetch"
@@ -138,6 +140,67 @@ func TestPrefetchFillsAndCMAL(t *testing.T) {
 	}
 	if c.M.CMALCovered > c.M.CMALTotal {
 		t.Fatal("covered exceeds total")
+	}
+}
+
+// TestPrefetchLatencyRidesTheLine: a prefetch fill writes its latency into
+// the L1i line; it survives a save → load round trip, the first demand hit
+// adds it to CMALCovered exactly once, and an eviction drops it with the
+// line.
+func TestPrefetchLatencyRidesTheLine(t *testing.T) {
+	c, _ := envCore(t, Config{})
+	prog := wl.Generate(testWorkload())
+	b := isa.BlockOf(prog.Image.Base) + 40
+	if !c.IssuePrefetch(b) {
+		t.Fatal("prefetch refused")
+	}
+	m, _ := c.mshr.Lookup(b)
+	lat := m.Latency()
+	c.cycle = m.ReadyCycle
+	c.processFills()
+	if line := c.l1i.Line(b); line == nil || line.Flags&cache.FlagPrefetched == 0 || line.Lat != lat || lat == 0 {
+		t.Fatalf("prefetched line %+v, want flagged with latency %d", line, lat)
+	}
+
+	e := checkpoint.NewEncoder()
+	c.State(checkpoint.NewSaver(e))
+	d, err := checkpoint.Decode(e.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := envCore(t, Config{})
+	cp := checkpoint.NewLoader(d)
+	r.State(cp)
+	if err := cp.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if !r.demandAccess(b) {
+			t.Fatal("prefetched block missed")
+		}
+		if r.M.CMALCovered != lat || r.M.CMALTotal != lat || r.M.UsefulPrefetches != 1 {
+			t.Fatalf("covered %d of %d, %d useful; want %d of %d, 1 useful",
+				r.M.CMALCovered, r.M.CMALTotal, r.M.UsefulPrefetches, lat, lat)
+		}
+	}
+	if line := r.l1i.Line(b); line.Lat != 0 {
+		t.Fatalf("demanded line keeps latency %d", line.Lat)
+	}
+
+	// Fill the set until b leaves it, then demand-fill b again.
+	sets := isa.BlockID(c.l1i.Entries() / c.l1i.Ways())
+	for k := isa.BlockID(1); c.l1i.Contains(b); k++ {
+		c.fillL1i(b + k*sets)
+	}
+	if c.M.UselessEvicts != 1 {
+		t.Fatalf("%d useless evictions, want 1", c.M.UselessEvicts)
+	}
+	if line := c.fillL1i(b); line.Lat != 0 || line.Flags != 0 {
+		t.Fatalf("refilled line %+v carries the evicted prefetch's state", line)
+	}
+	c.demandAccess(b)
+	if c.M.CMALCovered != 0 || c.M.UsefulPrefetches != 0 {
+		t.Fatalf("covered %d, %d useful after the prefetch was evicted", c.M.CMALCovered, c.M.UsefulPrefetches)
 	}
 }
 

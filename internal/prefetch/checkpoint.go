@@ -43,18 +43,6 @@ func stateDisTable(c *checkpoint.Codec, t *disTable) {
 	c.End()
 }
 
-func (r *RLU) state(c *checkpoint.Codec) {
-	c.Fixed("RLU entries", len(r.entries))
-	c.Int(&r.next)
-	if n := len(r.entries); c.Loading() && n > 0 && (r.next < 0 || r.next >= n) {
-		c.Corrupt("RLU cursor %d out of range", r.next)
-	}
-	for i := range r.entries {
-		checkpoint.Word(c, &r.entries[i])
-		c.Bool(&r.valid[i])
-	}
-}
-
 // stateQueue walks a Proactive queue.
 func stateQueue(c *checkpoint.Codec, q *ring[qItem]) {
 	q.state(c, "queue", 17, func(it *qItem) {
@@ -115,7 +103,7 @@ func (p *Proactive) State(c *checkpoint.Codec) {
 	p.ConvBTB.State(c)
 	p.seq.State(c)
 	stateDisTable(c, p.dis)
-	p.rlu.state(c)
+	p.rlu.state(c, "RLU", 8, func(b *isa.BlockID) { checkpoint.Word(c, b) })
 	stateQueue(c, &p.seqQ)
 	stateQueue(c, &p.disQ)
 	stateQueue(c, &p.rluQ)

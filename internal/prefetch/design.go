@@ -31,8 +31,8 @@
 //   - direct, a direct-mapped, partially tagged table: the DisTable, the
 //     conventional discontinuity table, RDIP's signature table and the
 //     temporal-stream index;
-//   - ring, a bounded FIFO: Proactive's SeqQueue, DisQueue and RLUQueue,
-//     and the FTQ.
+//   - ring, a bounded FIFO: Proactive's SeqQueue, DisQueue, RLUQueue and
+//     RLU, and the FTQ.
 package prefetch
 
 import (
@@ -79,6 +79,13 @@ type Env interface {
 	// PredictTaken consults the core's direction predictor without
 	// updating it (used by BTB-directed engines walking ahead of fetch).
 	PredictTaken(pc isa.Addr) bool
+}
+
+// prefetchAbsent is the probe-then-prefetch rule every engine shares: one
+// counted L1i probe, then b is skipped if it is resident or in flight and
+// issued otherwise. It reports whether the prefetch was issued.
+func prefetchAbsent(env Env, b isa.BlockID) bool {
+	return !env.L1iContains(b) && !env.InFlight(b) && env.IssuePrefetch(b)
 }
 
 // TraceSink is an optional capability of the Env: an event tracer for

@@ -129,10 +129,7 @@ func (d *Dis) tryPrefetchTarget(b isa.BlockID) {
 	if !ok {
 		return
 	}
-	if env.L1iContains(tb) || env.InFlight(tb) {
-		return
-	}
-	env.IssuePrefetch(tb)
+	prefetchAbsent(env, tb)
 }
 
 // StorageBits implements Design.

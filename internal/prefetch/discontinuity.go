@@ -45,8 +45,8 @@ func (d *Discontinuity) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 	}
 	d.prevBlock, d.havePrev = b, true
 
-	if t := d.tab.lookup(uint64(b)); t != nil && !env.L1iContains(*t) && !env.InFlight(*t) {
-		env.IssuePrefetch(*t)
+	if t := d.tab.lookup(uint64(b)); t != nil {
+		prefetchAbsent(env, *t)
 	}
 }
 

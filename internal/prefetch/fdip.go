@@ -172,9 +172,7 @@ func (w *fdipWalk[R]) enqueueSpan(start isa.Addr, e btb.BBEntry) {
 	size := max(isa.Addr(e.Size), 1)
 	for b, last := isa.BlockOf(start), isa.BlockOf(start+size-1); b <= last; b++ {
 		w.enqueue(b)
-		if !env.L1iContains(b) && !env.InFlight(b) {
-			env.IssuePrefetch(b)
-		}
+		prefetchAbsent(env, b)
 	}
 }
 

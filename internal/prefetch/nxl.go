@@ -88,10 +88,6 @@ func (d *NXL) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 		}
 	}
 	for i := 1; i <= d.depth; i++ {
-		nb := b + isa.BlockID(i)
-		if d.E().L1iContains(nb) || d.E().InFlight(nb) {
-			continue
-		}
-		d.E().IssuePrefetch(nb)
+		prefetchAbsent(d.E(), b+isa.BlockID(i))
 	}
 }

@@ -371,28 +371,33 @@ func TestDisDeferredReplayOnFill(t *testing.T) {
 }
 
 func TestRLU(t *testing.T) {
-	r := NewRLU(2)
-	if r.Contains(1) {
+	p := NewProactive(ProactiveConfig{RLUEntries: 2})
+	holds := func(b isa.BlockID) bool {
+		for k := range p.rlu.len() {
+			if *p.rlu.at(k) == b {
+				return true
+			}
+		}
+		return false
+	}
+	if holds(1) || p.lookedUp(1) {
 		t.Fatal("empty RLU contains")
 	}
-	r.Insert(1)
-	r.Insert(2)
-	if !r.Contains(1) || !r.Contains(2) {
+	p.lookedUp(2)
+	if !holds(1) || !holds(2) || !p.lookedUp(1) || !p.lookedUp(2) {
 		t.Fatal("inserted blocks missing")
 	}
-	r.Insert(3) // evicts 1 (FIFO)
-	if r.Contains(1) || !r.Contains(3) {
+	p.lookedUp(3) // evicts 1 (FIFO)
+	if holds(1) || !holds(2) || !holds(3) {
 		t.Fatal("FIFO replacement wrong")
 	}
-	// Duplicate insert must not evict.
-	r.Insert(3)
-	if !r.Contains(2) {
-		t.Fatal("duplicate insert displaced an entry")
+	// A repeat must not evict.
+	if !p.lookedUp(3) || !holds(2) || !holds(3) {
+		t.Fatal("repeated lookup displaced an entry")
 	}
 	// Zero-entry RLU never contains.
-	z := NewRLU(0)
-	z.Insert(9)
-	if z.Contains(9) {
+	z := NewProactive(ProactiveConfig{})
+	if z.lookedUp(9) || z.lookedUp(9) || z.rlu.len() != 0 {
 		t.Fatal("zero-entry RLU stored a block")
 	}
 }

@@ -6,44 +6,6 @@ import (
 	"dnc/internal/isa"
 )
 
-// RLU is the Recently-Looked-Up filter: the addresses of the last eight
-// blocks probed in the L1i by either the prefetcher or the demand stream. It
-// suppresses repetitive cache lookups of the aggressive proactive engine
-// (Section V.B, "Decreasing the unnecessary cache lookups").
-type RLU struct {
-	entries []isa.BlockID
-	valid   []bool
-	next    int
-}
-
-// NewRLU returns a filter with the given entry count (paper: 8; 0 disables
-// filtering, every probe misses).
-func NewRLU(entries int) *RLU {
-	return &RLU{entries: make([]isa.BlockID, entries), valid: make([]bool, entries)}
-}
-
-// Contains reports whether the block was recently looked up.
-func (r *RLU) Contains(b isa.BlockID) bool {
-	for i := range r.entries {
-		if r.valid[i] && r.entries[i] == b {
-			return true
-		}
-	}
-	return false
-}
-
-// Insert records a lookup (FIFO replacement).
-func (r *RLU) Insert(b isa.BlockID) {
-	if len(r.entries) == 0 || r.Contains(b) {
-		return
-	}
-	r.entries[r.next] = b
-	r.valid[r.next] = true
-	if r.next++; r.next == len(r.entries) {
-		r.next = 0
-	}
-}
-
 // qItem is a block queued for SN4L or Dis triggering, with its chain depth.
 type qItem struct {
 	block isa.BlockID
@@ -94,7 +56,7 @@ type Proactive struct {
 	cfg  ProactiveConfig
 	seq  *seqTable
 	dis  *disTable
-	rlu  *RLU
+	rlu  ring[isa.BlockID] // the RLU, see lookedUp
 	seqQ ring[qItem]
 	disQ ring[qItem]
 	rluQ ring[qItem]
@@ -132,7 +94,7 @@ func NewProactive(cfg ProactiveConfig) *Proactive {
 		ConvBTB:       NewConvBTB(cfg.BTBEntries, 4),
 		seq:           newSeqTable(cfg.SeqEntries),
 		dis:           newDisTable(cfg.DisEntries, cfg.DisTagBits),
-		rlu:           NewRLU(cfg.RLUEntries),
+		rlu:           newRing[isa.BlockID](cfg.RLUEntries),
 		seqQ:          newRing[qItem](cfg.QueueDepth),
 		disQ:          newRing[qItem](cfg.QueueDepth),
 		rluQ:          newRing[qItem](cfg.QueueDepth),
@@ -181,7 +143,7 @@ func (p *Proactive) OnDemand(b isa.BlockID, hit bool, last2 [2]isa.Addr) {
 		recordMiss(env, p.dis, last2)
 	}
 	// The demanded block was, by definition, just looked up.
-	p.rlu.Insert(b)
+	p.lookedUp(b)
 	p.seqQ.push(qItem{block: b, depth: 0})
 	p.disQ.push(qItem{block: b, depth: 0})
 }
@@ -302,15 +264,11 @@ func (p *Proactive) stepRLU() {
 	if !ok {
 		return
 	}
-	if p.rlu.Contains(it.block) {
+	if p.lookedUp(it.block) {
 		return
 	}
-	p.rlu.Insert(it.block)
-	env := p.E()
-	if !env.L1iContains(it.block) && !env.InFlight(it.block) {
-		if env.IssuePrefetch(it.block) && it.fromDis && len(p.disIssued) < 4096 {
-			p.disIssued[it.block] = struct{}{}
-		}
+	if prefetchAbsent(p.E(), it.block) && it.fromDis && len(p.disIssued) < 4096 {
+		p.disIssued[it.block] = struct{}{}
 	}
 	nd := it.depth + 1
 	if nd <= p.cfg.MaxDepth {
@@ -324,6 +282,26 @@ func (p *Proactive) stepRLU() {
 		}
 		p.disQ.push(qItem{block: it.block, depth: nd, fromDis: it.fromDis})
 	}
+}
+
+// lookedUp consults the Recently-Looked-Up filter, the last RLUEntries
+// blocks probed in the L1i by either the prefetcher or the demand stream,
+// which suppresses repetitive cache lookups of the aggressive proactive
+// engine (Section V.B, "Decreasing the unnecessary cache lookups"). It
+// reports whether b is in the RLU and, when it is not, records it,
+// displacing the oldest entry of a full filter (FIFO). A zero-entry RLU
+// records nothing, so every probe passes.
+func (p *Proactive) lookedUp(b isa.BlockID) bool {
+	for k := range p.rlu.len() {
+		if *p.rlu.at(k) == b {
+			return true
+		}
+	}
+	if p.rlu.full() {
+		p.rlu.pop()
+	}
+	p.rlu.push(b)
+	return false
 }
 
 // StorageBits implements Design: SeqTable + DisTable + prefetch buffer +

@@ -105,11 +105,7 @@ func (d *RDIP) prefetchSet(sig uint64) {
 	}
 	env := d.E()
 	for i := 0; i < int(e.n); i++ {
-		b := e.blocks[i]
-		if env.L1iContains(b) || env.InFlight(b) {
-			continue
-		}
-		env.IssuePrefetch(b)
+		prefetchAbsent(env, e.blocks[i])
 	}
 }
 

@@ -325,10 +325,7 @@ func (d *Shotgun) prefetchFootprint(fp btb.Footprint, base isa.BlockID) {
 	env := d.E()
 	var buf [btb.FootprintBits]isa.BlockID
 	for _, blk := range fp.AppendBlocks(buf[:0], base) {
-		if env.L1iContains(blk) || env.InFlight(blk) {
-			continue
-		}
-		env.IssuePrefetch(blk)
+		prefetchAbsent(env, blk)
 	}
 }
 

@@ -165,11 +165,7 @@ func (d *SN4L) OnDemand(b isa.BlockID, hit bool, _ [2]isa.Addr) {
 		if nib&(1<<(i-1)) == 0 {
 			continue
 		}
-		nb := b + isa.BlockID(i)
-		if env.L1iContains(nb) || env.InFlight(nb) {
-			continue
-		}
-		env.IssuePrefetch(nb)
+		prefetchAbsent(env, b+isa.BlockID(i))
 	}
 }
 

@@ -99,10 +99,7 @@ func (s *temporalStream[R]) advance(n int) {
 			return
 		}
 		for _, b := range s.hist[s.streamPos].appendBlocks(s.blocks[:0]) {
-			if env.L1iContains(b) || env.InFlight(b) {
-				continue
-			}
-			env.IssuePrefetch(b)
+			prefetchAbsent(env, b)
 		}
 	}
 }

@@ -489,100 +489,6 @@ func TestDoneRecordHoldsEachFactOnce(t *testing.T) {
 	}
 }
 
-// TestLoadsDoneRecordFromEarlierBuild boots over a jobs/ directory written
-// by earlier builds: a finished job from the build before the done record
-// shrank (testdata/job_pr13: the whole JobStatus under "status", indented,
-// one cell restored from the runner journal that build still kept), which
-// must show the API view that build served, and a job accepted but not
-// finished (spec.json alone), which must run once, its completion landing
-// in jobs.jsonl. The directory is read-only: its files stay byte-identical
-// through two boots, and new IDs continue its seq.
-func TestLoadsDoneRecordFromEarlierBuild(t *testing.T) {
-	const id = "j000001-8d2a3cd76ede"
-	dir := filepath.Join(t.TempDir(), "data")
-	legacy := map[string][]byte{}
-	for _, name := range []string{"spec.json", "done.json"} {
-		b, err := os.ReadFile(filepath.Join("testdata", "job_pr13", id, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy[id+"/"+name] = b
-	}
-	pendingSpec := smallSpec()
-	pendingSpec.Seeds = []int64{7}
-	pendingID := jobID(2, pendingSpec.normalized())
-	b, err := json.MarshalIndent(map[string]any{"id": pendingID, "seq": 2, "spec": pendingSpec.normalized()}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy[pendingID+"/spec.json"] = b
-	for rel, b := range legacy {
-		path := filepath.Join(dir, "jobs", rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var old struct {
-		Status JobStatus `json:"status"`
-	}
-	if err := json.Unmarshal(legacy[id+"/done.json"], &old); err != nil {
-		t.Fatal(err)
-	}
-	legacyUnchanged := func() {
-		t.Helper()
-		var got []string
-		for _, rel := range dataFiles(t, filepath.Join(dir, "jobs")) {
-			got = append(got, rel)
-			if b, err := os.ReadFile(filepath.Join(dir, "jobs", rel)); err != nil || !bytes.Equal(b, legacy[rel]) {
-				t.Fatalf("legacy file %s changed (%v)", rel, err)
-			}
-		}
-		if len(got) != len(legacy) {
-			t.Fatalf("jobs/ holds %v, want only the %d legacy files", got, len(legacy))
-		}
-	}
-
-	e := newTestEnv(t, func(c *Config) { c.DataDir = dir; c.RunCell = fakeRunCell })
-	st, ok := e.srv.Job(id)
-	if !ok {
-		t.Fatalf("job %s not recovered", id)
-	}
-	if st.State != JobDone || st.Simulated != 3 || st.Resumed != 1 || st.Done != 4 || len(st.Digests) != 4 {
-		t.Fatalf("recovered status = %+v, want done with 3 simulated, 1 resumed, 4 digests", st)
-	}
-	a, _ := json.Marshal(old.Status)
-	b, _ = json.Marshal(st)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("status differs from what the earlier build recorded:\nrecorded  %s\nrecovered %s", a, b)
-	}
-	if st := e.waitJob(pendingID); st.State != JobDone || st.Simulated != 1 {
-		t.Fatalf("legacy pending job = %s with %d simulated, want done with 1", st.State, st.Simulated)
-	}
-	if recs := jobLines(t, dir, pendingID); len(recs) != 1 || recs[0].State != JobDone {
-		t.Fatalf("jobs.jsonl holds %+v for the legacy pending job, want its terminal line alone", recs)
-	}
-	e.drain()
-	legacyUnchanged()
-
-	e2 := newTestEnv(t, func(c *Config) { c.DataDir = dir; c.RunCell = fakeRunCell })
-	if stats := e2.srv.Stats(); stats.Queued+stats.Running != 0 || stats.Jobs != 2 {
-		t.Fatalf("second boot knows %d jobs with %d queued and %d running, want 2 finished", stats.Jobs, stats.Queued, stats.Running)
-	}
-	for _, want := range []string{id, pendingID} {
-		if st, ok := e2.srv.Job(want); !ok || st.State != JobDone {
-			t.Fatalf("second boot: job %s = %+v, want done", want, st)
-		}
-	}
-	if next := e2.submit(smallSpec()).ID; seqFromID(next) != 3 {
-		t.Fatalf("a new job after the legacy seq 2 got ID %s, want seq 3", next)
-	}
-	e2.drain()
-	legacyUnchanged()
-}
-
 // ---- results stream wake-up ----
 
 // followStream opens a job's results stream and forwards each line's key as

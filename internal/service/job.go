@@ -37,8 +37,9 @@ const (
 	OutcomeCached OutcomeStatus = "cached"
 	// OutcomeResumed is no longer produced: it marked a cell restored from
 	// the per-job runner journal, which the cache made redundant (a job
-	// re-run after a crash now reports such cells as cached). Terminal
-	// records written by earlier builds still carry it.
+	// re-run after a crash now reports such cells as cached). Only the job
+	// directories of builds before PR 50 carried it, and they are no longer
+	// read.
 	OutcomeResumed OutcomeStatus = "resumed"
 	// OutcomeDead was short-circuited by the dead-letter list: the cell
 	// has repeatedly failed non-transiently and is not retried.
@@ -184,9 +185,7 @@ func (j *job) status() JobStatus {
 // <data>/jobs.jsonl is the job log, in internal/jsonl's discipline. A job's
 // acceptance line is what a drain or crash must not lose; a job without a
 // terminal line re-queues on startup; a submission the queue refused after
-// its acceptance line gets a retire line, so it never comes back. Earlier
-// builds kept <data>/jobs/<id>/spec.json and done.json: still read, never
-// written, and a log line about an ID replaces what its directory says.
+// its acceptance line gets a retire line, so it never comes back.
 
 const (
 	jobsFile = "jobs.jsonl" // the job log, under the data dir
@@ -219,16 +218,16 @@ func newJob(id string, seq int, spec Spec) *job {
 	return &job{id: id, seq: seq, spec: spec, cells: spec.cells(), state: JobQueued}
 }
 
-// loadJobs rebuilds every job from an earlier build's jobs/ directory and
-// the job log over it, and opens the log for appending. Jobs with a
-// terminal record are kept for status and results queries; the rest are the
-// crash-recovery set. Both come back in submission order. maxSeq covers
-// every ID either source names, retired ones too.
+// loadJobs rebuilds every job from the job log and opens the log for
+// appending. Jobs with a terminal record are kept for status and results
+// queries; the rest are the crash-recovery set. Both come back in
+// submission order. maxSeq covers every ID the log names, retired ones too.
 func loadJobs(dataDir string) (terminal, pending []*job, maxSeq int, logF *os.File, err error) {
 	byID := make(map[string]*job)
-	apply := func(rec jobRecord) {
-		if rec.ID == "" {
-			return // foreign line
+	logF, err = jsonl.OpenAppend(filepath.Join(dataDir, jobsFile), func(line []byte) {
+		var rec jobRecord
+		if json.Unmarshal(line, &rec) != nil || rec.ID == "" {
+			return // torn or foreign line
 		}
 		seq := seqFromID(rec.ID)
 		maxSeq = max(maxSeq, seq)
@@ -241,15 +240,6 @@ func loadJobs(dataDir string) (terminal, pending []*job, maxSeq int, logF *os.Fi
 			if j := byID[rec.ID]; j != nil {
 				j.state, j.errMsg, j.outcomes = rec.State, rec.Error, rec.Outcomes
 			}
-		}
-	}
-	if err := readLegacyJobs(filepath.Join(dataDir, "jobs"), apply); err != nil {
-		return nil, nil, 0, nil, err
-	}
-	logF, err = jsonl.OpenAppend(filepath.Join(dataDir, jobsFile), func(line []byte) {
-		var rec jobRecord
-		if json.Unmarshal(line, &rec) == nil {
-			apply(rec)
 		}
 	})
 	if err != nil {
@@ -265,37 +255,6 @@ func loadJobs(dataDir string) (terminal, pending []*job, maxSeq int, logF *os.Fi
 	sort.Slice(pending, func(i, k int) bool { return pending[i].seq < pending[k].seq })
 	sort.Slice(terminal, func(i, k int) bool { return terminal[i].seq < terminal[k].seq })
 	return terminal, pending, maxSeq, logF, nil
-}
-
-// readLegacyJobs hands apply the log lines each job directory of an earlier
-// build stands for: spec.json ({id, seq, spec}) is the acceptance line, and
-// done.json, which nests the state and error under "status" (the build
-// before it wrote the whole JobStatus there), the terminal one.
-func readLegacyJobs(jobsDir string, apply func(jobRecord)) error {
-	ents, err := os.ReadDir(jobsDir)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, de := range ents {
-		dir := filepath.Join(jobsDir, de.Name())
-		var acc jobRecord
-		if b, err := os.ReadFile(filepath.Join(dir, "spec.json")); err != nil || json.Unmarshal(b, &acc) != nil || acc.Spec == nil {
-			continue // half-created acceptance: the client was never acked
-		}
-		apply(acc)
-		var done struct {
-			Status   jobRecord `json:"status"`
-			Outcomes []Outcome `json:"outcomes"`
-		}
-		// A done.json that does not decode leaves the job to re-run.
-		if b, err := os.ReadFile(filepath.Join(dir, "done.json")); err == nil && json.Unmarshal(b, &done) == nil {
-			apply(jobRecord{ID: acc.ID, State: done.Status.State, Error: done.Status.Error, Outcomes: done.Outcomes})
-		}
-	}
-	return nil
 }
 
 // jobID builds the durable identifier: ordinal plus a spec-digest prefix,

@@ -3,11 +3,14 @@ package sim
 import (
 	"testing"
 
+	"dnc/internal/isa"
 	"dnc/internal/prefetch"
+	"dnc/internal/workloads"
 )
 
 // BenchmarkCatalog is the per-design host-cost ledger: every catalog design
-// on one fixed serial cell (Web-Zeus, 4 cores, 200K+200K cycles, seed 1).
+// on one serial cell (fixed-length Web-Zeus, 4 cores, 200K+200K cycles,
+// seed 1).
 // Besides ns/op and allocs/op, each sub-benchmark reports ns per simulated
 // core-cycle, ns per instruction retired in the measurement window, and
 // tick-share: the share of core-cycles the engine advanced through a full
@@ -20,10 +23,17 @@ import (
 // with the host.
 //
 //	go test ./internal/sim -run '^$' -bench BenchmarkCatalog -benchtime 3x -cpu 1
-func BenchmarkCatalog(b *testing.B) {
+func BenchmarkCatalog(b *testing.B) { benchCatalog(b, isa.Fixed) }
+
+// BenchmarkCatalogVariable is the same ledger on variable-length Web-Zeus,
+// where the zero LLC config turns DV-LLC on; the pattern above runs both.
+func BenchmarkCatalogVariable(b *testing.B) { benchCatalog(b, isa.Variable) }
+
+func benchCatalog(b *testing.B, mode isa.Mode) {
 	for _, e := range prefetch.Catalog() {
 		b.Run(e.Name, func(b *testing.B) {
 			rc := engineConfig(b, e.Name, 4)
+			rc.Workload = workloads.Params("Web-Zeus", mode)
 			rc.WarmCycles, rc.MeasureCycles, rc.IntraJobs = 200_000, 200_000, 1
 			Program(rc.Workload) // generation cost is one-time; keep it out of the loop
 			b.ReportAllocs()
