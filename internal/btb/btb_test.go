@@ -73,6 +73,7 @@ func TestPrefetchBuffer(t *testing.T) {
 	if !pb.Contains(10) {
 		t.Fatal("filled block missing")
 	}
+	brs[0].Offset = 8 // Fill keeps a copy: the caller's slice is scratch
 	got, ok := pb.TakeBlock(10)
 	if !ok || len(got) != 1 || got[0].Offset != 4 {
 		t.Fatalf("TakeBlock = %+v, %v", got, ok)

@@ -24,11 +24,6 @@ func BBEntryState(c *checkpoint.Codec, v *BBEntry) {
 // BranchesState walks a pre-decoded branch list (the prefetch buffer
 // payload).
 func BranchesState(c *checkpoint.Codec, brs *[]isa.Branch) {
-	if c.Loading() {
-		// The list in place may be the program image's own (Predecode hands
-		// out its slices); load into a fresh one.
-		*brs = nil
-	}
 	checkpoint.Slice(c, "branch list", brs, 10, checkpoint.Unbounded, func(br *isa.Branch) {
 		c.U8(&br.Offset)
 		checkpoint.Byte(c, &br.Kind)

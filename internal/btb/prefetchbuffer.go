@@ -13,7 +13,13 @@ import (
 // block's branches into the conventional BTB.
 type PrefetchBuffer struct {
 	table *cache.Table[isa.Addr, []isa.Branch]
+	free  [][]isa.Branch // taken entries' storage, reused by Fill
 }
+
+// blockBranches is the most branches one block pre-decodes to: every
+// instruction of a fixed-length block (a variable-length block's branch
+// footprint holds fewer).
+const blockBranches = isa.BlockBytes / isa.FixedSize
 
 // NewPrefetchBuffer returns a buffer with the given block entries and ways
 // (the paper uses 32 entries, 2-way).
@@ -25,21 +31,36 @@ type PrefetchBuffer struct {
 // number fixes it and moves every SN4L+Dis+BTB result (CHANGES.md FOUND
 // line "BTB prefetch buffer uses 2 of its 32 entries"; ROADMAP item 7(h)).
 func NewPrefetchBuffer(entries, ways int) *PrefetchBuffer {
-	return &PrefetchBuffer{table: cache.NewTable[[]isa.Branch](entries, ways)}
+	return &PrefetchBuffer{table: cache.NewTable[[]isa.Branch](entries, ways),
+		free: make([][]isa.Branch, 0, entries)}
 }
 
-// Fill stores the pre-decoded branches of a block (no-op for blocks without
-// branches, which need no BTB entries).
+// Fill stores a copy of the pre-decoded branches of a block (no-op for
+// blocks without branches, which need no BTB entries). The copy goes into
+// the storage of the entry it replaces or of a taken block, so a buffer
+// allocates each entry's storage once.
 func (p *PrefetchBuffer) Fill(b isa.BlockID, branches []isa.Branch) {
 	if len(branches) == 0 {
 		return
 	}
-	p.table.Put(isa.BlockBase(b), branches)
+	v, _, old, evicted := p.table.Insert(isa.BlockBase(b))
+	switch {
+	case *v != nil: // the block was resident
+	case evicted:
+		*v = old
+	case len(p.free) > 0:
+		*v = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+	default:
+		*v = make([]isa.Branch, 0, blockBranches)
+	}
+	*v = append((*v)[:0], branches...)
 }
 
 // TakeBlock removes and returns the entry for a block. The frontend calls
 // this when a BTB lookup misses: a prefetch-buffer hit promotes every branch
-// of the block into the BTB, avoiding the decode-redirect penalty.
+// of the block into the BTB, avoiding the decode-redirect penalty. The
+// branches are valid until the next Fill.
 func (p *PrefetchBuffer) TakeBlock(b isa.BlockID) ([]isa.Branch, bool) {
 	key := isa.BlockBase(b)
 	brs, ok := p.table.Lookup(key)
@@ -47,6 +68,7 @@ func (p *PrefetchBuffer) TakeBlock(b isa.BlockID) ([]isa.Branch, bool) {
 		return nil, false
 	}
 	p.table.Invalidate(key)
+	p.free = append(p.free, brs)
 	return brs, true
 }
 

@@ -258,11 +258,14 @@ func FuzzTable(f *testing.F) {
 	})
 }
 
-// saveTable walks a table into a marshalled snapshot.
+// saveTable walks a table into a snapshot.
 func saveTable[K ~uint64, V any](tb *Table[K, V], val func(*checkpoint.Codec, *V)) []byte {
-	e := checkpoint.NewEncoder()
-	tb.State(checkpoint.NewSaver(e), val)
-	return bytes.Clone(e.Marshal())
+	return checkpoint.Save(nil, func(c *checkpoint.Codec) { tb.State(c, val) })
+}
+
+// loadTable loads a snapshot into a table.
+func loadTable[K ~uint64, V any](data []byte, tb *Table[K, V], val func(*checkpoint.Codec, *V)) error {
+	return checkpoint.Load(data, func(c *checkpoint.Codec) { tb.State(c, val) })
 }
 
 // TestTableStateRoundTrip: save → load into a fresh table → save is the
@@ -275,14 +278,8 @@ func TestTableStateRoundTrip(t *testing.T) {
 	c.run(t, tape)
 	saved := saveTable(c.tb, LineState)
 
-	d, err := checkpoint.Decode(saved)
-	if err != nil {
-		t.Fatal(err)
-	}
 	loaded := New(4*64*2, 2)
-	cp := checkpoint.NewLoader(d)
-	loaded.State(cp, LineState)
-	if err := cp.Err(); err != nil {
+	if err := loadTable(saved, loaded, LineState); err != nil {
 		t.Fatal(err)
 	}
 	if again := saveTable(loaded, LineState); !bytes.Equal(again, saved) {
@@ -293,10 +290,7 @@ func TestTableStateRoundTrip(t *testing.T) {
 	c.run(t, tape) // and it behaves as the original did
 
 	// A table of another geometry refuses the snapshot.
-	d, _ = checkpoint.Decode(saved)
-	cp = checkpoint.NewLoader(d)
-	New(8*64*2, 2).State(cp, LineState)
-	if cp.Err() == nil {
+	if loadTable(saved, New(8*64*2, 2), LineState) == nil {
 		t.Fatal("an 8-set table loaded a 4-set snapshot")
 	}
 }

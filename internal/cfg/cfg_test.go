@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dnc/internal/checkpoint"
-	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/isa"
 )
 
@@ -287,9 +286,9 @@ func TestWalkerRestoreMidBlock(t *testing.T) {
 			if w.cur != blk || w.idx != idx {
 				t.Fatalf("%v: walker at (%d, %d), expected (%d, %d)", mode, w.cur, w.idx, blk, idx)
 			}
-			snap := checkpointtest.Save(func(c *checkpoint.Codec) { w.State(c, 0) })
+			snap := checkpoint.Save(nil, func(c *checkpoint.Codec) { w.State(c, 0) })
 			loaded := NewWalker(prog, seed)
-			if err := checkpointtest.Load(snap, func(c *checkpoint.Codec) { loaded.State(c, 1<<20) }); err != nil {
+			if err := checkpoint.Load(snap, func(c *checkpoint.Codec) { loaded.State(c, 1<<20) }); err != nil {
 				t.Fatalf("%v: loading at index %d: %v", mode, w.idx, err)
 			}
 			straight := NewWalker(prog, seed)

@@ -1,140 +1,205 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 )
 
 // Codec walks a component's state in one of two directions: saving appends
-// each field to an Encoder, loading overwrites each field from a Decoder. A
-// component describes its layout once, in a State(*Codec) method that names
-// every field in order; the same walk is its snapshot and its restore, so
-// the two cannot drift apart.
+// each field to a byte buffer (Save), loading overwrites each field from a
+// snapshot's payload (Load). A component describes its layout once, in a
+// State(*Codec) method that names every field in order; the same walk is its
+// snapshot and its restore, so the two cannot drift apart.
 //
-// Errors are the Decoder's: sticky, first one wins. After a failure every
-// read leaves zeros behind and consumes nothing, so a State method never
-// checks an error to stay safe — only to skip work, or before it uses a
-// loaded value as an index. Saving cannot fail.
+// Load errors are sticky, first one wins. After a failure every read leaves
+// zeros behind and consumes nothing, so a State method never checks an
+// error to stay safe — only to skip work, or before it uses a loaded value
+// as an index. Saving cannot fail.
 type Codec struct {
-	e *Encoder // saving
-	d *Decoder // loading
+	buf      []byte // saving: the snapshot so far; loading: the payload
+	off      int    // loading: read offset into buf
+	sections []int  // saving: open sections' length offsets; loading: their end offsets
+	loading  bool
+	err      error
 }
-
-// NewSaver returns a codec that saves into e.
-func NewSaver(e *Encoder) *Codec { return &Codec{e: e} }
-
-// NewLoader returns a codec that loads from d.
-func NewLoader(d *Decoder) *Codec { return &Codec{d: d} }
 
 // Loading reports the direction. State methods branch on it only where the
 // two directions genuinely differ: emptying a container before it is
 // refilled, rebuilding what is derived from the loaded fields, checking a
 // loaded value's range.
-func (c *Codec) Loading() bool { return c.d != nil }
+func (c *Codec) Loading() bool { return c.loading }
 
 // Err returns the first failure of a load; nil while saving.
-func (c *Codec) Err() error {
-	if c.d == nil {
-		return nil
-	}
-	return c.d.err
-}
+func (c *Codec) Err() error { return c.err }
 
-// Fail records err as the load's failure unless one is recorded already.
-func (c *Codec) Fail(err error) {
-	if c.d != nil {
-		c.d.fail(err)
+// fail records err as the load's failure unless one is recorded already.
+func (c *Codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
 // Corrupt fails the load with a formatted error wrapping ErrCorrupt: the
 // snapshot decoded, but holds a value this machine cannot.
 func (c *Codec) Corrupt(format string, args ...any) {
-	if c.d != nil && c.d.err == nil {
-		c.d.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+	if c.loading && c.err == nil {
+		c.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 	}
+}
+
+// remaining returns the number of unread bytes in the current section (or
+// the whole payload if no section is open).
+func (c *Codec) remaining() int {
+	end := len(c.buf)
+	if len(c.sections) > 0 {
+		end = c.sections[len(c.sections)-1]
+	}
+	return end - c.off
+}
+
+// take consumes the next n bytes of the payload, or fails the load and
+// returns nil.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n > c.remaining() {
+		c.fail(fmt.Errorf("%w: need %d bytes, %d remain", ErrTruncated, n, c.remaining()))
+		return nil
+	}
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
 }
 
 // U8 walks one byte.
 func (c *Codec) U8(p *uint8) {
-	if c.d != nil {
-		*p = c.d.U8()
+	if !c.loading {
+		c.buf = append(c.buf, *p)
+	} else if b := c.take(1); b != nil {
+		*p = b[0]
 	} else {
-		c.e.U8(*p)
+		*p = 0
 	}
 }
 
-// U16 walks a uint16.
+// U16 walks a little-endian uint16.
 func (c *Codec) U16(p *uint16) {
-	if c.d != nil {
-		*p = c.d.U16()
+	if !c.loading {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *p)
+	} else if b := c.take(2); b != nil {
+		*p = binary.LittleEndian.Uint16(b)
 	} else {
-		c.e.U16(*p)
+		*p = 0
 	}
 }
 
-// U32 walks a uint32.
+// U32 walks a little-endian uint32.
 func (c *Codec) U32(p *uint32) {
-	if c.d != nil {
-		*p = c.d.U32()
+	if !c.loading {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *p)
+	} else if b := c.take(4); b != nil {
+		*p = binary.LittleEndian.Uint32(b)
 	} else {
-		c.e.U32(*p)
+		*p = 0
 	}
 }
 
-// U64 walks a uint64.
+// U64 walks a little-endian uint64.
 func (c *Codec) U64(p *uint64) {
-	if c.d != nil {
-		*p = c.d.U64()
+	if !c.loading {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
+	} else if b := c.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
 	} else {
-		c.e.U64(*p)
+		*p = 0
 	}
 }
 
-// I64 walks an int64.
+// I64 walks an int64 (two's complement).
 func (c *Codec) I64(p *int64) {
-	if c.d != nil {
-		*p = c.d.I64()
-	} else {
-		c.e.I64(*p)
-	}
+	v := uint64(*p)
+	c.U64(&v)
+	*p = int64(v)
 }
 
 // Int walks an int (as an int64).
 func (c *Codec) Int(p *int) {
-	if c.d != nil {
-		*p = c.d.Int()
-	} else {
-		c.e.Int(*p)
-	}
+	v := int64(*p)
+	c.I64(&v)
+	*p = int(v)
 }
 
-// Bool walks a boolean; a loaded byte other than 0 or 1 is corrupt.
+// Bool walks a boolean as one byte; a loaded byte other than 0 or 1 is
+// corrupt.
 func (c *Codec) Bool(p *bool) {
-	if c.d != nil {
-		*p = c.d.Bool()
-	} else {
-		c.e.Bool(*p)
+	var v uint8
+	if *p {
+		v = 1
 	}
+	c.U8(&v)
+	if v > 1 {
+		c.fail(fmt.Errorf("%w: boolean byte %#x", ErrCorrupt, v))
+	}
+	*p = v == 1
+}
+
+// span walks the u32 length prefix of n bytes. Saving, it appends n and
+// returns nil (the caller appends the bytes). Loading, it reads the length,
+// checks it against the remaining input before anything is allocated, and
+// returns the bytes — the payload's own, not a copy.
+func (c *Codec) span(n int) []byte {
+	v := uint32(n)
+	c.U32(&v)
+	if !c.loading || c.err != nil {
+		return nil
+	}
+	if int(v) > c.remaining() {
+		c.fail(fmt.Errorf("%w: byte slice of %d bytes, %d remain", ErrTruncated, v, c.remaining()))
+		return nil
+	}
+	return c.take(int(v))
 }
 
 // String walks a length-prefixed string.
 func (c *Codec) String(p *string) {
-	if c.d != nil {
-		*p = c.d.String()
+	b := c.span(len(*p))
+	if c.loading {
+		*p = string(b)
 	} else {
-		c.e.String(*p)
+		c.buf = append(c.buf, *p...)
 	}
 }
 
-// Struct walks a fixed-layout struct through p, a pointer to it (see
-// Encoder.Struct).
+// Struct walks a fixed-layout struct (all fields fixed-size) through p, a
+// pointer to it, as a length-prefixed blob via encoding/binary. Intended for
+// flat counter structs where field-by-field walking adds nothing but
+// maintenance burden. Saving panics if p is not a fixed-size value — that is
+// a programming error, not an input error. Loading, a size mismatch — the
+// struct gained a field since the snapshot was written — is corrupt, not
+// silently misaligned.
 func (c *Codec) Struct(p any) {
-	if c.d != nil {
-		c.d.Struct(p)
-	} else {
-		c.e.Struct(p)
+	want := binary.Size(p)
+	b := c.span(want)
+	if !c.loading {
+		var err error
+		if c.buf, err = binary.Append(c.buf, binary.LittleEndian, p); err != nil {
+			panic(fmt.Sprintf("checkpoint: Struct(%T): %v", p, err))
+		}
+		return
+	}
+	switch {
+	case c.err != nil:
+	case want < 0:
+		c.fail(fmt.Errorf("%w: Struct(%T) is not fixed-size", ErrCorrupt, p))
+	case len(b) != want:
+		c.fail(fmt.Errorf("%w: struct blob for %T is %d bytes, want %d", ErrCorrupt, p, len(b), want))
+	default:
+		if _, err := binary.Decode(b, binary.LittleEndian, p); err != nil {
+			c.fail(fmt.Errorf("%w: decoding %T: %v", ErrCorrupt, p, err))
+		}
 	}
 }
 
@@ -160,21 +225,50 @@ func Word[T ~uint64](c *Codec, p *T) {
 }
 
 // Begin opens the section tagged tag; every Begin is paired with an End.
+// Loading, the tag must match and the section's length fit inside the
+// enclosing section.
 func (c *Codec) Begin(tag string) {
-	if c.d != nil {
-		c.d.Begin(tag)
-	} else {
-		c.e.Begin(tag)
+	got := c.span(len(tag))
+	if !c.loading {
+		c.buf = append(c.buf, tag...)
+		c.sections = append(c.sections, len(c.buf))
+		c.buf = append(c.buf, 0, 0, 0, 0) // length, patched by End
+		return
 	}
+	if c.err == nil && string(got) != tag {
+		c.fail(fmt.Errorf("%w: section tag %q, want %q", ErrCorrupt, got, tag))
+	}
+	var n uint32
+	c.U32(&n)
+	if c.err != nil {
+		return
+	}
+	if int(n) > c.remaining() {
+		c.fail(fmt.Errorf("%w: section %q of %d bytes, %d remain", ErrTruncated, tag, n, c.remaining()))
+		return
+	}
+	c.sections = append(c.sections, c.off+int(n))
 }
 
-// End closes the innermost section. Loading, it fails unless the walk
-// consumed the section exactly.
+// End closes the innermost section. Saving, it patches the section's length
+// prefix; loading, it fails unless the walk consumed the section exactly.
 func (c *Codec) End() {
-	if c.d != nil {
-		c.d.End()
-	} else {
-		c.e.End()
+	if c.err != nil {
+		return
+	}
+	if len(c.sections) == 0 {
+		if !c.loading {
+			panic("checkpoint: End without Begin")
+		}
+		c.fail(fmt.Errorf("%w: End without Begin", ErrCorrupt))
+		return
+	}
+	at := c.sections[len(c.sections)-1]
+	c.sections = c.sections[:len(c.sections)-1]
+	if !c.loading {
+		binary.LittleEndian.PutUint32(c.buf[at:], uint32(len(c.buf)-at-4))
+	} else if c.off != at {
+		c.fail(fmt.Errorf("%w: section consumed %d bytes short of its length", ErrCorrupt, at-c.off))
 	}
 }
 
@@ -187,7 +281,7 @@ func (c *Codec) End() {
 func Same[T comparable](c *Codec, what string, have T, walk func(*T)) T {
 	v := have
 	walk(&v)
-	if c.Loading() && c.Err() == nil && v != have {
+	if v != have {
 		c.Corrupt("snapshot %s is %v, machine has %v", what, v, have)
 	}
 	return have
@@ -198,21 +292,23 @@ func Same[T comparable](c *Codec, what string, have T, walk func(*T)) T {
 func (c *Codec) Fixed(what string, have int) {
 	v := have
 	c.Int(&v)
-	if c.Loading() && c.Err() == nil && v != have {
+	if v != have {
 		c.Corrupt("snapshot %s is %d, machine has %d", what, v, have)
 	}
 }
 
 // Blob walks a byte table whose size the configuration fixes.
 func (c *Codec) Blob(what string, b []byte) {
-	if c.d == nil {
-		c.e.Bytes(b)
+	n := uint32(len(b))
+	c.U32(&n)
+	if !c.loading {
+		c.buf = append(c.buf, b...)
 		return
 	}
-	if n := int(c.d.U32()); c.d.err == nil && n != len(b) {
+	if c.err == nil && int(n) != len(b) {
 		c.Corrupt("snapshot %s holds %d bytes, machine has %d", what, n, len(b))
 	}
-	copy(b, c.d.take(len(b)))
+	copy(b, c.take(len(b)))
 }
 
 // Unbounded is the Len, Slice, Set and Map capacity of a container nothing
@@ -220,16 +316,19 @@ func (c *Codec) Blob(what string, b []byte) {
 const Unbounded = math.MaxInt
 
 // Len walks the length of a variable-size container and returns the number
-// of elements to walk. Saving, that is n. Loading, it is read with
-// Decoder.Count — a count the rest of the section could not hold at elemMin
-// bytes an element is corrupt before anything is allocated or looped over —
-// and refused above max, the container's capacity.
+// of elements to walk. Saving, that is n. Loading, a count the rest of the
+// section could not hold at elemMin bytes an element is corrupt before
+// anything is allocated or looped over, and so is one above max, the
+// container's capacity.
 func (c *Codec) Len(what string, n, elemMin, max int) int {
-	if c.d == nil {
-		c.e.Int(n)
+	c.Int(&n)
+	if !c.loading || c.err != nil {
 		return n
 	}
-	n = c.d.Count(elemMin)
+	if n < 0 || (elemMin > 0 && n > c.remaining()/elemMin) {
+		c.fail(fmt.Errorf("%w: element count %d exceeds remaining input", ErrCorrupt, n))
+		return 0
+	}
 	if n > max {
 		c.Corrupt("%s holds %d entries over capacity %d", what, n, max)
 		return 0

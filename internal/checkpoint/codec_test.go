@@ -45,23 +45,6 @@ func newWidget() *widget {
 	return &widget{seen: map[uint64]struct{}{}, depth: map[uint64]int{}, name: "w"}
 }
 
-func save(state func(*Codec)) []byte {
-	e := NewEncoder()
-	state(NewSaver(e))
-	return bytes.Clone(e.Marshal())
-}
-
-func load(t *testing.T, data []byte, state func(*Codec)) error {
-	t.Helper()
-	d, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewLoader(d)
-	state(c)
-	return c.Err()
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	w := newWidget()
 	w.table = [4]uint16{1, 2, 3, 4}
@@ -69,15 +52,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	w.seen[9], w.seen[3] = struct{}{}, struct{}{}
 	w.depth[5], w.depth[2] = -1, 6
 	w.kind, w.pos, w.on = -3, -70000, true
-	snap := save(w.State)
+	snap := Save(nil, w.State)
 
 	r := newWidget()
 	r.stack = make([]uint64, 1, widgetStackCap)
 	r.seen[1000] = struct{}{} // a load replaces contents, it does not merge
-	if err := load(t, snap, r.State); err != nil {
+	if err := Load(snap, r.State); err != nil {
 		t.Fatal(err)
 	}
-	if again := save(r.State); !bytes.Equal(again, snap) {
+	if again := Save(nil, r.State); !bytes.Equal(again, snap) {
 		t.Fatal("bytes changed across a load")
 	}
 	if _, stale := r.seen[1000]; stale || r.kind != -3 || r.pos != -70000 || cap(r.stack) != widgetStackCap {
@@ -89,7 +72,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	*o = *w
 	o.seen = map[uint64]struct{}{3: {}, 9: {}}
 	o.depth = map[uint64]int{2: 6, 5: -1}
-	if !bytes.Equal(save(o.State), snap) {
+	if !bytes.Equal(Save(nil, o.State), snap) {
 		t.Fatal("map insertion order reached the snapshot bytes")
 	}
 }
@@ -104,7 +87,7 @@ func TestCodecRefusals(t *testing.T) {
 	}{
 		"configured value differs": {
 			into: func() *widget { w := newWidget(); w.name = "other"; return w },
-			data: func() []byte { return save(base.State) },
+			data: func() []byte { return Save(nil, base.State) },
 			want: ErrCorrupt,
 		},
 		"container over capacity": {
@@ -112,66 +95,68 @@ func TestCodecRefusals(t *testing.T) {
 			data: func() []byte {
 				w := newWidget()
 				w.stack = []uint64{1, 2, 3, 4}
-				return save(w.State)
+				return Save(nil, w.State)
 			},
 			want: ErrCorrupt,
 		},
 		"count beyond the input": {
 			into: newWidget,
 			data: func() []byte {
-				e := NewEncoder()
-				e.Begin("widget")
-				e.Int(4)
-				for i := 0; i < 4; i++ {
-					e.U16(0)
-				}
-				e.Int(1 << 40) // stack length
-				e.End()
-				return e.Marshal()
+				return Save(nil, func(c *Codec) {
+					c.Begin("widget")
+					c.Fixed("table size", 4)
+					for range 4 {
+						c.U16(new(uint16))
+					}
+					n := 1 << 40 // stack length
+					c.Int(&n)
+					c.End()
+				})
 			},
 			want: ErrCorrupt,
 		},
 		"section cut short": {
 			into: newWidget,
 			data: func() []byte {
-				e := NewEncoder()
-				e.Begin("widget")
-				e.Int(4)
-				e.End()
-				return e.Marshal()
+				return Save(nil, func(c *Codec) {
+					c.Begin("widget")
+					c.Fixed("table size", 4)
+					c.End()
+				})
 			},
 			want: ErrTruncated,
 		},
 	}
 	for name, tc := range cases {
-		if err := load(t, tc.data(), tc.into().State); !errors.Is(err, tc.want) {
+		if err := Load(tc.data(), tc.into().State); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", name, err, tc.want)
 		}
 	}
 }
 
+// TestCodecBlobAndReset: a blob round trip and refusal, and Save reusing the
+// buffer it is handed, so a cadence of snapshots grows one buffer once.
 func TestCodecBlobAndReset(t *testing.T) {
 	table := []byte{1, 2, 3}
-	e := NewEncoder()
 	walk := func(b []byte) func(*Codec) {
 		return func(c *Codec) { c.Blob("table", b) }
 	}
-	walk(table)(NewSaver(e))
-	first := bytes.Clone(e.Marshal())
-	if again := e.Marshal(); !bytes.Equal(again, first) {
-		t.Fatal("Marshal is not repeatable")
+	first := Save(nil, walk(table))
+
+	buf := make([]byte, 0, 2*len(first))
+	again := Save(buf, walk(table))
+	if !bytes.Equal(again, first) || &again[0] != &buf[:1][0] {
+		t.Fatal("Save over a large-enough buffer reallocated it or framed the walk differently")
 	}
-	e.Reset()
-	walk(table)(NewSaver(e))
-	if !bytes.Equal(e.Marshal(), first) {
-		t.Fatal("a reset encoder framed the same walk differently")
+	if !bytes.Equal(Save(again, walk(table)), first) {
+		t.Fatal("Save over its previous snapshot framed the same walk differently")
 	}
 
 	got := make([]byte, 3)
-	if err := load(t, first, walk(got)); err != nil || !bytes.Equal(got, table) {
+	if err := Load(first, walk(got)); err != nil || !bytes.Equal(got, table) {
 		t.Fatalf("blob load: %v, %v", got, err)
 	}
-	if err := load(t, first, walk(make([]byte, 4))); !errors.Is(err, ErrCorrupt) {
+	if err := Load(first, walk(make([]byte, 4))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("blob into a table of another size: %v, want ErrCorrupt", err)
 	}
 }

@@ -1,30 +1,43 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
-// FuzzDecode throws arbitrary bytes at the snapshot decoder: framing and
+// fuzzState is a machine in miniature: nested sections around a counted
+// list, a string, a boolean and a fixed-size table.
+type fuzzState struct {
+	clock uint64
+	stack []uint64
+	name  string
+	on    bool
+	table [3]byte
+}
+
+func (s *fuzzState) State(c *Codec) {
+	c.Begin("machine")
+	c.U64(&s.clock)
+	c.Begin("core")
+	Words(c, "stack", &s.stack, Unbounded)
+	c.String(&s.name)
+	c.Bool(&s.on)
+	c.Blob("table", s.table[:])
+	c.End()
+	c.End()
+}
+
+// FuzzLoad throws arbitrary bytes at Load over a fuzzState walk: framing and
 // section parsing must return typed errors, never panic or over-allocate,
-// on any input (`go test -fuzz FuzzDecode ./internal/checkpoint`). In a
-// plain `go test` run only the seed corpus executes.
-func FuzzDecode(f *testing.F) {
-	// Seeds: a valid nested snapshot plus a spread of malformed framings.
-	e := NewEncoder()
-	e.Begin("machine")
-	e.U64(123456)
-	e.Begin("core")
-	e.Int(3)
-	e.U64(1)
-	e.U64(2)
-	e.U64(3)
-	e.String("tag")
-	e.Bool(true)
-	e.Bytes([]byte{9, 8, 7})
-	e.End()
-	e.End()
-	valid := e.Marshal()
+// on any input (`go test -fuzz FuzzLoad ./internal/checkpoint`). A load that
+// succeeds saves back to the input it read. In a plain `go test` run only
+// the seed corpus executes.
+func FuzzLoad(f *testing.F) {
+	// Seeds: a valid snapshot plus a spread of malformed framings.
+	valid := Save(nil, (&fuzzState{clock: 123456, stack: []uint64{1, 2, 3}, name: "tag", on: true,
+		table: [3]byte{9, 8, 7}}).State)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("DNCC"))
@@ -33,41 +46,26 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append(header, 0, 0, 0, 0))
 	f.Add([]byte("DNCC\xff\x00\x00\x00\x00\x00"))
 	f.Add(valid[:len(valid)-5])
-	corrupt := append([]byte(nil), valid...)
+	corrupt := bytes.Clone(valid)
 	corrupt[8] ^= 0xFF
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Decode(data)
+		var s fuzzState
+		err := Load(data, s.State)
 		if err != nil {
-			return
+			for _, typed := range []error{ErrTruncated, ErrCorrupt, ErrVersion, ErrChecksum} {
+				if errors.Is(err, typed) {
+					return
+				}
+			}
+			t.Fatalf("untyped load error: %v", err)
 		}
-		// Walk the input as if restoring: open a section, drain typed reads.
-		// Every operation must either succeed within bounds or set a sticky
-		// error — the loop is bounded because each iteration consumes at
-		// least one byte or errors out.
-		if err := d.Begin("machine"); err != nil {
-			return
-		}
-		_ = d.U64()
-		if err := d.Begin("core"); err != nil {
-			return
-		}
-		n := d.Count(8)
-		for i := 0; i < n; i++ {
-			_ = d.U64()
-		}
-		_ = d.String()
-		_ = d.Bool()
-		_ = d.Bytes()
-		if err := d.End(); err != nil {
-			return
-		}
-		if err := d.End(); err != nil {
-			return
-		}
-		if d.Remaining() < 0 {
-			t.Fatalf("decoder ran past its input: %d bytes remaining", d.Remaining())
+		// Load does not require the walk to consume the whole payload, so
+		// the saved payload is a prefix of the input's.
+		again := Save(nil, s.State)
+		if !bytes.HasPrefix(data[:len(data)-4], again[:len(again)-4]) {
+			t.Fatalf("loaded %+v from %x; it saves as %x", s, data, again)
 		}
 	})
 }

@@ -104,8 +104,10 @@ type Core struct {
 	pfbHead  int
 	pfbCap   int
 
-	// Branch-footprint construction and caching (variable-length ISA).
-	bfCache *blockmap.Map[isa.BF]
+	// Branch-footprint construction and caching (variable-length ISA), and
+	// the slice Predecode decodes a footprint's branches into.
+	bfCache   *blockmap.Map[isa.BF]
+	predecode []isa.Branch
 
 	cycle uint64
 
@@ -315,12 +317,13 @@ func (c *Core) Predecode(b isa.BlockID) []isa.Branch {
 			return nil
 		}
 	}
-	var out []isa.Branch
-	for _, off := range bf.Offsets() {
+	out := c.predecode[:0]
+	for _, off := range bf.Off[:bf.Count] {
 		if br, okDec := isa.DecodeBranchAt(c.image, b, off); okDec {
 			out = append(out, br)
 		}
 	}
+	c.predecode = out
 	return out
 }
 

@@ -162,16 +162,8 @@ func TestPrefetchLatencyRidesTheLine(t *testing.T) {
 		t.Fatalf("prefetched line %+v, want flagged with latency %d", line, lat)
 	}
 
-	e := checkpoint.NewEncoder()
-	c.State(checkpoint.NewSaver(e))
-	d, err := checkpoint.Decode(e.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
 	r, _ := envCore(t, Config{})
-	cp := checkpoint.NewLoader(d)
-	r.State(cp)
-	if err := cp.Err(); err != nil {
+	if err := checkpoint.Load(checkpoint.Save(nil, c.State), r.State); err != nil {
 		t.Fatal(err)
 	}
 	for range 2 {

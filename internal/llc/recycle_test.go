@@ -9,11 +9,10 @@ import (
 	"testing"
 
 	"dnc/internal/checkpoint"
-	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/isa"
 )
 
-func snapshot(c *LLC) []byte { return checkpointtest.Save(c.State) }
+func snapshot(c *LLC) []byte { return checkpoint.Save(nil, c.State) }
 
 // churn drives a seeded mix of every mutating operation through the LLC,
 // over few enough blocks that sets fill, evict, pin and release holders.
@@ -82,7 +81,7 @@ func TestRecycledEqualsNew(t *testing.T) {
 		// them all. Either way a reset LLC warms as a fresh one does.
 		other := New(cfg)
 		churn(other, 3, 20_000)
-		if err := checkpointtest.Load(snapshot(fresh), other.State); err != nil {
+		if err := checkpoint.Load(snapshot(fresh), other.State); err != nil {
 			t.Fatal(err)
 		}
 		churn(other, 4, 20_000)
@@ -298,7 +297,7 @@ func TestRestoreRoundTripAndRejections(t *testing.T) {
 	}
 	want := snapshot(src)
 
-	restore := func(into *LLC, data []byte) error { return checkpointtest.Load(data, into.State) }
+	restore := func(into *LLC, data []byte) error { return checkpoint.Load(data, into.State) }
 	dst := New(small(true))
 	churn(dst, 8, 20_000)
 	if err := restore(dst, want); err != nil {

@@ -7,7 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"dnc/internal/checkpoint/checkpointtest"
+	"dnc/internal/checkpoint"
 	"dnc/internal/isa"
 )
 
@@ -177,7 +177,7 @@ func TestWarmAcrossRecycling(t *testing.T) {
 				// and the next reset must empty them all.
 				src := eager(cfg, b.first, b.last)
 				churn(src, 11, 3000)
-				if err := checkpointtest.Load(snapshot(src), c.State); err != nil {
+				if err := checkpoint.Load(snapshot(src), c.State); err != nil {
 					t.Fatal(err)
 				}
 				sameAsEager(t, what+", restored", c, src)
@@ -208,7 +208,7 @@ func TestAuditAfterRestoreSeesEverySet(t *testing.T) {
 	si := src.setOf(b0)
 	src.lines[si*src.ways+int(src.holder[si])-1] = packLine(blockInSet(src, 1, 3, 1), false)
 	dst := tiny(true, 2)
-	if err := checkpointtest.Load(snapshot(src), dst.State); err != nil {
+	if err := checkpoint.Load(snapshot(src), dst.State); err != nil {
 		t.Fatal(err)
 	}
 	if errs := dst.Audit(); len(errs) != 1 {

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"dnc/internal/checkpoint/checkpointtest"
+	"dnc/internal/checkpoint"
 )
 
 func TestHops(t *testing.T) {
@@ -149,16 +149,16 @@ func TestRestoreKeepsCarriedTraffic(t *testing.T) {
 	m := New()
 	m.Send(0, 15, 5, 0)
 	m.ResetStats()
-	snap := checkpointtest.Save(m.State)
+	snap := checkpoint.Save(nil, m.State)
 
 	r := New()
-	if err := checkpointtest.Load(snap, r.State); err != nil {
+	if err := checkpoint.Load(snap, r.State); err != nil {
 		t.Fatal(err)
 	}
 	if errs := r.Audit(); len(errs) != 0 {
 		t.Fatalf("restored packet-less mesh audited dirty: %v", errs)
 	}
-	if !bytes.Equal(snap, checkpointtest.Save(r.State)) {
+	if !bytes.Equal(snap, checkpoint.Save(nil, r.State)) {
 		t.Error("snapshot bytes changed across restore")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	wl "dnc/internal/cfg"
 	"dnc/internal/checkpoint"
-	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/isa"
 )
 
@@ -137,7 +136,7 @@ func TestCountersClassifyKinds(t *testing.T) {
 }
 
 func stateOf(m *Model) []byte {
-	return checkpointtest.Save(func(c *checkpoint.Codec) { m.State(c, 0) })
+	return checkpoint.Save(nil, func(c *checkpoint.Codec) { m.State(c, 0) })
 }
 
 // TestSnapshotRestoreResumesBothStreams interrupts a model mid-run,
@@ -155,7 +154,7 @@ func TestSnapshotRestoreResumesBothStreams(t *testing.T) {
 	}
 
 	r := New(prog, 5)
-	if err := checkpointtest.Load(stateOf(m), func(c *checkpoint.Codec) { r.State(c, 1<<20) }); err != nil {
+	if err := checkpoint.Load(stateOf(m), func(c *checkpoint.Codec) { r.State(c, 1<<20) }); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if r.Digest() != m.Digest() || r.C != m.C || r.Transitions != m.Transitions ||

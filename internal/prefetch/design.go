@@ -69,7 +69,9 @@ type Env interface {
 	// Predecode returns the branches of a block, decoding its raw bytes.
 	// For fixed-length ISAs the whole block decodes in parallel; for
 	// variable-length ISAs the offsets come from the virtualized branch
-	// footprint, and nil is returned when no footprint is available.
+	// footprint, and nil is returned when no footprint is available. The
+	// slice is valid until the next call: a caller that keeps the branches
+	// copies them.
 	Predecode(b isa.BlockID) []isa.Branch
 
 	// DecodeBranchAt decodes a single instruction at a byte offset and

@@ -7,7 +7,6 @@ import (
 
 	"dnc/internal/cache"
 	"dnc/internal/checkpoint"
-	"dnc/internal/checkpoint/checkpointtest"
 	"dnc/internal/isa"
 )
 
@@ -172,11 +171,11 @@ func TestTablePagesOnFirstTouch(t *testing.T) {
 		{func(c *checkpoint.Codec) { stateDisTable(c, dis) }, func(c *checkpoint.Codec) { stateDisTable(c, dis2) }},
 		{seq.State, seq2.State},
 	} {
-		snap := checkpointtest.Save(tab.from)
-		if err := checkpointtest.Load(snap, tab.to); err != nil {
+		snap := checkpoint.Save(nil, tab.from)
+		if err := checkpoint.Load(snap, tab.to); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(checkpointtest.Save(tab.to), snap) {
+		if !bytes.Equal(checkpoint.Save(nil, tab.to), snap) {
 			t.Fatal("a restored table snapshots different bytes")
 		}
 	}

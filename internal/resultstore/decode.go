@@ -7,7 +7,7 @@ import (
 )
 
 // byteReader is the sticky-error varint reader behind segment decoding
-// (the checkpoint.Decoder idiom, varint-flavoured). Every read is
+// (the loading checkpoint.Codec idiom, varint-flavoured). Every read is
 // bounds-checked; after the first failure every read returns zero and err
 // holds the typed cause.
 type byteReader struct {

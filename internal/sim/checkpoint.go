@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"dnc/internal/checkpoint"
 	"dnc/internal/core"
@@ -43,13 +44,6 @@ func (e *AuditError) Error() string {
 // Unwrap exposes the violations for errors.Is/As.
 func (e *AuditError) Unwrap() []error { return e.Violations }
 
-// componentState frames one component's snapshot for AuditError.State.
-func componentState(state func(*checkpoint.Codec)) []byte {
-	e := checkpoint.NewEncoder()
-	state(checkpoint.NewSaver(e))
-	return e.Marshal()
-}
-
 // audit sweeps the machine's structural invariants: per-core checks (ROB
 // conservation, prefetch-buffer bounds and exclusivity, MSHR occupancy and
 // leak detection), the DV-LLC footprint invariants, and NoC counter
@@ -63,7 +57,7 @@ func (m *machine) audit() []*AuditError {
 				Component:  fmt.Sprintf("core%d", i),
 				Cycle:      cycle,
 				Violations: errs,
-				State:      componentState(c.State),
+				State:      checkpoint.Save(nil, c.State),
 			})
 		}
 	}
@@ -72,7 +66,7 @@ func (m *machine) audit() []*AuditError {
 			Component:  "llc",
 			Cycle:      cycle,
 			Violations: errs,
-			State:      componentState(m.uncore.LLC.State),
+			State:      checkpoint.Save(nil, m.uncore.LLC.State),
 		})
 	}
 	if errs := m.uncore.Mesh.Audit(); len(errs) > 0 {
@@ -80,7 +74,7 @@ func (m *machine) audit() []*AuditError {
 			Component:  "noc",
 			Cycle:      cycle,
 			Violations: errs,
-			State:      componentState(m.uncore.Mesh.State),
+			State:      checkpoint.Save(nil, m.uncore.Mesh.State),
 		})
 	}
 	return out
@@ -185,34 +179,34 @@ func (rc RunConfig) StepBound() uint64 {
 	return (rc.WarmCycles + rc.MeasureCycles) * core.FetchWidth
 }
 
-// encode saves the whole machine into the machine's one encoder, which its
-// cadence snapshots reuse: the returned encoder (and the bytes Marshal hands
-// out) are valid until the next encode.
-func (m *machine) encode() *checkpoint.Encoder {
-	if m.enc == nil {
-		m.enc = checkpoint.NewEncoder()
-	}
-	m.enc.Reset()
-	_ = m.state(checkpoint.NewSaver(m.enc)) // saving cannot fail
-	return m.enc
+// encode saves the whole machine into the buffer its cadence snapshots
+// reuse: the returned bytes are valid until the next encode.
+func (m *machine) encode() []byte {
+	m.snap = checkpoint.Save(m.snap, func(c *checkpoint.Codec) { _ = m.state(c) }) // saving cannot fail
+	return m.snap
 }
 
 // restoreFrom loads a snapshot file into the freshly built machine,
 // verifying first that it was taken from an identical configuration.
 func (m *machine) restoreFrom(path string) error {
-	d, err := checkpoint.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("sim: reading snapshot %s: %w", path, err)
 	}
-	if err := m.load(d); err != nil {
+	if err := m.load(data); err != nil {
 		return fmt.Errorf("sim: snapshot %s: %w", path, err)
 	}
 	return nil
 }
 
-// load restores a framing-checked snapshot into the freshly built machine.
-func (m *machine) load(d *checkpoint.Decoder) error {
-	if err := m.state(checkpoint.NewLoader(d)); err != nil {
+// load restores a snapshot into the freshly built machine. A failure of the
+// walk is named by the component it arose in ("walker 3: ...").
+func (m *machine) load(data []byte) error {
+	var walkErr error
+	if err := checkpoint.Load(data, func(c *checkpoint.Codec) { walkErr = m.state(c) }); err != nil {
+		if walkErr != nil {
+			return walkErr
+		}
 		return err
 	}
 	// Resume the checkpoint cadence from the restore point, and rebuild the

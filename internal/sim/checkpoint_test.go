@@ -162,7 +162,7 @@ func TestSnapshotEncodingDeterministic(t *testing.T) {
 		if err := m.runPhase(context.Background(), 5000); err != nil {
 			t.Fatal(err)
 		}
-		return m.encode().Marshal()
+		return m.encode()
 	}
 	a, b := build(), build()
 	if string(a) != string(b) {

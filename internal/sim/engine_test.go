@@ -13,40 +13,46 @@ import (
 
 // TestTickZeroAllocs is the hot-structure contract: once the machine reaches
 // steady state, advancing the default 4-core configuration of every catalog
-// design performs zero heap allocations per tick. Fast-forward is disabled
-// so the test exercises the full fetch/retire/fill machinery, not the cheap
-// stall path.
+// design performs zero heap allocations per tick, on fixed- and
+// variable-length code. Fast-forward is disabled so the test exercises the
+// full fetch/retire/fill machinery, not the cheap stall path.
 func TestTickZeroAllocs(t *testing.T) {
-	for _, e := range prefetch.Catalog() {
-		t.Run(e.Name, func(t *testing.T) {
-			rc := applyDefaults(RunConfig{
-				Workload:  workloads.Params("Web-Zeus", isa.Fixed),
-				NewDesign: e.New,
-			})
-			m, err := buildMachine(rc, nil)
-			if err != nil {
-				t.Fatal(err)
+	for _, mode := range []isa.Mode{isa.Fixed, isa.Variable} {
+		for _, e := range prefetch.Catalog() {
+			name := e.Name
+			if mode == isa.Variable {
+				name += "/variable"
 			}
-			defer m.close()
-			for _, c := range m.cores {
-				c.SetFastForward(false)
-			}
-			for i := 0; i < 50_000; i++ {
-				for _, c := range m.cores {
-					c.Tick()
+			t.Run(name, func(t *testing.T) {
+				rc := applyDefaults(RunConfig{
+					Workload:  workloads.Params("Web-Zeus", mode),
+					NewDesign: e.New,
+				})
+				m, err := buildMachine(rc, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				for i := 0; i < 1_000; i++ {
+				defer m.close()
+				for _, c := range m.cores {
+					c.SetFastForward(false)
+				}
+				for i := 0; i < 50_000; i++ {
 					for _, c := range m.cores {
 						c.Tick()
 					}
 				}
+				allocs := testing.AllocsPerRun(10, func() {
+					for i := 0; i < 1_000; i++ {
+						for _, c := range m.cores {
+							c.Tick()
+						}
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("steady-state ticking allocated %.2f times per 4000 core-ticks; want 0", allocs)
+				}
 			})
-			if allocs != 0 {
-				t.Fatalf("steady-state ticking allocated %.2f times per 4000 core-ticks; want 0", allocs)
-			}
-		})
+		}
 	}
 }
 

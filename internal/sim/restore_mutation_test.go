@@ -267,8 +267,7 @@ func FuzzMachineRestore(f *testing.F) {
 		}
 		data = bytes.Clone(data)
 		reseal(data)
-		d, err := checkpoint.Decode(data)
-		if err != nil {
+		if checkpoint.Load(data, func(*checkpoint.Codec) {}) != nil {
 			return // bad magic or version: the framing's own fuzzer covers it
 		}
 		rc := applyDefaults(mutationConfig(t, mutationDesigns[int(design)%len(mutationDesigns)]))
@@ -277,7 +276,7 @@ func FuzzMachineRestore(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer m.close()
-		if err := m.load(d); err != nil {
+		if err := m.load(data); err != nil {
 			if !typedRefusal(err) {
 				t.Fatalf("untyped restore error: %v", err)
 			}

@@ -268,9 +268,9 @@ type machine struct {
 	// opened (Result.LLCOccupancy); not checkpointed, so 0 after a resume
 	// inside that window.
 	measuredFrom int
-	// enc is the encoder every snapshot of this machine is built in (see
+	// snap is the buffer every snapshot of this machine is built in (see
 	// encode); nil until the first.
-	enc *checkpoint.Encoder
+	snap []byte
 
 	// eng is the engine-loop state (sleep table, parallel shards). It is
 	// derived state, never checkpointed: cores are synced to the global clock
